@@ -51,7 +51,7 @@ func flowHash(flowID uint64) uint64 {
 // with no load awareness: the paper's primary data center baseline.
 type ECMP struct {
 	base
-	next map[topo.NodeID][]int // destination switch -> candidate ports
+	next [][]int // by destination switch NodeID: candidate ports
 	// Single, when true, always uses the first candidate: shortest
 	// path routing (the paper's SP baseline for general topologies).
 	Single bool
@@ -68,19 +68,20 @@ func NewSP() *ECMP { return &ECMP{Single: true} }
 // failed-from-the-start link is excluded — §6.3's asymmetric setup).
 func (r *ECMP) Attach(sw *sim.SwitchDev) {
 	r.init(sw)
-	r.next = make(map[topo.NodeID][]int)
 	g := sw.Net.Topo
+	r.next = make([][]int, g.NumNodes())
 	for _, dst := range g.Switches() {
-		if dst == sw.ID {
+		nh := g.ECMPNextHops(sw.ID, dst)
+		if len(nh) == 0 {
 			continue
 		}
-		var ports []int
-		for _, nh := range g.ECMPNextHops(dst)[sw.ID] {
-			ports = append(ports, g.PortTo(sw.ID, nh))
+		// Port order follows next-hop order (ascending NodeID): Handle
+		// picks by flowHash % len(ports), so the order is observable.
+		ports := make([]int, len(nh))
+		for i, m := range nh {
+			ports[i] = g.PortTo(sw.ID, m)
 		}
-		if len(ports) > 0 {
-			r.next[dst] = ports
-		}
+		r.next[dst] = ports
 	}
 }
 

@@ -1,8 +1,12 @@
 package baseline
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
+	"contra/internal/core"
+	"contra/internal/policy"
 	"contra/internal/sim"
 	"contra/internal/topo"
 )
@@ -279,5 +283,106 @@ func TestHulaRebootFlushesSoftState(t *testing.T) {
 	e.Run(upAt + 12*256_000)
 	if len(victim.bestPort) == 0 {
 		t.Fatal("rebooted HULA switch never re-learned routes")
+	}
+}
+
+// startECMP builds a network over g, installs ECMP on every switch as
+// DeployECMP does, and returns the attached routers in switch order.
+func startECMP(g *topo.Graph) []*ECMP {
+	n := sim.NewNetwork(sim.NewEngine(1), g, sim.Config{})
+	var routers []*ECMP
+	for _, s := range g.Switches() {
+		r := NewECMP()
+		routers = append(routers, r)
+		n.SetRouter(s, r)
+	}
+	n.Start()
+	return routers
+}
+
+// TestECMPStartCost guards the complexity of attaching ECMP to a whole
+// fabric, counted in allocations so that it holds on any machine: the
+// first Start on a graph runs at most one BFS per destination, shared
+// by all routers, and a later Start on the same graph runs none.
+func TestECMPStartCost(t *testing.T) {
+	const runs = 3
+	// startAllocs averages the allocations of Start alone over networks
+	// built beforehand, one per AllocsPerRun call (warm-up included).
+	startAllocs := func(graph func() *topo.Graph) float64 {
+		var nets []*sim.Network
+		for i := 0; i <= runs; i++ {
+			n := sim.NewNetwork(sim.NewEngine(1), graph(), sim.Config{})
+			DeployECMP(n)
+			nets = append(nets, n)
+		}
+		return testing.AllocsPerRun(runs, func() {
+			nets[0].Start()
+			nets = nets[1:]
+		})
+	}
+	cold := startAllocs(func() *topo.Graph { return topo.Fattree(8, 2) })
+	if cold >= 50_000 {
+		t.Fatalf("Start on a fresh fattree:8:2 allocates %.0f times, want < 50000", cold)
+	}
+
+	g := topo.Fattree(8, 2)
+	switches := g.Switches()
+	startECMP(g)
+	vec := make([]*int32, len(switches))
+	for i, d := range switches {
+		vec[i] = &g.HopsFrom(d)[0]
+	}
+	warm := startAllocs(func() *topo.Graph { return g })
+	for i, d := range switches {
+		if &g.HopsFrom(d)[0] != vec[i] {
+			t.Fatalf("hop vector of %s was recomputed by a later Start", g.Node(d).Name)
+		}
+	}
+	// With no BFS in a warm Start, the difference bounds the cold one's:
+	// each BFS allocates its hop vector.
+	if bfs := cold - warm; bfs > float64(len(switches))+8 {
+		t.Fatalf("cold Start allocates %.0f times more than a warm one; want at most one BFS for each of the %d destinations", bfs, len(switches))
+	}
+}
+
+// TestConcurrentReadersOfColdGraph has several goroutines compile
+// against, and start ECMP on, one shared graph that nobody has queried
+// yet, so they race to build its snapshot and fill its hop vectors.
+// Run under -race; every goroutine must end up with the same tables.
+func TestConcurrentReadersOfColdGraph(t *testing.T) {
+	g := topo.Fattree(4, 2)
+	const readers = 8
+	tables := make([][][][]int, readers)
+	periods := make([]int64, readers)
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c, err := core.Compile(g, policy.MinUtil(), core.Options{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			periods[i] = c.Opts.ProbePeriodNs
+			for _, r := range startECMP(g) {
+				tables[i] = append(tables[i], r.next)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if len(tables[0]) != len(g.Switches()) || len(tables[0][0]) != g.NumNodes() {
+		t.Fatalf("reader 0 has %d tables", len(tables[0]))
+	}
+	for i := 1; i < readers; i++ {
+		if !reflect.DeepEqual(tables[i], tables[0]) {
+			t.Fatalf("reader %d built different next-hop tables than reader 0", i)
+		}
+		if periods[i] != periods[0] {
+			t.Fatalf("reader %d derived probe period %d, reader 0 %d", i, periods[i], periods[0])
+		}
 	}
 }

@@ -20,10 +20,11 @@ type Hula struct {
 	flowletNs int64
 	ageNs     int64
 
-	level    map[topo.NodeID]int // 0 edge, 1 agg, 2 core
-	bestPort map[topo.NodeID]int
-	bestUtil map[topo.NodeID]float64
-	updated  map[topo.NodeID]int64
+	level     int   // this switch's tier: 0 edge, 1 agg, 2 core
+	peerLevel []int // tier of the switch behind each local port
+	bestPort  map[topo.NodeID]int
+	bestUtil  map[topo.NodeID]float64
+	updated   map[topo.NodeID]int64
 	// updatedVia tracks freshness per (destination, port): a flowlet
 	// pinned to a port whose probes stopped must expire even while the
 	// destination stays reachable through other ports.
@@ -177,14 +178,18 @@ func roleLevel(r topo.Role) int {
 // Attach implements sim.Router.
 func (r *Hula) Attach(sw *sim.SwitchDev) {
 	r.init(sw)
-	r.level = make(map[topo.NodeID]int)
 	g := sw.Net.Topo
-	for _, s := range g.Switches() {
-		lvl := roleLevel(g.Node(s).Role)
-		if lvl < 0 {
-			panic("baseline: HULA requires a Clos topology with switch roles")
+	r.level = roleLevel(g.Node(sw.ID).Role)
+	if r.level < 0 {
+		// Every switch attaches, so checking our own role covers all.
+		panic("baseline: HULA requires a Clos topology with switch roles")
+	}
+	ports := g.Ports(sw.ID)
+	r.peerLevel = make([]int, len(ports))
+	for i, p := range ports {
+		if g.Node(p.Peer).Kind == topo.Switch {
+			r.peerLevel[i] = roleLevel(g.Node(p.Peer).Role)
 		}
-		r.level[s] = lvl
 	}
 	offset := (int64(sw.ID) * 7919) % r.periodNs
 	if r.packing {
@@ -204,8 +209,8 @@ var _ sim.Rebooter = (*Hula)(nil)
 // whole-node failure restarts with its soft state (best-hop tables,
 // probe freshness, flowlet pins) flushed, paying the same cold-start
 // warm-up Contra pays — chaos scheme comparisons stay apples to
-// apples. The level table is topology knowledge, not learned state,
-// so it survives.
+// apples. The tier levels are topology knowledge, not learned state,
+// so they survive.
 func (r *Hula) Reboot() {
 	r.bestPort = make(map[topo.NodeID]int)
 	r.bestUtil = make(map[topo.NodeID]float64)
@@ -429,8 +434,7 @@ func (r *Hula) acceptProbe(origin topo.NodeID, util float64, up bool, inPort int
 	// Propagate along reverse up-down paths: a probe that has started
 	// descending (arrived from a switch above us) may only continue
 	// descending.
-	fromLevel := r.level[r.sw.Peer(inPort)]
-	return true, up && fromLevel < r.level[r.sw.ID]
+	return true, up && r.peerLevel[inPort] < r.level
 }
 
 // eligiblePort reports whether a re-advertisement may leave on port
@@ -439,10 +443,8 @@ func (r *Hula) eligiblePort(port, inPort int, goingUpStill bool) (up, ok bool) {
 	if port == inPort || !r.sw.IsSwitchPort(port) {
 		return false, false
 	}
-	myLevel := r.level[r.sw.ID]
-	peerLevel := r.level[r.sw.Peer(port)]
-	down := peerLevel < myLevel
-	upward := peerLevel > myLevel
+	down := r.peerLevel[port] < r.level
+	upward := r.peerLevel[port] > r.level
 	if !(down || (upward && goingUpStill)) {
 		return false, false
 	}
@@ -546,7 +548,7 @@ func (r *Hula) handlePacked(pkt *sim.Packet, inPort int) {
 // aging horizon is already stretched by the refresh bound — so quiet
 // ports get no heartbeat.
 func (r *Hula) flush() {
-	isEdge := r.level[r.sw.ID] == 0
+	isEdge := r.level == 0
 	for port := 0; port < r.sw.PortCount(); port++ {
 		if !r.sw.IsSwitchPort(port) {
 			continue

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"contra/internal/cliutil"
+	"contra/internal/topo"
 	"contra/internal/workload"
 )
 
@@ -548,18 +549,35 @@ func TestPreFailAsymmetricTopology(t *testing.T) {
 		t.Skip("short mode")
 	}
 	// A link_down at t<=0 must reach the topology before deploy, so
-	// even schemes with offline path computation route around it.
-	s := fastFCT(SchemeSP)
-	s.Events = []Event{{Kind: LinkDown, AtNs: 0, Link: "l0-s0"}}
-	res, err := Run(s)
+	// even schemes with offline path computation route around it —
+	// also when the topology is a caller's graph whose cached queries
+	// were answered while the link was still up.
+	warm, err := cliutil.BuildTopology("dc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed != int64(res.Flows) {
-		t.Fatalf("completed %d/%d across the pre-failed fabric", res.Completed, res.Flows)
+	if nh := warm.ECMPNextHops(warm.MustNode("l0"), warm.MustNode("l1")); len(nh) != 2 {
+		t.Fatalf("l0 has %d next hops to l1 on the intact fabric, want 2", len(nh))
 	}
-	if res.LinkDownDrops > 0 {
-		t.Fatalf("%v packets hit the pre-failed link", res.LinkDownDrops)
+	for _, tc := range []struct {
+		scheme Scheme
+		topo   *topo.Graph
+	}{{SchemeSP, nil}, {SchemeECMP, nil}, {SchemeECMP, warm}} {
+		s := fastFCT(tc.scheme)
+		if tc.topo != nil {
+			s.Topo, s.TopoSpec = tc.topo, ""
+		}
+		s.Events = []Event{{Kind: LinkDown, AtNs: 0, Link: "l0-s0"}}
+		res, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != int64(res.Flows) {
+			t.Fatalf("%s: completed %d/%d across the pre-failed fabric", tc.scheme, res.Completed, res.Flows)
+		}
+		if res.LinkDownDrops > 0 {
+			t.Fatalf("%s: %v packets hit the pre-failed link", tc.scheme, res.LinkDownDrops)
+		}
 	}
 }
 

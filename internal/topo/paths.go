@@ -1,8 +1,8 @@
 package topo
 
 import (
-	"container/heap"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -10,39 +10,30 @@ const infDist = int64(1) << 62
 
 // HopsFrom returns the hop-count distance from src to every switch over
 // the switch subgraph (up links only). Unreachable nodes and hosts get
-// a large sentinel value.
-func (g *Graph) HopsFrom(src NodeID) []int32 {
-	dist := make([]int32, len(g.nodes))
-	for i := range dist {
-		dist[i] = math.MaxInt32
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, m := range g.SwitchNeighbors(n) {
-			if dist[m] == math.MaxInt32 {
-				dist[m] = dist[n] + 1
-				queue = append(queue, m)
-			}
-		}
-	}
-	return dist
-}
+// math.MaxInt32. The vector is computed once per graph state and
+// shared: it must not be modified.
+func (g *Graph) HopsFrom(src NodeID) []int32 { return g.snapshot().hopsFrom(src) }
 
 // LatencyFrom returns shortest-latency distance (ns) from src to every
 // switch over up links (Dijkstra). Unreachable entries are a large
 // sentinel.
 func (g *Graph) LatencyFrom(src NodeID) []int64 {
 	dist := make([]int64, len(g.nodes))
+	var h distHeap
+	g.latencyFrom(src, dist, &h)
+	return dist
+}
+
+// latencyFrom is LatencyFrom into a caller-owned distance vector and
+// heap, so all-pairs callers reuse both.
+func (g *Graph) latencyFrom(src NodeID, dist []int64, h *distHeap) {
 	for i := range dist {
 		dist[i] = infDist
 	}
 	dist[src] = 0
-	pq := &nodeHeap{{src, 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(nodeDist)
+	*h = append((*h)[:0], nodeDist{src, 0})
+	for len(*h) > 0 {
+		it := h.pop()
 		if it.d > dist[it.n] {
 			continue
 		}
@@ -54,11 +45,10 @@ func (g *Graph) LatencyFrom(src NodeID) []int64 {
 			nd := it.d + l.Delay
 			if nd < dist[p.Peer] {
 				dist[p.Peer] = nd
-				heap.Push(pq, nodeDist{p.Peer, nd})
+				h.push(nodeDist{p.Peer, nd})
 			}
 		}
 	}
-	return dist
 }
 
 type nodeDist struct {
@@ -66,41 +56,66 @@ type nodeDist struct {
 	d int64
 }
 
-type nodeHeap []nodeDist
+// distHeap is a binary min-heap on distance. push and pop sift exactly
+// as container/heap does, so entries at equal distance pop in the same
+// order as under the boxed heap this replaced; dijkstraPath's choice
+// among equal-latency paths, and so SPAIN's path sets, depend on it.
+type distHeap []nodeDist
 
-func (h nodeHeap) Len() int            { return len(h) }
-func (h nodeHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(nodeDist)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *distHeap) push(x nodeDist) {
+	a := append(*h, x)
+	*h = a
+	for j := len(a) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || a[j].d >= a[i].d {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		j = i
+	}
 }
 
-// ECMPNextHops returns, for every switch s, the set of neighbor switches
-// of s that lie on some shortest (hop-count) path from s to dst. The
-// result is indexed by node ID; entries for dst itself and for hosts
-// are nil.
-func (g *Graph) ECMPNextHops(dst NodeID) [][]NodeID {
-	dist := g.HopsFrom(dst) // distance *to* dst == from dst (undirected)
-	out := make([][]NodeID, len(g.nodes))
-	for _, s := range g.Switches() {
-		if s == dst || dist[s] == math.MaxInt32 {
-			continue
+func (h *distHeap) pop() nodeDist {
+	a := *h
+	n := len(a) - 1
+	a[0], a[n] = a[n], a[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
 		}
-		var nh []NodeID
-		for _, m := range g.SwitchNeighbors(s) {
-			if dist[m] == dist[s]-1 {
-				nh = append(nh, m)
-			}
+		if r := j + 1; r < n && a[r].d < a[j].d {
+			j = r
 		}
-		sort.Slice(nh, func(i, j int) bool { return nh[i] < nh[j] })
-		out[s] = nh
+		if a[j].d >= a[i].d {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		i = j
 	}
-	return out
+	*h = a[:n]
+	return a[n]
+}
+
+// ECMPNextHops returns the switch neighbors of switch s that lie on
+// some shortest (hop-count) path from s to dst, in ascending NodeID
+// order; a neighbor joined to s by several up links appears once per
+// link. It is nil when s is dst or cannot reach it.
+func (g *Graph) ECMPNextHops(s, dst NodeID) []NodeID {
+	sn := g.snapshot()
+	dist := sn.hopsFrom(dst) // distance *to* dst == from dst (undirected)
+	if s == dst || dist[s] == math.MaxInt32 {
+		return nil
+	}
+	nbrs := sn.neighbors(s)
+	nh := make([]NodeID, 0, len(nbrs))
+	for _, m := range nbrs {
+		if dist[m] == dist[s]-1 {
+			nh = append(nh, m)
+		}
+	}
+	slices.Sort(nh)
+	return nh
 }
 
 // Path is a sequence of switch node IDs from source to destination,
@@ -127,7 +142,8 @@ func (g *Graph) ShortestPath(src, dst NodeID) Path {
 	if src == dst {
 		return Path{src}
 	}
-	dist := g.HopsFrom(dst)
+	sn := g.snapshot()
+	dist := sn.hopsFrom(dst)
 	if dist[src] == math.MaxInt32 {
 		return nil
 	}
@@ -135,7 +151,7 @@ func (g *Graph) ShortestPath(src, dst NodeID) Path {
 	cur := src
 	for cur != dst {
 		next := NodeID(-1)
-		for _, m := range g.SwitchNeighbors(cur) {
+		for _, m := range sn.neighbors(cur) {
 			if dist[m] == dist[cur]-1 && (next == -1 || m < next) {
 				next = m
 			}
@@ -170,9 +186,9 @@ func (g *Graph) dijkstraPath(src, dst NodeID, bannedLink map[[2]NodeID]bool, ban
 	dist := make(map[NodeID]int64)
 	prev := make(map[NodeID]NodeID)
 	dist[src] = 0
-	pq := &nodeHeap{{src, 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(nodeDist)
+	pq := distHeap{{src, 0}}
+	for len(pq) > 0 {
+		it := pq.pop()
 		if d, ok := dist[it.n]; ok && it.d > d {
 			continue
 		}
@@ -195,7 +211,7 @@ func (g *Graph) dijkstraPath(src, dst NodeID, bannedLink map[[2]NodeID]bool, ban
 			if d, ok := dist[p.Peer]; !ok || nd < d {
 				dist[p.Peer] = nd
 				prev[p.Peer] = it.n
-				heap.Push(pq, nodeDist{p.Peer, nd})
+				pq.push(nodeDist{p.Peer, nd})
 			}
 		}
 	}

@@ -7,6 +7,7 @@ package topo
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // NodeID identifies a node within a Graph.
@@ -92,6 +93,13 @@ type Port struct {
 }
 
 // Graph is an in-memory topology. The zero value is empty; use New.
+//
+// Queries (Switches, Hosts, SwitchNeighbors, PortTo, HopsFrom,
+// ECMPNextHops, ShortestPath, MaxSwitchRTT) are answered from a
+// snapshot cached per graph state, so any number of goroutines may
+// query a shared graph concurrently. Mutation is single-writer and
+// must not overlap queries; the only mutators are AddNode,
+// AddNodeRole, AddLink and SetDown.
 type Graph struct {
 	Name   string
 	nodes  []Node
@@ -99,19 +107,11 @@ type Graph struct {
 	ports  [][]Port
 	byName map[string]NodeID
 
-	// portIdx is the reverse-port table: per node, its ports sorted by
-	// peer id, so PortTo is a binary search instead of a linear scan.
-	// Built lazily; portIdxLinks records the link count it was built
-	// at, so AddLink invalidates it implicitly.
-	portIdx      [][]portRef
-	portIdxLinks int
-}
-
-// portRef is one reverse-port table row: the peer reached through
-// local port index port.
-type portRef struct {
-	peer NodeID
-	port int32
+	// gen counts mutations; snap is the derived state of the
+	// generation it records and is rebuilt on the first query after
+	// gen moves on (see snapshot.go).
+	gen  uint64
+	snap atomic.Pointer[snapshot]
 }
 
 // New returns an empty graph with the given name.
@@ -137,6 +137,7 @@ func (g *Graph) AddNodeRole(name string, kind Kind, role Role, pod int) NodeID {
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Kind: kind, Role: role, Pod: pod})
 	g.ports = append(g.ports, nil)
 	g.byName[name] = id
+	g.gen++
 	return id
 }
 
@@ -153,6 +154,7 @@ func (g *Graph) AddLink(a, b NodeID, bandwidth float64, delayNs int64) LinkID {
 	g.links = append(g.links, Link{ID: id, A: a, B: b, Bandwidth: bandwidth, Delay: delayNs})
 	g.ports[a] = append(g.ports[a], Port{Link: id, Peer: b})
 	g.ports[b] = append(g.ports[b], Port{Link: id, Peer: a})
+	g.gen++
 	return id
 }
 
@@ -165,13 +167,16 @@ func (g *Graph) NumLinks() int { return len(g.links) }
 // Node returns the node with the given ID.
 func (g *Graph) Node(id NodeID) *Node { return &g.nodes[id] }
 
-// Link returns the link with the given ID.
+// Link returns the link with the given ID. The link must not be
+// modified through the pointer: SetDown is the only legal way to flip
+// Down, because cached query results are invalidated there.
 func (g *Graph) Link(id LinkID) *Link { return &g.links[id] }
 
 // Nodes returns all nodes in ID order. The slice must not be modified.
 func (g *Graph) Nodes() []Node { return g.nodes }
 
-// Links returns all links in ID order. The slice must not be modified.
+// Links returns all links in ID order. The slice must not be modified
+// (use SetDown to change a link's state).
 func (g *Graph) Links() []Link { return g.links }
 
 // Ports returns node n's ports; the local port index is the slice index.
@@ -194,51 +199,8 @@ func (g *Graph) MustNode(name string) NodeID {
 
 // PortTo returns the local port index on from that reaches neighbor to,
 // or -1 if they are not adjacent. With parallel links it returns the
-// first. Lookups binary-search the precomputed reverse-port table,
-// which is rebuilt transparently after AddLink.
-func (g *Graph) PortTo(from, to NodeID) int {
-	if g.portIdxLinks != len(g.links) || len(g.portIdx) != len(g.nodes) {
-		g.buildPortIndex()
-	}
-	row := g.portIdx[from]
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if row[mid].peer < to {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(row) && row[lo].peer == to {
-		return int(row[lo].port)
-	}
-	return -1
-}
-
-// buildPortIndex (re)builds the reverse-port table from the port
-// lists. Rows sort by (peer, port), so the lowest port index wins for
-// parallel links — the same answer the historical linear scan gave.
-func (g *Graph) buildPortIndex() {
-	if cap(g.portIdx) < len(g.nodes) {
-		g.portIdx = make([][]portRef, len(g.nodes))
-	}
-	g.portIdx = g.portIdx[:len(g.nodes)]
-	for n, ps := range g.ports {
-		row := g.portIdx[n][:0]
-		for i, p := range ps {
-			row = append(row, portRef{peer: p.Peer, port: int32(i)})
-		}
-		sort.Slice(row, func(i, j int) bool {
-			if row[i].peer != row[j].peer {
-				return row[i].peer < row[j].peer
-			}
-			return row[i].port < row[j].port
-		})
-		g.portIdx[n] = row
-	}
-	g.portIdxLinks = len(g.links)
-}
+// lowest port index, whether or not that link is up.
+func (g *Graph) PortTo(from, to NodeID) int { return g.snapshot().portTo(from, to) }
 
 // LinkBetween returns the first link joining a and b, or nil.
 func (g *Graph) LinkBetween(a, b NodeID) *Link {
@@ -250,27 +212,13 @@ func (g *Graph) LinkBetween(a, b NodeID) *Link {
 	return nil
 }
 
-// Switches returns the IDs of all switch nodes in ID order.
-func (g *Graph) Switches() []NodeID {
-	var out []NodeID
-	for _, n := range g.nodes {
-		if n.Kind == Switch {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
+// Switches returns the IDs of all switch nodes in ID order. The slice
+// is shared and must not be modified.
+func (g *Graph) Switches() []NodeID { return g.snapshot().switches }
 
-// Hosts returns the IDs of all host nodes in ID order.
-func (g *Graph) Hosts() []NodeID {
-	var out []NodeID
-	for _, n := range g.nodes {
-		if n.Kind == Host {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
+// Hosts returns the IDs of all host nodes in ID order. The slice is
+// shared and must not be modified.
+func (g *Graph) Hosts() []NodeID { return g.snapshot().hosts }
 
 // HostEdge returns the switch a host attaches to. Hosts are assumed
 // single-homed; it panics otherwise.
@@ -283,23 +231,18 @@ func (g *Graph) HostEdge(h NodeID) NodeID {
 }
 
 // SetDown marks a link up or down (failure injection). Path algorithms
-// skip down links.
-func (g *Graph) SetDown(id LinkID, down bool) { g.links[id].Down = down }
+// skip down links. It is the only legal way to change a link's state:
+// writing Link(id).Down directly would leave cached queries stale.
+func (g *Graph) SetDown(id LinkID, down bool) {
+	if g.links[id].Down != down {
+		g.links[id].Down = down
+		g.gen++
+	}
+}
 
 // SwitchNeighbors returns the switch neighbors of n over up links,
-// in port order.
-func (g *Graph) SwitchNeighbors(n NodeID) []NodeID {
-	var out []NodeID
-	for _, p := range g.ports[n] {
-		if g.links[p.Link].Down {
-			continue
-		}
-		if g.nodes[p.Peer].Kind == Switch {
-			out = append(out, p.Peer)
-		}
-	}
-	return out
-}
+// in port order. The slice is shared and must not be modified.
+func (g *Graph) SwitchNeighbors(n NodeID) []NodeID { return g.snapshot().neighbors(n) }
 
 // Validate checks structural invariants: every host single-homed to a
 // switch, and the switch subgraph connected (over up links).
@@ -339,7 +282,8 @@ func (g *Graph) Validate() error {
 }
 
 // Clone returns a deep copy of the graph (used to derive failed-link
-// variants without mutating the original).
+// variants without mutating the original). The copy starts with no
+// cached query state and its own generation count.
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{
 		Name:   g.Name,
@@ -379,16 +323,5 @@ func (g *Graph) SortedNames() []string {
 // MaxSwitchRTT returns an upper bound on the round-trip time in ns
 // between any pair of switches, assuming negligible queueing: twice the
 // maximum over shortest-latency paths. Contra's probe period must be at
-// least half this value (§5.2).
-func (g *Graph) MaxSwitchRTT() int64 {
-	var worst int64
-	for _, s := range g.Switches() {
-		dist := g.LatencyFrom(s)
-		for _, t := range g.Switches() {
-			if dist[t] > worst && dist[t] < int64(1)<<62 {
-				worst = dist[t]
-			}
-		}
-	}
-	return 2 * worst
-}
+// least half this value (§5.2). Computed once per graph state.
+func (g *Graph) MaxSwitchRTT() int64 { return g.snapshot().maxSwitchRTT(g) }

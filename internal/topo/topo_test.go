@@ -68,11 +68,11 @@ func TestFattreeDiameterAndPaths(t *testing.T) {
 		t.Fatalf("same-pod edge distance = %d, want 2", d[e01])
 	}
 	// ECMP next hops from e0_0 toward e1_0 are both pod-0 aggs.
-	nh := g.ECMPNextHops(e10)
-	if len(nh[e00]) != 2 {
-		t.Fatalf("ECMP next hops = %v, want 2 aggs", nh[e00])
+	nh := g.ECMPNextHops(e00, e10)
+	if len(nh) != 2 {
+		t.Fatalf("ECMP next hops = %v, want 2 aggs", nh)
 	}
-	for _, m := range nh[e00] {
+	for _, m := range nh {
 		if g.Node(m).Role != RoleAgg || g.Node(m).Pod != 0 {
 			t.Fatalf("unexpected next hop %s", g.Node(m).Name)
 		}
@@ -409,5 +409,104 @@ func TestPortToIndexInvalidation(t *testing.T) {
 				t.Fatalf("PortTo(%d,%d) = %d, want %d", from, to, got, exp)
 			}
 		}
+	}
+}
+
+// TestSnapshotInvalidation checks that every mutator invalidates every
+// cached query: after each step, on a warm graph, the queries reflect
+// the new state (spot values here, every query against the reference
+// via checkQueries), on the original and on a clone mutated on its own.
+func TestSnapshotInvalidation(t *testing.T) {
+	g := New("inval")
+	a := g.AddNode("A", Switch)
+	b := g.AddNode("B", Switch)
+	c := g.AddNode("C", Switch)
+	h := g.AddNode("H", Host)
+	ab := g.AddLink(a, b, 1e9, 10)
+	g.AddLink(b, c, 1e9, 10)
+	g.AddLink(a, h, 1e9, 10)
+	check := func(step string, g *Graph) {
+		t.Helper()
+		if err := checkQueries(g); err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
+	}
+	check("build", g) // warms every cached query
+	if got := g.HopsFrom(a)[c]; got != 2 {
+		t.Fatalf("A-C = %d hops, want 2", got)
+	}
+	if got := g.MaxSwitchRTT(); got != 40 {
+		t.Fatalf("rtt = %d, want 40", got)
+	}
+
+	d := g.AddNodeRole("D", Switch, RoleCore, -1)
+	check("AddNodeRole", g)
+	if got := g.Switches(); len(got) != 4 || got[3] != d {
+		t.Fatalf("Switches after AddNodeRole = %v", got)
+	}
+	if got := g.HopsFrom(a); len(got) != 5 || got[d] != math.MaxInt32 {
+		t.Fatalf("HopsFrom after AddNodeRole = %v", got)
+	}
+
+	ac := g.AddLink(a, c, 1e9, 10)
+	check("AddLink", g)
+	if got := g.HopsFrom(a)[c]; got != 1 {
+		t.Fatalf("A-C = %d hops after AddLink, want 1", got)
+	}
+	if got := g.PortTo(a, c); got != 2 {
+		t.Fatalf("PortTo(A,C) = %d after AddLink, want 2", got)
+	}
+	if got := g.MaxSwitchRTT(); got != 20 {
+		t.Fatalf("rtt = %d after AddLink, want 20", got)
+	}
+
+	cl := g.Clone() // of a warm graph
+	g.SetDown(ac, true)
+	check("SetDown(true)", g)
+	check("SetDown(true) on the original", cl)
+	if got := g.SwitchNeighbors(a); len(got) != 1 || got[0] != b {
+		t.Fatalf("SwitchNeighbors(A) = %v with A-C down, want [B]", got)
+	}
+	if got := g.ECMPNextHops(a, c); len(got) != 1 || got[0] != b {
+		t.Fatalf("ECMPNextHops(A,C) = %v with A-C down, want [B]", got)
+	}
+	if got := cl.HopsFrom(a)[c]; got != 1 {
+		t.Fatalf("clone A-C = %d hops, want 1: the original's SetDown leaked", got)
+	}
+
+	cl.SetDown(ab, true)
+	check("clone SetDown(true)", cl)
+	check("clone SetDown(true) on the clone", g)
+	if got := cl.HopsFrom(a)[b]; got != 2 {
+		t.Fatalf("clone A-B = %d hops with A-B down, want 2", got)
+	}
+	if got := g.HopsFrom(a)[b]; got != 1 {
+		t.Fatalf("A-B = %d hops, want 1: the clone's SetDown leaked", got)
+	}
+
+	g.SetDown(ac, false)
+	check("SetDown(false)", g)
+	if got := g.ECMPNextHops(a, c); len(got) != 1 || got[0] != c {
+		t.Fatalf("ECMPNextHops(A,C) = %v with A-C back up, want [C]", got)
+	}
+	if got := g.MaxSwitchRTT(); got != 20 {
+		t.Fatalf("rtt = %d with A-C back up, want 20", got)
+	}
+}
+
+// TestWarmQueriesDoNotAllocate pins the per-call cost of the queries
+// that sit inside consumers' loops: views into the snapshot, no copies.
+func TestWarmQueriesDoNotAllocate(t *testing.T) {
+	g := Fattree(8, 2)
+	sw := g.Switches()
+	edge, host := sw[0], g.Hosts()[0]
+	var sink int
+	if n := testing.AllocsPerRun(100, func() {
+		sink += len(g.Switches()) + len(g.Hosts()) + len(g.SwitchNeighbors(edge))
+		sink += g.PortTo(edge, host) + g.PortTo(edge, sw[len(sw)-1])
+		sink += int(g.HopsFrom(edge)[sw[1]])
+		sink += int(g.MaxSwitchRTT())
+	}); n != 0 {
+		t.Fatalf("warm queries allocate %v times per run, want 0", n)
 	}
 }
