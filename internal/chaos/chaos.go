@@ -11,7 +11,7 @@
 // (internal/dataplane.Fleet) owns the swappable compiled-policy
 // handle, the compiler (internal/core.Recompile) owns mid-run
 // recompilation — and this package owns the orchestration: scheduling
-// the events deterministically on the engine's calendar queue,
+// the events deterministically on the engine's event queue,
 // pre-compiling swap targets so the event-time action is a pure
 // install, snapshotting routing state around each swap, and polling
 // the fabric until it re-converges.

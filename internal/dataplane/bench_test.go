@@ -178,7 +178,7 @@ func BenchmarkDataForwardingMetrics(b *testing.B) {
 // k=8 fat-tree (80 switches, the ROADMAP's profiling target): every
 // origin emits a probe per pid x port and the fabric floods them along
 // product-graph out-edges. The per-iteration cost is the whole
-// period's event churn — originate bursts, calendar-queue scheduling,
+// period's event churn — originate bursts, event-queue scheduling,
 // PROCESSPROBE — and must not allocate in steady state.
 func BenchmarkProbeFanoutFattree8(b *testing.B) {
 	g := topo.Fattree(8, 0)

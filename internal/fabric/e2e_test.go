@@ -185,9 +185,10 @@ func runCrashFleet(t *testing.T, spec *campaign.Spec, seed int64) (jsonOut, csvO
 // invariants that must hold however the run crashed, expired, and
 // stole: dense sequence numbers, monotone time, exactly one
 // result-accept per cell, result attempt counts equal to the grants
-// the cell actually consumed, concurrent leases within the cap, steal
-// counts within the cap, and expiries/duplicates only where they make
-// sense.
+// the cell actually consumed, concurrent leases within the cap, and
+// expiries/duplicates only where they make sense. MaxLeasesPerCell caps
+// concurrent leases, not how often a cell is stolen over the run: a
+// cell whose thieves crash in turn is legitimately stolen again.
 func checkJournalInvariants(t *testing.T, raw []byte, totalCells int) {
 	t.Helper()
 	meta, events, err := ReadJournal(bytes.NewReader(raw))
@@ -198,7 +199,6 @@ func checkJournalInvariants(t *testing.T, raw []byte, totalCells int) {
 		t.Fatalf("journal meta %+v, want %d cells with names and keys", meta, totalCells)
 	}
 	grants := make([]int, totalCells) // grants + steals consumed per cell
-	steals := make([]int, totalCells)
 	results := make([]int, totalCells)
 	leaseCell := map[int64]int{} // live lease id → cell
 	liveCount := make([]int, totalCells)
@@ -229,11 +229,8 @@ func checkJournalInvariants(t *testing.T, raw []byte, totalCells int) {
 			if ev.Attempt != grants[ev.Cell] {
 				t.Fatalf("event %d: cell %d attempt numbered %d, want %d", i, ev.Cell, ev.Attempt, grants[ev.Cell])
 			}
-			if ev.Type == EventSteal {
-				steals[ev.Cell]++
-				if ev.Holder == "" || ev.Holder == ev.Worker {
-					t.Fatalf("event %d: steal holder %q vs thief %q", i, ev.Holder, ev.Worker)
-				}
+			if ev.Type == EventSteal && (ev.Holder == "" || ev.Holder == ev.Worker) {
+				t.Fatalf("event %d: steal holder %q vs thief %q", i, ev.Holder, ev.Worker)
 			}
 		case EventExpire:
 			cell, ok := leaseCell[ev.Lease]
@@ -270,9 +267,6 @@ func checkJournalInvariants(t *testing.T, raw []byte, totalCells int) {
 	for cell := 0; cell < totalCells; cell++ {
 		if results[cell] != 1 {
 			t.Errorf("cell %d has %d result-accepted events, want exactly 1", cell, results[cell])
-		}
-		if steals[cell] > meta.MaxLeases {
-			t.Errorf("cell %d stolen %d times, cap %d", cell, steals[cell], meta.MaxLeases)
 		}
 	}
 }

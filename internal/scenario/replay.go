@@ -158,7 +158,7 @@ func runReplay(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup
 	}
 
 	if tr.Meta.Kind == flowtrace.KindCBR {
-		// Mirror runCBR: flow starts land on the calendar before the
+		// Mirror runCBR: flow starts land on the event queue before the
 		// event script, then run to the recorded end.
 		n.StartFlows(flows)
 		if s.SampleQueues {

@@ -514,7 +514,7 @@ func Run(s Scenario) (*Result, error) {
 	n.Start()
 	// Arm the chaos plan (switch failures, probe loss, policy swaps)
 	// before any simulated time passes, so its events land on the
-	// calendar queue in script order. Scenarios without chaos events
+	// event queue in script order. Scenarios without chaos events
 	// schedule nothing here and replay their historical event streams
 	// byte-identically.
 	chaosRT, err := chaos.Arm(n, fleet, plan, s.ProbePeriodNs)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"contra/internal/topo"
@@ -20,6 +21,37 @@ func BenchmarkEventLoop(b *testing.B) {
 	e.After(0, tick)
 	b.ResetTimer()
 	e.Run(int64(b.N)*10 + 100)
+}
+
+// BenchmarkEventLoopPopulated is BenchmarkEventLoop over a heap that
+// already holds n far-future entries, as after StartFlows queued n flow
+// starts: every near-term push sifts up past, and every pop sifts down
+// through, log2(n) levels. It records what the heap costs at populations
+// the channel FIFOs and RTO carriers do not shrink.
+func BenchmarkEventLoopPopulated(b *testing.B) {
+	for _, n := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
+			e := NewEngine(1)
+			horizon := int64(b.N)*10 + 100
+			for i := 0; i < n; i++ {
+				e.At(horizon+1+int64(i%977), func() {})
+			}
+			var count int
+			var tick func()
+			tick = func() {
+				count++
+				if count < b.N {
+					e.After(10, tick)
+				}
+			}
+			e.After(0, tick)
+			b.ResetTimer()
+			e.Run(horizon)
+			if e.Pending() != n {
+				b.Fatalf("pending = %d, want %d", e.Pending(), n)
+			}
+		})
+	}
 }
 
 // BenchmarkPacketTransit measures the full per-packet path: transmit,

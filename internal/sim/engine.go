@@ -8,23 +8,24 @@
 // time series, loop detection).
 package sim
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // Engine is the event loop. Times are int64 nanoseconds. Execution is
 // single-threaded and deterministic: ties in time break by scheduling
 // order.
 //
-// Events are typed structs with inline operands on a calendar queue,
-// not a heap of closures: the per-hop path (packet delivery, transport
-// timers, probe ticks) schedules without allocating, which is where
-// the simulator spends most of its wall time on large fabrics.
+// The queue is a binary heap of typed events ordered by (at, seq). It
+// stays small because the two high-volume event sources keep one entry
+// each instead of one per occurrence: a directed channel holds its
+// in-flight packets on its own FIFO and queues only the head's arrival
+// (Network.transmit), and a flow queues one RTO carrier that follows
+// its re-armed deadline (HostDev.armRTO). Both reserve the (at, seq)
+// slot of every occurrence up front, so effective events execute in
+// exactly the order one entry per packet and per arm would give.
 type Engine struct {
 	now   int64
 	seq   uint64
-	queue calQueue
+	queue []event // binary min-heap by event.before
 	rng   *rand.Rand
 
 	// net receives typed deliver/RTO events. Set by NewNetwork; one
@@ -52,21 +53,20 @@ type evKind uint8
 
 const (
 	evFunc    evKind = iota // fn()
-	evDeliver               // packet arrival at the far end of channel i32
-	evTimer                 // recurring tick of timer slot i32 (generation u64)
-	evRTO                   // transport retransmission timeout (flow, epoch u64)
+	evDeliver               // arrival of the head of channel i32's in-flight FIFO
+	evTimer                 // recurring tick of timer slot i32 at generation gen
+	evRTO                   // RTO carrier of flow
 )
 
-// event is one scheduled occurrence. Operands are inline so the hot
-// kinds carry no closure; fn is only populated for evFunc.
+// event is one queue entry. Operands are inline so the hot kinds carry
+// no closure; fn is only populated for evFunc.
 type event struct {
 	at   int64
 	seq  uint64
-	u64  uint64 // evTimer: generation; evRTO: arm epoch
-	pkt  *Packet
 	flow *flowState
 	fn   func()
 	i32  int32 // evDeliver: channel index; evTimer: slot index
+	gen  uint32
 	kind evKind
 }
 
@@ -80,9 +80,7 @@ func (e *event) before(o *event) bool {
 
 // NewEngine returns an engine with a deterministic PRNG.
 func NewEngine(seed int64) *Engine {
-	e := &Engine{rng: rand.New(rand.NewSource(seed))}
-	e.queue.init()
-	return e
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current simulation time in ns.
@@ -91,16 +89,22 @@ func (e *Engine) Now() int64 { return e.now }
 // Rand returns the engine's deterministic PRNG.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// schedule enqueues a typed event at absolute time t (clamped to now),
-// assigning the next sequence number.
-func (e *Engine) schedule(t int64, ev event) {
+// reserve clamps t to now and takes the next sequence number: the
+// (at, seq) slot of one occurrence in the engine's total order, whether
+// it is queued now (schedule) or later by its channel or flow.
+func (e *Engine) reserve(t int64) (int64, uint64) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	ev.at = t
-	ev.seq = e.seq
-	e.queue.push(ev)
+	return t, e.seq
+}
+
+// schedule enqueues a typed event at absolute time t (clamped to now),
+// assigning the next sequence number.
+func (e *Engine) schedule(t int64, ev event) {
+	ev.at, ev.seq = e.reserve(t)
+	e.push(ev)
 }
 
 // At schedules fn at absolute time t (>= now).
@@ -110,17 +114,6 @@ func (e *Engine) At(t int64, fn func()) {
 
 // After schedules fn d nanoseconds from now.
 func (e *Engine) After(d int64, fn func()) { e.At(e.now+d, fn) }
-
-// scheduleDeliver enqueues a packet arrival on directed channel ch.
-func (e *Engine) scheduleDeliver(t int64, ch int32, pkt *Packet) {
-	e.schedule(t, event{kind: evDeliver, i32: ch, pkt: pkt})
-}
-
-// scheduleRTO enqueues a retransmission timeout for a flow; epoch is
-// the arm counter at scheduling time, so re-arming invalidates it.
-func (e *Engine) scheduleRTO(t int64, st *flowState, epoch int64) {
-	e.schedule(t, event{kind: evRTO, flow: st, u64: uint64(epoch)})
-}
 
 // Every schedules fn every period ns starting at start, until the
 // returned cancel function is called. Cancelling releases the callback
@@ -140,7 +133,7 @@ func (e *Engine) Every(start, period int64, fn func()) (cancel func()) {
 	slot.fn = fn
 	slot.active = true
 	gen := slot.gen
-	e.schedule(start, event{kind: evTimer, i32: idx, u64: uint64(gen)})
+	e.schedule(start, event{kind: evTimer, i32: idx, gen: gen})
 	return func() {
 		s := &e.timers[idx]
 		if s.gen == gen && s.active {
@@ -161,251 +154,152 @@ func (e *Engine) timersInUse() int {
 	return n
 }
 
-// exec dispatches one event.
-func (e *Engine) exec(ev *event) {
-	switch ev.kind {
-	case evFunc:
-		ev.fn()
-	case evDeliver:
-		e.net.deliverChan(ev.i32, ev.pkt)
-	case evTimer:
-		slot := &e.timers[ev.i32]
-		if slot.gen != uint32(ev.u64) {
-			return // stale tick of a recycled slot
-		}
-		if !slot.active {
-			// Cancelled: this queued tick is the last reference; free
-			// the slot for reuse under a new generation.
-			slot.gen++
-			slot.fn = nil
-			e.freeTimers = append(e.freeTimers, ev.i32)
-			return
-		}
-		// Fire, then reschedule — in that order, so events the callback
-		// schedules keep their historical sequence numbers (campaign
-		// output is byte-compared across scheduler changes).
-		slot.fn()
-		// The callback may have created timers and grown e.timers;
-		// re-resolve the slot before touching it again.
-		slot = &e.timers[ev.i32]
-		if slot.active && slot.gen == uint32(ev.u64) {
-			e.schedule(e.now+slot.period, event{kind: evTimer, i32: ev.i32, u64: ev.u64})
-		} else if !slot.active && slot.gen == uint32(ev.u64) {
-			// Cancelled by its own callback: no tick remains queued, so
-			// free the slot here.
-			slot.gen++
-			slot.fn = nil
-			e.freeTimers = append(e.freeTimers, ev.i32)
-		}
-	case evRTO:
-		st := ev.flow
-		if st.rtoArmed != int64(ev.u64) || st.senderDone || st.done {
-			return
-		}
-		e.net.hostOf(st.spec.Src).onRTO(st)
+// tick fires recurring timer slot idx if gen is still its generation.
+func (e *Engine) tick(idx int32, gen uint32) {
+	slot := &e.timers[idx]
+	if slot.gen != gen {
+		return // stale tick of a recycled slot
+	}
+	if !slot.active {
+		// Cancelled: this queued tick is the last reference; free
+		// the slot for reuse under a new generation.
+		slot.gen++
+		slot.fn = nil
+		e.freeTimers = append(e.freeTimers, idx)
+		return
+	}
+	// Fire, then reschedule — in that order, so events the callback
+	// schedules keep their historical sequence numbers (campaign
+	// output is byte-compared across scheduler changes).
+	slot.fn()
+	// The callback may have created timers and grown e.timers;
+	// re-resolve the slot before touching it again.
+	slot = &e.timers[idx]
+	if slot.active && slot.gen == gen {
+		e.schedule(e.now+slot.period, event{kind: evTimer, i32: idx, gen: gen})
+	} else if !slot.active && slot.gen == gen {
+		// Cancelled by its own callback: no tick remains queued, so
+		// free the slot here.
+		slot.gen++
+		slot.fn = nil
+		e.freeTimers = append(e.freeTimers, idx)
 	}
 }
 
 // Run processes events until the queue is empty or time exceeds until.
 func (e *Engine) Run(until int64) {
-	for e.queue.size > 0 {
-		ev, ok := e.queue.peek()
-		if !ok {
+	for len(e.queue) > 0 {
+		top := &e.queue[0]
+		if top.at > until {
 			break
 		}
-		if ev.at > until {
-			e.now = until
-			// Restore the cursor invariant (no pending or future event
-			// before the cursor) for events scheduled after this pause.
-			e.queue.cursorTo(until)
-			return
+		e.now = top.at
+		// Every case removes or re-keys the top entry before it calls
+		// out: callees schedule, which moves the heap under top.
+		switch top.kind {
+		case evFunc:
+			fn := top.fn
+			e.popTop()
+			fn()
+		case evDeliver:
+			ch := &e.net.chans[top.i32]
+			pkt := ch.inHead
+			if ch.inHead = pkt.next; ch.inHead != nil {
+				e.rekeyTop(ch.inHead.dueAt, ch.inHead.dueSeq)
+			} else {
+				e.popTop()
+			}
+			pkt.next = nil
+			e.net.deliver(ch, pkt)
+		case evTimer:
+			idx, gen := top.i32, top.gen
+			e.popTop()
+			e.tick(idx, gen)
+		case evRTO:
+			st := top.flow
+			switch {
+			case top.seq != st.carrierSeq:
+				e.popTop() // orphan: an earlier deadline queued its own carrier
+			case st.senderDone || st.done:
+				st.carrierSeq = 0
+				e.popTop()
+			case top.seq == st.rtoSeq:
+				st.carrierSeq = 0
+				e.popTop()
+				e.net.hostOf(st.spec.Src).onRTO(st)
+			default:
+				// Re-armed since this carrier was queued: move on to the
+				// current deadline's reserved slot.
+				st.carrierAt, st.carrierSeq = st.rtoAt, st.rtoSeq
+				e.rekeyTop(st.rtoAt, st.rtoSeq)
+			}
 		}
-		popped := e.queue.pop()
-		e.now = popped.at
-		e.exec(&popped)
 	}
 	if e.now < until {
 		e.now = until
 	}
 }
 
-// Pending returns the number of scheduled events (for tests).
-func (e *Engine) Pending() int { return e.queue.size }
+// Pending returns the number of queue entries: busy channels, flows
+// with a queued RTO carrier, timers and scheduled funcs. Packets in
+// flight are not entries of their own; a channel carrying any number
+// of them counts once.
+func (e *Engine) Pending() int { return len(e.queue) }
 
-// calQueue is a calendar queue (Brown 1988): a ring of time buckets,
-// each a slice sorted by (at, seq), with the dequeue cursor sweeping
-// buckets in time order. Inserts append or binary-insert into one
-// small bucket; dequeues pop the current bucket's head. The structure
-// resizes (bucket count and width) as the event population changes, so
-// both operations stay O(1) amortized with zero steady-state
-// allocation — the container/heap it replaces boxed every event into
-// an interface{} on push.
-//
-// Correctness does not depend on the width heuristic: any (at, seq)
-// total order the buckets yield is the same order the old binary heap
-// produced, which the scheduler property test asserts directly.
-type calQueue struct {
-	buckets []cqBucket
-	mask    int   // len(buckets)-1; bucket count is a power of two
-	width   int64 // ns of simulated time per bucket per lap
-	size    int
-
-	// Cursor: the next dequeue scans from curIdx, whose lap covers
-	// times [curTop-width, curTop).
-	curIdx int
-	curTop int64
-
-	lastAt  int64   // most recently dequeued time (width estimation)
-	gapEWMA float64 // smoothed inter-dequeue gap
-
-	scratch []event // resize spill buffer, reused across resizes
-}
-
-// cqBucket pops from the front via head (no memmove) and reuses its
-// backing array once drained.
-type cqBucket struct {
-	evs  []event
-	head int
-}
-
-const cqMinBuckets = 4
-
-func (q *calQueue) init() {
-	q.buckets = make([]cqBucket, cqMinBuckets)
-	q.mask = cqMinBuckets - 1
-	q.width = 1024
-	q.cursorTo(0)
-}
-
-// cursorTo positions the sweep at time t. Callers guarantee no pending
-// event and no future insert is earlier than t.
-func (q *calQueue) cursorTo(t int64) {
-	lap := t / q.width
-	q.curIdx = int(lap) & q.mask
-	q.curTop = (lap + 1) * q.width
-}
-
-// push inserts ev, keeping its bucket sorted by (at, seq).
-func (q *calQueue) push(ev event) {
-	b := &q.buckets[int(ev.at/q.width)&q.mask]
-	n := len(b.evs)
-	if n == b.head || ev.before(&b.evs[n-1]) {
-		if n == b.head {
-			// Empty bucket: restart at the front so head never creeps.
-			b.evs = b.evs[:0]
-			b.head = 0
+// push adds ev to the heap.
+func (e *Engine) push(ev event) {
+	q := append(e.queue, ev)
+	e.queue = q
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
 		}
-		b.evs = append(b.evs, ev)
-		if n := len(b.evs); n > 1 && ev.before(&b.evs[n-2]) {
-			// Out-of-order insert (rare: most events are the newest in
-			// their bucket): walk back through the live region. Buckets
-			// hold a handful of events, so the scan beats binary search.
-			i := n - 1
-			for i > b.head && ev.before(&b.evs[i-1]) {
-				i--
-			}
-			copy(b.evs[i+1:], b.evs[i:n-1])
-			b.evs[i] = ev
-		}
-	} else {
-		b.evs = append(b.evs, ev)
+		q[i] = q[parent]
+		i = parent
 	}
-	q.size++
-	if q.size > 2*len(q.buckets) {
-		q.resize(2 * len(q.buckets))
+	q[i] = ev
+}
+
+// popTop removes the earliest entry.
+func (e *Engine) popTop() {
+	q := e.queue
+	last := len(q) - 1
+	ev := q[last]
+	q[last] = event{} // drop the flow/closure reference
+	e.queue = q[:last]
+	if last > 0 {
+		e.siftDown(ev)
 	}
 }
 
-// peek returns a pointer to the earliest event without removing it,
-// advancing the cursor to its bucket.
-func (q *calQueue) peek() (*event, bool) {
-	if q.size == 0 {
-		return nil, false
-	}
-	for i := 0; i <= q.mask; i++ {
-		b := &q.buckets[q.curIdx]
-		if b.head < len(b.evs) && b.evs[b.head].at < q.curTop {
-			return &b.evs[b.head], true
-		}
-		q.curIdx = (q.curIdx + 1) & q.mask
-		q.curTop += q.width
-	}
-	// Nothing within one full lap: jump straight to the global minimum
-	// (each bucket is sorted, so its head is its minimum).
-	var min *event
-	minIdx := 0
-	for i := range q.buckets {
-		b := &q.buckets[i]
-		if b.head < len(b.evs) && (min == nil || b.evs[b.head].before(min)) {
-			min = &b.evs[b.head]
-			minIdx = i
-		}
-	}
-	q.curIdx = minIdx
-	q.curTop = (min.at/q.width + 1) * q.width
-	return min, true
+// rekeyTop moves the earliest entry to a later (at, seq) in place: one
+// sift-down instead of a pop and a push.
+func (e *Engine) rekeyTop(at int64, seq uint64) {
+	ev := e.queue[0]
+	ev.at, ev.seq = at, seq
+	e.siftDown(ev)
 }
 
-// pop removes and returns the earliest event. Must follow a successful
-// peek (the cursor already points at it).
-func (q *calQueue) pop() event {
-	b := &q.buckets[q.curIdx]
-	ev := b.evs[b.head]
-	b.evs[b.head] = event{} // drop pkt/closure references promptly
-	b.head++
-	if b.head == len(b.evs) {
-		b.evs = b.evs[:0]
-		b.head = 0
+// siftDown places ev in the hole at the root.
+func (e *Engine) siftDown(ev event) {
+	q := e.queue
+	n := len(q)
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&ev) {
+			break
+		}
+		q[i] = q[child]
+		i = child
 	}
-	q.size--
-	// Width estimation: smoothed gap between consecutive dequeues.
-	if gap := ev.at - q.lastAt; gap >= 0 {
-		q.gapEWMA = 0.875*q.gapEWMA + 0.125*float64(gap)
-	}
-	q.lastAt = ev.at
-	// Shrink with wide hysteresis (an eighth, not half) so a workload
-	// that breathes across a size boundary — e.g. a periodic probe
-	// burst draining every cycle — settles at the burst size instead
-	// of resizing (and reallocating buckets) twice per period.
-	if q.size < len(q.buckets)/8 && len(q.buckets) > cqMinBuckets {
-		q.resize(len(q.buckets) / 2)
-	}
-	return ev
-}
-
-// resize rebuilds the ring with n buckets and a width matched to the
-// observed event spacing, redistributing all pending events.
-func (q *calQueue) resize(n int) {
-	all := q.scratch[:0]
-	for i := range q.buckets {
-		b := &q.buckets[i]
-		all = append(all, b.evs[b.head:]...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].before(&all[j]) })
-
-	// Aim for a handful of dequeues per bucket per lap. The EWMA can
-	// legitimately be 0 (same-timestamp bursts); clamp to keep width
-	// positive. A bad estimate costs speed, never correctness.
-	w := int64(q.gapEWMA * 4)
-	if w < 1 {
-		w = 1
-	}
-	q.width = w
-	q.buckets = make([]cqBucket, n)
-	q.mask = n - 1
-	for _, ev := range all {
-		b := &q.buckets[int(ev.at/q.width)&q.mask]
-		b.evs = append(b.evs, ev) // sorted insert order is preserved
-	}
-	floor := q.lastAt
-	if len(all) > 0 && all[0].at < floor {
-		floor = all[0].at
-	}
-	q.cursorTo(floor)
-	// Retain the spill buffer for the next resize, dropping the event
-	// payload references it would otherwise pin.
-	for i := range all {
-		all[i] = event{}
-	}
-	q.scratch = all[:0]
+	q[i] = ev
 }

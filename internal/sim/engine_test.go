@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// refEngine is the historical scheduler this repo shipped before the
-// calendar queue: a container/heap of closures ordered by (at, seq).
-// The property test drives it and the real Engine with identical
-// schedules and asserts identical execution order.
+// refEngine is the obviously-correct scheduler: a container/heap of
+// closures ordered by (at, seq), one entry per occurrence. The property
+// tests here and in fifo_test.go drive it and the real Engine with
+// identical schedules and assert identical execution order.
 type refEngine struct {
 	now   int64
 	seq   uint64
@@ -155,7 +155,7 @@ func driveSchedule(s scheduler, seed int64) []string {
 	cancel2 := s.Every(50, 300, func() { record("t2") })
 	s.At(1200, func() { record("cancel2"); cancel2() })
 
-	// Pause/resume windows exercise the cursor-restore path.
+	// Pause/resume windows, including an empty one.
 	s.Run(1000)
 	s.Run(1001) // immediately re-enter with an empty window
 	s.Run(6000)
@@ -163,10 +163,10 @@ func driveSchedule(s scheduler, seed int64) []string {
 	return trace
 }
 
-// TestSchedulerOrderProperty drives the calendar-queue engine and the
-// reference heap with identical randomized schedules and requires
-// identical execution order — the invariant that keeps campaign output
-// byte-stable across scheduler implementations.
+// TestSchedulerOrderProperty drives the engine and the reference heap
+// with identical randomized schedules and requires identical execution
+// order — the invariant that keeps campaign output byte-stable across
+// scheduler implementations.
 func TestSchedulerOrderProperty(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		got := driveSchedule(engineAdapter{NewEngine(1)}, seed)
@@ -253,19 +253,22 @@ func TestEveryCancelFromCallback(t *testing.T) {
 	}
 }
 
-// TestCalendarQueueResizeStress churns the queue through growth and
-// shrink cycles with adversarial time distributions (dense bursts plus
-// far-future stragglers) and checks global ordering end to end.
-func TestCalendarQueueResizeStress(t *testing.T) {
+// TestEventHeapChurnStress churns the heap through growth and shrink
+// cycles with adversarial time distributions (dense bursts, one massive
+// same-timestamp burst per cycle, far-future stragglers that sit under
+// everything pushed after them) and checks global ordering end to end.
+func TestEventHeapChurnStress(t *testing.T) {
 	e := NewEngine(1)
 	rng := rand.New(rand.NewSource(42))
 	var lastAt int64 = -1
 	var lastSeq int
 	seq := 0
+	executed := 0
 	check := func(at int64, id int) func() {
 		seq++
 		mySeq := seq
 		return func() {
+			executed++
 			if e.Now() != at {
 				t.Fatalf("event %d executed at %d, scheduled for %d", id, e.Now(), at)
 			}
@@ -278,21 +281,34 @@ func TestCalendarQueueResizeStress(t *testing.T) {
 			lastAt, lastSeq = at, mySeq
 		}
 	}
-	for i := 0; i < 5000; i++ {
-		var at int64
-		switch i % 3 {
-		case 0:
-			at = int64(rng.Intn(1000)) // dense near-term
-		case 1:
-			at = 500 // massive same-timestamp burst
-		default:
-			at = int64(rng.Intn(100_000_000)) // sparse far future
+	const cycles, perCycle, span = 4, 5000, 1_000_000
+	for c := int64(0); c < cycles; c++ {
+		base := c * span
+		for i := 0; i < perCycle; i++ {
+			var at int64
+			switch i % 3 {
+			case 0:
+				at = base + int64(rng.Intn(1000)) // dense near-term
+			case 1:
+				at = base + 500 // massive same-timestamp burst
+			default:
+				at = base + int64(rng.Intn(100_000_000)) // sparse far future
+			}
+			e.At(at, check(at, i))
 		}
-		e.At(at, check(at, i))
+		peak := e.Pending()
+		// Drain the dense part; the stragglers of every cycle so far stay.
+		e.Run(base + span - 1)
+		if e.Pending() >= peak || e.Pending() == 0 {
+			t.Fatalf("cycle %d: pending %d after drain, %d before", c, e.Pending(), peak)
+		}
 	}
 	e.Run(200_000_000)
 	if e.Pending() != 0 {
 		t.Fatalf("%d events never executed", e.Pending())
+	}
+	if executed != cycles*perCycle {
+		t.Fatalf("executed %d events, want %d", executed, cycles*perCycle)
 	}
 }
 

@@ -98,6 +98,11 @@ type channel struct {
 	dre        *stats.DRE
 	fabric     bool // switch-switch (vs host-attach) link
 
+	// In-flight packets in transmit order, threaded through Packet.next.
+	// busyUntil strictly increases across transmits and delayNs is fixed,
+	// so arrivals are FIFO and only the head's is on the engine queue.
+	inHead, inTail *Packet
+
 	toSwitch *SwitchDev // receiving switch, nil when to is a host
 	toHost   *HostDev   // receiving host, nil when to is a switch
 	inPort   int32      // ingress port index at to (switch delivery)
@@ -327,7 +332,9 @@ func (n *Network) channelFor(from topo.NodeID, port int) *channel {
 }
 
 // transmit pushes a packet onto a directed channel, applying the
-// drop-tail queue and scheduling delivery at the far end.
+// drop-tail queue and reserving its arrival at the far end. The arrival
+// goes on the engine queue only when the channel was idle; otherwise
+// the packet waits its turn on the channel's in-flight FIFO.
 func (n *Network) transmit(from topo.NodeID, port int, pkt *Packet) {
 	chIdx := n.portChan[from][port]
 	ch := &n.chans[chIdx]
@@ -358,7 +365,14 @@ func (n *Network) transmit(from topo.NodeID, port int, pkt *Packet) {
 	ch.txBytes += float64(pkt.Size)
 	n.accountTx(ch, pkt)
 
-	n.Eng.scheduleDeliver(ch.busyUntil+ch.delayNs, chIdx, pkt)
+	pkt.dueAt, pkt.dueSeq = n.Eng.reserve(ch.busyUntil + ch.delayNs)
+	if ch.inHead == nil {
+		ch.inHead = pkt
+		n.Eng.push(event{at: pkt.dueAt, seq: pkt.dueSeq, kind: evDeliver, i32: chIdx})
+	} else {
+		ch.inTail.next = pkt
+	}
+	ch.inTail = pkt
 }
 
 func (n *Network) accountTx(ch *channel, pkt *Packet) {
@@ -445,10 +459,9 @@ func (n *Network) CountProbeSaved(k int64) { n.probeTxSaved += k }
 // delta suppression.
 func (n *Network) CountProbeSuppressed(k int64) { n.probeSuppressed += k }
 
-// deliverChan hands the packet in flight on channel chIdx to the
-// receiving device (the evDeliver event body).
-func (n *Network) deliverChan(chIdx int32, pkt *Packet) {
-	ch := &n.chans[chIdx]
+// deliver hands a packet arriving over ch to the receiving device (the
+// evDeliver event body; the engine has already unlinked it).
+func (n *Network) deliver(ch *channel, pkt *Packet) {
 	if ch.down {
 		// Link (or an endpoint node) died while in flight.
 		n.countDrop(ch, pkt, n.downReason(ch))

@@ -89,7 +89,17 @@ type Packet struct {
 	// pool recycling zeroes it like every other field.
 	QueueNs int64
 
-	next *Packet // freelist
+	// dueAt/dueSeq are the arrival's reserved slot in the engine's
+	// total order while the packet is in flight on a channel.
+	dueAt  int64
+	dueSeq uint64
+
+	// next links the packet into exactly one list at a time: the pool's
+	// freelist while free, its channel's in-flight FIFO between transmit
+	// and delivery. Never both: a packet is freed only by its owner,
+	// and in flight the channel owns it. It is nil on a packet a device
+	// holds (get, Clone and delivery clear it), which transmit relies on.
+	next *Packet
 }
 
 // pool is a trivial freelist; the simulator is single-threaded.

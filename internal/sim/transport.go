@@ -39,10 +39,17 @@ type flowState struct {
 	srttNs     float64
 	rttvarNs   float64
 	rtoNs      float64
-	rtoArmed   int64 // epoch of the armed timer; re-arming bumps it
 	rttSeq     int64 // seq being timed, -1 if none
 	rttSent    int64
 	senderDone bool
+
+	// Retransmission timer. Arming reserves the deadline's (at, seq)
+	// slot; the engine queue holds one carrier entry per flow, at or
+	// before that slot, which re-keys itself to the current deadline
+	// when it fires early. carrierSeq is 0 when no live carrier is
+	// queued (a queued entry with another seq is an orphan).
+	rtoAt, carrierAt   int64
+	rtoSeq, carrierSeq uint64
 
 	// Receiver.
 	rcvBitmap []uint64
@@ -172,10 +179,15 @@ func (h *HostDev) armRTO(st *flowState) {
 	if st.senderDone || st.cumAck >= st.npkts {
 		return
 	}
-	st.rtoArmed++
-	// Typed timeout event: the engine re-checks the epoch at fire time,
-	// so re-arming invalidates stale timers without closure state.
-	h.net.Eng.scheduleRTO(h.net.Eng.Now()+int64(st.rtoNs), st, st.rtoArmed)
+	e := h.net.Eng
+	st.rtoAt, st.rtoSeq = e.reserve(e.Now() + int64(st.rtoNs))
+	// The queued carrier fires no later than the deadline and catches up
+	// with it then. Only a deadline that moved earlier (the RTO estimate
+	// shrank) needs a carrier of its own, orphaning the old one.
+	if st.carrierSeq == 0 || st.rtoAt < st.carrierAt {
+		st.carrierAt, st.carrierSeq = st.rtoAt, st.rtoSeq
+		e.push(event{at: st.rtoAt, seq: st.rtoSeq, kind: evRTO, flow: st})
+	}
 }
 
 func (h *HostDev) onRTO(st *flowState) {
@@ -289,8 +301,7 @@ func (h *HostDev) onAck(st *flowState, pkt *Packet) {
 			}
 		}
 		if st.cumAck >= st.npkts {
-			st.senderDone = true
-			st.rtoArmed++ // disarm
+			st.senderDone = true // also disarms the RTO
 			return
 		}
 		h.pump(st)

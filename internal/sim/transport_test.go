@@ -116,3 +116,76 @@ func TestDuplicateFlowIDPanics(t *testing.T) {
 }
 
 var _ = topo.Switch // keep the import if cases above change
+
+// ecmpRouter is a static per-flow ECMP router for tests: every
+// shortest-path next hop toward the destination's edge switch,
+// resolved to ports at Attach, picked by flow id.
+type ecmpRouter struct {
+	sw    *SwitchDev
+	ports map[topo.NodeID][]int // destination host -> candidate out ports
+}
+
+func (r *ecmpRouter) Attach(sw *SwitchDev) {
+	r.sw = sw
+	r.ports = make(map[topo.NodeID][]int)
+	g := sw.Net.Topo
+	for _, h := range g.Hosts() {
+		edge := g.HostEdge(h)
+		if edge == sw.ID {
+			r.ports[h] = []int{g.PortTo(sw.ID, h)}
+			continue
+		}
+		for _, nh := range g.ECMPNextHops(sw.ID, edge) {
+			r.ports[h] = append(r.ports[h], g.PortTo(sw.ID, nh))
+		}
+	}
+}
+
+func (r *ecmpRouter) Handle(pkt *Packet, inPort int) {
+	ports := r.ports[pkt.Dst]
+	if len(ports) == 0 {
+		r.sw.Drop(pkt, DropNoRoute)
+		return
+	}
+	r.sw.Send(ports[pkt.FlowID%uint64(len(ports))], pkt)
+}
+
+// TestSteadyStateRunAllocatesNothing is the whole-path allocation
+// check the micro-benchmarks cannot give: on a warmed fattree:4 ECMP
+// cell with long-lived flows, a mid-run window in which no flow starts
+// or completes — packets, ACKs, RTO re-arms, drops and retransmissions
+// across every layer of the simulator — allocates nothing.
+func TestSteadyStateRunAllocatesNothing(t *testing.T) {
+	g := topo.Fattree(4, 2)
+	e := NewEngine(1)
+	n := NewNetwork(e, g, Config{})
+	for _, s := range g.Switches() {
+		n.SetRouter(s, &ecmpRouter{})
+	}
+	n.Start()
+	hosts := g.Hosts()
+	var flows []FlowSpec
+	for i, src := range hosts {
+		for j := 1; j <= 3; j++ {
+			flows = append(flows, FlowSpec{
+				ID: uint64(len(flows) + 1), Src: src, Dst: hosts[(i+5*j)%len(hosts)],
+				Size: 1 << 30, Start: int64(i) * 1000,
+			})
+		}
+	}
+	n.StartFlows(flows)
+	// Warm-up: slow start overshoots, queues fill and drop, the packet
+	// pool and the event heap reach their working size.
+	e.Run(20_000_000)
+	before := n.DataPkts
+	for i := 0; i < 5; i++ {
+		if allocs := testing.AllocsPerRun(1, func() { e.Run(e.Now() + 500_000) }); allocs != 0 {
+			t.Fatalf("window %d: Engine.Run allocated %v times in steady state", i, allocs)
+		}
+	}
+	n.FoldCounters()
+	if n.DataPkts-before < 10_000 || n.Counters.Get("drop_queue") == 0 || n.CompletedFlows() != 0 {
+		t.Fatalf("windows were not a loaded steady state: %d data packets, %v queue drops, %d flows done",
+			n.DataPkts-before, n.Counters.Get("drop_queue"), n.CompletedFlows())
+	}
+}
