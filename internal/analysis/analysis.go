@@ -197,9 +197,14 @@ const MaxMV = 4
 // the next call, so retained ranks must copy V.
 type Evaluator struct {
 	res *Result
+	// env is built once: its mv aliases the mv array below, so a call
+	// only copies the metric vector in and sets or clears accept.
 	env fullEnv
 	mv  [MaxMV]float64
-	buf []float64
+	// ranks holds each pid's propagation order wrapped as a policy, so
+	// EvalRank evaluates it without building one per call.
+	ranks []policy.Policy
+	buf   []float64
 	// keep is the second scratch rank: BetterRank parks the candidate's
 	// components here so evaluating the incumbent cannot clobber them,
 	// letting one evaluator process a whole packed-probe batch of
@@ -209,7 +214,17 @@ type Evaluator struct {
 
 // NewEvaluator returns a reusable rank evaluator over r.
 func (r *Result) NewEvaluator() *Evaluator {
-	return &Evaluator{res: r, buf: make([]float64, 0, 2*MaxMV), keep: make([]float64, 0, MaxMV)}
+	ev := &Evaluator{
+		res:   r,
+		ranks: make([]policy.Policy, len(r.Subpolicies)),
+		buf:   make([]float64, 0, 2*MaxMV),
+		keep:  make([]float64, 0, MaxMV),
+	}
+	ev.env = fullEnv{mv: ev.mv[:len(r.MV)], layout: r.MV}
+	for pid := range r.Subpolicies {
+		ev.ranks[pid].Body = r.Subpolicies[pid].Rank
+	}
+	return ev
 }
 
 // BetterRank reports whether the candidate metric vector strictly
@@ -233,26 +248,25 @@ var zeroRank = policy.Finite(0)
 // EvalRank is Result.EvalRank on the reused scratch state. mv passes
 // by value so the caller's vector never escapes to the heap.
 func (ev *Evaluator) EvalRank(pid int, mv [MaxMV]float64) policy.Rank {
-	sp := &ev.res.Subpolicies[pid]
-	if sp.ConstOnly {
+	if ev.res.Subpolicies[pid].ConstOnly {
 		return zeroRank
 	}
-	ev.mv = mv
-	ev.env = fullEnv{mv: ev.mv[:len(ev.res.MV)], layout: ev.res.MV}
-	p := policy.Policy{Body: sp.Rank}
-	out := p.EvalAppend(&ev.env, ev.buf[:0])
-	if out.V != nil {
-		ev.buf = out.V
-	}
-	return out
+	return ev.eval(&ev.ranks[pid], mv, nil)
 }
 
 // EvalPolicy is Result.EvalPolicy with match bits supplied as a slice
 // (one bool per regex ID) instead of a closure, on reused scratch.
 func (ev *Evaluator) EvalPolicy(mv [MaxMV]float64, accept []bool) policy.Rank {
+	return ev.eval(ev.res.Policy, mv, accept)
+}
+
+// eval runs p over mv on the scratch environment. accept is set on
+// every call, nil included: a propagation rank must never read the
+// match bits a previous EvalPolicy left behind.
+func (ev *Evaluator) eval(p *policy.Policy, mv [MaxMV]float64, accept []bool) policy.Rank {
 	ev.mv = mv
-	ev.env = fullEnv{mv: ev.mv[:len(ev.res.MV)], layout: ev.res.MV, accept: accept}
-	out := ev.res.Policy.EvalAppend(&ev.env, ev.buf[:0])
+	ev.env.accept = accept
+	out := p.EvalAppend(&ev.env, ev.buf[:0])
 	if out.V != nil {
 		ev.buf = out.V
 	}

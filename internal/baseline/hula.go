@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"slices"
+
 	"contra/internal/metrics"
 	"contra/internal/sim"
 	"contra/internal/topo"
@@ -22,13 +24,20 @@ type Hula struct {
 
 	level     int   // this switch's tier: 0 edge, 1 agg, 2 core
 	peerLevel []int // tier of the switch behind each local port
-	bestPort  map[topo.NodeID]int
-	bestUtil  map[topo.NodeID]float64
-	updated   map[topo.NodeID]int64
-	// updatedVia tracks freshness per (destination, port): a flowlet
-	// pinned to a port whose probes stopped must expire even while the
-	// destination stays reachable through other ports.
-	updatedVia map[hulaVia]int64
+
+	// Probe-learned state is laid out as register arrays, the way a
+	// hardware HULA switch keeps it: one row per origin NodeID (sized
+	// at Attach, zero until the origin is first heard from) and the
+	// per-(destination, port) freshness stamps flat beside it. The
+	// flowlet table stays a hash map: it is hash-indexed by flow in
+	// hardware too.
+	rows []hulaRow
+	// updatedVia[dst*ports+port] tracks freshness per (destination,
+	// port): a flowlet pinned to a port whose probes stopped must
+	// expire even while the destination stays reachable through other
+	// ports. viaNever marks a pair no probe has ever arrived on.
+	updatedVia []int64
+	ports      int
 
 	flowlets map[hulaFlowKey]*hulaFlowlet
 	probeSz  int
@@ -44,9 +53,7 @@ type Hula struct {
 	suppressOn bool
 	eps        float64
 	refreshNs  int64
-	pend       map[topo.NodeID]*hulaPend
-	pendList   []topo.NodeID // deterministic flush order
-	lastAdv    map[topo.NodeID]*hulaAdv
+	pendList   []topo.NodeID // origins with a pending row, in flush order
 
 	// tr, when non-nil, records fresh flowlet decisions at the
 	// decisions trace level: HULA's rank is its scalar path
@@ -65,25 +72,33 @@ func (r *Hula) SetTracer(t *trace.Recorder) { r.tr = t }
 // SetChurn attaches this router's churn accumulator (nil detaches).
 func (r *Hula) SetChurn(ch *metrics.Churn) { r.mx = ch }
 
-// hulaPend is one origin's queued re-advertisement: the latest
-// propagated utilization and the probe-path state it arrived with.
-type hulaPend struct {
-	util   float64
-	up     bool
-	inPort int
+// hulaRow is everything one switch knows about one origin ToR. The
+// zero row is "never heard from": bestPort, bestUtil and updated read
+// as 0 exactly as a missing map key did, and the have/pending/advValid
+// bits stand for key presence where presence was tested.
+type hulaRow struct {
+	bestPort int
+	bestUtil float64
+	updated  int64
+	have     bool // a probe from this origin has been accepted
+
+	// The queued re-advertisement (packing): the latest propagated
+	// utilization and the probe-path state it arrived with.
+	pending  bool
+	pendUp   bool
+	pendIn   int
+	pendUtil float64
+
+	// What was last re-advertised (suppression).
+	advValid bool
+	advPort  int
+	advUtil  float64
+	advAt    int64
 }
 
-// hulaAdv snapshots what was last re-advertised for an origin.
-type hulaAdv struct {
-	util float64
-	port int
-	at   int64
-}
-
-type hulaVia struct {
-	dst  topo.NodeID
-	port int
-}
+// viaNever is the updatedVia stamp of a (destination, port) pair no
+// probe has arrived on: stale at every time, including t = 0.
+const viaNever = -1
 
 type hulaFlowKey struct {
 	dst topo.NodeID
@@ -135,18 +150,12 @@ func NewHula(cfg HulaConfig) *Hula {
 		periodNs:   cfg.ProbePeriodNs,
 		flowletNs:  cfg.FlowletTimeoutNs,
 		ageNs:      (3+slack)*cfg.ProbePeriodNs + cfg.ProbePeriodNs,
-		bestPort:   make(map[topo.NodeID]int),
-		bestUtil:   make(map[topo.NodeID]float64),
-		updated:    make(map[topo.NodeID]int64),
-		updatedVia: make(map[hulaVia]int64),
 		flowlets:   make(map[hulaFlowKey]*hulaFlowlet),
 		probeSz:    64,
 		packing:    cfg.ProbePacking,
 		suppressOn: suppressOn,
 		eps:        cfg.SuppressEps,
 		refreshNs:  int64(cfg.RefreshEvery) * cfg.ProbePeriodNs,
-		pend:       make(map[topo.NodeID]*hulaPend),
-		lastAdv:    make(map[topo.NodeID]*hulaAdv),
 	}
 }
 
@@ -191,6 +200,10 @@ func (r *Hula) Attach(sw *sim.SwitchDev) {
 			r.peerLevel[i] = roleLevel(g.Node(p.Peer).Role)
 		}
 	}
+	r.ports = len(ports)
+	r.rows = make([]hulaRow, g.NumNodes())
+	r.updatedVia = make([]int64, g.NumNodes()*r.ports)
+	r.resetTables()
 	offset := (int64(sw.ID) * 7919) % r.periodNs
 	if r.packing {
 		// Every switch flushes once per period; edge origination rides
@@ -212,14 +225,28 @@ var _ sim.Rebooter = (*Hula)(nil)
 // apples. The tier levels are topology knowledge, not learned state,
 // so they survive.
 func (r *Hula) Reboot() {
-	r.bestPort = make(map[topo.NodeID]int)
-	r.bestUtil = make(map[topo.NodeID]float64)
-	r.updated = make(map[topo.NodeID]int64)
-	r.updatedVia = make(map[hulaVia]int64)
+	r.resetTables()
 	r.flowlets = make(map[hulaFlowKey]*hulaFlowlet)
-	r.pend = make(map[topo.NodeID]*hulaPend)
+}
+
+// resetTables returns the register arrays to "never heard from".
+func (r *Hula) resetTables() {
+	clear(r.rows)
+	for i := range r.updatedVia {
+		r.updatedVia[i] = viaNever
+	}
 	r.pendList = r.pendList[:0]
-	r.lastAdv = make(map[topo.NodeID]*hulaAdv)
+}
+
+// row returns origin's register row. Origins come off packets, and
+// where a map lookup with a bad key missed, an array index would
+// panic: anything that is not a node of the topology yields nil, which
+// every caller treats as that miss.
+func (r *Hula) row(origin topo.NodeID) *hulaRow {
+	if uint32(origin) >= uint32(len(r.rows)) {
+		return nil
+	}
+	return &r.rows[origin]
 }
 
 // originate floods a fresh probe from this ToR upward.
@@ -284,10 +311,8 @@ func (r *Hula) recordDecision(pkt *sim.Packet, inPort int, dst topo.NodeID, port
 		kind = "source"
 	}
 	chosen := r.sw.TxUtil(port)
-	if p, ok := r.bestPort[dst]; ok && p == port {
-		if u, ok := r.bestUtil[dst]; ok {
-			chosen = u
-		}
+	if row := r.row(dst); row != nil && row.have && row.bestPort == port {
+		chosen = row.bestUtil
 	}
 	rPort := -1
 	var rRank []float64
@@ -297,7 +322,7 @@ func (r *Hula) recordDecision(pkt *sim.Packet, inPort int, dst topo.NodeID, port
 		if p == port || !r.sw.IsSwitchPort(p) {
 			continue
 		}
-		if last, ok := r.updatedVia[hulaVia{dst: dst, port: p}]; ok && now-last <= r.ageNs {
+		if !r.stale(dst, p, now) {
 			if u := r.sw.TxUtil(p); rPort < 0 || u < rBest {
 				rPort, rBest = p, u
 			}
@@ -316,38 +341,44 @@ func (r *Hula) recordDecision(pkt *sim.Packet, inPort int, dst topo.NodeID, port
 // information older than the aging threshold: probes on that port have
 // stopped, so the port is presumed failed for this destination.
 func (r *Hula) stale(dst topo.NodeID, port int, now int64) bool {
-	last, ok := r.updatedVia[hulaVia{dst: dst, port: port}]
-	return !ok || now-last > r.ageNs
+	if uint32(dst) >= uint32(len(r.rows)) {
+		return true
+	}
+	last := r.updatedVia[int(dst)*r.ports+port]
+	return last == viaNever || now-last > r.ageNs
 }
 
 func (r *Hula) bestFresh(dst topo.NodeID, now int64) (int, bool) {
-	port, ok := r.bestPort[dst]
-	if !ok || now-r.updated[dst] > r.ageNs || r.stale(dst, port, now) {
+	row := r.row(dst)
+	if row == nil {
+		return 0, false
+	}
+	port := row.bestPort
+	if !row.have || now-row.updated > r.ageNs || r.stale(dst, port, now) {
 		// The recorded best went stale; fall back to any fresh port.
-		oldPort, hadOld := port, ok
+		// Only the port and its stamp move: bestUtil keeps the last
+		// accepted probe's value until the next accept.
 		bestUtil := 2.0
 		found := false
 		for p := 0; p < r.sw.PortCount(); p++ {
-			if !r.sw.IsSwitchPort(p) {
+			if !r.sw.IsSwitchPort(p) || r.stale(dst, p, now) {
 				continue
 			}
-			if last, ok := r.updatedVia[hulaVia{dst: dst, port: p}]; ok && now-last <= r.ageNs {
-				u := r.sw.TxUtil(p)
-				if !found || u < bestUtil {
-					bestUtil = u
-					port = p
-					found = true
-				}
+			u := r.sw.TxUtil(p)
+			if !found || u < bestUtil {
+				bestUtil = u
+				port = p
+				found = true
 			}
 		}
 		if !found {
 			return 0, false
 		}
-		if r.mx != nil && hadOld && oldPort != port {
+		if r.mx != nil && row.have && row.bestPort != port {
 			r.mx.Flaps++
 		}
-		r.bestPort[dst] = port
-		r.updated[dst] = now
+		row.bestPort = port
+		row.updated = now
 		return port, true
 	}
 	return port, true
@@ -367,12 +398,17 @@ func (r *Hula) handleProbe(pkt *sim.Packet, inPort int) {
 	if u := r.sw.TxUtil(inPort); u > util {
 		util = u
 	}
-	accepted, goingUpStill := r.acceptProbe(pkt.Origin, util, pkt.Up, inPort, now)
+	row := r.row(pkt.Origin)
+	if row == nil {
+		r.sw.Drop(pkt, sim.DropProbeNoTrans)
+		return
+	}
+	accepted, goingUpStill := r.acceptProbe(row, pkt.Origin, util, pkt.Up, inPort, now)
 	if !accepted {
 		r.sw.Net.Free(pkt)
 		return
 	}
-	if r.suppressOn && r.suppressAdvert(pkt.Origin, now) {
+	if r.suppressOn && r.suppressAdvert(row, now) {
 		r.sw.Net.CountProbeSuppressed(1)
 		// Count the re-multicasts this skip avoids, mirroring the
 		// Contra data plane's accounting so scheme comparisons of
@@ -390,7 +426,7 @@ func (r *Hula) handleProbe(pkt *sim.Packet, inPort int) {
 		return
 	}
 	if r.suppressOn {
-		r.recordAdvert(pkt.Origin, now)
+		recordAdvert(row, now)
 	}
 	pkt.MV[0] = util
 	for port := 0; port < r.sw.PortCount(); port++ {
@@ -405,32 +441,33 @@ func (r *Hula) handleProbe(pkt *sim.Packet, inPort int) {
 	r.sw.Net.Free(pkt)
 }
 
-// acceptProbe runs HULA's update rule for one origin advertisement and
-// reports whether it was accepted plus the outgoing propagation state.
-func (r *Hula) acceptProbe(origin topo.NodeID, util float64, up bool, inPort int, now int64) (accepted, goingUpStill bool) {
-	r.updatedVia[hulaVia{dst: origin, port: inPort}] = now
-	cur, have := r.bestUtil[origin]
-	fresh := now-r.updated[origin] <= r.ageNs
-	if have && fresh && util >= cur && r.bestPort[origin] != inPort {
+// acceptProbe runs HULA's update rule for one origin advertisement
+// (row is r.row(origin), non-nil) and reports whether it was accepted
+// plus the outgoing propagation state.
+func (r *Hula) acceptProbe(row *hulaRow, origin topo.NodeID, util float64, up bool, inPort int, now int64) (accepted, goingUpStill bool) {
+	r.updatedVia[int(origin)*r.ports+inPort] = now
+	fresh := now-row.updated <= r.ageNs
+	if row.have && fresh && util >= row.bestUtil && row.bestPort != inPort {
 		return false, false
 	}
 	if r.mx != nil {
 		switch {
-		case !have:
+		case !row.have:
 			r.mx.Added++
 		case !fresh:
 			r.mx.Expired++
-			if r.bestPort[origin] != inPort {
+			if row.bestPort != inPort {
 				r.mx.Flaps++
 			}
-		case r.bestPort[origin] != inPort:
+		case row.bestPort != inPort:
 			r.mx.Replaced++
 			r.mx.Flaps++
 		}
 	}
-	r.bestUtil[origin] = util
-	r.bestPort[origin] = inPort
-	r.updated[origin] = now
+	row.have = true
+	row.bestUtil = util
+	row.bestPort = inPort
+	row.updated = now
 	// Propagate along reverse up-down paths: a probe that has started
 	// descending (arrived from a switch above us) may only continue
 	// descending.
@@ -451,48 +488,41 @@ func (r *Hula) eligiblePort(port, inPort int, goingUpStill bool) (up, ok bool) {
 	return goingUpStill && upward, true
 }
 
-// suppressAdvert reports whether re-advertising origin may be skipped:
-// best port unchanged, utilization within eps of the last
+// suppressAdvert reports whether re-advertising row's origin may be
+// skipped: best port unchanged, utilization within eps of the last
 // advertisement, and the forced-refresh horizon not yet elapsed.
-func (r *Hula) suppressAdvert(origin topo.NodeID, now int64) bool {
-	adv := r.lastAdv[origin]
-	if adv == nil || adv.port != r.bestPort[origin] {
+func (r *Hula) suppressAdvert(row *hulaRow, now int64) bool {
+	if !row.advValid || row.advPort != row.bestPort {
 		return false
 	}
-	if now-adv.at >= r.refreshNs {
+	if now-row.advAt >= r.refreshNs {
 		return false
 	}
-	d := r.bestUtil[origin] - adv.util
+	d := row.bestUtil - row.advUtil
 	if d < 0 {
 		d = -d
 	}
 	return d <= r.eps
 }
 
-// recordAdvert snapshots the advertised state for origin.
-func (r *Hula) recordAdvert(origin topo.NodeID, now int64) {
-	adv := r.lastAdv[origin]
-	if adv == nil {
-		adv = &hulaAdv{}
-		r.lastAdv[origin] = adv
-	}
-	adv.util = r.bestUtil[origin]
-	adv.port = r.bestPort[origin]
-	adv.at = now
+// recordAdvert snapshots the advertised state of row's origin.
+func recordAdvert(row *hulaRow, now int64) {
+	row.advValid = true
+	row.advUtil = row.bestUtil
+	row.advPort = row.bestPort
+	row.advAt = now
 }
 
 // markPending queues an accepted advertisement for the packed flush;
 // the latest accept within a period wins.
-func (r *Hula) markPending(origin topo.NodeID, util float64, up bool, inPort int) {
-	pe := r.pend[origin]
-	if pe == nil {
-		pe = &hulaPend{}
-		r.pend[origin] = pe
+func (r *Hula) markPending(row *hulaRow, origin topo.NodeID, util float64, up bool, inPort int) {
+	if !row.pending {
+		row.pending = true
 		r.pendList = append(r.pendList, origin)
 	}
-	pe.util = util
-	pe.up = up
-	pe.inPort = inPort
+	row.pendUtil = util
+	row.pendUp = up
+	row.pendIn = inPort
 }
 
 // Packed HULA probe wire accounting: the single-probe frame is 64B;
@@ -519,24 +549,26 @@ func (r *Hula) handlePacked(pkt *sim.Packet, inPort int) {
 		if txu > util {
 			util = txu
 		}
-		accepted, goingUpStill := r.acceptProbe(en.Origin, util, en.Up, inPort, now)
+		row := r.row(en.Origin)
+		if row == nil {
+			continue
+		}
+		accepted, goingUpStill := r.acceptProbe(row, en.Origin, util, en.Up, inPort, now)
 		if !accepted {
 			continue
 		}
-		if r.pend[en.Origin] != nil {
-			// Already queued: refresh the pending advertisement in place
-			// (the flush emits the latest state, so nothing is suppressed).
-			r.markPending(en.Origin, util, goingUpStill, inPort)
-			continue
+		// An already queued origin is refreshed in place (the flush
+		// emits the latest state, so nothing is suppressed).
+		if !row.pending {
+			if r.suppressOn && r.suppressAdvert(row, now) {
+				r.sw.Net.CountProbeSuppressed(1)
+				continue
+			}
+			if r.suppressOn {
+				recordAdvert(row, now)
+			}
 		}
-		if r.suppressOn && r.suppressAdvert(en.Origin, now) {
-			r.sw.Net.CountProbeSuppressed(1)
-			continue
-		}
-		if r.suppressOn {
-			r.recordAdvert(en.Origin, now)
-		}
-		r.markPending(en.Origin, util, goingUpStill, inPort)
+		r.markPending(row, en.Origin, util, goingUpStill, inPort)
 	}
 	r.sw.Net.Free(pkt)
 }
@@ -557,17 +589,24 @@ func (r *Hula) flush() {
 		p.Kind = sim.Probe
 		p.IsPacked = true
 		p.TTL = sim.InitialTTL
+		// Sized once, for the most this port can carry: a pooled packet
+		// arrives with whatever capacity its last use left it.
+		want := len(r.pendList)
+		if isEdge {
+			want++
+		}
+		p.Packed = slices.Grow(p.Packed, want)
 		if isEdge {
 			p.Packed = append(p.Packed, sim.ProbeEntry{Origin: r.sw.ID, Up: true})
 		}
 		for _, origin := range r.pendList {
-			pe := r.pend[origin]
-			up, ok := r.eligiblePort(port, pe.inPort, pe.up)
+			row := &r.rows[origin]
+			up, ok := r.eligiblePort(port, row.pendIn, row.pendUp)
 			if !ok {
 				continue
 			}
 			p.Packed = append(p.Packed, sim.ProbeEntry{
-				Origin: origin, Up: up, MV: [4]float64{pe.util},
+				Origin: origin, Up: up, MV: [4]float64{row.pendUtil},
 			})
 		}
 		n := len(p.Packed)
@@ -581,19 +620,18 @@ func (r *Hula) flush() {
 		p.Size = hulaPackedBase + hulaPackedEntry*n
 		r.sw.Send(port, p)
 	}
-	if r.suppressOn {
-		// Re-snapshot from the state actually emitted: a pending
-		// advertisement may have been refreshed in place after it was
-		// recorded, and suppression must compare against what went out
-		// on the wire (bestUtil/bestPort track the latest accept, which
-		// is exactly what the flush advertised).
-		now := r.sw.Now()
-		for _, origin := range r.pendList {
-			r.recordAdvert(origin, now)
-		}
-	}
+	now := r.sw.Now()
 	for _, origin := range r.pendList {
-		delete(r.pend, origin)
+		row := &r.rows[origin]
+		row.pending = false
+		if r.suppressOn {
+			// Re-snapshot from the state actually emitted: a pending
+			// advertisement may have been refreshed in place after it
+			// was recorded, and suppression must compare against what
+			// went out on the wire (bestUtil/bestPort track the latest
+			// accept, which is exactly what the flush advertised).
+			recordAdvert(row, now)
+		}
 	}
 	r.pendList = r.pendList[:0]
 }
@@ -604,5 +642,5 @@ func (r *Hula) BestNextHop(dst topo.NodeID) (int, float64) {
 	if !ok {
 		return -1, 1
 	}
-	return port, r.bestUtil[dst]
+	return port, r.rows[dst].bestUtil
 }

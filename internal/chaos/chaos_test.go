@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"slices"
 	"testing"
 
 	"contra/internal/core"
@@ -61,8 +62,13 @@ func TestSwitchDownRoutesAroundAndRebootFlushes(t *testing.T) {
 
 	e.Run(12 * period)
 	victim := fleet.Router(core0)
-	if len(victim.LiveRoutes()) == 0 {
+	live := victim.LiveRoutes()
+	if len(live) == 0 {
 		t.Fatal("warmed-up core switch has no routes")
+	}
+	// The dense BestT is walked by destination: ascending NodeID order.
+	if !slices.IsSorted(live) {
+		t.Fatalf("LiveRoutes not in ascending NodeID order: %v", live)
 	}
 
 	// Past the failure plus the detection window: the fabric must have

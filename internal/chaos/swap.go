@@ -58,7 +58,11 @@ func (sr *swapRun) install(comp *core.Compiled) {
 	// outage already took away. Both endpoints matter: a failed switch
 	// can't source routes, and routes toward it (whose entries may
 	// still be inside the failure-detection window, hence "live") can
-	// never re-form while it stays down.
+	// never re-form while it stays down. Routers are visited in map
+	// order, but each router's LiveRoutes come back in ascending NodeID
+	// order, so the snapshot is deterministic per router; the monitor
+	// only ever asks whether all pairs are live again, so the order
+	// across routers is immaterial.
 	for sw, r := range sr.fleet.Routers() {
 		if sr.net.NodeDown(sw) {
 			continue

@@ -17,6 +17,13 @@ import "contra/internal/topo"
 // Sizes use the compact encodings of the paper's P4 artifact: 16-bit
 // destination ids, 16-bit fixed-point metrics, 16-bit versions, 8-bit
 // ports.
+//
+// The simulator's switch runtime (internal/dataplane) keeps FwdT and
+// BestT in the same shape it is accounted here: register arrays of
+// len(VNodes) × pids entries per origin, indexed by (origin, local
+// tag, pid), with one BestT slot per origin — only the origins actually
+// heard from have their block allocated, and entries are Go structs
+// rather than the packed bit fields counted below.
 const (
 	flowletEntries = 1024
 	loopEntries    = 512

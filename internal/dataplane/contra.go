@@ -7,6 +7,8 @@
 package dataplane
 
 import (
+	"slices"
+
 	"contra/internal/analysis"
 	"contra/internal/core"
 	"contra/internal/metrics"
@@ -17,16 +19,17 @@ import (
 	"contra/internal/trace"
 )
 
-// fwdKey keys FwdT: destination switch, local virtual node, probe id.
-type fwdKey struct {
-	origin topo.NodeID
-	vnode  pg.NodeID
-	pid    uint8
-}
-
-// fwdEntry is one FwdT row: the best known metric vector for this key,
-// where it came from, and when.
+// fwdEntry is one FwdT register: the best known metric vector for its
+// (destination switch, local virtual node, probe id), where it came
+// from, and when. Entries live by value in Contra.rows and carry their
+// own address, so BestT and the pending lists hold bare pointers and
+// never look a key up.
 type fwdEntry struct {
+	origin  topo.NodeID // destination switch
+	vnode   pg.NodeID   // local virtual node: the tag this switch advertises
+	pid     uint8
+	present bool // the register holds a learned route (a map would have the key)
+
 	mv      [4]float64
 	ntag    pg.NodeID // the upstream (probe-sender) virtual node: the packet's next tag
 	nhop    int       // egress port toward it
@@ -118,8 +121,24 @@ type Contra struct {
 	res  *analysis.Result
 	sw   *sim.SwitchDev
 
-	fwd      map[fwdKey]*fwdEntry
-	best     map[topo.NodeID]fwdKey
+	// FwdT and BestT are laid out as the register arrays core/state.go
+	// accounts for (Figure 10). rows[origin] is one destination's block
+	// of len(prog.VNodes)*nPids registers, indexed ord*nPids+pid (ord is
+	// the virtual node's position in prog.VNodes) and allocated on the
+	// first accept for that origin; best[origin] points at the block's
+	// winner, nil when there is none. A block never grows, so entry
+	// pointers (best, pend) stay valid until flushTables lays the tables
+	// out afresh. inTrans, ordOf and probeOut are the program's
+	// InTransition/VNodes/ProbeOut maps flattened the same way: by
+	// sender tag, by own tag, and by ordinal; -1 marks "no such tag
+	// here". The flowlet and source-pin tables stay hash maps: they are
+	// hash-indexed by flow in hardware too.
+	rows     [][]fwdEntry
+	best     []*fwdEntry
+	nPids    int
+	inTrans  []int32
+	ordOf    []int32
+	probeOut [][]int
 	flowlets map[flowKey]*flowletEntry
 	srcPins  map[srcKey]*srcPin
 	loopTbl  [loopSlots]loopSlot
@@ -157,12 +176,12 @@ type Contra struct {
 	packing     bool
 	suppressOn  bool
 	suppressEps float64
-	refreshNs   int64      // forced-refresh horizon (RefreshEvery periods)
-	expireNs    int64      // entry expiry horizon incl. suppression slack
-	deadNs      int64      // port-liveness horizon incl. suppression slack
-	pend        [][]fwdKey // per egress port: entries awaiting the packed flush
-	advPorts    []int      // union of ProbeOut ports (flush/heartbeat targets)
-	originPorts []bool     // per port: carries this switch's own origin entries
+	refreshNs   int64         // forced-refresh horizon (RefreshEvery periods)
+	expireNs    int64         // entry expiry horizon incl. suppression slack
+	deadNs      int64         // port-liveness horizon incl. suppression slack
+	pend        [][]*fwdEntry // per egress port: entries awaiting the packed flush
+	advPorts    []int         // union of ProbeOut ports (flush/heartbeat targets)
+	originPorts []bool        // per port: carries this switch's own origin entries
 
 	// LoopBreaks counts §5.5 flowlet flushes (exported for tests and
 	// the evaluation harness).
@@ -192,8 +211,6 @@ func New(comp *core.Compiled, swID topo.NodeID) *Contra {
 		comp:      comp,
 		prog:      comp.Switches[swID],
 		res:       comp.Analysis,
-		fwd:       make(map[fwdKey]*fwdEntry),
-		best:      make(map[topo.NodeID]fwdKey),
 		flowlets:  make(map[flowKey]*flowletEntry),
 		srcPins:   make(map[srcKey]*srcPin),
 		evCand:    comp.Analysis.NewEvaluator(),
@@ -204,7 +221,94 @@ func New(comp *core.Compiled, swID topo.NodeID) *Contra {
 	c.suppressOn = comp.Opts.SuppressOn()
 	c.suppressEps = comp.Opts.SuppressEps
 	c.setHorizons()
+	c.layoutTables()
 	return c
+}
+
+// layoutTables sizes empty FwdT/BestT register arrays and the dense
+// program views for the current compiled program. The virtual-node
+// space (and with it every register address) belongs to one product
+// graph, so a policy install lays everything out again.
+func (c *Contra) layoutTables() {
+	nodes := c.comp.Topo.NumNodes()
+	c.rows = make([][]fwdEntry, nodes)
+	c.best = make([]*fwdEntry, nodes)
+	c.nPids = c.res.NumPids()
+	c.inTrans = make([]int32, c.comp.PG.NumNodes())
+	c.ordOf = make([]int32, c.comp.PG.NumNodes())
+	for tag := range c.inTrans {
+		c.inTrans[tag], c.ordOf[tag] = -1, -1
+	}
+	c.probeOut = make([][]int, len(c.prog.VNodes))
+	for ord, v := range c.prog.VNodes {
+		c.ordOf[v] = int32(ord)
+		c.probeOut[ord] = c.prog.ProbeOut[v]
+	}
+	for u, v := range c.prog.InTransition {
+		c.inTrans[u] = c.ordOf[v]
+	}
+}
+
+// Packet fields index the register arrays, and where a map lookup with
+// a bad key missed, an array index would panic. So every index derived
+// from a packet goes through one of the accessors below, which turn
+// out-of-range values into exactly the miss the maps produced.
+
+// tagIndex reads a by-tag view: the ordinal stored for tag, or -1 when
+// the tag is unknown here or outside the tag space altogether.
+func tagIndex(view []int32, tag int32) int32 {
+	if uint32(tag) >= uint32(len(view)) {
+		return -1
+	}
+	return view[tag]
+}
+
+// keyOK reports whether (origin, pid) addresses a FwdT register at all.
+func (c *Contra) keyOK(origin topo.NodeID, pid uint8) bool {
+	return uint32(origin) < uint32(len(c.rows)) && int(pid) < c.nPids
+}
+
+// row returns origin's register block: nil until a probe from that
+// origin has been accepted, and for anything that is not a node.
+func (c *Contra) row(origin topo.NodeID) []fwdEntry {
+	if uint32(origin) >= uint32(len(c.rows)) {
+		return nil
+	}
+	return c.rows[origin]
+}
+
+// lookup returns the learned entry at (origin, ord, pid), or nil. Like
+// claim, it takes a key that has passed tagIndex and keyOK.
+func (c *Contra) lookup(origin topo.NodeID, ord int32, pid uint8) *fwdEntry {
+	row := c.rows[origin]
+	if row == nil {
+		return nil
+	}
+	if e := &row[int(ord)*c.nPids+int(pid)]; e.present {
+		return e
+	}
+	return nil
+}
+
+// claim takes the register at (origin, ord, pid) for a first accept,
+// allocating the origin's block on first use.
+func (c *Contra) claim(origin topo.NodeID, ord int32, pid uint8) *fwdEntry {
+	row := c.rows[origin]
+	if row == nil {
+		row = make([]fwdEntry, len(c.prog.VNodes)*c.nPids)
+		c.rows[origin] = row
+	}
+	e := &row[int(ord)*c.nPids+int(pid)]
+	*e = fwdEntry{origin: origin, vnode: c.prog.VNodes[ord], pid: pid, present: true}
+	return e
+}
+
+// bestOf reads BestT: the cached winner for origin, or nil.
+func (c *Contra) bestOf(origin topo.NodeID) *fwdEntry {
+	if uint32(origin) >= uint32(len(c.best)) {
+		return nil
+	}
+	return c.best[origin]
 }
 
 // setHorizons derives the expiry and failure-detection horizons from
@@ -240,7 +344,7 @@ func (c *Contra) Attach(sw *sim.SwitchDev) {
 	case c.packing:
 		// Every switch flushes once per period: origin entries and
 		// pending transit re-advertisements share the packed probes.
-		c.pend = make([][]fwdKey, sw.PortCount())
+		c.pend = make([][]*fwdEntry, sw.PortCount())
 		c.recomputeAdv()
 		sw.Net.Eng.Every(originStagger(c.prog.Switch, period), period, c.flushPacked)
 	case c.prog.Origin != nil:
@@ -336,11 +440,12 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 		return
 	}
 	// NEXTPGNODE: the sender's virtual node determines ours.
-	v, ok := c.prog.InTransition[pg.NodeID(pkt.Tag)]
-	if !ok {
+	ord := tagIndex(c.inTrans, pkt.Tag)
+	if ord < 0 || !c.keyOK(pkt.Origin, pkt.Pid) {
 		c.sw.Drop(pkt, sim.DropProbeNoTrans)
 		return
 	}
+	v := c.prog.VNodes[ord]
 	// UPDATEMVEC: fold the traffic-direction link metric. Probes flow
 	// opposite to traffic, so the relevant direction is out of inPort.
 	mv := pkt.MV
@@ -357,8 +462,7 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 		}
 	}
 
-	key := fwdKey{origin: pkt.Origin, vnode: v, pid: pkt.Pid}
-	e := c.fwd[key]
+	e := c.lookup(pkt.Origin, ord, pkt.Pid)
 	accept := false
 	switch {
 	case e == nil:
@@ -403,8 +507,7 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 		oldHop = c.bestHop(pkt.Origin)
 	}
 	if e == nil {
-		e = &fwdEntry{}
-		c.fwd[key] = e
+		e = c.claim(pkt.Origin, ord, pkt.Pid)
 	} else if c.altOn && inPort != e.nhop {
 		demoteToAlt(e)
 	}
@@ -415,13 +518,13 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 	e.updated = now
 	e.setRank(c.policyRank(v, mv))
 
-	c.updateBest(pkt.Origin, key, e)
+	c.updateBest(e)
 	if c.mx != nil && oldHop >= 0 && c.bestHop(pkt.Origin) != oldHop {
 		c.mx.Flaps++
 	}
 
 	// Retag and multicast along product graph out-edges.
-	outPorts := c.prog.ProbeOut[v]
+	outPorts := c.probeOut[ord]
 	if len(outPorts) == 0 {
 		c.sw.Net.Free(pkt)
 		return
@@ -480,15 +583,15 @@ func (c *Contra) recordAdvert(e *fwdEntry, now int64) {
 	e.lastAdvMV = e.mv
 }
 
-// markPending queues entry e (at key, virtual node v) for the next
-// packed flush on every product-graph out-port.
-func (c *Contra) markPending(key fwdKey, e *fwdEntry, outPorts []int) {
+// markPending queues entry e for the next packed flush on every
+// product-graph out-port of its virtual node.
+func (c *Contra) markPending(e *fwdEntry, outPorts []int) {
 	if e.pending {
 		return
 	}
 	e.pending = true
 	for _, port := range outPorts {
-		c.pend[port] = append(c.pend[port], key)
+		c.pend[port] = append(c.pend[port], e)
 	}
 }
 
@@ -513,10 +616,11 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 		if en.Origin == c.prog.Switch {
 			continue
 		}
-		v, ok := c.prog.InTransition[pg.NodeID(en.Tag)]
-		if !ok {
+		ord := tagIndex(c.inTrans, en.Tag)
+		if ord < 0 || !c.keyOK(en.Origin, en.Pid) {
 			continue
 		}
+		v := c.prog.VNodes[ord]
 		mv := en.MV
 		for j, m := range c.res.MV {
 			switch m {
@@ -530,8 +634,7 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 				mv[j]++
 			}
 		}
-		key := fwdKey{origin: en.Origin, vnode: v, pid: en.Pid}
-		e := c.fwd[key]
+		e := c.lookup(en.Origin, ord, en.Pid)
 		accept := false
 		switch {
 		case e == nil:
@@ -565,8 +668,7 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 			oldHop = c.bestHop(en.Origin)
 		}
 		if e == nil {
-			e = &fwdEntry{}
-			c.fwd[key] = e
+			e = c.claim(en.Origin, ord, en.Pid)
 		} else if c.altOn && inPort != e.nhop {
 			demoteToAlt(e)
 		}
@@ -576,12 +678,12 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 		e.version = en.Version
 		e.updated = now
 		e.setRank(c.policyRank(v, mv))
-		c.updateBest(en.Origin, key, e)
+		c.updateBest(e)
 		if c.mx != nil && oldHop >= 0 && c.bestHop(en.Origin) != oldHop {
 			c.mx.Flaps++
 		}
 
-		outPorts := c.prog.ProbeOut[v]
+		outPorts := c.probeOut[ord]
 		if len(outPorts) == 0 {
 			continue
 		}
@@ -597,7 +699,7 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 		if c.suppressOn {
 			c.recordAdvert(e, now)
 		}
-		c.markPending(key, e, outPorts)
+		c.markPending(e, outPorts)
 	}
 	c.sw.Net.Free(pkt)
 }
@@ -619,22 +721,23 @@ func (c *Contra) flushPacked() {
 		p.IsPacked = true
 		p.Era = c.era
 		p.TTL = sim.InitialTTL
+		var originPids []int
 		if org != nil && c.originPorts[port] {
-			for _, pid := range org.Pids {
-				p.Packed = append(p.Packed, sim.ProbeEntry{
-					Origin: c.prog.Switch, Tag: int32(org.VNode),
-					Version: c.version, Pid: uint8(pid),
-				})
-			}
+			originPids = org.Pids
 		}
-		for _, key := range c.pend[port] {
-			e := c.fwd[key]
-			if e == nil {
-				continue
-			}
+		// Sized once: a pooled packet arrives with whatever capacity its
+		// last use left it.
+		p.Packed = slices.Grow(p.Packed, len(originPids)+len(c.pend[port]))
+		for _, pid := range originPids {
 			p.Packed = append(p.Packed, sim.ProbeEntry{
-				Origin: key.origin, Tag: int32(key.vnode),
-				Version: e.version, Pid: key.pid, MV: e.mv,
+				Origin: c.prog.Switch, Tag: int32(org.VNode),
+				Version: c.version, Pid: uint8(pid),
+			})
+		}
+		for _, e := range c.pend[port] {
+			p.Packed = append(p.Packed, sim.ProbeEntry{
+				Origin: e.origin, Tag: int32(e.vnode),
+				Version: e.version, Pid: e.pid, MV: e.mv,
 			})
 		}
 		if n := len(p.Packed); n > 1 {
@@ -646,15 +749,13 @@ func (c *Contra) flushPacked() {
 	}
 	now := c.sw.Now()
 	for port := range c.pend {
-		for _, key := range c.pend[port] {
-			if e := c.fwd[key]; e != nil {
-				e.pending = false
-				if c.suppressOn {
-					// Re-snapshot from the metrics actually emitted: the
-					// entry may have been refreshed again since it was
-					// queued.
-					c.recordAdvert(e, now)
-				}
+		for _, e := range c.pend[port] {
+			e.pending = false
+			if c.suppressOn {
+				// Re-snapshot from the metrics actually emitted: the
+				// entry may have been refreshed again since it was
+				// queued.
+				c.recordAdvert(e, now)
 			}
 		}
 		c.pend[port] = c.pend[port][:0]
@@ -668,57 +769,53 @@ func (c *Contra) policyRank(v pg.NodeID, mv [4]float64) policy.Rank {
 	return c.evCand.EvalPolicy(mv, c.comp.PG.Node(v).Accept)
 }
 
-// updateBest maintains BestT for one origin given a just-updated entry.
-func (c *Contra) updateBest(origin topo.NodeID, key fwdKey, e *fwdEntry) {
-	cur, ok := c.best[origin]
-	if !ok || cur == key {
+// updateBest maintains BestT for the origin of a just-updated entry.
+func (c *Contra) updateBest(e *fwdEntry) {
+	cur := c.best[e.origin]
+	if cur == nil || cur == e {
 		// No previous best, or the best itself changed (possibly for
 		// the worse): rescan.
-		c.rescanBest(origin)
+		c.rescanBest(e.origin)
 		return
 	}
-	curE := c.fwd[cur]
-	if curE == nil || !c.alive(cur, curE) || e.rank.Better(curE.rank) {
-		c.rescanBest(origin)
+	if !c.alive(cur) || e.rank.Better(cur.rank) {
+		c.rescanBest(e.origin)
 	}
 }
 
 // rescanBest recomputes the best (tag, pid) for an origin across all
-// live entries, evaluating the full policy per entry.
-func (c *Contra) rescanBest(origin topo.NodeID) {
-	bestRank := policy.Infinite()
-	var bestKey fwdKey
-	found := false
-	for _, v := range c.prog.VNodes {
-		for pid := 0; pid < c.res.NumPids(); pid++ {
-			key := fwdKey{origin: origin, vnode: v, pid: uint8(pid)}
-			e := c.fwd[key]
-			if e == nil || !c.alive(key, e) {
-				continue
-			}
-			if !found || e.rank.Better(bestRank) {
-				bestRank = e.rank
-				bestKey = key
-				found = true
-			}
+// live entries of its register block (virtual nodes in program order,
+// pids ascending: the first of equally ranked entries wins), caches it
+// in BestT and returns it; nil when no live finite-rank entry exists.
+func (c *Contra) rescanBest(origin topo.NodeID) *fwdEntry {
+	if uint32(origin) >= uint32(len(c.best)) {
+		return nil
+	}
+	var best *fwdEntry
+	row := c.rows[origin]
+	for i := range row {
+		e := &row[i]
+		if !e.present || !c.alive(e) {
+			continue
+		}
+		if best == nil || e.rank.Better(best.rank) {
+			best = e
 		}
 	}
-	if found && !bestRank.IsInf() {
-		c.best[origin] = bestKey
-	} else {
-		delete(c.best, origin)
+	if best != nil && best.rank.IsInf() {
+		best = nil
 	}
+	c.best[origin] = best
+	return best
 }
 
 // bestHop resolves the current best next-hop port toward an origin, or
-// -1 when no live best entry is cached. It backs route-flap detection
-// for the metrics layer: a flap is a change in this value for a
+// -1 when no best entry is cached. It backs route-flap detection for
+// the metrics layer: a flap is a change in this value for a
 // destination that already had one.
 func (c *Contra) bestHop(origin topo.NodeID) int {
-	if key, ok := c.best[origin]; ok {
-		if e := c.fwd[key]; e != nil {
-			return e.nhop
-		}
+	if e := c.bestOf(origin); e != nil {
+		return e.nhop
 	}
 	return -1
 }
@@ -733,7 +830,7 @@ func (c *Contra) expired(e *fwdEntry) bool {
 
 // alive reports whether an entry is usable: recently refreshed (§5.4
 // metric expiration) and its port not presumed failed.
-func (c *Contra) alive(key fwdKey, e *fwdEntry) bool {
+func (c *Contra) alive(e *fwdEntry) bool {
 	return !c.expired(e) && !c.portDead(e.nhop)
 }
 
@@ -791,27 +888,24 @@ func (c *Contra) forwardFromSource(pkt *sim.Packet, dstEdge topo.NodeID, fid uin
 		c.emit(pkt, pin.nhop, pin.ntag, pin.pid)
 		return
 	}
-	key, ok := c.best[dstEdge]
-	e := c.fwd[key]
-	if !ok || e == nil || !c.alive(key, e) {
+	e := c.bestOf(dstEdge)
+	if e == nil || !c.alive(e) {
 		// The dead incumbent's port is still the route traffic was
 		// using: a rescan that lands elsewhere is a flap.
 		oldHop := -1
 		if c.mx != nil {
 			oldHop = c.bestHop(dstEdge)
 		}
-		c.rescanBest(dstEdge)
+		e = c.rescanBest(dstEdge)
 		if c.mx != nil && oldHop >= 0 && c.bestHop(dstEdge) != oldHop {
 			c.mx.Flaps++
 		}
-		key, ok = c.best[dstEdge]
-		if !ok {
+		if e == nil {
 			c.sw.Drop(pkt, sim.DropNoRoute)
 			return
 		}
-		e = c.fwd[key]
 	}
-	nhop, ntag, pid, rank := e.nhop, e.ntag, key.pid, e.rank
+	nhop, ntag, pid, rank := e.nhop, e.ntag, e.pid, e.rank
 	if c.ovr != nil && c.ovr.Match(pkt.FlowID) {
 		if a, ok2 := c.override(dstEdge, pkt.FlowID, e); ok2 {
 			nhop, ntag, pid, rank = a.nhop, a.ntag, a.pid, a.rank
@@ -869,7 +963,7 @@ func (c *Contra) forwardTransit(pkt *sim.Packet, dstEdge topo.NodeID, fid uint32
 	// other pids in ascending order (same tag keeps it
 	// policy-compliant). No pid-order slice: the data path must not
 	// allocate per packet.
-	e, usedPid := c.lookupAlive(dstEdge, v, pkt.Pid)
+	e, usedPid := c.lookupAlive(dstEdge, pkt.Tag, pkt.Pid)
 	if e == nil {
 		c.sw.Drop(pkt, sim.DropNoRoute)
 		return
@@ -889,19 +983,27 @@ func (c *Contra) forwardTransit(pkt *sim.Packet, dstEdge topo.NodeID, fid uint32
 	c.sw.Send(nhop, pkt)
 }
 
-// lookupAlive resolves the live FwdT entry for (dst, vnode), trying
-// pid first and then the remaining pids in ascending order.
-func (c *Contra) lookupAlive(dst topo.NodeID, v pg.NodeID, pid uint8) (*fwdEntry, uint8) {
-	key := fwdKey{origin: dst, vnode: v, pid: pid}
-	if e := c.fwd[key]; e != nil && c.alive(key, e) {
-		return e, pid
+// lookupAlive resolves the live FwdT entry for (dst, tag), trying pid
+// first and then the remaining pids in ascending order. The tag comes
+// straight off a packet: one that names no virtual node of this switch
+// (or no node at all) finds nothing.
+func (c *Contra) lookupAlive(dst topo.NodeID, tag int32, pid uint8) (*fwdEntry, uint8) {
+	ord := tagIndex(c.ordOf, tag)
+	row := c.row(dst)
+	if ord < 0 || row == nil {
+		return nil, pid
 	}
-	for p := 0; p < c.res.NumPids(); p++ {
+	regs := row[int(ord)*c.nPids:][:c.nPids]
+	if int(pid) < len(regs) {
+		if e := &regs[pid]; e.present && c.alive(e) {
+			return e, pid
+		}
+	}
+	for p := range regs {
 		if uint8(p) == pid {
 			continue
 		}
-		key := fwdKey{origin: dst, vnode: v, pid: uint8(p)}
-		if e := c.fwd[key]; e != nil && c.alive(key, e) {
+		if e := &regs[p]; e.present && c.alive(e) {
 			return e, uint8(p)
 		}
 	}
@@ -982,25 +1084,20 @@ type altChoice struct {
 // stopping when fn returns false. When restrict is set only choices at
 // virtual node v are considered.
 func (c *Contra) eachChoice(dst topo.NodeID, v pg.NodeID, restrict bool, now int64, fn func(altChoice) bool) {
-	for _, vn := range c.prog.VNodes {
-		if restrict && vn != v {
+	row := c.row(dst)
+	for i := range row {
+		e := &row[i]
+		if !e.present || (restrict && e.vnode != v) {
 			continue
 		}
-		for pid := 0; pid < c.res.NumPids(); pid++ {
-			key := fwdKey{origin: dst, vnode: vn, pid: uint8(pid)}
-			e := c.fwd[key]
-			if e == nil {
-				continue
+		if c.alive(e) {
+			if !fn(altChoice{pid: e.pid, nhop: e.nhop, ntag: e.ntag, rank: e.rank}) {
+				return
 			}
-			if c.alive(key, e) {
-				if !fn(altChoice{pid: uint8(pid), nhop: e.nhop, ntag: e.ntag, rank: e.rank}) {
-					return
-				}
-			}
-			if a := e.alt; a != nil && now-a.updated <= c.expireNs && !c.portDead(a.nhop) {
-				if !fn(altChoice{pid: uint8(pid), nhop: a.nhop, ntag: a.ntag, rank: a.rank}) {
-					return
-				}
+		}
+		if a := e.alt; a != nil && now-a.updated <= c.expireNs && !c.portDead(a.nhop) {
+			if !fn(altChoice{pid: e.pid, nhop: a.nhop, ntag: a.ntag, rank: a.rank}) {
+				return
 			}
 		}
 	}
@@ -1186,14 +1283,14 @@ func (c *Contra) Reboot() {
 
 // flushTables drops every soft table: forwarding state, best-hop
 // cache, flowlet pins, loop registers and any queued packed
-// re-advertisements (their keys belong to the flushed tag space).
+// re-advertisements (they point into the flushed register blocks).
 func (c *Contra) flushTables() {
-	c.fwd = make(map[fwdKey]*fwdEntry)
-	c.best = make(map[topo.NodeID]fwdKey)
+	c.layoutTables()
 	c.flowlets = make(map[flowKey]*flowletEntry)
 	c.srcPins = make(map[srcKey]*srcPin)
 	c.loopTbl = [loopSlots]loopSlot{}
 	for i := range c.pend {
+		clear(c.pend[i])
 		c.pend[i] = c.pend[i][:0]
 	}
 }
@@ -1205,27 +1302,19 @@ func (c *Contra) Era() uint8 { return c.era }
 // decision for a destination switch (the chaos convergence monitor's
 // probe).
 func (c *Contra) HasRoute(dst topo.NodeID) bool {
-	if key, ok := c.best[dst]; ok {
-		if e := c.fwd[key]; e != nil && c.alive(key, e) {
-			return true
-		}
+	if e := c.bestOf(dst); e != nil && c.alive(e) {
+		return true
 	}
-	c.rescanBest(dst)
-	key, ok := c.best[dst]
-	if !ok {
-		return false
-	}
-	e := c.fwd[key]
-	return e != nil && c.alive(key, e)
+	return c.rescanBest(dst) != nil
 }
 
-// LiveRoutes returns the destination switches with a live best entry.
-// The order is unspecified (callers treat it as a set).
+// LiveRoutes returns the destination switches with a live best entry,
+// in ascending NodeID order.
 func (c *Contra) LiveRoutes() []topo.NodeID {
 	var out []topo.NodeID
-	for dst, key := range c.best {
-		if e := c.fwd[key]; e != nil && c.alive(key, e) {
-			out = append(out, dst)
+	for dst, e := range c.best {
+		if e != nil && c.alive(e) {
+			out = append(out, topo.NodeID(dst))
 		}
 	}
 	return out
@@ -1242,19 +1331,20 @@ func cloneRank(r policy.Rank) policy.Rank {
 	return r
 }
 
+// bestOrRescan is the source-switch decision the diagnostic accessors
+// report: the cached BestT entry, rescanned when none is cached.
+func (c *Contra) bestOrRescan(dst topo.NodeID) *fwdEntry {
+	if e := c.bestOf(dst); e != nil {
+		return e
+	}
+	return c.rescanBest(dst)
+}
+
 // BestNextHop exposes the current decision for a destination switch
 // (diagnostics and tests): the neighbor the switch would send new
 // flowlets toward, or -1.
 func (c *Contra) BestNextHop(dst topo.NodeID) (port int, rank policy.Rank) {
-	key, ok := c.best[dst]
-	if !ok {
-		c.rescanBest(dst)
-		key, ok = c.best[dst]
-		if !ok {
-			return -1, policy.Infinite()
-		}
-	}
-	e := c.fwd[key]
+	e := c.bestOrRescan(dst)
 	if e == nil {
 		return -1, policy.Infinite()
 	}
@@ -1266,19 +1356,11 @@ func (c *Contra) BestNextHop(dst topo.NodeID) (port int, rank policy.Rank) {
 // rank. Walking entries from here reproduces the exact path a packet
 // takes (tags included), unlike chaining per-switch BestNextHop calls.
 func (c *Contra) BestEntry(dst topo.NodeID) (vnode pg.NodeID, pid uint8, rank policy.Rank, ok bool) {
-	key, found := c.best[dst]
-	if !found {
-		c.rescanBest(dst)
-		key, found = c.best[dst]
-		if !found {
-			return 0, 0, policy.Infinite(), false
-		}
-	}
-	e := c.fwd[key]
+	e := c.bestOrRescan(dst)
 	if e == nil {
 		return 0, 0, policy.Infinite(), false
 	}
-	return key.vnode, key.pid, cloneRank(e.rank), true
+	return e.vnode, e.pid, cloneRank(e.rank), true
 }
 
 // Entry resolves one FwdT row: the egress port and the next tag for a
@@ -1286,7 +1368,7 @@ func (c *Contra) BestEntry(dst topo.NodeID) (vnode pg.NodeID, pid uint8, rank po
 // but falling back to other pids on the same tag, exactly as the
 // forwarding path does.
 func (c *Contra) Entry(dst topo.NodeID, vnode pg.NodeID, pid uint8) (nhop int, ntag pg.NodeID, ok bool) {
-	if e, _ := c.lookupAlive(dst, vnode, pid); e != nil {
+	if e, _ := c.lookupAlive(dst, int32(vnode), pid); e != nil {
 		return e.nhop, e.ntag, true
 	}
 	return -1, 0, false
