@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"contra/internal/campaign"
 	"contra/internal/cliutil"
 	"contra/internal/dist"
 	"contra/internal/fabric"
@@ -36,16 +35,13 @@ func runServe(o options) error {
 	if o.checkpoint != "" {
 		return fmt.Errorf("-serve resumes from the stream itself; drop -checkpoint (workers keep their own in -worker-dir)")
 	}
-	if o.traceDir != "" || o.metricsDir != "" || o.figuresDir != "" {
-		return fmt.Errorf("-trace-dir/-metrics-dir/-figures need the in-memory report; merge the fabric stream first")
+	if o.figuresDir != "" {
+		return fmt.Errorf("-figures needs the in-memory report, whose cells keep their telemetry recorders; run it without -serve")
 	}
-	spec, err := campaign.LoadFile(o.spec)
+	spec, err := loadSpec(o)
 	if err != nil {
 		return err
 	}
-	applyTraceLevel(spec, o)
-	applyMetricsInterval(spec, o)
-	applyCellTimeout(spec, o)
 
 	// Coordinator restart: every key already durable in the stream is
 	// a done cell; workers re-delivering them get "duplicate".
@@ -158,10 +154,7 @@ func runServe(o options) error {
 	if err != nil {
 		return err
 	}
-	if err := render(report, spec.Schemes, o); err != nil {
-		return err
-	}
-	return failures(report.Failed(), len(report.Outcomes), o)
+	return render(report, spec.Schemes, o)
 }
 
 // runFleet spawns o.workers local worker subprocesses (this same
@@ -198,12 +191,12 @@ func runFleet(ctx context.Context, o options, url string) error {
 			dir := filepath.Join(baseDir, "worker"+strconv.Itoa(i))
 			id := "local" + strconv.Itoa(i)
 			for {
+				// Local workers share the artifact dirs (dist.Artifacts).
 				args := []string{"-worker", url, "-worker-dir", dir, "-worker-id", id, "-q"}
-				if o.recordDir != "" {
-					// Local workers share one trace dir: cell names are
-					// unique and trace content is deterministic, so a
-					// stolen cell's re-write is byte-identical.
-					args = append(args, "-record-dir", o.recordDir)
+				for _, a := range [][2]string{{"-record-dir", o.recordDir}, {"-trace-dir", o.traceDir}, {"-metrics-dir", o.metricsDir}} {
+					if a[1] != "" {
+						args = append(args, a[0], a[1])
+					}
 				}
 				cmd := exec.CommandContext(ctx, self, args...)
 				cmd.Stderr = os.Stderr
@@ -259,7 +252,7 @@ func runWorkerMode(o options) error {
 		Dir:         o.workerDir,
 		CellTimeout: workerCellTimeout(o.cellTimeout),
 		Log:         logw,
-		RecordDir:   o.recordDir,
+		Artifacts:   artifacts(o),
 	})
 	if err != nil {
 		return err
@@ -409,16 +402,6 @@ func printFleet(st *fabric.Status, cells *fabric.CellsResponse) {
 	if len(rows) > 0 {
 		fmt.Println("in flight:")
 		cliutil.Table([]string{"cell", "scenario", "state", "attempts", "worker(s)"}, rows)
-	}
-}
-
-// applyCellTimeout lets -cell-timeout override the spec's
-// cell_timeout_ns: 0 forces the bound off, -1 (the default) leaves the
-// spec alone. Like the spec knob it is execution-only — scenario keys,
-// checkpoints, and golden digests are unaffected.
-func applyCellTimeout(spec *campaign.Spec, o options) {
-	if o.cellTimeout >= 0 {
-		spec.CellTimeoutNs = int64(o.cellTimeout)
 	}
 }
 

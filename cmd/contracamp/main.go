@@ -30,7 +30,10 @@
 //
 // Campaign output is deterministic: the same spec produces
 // byte-identical JSON/CSV whatever the worker count, shard count,
-// completion order, or number of crash/resume cycles.
+// completion order, or number of crash/resume cycles. Every mode that
+// runs cells completes them through one step (dist.Commit: artifacts,
+// record, checkpoint mark), so -record-dir, -trace-dir and -metrics-dir
+// write the same files in all of them.
 package main
 
 import (
@@ -38,7 +41,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
@@ -48,7 +50,6 @@ import (
 	"contra/internal/cliutil"
 	"contra/internal/dist"
 	"contra/internal/figures"
-	"contra/internal/flowtrace"
 	"contra/internal/scenario"
 	"contra/internal/trace"
 )
@@ -108,10 +109,10 @@ func main() {
 	flag.BoolVar(&o.quiet, "q", false, "suppress per-scenario progress")
 	flag.BoolVar(&o.noTable, "notable", false, "skip the scheme-comparison table")
 	flag.StringVar(&o.traceLevel, "trace-level", "", "override the spec's trace_level (off|flows|decisions; off clears it)")
-	flag.StringVar(&o.traceDir, "trace-dir", "", "write per-scenario trace JSONL files into `dir` (in-memory runs only)")
+	flag.StringVar(&o.traceDir, "trace-dir", "", "write each traced cell's decision trace into `dir` as <cell name>.jsonl (needs a trace level)")
 	flag.StringVar(&o.recordDir, "record-dir", "", "record each cell's flow trace into `dir` as <cell name>.flow.jsonl; a trace-kind spec pointing workload.trace at the dir replays the campaign byte-identically (see docs/trace-format.md)")
 	flag.Int64Var(&o.metricsInterval, "metrics-interval", -1, "override the spec's metrics_interval_ns: sample telemetry every `ns` (0 forces off, -1 leaves the spec)")
-	flag.StringVar(&o.metricsDir, "metrics-dir", "", "write per-scenario telemetry JSONL files into `dir` (in-memory runs only)")
+	flag.StringVar(&o.metricsDir, "metrics-dir", "", "write each sampled cell's telemetry into `dir` as <cell name>.jsonl (needs a metrics interval)")
 	flag.StringVar(&o.figuresDir, "figures", "", "emit paper-figure gnuplot data into `dir` (in-memory runs only; enables telemetry sampling if the spec left it off)")
 	flag.DurationVar(&o.progressEvery, "progress-every", 2*time.Second, "minimum interval between live progress/ETA lines")
 	flag.StringVar(&o.shard, "shard", "", "run only shard `i/N` of the expansion (requires -stream)")
@@ -194,24 +195,13 @@ func run(o options) error {
 	if o.resume && (o.checkpoint == "" || o.stream == "") {
 		return fmt.Errorf("-resume needs both -checkpoint and -stream")
 	}
-	if o.traceLevel != "" {
-		if _, err := trace.ParseLevel(o.traceLevel); err != nil {
-			return err
-		}
-	}
-	if o.traceDir != "" && o.stream != "" {
-		return fmt.Errorf("-trace-dir needs the in-memory report (traces are not streamed); drop -stream")
-	}
-	if o.metricsDir != "" && o.stream != "" {
-		return fmt.Errorf("-metrics-dir needs the in-memory report (telemetry is not streamed); drop -stream")
-	}
 	if o.figuresDir != "" && o.stream != "" {
 		return fmt.Errorf("-figures needs the in-memory report; drop -stream (merge shards first, then aggregate)")
 	}
-	if o.stream != "" {
-		return runStreaming(o)
+	if o.stream != "" && (o.out != "" || o.csvOut != "") {
+		return fmt.Errorf("-out/-csv render a full report; streamed shards are merged first (-merge %s)", o.stream)
 	}
-	return runInMemory(o)
+	return runCampaign(o)
 }
 
 // progress returns the per-scenario progress printer, nil when quiet.
@@ -253,87 +243,61 @@ func progressHooks(o options, total int) (started func(*campaign.Job), completed
 	}, meter.Tick
 }
 
-// applyMetricsInterval lets -metrics-interval override the spec's
+// loadSpec reads the campaign spec and applies the flags that override
+// it. -trace-level replaces the spec's trace_level ("off" clears it;
+// Expand normalizes "off" away, so scenario keys, checkpoints and golden
+// digests are unaffected by an explicit off). -metrics-interval replaces
 // metrics_interval_ns (0 forces sampling off, -1 leaves the spec), and
-// -figures turn sampling on at a default interval when both the spec
-// and the flag left it off — the utilization-timeline figure needs
-// samples to exist.
-func applyMetricsInterval(spec *campaign.Spec, o options) {
+// -figures turns sampling on at a default interval when both left it
+// off, since the utilization-timeline figure needs samples.
+// -cell-timeout replaces cell_timeout_ns the same way; it is
+// execution-only and never enters a key. An artifact dir whose artifact
+// no cell would produce is refused here, before the campaign is paid for.
+func loadSpec(o options) (*campaign.Spec, error) {
+	spec, err := campaign.LoadFile(o.spec)
+	if err != nil {
+		return nil, err
+	}
+	if o.traceLevel != "" {
+		if _, err := trace.ParseLevel(o.traceLevel); err != nil {
+			return nil, err
+		}
+		spec.TraceLevel = o.traceLevel
+	}
 	if o.metricsInterval >= 0 {
 		spec.MetricsIntervalNs = o.metricsInterval
 	}
 	if o.figuresDir != "" && spec.MetricsIntervalNs == 0 {
 		spec.MetricsIntervalNs = 500_000
 	}
+	if o.cellTimeout >= 0 {
+		spec.CellTimeoutNs = int64(o.cellTimeout)
+	}
+	if o.traceDir != "" && (spec.TraceLevel == "" || spec.TraceLevel == "off") {
+		return nil, fmt.Errorf("-trace-dir: no scenario will record a trace; set -trace-level (or trace_level in the spec)")
+	}
+	if o.metricsDir != "" && spec.MetricsIntervalNs == 0 {
+		return nil, fmt.Errorf("-metrics-dir: no scenario will record telemetry; set -metrics-interval (or metrics_interval_ns in the spec)")
+	}
+	return spec, artifacts(o).Prepare()
 }
 
-// runInMemory is the classic single-process path: run everything, hold
-// the report, render JSON/CSV/table.
-func runInMemory(o options) error {
-	spec, err := campaign.LoadFile(o.spec)
-	if err != nil {
-		return err
-	}
-	applyTraceLevel(spec, o)
-	applyMetricsInterval(spec, o)
-	applyCellTimeout(spec, o)
-	spec.Record = o.recordDir != ""
-	if !o.quiet {
-		fmt.Fprintf(os.Stderr, "campaign %q: %d scenarios on %d workers\n",
-			spec.Name, spec.Size(), o.workers)
-	}
-	started, completed, _ := progressHooks(o, spec.Size())
-	report, err := campaign.Run(spec, campaign.Options{
-		Workers: o.workers, Progress: completed, Started: started,
-		CellTimeout: spec.CellTimeout(),
-	})
-	if err != nil {
-		return err
-	}
-	if o.recordDir != "" {
-		if err := writeFlowTraces(report, o.recordDir, o.quiet); err != nil {
-			return err
-		}
-	}
-	if o.traceDir != "" {
-		if err := writeTraces(report, o.traceDir, o.quiet); err != nil {
-			return err
-		}
-	}
-	if o.metricsDir != "" {
-		if err := writeMetricsFiles(report, o.metricsDir, o.quiet); err != nil {
-			return err
-		}
-	}
-	if o.figuresDir != "" {
-		written, err := figures.Emit(o.figuresDir, report)
-		if err != nil {
-			return err
-		}
-		if !o.quiet {
-			fmt.Fprintf(os.Stderr, "wrote %d figure file(s) to %s: %s\n",
-				len(written), o.figuresDir, strings.Join(written, ", "))
-		}
-	}
-	if err := render(report, spec.Schemes, o); err != nil {
-		return err
-	}
-	return failures(report.Failed(), len(report.Outcomes), o)
+// artifacts maps the three per-cell artifact flags onto the one value
+// every cell-running mode takes.
+func artifacts(o options) dist.Artifacts {
+	return dist.Artifacts{Flow: o.recordDir, Trace: o.traceDir, Metrics: o.metricsDir}
 }
 
-// runStreaming is the sharded path: outcomes go straight to the JSONL
-// sink and optionally into a checkpoint; nothing is held in memory.
-func runStreaming(o options) error {
-	if o.out != "" || o.csvOut != "" {
-		return fmt.Errorf("-out/-csv render a full report; streamed shards are merged first (-merge %s)", o.stream)
-	}
-	spec, err := campaign.LoadFile(o.spec)
+// runCampaign is the one driver of a -spec run: every cell completes
+// through dist.Run, whatever the mode. With -stream the sink is the
+// JSONL file — a shard, merged later — and nothing is held in memory;
+// without it the sink is a dist.Collector, whose report is rendered as
+// JSON/CSV/table/figures.
+func runCampaign(o options) error {
+	spec, err := loadSpec(o)
 	if err != nil {
 		return err
 	}
-	applyTraceLevel(spec, o)
-	applyMetricsInterval(spec, o)
-	applyCellTimeout(spec, o)
 	shard, err := dist.ParseShard(o.shard)
 	if err != nil {
 		return err
@@ -365,15 +329,15 @@ func runStreaming(o options) error {
 			}
 		}
 	}
-	if o.recordDir != "" {
-		spec.Record = true
-		if err := os.MkdirAll(o.recordDir, 0o755); err != nil {
+	var sink dist.Sink
+	var held *dist.Collector
+	if o.stream != "" {
+		if sink, err = dist.CreateJSONL(o.stream, o.resume); err != nil {
 			return err
 		}
-	}
-	sink, err := dist.CreateJSONL(o.stream, o.resume)
-	if err != nil {
-		return err
+	} else {
+		held = &dist.Collector{}
+		sink = held
 	}
 	started, completed, _ := progressHooks(o, spec.Size())
 	st, runErr := dist.Run(spec, dist.Options{
@@ -383,19 +347,36 @@ func runStreaming(o options) error {
 		Progress:    completed,
 		Started:     started,
 		CellTimeout: spec.CellTimeout(),
-		RecordDir:   o.recordDir,
+		Artifacts:   artifacts(o),
 	}, sink)
 	if cerr := sink.Close(); runErr == nil {
 		runErr = cerr
 	}
 	if !o.quiet {
-		fmt.Fprintf(os.Stderr, "shard %s of campaign %q: %d planned, %d skipped (checkpointed), %d ran, %d failed\n",
-			shard, spec.Name, st.Planned, st.Skipped, st.Ran, st.Failed)
+		fmt.Fprintf(os.Stderr, "campaign %q shard %s: %d planned, %d skipped (checkpointed), %d ran, %d failed\n",
+			spec.Name, shard, st.Planned, st.Skipped, st.Ran, st.Failed)
 	}
 	if runErr != nil {
 		return runErr
 	}
-	return failures(st.Failed, st.Ran, o)
+	if held == nil {
+		return failures(st.Failed, st.Ran, o)
+	}
+	report, err := held.Report()
+	if err != nil {
+		return err
+	}
+	if o.figuresDir != "" {
+		written, err := figures.Emit(o.figuresDir, report)
+		if err != nil {
+			return err
+		}
+		if !o.quiet {
+			fmt.Fprintf(os.Stderr, "wrote %d figure file(s) to %s: %s\n",
+				len(written), o.figuresDir, strings.Join(written, ", "))
+		}
+	}
+	return render(report, spec.Schemes, o)
 }
 
 // runMerge folds shard JSONL files into one deterministic report.
@@ -408,10 +389,7 @@ func runMerge(o options) error {
 		fmt.Fprintf(os.Stderr, "merged %d scenarios from %d shard file(s)\n",
 			len(report.Outcomes), len(splitList(o.merge)))
 	}
-	if err := render(report, dist.Schemes(report), o); err != nil {
-		return err
-	}
-	return failures(report.Failed(), len(report.Outcomes), o)
+	return render(report, dist.Schemes(report), o)
 }
 
 // runAggregate collapses the seed axis and writes figure data.
@@ -454,7 +432,8 @@ func runAggregate(o options) error {
 	return nil
 }
 
-// render writes the report JSON/CSV and prints the comparison table.
+// render writes the report JSON/CSV, prints the comparison table, and
+// turns failed cells into the exit status.
 func render(report *campaign.Report, schemes []scenario.Scheme, o options) error {
 	if o.out != "" {
 		if err := writeTo(o.out, report.WriteJSON); err != nil {
@@ -470,113 +449,7 @@ func render(report *campaign.Report, schemes []scenario.Scheme, o options) error
 		header, rows := report.ComparisonTable(schemes)
 		cliutil.Table(header, rows)
 	}
-	return nil
-}
-
-// applyTraceLevel lets the -trace-level flag override the spec's
-// trace_level: "off" clears it (the zero-cost default), anything else
-// replaces it. Campaign.Expand normalizes "off" away, so scenario keys
-// — and hence checkpoints and golden digests — are unaffected by an
-// explicit off.
-func applyTraceLevel(spec *campaign.Spec, o options) {
-	if o.traceLevel != "" {
-		spec.TraceLevel = o.traceLevel
-	}
-}
-
-// writeFlowTraces writes one v1 flow-trace file per recorded cell into
-// dir (the in-memory half of -record-dir; streamed and fabric runs
-// write them as each cell completes).
-func writeFlowTraces(report *campaign.Report, dir string, quiet bool) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	n := 0
-	for i := range report.Outcomes {
-		out := &report.Outcomes[i]
-		if out.Result == nil || out.Result.FlowTrace == nil {
-			continue
-		}
-		path := filepath.Join(dir, flowtrace.FileName(out.Scenario.Name))
-		if err := out.Result.FlowTrace.WriteFile(path); err != nil {
-			return err
-		}
-		n++
-	}
-	if n == 0 {
-		return fmt.Errorf("-record-dir: no cell captured a flow trace")
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "recorded %d flow trace(s) to %s\n", n, dir)
-	}
-	return nil
-}
-
-// writeTraces writes one JSONL file per traced scenario into dir,
-// named by the sanitized scenario name.
-func writeTraces(report *campaign.Report, dir string, quiet bool) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	n := 0
-	for i := range report.Outcomes {
-		out := &report.Outcomes[i]
-		if out.Result == nil || out.Result.Trace == nil {
-			continue
-		}
-		path := filepath.Join(dir, sanitizeName(out.Scenario.Name)+".jsonl")
-		if err := writeTo(path, out.Result.Trace.WriteJSONL); err != nil {
-			return err
-		}
-		n++
-	}
-	if n == 0 {
-		return fmt.Errorf("-trace-dir: no scenario recorded a trace; set -trace-level (or trace_level in the spec)")
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "wrote %d trace file(s) to %s\n", n, dir)
-	}
-	return nil
-}
-
-// writeMetricsFiles writes one telemetry JSONL file per sampled
-// scenario into dir, named by the sanitized scenario name.
-func writeMetricsFiles(report *campaign.Report, dir string, quiet bool) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	n := 0
-	for i := range report.Outcomes {
-		out := &report.Outcomes[i]
-		if out.Result == nil || out.Result.Metrics == nil {
-			continue
-		}
-		path := filepath.Join(dir, sanitizeName(out.Scenario.Name)+".jsonl")
-		if err := writeTo(path, out.Result.Metrics.WriteJSONL); err != nil {
-			return err
-		}
-		n++
-	}
-	if n == 0 {
-		return fmt.Errorf("-metrics-dir: no scenario recorded telemetry; set -metrics-interval (or metrics_interval_ns in the spec)")
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "wrote %d telemetry file(s) to %s\n", n, dir)
-	}
-	return nil
-}
-
-// sanitizeName maps a scenario name to a safe file stem.
-func sanitizeName(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-			return r
-		default:
-			return '_'
-		}
-	}, name)
+	return failures(report.Failed(), len(report.Outcomes), o)
 }
 
 // splitList splits a comma-separated file list.

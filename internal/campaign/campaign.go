@@ -88,13 +88,6 @@ type Spec struct {
 	// scenario parameter: it never enters scenario keys, checkpoints,
 	// or golden digests.
 	CellTimeoutNs int64 `json:"cell_timeout_ns,omitempty"`
-
-	// Record captures each cell's materialized workload as a v1 flow
-	// trace (the -record-dir flag). Go-only and excluded from scenario
-	// keys: recording observes cells, it never changes them, so a
-	// recorded campaign checkpoints and digests identically to an
-	// unrecorded one.
-	Record bool `json:"-"`
 }
 
 // CellTimeout returns the spec's per-cell wall-clock budget as a
@@ -262,7 +255,6 @@ func (s *Spec) Expand() ([]scenario.Scenario, error) {
 						if s.TraceLevel != "" && s.TraceLevel != "off" {
 							sc.TraceLevel = s.TraceLevel
 						}
-						sc.RecordFlows = s.Record
 						if err := sc.Validate(); err != nil {
 							return nil, err
 						}

@@ -50,18 +50,14 @@ func TestRecordDirReplayAcrossShards(t *testing.T) {
 	}
 	dir := t.TempDir()
 	traceDir := filepath.Join(dir, "traces")
-	if err := os.MkdirAll(traceDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 
 	live := sweepSpec()
-	live.Record = true
 	liveStream := filepath.Join(dir, "live.jsonl")
 	sink, err := CreateJSONL(liveStream, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Run(live, Options{Workers: 4, RecordDir: traceDir}, sink)
+	st, err := Run(live, Options{Workers: 4, Artifacts: Artifacts{Flow: traceDir}}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}

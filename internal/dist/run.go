@@ -2,11 +2,9 @@ package dist
 
 import (
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"contra/internal/campaign"
-	"contra/internal/flowtrace"
 )
 
 // Options tunes one shard's streaming run.
@@ -33,13 +31,11 @@ type Options struct {
 	// (campaign.Options.CellTimeout); <= 0 means no bound.
 	CellTimeout time.Duration
 
-	// RecordDir, when set, writes each cell's v1 flow trace there
-	// (<sanitized cell name>.flow.jsonl) before the record is emitted —
-	// the same crash ordering as the record stream, so a checkpointed
-	// cell always has a durable trace. Traces shard with their cells:
-	// each shard writes only the cells it owns, and the directory's
-	// union across shards covers the campaign.
-	RecordDir string
+	// Artifacts names the per-cell artifact dirs (flow traces, decision
+	// traces, telemetry); see Commit for the write ordering. Artifacts
+	// shard with their cells: each shard writes only the cells it owns,
+	// and a dir's union across shards covers the campaign.
+	Artifacts Artifacts
 }
 
 // Stats summarizes one shard run.
@@ -63,6 +59,9 @@ func Run(spec *campaign.Spec, opts Options, sink Sink) (Stats, error) {
 	if sink == nil {
 		return st, fmt.Errorf("dist: nil sink")
 	}
+	if err := opts.Artifacts.Prepare(); err != nil {
+		return st, err
+	}
 	jobs, err := spec.Jobs()
 	if err != nil {
 		return st, err
@@ -77,6 +76,7 @@ func Run(spec *campaign.Spec, opts Options, sink Sink) (Stats, error) {
 			st.Skipped++
 			continue
 		}
+		j.Scenario.RecordFlows = opts.Artifacts.Flow != ""
 		mine = append(mine, j)
 	}
 	err = campaign.Stream(mine, campaign.Options{
@@ -84,33 +84,16 @@ func Run(spec *campaign.Spec, opts Options, sink Sink) (Stats, error) {
 		CellTimeout: opts.CellTimeout,
 	},
 		func(j *campaign.Job, o *campaign.Outcome) error {
-			key := j.Scenario.Key()
 			rec := &Record{
 				Campaign: spec.Name,
-				Key:      key,
+				Key:      j.Scenario.Key(),
 				Index:    j.Index,
 				Scenario: &j.Scenario,
 				Result:   o.Result,
 				Err:      o.Err,
 			}
-			// Trace first, then record, then mark: a cell the checkpoint
-			// calls done always has both artifacts on disk.
-			if opts.RecordDir != "" && o.Result != nil && o.Result.FlowTrace != nil {
-				path := filepath.Join(opts.RecordDir, flowtrace.FileName(j.Scenario.Name))
-				if err := o.Result.FlowTrace.WriteFile(path); err != nil {
-					return fmt.Errorf("dist: writing trace for %s: %v", j.Scenario.Name, err)
-				}
-			}
-			if err := sink.Emit(rec); err != nil {
+			if err := Commit(rec, opts.Artifacts, sink, opts.Checkpoint); err != nil {
 				return err
-			}
-			// Mark after the record is durable in the stream: a crash
-			// between the two re-runs the scenario, and Merge drops
-			// the duplicate record by key.
-			if opts.Checkpoint != nil {
-				if err := opts.Checkpoint.Mark(key); err != nil {
-					return err
-				}
 			}
 			st.Ran++
 			if o.Err != "" {

@@ -14,7 +14,7 @@ import (
 )
 
 // TestWorkerRecordDirWritesCellTraces pins the fabric half of flow
-// recording: a worker given RecordDir turns recording on for every
+// recording: a worker given a flow artifact dir turns recording on for every
 // leased cell (the grant's scenario never carries the flag — it does
 // not cross the wire) and leaves one valid v1 trace per cell, named by
 // sanitized cell name, durable before the upload.
@@ -34,7 +34,7 @@ func TestWorkerRecordDirWritesCellTraces(t *testing.T) {
 	st, err := RunWorker(context.Background(), testClient(srv.URL, "w1"), WorkerOptions{
 		Dir:          t.TempDir(),
 		WaitInterval: 5 * time.Millisecond,
-		RecordDir:    recDir,
+		Artifacts:    dist.Artifacts{Flow: recDir},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 
 	"contra/internal/campaign"
 	"contra/internal/dist"
-	"contra/internal/flowtrace"
 )
 
 // WorkerOptions tunes one worker process.
@@ -37,12 +36,10 @@ type WorkerOptions struct {
 	// Log, when set, receives one line per worker event.
 	Log io.Writer
 
-	// RecordDir, when set, turns on flow recording for every leased
-	// cell and writes each cell's v1 trace there (<sanitized cell
-	// name>.flow.jsonl) before the record is locally durable. The
-	// grant's scenario never carries RecordFlows (it is json:"-" and
-	// does not cross the wire), so the worker sets it here.
-	RecordDir string
+	// Artifacts names the dirs each leased cell's flow trace, decision
+	// trace and telemetry are written to, before the record is locally
+	// durable (dist.Commit).
+	Artifacts dist.Artifacts
 
 	// crash, when set (fault-injection tests only), is consulted at
 	// the named stages; returning true makes the worker die on the
@@ -126,10 +123,8 @@ func RunWorker(ctx context.Context, client *Client, opts WorkerOptions) (WorkerS
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return st, err
 	}
-	if opts.RecordDir != "" {
-		if err := os.MkdirAll(opts.RecordDir, 0o755); err != nil {
-			return st, err
-		}
+	if err := opts.Artifacts.Prepare(); err != nil {
+		return st, err
 	}
 	streamPath := filepath.Join(opts.Dir, "results.jsonl")
 	ckPath := filepath.Join(opts.Dir, "done.ck")
@@ -285,9 +280,7 @@ func runLeased(ctx context.Context, client *Client, g *Grant, sink dist.Sink, ck
 
 	var rec *dist.Record
 	job := campaign.Job{Index: g.Index, Scenario: *g.Scenario}
-	if opts.RecordDir != "" {
-		job.Scenario.RecordFlows = true
-	}
+	job.Scenario.RecordFlows = opts.Artifacts.Flow != ""
 	err := campaign.Stream([]campaign.Job{job},
 		campaign.Options{Workers: 1, CellTimeout: opts.cellTimeout(g)},
 		func(j *campaign.Job, o *campaign.Outcome) error {
@@ -299,19 +292,8 @@ func runLeased(ctx context.Context, client *Client, g *Grant, sink dist.Sink, ck
 				Result:   o.Result,
 				Err:      o.Err,
 			}
-			// Local durability before any upload: trace first, record
-			// second, mark third — same crash ordering as the shard
-			// runner, so a marked cell always has both artifacts.
-			if opts.RecordDir != "" && o.Result != nil && o.Result.FlowTrace != nil {
-				path := filepath.Join(opts.RecordDir, flowtrace.FileName(j.Scenario.Name))
-				if err := o.Result.FlowTrace.WriteFile(path); err != nil {
-					return fmt.Errorf("fabric: writing trace for %s: %v", j.Scenario.Name, err)
-				}
-			}
-			if err := sink.Emit(rec); err != nil {
-				return err
-			}
-			return ck.Mark(g.Key)
+			// Local durability before any upload.
+			return dist.Commit(rec, opts.Artifacts, sink, ck)
 		})
 	if err != nil {
 		return nil, err

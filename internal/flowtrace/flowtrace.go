@@ -20,6 +20,8 @@ import (
 	"io"
 	"os"
 	"strings"
+
+	"contra/internal/cliutil"
 )
 
 // Version is the trace format version this package reads and writes.
@@ -110,22 +112,10 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// WriteFile writes the trace to path (0644, truncating).
+// WriteFile writes the trace to path atomically (0644): path holds the
+// previous complete trace, if any, until this one is complete.
 func (t *Trace) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if err := t.WriteJSONL(w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cliutil.WriteFileAtomic(path, t.WriteJSONL)
 }
 
 // Read parses a trace stream strictly: the first line must be a
@@ -205,23 +195,24 @@ func ReadFile(path string) (*Trace, error) {
 	return t, nil
 }
 
-// FileName maps a scenario or campaign-cell name to the canonical
-// trace file name used by recording: every byte outside [A-Za-z0-9._-]
-// becomes '_', and the ".flow.jsonl" suffix marks the format. Cell
-// names embed every campaign axis (topo/scheme/load/script/seed), so
-// sanitized names stay collision-free within one record dir — and
-// identical between a recording campaign and its replay twin, which is
-// how a replay cell finds its own trace.
-func FileName(key string) string {
-	var b strings.Builder
-	for _, r := range key {
+// FileStem maps a scenario or campaign-cell name to the file stem every
+// per-cell artifact is named by: each byte outside [A-Za-z0-9._-]
+// becomes '_'. Cell names embed every campaign axis
+// (topo/scheme/load/script/seed), so stems stay collision-free within
+// one campaign's artifact dir.
+func FileStem(name string) string {
+	return strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
 			r == '.', r == '_', r == '-':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
+			return r
 		}
-	}
-	return b.String() + ".flow.jsonl"
+		return '_'
+	}, name)
 }
+
+// FileName is the canonical trace file name used by recording: the
+// cell's FileStem plus the ".flow.jsonl" suffix that marks the format.
+// It is identical between a recording campaign and its replay twin,
+// which is how a replay cell finds its own trace.
+func FileName(name string) string { return FileStem(name) + ".flow.jsonl" }

@@ -451,13 +451,23 @@ func Run(s Scenario) (*Result, error) {
 		g.SetDown(id, true)
 	}
 
+	// Result.Topo carries the campaign's axis value (the spec string)
+	// when there is one, so every downstream view — CSV rows, failed
+	// outcomes, seed aggregation of either report JSON or shard JSONL —
+	// keys topologies identically; graphs handed in as Go values fall
+	// back to the graph's own name.
+	topoName := s.TopoSpec
+	if topoName == "" {
+		topoName = g.Name
+	}
+
 	// A trace workload resolves and loads its recording up front: the
 	// meta line decides the engine-seed offset, measurement deadline,
 	// and (for CBR recordings) the default bin width before any
 	// simulation state exists.
 	var replay *flowtrace.Trace
 	if s.Workload.Kind == WorkloadTrace {
-		replay, err = loadReplay(&s, g)
+		replay, err = loadReplay(&s, topoName)
 		if err != nil {
 			return nil, err
 		}
@@ -471,8 +481,9 @@ func Run(s Scenario) (*Result, error) {
 	// RunFailover seed+5), keeping historical runs reproducible; a
 	// replay adopts its recording's offset so the two runs' event
 	// streams align exactly.
+	cbr := s.Workload.Kind == WorkloadCBR || (replay != nil && replay.Meta.Kind == flowtrace.KindCBR)
 	engSeed := s.Seed + 1
-	if s.Workload.Kind == WorkloadCBR || (replay != nil && replay.Meta.Kind == flowtrace.KindCBR) {
+	if cbr {
 		engSeed = s.Seed + 5
 	}
 	e := sim.NewEngine(engSeed)
@@ -523,15 +534,6 @@ func Run(s Scenario) (*Result, error) {
 	}
 
 	warmup := 12 * s.ProbePeriodNs
-	// Result.Topo carries the campaign's axis value (the spec string)
-	// when there is one, so every downstream view — CSV rows, failed
-	// outcomes, seed aggregation of either report JSON or shard JSONL —
-	// keys topologies identically; graphs handed in as Go values fall
-	// back to the graph's own name.
-	topoName := s.TopoSpec
-	if topoName == "" {
-		topoName = g.Name
-	}
 	res := &Result{
 		Name:   s.Name,
 		Topo:   topoName,
@@ -539,17 +541,7 @@ func Run(s Scenario) (*Result, error) {
 		Script: s.Script,
 		Seed:   s.Seed,
 	}
-	switch s.Workload.Kind {
-	case WorkloadCBR:
-		err = runCBR(&s, e, n, g, warmup, netEvents, res)
-	case WorkloadCohorts:
-		err = runCohorts(&s, e, n, g, warmup, netEvents, res)
-	case WorkloadTrace:
-		err = runReplay(&s, e, n, g, warmup, netEvents, replay, res)
-	default:
-		err = runFCT(&s, e, n, g, warmup, netEvents, surges, res)
-	}
-	if err != nil {
+	if err := play(&s, e, n, g, warmup, netEvents, surges, replay, cbr, res); err != nil {
 		return nil, err
 	}
 
@@ -601,12 +593,86 @@ func Run(s Scenario) (*Result, error) {
 	return res, nil
 }
 
-// runFCT offers the Poisson workload (plus any surges), drains, and
-// fills the FCT statistics. Events inject before the warmup run so a
-// script can disrupt the control plane itself.
-func runFCT(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int64, netEvents []sim.NetworkEvent, surges []Event, res *Result) error {
-	n.Inject(netEvents...)
-	e.Run(warmup)
+// offered is a materialised workload: the flows to start, in injection
+// order, and the flow-trace meta that labels and bounds the run — the
+// same pair a recording of it carries, so a live workload plays exactly
+// as the replay of its own trace. class labels flows[i] and is read
+// only when recording.
+type offered struct {
+	flows []sim.FlowSpec
+	meta  flowtrace.Meta
+	class func(i int) string
+}
+
+// materialise builds the scenario's workload. The fct and cohorts
+// generators draw from RNG streams of their own (derived from the
+// scenario seed), so when play calls it does not move a single draw.
+func (s *Scenario) materialise(g *topo.Graph, warmup int64, surges []Event, replay *flowtrace.Trace) (offered, error) {
+	switch s.Workload.Kind {
+	case WorkloadCBR:
+		return cbrFlows(s, g, warmup)
+	case WorkloadCohorts:
+		return cohortFlows(s, g, warmup)
+	case WorkloadTrace:
+		return traceFlows(s, g, replay)
+	default:
+		return fctFlows(s, g, warmup, surges)
+	}
+}
+
+// play offers the workload and measures it: the one place flows start
+// and FCT statistics are read. Two orderings exist, both historical
+// and both pinned by golden digests. CBR (the legacy failover harness):
+// flow starts land on the event queue before the event script, then the
+// run goes to the recorded end. Everything else: events inject before
+// the warm-up run, so a script can disrupt the control plane itself,
+// then the flows start and the run drains until they all complete or
+// the deadline passes — under extreme load some stay incomplete and the
+// FCT statistics cover the completed ones, as in testbed practice.
+func play(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int64, netEvents []sim.NetworkEvent, surges []Event, replay *flowtrace.Trace, cbr bool, res *Result) error {
+	if !cbr {
+		n.Inject(netEvents...)
+		e.Run(warmup)
+	}
+	w, err := s.materialise(g, warmup, surges, replay)
+	if err != nil {
+		return err
+	}
+	var classes *classCollector
+	if s.ClassStats && !cbr {
+		classes = newClassCollector(s.ElephantBytes)
+		n.FlowDone = classes.add
+	}
+	n.StartFlows(w.flows)
+	if s.SampleQueues {
+		e.Every(warmup, 100_000, n.SampleQueues)
+	}
+	res.Dist, res.Pattern, res.Load, res.RateBps = w.meta.Dist, w.meta.Pattern, w.meta.Load, w.meta.RateBps
+	res.Flows = len(w.flows)
+	if cbr {
+		n.Inject(netEvents...)
+		e.Run(w.meta.EndNs)
+	} else {
+		for e.Now() < w.meta.DeadlineNs && n.CompletedFlows() < int64(len(w.flows)) {
+			e.Run(e.Now() + 10_000_000)
+		}
+		res.Completed = n.CompletedFlows()
+		res.MeanFCT = n.FCT.Mean()
+		res.P50FCT = n.FCT.Quantile(0.5)
+		res.P95FCT = n.FCTQuant.Quantile(0.95)
+		res.P99FCT = n.FCT.Quantile(0.99)
+		if classes != nil {
+			res.Classes = classes.stats()
+		}
+	}
+	if s.RecordFlows {
+		res.FlowTrace = recordFlows(s, g, res.Topo, w)
+	}
+	return nil
+}
+
+// fctFlows draws the Poisson workload plus any surges.
+func fctFlows(s *Scenario, g *topo.Graph, warmup int64, surges []Event) (offered, error) {
 	w := s.Workload
 	capacity := w.CapacityBps
 	if capacity == 0 {
@@ -618,11 +684,11 @@ func runFCT(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup in
 		for _, p := range w.Pairs {
 			a, ok := g.NodeByName(p[0])
 			if !ok {
-				return fmt.Errorf("scenario %q: unknown pair host %q", s.Name, p[0])
+				return offered{}, fmt.Errorf("scenario %q: unknown pair host %q", s.Name, p[0])
 			}
 			b, ok := g.NodeByName(p[1])
 			if !ok {
-				return fmt.Errorf("scenario %q: unknown pair host %q", s.Name, p[1])
+				return offered{}, fmt.Errorf("scenario %q: unknown pair host %q", s.Name, p[1])
 			}
 			pairs = append(pairs, [2]topo.NodeID{a, b})
 		}
@@ -631,89 +697,52 @@ func runFCT(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup in
 	if dist == nil {
 		dist = mustDist(w.Dist)
 	}
-	flows := workload.Generate(g, workload.Config{
+	cfg := workload.Config{
 		Dist: dist, Senders: senders, Receivers: receivers,
 		Pairs:   pairs,
 		Pattern: w.Pattern, IncastTargets: w.IncastTargets,
 		Load: w.Load, CapacityBps: capacity,
 		StartNs: warmup, DurationNs: w.DurationNs,
 		Seed: s.Seed, MaxFlows: w.MaxFlows,
-	})
+	}
+	flows := workload.Generate(g, cfg)
 	if len(flows) == 0 {
-		return fmt.Errorf("scenario %q: workload produced no flows (load %.2f)", s.Name, w.Load)
+		return offered{}, fmt.Errorf("scenario %q: workload produced no flows (load %.2f)", s.Name, w.Load)
 	}
 	deadline := warmup + w.DurationNs + w.DrainNs
 	// Surge traffic rides on the same host sets with distinct flow-ID
 	// ranges and a seed derived from the base seed and the surge index,
 	// so adding a surge never perturbs the base arrival sequence.
 	for i, ev := range surges {
-		extra := workload.Generate(g, workload.Config{
-			Dist: dist, Senders: senders, Receivers: receivers,
-			Pairs:   pairs,
-			Pattern: w.Pattern, IncastTargets: w.IncastTargets,
-			Load: ev.Load, CapacityBps: capacity,
-			StartNs: ev.AtNs, DurationNs: ev.DurationNs,
-			Seed: s.Seed + 101 + int64(i), MaxFlows: w.MaxFlows,
-			FirstFlowID: uint64(i+1) << 32,
-		})
-		flows = append(flows, extra...)
+		cfg.Load, cfg.StartNs, cfg.DurationNs = ev.Load, ev.AtNs, ev.DurationNs
+		cfg.Seed, cfg.FirstFlowID = s.Seed+101+int64(i), uint64(i+1)<<32
+		flows = append(flows, workload.Generate(g, cfg)...)
 		if end := ev.AtNs + ev.DurationNs + w.DrainNs; end > deadline {
 			deadline = end
 		}
 	}
-	var classes *classCollector
-	if s.ClassStats {
-		classes = newClassCollector(s.ElephantBytes)
-		n.FlowDone = classes.add
-	}
-	n.StartFlows(flows)
-
-	if s.SampleQueues {
-		e.Every(warmup, 100_000, n.SampleQueues)
-	}
-
-	// Run until all flows complete or the drain budget expires; under
-	// extreme load some flows stay incomplete and the FCT statistics
-	// cover the completed ones, as in testbed practice.
-	for e.Now() < deadline && n.CompletedFlows() < int64(len(flows)) {
-		e.Run(e.Now() + 10_000_000)
-	}
-
-	res.Dist = dist.Name
-	res.Pattern = w.Pattern
-	res.Load = w.Load
-	res.Flows = len(flows)
-	res.Completed = n.CompletedFlows()
-	res.MeanFCT = n.FCT.Mean()
-	res.P50FCT = n.FCT.Quantile(0.5)
-	res.P95FCT = n.FCTQuant.Quantile(0.95)
-	res.P99FCT = n.FCT.Quantile(0.99)
-	if classes != nil {
-		res.Classes = classes.stats()
-	}
-	if s.RecordFlows {
-		recordFlows(s, g, res, flows, flowtrace.Meta{
+	return offered{
+		flows: flows,
+		meta: flowtrace.Meta{
 			Kind: flowtrace.KindFCT, Dist: dist.Name, Pattern: w.Pattern,
 			Load: w.Load, DeadlineNs: deadline,
-		}, func(f sim.FlowSpec) string {
-			if co := f.ID >> 32; co > 0 {
+		},
+		class: func(i int) string {
+			if co := flows[i].ID >> 32; co > 0 {
 				return fmt.Sprintf("surge%d", co)
 			}
 			return "base"
-		})
-	}
-	return nil
+		},
+	}, nil
 }
 
-// runCBR offers the Figure 14 constant-bit-rate workload: every sender
-// streams to a receiver across the fabric until EndNs. Flow starts are
-// scheduled before the event script — the ordering the legacy failover
-// harness used — so historical seeds replay identically.
-func runCBR(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int64, netEvents []sim.NetworkEvent, res *Result) error {
+// cbrFlows builds the Figure 14 constant-bit-rate workload: every
+// sender streams to a receiver across the fabric until EndNs.
+func cbrFlows(s *Scenario, g *topo.Graph, warmup int64) (offered, error) {
 	w := s.Workload
 	senders, receivers := workload.SplitHosts(g)
 	if len(senders) == 0 || len(receivers) == 0 {
-		return fmt.Errorf("scenario %q: cbr workload needs hosts", s.Name)
+		return offered{}, fmt.Errorf("scenario %q: cbr workload needs hosts", s.Name)
 	}
 	per := w.RateBps / float64(len(senders))
 	// Snap the per-flow packet gap to divide the measurement bin, so
@@ -741,20 +770,11 @@ func runCBR(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup in
 			RateBps: per, Start: warmup,
 		})
 	}
-	n.StartFlows(flows)
-	if s.SampleQueues {
-		e.Every(warmup, 100_000, n.SampleQueues)
-	}
-	n.Inject(netEvents...)
-	e.Run(w.EndNs)
-	res.Flows = len(flows)
-	res.RateBps = w.RateBps
-	if s.RecordFlows {
-		recordFlows(s, g, res, flows, flowtrace.Meta{
-			Kind: flowtrace.KindCBR, RateBps: w.RateBps, EndNs: w.EndNs,
-		}, func(sim.FlowSpec) string { return "cbr" })
-	}
-	return nil
+	return offered{
+		flows: flows,
+		meta:  flowtrace.Meta{Kind: flowtrace.KindCBR, RateBps: w.RateBps, EndNs: w.EndNs},
+		class: func(int) string { return "cbr" },
+	}, nil
 }
 
 // RecoveryWindow is the failover analysis of one disruption instant:
