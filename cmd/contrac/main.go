@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -26,13 +27,13 @@ func main() {
 	p4Dir := flag.String("p4-dir", "", "write P4 programs for every switch into this directory")
 	flag.Parse()
 
-	if err := run(*topoSpec, *policyArg, *p4Switch, *p4Dir); err != nil {
+	if err := run(os.Stdout, *topoSpec, *policyArg, *p4Switch, *p4Dir); err != nil {
 		fmt.Fprintln(os.Stderr, "contrac:", err)
 		os.Exit(1)
 	}
 }
 
-func run(topoSpec, policyArg, p4Switch, p4Dir string) error {
+func run(out io.Writer, topoSpec, policyArg, p4Switch, p4Dir string) error {
 	g, err := cliutil.BuildTopology(topoSpec)
 	if err != nil {
 		return err
@@ -45,15 +46,15 @@ func run(topoSpec, policyArg, p4Switch, p4Dir string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(prog.AnalysisReport())
-	fmt.Print(prog.Describe())
+	fmt.Fprint(out, prog.AnalysisReport())
+	fmt.Fprint(out, prog.Describe())
 
 	if p4Switch != "" {
 		p4, err := prog.P4(p4Switch)
 		if err != nil {
 			return err
 		}
-		fmt.Println(p4)
+		fmt.Fprintln(out, p4)
 	}
 	if p4Dir != "" {
 		if err := os.MkdirAll(p4Dir, 0o755); err != nil {
@@ -69,12 +70,16 @@ func run(topoSpec, policyArg, p4Switch, p4Dir string) error {
 				return err
 			}
 			path := filepath.Join(p4Dir, n.Name+".p4")
-			if err := os.WriteFile(path, []byte(p4), 0o644); err != nil {
+			err = cliutil.WriteFileAtomic(path, func(w io.Writer) error {
+				_, err := io.WriteString(w, p4)
+				return err
+			})
+			if err != nil {
 				return err
 			}
 			count++
 		}
-		fmt.Printf("wrote %d P4 programs to %s\n", count, p4Dir)
+		fmt.Fprintf(out, "wrote %d P4 programs to %s\n", count, p4Dir)
 	}
 	return nil
 }

@@ -188,13 +188,20 @@ func (p *Program) Describe() string { return p.compiled.Describe() }
 // isotonicity, probe-class decomposition).
 func (p *Program) AnalysisReport() string { return p.compiled.Analysis.Describe() }
 
-// P4 emits the device-local P4-16 program for a switch.
+// P4 emits the device-local P4-16 program for a switch. Naming a host
+// is an error: programs are compiled for switches only.
 func (p *Program) P4(switchName string) (string, error) {
-	id, ok := p.compiled.Topo.NodeByName(switchName)
+	t := p.compiled.Topo
+	id, ok := t.NodeByName(switchName)
 	if !ok {
 		return "", fmt.Errorf("contra: no switch named %q", switchName)
 	}
-	return p.compiled.GenerateP4(id), nil
+	src := p.compiled.GenerateP4(id)
+	if src == "" {
+		return "", fmt.Errorf("contra: no P4 program for %v %q: programs are compiled for switches, not hosts",
+			t.Node(id).Kind, switchName)
+	}
+	return src, nil
 }
 
 // ProbePeriod returns the compiled probe period.

@@ -30,6 +30,27 @@ func TestCompileSourceAndInspect(t *testing.T) {
 	}
 }
 
+func TestP4RejectsHosts(t *testing.T) {
+	g := Fattree(4, 1)
+	p, err := CompileSource("minimize(path.util)", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := g.Node(g.Hosts()[0]).Name
+	src, err := p.P4(host)
+	if err == nil || src != "" {
+		t.Fatalf("P4(%q) = %d bytes, %v; want an error and no program", host, len(src), err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "host") || !strings.Contains(msg, host) {
+		t.Fatalf("error %q should say that %s is a host", msg, host)
+	}
+	for _, sw := range g.Switches() {
+		if src, err := p.P4(g.Node(sw).Name); err != nil || src == "" {
+			t.Fatalf("P4(%q) = %d bytes, %v", g.Node(sw).Name, len(src), err)
+		}
+	}
+}
+
 func TestSimulationBestPath(t *testing.T) {
 	g := Abilene()
 	p, err := CompileSource("minimize(path.lat)", g)

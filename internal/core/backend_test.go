@@ -1,0 +1,276 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"contra/internal/policy"
+	"contra/internal/topo"
+)
+
+// Differential, concurrency and allocation tests for the compiler back
+// end (countReachability, GenerateP4) against the references in
+// reference_test.go, and the micro-benchmarks of the same two passes.
+
+const (
+	muPolicy = "minimize(path.util)"
+	caPolicy = "minimize(if path.util < .8 then (1, 0, path.util) else (2, path.len, path.util))"
+)
+
+// wpPolicy is the scalability experiments' three-waypoint policy, with
+// the same waypoint picks as exp.StandardPolicies.
+func wpPolicy(g *topo.Graph) string {
+	names := g.SortedNames()
+	k := len(names) / 2
+	return fmt.Sprintf("minimize(if .* (%s + %s + %s) .* then path.util else inf)",
+		names[k], names[k/2], names[len(names)-1])
+}
+
+// tryCompile is compile for generated inputs, where a policy may admit
+// no path at all: it returns nil for those.
+func tryCompile(t *testing.T, g *topo.Graph, src string) *Compiled {
+	t.Helper()
+	pol, err := policy.Parse(src, policy.ParseOptions{Symbols: g.SortedNames()})
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	c, err := Compile(g, pol, Options{})
+	if err != nil {
+		if strings.Contains(err.Error(), "admits no path") {
+			return nil
+		}
+		t.Fatalf("compile %q on %s: %v", src, g.Name, err)
+	}
+	return c
+}
+
+// brokenRandom is a random graph with an island hanging off it by one
+// link and a share of all links down, so that some switches hear only
+// part of the origins and some none.
+func brokenRandom(n int, seed int64) *topo.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := topo.RandomConnected(n, 2.5, seed)
+	a := g.AddNode("i0", topo.Switch)
+	b := g.AddNode("i1", topo.Switch)
+	c := g.AddNode("i2", topo.Switch)
+	g.AddLink(a, b, topo.DefaultFabricBW, topo.DefaultDelay)
+	g.AddLink(b, c, topo.DefaultFabricBW, topo.DefaultDelay)
+	g.SetDown(g.AddLink(a, g.MustNode("r0"), topo.DefaultFabricBW, topo.DefaultDelay), true)
+	for id := range g.Links() {
+		if rng.Intn(5) == 0 {
+			g.SetDown(topo.LinkID(id), true)
+		}
+	}
+	return g
+}
+
+func TestReachableOriginsMatchReference(t *testing.T) {
+	partial := 0 // cells where some origin's probes reach only part of the switches
+	for seed := int64(1); seed <= 12; seed++ {
+		g := brokenRandom(8+int(seed)*3, seed)
+		names := g.SortedNames()
+		x, y, z := names[0], names[1], names[len(names)/2]
+		policies := []string{
+			muPolicy, caPolicy, wpPolicy(g),
+			// Only z is a destination, and only for part of the graph.
+			fmt.Sprintf("minimize(if %s %s %s then 0 else if %s .* %s then path.util else inf)", x, y, z, y, z),
+			fmt.Sprintf("minimize(if .* %s %s .* then path.util else inf)", x, y),
+			fmt.Sprintf("minimize(if %s .* then path.util else path.lat)", z),
+			fmt.Sprintf("minimize(if .* %s .* then (path.util, path.lat) else (1000, path.lat))", z),
+		}
+		for _, src := range policies {
+			c := tryCompile(t, g, src)
+			if c == nil {
+				continue
+			}
+			got := make(map[topo.NodeID]int, len(c.Switches))
+			for sw, sp := range c.Switches {
+				got[sw] = sp.ReachableOrigins
+				if sp.ReachableOrigins > 0 && sp.ReachableOrigins < len(c.Switches) {
+					partial++
+				}
+				sp.ReachableOrigins = -1
+			}
+			gotState, gotMax := c.Stats.StateBytes, c.Stats.MaxStateBytes
+
+			c.referenceCountReachability()
+			for sw, sp := range c.Switches {
+				if sp.ReachableOrigins == -1 {
+					sp.ReachableOrigins = 0 // the reference leaves unreached switches alone
+				}
+				if got[sw] != sp.ReachableOrigins {
+					t.Fatalf("seed %d %q: %s reachable origins = %d, reference %d",
+						seed, src, g.Node(sw).Name, got[sw], sp.ReachableOrigins)
+				}
+			}
+			c.accountState()
+			if gotMax != c.Stats.MaxStateBytes {
+				t.Fatalf("seed %d %q: MaxStateBytes = %d, reference %d", seed, src, gotMax, c.Stats.MaxStateBytes)
+			}
+			for sw, want := range c.Stats.StateBytes {
+				if gotState[sw] != want {
+					t.Fatalf("seed %d %q: %s state = %dB, reference %dB", seed, src, g.Node(sw).Name, gotState[sw], want)
+				}
+			}
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no generated cell has a partially reached switch: the inputs do not exercise the per-origin stamps")
+	}
+}
+
+// p4Cells are the topology × policy cells the P4 tests run on: both
+// fat-tree sizes, the WAN and a random graph, under single- and
+// multi-metric vectors, one and several probe classes, and regex
+// policies that leave some virtual nodes without out-edges.
+func p4Cells(t *testing.T) []*Compiled {
+	t.Helper()
+	var cells []*Compiled
+	add := func(g *topo.Graph, srcs ...string) {
+		for _, src := range srcs {
+			cells = append(cells, compile(t, g, src))
+		}
+	}
+	for _, g := range []*topo.Graph{topo.Fattree(4, 0), topo.Fattree(8, 0), topo.RandomConnected(40, 4, 7)} {
+		add(g, muPolicy, caPolicy, wpPolicy(g), "minimize((path.util, path.lat, path.len))")
+	}
+	add(topo.Abilene(), muPolicy, caPolicy, wpPolicy(topo.Abilene()),
+		"minimize(if .* KC .* then (path.util, path.lat) else (1000, path.lat))",
+		"minimize(if SEA .* then path.util else path.lat)")
+	add(topo.Fig6(), "minimize(if A B D then 0 else if B .* D then path.util else inf)",
+		// A's only virtual node ends the one allowed path: no out-edges.
+		"minimize(if A B D then path.util else inf)")
+	return cells
+}
+
+func TestGenerateP4MatchesReference(t *testing.T) {
+	emptyPorts := false
+	for _, c := range p4Cells(t) {
+		for _, sw := range c.Topo.Switches() {
+			got, want := c.GenerateP4(sw), c.referenceGenerateP4(sw)
+			if got != want {
+				t.Fatalf("%s on %s, switch %s: P4 differs from the reference\n%s",
+					c.Policy, c.Topo.Name, c.Topo.Node(sw).Name, firstDiff(got, want))
+			}
+			if !strings.Contains(got, "%") || strings.Contains(got, "%%") {
+				t.Fatalf("switch %s: the modulo lines must print a single %%", c.Topo.Node(sw).Name)
+			}
+			emptyPorts = emptyPorts || strings.Contains(got, "// ports []\n")
+			if n := c.planP4(sw, c.Switches[sw]).len; n != len(want) {
+				t.Fatalf("switch %s: buffer sized %d bytes for a %d-byte program", c.Topo.Node(sw).Name, n, len(want))
+			}
+		}
+	}
+	if !emptyPorts {
+		t.Fatal("no cell prints an empty multicast port list")
+	}
+}
+
+// firstDiff renders the first line where two programs differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range g {
+		if i >= len(w) || g[i] != w[i] {
+			ref := "<end>"
+			if i < len(w) {
+				ref = w[i]
+			}
+			return fmt.Sprintf("line %d:\n  got  %q\n  want %q", i+1, g[i], ref)
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
+}
+
+// TestGenerateP4Concurrent has several goroutines generate every switch
+// of one fresh Compiled, so that they race for the first render of the
+// policy-wide text.
+func TestGenerateP4Concurrent(t *testing.T) {
+	g := topo.Fattree(4, 0)
+	c := compile(t, g, wpPolicy(g))
+	switches := g.Switches()
+	const workers = 8
+	out := make([][]string, workers)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			progs := make([]string, len(switches))
+			for j, sw := range switches {
+				progs[j] = c.GenerateP4(sw)
+			}
+			out[i] = progs
+		}(i)
+	}
+	wg.Wait()
+	for j, sw := range switches {
+		want := c.referenceGenerateP4(sw)
+		for i := range out {
+			if out[i][j] != want {
+				t.Fatalf("goroutine %d, switch %s: P4 differs from the reference\n%s",
+					i, g.Node(sw).Name, firstDiff(out[i][j], want))
+			}
+		}
+	}
+}
+
+// TestGenerateP4AllocBudget pins the per-switch allocations after the
+// first call: the output buffer and the two sorted entry lists, however
+// long the tables are.
+func TestGenerateP4AllocBudget(t *testing.T) {
+	const budget = 3
+	entries := func(c *Compiled, sw topo.NodeID) int { return len(c.Switches[sw].InTransition) }
+	small, big := topo.Fattree(4, 0), topo.Fattree(10, 0)
+	cs, cb := compile(t, small, wpPolicy(small)), compile(t, big, wpPolicy(big))
+	ss, sb := small.Switches()[0], big.Switches()[len(big.Switches())-1]
+	if entries(cb, sb) < 4*entries(cs, ss) {
+		t.Fatalf("table sizes %d and %d are too close to show independence", entries(cs, ss), entries(cb, sb))
+	}
+	for _, tc := range []struct {
+		c  *Compiled
+		sw topo.NodeID
+	}{{cs, ss}, {cb, sb}} {
+		tc.c.GenerateP4(tc.sw) // renders the policy-wide text
+		got := testing.AllocsPerRun(20, func() { tc.c.GenerateP4(tc.sw) })
+		if got > budget {
+			t.Errorf("%s (%d transition entries): %.0f allocations per program, budget %d",
+				tc.c.Topo.Name, entries(tc.c, tc.sw), got, budget)
+		}
+	}
+}
+
+func BenchmarkCountReachabilityFattree18(b *testing.B) {
+	g := topo.Fattree(18, 0)
+	pol := policy.MustParse(wpPolicy(g), policy.ParseOptions{Symbols: g.SortedNames()})
+	c, err := Compile(g, pol, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.countReachability()
+	}
+}
+
+var p4Sink int
+
+func BenchmarkGenerateP4Fattree14(b *testing.B) {
+	g := topo.Fattree(14, 0)
+	pol := policy.MustParse(wpPolicy(g), policy.ParseOptions{Symbols: g.SortedNames()})
+	c, err := Compile(g, pol, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	switches := g.Switches()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sw := range switches {
+			p4Sink += len(c.GenerateP4(sw))
+		}
+	}
+}

@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"contra/internal/analysis"
@@ -125,6 +126,11 @@ type Compiled struct {
 	Switches map[topo.NodeID]*SwitchProgram
 	Opts     Options
 	Stats    Stats
+
+	// The policy-wide part of the P4 programs, rendered by the first
+	// GenerateP4 call.
+	p4Once sync.Once
+	p4Tmpl p4Template
 }
 
 // Stats reports compile-time measurements (Figures 9 and 10).
@@ -176,11 +182,16 @@ func Compile(t *topo.Graph, pol *policy.Policy, opts Options) (*Compiled, error)
 	}
 
 	for _, x := range t.Switches() {
+		vnodes := append([]pg.NodeID(nil), graph.VirtualNodes(x)...)
+		inEdges := 0
+		for _, v := range vnodes {
+			inEdges += len(graph.In(v))
+		}
 		sp := &SwitchProgram{
 			Switch:       x,
-			VNodes:       append([]pg.NodeID(nil), graph.VirtualNodes(x)...),
-			InTransition: make(map[pg.NodeID]pg.NodeID),
-			ProbeOut:     make(map[pg.NodeID][]int),
+			VNodes:       vnodes,
+			InTransition: make(map[pg.NodeID]pg.NodeID, inEdges),
+			ProbeOut:     make(map[pg.NodeID][]int, len(vnodes)),
 		}
 		for _, v := range sp.VNodes {
 			// Incoming: probes from neighbor virtual node u transition
@@ -191,6 +202,9 @@ func Compile(t *topo.Graph, pol *policy.Policy, opts Options) (*Compiled, error)
 			// Outgoing: multicast to the ports leading to successor
 			// switches.
 			var ports []int
+			if n := len(graph.Out(v)); n > 0 {
+				ports = make([]int, 0, n)
+			}
 			for _, u := range graph.Out(v) {
 				nb := graph.Node(u).Topo
 				if port := t.PortTo(x, nb); port >= 0 {
@@ -219,37 +233,42 @@ func Compile(t *topo.Graph, pol *policy.Policy, opts Options) (*Compiled, error)
 }
 
 // countReachability computes, per switch, how many origins' probes can
-// reach it (BFS per origin over the product graph).
+// reach it: one traversal of the product graph per origin, all sharing
+// one set of scratch. seen[v] holds the stamp of the last origin whose
+// traversal visited virtual node v, lastOrigin[sw] the stamp of the
+// last origin counted at switch sw, so neither is cleared between
+// origins and a switch with several virtual nodes is counted once.
 func (c *Compiled) countReachability() {
-	reach := make(map[topo.NodeID]map[topo.NodeID]bool) // switch -> set of origins
+	seen := make([]int32, c.PG.NumNodes())
+	lastOrigin := make([]int32, c.Topo.NumNodes())
+	count := make([]int32, c.Topo.NumNodes())
+	stack := make([]pg.NodeID, 0, c.PG.NumNodes())
+	stamp := int32(0) // 0 is "never visited"
 	for _, x := range c.Topo.Switches() {
 		send, ok := c.PG.SendState(x)
 		if !ok {
 			continue
 		}
-		seen := make([]bool, c.PG.NumNodes())
-		stack := []pg.NodeID{send}
-		seen[send] = true
+		stamp++
+		seen[send] = stamp
+		stack = append(stack[:0], send)
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			sw := c.PG.Node(v).Topo
-			if reach[sw] == nil {
-				reach[sw] = make(map[topo.NodeID]bool)
+			if sw := c.PG.Node(v).Topo; lastOrigin[sw] != stamp {
+				lastOrigin[sw] = stamp
+				count[sw]++
 			}
-			reach[sw][x] = true
 			for _, u := range c.PG.Out(v) {
-				if !seen[u] {
-					seen[u] = true
+				if seen[u] != stamp {
+					seen[u] = stamp
 					stack = append(stack, u)
 				}
 			}
 		}
 	}
-	for sw, origins := range reach {
-		if sp := c.Switches[sw]; sp != nil {
-			sp.ReachableOrigins = len(origins)
-		}
+	for sw, sp := range c.Switches {
+		sp.ReachableOrigins = int(count[sw])
 	}
 }
 

@@ -1,114 +1,59 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
-	"strconv"
+	"sort"
 	"strings"
 
 	"contra/internal/pg"
 	"contra/internal/topo"
 )
 
-// p4Hole names a per-switch value spliced into the policy-wide text.
-type p4Hole uint8
+// The bodies this package had before the compiler back end was made
+// linear in the product graph, kept as the references the differential
+// tests compare against: reachability counted into nested maps with a
+// fresh visited slice per origin, and P4 emitted with one Fprintf per
+// line.
 
-const (
-	holeName        p4Hole = iota // the switch's name
-	holeFwdSlots                  // FwdT register size
-	holeBestSlots                 // BestT register size
-	holePortUtil                  // port_util register size
-	holeTransitions               // tag_transition's const entries
-	holeMcast                     // probe_mcast's const entries
-)
-
-// p4Template is everything of the generated program that depends only
-// on the policy, its metric vector, the tag width and the options: the
-// literal text, cut where a per-switch value goes. text[i] precedes
-// holes[i] and the last text closes the program. It is rendered once
-// per Compiled and only read afterwards.
-type p4Template struct {
-	text    []string
-	holes   []p4Hole
-	textLen int
+func (c *Compiled) referenceCountReachability() {
+	reach := make(map[topo.NodeID]map[topo.NodeID]bool) // switch -> set of origins
+	for _, x := range c.Topo.Switches() {
+		send, ok := c.PG.SendState(x)
+		if !ok {
+			continue
+		}
+		seen := make([]bool, c.PG.NumNodes())
+		stack := []pg.NodeID{send}
+		seen[send] = true
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			sw := c.PG.Node(v).Topo
+			if reach[sw] == nil {
+				reach[sw] = make(map[topo.NodeID]bool)
+			}
+			reach[sw][x] = true
+			for _, u := range c.PG.Out(v) {
+				if !seen[u] {
+					seen[u] = true
+					stack = append(stack, u)
+				}
+			}
+		}
+	}
+	for sw, origins := range reach {
+		if sp := c.Switches[sw]; sp != nil {
+			sp.ReachableOrigins = len(origins)
+		}
+	}
 }
 
-// GenerateP4 emits a device-local P4-16 program for one switch,
-// mirroring the paper's compiler output: the probe header layout is
-// policy-specific (one field per metric in the vector), the tag
-// transition and probe multicast tables are baked in as const entries,
-// and the forwarding/best/flowlet/loop tables are populated at runtime
-// by the probe logic. It returns "" when sw is not a switch of the
-// compiled topology, and may be called from several goroutines.
-//
-// The program targets the v1model-style pipeline; it is emitted for
-// inspection and state accounting (our execution substrate is the
-// simulator's switch runtime, which interprets the same artifacts).
-func (c *Compiled) GenerateP4(sw topo.NodeID) string {
+func (c *Compiled) referenceGenerateP4(sw topo.NodeID) string {
 	sp := c.Switches[sw]
 	if sp == nil {
 		return ""
 	}
-	c.p4Once.Do(c.renderP4Template)
-	t := &c.p4Tmpl
-	p := c.planP4(sw, sp)
-
-	var b strings.Builder
-	b.Grow(p.len)
-	for i, h := range t.holes {
-		b.WriteString(t.text[i])
-		switch h {
-		case holeName:
-			b.WriteString(p.name)
-		case holeTransitions:
-			writeTransitions(&b, p.trans, p.name)
-		case holeMcast:
-			writeMcast(&b, p.mcast)
-		default:
-			writeInt(&b, p.sizes[h])
-		}
-	}
-	b.WriteString(t.text[len(t.holes)])
-	return b.String()
-}
-
-// p4Plan is what one switch splices into the template, resolved and
-// sorted, and the exact length of the resulting program, so that the
-// output buffer is allocated once with no spare capacity.
-type p4Plan struct {
-	name  string
-	sizes [holePortUtil + 1]int // by hole, for the register-size holes
-	trans []transitionEntry
-	mcast []mcastEntry
-	len   int
-}
-
-// planP4 needs the template rendered.
-func (c *Compiled) planP4(sw topo.NodeID, sp *SwitchProgram) p4Plan {
-	p := p4Plan{name: c.Topo.Node(sw).Name}
-	p.sizes[holeFwdSlots] = fwdSlots(sp, c)
-	p.sizes[holeBestSlots] = max(sp.ReachableOrigins, 1)
-	p.sizes[holePortUtil] = max(len(c.Topo.Ports(sw)), 1)
-	var transLen, mcastLen int
-	p.trans, transLen = c.transitionEntries(sw, sp)
-	p.mcast, mcastLen = c.mcastEntries(sp)
-
-	p.len = c.p4Tmpl.textLen + transLen + mcastLen
-	for _, h := range c.p4Tmpl.holes {
-		switch h {
-		case holeName:
-			p.len += len(p.name)
-		case holeFwdSlots, holeBestSlots, holePortUtil:
-			p.len += decLen(p.sizes[h])
-		}
-	}
-	return p
-}
-
-// renderP4Template fills c.p4Tmpl; GenerateP4 runs it once.
-func (c *Compiled) renderP4Template() {
-	t := &c.p4Tmpl
+	name := c.Topo.Node(sw).Name
 	tagBits := c.PG.TagBits()
 	if tagBits == 0 {
 		tagBits = 1
@@ -119,22 +64,8 @@ func (c *Compiled) renderP4Template() {
 		fmt.Fprintf(&b, format, args...)
 		b.WriteByte('\n')
 	}
-	// cut ends the current text at a hole.
-	cut := func(h p4Hole) {
-		t.text = append(t.text, b.String())
-		t.holes = append(t.holes, h)
-		t.textLen += b.Len()
-		b.Reset()
-	}
-	// hole emits one line whose only varying part is a per-switch value.
-	hole := func(before string, h p4Hole, after string) {
-		b.WriteString(before)
-		cut(h)
-		b.WriteString(after)
-		b.WriteByte('\n')
-	}
 
-	hole("// contra: device-local program for switch ", holeName, "")
+	w("// contra: device-local program for switch %s", name)
 	w("// policy: %s", c.Policy.String())
 	w("// generated by the contra compiler; do not edit")
 	w("#include <core.p4>")
@@ -207,14 +138,14 @@ func (c *Compiled) renderP4Template() {
 	w("    // FwdT: best metric vector, next tag, next hop, version per")
 	w("    // (origin, tag, pid); hash-indexed register arrays.")
 	for _, m := range c.Analysis.MV {
-		hole("    register<metric_t>(", holeFwdSlots, ") fwd_mv_"+m.String()+";")
+		w("    register<metric_t>(%d) fwd_mv_%s;", referenceFwdSlots(sp, c), m.String())
 	}
-	hole("    register<tag_t>(", holeFwdSlots, ")    fwd_ntag;")
-	hole("    register<bit<9>>(", holeFwdSlots, ")   fwd_nhop;")
-	hole("    register<ver_t>(", holeFwdSlots, ")    fwd_version;")
+	w("    register<tag_t>(%d)    fwd_ntag;", referenceFwdSlots(sp, c))
+	w("    register<bit<9>>(%d)   fwd_nhop;", referenceFwdSlots(sp, c))
+	w("    register<ver_t>(%d)    fwd_version;", referenceFwdSlots(sp, c))
 	w("    // BestT: overall best (tag, pid) per origin (the asterisk).")
-	hole("    register<tag_t>(", holeBestSlots, ") best_tag;")
-	hole("    register<pid_t>(", holeBestSlots, ") best_pid;")
+	w("    register<tag_t>(%d) best_tag;", referenceMaxInt(sp.ReachableOrigins, 1))
+	w("    register<pid_t>(%d) best_pid;", referenceMaxInt(sp.ReachableOrigins, 1))
 	w("    // Policy-aware flowlet state, keyed (tag, pid, flowlet hash).")
 	w("    register<bit<9>>(%d)  flowlet_port;", flowletEntries)
 	w("    register<tag_t>(%d)   flowlet_tag;", flowletEntries)
@@ -236,7 +167,19 @@ func (c *Compiled) renderP4Template() {
 	w("        actions = { set_local_vnode; drop; }")
 	w("        const default_action = drop();")
 	w("        const entries = {")
-	cut(holeTransitions)
+	inKeys := make([]int, 0, len(sp.InTransition))
+	for u := range sp.InTransition {
+		inKeys = append(inKeys, int(u))
+	}
+	sort.Ints(inKeys)
+	for _, u := range inKeys {
+		uid := pg.NodeID(u)
+		v := sp.InTransition[uid]
+		port := c.Topo.PortTo(sw, c.PG.Node(uid).Topo)
+		w("            (%d, %d) : set_local_vnode(%d); // %s -> %s",
+			port, c.PG.Node(uid).LocalTag,
+			c.PG.Node(v).LocalTag, c.referenceVnodeName(uid), c.referenceVnodeName(v))
+	}
 	w("        }")
 	w("    }")
 	w("")
@@ -248,13 +191,18 @@ func (c *Compiled) renderP4Template() {
 	w("        actions = { set_mcast; drop; }")
 	w("        const default_action = drop();")
 	w("        const entries = {")
-	cut(holeMcast)
+	vs := append([]pg.NodeID(nil), sp.VNodes...)
+	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	for _, v := range vs {
+		w("            %d : set_mcast(%d); // ports %v",
+			c.PG.Node(v).LocalTag, c.PG.Node(v).LocalTag+1, sp.ProbeOut[v])
+	}
 	w("        }")
 	w("    }")
 	w("")
 	// UPDATEMVEC: one action per metric in the policy's vector, using
 	// the per-port utilization registers the traffic manager maintains.
-	hole("    register<metric_t>(", holePortUtil, ") port_util;")
+	w("    register<metric_t>(%d) port_util;", referenceMaxInt(len(c.Topo.Ports(sw)), 1))
 	w("    action fold_metrics() {")
 	for _, m := range c.Analysis.MV {
 		switch m.String() {
@@ -338,144 +286,25 @@ func (c *Compiled) renderP4Template() {
 	w("")
 	w("V1Switch(ContraParser(), ContraIngress(), ContraEgress(),")
 	w("         ContraDeparser()) main;")
-	t.text = append(t.text, b.String())
-	t.textLen += b.Len()
+	return b.String()
 }
 
-// transitionEntry is one tag_transition const entry: a probe arriving
-// on port with the sender's tag utag (virtual node u, on switch uname)
-// puts this switch in local virtual node vtag.
-type transitionEntry struct {
-	u                pg.NodeID
-	port, utag, vtag int32
-	uname            string
+func (c *Compiled) referenceVnodeName(v pg.NodeID) string {
+	n := c.PG.Node(v)
+	return fmt.Sprintf("%s%d", c.Topo.Node(n.Topo).Name, n.LocalTag)
 }
 
-// The literal pieces of one tag_transition entry line:
-//
-//	(port, utag) : set_local_vnode(vtag); // <uname><utag> -> <name><vtag>
-const (
-	transOpen    = "            ("
-	transSep     = ", "
-	transAction  = ") : set_local_vnode("
-	transComment = "); // "
-	transArrow   = " -> "
-	transLitLen  = len(transOpen) + len(transSep) + len(transAction) + len(transComment) + len(transArrow) + len("\n")
-)
-
-// transitionEntries resolves sw's tag transition table in the order it
-// is printed (by sender virtual node), with the printed length.
-func (c *Compiled) transitionEntries(sw topo.NodeID, sp *SwitchProgram) ([]transitionEntry, int) {
-	name := c.Topo.Node(sw).Name
-	entries := make([]transitionEntry, 0, len(sp.InTransition))
-	n := 0
-	for u, v := range sp.InTransition {
-		un := c.PG.Node(u)
-		e := transitionEntry{
-			u:     u,
-			port:  int32(c.Topo.PortTo(sw, un.Topo)),
-			utag:  un.LocalTag,
-			vtag:  c.PG.Node(v).LocalTag,
-			uname: c.Topo.Node(un.Topo).Name,
-		}
-		n += transLitLen + decLen(int(e.port)) + 2*decLen(int(e.utag)) + 2*decLen(int(e.vtag)) +
-			len(e.uname) + len(name)
-		entries = append(entries, e)
-	}
-	slices.SortFunc(entries, func(a, b transitionEntry) int { return cmp.Compare(a.u, b.u) })
-	return entries, n
-}
-
-func writeTransitions(b *strings.Builder, entries []transitionEntry, name string) {
-	for i := range entries {
-		e := &entries[i]
-		b.WriteString(transOpen)
-		writeInt(b, int(e.port))
-		b.WriteString(transSep)
-		writeInt(b, int(e.utag))
-		b.WriteString(transAction)
-		writeInt(b, int(e.vtag))
-		b.WriteString(transComment)
-		b.WriteString(e.uname)
-		writeInt(b, int(e.utag))
-		b.WriteString(transArrow)
-		b.WriteString(name)
-		writeInt(b, int(e.vtag))
-		b.WriteByte('\n')
-	}
-}
-
-// The literal pieces of one probe_mcast entry line:
-//
-//	tag : set_mcast(tag+1); // ports [p0 p1 ...]
-const (
-	mcastOpen   = "            "
-	mcastAction = " : set_mcast("
-	mcastPorts  = "); // ports ["
-	mcastClose  = "]\n"
-	mcastLitLen = len(mcastOpen) + len(mcastAction) + len(mcastPorts) + len(mcastClose)
-)
-
-// mcastEntry is one probe_mcast const entry: probes leaving local
-// virtual node tag (virtual node v) multicast to ports.
-type mcastEntry struct {
-	v     pg.NodeID
-	tag   int32
-	ports []int
-}
-
-// mcastEntries resolves the switch's probe multicast table in the
-// order it is printed (by virtual node), with the printed length.
-func (c *Compiled) mcastEntries(sp *SwitchProgram) ([]mcastEntry, int) {
-	entries := make([]mcastEntry, 0, len(sp.VNodes))
-	n := 0
-	for _, v := range sp.VNodes {
-		e := mcastEntry{v: v, tag: c.PG.Node(v).LocalTag, ports: sp.ProbeOut[v]}
-		n += mcastLitLen + decLen(int(e.tag)) + decLen(int(e.tag)+1) + max(len(e.ports)-1, 0)
-		for _, port := range e.ports {
-			n += decLen(port)
-		}
-		entries = append(entries, e)
-	}
-	slices.SortFunc(entries, func(a, b mcastEntry) int { return cmp.Compare(a.v, b.v) })
-	return entries, n
-}
-
-func writeMcast(b *strings.Builder, entries []mcastEntry) {
-	for _, e := range entries {
-		b.WriteString(mcastOpen)
-		writeInt(b, int(e.tag))
-		b.WriteString(mcastAction)
-		writeInt(b, int(e.tag)+1)
-		b.WriteString(mcastPorts)
-		for i, port := range e.ports {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			writeInt(b, port)
-		}
-		b.WriteString(mcastClose)
-	}
-}
-
-// writeInt appends v in decimal without going through fmt.
-func writeInt(b *strings.Builder, v int) {
-	var buf [20]byte
-	b.Write(strconv.AppendInt(buf[:0], int64(v), 10))
-}
-
-// decLen is the number of bytes writeInt writes for v.
-func decLen(v int) int {
-	n := 1
-	if v < 0 {
-		n, v = 2, -v
-	}
-	for ; v >= 10; v /= 10 {
-		n++
+func referenceFwdSlots(sp *SwitchProgram, c *Compiled) int {
+	n := sp.ReachableOrigins * len(sp.VNodes) * c.Analysis.NumPids()
+	if n < 1 {
+		n = 1
 	}
 	return n
 }
 
-func fwdSlots(sp *SwitchProgram, c *Compiled) int {
-	return max(sp.ReachableOrigins*len(sp.VNodes)*c.Analysis.NumPids(), 1)
+func referenceMaxInt(a, b int) int {
+	if a > b {
+		return a
+	}
+	return b
 }

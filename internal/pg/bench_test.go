@@ -26,6 +26,7 @@ func BenchmarkBuildWaypoint(b *testing.B) {
 	g := topo.Fattree(10, 0)
 	pol := policy.MustParse("minimize(if .* (c0 + c1 + c2) .* then path.util else inf)",
 		policy.ParseOptions{Symbols: g.SortedNames()})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Build(g, pol); err != nil {

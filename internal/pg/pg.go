@@ -8,6 +8,7 @@
 package pg
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -45,7 +46,6 @@ type Graph struct {
 	in     [][]NodeID
 	byTopo map[topo.NodeID][]NodeID
 	send   map[topo.NodeID]NodeID
-	index  map[string]NodeID
 
 	maxTagsPerSwitch int
 }
@@ -61,49 +61,50 @@ func Build(t *topo.Graph, pol *policy.Policy) (*Graph, error) {
 		Policy: pol,
 		byTopo: make(map[topo.NodeID][]NodeID),
 		send:   make(map[topo.NodeID]NodeID),
-		index:  make(map[string]NodeID),
 	}
 	for _, r := range pol.Regexes {
 		g.DFAs = append(g.DFAs, automata.BuildReversed(r, alphabet))
 	}
+	ix := newStateIndex(len(g.DFAs))
+
+	// Every DFA is built over the same alphabet, the topology's switch
+	// names, so a switch is the same symbol in all of them.
+	switches := t.Switches()
+	sym := make([]int, t.NumNodes())
+	if len(g.DFAs) > 0 {
+		for _, x := range switches {
+			sym[x], _ = g.DFAs[0].Sym(t.Node(x).Name)
+		}
+	}
 
 	// Probe-sending states: for destination X the automata have
 	// consumed the single symbol X.
-	switches := t.Switches()
-	type work struct{ id NodeID }
-	var queue []work
+	next := make([]int32, len(g.DFAs)) // one buffer for every expansion; intern copies it
+	var queue []NodeID
 	for _, x := range switches {
-		states := make([]int32, len(g.DFAs))
-		name := t.Node(x).Name
 		for i, d := range g.DFAs {
-			states[i] = int32(d.StepName(d.Start, name))
+			next[i] = int32(d.Step(d.Start, sym[x]))
 		}
-		id := g.intern(x, states)
+		id, _ := g.intern(ix, x, next)
 		g.nodes[id].Origin = true
 		g.send[x] = id
-		queue = append(queue, work{id})
+		queue = append(queue, id)
 	}
 
 	// BFS along probe edges: from (X, s) to (X', step(s, X')) for each
 	// switch neighbor X'.
-	for len(queue) > 0 {
-		w := queue[0]
-		queue = queue[1:]
-		v := g.nodes[w.id]
-		x := v.Topo
-		for _, nb := range t.SwitchNeighbors(x) {
-			nbName := t.Node(nb).Name
-			next := make([]int32, len(g.DFAs))
+	for head := 0; head < len(queue); head++ {
+		from := queue[head]
+		states := g.nodes[from].States
+		for _, nb := range t.SwitchNeighbors(g.nodes[from].Topo) {
 			for i, d := range g.DFAs {
-				next[i] = int32(d.StepName(int(v.States[i]), nbName))
+				next[i] = int32(d.Step(int(states[i]), sym[nb]))
 			}
-			key := stateKey(nb, next)
-			to, exists := g.index[key]
-			if !exists {
-				to = g.intern(nb, next)
-				queue = append(queue, work{to})
+			to, fresh := g.intern(ix, nb, next)
+			if fresh {
+				queue = append(queue, to)
 			}
-			g.addEdge(w.id, to)
+			g.addEdge(from, to)
 		}
 	}
 
@@ -112,21 +113,37 @@ func Build(t *topo.Graph, pol *policy.Policy) (*Graph, error) {
 	return g, nil
 }
 
-func stateKey(x topo.NodeID, states []int32) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d", x)
-	for _, s := range states {
-		fmt.Fprintf(&b, ":%d", s)
-	}
-	return b.String()
+// stateIndex finds the virtual node of a (switch, automaton states)
+// tuple during exploration. The key is the tuple itself in a fixed
+// width, four bytes per component, so distinct tuples have distinct
+// keys; buf is reused across lookups, which do not allocate.
+type stateIndex struct {
+	ids map[string]NodeID
+	buf []byte
 }
 
-func (g *Graph) intern(x topo.NodeID, states []int32) NodeID {
-	key := stateKey(x, states)
-	if id, ok := g.index[key]; ok {
-		return id
+func newStateIndex(regexes int) *stateIndex {
+	return &stateIndex{ids: make(map[string]NodeID), buf: make([]byte, 0, 4*(1+regexes))}
+}
+
+// key returns the tuple's key in ix.buf, valid until the next call.
+func (ix *stateIndex) key(x topo.NodeID, states []int32) []byte {
+	b := binary.LittleEndian.AppendUint32(ix.buf[:0], uint32(x))
+	for _, s := range states {
+		b = binary.LittleEndian.AppendUint32(b, uint32(s))
 	}
-	id := NodeID(len(g.nodes))
+	ix.buf = b
+	return b
+}
+
+// intern returns the virtual node for (x, states), adding it if it is
+// new; states is copied.
+func (g *Graph) intern(ix *stateIndex, x topo.NodeID, states []int32) (id NodeID, fresh bool) {
+	key := ix.key(x, states)
+	if id, ok := ix.ids[string(key)]; ok {
+		return id, false
+	}
+	id = NodeID(len(g.nodes))
 	accept := make([]bool, len(g.DFAs))
 	for i, d := range g.DFAs {
 		accept[i] = d.Accept[states[i]]
@@ -139,9 +156,9 @@ func (g *Graph) intern(x topo.NodeID, states []int32) NodeID {
 	})
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
-	g.index[key] = id
+	ix.ids[string(key)] = id
 	g.byTopo[x] = append(g.byTopo[x], id)
-	return id
+	return id, true
 }
 
 func (g *Graph) addEdge(from, to NodeID) {
@@ -210,13 +227,11 @@ func (g *Graph) prune() {
 		}
 	}
 	g.nodes, g.out, g.in = nodes, out, in
-	g.index = make(map[string]NodeID, len(nodes))
 	g.byTopo = make(map[topo.NodeID][]NodeID)
 	oldSend := g.send
 	g.send = make(map[topo.NodeID]NodeID)
 	for i := range g.nodes {
 		n := &g.nodes[i]
-		g.index[stateKey(n.Topo, n.States)] = n.ID
 		g.byTopo[n.Topo] = append(g.byTopo[n.Topo], n.ID)
 	}
 	for x, v := range oldSend {
