@@ -21,26 +21,26 @@
 //   - the compiler (Compile → *Program: product graph, probe classes,
 //     per-switch tables, P4 source, state accounting),
 //   - a deterministic packet-level simulator standing in for the
-//     paper's ns-3 testbed (NewSimulation, or the experiment runners
-//     RunFCT / RunFailover / CompileSweep used by the benchmark
-//     harness),
+//     paper's ns-3 testbed (NewSimulation for interactive use),
 //   - the baselines the paper compares against (ECMP, HULA, SPAIN,
 //     shortest-path) selectable by Scheme, and
 //   - a declarative scenario engine (RunScenario) with timed event
 //     scripts — failures, recoveries, capacity degradations, traffic
 //     surges — plus a parallel campaign runner (RunCampaign) that
 //     sweeps scenario matrices and aggregates results
-//     deterministically.
+//     deterministically. Every number in the paper's evaluation is a
+//     campaign spec under examples/paper; CompileSweep measures the
+//     compiler for Figures 9 and 10.
 package contra
 
 import (
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"contra/internal/campaign"
 	"contra/internal/core"
-	"contra/internal/exp"
 	"contra/internal/policy"
 	"contra/internal/scenario"
 	"contra/internal/topo"
@@ -220,30 +220,16 @@ func (p *Program) ProbeClasses() int { return p.compiled.Stats.Pids }
 // TagBits returns the packet-header bits used by the minimized tag.
 func (p *Program) TagBits() int { return p.compiled.Stats.TagBits }
 
-// Experiment harness re-exports: the same runners drive the benchmark
-// suite, the CLI driver, and downstream use.
-type (
-	// Scheme selects a routing system: contra, ecmp, hula, spain, sp.
-	Scheme = exp.Scheme
-	// FCTConfig drives a flow-completion-time experiment.
-	FCTConfig = exp.FCTConfig
-	// FCTResult summarizes one FCT run.
-	FCTResult = exp.FCTResult
-	// FailoverConfig drives the link-failure experiment (Fig 14).
-	FailoverConfig = exp.FailoverConfig
-	// FailoverResult reports the throughput series and recovery time.
-	FailoverResult = exp.FailoverResult
-	// CompileRow is one compiler scalability measurement (Figs 9/10).
-	CompileRow = exp.CompileRow
-)
+// Scheme selects a routing system: contra, ecmp, hula, spain, sp.
+type Scheme = scenario.Scheme
 
 // Scheme constants.
 const (
-	SchemeContra = exp.SchemeContra
-	SchemeECMP   = exp.SchemeECMP
-	SchemeHula   = exp.SchemeHula
-	SchemeSpain  = exp.SchemeSpain
-	SchemeSP     = exp.SchemeSP
+	SchemeContra = scenario.SchemeContra
+	SchemeECMP   = scenario.SchemeECMP
+	SchemeHula   = scenario.SchemeHula
+	SchemeSpain  = scenario.SchemeSpain
+	SchemeSP     = scenario.SchemeSP
 )
 
 // Scenario subsystem re-exports: declarative experiments with timed
@@ -291,17 +277,67 @@ func RunCampaign(spec *CampaignSpec, opts CampaignOptions) (*CampaignReport, err
 	return campaign.Run(spec, opts)
 }
 
-// RunFCT executes one flow-completion-time experiment.
-func RunFCT(cfg FCTConfig) (*FCTResult, error) { return exp.RunFCT(cfg) }
-
-// RunFailover executes the Figure 14 link-failure experiment.
-func RunFailover(cfg FailoverConfig) (*FailoverResult, error) { return exp.RunFailover(cfg) }
-
-// CompileSweep measures compile time and switch state across
-// topologies and policies (Figures 9 and 10).
-func CompileSweep(topos []*Topology, policies map[string]func(*Topology) string) ([]CompileRow, error) {
-	return exp.CompileSweep(topos, policies)
+// CompileRow is one compiler scalability measurement (Figs 9/10).
+type CompileRow struct {
+	Topology    string
+	Switches    int
+	Policy      string
+	CompileTime time.Duration
+	MaxStateKB  float64
+	MeanStateKB float64
+	PGNodes     int
+	TagBits     int
+	Pids        int
 }
 
-// StandardPolicies returns the MU/WP/CA generators of §6.2.
-func StandardPolicies() map[string]func(*Topology) string { return exp.StandardPolicies() }
+// CompileSweep measures compile time and switch state across
+// topologies and policies (Figures 9 and 10). The policies map names
+// (MU/WP/CA) to source generators given the topology; rows come out in
+// topology order, policies by name.
+func CompileSweep(topos []*Topology, policies map[string]func(*Topology) string) ([]CompileRow, error) {
+	names := make([]string, 0, len(policies))
+	for name := range policies {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var rows []CompileRow
+	for _, g := range topos {
+		for _, name := range names {
+			p, err := CompileSource(policies[name](g), g)
+			if err != nil {
+				return nil, fmt.Errorf("%s on %s: %w", name, g.Name, err)
+			}
+			st := p.compiled.Stats
+			rows = append(rows, CompileRow{
+				Topology:    g.Name,
+				Switches:    len(g.Switches()),
+				Policy:      name,
+				CompileTime: st.CompileTime,
+				MaxStateKB:  float64(st.MaxStateBytes) / 1000,
+				MeanStateKB: st.MeanStateBytes / 1000,
+				PGNodes:     st.PGNodes,
+				TagBits:     st.TagBits,
+				Pids:        st.Pids,
+			})
+		}
+	}
+	return rows, nil
+}
+
+// StandardPolicies returns the MU / WP / CA policy generators used by
+// the scalability experiments (§6.2): minimum utilization, a
+// three-waypoint policy, and the non-isotonic congestion-aware policy.
+func StandardPolicies() map[string]func(*Topology) string {
+	return map[string]func(*Topology) string{
+		"MU": func(*Topology) string { return "minimize(path.util)" },
+		"WP": func(g *Topology) string {
+			names := g.SortedNames()
+			k := len(names) / 2
+			w1, w2, w3 := names[k], names[k/2], names[len(names)-1]
+			return fmt.Sprintf("minimize(if .* (%s + %s + %s) .* then path.util else inf)", w1, w2, w3)
+		},
+		"CA": func(*Topology) string {
+			return "minimize(if path.util < .8 then (1, 0, path.util) else (2, path.len, path.util))"
+		},
+	}
+}

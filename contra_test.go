@@ -179,3 +179,38 @@ func TestParseTopologyFacade(t *testing.T) {
 		t.Fatal("unknown symbol should fail")
 	}
 }
+
+func TestCompileSweepSmall(t *testing.T) {
+	topos := []*Topology{Fattree(4, 0), RandomTopology(50, 4, 1)}
+	rows, err := CompileSweep(topos, StandardPolicies())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 6 {
+		t.Fatalf("rows = %d, want 6", len(rows))
+	}
+	for i, r := range rows {
+		if want := []string{"CA", "MU", "WP"}[i%3]; r.Topology != topos[i/3].Name || r.Policy != want {
+			t.Errorf("row %d is %s on %s, want %s on %s", i, r.Policy, r.Topology, want, topos[i/3].Name)
+		}
+		if r.CompileTime <= 0 || r.MaxStateKB <= 0 {
+			t.Errorf("row %+v has empty measurements", r)
+		}
+		if r.Policy == "CA" && r.Pids != 2 {
+			t.Errorf("CA pids = %d, want 2", r.Pids)
+		}
+		if r.Policy == "WP" && r.TagBits < 1 {
+			t.Errorf("WP tag bits = %d, want >= 1", r.TagBits)
+		}
+	}
+}
+
+func TestStandardPoliciesCompileEverywhere(t *testing.T) {
+	for _, g := range []*Topology{Fattree(4, 0), RandomTopology(30, 4, 3), Abilene()} {
+		for name, gen := range StandardPolicies() {
+			if _, err := CompileSource(gen(g), g); err != nil {
+				t.Fatalf("%s on %s: %v", name, g.Name, err)
+			}
+		}
+	}
+}

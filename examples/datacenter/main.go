@@ -1,6 +1,7 @@
 // Datacenter: reproduce the core of the paper's Figure 11 at small
 // scale — Contra's utilization-aware routing vs static ECMP on the
-// 32-host leaf-spine fabric, under the web-search workload.
+// 32-host leaf-spine fabric, under the web-search workload. The
+// figure's own cells are examples/paper/fig11_websearch.json.
 //
 //	go run ./examples/datacenter
 package main
@@ -10,7 +11,6 @@ import (
 	"log"
 
 	"contra"
-	"contra/internal/workload"
 )
 
 func main() {
@@ -24,17 +24,19 @@ func main() {
 		for _, scheme := range []contra.Scheme{
 			contra.SchemeECMP, contra.SchemeContra, contra.SchemeHula,
 		} {
-			res, err := contra.RunFCT(contra.FCTConfig{
-				Topo:   contra.PaperDataCenter(),
-				Scheme: scheme,
+			res, err := contra.RunScenario(contra.Scenario{
+				TopoSpec: "dc",
+				Scheme:   scheme,
 				// Least-utilized shortest paths: HULA's policy,
 				// expressed in Contra's language (paper §6.3).
-				PolicySrc:  "minimize((path.len, path.util))",
-				Dist:       workload.WebSearch(),
-				Load:       load,
-				DurationNs: 10_000_000, // 10ms of arrivals
-				MaxFlows:   800,
-				Seed:       7,
+				Policy: "minimize((path.len, path.util))",
+				Seed:   7,
+				Workload: contra.ScenarioWorkload{
+					Dist:       "websearch",
+					Load:       load,
+					DurationNs: 10_000_000, // 10ms of arrivals
+					MaxFlows:   800,
+				},
 			})
 			if err != nil {
 				log.Fatal(err)

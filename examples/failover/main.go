@@ -14,14 +14,19 @@ import (
 )
 
 func main() {
-	res, err := contra.RunFailover(contra.FailoverConfig{
-		Topo:      contra.PaperDataCenter(),
-		Scheme:    contra.SchemeContra,
-		PolicySrc: "minimize((path.len, path.util))",
-		RateBps:   4.25e9, // the paper's stable UDP rate
-		FailAtNs:  50_000_000,
-		EndNs:     80_000_000,
-		Seed:      1,
+	res, err := contra.RunScenario(contra.Scenario{
+		TopoSpec: "dc",
+		Scheme:   contra.SchemeContra,
+		Policy:   "minimize((path.len, path.util))",
+		Seed:     1,
+		Workload: contra.ScenarioWorkload{
+			Kind:    "cbr",
+			RateBps: 4.25e9, // the paper's stable UDP rate
+			EndNs:   80_000_000,
+		},
+		Events: []contra.ScenarioEvent{
+			{Kind: contra.EventLinkDown, AtNs: 50_000_000, Link: "auto"},
+		},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -597,13 +597,13 @@ func (r *Report) WriteCSV(w io.Writer) error {
 func msec(ns float64) string { return fmt.Sprintf("%.3f", ns/1e6) }
 
 // ComparisonTable groups outcomes by (topo, load, script, seed) and
-// lays the schemes side by side on tail FCT (p95 and p99) — the
-// summary the paper's figures compare schemes on. Rows are sorted by
+// lays the schemes side by side on mean FCT — what the paper's Figures
+// 11, 12 and 15 plot — and tail FCT (p95 and p99). Rows are sorted by
 // group key; scheme columns follow the spec's scheme order.
 func (r *Report) ComparisonTable(schemes []scenario.Scheme) (header []string, rows [][]string) {
 	header = []string{"topo", "load", "script", "seed"}
 	for _, s := range schemes {
-		header = append(header, string(s)+" p95ms", string(s)+" p99ms", string(s)+" drops", string(s)+" jain")
+		header = append(header, string(s)+" mean ms", string(s)+" p95ms", string(s)+" p99ms", string(s)+" drops", string(s)+" jain")
 	}
 	type key struct {
 		topo, script string
@@ -645,12 +645,13 @@ func (r *Report) ComparisonTable(schemes []scenario.Scheme) (header []string, ro
 					jain = fmt.Sprintf("%.4f", res.Classes.Jain)
 				}
 				row = append(row,
+					fmt.Sprintf("%.3f", res.MeanFCT*1e3),
 					fmt.Sprintf("%.3f", res.P95FCT*1e3),
 					fmt.Sprintf("%.3f", res.P99FCT*1e3),
 					trimFloat(res.QueueDrops+res.LinkDownDrops),
 					jain)
 			} else {
-				row = append(row, "-", "-", "-", "-")
+				row = append(row, "-", "-", "-", "-", "-")
 			}
 		}
 		rows = append(rows, row)

@@ -164,8 +164,8 @@ func TestComparisonTableGroupsSchemes(t *testing.T) {
 		t.Fatal(err)
 	}
 	header, rows := report.ComparisonTable(spec.Schemes)
-	// 4 key columns + 4 per scheme (p95, p99, drops, jain).
-	if len(header) != 4+4*len(spec.Schemes) {
+	// 4 key columns + 5 per scheme (mean, p95, p99, drops, jain).
+	if len(header) != 4+5*len(spec.Schemes) {
 		t.Fatalf("header = %v", header)
 	}
 	// One row per (topo, load, script, seed) group: 1*2*1*1.
@@ -173,6 +173,9 @@ func TestComparisonTableGroupsSchemes(t *testing.T) {
 		t.Fatalf("rows = %d, want 2: %v", len(rows), rows)
 	}
 	for _, r := range rows {
+		if len(r) != len(header) {
+			t.Fatalf("row has %d cells under %d headers: %v", len(r), len(header), r)
+		}
 		for i, cell := range r {
 			if cell == "-" {
 				t.Fatalf("missing scheme cell %d in row %v", i, r)

@@ -21,7 +21,7 @@ const (
 )
 
 // wpPolicy is the scalability experiments' three-waypoint policy, with
-// the same waypoint picks as exp.StandardPolicies.
+// the same waypoint picks as contra.StandardPolicies.
 func wpPolicy(g *topo.Graph) string {
 	names := g.SortedNames()
 	k := len(names) / 2

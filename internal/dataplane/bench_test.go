@@ -46,18 +46,27 @@ func BenchmarkProbeProcessing(b *testing.B) {
 	}
 }
 
-// BenchmarkDataForwarding measures SWIFORWARDPKT with a warm flowlet
-// table.
-func BenchmarkDataForwarding(b *testing.B) {
+// attachHooks installs observability hooks on a deployed, not yet
+// started network.
+type attachHooks func(e *sim.Engine, n *sim.Network, routers map[topo.NodeID]*Contra)
+
+// dataForwardingFixture warms the paper's data center under Contra and
+// returns a step that forwards the next packet of one pinned flow
+// through leaf l0: SWIFORWARDPKT with a warm flowlet table. A nil
+// attach leaves every hook off.
+func dataForwardingFixture(tb testing.TB, attach attachHooks) (step func()) {
 	g := topo.PaperDataCenter()
 	pol := policy.MustParse("minimize((path.len, path.util))")
 	comp, err := core.Compile(g, pol, core.Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	e := sim.NewEngine(1)
 	n := sim.NewNetwork(e, g, sim.Config{})
 	routers := Deploy(n, comp)
+	if attach != nil {
+		attach(e, n, routers)
+	}
 	n.Start()
 	e.Run(12 * comp.Opts.ProbePeriodNs)
 
@@ -66,14 +75,15 @@ func BenchmarkDataForwarding(b *testing.B) {
 	srcHost := g.MustNode("h0_0")
 	dstHost := g.MustNode("h1_0")
 	hostPort := g.PortTo(l0, srcHost)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	var seq int64
+	return func() {
 		p := n.NewPacket()
 		p.Kind = sim.Data
 		p.Size = 1500
 		p.Src, p.Dst = srcHost, dstHost
 		p.FlowID = 42
-		p.Seq = int64(i)
+		p.Seq = seq
+		seq++
 		p.TTL = sim.InitialTTL
 		p.Tag = -1
 		r.Handle(p, hostPort)
@@ -81,117 +91,103 @@ func BenchmarkDataForwarding(b *testing.B) {
 	}
 }
 
-// BenchmarkDataForwardingTraced is BenchmarkDataForwarding with
-// decision-level tracing attached (bounded by a decision ring, as a
-// long campaign would run it): the measured delta against the plain
-// benchmark is the observability tax on SWIFORWARDPKT, and the plain
-// benchmark's own envelope — compared by scripts/bench.sh across
-// commits — is what keeps the trace-off path at zero cost.
-func BenchmarkDataForwardingTraced(b *testing.B) {
-	g := topo.PaperDataCenter()
-	pol := policy.MustParse("minimize((path.len, path.util))")
-	comp, err := core.Compile(g, pol, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := sim.NewEngine(1)
-	n := sim.NewNetwork(e, g, sim.Config{})
-	routers := Deploy(n, comp)
+// attachTracing is decision-level tracing bounded by a decision ring,
+// as a long campaign would run it.
+func attachTracing(_ *sim.Engine, n *sim.Network, routers map[topo.NodeID]*Contra) {
 	rec := trace.NewRecorder(trace.Decisions)
 	rec.SetDecisionCap(4096)
 	n.Trace = rec
 	for _, r := range routers {
 		r.SetTracer(rec)
 	}
-	n.Start()
-	e.Run(12 * comp.Opts.ProbePeriodNs)
-
-	l0 := g.MustNode("l0")
-	r := routers[l0]
-	srcHost := g.MustNode("h0_0")
-	dstHost := g.MustNode("h1_0")
-	hostPort := g.PortTo(l0, srcHost)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := n.NewPacket()
-		p.Kind = sim.Data
-		p.Size = 1500
-		p.Src, p.Dst = srcHost, dstHost
-		p.FlowID = 42
-		p.Seq = int64(i)
-		p.TTL = sim.InitialTTL
-		p.Tag = -1
-		r.Handle(p, hostPort)
-		e.Run(e.Now() + 1)
-	}
 }
 
-// BenchmarkDataForwardingMetrics is BenchmarkDataForwarding with the
-// telemetry sampler attached (churn hooks live on every router, the
-// periodic sampling timer armed, ring storage bounded as a campaign
-// would run it): the delta against the plain benchmark is the
-// telemetry tax on SWIFORWARDPKT. scripts/bench.sh holds it under the
-// same 3x envelope as tracing and requires steady-state zero
-// allocations (ring reuse after freeze).
-func BenchmarkDataForwardingMetrics(b *testing.B) {
-	g := topo.PaperDataCenter()
-	pol := policy.MustParse("minimize((path.len, path.util))")
-	comp, err := core.Compile(g, pol, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := sim.NewEngine(1)
-	n := sim.NewNetwork(e, g, sim.Config{})
-	routers := Deploy(n, comp)
+// attachTelemetry is the telemetry sampler as a campaign would run it:
+// churn hooks live on every router, the periodic sampling timer armed,
+// ring storage bounded.
+func attachTelemetry(e *sim.Engine, n *sim.Network, routers map[topo.NodeID]*Contra) {
 	const intervalNs = 100_000
 	m := metrics.NewRecorder(intervalNs)
 	m.SetSampleCap(1024)
 	n.AttachMetrics(m)
-	for _, id := range g.Switches() {
-		routers[id].SetChurn(m.RegisterRouter(g.Node(id).Name))
+	for _, id := range n.Topo.Switches() {
+		routers[id].SetChurn(m.RegisterRouter(n.Topo.Node(id).Name))
 	}
-	n.Start()
 	e.Every(0, intervalNs, n.SampleMetrics)
-	e.Run(12 * comp.Opts.ProbePeriodNs)
+}
 
-	l0 := g.MustNode("l0")
-	r := routers[l0]
-	srcHost := g.MustNode("h0_0")
-	dstHost := g.MustNode("h1_0")
-	hostPort := g.PortTo(l0, srcHost)
+func benchDataForwarding(b *testing.B, attach attachHooks) {
+	step := dataForwardingFixture(b, attach)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := n.NewPacket()
-		p.Kind = sim.Data
-		p.Size = 1500
-		p.Src, p.Dst = srcHost, dstHost
-		p.FlowID = 42
-		p.Seq = int64(i)
-		p.TTL = sim.InitialTTL
-		p.Tag = -1
-		r.Handle(p, hostPort)
-		e.Run(e.Now() + 1)
+		step()
 	}
 }
 
-// BenchmarkProbeFanoutFattree8 measures one full probe period on a
-// k=8 fat-tree (80 switches, the ROADMAP's profiling target): every
-// origin emits a probe per pid x port and the fabric floods them along
-// product-graph out-edges. The per-iteration cost is the whole
-// period's event churn — originate bursts, event-queue scheduling,
-// PROCESSPROBE — and must not allocate in steady state.
-func BenchmarkProbeFanoutFattree8(b *testing.B) {
+// BenchmarkDataForwarding measures SWIFORWARDPKT with a warm flowlet
+// table.
+func BenchmarkDataForwarding(b *testing.B) { benchDataForwarding(b, nil) }
+
+// BenchmarkDataForwardingTraced is BenchmarkDataForwarding with
+// decision-level tracing attached: the delta against the plain
+// benchmark is the observability tax on SWIFORWARDPKT.
+func BenchmarkDataForwardingTraced(b *testing.B) { benchDataForwarding(b, attachTracing) }
+
+// BenchmarkDataForwardingMetrics is BenchmarkDataForwarding with the
+// telemetry sampler attached: the delta against the plain benchmark is
+// the telemetry tax on SWIFORWARDPKT.
+func BenchmarkDataForwardingMetrics(b *testing.B) { benchDataForwarding(b, attachTelemetry) }
+
+// TestDataForwardingAllocatesNothing holds SWIFORWARDPKT on a warm
+// flowlet table to zero allocations per packet with the observability
+// hooks off, with decision tracing on and with telemetry sampling on
+// (AllocsPerRun's own warm-up call pins the flowlet).
+func TestDataForwardingAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		attach attachHooks
+	}{
+		{"hooks off", nil},
+		{"decision tracing on", attachTracing},
+		{"telemetry sampling on", attachTelemetry},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			step := dataForwardingFixture(t, tc.attach)
+			if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+				t.Fatalf("forwarding one data packet allocates %.2f times, want 0", allocs)
+			}
+		})
+	}
+}
+
+// probeFanoutFixture warms a k=8 fat-tree (80 switches) with no flows
+// under minimize(path.util): what then runs each period is the probe
+// protocol alone — originate bursts, event-queue scheduling,
+// PROCESSPROBE along product-graph out-edges.
+func probeFanoutFixture(tb testing.TB, opts core.Options) (*sim.Engine, *sim.Network, *core.Compiled) {
 	g := topo.Fattree(8, 0)
 	pol := policy.MustParse("minimize(path.util)")
-	comp, err := core.Compile(g, pol, core.Options{})
+	comp, err := core.Compile(g, pol, opts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	e := sim.NewEngine(1)
 	n := sim.NewNetwork(e, g, sim.Config{})
 	Deploy(n, comp)
 	n.Start()
-	e.Run(12 * comp.Opts.ProbePeriodNs) // tables warm, fwd maps sized
+	e.Run(12 * comp.Opts.ProbePeriodNs) // tables warm
+	return e, n, comp
+}
+
+// packedFanout is the probe aggregation the packed benchmark and the
+// wire-count test run: multi-origin packing plus delta suppression.
+var packedFanout = core.Options{ProbePacking: true, SuppressEps: 0.01, RefreshEvery: 4}
+
+// BenchmarkProbeFanoutFattree8 measures one full probe period on a
+// k=8 fat-tree: every origin emits a probe per pid x port and the
+// fabric floods them. It must not allocate in steady state.
+func BenchmarkProbeFanoutFattree8(b *testing.B) {
+	e, _, comp := probeFanoutFixture(b, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Run(e.Now() + comp.Opts.ProbePeriodNs)
@@ -199,30 +195,39 @@ func BenchmarkProbeFanoutFattree8(b *testing.B) {
 }
 
 // BenchmarkProbeFanoutFattree8Packed is BenchmarkProbeFanoutFattree8
-// with multi-origin probe packing and delta suppression on: the same
-// k=8 fat-tree probe period, but transit re-advertisements are batched
-// into one packed probe per port and unchanged origins are suppressed
-// between forced refreshes. The ratio to the unpacked benchmark is the
-// PR 5 headline number (target >= 2x).
+// with multi-origin probe packing and delta suppression on: transit
+// re-advertisements are batched into one packed probe per port and
+// unchanged origins are suppressed between forced refreshes.
 func BenchmarkProbeFanoutFattree8Packed(b *testing.B) {
-	g := topo.Fattree(8, 0)
-	pol := policy.MustParse("minimize(path.util)")
-	comp, err := core.Compile(g, pol, core.Options{
-		ProbePacking: true,
-		SuppressEps:  0.01,
-		RefreshEvery: 4,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := sim.NewEngine(1)
-	n := sim.NewNetwork(e, g, sim.Config{})
-	Deploy(n, comp)
-	n.Start()
-	e.Run(12 * comp.Opts.ProbePeriodNs) // tables warm, fwd maps sized
+	e, _, comp := probeFanoutFixture(b, packedFanout)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Run(e.Now() + comp.Opts.ProbePeriodNs)
+	}
+}
+
+// TestPackingHalvesWireProbes is the machine-independent form of the
+// packed/unpacked benchmark ratio: over one forced-refresh cycle on the
+// benchmarks' warmed fat-tree, packing and suppression put at most half
+// as many probe packets on the wire. Packets are counted from the
+// network's probe byte counter: an unpacked probe is exactly probeSize
+// bytes, and a packed one at least an empty packed frame, so the packed
+// count is an upper bound.
+func TestPackingHalvesWireProbes(t *testing.T) {
+	probeBytes := func(opts core.Options) (float64, *core.Compiled) {
+		e, n, comp := probeFanoutFixture(t, opts)
+		n.FoldCounters()
+		before := n.Counters.Get("bytes_probe")
+		e.Run(e.Now() + int64(packedFanout.RefreshEvery)*comp.Opts.ProbePeriodNs)
+		n.FoldCounters()
+		return n.Counters.Get("bytes_probe") - before, comp
+	}
+	bytes, comp := probeBytes(core.Options{})
+	unpacked := bytes / float64(comp.Stats.ProbeBytes+18)
+	bytes, comp = probeBytes(packedFanout)
+	packed := bytes / float64(comp.PackedProbeBytes(0)+18)
+	if unpacked == 0 || packed > unpacked/2 {
+		t.Fatalf("wire probes per refresh cycle: packed <= %.0f, unpacked %.0f; want packed <= half", packed, unpacked)
 	}
 }
 

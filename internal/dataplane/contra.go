@@ -143,10 +143,9 @@ type Contra struct {
 	srcPins  map[srcKey]*srcPin
 	loopTbl  [loopSlots]loopSlot
 
-	// evCand/evCur are reusable rank evaluators (candidate vs
-	// incumbent, so a pairwise comparison can hold both results); the
-	// probe hot path evaluates ranks without allocating.
-	evCand, evCur *analysis.Evaluator
+	// evCand is the reusable rank evaluator: the probe hot path
+	// evaluates and compares ranks on it without allocating.
+	evCand *analysis.Evaluator
 
 	version   uint32
 	lastProbe []int64 // per port: last probe arrival (failure detection)
@@ -214,7 +213,6 @@ func New(comp *core.Compiled, swID topo.NodeID) *Contra {
 		flowlets:  make(map[flowKey]*flowletEntry),
 		srcPins:   make(map[srcKey]*srcPin),
 		evCand:    comp.Analysis.NewEvaluator(),
-		evCur:     comp.Analysis.NewEvaluator(),
 		probeSize: comp.Stats.ProbeBytes + 18, // + minimal L2 framing
 	}
 	c.packing = comp.Opts.ProbePacking
@@ -419,7 +417,9 @@ func (c *Contra) Handle(pkt *sim.Packet, inPort int) {
 	}
 }
 
-// handleProbe is PROCESSPROBE (Figure 7) plus §5 refinements.
+// handleProbe receives a standalone probe: one advertisement, which
+// handleProbeEntry merges and which is then retagged and forwarded in
+// place along the product graph's out-edges.
 func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 	now := c.sw.Now()
 	c.lastProbe[inPort] = now
@@ -445,24 +445,74 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 		c.sw.Drop(pkt, sim.DropProbeNoTrans)
 		return
 	}
+	// A standalone probe reads only the link metrics its policy carries:
+	// TxUtil folds the estimator's decay into its state, so a read the
+	// policy does not need would still move later readings.
+	var util, latAdd float64
+	for _, m := range c.res.MV {
+		switch m {
+		case policy.Util:
+			util = c.sw.TxUtil(inPort)
+		case policy.Lat:
+			latAdd = float64(c.sw.PortDelay(inPort)) / 1e9
+		}
+	}
+	ad := sim.ProbeEntry{Origin: pkt.Origin, Tag: pkt.Tag, Version: pkt.Version, Pid: pkt.Pid, MV: pkt.MV}
+	e := c.handleProbeEntry(&ad, ord, inPort, util, latAdd, now)
+
+	// Retag and multicast along product graph out-edges.
+	outPorts := c.probeOut[ord]
+	if e == nil || len(outPorts) == 0 {
+		c.sw.Net.Free(pkt)
+		return
+	}
+	if c.suppressOn && c.suppressAdvert(e, now) {
+		c.sw.Net.CountProbeSuppressed(1)
+		c.sw.Net.CountProbeSaved(int64(len(outPorts)))
+		c.sw.Net.Free(pkt)
+		return
+	}
+	if c.suppressOn {
+		c.recordAdvert(e, now)
+	}
+	pkt.Tag = int32(e.vnode)
+	pkt.MV = e.mv
+	for i, port := range outPorts {
+		if i == len(outPorts)-1 {
+			c.sw.Send(port, pkt)
+		} else {
+			c.sw.Send(port, c.sw.Net.Clone(pkt))
+		}
+	}
+}
+
+// handleProbeEntry is PROCESSPROBE (Figure 7) plus the §5 refinements
+// for one advertisement — a standalone probe, or one entry of a packed
+// one — that arrived on inPort and whose sender's tag resolved to our
+// virtual node at ordinal ord. util and latAdd are inPort's link
+// metrics in the traffic direction (probes flow opposite to traffic, so
+// that is out of inPort). It returns the updated entry when the
+// advertisement was accepted, nil when it was discarded. The rule
+// allocates nothing: ad is read in place and both rank evaluations run
+// on one reusable evaluator.
+func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, ord int32, inPort int, util, latAdd float64, now int64) *fwdEntry {
 	v := c.prog.VNodes[ord]
-	// UPDATEMVEC: fold the traffic-direction link metric. Probes flow
-	// opposite to traffic, so the relevant direction is out of inPort.
-	mv := pkt.MV
+	// UPDATEMVEC: fold the link metric.
+	mv := ad.MV
 	for i, m := range c.res.MV {
 		switch m {
 		case policy.Util:
-			if u := c.sw.TxUtil(inPort); u > mv[i] {
-				mv[i] = u
+			if util > mv[i] {
+				mv[i] = util
 			}
 		case policy.Lat:
-			mv[i] += float64(c.sw.PortDelay(inPort)) / 1e9
+			mv[i] += latAdd
 		case policy.Len:
 			mv[i]++
 		}
 	}
 
-	e := c.lookup(pkt.Origin, ord, pkt.Pid)
+	e := c.lookup(ad.Origin, ord, ad.Pid)
 	accept := false
 	switch {
 	case e == nil:
@@ -470,9 +520,9 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 		if c.mx != nil {
 			c.mx.Added++
 		}
-	case pkt.Version < e.version:
+	case ad.Version < e.version:
 		// Outdated probe: discard (§5.1).
-	case inPort == e.nhop && pg.NodeID(pkt.Tag) == e.ntag:
+	case inPort == e.nhop && pg.NodeID(ad.Tag) == e.ntag:
 		// DSDV/Babel rule: the route's own upstream always refreshes
 		// the entry, even when its metric worsened — stale good news
 		// must not shadow fresh bad news.
@@ -488,65 +538,40 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 	default:
 		// Live entries are displaced only by strict improvement, which
 		// keeps route churn (and hence transient loops) bounded.
-		accept = c.evCand.EvalRank(int(pkt.Pid), mv).Better(c.evCur.EvalRank(int(pkt.Pid), e.mv))
+		accept = c.evCand.BetterRank(int(ad.Pid), mv, e.mv)
 		if accept && c.mx != nil {
 			c.mx.Replaced++
 		}
 	}
 	if !accept {
 		if c.altOn && e != nil && inPort != e.nhop {
-			c.noteAlt(e, v, inPort, pg.NodeID(pkt.Tag), mv, now)
+			c.noteAlt(e, v, inPort, pg.NodeID(ad.Tag), mv, now)
 		}
-		c.sw.Net.Free(pkt)
-		return
+		return nil
 	}
 	// Flap detection reads the resolved best next hop before the entry
 	// mutates (the accept may rewrite the incumbent best's own port).
 	oldHop := -1
 	if c.mx != nil {
-		oldHop = c.bestHop(pkt.Origin)
+		oldHop = c.bestHop(ad.Origin)
 	}
 	if e == nil {
-		e = c.claim(pkt.Origin, ord, pkt.Pid)
+		e = c.claim(ad.Origin, ord, ad.Pid)
 	} else if c.altOn && inPort != e.nhop {
 		demoteToAlt(e)
 	}
 	e.mv = mv
-	e.ntag = pg.NodeID(pkt.Tag)
+	e.ntag = pg.NodeID(ad.Tag)
 	e.nhop = inPort
-	e.version = pkt.Version
+	e.version = ad.Version
 	e.updated = now
 	e.setRank(c.policyRank(v, mv))
 
 	c.updateBest(e)
-	if c.mx != nil && oldHop >= 0 && c.bestHop(pkt.Origin) != oldHop {
+	if c.mx != nil && oldHop >= 0 && c.bestHop(ad.Origin) != oldHop {
 		c.mx.Flaps++
 	}
-
-	// Retag and multicast along product graph out-edges.
-	outPorts := c.probeOut[ord]
-	if len(outPorts) == 0 {
-		c.sw.Net.Free(pkt)
-		return
-	}
-	if c.suppressOn && c.suppressAdvert(e, now) {
-		c.sw.Net.CountProbeSuppressed(1)
-		c.sw.Net.CountProbeSaved(int64(len(outPorts)))
-		c.sw.Net.Free(pkt)
-		return
-	}
-	if c.suppressOn {
-		c.recordAdvert(e, now)
-	}
-	pkt.Tag = int32(v)
-	pkt.MV = mv
-	for i, port := range outPorts {
-		if i == len(outPorts)-1 {
-			c.sw.Send(port, pkt)
-		} else {
-			c.sw.Send(port, c.sw.Net.Clone(pkt))
-		}
-	}
+	return e
 }
 
 // suppressAdvert reports whether re-advertising entry e may be skipped
@@ -595,12 +620,10 @@ func (c *Contra) markPending(e *fwdEntry, outPorts []int) {
 	}
 }
 
-// handlePacked is PROCESSPROBE over a packed multi-origin probe: each
-// entry runs the same accept/update logic as a standalone probe, but
-// re-advertisement is deferred to the per-period flush instead of
-// forwarding the packet. An empty packed probe is a pure liveness
-// heartbeat. The loop is allocation-free: entries are read in place
-// and both rank evaluations run on one reusable evaluator.
+// handlePacked receives a packed multi-origin probe: handleProbeEntry
+// merges each entry as it would a standalone probe, but re-advertisement
+// is deferred to the per-period flush instead of forwarding the packet.
+// An empty packed probe is a pure liveness heartbeat.
 func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 	now := c.sw.Now()
 	c.lastProbe[inPort] = now
@@ -608,7 +631,7 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 		c.sw.Drop(pkt, sim.DropProbeStale)
 		return
 	}
-	// Link-metric folds shared by every entry on this port.
+	// Link metrics shared by every entry on this port.
 	util := c.sw.TxUtil(inPort)
 	latAdd := float64(c.sw.PortDelay(inPort)) / 1e9
 	for i := range pkt.Packed {
@@ -620,71 +643,9 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 		if ord < 0 || !c.keyOK(en.Origin, en.Pid) {
 			continue
 		}
-		v := c.prog.VNodes[ord]
-		mv := en.MV
-		for j, m := range c.res.MV {
-			switch m {
-			case policy.Util:
-				if util > mv[j] {
-					mv[j] = util
-				}
-			case policy.Lat:
-				mv[j] += latAdd
-			case policy.Len:
-				mv[j]++
-			}
-		}
-		e := c.lookup(en.Origin, ord, en.Pid)
-		accept := false
-		switch {
-		case e == nil:
-			accept = true
-			if c.mx != nil {
-				c.mx.Added++
-			}
-		case en.Version < e.version:
-			// Outdated entry (§5.1).
-		case inPort == e.nhop && pg.NodeID(en.Tag) == e.ntag:
-			accept = true // DSDV/Babel upstream-refresh rule
-		case c.expired(e):
-			accept = true // §5.4 metric expiration
-			if c.mx != nil {
-				c.mx.Expired++
-			}
-		default:
-			accept = c.evCand.BetterRank(int(en.Pid), mv, e.mv)
-			if accept && c.mx != nil {
-				c.mx.Replaced++
-			}
-		}
-		if !accept {
-			if c.altOn && e != nil && inPort != e.nhop {
-				c.noteAlt(e, v, inPort, pg.NodeID(en.Tag), mv, now)
-			}
-			continue
-		}
-		oldHop := -1
-		if c.mx != nil {
-			oldHop = c.bestHop(en.Origin)
-		}
-		if e == nil {
-			e = c.claim(en.Origin, ord, en.Pid)
-		} else if c.altOn && inPort != e.nhop {
-			demoteToAlt(e)
-		}
-		e.mv = mv
-		e.ntag = pg.NodeID(en.Tag)
-		e.nhop = inPort
-		e.version = en.Version
-		e.updated = now
-		e.setRank(c.policyRank(v, mv))
-		c.updateBest(e)
-		if c.mx != nil && oldHop >= 0 && c.bestHop(en.Origin) != oldHop {
-			c.mx.Flaps++
-		}
-
+		e := c.handleProbeEntry(en, ord, inPort, util, latAdd, now)
 		outPorts := c.probeOut[ord]
-		if len(outPorts) == 0 {
+		if e == nil || len(outPorts) == 0 {
 			continue
 		}
 		if e.pending {
@@ -1232,7 +1193,6 @@ func (c *Contra) Install(comp *core.Compiled, era uint8) {
 	c.prog = comp.Switches[id]
 	c.res = comp.Analysis
 	c.evCand = comp.Analysis.NewEvaluator()
-	c.evCur = comp.Analysis.NewEvaluator()
 	c.probeSize = comp.Stats.ProbeBytes + 18
 	c.era = era
 	c.setHorizons()

@@ -148,8 +148,11 @@ func Read(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("flowtrace: unknown workload kind %q in meta", meta.Kind)
 	}
 	t := &Trace{Meta: meta}
-	if meta.Flows > 0 {
-		t.Flows = make([]Flow, 0, meta.Flows)
+	// The declared count sizes the slice only up to a bound: until the
+	// lines arrive it is a claim, and a corrupt one must not be able to
+	// demand the memory (or overflow the allocation and panic).
+	if n := min(meta.Flows, 1<<16); n > 0 {
+		t.Flows = make([]Flow, 0, n)
 	}
 	line := 1
 	for sc.Scan() {

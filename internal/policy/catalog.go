@@ -79,12 +79,7 @@ func Failover(paths ...[]string) *Policy {
 	for i, p := range paths {
 		fmt.Fprintf(&b, "if %s then %d else ", strings.Join(p, " "), i)
 	}
-	b.WriteString("inf")
-	for range paths {
-		// closing of nested ifs is implicit (no parens needed)
-		_ = b
-	}
-	b.WriteString(")")
+	b.WriteString("inf)")
 	return MustParse(b.String())
 }
 

@@ -61,6 +61,15 @@ type parser struct {
 	pos     int
 	src     string
 	symbols map[string]bool // nil means any identifier is a symbol
+
+	// condAt remembers parseCondAtom's outcome by start position.
+	condAt map[int]condMemo
+}
+
+type condMemo struct {
+	c   Cond
+	err error
+	end int // p.pos the attempt left behind
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -293,7 +302,27 @@ func (p *parser) parseNot() (Cond, error) {
 // The orders matter: "path.util < .8" must not be parsed as a regex
 // (it cannot be: 'path' is a keyword), and "(A + B) .*" must be tried
 // as a regex before "(cond)" so the trailing concatenation is kept.
+//
+// A failed attempt can have parsed conditions of its own (an `if`
+// inside a parenthesized expression) that the next attempt reaches
+// again. The parse from a given position never changes, so each
+// position's outcome is remembered: without that, every nesting level
+// doubles the work and a 130-byte policy takes hours to reject.
 func (p *parser) parseCondAtom() (Cond, error) {
+	start := p.pos
+	if m, ok := p.condAt[start]; ok {
+		p.pos = m.end
+		return m.c, m.err
+	}
+	c, err := p.condAtomAttempts()
+	if p.condAt == nil {
+		p.condAt = make(map[int]condMemo)
+	}
+	p.condAt[start] = condMemo{c: c, err: err, end: p.pos}
+	return c, err
+}
+
+func (p *parser) condAtomAttempts() (Cond, error) {
 	// Attempt 1: comparison.
 	mark := p.pos
 	if l, err := p.parseExpr(); err == nil {

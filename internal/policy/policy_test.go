@@ -345,15 +345,21 @@ func TestMetricCombine(t *testing.T) {
 }
 
 func TestFailoverPolicy(t *testing.T) {
-	p := Failover([]string{"A", "B", "D"}, []string{"A", "C", "D"})
-	if got := p.RankPath(PathInfo{Nodes: []string{"A", "B", "D"}}); !got.Equal(Finite(0)) {
-		t.Fatalf("primary = %v, want 0", got)
-	}
-	if got := p.RankPath(PathInfo{Nodes: []string{"A", "C", "D"}}); !got.Equal(Finite(1)) {
-		t.Fatalf("backup = %v, want 1", got)
-	}
-	if got := p.RankPath(PathInfo{Nodes: []string{"A", "D"}}); !got.IsInf() {
-		t.Fatalf("other = %v, want inf", got)
+	paths := [][]string{{"A", "B", "D"}, {"A", "C", "D"}, {"A", "B", "C", "D"}}
+	for n := 2; n <= len(paths); n++ {
+		p := Failover(paths[:n]...)
+		for i, nodes := range paths {
+			got := p.RankPath(PathInfo{Nodes: nodes})
+			if i < n && !got.Equal(Finite(float64(i))) {
+				t.Errorf("%d paths: preference %d ranks %v, want %d", n, i, got, i)
+			}
+			if i >= n && !got.IsInf() {
+				t.Errorf("%d paths: unlisted %v ranks %v, want inf", n, nodes, got)
+			}
+		}
+		if got := p.RankPath(PathInfo{Nodes: []string{"A", "D"}}); !got.IsInf() {
+			t.Errorf("%d paths: other = %v, want inf", n, got)
+		}
 	}
 }
 

@@ -6,9 +6,9 @@
 //
 // Scenarios are plain data: construct them in Go, or decode them from
 // the JSON spec format used by campaign files. The same engine backs
-// the legacy exp.RunFCT / exp.RunFailover entry points and the
-// contracamp campaign runner, so every experiment in the repo flows
-// through one code path.
+// contrasim, the contracamp campaign runner and the paper-figure specs
+// under examples/paper, so every experiment in the repo flows through
+// one code path.
 package scenario
 
 import (

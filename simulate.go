@@ -14,8 +14,8 @@ type Flow = sim.FlowSpec
 
 // Simulation runs a compiled program on the packet-level simulator,
 // with interactive controls for examples and exploratory use: inject
-// flows, fail links, inspect converged routes. The experiment runners
-// (RunFCT etc.) are the batch equivalents.
+// flows, fail links, inspect converged routes. RunScenario and
+// RunCampaign are the batch equivalents.
 type Simulation struct {
 	prog    *Program
 	eng     *sim.Engine
