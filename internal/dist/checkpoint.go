@@ -1,13 +1,12 @@
 package dist
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"io"
-	"os"
 	"strings"
 	"sync"
+
+	"contra/internal/jsonl"
 )
 
 // Checkpoint is the resume journal of a sharded campaign run: one
@@ -26,7 +25,7 @@ import (
 // re-run, which at-least-once execution already tolerates.
 type Checkpoint struct {
 	mu      sync.Mutex
-	f       *os.File
+	a       *jsonl.Appender
 	done    map[string]bool
 	garbled int
 }
@@ -34,47 +33,28 @@ type Checkpoint struct {
 // OpenCheckpoint opens (or creates) a checkpoint file and loads the
 // completed key set from its complete lines.
 func OpenCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := openSealed(path)
 	if err != nil {
 		return nil, err
 	}
-	if err := sealTornLine(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(0, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	done := make(map[string]bool)
-	garbled := 0
-	br := bufio.NewReaderSize(f, 64<<10)
-	for {
-		line, err := br.ReadString('\n')
-		if key := strings.TrimSpace(line); key != "" {
-			if validKeyLine(key) {
-				done[key] = true
-			} else {
-				// A torn line from a crashed concurrent append — possibly
-				// fused with the valid line written after it. The fused
-				// key(s) cannot be separated reliably, so drop the line;
-				// its scenarios re-run and Merge dedups the records.
-				garbled++
-			}
+	c := &Checkpoint{a: jsonl.NewAppender(f), done: make(map[string]bool)}
+	_, err = jsonl.Scan(f, jsonl.TornTail, func(_ int, raw []byte) error {
+		if validKeyLine(raw) {
+			c.done[string(raw)] = true
+		} else {
+			// A torn line from a crashed concurrent append — possibly
+			// fused with the valid line written after it. The fused
+			// key(s) cannot be separated reliably, so drop the line;
+			// its scenarios re-run and Merge dedups the records.
+			c.garbled++
 		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("dist: checkpoint %s: %v", path, err)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+		return nil
+	})
+	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("dist: checkpoint %s: %w", path, err)
 	}
-	return &Checkpoint{f: f, done: done, garbled: garbled}, nil
+	return c, nil
 }
 
 // validKeyLine reports whether line has the shape of one canonical
@@ -84,8 +64,8 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 // happens to end in a well-formed key, in which case the fused line is
 // kept as an inert entry that matches no real key (Done never returns
 // true for it) and the affected scenarios re-run.
-func validKeyLine(line string) bool {
-	i := strings.LastIndexByte(line, '#')
+func validKeyLine(line []byte) bool {
+	i := bytes.LastIndexByte(line, '#')
 	if i < 1 || len(line)-i-1 != 16 {
 		return false
 	}
@@ -152,10 +132,7 @@ func (c *Checkpoint) Mark(key string) error {
 	if c.done[key] {
 		return nil
 	}
-	var b bytes.Buffer
-	b.WriteString(key)
-	b.WriteByte('\n')
-	if _, err := c.f.Write(b.Bytes()); err != nil {
+	if err := c.a.Append([]byte(key)); err != nil {
 		return err
 	}
 	c.done[key] = true
@@ -163,4 +140,4 @@ func (c *Checkpoint) Mark(key string) error {
 }
 
 // Close closes the underlying file.
-func (c *Checkpoint) Close() error { return c.f.Close() }
+func (c *Checkpoint) Close() error { return c.a.Close() }

@@ -20,8 +20,6 @@
 package dist
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -30,6 +28,7 @@ import (
 	"strings"
 	"sync"
 
+	"contra/internal/jsonl"
 	"contra/internal/scenario"
 )
 
@@ -101,22 +100,17 @@ type Sink interface {
 	Close() error
 }
 
-// JSONLSink writes one record per line. Each Emit issues a single
-// Write of the whole line, so a crash tears at most the final line of
-// the file — which ReadRecords and the append-mode opener tolerate.
+// JSONLSink writes one record per line through a jsonl.Appender: a
+// crash tears at most the final line of the file, which ReadRecords and
+// the append-mode opener tolerate.
 type JSONLSink struct {
 	mu sync.Mutex
-	w  io.Writer
-	c  io.Closer
+	a  *jsonl.Appender
 }
 
 // NewJSONLSink streams records to w.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	s := &JSONLSink{w: w}
-	if c, ok := w.(io.Closer); ok {
-		s.c = c
-	}
-	return s
+	return &JSONLSink{a: jsonl.NewAppender(w)}
 }
 
 // CreateJSONL opens a record stream file. With resume set, the file is
@@ -132,50 +126,27 @@ func CreateJSONL(path string, resume bool) (*JSONLSink, error) {
 		}
 		return NewJSONLSink(f), nil
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := openSealed(path)
 	if err != nil {
-		return nil, err
-	}
-	if err := sealTornLine(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
 		return nil, err
 	}
 	return NewJSONLSink(f), nil
 }
 
-// sealTornLine truncates f back to its last complete ('\n'-terminated)
-// line, dropping the partial record a mid-write crash left at the end.
-func sealTornLine(f *os.File) error {
-	info, err := f.Stat()
+// openSealed opens (or creates) an append-only line file for resume:
+// sealed back to its last complete line, positioned at the start for
+// reading. O_APPEND puts every write at the end wherever reads leave
+// the offset.
+func openSealed(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	size := info.Size()
-	if size == 0 {
-		return nil
+	if err := jsonl.Seal(f); err != nil {
+		f.Close()
+		return nil, err
 	}
-	// Walk back from the end in chunks until a newline is found.
-	const chunk = 64 << 10
-	buf := make([]byte, chunk)
-	end := size
-	for end > 0 {
-		n := int64(chunk)
-		if n > end {
-			n = end
-		}
-		if _, err := f.ReadAt(buf[:n], end-n); err != nil {
-			return err
-		}
-		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
-			return f.Truncate(end - n + int64(i) + 1)
-		}
-		end -= n
-	}
-	return f.Truncate(0) // no newline at all: the whole file is one torn line
+	return f, nil
 }
 
 // Emit writes one record line.
@@ -184,46 +155,30 @@ func (s *JSONLSink) Emit(rec *Record) error {
 	if err != nil {
 		return fmt.Errorf("dist: encode record %s: %v", rec.Key, err)
 	}
-	b = append(b, '\n')
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, err = s.w.Write(b)
-	return err
+	return s.a.Append(b)
 }
 
 // Close closes the underlying writer when it is closable.
-func (s *JSONLSink) Close() error {
-	if s.c != nil {
-		return s.c.Close()
-	}
-	return nil
-}
+func (s *JSONLSink) Close() error { return s.a.Close() }
 
 // ReadRecords decodes a JSONL record stream. A torn final line (no
 // trailing newline — the signature of a crashed writer) is dropped;
-// corruption anywhere else is an error, not a silent skip.
+// corruption anywhere else is an error, not a silent skip. Each line
+// decodes once, into the type JSONLSink.Emit encodes.
 func ReadRecords(r io.Reader) ([]Record, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
 	var recs []Record
-	for lineNo := 1; ; lineNo++ {
-		line, err := br.ReadBytes('\n')
-		terminated := err == nil
-		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
-			var rec Record
-			if uerr := json.Unmarshal(trimmed, &rec); uerr != nil {
-				if !terminated {
-					break // torn final line from a crash: ignore
-				}
-				return nil, fmt.Errorf("dist: record line %d: %v", lineNo, uerr)
-			}
-			recs = append(recs, rec)
+	_, err := jsonl.Scan(r, jsonl.TornTail, func(_ int, raw []byte) error {
+		var rec Record
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return err
 		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+		recs = append(recs, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dist: record %w", err)
 	}
 	return recs, nil
 }

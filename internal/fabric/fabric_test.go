@@ -71,7 +71,7 @@ func fakeRecord(g *Grant) *dist.Record {
 }
 
 // mustLease asserts the worker receives a grant.
-func mustLease(t *testing.T, c *Coordinator, worker string) *Grant {
+func mustLease(t testing.TB, c *Coordinator, worker string) *Grant {
 	t.Helper()
 	g, done := c.Lease(worker)
 	if done || g == nil {

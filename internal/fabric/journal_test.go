@@ -123,7 +123,7 @@ func TestStatusWorkerTelemetry(t *testing.T) {
 // journalScript drives one fixed fake-clock coordinator run against a
 // journal buffer: grants, heartbeats, an expiry, a steal, a duplicate,
 // and a timeout failure all occur at scripted instants.
-func journalScript(t *testing.T) []byte {
+func journalScript(t testing.TB) []byte {
 	t.Helper()
 	const ttl = 10 * time.Second
 	clk := newFakeClock()

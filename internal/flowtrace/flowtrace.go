@@ -14,7 +14,6 @@
 package flowtrace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,6 +21,7 @@ import (
 	"strings"
 
 	"contra/internal/cliutil"
+	"contra/internal/jsonl"
 )
 
 // Version is the trace format version this package reads and writes.
@@ -119,69 +119,111 @@ func (t *Trace) WriteFile(path string) error {
 }
 
 // Read parses a trace stream strictly: the first line must be a
-// version-1 meta record, every following line a flow, and the flow
+// version-1 meta record with the horizon its kind requires, every
+// following line a flow of that kind with a fresh id, and the flow
 // count must match the meta's declaration. Any deviation is an error —
 // a trace is replay input, and replaying a damaged trace would run a
-// different experiment than the one recorded.
+// different experiment than the one recorded. Read is the format's
+// normative validator (docs/trace-format.md): a trace may be written by
+// hand or by another tool, so it is held to these rules and not to this
+// package's exact bytes.
 func Read(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
+	var t *Trace
+	seen := map[uint64]bool{}
+	_, err := jsonl.Scan(r, jsonl.Strict, func(_ int, raw []byte) error {
+		if t == nil {
+			var m Meta
+			if err := json.Unmarshal(raw, &m); err != nil {
+				return fmt.Errorf("bad meta line: %v", err)
+			}
+			if err := m.check(); err != nil {
+				return err
+			}
+			t = &Trace{Meta: m}
+			// The declared count sizes the slice only up to a bound: until
+			// the lines arrive it is a claim, and a corrupt one must not be
+			// able to demand the memory (or overflow the allocation and
+			// panic).
+			if n := min(m.Flows, 1<<16); n > 0 {
+				t.Flows = make([]Flow, 0, n)
+			}
+			return nil
 		}
-		return nil, fmt.Errorf("flowtrace: empty trace")
-	}
-	var meta Meta
-	if err := json.Unmarshal(sc.Bytes(), &meta); err != nil {
-		return nil, fmt.Errorf("flowtrace: bad meta line: %v", err)
-	}
-	if meta.Type != "meta" {
-		return nil, fmt.Errorf("flowtrace: first line has type %q, want \"meta\"", meta.Type)
-	}
-	if meta.V != Version {
-		return nil, fmt.Errorf("flowtrace: unsupported trace version %d (this build reads v%d)", meta.V, Version)
-	}
-	switch meta.Kind {
-	case KindFCT, KindCBR, KindCohorts:
-	default:
-		return nil, fmt.Errorf("flowtrace: unknown workload kind %q in meta", meta.Kind)
-	}
-	t := &Trace{Meta: meta}
-	// The declared count sizes the slice only up to a bound: until the
-	// lines arrive it is a claim, and a corrupt one must not be able to
-	// demand the memory (or overflow the allocation and panic).
-	if n := min(meta.Flows, 1<<16); n > 0 {
-		t.Flows = make([]Flow, 0, n)
-	}
-	line := 1
-	for sc.Scan() {
-		line++
 		var f Flow
-		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
-			return nil, fmt.Errorf("flowtrace: line %d: %v", line, err)
+		if err := json.Unmarshal(raw, &f); err != nil {
+			return err
 		}
-		if f.Type != "flow" {
-			return nil, fmt.Errorf("flowtrace: line %d has type %q, want \"flow\"", line, f.Type)
+		if err := f.check(t.Meta.Kind); err != nil {
+			return err
 		}
-		if f.ID == 0 {
-			return nil, fmt.Errorf("flowtrace: line %d: flow id 0 is reserved", line)
+		if seen[f.ID] {
+			return fmt.Errorf("duplicate flow id %d", f.ID)
 		}
-		if f.Src == "" || f.Dst == "" {
-			return nil, fmt.Errorf("flowtrace: line %d: flow needs src and dst", line)
-		}
-		if f.Bytes <= 0 && f.RateBps <= 0 {
-			return nil, fmt.Errorf("flowtrace: line %d: flow needs bytes or rate_bps", line)
-		}
+		seen[f.ID] = true
 		t.Flows = append(t.Flows, f)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(t.Flows) != meta.Flows {
-		return nil, fmt.Errorf("flowtrace: trace is torn: meta declares %d flows, file carries %d", meta.Flows, len(t.Flows))
+		return nil
+	})
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("flowtrace: %w", err)
+	case t == nil:
+		return nil, fmt.Errorf("flowtrace: empty trace")
+	case len(t.Flows) != t.Meta.Flows:
+		return nil, fmt.Errorf("flowtrace: trace is torn: meta declares %d flows, file carries %d", t.Meta.Flows, len(t.Flows))
 	}
 	return t, nil
+}
+
+func (m *Meta) check() error {
+	switch {
+	case m.Type != "meta":
+		return fmt.Errorf("first line has type %q, want \"meta\"", m.Type)
+	case m.V != Version:
+		return fmt.Errorf("unsupported trace version %d (this build reads v%d)", m.V, Version)
+	case m.Kind != KindFCT && m.Kind != KindCBR && m.Kind != KindCohorts:
+		return fmt.Errorf("unknown workload kind %q in meta", m.Kind)
+	case m.Topo == "":
+		return fmt.Errorf("meta needs topo")
+	case m.Flows < 0:
+		return fmt.Errorf("meta needs flows >= 0")
+	case m.Load < 0 || m.RateBps < 0:
+		return fmt.Errorf("meta rate knobs negative")
+	case m.Kind == KindCBR && (m.EndNs <= 0 || m.DeadlineNs != 0):
+		return fmt.Errorf("cbr meta needs end_ns > 0 and no deadline_ns")
+	case m.Kind != KindCBR && (m.DeadlineNs <= 0 || m.EndNs != 0):
+		return fmt.Errorf("%s meta needs deadline_ns > 0 and no end_ns", m.Kind)
+	}
+	return nil
+}
+
+func (f *Flow) check(kind string) error {
+	switch {
+	case f.Type != "flow":
+		return fmt.Errorf("type %q, want \"flow\"", f.Type)
+	case f.ID == 0:
+		return fmt.Errorf("flow id 0 is reserved")
+	case f.Src == "" || f.Dst == "":
+		return fmt.Errorf("flow needs src and dst")
+	case f.StartNs < 0:
+		return fmt.Errorf("flow needs start_ns >= 0")
+	case f.Bytes < 0 || f.RateBps < 0:
+		return fmt.Errorf("flow size knobs negative")
+	case kind == KindCBR && f.RateBps <= 0:
+		return fmt.Errorf("cbr flow needs rate_bps > 0")
+	case kind != KindCBR && f.Bytes <= 0:
+		return fmt.Errorf("%s flow needs bytes > 0", kind)
+	}
+	return nil
+}
+
+// Check reads a trace and returns a one-line summary: the validation
+// behind `contracheck flow`.
+func Check(r io.Reader) (summary string, err error) {
+	t, err := Read(r)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("v%d %s trace on %s: %d flow(s)", t.Meta.V, t.Meta.Kind, t.Meta.Topo, len(t.Flows)), nil
 }
 
 // ReadFile parses a trace file.

@@ -11,8 +11,8 @@ import (
 // allocate on the meta line's say-so, and an accepted trace written
 // back in the canonical encoding must read as the same trace.
 func FuzzRead(f *testing.F) {
-	// 16 websearch flows recorded by contrasim -record on fattree:4:2.
-	rec, err := os.ReadFile("testdata/fattree4.flow.jsonl")
+	// 40 websearch flows recorded by contrasim -record on fattree:4:2.
+	rec, err := os.ReadFile("testdata/cell.flow.jsonl")
 	if err != nil {
 		f.Fatal(err)
 	}

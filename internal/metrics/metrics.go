@@ -20,6 +20,8 @@ import (
 	"io"
 	"sort"
 	"strconv"
+
+	"contra/internal/jsonl"
 )
 
 // Version is the JSONL/CSV schema version stamped into the meta line.
@@ -381,4 +383,124 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 		}
 	})
 	return err
+}
+
+// Check validates a telemetry stream and returns a one-line summary.
+// Every line must be exactly what WriteJSONL encodes for its type
+// (jsonl.Canonical on the four line structs above) and pass the value
+// rules below, and the file must hold, per sample the meta line
+// declares, one link line per link, one drops line and one router line
+// per router. Telemetry is written whole, so nothing torn is forgiven.
+func Check(r io.Reader) (summary string, err error) {
+	var c checker
+	if _, err := jsonl.Scan(r, jsonl.Strict, c.line); err != nil {
+		return "", fmt.Errorf("metrics: %w", err)
+	}
+	if c.meta == nil {
+		return "", fmt.Errorf("metrics: no meta line")
+	}
+	n, nl, nr := c.meta.Samples, len(c.meta.Links), len(c.meta.Routers)
+	switch {
+	case c.links != n*nl:
+		return "", fmt.Errorf("metrics: %d link lines, meta declares %d samples x %d links", c.links, n, nl)
+	case c.drops != n:
+		return "", fmt.Errorf("metrics: %d drops lines for %d samples", c.drops, n)
+	case c.routers != n*nr:
+		return "", fmt.Errorf("metrics: %d router lines, meta declares %d samples x %d routers", c.routers, n, nr)
+	}
+	return fmt.Sprintf("%d sample(s), %d link(s), %d router(s)", n, nl, nr), nil
+}
+
+// checker is Check's state across lines: the meta tables, the line
+// counts held against them, and the last timestamp seen.
+type checker struct {
+	meta                  *metaLine
+	links, drops, routers int
+	lastT                 int64
+}
+
+func (c *checker) tick(kind string, t int64) error {
+	if t < 0 || t < c.lastT {
+		return fmt.Errorf("%s t negative or out of order", kind)
+	}
+	c.lastT = t
+	return nil
+}
+
+func (c *checker) line(_ int, raw []byte) error {
+	typ, err := jsonl.Type(raw)
+	switch {
+	case err != nil:
+		return err
+	case c.meta == nil && typ != "meta":
+		return fmt.Errorf("first line must be meta, got %q", typ)
+	case c.meta != nil && typ == "meta":
+		return fmt.Errorf("second meta line")
+	}
+	switch typ {
+	case "meta":
+		var m metaLine
+		if err := jsonl.Canonical(raw, &m); err != nil {
+			return err
+		}
+		switch {
+		case m.V != Version:
+			return fmt.Errorf("telemetry version %d, this build reads v%d", m.V, Version)
+		case m.IntervalNs <= 0:
+			return fmt.Errorf("meta needs interval_ns > 0")
+		case m.Samples < 0:
+			return fmt.Errorf("meta needs samples >= 0")
+		case m.Dropped < 0:
+			return fmt.Errorf("meta dropped negative")
+		}
+		c.meta = &m
+		return nil
+	case "link":
+		var l linkLine
+		if err := jsonl.Canonical(raw, &l); err != nil {
+			return err
+		}
+		switch {
+		case l.Link < 0 || l.Link >= len(c.meta.Links):
+			return fmt.Errorf("link index outside the meta link table")
+		case l.Util < 0 || l.Util > 1:
+			return fmt.Errorf("link util outside [0, 1]")
+		case l.Queue < 0:
+			return fmt.Errorf("link queue negative")
+		case l.Drops < 0:
+			return fmt.Errorf("link drops negative")
+		}
+		c.links++
+		return c.tick(typ, l.T)
+	case "drops":
+		var d dropsLine
+		if err := jsonl.Canonical(raw, &d); err != nil {
+			return err
+		}
+		if len(d.Counts) != len(c.meta.DropReasons) {
+			return fmt.Errorf("drops counts has %d entries, meta declares %d reasons",
+				len(d.Counts), len(c.meta.DropReasons))
+		}
+		for _, n := range d.Counts {
+			if n < 0 {
+				return fmt.Errorf("drops count negative")
+			}
+		}
+		c.drops++
+		return c.tick(typ, d.T)
+	case "router":
+		var ro routerLine
+		if err := jsonl.Canonical(raw, &ro); err != nil {
+			return err
+		}
+		switch {
+		case ro.Router < 0 || ro.Router >= len(c.meta.Routers):
+			return fmt.Errorf("router index outside the meta router table")
+		case ro.Added < 0 || ro.Replaced < 0 || ro.Expired < 0 || ro.Flaps < 0:
+			return fmt.Errorf("router churn counter negative")
+		}
+		c.routers++
+		return c.tick(typ, ro.T)
+	}
+	return fmt.Errorf("unknown type %q", typ)
 }

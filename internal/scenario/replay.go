@@ -52,24 +52,28 @@ func cohortFlows(s *Scenario, g *topo.Graph, warmup int64) (offered, error) {
 	}, nil
 }
 
-// traceFlows resolves a recorded trace's flows against the topology.
-// The recording's meta passes through, so re-recording a replay (with
-// this scenario's identity stamped over it) is a fixpoint.
+// traceFlows resolves a recorded trace's flows against the topology:
+// every endpoint must name a host of it. The recording's meta passes
+// through, so re-recording a replay (with this scenario's identity
+// stamped over it) is a fixpoint.
 func traceFlows(s *Scenario, g *topo.Graph, tr *flowtrace.Trace) (offered, error) {
 	flows := make([]sim.FlowSpec, 0, len(tr.Flows))
 	for i, tf := range tr.Flows {
-		src, ok := g.NodeByName(tf.Src)
-		if !ok {
-			return offered{}, fmt.Errorf("scenario %q: trace flow %d: no node %q in topo %s", s.Name, i, tf.Src, g.Name)
-		}
-		dst, ok := g.NodeByName(tf.Dst)
-		if !ok {
-			return offered{}, fmt.Errorf("scenario %q: trace flow %d: no node %q in topo %s", s.Name, i, tf.Dst, g.Name)
+		var ends [2]topo.NodeID
+		for j, name := range [2]string{tf.Src, tf.Dst} {
+			id, ok := g.NodeByName(name)
+			if !ok {
+				return offered{}, fmt.Errorf("scenario %q: trace flow %d: no node %q in topo %s", s.Name, i, name, g.Name)
+			}
+			if g.Node(id).Kind != topo.Host {
+				return offered{}, fmt.Errorf("scenario %q: trace flow %d: node %q is a switch; flows connect hosts", s.Name, i, name)
+			}
+			ends[j] = id
 		}
 		flows = append(flows, sim.FlowSpec{
 			ID:      tf.ID,
-			Src:     src,
-			Dst:     dst,
+			Src:     ends[0],
+			Dst:     ends[1],
 			Size:    tf.Bytes,
 			RateBps: tf.RateBps,
 			Start:   tf.StartNs,
@@ -105,11 +109,13 @@ func recordFlows(s *Scenario, g *topo.Graph, topoName string, w offered) *flowtr
 	return t
 }
 
-// loadReplay resolves and loads a trace workload's recording. A
-// directory path resolves per cell by sanitized scenario name — the
-// record-dir layout — so one replay spec with the recording campaign's
-// axes replays every cell against its own trace.
-func loadReplay(s *Scenario, topoName string) (*flowtrace.Trace, error) {
+// loadReplay resolves, loads and materialises a trace workload's
+// recording, so that everything a trace can get wrong is an error
+// before any simulation state exists. A directory path resolves per
+// cell by sanitized scenario name — the record-dir layout — so one
+// replay spec with the recording campaign's axes replays every cell
+// against its own trace.
+func loadReplay(s *Scenario, g *topo.Graph, topoName string) (*offered, error) {
 	path := s.Workload.TracePath
 	if st, err := os.Stat(path); err == nil && st.IsDir() {
 		if s.Name == "" {
@@ -127,5 +133,9 @@ func loadReplay(s *Scenario, topoName string) (*flowtrace.Trace, error) {
 	if len(tr.Flows) == 0 {
 		return nil, fmt.Errorf("scenario %q: trace carries no flows", s.Name)
 	}
-	return tr, nil
+	w, err := traceFlows(s, g, tr)
+	if err != nil {
+		return nil, err
+	}
+	return &w, nil
 }

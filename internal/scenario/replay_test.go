@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -178,6 +179,23 @@ func TestReplayErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Traces that used to reach sim.StartFlows and kill the process
+	// there ("panic: sim: duplicate flow id 1", "panic: sim: flows
+	// connect hosts"); both are committed in flowtrace's fuzz corpus.
+	raw := func(name string, flows ...string) string {
+		meta := fmt.Sprintf(`{"type":"meta","v":1,"kind":"fct","topo":"fattree:4:2","seed":5,"deadline_ns":1023072000,"flows":%d}`, len(flows))
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(meta+"\n"+strings.Join(flows, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	const flow1 = `{"type":"flow","id":1,"src":"h2_0_0","dst":"h0_1_1","bytes":32607,"start_ns":3124450}`
+	dupID := raw("dup.flow.jsonl", flow1, `{"type":"flow","id":2,"src":"h1_0_0","dst":"h3_0_1","bytes":338494,"start_ns":3151441}`, flow1)
+	switchSrc := raw("switch-src.flow.jsonl", strings.Replace(flow1, `"src":"h2_0_0"`, `"src":"e0_0"`, 1))
+	switchDst := raw("switch-dst.flow.jsonl", strings.Replace(flow1, `"dst":"h0_1_1"`, `"dst":"c3"`, 1))
+	noNode := raw("no-node.flow.jsonl", flow1, strings.Replace(flow1, `"id":1,"src":"h2_0_0"`, `"id":2,"src":"h9_9_9"`, 1))
+
 	base := Scenario{Name: "re", TopoSpec: "fattree:4:2", Scheme: SchemeECMP, Seed: 1}
 	cases := []struct {
 		name string
@@ -187,6 +205,10 @@ func TestReplayErrors(t *testing.T) {
 		{"missing file", filepath.Join(dir, "nope.flow.jsonl"), "nope.flow.jsonl"},
 		{"wrong version", v2, "unsupported trace version 2"},
 		{"topo mismatch", otherTopo, `recorded on topo "leafspine:4:4:2"`},
+		{"duplicate flow id", dupID, "dup.flow.jsonl: flowtrace: line 4: duplicate flow id 1"},
+		{"switch as source", switchSrc, `trace flow 0: node "e0_0" is a switch; flows connect hosts`},
+		{"switch as destination", switchDst, `trace flow 0: node "c3" is a switch; flows connect hosts`},
+		{"unknown node", noNode, `trace flow 1: no node "h9_9_9" in topo`},
 	}
 	for _, tc := range cases {
 		s := base

@@ -465,13 +465,13 @@ func Run(s Scenario) (*Result, error) {
 	// meta line decides the engine-seed offset, measurement deadline,
 	// and (for CBR recordings) the default bin width before any
 	// simulation state exists.
-	var replay *flowtrace.Trace
+	var replay *offered
 	if s.Workload.Kind == WorkloadTrace {
-		replay, err = loadReplay(&s, topoName)
+		replay, err = loadReplay(&s, g, topoName)
 		if err != nil {
 			return nil, err
 		}
-		if replay.Meta.Kind == flowtrace.KindCBR && s.BinNs == 0 {
+		if replay.meta.Kind == flowtrace.KindCBR && s.BinNs == 0 {
 			s.BinNs = 500_000
 		}
 	}
@@ -481,7 +481,7 @@ func Run(s Scenario) (*Result, error) {
 	// RunFailover seed+5), keeping historical runs reproducible; a
 	// replay adopts its recording's offset so the two runs' event
 	// streams align exactly.
-	cbr := s.Workload.Kind == WorkloadCBR || (replay != nil && replay.Meta.Kind == flowtrace.KindCBR)
+	cbr := s.Workload.Kind == WorkloadCBR || (replay != nil && replay.meta.Kind == flowtrace.KindCBR)
 	engSeed := s.Seed + 1
 	if cbr {
 		engSeed = s.Seed + 5
@@ -606,15 +606,16 @@ type offered struct {
 
 // materialise builds the scenario's workload. The fct and cohorts
 // generators draw from RNG streams of their own (derived from the
-// scenario seed), so when play calls it does not move a single draw.
-func (s *Scenario) materialise(g *topo.Graph, warmup int64, surges []Event, replay *flowtrace.Trace) (offered, error) {
+// scenario seed), so when play calls it does not move a single draw; a
+// trace workload was already resolved by loadReplay.
+func (s *Scenario) materialise(g *topo.Graph, warmup int64, surges []Event, replay *offered) (offered, error) {
 	switch s.Workload.Kind {
 	case WorkloadCBR:
 		return cbrFlows(s, g, warmup)
 	case WorkloadCohorts:
 		return cohortFlows(s, g, warmup)
 	case WorkloadTrace:
-		return traceFlows(s, g, replay)
+		return *replay, nil
 	default:
 		return fctFlows(s, g, warmup, surges)
 	}
@@ -629,7 +630,7 @@ func (s *Scenario) materialise(g *topo.Graph, warmup int64, surges []Event, repl
 // then the flows start and the run drains until they all complete or
 // the deadline passes — under extreme load some stay incomplete and the
 // FCT statistics cover the completed ones, as in testbed practice.
-func play(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int64, netEvents []sim.NetworkEvent, surges []Event, replay *flowtrace.Trace, cbr bool, res *Result) error {
+func play(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int64, netEvents []sim.NetworkEvent, surges []Event, replay *offered, cbr bool, res *Result) error {
 	if !cbr {
 		n.Inject(netEvents...)
 		e.Run(warmup)

@@ -7,9 +7,10 @@
 // "off" records nothing, and the callers gate every hook on a nil
 // recorder so the off path stays zero-cost and byte-identical.
 //
-// The package deliberately depends on nothing inside the repo: the
-// simulator, the dataplane and the baselines all hand it plain ints
-// and strings, so it can sit below every layer that wants to record.
+// The package deliberately depends on nothing inside the repo but the
+// line codec (internal/jsonl): the simulator, the dataplane and the
+// baselines all hand it plain ints and strings, so it can sit below
+// every layer that wants to record.
 package trace
 
 import (
@@ -17,6 +18,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"contra/internal/jsonl"
 )
 
 // Level selects how much the recorder keeps.
@@ -316,6 +319,86 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 		}); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// Check validates a trace stream and returns a one-line summary. Every
+// line must be exactly what WriteJSONL encodes for its type
+// (jsonl.Canonical on decisionLine and flowLine, which also bounds era
+// and pid to uint8) and pass the value rules below; a trace is written
+// whole, so nothing torn is forgiven. No decision lines is fine (a
+// flows-level trace); no lines at all means a broken producer.
+func Check(r io.Reader) (summary string, err error) {
+	decisions, flows := 0, 0
+	_, err = jsonl.Scan(r, jsonl.Strict, func(_ int, raw []byte) error {
+		typ, err := jsonl.Type(raw)
+		if err != nil {
+			return err
+		}
+		switch typ {
+		case "decision":
+			var d decisionLine
+			if err := jsonl.Canonical(raw, &d); err != nil {
+				return err
+			}
+			decisions++
+			return d.check()
+		case "flow":
+			var f flowLine
+			if err := jsonl.Canonical(raw, &f); err != nil {
+				return err
+			}
+			flows++
+			return f.check()
+		}
+		return fmt.Errorf("unknown type %q", typ)
+	})
+	if err != nil {
+		return "", fmt.Errorf("trace: %w", err)
+	}
+	if decisions+flows == 0 {
+		return "", fmt.Errorf("trace: no trace lines")
+	}
+	return fmt.Sprintf("%d decision line(s), %d flow line(s)", decisions, flows), nil
+}
+
+func (d *Decision) check() error {
+	switch {
+	case d.At < 0:
+		return fmt.Errorf("decision needs at_ns >= 0")
+	case d.Switch == "":
+		return fmt.Errorf("decision needs switch")
+	case d.Kind != "source" && d.Kind != "transit":
+		return fmt.Errorf("decision kind %q not in {source, transit}", d.Kind)
+	case d.Port < 0:
+		return fmt.Errorf("decision needs port >= 0")
+	case len(d.Rank) == 0:
+		return fmt.Errorf("decision needs a rank vector")
+	case d.RunnerPort < -1:
+		return fmt.Errorf("decision needs runner_port >= -1")
+	case d.RunnerPort == -1 && len(d.RunnerRank) != 0:
+		return fmt.Errorf("runner_rank present without a runner_port")
+	case d.RunnerPort >= 0 && len(d.RunnerRank) == 0:
+		return fmt.Errorf("runner_port %d without runner_rank", d.RunnerPort)
+	}
+	return nil
+}
+
+func (f *flowLine) check() error {
+	switch {
+	case f.StartNs < 0:
+		return fmt.Errorf("flow line needs start_ns >= 0")
+	case f.FctNs < 0:
+		return fmt.Errorf("flow fct_ns negative")
+	case f.Hops < 0 || f.Pkts < 0 || f.QueueNs < 0:
+		return fmt.Errorf("flow counters negative")
+	case f.Divergent > f.Decisions:
+		return fmt.Errorf("divergent %d exceeds decisions %d", f.Divergent, f.Decisions)
+	case f.FctNs > 0 && len(f.Path) == 0:
+		return fmt.Errorf("completed flow carries no path")
+	case f.Hops > 0 && len(f.Path) > f.Hops+1:
+		return fmt.Errorf("path longer than hop count allows")
 	}
 	return nil
 }

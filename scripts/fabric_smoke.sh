@@ -30,6 +30,7 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$WORK/contracamp" ./cmd/contracamp
+go build -o "$WORK/contracheck" ./cmd/contracheck
 
 # Single-process reference run.
 "$WORK/contracamp" -spec "$SPEC" -q -notable \
@@ -72,7 +73,7 @@ echo "fabric output is byte-identical to the single-process run"
 
 # The flight recorder: the journal must validate structurally, and the
 # auto-run post-mortem artifacts must exist and be non-empty.
-go run scripts/journalcheck.go "$WORK/$NAME.journal.jsonl"
+"$WORK/contracheck" journal "$WORK/$NAME.journal.jsonl"
 for ext in pm.md pm.csv; do
   [ -s "$WORK/$NAME.journal.jsonl.$ext" ] || {
     echo "missing post-mortem artifact $NAME.journal.jsonl.$ext" >&2; exit 1; }
