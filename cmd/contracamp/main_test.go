@@ -1,10 +1,13 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"contra/internal/campaign"
@@ -161,5 +164,51 @@ func TestEveryModeWritesTheSameBytes(t *testing.T) {
 				t.Errorf("%s: %s dir differs from the in-memory run (%d vs %d files)", mode, kind, len(pair[0]), len(pair[1]))
 			}
 		}
+	}
+}
+
+// TestGoldenCampaignDigests runs the four fixed-seed campaigns that
+// scripts/golden.sh pins through run(options) and compares the report
+// JSON and CSV with the committed digests, so `go test ./...` fails on a
+// single moved byte of simulator output. The script keeps --update and
+// the process-level variants (shards merged, tracing and telemetry
+// forced off).
+func TestGoldenCampaignDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four campaigns (~8s)")
+	}
+	const dir = "../../examples/campaign"
+	for _, name := range []string{"fattree_smoke", "chaos_smoke", "packed_smoke", "cohorts_smoke"} {
+		t.Run(name, func(t *testing.T) {
+			golden, err := os.ReadFile(filepath.Join(dir, "golden", name+".sha256"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// sha256sum lines: "<hex>  <file>".
+			want := map[string]string{}
+			for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+				sum, file, _ := strings.Cut(line, "  ")
+				want[file] = sum
+			}
+			out := t.TempDir()
+			o := options{
+				spec: filepath.Join(dir, name+".json"), quiet: true, noTable: true, workers: 2,
+				metricsInterval: -1, cellTimeout: -1,
+				out: filepath.Join(out, name+".json"), csvOut: filepath.Join(out, name+".csv"),
+			}
+			if err := run(o); err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range []string{o.out, o.csvOut} {
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				file := filepath.Base(path)
+				if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want[file] {
+					t.Errorf("%s: sha256 %s, golden %s", file, got, want[file])
+				}
+			}
+		})
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"os"
 
 	"contra/internal/cliutil"
+	"contra/internal/core"
 	"contra/internal/scenario"
 	"contra/internal/trace"
 )
@@ -108,20 +109,24 @@ func run(topoSpec, scheme, policyArg, dist string, load float64, durationMs,
 		return fmt.Errorf("-metrics-out needs -metrics-interval > 0")
 	}
 	s := scenario.Scenario{
-		Name:              topoSpec + "/" + scheme,
-		TopoSpec:          topoSpec,
-		Scheme:            scenario.Scheme(scheme),
-		Policy:            src,
-		Seed:              seed,
-		SampleQueues:      queues,
-		TrackLoops:        loops,
-		ProbePacking:      packing,
-		SuppressEps:       suppressEps,
-		RefreshEvery:      refreshEvery,
-		TraceLevel:        obs.traceLevel,
-		ClassStats:        obs.classStats,
-		ElephantBytes:     obs.elephantBytes,
-		MetricsIntervalNs: obs.metricsInterval,
+		Name:         topoSpec + "/" + scheme,
+		TopoSpec:     topoSpec,
+		Scheme:       scenario.Scheme(scheme),
+		Policy:       src,
+		Seed:         seed,
+		SampleQueues: queues,
+		Options: core.Options{
+			ProbePacking: packing,
+			SuppressEps:  suppressEps,
+			RefreshEvery: refreshEvery,
+		},
+		Observe: scenario.Observe{
+			TrackLoops:        loops,
+			TraceLevel:        obs.traceLevel,
+			ClassStats:        obs.classStats,
+			ElephantBytes:     obs.elephantBytes,
+			MetricsIntervalNs: obs.metricsInterval,
+		},
 	}
 	if failLink != "" {
 		// A pre-failed link is a link_down event at t=0: the scenario

@@ -11,6 +11,10 @@ import (
 	"contra/internal/topo"
 )
 
+// paperOpts is what a scenario hands HULA when its spec sets nothing:
+// the 256us probe period of §6.3, every other setting at its default.
+var paperOpts = core.Options{ProbePeriodNs: 256_000}
+
 func runFlows(t *testing.T, n *sim.Network, e *sim.Engine, flows []sim.FlowSpec, until int64) {
 	t.Helper()
 	n.Start()
@@ -112,7 +116,7 @@ func TestHulaConvergesAndDelivers(t *testing.T) {
 	g := topo.PaperDataCenter()
 	e := sim.NewEngine(4)
 	n := sim.NewNetwork(e, g, sim.Config{})
-	routers := DeployHula(n, HulaConfig{})
+	routers := DeployHula(n, paperOpts)
 	n.Start()
 	e.Run(3_000_000) // several probe periods
 	// Every leaf must know a fresh route to every other leaf.
@@ -150,7 +154,7 @@ func TestHulaFattree3Tier(t *testing.T) {
 	g := topo.Fattree(4, 2)
 	e := sim.NewEngine(5)
 	n := sim.NewNetwork(e, g, sim.Config{})
-	routers := DeployHula(n, HulaConfig{})
+	routers := DeployHula(n, paperOpts)
 	n.Start()
 	e.Run(3_000_000)
 	// Cross-pod route exists.
@@ -170,7 +174,7 @@ func TestHulaAvoidsHotPath(t *testing.T) {
 	g := topo.PaperDataCenter()
 	e := sim.NewEngine(6)
 	n := sim.NewNetwork(e, g, sim.Config{})
-	routers := DeployHula(n, HulaConfig{})
+	routers := DeployHula(n, paperOpts)
 	n.Start()
 	e.Run(2_000_000)
 	// Drive l0->s0 hot with CBR via explicit flows l0-host -> l1-host;
@@ -268,7 +272,7 @@ func TestHulaRebootFlushesSoftState(t *testing.T) {
 	g := topo.Fattree(4, 0)
 	e := sim.NewEngine(3)
 	n := sim.NewNetwork(e, g, sim.Config{})
-	routers := DeployHula(n, HulaConfig{})
+	routers := DeployHula(n, paperOpts)
 	n.Start()
 	e.Run(12 * 256_000) // warm up: ToR probes populate best tables
 

@@ -3,6 +3,7 @@ package baseline
 import (
 	"slices"
 
+	"contra/internal/core"
 	"contra/internal/metrics"
 	"contra/internal/sim"
 	"contra/internal/topo"
@@ -110,62 +111,38 @@ type hulaFlowlet struct {
 	lastPkt int64
 }
 
-// HulaConfig parameterizes the HULA deployment.
-type HulaConfig struct {
-	ProbePeriodNs    int64 // default 256us (§6.3)
-	FlowletTimeoutNs int64 // default 200us
+// hulaAgePeriods is HULA's aging horizon in probe periods: a
+// (destination, port) pair not refreshed for this long is presumed
+// failed. It is fixed by HULA's design; Contra's
+// failure_detect_periods setting does not reach it.
+const hulaAgePeriods = 3
 
-	// ProbePacking enables multi-origin probe packing; SuppressEps and
-	// RefreshEvery enable delta suppression with the same semantics as
-	// core.Options (setting either turns suppression on; RefreshEvery
-	// defaults to 4 when only the epsilon is given).
-	ProbePacking bool
-	SuppressEps  float64
-	RefreshEvery int
-}
-
-// NewHula builds one HULA switch router.
-func NewHula(cfg HulaConfig) *Hula {
-	if cfg.ProbePeriodNs == 0 {
-		cfg.ProbePeriodNs = 256_000
-	}
-	if cfg.FlowletTimeoutNs == 0 {
-		cfg.FlowletTimeoutNs = 200_000
-	}
-	if cfg.SuppressEps > 0 && cfg.RefreshEvery == 0 {
-		cfg.RefreshEvery = 4
-	}
-	suppressOn := cfg.RefreshEvery > 0
-	// Suppression legitimately quiets an origin, and the quiet window
-	// compounds across a hop (an upstream forced refresh arriving just
-	// inside this switch's own horizon is suppressed), so consecutive
-	// advertisements can be nearly 2x RefreshEvery apart; stretch the
-	// aging horizon by that bound so suppressed-but-alive routes never
-	// expire.
-	slack := int64(0)
-	if suppressOn {
-		slack = 2 * int64(cfg.RefreshEvery)
-	}
+// NewHula builds one HULA switch router from the run's protocol
+// settings, defaults already applied (core.Options.Fill) — the same
+// value Contra compiles with, so scheme comparisons run on identical
+// settings by construction.
+func NewHula(o core.Options) *Hula {
 	return &Hula{
-		periodNs:   cfg.ProbePeriodNs,
-		flowletNs:  cfg.FlowletTimeoutNs,
-		ageNs:      (3+slack)*cfg.ProbePeriodNs + cfg.ProbePeriodNs,
+		periodNs:   o.ProbePeriodNs,
+		flowletNs:  o.FlowletTimeoutNs,
+		ageNs:      (hulaAgePeriods+o.SuppressSlack())*o.ProbePeriodNs + o.ProbePeriodNs,
 		flowlets:   make(map[hulaFlowKey]*hulaFlowlet),
 		probeSz:    64,
-		packing:    cfg.ProbePacking,
-		suppressOn: suppressOn,
-		eps:        cfg.SuppressEps,
-		refreshNs:  int64(cfg.RefreshEvery) * cfg.ProbePeriodNs,
+		packing:    o.ProbePacking,
+		suppressOn: o.SuppressOn(),
+		eps:        o.SuppressEps,
+		refreshNs:  int64(o.RefreshEvery) * o.ProbePeriodNs,
 	}
 }
 
-// DeployHula installs HULA on every switch. The topology must carry
-// Clos roles (edge/agg/core), as produced by topo.Fattree and
-// topo.LeafSpine.
-func DeployHula(n *sim.Network, cfg HulaConfig) map[topo.NodeID]*Hula {
+// DeployHula installs HULA on every switch, filling opts' defaults
+// first. The topology must carry Clos roles (edge/agg/core), as
+// produced by topo.Fattree and topo.LeafSpine.
+func DeployHula(n *sim.Network, opts core.Options) map[topo.NodeID]*Hula {
+	opts.Fill(n.Topo)
 	routers := make(map[topo.NodeID]*Hula)
 	for _, s := range n.Topo.Switches() {
-		r := NewHula(cfg)
+		r := NewHula(opts)
 		routers[s] = r
 		n.SetRouter(s, r)
 	}

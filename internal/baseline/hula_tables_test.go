@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"contra/internal/core"
 	"contra/internal/metrics"
 	"contra/internal/sim"
 	"contra/internal/topo"
@@ -74,12 +75,14 @@ func (l *hulaLockstep) Handle(pkt *sim.Packet, inPort int) { l.real.Handle(pkt, 
 // hulaUnderTest builds a fattree:4 fabric whose only live router is a
 // real Hula (shadowed by the map reference) on the named switch; every
 // other switch captures.
-func hulaUnderTest(name string, cfg HulaConfig, seed int64) (*sim.Engine, *sim.Network, *topo.Graph, *Hula, *refHula, [][]hulaEmission) {
+func hulaUnderTest(name string, opts core.Options, seed int64) (*sim.Engine, *sim.Network, *topo.Graph, *Hula, *refHula, [][]hulaEmission) {
 	g := topo.Fattree(4, 2)
 	e := sim.NewEngine(seed)
 	n := sim.NewNetwork(e, g, sim.Config{})
 	center := g.MustNode(name)
-	real := NewHula(cfg)
+	opts.ProbePeriodNs = paperOpts.ProbePeriodNs
+	opts.Fill(g)
+	real := NewHula(opts)
 	ref := &refHula{r: real}
 	ref.reboot()
 	n.SetRouter(center, &hulaLockstep{real: real, ref: ref})
@@ -112,7 +115,7 @@ func TestHulaDenseTablesMatchMapReference(t *testing.T) {
 }
 
 func runHulaDifferential(t *testing.T, name string, packing bool, seed int64) {
-	cfg := HulaConfig{ProbePacking: packing, SuppressEps: 0.05, RefreshEvery: 3}
+	cfg := core.Options{ProbePacking: packing, SuppressEps: 0.05, RefreshEvery: 3}
 	e, n, g, real, ref, captured := hulaUnderTest(name, cfg, seed)
 	churn, refChurn := &metrics.Churn{}, &metrics.Churn{}
 	real.SetChurn(churn)
@@ -229,7 +232,7 @@ func runHulaDifferential(t *testing.T, name string, packing bool, seed int64) {
 // TestHulaZeroRowReadsLikeMissingKey pins the three places where the
 // maps' missing-key behaviour was load-bearing.
 func TestHulaZeroRowReadsLikeMissingKey(t *testing.T) {
-	_, n, g, r, _, _ := hulaUnderTest("a0_0", HulaConfig{}, 1)
+	_, n, g, r, _, _ := hulaUnderTest("a0_0", core.Options{}, 1)
 	churn := &metrics.Churn{}
 	r.SetChurn(churn)
 	origin := g.MustNode("e1_0")
@@ -277,7 +280,7 @@ func TestHulaZeroRowReadsLikeMissingKey(t *testing.T) {
 // stamp) but leaves bestUtil at the last accepted probe's value — the
 // maps updated two of the three and the row must do the same.
 func TestHulaFallbackKeepsBestUtil(t *testing.T) {
-	e, n, g, r, _, _ := hulaUnderTest("a0_0", HulaConfig{}, 1)
+	e, n, g, r, _, _ := hulaUnderTest("a0_0", core.Options{}, 1)
 	origin := g.MustNode("e1_0")
 	up0, up1 := g.PortTo(r.sw.ID, g.MustNode("c0")), g.PortTo(r.sw.ID, g.MustNode("c1"))
 	if up0 < 0 || up1 < 0 {
@@ -313,7 +316,7 @@ func TestHulaFallbackKeepsBestUtil(t *testing.T) {
 // "no route" — where the maps simply had no such key.
 func TestHulaOutOfRangeOriginsMiss(t *testing.T) {
 	for _, packing := range []bool{false, true} {
-		e, n, g, r, _, _ := hulaUnderTest("a0_0", HulaConfig{ProbePacking: packing}, 1)
+		e, n, g, r, _, _ := hulaUnderTest("a0_0", core.Options{ProbePacking: packing}, 1)
 		good := g.MustNode("e1_0")
 		inPort := g.PortTo(r.sw.ID, g.MustNode("c0"))
 		nNodes := topo.NodeID(g.NumNodes())
@@ -369,7 +372,7 @@ func TestProbePathSteadyStateAllocatesNothing(t *testing.T) {
 	g := topo.Fattree(4, 2)
 	e := sim.NewEngine(1)
 	n := sim.NewNetwork(e, g, sim.Config{})
-	cfg := HulaConfig{ProbePacking: true, SuppressEps: 0.02, RefreshEvery: 4}
+	cfg := core.Options{ProbePeriodNs: paperOpts.ProbePeriodNs, ProbePacking: true, SuppressEps: 0.02, RefreshEvery: 4}
 	DeployHula(n, cfg)
 	n.Start()
 	period := int64(256_000)

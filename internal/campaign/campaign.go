@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"contra/internal/core"
 	"contra/internal/scenario"
 )
 
@@ -53,34 +54,19 @@ type Spec struct {
 	Seeds   []int64           `json:"seeds,omitempty"`
 
 	// Base scenario knobs; Workload.Load is overridden per cell.
-	Workload             scenario.Workload `json:"workload,omitempty"`
-	Policy               string            `json:"policy,omitempty"`
-	ProbePeriodNs        int64             `json:"probe_period_ns,omitempty"`
-	FlowletTimeoutNs     int64             `json:"flowlet_timeout_ns,omitempty"`
-	FailureDetectPeriods int               `json:"failure_detect_periods,omitempty"`
-	BinNs                int64             `json:"bin_ns,omitempty"`
-	TrackLoops           bool              `json:"track_loops,omitempty"`
+	Workload scenario.Workload `json:"workload,omitempty"`
+	Policy   string            `json:"policy,omitempty"`
 
-	// Probe aggregation knobs, shared by every cell (see the scenario
-	// fields of the same names): multi-origin probe packing and delta
-	// suppression with a forced refresh every RefreshEvery periods.
-	ProbePacking bool    `json:"probe_packing,omitempty"`
-	SuppressEps  float64 `json:"suppress_eps,omitempty"`
-	RefreshEvery int     `json:"refresh_every,omitempty"`
-
-	// Observability knobs, shared by every cell (see the scenario
-	// fields of the same names). "off" for TraceLevel is normalized to
-	// absent so the expansion — and every scenario Key — is identical
-	// to a spec that never mentioned tracing.
-	TraceLevel    string `json:"trace_level,omitempty"`
-	ClassStats    bool   `json:"class_stats,omitempty"`
-	ElephantBytes int64  `json:"elephant_bytes,omitempty"`
-
-	// MetricsIntervalNs enables time-series telemetry sampling in every
-	// cell (0 = off, the default). Off leaves every scenario Key — and
-	// so every golden digest — identical to a spec that never mentioned
-	// metrics.
-	MetricsIntervalNs int64 `json:"metrics_interval_ns,omitempty"`
+	// The settings every cell shares, declared where Scenario declares
+	// them and handed to each cell whole: the protocol settings
+	// (core.Options), bin_ns (scenario.RxSeries), and the observation
+	// settings (scenario.Observe). A trace_level of "off" expands to
+	// absent, so the expansion — and every scenario Key — is identical
+	// to a spec that never mentioned tracing; likewise 0 for
+	// metrics_interval_ns is off and leaves every Key alone.
+	core.Options
+	scenario.RxSeries
+	scenario.Observe
 
 	// CellTimeoutNs bounds each cell's wall-clock execution (0 = no
 	// bound). A cell that exceeds it is recorded as a failed outcome
@@ -233,27 +219,19 @@ func (s *Spec) Expand() ([]scenario.Scenario, error) {
 						sc := scenario.Scenario{
 							Name: fmt.Sprintf("%s/%s/load%s/%s/seed%d",
 								tp, scheme, trimFloat(load), script.Name, seed),
-							TopoSpec:             tp,
-							Scheme:               scheme,
-							Policy:               s.Policy,
-							Seed:                 seed,
-							Workload:             w,
-							Events:               script.Events,
-							Script:               script.Name,
-							ProbePeriodNs:        s.ProbePeriodNs,
-							FlowletTimeoutNs:     s.FlowletTimeoutNs,
-							FailureDetectPeriods: s.FailureDetectPeriods,
-							ProbePacking:         s.ProbePacking,
-							SuppressEps:          s.SuppressEps,
-							RefreshEvery:         s.RefreshEvery,
-							BinNs:                s.BinNs,
-							TrackLoops:           s.TrackLoops,
-							ClassStats:           s.ClassStats,
-							ElephantBytes:        s.ElephantBytes,
-							MetricsIntervalNs:    s.MetricsIntervalNs,
+							TopoSpec: tp,
+							Scheme:   scheme,
+							Policy:   s.Policy,
+							Seed:     seed,
+							Workload: w,
+							Events:   script.Events,
+							Script:   script.Name,
+							Options:  s.Options,
+							RxSeries: s.RxSeries,
+							Observe:  s.Observe,
 						}
-						if s.TraceLevel != "" && s.TraceLevel != "off" {
-							sc.TraceLevel = s.TraceLevel
+						if sc.TraceLevel == "off" {
+							sc.TraceLevel = ""
 						}
 						if err := sc.Validate(); err != nil {
 							return nil, err

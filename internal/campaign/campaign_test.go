@@ -2,9 +2,11 @@ package campaign
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"contra/internal/flowtrace"
 	"contra/internal/scenario"
 )
 
@@ -148,6 +150,43 @@ func TestScenarioFailureIsRecordedNotFatal(t *testing.T) {
 	}
 	if !strings.Contains(report.Outcomes[0].Err, "no-such") {
 		t.Fatalf("error %q does not name the bad link", report.Outcomes[0].Err)
+	}
+}
+
+// TestOversizedFlowFailsItsCellOnly: a replayed trace asking for a flow
+// too large to simulate used to panic inside sim.StartFlows and take the
+// whole campaign down; now the cell that replays it carries the error
+// and its neighbour completes.
+func TestOversizedFlowFailsItsCellOnly(t *testing.T) {
+	dir := t.TempDir()
+	spec := &Spec{
+		Topos:    []string{"fattree:4:2"},
+		Schemes:  []scenario.Scheme{scenario.SchemeECMP},
+		Seeds:    []int64{1, 2},
+		Workload: scenario.Workload{Kind: scenario.WorkloadTrace, TracePath: dir},
+	}
+	cells, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, bytes := range []int64{9e18, 20_000} {
+		tr := &flowtrace.Trace{
+			Meta:  flowtrace.Meta{Kind: flowtrace.KindFCT, Topo: "fattree:4:2", Seed: cells[i].Seed, DeadlineNs: 50_000_000},
+			Flows: []flowtrace.Flow{{ID: 1, Src: "h0_0_0", Dst: "h3_1_1", Bytes: bytes, StartNs: 4_000_000}},
+		}
+		if err := tr.WriteFile(filepath.Join(dir, flowtrace.FileName(cells[i].Name))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report, err := Run(spec, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := report.Outcomes[0].Err; !strings.Contains(got, "line 2: flow 1: bytes 9000000000000000000 past") {
+		t.Errorf("oversized cell: error %q does not name the flow and its line", got)
+	}
+	if o := report.Outcomes[1]; o.Err != "" || o.Result == nil || o.Result.Completed != 1 {
+		t.Errorf("neighbouring cell did not complete: %+v", o)
 	}
 }
 

@@ -49,16 +49,10 @@ func TestSwitchDownRoutesAroundAndRebootFlushes(t *testing.T) {
 
 	down := 20 * period
 	up := 40 * period
-	rt, err := Arm(n, fleet, Plan{
-		Seed:  1,
-		Nodes: []NodeEvent{{At: down, Node: core0}, {At: up, Node: core0, Up: true}},
-	}, period)
-	if err != nil {
-		t.Fatalf("arm: %v", err)
-	}
-	if rt == nil {
-		t.Fatal("non-empty plan armed to a nil runtime")
-	}
+	n.Inject(
+		sim.NetworkEvent{At: down, Kind: sim.EvNodeDown, Node: core0},
+		sim.NetworkEvent{At: up, Kind: sim.EvNodeUp, Node: core0},
+	)
 
 	e.Run(12 * period)
 	victim := fleet.Router(core0)
@@ -99,17 +93,10 @@ func TestSwitchDownRoutesAroundAndRebootFlushes(t *testing.T) {
 func TestProbeLossDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) (seen, dropped int64) {
 		g := topo.Fattree(4, 0)
-		e, n, fleet, comp := build(t, g, "minimize(path.util)")
-		var links []topo.LinkID
+		e, n, _, comp := build(t, g, "minimize(path.util)")
+		n.SetProbeLossSeed(seed)
 		for _, l := range g.Links() {
-			links = append(links, l.ID)
-		}
-		_, err := Arm(n, fleet, Plan{
-			Seed: seed,
-			Loss: []LossEvent{{At: 0, Links: links, Rate: 0.3}},
-		}, comp.Opts.ProbePeriodNs)
-		if err != nil {
-			t.Fatalf("arm: %v", err)
+			n.Inject(sim.NetworkEvent{Kind: sim.EvProbeLoss, Link: l.ID, Rate: 0.3})
 		}
 		e.Run(30 * comp.Opts.ProbePeriodNs)
 		return n.ProbeLossStats()
@@ -137,10 +124,7 @@ func TestPolicySwapConvergenceWindow(t *testing.T) {
 	e, n, fleet, comp := build(t, g, "minimize(path.util)")
 	period := comp.Opts.ProbePeriodNs
 	swapAt := 20 * period
-	rt, err := Arm(n, fleet, Plan{
-		Seed:  1,
-		Swaps: []SwapEvent{{At: swapAt, Source: "minimize(path.len)"}},
-	}, period)
+	rt, err := Arm(n, fleet, []SwapEvent{{At: swapAt, Source: "minimize(path.len)"}}, period)
 	if err != nil {
 		t.Fatalf("arm: %v", err)
 	}
@@ -152,11 +136,11 @@ func TestPolicySwapConvergenceWindow(t *testing.T) {
 	if got := fleet.Compiled().Policy.String(); got != "minimize(path.len)" {
 		t.Fatalf("fleet runs %q after swap", got)
 	}
-	rep := rt.Report()
-	if len(rep.Swaps) != 1 {
-		t.Fatalf("got %d swap windows, want 1", len(rep.Swaps))
+	wins := rt.Windows()
+	if len(wins) != 1 {
+		t.Fatalf("got %d swap windows, want 1", len(wins))
 	}
-	w := rep.Swaps[0]
+	w := wins[0]
 	if w.AtNs != swapAt {
 		t.Fatalf("window at %d, want %d", w.AtNs, swapAt)
 	}
@@ -188,16 +172,13 @@ func TestSwapDuringOutageConvergesOnSurvivingFabric(t *testing.T) {
 	core0 := firstCore(t, g)
 	down := 20 * period
 	swapAt := down + 2*period // inside the detection window, no switch_up
-	rt, err := Arm(n, fleet, Plan{
-		Seed:  1,
-		Nodes: []NodeEvent{{At: down, Node: core0}},
-		Swaps: []SwapEvent{{At: swapAt, Source: "minimize(path.len)"}},
-	}, period)
+	n.Inject(sim.NetworkEvent{At: down, Kind: sim.EvNodeDown, Node: core0})
+	rt, err := Arm(n, fleet, []SwapEvent{{At: swapAt, Source: "minimize(path.len)"}}, period)
 	if err != nil {
 		t.Fatalf("arm: %v", err)
 	}
 	e.Run(80 * period)
-	w := rt.Report().Swaps[0]
+	w := rt.Windows()[0]
 	if w.Pairs == 0 {
 		t.Fatal("snapshot empty: surviving fabric had live routes")
 	}
@@ -213,10 +194,7 @@ func TestSwapOnColdFabricReportsNoWindow(t *testing.T) {
 	g := topo.Fattree(4, 0)
 	e, n, fleet, comp := build(t, g, "minimize(path.util)")
 	period := comp.Opts.ProbePeriodNs
-	rt, err := Arm(n, fleet, Plan{
-		Seed:  1,
-		Swaps: []SwapEvent{{At: 1, Source: "minimize(path.len)"}},
-	}, period)
+	rt, err := Arm(n, fleet, []SwapEvent{{At: 1, Source: "minimize(path.len)"}}, period)
 	if err != nil {
 		t.Fatalf("arm: %v", err)
 	}
@@ -224,7 +202,7 @@ func TestSwapOnColdFabricReportsNoWindow(t *testing.T) {
 	if fleet.Era() != 1 {
 		t.Fatal("cold swap did not install")
 	}
-	w := rt.Report().Swaps[0]
+	w := rt.Windows()[0]
 	if w.Pairs != 0 || w.ConvergenceNs != -1 {
 		t.Fatalf("cold swap reported a window: %+v", w)
 	}
@@ -234,15 +212,12 @@ func TestSwapNeverFiredReportsUnconverged(t *testing.T) {
 	g := topo.Fattree(4, 0)
 	e, n, fleet, comp := build(t, g, "minimize(path.util)")
 	period := comp.Opts.ProbePeriodNs
-	rt, err := Arm(n, fleet, Plan{
-		Seed:  1,
-		Swaps: []SwapEvent{{At: 1000 * period, Source: "minimize(path.len)"}},
-	}, period)
+	rt, err := Arm(n, fleet, []SwapEvent{{At: 1000 * period, Source: "minimize(path.len)"}}, period)
 	if err != nil {
 		t.Fatalf("arm: %v", err)
 	}
 	e.Run(10 * period) // stop long before the swap
-	w := rt.Report().Swaps[0]
+	w := rt.Windows()[0]
 	if w.ConvergenceNs != -1 || w.ConvergedAtNs != -1 || w.Pairs != 0 {
 		t.Fatalf("unfired swap reported %+v, want unconverged empty window", w)
 	}
@@ -250,24 +225,21 @@ func TestSwapNeverFiredReportsUnconverged(t *testing.T) {
 
 func TestArmRejectsSwapWithoutFleet(t *testing.T) {
 	g := topo.Fattree(4, 0)
-	e, n, fleet, comp := build(t, g, "minimize(path.util)")
-	_ = e
-	_ = fleet
-	_, err := Arm(n, nil, Plan{Swaps: []SwapEvent{{At: 1, Source: "minimize(path.len)"}}},
-		comp.Opts.ProbePeriodNs)
+	_, n, _, comp := build(t, g, "minimize(path.util)")
+	_, err := Arm(n, nil, []SwapEvent{{At: 1, Source: "minimize(path.len)"}}, comp.Opts.ProbePeriodNs)
 	if err == nil {
-		t.Fatal("swap plan without a fleet must fail to arm")
+		t.Fatal("a swap without a fleet must fail to arm")
 	}
 }
 
-func TestEmptyPlanArmsToNil(t *testing.T) {
+func TestNoSwapsArmToNil(t *testing.T) {
 	g := topo.Fattree(4, 0)
 	_, n, fleet, comp := build(t, g, "minimize(path.util)")
-	rt, err := Arm(n, fleet, Plan{}, comp.Opts.ProbePeriodNs)
+	rt, err := Arm(n, fleet, nil, comp.Opts.ProbePeriodNs)
 	if err != nil || rt != nil {
-		t.Fatalf("empty plan: rt=%v err=%v, want nil/nil", rt, err)
+		t.Fatalf("no swaps: rt=%v err=%v, want nil/nil", rt, err)
 	}
-	if rep := rt.Report(); len(rep.Swaps) != 0 || rep.ProbeLossSeen != 0 {
-		t.Fatalf("nil runtime report not zero: %+v", rep)
+	if wins := rt.Windows(); len(wins) != 0 {
+		t.Fatalf("nil runtime reports windows: %+v", wins)
 	}
 }

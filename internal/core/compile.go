@@ -19,47 +19,61 @@ import (
 	"contra/internal/topo"
 )
 
-// Options tune compilation.
+// Options are the protocol settings of a run. This is their one
+// declaration: scenario.Scenario and campaign.Spec embed the struct, so
+// the JSON keys below are the spec-file keys of both formats, and the
+// decoded value travels unchanged to the compiler (Contra) and to
+// baseline.NewHula. The static-table schemes (ecmp, sp, spain) send no
+// probes and pin no flowlets, and read none of them. Fill supplies the
+// defaults.
 type Options struct {
-	// ProbePeriodNs overrides the probe period; 0 derives it from the
-	// topology per §5.2 (>= 0.5 x worst-case RTT).
-	ProbePeriodNs int64
+	// ProbePeriodNs is the probe period (contra, hula). 0 derives it
+	// from the topology per §5.2 (>= 0.5 x worst-case RTT); scenarios
+	// never leave it 0, they default to the paper's 256us (§6.3).
+	ProbePeriodNs int64 `json:"probe_period_ns,omitempty"`
 
 	// FlowletTimeoutNs is the flowlet gap after which a new flowlet
-	// starts; 0 uses the paper's 200us.
-	FlowletTimeoutNs int64
+	// starts (contra, hula); 0 uses the paper's 200us.
+	FlowletTimeoutNs int64 `json:"flowlet_timeout_ns,omitempty"`
 
 	// FailureDetectPeriods is k: a link with no probe for k periods is
-	// considered failed (§5.4). 0 uses 3.
-	FailureDetectPeriods int
+	// considered failed (§5.4). 0 uses 3. Contra only: HULA ages every
+	// (destination, port) at a fixed 3 periods, as its design does, and
+	// ignores this setting.
+	FailureDetectPeriods int `json:"failure_detect_periods,omitempty"`
 
 	// LoopTTLDelta is the max observed TTL spread per packet hash
-	// before the loop breaker fires (§5.5). 0 uses 4.
-	LoopTTLDelta int
+	// before the loop breaker fires (§5.5, contra). 0 uses 4. Go-only:
+	// no spec format carries it.
+	LoopTTLDelta int `json:"-"`
 
 	// ProbePacking enables multi-origin probe packing (§5.2 overhead
-	// reduction): a switch that would emit N per-origin probes on a
-	// port in one period instead emits a single packed probe carrying
-	// N entries, and defers transit re-advertisement to a once-per-
-	// period flush. Off by default; the unpacked protocol is
+	// reduction; contra, hula): a switch that would emit N per-origin
+	// probes on a port in one period instead emits a single packed probe
+	// carrying N entries, and defers transit re-advertisement to a once-
+	// per-period flush. Off by default; the unpacked protocol is
 	// byte-identical to pre-packing builds.
-	ProbePacking bool
+	ProbePacking bool `json:"probe_packing,omitempty"`
 
 	// SuppressEps enables delta suppression when > 0 (or when
-	// RefreshEvery is set): a switch skips re-advertising an origin
-	// whose route is unchanged and whose metric vector moved by at
-	// most SuppressEps per component since the last advertisement.
-	// 0 with RefreshEvery set suppresses exact repeats only.
-	SuppressEps float64
+	// RefreshEvery is set; contra, hula): a switch skips re-advertising
+	// an origin whose route is unchanged and whose metric vector moved
+	// by at most SuppressEps per component since the last
+	// advertisement. 0 with RefreshEvery set suppresses exact repeats
+	// only.
+	SuppressEps float64 `json:"suppress_eps,omitempty"`
 
 	// RefreshEvery bounds suppression staleness: every entry is
 	// re-advertised at least once every RefreshEvery probe periods
 	// regardless of SuppressEps. Setting it (or SuppressEps) turns
 	// suppression on; 0 with SuppressEps > 0 defaults to 4.
-	RefreshEvery int
+	RefreshEvery int `json:"refresh_every,omitempty"`
 }
 
-func (o *Options) fill(t *topo.Graph) {
+// Fill applies the defaults in place; it is idempotent. Compile and
+// baseline.DeployHula call it, so every scheme reads the same filled
+// values.
+func (o *Options) Fill(t *topo.Graph) {
 	if o.ProbePeriodNs == 0 {
 		min := t.MaxSwitchRTT() / 2
 		if min < 50_000 {
@@ -81,10 +95,19 @@ func (o *Options) fill(t *topo.Graph) {
 	}
 }
 
-// SuppressOn reports whether delta suppression is enabled. After fill,
+// SuppressOn reports whether delta suppression is enabled. After Fill,
 // SuppressEps > 0 implies RefreshEvery > 0, so the forced-refresh knob
 // alone decides.
 func (o *Options) SuppressOn() bool { return o.RefreshEvery > 0 }
+
+// SuppressSlack is the number of probe periods by which suppression
+// stretches an aging horizon (after Fill). Suppression legitimately
+// quiets re-advertisements, and the quiet window compounds across a
+// hop: an upstream's forced refresh arriving just inside this switch's
+// own refresh horizon is suppressed, so consecutive advertisements can
+// be nearly 2x RefreshEvery periods apart. A horizon that did not
+// stretch by that bound would expire suppressed-but-alive routes.
+func (o *Options) SuppressSlack() int64 { return 2 * int64(o.RefreshEvery) }
 
 // SwitchProgram is the compiled artifact for one switch: everything the
 // data-plane runtime needs that is static for a given policy+topology.
@@ -152,7 +175,7 @@ type Stats struct {
 // program generation, and state accounting.
 func Compile(t *topo.Graph, pol *policy.Policy, opts Options) (*Compiled, error) {
 	start := time.Now()
-	opts.fill(t)
+	opts.Fill(t)
 
 	res, err := analysis.Analyze(pol)
 	if err != nil {

@@ -310,21 +310,15 @@ func (c *Contra) bestOf(origin topo.NodeID) *fwdEntry {
 }
 
 // setHorizons derives the expiry and failure-detection horizons from
-// the compiled options. Suppression legitimately quiets re-advertise-
-// ments, and the quiet window compounds across a hop: an upstream's
-// forced refresh arriving just inside this switch's own refresh
-// horizon is suppressed, so consecutive advertisements can be nearly
-// 2x RefreshEvery periods apart. Both horizons stretch by that bound —
-// except port liveness under packing, where the per-period heartbeat
-// keeps ports fresh at the §5.4 horizon.
+// the compiled options. Under suppression both stretch by
+// core.Options.SuppressSlack — except port liveness under packing,
+// where the per-period heartbeat keeps ports fresh at the §5.4 horizon.
 func (c *Contra) setHorizons() {
-	period := c.comp.Opts.ProbePeriodNs
-	k := int64(c.comp.Opts.FailureDetectPeriods)
-	var slack int64
-	if c.suppressOn {
-		c.refreshNs = int64(c.comp.Opts.RefreshEvery) * period
-		slack = 2 * int64(c.comp.Opts.RefreshEvery)
-	}
+	opts := &c.comp.Opts
+	period := opts.ProbePeriodNs
+	k := int64(opts.FailureDetectPeriods)
+	slack := opts.SuppressSlack()
+	c.refreshNs = int64(opts.RefreshEvery) * period
 	c.expireNs = (k+slack)*period + period
 	if c.packing {
 		slack = 0 // heartbeats refresh port liveness every period
@@ -977,7 +971,7 @@ func (c *Contra) lookupAlive(dst topo.NodeID, tag int32, pid uint8) (*fwdEntry, 
 func (c *Contra) SetTracer(r *trace.Recorder) { c.tr = r; c.setAltOn() }
 
 // SetChurn attaches this router's probe-table churn accumulator (nil
-// detaches); Fleet.SetMetrics registers one per switch.
+// detaches).
 func (c *Contra) SetChurn(ch *metrics.Churn) { c.mx = ch }
 
 // SetOverrides pins flows to an alternative forwarding choice for

@@ -2,10 +2,8 @@ package dataplane
 
 import (
 	"contra/internal/core"
-	"contra/internal/metrics"
 	"contra/internal/sim"
 	"contra/internal/topo"
-	"contra/internal/trace"
 )
 
 // The Contra router participates in both runtime-update seams: policy
@@ -60,37 +58,6 @@ func (f *Fleet) Compiled() *core.Compiled { return f.comp }
 
 // Era returns the current policy generation (0 until the first swap).
 func (f *Fleet) Era() uint8 { return f.era }
-
-// SetTracer attaches a decision-trace recorder to every router in the
-// fleet (nil detaches).
-func (f *Fleet) SetTracer(r *trace.Recorder) {
-	for _, c := range f.routers {
-		c.SetTracer(r)
-	}
-}
-
-// SetMetrics registers every router in the fleet with a telemetry
-// recorder, attaching one churn accumulator per switch under its
-// topology name (nil detaches). Iteration is in topology order; the
-// recorder sorts by name regardless, so the exported series order does
-// not depend on the caller.
-func (f *Fleet) SetMetrics(m *metrics.Recorder) {
-	for _, swID := range f.net.Topo.Switches() {
-		if m == nil {
-			f.routers[swID].SetChurn(nil)
-			continue
-		}
-		f.routers[swID].SetChurn(m.RegisterRouter(f.net.Topo.Node(swID).Name))
-	}
-}
-
-// SetOverrides pins flows to an alternative forwarding choice on every
-// router — the counterfactual replay hook (nil clears).
-func (f *Fleet) SetOverrides(o *trace.Overrides) {
-	for _, c := range f.routers {
-		c.SetOverrides(o)
-	}
-}
 
 // Install hot-swaps a freshly compiled policy into every router in one
 // event-loop step: the fleet era is bumped, and each switch (in

@@ -48,7 +48,7 @@ func coordSpec() *campaign.Spec {
 	}
 }
 
-func newTestCoordinator(t *testing.T, opts Options) (*Coordinator, *bytes.Buffer) {
+func newTestCoordinator(t testing.TB, opts Options) (*Coordinator, *bytes.Buffer) {
 	t.Helper()
 	var buf bytes.Buffer
 	c, err := New(coordSpec(), dist.NewJSONLSink(&buf), nil, opts)

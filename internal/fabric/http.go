@@ -2,11 +2,13 @@ package fabric
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 
 	"contra/internal/dist"
+	"contra/internal/jsonl"
 )
 
 // The wire protocol: four plain HTTP/JSON endpoints. Every request
@@ -23,8 +25,17 @@ import (
 //	GET  /v1/cells                                → CellsResponse
 //
 // 4xx responses mark permanent protocol errors (malformed request,
-// unknown cell key); 5xx responses are transient (a sink write failed)
-// and workers retry them with backoff.
+// unknown cell key, a body past its bound: 413); 5xx responses are
+// transient (a sink write failed) and workers retry them with backoff.
+
+// Request bodies are read up to a bound, like every other reader of
+// outside bytes here. A result carries one record, which is one line of
+// the record stream, so it gets that format's line bound; a lease poll
+// or a heartbeat is a few hundred bytes of ids and telemetry.
+const (
+	maxResultBody  = jsonl.MaxLine
+	maxControlBody = 1 << 20
+)
 
 // Lease response statuses.
 const (
@@ -77,7 +88,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req leaseRequest
-		if !decodeJSON(w, r, &req) {
+		if !decodeJSON(w, r, maxControlBody, &req) || !hasWorker(w, req.Worker) {
 			return
 		}
 		grant, done := c.Lease(req.Worker)
@@ -92,14 +103,14 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req heartbeatRequest
-		if !decodeJSON(w, r, &req) {
+		if !decodeJSON(w, r, maxControlBody, &req) || !hasWorker(w, req.Worker) {
 			return
 		}
 		writeJSON(w, &heartbeatResponse{OK: c.Heartbeat(req.Worker, req.LeaseID, req.Telemetry)})
 	})
 	mux.HandleFunc("POST /v1/result", func(w http.ResponseWriter, r *http.Request) {
 		var req resultRequest
-		if !decodeJSON(w, r, &req) {
+		if !decodeJSON(w, r, maxResultBody, &req) || !hasWorker(w, req.Worker) {
 			return
 		}
 		if req.Record == nil {
@@ -135,9 +146,27 @@ func isProtocolError(err error) bool {
 	return strings.HasPrefix(err.Error(), "fabric:")
 }
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		http.Error(w, fmt.Sprintf("fabric: bad request body: %v", err), http.StatusBadRequest)
+// decodeJSON reads at most limit bytes of request body into into,
+// answering 413 when the body is longer and 400 when it is not JSON.
+func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, into any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(into)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, fmt.Sprintf("fabric: bad request body: %v", err), status)
+	return false
+}
+
+// hasWorker refuses a request that names no worker: leases are bound to
+// their holder by that id, and the journal's grant lines require one.
+func hasWorker(w http.ResponseWriter, worker string) bool {
+	if worker == "" {
+		http.Error(w, "fabric: request without a worker id", http.StatusBadRequest)
 		return false
 	}
 	return true

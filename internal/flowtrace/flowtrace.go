@@ -22,6 +22,7 @@ import (
 
 	"contra/internal/cliutil"
 	"contra/internal/jsonl"
+	"contra/internal/sim"
 )
 
 // Version is the trace format version this package reads and writes.
@@ -208,6 +209,8 @@ func (f *Flow) check(kind string) error {
 		return fmt.Errorf("flow needs start_ns >= 0")
 	case f.Bytes < 0 || f.RateBps < 0:
 		return fmt.Errorf("flow size knobs negative")
+	case f.Bytes > sim.MaxFlowBytes:
+		return fmt.Errorf("flow %d: bytes %d past the simulator's %d-byte flow limit", f.ID, f.Bytes, sim.MaxFlowBytes)
 	case kind == KindCBR && f.RateBps <= 0:
 		return fmt.Errorf("cbr flow needs rate_bps > 0")
 	case kind != KindCBR && f.Bytes <= 0:

@@ -121,6 +121,7 @@ func TestReadStrictness(t *testing.T) {
 		{"F11 start", edit(lines, 3, `"start_ns":3250000`, `"start_ns":-1`), "line 3: flow needs start_ns >= 0"},
 		{"F12 bytes", edit(lines, 2, `"bytes":1200`, `"bytes":-1200`), "line 2: flow size knobs negative"},
 		{"F12 rate", edit(lines, 2, `"bytes":1200`, `"bytes":1200,"rate_bps":-1`), "line 2: flow size knobs negative"},
+		{"bytes past sim.MaxFlowBytes", edit(lines, 2, `"bytes":1200`, `"bytes":9000000000000000000`), "line 2: flow 1: bytes 9000000000000000000 past the simulator's"},
 		{"F13 cbr flow without rate", edit(cbr, 2, `"rate_bps":1.3e8`, `"bytes":1000`), "line 2: cbr flow needs rate_bps > 0"},
 		{"F14 fct flow without bytes", edit(lines, 2, `"bytes":1200`, `"rate_bps":1e6`), "line 2: fct flow needs bytes > 0"},
 		{"F15 flows first", lines[1] + "\n", `line 1: first line has type "flow", want "meta"`},

@@ -5,11 +5,14 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"contra/internal/sim"
 )
 
 // FuzzRead feeds the trace reader arbitrary bytes. Nothing may panic or
-// allocate on the meta line's say-so, and an accepted trace written
-// back in the canonical encoding must read as the same trace.
+// allocate on the meta line's say-so, an accepted trace carries no flow
+// the simulator cannot start, and written back in the canonical encoding
+// it must read as the same trace.
 func FuzzRead(f *testing.F) {
 	// 40 websearch flows recorded by contrasim -record on fattree:4:2.
 	rec, err := os.ReadFile("testdata/cell.flow.jsonl")
@@ -29,6 +32,11 @@ func FuzzRead(f *testing.F) {
 		tr, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for _, fl := range tr.Flows {
+			if fl.Bytes > sim.MaxFlowBytes {
+				t.Fatalf("accepted flow %d of %d bytes: sim.StartFlows cannot allocate it", fl.ID, fl.Bytes)
+			}
 		}
 		var buf bytes.Buffer
 		if err := tr.WriteJSONL(&buf); err != nil {

@@ -72,8 +72,8 @@ func recordThenReplay(t *testing.T, live Scenario) (*Result, *Result) {
 func TestRecordReplayFCT(t *testing.T) {
 	live := Scenario{
 		Name: "rr-fct", TopoSpec: "fattree:4:2", Scheme: SchemeContra, Seed: 3,
-		Workload:   Workload{Kind: WorkloadFCT, Dist: "websearch", Load: 0.3, DurationNs: 2_000_000, MaxFlows: 150},
-		ClassStats: true,
+		Workload: Workload{Kind: WorkloadFCT, Dist: "websearch", Load: 0.3, DurationNs: 2_000_000, MaxFlows: 150},
+		Observe:  Observe{ClassStats: true},
 		Events: []Event{
 			{Kind: Surge, AtNs: 4_000_000, Load: 0.2, DurationNs: 1_000_000},
 			{Kind: LinkDown, AtNs: 4_000_000, Link: "auto"},
@@ -115,7 +115,7 @@ func TestRecordReplayCohorts(t *testing.T) {
 					Size: workload.SizeSpec{Dist: workload.SizeLogNormal, MeanBytes: 5e5, Sigma: 1}},
 			},
 		},
-		ClassStats: true,
+		Observe: Observe{ClassStats: true},
 	}
 	liveRes, _ := recordThenReplay(t, live)
 	classes := map[string]bool{}
@@ -195,6 +195,8 @@ func TestReplayErrors(t *testing.T) {
 	switchSrc := raw("switch-src.flow.jsonl", strings.Replace(flow1, `"src":"h2_0_0"`, `"src":"e0_0"`, 1))
 	switchDst := raw("switch-dst.flow.jsonl", strings.Replace(flow1, `"dst":"h0_1_1"`, `"dst":"c3"`, 1))
 	noNode := raw("no-node.flow.jsonl", flow1, strings.Replace(flow1, `"id":1,"src":"h2_0_0"`, `"id":2,"src":"h9_9_9"`, 1))
+	// Reached StartFlows' per-packet allocation: "makeslice: len out of range".
+	huge := raw("huge.flow.jsonl", strings.Replace(flow1, `"bytes":32607`, `"bytes":9000000000000000000`, 1))
 
 	base := Scenario{Name: "re", TopoSpec: "fattree:4:2", Scheme: SchemeECMP, Seed: 1}
 	cases := []struct {
@@ -209,6 +211,7 @@ func TestReplayErrors(t *testing.T) {
 		{"switch as source", switchSrc, `trace flow 0: node "e0_0" is a switch; flows connect hosts`},
 		{"switch as destination", switchDst, `trace flow 0: node "c3" is a switch; flows connect hosts`},
 		{"unknown node", noNode, `trace flow 1: no node "h9_9_9" in topo`},
+		{"flow too large to simulate", huge, "huge.flow.jsonl: flowtrace: line 2: flow 1: bytes 9000000000000000000 past the simulator's"},
 	}
 	for _, tc := range cases {
 		s := base
@@ -219,6 +222,42 @@ func TestReplayErrors(t *testing.T) {
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestOversizedFlowIsAnError: a flow too large for StartFlows' per-packet
+// allocation used to kill the process ("makeslice: len out of range"),
+// and with it every other cell of a campaign. A spec that asks for one
+// outright is refused by validation, naming the field; one whose heavy
+// tail merely can produce one gets as far as play, which names the flow.
+func TestOversizedFlowIsAnError(t *testing.T) {
+	base := Scenario{Name: "big", TopoSpec: "fattree:4:2", Scheme: SchemeECMP, Seed: 1}
+
+	spec := base
+	spec.Workload = Workload{Kind: WorkloadCohorts, Cohorts: []workload.CohortSpec{
+		{Name: "bulk", RateFPS: 1000, Size: workload.SizeSpec{Dist: workload.SizeFixed, Bytes: 9e18}},
+	}}
+	tail := base
+	tail.Workload = Workload{Kind: WorkloadCohorts, DurationNs: 1_000_000, Cohorts: []workload.CohortSpec{
+		{Name: "bulk", RateFPS: 1e5, Size: workload.SizeSpec{Dist: workload.SizePareto, MinBytes: 6e10, Alpha: 1.01}},
+	}}
+
+	for _, tc := range []struct {
+		name string
+		s    Scenario
+		want string
+	}{
+		{"fixed size in the spec", spec, `scenario "big": workload: cohort 0 ("bulk"): size bytes 9e+18 is past the simulator's`},
+		{"pareto tail", tail, `scenario "big": flow 1 (h`},
+	} {
+		_, err := Run(tc.s)
+		if err == nil {
+			t.Errorf("%s: ran", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "bytes") {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}

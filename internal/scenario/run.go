@@ -42,11 +42,8 @@ type Result struct {
 	MeanFCT float64 `json:"mean_fct,omitempty"` // seconds
 	P50FCT  float64 `json:"p50_fct,omitempty"`
 	// P95FCT comes from the O(1)-memory P² streaming tracker
-	// (stats.Quantiles), deterministic for a given scenario; p50/p99
-	// still read the exact retained Sample to keep historical values
-	// byte-stable. The tracker follows all three so the Sample can be
-	// dropped from this path wholesale once that compatibility window
-	// closes.
+	// (stats.Quantiles), deterministic for a given scenario; p50 and p99
+	// read the exact retained Sample.
 	P95FCT float64 `json:"p95_fct,omitempty"`
 	P99FCT float64 `json:"p99_fct,omitempty"`
 
@@ -259,66 +256,60 @@ func fabricLinksOf(g *topo.Graph, id topo.NodeID) []topo.LinkID {
 	return out
 }
 
-// Deploy installs a scheme's routers on a network, returning the
-// Contra fleet handle when applicable (diagnostics and runtime policy
-// swaps; fleet.Routers() exposes the per-switch routers). A non-nil
-// rec attaches decision tracing to the routers that capture decisions
-// (contra and hula); a non-nil ovr pins flows for counterfactual
-// replay (contra only — Validate enforces that); a non-nil mrec
-// registers per-router churn accumulators with the telemetry recorder
-// (contra and hula — static-table schemes have no probe tables to
-// churn).
-func Deploy(n *sim.Network, scheme Scheme, g *topo.Graph, policySrc string, opts core.Options, rec *trace.Recorder, ovr *trace.Overrides, mrec *metrics.Recorder) (*dataplane.Fleet, *core.Compiled, error) {
-	switch scheme {
+// Deploy builds the scenario's scheme on a network: one router per
+// switch, from the scenario's policy and protocol settings. It returns
+// the Contra fleet handle when there is one (runtime policy swaps and
+// diagnostics; fleet.Routers() exposes the per-switch routers) and nil
+// for every baseline. Observers are not its business: attachObservers
+// hands them to whichever routers take them.
+func Deploy(n *sim.Network, g *topo.Graph, s *Scenario) (*dataplane.Fleet, error) {
+	switch s.Scheme {
 	case SchemeContra:
-		pol, err := policy.Parse(policySrc, policy.ParseOptions{Symbols: g.SortedNames()})
+		pol, err := policy.Parse(s.Policy, policy.ParseOptions{Symbols: g.SortedNames()})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		comp, err := core.Compile(g, pol, opts)
+		comp, err := core.Compile(g, pol, s.Options)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		fleet := dataplane.DeployFleet(n, comp)
-		if rec != nil {
-			fleet.SetTracer(rec)
-		}
-		if ovr != nil {
-			fleet.SetOverrides(ovr)
-		}
-		if mrec != nil {
-			fleet.SetMetrics(mrec)
-		}
-		return fleet, comp, nil
+		return dataplane.DeployFleet(n, comp), nil
 	case SchemeECMP:
 		baseline.DeployECMP(n)
 	case SchemeSP:
 		baseline.DeploySP(n)
 	case SchemeHula:
-		routers := baseline.DeployHula(n, baseline.HulaConfig{
-			ProbePeriodNs:    opts.ProbePeriodNs,
-			FlowletTimeoutNs: opts.FlowletTimeoutNs,
-			ProbePacking:     opts.ProbePacking,
-			SuppressEps:      opts.SuppressEps,
-			RefreshEvery:     opts.RefreshEvery,
-		})
-		if rec != nil {
-			for _, r := range routers {
-				r.SetTracer(rec)
-			}
-		}
-		if mrec != nil {
-			// Topology order for clarity; the recorder sorts by name.
-			for _, id := range g.Switches() {
-				routers[id].SetChurn(mrec.RegisterRouter(g.Node(id).Name))
-			}
-		}
+		baseline.DeployHula(n, s.Options)
 	case SchemeSpain:
 		baseline.DeploySpain(n, baseline.SpainConfig{})
 	default:
-		return nil, nil, fmt.Errorf("scenario: unknown scheme %q", scheme)
+		return nil, fmt.Errorf("scenario: unknown scheme %q", s.Scheme)
 	}
-	return nil, nil, nil
+	return nil, nil
+}
+
+// attachObservers hands the run's observers to every router that takes
+// them, discovered the way sim.Rebooter is: by optional interface. A
+// nil observer is off and attaches nothing. rec is decision tracing
+// (the routers that make per-flowlet decisions: contra, hula); mrec
+// gives each router with probe tables a churn accumulator under its
+// switch's name (contra, hula; the recorder sorts by name, so the visit
+// order does not reach the output); ovr pins flows for counterfactual
+// replay (contra — Validate has refused it for anything else). The next
+// observer is one more interface here.
+func attachObservers(n *sim.Network, g *topo.Graph, rec *trace.Recorder, mrec *metrics.Recorder, ovr *trace.Overrides) {
+	for _, id := range g.Switches() {
+		r := n.Switch(id).Router()
+		if t, ok := r.(interface{ SetTracer(*trace.Recorder) }); ok && rec != nil {
+			t.SetTracer(rec)
+		}
+		if c, ok := r.(interface{ SetChurn(*metrics.Churn) }); ok && mrec != nil {
+			c.SetChurn(mrec.RegisterRouter(g.Node(id).Name))
+		}
+		if o, ok := r.(interface{ SetOverrides(*trace.Overrides) }); ok && ovr != nil {
+			o.SetOverrides(ovr)
+		}
+	}
 }
 
 // resolveTopo materializes the scenario's topology. The caller owns
@@ -342,86 +333,94 @@ func (s *Scenario) resolveTopo() (*topo.Graph, error) {
 	return g, nil
 }
 
-// resolvedEvents splits the script into topology-level pre-fails,
-// runtime link events for the sim injector, traffic surges, and the
-// chaos plan (switch failures, probe loss, policy swaps) that
-// chaos.Arm schedules.
-func (s *Scenario) resolvedEvents(g *topo.Graph) (pre []topo.LinkID, net []sim.NetworkEvent, surges []Event, plan chaos.Plan, err error) {
-	plan.Seed = s.Seed
+// resolved is a scenario's event script with every name looked up in
+// the topology, split by who consumes each part.
+type resolved struct {
+	pre    []topo.LinkID      // links failed in the topology itself, before routers deploy
+	links  []sim.NetworkEvent // runtime link down/up/scale, injected by play
+	nodes  []sim.NetworkEvent // switch failures and reboots
+	loss   []sim.NetworkEvent // probe-loss rates, one event per covered link
+	swaps  []chaos.SwapEvent  // policy hot-swaps, armed by chaos.Arm
+	surges []Event            // extra traffic, materialised by fctFlows
+}
+
+// findLink resolves a link name ("auto"/empty via AutoFailLink).
+func findLink(g *topo.Graph, name string) (topo.LinkID, error) {
+	if name == "" || name == "auto" {
+		return AutoFailLink(g)
+	}
+	return cliutil.FindLink(g, name)
+}
+
+// resolvedEvents looks the script's names up in g and sorts its events
+// by consumer, each list in script order.
+func (s *Scenario) resolvedEvents(g *topo.Graph) (*resolved, error) {
+	var sc resolved
 	for _, ev := range s.Events {
 		switch ev.Kind {
 		case Surge:
-			surges = append(surges, ev)
-			continue
+			sc.surges = append(sc.surges, ev)
 		case SwitchDown, SwitchUp:
-			var node topo.NodeID
-			node, err = findSwitch(g, ev.Node)
+			node, err := findSwitch(g, ev.Node)
 			if err != nil {
-				return nil, nil, nil, plan, err
+				return nil, err
 			}
-			plan.Nodes = append(plan.Nodes, chaos.NodeEvent{
-				At: ev.AtNs, Node: node, Up: ev.Kind == SwitchUp,
-			})
-			continue
+			kind := sim.EvNodeDown
+			if ev.Kind == SwitchUp {
+				kind = sim.EvNodeUp
+			}
+			sc.nodes = append(sc.nodes, sim.NetworkEvent{At: ev.AtNs, Kind: kind, Node: node})
 		case PolicySwap:
-			plan.Swaps = append(plan.Swaps, chaos.SwapEvent{At: ev.AtNs, Source: ev.NewPolicy})
-			continue
+			sc.swaps = append(sc.swaps, chaos.SwapEvent{At: ev.AtNs, Source: ev.NewPolicy})
 		case ProbeLoss:
 			var links []topo.LinkID
 			if ev.Node != "" {
-				var node topo.NodeID
-				node, err = findSwitch(g, ev.Node)
+				node, err := findSwitch(g, ev.Node)
 				if err != nil {
-					return nil, nil, nil, plan, err
+					return nil, err
 				}
 				links = fabricLinksOf(g, node)
 				if len(links) == 0 {
-					err = fmt.Errorf("scenario %q: switch %q has no fabric links for probe_loss", s.Name, ev.Node)
-					return nil, nil, nil, plan, err
+					return nil, fmt.Errorf("scenario %q: switch %q has no fabric links for probe_loss", s.Name, ev.Node)
 				}
 			} else {
-				var id topo.LinkID
-				if ev.Link == "" || ev.Link == "auto" {
-					id, err = AutoFailLink(g)
-				} else {
-					id, err = cliutil.FindLink(g, ev.Link)
-				}
+				id, err := findLink(g, ev.Link)
 				if err != nil {
-					return nil, nil, nil, plan, err
+					return nil, err
 				}
 				links = []topo.LinkID{id}
 			}
-			plan.Loss = append(plan.Loss, chaos.LossEvent{At: ev.AtNs, Links: links, Rate: ev.Rate})
-			continue
+			for _, id := range links {
+				sc.loss = append(sc.loss, sim.NetworkEvent{At: ev.AtNs, Kind: sim.EvProbeLoss, Link: id, Rate: ev.Rate})
+			}
 		case LinkDown, LinkUp, Degrade:
+			id, err := findLink(g, ev.Link)
+			if err != nil {
+				return nil, err
+			}
+			if ev.Kind == LinkDown && ev.AtNs <= 0 {
+				sc.pre = append(sc.pre, id)
+				continue
+			}
+			ne := sim.NetworkEvent{At: ev.AtNs, Link: id}
+			switch ev.Kind {
+			case LinkDown:
+				ne.Kind = sim.EvLinkDown
+			case LinkUp:
+				ne.Kind = sim.EvLinkUp
+			case Degrade:
+				ne.Kind = sim.EvLinkScale
+				ne.Scale = ev.Scale
+			}
+			sc.links = append(sc.links, ne)
 		}
-		var id topo.LinkID
-		if ev.Link == "" || ev.Link == "auto" {
-			id, err = AutoFailLink(g)
-		} else {
-			id, err = cliutil.FindLink(g, ev.Link)
-		}
-		if err != nil {
-			return nil, nil, nil, plan, err
-		}
-		if ev.Kind == LinkDown && ev.AtNs <= 0 {
-			pre = append(pre, id)
-			continue
-		}
-		ne := sim.NetworkEvent{At: ev.AtNs, Link: id}
-		switch ev.Kind {
-		case LinkDown:
-			ne.Kind = sim.EvLinkDown
-		case LinkUp:
-			ne.Kind = sim.EvLinkUp
-		case Degrade:
-			ne.Kind = sim.EvLinkScale
-			ne.Scale = ev.Scale
-		}
-		net = append(net, ne)
 	}
-	return pre, net, surges, plan, nil
+	return &sc, nil
 }
+
+// lossSeedMix decouples the probe-loss RNG stream from every other
+// consumer of the scenario seed.
+const lossSeedMix = 0x70726f6265 // "probe"
 
 // Run executes a scenario and collects its Result. Execution is
 // deterministic: the same scenario (including seed) produces an
@@ -443,11 +442,11 @@ func Run(s Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pre, netEvents, surges, plan, err := s.resolvedEvents(g)
+	evs, err := s.resolvedEvents(g)
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range pre {
+	for _, id := range evs.pre {
 		g.SetDown(id, true)
 	}
 
@@ -489,33 +488,27 @@ func Run(s Scenario) (*Result, error) {
 	e := sim.NewEngine(engSeed)
 	n := sim.NewNetwork(e, g, sim.Config{TrackVisited: s.TrackLoops})
 	// TraceLevel was validated above; a non-off level attaches the
-	// recorder to both the network (flow summaries) and, via Deploy,
-	// the decision-capturing routers.
+	// recorder to the network (flow summaries) and, below, to the
+	// decision-capturing routers.
 	var rec *trace.Recorder
 	if lvl, _ := trace.ParseLevel(s.TraceLevel); lvl != trace.Off {
 		rec = trace.NewRecorder(lvl)
 		n.Trace = rec
 	}
 	// A positive metrics interval attaches the telemetry recorder (link
-	// and drop registration here, per-router churn via Deploy) and
-	// schedules the sampler timer. Off (0) schedules nothing and leaves
-	// every hook nil, so the run is byte-identical to the seed.
+	// and drop registration here, per-router churn below) and schedules
+	// the sampler timer. Off (0) schedules nothing and leaves every hook
+	// nil, so the run is byte-identical to the seed.
 	var mrec *metrics.Recorder
 	if s.MetricsIntervalNs > 0 {
 		mrec = metrics.NewRecorder(s.MetricsIntervalNs)
 		n.AttachMetrics(mrec)
 	}
-	fleet, _, err := Deploy(n, s.Scheme, g, s.Policy, core.Options{
-		ProbePeriodNs:        s.ProbePeriodNs,
-		FlowletTimeoutNs:     s.FlowletTimeoutNs,
-		FailureDetectPeriods: s.FailureDetectPeriods,
-		ProbePacking:         s.ProbePacking,
-		SuppressEps:          s.SuppressEps,
-		RefreshEvery:         s.RefreshEvery,
-	}, rec, s.Overrides, mrec)
+	fleet, err := Deploy(n, g, &s)
 	if err != nil {
 		return nil, err
 	}
+	attachObservers(n, g, rec, mrec, s.Overrides)
 	if mrec != nil {
 		e.Every(0, s.MetricsIntervalNs, n.SampleMetrics)
 	}
@@ -523,12 +516,17 @@ func Run(s Scenario) (*Result, error) {
 		n.RxSeries = stats.NewTimeseries(s.BinNs)
 	}
 	n.Start()
-	// Arm the chaos plan (switch failures, probe loss, policy swaps)
-	// before any simulated time passes, so its events land on the
-	// event queue in script order. Scenarios without chaos events
-	// schedule nothing here and replay their historical event streams
-	// byte-identically.
-	chaosRT, err := chaos.Arm(n, fleet, plan, s.ProbePeriodNs)
+	// Switch failures, probe loss and policy swaps go on the event queue
+	// before any simulated time passes, in this order (the link events
+	// follow in play), so every event keeps the queue position the golden
+	// digests were recorded with. Scenarios without such events schedule
+	// nothing here.
+	n.Inject(evs.nodes...)
+	if len(evs.loss) > 0 {
+		n.SetProbeLossSeed(s.Seed ^ lossSeedMix)
+		n.Inject(evs.loss...)
+	}
+	swaps, err := chaos.Arm(n, fleet, evs.swaps, s.ProbePeriodNs)
 	if err != nil {
 		return nil, err
 	}
@@ -541,7 +539,7 @@ func Run(s Scenario) (*Result, error) {
 		Script: s.Script,
 		Seed:   s.Seed,
 	}
-	if err := play(&s, e, n, g, warmup, netEvents, surges, replay, cbr, res); err != nil {
+	if err := play(&s, e, n, g, warmup, evs, replay, cbr, res); err != nil {
 		return nil, err
 	}
 
@@ -558,12 +556,10 @@ func Run(s Scenario) (*Result, error) {
 	res.ProbeAggOn = s.ProbePacking || s.SuppressEps > 0 || s.RefreshEvery > 0
 	res.ProbeTxSaved = n.Counters.Get("probe_tx_saved")
 	res.ProbeSuppressed = n.Counters.Get("probe_suppressed")
-	if chaosRT != nil {
-		rep := chaosRT.Report()
-		res.Swaps = rep.Swaps
-		res.ProbeLossSeen = rep.ProbeLossSeen
-		res.ProbeLossDropped = rep.ProbeLossDropped
-		res.ProbeLossFrac = rep.ProbeLossFrac()
+	res.Swaps = swaps.Windows()
+	res.ProbeLossSeen, res.ProbeLossDropped = n.ProbeLossStats()
+	if res.ProbeLossSeen > 0 {
+		res.ProbeLossFrac = float64(res.ProbeLossDropped) / float64(res.ProbeLossSeen)
 	}
 	if rec != nil {
 		res.TraceLevel = rec.Level().String()
@@ -630,14 +626,22 @@ func (s *Scenario) materialise(g *topo.Graph, warmup int64, surges []Event, repl
 // then the flows start and the run drains until they all complete or
 // the deadline passes — under extreme load some stay incomplete and the
 // FCT statistics cover the completed ones, as in testbed practice.
-func play(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int64, netEvents []sim.NetworkEvent, surges []Event, replay *offered, cbr bool, res *Result) error {
+func play(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int64, evs *resolved, replay *offered, cbr bool, res *Result) error {
 	if !cbr {
-		n.Inject(netEvents...)
+		n.Inject(evs.links...)
 		e.Run(warmup)
 	}
-	w, err := s.materialise(g, warmup, surges, replay)
+	w, err := s.materialise(g, warmup, evs.surges, replay)
 	if err != nil {
 		return err
+	}
+	// Sizes come from specs, traces and heavy-tailed samplers; StartFlows
+	// allocates per packet and must never see one it cannot honour.
+	for i := range w.flows {
+		if f := &w.flows[i]; f.Size < 0 || f.Size > sim.MaxFlowBytes {
+			return fmt.Errorf("scenario %q: flow %d (%s -> %s) is %d bytes; a flow carries at most %d",
+				s.Name, f.ID, g.Node(f.Src).Name, g.Node(f.Dst).Name, f.Size, sim.MaxFlowBytes)
+		}
 	}
 	var classes *classCollector
 	if s.ClassStats && !cbr {
@@ -651,7 +655,7 @@ func play(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int6
 	res.Dist, res.Pattern, res.Load, res.RateBps = w.meta.Dist, w.meta.Pattern, w.meta.Load, w.meta.RateBps
 	res.Flows = len(w.flows)
 	if cbr {
-		n.Inject(netEvents...)
+		n.Inject(evs.links...)
 		e.Run(w.meta.EndNs)
 	} else {
 		for e.Now() < w.meta.DeadlineNs && n.CompletedFlows() < int64(len(w.flows)) {

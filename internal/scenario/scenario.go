@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 
+	"contra/internal/core"
 	"contra/internal/topo"
 	"contra/internal/trace"
 	"contra/internal/workload"
@@ -194,6 +195,46 @@ type Workload struct {
 	TracePath string `json:"trace,omitempty"`
 }
 
+// RxSeries configures the delivered-throughput time series. It is a
+// struct of its own, apart from Observe, only because the canonical
+// encoding — which every Key is a hash of — has sample_queues between
+// bin_ns and track_loops, and encoding/json emits an embedded struct's
+// fields as one run.
+type RxSeries struct {
+	// BinNs enables the series (and, with a link_down event, recovery
+	// analysis). CBR defaults to 500us.
+	BinNs int64 `json:"bin_ns,omitempty"`
+}
+
+// Observe holds the observation settings a scenario shares with
+// campaign.Spec, which embeds it too: this is their one declaration.
+type Observe struct {
+	TrackLoops bool `json:"track_loops,omitempty"`
+
+	// TraceLevel attaches the decision-trace recorder: "flows" keeps
+	// per-flow summaries (path, hops, queueing, FCT), "decisions"
+	// additionally records every fresh forwarding decision with its
+	// chosen and runner-up rank. Empty and "off" (normalized away by
+	// fill, and by campaign expansion) record nothing and leave the
+	// simulation byte-identical.
+	TraceLevel string `json:"trace_level,omitempty"`
+
+	// MetricsIntervalNs enables the time-series telemetry sampler: every
+	// interval the network snapshots per-fabric-link utilization and
+	// backlog, cumulative drops by reason, and per-router probe-table
+	// churn/route flaps into internal/metrics ring buffers. 0 (the
+	// default) is off and leaves the simulation byte-identical — the
+	// sampler timer is never scheduled and every hook stays nil.
+	MetricsIntervalNs int64 `json:"metrics_interval_ns,omitempty"`
+
+	// ClassStats enables per-class FCT attribution on fct workloads:
+	// elephant vs. mice quantiles split at ElephantBytes (default
+	// 1MB), per-cohort (surge) stats, and Jain fairness indices over
+	// per-flow throughput.
+	ClassStats    bool  `json:"class_stats,omitempty"`
+	ElephantBytes int64 `json:"elephant_bytes,omitempty"`
+}
+
 // Scenario is one declarative experiment.
 type Scenario struct {
 	Name string `json:"name,omitempty"`
@@ -214,51 +255,21 @@ type Scenario struct {
 	// Script labels the event script for campaign grouping.
 	Script string `json:"script,omitempty"`
 
-	// Protocol knobs (§6.3 defaults when zero).
-	ProbePeriodNs        int64 `json:"probe_period_ns,omitempty"`
-	FlowletTimeoutNs     int64 `json:"flowlet_timeout_ns,omitempty"`
-	FailureDetectPeriods int   `json:"failure_detect_periods,omitempty"`
+	// The protocol settings (probe_period_ns, flowlet_timeout_ns,
+	// failure_detect_periods, probe_packing, suppress_eps,
+	// refresh_every): see core.Options, their one declaration. Run hands
+	// the value to the scheme untouched, after fill has defaulted the
+	// probe period to §6.3's 256us.
+	core.Options
 
-	// Probe aggregation knobs (contra and hula; no-ops for static
-	// schemes). ProbePacking batches per-origin probes into one packed
-	// probe per port per period. SuppressEps / RefreshEvery enable
-	// delta suppression: setting either turns it on (RefreshEvery
-	// defaults to 4 periods when only the epsilon is given), and
-	// suppressed origins are force-refreshed every RefreshEvery
-	// periods. Defaults-off preserves the historical byte-identical
-	// probe protocol.
-	ProbePacking bool    `json:"probe_packing,omitempty"`
-	SuppressEps  float64 `json:"suppress_eps,omitempty"`
-	RefreshEvery int     `json:"refresh_every,omitempty"`
+	RxSeries
 
-	// BinNs enables the delivered-throughput time series (and, with a
-	// link_down event, recovery analysis). CBR defaults to 500us.
-	BinNs int64 `json:"bin_ns,omitempty"`
-
+	// SampleQueues samples every fabric queue each 100us after warm-up
+	// (Result.QueueMSS, Figure 13). Scenario-only: campaign specs do not
+	// take it.
 	SampleQueues bool `json:"sample_queues,omitempty"`
-	TrackLoops   bool `json:"track_loops,omitempty"`
 
-	// TraceLevel attaches the decision-trace recorder: "flows" keeps
-	// per-flow summaries (path, hops, queueing, FCT), "decisions"
-	// additionally records every fresh forwarding decision with its
-	// chosen and runner-up rank. Empty and "off" (normalized away by
-	// fill) record nothing and leave the simulation byte-identical.
-	TraceLevel string `json:"trace_level,omitempty"`
-
-	// MetricsIntervalNs enables the time-series telemetry sampler: every
-	// interval the network snapshots per-fabric-link utilization and
-	// backlog, cumulative drops by reason, and per-router probe-table
-	// churn/route flaps into internal/metrics ring buffers. 0 (the
-	// default) is off and leaves the simulation byte-identical — the
-	// sampler timer is never scheduled and every hook stays nil.
-	MetricsIntervalNs int64 `json:"metrics_interval_ns,omitempty"`
-
-	// ClassStats enables per-class FCT attribution on fct workloads:
-	// elephant vs. mice quantiles split at ElephantBytes (default
-	// 1MB), per-cohort (surge) stats, and Jain fairness indices over
-	// per-flow throughput.
-	ClassStats    bool  `json:"class_stats,omitempty"`
-	ElephantBytes int64 `json:"elephant_bytes,omitempty"`
+	Observe
 
 	// RecordFlows captures the materialized workload as a v1 flow trace
 	// (Result.FlowTrace), the -record / -record-dir hook. Go-only and

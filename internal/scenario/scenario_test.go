@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"contra/internal/cliutil"
+	"contra/internal/core"
 	"contra/internal/topo"
 	"contra/internal/workload"
 )
@@ -29,10 +30,10 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 			{Kind: Degrade, AtNs: 8_000_000, Link: "auto", Scale: 0.25},
 			{Kind: Surge, AtNs: 7_000_000, Load: 0.3, DurationNs: 2_000_000},
 		},
-		Script:        "everything",
-		ProbePeriodNs: 128_000,
-		BinNs:         500_000,
-		TrackLoops:    true,
+		Script:   "everything",
+		Options:  core.Options{ProbePeriodNs: 128_000},
+		RxSeries: RxSeries{BinNs: 500_000},
+		Observe:  Observe{TrackLoops: true},
 	}
 	b, err := json.Marshal(&s)
 	if err != nil {

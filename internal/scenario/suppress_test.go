@@ -3,6 +3,8 @@ package scenario
 import (
 	"math"
 	"testing"
+
+	"contra/internal/core"
 )
 
 // TestSuppressionFCTMatchesUnsuppressed is the workload half of the
@@ -57,14 +59,12 @@ func TestSuppressionFCTMatchesUnsuppressed(t *testing.T) {
 // the fabric re-converges) and must report aggregation savings.
 func TestPackedCampaignKnobsConverge(t *testing.T) {
 	s := Scenario{
-		Name:         "packed-chaos",
-		TopoSpec:     "fattree:4:2",
-		Scheme:       SchemeContra,
-		Seed:         1,
-		ProbePacking: true,
-		SuppressEps:  0.02,
-		RefreshEvery: 4,
-		Workload:     Workload{Load: 0.3, DurationNs: 8_000_000, MaxFlows: 300},
+		Name:     "packed-chaos",
+		TopoSpec: "fattree:4:2",
+		Scheme:   SchemeContra,
+		Seed:     1,
+		Options:  core.Options{ProbePacking: true, SuppressEps: 0.02, RefreshEvery: 4},
+		Workload: Workload{Load: 0.3, DurationNs: 8_000_000, MaxFlows: 300},
 		Events: []Event{
 			{Kind: SwitchDown, AtNs: 5_000_000, Node: "auto"},
 			{Kind: SwitchUp, AtNs: 9_000_000, Node: "auto"},

@@ -171,14 +171,9 @@ type Network struct {
 	// Measurement.
 	Counters *stats.Counter
 	FCT      *stats.Sample // seconds, all completed flows
-	// FCTQuant tracks p50/p95/p99 FCT in O(1) memory via the P²
-	// streaming estimator, fed in lockstep with the exact Sample:
-	// p95 is reported from here today; p50/p99 are tracked so the
-	// unbounded Sample can be retired from the quantile path without
-	// changing this type's surface.
+	// FCTQuant tracks p95 FCT with the P² streaming estimator, fed in
+	// lockstep with the exact Sample (which answers mean, p50 and p99).
 	FCTQuant   *stats.Quantiles
-	FCTSmall   *stats.Sample // flows < 100KB
-	FCTLarge   *stats.Sample // flows >= 1MB
 	QueueMSS   *stats.Sample // sampled fabric queue lengths in MSS
 	RxSeries   *stats.Timeseries
 	LoopedPkts int64
@@ -226,9 +221,7 @@ func NewNetwork(e *Engine, g *topo.Graph, cfg Config) *Network {
 		flows:    make(map[uint64]*flowState),
 		Counters: stats.NewCounter(),
 		FCT:      stats.NewSample(),
-		FCTQuant: stats.NewQuantiles(0.5, 0.95, 0.99),
-		FCTSmall: stats.NewSample(),
-		FCTLarge: stats.NewSample(),
+		FCTQuant: stats.NewQuantiles(0.95),
 		QueueMSS: stats.NewReservoir(1<<16, 11),
 	}
 	e.net = n
@@ -411,10 +404,10 @@ func (n *Network) downReason(ch *channel) DropReason {
 	return DropLinkDown
 }
 
-// SetProbeLossSeed (re)seeds the dedicated probe-loss RNG. Chaos
-// injection calls it with a scenario-derived seed before arming
-// EvProbeLoss events, which is what makes measurement noise a
-// deterministic function of the scenario seed.
+// SetProbeLossSeed (re)seeds the dedicated probe-loss RNG. scenario.Run
+// calls it with a scenario-derived seed before injecting EvProbeLoss
+// events, which is what makes measurement noise a deterministic
+// function of the scenario seed.
 func (n *Network) SetProbeLossSeed(seed int64) {
 	n.lossRng = rand.New(rand.NewSource(seed))
 }
@@ -516,8 +509,8 @@ func (n *Network) SampleQueues() {
 
 // AttachMetrics installs a telemetry recorder and registers every
 // fabric channel (directed, "from->to") as a link series, plus the
-// typed drop-reason labels. Routers register their churn accumulators
-// separately via their SetMetrics hooks.
+// typed drop-reason labels. Routers that keep probe tables take their
+// churn accumulators separately, through SetChurn.
 func (n *Network) AttachMetrics(m *metrics.Recorder) {
 	for i := range n.chans {
 		ch := &n.chans[i]
@@ -565,6 +558,11 @@ type SwitchDev struct {
 	ID     topo.NodeID
 	router Router
 }
+
+// Router returns the forwarding logic SetRouter installed (nil before).
+// Callers discover what a router can do the way Rebooter is discovered:
+// by asserting an optional interface on it.
+func (s *SwitchDev) Router() Router { return s.router }
 
 // PortCount returns the number of ports.
 func (s *SwitchDev) PortCount() int { return len(s.Net.portChan[s.ID]) }

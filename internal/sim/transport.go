@@ -16,6 +16,15 @@ type FlowSpec struct {
 	RateBps float64     // when > 0 the flow is constant-bit-rate UDP-like
 }
 
+// MaxFlowBytes bounds FlowSpec.Size. StartFlows allocates one receive
+// bit per packet up front, so a size read from a spec or a trace must
+// be vetted before it gets there. 64 GiB is five times what a 100 Gb/s
+// link delivers in the default one-second drain budget — no committed
+// topology is that fast — and costs 6 MB of bitmap. The layers that
+// read sizes from outside (flowtrace.Read, workload.ValidateCohorts,
+// scenario.Run) reject anything larger.
+const MaxFlowBytes int64 = 1 << 36
+
 // Transport constants: a NewReno-style window protocol, scaled for
 // data center RTTs.
 const (
@@ -335,12 +344,6 @@ func (n *Network) recordFCT(f FlowSpec, fctNs int64) {
 	sec := float64(fctNs) / 1e9
 	n.FCT.Add(sec)
 	n.FCTQuant.Add(sec)
-	if f.Size < 100_000 {
-		n.FCTSmall.Add(sec)
-	}
-	if f.Size >= 1_000_000 {
-		n.FCTLarge.Add(sec)
-	}
 	n.flowsDone++
 	if n.Trace != nil {
 		n.Trace.Done(f.ID, fctNs)

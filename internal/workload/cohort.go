@@ -269,6 +269,15 @@ func (s *SizeSpec) validate(label string) error {
 		}
 		return nil
 	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"mean_bytes", s.MeanBytes}, {"min_bytes", s.MinBytes}, {"bytes", float64(s.Bytes)}} {
+		if f.v > float64(sim.MaxFlowBytes) {
+			return fmt.Errorf("workload: %s: size %s %g is past the simulator's %d-byte flow limit",
+				label, f.name, f.v, sim.MaxFlowBytes)
+		}
+	}
 	switch s.Dist {
 	case "": // default websearch
 	case SizeLogNormal:

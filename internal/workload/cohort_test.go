@@ -57,6 +57,11 @@ func TestCohortValidationErrors(t *testing.T) {
 		{"pareto alpha", mod(func(c *CohortSpec) { c.Size = SizeSpec{Dist: SizePareto, MinBytes: 100, Alpha: 0.9} }),
 			"pareto alpha 0.9 must be > 1"},
 		{"fixed no bytes", mod(func(c *CohortSpec) { c.Size.Dist = SizeFixed }), "fixed size needs bytes > 0"},
+		{"fixed past sim.MaxFlowBytes", mod(func(c *CohortSpec) { c.Size = SizeSpec{Dist: SizeFixed, Bytes: 9e18} }),
+			`cohort 0 ("web"): size bytes 9e+18 is past the simulator's`},
+		{"mix component past sim.MaxFlowBytes", mod(func(c *CohortSpec) {
+			c.Size = SizeSpec{Mix: []SizeComponent{{Weight: 1, SizeSpec: SizeSpec{Dist: SizePareto, MinBytes: 2e12, Alpha: 2}}}}
+		}), "size mix component 0: size min_bytes 2e+12 is past the simulator's"},
 		{"zero-weight mix", mod(func(c *CohortSpec) {
 			c.Size = SizeSpec{Mix: []SizeComponent{{SizeSpec: SizeSpec{Dist: "cache"}}}}
 		}), "size mix weights sum to zero"},
