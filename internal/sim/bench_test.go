@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"contra/internal/topo"
@@ -52,6 +53,48 @@ func BenchmarkEventLoopPopulated(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkHeapDeliverPath is the heap work of one packet hop at the
+// population the k=8 cells run (~650 entries: busy channels, flows,
+// timers), with the root's new key landing anywhere in the window the
+// queue spans, as arrivals do. "rekey" is a busy channel: the delivered
+// head's entry moves to the next in-flight packet's slot. "pop+push" is
+// an idle one, most hops of the CBR cell: the entry goes, and the
+// router's forward queues one on the next channel.
+func BenchmarkHeapDeliverPath(b *testing.B) {
+	const pending, window = 650, 20_000
+	rng := rand.New(rand.NewSource(1))
+	var gaps [1024]int64
+	for i := range gaps {
+		gaps[i] = 1 + rng.Int63n(window)
+	}
+	setup := func() *Engine {
+		e := NewEngine(1)
+		for i := 0; i < pending; i++ {
+			at, seq := e.reserve(gaps[i])
+			e.push(event{at: at, seq: seq, kind: evDeliver})
+		}
+		return e
+	}
+	b.Run("rekey", func(b *testing.B) {
+		e := setup()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.now = e.queue[0].at
+			e.rekeyTop(e.reserve(e.now + gaps[i%len(gaps)]))
+		}
+	})
+	b.Run("pop+push", func(b *testing.B) {
+		e := setup()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.now = e.queue[0].at
+			e.popTop()
+			at, seq := e.reserve(e.now + gaps[i%len(gaps)])
+			e.push(event{at: at, seq: seq, kind: evDeliver})
+		}
+	})
 }
 
 // BenchmarkPacketTransit measures the full per-packet path: transmit,

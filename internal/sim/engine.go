@@ -8,7 +8,10 @@
 // time series, loop detection).
 package sim
 
-import "math/rand"
+import (
+	"math/bits"
+	"math/rand"
+)
 
 // Engine is the event loop. Times are int64 nanoseconds. Execution is
 // single-threaded and deterministic: ties in time break by scheduling
@@ -22,6 +25,12 @@ import "math/rand"
 // its re-armed deadline (HostDev.armRTO). Both reserve the (at, seq)
 // slot of every occurrence up front, so effective events execute in
 // exactly the order one entry per packet and per arm would give.
+//
+// A packet hop is one sift of that heap, so an entry is kept to what a
+// sift must move: 24 bytes, no pointers (see event). Whatever an event
+// refers to lives in a table the entry indexes — channels and flows in
+// the Network, callbacks in timers — and push, popTop and rekeyTop are
+// the only functions that write the queue.
 type Engine struct {
 	now   int64
 	seq   uint64
@@ -32,15 +41,19 @@ type Engine struct {
 	// network per engine (everywhere in this repo), enforced there.
 	net *Network
 
-	// timers backs Every: recurring typed ticks that cancel in place.
+	// timers holds every callback the queue refers to: Every's
+	// recurring ticks, which cancel in place, and At's one-shots, which
+	// free their slot as they fire.
 	timers     []timerSlot
 	freeTimers []int32
 }
 
-// timerSlot is one recurring timer. gen guards against a cancelled
-// slot being recycled while its queued tick is still in flight: the
-// stale tick's generation no longer matches, so it frees the slot
-// without firing and without touching the new occupant.
+// timerSlot is one callback. A recurring timer is active until
+// cancelled. A one-shot is never active: it cannot be cancelled and
+// exactly one queue entry names it, so it uses fn alone. gen guards
+// against a slot being recycled while a queued tick or a cancel function
+// still names it: the stale generation no longer matches, so neither
+// touches the new occupant.
 type timerSlot struct {
 	period int64
 	fn     func()
@@ -52,21 +65,21 @@ type timerSlot struct {
 type evKind uint8
 
 const (
-	evFunc    evKind = iota // fn()
-	evDeliver               // arrival of the head of channel i32's in-flight FIFO
-	evTimer                 // recurring tick of timer slot i32 at generation gen
-	evRTO                   // RTO carrier of flow
+	evFunc    evKind = iota // one-shot callback in timer slot arg
+	evDeliver               // arrival of the head of channel arg's in-flight FIFO
+	evTimer                 // recurring tick of timer slot arg at generation gen
+	evRTO                   // RTO carrier of flow arg (index in Network.flowTab)
 )
 
-// event is one queue entry. Operands are inline so the hot kinds carry
-// no closure; fn is only populated for evFunc.
+// event is one queue entry: its key and the index of what it is about.
+// A sift copies entries level by level, so the layout is the cost of a
+// hop: 24 bytes, and no pointer, so a copy needs no write barrier and
+// the collector never scans the queue. TestEventLayout holds both.
 type event struct {
 	at   int64
 	seq  uint64
-	flow *flowState
-	fn   func()
-	i32  int32 // evDeliver: channel index; evTimer: slot index
-	gen  uint32
+	arg  int32  // index into the table kind names
+	gen  uint16 // evTimer: low 16 bits of the slot's generation
 	kind evKind
 }
 
@@ -107,9 +120,12 @@ func (e *Engine) schedule(t int64, ev event) {
 	e.push(ev)
 }
 
-// At schedules fn at absolute time t (>= now).
+// At schedules fn at absolute time t (>= now). The closure waits in a
+// timer slot; the queue entry carries the slot's index.
 func (e *Engine) At(t int64, fn func()) {
-	e.schedule(t, event{kind: evFunc, fn: fn})
+	idx := e.newSlot()
+	e.timers[idx].fn = fn
+	e.schedule(t, event{kind: evFunc, arg: idx})
 }
 
 // After schedules fn d nanoseconds from now.
@@ -120,20 +136,13 @@ func (e *Engine) After(d int64, fn func()) { e.At(e.now+d, fn) }
 // immediately; the already-queued tick drains as a no-op that frees
 // the timer slot without firing.
 func (e *Engine) Every(start, period int64, fn func()) (cancel func()) {
-	var idx int32
-	if n := len(e.freeTimers); n > 0 {
-		idx = e.freeTimers[n-1]
-		e.freeTimers = e.freeTimers[:n-1]
-	} else {
-		idx = int32(len(e.timers))
-		e.timers = append(e.timers, timerSlot{})
-	}
+	idx := e.newSlot()
 	slot := &e.timers[idx]
 	slot.period = period
 	slot.fn = fn
 	slot.active = true
 	gen := slot.gen
-	e.schedule(start, event{kind: evTimer, i32: idx, gen: gen})
+	e.schedule(start, event{kind: evTimer, arg: idx, gen: uint16(gen)})
 	return func() {
 		s := &e.timers[idx]
 		if s.gen == gen && s.active {
@@ -143,7 +152,28 @@ func (e *Engine) Every(start, period int64, fn func()) (cancel func()) {
 	}
 }
 
-// timersInUse counts live timer slots (tests).
+// newSlot takes a timer slot off the freelist, or grows the table.
+func (e *Engine) newSlot() int32 {
+	if n := len(e.freeTimers); n > 0 {
+		idx := e.freeTimers[n-1]
+		e.freeTimers = e.freeTimers[:n-1]
+		return idx
+	}
+	e.timers = append(e.timers, timerSlot{})
+	return int32(len(e.timers) - 1)
+}
+
+// freeSlot releases slot idx for reuse under a new generation. The
+// caller holds the last queue entry that names it, or knows there is
+// none.
+func (e *Engine) freeSlot(idx int32) {
+	slot := &e.timers[idx]
+	slot.gen++
+	slot.fn = nil
+	e.freeTimers = append(e.freeTimers, idx)
+}
+
+// timersInUse counts live recurring timers (tests).
 func (e *Engine) timersInUse() int {
 	n := 0
 	for i := range e.timers {
@@ -155,17 +185,14 @@ func (e *Engine) timersInUse() int {
 }
 
 // tick fires recurring timer slot idx if gen is still its generation.
-func (e *Engine) tick(idx int32, gen uint32) {
+func (e *Engine) tick(idx int32, gen uint16) {
 	slot := &e.timers[idx]
-	if slot.gen != gen {
+	if uint16(slot.gen) != gen {
 		return // stale tick of a recycled slot
 	}
 	if !slot.active {
-		// Cancelled: this queued tick is the last reference; free
-		// the slot for reuse under a new generation.
-		slot.gen++
-		slot.fn = nil
-		e.freeTimers = append(e.freeTimers, idx)
+		// Cancelled: this queued tick is the last reference.
+		e.freeSlot(idx)
 		return
 	}
 	// Fire, then reschedule — in that order, so events the callback
@@ -175,14 +202,14 @@ func (e *Engine) tick(idx int32, gen uint32) {
 	// The callback may have created timers and grown e.timers;
 	// re-resolve the slot before touching it again.
 	slot = &e.timers[idx]
-	if slot.active && slot.gen == gen {
-		e.schedule(e.now+slot.period, event{kind: evTimer, i32: idx, gen: gen})
-	} else if !slot.active && slot.gen == gen {
-		// Cancelled by its own callback: no tick remains queued, so
-		// free the slot here.
-		slot.gen++
-		slot.fn = nil
-		e.freeTimers = append(e.freeTimers, idx)
+	if uint16(slot.gen) != gen {
+		return
+	}
+	if slot.active {
+		e.schedule(e.now+slot.period, event{kind: evTimer, arg: idx, gen: gen})
+	} else {
+		// Cancelled by its own callback: no tick remains queued.
+		e.freeSlot(idx)
 	}
 }
 
@@ -198,11 +225,15 @@ func (e *Engine) Run(until int64) {
 		// out: callees schedule, which moves the heap under top.
 		switch top.kind {
 		case evFunc:
-			fn := top.fn
+			idx := top.arg
 			e.popTop()
+			// Free the slot before the callback runs: it may call At and
+			// be handed this very slot.
+			fn := e.timers[idx].fn
+			e.freeSlot(idx)
 			fn()
 		case evDeliver:
-			ch := &e.net.chans[top.i32]
+			ch := &e.net.chans[top.arg]
 			pkt := ch.inHead
 			if ch.inHead = pkt.next; ch.inHead != nil {
 				e.rekeyTop(ch.inHead.dueAt, ch.inHead.dueSeq)
@@ -212,11 +243,11 @@ func (e *Engine) Run(until int64) {
 			pkt.next = nil
 			e.net.deliver(ch, pkt)
 		case evTimer:
-			idx, gen := top.i32, top.gen
+			idx, gen := top.arg, top.gen
 			e.popTop()
 			e.tick(idx, gen)
 		case evRTO:
-			st := top.flow
+			st := e.net.flowTab[top.arg]
 			switch {
 			case top.seq != st.carrierSeq:
 				e.popTop() // orphan: an earlier deadline queued its own carrier
@@ -264,11 +295,9 @@ func (e *Engine) push(ev event) {
 
 // popTop removes the earliest entry.
 func (e *Engine) popTop() {
-	q := e.queue
-	last := len(q) - 1
-	ev := q[last]
-	q[last] = event{} // drop the flow/closure reference
-	e.queue = q[:last]
+	last := len(e.queue) - 1
+	ev := e.queue[last]
+	e.queue = e.queue[:last]
 	if last > 0 {
 		e.siftDown(ev)
 	}
@@ -283,23 +312,39 @@ func (e *Engine) rekeyTop(at int64, seq uint64) {
 }
 
 // siftDown places ev in the hole at the root.
+//
+// Which child is smaller is a coin toss the branch predictor loses half
+// the time, on every level of every hop. So the choice is arithmetic:
+// (at, seq) is one 128-bit unsigned key (reserve clamps at to now >= 0,
+// so at orders the same unsigned), right - left borrows exactly when
+// right sorts first, and the borrow is added to the child index. Keep
+// the two Sub64 and the add as they are: written as `if less { c++ }`
+// this compiles to a conditional jump and the gain is gone (the README
+// has the objdump check).
 func (e *Engine) siftDown(ev event) {
 	q := e.queue
-	n := len(q)
+	last := len(q) - 1
 	i := 0
 	for {
-		child := 2*i + 1
-		if child >= n {
+		c := 2*i + 1
+		if c >= last {
+			// A lone left child (c == last) or a leaf: no right sibling
+			// to read.
+			if c == last && q[c].before(&ev) {
+				q[i] = q[c]
+				i = c
+			}
 			break
 		}
-		if r := child + 1; r < n && q[r].before(&q[child]) {
-			child = r
-		}
-		if !q[child].before(&ev) {
+		l, r := &q[c], &q[c+1]
+		_, borrow := bits.Sub64(r.seq, l.seq, 0)
+		_, borrow = bits.Sub64(uint64(r.at), uint64(l.at), borrow)
+		c += int(borrow)
+		if !q[c].before(&ev) {
 			break
 		}
-		q[i] = q[child]
-		i = child
+		q[i] = q[c]
+		i = c
 	}
 	q[i] = ev
 }

@@ -21,6 +21,7 @@ type refEvent struct {
 	at  int64
 	seq uint64
 	fn  func()
+	arg int32 // payload identity, for the heap differential in heap_test.go
 }
 
 type refHeap []refEvent
@@ -333,5 +334,82 @@ func TestEveryFromTimerCallback(t *testing.T) {
 	}
 	if got := e.timersInUse(); got != 40 {
 		t.Fatalf("timersInUse = %d, want 40", got)
+	}
+}
+
+// TestOneShotSlotLifetime: an At closure lives in a timer slot that is
+// cleared and freed before the callback runs, so a fired closure is not
+// retained, a callback scheduling from inside itself is handed its own
+// slot, and the table does not grow with the number of events fired.
+func TestOneShotSlotLifetime(t *testing.T) {
+	e := NewEngine(1)
+	fired := false
+	e.At(10, func() { fired = true })
+	if len(e.timers) != 1 || e.timers[0].fn == nil {
+		t.Fatalf("At did not park its closure in slot 0: %d slots", len(e.timers))
+	}
+	e.Run(10)
+	if !fired {
+		t.Fatal("one-shot did not fire")
+	}
+	if e.timers[0].fn != nil {
+		t.Fatal("fired one-shot's slot still holds its closure")
+	}
+	if len(e.freeTimers) != 1 || e.freeTimers[0] != 0 {
+		t.Fatalf("fired one-shot's slot not freed: freelist %v", e.freeTimers)
+	}
+	if got := e.timersInUse(); got != 0 {
+		t.Fatalf("one-shots must not count as live timers: %d", got)
+	}
+
+	// The next At reuses the slot, and a chain of callbacks that each
+	// schedule their successor never needs a second one: the slot is
+	// free by the time the callback runs.
+	var order []string
+	var chain func(k int) func()
+	chain = func(k int) func() {
+		return func() {
+			order = append(order, fmt.Sprint("c", k))
+			if e.timers[0].fn != nil {
+				t.Fatalf("link %d runs with its own closure still in the slot", k)
+			}
+			if k < 5 {
+				e.After(1, chain(k+1))
+			}
+		}
+	}
+	e.At(20, chain(0))
+	e.Run(100)
+	if len(e.timers) != 1 {
+		t.Fatalf("self-rescheduling chain grew the table to %d slots", len(e.timers))
+	}
+	if got, want := fmt.Sprint(order), "[c0 c1 c2 c3 c4 c5]"; got != want {
+		t.Fatalf("chain ran %s, want %s", got, want)
+	}
+
+	// Scheduling from inside a callback keeps (at, seq) order: a runs
+	// first and queues b at the same instant and c in the past (clamped
+	// to now); d was queued for that instant before either, so it keeps
+	// its earlier sequence number and runs between a and b.
+	order = order[:0]
+	mark := func(s string) func() { return func() { order = append(order, s) } }
+	e.At(200, func() {
+		order = append(order, "a")
+		e.At(200, mark("b"))
+		e.At(150, mark("c"))
+		e.After(1, mark("e"))
+	})
+	e.At(200, mark("d"))
+	e.Run(300)
+	if got, want := fmt.Sprint(order), "[a d b c e]"; got != want {
+		t.Fatalf("order %s, want %s", got, want)
+	}
+	if e.Pending() != 0 || len(e.freeTimers) != len(e.timers) {
+		t.Fatalf("%d pending, %d of %d slots free after everything fired", e.Pending(), len(e.freeTimers), len(e.timers))
+	}
+	for i := range e.timers {
+		if e.timers[i].fn != nil {
+			t.Fatalf("slot %d retains a fired closure", i)
+		}
 	}
 }

@@ -182,10 +182,10 @@ func checkInFlight(t *testing.T, n *Network) {
 	queued := make(map[int32]*event)
 	for i := range n.Eng.queue {
 		if ev := &n.Eng.queue[i]; ev.kind == evDeliver {
-			if queued[ev.i32] != nil {
-				t.Fatalf("channel %d has two queue entries", ev.i32)
+			if queued[ev.arg] != nil {
+				t.Fatalf("channel %d has two queue entries", ev.arg)
 			}
-			queued[ev.i32] = ev
+			queued[ev.arg] = ev
 		}
 	}
 	busy := 0
@@ -392,11 +392,15 @@ func (m *carrierRTO) checkCarriers() {
 	live := make(map[*flowState]int)
 	for i := range m.e.queue {
 		ev := &m.e.queue[i]
-		if ev.kind != evRTO || ev.seq != ev.flow.carrierSeq {
+		if ev.kind != evRTO {
 			continue
 		}
-		live[ev.flow]++
-		if st := ev.flow; ev.at != st.carrierAt || ev.at > st.rtoAt || ev.seq > st.rtoSeq {
+		st := m.net.flowTab[ev.arg]
+		if ev.seq != st.carrierSeq {
+			continue
+		}
+		live[st]++
+		if ev.at != st.carrierAt || ev.at > st.rtoAt || ev.seq > st.rtoSeq {
 			m.t.Fatalf("carrier (%d, %d) is past the deadline (%d, %d)", ev.at, ev.seq, st.rtoAt, st.rtoSeq)
 		}
 	}
@@ -469,11 +473,13 @@ func TestRTOCarrierMatchesPerArmTimers(t *testing.T) {
 		n.Start()
 		real := &carrierRTO{engineAdapter: engineAdapter{e}, t: t, net: n, host: n.hostOf(g.MustNode("H0"))}
 		for i := 0; i < nflows; i++ {
-			real.flows = append(real.flows, &flowState{
+			n.flowTab = append(n.flowTab, &flowState{
 				spec:  FlowSpec{ID: uint64(i + 1), Src: g.MustNode("H0"), Dst: g.MustNode("H1"), Size: 1 << 30},
 				npkts: 1 << 20, cwnd: initCwnd, ssthresh: 1 << 20, rtoNs: initRTONs, rttSeq: -1,
+				idx: int32(i),
 			})
 		}
+		real.flows = n.flowTab
 		got := driveRTO(real, nflows, seed)
 		eager := &eagerRTO{flows: make([]eagerFlow, nflows)}
 		for i := range eager.flows {

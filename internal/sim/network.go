@@ -92,11 +92,8 @@ type channel struct {
 	delayNs    int64
 	capBytes   float64
 	busyUntil  int64
-	down       bool // effective: adminDown or either endpoint node failed
-	adminDown  bool // link-level admin state (link_down / pre-failed topology)
 	probeLoss  float64
-	dre        *stats.DRE
-	fabric     bool // switch-switch (vs host-attach) link
+	dre        stats.DRE // by value: transmit touches it on every packet
 
 	// In-flight packets in transmit order, threaded through Packet.next.
 	// busyUntil strictly increases across transmits and delayNs is fixed,
@@ -106,6 +103,12 @@ type channel struct {
 	toSwitch *SwitchDev // receiving switch, nil when to is a host
 	toHost   *HostDev   // receiving host, nil when to is a switch
 	inPort   int32      // ingress port index at to (switch delivery)
+
+	// Flags, kept in inPort's word: scattered among the 8-byte fields
+	// they cost 16 bytes of padding per channel.
+	down      bool // effective: adminDown or either endpoint node failed
+	adminDown bool // link-level admin state (link_down / pre-failed topology)
+	fabric    bool // switch-switch (vs host-attach) link
 
 	txBytes   float64
 	drops     int64
@@ -146,8 +149,12 @@ type Network struct {
 	probeLossSeen  int64 // probes offered to lossy channels
 	probeLossDrops int64 // probes discarded by injected loss
 
-	pool  pool
-	flows map[uint64]*flowState
+	pool pool
+	// flowTab holds every window flow StartFlows registered, in order.
+	// Packets and RTO events name a flow by its index here (Packet.flow
+	// is index + 1); flows exists for the duplicate-id check alone.
+	flowTab []*flowState
+	flows   map[uint64]struct{}
 
 	// Hot-path accounting: typed fields bumped per packet, folded into
 	// the string-keyed Counters by FoldCounters at run end.
@@ -218,13 +225,16 @@ func NewNetwork(e *Engine, g *topo.Graph, cfg Config) *Network {
 		hostPort: make([]int32, g.NumNodes()),
 		hostEdge: make([]topo.NodeID, g.NumNodes()),
 		nodeDown: make([]bool, g.NumNodes()),
-		flows:    make(map[uint64]*flowState),
+		flows:    make(map[uint64]struct{}),
 		Counters: stats.NewCounter(),
 		FCT:      stats.NewSample(),
 		FCTQuant: stats.NewQuantiles(0.95),
 		QueueMSS: stats.NewReservoir(1<<16, 11),
 	}
 	e.net = n
+	// One decay-factor memo for every channel's estimator, sized from
+	// their number like the tables above.
+	decay := stats.NewDecayMemo(cfg.DRETauNs, len(n.chans))
 	for _, node := range g.Nodes() {
 		n.hostPort[node.ID] = -1
 		n.hostEdge[node.ID] = -1
@@ -246,7 +256,7 @@ func NewNetwork(e *Engine, g *topo.Graph, cfg Config) *Network {
 			ch.bytesPerNs = l.Bandwidth / 8 / 1e9
 			ch.delayNs = l.Delay
 			ch.capBytes = float64(cfg.BufferBytes)
-			ch.dre = stats.NewDRE(cfg.DRETauNs)
+			ch.dre = decay.NewDRE()
 			ch.fabric = fabric
 			// Links marked down in the topology (pre-failed,
 			// "asymmetric" setups) start down in the simulator too.
@@ -361,7 +371,7 @@ func (n *Network) transmit(from topo.NodeID, port int, pkt *Packet) {
 	pkt.dueAt, pkt.dueSeq = n.Eng.reserve(ch.busyUntil + ch.delayNs)
 	if ch.inHead == nil {
 		ch.inHead = pkt
-		n.Eng.push(event{at: pkt.dueAt, seq: pkt.dueSeq, kind: evDeliver, i32: chIdx})
+		n.Eng.push(event{at: pkt.dueAt, seq: pkt.dueSeq, kind: evDeliver, arg: chIdx})
 	} else {
 		ch.inTail.next = pkt
 	}

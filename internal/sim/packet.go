@@ -53,6 +53,11 @@ type Packet struct {
 	Seq      int64 // packet sequence within the flow (data), or echoed seq (ack)
 	Ack      int64 // cumulative ack: next expected packet seq
 	TTL      uint8
+	// flow is the flow's index in Network.flowTab plus one, so the
+	// receiving host needs no map lookup. Zero, which is also what pool
+	// recycling leaves, means no registered flow: CBR traffic or a packet
+	// a test built by hand.
+	flow int32
 
 	// Scheme fields: Contra tag/pid, SPAIN vlan (in Tag), Hula origin.
 	Tag    int32 // product-graph virtual node id, or -1

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"contra/internal/topo"
 )
@@ -38,6 +39,7 @@ const (
 type flowState struct {
 	spec  FlowSpec
 	npkts int64
+	idx   int32 // position in Network.flowTab
 
 	// Sender.
 	nextSeq    int64
@@ -87,6 +89,7 @@ func (h *HostDev) send(pkt *Packet) { h.net.transmit(h.id, 0, pkt) }
 
 // StartFlows registers flows and schedules their start events.
 func (n *Network) StartFlows(flows []FlowSpec) {
+	n.flowTab = slices.Grow(n.flowTab, len(flows))
 	for _, f := range flows {
 		f := f
 		if _, dup := n.flows[f.ID]; dup {
@@ -114,8 +117,10 @@ func (n *Network) StartFlows(flows []FlowSpec) {
 			rtoNs:     initRTONs,
 			rttSeq:    -1,
 			rcvBitmap: make([]uint64, (npkts+63)/64),
+			idx:       int32(len(n.flowTab)),
 		}
-		n.flows[f.ID] = st
+		n.flows[f.ID] = struct{}{}
+		n.flowTab = append(n.flowTab, st)
 		src := n.hosts[f.Src]
 		n.Eng.At(f.Start, func() { src.pump(st) })
 	}
@@ -174,6 +179,7 @@ func (h *HostDev) emit(st *flowState, seq int64) {
 	pkt.Size = int(payload) + FrameHeader
 	pkt.Src, pkt.Dst = st.spec.Src, st.spec.Dst
 	pkt.FlowID = st.spec.ID
+	pkt.flow = st.idx + 1
 	pkt.Seq = seq
 	pkt.TTL = InitialTTL
 	pkt.Tag = -1
@@ -195,7 +201,7 @@ func (h *HostDev) armRTO(st *flowState) {
 	// shrank) needs a carrier of its own, orphaning the old one.
 	if st.carrierSeq == 0 || st.rtoAt < st.carrierAt {
 		st.carrierAt, st.carrierSeq = st.rtoAt, st.rtoSeq
-		e.push(event{at: st.rtoAt, seq: st.rtoSeq, kind: evRTO, flow: st})
+		e.push(event{at: st.rtoAt, seq: st.rtoSeq, kind: evRTO, arg: st.idx})
 	}
 }
 
@@ -226,8 +232,7 @@ func (h *HostDev) receive(pkt *Packet) {
 	if h.net.Trace != nil && pkt.Kind == Data {
 		h.net.Trace.Delivered(pkt.FlowID, pkt.Seq, int(InitialTTL-pkt.TTL), pkt.QueueNs)
 	}
-	st := h.net.flows[pkt.FlowID]
-	if st == nil {
+	if pkt.flow == 0 {
 		// CBR traffic or unknown: count throughput and discard.
 		if pkt.Kind == Data {
 			h.net.recordRx(pkt)
@@ -235,6 +240,7 @@ func (h *HostDev) receive(pkt *Packet) {
 		h.net.Free(pkt)
 		return
 	}
+	st := h.net.flowTab[pkt.flow-1]
 	switch pkt.Kind {
 	case Data:
 		h.onData(st, pkt)
@@ -265,6 +271,7 @@ func (h *HostDev) onData(st *flowState, pkt *Packet) {
 	ack.Size = AckSize
 	ack.Src, ack.Dst = st.spec.Dst, st.spec.Src
 	ack.FlowID = st.spec.ID
+	ack.flow = pkt.flow
 	ack.Seq = seq
 	ack.Ack = st.rcvCum
 	ack.TTL = InitialTTL

@@ -229,10 +229,15 @@ func (s *Sample) FracLE(x float64) float64 {
 //
 // The decay is applied lazily on access, so the estimator costs O(1) per
 // packet with no background timers. Times are nanoseconds.
+//
+// An estimator made by DecayMemo.NewDRE looks its decay factors up in a
+// table shared with its network's other estimators instead of calling
+// exp() per packet; every reading is bit for bit a plain estimator's.
 type DRE struct {
 	Tau     float64 // time constant in nanoseconds
 	counter float64
 	last    int64
+	memo    *DecayMemo // shared factor cache; nil computes every factor
 }
 
 // NewDRE returns a DRE with the given time constant in nanoseconds.
@@ -243,12 +248,74 @@ func NewDRE(tauNs float64) *DRE {
 	return &DRE{Tau: tauNs}
 }
 
+// DecayMemo remembers decay factors for the estimators of one network,
+// which share a time constant and, links being few kinds and packets
+// few sizes, mostly the same handful of gaps between packets. A factor
+// depends on the integer gap dt alone, and a miss computes it with the
+// expression a memo-less DRE uses, so a memoised estimator reads bit
+// for bit what a plain one does: the memo saves the exp() and nothing
+// else. It is direct-mapped — a gap that lands on an occupied slot
+// evicts it — and not safe for concurrent use, like the DREs it serves.
+type DecayMemo struct {
+	tau   float64
+	slots []decaySlot // len is a power of two
+}
+
+// decaySlot is one remembered factor. dt == 0 marks an empty slot:
+// decay never asks about a gap that is not positive.
+type decaySlot struct {
+	dt int64
+	f  float64
+}
+
+// NewDecayMemo returns a memo for estimators with time constant tauNs,
+// sized for the number of them that will share it: a slot each, rounded
+// up to a power of two and to at least 256 (4 kB).
+func NewDecayMemo(tauNs float64, estimators int) *DecayMemo {
+	if tauNs <= 0 {
+		tauNs = 1
+	}
+	n := 256
+	for n < estimators {
+		n *= 2
+	}
+	return &DecayMemo{tau: tauNs, slots: make([]decaySlot, n)}
+}
+
+// NewDRE returns an estimator, by value, that takes its time constant
+// from the memo and its decay factors through it. Its Tau must stay as
+// set: the memo's factors are for that time constant.
+func (m *DecayMemo) NewDRE() DRE { return DRE{Tau: m.tau, memo: m} }
+
+// factor returns exp(-dt/tau) for a gap dt > 0, computing it only when
+// dt's slot holds another gap's.
+func (m *DecayMemo) factor(dt int64) float64 {
+	s := &m.slots[uint64(dt)&uint64(len(m.slots)-1)]
+	if s.dt != dt {
+		s.dt, s.f = dt, math.Exp(-float64(dt)/m.tau)
+	}
+	return s.f
+}
+
+// factor returns exp(-dt/Tau) for a gap dt > 0. Both arms evaluate the
+// same expression on the same operands; TestDecayMemoBitExact holds
+// them equal.
+func (d *DRE) factor(dt int64) float64 {
+	if d.memo != nil {
+		return d.memo.factor(dt)
+	}
+	return math.Exp(-float64(dt) / d.Tau)
+}
+
 func (d *DRE) decay(now int64) {
 	if now <= d.last {
 		return
 	}
-	dt := float64(now - d.last)
-	d.counter *= math.Exp(-dt / d.Tau)
+	// 0 × factor is exactly 0: an estimator that has not seen a byte
+	// yet needs neither the factor nor the multiply.
+	if d.counter != 0 {
+		d.counter *= d.factor(now - d.last)
+	}
 	d.last = now
 }
 
@@ -286,11 +353,13 @@ func (d *DRE) Utilization(now int64, capacityBps float64) float64 {
 // bitwise exp(-(a+b)) — so a mutating read between two Adds perturbs
 // every later reading. Observers (the metrics sampler) must use the
 // peek variants so sampling cannot change what the routing protocol
-// measures.
+// measures. A peek may fill a slot of the shared DecayMemo; a slot's
+// content is a pure function of the gap it is for, so no estimator can
+// tell.
 func (d *DRE) RatePeek(now int64) float64 {
 	c := d.counter
 	if now > d.last {
-		c *= math.Exp(-float64(now-d.last) / d.Tau)
+		c *= d.factor(now - d.last)
 	}
 	return c / d.Tau * 1e9
 }
