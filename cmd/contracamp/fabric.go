@@ -35,9 +35,6 @@ func runServe(o options) error {
 	if o.checkpoint != "" {
 		return fmt.Errorf("-serve resumes from the stream itself; drop -checkpoint (workers keep their own in -worker-dir)")
 	}
-	if o.figuresDir != "" {
-		return fmt.Errorf("-figures needs the in-memory report, whose cells keep their telemetry recorders; run it without -serve")
-	}
 	spec, err := loadSpec(o)
 	if err != nil {
 		return err
@@ -276,10 +273,10 @@ func writePostmortemFiles(journalPath string, quiet bool) error {
 	}
 	pm := fabric.BuildPostmortem(meta, events)
 	mdPath, csvPath := journalPath+".pm.md", journalPath+".pm.csv"
-	if err := writeTo(mdPath, pm.WriteMarkdown); err != nil {
+	if err := cliutil.WriteTo(mdPath, pm.WriteMarkdown); err != nil {
 		return err
 	}
-	if err := writeTo(csvPath, pm.WriteCSV); err != nil {
+	if err := cliutil.WriteTo(csvPath, pm.WriteCSV); err != nil {
 		return err
 	}
 	if !quiet {
@@ -300,11 +297,11 @@ func runPostmortem(o options) error {
 	if out == "" {
 		out = "-"
 	}
-	if err := writeTo(out, pm.WriteMarkdown); err != nil {
+	if err := cliutil.WriteTo(out, pm.WriteMarkdown); err != nil {
 		return err
 	}
 	if o.csvOut != "" {
-		if err := writeTo(o.csvOut, pm.WriteCSV); err != nil {
+		if err := cliutil.WriteTo(o.csvOut, pm.WriteCSV); err != nil {
 			return err
 		}
 	}

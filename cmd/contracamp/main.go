@@ -15,8 +15,14 @@
 //	contracamp -spec sweep.json -shard 0/2 -stream s0.jsonl -checkpoint s0.ck
 //	contracamp -spec sweep.json -shard 1/2 -stream s1.jsonl -checkpoint s1.ck
 //	contracamp -spec sweep.json -shard 0/2 -stream s0.jsonl -checkpoint s0.ck -resume   # after a crash
-//	contracamp -merge s0.jsonl,s1.jsonl -out merged.json -csv merged.csv
-//	contracamp -aggregate merged.json -agg-csv agg.csv -fct-csv fct.csv -rec-csv rec.csv
+//	contracamp -merge s0.jsonl,s1.jsonl -out merged.json -csv merged.csv -fct-csv fct.csv
+//
+// Every run that ends holding the report — an in-memory -spec run, a
+// -serve coordinator at completion, a -merge of record streams or of
+// report JSON written earlier — renders it through one step, so every
+// output flag works on all three: -out, -csv and the comparison table
+// per scenario; -agg-csv, -fct-csv and -rec-csv with the seed axis
+// collapsed to mean/stddev/min/max; -figures as gnuplot data.
 //
 // The fault-tolerant fabric replaces static sharding when workers may
 // crash: a coordinator leases cells to workers over HTTP, re-leases
@@ -90,11 +96,10 @@ type options struct {
 	cellTimeout time.Duration
 	strict      bool
 
-	merge     string
-	aggregate string
-	aggCSV    string
-	fctCSV    string
-	recCSV    string
+	merge  string
+	aggCSV string
+	fctCSV string
+	recCSV string
 
 	cpuProfile string
 	memProfile string
@@ -102,7 +107,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.spec, "spec", "", "campaign spec file (JSON; required unless -merge/-aggregate)")
+	flag.StringVar(&o.spec, "spec", "", "campaign spec file (JSON; required unless -merge)")
 	flag.IntVar(&o.workers, "workers", runtime.NumCPU(), "parallel scenario workers")
 	flag.StringVar(&o.out, "out", "", "write results JSON to `file` (- for stdout)")
 	flag.StringVar(&o.csvOut, "csv", "", "write per-scenario CSV to `file` (- for stdout)")
@@ -113,7 +118,7 @@ func main() {
 	flag.StringVar(&o.recordDir, "record-dir", "", "record each cell's flow trace into `dir` as <cell name>.flow.jsonl; a trace-kind spec pointing workload.trace at the dir replays the campaign byte-identically (see docs/trace-format.md)")
 	flag.Int64Var(&o.metricsInterval, "metrics-interval", -1, "override the spec's metrics_interval_ns: sample telemetry every `ns` (0 forces off, -1 leaves the spec)")
 	flag.StringVar(&o.metricsDir, "metrics-dir", "", "write each sampled cell's telemetry into `dir` as <cell name>.jsonl (needs a metrics interval)")
-	flag.StringVar(&o.figuresDir, "figures", "", "emit paper-figure gnuplot data into `dir` (in-memory runs only; enables telemetry sampling if the spec left it off)")
+	flag.StringVar(&o.figuresDir, "figures", "", "emit paper-figure gnuplot data into `dir` (a -spec run enables telemetry sampling if the spec left it off; the two timelines need the cells' own series and samples, which a streamed or loaded report does not carry)")
 	flag.DurationVar(&o.progressEvery, "progress-every", 2*time.Second, "minimum interval between live progress/ETA lines")
 	flag.StringVar(&o.shard, "shard", "", "run only shard `i/N` of the expansion (requires -stream)")
 	flag.StringVar(&o.stream, "stream", "", "stream outcomes to a JSONL `file` instead of holding them in memory")
@@ -132,11 +137,10 @@ func main() {
 	flag.StringVar(&o.postmortem, "postmortem", "", "render a campaign post-mortem (markdown, plus -csv) from a coordinator journal `file`")
 	flag.StringVar(&o.statusURL, "status", "", "print a live fleet snapshot from the coordinator at `url` (workers, telemetry, straggler cells)")
 	flag.DurationVar(&o.watch, "watch", 0, "status mode: refresh every `interval` until the campaign completes (0 prints once)")
-	flag.StringVar(&o.merge, "merge", "", "merge comma-separated JSONL shard `files` into one report (with -out/-csv/table)")
-	flag.StringVar(&o.aggregate, "aggregate", "", "aggregate comma-separated report JSON / JSONL `files` across seeds")
-	flag.StringVar(&o.aggCSV, "agg-csv", "", "aggregate mode: write the full mean/stddev/min/max CSV to `file`")
-	flag.StringVar(&o.fctCSV, "fct-csv", "", "aggregate mode: write FCT-vs-load figure data to `file`")
-	flag.StringVar(&o.recCSV, "rec-csv", "", "aggregate mode: write recovery-time figure data to `file`")
+	flag.StringVar(&o.merge, "merge", "", "load comma-separated results `files` into one report and render it: JSONL record streams are deduplicated by scenario key and ordered by expansion index, and must come from one campaign; report JSON (-out) inputs carry no key and are appended as given")
+	flag.StringVar(&o.aggCSV, "agg-csv", "", "write the seed aggregate, mean/stddev/min/max of every column per (topo, script, load, scheme), to `file` (- for stdout)")
+	flag.StringVar(&o.fctCSV, "fct-csv", "", "write FCT-vs-load figure data, seed-aggregated, to `file` (- for stdout)")
+	flag.StringVar(&o.recCSV, "rec-csv", "", "write recovery-time figure data, seed-aggregated, to `file` (- for stdout)")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to `file` (pprof)")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to `file` at exit (pprof)")
 	flag.Parse()
@@ -158,7 +162,7 @@ func main() {
 
 func run(o options) error {
 	modes := 0
-	for _, on := range []bool{o.spec != "", o.merge != "", o.aggregate != "", o.worker != "",
+	for _, on := range []bool{o.spec != "", o.merge != "", o.worker != "",
 		o.postmortem != "", o.statusURL != ""} {
 		if on {
 			modes++
@@ -166,13 +170,11 @@ func run(o options) error {
 	}
 	if modes != 1 {
 		flag.Usage()
-		return fmt.Errorf("exactly one of -spec, -merge, -aggregate, -worker, -postmortem, -status is required")
+		return fmt.Errorf("exactly one of -spec, -merge, -worker, -postmortem, -status is required")
 	}
 	switch {
 	case o.merge != "":
 		return runMerge(o)
-	case o.aggregate != "":
-		return runAggregate(o)
 	case o.worker != "":
 		return runWorkerMode(o)
 	case o.postmortem != "":
@@ -195,11 +197,8 @@ func run(o options) error {
 	if o.resume && (o.checkpoint == "" || o.stream == "") {
 		return fmt.Errorf("-resume needs both -checkpoint and -stream")
 	}
-	if o.figuresDir != "" && o.stream != "" {
-		return fmt.Errorf("-figures needs the in-memory report; drop -stream (merge shards first, then aggregate)")
-	}
-	if o.stream != "" && (o.out != "" || o.csvOut != "") {
-		return fmt.Errorf("-out/-csv render a full report; streamed shards are merged first (-merge %s)", o.stream)
+	if o.stream != "" && (o.out != "" || o.csvOut != "" || o.aggCSV != "" || o.fctCSV != "" || o.recCSV != "" || o.figuresDir != "") {
+		return fmt.Errorf("a streamed run holds no report to render; merge it first (-merge %s with the output flags)", o.stream)
 	}
 	return runCampaign(o)
 }
@@ -249,7 +248,9 @@ func progressHooks(o options, total int) (started func(*campaign.Job), completed
 // digests are unaffected by an explicit off). -metrics-interval replaces
 // metrics_interval_ns (0 forces sampling off, -1 leaves the spec), and
 // -figures turns sampling on at a default interval when both left it
-// off, since the utilization-timeline figure needs samples.
+// off, since the utilization-timeline figure needs samples — in an
+// in-memory run only: the samples do not travel through a stream, so a
+// coordinator's workers would take them for nothing.
 // -cell-timeout replaces cell_timeout_ns the same way; it is
 // execution-only and never enters a key. An artifact dir whose artifact
 // no cell would produce is refused here, before the campaign is paid for.
@@ -267,7 +268,7 @@ func loadSpec(o options) (*campaign.Spec, error) {
 	if o.metricsInterval >= 0 {
 		spec.MetricsIntervalNs = o.metricsInterval
 	}
-	if o.figuresDir != "" && spec.MetricsIntervalNs == 0 {
+	if o.figuresDir != "" && o.stream == "" && spec.MetricsIntervalNs == 0 {
 		spec.MetricsIntervalNs = 500_000
 	}
 	if o.cellTimeout >= 0 {
@@ -366,83 +367,54 @@ func runCampaign(o options) error {
 	if err != nil {
 		return err
 	}
-	if o.figuresDir != "" {
-		written, err := figures.Emit(o.figuresDir, report)
-		if err != nil {
-			return err
-		}
-		if !o.quiet {
-			fmt.Fprintf(os.Stderr, "wrote %d figure file(s) to %s: %s\n",
-				len(written), o.figuresDir, strings.Join(written, ", "))
-		}
-	}
 	return render(report, spec.Schemes, o)
 }
 
-// runMerge folds shard JSONL files into one deterministic report.
+// runMerge loads results files into one deterministic report.
 func runMerge(o options) error {
 	report, err := dist.Merge(splitList(o.merge))
 	if err != nil {
 		return err
 	}
 	if !o.quiet {
-		fmt.Fprintf(os.Stderr, "merged %d scenarios from %d shard file(s)\n",
+		fmt.Fprintf(os.Stderr, "merged %d scenarios from %d file(s)\n",
 			len(report.Outcomes), len(splitList(o.merge)))
 	}
 	return render(report, dist.Schemes(report), o)
 }
 
-// runAggregate collapses the seed axis and writes figure data.
-func runAggregate(o options) error {
-	var outcomes []campaign.Outcome
-	for _, path := range splitList(o.aggregate) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		outs, err := agg.Load(data)
-		if err != nil {
-			return fmt.Errorf("%s: %v", path, err)
-		}
-		outcomes = append(outcomes, outs...)
-	}
-	tab := agg.FromOutcomes(outcomes)
-	if !o.quiet {
-		fmt.Fprintf(os.Stderr, "aggregated %d outcomes into %d cells\n", len(outcomes), len(tab.Groups))
-	}
-	aggCSV := o.aggCSV
-	if aggCSV == "" && o.fctCSV == "" && o.recCSV == "" {
-		aggCSV = "-" // no outputs requested: full aggregate to stdout
-	}
-	if aggCSV != "" {
-		if err := writeTo(aggCSV, tab.WriteCSV); err != nil {
-			return err
-		}
-	}
-	if o.fctCSV != "" {
-		if err := writeTo(o.fctCSV, tab.WriteFCTCurve); err != nil {
-			return err
-		}
-	}
-	if o.recCSV != "" {
-		if err := writeTo(o.recCSV, tab.WriteRecoveryCurve); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// render writes the report JSON/CSV, prints the comparison table, and
-// turns failed cells into the exit status.
+// render writes every requested view of a report — per scenario (JSON,
+// CSV, the comparison table) and with the seed axis collapsed (the
+// aggregate CSV, the two curve CSVs, the figure data) — and turns
+// failed cells into the exit status. It is the one exit of every mode
+// that ends holding a report.
 func render(report *campaign.Report, schemes []scenario.Scheme, o options) error {
-	if o.out != "" {
-		if err := writeTo(o.out, report.WriteJSON); err != nil {
+	tab := agg.FromOutcomes(report.Outcomes)
+	for _, out := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{
+		{o.out, report.WriteJSON},
+		{o.csvOut, report.WriteCSV},
+		{o.aggCSV, tab.WriteCSV},
+		{o.fctCSV, tab.WriteFCTCurve},
+		{o.recCSV, tab.WriteRecoveryCurve},
+	} {
+		if out.path == "" {
+			continue
+		}
+		if err := cliutil.WriteTo(out.path, out.write); err != nil {
 			return err
 		}
 	}
-	if o.csvOut != "" {
-		if err := writeTo(o.csvOut, report.WriteCSV); err != nil {
+	if o.figuresDir != "" {
+		written, err := figures.Emit(o.figuresDir, report, tab)
+		if err != nil {
 			return err
+		}
+		if !o.quiet {
+			fmt.Fprintf(os.Stderr, "wrote %d figure file(s) to %s: %s\n",
+				len(written), o.figuresDir, strings.Join(written, ", "))
 		}
 	}
 	if !o.noTable {
@@ -461,20 +433,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// writeTo streams an encoder to a file path, "-" meaning stdout.
-func writeTo(path string, write func(w io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

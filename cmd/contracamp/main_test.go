@@ -15,7 +15,8 @@ import (
 	"contra/internal/fabric"
 )
 
-// tinySpec is 2 schemes × 2 seeds with every per-cell artifact on:
+// tinySpec is 2 schemes × 2 loads × 2 seeds (two loads so that there is
+// an FCT-vs-load figure to draw) with every per-cell artifact on:
 // decision tracing and telemetry in the spec (both are part of the cell
 // key, so they must reach a coordinator through it), flow recording via
 // -record-dir.
@@ -23,17 +24,26 @@ const tinySpec = `{
   "name": "modes",
   "topos": ["dc"],
   "schemes": ["contra", "ecmp"],
-  "loads": [0.3],
+  "loads": [0.2, 0.3],
   "seeds": [1, 2],
   "workload": {"dist": "cache", "duration_ns": 2000000, "max_flows": 60},
   "trace_level": "decisions",
   "metrics_interval_ns": 500000
 }`
 
-// outputs is everything one way of running the campaign leaves behind.
+// outputs is everything one way of running the campaign leaves behind:
+// every view render writes of the report (the figure data that survives
+// a record stream is fct_vs_load.dat), and the per-cell artifact dirs.
 type outputs struct {
-	json, csv            string
+	report               [6]string         // -out, -csv, -agg-csv, -fct-csv, -rec-csv, -figures
 	flow, trace, metrics map[string]string // file name -> content
+}
+
+// reportFlags points every report output flag into dir.
+func reportFlags(o *options, dir string) {
+	o.out, o.csvOut = filepath.Join(dir, "out.json"), filepath.Join(dir, "out.csv")
+	o.aggCSV, o.fctCSV, o.recCSV = filepath.Join(dir, "agg.csv"), filepath.Join(dir, "fct.csv"), filepath.Join(dir, "rec.csv")
+	o.figuresDir = filepath.Join(dir, "figures")
 }
 
 func readDir(t *testing.T, dir string) map[string]string {
@@ -56,7 +66,8 @@ func readDir(t *testing.T, dir string) map[string]string {
 // TestEveryModeWritesTheSameBytes drives run(options) through the four
 // ways a cell can execute — in-memory, streamed then merged, two shards
 // then merged, and a fabric worker against an in-process coordinator —
-// and requires identical report JSON/CSV and file-for-file identical
+// and requires identical report outputs (JSON, CSV, the three aggregate
+// CSVs, the FCT-vs-load figure data) and file-for-file identical
 // flow-trace, decision-trace and telemetry dirs from all of them.
 func TestEveryModeWritesTheSameBytes(t *testing.T) {
 	root := t.TempDir()
@@ -83,23 +94,25 @@ func TestEveryModeWritesTheSameBytes(t *testing.T) {
 	}
 	collect := func(o options, dir string) outputs {
 		t.Helper()
-		j, err := os.ReadFile(o.out)
-		if err != nil {
-			t.Fatal(err)
+		out := outputs{
+			flow:    readDir(t, filepath.Join(dir, "flow")),
+			trace:   readDir(t, filepath.Join(dir, "trace")),
+			metrics: readDir(t, filepath.Join(dir, "metrics")),
 		}
-		c, err := os.ReadFile(o.csvOut)
-		if err != nil {
-			t.Fatal(err)
+		for i, path := range []string{o.out, o.csvOut, o.aggCSV, o.fctCSV, o.recCSV,
+			filepath.Join(o.figuresDir, "fct_vs_load.dat")} {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.report[i] = string(b)
 		}
-		return outputs{string(j), string(c),
-			readDir(t, filepath.Join(dir, "flow")),
-			readDir(t, filepath.Join(dir, "trace")),
-			readDir(t, filepath.Join(dir, "metrics"))}
+		return out
 	}
 	// merge renders the streams into dir's report files.
 	merge := func(dir, streams string) options {
-		o := options{quiet: true, noTable: true, merge: streams,
-			out: filepath.Join(dir, "out.json"), csvOut: filepath.Join(dir, "out.csv")}
+		o := options{quiet: true, noTable: true, merge: streams}
+		reportFlags(&o, dir)
 		must(o)
 		return o
 	}
@@ -108,7 +121,7 @@ func TestEveryModeWritesTheSameBytes(t *testing.T) {
 
 	o, dir := base("inmem")
 	o.spec = specPath
-	o.out, o.csvOut = filepath.Join(dir, "out.json"), filepath.Join(dir, "out.csv")
+	reportFlags(&o, dir)
 	must(o)
 	got["in-memory"] = collect(o, dir)
 
@@ -154,8 +167,10 @@ func TestEveryModeWritesTheSameBytes(t *testing.T) {
 			len(want.flow), len(want.trace), len(want.metrics), n)
 	}
 	for mode, g := range got {
-		if g.json != want.json || g.csv != want.csv {
-			t.Errorf("%s: report JSON/CSV differ from the in-memory run", mode)
+		for i, flag := range []string{"-out", "-csv", "-agg-csv", "-fct-csv", "-rec-csv", "-figures fct_vs_load.dat"} {
+			if g.report[i] != want.report[i] {
+				t.Errorf("%s: %s differs from the in-memory run", mode, flag)
+			}
 		}
 		for kind, pair := range map[string][2]map[string]string{
 			"flow": {g.flow, want.flow}, "trace": {g.trace, want.trace}, "metrics": {g.metrics, want.metrics},
@@ -163,6 +178,80 @@ func TestEveryModeWritesTheSameBytes(t *testing.T) {
 			if !reflect.DeepEqual(pair[0], pair[1]) {
 				t.Errorf("%s: %s dir differs from the in-memory run (%d vs %d files)", mode, kind, len(pair[0]), len(pair[1]))
 			}
+		}
+	}
+}
+
+// TestMergeCountsEachCellOnce is the crash/resume double-count
+// regression: a record that reached the stream twice (a crash between
+// the stream write and the checkpoint mark leaves exactly that) must not
+// become an extra seed of its cell in the aggregate, a repeat that
+// disagrees on the index is refused, and so is a second campaign's
+// stream. A report JSON written by -out is a -merge input too, and
+// renders the CSV it was written next to.
+func TestMergeCountsEachCellOnce(t *testing.T) {
+	root := t.TempDir()
+	at := func(name string) string { return filepath.Join(root, name) }
+	write := func(name, content string) string {
+		t.Helper()
+		if err := os.WriteFile(at(name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return at(name)
+	}
+	read := func(name string) string {
+		t.Helper()
+		b, err := os.ReadFile(at(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	base := options{quiet: true, noTable: true, workers: 2, metricsInterval: -1, cellTimeout: -1}
+
+	o := base
+	o.spec, o.stream = write("spec.json", tinySpec), at("clean.jsonl")
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	aggregate := func(stream, prefix string) error {
+		o := base
+		o.merge = stream
+		o.out, o.csvOut, o.aggCSV = at(prefix+".json"), at(prefix+".csv"), at(prefix+".agg.csv")
+		return run(o)
+	}
+	if err := aggregate(at("clean.jsonl"), "clean"); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(read("clean.jsonl"), "\n")
+	if err := aggregate(write("dup.jsonl", read("clean.jsonl")+lines[0]), "dup"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := read("dup.agg.csv"), read("clean.agg.csv"); got != want {
+		t.Errorf("a repeated record moved the aggregate:\n%s\nwant:\n%s", got, want)
+	}
+	// tinySpec has two seeds per cell; the aggregate must say so.
+	for _, row := range strings.Split(strings.TrimSpace(read("dup.agg.csv")), "\n")[1:] {
+		if f := strings.Split(row, ","); f[4] != "2" {
+			t.Errorf("seeds = %s, want 2: %s", f[4], row)
+		}
+	}
+
+	moved := strings.Replace(lines[0], `"index":`, `"index":1`, 1)
+	if err := aggregate(write("conflict.jsonl", read("clean.jsonl")+moved), "conflict"); err == nil || !strings.Contains(err.Error(), "at both index") {
+		t.Errorf("a repeat at another index: %v, want the collector's refusal", err)
+	}
+	other := strings.ReplaceAll(read("clean.jsonl"), `"campaign":"modes"`, `"campaign":"other"`)
+	if err := aggregate(at("clean.jsonl")+","+write("other.jsonl", other), "mixed"); err == nil || !strings.Contains(err.Error(), "mixes campaign") {
+		t.Errorf("two campaigns' streams: %v, want the collector's refusal", err)
+	}
+
+	if err := aggregate(at("clean.json"), "reloaded"); err != nil {
+		t.Fatalf("-merge of a report JSON: %v", err)
+	}
+	for _, ext := range []string{".json", ".csv", ".agg.csv"} {
+		if read("reloaded"+ext) != read("clean"+ext) {
+			t.Errorf("reloaded%s differs from what the record stream rendered", ext)
 		}
 	}
 }

@@ -301,18 +301,7 @@ func writeMetrics(res *scenario.Result, out string) error {
 	if res.Metrics == nil {
 		return fmt.Errorf("-metrics-out: no telemetry was recorded")
 	}
-	if out == "-" {
-		return res.Metrics.WriteJSONL(os.Stdout)
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := res.Metrics.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cliutil.WriteTo(out, res.Metrics.WriteJSONL)
 }
 
 // writeFlowTrace writes the captured flow trace (-record).
@@ -338,16 +327,5 @@ func writeTrace(res *scenario.Result, out string) error {
 	if res.Trace == nil {
 		return fmt.Errorf("-trace-out: no trace was recorded")
 	}
-	if out == "-" {
-		return res.Trace.WriteJSONL(os.Stdout)
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := res.Trace.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cliutil.WriteTo(out, res.Trace.WriteJSONL)
 }

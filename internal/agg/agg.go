@@ -1,10 +1,10 @@
 // Package agg turns raw per-scenario campaign outcomes into the
 // paper's figure data: it groups results by experiment cell —
-// (topology, scheme, load, event script) — collapses the seed axis
-// into mean/stddev/min/max columns via stats.Summary, and renders the
-// aggregate as CSV, including the two curve families the evaluation
-// plots: tail FCT versus offered load, and recovery time after
-// disruptions.
+// (topology, scheme, load, event script) — collapses the seed axis of
+// every campaign.Columns entry into mean/stddev/min/max via
+// stats.Summary, and renders the aggregate as CSV, including the two
+// curve families the evaluation plots: tail FCT versus offered load,
+// and recovery time after disruptions.
 //
 // Aggregation is deterministic: groups are sorted by cell key and
 // every column is a pure function of the input results, so the same
@@ -13,7 +13,6 @@ package agg
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -32,141 +31,6 @@ type Key struct {
 	Script string
 }
 
-// metrics defines the aggregated columns in output order. Each metric
-// extracts zero or more observations from one result — zero when the
-// metric does not apply (no recovery analysis in a steady-state run),
-// several when a script carries several disruptions.
-var metrics = []struct {
-	name string
-	get  func(r *scenario.Result) []float64
-}{
-	{"mean_fct_ms", func(r *scenario.Result) []float64 { return fctMs(r, r.MeanFCT) }},
-	{"p50_fct_ms", func(r *scenario.Result) []float64 { return fctMs(r, r.P50FCT) }},
-	{"p95_fct_ms", func(r *scenario.Result) []float64 { return fctMs(r, r.P95FCT) }},
-	{"p99_fct_ms", func(r *scenario.Result) []float64 { return fctMs(r, r.P99FCT) }},
-	{"probe_frac", func(r *scenario.Result) []float64 { return []float64{r.ProbeFrac()} }},
-	{"queue_drops", func(r *scenario.Result) []float64 { return []float64{r.QueueDrops} }},
-	{"linkdown_drops", func(r *scenario.Result) []float64 { return []float64{r.LinkDownDrops} }},
-	{"looped_frac", func(r *scenario.Result) []float64 { return []float64{r.LoopedFrac} }},
-	{"baseline_gbps", func(r *scenario.Result) []float64 {
-		if r.BaselineBps <= 0 {
-			return nil
-		}
-		return []float64{r.BaselineBps / 1e9}
-	}},
-	{"min_gbps", func(r *scenario.Result) []float64 {
-		if r.BaselineBps <= 0 {
-			return nil
-		}
-		return []float64{r.MinBps / 1e9}
-	}},
-	// recovery_ms aggregates every per-disruption window a result
-	// carries, so a script with three failures contributes three
-	// observations per seed.
-	{"recovery_ms", func(r *scenario.Result) []float64 {
-		var out []float64
-		for _, w := range r.Recoveries {
-			if w.RecoveryNs >= 0 {
-				out = append(out, float64(w.RecoveryNs)/1e6)
-			}
-		}
-		if out == nil && r.RecoveryNs > 0 {
-			// Results encoded before per-event windows existed.
-			out = []float64{float64(r.RecoveryNs) / 1e6}
-		}
-		return out
-	}},
-	{"nodedown_drops", func(r *scenario.Result) []float64 {
-		return []float64{r.NodeDownDrops}
-	}},
-	// probe_loss_frac observes the realized loss rate only where loss
-	// was actually injected (probes crossed a lossy channel).
-	{"probe_loss_frac", func(r *scenario.Result) []float64 {
-		if r.ProbeLossSeen == 0 {
-			return nil
-		}
-		return []float64{r.ProbeLossFrac}
-	}},
-	// swap_conv_ms aggregates every converged policy-swap window;
-	// swaps the run ended on top of (ConvergenceNs < 0) are excluded,
-	// like unconverged recovery windows.
-	{"swap_conv_ms", func(r *scenario.Result) []float64 {
-		var out []float64
-		for _, w := range r.Swaps {
-			if w.ConvergenceNs >= 0 {
-				out = append(out, float64(w.ConvergenceNs)/1e6)
-			}
-		}
-		return out
-	}},
-	// probe_tx_saved / probe_suppressed observe the probe-aggregation
-	// savings only where a knob was actually on (ProbeAggOn), so
-	// knobs-off cells stay blank while a knobs-on run that genuinely
-	// saved nothing still contributes its zero.
-	{"probe_tx_saved", func(r *scenario.Result) []float64 {
-		if !r.ProbeAggOn {
-			return nil
-		}
-		return []float64{r.ProbeTxSaved}
-	}},
-	{"probe_suppressed", func(r *scenario.Result) []float64 {
-		if !r.ProbeAggOn {
-			return nil
-		}
-		return []float64{r.ProbeSuppressed}
-	}},
-	// metrics_samples observes the telemetry sampler's retained tick
-	// count only where sampling was on (MetricsOn), so metrics-off
-	// cells stay blank — its cross-seed spread being zero is itself a
-	// determinism signal.
-	{"metrics_samples", func(r *scenario.Result) []float64 {
-		if !r.MetricsOn {
-			return nil
-		}
-		return []float64{float64(r.MetricsSamples)}
-	}},
-	// Per-class attribution metrics apply only when class_stats was on
-	// (Classes non-nil), so existing campaigns aggregate identically.
-	// The class quantiles additionally require a completion in that
-	// class — a run whose elephants all timed out stays blank rather
-	// than contributing a zero.
-	{"mice_p99_fct_ms", func(r *scenario.Result) []float64 {
-		if r.Classes == nil || r.Classes.Mice.Flows == 0 {
-			return nil
-		}
-		return []float64{r.Classes.Mice.P99Ms}
-	}},
-	{"elephant_p99_fct_ms", func(r *scenario.Result) []float64 {
-		if r.Classes == nil || r.Classes.Elephants.Flows == 0 {
-			return nil
-		}
-		return []float64{r.Classes.Elephants.P99Ms}
-	}},
-	{"jain", func(r *scenario.Result) []float64 {
-		if r.Classes == nil {
-			return nil
-		}
-		return []float64{r.Classes.Jain}
-	}},
-}
-
-func fctMs(r *scenario.Result, sec float64) []float64 {
-	if r.Completed == 0 {
-		return nil
-	}
-	return []float64{sec * 1e3}
-}
-
-// recoveryIdx locates the recovery_ms metric for the curve writers.
-var recoveryIdx = func() int {
-	for i, m := range metrics {
-		if m.name == "recovery_ms" {
-			return i
-		}
-	}
-	panic("agg: no recovery metric")
-}()
-
 // Group is one experiment cell with its seed axis collapsed.
 type Group struct {
 	Key
@@ -174,8 +38,13 @@ type Group struct {
 	Seeds int
 	// Failed counts outcomes that ended in a scenario error.
 	Failed int
-	// Sums holds one stats.Summary per entry of metrics.
+	// Sums holds one stats.Summary per entry of campaign.Columns.
 	Sums []stats.Summary
+}
+
+// Sum returns the summary of the named column.
+func (g *Group) Sum(name string) *stats.Summary {
+	return &g.Sums[campaign.Columns.Index(name)]
 }
 
 // Table is a deterministic, sorted collection of groups.
@@ -183,45 +52,32 @@ type Table struct {
 	Groups []*Group
 }
 
-// FromOutcomes aggregates campaign outcomes. Failed outcomes count
-// toward Group.Failed when their scenario identifies a cell; bare
-// report JSON carries no scenario column for failed outcomes (a
-// failure has no Result either), so there they are dropped — run
-// -aggregate on the shard JSONL files to account for failures.
+// FromOutcomes aggregates campaign outcomes, folding every observation
+// of every campaign.Columns entry into its cell. A failed outcome counts
+// toward Group.Failed when it can be placed (campaign.Outcome.Cell); in
+// bare report JSON it cannot, so account for failures from the record
+// streams.
 func FromOutcomes(outcomes []campaign.Outcome) *Table {
 	groups := map[Key]*Group{}
-	get := func(k Key) *Group {
-		g := groups[k]
-		if g == nil {
-			g = &Group{Key: k, Sums: make([]stats.Summary, len(metrics))}
-			groups[k] = g
-		}
-		return g
-	}
-	for _, o := range outcomes {
-		// Key on the campaign's axis values when the scenario is
-		// available (merge records carry it), so failed and successful
-		// seeds of one cell land in the same row; bare report JSON has
-		// no scenario column and falls back to the result's resolved
-		// topology name.
-		var k Key
-		switch {
-		case o.Scenario.TopoSpec != "":
-			k = Key{o.Scenario.TopoSpec, o.Scenario.Scheme, o.Scenario.Workload.Load, o.Scenario.Script}
-		case o.Result != nil:
-			k = Key{o.Result.Topo, o.Result.Scheme, o.Result.Load, o.Result.Script}
-		default:
-			continue // failed outcome with no scenario: unplaceable
-		}
-		if o.Result == nil {
-			get(k).Failed++
+	for i := range outcomes {
+		o := &outcomes[i]
+		c, ok := o.Cell()
+		if !ok {
 			continue
 		}
-		r := o.Result
-		g := get(k)
+		k := Key{c.Topo, c.Scheme, c.Load, c.Script}
+		g := groups[k]
+		if g == nil {
+			g = &Group{Key: k, Sums: make([]stats.Summary, len(campaign.Columns))}
+			groups[k] = g
+		}
+		if o.Result == nil {
+			g.Failed++
+			continue
+		}
 		g.Seeds++
-		for i, m := range metrics {
-			for _, v := range m.get(r) {
+		for i := range campaign.Columns {
+			for _, v := range campaign.Columns[i].Obs(o.Result) {
 				g.Sums[i].Add(v)
 			}
 		}
@@ -252,12 +108,10 @@ var keyCols = []string{"topo", "script", "load", "scheme", "seeds", "failed"}
 
 func (g *Group) keyRow() []string {
 	return []string{
-		g.Topo, g.Script, trimFloat(g.Load), string(g.Scheme),
+		g.Topo, g.Script, strconv.FormatFloat(g.Load, 'g', -1, 64), string(g.Scheme),
 		strconv.Itoa(g.Seeds), strconv.Itoa(g.Failed),
 	}
 }
-
-func trimFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 func cell(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
 
@@ -275,16 +129,16 @@ func summaryCols(s *stats.Summary) []string {
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := append([]string{}, keyCols...)
-	for _, m := range metrics {
+	for _, c := range campaign.Columns {
 		header = append(header,
-			m.name+"_mean", m.name+"_stddev", m.name+"_min", m.name+"_max")
+			c.Name+"_mean", c.Name+"_stddev", c.Name+"_min", c.Name+"_max")
 	}
 	if err := cw.Write(header); err != nil {
 		return err
 	}
 	for _, g := range t.Groups {
 		row := g.keyRow()
-		for i := range metrics {
+		for i := range g.Sums {
 			row = append(row, summaryCols(&g.Sums[i])...)
 		}
 		if err := cw.Write(row); err != nil {
@@ -295,25 +149,28 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
+// fctCols are the columns of the FCT-versus-load curve.
+var fctCols = []string{"mean_fct_ms", "p50_fct_ms", "p95_fct_ms", "p99_fct_ms"}
+
 // WriteFCTCurve renders the FCT-versus-load figure data: per cell, the
 // mean and stddev across seeds of mean/p50/p95/p99 FCT. Plot load on
 // the x axis, one line per (topo, script, scheme).
 func (t *Table) WriteFCTCurve(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := append([]string{}, keyCols...)
-	for _, m := range metrics[:4] {
-		header = append(header, m.name+"_mean", m.name+"_stddev")
+	for _, name := range fctCols {
+		header = append(header, name+"_mean", name+"_stddev")
 	}
 	if err := cw.Write(header); err != nil {
 		return err
 	}
 	for _, g := range t.Groups {
-		if g.Sums[0].Count() == 0 {
+		if g.Sum(fctCols[0]).Count() == 0 {
 			continue // no completed FCT flows in this cell (CBR, total failure)
 		}
 		row := g.keyRow()
-		for i := range metrics[:4] {
-			s := &g.Sums[i]
+		for _, name := range fctCols {
+			s := g.Sum(name)
 			row = append(row, cell(s.Mean()), cell(s.Stddev()))
 		}
 		if err := cw.Write(row); err != nil {
@@ -337,43 +194,17 @@ func (t *Table) WriteRecoveryCurve(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	var baseIdx, minIdx int
-	for i, m := range metrics {
-		switch m.name {
-		case "baseline_gbps":
-			baseIdx = i
-		case "min_gbps":
-			minIdx = i
-		}
-	}
 	for _, g := range t.Groups {
-		rec := &g.Sums[recoveryIdx]
+		rec := g.Sum("recovery_ms")
 		if rec.Count() == 0 {
 			continue
 		}
 		row := append(g.keyRow(), summaryCols(rec)...)
-		row = append(row, cell(g.Sums[baseIdx].Mean()), cell(g.Sums[minIdx].Mean()))
+		row = append(row, cell(g.Sum("baseline_gbps").Mean()), cell(g.Sum("min_gbps").Mean()))
 		if err := cw.Write(row); err != nil {
 			return err
 		}
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// Load reads campaign output for aggregation: a merged report JSON
-// (decoded with the scenario column absent) or a JSONL record stream.
-// The format is sniffed from the first non-space byte — a report is a
-// JSON object spanning the whole file, a record stream is one object
-// per line.
-func Load(data []byte) ([]campaign.Outcome, error) {
-	report, rerr := decodeReport(data)
-	if rerr == nil {
-		return report.Outcomes, nil
-	}
-	recs, lerr := decodeRecords(data)
-	if lerr == nil {
-		return recs, nil
-	}
-	return nil, fmt.Errorf("agg: input is neither a campaign report (%v) nor a record stream (%v)", rerr, lerr)
 }

@@ -199,19 +199,3 @@ func TestFailedOutcomesAreCountedNotAggregated(t *testing.T) {
 	}
 	t.Fatal("cell not found")
 }
-
-func TestLoadSniffsBothFormats(t *testing.T) {
-	report := `{"name":"x","scenarios":[{"result":{"topo":"dc","scheme":"ecmp","seed":1,"flows":10,"completed":10,"mean_fct":0.001,"fabric_bytes":1,"data_bytes":1,"ack_bytes":0,"probe_bytes":0,"tag_bytes":0,"queue_drops":0,"linkdown_drops":0,"simulated_ns":5}}]}`
-	outs, err := Load([]byte(report))
-	if err != nil || len(outs) != 1 || outs[0].Result == nil {
-		t.Fatalf("report load: %v, %d outcomes", err, len(outs))
-	}
-	jsonl := `{"campaign":"x","key":"k","index":0,"scenario":{"topo":"dc","scheme":"ecmp","workload":{}},"result":{"topo":"dc","scheme":"ecmp","seed":1,"flows":10,"completed":10,"fabric_bytes":1,"data_bytes":1,"ack_bytes":0,"probe_bytes":0,"tag_bytes":0,"queue_drops":0,"linkdown_drops":0,"simulated_ns":5}}` + "\n"
-	outs, err = Load([]byte(jsonl))
-	if err != nil || len(outs) != 1 || outs[0].Scenario.TopoSpec != "dc" {
-		t.Fatalf("jsonl load: %v, %d outcomes", err, len(outs))
-	}
-	if _, err := Load([]byte("not json")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}

@@ -46,7 +46,6 @@ func TestECMPDeliversAndSpreads(t *testing.T) {
 	DeployECMP(n)
 	flows := dcFlows(g, 32, 100_000)
 	runFlows(t, n, e, flows, 5e9)
-	n.FoldCounters()
 	if n.CompletedFlows() != int64(len(flows)) {
 		t.Fatalf("completed %d/%d", n.CompletedFlows(), len(flows))
 	}
@@ -143,10 +142,9 @@ func TestHulaConvergesAndDelivers(t *testing.T) {
 	}
 	n.StartFlows(flows)
 	e.Run(e.Now() + 3e9)
-	n.FoldCounters()
 	if n.CompletedFlows() != int64(len(flows)) {
 		t.Fatalf("completed %d/%d; noroute=%v",
-			n.CompletedFlows(), len(flows), n.Counters.Get("drop_noroute"))
+			n.CompletedFlows(), len(flows), n.Totals().Drops[sim.DropNoRoute])
 	}
 }
 
@@ -219,7 +217,7 @@ func TestSpainUsesMultiplePaths(t *testing.T) {
 	runFlows(t, n, e, flows, 5e9)
 	if n.CompletedFlows() != int64(len(flows)) {
 		t.Fatalf("completed %d/%d; noroute=%v",
-			n.CompletedFlows(), len(flows), n.Counters.Get("drop_noroute"))
+			n.CompletedFlows(), len(flows), n.Totals().Drops[sim.DropNoRoute])
 	}
 	if len(pathSets) < 2 {
 		t.Fatalf("SPAIN used %d distinct paths, want >= 2", len(pathSets))
@@ -234,8 +232,7 @@ func TestSpainTagOverheadAccounted(t *testing.T) {
 	runFlows(t, n, e, []sim.FlowSpec{{
 		ID: 1, Src: g.MustNode("H_SEA"), Dst: g.MustNode("H_ATL"), Size: 50_000, Start: 0,
 	}}, 2e9)
-	n.FoldCounters()
-	if n.Counters.Get("bytes_tag_overhead") == 0 {
+	if n.Totals().TagBytes == 0 {
 		t.Fatal("VLAN tag overhead not accounted")
 	}
 }

@@ -322,13 +322,11 @@ func TestHulaOutOfRangeOriginsMiss(t *testing.T) {
 		nNodes := topo.NodeID(g.NumNodes())
 		util := 0.9
 		for _, bad := range []topo.NodeID{nNodes, -1, math.MinInt32, math.MaxInt32} {
-			n.FoldCounters()
-			before := n.Counters.Get("drop_probe_notrans")
+			before := n.Totals().Drops[sim.DropProbeNoTrans]
 			p := n.NewPacket()
 			p.Kind, p.TTL, p.Origin = sim.Probe, sim.InitialTTL, bad
 			r.Handle(p, inPort)
-			n.FoldCounters()
-			if got := n.Counters.Get("drop_probe_notrans"); got != before+1 {
+			if got := n.Totals().Drops[sim.DropProbeNoTrans]; got != before+1 {
 				t.Fatalf("packing=%v origin %d: drop_probe_notrans went %v -> %v, want +1", packing, bad, before, got)
 			}
 

@@ -276,6 +276,33 @@ type Outcome struct {
 	Err      string            `json:"error,omitempty"`
 }
 
+// Cell is an outcome's position in the campaign matrix.
+type Cell struct {
+	Topo   string
+	Scheme scenario.Scheme
+	Load   float64
+	Script string
+	Seed   int64
+}
+
+// Cell returns the outcome's matrix position: the campaign's axis
+// values when the scenario is in hand (in-memory runs and record
+// streams carry it), so the failed and the successful seeds of one cell
+// share a key; the result's own fields for an outcome loaded from bare
+// report JSON, which has no scenario column. A failed outcome of such a
+// report has neither and cannot be placed.
+func (o *Outcome) Cell() (Cell, bool) {
+	switch {
+	case o.Scenario.TopoSpec != "":
+		sc := &o.Scenario
+		return Cell{sc.TopoSpec, sc.Scheme, sc.Workload.Load, sc.Script, sc.Seed}, true
+	case o.Result != nil:
+		r := o.Result
+		return Cell{r.Topo, r.Scheme, r.Load, r.Script, r.Seed}, true
+	}
+	return Cell{}, false
+}
+
 // Report is a completed campaign: outcomes in expansion order.
 type Report struct {
 	Name     string    `json:"name,omitempty"`
@@ -452,87 +479,18 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// csvHeader lists the per-scenario CSV columns.
-var csvHeader = []string{
-	"name", "topo", "scheme", "script", "dist", "load", "seed",
-	"flows", "completed", "mean_fct_ms", "p50_fct_ms", "p95_fct_ms", "p99_fct_ms",
-	"probe_frac", "queue_drops", "linkdown_drops", "looped_frac",
-	"baseline_gbps", "min_gbps", "recovery_ms",
-	"nodedown_drops", "probe_loss_frac", "swap_conv_ms",
-	"probe_tx_saved", "probe_suppressed", "metrics_samples",
-	"mice_p99_ms", "eleph_p99_ms", "jain", "error",
-}
+// idHeader names the identity columns that open every per-scenario
+// CSV row; Columns and "error" follow.
+var idHeader = []string{"name", "topo", "scheme", "script", "dist", "load", "seed", "flows", "completed"}
 
-// classCells renders the per-class attribution columns (mice p99,
-// elephant p99, Jain fairness): blank when class_stats was off, so
-// existing campaigns keep their exact cell values and a true zero
-// stays distinguishable from "not measured". A class with no
-// completed flows is blank too.
-func classCells(res *scenario.Result) (mice, eleph, jain string) {
-	c := res.Classes
-	if c == nil {
-		return "", "", ""
-	}
-	if c.Mice.Flows > 0 {
-		mice = fmt.Sprintf("%.3f", c.Mice.P99Ms)
-	}
-	if c.Elephants.Flows > 0 {
-		eleph = fmt.Sprintf("%.3f", c.Elephants.P99Ms)
-	}
-	jain = fmt.Sprintf("%.4f", c.Jain)
-	return mice, eleph, jain
-}
-
-// swapConvCell renders the policy-swap convergence column: blank when
-// the scenario swapped nothing, -1 when a swap never converged before
-// the run ended, otherwise the widest window in milliseconds.
-func swapConvCell(res *scenario.Result) string {
-	ns, ok := res.SwapConvergenceNs()
-	switch {
-	case !ok:
-		return ""
-	case ns < 0:
-		return "-1"
-	default:
-		return msec(float64(ns))
-	}
-}
-
-// probeAggCells renders the probe-aggregation savings columns: blank
-// when neither packing nor suppression was configured, so a cell that
-// genuinely saved zero probes stays distinguishable from one where the
-// feature was off — the same blank-not-zero convention as classCells.
-func probeAggCells(res *scenario.Result) (saved, suppressed string) {
-	if !res.ProbeAggOn {
-		return "", ""
-	}
-	return trimFloat(res.ProbeTxSaved), trimFloat(res.ProbeSuppressed)
-}
-
-// metricsCell renders the telemetry sample-count column: blank when
-// metrics sampling was off.
-func metricsCell(res *scenario.Result) string {
-	if !res.MetricsOn {
-		return ""
-	}
-	return strconv.Itoa(res.MetricsSamples)
-}
-
-// probeLossCell renders the realized probe-loss column: blank when no
-// probe ever crossed a loss-injected channel (the metric was never
-// armed), so a true zero loss rate stays distinguishable from "no
-// loss configured" — mirroring how agg excludes those rows.
-func probeLossCell(res *scenario.Result) string {
-	if res.ProbeLossSeen == 0 {
-		return ""
-	}
-	return fmt.Sprintf("%.5f", res.ProbeLossFrac)
-}
-
-// WriteCSV renders one row per scenario.
+// WriteCSV renders one row per scenario: identity, Columns, error.
 func (r *Report) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
+	header := append([]string{}, idHeader...)
+	for i := range Columns {
+		header = append(header, Columns[i].Name)
+	}
+	if err := cw.Write(append(header, "error")); err != nil {
 		return err
 	}
 	for _, o := range r.Outcomes {
@@ -550,21 +508,11 @@ func (r *Report) WriteCSV(w io.Writer) error {
 			res.Name, res.Topo, string(res.Scheme), res.Script, res.Dist,
 			trimFloat(res.Load), strconv.FormatInt(res.Seed, 10),
 			strconv.Itoa(res.Flows), strconv.FormatInt(res.Completed, 10),
-			msec(res.MeanFCT * 1e9), msec(res.P50FCT * 1e9), msec(res.P95FCT * 1e9), msec(res.P99FCT * 1e9),
-			fmt.Sprintf("%.5f", res.ProbeFrac()),
-			trimFloat(res.QueueDrops), trimFloat(res.LinkDownDrops),
-			fmt.Sprintf("%.5f", res.LoopedFrac),
-			fmt.Sprintf("%.3f", res.BaselineBps/1e9), fmt.Sprintf("%.3f", res.MinBps/1e9),
-			msec(float64(res.RecoveryNs)),
-			trimFloat(res.NodeDownDrops),
-			probeLossCell(res),
-			swapConvCell(res),
 		}
-		saved, suppressed := probeAggCells(res)
-		row = append(row, saved, suppressed, metricsCell(res))
-		mice, eleph, jain := classCells(res)
-		row = append(row, mice, eleph, jain, o.Err)
-		if err := cw.Write(row); err != nil {
+		for i := range Columns {
+			row = append(row, Columns[i].Cell(res))
+		}
+		if err := cw.Write(append(row, o.Err)); err != nil {
 			return err
 		}
 	}
@@ -572,65 +520,60 @@ func (r *Report) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-func msec(ns float64) string { return fmt.Sprintf("%.3f", ns/1e6) }
-
 // ComparisonTable groups outcomes by (topo, load, script, seed) and
 // lays the schemes side by side on mean FCT — what the paper's Figures
-// 11, 12 and 15 plot — and tail FCT (p95 and p99). Rows are sorted by
-// group key; scheme columns follow the spec's scheme order.
+// 11, 12 and 15 plot — tail FCT (p95 and p99), drops and fairness, each
+// the per-scenario cell of its column. Rows are sorted by group key;
+// scheme columns follow the given scheme order.
 func (r *Report) ComparisonTable(schemes []scenario.Scheme) (header []string, rows [][]string) {
 	header = []string{"topo", "load", "script", "seed"}
 	for _, s := range schemes {
 		header = append(header, string(s)+" mean ms", string(s)+" p95ms", string(s)+" p99ms", string(s)+" drops", string(s)+" jain")
 	}
-	type key struct {
-		topo, script string
-		load         float64
-		seed         int64
-	}
-	groups := map[key]map[scenario.Scheme]*scenario.Result{}
-	var keys []key
-	for _, o := range r.Outcomes {
-		if o.Result == nil {
+	groups := map[Cell]map[scenario.Scheme]*scenario.Result{}
+	var keys []Cell
+	for i := range r.Outcomes {
+		o := &r.Outcomes[i]
+		k, ok := o.Cell()
+		if !ok || o.Result == nil {
 			continue
 		}
-		k := key{topo: o.Scenario.TopoSpec, script: o.Result.Script, load: o.Result.Load, seed: o.Result.Seed}
+		scheme := k.Scheme
+		k.Scheme = "" // the axis laid out across the row
 		if groups[k] == nil {
 			groups[k] = map[scenario.Scheme]*scenario.Result{}
 			keys = append(keys, k)
 		}
-		groups[k][o.Result.Scheme] = o.Result
+		groups[k][scheme] = o.Result
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
-		if a.topo != b.topo {
-			return a.topo < b.topo
+		if a.Topo != b.Topo {
+			return a.Topo < b.Topo
 		}
-		if a.load != b.load {
-			return a.load < b.load
+		if a.Load != b.Load {
+			return a.Load < b.Load
 		}
-		if a.script != b.script {
-			return a.script < b.script
+		if a.Script != b.Script {
+			return a.Script < b.Script
 		}
-		return a.seed < b.seed
+		return a.Seed < b.Seed
 	})
+	cell := func(name string, res *scenario.Result) string {
+		return Columns[Columns.Index(name)].Cell(res)
+	}
 	for _, k := range keys {
-		row := []string{k.topo, trimFloat(k.load), k.script, strconv.FormatInt(k.seed, 10)}
+		row := []string{k.Topo, trimFloat(k.Load), k.Script, strconv.FormatInt(k.Seed, 10)}
 		for _, s := range schemes {
-			if res, ok := groups[k][s]; ok {
-				jain := "" // blank: ran without class_stats
-				if res.Classes != nil {
-					jain = fmt.Sprintf("%.4f", res.Classes.Jain)
-				}
-				row = append(row,
-					fmt.Sprintf("%.3f", res.MeanFCT*1e3),
-					fmt.Sprintf("%.3f", res.P95FCT*1e3),
-					fmt.Sprintf("%.3f", res.P99FCT*1e3),
-					trimFloat(res.QueueDrops+res.LinkDownDrops),
-					jain)
-			} else {
+			res, ok := groups[k][s]
+			if !ok {
 				row = append(row, "-", "-", "-", "-", "-")
+				continue
 			}
+			row = append(row,
+				cell("mean_fct_ms", res), cell("p95_fct_ms", res), cell("p99_fct_ms", res),
+				trimFloat(res.QueueDrops+res.LinkDownDrops),
+				cell("jain", res))
 		}
 		rows = append(rows, row)
 	}

@@ -40,3 +40,21 @@ func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
 	}
 	return os.Rename(f.Name(), path)
 }
+
+// WriteTo runs write against the file at path, created or truncated,
+// or against stdout when path is "-"; the file's Close error is
+// reported.
+func WriteTo(path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}

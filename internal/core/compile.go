@@ -42,11 +42,6 @@ type Options struct {
 	// ignores this setting.
 	FailureDetectPeriods int `json:"failure_detect_periods,omitempty"`
 
-	// LoopTTLDelta is the max observed TTL spread per packet hash
-	// before the loop breaker fires (§5.5, contra). 0 uses 4. Go-only:
-	// no spec format carries it.
-	LoopTTLDelta int `json:"-"`
-
 	// ProbePacking enables multi-origin probe packing (§5.2 overhead
 	// reduction; contra, hula): a switch that would emit N per-origin
 	// probes on a port in one period instead emits a single packed probe
@@ -70,6 +65,10 @@ type Options struct {
 	RefreshEvery int `json:"refresh_every,omitempty"`
 }
 
+// LoopTTLDelta is the TTL spread one packet hash may show before the
+// loop breaker fires (§5.5, contra).
+const LoopTTLDelta = 4
+
 // Fill applies the defaults in place; it is idempotent. Compile and
 // baseline.DeployHula call it, so every scheme reads the same filled
 // values.
@@ -86,9 +85,6 @@ func (o *Options) Fill(t *topo.Graph) {
 	}
 	if o.FailureDetectPeriods == 0 {
 		o.FailureDetectPeriods = 3
-	}
-	if o.LoopTTLDelta == 0 {
-		o.LoopTTLDelta = 4
 	}
 	if o.SuppressEps > 0 && o.RefreshEvery == 0 {
 		o.RefreshEvery = 4

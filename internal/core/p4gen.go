@@ -312,7 +312,7 @@ func (c *Compiled) renderP4Template() {
 	w("            bit<32> fidx = (bit<32>)(hash_flowlet() %% %d);", flowletEntries)
 	w("            bit<%d> tlast; flowlet_time.read(tlast, fidx);", timeBits)
 	w("            bit<%d> nowts = (bit<%d>)std.ingress_global_timestamp;", timeBits, timeBits)
-	w("            if (mx - mn >= %d || nowts - tlast > FLOWLET_TIMEOUT) {", c.Opts.LoopTTLDelta)
+	w("            if (mx - mn >= %d || nowts - tlast > FLOWLET_TIMEOUT) {", LoopTTLDelta)
 	w("                // Expired or looping: re-pin from FwdT.")
 	w("                bit<32> idx = ((bit<32>)hdr.tag.dst << 8) |")
 	w("                    ((bit<32>)hdr.tag.tag << 4) | (bit<32>)hdr.tag.pid;")

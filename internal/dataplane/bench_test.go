@@ -216,11 +216,9 @@ func BenchmarkProbeFanoutFattree8Packed(b *testing.B) {
 func TestPackingHalvesWireProbes(t *testing.T) {
 	probeBytes := func(opts core.Options) (float64, *core.Compiled) {
 		e, n, comp := probeFanoutFixture(t, opts)
-		n.FoldCounters()
-		before := n.Counters.Get("bytes_probe")
+		before := n.Totals().ProbeBytes
 		e.Run(e.Now() + int64(packedFanout.RefreshEvery)*comp.Opts.ProbePeriodNs)
-		n.FoldCounters()
-		return n.Counters.Get("bytes_probe") - before, comp
+		return n.Totals().ProbeBytes - before, comp
 	}
 	bytes, comp := probeBytes(core.Options{})
 	unpacked := bytes / float64(comp.Stats.ProbeBytes+18)

@@ -903,7 +903,7 @@ func (c *Contra) forwardTransit(pkt *sim.Packet, dstEdge topo.NodeID, fid uint32
 	if c.loopDetect(pkt) {
 		delete(c.flowlets, fk)
 		c.LoopBreaks++
-		c.sw.Net.Counters.Add("loop_break", 1)
+		c.sw.Net.CountLoopBreak()
 	}
 
 	flowletNs := c.comp.Opts.FlowletTimeoutNs
@@ -1142,7 +1142,7 @@ func (c *Contra) loopDetect(pkt *sim.Packet) bool {
 	if pkt.TTL > slot.maxTTL {
 		slot.maxTTL = pkt.TTL
 	}
-	if int(slot.maxTTL)-int(slot.minTTL) >= c.comp.Opts.LoopTTLDelta {
+	if int(slot.maxTTL)-int(slot.minTTL) >= core.LoopTTLDelta {
 		slot.set = false // reset after firing
 		return true
 	}

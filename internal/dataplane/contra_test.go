@@ -118,10 +118,9 @@ func TestEndToEndFlowsComplete(t *testing.T) {
 	}
 	n.StartFlows(flows)
 	e.Run(warm + 2e9)
-	n.FoldCounters()
 	if got := n.CompletedFlows(); got != int64(len(flows)) {
 		t.Fatalf("completed %d of %d flows; noroute=%v ttl=%v",
-			got, len(flows), n.Counters.Get("drop_noroute"), n.Counters.Get("drop_ttl"))
+			got, len(flows), n.Totals().Drops[sim.DropNoRoute], n.Totals().Drops[sim.DropTTL])
 	}
 }
 
@@ -149,9 +148,8 @@ func TestWaypointCompliance(t *testing.T) {
 		ID: 1, Src: g.MustNode("HS"), Dst: g.MustNode("HD"), Size: 500_000, Start: warm,
 	}})
 	e.Run(warm + 1e9)
-	n.FoldCounters()
 	if n.CompletedFlows() != 1 {
-		t.Fatalf("flow incomplete; noroute=%v", n.Counters.Get("drop_noroute"))
+		t.Fatalf("flow incomplete; noroute=%v", n.Totals().Drops[sim.DropNoRoute])
 	}
 	if checked == 0 {
 		t.Fatal("no packets checked")
@@ -228,10 +226,9 @@ func TestTwoPidRecombination(t *testing.T) {
 		{ID: 2, Src: g.MustNode("HD"), Dst: g.MustNode("HS"), Size: 200_000, Start: warm},
 	})
 	e.Run(warm + 1e9)
-	n.FoldCounters()
 	if n.CompletedFlows() != 2 {
 		t.Fatalf("flows incomplete: %d/2; noroute=%v",
-			n.CompletedFlows(), n.Counters.Get("drop_noroute"))
+			n.CompletedFlows(), n.Totals().Drops[sim.DropNoRoute])
 	}
 }
 
@@ -246,8 +243,7 @@ func TestProbeTrafficBounded(t *testing.T) {
 	n.Start()
 	rounds := int64(50)
 	e.Run(rounds * comp.Opts.ProbePeriodNs)
-	n.FoldCounters()
-	probeBytes := n.Counters.Get("bytes_probe")
+	probeBytes := n.Totals().ProbeBytes
 	// Generous bound: origins x PG-edges x probes-per-edge-per-round(4).
 	bound := float64(rounds) * float64(len(g.Switches())) * float64(2*g.NumLinks()) * 4 * float64(comp.Stats.ProbeBytes+18)
 	if probeBytes > bound {
@@ -326,8 +322,7 @@ func TestNoRouteBeforeWarmup(t *testing.T) {
 		ID: 1, Src: g.MustNode("HS"), Dst: g.MustNode("HD"), RateBps: 1e8, Start: 0,
 	}})
 	e.Run(5_000) // 5us: before the first probe round completes
-	n.FoldCounters()
-	if n.Counters.Get("drop_noroute") == 0 {
+	if n.Totals().Drops[sim.DropNoRoute] == 0 {
 		t.Skip("first probes may already have arrived; acceptable")
 	}
 }

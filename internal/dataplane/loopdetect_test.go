@@ -19,7 +19,7 @@ func newTestContra(t *testing.T) *Contra {
 
 func TestLoopDetectorFiresOnTTLSpread(t *testing.T) {
 	c := newTestContra(t)
-	delta := c.comp.Opts.LoopTTLDelta
+	const delta = core.LoopTTLDelta
 	pkt := &sim.Packet{FlowID: 1, Dst: 99, Seq: 5}
 
 	// Same packet seen with slowly decreasing TTLs: below the spread

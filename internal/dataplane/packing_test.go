@@ -108,12 +108,12 @@ func TestSuppressionTablesMatchUnsuppressed(t *testing.T) {
 // and the suppression counter must account for skipped
 // re-advertisements.
 func TestSuppressionSavesProbes(t *testing.T) {
-	run := func(opts core.Options) (probeBytes float64, saved, suppressed float64) {
+	run := func(opts core.Options) (probeBytes float64, saved, suppressed int64) {
 		g := topo.Fattree(4, 2)
 		e, n, _, comp := deployOpts(t, g, "minimize(path.util)", opts, 12)
 		e.Run(e.Now() + 20*comp.Opts.ProbePeriodNs)
-		n.FoldCounters()
-		return n.Counters.Get("bytes_probe"), n.Counters.Get("probe_tx_saved"), n.Counters.Get("probe_suppressed")
+		tot := n.Totals()
+		return tot.ProbeBytes, tot.ProbeTxSaved, tot.ProbeSuppressed
 	}
 	plainBytes, _, _ := run(core.Options{})
 	packedBytes, saved, suppressed := run(core.Options{ProbePacking: true, SuppressEps: 0.01})
@@ -121,10 +121,10 @@ func TestSuppressionSavesProbes(t *testing.T) {
 		t.Errorf("packed+suppressed probe bytes %.0f, want < 1/4 of unpacked %.0f", packedBytes, plainBytes)
 	}
 	if saved <= 0 {
-		t.Errorf("probe_tx_saved = %.0f, want > 0", saved)
+		t.Errorf("probe_tx_saved = %d, want > 0", saved)
 	}
 	if suppressed <= 0 {
-		t.Errorf("probe_suppressed = %.0f, want > 0", suppressed)
+		t.Errorf("probe_suppressed = %d, want > 0", suppressed)
 	}
 }
 

@@ -333,7 +333,7 @@ func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 	if !c.HasRoute(okOrigin) {
 		t.Fatal("warmed-up router has no route to the far edge switch")
 	}
-	drops := func(label string) float64 { n.FoldCounters(); return n.Counters.Get(label) }
+	drops := func(r sim.DropReason) int64 { return n.Totals().Drops[r] }
 
 	bad := []struct {
 		name   string
@@ -352,12 +352,12 @@ func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 		{"pid max", okTag, okOrigin, 255},
 	}
 	for _, b := range bad {
-		before, live := drops("drop_probe_notrans"), c.LiveRoutes()
+		before, live := drops(sim.DropProbeNoTrans), c.LiveRoutes()
 		p := n.NewPacket()
 		p.Kind, p.TTL, p.Era = sim.Probe, sim.InitialTTL, c.Era()
 		p.Tag, p.Origin, p.Pid, p.Version = b.tag, b.origin, b.pid, 1<<20
 		c.Handle(p, inPort)
-		if got := drops("drop_probe_notrans"); got != before+1 {
+		if got := drops(sim.DropProbeNoTrans); got != before+1 {
 			t.Fatalf("probe, %s: drop_probe_notrans went %v -> %v, want +1", b.name, before, got)
 		}
 		if !slices.Equal(c.LiveRoutes(), live) {
@@ -402,16 +402,16 @@ func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 	}
 	ownTag := int32(c.prog.VNodes[0])
 	for _, tag := range []int32{nTags, -1, math.MinInt32, math.MaxInt32, okTag /* a neighbor's tag, not ours */} {
-		before := drops("drop_noroute")
+		before := drops(sim.DropNoRoute)
 		c.Handle(data(tag, 0), inPort)
-		if got := drops("drop_noroute"); got != before+1 {
+		if got := drops(sim.DropNoRoute); got != before+1 {
 			t.Fatalf("data tag %d: drop_noroute went %v -> %v, want +1", tag, before, got)
 		}
 	}
 	for _, pid := range []uint8{nPids, 255} {
-		before := drops("drop_noroute")
+		before := drops(sim.DropNoRoute)
 		c.Handle(data(ownTag, pid), inPort)
-		if got := drops("drop_noroute"); got != before {
+		if got := drops(sim.DropNoRoute); got != before {
 			t.Fatalf("data pid %d on a good tag was dropped; it must fall back to the tag's other pids", pid)
 		}
 	}
@@ -451,7 +451,7 @@ func TestStaleEraPacketsAfterShrinkingInstall(t *testing.T) {
 		routers[s].Install(narrow, oldEra+1)
 	}
 	inPort := g.PortTo(sw, g.MustNode("HOU"))
-	drops := func(label string) float64 { n.FoldCounters(); return n.Counters.Get(label) }
+	drops := func(r sim.DropReason) int64 { return n.Totals().Drops[r] }
 	probe := func(era uint8, packed bool) *sim.Packet {
 		p := n.NewPacket()
 		p.Kind, p.TTL, p.Era = sim.Probe, sim.InitialTTL, era
@@ -464,16 +464,16 @@ func TestStaleEraPacketsAfterShrinkingInstall(t *testing.T) {
 		return p
 	}
 	for _, packed := range []bool{false, true} {
-		before := drops("drop_probe_stale")
+		before := drops(sim.DropProbeStale)
 		c.Handle(probe(oldEra, packed), inPort)
-		if got := drops("drop_probe_stale"); got != before+1 {
+		if got := drops(sim.DropProbeStale); got != before+1 {
 			t.Fatalf("old-era probe (packed=%v): drop_probe_stale went %v -> %v, want +1", packed, before, got)
 		}
 	}
-	before := drops("drop_probe_notrans")
+	before := drops(sim.DropProbeNoTrans)
 	c.Handle(probe(c.Era(), false), inPort)
 	c.Handle(probe(c.Era(), true), inPort) // the entry is skipped, the packet is not a drop
-	if got := drops("drop_probe_notrans"); got != before+1 {
+	if got := drops(sim.DropProbeNoTrans); got != before+1 {
 		t.Fatalf("new-era probe with a retired tag: drop_probe_notrans went %v -> %v, want +1", before, got)
 	}
 	if len(c.LiveRoutes()) != 0 {
@@ -490,13 +490,13 @@ func TestStaleEraPacketsAfterShrinkingInstall(t *testing.T) {
 		p.Size, p.Dst, p.FlowID, p.Tag, p.Pid = 1000, g.MustNode("HSEA"), 77, oldTag, oldPid
 		return p
 	}
-	before = drops("drop_noroute")
+	before = drops(sim.DropNoRoute)
 	c.Handle(data(oldEra), inPort)
-	if got := drops("drop_noroute"); got != before {
+	if got := drops(sim.DropNoRoute); got != before {
 		t.Fatal("old-era tagged data was dropped instead of re-decided at this switch")
 	}
 	c.Handle(data(c.Era()), inPort)
-	if got := drops("drop_noroute"); got != before+1 {
+	if got := drops(sim.DropNoRoute); got != before+1 {
 		t.Fatalf("new-era data with a retired tag: drop_noroute went %v -> %v, want +1", before, got)
 	}
 }

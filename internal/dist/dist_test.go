@@ -437,6 +437,51 @@ func TestMergeRejectsMixedCampaignsAndIndexConflicts(t *testing.T) {
 	}
 }
 
+// TestMergeSniffsBothFormats feeds the one loader each kind of results
+// file: a record stream, a report JSON (compact, and indented as
+// WriteJSON leaves it, which must come back out byte for byte), both
+// together, and garbage.
+func TestMergeSniffsBothFormats(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	const result = `{"topo":"dc","scheme":"ecmp","seed":1,"flows":10,"completed":10,"mean_fct":0.001,"fabric_bytes":1,"data_bytes":1,"ack_bytes":0,"probe_bytes":0,"tag_bytes":0,"queue_drops":0,"linkdown_drops":0,"simulated_ns":5}`
+	report := write("report.json", `{"name":"x","scenarios":[{"result":`+result+`},{"error":"boom"}]}`)
+	r := mustMerge(t, report)
+	if r.Name != "x" || len(r.Outcomes) != 2 || r.Outcomes[0].Result == nil || r.Outcomes[1].Err != "boom" {
+		t.Fatalf("report load: name %q, outcomes %+v", r.Name, r.Outcomes)
+	}
+	var indented bytes.Buffer
+	if err := r.WriteJSON(&indented); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := renderReport(t, mustMerge(t, write("indented.json", indented.String()))), renderReport(t, r); got != want {
+		t.Fatalf("a report does not survive WriteJSON -> Merge:\n%s\nwant:\n%s", got, want)
+	}
+
+	stream := write("s.jsonl", `{"campaign":"x","key":"k","index":0,"scenario":{"topo":"dc","scheme":"ecmp","workload":{}},"result":`+result+`}`+"\n")
+	r = mustMerge(t, stream)
+	if len(r.Outcomes) != 1 || r.Outcomes[0].Scenario.TopoSpec != "dc" {
+		t.Fatalf("record stream load: %+v", r.Outcomes)
+	}
+	// Report outcomes carry no key: they follow the collected records,
+	// as given.
+	if r = mustMerge(t, report, stream, report); len(r.Outcomes) != 5 || r.Outcomes[0].Scenario.TopoSpec != "dc" {
+		t.Fatalf("mixed load: %d outcomes, first %+v", len(r.Outcomes), r.Outcomes[0])
+	}
+	if _, err := Merge([]string{write("garbage", "not json\n")}); err == nil {
+		t.Fatal("garbage accepted")
+	}
+	if _, err := Merge([]string{write("torn.json", indented.String()[:indented.Len()/2])}); err == nil {
+		t.Fatal("truncated report accepted")
+	}
+}
+
 func TestReadRecordsToleratesTornFinalLineOnly(t *testing.T) {
 	full := `{"campaign":"x","key":"k1","index":0,"scenario":{"topo":"dc","scheme":"ecmp","workload":{}}}`
 	recs, err := ReadRecords(strings.NewReader(full + "\n" + `{"torn":`))

@@ -1,7 +1,10 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 
 	"contra/internal/campaign"
@@ -9,7 +12,7 @@ import (
 )
 
 // Collector assembles records into a campaign report. It is the one
-// record→Report path: Merge feeds it shard files, and an in-memory
+// record→Report path: Merge feeds it record streams, and an in-memory
 // campaign uses it directly as its Sink. Records are deduplicated by
 // canonical scenario key (a crash between stream-write and
 // checkpoint-mark makes the resumed run re-emit an identical record)
@@ -74,37 +77,79 @@ func (c *Collector) Report() (*campaign.Report, error) {
 	return report, nil
 }
 
-// Merge folds per-shard record streams back into a campaign report
-// through a Collector.
+// Merge loads campaign results into one report. It is the only reader
+// of results files and takes either kind, sniffed per file: a JSONL
+// record stream goes through a Collector (key dedup, expansion order,
+// mixed campaigns refused); a report JSON, as WriteJSON wrote it,
+// carries no keys, so its outcomes follow as given, in file order, and
+// without their scenarios.
 func Merge(paths []string) (*campaign.Report, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("dist: nothing to merge")
 	}
 	var c Collector
+	var loaded []*campaign.Report
 	for _, path := range paths {
-		fileRecs, err := ReadRecordsFile(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		for i := range fileRecs {
-			if err := c.Emit(&fileRecs[i]); err != nil {
+		report, rerr := decodeReport(data)
+		if rerr == nil {
+			loaded = append(loaded, report)
+			continue
+		}
+		recs, err := ReadRecords(bytes.NewReader(data))
+		if err != nil {
+			return nil, fmt.Errorf("%s: not a campaign report (%v) and not a record stream: %v", path, rerr, err)
+		}
+		for i := range recs {
+			if err := c.Emit(&recs[i]); err != nil {
 				return nil, fmt.Errorf("%s: %w", path, err)
 			}
 		}
 	}
-	return c.Report()
+	report, err := c.Report()
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range loaded {
+		if report.Name == "" {
+			report.Name = r.Name
+		}
+		report.Outcomes = append(report.Outcomes, r.Outcomes...)
+	}
+	return report, nil
+}
+
+// decodeReport strictly decodes a campaign report JSON. The strictness
+// is what tells the two formats apart: a record line carries "key" and
+// "index" fields a report does not have.
+func decodeReport(data []byte) (*campaign.Report, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var r campaign.Report
+	if err := dec.Decode(&r); err != nil {
+		return nil, err
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("trailing data after the report object")
+	}
+	return &r, nil
 }
 
 // Schemes lists the distinct schemes of a report in first-appearance
 // order — the column order of a comparison table rendered without the
-// original spec in hand (the merge CLI path).
+// original spec in hand (the merge CLI path). An outcome that cannot be
+// placed (campaign.Outcome.Cell) names no scheme.
 func Schemes(r *campaign.Report) []scenario.Scheme {
 	var out []scenario.Scheme
 	seen := map[scenario.Scheme]bool{}
-	for _, o := range r.Outcomes {
-		if !seen[o.Scenario.Scheme] {
-			seen[o.Scenario.Scheme] = true
-			out = append(out, o.Scenario.Scheme)
+	for i := range r.Outcomes {
+		c, ok := r.Outcomes[i].Cell()
+		if ok && !seen[c.Scheme] {
+			seen[c.Scheme] = true
+			out = append(out, c.Scheme)
 		}
 	}
 	return out

@@ -20,14 +20,16 @@ import (
 	"sort"
 	"strings"
 
+	"contra/internal/agg"
 	"contra/internal/campaign"
 	"contra/internal/metrics"
 	"contra/internal/scenario"
 )
 
 // Emit writes figure data and gnuplot scripts into dir (created if
-// missing) and returns the filenames written, in emission order.
-func Emit(dir string, report *campaign.Report) ([]string, error) {
+// missing) and returns the filenames written, in emission order. tab is
+// the report's seed aggregate (agg.FromOutcomes).
+func Emit(dir string, report *campaign.Report, tab *agg.Table) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -55,7 +57,7 @@ func Emit(dir string, report *campaign.Report) ([]string, error) {
 			return written, err
 		}
 	}
-	if dat, gp, ok := fctVsLoad(report); ok {
+	if dat, gp, ok := fctVsLoad(tab); ok {
 		if err := emit("fct_vs_load.dat", dat); err != nil {
 			return written, err
 		}
@@ -192,56 +194,48 @@ set key outside right
 	return b.String()
 }
 
-// fctVsLoad renders the tail-latency curve: p99 FCT against offered
-// load, one index block per scheme, averaged across seeds, topologies,
-// and scripts at each load point. Needs at least two distinct loads.
-func fctVsLoad(report *campaign.Report) (dat, gp string, ok bool) {
-	type key struct {
-		scheme scenario.Scheme
-		load   float64
+// fctVsLoad renders the tail-latency curve from the seed aggregate:
+// mean p99 FCT against offered load, one index block per (topo, script,
+// scheme) curve in the table's order. Needs at least two distinct
+// loads.
+func fctVsLoad(tab *agg.Table) (dat, gp string, ok bool) {
+	type curve struct {
+		topo, script string
+		scheme       scenario.Scheme
 	}
-	sum := map[key]float64{}
-	n := map[key]int{}
-	var schemes []scenario.Scheme
-	seenScheme := map[scenario.Scheme]bool{}
+	var curves []curve
+	points := map[curve][]*agg.Group{}
 	loads := map[float64]bool{}
-	for i := range report.Outcomes {
-		res := report.Outcomes[i].Result
-		if res == nil || res.P99FCT <= 0 || res.Load <= 0 {
+	settings := map[[2]string]bool{}
+	for _, g := range tab.Groups {
+		if g.Load <= 0 || g.Sum("p99_fct_ms").Count() == 0 {
 			continue
 		}
-		k := key{res.Scheme, res.Load}
-		sum[k] += res.P99FCT
-		n[k]++
-		loads[res.Load] = true
-		if !seenScheme[res.Scheme] {
-			seenScheme[res.Scheme] = true
-			schemes = append(schemes, res.Scheme)
+		c := curve{g.Topo, g.Script, g.Scheme}
+		if points[c] == nil {
+			curves = append(curves, c)
 		}
+		points[c] = append(points[c], g) // the table sorts load within a curve
+		loads[g.Load] = true
+		settings[[2]string{g.Topo, g.Script}] = true
 	}
 	if len(loads) < 2 {
 		return "", "", false
 	}
-	sorted := make([]float64, 0, len(loads))
-	for l := range loads {
-		sorted = append(sorted, l)
-	}
-	sort.Float64s(sorted)
 	var b strings.Builder
-	titles := make([]string, len(schemes))
-	for i, s := range schemes {
+	titles := make([]string, len(curves))
+	for i, c := range curves {
+		titles[i] = string(c.scheme)
+		if len(settings) > 1 {
+			titles[i] += " " + c.topo + "/" + c.script
+		}
 		if i > 0 {
 			b.WriteString("\n\n")
 		}
-		fmt.Fprintf(&b, "# scheme: %s\n# load p99_ms\n", s)
-		for _, l := range sorted {
-			k := key{s, l}
-			if n[k] == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "%g %.4f\n", l, sum[k]/float64(n[k])*1e3)
+		fmt.Fprintf(&b, "# scheme: %s\n# load p99_ms\n", titles[i])
+		for _, g := range points[c] {
+			fmt.Fprintf(&b, "%g %.4f\n", g.Load, g.Sum("p99_fct_ms").Mean())
 		}
-		titles[i] = string(s)
 	}
 	return b.String(), fctGP(titles), true
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"contra/internal/agg"
 	"contra/internal/campaign"
 	"contra/internal/metrics"
 	"contra/internal/scenario"
@@ -28,12 +29,17 @@ func sampledRecorder() *metrics.Recorder {
 	return m
 }
 
+// emit renders a report the way contracamp's render step does.
+func emit(dir string, r *campaign.Report) ([]string, error) {
+	return Emit(dir, r, agg.FromOutcomes(r.Outcomes))
+}
+
 func figureReport() *campaign.Report {
 	mk := func(name string, scheme scenario.Scheme, load, p99 float64) campaign.Outcome {
 		return campaign.Outcome{
 			Scenario: scenario.Scenario{Name: name},
 			Result: &scenario.Result{
-				Name: name, Scheme: scheme, Load: load, P99FCT: p99,
+				Name: name, Scheme: scheme, Load: load, Completed: 1, P99FCT: p99,
 			},
 		}
 	}
@@ -47,7 +53,7 @@ func figureReport() *campaign.Report {
 
 func TestEmitWritesAllThreeFigures(t *testing.T) {
 	dir := t.TempDir()
-	written, err := Emit(dir, figureReport())
+	written, err := emit(dir, figureReport())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +106,10 @@ func TestEmitDeterministic(t *testing.T) {
 		return b.String()
 	}
 	d1, d2 := t.TempDir(), t.TempDir()
-	if _, err := Emit(d1, figureReport()); err != nil {
+	if _, err := emit(d1, figureReport()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Emit(d2, figureReport()); err != nil {
+	if _, err := emit(d2, figureReport()); err != nil {
 		t.Fatal(err)
 	}
 	if read(d1) != read(d2) {
@@ -115,7 +121,7 @@ func TestEmitNoDataErrors(t *testing.T) {
 	r := &campaign.Report{Outcomes: []campaign.Outcome{
 		{Scenario: scenario.Scenario{Name: "bare"}, Result: &scenario.Result{Name: "bare"}},
 	}}
-	if _, err := Emit(t.TempDir(), r); err == nil {
+	if _, err := emit(t.TempDir(), r); err == nil {
 		t.Fatal("Emit succeeded on a report with no figure data")
 	}
 }

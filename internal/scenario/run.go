@@ -543,19 +543,19 @@ func Run(s Scenario) (*Result, error) {
 		return nil, err
 	}
 
-	n.FoldCounters()
+	tot := n.Totals()
 	res.FabricBytes = n.FabricBytes()
-	res.DataBytes = n.Counters.Get("bytes_data")
-	res.AckBytes = n.Counters.Get("bytes_ack")
-	res.ProbeBytes = n.Counters.Get("bytes_probe")
-	res.TagBytes = n.Counters.Get("bytes_tag_overhead")
-	res.QueueDrops = n.Counters.Get("drop_queue")
-	res.LinkDownDrops = n.Counters.Get("drop_linkdown")
-	res.NodeDownDrops = n.Counters.Get("drop_nodedown")
-	res.LoopBreaks = n.Counters.Get("loop_break")
+	res.DataBytes = tot.DataBytes
+	res.AckBytes = tot.AckBytes
+	res.ProbeBytes = tot.ProbeBytes
+	res.TagBytes = tot.TagBytes
+	res.QueueDrops = float64(tot.Drops[sim.DropQueue])
+	res.LinkDownDrops = float64(tot.Drops[sim.DropLinkDown])
+	res.NodeDownDrops = float64(tot.Drops[sim.DropNodeDown])
+	res.LoopBreaks = float64(tot.LoopBreaks)
 	res.ProbeAggOn = s.ProbePacking || s.SuppressEps > 0 || s.RefreshEvery > 0
-	res.ProbeTxSaved = n.Counters.Get("probe_tx_saved")
-	res.ProbeSuppressed = n.Counters.Get("probe_suppressed")
+	res.ProbeTxSaved = float64(tot.ProbeTxSaved)
+	res.ProbeSuppressed = float64(tot.ProbeSuppressed)
 	res.Swaps = swaps.Windows()
 	res.ProbeLossSeen, res.ProbeLossDropped = n.ProbeLossStats()
 	if res.ProbeLossSeen > 0 {

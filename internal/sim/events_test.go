@@ -145,11 +145,10 @@ func TestNodeDownDropsAreTyped(t *testing.T) {
 	n.FailNode(s1, 1000)
 	n.StartFlows([]FlowSpec{{ID: 1, Src: n.Topo.MustNode("H0"), Dst: n.Topo.MustNode("H1"), Size: 40_000, Start: 2000}})
 	e.Run(5_000_000)
-	n.FoldCounters()
-	if got := n.Counters.Get("drop_nodedown"); got == 0 {
+	if got := n.Totals().Drops[DropNodeDown]; got == 0 {
 		t.Fatal("transmissions toward a failed node not counted as drop_nodedown")
 	}
-	if got := n.Counters.Get("drop_linkdown"); got != 0 {
+	if got := n.Totals().Drops[DropLinkDown]; got != 0 {
 		t.Fatalf("node-failure drops misfiled as drop_linkdown: %v", got)
 	}
 }

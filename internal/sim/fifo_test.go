@@ -287,8 +287,8 @@ func TestChannelFIFOMatchesPerPacketScheduling(t *testing.T) {
 				t.Fatalf("seed %d: arrival %d is %+v, reference %+v", seed, i, got[i], ref.log[i])
 			}
 		}
-		if n.dropCounts != ref.drops {
-			t.Fatalf("seed %d: drops %v, reference %v", seed, n.dropCounts, ref.drops)
+		if n.tot.Drops != ref.drops {
+			t.Fatalf("seed %d: drops %v, reference %v", seed, n.tot.Drops, ref.drops)
 		}
 		if ref.drops[DropQueue] == 0 || ref.drops[DropLinkDown]+ref.drops[DropNodeDown] == 0 {
 			t.Fatalf("seed %d: script exercised no queue or link-down drops: %v", seed, ref.drops)
@@ -377,7 +377,7 @@ func (m *carrierRTO) finishSender(i int)   { m.flows[i].senderDone = true }
 func (m *carrierRTO) finishReceiver(i int) { m.flows[i].done = true }
 func (m *carrierRTO) state() string {
 	m.checkCarriers()
-	s := fmt.Sprintf("t=%d timeouts=%d", m.e.Now(), m.net.rtoCount)
+	s := fmt.Sprintf("t=%d timeouts=%d", m.e.Now(), m.net.tot.RTOs)
 	for _, st := range m.flows {
 		s += fmt.Sprint(" ", st.rtoNs)
 	}
@@ -497,7 +497,7 @@ func TestRTOCarrierMatchesPerArmTimers(t *testing.T) {
 		if e.Pending() != 0 {
 			t.Fatalf("seed %d: %d entries left after every sender finished", seed, e.Pending())
 		}
-		timeouts += n.rtoCount
+		timeouts += n.tot.RTOs
 	}
 	if timeouts == 0 {
 		t.Fatal("scripts produced no timeout")

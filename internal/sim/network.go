@@ -46,8 +46,8 @@ func (c *Config) fill() {
 func (n *Network) minRTO() float64 { return float64(n.Cfg.MinRTONs) }
 
 // DropReason classifies discarded packets. Typed reasons keep the
-// per-drop cost at an array increment; FoldCounters translates them to
-// the historical string labels at run end.
+// per-drop cost at an array increment; String gives the label reports
+// and telemetry name them by.
 type DropReason uint8
 
 // Drop reasons.
@@ -70,6 +70,26 @@ var dropLabels = [numDropReasons]string{
 	"drop_queue", "drop_linkdown", "drop_ttl", "drop_noroute",
 	"drop_nohost", "drop_nolocal", "drop_probe_notrans", "drop_probe_unsupported",
 	"drop_nodedown", "drop_probeloss", "drop_probe_stale",
+}
+
+// String returns the reason's label ("drop_queue", ...).
+func (r DropReason) String() string { return dropLabels[r] }
+
+// Totals is a network's traffic accounting since construction: what
+// crossed the fabric (switch-switch links) by packet kind, what was
+// discarded and why, and the transport and probe-aggregation event
+// counts.
+type Totals struct {
+	DataBytes, AckBytes, ProbeBytes float64 // fabric bytes by packet kind
+	TagBytes                        float64 // tag-header bytes on data packets
+	Drops                           [numDropReasons]int64
+	DropDataBytes                   float64 // data bytes discarded at a channel (queue, down link, loss)
+	RTOs, FastRetx, FlowsDone       int64
+
+	// ProbeTxSaved counts on-wire probe transmissions avoided by
+	// multi-origin packing, ProbeSuppressed per-origin re-advertisements
+	// skipped by delta suppression, LoopBreaks §5.5 loop-breaker firings.
+	ProbeTxSaved, ProbeSuppressed, LoopBreaks int64
 }
 
 // Router is the forwarding logic attached to a switch: the Contra data
@@ -156,28 +176,12 @@ type Network struct {
 	flowTab []*flowState
 	flows   map[uint64]struct{}
 
-	// Hot-path accounting: typed fields bumped per packet, folded into
-	// the string-keyed Counters by FoldCounters at run end.
-	txData      float64
-	txAck       float64
-	txProbe     float64
-	tagOverhead float64
-	dropCounts  [numDropReasons]int64
-	dropData    float64
-	rtoCount    int64
-	fastRetx    int64
-	flowsDone   int64
-
-	// Probe aggregation accounting (typed, folded at run end):
-	// probeTxSaved counts on-wire probe transmissions avoided by
-	// multi-origin packing; probeSuppressed counts per-origin
-	// re-advertisements skipped by delta suppression.
-	probeTxSaved    int64
-	probeSuppressed int64
+	// tot is the traffic accounting, bumped per packet on the hot path
+	// and read through Totals.
+	tot Totals
 
 	// Measurement.
-	Counters *stats.Counter
-	FCT      *stats.Sample // seconds, all completed flows
+	FCT *stats.Sample // seconds, all completed flows
 	// FCTQuant tracks p95 FCT with the P² streaming estimator, fed in
 	// lockstep with the exact Sample (which answers mean, p50 and p99).
 	FCTQuant   *stats.Quantiles
@@ -226,7 +230,6 @@ func NewNetwork(e *Engine, g *topo.Graph, cfg Config) *Network {
 		hostEdge: make([]topo.NodeID, g.NumNodes()),
 		nodeDown: make([]bool, g.NumNodes()),
 		flows:    make(map[uint64]struct{}),
-		Counters: stats.NewCounter(),
 		FCT:      stats.NewSample(),
 		FCTQuant: stats.NewQuantiles(0.95),
 		QueueMSS: stats.NewReservoir(1<<16, 11),
@@ -384,23 +387,23 @@ func (n *Network) accountTx(ch *channel, pkt *Packet) {
 	}
 	switch pkt.Kind {
 	case Data:
-		n.txData += float64(pkt.Size)
+		n.tot.DataBytes += float64(pkt.Size)
 	case Ack:
-		n.txAck += float64(pkt.Size)
+		n.tot.AckBytes += float64(pkt.Size)
 	case Probe:
-		n.txProbe += float64(pkt.Size)
+		n.tot.ProbeBytes += float64(pkt.Size)
 	}
 	if pkt.HasTag && pkt.Kind == Data {
-		n.tagOverhead += TagHeaderBytes
+		n.tot.TagBytes += TagHeaderBytes
 	}
 }
 
 func (n *Network) countDrop(ch *channel, pkt *Packet, reason DropReason) {
 	ch.drops++
 	ch.dropBytes += float64(pkt.Size)
-	n.dropCounts[reason]++
+	n.tot.Drops[reason]++
 	if pkt.Kind == Data {
-		n.dropData += float64(pkt.Size)
+		n.tot.DropDataBytes += float64(pkt.Size)
 	}
 }
 
@@ -428,39 +431,19 @@ func (n *Network) ProbeLossStats() (seen, dropped int64) {
 	return n.probeLossSeen, n.probeLossDrops
 }
 
-// FoldCounters folds the typed hot-path accounting fields into the
-// string-keyed Counters set. It is idempotent; call it after a run
-// (scenario.Run does) before reading Counters.
-func (n *Network) FoldCounters() {
-	set := func(label string, v float64) {
-		// Absent labels read as 0 from Counters; only materialize keys
-		// that were actually incremented, matching the historical map.
-		if v != 0 {
-			n.Counters.Set(label, v)
-		}
-	}
-	set("bytes_data", n.txData)
-	set("bytes_ack", n.txAck)
-	set("bytes_probe", n.txProbe)
-	set("bytes_tag_overhead", n.tagOverhead)
-	for r, c := range n.dropCounts {
-		set(dropLabels[r], float64(c))
-	}
-	set("drop_data_bytes", n.dropData)
-	set("rto", float64(n.rtoCount))
-	set("fast_retx", float64(n.fastRetx))
-	set("flows_done", float64(n.flowsDone))
-	set("probe_tx_saved", float64(n.probeTxSaved))
-	set("probe_suppressed", float64(n.probeSuppressed))
-}
+// Totals returns the traffic accounting so far.
+func (n *Network) Totals() Totals { return n.tot }
 
 // CountProbeSaved records on-wire probe transmissions avoided by
 // multi-origin packing (routers call it from their flush paths).
-func (n *Network) CountProbeSaved(k int64) { n.probeTxSaved += k }
+func (n *Network) CountProbeSaved(k int64) { n.tot.ProbeTxSaved += k }
 
 // CountProbeSuppressed records per-origin re-advertisements skipped by
 // delta suppression.
-func (n *Network) CountProbeSuppressed(k int64) { n.probeSuppressed += k }
+func (n *Network) CountProbeSuppressed(k int64) { n.tot.ProbeSuppressed += k }
+
+// CountLoopBreak records one firing of a router's loop breaker.
+func (n *Network) CountLoopBreak() { n.tot.LoopBreaks++ }
 
 // deliver hands a packet arriving over ch to the receiving device (the
 // evDeliver event body; the engine has already unlinked it).
@@ -552,14 +535,14 @@ func (n *Network) SampleMetrics() {
 		}
 		m.Link(ch.dre.UtilizationPeek(now, ch.bytesPerNs*8e9), ch.queuedBytes(now), ch.drops)
 	}
-	m.Drops(n.dropCounts[:])
+	m.Drops(n.tot.Drops[:])
 	m.EndSample()
 }
 
 // FabricBytes returns total bytes transmitted on switch-switch links,
 // the Figure 16 traffic-overhead metric.
 func (n *Network) FabricBytes() float64 {
-	return n.txData + n.txAck + n.txProbe
+	return n.tot.DataBytes + n.tot.AckBytes + n.tot.ProbeBytes
 }
 
 // SwitchDev is a switch instance: ports plus the attached Router.
@@ -634,7 +617,7 @@ func (s *SwitchDev) DeliverLocal(pkt *Packet) {
 
 // Drop discards a packet, counting the reason.
 func (s *SwitchDev) Drop(pkt *Packet, reason DropReason) {
-	s.Net.dropCounts[reason]++
+	s.Net.tot.Drops[reason]++
 	s.Net.Free(pkt)
 }
 

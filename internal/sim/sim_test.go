@@ -64,7 +64,6 @@ func runLine(t *testing.T, g *topo.Graph, flows []FlowSpec, untilNs int64) *Netw
 	n.Start()
 	n.StartFlows(flows)
 	e.Run(untilNs)
-	n.FoldCounters()
 	return n
 }
 
@@ -156,8 +155,7 @@ func TestQueueDropsUnderOverload(t *testing.T) {
 		ID: 1, Src: g.MustNode("H0"), Dst: g.MustNode("H1"), RateBps: 2e9, Start: 0,
 	}})
 	e.Run(20e6) // 20ms
-	n.FoldCounters()
-	if n.Counters.Get("drop_queue") == 0 {
+	if n.Totals().Drops[DropQueue] == 0 {
 		t.Fatal("expected queue drops under 2x overload")
 	}
 }
@@ -176,16 +174,14 @@ func TestLinkFailureDropsTraffic(t *testing.T) {
 		ID: 1, Src: g.MustNode("H0"), Dst: g.MustNode("H1"), RateBps: 1e9, Start: 0,
 	}})
 	e.Run(5_000_000)
-	n.FoldCounters()
-	if n.Counters.Get("drop_linkdown") == 0 {
+	if n.Totals().Drops[DropLinkDown] == 0 {
 		t.Fatal("expected link-down drops after failure")
 	}
 	// Recovery restores delivery.
-	before := n.Counters.Get("drop_linkdown")
+	before := n.Totals().Drops[DropLinkDown]
 	n.RecoverLink(l.ID, e.Now())
 	e.Run(e.Now() + 5_000_000)
-	n.FoldCounters()
-	after := n.Counters.Get("drop_linkdown")
+	after := n.Totals().Drops[DropLinkDown]
 	if after > before+1 { // in-flight packet may still count once
 		t.Fatalf("drops kept growing after recovery: %v -> %v", before, after)
 	}
@@ -232,12 +228,11 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 		ID: 1, Src: g.MustNode("H0"), Dst: g.MustNode("H1"), Size: 3_000_000, Start: 0,
 	}})
 	e.Run(10e9)
-	n.FoldCounters()
 	if n.CompletedFlows() != 1 {
 		t.Fatalf("flow did not complete; drops=%v rto=%v fast=%v",
-			n.Counters.Get("drop_queue"), n.Counters.Get("rto"), n.Counters.Get("fast_retx"))
+			n.Totals().Drops[DropQueue], n.Totals().RTOs, n.Totals().FastRetx)
 	}
-	if n.Counters.Get("drop_queue") == 0 {
+	if n.Totals().Drops[DropQueue] == 0 {
 		t.Fatal("test expected loss to exercise retransmission")
 	}
 }
@@ -332,11 +327,11 @@ func TestFabricBytesAccounting(t *testing.T) {
 	n := runLine(t, g, []FlowSpec{{
 		ID: 1, Src: g.MustNode("H0"), Dst: g.MustNode("H1"), Size: 100_000, Start: 0,
 	}}, 1e9)
-	data := n.Counters.Get("bytes_data")
+	data := n.Totals().DataBytes
 	if data < 100_000 {
 		t.Fatalf("fabric data bytes = %v, want >= payload", data)
 	}
-	if n.Counters.Get("bytes_ack") == 0 {
+	if n.Totals().AckBytes == 0 {
 		t.Fatal("acks should cross the fabric")
 	}
 	if n.FabricBytes() <= data {

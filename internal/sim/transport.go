@@ -223,7 +223,7 @@ func (h *HostDev) onRTO(st *flowState) {
 	st.nextSeq = st.cumAck
 	st.rttSeq = -1
 	st.dupAcks = 0
-	h.net.rtoCount++
+	h.net.tot.RTOs++
 	h.pump(st)
 }
 
@@ -332,7 +332,7 @@ func (h *HostDev) onAck(st *flowState, pkt *Packet) {
 		}
 		st.cwnd = st.ssthresh
 		st.dupAcks = 0
-		h.net.fastRetx++
+		h.net.tot.FastRetx++
 		h.emit(st, st.cumAck) // retransmit the missing segment
 		h.armRTO(st)
 	}
@@ -351,7 +351,7 @@ func (n *Network) recordFCT(f FlowSpec, fctNs int64) {
 	sec := float64(fctNs) / 1e9
 	n.FCT.Add(sec)
 	n.FCTQuant.Add(sec)
-	n.flowsDone++
+	n.tot.FlowsDone++
 	if n.Trace != nil {
 		n.Trace.Done(f.ID, fctNs)
 	}
@@ -361,4 +361,4 @@ func (n *Network) recordFCT(f FlowSpec, fctNs int64) {
 }
 
 // CompletedFlows returns the number of finished flows.
-func (n *Network) CompletedFlows() int64 { return n.flowsDone }
+func (n *Network) CompletedFlows() int64 { return n.tot.FlowsDone }

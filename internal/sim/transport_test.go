@@ -183,9 +183,8 @@ func TestSteadyStateRunAllocatesNothing(t *testing.T) {
 			t.Fatalf("window %d: Engine.Run allocated %v times in steady state", i, allocs)
 		}
 	}
-	n.FoldCounters()
-	if n.DataPkts-before < 10_000 || n.Counters.Get("drop_queue") == 0 || n.CompletedFlows() != 0 {
+	if n.DataPkts-before < 10_000 || n.Totals().Drops[DropQueue] == 0 || n.CompletedFlows() != 0 {
 		t.Fatalf("windows were not a loaded steady state: %d data packets, %v queue drops, %d flows done",
-			n.DataPkts-before, n.Counters.Get("drop_queue"), n.CompletedFlows())
+			n.DataPkts-before, n.Totals().Drops[DropQueue], n.CompletedFlows())
 	}
 }

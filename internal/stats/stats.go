@@ -439,32 +439,3 @@ func (ts *Timeseries) Points() []Point {
 func (ts *Timeseries) Rate(binTotalBytes float64) float64 {
 	return binTotalBytes * 8 * 1e9 / float64(ts.BinWidth)
 }
-
-// Counter is a labeled monotonically increasing counter set, used for
-// traffic accounting (data bytes, probe bytes, header overhead, drops).
-type Counter struct {
-	m map[string]float64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{m: make(map[string]float64)} }
-
-// Add increments label by v.
-func (c *Counter) Add(label string, v float64) { c.m[label] += v }
-
-// Set overwrites label with v: the fold point for hot paths that
-// accumulate into typed fields and materialize labels at run end.
-func (c *Counter) Set(label string, v float64) { c.m[label] = v }
-
-// Get returns the current value for label.
-func (c *Counter) Get(label string) float64 { return c.m[label] }
-
-// Labels returns all labels in sorted order.
-func (c *Counter) Labels() []string {
-	out := make([]string, 0, len(c.m))
-	for k := range c.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

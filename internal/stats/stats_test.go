@@ -236,17 +236,3 @@ func TestTimeseries(t *testing.T) {
 		t.Fatalf("Rate(1000B/1us) = %v, want 8e9 bps", r)
 	}
 }
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Add("data", 100)
-	c.Add("probe", 10)
-	c.Add("data", 50)
-	if c.Get("data") != 150 || c.Get("probe") != 10 || c.Get("absent") != 0 {
-		t.Fatalf("counter values wrong")
-	}
-	labels := c.Labels()
-	if len(labels) != 2 || labels[0] != "data" || labels[1] != "probe" {
-		t.Fatalf("labels = %v", labels)
-	}
-}

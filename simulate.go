@@ -129,11 +129,39 @@ func (s *Simulation) MeanFCT() time.Duration {
 func (s *Simulation) CompletedFlows() int64 { return s.net.CompletedFlows() }
 
 // Counter reads a named measurement counter (e.g. "bytes_probe",
-// "drop_queue", "loop_break"). Hot-path counts accumulate in typed
-// fields; fold them in so the labeled view is current.
+// "drop_queue", "loop_break"); an unknown label reads 0.
 func (s *Simulation) Counter(label string) float64 {
-	s.net.FoldCounters()
-	return s.net.Counters.Get(label)
+	t := s.net.Totals()
+	switch label {
+	case "bytes_data":
+		return t.DataBytes
+	case "bytes_ack":
+		return t.AckBytes
+	case "bytes_probe":
+		return t.ProbeBytes
+	case "bytes_tag_overhead":
+		return t.TagBytes
+	case "drop_data_bytes":
+		return t.DropDataBytes
+	case "rto":
+		return float64(t.RTOs)
+	case "fast_retx":
+		return float64(t.FastRetx)
+	case "flows_done":
+		return float64(t.FlowsDone)
+	case "probe_tx_saved":
+		return float64(t.ProbeTxSaved)
+	case "probe_suppressed":
+		return float64(t.ProbeSuppressed)
+	case "loop_break":
+		return float64(t.LoopBreaks)
+	}
+	for r, c := range t.Drops {
+		if sim.DropReason(r).String() == label {
+			return float64(c)
+		}
+	}
+	return 0
 }
 
 // HostNamed returns the node ID of a named host (for Flow specs).
