@@ -73,6 +73,12 @@ type Result struct {
 	// Warnings collects non-fatal findings (non-monotone conditionals,
 	// approximated isotonicity, ...).
 	Warnings []string
+
+	// rankProgs[pid] is that pid's propagation order and policyProg the
+	// full policy, each lowered once against MV; every Evaluator over
+	// this Result runs these.
+	rankProgs  []*policy.Program
+	policyProg *policy.Program
 }
 
 // NumPids returns the number of probe classes.
@@ -164,118 +170,100 @@ func Analyze(p *policy.Policy) (*Result, error) {
 
 	res.Monotone = checkPolicyMonotone(p.Body, res)
 	res.Isotone = checkIsotone(p.Body, res)
+
+	for i := range res.Subpolicies {
+		res.rankProgs = append(res.rankProgs, policy.Lower(res.Subpolicies[i].Rank, res.MV))
+	}
+	res.policyProg = policy.Lower(p.Body, res.MV)
 	return res, nil
 }
 
 // EvalRank computes a pid's propagation rank f(pid, mv) (Figure 7) for
-// a metric vector laid out per Result.MV.
+// a metric vector laid out per Result.MV, on the reference evaluator
+// (policy.Eval); switches run the compiled form through an Evaluator.
 func (r *Result) EvalRank(pid int, mv []float64) policy.Rank {
 	sp := &r.Subpolicies[pid]
 	if sp.ConstOnly {
 		return policy.Finite(0)
 	}
-	env := mvEnv{mv: mv, layout: r.MV}
-	return evalPure(sp.Rank, env)
+	p := policy.Policy{Body: sp.Rank}
+	return p.Eval(mvEnv{mv: mv, layout: r.MV})
 }
 
 // EvalPolicy evaluates the full policy for a candidate entry: mv laid
 // out per Result.MV and match bits per regex ID. This is the
 // recombination step each switch runs to pick its overall best entry
-// (the BestT asterisk).
+// (the BestT asterisk), on the reference evaluator.
 func (r *Result) EvalPolicy(mv []float64, matches func(regexID int) bool) policy.Rank {
-	return r.Policy.Eval(&fullEnv{mv: mv, layout: r.MV, matches: matches})
+	return r.Policy.Eval(mvEnv{mv: mv, layout: r.MV, matches: matches})
 }
 
 // MaxMV is the widest metric-vector layout a compiled policy can use
 // (the data plane carries metric vectors as [MaxMV]float64).
 const MaxMV = 4
 
-// Evaluator computes ranks without heap allocation by reusing an
-// environment and a component buffer across calls. One Evaluator
-// serves one single-threaded consumer (e.g. one switch router); a
-// returned Rank aliases the internal buffer and is valid only until
-// the next call, so retained ranks must copy V.
+// Evaluator runs a Result's rank programs — one per pid for the
+// propagation order, one for the full policy — without heap allocation.
+// The programs are compiled once per Result and shared; an Evaluator
+// adds only the two scratch ranks a single-threaded consumer (one
+// switch router) evaluates into. A returned Rank aliases scratch and is
+// valid only until the next call, so retained ranks must copy V.
 type Evaluator struct {
 	res *Result
-	// env is built once: its mv aliases the mv array below, so a call
-	// only copies the metric vector in and sets or clears accept.
-	env fullEnv
-	mv  [MaxMV]float64
-	// ranks holds each pid's propagation order wrapped as a policy, so
-	// EvalRank evaluates it without building one per call.
-	ranks []policy.Policy
-	buf   []float64
-	// keep is the second scratch rank: BetterRank parks the candidate's
-	// components here so evaluating the incumbent cannot clobber them,
-	// letting one evaluator process a whole packed-probe batch of
-	// origins entry by entry with zero allocation.
-	keep []float64
+	// buf receives every evaluation; keep is where BetterRank parks the
+	// candidate's rank while the incumbent's is computed into buf.
+	buf, keep []float64
 }
 
 // NewEvaluator returns a reusable rank evaluator over r.
 func (r *Result) NewEvaluator() *Evaluator {
-	ev := &Evaluator{
-		res:   r,
-		ranks: make([]policy.Policy, len(r.Subpolicies)),
-		buf:   make([]float64, 0, 2*MaxMV),
-		keep:  make([]float64, 0, MaxMV),
+	width := r.policyProg.Width()
+	for _, p := range r.rankProgs {
+		width = max(width, p.Width())
 	}
-	ev.env = fullEnv{mv: ev.mv[:len(r.MV)], layout: r.MV}
-	for pid := range r.Subpolicies {
-		ev.ranks[pid].Body = r.Subpolicies[pid].Rank
-	}
-	return ev
+	scratch := make([]float64, 2*width)
+	return &Evaluator{res: r, buf: scratch[:0:width], keep: scratch[width:width]}
 }
 
 // BetterRank reports whether the candidate metric vector strictly
-// outranks the incumbent under pid's propagation order. Both
-// evaluations run on this evaluator's scratch state — the candidate's
-// result is moved to the second scratch before the incumbent is
-// evaluated — so the packed receive loop compares a batch of origins
-// against one reusable evaluator without allocating or holding a
-// second Evaluator.
+// outranks the incumbent under pid's propagation order. When that order
+// is a projection of the metric vector — (path.len, path.util) — the
+// two vectors are compared slot by slot and neither rank is built.
 func (ev *Evaluator) BetterRank(pid int, cand, inc [MaxMV]float64) bool {
-	rc := ev.EvalRank(pid, cand)
-	ev.keep = append(ev.keep[:0], rc.V...)
-	rc.V = ev.keep
-	return rc.Better(ev.EvalRank(pid, inc))
+	p := ev.res.rankProgs[pid]
+	if slots, ok := p.Projection(); ok {
+		// Rank.Cmp's loop, on the slots themselves.
+		for _, s := range slots {
+			if cand[s] < inc[s] {
+				return true
+			}
+			if cand[s] > inc[s] {
+				return false
+			}
+		}
+		return false
+	}
+	rc := p.Run(cand[:], nil, ev.keep)
+	return rc.Better(p.Run(inc[:], nil, ev.buf))
 }
 
-// zeroRank is the shared constant-subpolicy rank; comparisons never
-// mutate V, so one instance serves every caller.
-var zeroRank = policy.Finite(0)
-
-// EvalRank is Result.EvalRank on the reused scratch state. mv passes
-// by value so the caller's vector never escapes to the heap.
+// EvalRank is pid's propagation rank f(pid, mv). mv passes by value so
+// the caller's vector never escapes to the heap.
 func (ev *Evaluator) EvalRank(pid int, mv [MaxMV]float64) policy.Rank {
-	if ev.res.Subpolicies[pid].ConstOnly {
-		return zeroRank
-	}
-	return ev.eval(&ev.ranks[pid], mv, nil)
+	return ev.res.rankProgs[pid].Run(mv[:], nil, ev.buf)
 }
 
-// EvalPolicy is Result.EvalPolicy with match bits supplied as a slice
-// (one bool per regex ID) instead of a closure, on reused scratch.
+// EvalPolicy is the full policy's rank with match bits supplied as a
+// slice, one bool per regex ID; nil means no regex matches.
 func (ev *Evaluator) EvalPolicy(mv [MaxMV]float64, accept []bool) policy.Rank {
-	return ev.eval(ev.res.Policy, mv, accept)
+	return ev.res.policyProg.Run(mv[:], accept, ev.buf)
 }
 
-// eval runs p over mv on the scratch environment. accept is set on
-// every call, nil included: a propagation rank must never read the
-// match bits a previous EvalPolicy left behind.
-func (ev *Evaluator) eval(p *policy.Policy, mv [MaxMV]float64, accept []bool) policy.Rank {
-	ev.mv = mv
-	ev.env.accept = accept
-	out := p.EvalAppend(&ev.env, ev.buf[:0])
-	if out.V != nil {
-		ev.buf = out.V
-	}
-	return out
-}
-
+// mvEnv is the reference evaluator's environment over a metric vector.
 type mvEnv struct {
-	mv     []float64
-	layout []policy.Metric
+	mv      []float64
+	layout  []policy.Metric
+	matches func(int) bool // nil: no regex matches
 }
 
 func (e mvEnv) Attr(m policy.Metric) float64 {
@@ -287,39 +275,7 @@ func (e mvEnv) Attr(m policy.Metric) float64 {
 	return 0
 }
 
-func (e mvEnv) Match(int) bool { return false }
-
-type fullEnv struct {
-	mv      []float64
-	layout  []policy.Metric
-	matches func(int) bool
-	accept  []bool // when non-nil, match bits by regex ID (no closure)
-}
-
-func (e *fullEnv) Attr(m policy.Metric) float64 {
-	for i, a := range e.layout {
-		if a == m {
-			return e.mv[i]
-		}
-	}
-	return 0
-}
-
-func (e *fullEnv) Match(id int) bool {
-	if e.accept != nil {
-		return e.accept[id]
-	}
-	if e.matches == nil {
-		return false // pure leaves carry no Match nodes (mvEnv semantics)
-	}
-	return e.matches(id)
-}
-
-// evalPure evaluates a leaf expression (no Match nodes) against an Env.
-func evalPure(e policy.Expr, env policy.Env) policy.Rank {
-	p := policy.Policy{Body: e}
-	return p.Eval(env)
-}
+func (e mvEnv) Match(id int) bool { return e.matches != nil && e.matches(id) }
 
 // ---- conditional hoisting ----
 

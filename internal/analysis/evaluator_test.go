@@ -1,13 +1,15 @@
 package analysis
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"contra/internal/policy"
 )
 
-// TestEvaluatorMatchesResult checks the scratch-buffer Evaluator
-// against the allocating Result methods for every pid and a spread of
+// TestEvaluatorMatchesResult checks the Evaluator's rank programs
+// against the reference Result methods for every pid and a spread of
 // metric vectors, including the regex-accept recombination path.
 func TestEvaluatorMatchesResult(t *testing.T) {
 	srcs := []string{
@@ -48,34 +50,76 @@ func TestEvaluatorMatchesResult(t *testing.T) {
 	}
 }
 
-// TestEvaluatorNoAlloc pins the property the probe fan-out relies on:
-// steady-state rank evaluation does not touch the heap.
-func TestEvaluatorNoAlloc(t *testing.T) {
-	pol, err := policy.Parse("minimize((path.len, path.util))", policy.ParseOptions{})
-	if err != nil {
-		t.Fatal(err)
+// TestBetterRankMatchesRankCompare holds BetterRank — slot by slot on a
+// projection, two program runs otherwise — to the definition it
+// replaces, Eval(a).Better(Eval(b)), for every pid of every catalog
+// policy and a non-projection order, over vectors that include NaN,
+// both zeros and infinities.
+func TestBetterRankMatchesRankCompare(t *testing.T) {
+	srcs := []string{
+		"minimize((path.len * 2 + path.util, path.lat))",
+		"minimize(if path.util < .5 then (path.len, path.lat) else (path.lat, path.len))",
 	}
-	res, err := Analyze(pol)
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range policy.Catalog([]string{"A", "B", "C", "D"}) {
+		srcs = append(srcs, p.Src)
 	}
-	ev := res.NewEvaluator()
-	mv := [MaxMV]float64{0.4, 3}
-	ev.EvalRank(0, mv) // size the scratch buffer
-	allocs := testing.AllocsPerRun(100, func() {
-		ev.EvalRank(0, mv)
-	})
-	if allocs != 0 {
-		t.Fatalf("Evaluator.EvalRank allocates %.1f per run, want 0", allocs)
+	awkward := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1}
+	rng := rand.New(rand.NewSource(1))
+	draw := func(n int) (mv [MaxMV]float64) {
+		for i := 0; i < n; i++ {
+			mv[i] = float64(rng.Intn(4)) / 2
+			if rng.Intn(4) == 0 {
+				mv[i] = awkward[rng.Intn(len(awkward))]
+			}
+		}
+		return mv
+	}
+	projections := 0
+	for _, src := range srcs {
+		res := analyze(t, src)
+		ev := res.NewEvaluator()
+		for pid := 0; pid < res.NumPids(); pid++ {
+			if _, ok := res.rankProgs[pid].Projection(); ok {
+				projections++
+			}
+			for round := 0; round < 200; round++ {
+				a, b := draw(len(res.MV)), draw(len(res.MV))
+				want := res.EvalRank(pid, a[:len(res.MV)]).Better(res.EvalRank(pid, b[:len(res.MV)]))
+				if got := ev.BetterRank(pid, a, b); got != want {
+					t.Fatalf("%s pid %d: BetterRank(%v, %v) = %v, rank compare says %v", src, pid, a, b, got, want)
+				}
+			}
+		}
+	}
+	if projections == 0 || projections == len(srcs) {
+		t.Fatalf("%d projection orders: both BetterRank paths must be exercised", projections)
 	}
 }
 
-// TestEvaluatorInterleavesPolicyAndRank pins the one-environment
-// contract: the evaluator's environment is built once and only the
-// metric vector and the match bits change per call, so an EvalPolicy
-// with accept bits followed by an EvalRank (which must see no match
-// bits at all) and then another EvalPolicy with the opposite bits must
-// each equal the allocating Result methods, in any order.
+// TestEvaluatorNoAlloc pins the property the probe fan-out relies on:
+// steady-state rank evaluation does not touch the heap.
+func TestEvaluatorNoAlloc(t *testing.T) {
+	// A conditional policy whose one propagation order computes, so
+	// BetterRank takes the two-run path.
+	res := analyze(t, "minimize(if A .* then (path.len * 2 + path.util, path.lat) else inf)")
+	ev := res.NewEvaluator()
+	a, b := [MaxMV]float64{0.4, 0.001, 3}, [MaxMV]float64{0.5, 0.002, 2}
+	accept := []bool{true}
+	allocs := testing.AllocsPerRun(100, func() {
+		ev.EvalRank(0, a)
+		ev.BetterRank(0, a, b)
+		ev.EvalPolicy(b, accept)
+	})
+	if allocs != 0 {
+		t.Fatalf("rank evaluation allocates %.1f times per round, want 0", allocs)
+	}
+}
+
+// TestEvaluatorInterleavesPolicyAndRank pins the shared-scratch
+// contract: an EvalPolicy with accept bits followed by an EvalRank
+// (which must see no match bits at all) and then another EvalPolicy with
+// the opposite bits must each equal the reference Result methods, in
+// any order.
 func TestEvaluatorInterleavesPolicyAndRank(t *testing.T) {
 	res := analyze(t, "minimize(if A .* then (path.util, path.lat) else (1000, path.lat))")
 	ev := res.NewEvaluator()
@@ -92,9 +136,6 @@ func TestEvaluatorInterleavesPolicyAndRank(t *testing.T) {
 					want := res.EvalRank(pid, mv[:len(res.MV)])
 					if got := ev.EvalRank(pid, mv); !got.Equal(want) {
 						t.Fatalf("mv %v pid %d after accept %v: Evaluator rank %v, Result rank %v", mv, pid, bit, got, want)
-					}
-					if !res.Subpolicies[pid].ConstOnly && ev.env.accept != nil {
-						t.Fatalf("pid %d: EvalRank left the previous EvalPolicy's match bits in the environment", pid)
 					}
 				}
 			}

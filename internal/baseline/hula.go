@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"slices"
-
 	"contra/internal/core"
 	"contra/internal/metrics"
 	"contra/internal/sim"
@@ -562,17 +560,12 @@ func (r *Hula) flush() {
 		if !r.sw.IsSwitchPort(port) {
 			continue
 		}
-		p := r.sw.Net.NewPacket()
-		p.Kind = sim.Probe
-		p.IsPacked = true
-		p.TTL = sim.InitialTTL
-		// Sized once, for the most this port can carry: a pooled packet
-		// arrives with whatever capacity its last use left it.
+		// Room for the most this port can carry.
 		want := len(r.pendList)
 		if isEdge {
 			want++
 		}
-		p.Packed = slices.Grow(p.Packed, want)
+		p := r.sw.Net.NewPackedProbe(want)
 		if isEdge {
 			p.Packed = append(p.Packed, sim.ProbeEntry{Origin: r.sw.ID, Up: true})
 		}

@@ -146,6 +146,15 @@ type Compiled struct {
 	Opts     Options
 	Stats    Stats
 
+	// OriginOrd[id] is the dense ordinal of origin id — a switch that
+	// originates probes, so a destination FwdT and BestT can hold a route
+	// to — counted in Topo.Switches() order, and -1 for every other node;
+	// NumOrigins is how many origins there are. Switch register files are
+	// indexed by it, so they hold rows for origins only, not for every
+	// NodeID (hosts included).
+	OriginOrd  []int32
+	NumOrigins int
+
 	// The policy-wide part of the P4 programs, rendered by the first
 	// GenerateP4 call.
 	p4Once sync.Once
@@ -193,6 +202,11 @@ func Compile(t *topo.Graph, pol *policy.Policy, opts Options) (*Compiled, error)
 		PG:       graph,
 		Switches: make(map[topo.NodeID]*SwitchProgram),
 		Opts:     opts,
+
+		OriginOrd: make([]int32, t.NumNodes()),
+	}
+	for i := range c.OriginOrd {
+		c.OriginOrd[i] = -1
 	}
 
 	pids := make([]int, res.NumPids())
@@ -235,6 +249,8 @@ func Compile(t *topo.Graph, pol *policy.Policy, opts Options) (*Compiled, error)
 		}
 		if send, ok := graph.SendState(x); ok {
 			sp.Origin = &OriginSpec{VNode: send, Pids: pids}
+			c.OriginOrd[x] = int32(c.NumOrigins)
+			c.NumOrigins++
 		}
 		c.Switches[x] = sp
 	}

@@ -19,11 +19,13 @@ import "contra/internal/topo"
 // ports.
 //
 // The simulator's switch runtime (internal/dataplane) keeps FwdT and
-// BestT in the same shape it is accounted here: register arrays of
-// len(VNodes) × pids entries per origin, indexed by (origin, local
-// tag, pid), with one BestT slot per origin — only the origins actually
-// heard from have their block allocated, and entries are Go structs
-// rather than the packed bit fields counted below.
+// BestT in the same shape it is accounted here: one register file of
+// origins × len(VNodes) × pids entries, indexed by (origin ordinal,
+// local tag, pid), with one BestT slot per origin. It is laid out whole
+// at deploy time for every origin of the compiled program (OriginOrd),
+// so it holds at least the ReachableOrigins blocks counted below — more
+// where the policy keeps some origin's probes from reaching the switch —
+// and entries are Go structs rather than the packed bit fields.
 const (
 	flowletEntries = 1024
 	loopEntries    = 512

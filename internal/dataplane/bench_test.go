@@ -160,12 +160,13 @@ func TestDataForwardingAllocatesNothing(t *testing.T) {
 	}
 }
 
-// probeFanoutFixture warms a k=8 fat-tree (80 switches) with no flows
-// under minimize(path.util): what then runs each period is the probe
-// protocol alone — originate bursts, event-queue scheduling,
-// PROCESSPROBE along product-graph out-edges.
-func probeFanoutFixture(tb testing.TB, opts core.Options) (*sim.Engine, *sim.Network, *core.Compiled) {
-	g := topo.Fattree(8, 0)
+// probeFanoutFixture warms a k=8 fat-tree (80 switches, hostsPerEdge
+// hosts on each edge switch) with no flows under minimize(path.util):
+// what then runs each period is the probe protocol alone — originate
+// bursts, event-queue scheduling, PROCESSPROBE along product-graph
+// out-edges.
+func probeFanoutFixture(tb testing.TB, opts core.Options, hostsPerEdge int) (*sim.Engine, *sim.Network, *core.Compiled) {
+	g := topo.Fattree(8, hostsPerEdge)
 	pol := policy.MustParse("minimize(path.util)")
 	comp, err := core.Compile(g, pol, opts)
 	if err != nil {
@@ -187,7 +188,7 @@ var packedFanout = core.Options{ProbePacking: true, SuppressEps: 0.01, RefreshEv
 // k=8 fat-tree: every origin emits a probe per pid x port and the
 // fabric floods them. It must not allocate in steady state.
 func BenchmarkProbeFanoutFattree8(b *testing.B) {
-	e, _, comp := probeFanoutFixture(b, core.Options{})
+	e, _, comp := probeFanoutFixture(b, core.Options{}, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Run(e.Now() + comp.Opts.ProbePeriodNs)
@@ -199,7 +200,39 @@ func BenchmarkProbeFanoutFattree8(b *testing.B) {
 // re-advertisements are batched into one packed probe per port and
 // unchanged origins are suppressed between forced refreshes.
 func BenchmarkProbeFanoutFattree8Packed(b *testing.B) {
-	e, _, comp := probeFanoutFixture(b, packedFanout)
+	e, _, comp := probeFanoutFixture(b, packedFanout, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Run(e.Now() + comp.Opts.ProbePeriodNs)
+	}
+}
+
+// BenchmarkProbeFanoutFattree8PackedLoaded is the packed benchmark on a
+// fabric that carries traffic, as a campaign cell's does: every host
+// sends a constant-rate flow to another pod (so data packets are freed
+// into the packet pool between every two flushes, and utilisation moves
+// so suppression cannot quiet the probes) and one flow per pod is paced
+// past the flowlet timeout (so each of its packets re-decides a flowlet
+// at every hop). The allocations per period it reports are the ones a
+// whole cell pays in steady state; the idle benchmark above reports 0
+// whatever the loaded fabric does.
+func BenchmarkProbeFanoutFattree8PackedLoaded(b *testing.B) {
+	e, n, comp := probeFanoutFixture(b, packedFanout, 1)
+	hosts := n.Topo.Hosts()
+	const wire = (sim.MSS + sim.FrameHeader) * 8 // bits per CBR packet
+	paced := wire / float64(3*comp.Opts.FlowletTimeoutNs/2) * 1e9
+	var flows []sim.FlowSpec
+	for i, h := range hosts {
+		// Four edge switches a pod, one host each: +5 is another pod.
+		f := sim.FlowSpec{ID: uint64(i + 1), Src: h, Dst: hosts[(i+5)%len(hosts)], RateBps: 2e9, Start: e.Now()}
+		if i%4 == 0 {
+			f.RateBps = paced
+		}
+		flows = append(flows, f)
+	}
+	n.StartFlows(flows)
+	e.Run(e.Now() + 128*comp.Opts.ProbePeriodNs) // queues, pools and tables reach their working size
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Run(e.Now() + comp.Opts.ProbePeriodNs)
@@ -215,7 +248,7 @@ func BenchmarkProbeFanoutFattree8Packed(b *testing.B) {
 // count is an upper bound.
 func TestPackingHalvesWireProbes(t *testing.T) {
 	probeBytes := func(opts core.Options) (float64, *core.Compiled) {
-		e, n, comp := probeFanoutFixture(t, opts)
+		e, n, comp := probeFanoutFixture(t, opts, 0)
 		before := n.Totals().ProbeBytes
 		e.Run(e.Now() + int64(packedFanout.RefreshEvery)*comp.Opts.ProbePeriodNs)
 		return n.Totals().ProbeBytes - before, comp

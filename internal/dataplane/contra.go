@@ -1,14 +1,20 @@
-// Package dataplane is the Contra switch runtime: it interprets the
-// compiler's per-switch programs exactly the way a P4 target would run
-// the generated code. It implements PROCESSPROBE and SWIFORWARDPKT
+// Package dataplane is the Contra switch runtime: it runs the
+// compiler's per-switch programs the way a P4 target would run the
+// generated code. It implements PROCESSPROBE and SWIFORWARDPKT
 // (Figure 7) with the paper's refinements: versioned probes (§5.1),
 // policy-aware flowlet switching (§5.3), failure detection with metric
 // expiration (§5.4), and lazy loop breaking via TTL spread (§5.5).
+//
+// A switch's state is what the paper's switch holds: one flat FwdT
+// register file indexed (origin ordinal, local tag ordinal, pid), one
+// BestT slot per origin, and exact-match flowlet and source-pin tables
+// under one-word keys. Ranks come from the policy's compiled rank
+// programs (analysis.Evaluator). After warm-up a probe or a tagged
+// packet costs indexed reads and a fixed compare: nothing on either
+// path allocates or walks the policy.
 package dataplane
 
 import (
-	"slices"
-
 	"contra/internal/analysis"
 	"contra/internal/core"
 	"contra/internal/metrics"
@@ -21,39 +27,43 @@ import (
 
 // fwdEntry is one FwdT register: the best known metric vector for its
 // (destination switch, local virtual node, probe id), where it came
-// from, and when. Entries live by value in Contra.rows and carry their
+// from, and when. Entries live by value in Contra.fwd and carry their
 // own address, so BestT and the pending lists hold bare pointers and
 // never look a key up.
+//
+// Most offers lose, and a losing offer reads only the first block of
+// fields — is there a route, is the offer outdated, is it the route's
+// own upstream, has the route expired, does it rank better — which is
+// 64 bytes. What only an accept, a flush or tracing touches follows.
 type fwdEntry struct {
-	origin  topo.NodeID // destination switch
-	vnode   pg.NodeID   // local virtual node: the tag this switch advertises
-	pid     uint8
-	present bool // the register holds a learned route (a map would have the key)
+	present  bool // the register holds a learned route (a map would have the key)
+	pending  bool // queued for the next packed flush
+	advValid bool // lastAdv* below hold an advertisement
+	pid      uint8
+	version  uint32
+	nhop     int       // egress port toward the upstream
+	ntag     pg.NodeID // the upstream (probe-sender) virtual node: the packet's next tag
+	vnode    pg.NodeID // local virtual node: the tag this switch advertises
+	updated  int64
+	mv       [4]float64
 
-	mv      [4]float64
-	ntag    pg.NodeID // the upstream (probe-sender) virtual node: the packet's next tag
-	nhop    int       // egress port toward it
-	version uint32
-	updated int64
-	rank    policy.Rank // cached full-policy rank (recombination input)
+	// rank is the cached full-policy rank (recombination input). V is
+	// this register's fixed window of Contra.rankSlab, set by claim.
+	rank   policy.Rank
+	origin topo.NodeID // destination switch
 
-	// Advertisement state (probe packing / delta suppression).
-	// pending marks the entry queued for the next packed flush;
-	// lastAdv* snapshot what was last re-advertised downstream, so
+	// Advertisement state (probe packing / delta suppression): adv*
+	// and lastAdv* snapshot what was last re-advertised downstream, so
 	// suppression can skip origins whose route and metrics are
 	// unchanged — a route change (nhop/ntag) always re-advertises,
 	// which is what keeps chaos scenarios converging.
-	pending   bool
-	advValid  bool
-	advNhop   int
 	advNtag   pg.NodeID
+	advNhop   int
 	lastAdvAt int64
 	lastAdvMV [4]float64
 
 	// alt is the runner-up shadow (decision tracing / counterfactual
-	// replay): nil in normal runs and allocated lazily only when altOn,
-	// so the probe hot path's cache footprint grows by one pointer, not
-	// a whole shadow record.
+	// replay): nil in normal runs and allocated lazily only when altOn.
 	alt *altShadow
 }
 
@@ -69,39 +79,13 @@ type altShadow struct {
 	rank    policy.Rank
 }
 
-// setRank stores a (possibly scratch-aliased) rank into the entry's
-// own storage, reusing its component slice so the steady-state probe
-// refresh never allocates.
+// setRank copies a (scratch-aliased) rank into the register's window
+// of the rank slab. The window is as wide as the policy's widest rank,
+// so a longer one is a bug and fails the slice bound.
 func (e *fwdEntry) setRank(r policy.Rank) {
 	e.rank.Inf = r.Inf
-	e.rank.V = append(e.rank.V[:0], r.V...)
-}
-
-// flowKey keys the policy-aware flowlet table (§5.3): tag, pid and
-// flowlet hash, so pinning never crosses a policy constraint.
-type flowKey struct {
-	vnode pg.NodeID
-	pid   uint8
-	fid   uint32
-}
-
-type flowletEntry struct {
-	nhop    int
-	ntag    pg.NodeID
-	lastPkt int64
-}
-
-// srcKey keys the source-switch pin: destination switch + flowlet hash.
-type srcKey struct {
-	dst topo.NodeID
-	fid uint32
-}
-
-type srcPin struct {
-	nhop    int
-	ntag    pg.NodeID
-	pid     uint8
-	lastPkt int64
+	e.rank.V = e.rank.V[:len(r.V)]
+	copy(e.rank.V, r.V)
 }
 
 // loopSlots is the size of the loop-detection register array (§5.5).
@@ -122,25 +106,31 @@ type Contra struct {
 	sw   *sim.SwitchDev
 
 	// FwdT and BestT are laid out as the register arrays core/state.go
-	// accounts for (Figure 10). rows[origin] is one destination's block
-	// of len(prog.VNodes)*nPids registers, indexed ord*nPids+pid (ord is
-	// the virtual node's position in prog.VNodes) and allocated on the
-	// first accept for that origin; best[origin] points at the block's
-	// winner, nil when there is none. A block never grows, so entry
-	// pointers (best, pend) stay valid until flushTables lays the tables
-	// out afresh. inTrans, ordOf and probeOut are the program's
-	// InTransition/VNodes/ProbeOut maps flattened the same way: by
-	// sender tag, by own tag, and by ordinal; -1 marks "no such tag
-	// here". The flowlet and source-pin tables stay hash maps: they are
-	// hash-indexed by flow in hardware too.
-	rows     [][]fwdEntry
+	// accounts for (Figure 10). fwd is the one register file, indexed
+	// (oi*len(prog.VNodes) + ord)*nPids + pid (reg): oi is the destination's
+	// origin ordinal (comp.OriginOrd), ord the virtual node's position in
+	// prog.VNodes. An origin's blk = len(prog.VNodes)*nPids registers are
+	// contiguous; best[oi] points at that block's winner, nil when there
+	// is none. rankSlab backs every register's rank, rankW floats each.
+	// Nothing here grows, so entry pointers (best, pend) stay valid until
+	// flushTables lays the tables out afresh. inTrans, ordOf and probeOut
+	// are the program's InTransition/VNodes/ProbeOut maps flattened the
+	// same way: by sender tag, by own tag, and by ordinal; -1 marks "no
+	// such tag here". flowlets (§5.3, keyed tag ordinal · pid · flowlet
+	// hash so pinning never crosses a policy constraint) and srcPins
+	// (destination switch · flowlet hash) are exact-match tables: no two
+	// flows share a slot, which a hash-indexed register array would allow.
+	fwd      []fwdEntry
 	best     []*fwdEntry
+	rankSlab []float64
+	rankW    int
 	nPids    int
+	blk      int
 	inTrans  []int32
 	ordOf    []int32
 	probeOut [][]int
-	flowlets map[flowKey]*flowletEntry
-	srcPins  map[srcKey]*srcPin
+	flowlets pinTable
+	srcPins  pinTable
 	loopTbl  [loopSlots]loopSlot
 
 	// evCand is the reusable rank evaluator: the probe hot path
@@ -210,8 +200,6 @@ func New(comp *core.Compiled, swID topo.NodeID) *Contra {
 		comp:      comp,
 		prog:      comp.Switches[swID],
 		res:       comp.Analysis,
-		flowlets:  make(map[flowKey]*flowletEntry),
-		srcPins:   make(map[srcKey]*srcPin),
 		evCand:    comp.Analysis.NewEvaluator(),
 		probeSize: comp.Stats.ProbeBytes + 18, // + minimal L2 framing
 	}
@@ -228,10 +216,15 @@ func New(comp *core.Compiled, swID topo.NodeID) *Contra {
 // space (and with it every register address) belongs to one product
 // graph, so a policy install lays everything out again.
 func (c *Contra) layoutTables() {
-	nodes := c.comp.Topo.NumNodes()
-	c.rows = make([][]fwdEntry, nodes)
-	c.best = make([]*fwdEntry, nodes)
+	if len(c.prog.VNodes) > maxPinOrd {
+		panic("dataplane: too many virtual nodes on one switch for the flowlet key")
+	}
 	c.nPids = c.res.NumPids()
+	c.blk = len(c.prog.VNodes) * c.nPids
+	c.rankW = c.res.Policy.Width
+	c.fwd = make([]fwdEntry, c.comp.NumOrigins*c.blk)
+	c.best = make([]*fwdEntry, c.comp.NumOrigins)
+	c.rankSlab = make([]float64, len(c.fwd)*c.rankW)
 	c.inTrans = make([]int32, c.comp.PG.NumNodes())
 	c.ordOf = make([]int32, c.comp.PG.NumNodes())
 	for tag := range c.inTrans {
@@ -252,8 +245,8 @@ func (c *Contra) layoutTables() {
 // from a packet goes through one of the accessors below, which turn
 // out-of-range values into exactly the miss the maps produced.
 
-// tagIndex reads a by-tag view: the ordinal stored for tag, or -1 when
-// the tag is unknown here or outside the tag space altogether.
+// tagIndex reads a by-id view: the ordinal stored for tag, or -1 when
+// the view has none for it or it is outside the view altogether.
 func tagIndex(view []int32, tag int32) int32 {
 	if uint32(tag) >= uint32(len(view)) {
 		return -1
@@ -261,52 +254,60 @@ func tagIndex(view []int32, tag int32) int32 {
 	return view[tag]
 }
 
-// keyOK reports whether (origin, pid) addresses a FwdT register at all.
-func (c *Contra) keyOK(origin topo.NodeID, pid uint8) bool {
-	return uint32(origin) < uint32(len(c.rows)) && int(pid) < c.nPids
+// originIndex is the ordinal of the origin a packet names, or -1: a
+// host, a switch the policy gives no send state, or no node at all has
+// no registers here.
+func (c *Contra) originIndex(origin topo.NodeID) int32 {
+	return tagIndex(c.comp.OriginOrd, int32(origin))
 }
 
-// row returns origin's register block: nil until a probe from that
-// origin has been accepted, and for anything that is not a node.
-func (c *Contra) row(origin topo.NodeID) []fwdEntry {
-	if uint32(origin) >= uint32(len(c.rows)) {
-		return nil
+// originKey is originIndex for a probe's (origin, pid): -1 as well when
+// the pid addresses no register.
+func (c *Contra) originKey(origin topo.NodeID, pid uint8) int32 {
+	if int(pid) >= c.nPids {
+		return -1
 	}
-	return c.rows[origin]
+	return c.originIndex(origin)
 }
 
-// lookup returns the learned entry at (origin, ord, pid), or nil. Like
-// claim, it takes a key that has passed tagIndex and keyOK.
-func (c *Contra) lookup(origin topo.NodeID, ord int32, pid uint8) *fwdEntry {
-	row := c.rows[origin]
-	if row == nil {
+// block returns origin oi's registers, virtual nodes in program order,
+// pids ascending; nothing for oi < 0.
+func (c *Contra) block(oi int32) []fwdEntry {
+	if oi < 0 {
 		return nil
 	}
-	if e := &row[int(ord)*c.nPids+int(pid)]; e.present {
+	return c.fwd[int(oi)*c.blk:][:c.blk]
+}
+
+// reg is the FwdT address of (oi, ord, pid), a key that has passed
+// tagIndex and originKey.
+func (c *Contra) reg(oi, ord int32, pid uint8) int {
+	return int(oi)*c.blk + int(ord)*c.nPids + int(pid)
+}
+
+// lookup returns the learned entry at (oi, ord, pid), or nil.
+func (c *Contra) lookup(oi, ord int32, pid uint8) *fwdEntry {
+	if e := &c.fwd[c.reg(oi, ord, pid)]; e.present {
 		return e
 	}
 	return nil
 }
 
-// claim takes the register at (origin, ord, pid) for a first accept,
-// allocating the origin's block on first use.
-func (c *Contra) claim(origin topo.NodeID, ord int32, pid uint8) *fwdEntry {
-	row := c.rows[origin]
-	if row == nil {
-		row = make([]fwdEntry, len(c.prog.VNodes)*c.nPids)
-		c.rows[origin] = row
-	}
-	e := &row[int(ord)*c.nPids+int(pid)]
+// claim takes the register at (oi, ord, pid) for origin's first accept.
+func (c *Contra) claim(origin topo.NodeID, oi, ord int32, pid uint8) *fwdEntry {
+	i := c.reg(oi, ord, pid)
+	e := &c.fwd[i]
 	*e = fwdEntry{origin: origin, vnode: c.prog.VNodes[ord], pid: pid, present: true}
+	e.rank.V = c.rankSlab[i*c.rankW : i*c.rankW : (i+1)*c.rankW]
 	return e
 }
 
-// bestOf reads BestT: the cached winner for origin, or nil.
-func (c *Contra) bestOf(origin topo.NodeID) *fwdEntry {
-	if uint32(origin) >= uint32(len(c.best)) {
+// bestOf reads BestT: the cached winner for origin oi, or nil.
+func (c *Contra) bestOf(oi int32) *fwdEntry {
+	if oi < 0 {
 		return nil
 	}
-	return c.best[origin]
+	return c.best[oi]
 }
 
 // setHorizons derives the expiry and failure-detection horizons from
@@ -346,23 +347,35 @@ func (c *Contra) Attach(sw *sim.SwitchDev) {
 	sw.Net.Eng.Every(period, 16*period, c.sweep)
 }
 
-// recomputeAdv rebuilds the packed-flush port sets from the current
+// recomputeAdv rebuilds the packed-flush port state from the current
 // program: the union of product-graph out-ports (flush and heartbeat
-// targets) and the ports carrying this switch's own origin entries.
-// Called at attach and after every policy install.
+// targets), the ports carrying this switch's own origin entries, and
+// empty pending lists with room for all a port can ever hold. Called at
+// attach and after every policy install.
 func (c *Contra) recomputeAdv() {
 	n := c.sw.PortCount()
-	seen := make([]bool, n)
+	tags := make([]int, n) // per port: local virtual nodes that advertise on it
 	for _, ports := range c.prog.ProbeOut {
 		for _, p := range ports {
-			seen[p] = true
+			tags[p]++
 		}
 	}
 	c.advPorts = c.advPorts[:0]
+	total := 0
 	for p := 0; p < n; p++ {
-		if seen[p] {
+		if tags[p] > 0 {
 			c.advPorts = append(c.advPorts, p)
+			total += tags[p]
 		}
+	}
+	// An entry is queued at most once between two flushes (pending), so
+	// a port's list never outgrows the registers of the tags advertising
+	// on it: markPending appends in place.
+	perTag := c.comp.NumOrigins * c.nPids
+	slab := make([]*fwdEntry, total*perTag)
+	for p := range c.pend {
+		k := tags[p] * perTag
+		c.pend[p], slab = slab[:0:k], slab[k:]
 	}
 	c.originPorts = make([]bool, n)
 	if org := c.prog.Origin; org != nil {
@@ -435,7 +448,8 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 	}
 	// NEXTPGNODE: the sender's virtual node determines ours.
 	ord := tagIndex(c.inTrans, pkt.Tag)
-	if ord < 0 || !c.keyOK(pkt.Origin, pkt.Pid) {
+	oi := c.originKey(pkt.Origin, pkt.Pid)
+	if ord < 0 || oi < 0 {
 		c.sw.Drop(pkt, sim.DropProbeNoTrans)
 		return
 	}
@@ -452,7 +466,7 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 		}
 	}
 	ad := sim.ProbeEntry{Origin: pkt.Origin, Tag: pkt.Tag, Version: pkt.Version, Pid: pkt.Pid, MV: pkt.MV}
-	e := c.handleProbeEntry(&ad, ord, inPort, util, latAdd, now)
+	e := c.handleProbeEntry(&ad, oi, ord, inPort, util, latAdd, now)
 
 	// Retag and multicast along product graph out-edges.
 	outPorts := c.probeOut[ord]
@@ -482,14 +496,15 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 
 // handleProbeEntry is PROCESSPROBE (Figure 7) plus the §5 refinements
 // for one advertisement — a standalone probe, or one entry of a packed
-// one — that arrived on inPort and whose sender's tag resolved to our
-// virtual node at ordinal ord. util and latAdd are inPort's link
-// metrics in the traffic direction (probes flow opposite to traffic, so
-// that is out of inPort). It returns the updated entry when the
-// advertisement was accepted, nil when it was discarded. The rule
-// allocates nothing: ad is read in place and both rank evaluations run
-// on one reusable evaluator.
-func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, ord int32, inPort int, util, latAdd float64, now int64) *fwdEntry {
+// one — that arrived on inPort, whose origin has ordinal oi and whose
+// sender's tag resolved to our virtual node at ordinal ord. util and
+// latAdd are inPort's link metrics in the traffic direction (probes flow
+// opposite to traffic, so that is out of inPort). It returns the updated
+// entry when the advertisement was accepted, nil when it was discarded.
+// The rule allocates nothing: ad is read in place, the compare and the
+// accepted entry's rank run on the policy's compiled programs, and the
+// rank lands in the register's own window.
+func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, oi, ord int32, inPort int, util, latAdd float64, now int64) *fwdEntry {
 	v := c.prog.VNodes[ord]
 	// UPDATEMVEC: fold the link metric.
 	mv := ad.MV
@@ -506,7 +521,7 @@ func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, ord int32, inPort int, uti
 		}
 	}
 
-	e := c.lookup(ad.Origin, ord, ad.Pid)
+	e := c.lookup(oi, ord, ad.Pid)
 	accept := false
 	switch {
 	case e == nil:
@@ -547,10 +562,10 @@ func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, ord int32, inPort int, uti
 	// mutates (the accept may rewrite the incumbent best's own port).
 	oldHop := -1
 	if c.mx != nil {
-		oldHop = c.bestHop(ad.Origin)
+		oldHop = c.bestHop(oi)
 	}
 	if e == nil {
-		e = c.claim(ad.Origin, ord, ad.Pid)
+		e = c.claim(ad.Origin, oi, ord, ad.Pid)
 	} else if c.altOn && inPort != e.nhop {
 		demoteToAlt(e)
 	}
@@ -561,8 +576,8 @@ func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, ord int32, inPort int, uti
 	e.updated = now
 	e.setRank(c.policyRank(v, mv))
 
-	c.updateBest(e)
-	if c.mx != nil && oldHop >= 0 && c.bestHop(ad.Origin) != oldHop {
+	c.updateBest(oi, e)
+	if c.mx != nil && oldHop >= 0 && c.bestHop(oi) != oldHop {
 		c.mx.Flaps++
 	}
 	return e
@@ -634,10 +649,11 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 			continue
 		}
 		ord := tagIndex(c.inTrans, en.Tag)
-		if ord < 0 || !c.keyOK(en.Origin, en.Pid) {
+		oi := c.originKey(en.Origin, en.Pid)
+		if ord < 0 || oi < 0 {
 			continue
 		}
-		e := c.handleProbeEntry(en, ord, inPort, util, latAdd, now)
+		e := c.handleProbeEntry(en, oi, ord, inPort, util, latAdd, now)
 		outPorts := c.probeOut[ord]
 		if e == nil || len(outPorts) == 0 {
 			continue
@@ -671,18 +687,14 @@ func (c *Contra) flushPacked() {
 		c.version++
 	}
 	for _, port := range c.advPorts {
-		p := c.sw.Net.NewPacket()
-		p.Kind = sim.Probe
-		p.IsPacked = true
-		p.Era = c.era
-		p.TTL = sim.InitialTTL
 		var originPids []int
 		if org != nil && c.originPorts[port] {
 			originPids = org.Pids
 		}
-		// Sized once: a pooled packet arrives with whatever capacity its
-		// last use left it.
-		p.Packed = slices.Grow(p.Packed, len(originPids)+len(c.pend[port]))
+		// The packet arrives with room for everything this port will say,
+		// recycled from an earlier flush: the appends below stay in place.
+		p := c.sw.Net.NewPackedProbe(len(originPids) + len(c.pend[port]))
+		p.Era = c.era
 		for _, pid := range originPids {
 			p.Packed = append(p.Packed, sim.ProbeEntry{
 				Origin: c.prog.Switch, Tag: int32(org.VNode),
@@ -724,32 +736,33 @@ func (c *Contra) policyRank(v pg.NodeID, mv [4]float64) policy.Rank {
 	return c.evCand.EvalPolicy(mv, c.comp.PG.Node(v).Accept)
 }
 
-// updateBest maintains BestT for the origin of a just-updated entry.
-func (c *Contra) updateBest(e *fwdEntry) {
-	cur := c.best[e.origin]
+// updateBest maintains BestT for origin oi after its entry e changed.
+func (c *Contra) updateBest(oi int32, e *fwdEntry) {
+	cur := c.best[oi]
 	if cur == nil || cur == e {
 		// No previous best, or the best itself changed (possibly for
 		// the worse): rescan.
-		c.rescanBest(e.origin)
+		c.rescanBest(oi)
 		return
 	}
 	if !c.alive(cur) || e.rank.Better(cur.rank) {
-		c.rescanBest(e.origin)
+		c.rescanBest(oi)
 	}
 }
 
-// rescanBest recomputes the best (tag, pid) for an origin across all
+// rescanBest recomputes the best (tag, pid) for origin oi across all
 // live entries of its register block (virtual nodes in program order,
 // pids ascending: the first of equally ranked entries wins), caches it
-// in BestT and returns it; nil when no live finite-rank entry exists.
-func (c *Contra) rescanBest(origin topo.NodeID) *fwdEntry {
-	if uint32(origin) >= uint32(len(c.best)) {
+// in BestT and returns it; nil when no live finite-rank entry exists,
+// or no such origin.
+func (c *Contra) rescanBest(oi int32) *fwdEntry {
+	if oi < 0 {
 		return nil
 	}
 	var best *fwdEntry
-	row := c.rows[origin]
-	for i := range row {
-		e := &row[i]
+	block := c.block(oi)
+	for i := range block {
+		e := &block[i]
 		if !e.present || !c.alive(e) {
 			continue
 		}
@@ -760,16 +773,16 @@ func (c *Contra) rescanBest(origin topo.NodeID) *fwdEntry {
 	if best != nil && best.rank.IsInf() {
 		best = nil
 	}
-	c.best[origin] = best
+	c.best[oi] = best
 	return best
 }
 
-// bestHop resolves the current best next-hop port toward an origin, or
+// bestHop resolves the current best next-hop port toward origin oi, or
 // -1 when no best entry is cached. It backs route-flap detection for
 // the metrics layer: a flap is a change in this value for a
 // destination that already had one.
-func (c *Contra) bestHop(origin topo.NodeID) int {
-	if e := c.bestOf(origin); e != nil {
+func (c *Contra) bestHop(oi int32) int {
+	if e := c.bestOf(oi); e != nil {
 		return e.nhop
 	}
 	return -1
@@ -832,8 +845,8 @@ func (c *Contra) handleData(pkt *sim.Packet, inPort int) {
 // forwardFromSource makes the source-switch decision: BestT selects
 // the (tag, pid), pinned per flowlet.
 func (c *Contra) forwardFromSource(pkt *sim.Packet, dstEdge topo.NodeID, fid uint32, now int64) {
-	sk := srcKey{dst: dstEdge, fid: fid}
-	pin := c.srcPins[sk]
+	sk := sourceKey(dstEdge, fid)
+	pin := c.srcPins.find(sk)
 	flowletNs := c.comp.Opts.FlowletTimeoutNs
 	if pin != nil && now-pin.lastPkt < flowletNs && !c.portDead(pin.nhop) {
 		// The pin freezes the resolved decision for the flowlet's
@@ -843,16 +856,17 @@ func (c *Contra) forwardFromSource(pkt *sim.Packet, dstEdge topo.NodeID, fid uin
 		c.emit(pkt, pin.nhop, pin.ntag, pin.pid)
 		return
 	}
-	e := c.bestOf(dstEdge)
+	oi := c.originIndex(dstEdge)
+	e := c.bestOf(oi)
 	if e == nil || !c.alive(e) {
 		// The dead incumbent's port is still the route traffic was
 		// using: a rescan that lands elsewhere is a flap.
 		oldHop := -1
 		if c.mx != nil {
-			oldHop = c.bestHop(dstEdge)
+			oldHop = c.bestHop(oi)
 		}
-		e = c.rescanBest(dstEdge)
-		if c.mx != nil && oldHop >= 0 && c.bestHop(dstEdge) != oldHop {
+		e = c.rescanBest(oi)
+		if c.mx != nil && oldHop >= 0 && c.bestHop(oi) != oldHop {
 			c.mx.Flaps++
 		}
 		if e == nil {
@@ -869,9 +883,10 @@ func (c *Contra) forwardFromSource(pkt *sim.Packet, dstEdge topo.NodeID, fid uin
 	if c.tr != nil && pkt.Kind == sim.Data && c.tr.DecisionsOn() {
 		c.recordDecision(pkt.FlowID, "source", dstEdge, 0, false, pid, nhop, rank)
 	}
+	// Nothing since find touched the table, so a stale pin is rewritten
+	// where it sits.
 	if pin == nil {
-		pin = &srcPin{}
-		c.srcPins[sk] = pin
+		pin = c.srcPins.claim(sk)
 	}
 	pin.nhop = nhop
 	pin.ntag = ntag
@@ -896,18 +911,29 @@ func (c *Contra) emit(pkt *sim.Packet, nhop int, ntag pg.NodeID, pid uint8) {
 // forwardTransit forwards an already-tagged packet: flowlet table
 // first, falling back to FwdT, with loop breaking.
 func (c *Contra) forwardTransit(pkt *sim.Packet, dstEdge topo.NodeID, fid uint32, now int64) {
-	v := pg.NodeID(pkt.Tag)
-	fk := flowKey{vnode: v, pid: pkt.Pid, fid: fid}
+	// The tag comes straight off a packet: one that names no virtual
+	// node of this switch (or no node at all) has pinned no flowlet and
+	// finds no FwdT entry.
+	ord := tagIndex(c.ordOf, pkt.Tag)
 
 	// §5.5: lazy loop detection on TTL spread.
-	if c.loopDetect(pkt) {
-		delete(c.flowlets, fk)
+	looped := c.loopDetect(pkt)
+	if looped {
 		c.LoopBreaks++
 		c.sw.Net.CountLoopBreak()
 	}
+	if ord < 0 {
+		c.sw.Drop(pkt, sim.DropNoRoute)
+		return
+	}
+	fk := flowletKey(ord, pkt.Pid, fid)
+	if looped {
+		c.flowlets.remove(fk)
+	}
 
 	flowletNs := c.comp.Opts.FlowletTimeoutNs
-	if fe := c.flowlets[fk]; fe != nil && now-fe.lastPkt < flowletNs && !c.portDead(fe.nhop) {
+	fe := c.flowlets.find(fk)
+	if fe != nil && now-fe.lastPkt < flowletNs && !c.portDead(fe.nhop) {
 		fe.lastPkt = now
 		pkt.Tag = int32(fe.ntag)
 		c.sw.Send(fe.nhop, pkt)
@@ -918,7 +944,7 @@ func (c *Contra) forwardTransit(pkt *sim.Packet, dstEdge topo.NodeID, fid uint32
 	// other pids in ascending order (same tag keeps it
 	// policy-compliant). No pid-order slice: the data path must not
 	// allocate per packet.
-	e, usedPid := c.lookupAlive(dstEdge, pkt.Tag, pkt.Pid)
+	e, usedPid := c.lookupAlive(c.originIndex(dstEdge), ord, pkt.Pid)
 	if e == nil {
 		c.sw.Drop(pkt, sim.DropNoRoute)
 		return
@@ -930,25 +956,29 @@ func (c *Contra) forwardTransit(pkt *sim.Packet, dstEdge topo.NodeID, fid uint32
 	// switch ever advertised (and, in practice, into loops).
 	nhop, ntag, rank := e.nhop, e.ntag, e.rank
 	if c.tr != nil && pkt.Kind == sim.Data && c.tr.DecisionsOn() {
-		c.recordDecision(pkt.FlowID, "transit", dstEdge, v, true, usedPid, nhop, rank)
+		c.recordDecision(pkt.FlowID, "transit", dstEdge, pg.NodeID(pkt.Tag), true, usedPid, nhop, rank)
 	}
-	c.flowlets[fk] = &flowletEntry{nhop: nhop, ntag: ntag, lastPkt: now}
+	// Nothing since find touched the table, so a timed-out flowlet is
+	// re-decided where it sits.
+	if fe == nil {
+		fe = c.flowlets.claim(fk)
+	}
+	fe.nhop = nhop
+	fe.ntag = ntag
+	fe.lastPkt = now
 	pkt.Pid = usedPid
 	pkt.Tag = int32(ntag)
 	c.sw.Send(nhop, pkt)
 }
 
-// lookupAlive resolves the live FwdT entry for (dst, tag), trying pid
-// first and then the remaining pids in ascending order. The tag comes
-// straight off a packet: one that names no virtual node of this switch
-// (or no node at all) finds nothing.
-func (c *Contra) lookupAlive(dst topo.NodeID, tag int32, pid uint8) (*fwdEntry, uint8) {
-	ord := tagIndex(c.ordOf, tag)
-	row := c.row(dst)
-	if ord < 0 || row == nil {
+// lookupAlive resolves the live FwdT entry for (origin oi, local tag
+// ordinal ord), trying pid first and then the remaining pids in
+// ascending order; either index may be the -1 of a miss.
+func (c *Contra) lookupAlive(oi, ord int32, pid uint8) (*fwdEntry, uint8) {
+	if oi < 0 || ord < 0 {
 		return nil, pid
 	}
-	regs := row[int(ord)*c.nPids:][:c.nPids]
+	regs := c.block(oi)[int(ord)*c.nPids:][:c.nPids]
 	if int(pid) < len(regs) {
 		if e := &regs[pid]; e.present && c.alive(e) {
 			return e, pid
@@ -1039,9 +1069,9 @@ type altChoice struct {
 // stopping when fn returns false. When restrict is set only choices at
 // virtual node v are considered.
 func (c *Contra) eachChoice(dst topo.NodeID, v pg.NodeID, restrict bool, now int64, fn func(altChoice) bool) {
-	row := c.row(dst)
-	for i := range row {
-		e := &row[i]
+	block := c.block(c.originIndex(dst))
+	for i := range block {
+		e := &block[i]
 		if !e.present || (restrict && e.vnode != v) {
 			continue
 		}
@@ -1152,18 +1182,9 @@ func (c *Contra) loopDetect(pkt *sim.Packet) bool {
 // sweep drops expired flowlet and source-pin entries to bound memory,
 // mirroring hardware table aging.
 func (c *Contra) sweep() {
-	now := c.sw.Now()
-	horizon := 4 * c.comp.Opts.FlowletTimeoutNs
-	for k, fe := range c.flowlets {
-		if now-fe.lastPkt > horizon {
-			delete(c.flowlets, k)
-		}
-	}
-	for k, pin := range c.srcPins {
-		if now-pin.lastPkt > horizon {
-			delete(c.srcPins, k)
-		}
-	}
+	cutoff := c.sw.Now() - 4*c.comp.Opts.FlowletTimeoutNs
+	c.flowlets.expire(cutoff)
+	c.srcPins.expire(cutoff)
 }
 
 // Install atomically replaces this router's compiled artifact with a
@@ -1240,8 +1261,8 @@ func (c *Contra) Reboot() {
 // re-advertisements (they point into the flushed register blocks).
 func (c *Contra) flushTables() {
 	c.layoutTables()
-	c.flowlets = make(map[flowKey]*flowletEntry)
-	c.srcPins = make(map[srcKey]*srcPin)
+	c.flowlets.reset()
+	c.srcPins.reset()
 	c.loopTbl = [loopSlots]loopSlot{}
 	for i := range c.pend {
 		clear(c.pend[i])
@@ -1256,18 +1277,19 @@ func (c *Contra) Era() uint8 { return c.era }
 // decision for a destination switch (the chaos convergence monitor's
 // probe).
 func (c *Contra) HasRoute(dst topo.NodeID) bool {
-	if e := c.bestOf(dst); e != nil && c.alive(e) {
+	oi := c.originIndex(dst)
+	if e := c.bestOf(oi); e != nil && c.alive(e) {
 		return true
 	}
-	return c.rescanBest(dst) != nil
+	return c.rescanBest(oi) != nil
 }
 
 // LiveRoutes returns the destination switches with a live best entry,
 // in ascending NodeID order.
 func (c *Contra) LiveRoutes() []topo.NodeID {
 	var out []topo.NodeID
-	for dst, e := range c.best {
-		if e != nil && c.alive(e) {
+	for dst, oi := range c.comp.OriginOrd {
+		if e := c.bestOf(oi); e != nil && c.alive(e) {
 			out = append(out, topo.NodeID(dst))
 		}
 	}
@@ -1288,10 +1310,11 @@ func cloneRank(r policy.Rank) policy.Rank {
 // bestOrRescan is the source-switch decision the diagnostic accessors
 // report: the cached BestT entry, rescanned when none is cached.
 func (c *Contra) bestOrRescan(dst topo.NodeID) *fwdEntry {
-	if e := c.bestOf(dst); e != nil {
+	oi := c.originIndex(dst)
+	if e := c.bestOf(oi); e != nil {
 		return e
 	}
-	return c.rescanBest(dst)
+	return c.rescanBest(oi)
 }
 
 // BestNextHop exposes the current decision for a destination switch
@@ -1322,7 +1345,7 @@ func (c *Contra) BestEntry(dst topo.NodeID) (vnode pg.NodeID, pid uint8, rank po
 // but falling back to other pids on the same tag, exactly as the
 // forwarding path does.
 func (c *Contra) Entry(dst topo.NodeID, vnode pg.NodeID, pid uint8) (nhop int, ntag pg.NodeID, ok bool) {
-	if e, _ := c.lookupAlive(dst, int32(vnode), pid); e != nil {
+	if e, _ := c.lookupAlive(c.originIndex(dst), tagIndex(c.ordOf, int32(vnode)), pid); e != nil {
 		return e.nhop, e.ntag, true
 	}
 	return -1, 0, false

@@ -85,13 +85,13 @@ func TestSweepEvictsStaleEntries(t *testing.T) {
 	}})
 	e.Run(warm + 4*comp.Opts.ProbePeriodNs)
 	s := routers[gh.MustNode("S")]
-	if len(s.srcPins) == 0 {
+	if s.srcPins.n == 0 {
 		t.Fatal("expected a source pin after traffic")
 	}
 	// After the flow ends and several sweep periods pass, the pin is
 	// gone.
 	e.Run(e.Now() + 64*comp.Opts.ProbePeriodNs)
-	if len(s.srcPins) != 0 {
-		t.Fatalf("stale source pins survived sweep: %d", len(s.srcPins))
+	if s.srcPins.n != 0 {
+		t.Fatalf("stale source pins survived sweep: %d", s.srcPins.n)
 	}
 }

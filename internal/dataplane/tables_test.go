@@ -311,10 +311,11 @@ func runDifferential(t *testing.T, packing bool, seed int64) {
 }
 
 // TestOutOfRangePacketFieldsMiss feeds the router every packet-derived
-// index one past the end, negative and at the integer extremes. Each
-// must land exactly where a map miss did — DropProbeNoTrans for a
-// probe, a skipped entry inside a packed probe, DropNoRoute for tagged
-// data — and never panic or disturb the tables.
+// index one past the end, negative and at the integer extremes, and
+// node ids that are in range but name no origin. Each must land exactly
+// where a map miss did — DropProbeNoTrans for a probe, a skipped entry
+// inside a packed probe, DropNoRoute for tagged data — and never panic
+// or disturb the tables.
 func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 	g := topo.Fattree(4, 2)
 	opts := core.Options{ProbePacking: true}
@@ -323,12 +324,7 @@ func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 	c := routers[sw]
 	nTags, nNodes, nPids := int32(comp.PG.NumNodes()), topo.NodeID(g.NumNodes()), uint8(comp.Analysis.NumPids())
 
-	// A transition the program does have, and the port it arrives on.
-	okTag := int32(math.MaxInt32)
-	for u := range c.prog.InTransition {
-		okTag = min(okTag, int32(u))
-	}
-	inPort := g.PortTo(sw, comp.PG.Node(pg.NodeID(okTag)).Topo)
+	okTag, inPort := someTransition(c)
 	okOrigin := g.MustNode("e3_1")
 	if !c.HasRoute(okOrigin) {
 		t.Fatal("warmed-up router has no route to the far edge switch")
@@ -348,6 +344,7 @@ func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 		{"origin one past the end", okTag, nNodes, 0},
 		{"origin negative", okTag, -1, 0},
 		{"origin min int32", okTag, math.MinInt32, 0},
+		{"origin a host: a node, not an origin", okTag, g.MustNode("h3_1_0"), 0},
 		{"pid one past the end", okTag, okOrigin, nPids},
 		{"pid max", okTag, okOrigin, 255},
 	}
@@ -381,7 +378,7 @@ func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 			sim.ProbeEntry{Origin: okOrigin, Tag: okTag, Version: version},
 		)
 		c.Handle(p, inPort)
-		en := c.lookup(okOrigin, tagIndex(c.inTrans, okTag), 0)
+		en := c.lookup(c.originIndex(okOrigin), tagIndex(c.inTrans, okTag), 0)
 		if en == nil || en.version != version || en.nhop != inPort {
 			t.Fatalf("packed, %s: the entries around the bad one were not both accepted: %+v", b.name, en)
 		}
@@ -415,6 +412,28 @@ func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 			t.Fatalf("data pid %d on a good tag was dropped; it must fall back to the tag's other pids", pid)
 		}
 	}
+	// One flow under three pids (one real, two past the end) pins three
+	// flowlets: the key holds all 8 bits of the pid, so an out-of-range
+	// one lands on no other entry's slot.
+	pinned := c.flowlets.n
+	fid := flowletHash(4242, dstHost)
+	seen := map[*pin]uint8{}
+	for _, pid := range []uint8{0, nPids, 255} {
+		p := data(ownTag, pid)
+		p.FlowID = 4242
+		c.Handle(p, inPort)
+		slot := c.flowlets.find(flowletKey(tagIndex(c.ordOf, ownTag), pid, fid))
+		if slot == nil {
+			t.Fatalf("data pid %d: no flowlet pinned under its own key", pid)
+		}
+		if other, dup := seen[slot]; dup {
+			t.Fatalf("data pids %d and %d share a flowlet slot", other, pid)
+		}
+		seen[slot] = pid
+	}
+	if c.flowlets.n != pinned+3 {
+		t.Fatalf("three pids of one flow pinned %d flowlets, want 3", c.flowlets.n-pinned)
+	}
 	if nh, _, ok := c.Entry(nNodes, c.prog.VNodes[0], 0); ok || nh != -1 {
 		t.Fatal("Entry for a destination past the node space must miss")
 	}
@@ -425,6 +444,182 @@ func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 		t.Fatal("BestNextHop outside the node space must be -1")
 	}
 	e.Run(e.Now() + comp.Opts.ProbePeriodNs) // flush what the accepted entries queued
+
+	t.Run("nodes that are not origins", notOriginsMiss)
+	t.Run("the last register", lastRegisterIsAddressable)
+}
+
+// someTransition picks a sender tag the router's program has a
+// transition for (the lowest, so the choice does not depend on map
+// order) and the port such a probe arrives on.
+func someTransition(c *Contra) (tag int32, inPort int) {
+	tag = math.MaxInt32
+	for u := range c.prog.InTransition {
+		tag = min(tag, int32(u))
+	}
+	return tag, c.comp.Topo.PortTo(c.prog.Switch, c.comp.PG.Node(pg.NodeID(tag)).Topo)
+}
+
+// notOriginsMiss runs a policy that admits one destination only, so
+// that every other switch — hostless ones included — is a valid node id
+// with no origin ordinal, like a host. Probes naming them are the miss
+// an id past the node space is, and no route is learned.
+func notOriginsMiss(t *testing.T) {
+	g := topo.Fattree(4, 2)
+	opts := core.Options{ProbePacking: true}
+	_, n, routers, comp := deployOpts(t, g, "minimize(if .* e3_1 then path.util else inf)", opts, 12)
+	only := g.MustNode("e3_1")
+	if comp.NumOrigins != 1 || comp.OriginOrd[only] != 0 {
+		t.Fatalf("the policy admits %d origins (e3_1 has ordinal %d), want exactly e3_1", comp.NumOrigins, comp.OriginOrd[only])
+	}
+	sw := g.MustNode("a0_0")
+	c := routers[sw]
+	if live := c.LiveRoutes(); !slices.Equal(live, []topo.NodeID{only}) {
+		t.Fatalf("live routes %v, want only %d", live, only)
+	}
+	okTag, inPort := someTransition(c)
+	drops := func(r sim.DropReason) int64 { return n.Totals().Drops[r] }
+	for _, name := range []string{"c0", "a3_0", "e0_0", "h0_0_0"} {
+		origin := g.MustNode(name)
+		before := drops(sim.DropProbeNoTrans)
+		p := n.NewPacket()
+		p.Kind, p.TTL, p.Era = sim.Probe, sim.InitialTTL, c.Era()
+		p.Tag, p.Origin, p.Version = okTag, origin, 1<<20
+		c.Handle(p, inPort)
+		if got := drops(sim.DropProbeNoTrans); got != before+1 {
+			t.Fatalf("probe from non-origin %s: drop_probe_notrans went %v -> %v, want +1", name, before, got)
+		}
+		q := n.NewPackedProbe(1)
+		q.Era = c.Era()
+		q.Packed = append(q.Packed, sim.ProbeEntry{Origin: origin, Tag: okTag, Version: 1 << 20})
+		c.Handle(q, inPort)
+		if c.HasRoute(origin) || !slices.Equal(c.LiveRoutes(), []topo.NodeID{only}) {
+			t.Fatalf("non-origin %s taught the router a route: live %v", name, c.LiveRoutes())
+		}
+		if port, _ := c.BestNextHop(origin); port != -1 {
+			t.Fatalf("BestNextHop(%s) = %d, want -1", name, port)
+		}
+	}
+	// Tagged data for a host behind a switch that is no origin.
+	before := drops(sim.DropNoRoute)
+	p := n.NewPacket()
+	p.Kind, p.TTL, p.Era, p.HasTag = sim.Data, sim.InitialTTL, c.Era(), true
+	p.Size, p.Dst, p.FlowID, p.Tag = 1000, g.MustNode("h0_0_0"), 7, int32(c.prog.VNodes[0])
+	c.Handle(p, inPort)
+	if got := drops(sim.DropNoRoute); got != before+1 {
+		t.Fatalf("data for a host behind a non-origin: drop_noroute went %v -> %v, want +1", before, got)
+	}
+}
+
+// lastRegisterIsAddressable teaches a cold router with several virtual
+// nodes and pids the route whose register is the file's very last —
+// highest origin ordinal, last local tag, last pid — and forwards a
+// packet on it: the flowlet key holds the highest tag ordinal, and the
+// register file ends exactly where the index arithmetic says.
+func lastRegisterIsAddressable(t *testing.T) {
+	g := withHosts(topo.Abilene(), "ATL", "SEA", "NYC")
+	opts := core.Options{ProbePacking: true}
+	_, n, routers, comp := deployOpts(t, g, diffPolicyWide, opts, 0)
+	sw := g.MustNode("ATL")
+	c := routers[sw]
+	lastOrd := int32(len(c.prog.VNodes) - 1)
+	lastPid := uint8(c.nPids - 1)
+	if lastOrd == 0 {
+		t.Fatal("the switch under test needs several virtual nodes")
+	}
+	var origin topo.NodeID
+	for id, oi := range comp.OriginOrd {
+		if int(oi) == comp.NumOrigins-1 {
+			origin = topo.NodeID(id)
+		}
+	}
+	// A sender tag that transitions to the last local tag.
+	sender := int32(-1)
+	for u, v := range c.prog.InTransition {
+		if c.ordOf[v] == lastOrd && (sender < 0 || int32(u) < sender) {
+			sender = int32(u)
+		}
+	}
+	if sender < 0 {
+		t.Fatal("no transition into the last virtual node")
+	}
+	inPort := g.PortTo(sw, comp.PG.Node(pg.NodeID(sender)).Topo)
+	p := n.NewPackedProbe(1)
+	p.Era = c.Era()
+	p.Packed = append(p.Packed, sim.ProbeEntry{Origin: origin, Tag: sender, Pid: lastPid, Version: 1})
+	c.Handle(p, inPort)
+	e := c.lookup(c.originIndex(origin), lastOrd, lastPid)
+	if e == nil || e != &c.fwd[len(c.fwd)-1] {
+		t.Fatalf("the accepted entry %p is not the last register %p", e, &c.fwd[len(c.fwd)-1])
+	}
+	if cap(e.rank.V) != c.rankW || &e.rank.V[:1][0] != &c.rankSlab[len(c.rankSlab)-c.rankW] {
+		t.Fatal("the last register's rank is not the last window of the rank slab")
+	}
+	lastTag := c.prog.VNodes[lastOrd]
+	if nh, _, ok := c.Entry(origin, lastTag, lastPid); !ok || nh != inPort {
+		t.Fatalf("Entry on the last register = (%d, %v), want port %d", nh, ok, inPort)
+	}
+	// Tagged data for a host behind that origin, arriving on another port.
+	var dstHost topo.NodeID = -1
+	for _, h := range g.Hosts() {
+		if edge, _ := n.HostEdge(h); edge == origin {
+			dstHost = h
+		}
+	}
+	if dstHost < 0 {
+		t.Fatalf("origin %d has no host; give it one", origin)
+	}
+	d := n.NewPacket()
+	d.Kind, d.TTL, d.Era, d.HasTag = sim.Data, sim.InitialTTL, c.Era(), true
+	d.Size, d.Dst, d.FlowID, d.Tag, d.Pid = 1000, dstHost, 9, int32(lastTag), lastPid
+	before := n.Totals().Drops[sim.DropNoRoute]
+	c.Handle(d, (inPort+1)%len(g.Ports(sw)))
+	if got := n.Totals().Drops[sim.DropNoRoute]; got != before {
+		t.Fatal("data on the last register's tag was dropped")
+	}
+	if c.flowlets.find(flowletKey(lastOrd, lastPid, flowletHash(9, dstHost))) == nil {
+		t.Fatal("no flowlet pinned under the highest tag ordinal")
+	}
+}
+
+// TestRegisterFileMatchesStateAccounting pins the Figure 10 shape: each
+// router's FwdT is one file of exactly origins x local tags x pids
+// registers with one BestT slot per origin, and core's state accounting
+// — which counts only the origins whose probes can reach the switch —
+// never claims more than the file holds.
+func TestRegisterFileMatchesStateAccounting(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		g      *topo.Graph
+		policy string
+	}{
+		{"fattree:4:2", topo.Fattree(4, 2), "minimize(path.util)"},
+		{"fattree:4:2 one destination", topo.Fattree(4, 2), "minimize(if .* e3_1 then path.util else inf)"},
+		{"abilene+hosts", topo.AbileneWithHosts(0), diffPolicyWide},
+		{"abilene+hosts two pids", topo.AbileneWithHosts(0), "minimize(if path.util < .8 then (1, 0, path.util) else (2, path.len, path.util))"},
+	} {
+		comp := compileOn(t, tc.g, tc.policy, core.Options{})
+		origins := 0
+		for _, sw := range tc.g.Switches() {
+			if comp.Switches[sw].Origin != nil {
+				origins++
+			}
+		}
+		if comp.NumOrigins != origins {
+			t.Fatalf("%s: NumOrigins = %d, %d switches originate probes", tc.name, comp.NumOrigins, origins)
+		}
+		for _, sw := range tc.g.Switches() {
+			c, prog := New(comp, sw), comp.Switches[sw]
+			want := comp.NumOrigins * len(prog.VNodes) * comp.Analysis.NumPids()
+			if len(c.fwd) != want || len(c.best) != comp.NumOrigins || len(c.rankSlab) != want*comp.Policy.Width {
+				t.Fatalf("%s %s: %d registers, %d BestT slots, %d rank floats; want %d, %d, %d", tc.name, tc.g.Node(sw).Name,
+					len(c.fwd), len(c.best), len(c.rankSlab), want, comp.NumOrigins, want*comp.Policy.Width)
+			}
+			if accounted := prog.ReachableOrigins * len(prog.VNodes) * comp.Analysis.NumPids(); want < accounted {
+				t.Fatalf("%s %s: the file holds %d registers, core accounts for %d", tc.name, tc.g.Node(sw).Name, want, accounted)
+			}
+		}
+	}
 }
 
 // TestStaleEraPacketsAfterShrinkingInstall installs a policy whose
@@ -514,6 +709,48 @@ func TestProbePathSteadyStateAllocatesNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() { e.Run(e.Now() + period) })
 	if allocs != 0 {
 		t.Fatalf("one probe period on a warmed idle fabric allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestLoadedFabricSteadyStateAllocatesNothing is the loaded form of the
+// test above, and the one a campaign cell actually resembles: the same
+// warmed packed + suppressed fabric, now carrying long-lived flows
+// between pods (so data and ACK packets are freed into the packet pool
+// between every two flushes) and two flows paced slower than the flowlet
+// timeout, one of them slower than the sweep horizon (so every one of
+// their packets re-decides its flowlet and source pin, and the sweep
+// deletes and the next packet re-inserts). Whole probe periods — sweeps
+// included — must still run without touching the heap.
+func TestLoadedFabricSteadyStateAllocatesNothing(t *testing.T) {
+	g := topo.Fattree(4, 2)
+	opts := core.Options{ProbePacking: true, SuppressEps: 0.02, RefreshEvery: 4}
+	e, n, _, comp := deployOpts(t, g, "minimize(path.util)", opts, 64)
+	period := comp.Opts.ProbePeriodNs
+	host := func(name string) topo.NodeID { return g.MustNode(name) }
+	const wire = (sim.MSS + sim.FrameHeader) * 8 // bits per CBR packet
+	pace := func(gapNs int64) float64 { return wire / float64(gapNs) * 1e9 }
+	now := e.Now()
+	n.StartFlows([]sim.FlowSpec{
+		{ID: 1, Src: host("h0_0_0"), Dst: host("h1_0_0"), Size: 1 << 32, Start: now},
+		{ID: 2, Src: host("h2_1_1"), Dst: host("h0_1_0"), Size: 1 << 32, Start: now},
+		{ID: 3, Src: host("h1_1_0"), Dst: host("h3_0_1"), RateBps: 2e9, Start: now},
+		{ID: 4, Src: host("h3_1_1"), Dst: host("h2_0_0"), RateBps: 1e9, Start: now},
+		// Flowlets time out between packets; the entries survive the sweep.
+		{ID: 5, Src: host("h0_0_1"), Dst: host("h2_0_1"), RateBps: pace(3 * comp.Opts.FlowletTimeoutNs / 2), Start: now},
+		// Swept between packets (the sweep horizon is 4 flowlet timeouts).
+		{ID: 6, Src: host("h1_0_1"), Dst: host("h3_1_0"), RateBps: pace(24 * comp.Opts.FlowletTimeoutNs), Start: now},
+	})
+	var delivered int
+	n.OnHostRx = func(*sim.Packet) { delivered++ }
+	e.Run(e.Now() + 256*period) // windows open, queues and tables reach their working size
+	if delivered == 0 {
+		t.Fatal("no traffic delivered: the fabric under test is idle")
+	}
+	// One run, so the count is exact (AllocsPerRun divides in integers);
+	// 64 periods cover four flowlet sweeps.
+	allocs := testing.AllocsPerRun(1, func() { e.Run(e.Now() + 64*period) })
+	if allocs != 0 {
+		t.Fatalf("64 probe periods on a warmed, loaded fabric allocate %.0f times, want 0", allocs)
 	}
 }
 

@@ -1,12 +1,16 @@
 package policy
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // FuzzParse feeds the lexer and parser arbitrary source, with and
 // without a symbol table (which turns on strict names and the ".*XY.*"
 // splitting). Nothing may panic, and an accepted policy's printed form
 // must parse again, under the same options, to a policy that prints the
-// same: String is how policies reach reports, traces and Recompile.
+// same: String is how policies reach reports, traces and Recompile. An
+// accepted policy's lowered program must also rank as Policy.Eval does.
 func FuzzParse(f *testing.F) {
 	names := []string{"A", "B", "C", "D"}
 	for _, p := range Catalog(names) {
@@ -33,6 +37,7 @@ func FuzzParse(f *testing.F) {
 			if q.String() != printed {
 				t.Fatalf("%q prints as %q, which reparses to %q", src, printed, q.String())
 			}
+			checkProgram(t, p, rand.New(rand.NewSource(1)))
 		}
 	})
 }

@@ -156,121 +156,19 @@ func evalExpr(e Expr, env Env) Rank {
 	panic(fmt.Sprintf("policy: unknown expr %T", e))
 }
 
-// EvalAppend computes the same Rank as Eval without per-node heap
-// allocation: scalar intermediates stay on the stack and tuple
-// components append to buf (typically a reused scratch slice, passed
-// with length 0). The returned Rank's V aliases buf's storage, so it
-// is only valid until the buffer is reused; callers that retain the
-// rank must copy V.
-func (p *Policy) EvalAppend(env Env, buf []float64) Rank {
-	out, inf := appendExpr(p.Body, env, buf)
-	if inf {
-		return Infinite()
-	}
-	return Rank{V: out}
-}
-
-// appendExpr appends e's rank components to buf, reporting inf-ness.
-// It mirrors evalExpr exactly, including the inf short-circuits.
-func appendExpr(e Expr, env Env, buf []float64) ([]float64, bool) {
-	switch x := e.(type) {
-	case *Const:
-		return append(buf, x.X), false
-	case *Inf:
-		return buf, true
-	case *Attr:
-		return append(buf, env.Attr(x.M)), false
-	case *Bin:
-		a, ia := evalFirst(x.L, env)
-		b, ib := evalFirst(x.R, env)
-		if ia || ib {
-			return buf, true
-		}
-		switch x.Op {
-		case Add:
-			return append(buf, a+b), false
-		case Sub:
-			return append(buf, a-b), false
-		case Mul:
-			return append(buf, a*b), false
-		}
-		panic("policy: unknown binop")
-	case *If:
-		if evalCond(x.Cond, env) {
-			return appendExpr(x.Then, env, buf)
-		}
-		return appendExpr(x.Else, env, buf)
-	case *Tuple:
-		var inf bool
-		for _, el := range x.Elems {
-			buf, inf = appendExpr(el, env, buf)
-			if inf {
-				return buf, true
-			}
-		}
-		return buf, false
-	}
-	panic(fmt.Sprintf("policy: unknown expr %T", e))
-}
-
-// evalFirst returns the first rank component of e and whether e is
-// infinite, matching evalExpr's scalar contexts (binop and comparison
-// operands read V[0]; a tuple is infinite if any component is).
-func evalFirst(e Expr, env Env) (float64, bool) {
-	switch x := e.(type) {
-	case *Const:
-		return x.X, false
-	case *Inf:
-		return 0, true
-	case *Attr:
-		return env.Attr(x.M), false
-	case *Bin:
-		a, ia := evalFirst(x.L, env)
-		b, ib := evalFirst(x.R, env)
-		if ia || ib {
-			return 0, true
-		}
-		switch x.Op {
-		case Add:
-			return a + b, false
-		case Sub:
-			return a - b, false
-		case Mul:
-			return a * b, false
-		}
-		panic("policy: unknown binop")
-	case *If:
-		if evalCond(x.Cond, env) {
-			return evalFirst(x.Then, env)
-		}
-		return evalFirst(x.Else, env)
-	case *Tuple:
-		var first float64
-		for i, el := range x.Elems {
-			v, inf := evalFirst(el, env)
-			if inf {
-				return 0, true
-			}
-			if i == 0 {
-				first = v
-			}
-		}
-		return first, false
-	}
-	panic(fmt.Sprintf("policy: unknown expr %T", e))
-}
-
 func evalCond(c Cond, env Env) bool {
 	switch x := c.(type) {
 	case *Match:
 		return env.Match(x.ID)
 	case *Cmp:
+		// A comparison reads each side's first component; the infinite
+		// rank reads +Inf.
 		lv, rv := math.Inf(1), math.Inf(1)
-		if v, inf := evalFirst(x.L, env); !inf {
-			lv = v
+		if r := evalExpr(x.L, env); !r.Inf {
+			lv = r.V[0]
 		}
-		if v, inf := evalFirst(x.R, env); !inf {
-			rv = v
+		if r := evalExpr(x.R, env); !r.Inf {
+			rv = r.V[0]
 		}
 		return x.Op.Eval(lv, rv)
 	case *Not:

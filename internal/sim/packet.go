@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"unsafe"
+
 	"contra/internal/topo"
 )
 
@@ -81,8 +83,11 @@ type Packet struct {
 	// above are unused and Packed carries one entry per advertised
 	// origin. An empty Packed with IsPacked set is a heartbeat: it
 	// refreshes port liveness without advertising anything. The slice's
-	// backing array survives pool recycling, so steady-state packed
-	// fan-out allocates nothing.
+	// backing array survives pool recycling and is what sorts a freed
+	// packet onto the pool's packed list, where NewPackedProbe finds it:
+	// once the arrays in circulation have grown to the largest
+	// advertisement a port sends, packed fan-out allocates nothing,
+	// whatever else the fabric is carrying.
 	IsPacked bool
 	Packed   []ProbeEntry
 
@@ -107,39 +112,101 @@ type Packet struct {
 	next *Packet
 }
 
-// pool is a trivial freelist; the simulator is single-threaded.
-type pool struct{ head *Packet }
+// pool recycles packets on two freelists (the simulator is
+// single-threaded): packets that own a Packed backing array, and plain
+// ones. One LIFO list would hand a probe flush whatever was freed last —
+// under load a data or ACK packet with no array, so every flush would
+// allocate one. The packed list is fed from the plain one when empty (the
+// packet gains an array and lives there from then on), never the other
+// way round: a data packet that borrowed a packed packet would carry the
+// array off for a round trip, and the next flush would allocate again.
+// So the packed list holds as many packets as probes were ever in flight
+// at once, and no more.
+type pool struct {
+	plain, packed *Packet
+}
 
+// packetSlab is what the pool allocates when the plain list is empty:
+// as many packets as fit the allocator's 16 KiB size class. The
+// allocator puts an 8-byte header in front of an object with pointers;
+// the pad after it puts the first packet, and so every packet (192
+// bytes), on a cache-line boundary, as a packet allocated alone is.
+type packetSlab struct {
+	_    [64 - 8]byte
+	pkts [(16<<10 - 64) / unsafe.Sizeof(Packet{})]Packet
+}
+
+// get returns a zeroed packet for a data, ACK or standalone probe.
 func (p *pool) get() *Packet {
-	if p.head == nil {
-		return &Packet{}
+	pkt := p.plain
+	if pkt == nil {
+		slab := new(packetSlab).pkts[:]
+		for i := 1; i < len(slab)-1; i++ {
+			slab[i].next = &slab[i+1]
+		}
+		p.plain = &slab[1]
+		return &slab[0]
 	}
-	pkt := p.head
-	p.head = pkt.next
-	// Zero the packet but keep the packed-entry backing array: packed
-	// probe fan-out reuses it instead of allocating per period.
+	p.plain = pkt.next
+	*pkt = Packet{}
+	return pkt
+}
+
+// getPacked returns a zeroed packet whose empty Packed has room for n
+// entries, reusing a freed packet's backing array when there is one.
+func (p *pool) getPacked(n int) *Packet {
+	pkt := p.packed
+	if pkt == nil {
+		pkt = p.get()
+	} else {
+		p.packed = pkt.next
+	}
 	packed := pkt.Packed[:0]
+	if cap(packed) < n {
+		packed = make([]ProbeEntry, 0, n)
+	}
 	*pkt = Packet{}
 	pkt.Packed = packed
 	return pkt
 }
 
 func (p *pool) put(pkt *Packet) {
-	pkt.next = p.head
-	p.head = pkt
+	list := &p.plain
+	if cap(pkt.Packed) > 0 {
+		list = &p.packed
+	}
+	pkt.next = *list
+	*list = pkt
 }
 
 // NewPacket returns a zeroed packet from the pool.
 func (n *Network) NewPacket() *Packet { return n.pool.get() }
 
-// Clone copies a packet (for multicast). Packed entries are copied
-// into the clone's own backing array, never aliased.
+// NewPackedProbe returns a packed probe (Kind, IsPacked and TTL set,
+// everything else zero) whose empty Packed has room for entries
+// advertisements: appending that many does not allocate.
+func (n *Network) NewPackedProbe(entries int) *Packet {
+	p := n.pool.getPacked(entries)
+	p.Kind = Probe
+	p.IsPacked = true
+	p.TTL = InitialTTL
+	return p
+}
+
+// Clone copies a packet (for multicast), drawing from the list its
+// source would be freed to. Packed entries are copied into the clone's
+// own backing array, never aliased.
 func (n *Network) Clone(pkt *Packet) *Packet {
-	c := n.pool.get()
+	var c *Packet
+	if cap(pkt.Packed) > 0 {
+		c = n.pool.getPacked(len(pkt.Packed))
+	} else {
+		c = n.pool.get()
+	}
 	packed := c.Packed
 	*c = *pkt
 	c.next = nil
-	c.Packed = append(packed[:0], pkt.Packed...)
+	c.Packed = append(packed, pkt.Packed...)
 	return c
 }
 
