@@ -7,7 +7,8 @@ package automata
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"contra/internal/policy"
@@ -38,23 +39,6 @@ func (d *DFA) Sym(name string) (int, bool) {
 
 // Step advances the automaton.
 func (d *DFA) Step(state int, sym int) int { return int(d.Trans[state][sym]) }
-
-// StepName advances by switch name; unknown names go to a dead state.
-func (d *DFA) StepName(state int, name string) int {
-	i, ok := d.symIndex[name]
-	if !ok {
-		// Unknown symbols can never match an RSym and match RDot only
-		// if the alphabet covered them; with a topology-derived
-		// alphabet this cannot happen. Fall to a dead state.
-		for s := range d.Live {
-			if !d.Live[s] {
-				return s
-			}
-		}
-		return state
-	}
-	return int(d.Trans[state][i])
-}
 
 // Match runs the automaton over a path of switch names.
 func (d *DFA) Match(path []string) bool {
@@ -95,11 +79,16 @@ func (d *DFA) String() string {
 // over the given alphabet. Symbols mentioned by the regex that are not
 // in the alphabet make the corresponding branches unmatchable (they are
 // simply absent from the topology).
+//
+// Construction and minimization step each state once per symbol class,
+// not once per symbol: every symbol the regex names is a class of its
+// own and all the others share one, so a 1 280-switch alphabet under a
+// three-waypoint regex costs four steps per state, not 1 280.
 func Build(r policy.Regex, alphabet []string) *DFA {
 	n := buildNFA(r, alphabet)
 	d := subsetConstruct(n, alphabet)
-	d = minimize(d)
-	d.computeLive()
+	d = minimize(d, n.reps)
+	d.computeLive(n.reps)
 	return d
 }
 
@@ -118,6 +107,16 @@ type nfa struct {
 	eps      [][]int
 	start    int
 	accept   int
+
+	// The alphabet's symbol classes. Each symbol that some RSym names
+	// is a class of its own; every other symbol is in one shared class,
+	// since no NFA transition tells two of them apart. reps[c] is class
+	// c's smallest symbol, ascending in c; classOf maps a symbol to its
+	// class.
+	reps    []int
+	classOf []int
+
+	seen []bool // closure's scratch, all false between calls
 }
 
 func (n *nfa) addState() int {
@@ -142,6 +141,29 @@ func buildNFA(r policy.Regex, alphabet []string) *nfa {
 	n := &nfa{}
 	n.start = n.addState()
 	n.accept = n.fragment(r, n.start, idx)
+	n.seen = make([]bool, len(n.eps))
+
+	named := make([]bool, len(alphabet))
+	for _, m := range n.symTrans {
+		for sym := range m {
+			named[sym] = true
+		}
+	}
+	n.classOf = make([]int, len(alphabet))
+	shared := -1
+	for sym := range alphabet {
+		switch {
+		case named[sym]:
+			n.classOf[sym] = len(n.reps)
+			n.reps = append(n.reps, sym)
+		case shared < 0:
+			shared = len(n.reps)
+			n.reps = append(n.reps, sym)
+			fallthrough
+		default:
+			n.classOf[sym] = shared
+		}
+	}
 	return n
 }
 
@@ -180,114 +202,103 @@ func (n *nfa) fragment(r policy.Regex, from int, idx map[string]int) int {
 	panic("automata: unknown regex node")
 }
 
-func (n *nfa) closure(set []int) []int {
-	seen := make(map[int]bool, len(set))
-	stack := append([]int(nil), set...)
+// closure writes the ε-closure of set, duplicates in set allowed, to
+// dst[:0] in ascending order and returns it; dst must not share memory
+// with set.
+func (n *nfa) closure(dst, set []int) []int {
+	dst = dst[:0]
 	for _, s := range set {
-		seen[s] = true
+		if !n.seen[s] {
+			n.seen[s] = true
+			dst = append(dst, s)
+		}
 	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, t := range n.eps[s] {
-			if !seen[t] {
-				seen[t] = true
-				stack = append(stack, t)
+	for i := 0; i < len(dst); i++ {
+		for _, t := range n.eps[dst[i]] {
+			if !n.seen[t] {
+				n.seen[t] = true
+				dst = append(dst, t)
 			}
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
+	for _, s := range dst {
+		n.seen[s] = false
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(dst)
+	return dst
 }
 
 // ---- subset construction ----
 
-func setKey(set []int) string {
-	var b strings.Builder
+// appendSetKey appends the decimal, comma-separated form of set.
+func appendSetKey(b []byte, set []int) []byte {
 	for i, s := range set {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", s)
+		b = strconv.AppendInt(b, int64(s), 10)
 	}
-	return b.String()
+	return b
 }
 
+// subsetConstruct numbers DFA states in the order a breadth-first
+// expansion over every symbol, in symbol order, first meets them.
+// Expanding once per class, classes in order of their smallest symbol,
+// meets them in that same order: the symbols a class's representative
+// stands for all lead where it leads.
 func subsetConstruct(n *nfa, alphabet []string) *DFA {
 	d := &DFA{Alphabet: append([]string(nil), alphabet...)}
 	d.symIndex = make(map[string]int, len(alphabet))
 	for i, s := range alphabet {
 		d.symIndex[s] = i
 	}
-	nsym := len(alphabet)
 
-	startSet := n.closure([]int{n.start})
-	index := map[string]int{setKey(startSet): 0}
-	sets := [][]int{startSet}
-	d.Trans = append(d.Trans, make([]int32, nsym))
-	var queue = []int{0}
-
-	accepts := func(set []int) bool {
-		for _, s := range set {
-			if s == n.accept {
-				return true
-			}
+	var (
+		sets   [][]int
+		index  = make(map[string]int32)
+		key    []byte // set key being looked up, reused
+		next   []int  // successor set before closure, reused
+		cl     []int  // its closure, reused
+		target = make([]int32, len(n.reps))
+	)
+	intern := func(set []int) int32 {
+		key = appendSetKey(key[:0], set)
+		if id, ok := index[string(key)]; ok {
+			return id
 		}
-		return false
+		id := int32(len(sets))
+		index[string(key)] = id
+		sets = append(sets, slices.Clone(set))
+		d.Accept = append(d.Accept, slices.Contains(set, n.accept))
+		return id
 	}
-	d.Accept = append(d.Accept, accepts(startSet))
 
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		set := sets[cur]
-		for sym := 0; sym < nsym; sym++ {
-			var next []int
-			for _, s := range set {
+	d.Start = int(intern(n.closure(nil, []int{n.start})))
+	for cur := 0; cur < len(sets); cur++ {
+		for c, a := range n.reps {
+			next = next[:0]
+			for _, s := range sets[cur] {
 				next = append(next, n.dotTrans[s]...)
-				if n.symTrans[s] != nil {
-					next = append(next, n.symTrans[s][sym]...)
-				}
+				next = append(next, n.symTrans[s][a]...)
 			}
-			nset := n.closure(dedupInts(next))
-			key := setKey(nset)
-			to, ok := index[key]
-			if !ok {
-				to = len(sets)
-				index[key] = to
-				sets = append(sets, nset)
-				d.Trans = append(d.Trans, make([]int32, nsym))
-				d.Accept = append(d.Accept, accepts(nset))
-				queue = append(queue, to)
-			}
-			d.Trans[cur][sym] = int32(to)
+			cl = n.closure(cl, next)
+			target[c] = intern(cl)
 		}
+		row := make([]int32, len(alphabet))
+		for sym := range row {
+			row[sym] = target[n.classOf[sym]]
+		}
+		d.Trans = append(d.Trans, row)
 	}
-	d.Start = 0
 	return d
-}
-
-func dedupInts(xs []int) []int {
-	if len(xs) == 0 {
-		return xs
-	}
-	sort.Ints(xs)
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // ---- Moore minimization ----
 
-func minimize(d *DFA) *DFA {
+// minimize merges equivalent states; reps holds one symbol per class,
+// which is all a signature needs, since the symbols of a class move
+// every state alike.
+func minimize(d *DFA, reps []int) *DFA {
 	n := len(d.Trans)
 	nsym := len(d.Alphabet)
 	part := make([]int, n) // state -> partition id
@@ -298,35 +309,32 @@ func minimize(d *DFA) *DFA {
 	}
 	numParts := 2
 	// Handle all-accepting or none-accepting uniformly.
+	newPart := make([]int, n)
+	index := make(map[string]int)
+	var key []byte
 	for {
 		// Signature: (part, parts of successors).
-		type sigKey string
-		sigOf := func(s int) sigKey {
-			var b strings.Builder
-			fmt.Fprintf(&b, "%d", part[s])
-			for sym := 0; sym < nsym; sym++ {
-				fmt.Fprintf(&b, ",%d", part[d.Trans[s][sym]])
-			}
-			return sigKey(b.String())
-		}
-		index := make(map[sigKey]int)
-		newPart := make([]int, n)
+		clear(index)
 		next := 0
 		for s := 0; s < n; s++ {
-			k := sigOf(s)
-			id, ok := index[k]
+			key = strconv.AppendInt(key[:0], int64(part[s]), 10)
+			for _, a := range reps {
+				key = append(key, ',')
+				key = strconv.AppendInt(key, int64(part[d.Trans[s][a]]), 10)
+			}
+			id, ok := index[string(key)]
 			if !ok {
 				id = next
 				next++
-				index[k] = id
+				index[string(key)] = id
 			}
 			newPart[s] = id
 		}
+		part, newPart = newPart, part
 		if next == numParts {
-			part = newPart
 			break
 		}
-		part, numParts = newPart, next
+		numParts = next
 	}
 
 	nd := &DFA{
@@ -351,12 +359,14 @@ func minimize(d *DFA) *DFA {
 
 // computeLive marks states from which some accepting state is
 // reachable. Dead (non-live) states are the paper's "garbage" states:
-// probes reaching an all-dead state vector are dropped.
-func (d *DFA) computeLive() {
+// probes reaching an all-dead state vector are dropped. A state's
+// successors are its targets on reps, one symbol per class.
+func (d *DFA) computeLive(reps []int) {
 	n := len(d.Trans)
 	rev := make([][]int32, n)
 	for s := 0; s < n; s++ {
-		for _, t := range d.Trans[s] {
+		for _, a := range reps {
+			t := d.Trans[s][a]
 			rev[t] = append(rev[t], int32(s))
 		}
 	}

@@ -101,21 +101,28 @@ func TestDotStarIsOneState(t *testing.T) {
 
 func TestLiveStates(t *testing.T) {
 	d := Build(regexOf(t, "A B"), alphabet)
+	step := func(s int, name string) int {
+		sym, ok := d.Sym(name)
+		if !ok {
+			t.Fatalf("%s is not in the alphabet", name)
+		}
+		return d.Step(s, sym)
+	}
 	// After seeing a non-A symbol first, we are dead.
-	s := d.StepName(d.Start, "C")
+	s := step(d.Start, "C")
 	if d.Live[s] {
 		t.Fatalf("state after C should be dead\n%s", d)
 	}
-	s = d.StepName(d.Start, "A")
+	s = step(d.Start, "A")
 	if !d.Live[s] {
 		t.Fatal("state after A should be live")
 	}
-	s = d.StepName(s, "B")
+	s = step(s, "B")
 	if !d.Accept[s] {
 		t.Fatal("AB should accept")
 	}
 	// Extending past the accept kills it.
-	s = d.StepName(s, "B")
+	s = step(s, "B")
 	if d.Live[s] {
 		t.Fatal("ABB should be dead")
 	}
@@ -165,11 +172,22 @@ func TestDFACompleteness(t *testing.T) {
 	}
 }
 
-func TestStepNameUnknownSymbol(t *testing.T) {
-	d := Build(regexOf(t, "A .*"), []string{"A", "B"})
-	s := d.StepName(d.Start, "ZZZ")
-	if d.Live[s] {
-		t.Fatal("unknown symbol should lead to a dead state")
+// randomRegex draws a regex of the given depth over names, dots
+// included.
+func randomRegex(rng *rand.Rand, depth int, names []string) policy.Regex {
+	if depth == 0 || rng.Intn(3) == 0 {
+		if rng.Intn(4) == 0 {
+			return &policy.RDot{}
+		}
+		return &policy.RSym{Name: names[rng.Intn(len(names))]}
+	}
+	switch rng.Intn(3) {
+	case 0:
+		return &policy.RCat{L: randomRegex(rng, depth-1, names), R: randomRegex(rng, depth-1, names)}
+	case 1:
+		return &policy.RAlt{L: randomRegex(rng, depth-1, names), R: randomRegex(rng, depth-1, names)}
+	default:
+		return &policy.RStar{X: randomRegex(rng, depth-1, names)}
 	}
 }
 
@@ -177,25 +195,8 @@ func TestRandomizedEquivalenceAfterMinimization(t *testing.T) {
 	// Property: for random regexes, the minimized DFA agrees with the
 	// reference matcher everywhere (sampled).
 	rng := rand.New(rand.NewSource(5))
-	var gen func(depth int) policy.Regex
-	gen = func(depth int) policy.Regex {
-		if depth == 0 || rng.Intn(3) == 0 {
-			if rng.Intn(4) == 0 {
-				return &policy.RDot{}
-			}
-			return &policy.RSym{Name: alphabet[rng.Intn(len(alphabet))]}
-		}
-		switch rng.Intn(3) {
-		case 0:
-			return &policy.RCat{L: gen(depth - 1), R: gen(depth - 1)}
-		case 1:
-			return &policy.RAlt{L: gen(depth - 1), R: gen(depth - 1)}
-		default:
-			return &policy.RStar{X: gen(depth - 1)}
-		}
-	}
 	for trial := 0; trial < 60; trial++ {
-		re := gen(3)
+		re := randomRegex(rng, 3, alphabet)
 		d := Build(re, alphabet)
 		for i := 0; i < 100; i++ {
 			n := rng.Intn(5)

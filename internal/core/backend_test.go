@@ -13,7 +13,8 @@ import (
 
 // Differential, concurrency and allocation tests for the compiler back
 // end (countReachability, GenerateP4) against the references in
-// reference_test.go, and the micro-benchmarks of the same two passes.
+// reference_test.go, and the micro-benchmarks of the same two passes and
+// of a whole compile.
 
 const (
 	muPolicy = "minimize(path.util)"
@@ -67,8 +68,22 @@ func brokenRandom(n int, seed int64) *topo.Graph {
 	return g
 }
 
+// TestReachableOriginsMatchReference runs broken random graphs under
+// regex policies that leave switches partially reached, and cells whose
+// origin counts sit on either side of countReachability's 64-origin
+// blocks: one origin, a word less one, a word, a word plus one, two
+// words, two words plus one.
 func TestReachableOriginsMatchReference(t *testing.T) {
-	partial := 0 // cells where some origin's probes reach only part of the switches
+	partial := 0     // cells where some origin's probes reach only part of the switches
+	partialWide := 0 // those among cells of more than one word of origins
+	check := func(c *Compiled) {
+		if checkReachability(t, c) {
+			partial++
+			if c.NumOrigins > 64 {
+				partialWide++
+			}
+		}
+	}
 	for seed := int64(1); seed <= 12; seed++ {
 		g := brokenRandom(8+int(seed)*3, seed)
 		names := g.SortedNames()
@@ -82,44 +97,87 @@ func TestReachableOriginsMatchReference(t *testing.T) {
 			fmt.Sprintf("minimize(if .* %s .* then (path.util, path.lat) else (1000, path.lat))", z),
 		}
 		for _, src := range policies {
-			c := tryCompile(t, g, src)
-			if c == nil {
-				continue
-			}
-			got := make(map[topo.NodeID]int, len(c.Switches))
-			for sw, sp := range c.Switches {
-				got[sw] = sp.ReachableOrigins
-				if sp.ReachableOrigins > 0 && sp.ReachableOrigins < len(c.Switches) {
-					partial++
-				}
-				sp.ReachableOrigins = -1
-			}
-			gotState, gotMax := c.Stats.StateBytes, c.Stats.MaxStateBytes
-
-			c.referenceCountReachability()
-			for sw, sp := range c.Switches {
-				if sp.ReachableOrigins == -1 {
-					sp.ReachableOrigins = 0 // the reference leaves unreached switches alone
-				}
-				if got[sw] != sp.ReachableOrigins {
-					t.Fatalf("seed %d %q: %s reachable origins = %d, reference %d",
-						seed, src, g.Node(sw).Name, got[sw], sp.ReachableOrigins)
-				}
-			}
-			c.accountState()
-			if gotMax != c.Stats.MaxStateBytes {
-				t.Fatalf("seed %d %q: MaxStateBytes = %d, reference %d", seed, src, gotMax, c.Stats.MaxStateBytes)
-			}
-			for sw, want := range c.Stats.StateBytes {
-				if gotState[sw] != want {
-					t.Fatalf("seed %d %q: %s state = %dB, reference %dB", seed, src, g.Node(sw).Name, gotState[sw], want)
-				}
+			if c := tryCompile(t, g, src); c != nil {
+				check(c)
 			}
 		}
 	}
-	if partial == 0 {
-		t.Fatal("no generated cell has a partially reached switch: the inputs do not exercise the per-origin stamps")
+
+	for _, origins := range []int{1, 63, 64, 65, 128, 129} {
+		seed := int64(origins)
+		want := func(c *Compiled) {
+			t.Helper()
+			if c == nil || c.NumOrigins != origins {
+				t.Fatalf("a cell meant to have %d origins has not", origins)
+			}
+			check(c)
+		}
+		if origins == 1 {
+			// Only paths ending at z are allowed: z is the one origin, and
+			// the .* loops the product graph back on itself.
+			g := topo.RandomConnected(20, 3, seed)
+			want(tryCompile(t, g, fmt.Sprintf("minimize(if .* %s then path.util else inf)", g.SortedNames()[7])))
+			continue
+		}
+		// Every switch is an origin under MU, links down or not.
+		broken := brokenRandom(origins-3, seed)
+		want(tryCompile(t, topo.RandomConnected(origins, 3, seed), muPolicy))
+		want(tryCompile(t, broken, muPolicy))
+		// Regex policies on the broken graph: a waypoint, and two
+		// switches to pass in order.
+		names := broken.SortedNames()
+		x, y := names[len(names)/3], names[len(names)-4]
+		for _, src := range []string{
+			fmt.Sprintf("minimize(if .* %s .* then path.util else inf)", x),
+			fmt.Sprintf("minimize(if .* %s .* %s .* then (path.util, path.lat) else (1000, path.lat))", x, y),
+		} {
+			if c := tryCompile(t, broken, src); c != nil {
+				check(c)
+			}
+		}
 	}
+	if partial == 0 || partialWide == 0 {
+		t.Fatalf("%d cells have a partially reached switch, %d of them more than 64 origins: the inputs do not exercise per-origin counting",
+			partial, partialWide)
+	}
+}
+
+// checkReachability fails t unless c's reachable-origin counts and the
+// state accounting derived from them equal what the reference traversal
+// gives; it reports whether some switch hears only part of the origins.
+// It leaves c as the reference computed it.
+func checkReachability(t *testing.T, c *Compiled) (partial bool) {
+	t.Helper()
+	got := make(map[topo.NodeID]int, len(c.Switches))
+	for sw, sp := range c.Switches {
+		got[sw] = sp.ReachableOrigins
+		if sp.ReachableOrigins > 0 && sp.ReachableOrigins < len(c.Switches) {
+			partial = true
+		}
+		sp.ReachableOrigins = -1
+	}
+	gotState, gotMax := c.Stats.StateBytes, c.Stats.MaxStateBytes
+
+	c.referenceCountReachability()
+	for sw, sp := range c.Switches {
+		if sp.ReachableOrigins == -1 {
+			sp.ReachableOrigins = 0 // the reference leaves unreached switches alone
+		}
+		if got[sw] != sp.ReachableOrigins {
+			t.Fatalf("%s on %s: %s reachable origins = %d, reference %d",
+				c.Policy, c.Topo.Name, c.Topo.Node(sw).Name, got[sw], sp.ReachableOrigins)
+		}
+	}
+	c.accountState()
+	if gotMax != c.Stats.MaxStateBytes {
+		t.Fatalf("%s on %s: MaxStateBytes = %d, reference %d", c.Policy, c.Topo.Name, gotMax, c.Stats.MaxStateBytes)
+	}
+	for sw, want := range c.Stats.StateBytes {
+		if gotState[sw] != want {
+			t.Fatalf("%s on %s: %s state = %dB, reference %dB", c.Policy, c.Topo.Name, c.Topo.Node(sw).Name, gotState[sw], want)
+		}
+	}
+	return partial
 }
 
 // p4Cells are the topology × policy cells the P4 tests run on: both
@@ -255,6 +313,27 @@ func BenchmarkCountReachabilityFattree18(b *testing.B) {
 		c.countReachability()
 	}
 }
+
+// BenchmarkCompileFattree32 is one whole compile at 1 280 switches, the
+// size past which ROADMAP's k = 16 cell and FatPaths-scale fabrics lie.
+func BenchmarkCompileFattree32(b *testing.B) {
+	g := topo.Fattree(32, 0)
+	for _, tc := range []struct{ name, src string }{{"MU", muPolicy}, {"WP", wpPolicy(g)}} {
+		pol := policy.MustParse(tc.src, policy.ParseOptions{Symbols: g.SortedNames()})
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := Compile(g, pol, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				compiledSink = c
+			}
+		})
+	}
+}
+
+var compiledSink *Compiled
 
 var p4Sink int
 

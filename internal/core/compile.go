@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -268,42 +269,68 @@ func Compile(t *topo.Graph, pol *policy.Policy, opts Options) (*Compiled, error)
 }
 
 // countReachability computes, per switch, how many origins' probes can
-// reach it: one traversal of the product graph per origin, all sharing
-// one set of scratch. seen[v] holds the stamp of the last origin whose
-// traversal visited virtual node v, lastOrigin[sw] the stamp of the
-// last origin counted at switch sw, so neither is cleared between
-// origins and a switch with several virtual nodes is counted once.
+// reach it. Origins are taken in Topo.Switches() order, 64 to a block;
+// one pass per block propagates a 64-bit origin set per virtual node
+// along the product graph's out-edges. reach[v] starts as the bits of
+// the origins whose probe-sending state v is, and a node goes back on
+// the FIFO worklist only when a predecessor's set adds bits to its own.
+// Sets only grow, so a pass ends, and at its end reach[v] is the union
+// of what one traversal per origin would have visited. A switch ORs its
+// virtual nodes' sets — an origin heard on several of them counts once
+// — and adds the popcount. The cost is ⌈origins/64⌉ passes over the
+// product graph, not one per origin.
 func (c *Compiled) countReachability() {
-	seen := make([]int32, c.PG.NumNodes())
-	lastOrigin := make([]int32, c.Topo.NumNodes())
-	count := make([]int32, c.Topo.NumNodes())
-	stack := make([]pg.NodeID, 0, c.PG.NumNodes())
-	stamp := int32(0) // 0 is "never visited"
-	for _, x := range c.Topo.Switches() {
-		send, ok := c.PG.SendState(x)
-		if !ok {
-			continue
-		}
-		stamp++
-		seen[send] = stamp
-		stack = append(stack[:0], send)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if sw := c.PG.Node(v).Topo; lastOrigin[sw] != stamp {
-				lastOrigin[sw] = stamp
-				count[sw]++
+	n := c.PG.NumNodes()
+	reach := make([]uint64, n)
+	queued := make([]bool, n)
+	ring := make([]pg.NodeID, n) // each node is queued at most once at a time
+	count := make([]int, c.Topo.NumNodes())
+
+	switches := c.Topo.Switches()
+	for lo := 0; lo < len(switches); lo += 64 {
+		block := switches[lo:min(lo+64, len(switches))]
+		clear(reach)
+		head, size := 0, 0
+		for bit, x := range block {
+			send, ok := c.PG.SendState(x)
+			if !ok {
+				continue
 			}
+			reach[send] |= 1 << bit
+			if !queued[send] {
+				queued[send] = true
+				ring[(head+size)%n] = send
+				size++
+			}
+		}
+		for size > 0 {
+			v := ring[head]
+			head = (head + 1) % n
+			size--
+			queued[v] = false
+			r := reach[v]
 			for _, u := range c.PG.Out(v) {
-				if seen[u] != stamp {
-					seen[u] = stamp
-					stack = append(stack, u)
+				if r&^reach[u] == 0 {
+					continue
+				}
+				reach[u] |= r
+				if !queued[u] {
+					queued[u] = true
+					ring[(head+size)%n] = u
+					size++
 				}
 			}
 		}
+		for _, x := range switches {
+			var heard uint64
+			for _, v := range c.PG.VirtualNodes(x) {
+				heard |= reach[v]
+			}
+			count[x] += bits.OnesCount64(heard)
+		}
 	}
 	for sw, sp := range c.Switches {
-		sp.ReachableOrigins = int(count[sw])
+		sp.ReachableOrigins = count[sw]
 	}
 }
 

@@ -364,25 +364,35 @@ const (
 )
 
 // transitionEntries resolves sw's tag transition table in the order it
-// is printed (by sender virtual node), with the printed length.
+// is printed (by sender virtual node), with the printed length. It reads
+// the product graph's in-edges, the pairs InTransition was built from:
+// each In list is ascending, since pg.Build adds senders in id order, so
+// the concatenation over sw's virtual nodes needs sorting only when
+// several of them hear senders whose ids interleave.
 func (c *Compiled) transitionEntries(sw topo.NodeID, sp *SwitchProgram) ([]transitionEntry, int) {
 	name := c.Topo.Node(sw).Name
 	entries := make([]transitionEntry, 0, len(sp.InTransition))
 	n := 0
-	for u, v := range sp.InTransition {
-		un := c.PG.Node(u)
-		e := transitionEntry{
-			u:     u,
-			port:  int32(c.Topo.PortTo(sw, un.Topo)),
-			utag:  un.LocalTag,
-			vtag:  c.PG.Node(v).LocalTag,
-			uname: c.Topo.Node(un.Topo).Name,
+	for _, v := range sp.VNodes {
+		vtag := c.PG.Node(v).LocalTag
+		for _, u := range c.PG.In(v) {
+			un := c.PG.Node(u)
+			e := transitionEntry{
+				u:     u,
+				port:  int32(c.Topo.PortTo(sw, un.Topo)),
+				utag:  un.LocalTag,
+				vtag:  vtag,
+				uname: c.Topo.Node(un.Topo).Name,
+			}
+			n += transLitLen + decLen(int(e.port)) + 2*decLen(int(e.utag)) + 2*decLen(int(e.vtag)) +
+				len(e.uname) + len(name)
+			entries = append(entries, e)
 		}
-		n += transLitLen + decLen(int(e.port)) + 2*decLen(int(e.utag)) + 2*decLen(int(e.vtag)) +
-			len(e.uname) + len(name)
-		entries = append(entries, e)
 	}
-	slices.SortFunc(entries, func(a, b transitionEntry) int { return cmp.Compare(a.u, b.u) })
+	bySender := func(a, b transitionEntry) int { return cmp.Compare(a.u, b.u) }
+	if !slices.IsSortedFunc(entries, bySender) {
+		slices.SortFunc(entries, bySender)
+	}
 	return entries, n
 }
 

@@ -23,6 +23,13 @@ func referenceStateKey(x topo.NodeID, states []int32) string {
 	return b.String()
 }
 
+// referenceStepName advances d by a switch name, which is always in
+// the alphabet here: the DFAs are built over the topology's names.
+func referenceStepName(d *automata.DFA, state int, name string) int {
+	sym, _ := d.Sym(name)
+	return d.Step(state, sym)
+}
+
 // referenceBuild is Build with the exploration it had before: printed
 // keys, automata stepped by switch name, a fresh state vector per
 // expansion. Pruning and tag assignment are shared.
@@ -59,7 +66,7 @@ func referenceBuild(t *topo.Graph, pol *policy.Policy) *Graph {
 	for _, x := range t.Switches() {
 		states := make([]int32, len(g.DFAs))
 		for i, d := range g.DFAs {
-			states[i] = int32(d.StepName(d.Start, t.Node(x).Name))
+			states[i] = int32(referenceStepName(d, d.Start, t.Node(x).Name))
 		}
 		id := intern(x, states)
 		g.nodes[id].Origin = true
@@ -73,7 +80,7 @@ func referenceBuild(t *topo.Graph, pol *policy.Policy) *Graph {
 		for _, nb := range t.SwitchNeighbors(v.Topo) {
 			next := make([]int32, len(g.DFAs))
 			for i, d := range g.DFAs {
-				next[i] = int32(d.StepName(int(v.States[i]), t.Node(nb).Name))
+				next[i] = int32(referenceStepName(d, int(v.States[i]), t.Node(nb).Name))
 			}
 			before := len(g.nodes)
 			to := intern(nb, next)
