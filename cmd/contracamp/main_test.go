@@ -261,7 +261,9 @@ func TestMergeCountsEachCellOnce(t *testing.T) {
 // JSON and CSV with the committed digests, so `go test ./...` fails on a
 // single moved byte of simulator output. The script keeps --update and
 // the process-level variants (shards merged, tracing and telemetry
-// forced off).
+// forced off). The runs are strict: every cell, under each scheme, must
+// also pass scenario.Run's horizon audit — no register miss, every
+// packet conserved — or run fails before any digest is compared.
 func TestGoldenCampaignDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four campaigns (~8s)")
@@ -282,7 +284,7 @@ func TestGoldenCampaignDigests(t *testing.T) {
 			out := t.TempDir()
 			o := options{
 				spec: filepath.Join(dir, name+".json"), quiet: true, noTable: true, workers: 2,
-				metricsInterval: -1, cellTimeout: -1,
+				metricsInterval: -1, cellTimeout: -1, strict: true,
 				out: filepath.Join(out, name+".json"), csvOut: filepath.Join(out, name+".csv"),
 			}
 			if err := run(o); err != nil {

@@ -51,7 +51,11 @@ func flowHash(flowID uint64) uint64 {
 // with no load awareness: the paper's primary data center baseline.
 type ECMP struct {
 	base
-	next [][]int // by destination switch NodeID: candidate ports
+	// The next-hop table, flat: the candidate ports toward destination
+	// switch d are ports[off[d]:off[d+1]], in next-hop order (ascending
+	// NodeID). off is indexed by NodeID up to the last switch, plus one.
+	off   []int32
+	ports []int32
 	// Single, when true, always uses the first candidate: shortest
 	// path routing (the paper's SP baseline for general topologies).
 	Single bool
@@ -66,23 +70,36 @@ func NewSP() *ECMP { return &ECMP{Single: true} }
 // Attach implements sim.Router: precompute next-hop sets on the
 // topology as currently up (static schemes recompute offline, so a
 // failed-from-the-start link is excluded — §6.3's asymmetric setup).
+// The table is filled in two passes over the graph's shared hop
+// vectors, one to size it and one to fill it, with one next-hop buffer
+// between them: three allocations a switch, whatever the fabric's size.
 func (r *ECMP) Attach(sw *sim.SwitchDev) {
 	r.init(sw)
 	g := sw.Net.Topo
-	r.next = make([][]int, g.NumNodes())
-	for _, dst := range g.Switches() {
-		nh := g.ECMPNextHops(sw.ID, dst)
-		if len(nh) == 0 {
-			continue
-		}
+	switches := g.Switches() // ascending
+	nh := make([]topo.NodeID, 0, len(g.SwitchNeighbors(sw.ID)))
+	r.off = make([]int32, switches[len(switches)-1]+2)
+	for _, dst := range switches {
+		nh = g.AppendECMPNextHops(nh[:0], sw.ID, dst)
+		r.off[dst+1] = int32(len(nh))
+	}
+	for d := 1; d < len(r.off); d++ {
+		r.off[d] += r.off[d-1]
+	}
+	r.ports = make([]int32, 0, r.off[len(r.off)-1])
+	for _, dst := range switches {
 		// Port order follows next-hop order (ascending NodeID): Handle
 		// picks by flowHash % len(ports), so the order is observable.
-		ports := make([]int, len(nh))
-		for i, m := range nh {
-			ports[i] = g.PortTo(sw.ID, m)
+		nh = g.AppendECMPNextHops(nh[:0], sw.ID, dst)
+		for _, m := range nh {
+			r.ports = append(r.ports, int32(g.PortTo(sw.ID, m)))
 		}
-		r.next[dst] = ports
 	}
+}
+
+// next returns the candidate ports toward destination switch dst.
+func (r *ECMP) next(dst topo.NodeID) []int32 {
+	return r.ports[r.off[dst]:r.off[dst+1]]
 }
 
 // Handle implements sim.Router.
@@ -95,7 +112,7 @@ func (r *ECMP) Handle(pkt *sim.Packet, inPort int) {
 	if !ok {
 		return
 	}
-	ports := r.next[dstEdge]
+	ports := r.next(dstEdge)
 	if len(ports) == 0 {
 		r.sw.Drop(pkt, sim.DropNoRoute)
 		return
@@ -104,7 +121,7 @@ func (r *ECMP) Handle(pkt *sim.Packet, inPort int) {
 	if !r.Single && len(ports) > 1 {
 		idx = int(flowHash(pkt.FlowID) % uint64(len(ports)))
 	}
-	r.sw.Send(ports[idx], pkt)
+	r.sw.Send(int(ports[idx]), pkt)
 }
 
 // DeployECMP installs ECMP on every switch.

@@ -41,7 +41,7 @@ func dcFlows(g *topo.Graph, count int, size int64) []sim.FlowSpec {
 
 func TestECMPDeliversAndSpreads(t *testing.T) {
 	g := topo.PaperDataCenter()
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	DeployECMP(n)
 	flows := dcFlows(g, 32, 100_000)
@@ -69,7 +69,7 @@ func TestECMPFlowStickiness(t *testing.T) {
 	// A single flow must stay on one path (no reordering): with
 	// TrackVisited the packet visit sets of one flow are identical.
 	g := topo.PaperDataCenter()
-	e := sim.NewEngine(2)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{TrackVisited: true})
 	DeployECMP(n)
 	first := uint64(0)
@@ -95,7 +95,7 @@ func TestECMPFlowStickiness(t *testing.T) {
 
 func TestSPSinglePath(t *testing.T) {
 	g := topo.AbileneWithHosts(0)
-	e := sim.NewEngine(3)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{TrackVisited: true})
 	DeploySP(n)
 	var visited uint64
@@ -113,7 +113,7 @@ func TestSPSinglePath(t *testing.T) {
 
 func TestHulaConvergesAndDelivers(t *testing.T) {
 	g := topo.PaperDataCenter()
-	e := sim.NewEngine(4)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	routers := DeployHula(n, paperOpts)
 	n.Start()
@@ -150,7 +150,7 @@ func TestHulaConvergesAndDelivers(t *testing.T) {
 
 func TestHulaFattree3Tier(t *testing.T) {
 	g := topo.Fattree(4, 2)
-	e := sim.NewEngine(5)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	routers := DeployHula(n, paperOpts)
 	n.Start()
@@ -170,7 +170,7 @@ func TestHulaFattree3Tier(t *testing.T) {
 func TestHulaAvoidsHotPath(t *testing.T) {
 	// Saturate one spine; new flowlets should prefer the other.
 	g := topo.PaperDataCenter()
-	e := sim.NewEngine(6)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	routers := DeployHula(n, paperOpts)
 	n.Start()
@@ -202,7 +202,7 @@ func TestHulaAvoidsHotPath(t *testing.T) {
 
 func TestSpainUsesMultiplePaths(t *testing.T) {
 	g := topo.AbileneWithHosts(0)
-	e := sim.NewEngine(7)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{TrackVisited: true})
 	DeploySpain(n, SpainConfig{K: 4})
 	pathSets := map[uint64]bool{}
@@ -226,7 +226,7 @@ func TestSpainUsesMultiplePaths(t *testing.T) {
 
 func TestSpainTagOverheadAccounted(t *testing.T) {
 	g := topo.AbileneWithHosts(0)
-	e := sim.NewEngine(8)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	DeploySpain(n, SpainConfig{})
 	runFlows(t, n, e, []sim.FlowSpec{{
@@ -243,7 +243,7 @@ func TestStaticBaselinesOnFailedTopology(t *testing.T) {
 	g := topo.PaperDataCenter()
 	l := g.LinkBetween(g.MustNode("l0"), g.MustNode("s0"))
 	g.SetDown(l.ID, true)
-	e := sim.NewEngine(9)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	n.FailLink(l.ID, 0)
 	DeployECMP(n)
@@ -267,7 +267,7 @@ func learnedRows(r *Hula) int {
 
 func TestHulaRebootFlushesSoftState(t *testing.T) {
 	g := topo.Fattree(4, 0)
-	e := sim.NewEngine(3)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	routers := DeployHula(n, paperOpts)
 	n.Start()
@@ -301,7 +301,7 @@ func TestHulaRebootFlushesSoftState(t *testing.T) {
 // startECMP builds a network over g, installs ECMP on every switch as
 // DeployECMP does, and returns the attached routers in switch order.
 func startECMP(g *topo.Graph) []*ECMP {
-	n := sim.NewNetwork(sim.NewEngine(1), g, sim.Config{})
+	n := sim.NewNetwork(sim.NewEngine(), g, sim.Config{})
 	var routers []*ECMP
 	for _, s := range g.Switches() {
 		r := NewECMP()
@@ -312,8 +312,10 @@ func startECMP(g *topo.Graph) []*ECMP {
 	return routers
 }
 
-// TestECMPStartCost guards the complexity of attaching ECMP to a whole
-// fabric, counted in allocations so that it holds on any machine: the
+// TestECMPStartCost guards the cost of attaching ECMP to a whole
+// fabric, counted in allocations so that it holds on any machine: each
+// switch's flat next-hop table costs three allocations (next-hop
+// buffer, offsets, ports) however many destinations it serves, the
 // first Start on a graph runs at most one BFS per destination, shared
 // by all routers, and a later Start on the same graph runs none.
 func TestECMPStartCost(t *testing.T) {
@@ -323,7 +325,7 @@ func TestECMPStartCost(t *testing.T) {
 	startAllocs := func(graph func() *topo.Graph) float64 {
 		var nets []*sim.Network
 		for i := 0; i <= runs; i++ {
-			n := sim.NewNetwork(sim.NewEngine(1), graph(), sim.Config{})
+			n := sim.NewNetwork(sim.NewEngine(), graph(), sim.Config{})
 			DeployECMP(n)
 			nets = append(nets, n)
 		}
@@ -332,19 +334,24 @@ func TestECMPStartCost(t *testing.T) {
 			nets = nets[1:]
 		})
 	}
-	cold := startAllocs(func() *topo.Graph { return topo.Fattree(8, 2) })
-	if cold >= 50_000 {
-		t.Fatalf("Start on a fresh fattree:8:2 allocates %.0f times, want < 50000", cold)
-	}
-
 	g := topo.Fattree(8, 2)
 	switches := g.Switches()
+	perTable := 3
+	cold := startAllocs(func() *topo.Graph { return topo.Fattree(8, 2) })
+	if limit := (perTable + 1) * len(switches); cold > float64(limit) {
+		t.Fatalf("Start on a fresh fattree:8:2 allocates %.0f times, want at most %d: %d per table and one hop vector per destination",
+			cold, limit, perTable)
+	}
+
 	startECMP(g)
 	vec := make([]*int32, len(switches))
 	for i, d := range switches {
 		vec[i] = &g.HopsFrom(d)[0]
 	}
 	warm := startAllocs(func() *topo.Graph { return g })
+	if limit := perTable * len(switches); warm > float64(limit) {
+		t.Fatalf("Start on a warm fattree:8:2 allocates %.0f times, want at most %d per table", warm, perTable)
+	}
 	for i, d := range switches {
 		if &g.HopsFrom(d)[0] != vec[i] {
 			t.Fatalf("hop vector of %s was recomputed by a later Start", g.Node(d).Name)
@@ -364,7 +371,7 @@ func TestECMPStartCost(t *testing.T) {
 func TestConcurrentReadersOfColdGraph(t *testing.T) {
 	g := topo.Fattree(4, 2)
 	const readers = 8
-	tables := make([][][][]int, readers)
+	tables := make([][][][]int32, readers)
 	periods := make([]int64, readers)
 	var wg sync.WaitGroup
 	for i := 0; i < readers; i++ {
@@ -378,7 +385,11 @@ func TestConcurrentReadersOfColdGraph(t *testing.T) {
 			}
 			periods[i] = c.Opts.ProbePeriodNs
 			for _, r := range startECMP(g) {
-				tables[i] = append(tables[i], r.next)
+				var table [][]int32
+				for _, d := range g.Switches() {
+					table = append(table, r.next(d))
+				}
+				tables[i] = append(tables[i], table)
 			}
 		}(i)
 	}
@@ -386,7 +397,7 @@ func TestConcurrentReadersOfColdGraph(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if len(tables[0]) != len(g.Switches()) || len(tables[0][0]) != g.NumNodes() {
+	if len(tables[0]) != len(g.Switches()) || len(tables[0][0]) != len(g.Switches()) {
 		t.Fatalf("reader 0 has %d tables", len(tables[0]))
 	}
 	for i := 1; i < readers; i++ {

@@ -3,6 +3,7 @@ package baseline
 import (
 	"contra/internal/core"
 	"contra/internal/metrics"
+	"contra/internal/pintable"
 	"contra/internal/sim"
 	"contra/internal/topo"
 	"contra/internal/trace"
@@ -25,20 +26,22 @@ type Hula struct {
 	peerLevel []int // tier of the switch behind each local port
 
 	// Probe-learned state is laid out as register arrays, the way a
-	// hardware HULA switch keeps it: one row per origin NodeID (sized
-	// at Attach, zero until the origin is first heard from) and the
-	// per-(destination, port) freshness stamps flat beside it. The
-	// flowlet table stays a hash map: it is hash-indexed by flow in
-	// hardware too.
-	rows []hulaRow
-	// updatedVia[dst*ports+port] tracks freshness per (destination,
+	// hardware HULA switch keeps it: one row per origin — an edge
+	// switch, the only kind that originates probes — indexed by its
+	// ordinal in origins (zero until the origin is first heard from),
+	// and the per-(origin, port) freshness stamps flat beside it. The
+	// flowlet table is an exact-match table keyed by destination and
+	// flow hash.
+	origins *hulaOrigins
+	rows    []hulaRow
+	// updatedVia[o*ports+port] tracks freshness per (origin ordinal o,
 	// port): a flowlet pinned to a port whose probes stopped must
 	// expire even while the destination stays reachable through other
 	// ports. viaNever marks a pair no probe has ever arrived on.
 	updatedVia []int64
 	ports      int
 
-	flowlets map[hulaFlowKey]*hulaFlowlet
+	flowlets pintable.Table
 	probeSz  int
 
 	// Probe aggregation (mirroring the Contra data plane, so scheme
@@ -52,7 +55,7 @@ type Hula struct {
 	suppressOn bool
 	eps        float64
 	refreshNs  int64
-	pendList   []topo.NodeID // origins with a pending row, in flush order
+	pendList   []int32 // ordinals of the origins with a pending row, in flush order
 
 	// tr, when non-nil, records fresh flowlet decisions at the
 	// decisions trace level: HULA's rank is its scalar path
@@ -76,38 +79,60 @@ func (r *Hula) SetChurn(ch *metrics.Churn) { r.mx = ch }
 // as 0 exactly as a missing map key did, and the have/pending/advValid
 // bits stand for key presence where presence was tested.
 type hulaRow struct {
-	bestPort int
+	have bool // a probe from this origin has been accepted
+
+	// pending: a re-advertisement is queued for the packed flush, with
+	// the latest propagated utilization (pendUtil) and the probe-path
+	// state it arrived with (pendUp, pendIn).
+	pending bool
+	pendUp  bool
+
+	// advValid: adv* hold what was last re-advertised (suppression).
+	advValid bool
+
+	// Fields ordered by size: 56 bytes a row.
+	bestPort int32
+	pendIn   int32
+	advPort  int32
 	bestUtil float64
 	updated  int64
-	have     bool // a probe from this origin has been accepted
-
-	// The queued re-advertisement (packing): the latest propagated
-	// utilization and the probe-path state it arrived with.
-	pending  bool
-	pendUp   bool
-	pendIn   int
 	pendUtil float64
-
-	// What was last re-advertised (suppression).
-	advValid bool
-	advPort  int
 	advUtil  float64
 	advAt    int64
+}
+
+// hulaOrigins numbers HULA's probe origins, the edge switches, densely
+// in Switches() order, the way core.Compiled.OriginOrd numbers Contra's.
+// Register rows are indexed by ordinal, so a switch holds rows for the
+// origins only, not for every node; DeployHula builds one value and
+// every switch of the fabric shares it.
+type hulaOrigins struct {
+	ord []int32       // by NodeID up to the last origin: the origin ordinal, -1 for every other node
+	ids []topo.NodeID // by ordinal
+}
+
+func newHulaOrigins(g *topo.Graph) *hulaOrigins {
+	o := &hulaOrigins{}
+	for _, s := range g.Switches() {
+		if g.Node(s).Role == topo.RoleEdge {
+			o.ids = append(o.ids, s)
+		}
+	}
+	if len(o.ids) > 0 {
+		o.ord = make([]int32, o.ids[len(o.ids)-1]+1) // Switches() ascends
+	}
+	for i := range o.ord {
+		o.ord[i] = -1
+	}
+	for i, s := range o.ids {
+		o.ord[s] = int32(i)
+	}
+	return o
 }
 
 // viaNever is the updatedVia stamp of a (destination, port) pair no
 // probe has arrived on: stale at every time, including t = 0.
 const viaNever = -1
-
-type hulaFlowKey struct {
-	dst topo.NodeID
-	fid uint32
-}
-
-type hulaFlowlet struct {
-	port    int
-	lastPkt int64
-}
 
 // hulaAgePeriods is HULA's aging horizon in probe periods: a
 // (destination, port) pair not refreshed for this long is presumed
@@ -124,7 +149,6 @@ func NewHula(o core.Options) *Hula {
 		periodNs:   o.ProbePeriodNs,
 		flowletNs:  o.FlowletTimeoutNs,
 		ageNs:      (hulaAgePeriods+o.SuppressSlack())*o.ProbePeriodNs + o.ProbePeriodNs,
-		flowlets:   make(map[hulaFlowKey]*hulaFlowlet),
 		probeSz:    64,
 		packing:    o.ProbePacking,
 		suppressOn: o.SuppressOn(),
@@ -138,9 +162,11 @@ func NewHula(o core.Options) *Hula {
 // produced by topo.Fattree and topo.LeafSpine.
 func DeployHula(n *sim.Network, opts core.Options) map[topo.NodeID]*Hula {
 	opts.Fill(n.Topo)
+	origins := newHulaOrigins(n.Topo)
 	routers := make(map[topo.NodeID]*Hula)
 	for _, s := range n.Topo.Switches() {
 		r := NewHula(opts)
+		r.origins = origins
 		routers[s] = r
 		n.SetRouter(s, r)
 	}
@@ -176,8 +202,12 @@ func (r *Hula) Attach(sw *sim.SwitchDev) {
 		}
 	}
 	r.ports = len(ports)
-	r.rows = make([]hulaRow, g.NumNodes())
-	r.updatedVia = make([]int64, g.NumNodes()*r.ports)
+	if r.origins == nil {
+		// A router attached on its own, not through DeployHula.
+		r.origins = newHulaOrigins(g)
+	}
+	r.rows = make([]hulaRow, len(r.origins.ids))
+	r.updatedVia = make([]int64, len(r.origins.ids)*r.ports)
 	r.resetTables()
 	offset := (int64(sw.ID) * 7919) % r.periodNs
 	if r.packing {
@@ -201,7 +231,7 @@ var _ sim.Rebooter = (*Hula)(nil)
 // so they survive.
 func (r *Hula) Reboot() {
 	r.resetTables()
-	r.flowlets = make(map[hulaFlowKey]*hulaFlowlet)
+	r.flowlets.Reset()
 }
 
 // resetTables returns the register arrays to "never heard from".
@@ -213,15 +243,24 @@ func (r *Hula) resetTables() {
 	r.pendList = r.pendList[:0]
 }
 
-// row returns origin's register row. Origins come off packets, and
-// where a map lookup with a bad key missed, an array index would
-// panic: anything that is not a node of the topology yields nil, which
+// ord is origin's ordinal: the index of its register row. Origins come
+// off packets, and where a map lookup with a bad key missed, an array
+// index would panic: anything that is not an origin — a node id past
+// the topology, a host, a switch that is no edge — yields -1, which
 // every caller treats as that miss.
-func (r *Hula) row(origin topo.NodeID) *hulaRow {
-	if uint32(origin) >= uint32(len(r.rows)) {
+func (r *Hula) ord(origin topo.NodeID) int32 {
+	if uint32(origin) >= uint32(len(r.origins.ord)) {
+		return -1
+	}
+	return r.origins.ord[origin]
+}
+
+// row returns the register row of origin ordinal o, or nil for -1.
+func (r *Hula) row(o int32) *hulaRow {
+	if o < 0 {
 		return nil
 	}
-	return &r.rows[origin]
+	return &r.rows[o]
 }
 
 // originate floods a fresh probe from this ToR upward.
@@ -258,35 +297,44 @@ func (r *Hula) Handle(pkt *sim.Packet, inPort int) {
 	// The flowlet key's fid must be direction-sensitive so a flow's
 	// data and its acks never share an entry (see dataplane package).
 	fid := uint32(flowHash(pkt.FlowID ^ uint64(pkt.Dst)<<40))
-	key := hulaFlowKey{dst: dstEdge, fid: fid}
-	if fe := r.flowlets[key]; fe != nil && now-fe.lastPkt < r.flowletNs && !r.stale(dstEdge, fe.port, now) {
-		fe.lastPkt = now
-		r.sw.Send(fe.port, pkt)
+	key := pintable.Used | uint64(dstEdge)<<32 | uint64(fid)
+	o := r.ord(dstEdge)
+	fe := r.flowlets.Find(key)
+	if fe != nil && now-fe.LastPkt < r.flowletNs && !r.stale(o, int(fe.Port), now) {
+		fe.LastPkt = now
+		r.sw.Send(int(fe.Port), pkt)
 		return
 	}
-	port, ok := r.bestFresh(dstEdge, now)
+	port, ok := r.bestFresh(o, now)
 	if !ok {
 		r.sw.Drop(pkt, sim.DropNoRoute)
 		return
 	}
 	if r.tr != nil && pkt.Kind == sim.Data && r.tr.DecisionsOn() {
-		r.recordDecision(pkt, inPort, dstEdge, port, now)
+		r.recordDecision(pkt, inPort, o, port, now)
 	}
-	r.flowlets[key] = &hulaFlowlet{port: port, lastPkt: now}
+	// Nothing since Find touched the table, so a timed-out flowlet is
+	// re-decided where it sits.
+	if fe == nil {
+		fe = r.flowlets.Claim(key)
+	}
+	fe.Port = int32(port)
+	fe.LastPkt = now
 	r.sw.Send(port, pkt)
 }
 
-// recordDecision feeds one fresh HULA flowlet decision to the tracer.
-// The rank vector is HULA's scalar: the best-known path utilization
-// toward the destination ToR; the runner-up is the least-utilized
-// other fresh port, mirroring bestFresh's fallback scan.
-func (r *Hula) recordDecision(pkt *sim.Packet, inPort int, dst topo.NodeID, port int, now int64) {
+// recordDecision feeds one fresh HULA flowlet decision toward the
+// origin with ordinal o to the tracer. The rank vector is HULA's
+// scalar: the best-known path utilization toward the destination ToR;
+// the runner-up is the least-utilized other fresh port, mirroring
+// bestFresh's fallback scan.
+func (r *Hula) recordDecision(pkt *sim.Packet, inPort int, o int32, port int, now int64) {
 	kind := "transit"
 	if r.sw.IsHostPort(inPort) {
 		kind = "source"
 	}
 	chosen := r.sw.TxUtil(port)
-	if row := r.row(dst); row != nil && row.have && row.bestPort == port {
+	if row := r.row(o); row != nil && row.have && int(row.bestPort) == port {
 		chosen = row.bestUtil
 	}
 	rPort := -1
@@ -297,7 +345,7 @@ func (r *Hula) recordDecision(pkt *sim.Packet, inPort int, dst topo.NodeID, port
 		if p == port || !r.sw.IsSwitchPort(p) {
 			continue
 		}
-		if !r.stale(dst, p, now) {
+		if !r.stale(o, p, now) {
 			if u := r.sw.TxUtil(p); rPort < 0 || u < rBest {
 				rPort, rBest = p, u
 			}
@@ -312,31 +360,34 @@ func (r *Hula) recordDecision(pkt *sim.Packet, inPort int, dst topo.NodeID, port
 	r.tr.Decision(now, pkt.FlowID, r.sw.Name(), kind, port, cBuf[:], rPort, rRank, 0, 0)
 }
 
-// stale reports whether routing toward dst via port relies on
-// information older than the aging threshold: probes on that port have
-// stopped, so the port is presumed failed for this destination.
-func (r *Hula) stale(dst topo.NodeID, port int, now int64) bool {
-	if uint32(dst) >= uint32(len(r.rows)) {
+// stale reports whether routing toward the origin with ordinal o via
+// port relies on information older than the aging threshold: probes on
+// that port have stopped, so the port is presumed failed for this
+// destination. Every port is stale toward the -1 of a miss.
+func (r *Hula) stale(o int32, port int, now int64) bool {
+	if o < 0 {
 		return true
 	}
-	last := r.updatedVia[int(dst)*r.ports+port]
+	last := r.updatedVia[int(o)*r.ports+port]
 	return last == viaNever || now-last > r.ageNs
 }
 
-func (r *Hula) bestFresh(dst topo.NodeID, now int64) (int, bool) {
-	row := r.row(dst)
+// bestFresh is the port toward the origin with ordinal o (or the -1 of
+// a miss) that HULA forwards a new flowlet on, if any port is fresh.
+func (r *Hula) bestFresh(o int32, now int64) (int, bool) {
+	row := r.row(o)
 	if row == nil {
 		return 0, false
 	}
-	port := row.bestPort
-	if !row.have || now-row.updated > r.ageNs || r.stale(dst, port, now) {
+	port := int(row.bestPort)
+	if !row.have || now-row.updated > r.ageNs || r.stale(o, port, now) {
 		// The recorded best went stale; fall back to any fresh port.
 		// Only the port and its stamp move: bestUtil keeps the last
 		// accepted probe's value until the next accept.
 		bestUtil := 2.0
 		found := false
 		for p := 0; p < r.sw.PortCount(); p++ {
-			if !r.sw.IsSwitchPort(p) || r.stale(dst, p, now) {
+			if !r.sw.IsSwitchPort(p) || r.stale(o, p, now) {
 				continue
 			}
 			u := r.sw.TxUtil(p)
@@ -349,10 +400,10 @@ func (r *Hula) bestFresh(dst topo.NodeID, now int64) (int, bool) {
 		if !found {
 			return 0, false
 		}
-		if r.mx != nil && row.have && row.bestPort != port {
+		if r.mx != nil && row.have && int(row.bestPort) != port {
 			r.mx.Flaps++
 		}
-		row.bestPort = port
+		row.bestPort = int32(port)
 		row.updated = now
 		return port, true
 	}
@@ -373,12 +424,14 @@ func (r *Hula) handleProbe(pkt *sim.Packet, inPort int) {
 	if u := r.sw.TxUtil(inPort); u > util {
 		util = u
 	}
-	row := r.row(pkt.Origin)
-	if row == nil {
+	o := r.ord(pkt.Origin)
+	if o < 0 {
+		r.sw.Net.CountRegisterMiss()
 		r.sw.Drop(pkt, sim.DropProbeNoTrans)
 		return
 	}
-	accepted, goingUpStill := r.acceptProbe(row, pkt.Origin, util, pkt.Up, inPort, now)
+	row := &r.rows[o]
+	accepted, goingUpStill := r.acceptProbe(row, o, util, pkt.Up, inPort, now)
 	if !accepted {
 		r.sw.Net.Free(pkt)
 		return
@@ -417,12 +470,13 @@ func (r *Hula) handleProbe(pkt *sim.Packet, inPort int) {
 }
 
 // acceptProbe runs HULA's update rule for one origin advertisement
-// (row is r.row(origin), non-nil) and reports whether it was accepted
-// plus the outgoing propagation state.
-func (r *Hula) acceptProbe(row *hulaRow, origin topo.NodeID, util float64, up bool, inPort int, now int64) (accepted, goingUpStill bool) {
-	r.updatedVia[int(origin)*r.ports+inPort] = now
+// (row is the register row of origin ordinal o) and reports whether it
+// was accepted plus the outgoing propagation state.
+func (r *Hula) acceptProbe(row *hulaRow, o int32, util float64, up bool, inPort int, now int64) (accepted, goingUpStill bool) {
+	r.updatedVia[int(o)*r.ports+inPort] = now
 	fresh := now-row.updated <= r.ageNs
-	if row.have && fresh && util >= row.bestUtil && row.bestPort != inPort {
+	in := int32(inPort)
+	if row.have && fresh && util >= row.bestUtil && row.bestPort != in {
 		return false, false
 	}
 	if r.mx != nil {
@@ -431,17 +485,17 @@ func (r *Hula) acceptProbe(row *hulaRow, origin topo.NodeID, util float64, up bo
 			r.mx.Added++
 		case !fresh:
 			r.mx.Expired++
-			if row.bestPort != inPort {
+			if row.bestPort != in {
 				r.mx.Flaps++
 			}
-		case row.bestPort != inPort:
+		case row.bestPort != in:
 			r.mx.Replaced++
 			r.mx.Flaps++
 		}
 	}
 	row.have = true
 	row.bestUtil = util
-	row.bestPort = inPort
+	row.bestPort = in
 	row.updated = now
 	// Propagate along reverse up-down paths: a probe that has started
 	// descending (arrived from a switch above us) may only continue
@@ -488,16 +542,16 @@ func recordAdvert(row *hulaRow, now int64) {
 	row.advAt = now
 }
 
-// markPending queues an accepted advertisement for the packed flush;
-// the latest accept within a period wins.
-func (r *Hula) markPending(row *hulaRow, origin topo.NodeID, util float64, up bool, inPort int) {
+// markPending queues an accepted advertisement of origin ordinal o for
+// the packed flush; the latest accept within a period wins.
+func (r *Hula) markPending(row *hulaRow, o int32, util float64, up bool, inPort int) {
 	if !row.pending {
 		row.pending = true
-		r.pendList = append(r.pendList, origin)
+		r.pendList = append(r.pendList, o)
 	}
 	row.pendUtil = util
 	row.pendUp = up
-	row.pendIn = inPort
+	row.pendIn = int32(inPort)
 }
 
 // Packed HULA probe wire accounting: the single-probe frame is 64B;
@@ -524,11 +578,13 @@ func (r *Hula) handlePacked(pkt *sim.Packet, inPort int) {
 		if txu > util {
 			util = txu
 		}
-		row := r.row(en.Origin)
-		if row == nil {
+		o := r.ord(en.Origin)
+		if o < 0 {
+			r.sw.Net.CountRegisterMiss()
 			continue
 		}
-		accepted, goingUpStill := r.acceptProbe(row, en.Origin, util, en.Up, inPort, now)
+		row := &r.rows[o]
+		accepted, goingUpStill := r.acceptProbe(row, o, util, en.Up, inPort, now)
 		if !accepted {
 			continue
 		}
@@ -543,7 +599,7 @@ func (r *Hula) handlePacked(pkt *sim.Packet, inPort int) {
 				recordAdvert(row, now)
 			}
 		}
-		r.markPending(row, en.Origin, util, goingUpStill, inPort)
+		r.markPending(row, o, util, goingUpStill, inPort)
 	}
 	r.sw.Net.Free(pkt)
 }
@@ -569,14 +625,14 @@ func (r *Hula) flush() {
 		if isEdge {
 			p.Packed = append(p.Packed, sim.ProbeEntry{Origin: r.sw.ID, Up: true})
 		}
-		for _, origin := range r.pendList {
-			row := &r.rows[origin]
-			up, ok := r.eligiblePort(port, row.pendIn, row.pendUp)
+		for _, o := range r.pendList {
+			row := &r.rows[o]
+			up, ok := r.eligiblePort(port, int(row.pendIn), row.pendUp)
 			if !ok {
 				continue
 			}
 			p.Packed = append(p.Packed, sim.ProbeEntry{
-				Origin: origin, Up: up, MV: [4]float64{row.pendUtil},
+				Origin: r.origins.ids[o], Up: up, MV: [4]float64{row.pendUtil},
 			})
 		}
 		n := len(p.Packed)
@@ -591,8 +647,8 @@ func (r *Hula) flush() {
 		r.sw.Send(port, p)
 	}
 	now := r.sw.Now()
-	for _, origin := range r.pendList {
-		row := &r.rows[origin]
+	for _, o := range r.pendList {
+		row := &r.rows[o]
 		row.pending = false
 		if r.suppressOn {
 			// Re-snapshot from the state actually emitted: a pending
@@ -608,9 +664,10 @@ func (r *Hula) flush() {
 
 // BestNextHop exposes HULA's current decision (tests/diagnostics).
 func (r *Hula) BestNextHop(dst topo.NodeID) (int, float64) {
-	port, ok := r.bestFresh(dst, r.sw.Now())
+	o := r.ord(dst)
+	port, ok := r.bestFresh(o, r.sw.Now())
 	if !ok {
 		return -1, 1
 	}
-	return port, r.rows[dst].bestUtil
+	return port, r.rows[o].bestUtil
 }

@@ -18,7 +18,10 @@ import (
 // refHula — the six hash maps exactly as the router kept them before
 // the arrays, moved here when they were deleted from hula.go — plus the
 // zero-value cases where "missing key" and "zero row" could have come
-// apart, and the packet fields no map would have had a key for.
+// apart, and the packet fields no register row is indexed by. Rows are
+// indexed by origin ordinal, so only edge switches, the nodes that
+// originate probes, have one: the reference ignores advertisements for
+// any other node, as the router counts them as misses.
 
 // hulaWire is one advertised origin as a neighbor sees it.
 type hulaWire struct {
@@ -75,9 +78,9 @@ func (l *hulaLockstep) Handle(pkt *sim.Packet, inPort int) { l.real.Handle(pkt, 
 // hulaUnderTest builds a fattree:4 fabric whose only live router is a
 // real Hula (shadowed by the map reference) on the named switch; every
 // other switch captures.
-func hulaUnderTest(name string, opts core.Options, seed int64) (*sim.Engine, *sim.Network, *topo.Graph, *Hula, *refHula, [][]hulaEmission) {
+func hulaUnderTest(name string, opts core.Options) (*sim.Engine, *sim.Network, *topo.Graph, *Hula, *refHula, [][]hulaEmission) {
 	g := topo.Fattree(4, 2)
-	e := sim.NewEngine(seed)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	center := g.MustNode(name)
 	opts.ProbePeriodNs = paperOpts.ProbePeriodNs
@@ -116,7 +119,7 @@ func TestHulaDenseTablesMatchMapReference(t *testing.T) {
 
 func runHulaDifferential(t *testing.T, name string, packing bool, seed int64) {
 	cfg := core.Options{ProbePacking: packing, SuppressEps: 0.05, RefreshEvery: 3}
-	e, n, g, real, ref, captured := hulaUnderTest(name, cfg, seed)
+	e, n, g, real, ref, captured := hulaUnderTest(name, cfg)
 	churn, refChurn := &metrics.Churn{}, &metrics.Churn{}
 	real.SetChurn(churn)
 	ref.mx = refChurn
@@ -155,7 +158,7 @@ func runHulaDifferential(t *testing.T, name string, packing bool, seed int64) {
 		now := e.Now()
 		for _, dst := range switches {
 			for p := 0; p < real.sw.PortCount(); p++ {
-				if g, w := real.stale(dst, p, now), ref.stale(dst, p, now); g != w {
+				if g, w := real.stale(real.ord(dst), p, now), ref.stale(dst, p, now); g != w {
 					t.Fatalf("step %d: stale(%d, port %d) = %v, reference %v", step, dst, p, g, w)
 				}
 			}
@@ -232,7 +235,7 @@ func runHulaDifferential(t *testing.T, name string, packing bool, seed int64) {
 // TestHulaZeroRowReadsLikeMissingKey pins the three places where the
 // maps' missing-key behaviour was load-bearing.
 func TestHulaZeroRowReadsLikeMissingKey(t *testing.T) {
-	_, n, g, r, _, _ := hulaUnderTest("a0_0", core.Options{}, 1)
+	_, n, g, r, _, _ := hulaUnderTest("a0_0", core.Options{})
 	churn := &metrics.Churn{}
 	r.SetChurn(churn)
 	origin := g.MustNode("e1_0")
@@ -248,10 +251,11 @@ func TestHulaZeroRowReadsLikeMissingKey(t *testing.T) {
 
 	// A (destination, port) no probe ever arrived on is stale even at
 	// t = 0, when "now - 0 > ageNs" alone would call it fresh.
-	if !r.stale(origin, up0, 0) {
+	o := r.ord(origin)
+	if !r.stale(o, up0, 0) {
 		t.Fatal("a never-seen (dst, port) read as fresh at t = 0")
 	}
-	if _, ok := r.bestFresh(origin, 0); ok {
+	if _, ok := r.bestFresh(o, 0); ok {
 		t.Fatal("an origin never heard from has a best hop at t = 0")
 	}
 
@@ -262,7 +266,7 @@ func TestHulaZeroRowReadsLikeMissingKey(t *testing.T) {
 	if *churn != (metrics.Churn{Added: 1}) {
 		t.Fatalf("first accept at t = 0 counted %+v, want one Added", *churn)
 	}
-	if r.stale(origin, up0, 0) {
+	if r.stale(o, up0, 0) {
 		t.Fatal("the port a probe arrived on at t = 0 is stale at t = 0")
 	}
 	// A worse offer on another port is rejected but stamps its port.
@@ -270,7 +274,7 @@ func TestHulaZeroRowReadsLikeMissingKey(t *testing.T) {
 	if port, util := r.BestNextHop(origin); port != up0 || util != 0.7 {
 		t.Fatalf("best hop (%d, %v) after a worse offer, want (%d, 0.7)", port, util, up0)
 	}
-	if r.stale(origin, up1, 0) {
+	if r.stale(o, up1, 0) {
 		t.Fatal("a rejected probe did not refresh its (dst, port) stamp")
 	}
 }
@@ -280,7 +284,7 @@ func TestHulaZeroRowReadsLikeMissingKey(t *testing.T) {
 // stamp) but leaves bestUtil at the last accepted probe's value — the
 // maps updated two of the three and the row must do the same.
 func TestHulaFallbackKeepsBestUtil(t *testing.T) {
-	e, n, g, r, _, _ := hulaUnderTest("a0_0", core.Options{}, 1)
+	e, n, g, r, _, _ := hulaUnderTest("a0_0", core.Options{})
 	origin := g.MustNode("e1_0")
 	up0, up1 := g.PortTo(r.sw.ID, g.MustNode("c0")), g.PortTo(r.sw.ID, g.MustNode("c1"))
 	if up0 < 0 || up1 < 0 {
@@ -305,29 +309,34 @@ func TestHulaFallbackKeepsBestUtil(t *testing.T) {
 	if util != 0.7 {
 		t.Fatalf("fallback rewrote bestUtil to %v; it must keep the last accepted 0.7", util)
 	}
-	if row := r.row(origin); row.updated != e.Now() {
+	if row := r.row(r.ord(origin)); row.updated != e.Now() {
 		t.Fatalf("fallback left updated at %d, want now (%d)", row.updated, e.Now())
 	}
 }
 
-// TestHulaOutOfRangeOriginsMiss feeds HULA origins that are not nodes:
-// a probe is dropped as untranslatable, a packed entry is skipped with
-// its neighbours still processed, and the data-path readers answer
-// "no route" — where the maps simply had no such key.
+// TestHulaOutOfRangeOriginsMiss feeds HULA origins that have no
+// register row: ids that are not nodes, and nodes that are not origins
+// (a core switch, an aggregation switch, a host). A probe is dropped as
+// untranslatable, a packed entry is skipped with its neighbours still
+// processed, each is counted as a register miss, and the data-path
+// readers answer "no route" — where the maps simply had no such key.
 func TestHulaOutOfRangeOriginsMiss(t *testing.T) {
 	for _, packing := range []bool{false, true} {
-		e, n, g, r, _, _ := hulaUnderTest("a0_0", core.Options{ProbePacking: packing}, 1)
+		e, n, g, r, _, _ := hulaUnderTest("a0_0", core.Options{ProbePacking: packing})
 		good := g.MustNode("e1_0")
 		inPort := g.PortTo(r.sw.ID, g.MustNode("c0"))
 		nNodes := topo.NodeID(g.NumNodes())
 		util := 0.9
-		for _, bad := range []topo.NodeID{nNodes, -1, math.MinInt32, math.MaxInt32} {
-			before := n.Totals().Drops[sim.DropProbeNoTrans]
+		for _, bad := range []topo.NodeID{nNodes, -1, math.MinInt32, math.MaxInt32, g.MustNode("c1"), g.MustNode("a1_0"), g.MustNode("h1_0_0")} {
+			before, misses := n.Totals().Drops[sim.DropProbeNoTrans], n.RegisterMisses()
 			p := n.NewPacket()
 			p.Kind, p.TTL, p.Origin = sim.Probe, sim.InitialTTL, bad
 			r.Handle(p, inPort)
 			if got := n.Totals().Drops[sim.DropProbeNoTrans]; got != before+1 {
 				t.Fatalf("packing=%v origin %d: drop_probe_notrans went %v -> %v, want +1", packing, bad, before, got)
+			}
+			if got := n.RegisterMisses(); got != misses+1 {
+				t.Fatalf("packing=%v origin %d: register misses went %v -> %v, want +1", packing, bad, misses, got)
 			}
 
 			if packing {
@@ -344,13 +353,16 @@ func TestHulaOutOfRangeOriginsMiss(t *testing.T) {
 				if port, u := r.BestNextHop(good); port != inPort || u != util {
 					t.Fatalf("origin %d: the entry after the bad one was not processed: (%d, %v)", bad, port, u)
 				}
+				if got := n.RegisterMisses(); got != misses+2 {
+					t.Fatalf("origin %d: register misses went %v -> %v after the packed entry, want +2", bad, misses, got)
+				}
 			}
 
-			if !r.stale(bad, inPort, e.Now()) {
-				t.Fatalf("stale(%d) = false for a destination that is not a node", bad)
+			if o := r.ord(bad); o != -1 || !r.stale(o, inPort, e.Now()) {
+				t.Fatalf("ord(%d) = %d, want -1, a miss on which every port is stale", bad, o)
 			}
-			if _, ok := r.bestFresh(bad, e.Now()); ok {
-				t.Fatalf("bestFresh(%d) found a route to a destination that is not a node", bad)
+			if _, ok := r.bestFresh(r.ord(bad), e.Now()); ok {
+				t.Fatalf("bestFresh(%d) found a route to a destination that is not an origin", bad)
 			}
 			if port, _ := r.BestNextHop(bad); port != -1 {
 				t.Fatalf("BestNextHop(%d) = %d, want -1", bad, port)
@@ -368,7 +380,7 @@ func TestHulaOutOfRangeOriginsMiss(t *testing.T) {
 // and the packet pool underneath — run without touching the heap.
 func TestProbePathSteadyStateAllocatesNothing(t *testing.T) {
 	g := topo.Fattree(4, 2)
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	cfg := core.Options{ProbePeriodNs: paperOpts.ProbePeriodNs, ProbePacking: true, SuppressEps: 0.02, RefreshEvery: 4}
 	DeployHula(n, cfg)
@@ -554,7 +566,7 @@ func (f *refHula) handle(packed bool, entries []hulaWire, inPort int) {
 	now := r.sw.Now()
 	txu := r.sw.TxUtil(inPort)
 	for _, en := range entries {
-		if en.origin == r.sw.ID {
+		if en.origin == r.sw.ID || r.sw.Net.Topo.Node(en.origin).Role != topo.RoleEdge {
 			continue
 		}
 		util := math.Max(en.util, txu)

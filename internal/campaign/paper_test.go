@@ -137,7 +137,9 @@ func runPaperSpec(t *testing.T, name string) (*Report, []map[string]string) {
 // TestPaperSpecsReproduceExperiments pins what the retired experiments
 // command printed for `-quick -seed 1` at its last commit (5f7e7fb): the
 // committed specs, run through Run, yield the same numbers to the
-// printed digit.
+// printed digit. runPaperSpec fails on any failed cell, so every cell,
+// under each scheme, also passes scenario.Run's horizon audit: no
+// register miss, every packet conserved.
 func TestPaperSpecsReproduceExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -22,7 +22,7 @@ func build(t *testing.T, g *topo.Graph, src string) (*sim.Engine, *sim.Network, 
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	e := sim.NewEngine(42)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	fleet := dataplane.DeployFleet(n, comp)
 	n.Start()

@@ -70,6 +70,10 @@ type Options struct {
 // loop breaker fires (§5.5, contra).
 const LoopTTLDelta = 4
 
+// MaxRankWidth is the most components a policy's rank may have: a
+// switch's FwdT register records its cached rank's length in one byte.
+const MaxRankWidth = 255
+
 // Fill applies the defaults in place; it is idempotent. Compile and
 // baseline.DeployHula call it, so every scheme reads the same filled
 // values.
@@ -150,11 +154,12 @@ type Compiled struct {
 	// OriginOrd[id] is the dense ordinal of origin id — a switch that
 	// originates probes, so a destination FwdT and BestT can hold a route
 	// to — counted in Topo.Switches() order, and -1 for every other node;
-	// NumOrigins is how many origins there are. Switch register files are
-	// indexed by it, so they hold rows for origins only, not for every
-	// NodeID (hosts included).
+	// NumOrigins is how many origins there are and Origins lists them by
+	// ordinal. Switch register files are indexed by it, so they hold rows
+	// for origins only, not for every NodeID (hosts included).
 	OriginOrd  []int32
 	NumOrigins int
+	Origins    []topo.NodeID
 
 	// The policy-wide part of the P4 programs, rendered by the first
 	// GenerateP4 call.
@@ -183,6 +188,9 @@ func Compile(t *topo.Graph, pol *policy.Policy, opts Options) (*Compiled, error)
 	start := time.Now()
 	opts.Fill(t)
 
+	if pol.Width > MaxRankWidth {
+		return nil, fmt.Errorf("core: policy ranks have %d components, a switch register holds at most %d", pol.Width, MaxRankWidth)
+	}
 	res, err := analysis.Analyze(pol)
 	if err != nil {
 		return nil, err
@@ -251,6 +259,7 @@ func Compile(t *topo.Graph, pol *policy.Policy, opts Options) (*Compiled, error)
 		if send, ok := graph.SendState(x); ok {
 			sp.Origin = &OriginSpec{VNode: send, Pids: pids}
 			c.OriginOrd[x] = int32(c.NumOrigins)
+			c.Origins = append(c.Origins, x)
 			c.NumOrigins++
 		}
 		c.Switches[x] = sp

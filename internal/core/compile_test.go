@@ -204,6 +204,22 @@ func TestCompileRejectsAllInf(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsWideRanks: a rank wider than a switch register can
+// record is a compile error, not a data-plane panic; the widest allowed
+// rank compiles.
+func TestCompileRejectsWideRanks(t *testing.T) {
+	g := topo.Fig4Square()
+	tuple := func(n int) *policy.Policy {
+		return policy.MustParse("minimize((" + strings.Repeat("path.len, ", n-1) + "path.util))")
+	}
+	if _, err := Compile(g, tuple(MaxRankWidth), Options{}); err != nil {
+		t.Fatalf("a %d-component rank: %v", MaxRankWidth, err)
+	}
+	if _, err := Compile(g, tuple(MaxRankWidth+1), Options{}); err == nil {
+		t.Fatalf("a %d-component rank compiled", MaxRankWidth+1)
+	}
+}
+
 func TestCompileRejectsUnsatisfiablePolicy(t *testing.T) {
 	// Requiring a link that does not exist on the topology prunes the
 	// whole product graph; the compiler must say so rather than emit

@@ -21,7 +21,7 @@ func BenchmarkProbeProcessing(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	routers := Deploy(n, comp)
 	n.Start()
@@ -61,7 +61,7 @@ func dataForwardingFixture(tb testing.TB, attach attachHooks) (step func()) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	routers := Deploy(n, comp)
 	if attach != nil {
@@ -172,7 +172,7 @@ func probeFanoutFixture(tb testing.TB, opts core.Options, hostsPerEdge int) (*si
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	Deploy(n, comp)
 	n.Start()
@@ -279,7 +279,7 @@ func BenchmarkPolicySwap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	fleet := DeployFleet(n, compA)
 	n.Start()

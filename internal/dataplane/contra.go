@@ -12,6 +12,11 @@
 // programs (analysis.Evaluator). After warm-up a probe or a tagged
 // packet costs indexed reads and a fixed compare: nothing on either
 // path allocates or walks the policy.
+//
+// The state is sized by what the switch routes: a register is 56 bytes
+// and holds only what a probe or a packet reads on every visit; state
+// that only delta suppression or decision tracing reads lives in
+// parallel arrays that exist only while that feature is on.
 package dataplane
 
 import (
@@ -19,6 +24,7 @@ import (
 	"contra/internal/core"
 	"contra/internal/metrics"
 	"contra/internal/pg"
+	"contra/internal/pintable"
 	"contra/internal/policy"
 	"contra/internal/sim"
 	"contra/internal/topo"
@@ -27,75 +33,90 @@ import (
 
 // fwdEntry is one FwdT register: the best known metric vector for its
 // (destination switch, local virtual node, probe id), where it came
-// from, and when. Entries live by value in Contra.fwd and carry their
-// own address, so BestT and the pending lists hold bare pointers and
-// never look a key up.
+// from, and when. Registers live by value in Contra.fwd, and their
+// address there (reg) says which destination, virtual node and pid they
+// serve, so they do not store those; BestT and the pending lists hold
+// addresses, not pointers. The rank's components live in the address's
+// window of Contra.rankSlab; the register keeps only its Inf bit and
+// length.
 //
-// Most offers lose, and a losing offer reads only the first block of
-// fields — is there a route, is the offer outdated, is it the route's
-// own upstream, has the route expired, does it rank better — which is
-// 64 bytes. What only an accept, a flush or tracing touches follows.
+// Most offers lose, and a losing offer reads only present, version,
+// nhop, ntag, updated and mv — is there a route, is the offer outdated,
+// is it the route's own upstream, has the route expired, does it rank
+// better. Those and what an accept writes are the whole register: 56
+// bytes, under one cache line.
 type fwdEntry struct {
-	present  bool // the register holds a learned route (a map would have the key)
-	pending  bool // queued for the next packed flush
-	advValid bool // lastAdv* below hold an advertisement
-	pid      uint8
-	version  uint32
-	nhop     int       // egress port toward the upstream
-	ntag     pg.NodeID // the upstream (probe-sender) virtual node: the packet's next tag
-	vnode    pg.NodeID // local virtual node: the tag this switch advertises
-	updated  int64
-	mv       [4]float64
+	present bool  // the register holds a learned route (a map would have the key)
+	pending bool  // queued for the next packed flush
+	rankInf bool  // the cached full-policy rank is infinite
+	rankLen uint8 // components of the cached rank in the register's slab window
+	version uint32
+	nhop    int32     // egress port toward the upstream
+	ntag    pg.NodeID // the upstream (probe-sender) virtual node: the packet's next tag
+	updated int64
+	mv      [4]float64
+}
 
-	// rank is the cached full-policy rank (recombination input). V is
-	// this register's fixed window of Contra.rankSlab, set by claim.
-	rank   policy.Rank
-	origin topo.NodeID // destination switch
-
-	// Advertisement state (probe packing / delta suppression): adv*
-	// and lastAdv* snapshot what was last re-advertised downstream, so
-	// suppression can skip origins whose route and metrics are
-	// unchanged — a route change (nhop/ntag) always re-advertises,
-	// which is what keeps chaos scenarios converging.
-	advNtag   pg.NodeID
-	advNhop   int
-	lastAdvAt int64
-	lastAdvMV [4]float64
-
-	// alt is the runner-up shadow (decision tracing / counterfactual
-	// replay): nil in normal runs and allocated lazily only when altOn.
-	alt *altShadow
+// advSnap is what a register last re-advertised downstream (delta
+// suppression), so suppression can skip origins whose route and metrics
+// are unchanged — a route change (nhop/ntag) always re-advertises,
+// which is what keeps chaos scenarios converging. Contra.adv holds one
+// per register while suppression is on.
+type advSnap struct {
+	valid bool // the fields below hold an advertisement
+	nhop  int32
+	ntag  pg.NodeID
+	at    int64
+	mv    [4]float64
 }
 
 // altShadow retains the best live offer seen on a port other than the
 // incumbent route's. Probe merging keeps one winner per key, so under
 // a single-(vnode, pid) policy the losing offers — the alternatives a
-// decision actually had — would otherwise be unobservable.
-// shadow.nhop != entry.nhop is invariant.
+// decision actually had — would otherwise be unobservable. Contra.alt
+// holds one per register while decision tracing or replay overrides
+// read them (altOn). shadow.nhop != entry.nhop is invariant.
 type altShadow struct {
-	nhop    int
+	valid   bool // the fields below hold a shadow
+	nhop    int32
 	ntag    pg.NodeID
 	updated int64
 	rank    policy.Rank
 }
 
-// setRank copies a (scratch-aliased) rank into the register's window
-// of the rank slab. The window is as wide as the policy's widest rank,
-// so a longer one is a bug and fails the slice bound.
-func (e *fwdEntry) setRank(r policy.Rank) {
-	e.rank.Inf = r.Inf
-	e.rank.V = e.rank.V[:len(r.V)]
-	copy(e.rank.V, r.V)
-}
-
 // loopSlots is the size of the loop-detection register array (§5.5).
 const loopSlots = 512
 
-type loopSlot struct {
-	sig    uint64
-	minTTL uint8
-	maxTTL uint8
-	set    bool
+// loopTable is the §5.5 loop-detection register array, a struct of
+// arrays: per slot the signature of the packet it tracks and the range
+// of TTLs that packet was seen with. ttl[i] holds ^min and max, so that
+// a zero slot reads min 255 > max 0, which no tracked slot can (min <=
+// max from the first sighting on): that is the slot's "set" bit. 5 KB
+// a switch.
+type loopTable struct {
+	sig [loopSlots]uint64
+	ttl [loopSlots][2]uint8
+}
+
+// detect updates the TTL range of the packet with signature sig, seen
+// now with ttl, and reports whether the range has reached the loop
+// threshold; firing frees the slot.
+func (t *loopTable) detect(sig uint64, ttl uint8) bool {
+	i := sig % loopSlots
+	r := &t.ttl[i]
+	lo, hi := ^r[0], r[1]
+	if lo > hi || t.sig[i] != sig {
+		t.sig[i] = sig
+		*r = [2]uint8{^ttl, ttl}
+		return false
+	}
+	lo, hi = min(lo, ttl), max(hi, ttl)
+	if int(hi)-int(lo) >= core.LoopTTLDelta {
+		*r = [2]uint8{} // reset after firing
+		return true
+	}
+	*r = [2]uint8{^lo, hi}
+	return false
 }
 
 // Contra is the per-switch router.
@@ -110,10 +131,11 @@ type Contra struct {
 	// (oi*len(prog.VNodes) + ord)*nPids + pid (reg): oi is the destination's
 	// origin ordinal (comp.OriginOrd), ord the virtual node's position in
 	// prog.VNodes. An origin's blk = len(prog.VNodes)*nPids registers are
-	// contiguous; best[oi] points at that block's winner, nil when there
-	// is none. rankSlab backs every register's rank, rankW floats each.
-	// Nothing here grows, so entry pointers (best, pend) stay valid until
-	// flushTables lays the tables out afresh. inTrans, ordOf and probeOut
+	// contiguous; best[oi] is the address of that block's winner, -1 when
+	// there is none. rankSlab backs every register's rank, rankW floats
+	// each. adv (suppression on) and alt (altOn) run parallel to fwd, nil
+	// otherwise. Addresses (best, pend) stay valid until flushTables lays
+	// the tables out afresh. inTrans, ordOf and probeOut
 	// are the program's InTransition/VNodes/ProbeOut maps flattened the
 	// same way: by sender tag, by own tag, and by ordinal; -1 marks "no
 	// such tag here". flowlets (§5.3, keyed tag ordinal · pid · flowlet
@@ -121,17 +143,19 @@ type Contra struct {
 	// (destination switch · flowlet hash) are exact-match tables: no two
 	// flows share a slot, which a hash-indexed register array would allow.
 	fwd      []fwdEntry
-	best     []*fwdEntry
+	best     []int32
 	rankSlab []float64
+	adv      []advSnap
+	alt      []altShadow
 	rankW    int
 	nPids    int
 	blk      int
 	inTrans  []int32
 	ordOf    []int32
 	probeOut [][]int
-	flowlets pinTable
-	srcPins  pinTable
-	loopTbl  [loopSlots]loopSlot
+	flowlets pintable.Table
+	srcPins  pintable.Table
+	loop     loopTable
 
 	// evCand is the reusable rank evaluator: the probe hot path
 	// evaluates and compares ranks on it without allocating.
@@ -165,12 +189,12 @@ type Contra struct {
 	packing     bool
 	suppressOn  bool
 	suppressEps float64
-	refreshNs   int64         // forced-refresh horizon (RefreshEvery periods)
-	expireNs    int64         // entry expiry horizon incl. suppression slack
-	deadNs      int64         // port-liveness horizon incl. suppression slack
-	pend        [][]*fwdEntry // per egress port: entries awaiting the packed flush
-	advPorts    []int         // union of ProbeOut ports (flush/heartbeat targets)
-	originPorts []bool        // per port: carries this switch's own origin entries
+	refreshNs   int64     // forced-refresh horizon (RefreshEvery periods)
+	expireNs    int64     // entry expiry horizon incl. suppression slack
+	deadNs      int64     // port-liveness horizon incl. suppression slack
+	pend        [][]int32 // per egress port: register addresses awaiting the packed flush
+	advPorts    []int     // union of ProbeOut ports (flush/heartbeat targets)
+	originPorts []bool    // per port: carries this switch's own origin entries
 
 	// LoopBreaks counts §5.5 flowlet flushes (exported for tests and
 	// the evaluation harness).
@@ -221,10 +245,21 @@ func (c *Contra) layoutTables() {
 	}
 	c.nPids = c.res.NumPids()
 	c.blk = len(c.prog.VNodes) * c.nPids
-	c.rankW = c.res.Policy.Width
-	c.fwd = make([]fwdEntry, c.comp.NumOrigins*c.blk)
-	c.best = make([]*fwdEntry, c.comp.NumOrigins)
-	c.rankSlab = make([]float64, len(c.fwd)*c.rankW)
+	c.rankW = c.res.Policy.Width // at most core.MaxRankWidth, so rankLen holds any length
+	n := c.comp.NumOrigins * c.blk
+	c.fwd = make([]fwdEntry, n)
+	c.best = make([]int32, c.comp.NumOrigins)
+	for oi := range c.best {
+		c.best[oi] = -1
+	}
+	c.rankSlab = make([]float64, n*c.rankW)
+	c.adv, c.alt = nil, nil
+	if c.suppressOn {
+		c.adv = make([]advSnap, n)
+	}
+	if c.altOn {
+		c.alt = make([]altShadow, n)
+	}
 	c.inTrans = make([]int32, c.comp.PG.NumNodes())
 	c.ordOf = make([]int32, c.comp.PG.NumNodes())
 	for tag := range c.inTrans {
@@ -270,42 +305,55 @@ func (c *Contra) originKey(origin topo.NodeID, pid uint8) int32 {
 	return c.originIndex(origin)
 }
 
-// block returns origin oi's registers, virtual nodes in program order,
-// pids ascending; nothing for oi < 0.
-func (c *Contra) block(oi int32) []fwdEntry {
-	if oi < 0 {
-		return nil
-	}
-	return c.fwd[int(oi)*c.blk:][:c.blk]
-}
-
 // reg is the FwdT address of (oi, ord, pid), a key that has passed
-// tagIndex and originKey.
-func (c *Contra) reg(oi, ord int32, pid uint8) int {
-	return int(oi)*c.blk + int(ord)*c.nPids + int(pid)
+// tagIndex and originKey. The address is the register's whole identity:
+// unreg reads it back.
+func (c *Contra) reg(oi, ord int32, pid uint8) int32 {
+	return oi*int32(c.blk) + ord*int32(c.nPids) + int32(pid)
 }
 
-// lookup returns the learned entry at (oi, ord, pid), or nil.
-func (c *Contra) lookup(oi, ord int32, pid uint8) *fwdEntry {
-	if e := &c.fwd[c.reg(oi, ord, pid)]; e.present {
-		return e
+// unreg splits FwdT address i back into the origin ordinal, local tag
+// ordinal and pid it serves: the inverse of reg, in two divisions.
+func (c *Contra) unreg(i int32) (oi, ord int32, pid uint8) {
+	oi = i / int32(c.blk)
+	rest := i - oi*int32(c.blk)
+	ord = rest / int32(c.nPids)
+	return oi, ord, uint8(rest - ord*int32(c.nPids))
+}
+
+// lookup returns the address of the learned entry at (oi, ord, pid), or
+// -1.
+func (c *Contra) lookup(oi, ord int32, pid uint8) int32 {
+	if i := c.reg(oi, ord, pid); c.fwd[i].present {
+		return i
 	}
-	return nil
+	return -1
 }
 
-// claim takes the register at (oi, ord, pid) for origin's first accept.
-func (c *Contra) claim(origin topo.NodeID, oi, ord int32, pid uint8) *fwdEntry {
-	i := c.reg(oi, ord, pid)
+// rank is register i's cached full-policy rank, its components aliasing
+// the register's window of the rank slab.
+func (c *Contra) rank(i int32) policy.Rank {
 	e := &c.fwd[i]
-	*e = fwdEntry{origin: origin, vnode: c.prog.VNodes[ord], pid: pid, present: true}
-	e.rank.V = c.rankSlab[i*c.rankW : i*c.rankW : (i+1)*c.rankW]
-	return e
+	w := int(i) * c.rankW
+	return policy.Rank{Inf: e.rankInf, V: c.rankSlab[w : w+int(e.rankLen) : w+c.rankW]}
 }
 
-// bestOf reads BestT: the cached winner for origin oi, or nil.
-func (c *Contra) bestOf(oi int32) *fwdEntry {
+// setRank copies a (scratch-aliased) rank into register i's window of
+// the rank slab. The window is as wide as the policy's widest rank, so
+// a longer one is a bug and fails the slice bound.
+func (c *Contra) setRank(i int32, r policy.Rank) {
+	e := &c.fwd[i]
+	w := int(i) * c.rankW
+	copy(c.rankSlab[w:w+len(r.V):w+c.rankW], r.V)
+	e.rankInf = r.Inf
+	e.rankLen = uint8(len(r.V))
+}
+
+// bestOf reads BestT: the address of the cached winner for origin oi,
+// or -1.
+func (c *Contra) bestOf(oi int32) int32 {
 	if oi < 0 {
-		return nil
+		return -1
 	}
 	return c.best[oi]
 }
@@ -337,7 +385,7 @@ func (c *Contra) Attach(sw *sim.SwitchDev) {
 	case c.packing:
 		// Every switch flushes once per period: origin entries and
 		// pending transit re-advertisements share the packed probes.
-		c.pend = make([][]*fwdEntry, sw.PortCount())
+		c.pend = make([][]int32, sw.PortCount())
 		c.recomputeAdv()
 		sw.Net.Eng.Every(originStagger(c.prog.Switch, period), period, c.flushPacked)
 	case c.prog.Origin != nil:
@@ -372,7 +420,7 @@ func (c *Contra) recomputeAdv() {
 	// a port's list never outgrows the registers of the tags advertising
 	// on it: markPending appends in place.
 	perTag := c.comp.NumOrigins * c.nPids
-	slab := make([]*fwdEntry, total*perTag)
+	slab := make([]int32, total*perTag)
 	for p := range c.pend {
 		k := tags[p] * perTag
 		c.pend[p], slab = slab[:0:k], slab[k:]
@@ -450,6 +498,7 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 	ord := tagIndex(c.inTrans, pkt.Tag)
 	oi := c.originKey(pkt.Origin, pkt.Pid)
 	if ord < 0 || oi < 0 {
+		c.sw.Net.CountRegisterMiss()
 		c.sw.Drop(pkt, sim.DropProbeNoTrans)
 		return
 	}
@@ -466,27 +515,27 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 		}
 	}
 	ad := sim.ProbeEntry{Origin: pkt.Origin, Tag: pkt.Tag, Version: pkt.Version, Pid: pkt.Pid, MV: pkt.MV}
-	e := c.handleProbeEntry(&ad, oi, ord, inPort, util, latAdd, now)
+	i := c.handleProbeEntry(&ad, oi, ord, inPort, util, latAdd, now)
 
 	// Retag and multicast along product graph out-edges.
 	outPorts := c.probeOut[ord]
-	if e == nil || len(outPorts) == 0 {
+	if i < 0 || len(outPorts) == 0 {
 		c.sw.Net.Free(pkt)
 		return
 	}
-	if c.suppressOn && c.suppressAdvert(e, now) {
+	if c.suppressOn && c.suppressAdvert(i, now) {
 		c.sw.Net.CountProbeSuppressed(1)
 		c.sw.Net.CountProbeSaved(int64(len(outPorts)))
 		c.sw.Net.Free(pkt)
 		return
 	}
 	if c.suppressOn {
-		c.recordAdvert(e, now)
+		c.recordAdvert(i, now)
 	}
-	pkt.Tag = int32(e.vnode)
-	pkt.MV = e.mv
-	for i, port := range outPorts {
-		if i == len(outPorts)-1 {
+	pkt.Tag = int32(c.prog.VNodes[ord])
+	pkt.MV = c.fwd[i].mv
+	for k, port := range outPorts {
+		if k == len(outPorts)-1 {
 			c.sw.Send(port, pkt)
 		} else {
 			c.sw.Send(port, c.sw.Net.Clone(pkt))
@@ -500,11 +549,11 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 // sender's tag resolved to our virtual node at ordinal ord. util and
 // latAdd are inPort's link metrics in the traffic direction (probes flow
 // opposite to traffic, so that is out of inPort). It returns the updated
-// entry when the advertisement was accepted, nil when it was discarded.
-// The rule allocates nothing: ad is read in place, the compare and the
-// accepted entry's rank run on the policy's compiled programs, and the
-// rank lands in the register's own window.
-func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, oi, ord int32, inPort int, util, latAdd float64, now int64) *fwdEntry {
+// register's address when the advertisement was accepted, -1 when it
+// was discarded. The rule allocates nothing: ad is read in place, the
+// compare and the accepted entry's rank run on the policy's compiled
+// programs, and the rank lands in the register's own window.
+func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, oi, ord int32, inPort int, util, latAdd float64, now int64) int32 {
 	v := c.prog.VNodes[ord]
 	// UPDATEMVEC: fold the link metric.
 	mv := ad.MV
@@ -521,17 +570,18 @@ func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, oi, ord int32, inPort int,
 		}
 	}
 
-	e := c.lookup(oi, ord, ad.Pid)
+	i := c.reg(oi, ord, ad.Pid)
+	e := &c.fwd[i]
 	accept := false
 	switch {
-	case e == nil:
+	case !e.present:
 		accept = true
 		if c.mx != nil {
 			c.mx.Added++
 		}
 	case ad.Version < e.version:
 		// Outdated probe: discard (§5.1).
-	case inPort == e.nhop && pg.NodeID(ad.Tag) == e.ntag:
+	case int32(inPort) == e.nhop && pg.NodeID(ad.Tag) == e.ntag:
 		// DSDV/Babel rule: the route's own upstream always refreshes
 		// the entry, even when its metric worsened — stale good news
 		// must not shadow fresh bad news.
@@ -553,10 +603,10 @@ func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, oi, ord int32, inPort int,
 		}
 	}
 	if !accept {
-		if c.altOn && e != nil && inPort != e.nhop {
-			c.noteAlt(e, v, inPort, pg.NodeID(ad.Tag), mv, now)
+		if c.altOn && int32(inPort) != e.nhop {
+			c.noteAlt(i, v, inPort, pg.NodeID(ad.Tag), mv, now)
 		}
-		return nil
+		return -1
 	}
 	// Flap detection reads the resolved best next hop before the entry
 	// mutates (the accept may rewrite the incumbent best's own port).
@@ -564,40 +614,43 @@ func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, oi, ord int32, inPort int,
 	if c.mx != nil {
 		oldHop = c.bestHop(oi)
 	}
-	if e == nil {
-		e = c.claim(ad.Origin, oi, ord, ad.Pid)
-	} else if c.altOn && inPort != e.nhop {
-		demoteToAlt(e)
+	if !e.present {
+		// The origin's first accept claims the register: a register is
+		// claimed once per layout, so it is still zero here.
+		e.present = true
+	} else if c.altOn && int32(inPort) != e.nhop {
+		c.demoteToAlt(i)
 	}
 	e.mv = mv
 	e.ntag = pg.NodeID(ad.Tag)
-	e.nhop = inPort
+	e.nhop = int32(inPort)
 	e.version = ad.Version
 	e.updated = now
-	e.setRank(c.policyRank(v, mv))
+	c.setRank(i, c.policyRank(v, mv))
 
-	c.updateBest(oi, e)
+	c.updateBest(oi, i)
 	if c.mx != nil && oldHop >= 0 && c.bestHop(oi) != oldHop {
 		c.mx.Flaps++
 	}
-	return e
+	return i
 }
 
-// suppressAdvert reports whether re-advertising entry e may be skipped
-// under delta suppression: its route is unchanged since the last
-// advertisement, the forced-refresh horizon has not elapsed, and every
-// metric component moved by at most the configured epsilon. New
+// suppressAdvert reports whether re-advertising register i may be
+// skipped under delta suppression: its route is unchanged since the
+// last advertisement, the forced-refresh horizon has not elapsed, and
+// every metric component moved by at most the configured epsilon. New
 // entries, route changes (the bad-news path after failures and swaps)
 // and stale advertisements always propagate.
-func (c *Contra) suppressAdvert(e *fwdEntry, now int64) bool {
-	if !e.advValid || e.advNhop != e.nhop || e.advNtag != e.ntag {
+func (c *Contra) suppressAdvert(i int32, now int64) bool {
+	e, a := &c.fwd[i], &c.adv[i]
+	if !a.valid || a.nhop != e.nhop || a.ntag != e.ntag {
 		return false
 	}
-	if now-e.lastAdvAt >= c.refreshNs {
+	if now-a.at >= c.refreshNs {
 		return false
 	}
-	for i := 0; i < len(c.res.MV); i++ {
-		d := e.mv[i] - e.lastAdvMV[i]
+	for k := 0; k < len(c.res.MV); k++ {
+		d := e.mv[k] - a.mv[k]
 		if d < 0 {
 			d = -d
 		}
@@ -608,24 +661,28 @@ func (c *Contra) suppressAdvert(e *fwdEntry, now int64) bool {
 	return true
 }
 
-// recordAdvert snapshots what is being advertised for entry e.
-func (c *Contra) recordAdvert(e *fwdEntry, now int64) {
-	e.advValid = true
-	e.advNhop = e.nhop
-	e.advNtag = e.ntag
-	e.lastAdvAt = now
-	e.lastAdvMV = e.mv
+// recordAdvert snapshots what is being advertised for register i. The
+// fields are stored one by one: a composite literal would be built on
+// the stack and copied in wide moves that stall on its narrow stores.
+func (c *Contra) recordAdvert(i int32, now int64) {
+	e, a := &c.fwd[i], &c.adv[i]
+	a.valid = true
+	a.nhop = e.nhop
+	a.ntag = e.ntag
+	a.at = now
+	a.mv = e.mv
 }
 
-// markPending queues entry e for the next packed flush on every
+// markPending queues register i for the next packed flush on every
 // product-graph out-port of its virtual node.
-func (c *Contra) markPending(e *fwdEntry, outPorts []int) {
+func (c *Contra) markPending(i int32, outPorts []int) {
+	e := &c.fwd[i]
 	if e.pending {
 		return
 	}
 	e.pending = true
 	for _, port := range outPorts {
-		c.pend[port] = append(c.pend[port], e)
+		c.pend[port] = append(c.pend[port], i)
 	}
 }
 
@@ -651,26 +708,27 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 		ord := tagIndex(c.inTrans, en.Tag)
 		oi := c.originKey(en.Origin, en.Pid)
 		if ord < 0 || oi < 0 {
+			c.sw.Net.CountRegisterMiss()
 			continue
 		}
-		e := c.handleProbeEntry(en, oi, ord, inPort, util, latAdd, now)
+		i := c.handleProbeEntry(en, oi, ord, inPort, util, latAdd, now)
 		outPorts := c.probeOut[ord]
-		if e == nil || len(outPorts) == 0 {
+		if i < 0 || len(outPorts) == 0 {
 			continue
 		}
-		if e.pending {
+		if c.fwd[i].pending {
 			// Already queued: the flush emits the entry's latest mv, so
 			// this refresh is advertised, not suppressed.
 			continue
 		}
-		if c.suppressOn && c.suppressAdvert(e, now) {
+		if c.suppressOn && c.suppressAdvert(i, now) {
 			c.sw.Net.CountProbeSuppressed(1)
 			continue
 		}
 		if c.suppressOn {
-			c.recordAdvert(e, now)
+			c.recordAdvert(i, now)
 		}
-		c.markPending(e, outPorts)
+		c.markPending(i, outPorts)
 	}
 	c.sw.Net.Free(pkt)
 }
@@ -701,10 +759,12 @@ func (c *Contra) flushPacked() {
 				Version: c.version, Pid: uint8(pid),
 			})
 		}
-		for _, e := range c.pend[port] {
+		for _, i := range c.pend[port] {
+			e := &c.fwd[i]
+			oi, ord, pid := c.unreg(i)
 			p.Packed = append(p.Packed, sim.ProbeEntry{
-				Origin: e.origin, Tag: int32(e.vnode),
-				Version: e.version, Pid: e.pid, MV: e.mv,
+				Origin: c.comp.Origins[oi], Tag: int32(c.prog.VNodes[ord]),
+				Version: e.version, Pid: pid, MV: e.mv,
 			})
 		}
 		if n := len(p.Packed); n > 1 {
@@ -716,13 +776,13 @@ func (c *Contra) flushPacked() {
 	}
 	now := c.sw.Now()
 	for port := range c.pend {
-		for _, e := range c.pend[port] {
-			e.pending = false
+		for _, i := range c.pend[port] {
+			c.fwd[i].pending = false
 			if c.suppressOn {
 				// Re-snapshot from the metrics actually emitted: the
 				// entry may have been refreshed again since it was
 				// queued.
-				c.recordAdvert(e, now)
+				c.recordAdvert(i, now)
 			}
 		}
 		c.pend[port] = c.pend[port][:0]
@@ -731,47 +791,46 @@ func (c *Contra) flushPacked() {
 
 // policyRank evaluates the full policy for an entry at virtual node v:
 // the recombination step (the "asterisk" choice of §4.2). The result
-// aliases evCand's scratch buffer; retain via fwdEntry.setRank.
+// aliases evCand's scratch buffer; retain via setRank.
 func (c *Contra) policyRank(v pg.NodeID, mv [4]float64) policy.Rank {
 	return c.evCand.EvalPolicy(mv, c.comp.PG.Node(v).Accept)
 }
 
-// updateBest maintains BestT for origin oi after its entry e changed.
-func (c *Contra) updateBest(oi int32, e *fwdEntry) {
+// updateBest maintains BestT for origin oi after its register i changed.
+func (c *Contra) updateBest(oi, i int32) {
 	cur := c.best[oi]
-	if cur == nil || cur == e {
+	if cur < 0 || cur == i {
 		// No previous best, or the best itself changed (possibly for
 		// the worse): rescan.
 		c.rescanBest(oi)
 		return
 	}
-	if !c.alive(cur) || e.rank.Better(cur.rank) {
+	if !c.alive(&c.fwd[cur]) || c.rank(i).Better(c.rank(cur)) {
 		c.rescanBest(oi)
 	}
 }
 
 // rescanBest recomputes the best (tag, pid) for origin oi across all
 // live entries of its register block (virtual nodes in program order,
-// pids ascending: the first of equally ranked entries wins), caches it
-// in BestT and returns it; nil when no live finite-rank entry exists,
-// or no such origin.
-func (c *Contra) rescanBest(oi int32) *fwdEntry {
+// pids ascending: the first of equally ranked entries wins), caches its
+// address in BestT and returns it; -1 when no live finite-rank entry
+// exists, or no such origin.
+func (c *Contra) rescanBest(oi int32) int32 {
 	if oi < 0 {
-		return nil
+		return -1
 	}
-	var best *fwdEntry
-	block := c.block(oi)
-	for i := range block {
-		e := &block[i]
-		if !e.present || !c.alive(e) {
+	best := int32(-1)
+	lo := oi * int32(c.blk)
+	for i := lo; i < lo+int32(c.blk); i++ {
+		if e := &c.fwd[i]; !e.present || !c.alive(e) {
 			continue
 		}
-		if best == nil || e.rank.Better(best.rank) {
-			best = e
+		if best < 0 || c.rank(i).Better(c.rank(best)) {
+			best = i
 		}
 	}
-	if best != nil && best.rank.IsInf() {
-		best = nil
+	if best >= 0 && c.fwd[best].rankInf {
+		best = -1
 	}
 	c.best[oi] = best
 	return best
@@ -782,8 +841,8 @@ func (c *Contra) rescanBest(oi int32) *fwdEntry {
 // the metrics layer: a flap is a change in this value for a
 // destination that already had one.
 func (c *Contra) bestHop(oi int32) int {
-	if e := c.bestOf(oi); e != nil {
-		return e.nhop
+	if i := c.bestOf(oi); i >= 0 {
+		return int(c.fwd[i].nhop)
 	}
 	return -1
 }
@@ -799,7 +858,7 @@ func (c *Contra) expired(e *fwdEntry) bool {
 // alive reports whether an entry is usable: recently refreshed (§5.4
 // metric expiration) and its port not presumed failed.
 func (c *Contra) alive(e *fwdEntry) bool {
-	return !c.expired(e) && !c.portDead(e.nhop)
+	return !c.expired(e) && !c.portDead(int(e.nhop))
 }
 
 // portDead is the §5.4 failure detector: no probes on the port for k
@@ -846,52 +905,54 @@ func (c *Contra) handleData(pkt *sim.Packet, inPort int) {
 // the (tag, pid), pinned per flowlet.
 func (c *Contra) forwardFromSource(pkt *sim.Packet, dstEdge topo.NodeID, fid uint32, now int64) {
 	sk := sourceKey(dstEdge, fid)
-	pin := c.srcPins.find(sk)
+	pin := c.srcPins.Find(sk)
 	flowletNs := c.comp.Opts.FlowletTimeoutNs
-	if pin != nil && now-pin.lastPkt < flowletNs && !c.portDead(pin.nhop) {
+	if pin != nil && now-pin.LastPkt < flowletNs && !c.portDead(int(pin.Port)) {
 		// The pin freezes the resolved decision for the flowlet's
 		// lifetime (§5.3): the first packet picked the then-best path
 		// and the rest of the flowlet inherits it even as BestT moves.
-		pin.lastPkt = now
-		c.emit(pkt, pin.nhop, pin.ntag, pin.pid)
+		pin.LastPkt = now
+		c.emit(pkt, int(pin.Port), pg.NodeID(pin.Tag), pin.Pid)
 		return
 	}
 	oi := c.originIndex(dstEdge)
-	e := c.bestOf(oi)
-	if e == nil || !c.alive(e) {
+	i := c.bestOf(oi)
+	if i < 0 || !c.alive(&c.fwd[i]) {
 		// The dead incumbent's port is still the route traffic was
 		// using: a rescan that lands elsewhere is a flap.
 		oldHop := -1
 		if c.mx != nil {
 			oldHop = c.bestHop(oi)
 		}
-		e = c.rescanBest(oi)
+		i = c.rescanBest(oi)
 		if c.mx != nil && oldHop >= 0 && c.bestHop(oi) != oldHop {
 			c.mx.Flaps++
 		}
-		if e == nil {
+		if i < 0 {
 			c.sw.Drop(pkt, sim.DropNoRoute)
 			return
 		}
 	}
-	nhop, ntag, pid, rank := e.nhop, e.ntag, e.pid, e.rank
+	e := &c.fwd[i]
+	_, _, pid := c.unreg(i)
+	nhop, ntag, rank := int(e.nhop), e.ntag, c.rank(i)
 	if c.ovr != nil && c.ovr.Match(pkt.FlowID) {
-		if a, ok2 := c.override(dstEdge, pkt.FlowID, e); ok2 {
+		if a, ok2 := c.override(dstEdge, pkt.FlowID, nhop); ok2 {
 			nhop, ntag, pid, rank = a.nhop, a.ntag, a.pid, a.rank
 		}
 	}
 	if c.tr != nil && pkt.Kind == sim.Data && c.tr.DecisionsOn() {
 		c.recordDecision(pkt.FlowID, "source", dstEdge, 0, false, pid, nhop, rank)
 	}
-	// Nothing since find touched the table, so a stale pin is rewritten
+	// Nothing since Find touched the table, so a stale pin is rewritten
 	// where it sits.
 	if pin == nil {
-		pin = c.srcPins.claim(sk)
+		pin = c.srcPins.Claim(sk)
 	}
-	pin.nhop = nhop
-	pin.ntag = ntag
-	pin.pid = pid
-	pin.lastPkt = now
+	pin.Port = int32(nhop)
+	pin.Tag = int32(ntag)
+	pin.Pid = pid
+	pin.LastPkt = now
 	c.emit(pkt, nhop, ntag, pid)
 }
 
@@ -928,15 +989,15 @@ func (c *Contra) forwardTransit(pkt *sim.Packet, dstEdge topo.NodeID, fid uint32
 	}
 	fk := flowletKey(ord, pkt.Pid, fid)
 	if looped {
-		c.flowlets.remove(fk)
+		c.flowlets.Remove(fk)
 	}
 
 	flowletNs := c.comp.Opts.FlowletTimeoutNs
-	fe := c.flowlets.find(fk)
-	if fe != nil && now-fe.lastPkt < flowletNs && !c.portDead(fe.nhop) {
-		fe.lastPkt = now
-		pkt.Tag = int32(fe.ntag)
-		c.sw.Send(fe.nhop, pkt)
+	fe := c.flowlets.Find(fk)
+	if fe != nil && now-fe.LastPkt < flowletNs && !c.portDead(int(fe.Port)) {
+		fe.LastPkt = now
+		pkt.Tag = fe.Tag
+		c.sw.Send(int(fe.Port), pkt)
 		return
 	}
 
@@ -944,8 +1005,8 @@ func (c *Contra) forwardTransit(pkt *sim.Packet, dstEdge topo.NodeID, fid uint32
 	// other pids in ascending order (same tag keeps it
 	// policy-compliant). No pid-order slice: the data path must not
 	// allocate per packet.
-	e, usedPid := c.lookupAlive(c.originIndex(dstEdge), ord, pkt.Pid)
-	if e == nil {
+	i, usedPid := c.lookupAlive(c.originIndex(dstEdge), ord, pkt.Pid)
+	if i < 0 {
 		c.sw.Drop(pkt, sim.DropNoRoute)
 		return
 	}
@@ -954,45 +1015,47 @@ func (c *Contra) forwardTransit(pkt *sim.Packet, dstEdge topo.NodeID, fid uint32
 	// transit switches follow the tag, so re-pinning every transit hop
 	// to its local runner-up would compose second choices into paths no
 	// switch ever advertised (and, in practice, into loops).
-	nhop, ntag, rank := e.nhop, e.ntag, e.rank
+	e := &c.fwd[i]
+	nhop, ntag := int(e.nhop), e.ntag
 	if c.tr != nil && pkt.Kind == sim.Data && c.tr.DecisionsOn() {
-		c.recordDecision(pkt.FlowID, "transit", dstEdge, pg.NodeID(pkt.Tag), true, usedPid, nhop, rank)
+		c.recordDecision(pkt.FlowID, "transit", dstEdge, pg.NodeID(pkt.Tag), true, usedPid, nhop, c.rank(i))
 	}
-	// Nothing since find touched the table, so a timed-out flowlet is
+	// Nothing since Find touched the table, so a timed-out flowlet is
 	// re-decided where it sits.
 	if fe == nil {
-		fe = c.flowlets.claim(fk)
+		fe = c.flowlets.Claim(fk)
 	}
-	fe.nhop = nhop
-	fe.ntag = ntag
-	fe.lastPkt = now
+	fe.Port = int32(nhop)
+	fe.Tag = int32(ntag)
+	fe.LastPkt = now
 	pkt.Pid = usedPid
 	pkt.Tag = int32(ntag)
 	c.sw.Send(nhop, pkt)
 }
 
-// lookupAlive resolves the live FwdT entry for (origin oi, local tag
-// ordinal ord), trying pid first and then the remaining pids in
-// ascending order; either index may be the -1 of a miss.
-func (c *Contra) lookupAlive(oi, ord int32, pid uint8) (*fwdEntry, uint8) {
+// lookupAlive resolves the address of the live FwdT entry for (origin
+// oi, local tag ordinal ord), trying pid first and then the remaining
+// pids in ascending order; either index may be the -1 of a miss, and so
+// may the address returned.
+func (c *Contra) lookupAlive(oi, ord int32, pid uint8) (int32, uint8) {
 	if oi < 0 || ord < 0 {
-		return nil, pid
+		return -1, pid
 	}
-	regs := c.block(oi)[int(ord)*c.nPids:][:c.nPids]
-	if int(pid) < len(regs) {
-		if e := &regs[pid]; e.present && c.alive(e) {
-			return e, pid
+	base := c.reg(oi, ord, 0)
+	if int(pid) < c.nPids {
+		if e := &c.fwd[base+int32(pid)]; e.present && c.alive(e) {
+			return base + int32(pid), pid
 		}
 	}
-	for p := range regs {
+	for p := 0; p < c.nPids; p++ {
 		if uint8(p) == pid {
 			continue
 		}
-		if e := &regs[p]; e.present && c.alive(e) {
-			return e, uint8(p)
+		if e := &c.fwd[base+int32(p)]; e.present && c.alive(e) {
+			return base + int32(p), uint8(p)
 		}
 	}
-	return nil, pid
+	return -1, pid
 }
 
 // SetTracer attaches a decision-trace recorder. The recorder's level
@@ -1009,50 +1072,48 @@ func (c *Contra) SetChurn(ch *metrics.Churn) { c.mx = ch }
 func (c *Contra) SetOverrides(o *trace.Overrides) { c.ovr = o; c.setAltOn() }
 
 // setAltOn enables runner-up shadow maintenance exactly when someone
-// will read the shadows: decision-level tracing or an override set.
+// will read the shadows: decision-level tracing or an override set. The
+// shadows appear with it: one per register, until the next layout.
 func (c *Contra) setAltOn() {
 	c.altOn = (c.tr != nil && c.tr.DecisionsOn()) || c.ovr != nil
+	if c.altOn && c.alt == nil {
+		c.alt = make([]altShadow, len(c.fwd))
+	}
 }
 
 // noteAlt records a losing probe offer (rejected by the merge, arriving
-// on a port other than the incumbent route's) as the entry's runner-up
+// on a port other than the incumbent route's) as register i's runner-up
 // shadow: refreshed in place when it is the shadow's own port, adopted
 // when it beats the stored shadow or the shadow has gone stale.
-func (c *Contra) noteAlt(e *fwdEntry, v pg.NodeID, inPort int, tag pg.NodeID, mv [4]float64, now int64) {
+func (c *Contra) noteAlt(i int32, v pg.NodeID, inPort int, tag pg.NodeID, mv [4]float64, now int64) {
 	r := c.policyRank(v, mv) // aliases evaluator scratch; copied below
 	if r.IsInf() {
 		return
 	}
-	a := e.alt
-	if a != nil && a.nhop != inPort &&
+	a := &c.alt[i]
+	if a.valid && a.nhop != int32(inPort) &&
 		now-a.updated <= c.expireNs && !r.Better(a.rank) {
 		return
 	}
-	if a == nil {
-		a = &altShadow{}
-		e.alt = a
-	}
-	a.nhop = inPort
+	a.valid = true
+	a.nhop = int32(inPort)
 	a.ntag = tag
 	a.updated = now
 	a.rank.Inf = r.Inf
 	a.rank.V = append(a.rank.V[:0], r.V...)
 }
 
-// demoteToAlt moves the incumbent route into the runner-up shadow,
-// called just before a different-port offer overwrites it: the path it
-// names is still live, it merely stopped being preferred.
-func demoteToAlt(e *fwdEntry) {
-	a := e.alt
-	if a == nil {
-		a = &altShadow{}
-		e.alt = a
-	}
+// demoteToAlt moves register i's incumbent route into its runner-up
+// shadow, called just before a different-port offer overwrites it: the
+// path it names is still live, it merely stopped being preferred.
+func (c *Contra) demoteToAlt(i int32) {
+	e, a, r := &c.fwd[i], &c.alt[i], c.rank(i)
+	a.valid = true
 	a.nhop = e.nhop
 	a.ntag = e.ntag
 	a.updated = e.updated
-	a.rank.Inf = e.rank.Inf
-	a.rank.V = append(a.rank.V[:0], e.rank.V...)
+	a.rank.Inf = r.Inf
+	a.rank.V = append(a.rank.V[:0], r.V...)
 }
 
 // altChoice is one resolved forwarding alternative: a FwdT incumbent
@@ -1069,20 +1130,32 @@ type altChoice struct {
 // stopping when fn returns false. When restrict is set only choices at
 // virtual node v are considered.
 func (c *Contra) eachChoice(dst topo.NodeID, v pg.NodeID, restrict bool, now int64, fn func(altChoice) bool) {
-	block := c.block(c.originIndex(dst))
-	for i := range block {
-		e := &block[i]
-		if !e.present || (restrict && e.vnode != v) {
+	oi := c.originIndex(dst)
+	if oi < 0 {
+		return
+	}
+	for ord, vn := range c.prog.VNodes {
+		if restrict && vn != v {
 			continue
 		}
-		if c.alive(e) {
-			if !fn(altChoice{pid: e.pid, nhop: e.nhop, ntag: e.ntag, rank: e.rank}) {
-				return
+		for p := 0; p < c.nPids; p++ {
+			i := c.reg(oi, int32(ord), uint8(p))
+			e := &c.fwd[i]
+			if !e.present {
+				continue
 			}
-		}
-		if a := e.alt; a != nil && now-a.updated <= c.expireNs && !c.portDead(a.nhop) {
-			if !fn(altChoice{pid: e.pid, nhop: a.nhop, ntag: a.ntag, rank: a.rank}) {
-				return
+			if c.alive(e) {
+				if !fn(altChoice{pid: uint8(p), nhop: int(e.nhop), ntag: e.ntag, rank: c.rank(i)}) {
+					return
+				}
+			}
+			if c.alt == nil {
+				continue
+			}
+			if a := &c.alt[i]; a.valid && now-a.updated <= c.expireNs && !c.portDead(int(a.nhop)) {
+				if !fn(altChoice{pid: uint8(p), nhop: int(a.nhop), ntag: a.ntag, rank: a.rank}) {
+					return
+				}
 			}
 		}
 	}
@@ -1133,13 +1206,13 @@ func (c *Contra) ecmpPick(dst topo.NodeID, v pg.NodeID, restrict bool, flow uint
 }
 
 // override resolves the counterfactual replacement for a fresh source
-// decision that chose cur. It returns false — leaving the policy's
-// choice in place — when no live alternative exists.
-func (c *Contra) override(dst topo.NodeID, flow uint64, cur *fwdEntry) (altChoice, bool) {
+// decision that chose port curHop. It returns false — leaving the
+// policy's choice in place — when no live alternative exists.
+func (c *Contra) override(dst topo.NodeID, flow uint64, curHop int) (altChoice, bool) {
 	if c.ovr.Mode() == trace.ModeECMP {
 		return c.ecmpPick(dst, 0, false, flow)
 	}
-	return c.scanAlt(dst, 0, false, cur.nhop)
+	return c.scanAlt(dst, 0, false, curHop)
 }
 
 // recordDecision feeds one fresh forwarding decision to the tracer,
@@ -1157,34 +1230,15 @@ func (c *Contra) recordDecision(flow uint64, kind string, dst topo.NodeID, v pg.
 // loopDetect updates the TTL-range register for this packet and
 // reports whether the spread exceeds the threshold (§5.5).
 func (c *Contra) loopDetect(pkt *sim.Packet) bool {
-	sig := pktHash(pkt.FlowID, pkt.Dst, pkt.Seq)
-	slot := &c.loopTbl[sig%loopSlots]
-	if !slot.set || slot.sig != sig {
-		slot.set = true
-		slot.sig = sig
-		slot.minTTL = pkt.TTL
-		slot.maxTTL = pkt.TTL
-		return false
-	}
-	if pkt.TTL < slot.minTTL {
-		slot.minTTL = pkt.TTL
-	}
-	if pkt.TTL > slot.maxTTL {
-		slot.maxTTL = pkt.TTL
-	}
-	if int(slot.maxTTL)-int(slot.minTTL) >= core.LoopTTLDelta {
-		slot.set = false // reset after firing
-		return true
-	}
-	return false
+	return c.loop.detect(pktHash(pkt.FlowID, pkt.Dst, pkt.Seq), pkt.TTL)
 }
 
 // sweep drops expired flowlet and source-pin entries to bound memory,
 // mirroring hardware table aging.
 func (c *Contra) sweep() {
 	cutoff := c.sw.Now() - 4*c.comp.Opts.FlowletTimeoutNs
-	c.flowlets.expire(cutoff)
-	c.srcPins.expire(cutoff)
+	c.flowlets.Expire(cutoff)
+	c.srcPins.Expire(cutoff)
 }
 
 // Install atomically replaces this router's compiled artifact with a
@@ -1261,11 +1315,10 @@ func (c *Contra) Reboot() {
 // re-advertisements (they point into the flushed register blocks).
 func (c *Contra) flushTables() {
 	c.layoutTables()
-	c.flowlets.reset()
-	c.srcPins.reset()
-	c.loopTbl = [loopSlots]loopSlot{}
+	c.flowlets.Reset()
+	c.srcPins.Reset()
+	c.loop = loopTable{}
 	for i := range c.pend {
-		clear(c.pend[i])
 		c.pend[i] = c.pend[i][:0]
 	}
 }
@@ -1278,10 +1331,10 @@ func (c *Contra) Era() uint8 { return c.era }
 // probe).
 func (c *Contra) HasRoute(dst topo.NodeID) bool {
 	oi := c.originIndex(dst)
-	if e := c.bestOf(oi); e != nil && c.alive(e) {
+	if i := c.bestOf(oi); i >= 0 && c.alive(&c.fwd[i]) {
 		return true
 	}
-	return c.rescanBest(oi) != nil
+	return c.rescanBest(oi) >= 0
 }
 
 // LiveRoutes returns the destination switches with a live best entry,
@@ -1289,7 +1342,7 @@ func (c *Contra) HasRoute(dst topo.NodeID) bool {
 func (c *Contra) LiveRoutes() []topo.NodeID {
 	var out []topo.NodeID
 	for dst, oi := range c.comp.OriginOrd {
-		if e := c.bestOf(oi); e != nil && c.alive(e) {
+		if i := c.bestOf(oi); i >= 0 && c.alive(&c.fwd[i]) {
 			out = append(out, topo.NodeID(dst))
 		}
 	}
@@ -1308,11 +1361,12 @@ func cloneRank(r policy.Rank) policy.Rank {
 }
 
 // bestOrRescan is the source-switch decision the diagnostic accessors
-// report: the cached BestT entry, rescanned when none is cached.
-func (c *Contra) bestOrRescan(dst topo.NodeID) *fwdEntry {
+// report: the address of the cached BestT entry, rescanned when none is
+// cached.
+func (c *Contra) bestOrRescan(dst topo.NodeID) int32 {
 	oi := c.originIndex(dst)
-	if e := c.bestOf(oi); e != nil {
-		return e
+	if i := c.bestOf(oi); i >= 0 {
+		return i
 	}
 	return c.rescanBest(oi)
 }
@@ -1321,11 +1375,11 @@ func (c *Contra) bestOrRescan(dst topo.NodeID) *fwdEntry {
 // (diagnostics and tests): the neighbor the switch would send new
 // flowlets toward, or -1.
 func (c *Contra) BestNextHop(dst topo.NodeID) (port int, rank policy.Rank) {
-	e := c.bestOrRescan(dst)
-	if e == nil {
+	i := c.bestOrRescan(dst)
+	if i < 0 {
 		return -1, policy.Infinite()
 	}
-	return e.nhop, cloneRank(e.rank)
+	return int(c.fwd[i].nhop), cloneRank(c.rank(i))
 }
 
 // BestEntry returns the source-switch decision for a destination: the
@@ -1333,11 +1387,12 @@ func (c *Contra) BestNextHop(dst topo.NodeID) (port int, rank policy.Rank) {
 // rank. Walking entries from here reproduces the exact path a packet
 // takes (tags included), unlike chaining per-switch BestNextHop calls.
 func (c *Contra) BestEntry(dst topo.NodeID) (vnode pg.NodeID, pid uint8, rank policy.Rank, ok bool) {
-	e := c.bestOrRescan(dst)
-	if e == nil {
+	i := c.bestOrRescan(dst)
+	if i < 0 {
 		return 0, 0, policy.Infinite(), false
 	}
-	return e.vnode, e.pid, cloneRank(e.rank), true
+	_, ord, pid := c.unreg(i)
+	return c.prog.VNodes[ord], pid, cloneRank(c.rank(i)), true
 }
 
 // Entry resolves one FwdT row: the egress port and the next tag for a
@@ -1345,8 +1400,8 @@ func (c *Contra) BestEntry(dst topo.NodeID) (vnode pg.NodeID, pid uint8, rank po
 // but falling back to other pids on the same tag, exactly as the
 // forwarding path does.
 func (c *Contra) Entry(dst topo.NodeID, vnode pg.NodeID, pid uint8) (nhop int, ntag pg.NodeID, ok bool) {
-	if e, _ := c.lookupAlive(c.originIndex(dst), tagIndex(c.ordOf, int32(vnode)), pid); e != nil {
-		return e.nhop, e.ntag, true
+	if i, _ := c.lookupAlive(c.originIndex(dst), tagIndex(c.ordOf, int32(vnode)), pid); i >= 0 {
+		return int(c.fwd[i].nhop), c.fwd[i].ntag, true
 	}
 	return -1, 0, false
 }
@@ -1358,6 +1413,24 @@ func (c *Contra) Entry(dst topo.NodeID, vnode pg.NodeID, pid uint8) (nhop int, n
 func flowletHash(flowID uint64, dst topo.NodeID) uint32 {
 	x := (flowID ^ uint64(dst)<<40) * 0x9e3779b97f4a7c15
 	return uint32(x >> 32)
+}
+
+// maxPinOrd bounds the local tag ordinals flowletKey can hold;
+// layoutTables checks the program against it.
+const maxPinOrd = 1<<23 - 1
+
+// flowletKey packs a transit flowlet's identity — local tag ordinal,
+// pid, flowlet hash — into one pin-table key. All 8 bits of pid and all
+// 32 of fid have their own place, so distinct identities never share a
+// key.
+func flowletKey(ord int32, pid uint8, fid uint32) uint64 {
+	return pintable.Used | uint64(ord)<<40 | uint64(pid)<<32 | uint64(fid)
+}
+
+// sourceKey packs a source pin's identity: destination switch and
+// flowlet hash. dst is a valid (non-negative) node id.
+func sourceKey(dst topo.NodeID, fid uint32) uint64 {
+	return pintable.Used | uint64(dst)<<32 | uint64(fid)
 }
 
 // pktHash is the per-packet CRC stand-in used by loop detection;

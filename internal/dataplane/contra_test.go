@@ -39,7 +39,7 @@ func compileOn(t *testing.T, g *topo.Graph, src string, opts core.Options) *core
 func deploy(t *testing.T, g *topo.Graph, policySrc string, warmupPeriods int) (*sim.Engine, *sim.Network, map[topo.NodeID]*Contra, *core.Compiled) {
 	t.Helper()
 	comp := compileOn(t, g, policySrc, core.Options{})
-	e := sim.NewEngine(42)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{TrackVisited: true})
 	routers := Deploy(n, comp)
 	n.Start()
@@ -96,7 +96,7 @@ func TestConvergesToShortestHops(t *testing.T) {
 func TestEndToEndFlowsComplete(t *testing.T) {
 	g := topo.PaperDataCenter()
 	comp := compileOn(t, g, "minimize(path.util)", core.Options{})
-	e := sim.NewEngine(7)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	Deploy(n, comp)
 	n.Start()
@@ -129,7 +129,7 @@ func TestWaypointCompliance(t *testing.T) {
 	base := topo.Fig4Square()
 	g := withHosts(base, "S", "D")
 	comp := compileOn(t, g, "minimize(if .* A .* then path.util else inf)", core.Options{})
-	e := sim.NewEngine(3)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{TrackVisited: true})
 	Deploy(n, comp)
 	n.Start()
@@ -162,7 +162,7 @@ func TestFailureDetectionAndRecovery(t *testing.T) {
 	base := topo.Fig4Square()
 	g := withHosts(base, "S", "D")
 	comp := compileOn(t, g, "minimize(path.util)", core.Options{})
-	e := sim.NewEngine(5)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	routers := Deploy(n, comp)
 	n.Start()
@@ -215,7 +215,7 @@ func TestTwoPidRecombination(t *testing.T) {
 	if comp.Analysis.NumPids() != 2 {
 		t.Fatalf("pids = %d, want 2", comp.Analysis.NumPids())
 	}
-	e := sim.NewEngine(9)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	Deploy(n, comp)
 	n.Start()
@@ -237,7 +237,7 @@ func TestProbeTrafficBounded(t *testing.T) {
 	// carries a bounded number of probes.
 	g := topo.Fig4Square()
 	comp := compileOn(t, g, "minimize(path.util)", core.Options{})
-	e := sim.NewEngine(2)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	Deploy(n, comp)
 	n.Start()
@@ -261,7 +261,7 @@ func TestUtilizationAwareSteering(t *testing.T) {
 	base := topo.Fig4Square()
 	g := withHosts(base, "S", "D", "A", "B")
 	comp := compileOn(t, g, "minimize(path.util)", core.Options{})
-	e := sim.NewEngine(4)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	routers := Deploy(n, comp)
 	n.Start()
@@ -314,7 +314,7 @@ func TestNoRouteBeforeWarmup(t *testing.T) {
 	base := topo.Fig4Square()
 	g := withHosts(base, "S", "D")
 	comp := compileOn(t, g, "minimize(path.util)", core.Options{})
-	e := sim.NewEngine(6)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	Deploy(n, comp)
 	n.Start()
@@ -331,7 +331,7 @@ func ExampleContra_BestNextHop() {
 	g := topo.Abilene()
 	pol := policy.MustParse("minimize(path.lat)")
 	comp, _ := core.Compile(g, pol, core.Options{})
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	routers := Deploy(n, comp)
 	n.Start()

@@ -21,7 +21,7 @@ func TestPolicyAwareFlowletNeverZigzags(t *testing.T) {
 	base := topo.Fig8Zigzag()
 	g := withHosts(base, "S", "D", "C", "A")
 	comp := compileOn(t, g, "minimize(if S C E F D + S A E B D then path.util else inf)", core.Options{})
-	e := sim.NewEngine(17)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{TrackVisited: true})
 	Deploy(n, comp)
 	n.Start()
@@ -84,7 +84,7 @@ func TestPolicyAwareFlowletNeverZigzags(t *testing.T) {
 func TestFlowletReordersBounded(t *testing.T) {
 	g := topo.PaperDataCenter()
 	comp := compileOn(t, g, "minimize((path.len, path.util))", core.Options{})
-	e := sim.NewEngine(23)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	Deploy(n, comp)
 	n.Start()

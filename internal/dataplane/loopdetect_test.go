@@ -74,7 +74,7 @@ func TestSweepEvictsStaleEntries(t *testing.T) {
 	g := topo.Fig4Square()
 	gh := withHosts(g, "S", "D")
 	comp := compileOn(t, gh, "minimize(path.util)", core.Options{})
-	e := sim.NewEngine(3)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, gh, sim.Config{})
 	routers := Deploy(n, comp)
 	n.Start()
@@ -85,13 +85,13 @@ func TestSweepEvictsStaleEntries(t *testing.T) {
 	}})
 	e.Run(warm + 4*comp.Opts.ProbePeriodNs)
 	s := routers[gh.MustNode("S")]
-	if s.srcPins.n == 0 {
+	if s.srcPins.Len() == 0 {
 		t.Fatal("expected a source pin after traffic")
 	}
 	// After the flow ends and several sweep periods pass, the pin is
 	// gone.
 	e.Run(e.Now() + 64*comp.Opts.ProbePeriodNs)
-	if s.srcPins.n != 0 {
-		t.Fatalf("stale source pins survived sweep: %d", s.srcPins.n)
+	if s.srcPins.Len() != 0 {
+		t.Fatalf("stale source pins survived sweep: %d", s.srcPins.Len())
 	}
 }

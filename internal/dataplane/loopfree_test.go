@@ -36,7 +36,7 @@ func TestNoPersistentLoopsAfterChurn(t *testing.T) {
 		}
 
 		comp := compileOn(t, gh, "minimize(path.util)", core.Options{})
-		e := sim.NewEngine(int64(trial + 7))
+		e := sim.NewEngine()
 		n := sim.NewNetwork(e, gh, sim.Config{})
 		routers := Deploy(n, comp)
 		n.Start()

@@ -25,7 +25,7 @@ func pgNodeID(i int) pg.NodeID { return pg.NodeID(i) }
 func convergedBest(t *testing.T, g *topo.Graph, policySrc string, rounds int) (map[[2]topo.NodeID]policy.Rank, *core.Compiled) {
 	t.Helper()
 	comp := compileOn(t, g, policySrc, core.Options{})
-	e := sim.NewEngine(12)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	routers := Deploy(n, comp)
 	n.Start()
@@ -234,7 +234,7 @@ func TestCongestionAwareEndToEnd(t *testing.T) {
 	if comp.Analysis.NumPids() != 2 {
 		t.Fatalf("CA pids = %d, want 2", comp.Analysis.NumPids())
 	}
-	e := sim.NewEngine(21)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	routers := Deploy(n, comp)
 	n.Start()

@@ -14,7 +14,7 @@ import (
 func deployOpts(t *testing.T, g *topo.Graph, policySrc string, opts core.Options, warmupPeriods int) (*sim.Engine, *sim.Network, map[topo.NodeID]*Contra, *core.Compiled) {
 	t.Helper()
 	comp := compileOn(t, g, policySrc, opts)
-	e := sim.NewEngine(42)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	routers := Deploy(n, comp)
 	n.Start()

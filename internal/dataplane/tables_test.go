@@ -10,6 +10,7 @@ import (
 	"contra/internal/analysis"
 	"contra/internal/core"
 	"contra/internal/pg"
+	"contra/internal/pintable"
 	"contra/internal/policy"
 	"contra/internal/sim"
 	"contra/internal/topo"
@@ -129,7 +130,7 @@ func runDifferential(t *testing.T, packing bool, seed int64) {
 		t.Fatal("the switch under test needs several virtual nodes under the wide policy")
 	}
 
-	e := sim.NewEngine(seed)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
 	real := New(comps[0], center)
 	ref := newRefTables(real)
@@ -315,7 +316,8 @@ func runDifferential(t *testing.T, packing bool, seed int64) {
 // node ids that are in range but name no origin. Each must land exactly
 // where a map miss did — DropProbeNoTrans for a probe, a skipped entry
 // inside a packed probe, DropNoRoute for tagged data — and never panic
-// or disturb the tables.
+// or disturb the tables; each probe or packed entry is counted as a
+// register miss.
 func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 	g := topo.Fattree(4, 2)
 	opts := core.Options{ProbePacking: true}
@@ -349,13 +351,16 @@ func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 		{"pid max", okTag, okOrigin, 255},
 	}
 	for _, b := range bad {
-		before, live := drops(sim.DropProbeNoTrans), c.LiveRoutes()
+		before, misses, live := drops(sim.DropProbeNoTrans), n.RegisterMisses(), c.LiveRoutes()
 		p := n.NewPacket()
 		p.Kind, p.TTL, p.Era = sim.Probe, sim.InitialTTL, c.Era()
 		p.Tag, p.Origin, p.Pid, p.Version = b.tag, b.origin, b.pid, 1<<20
 		c.Handle(p, inPort)
 		if got := drops(sim.DropProbeNoTrans); got != before+1 {
 			t.Fatalf("probe, %s: drop_probe_notrans went %v -> %v, want +1", b.name, before, got)
+		}
+		if got := n.RegisterMisses(); got != misses+1 {
+			t.Fatalf("probe, %s: register misses went %v -> %v, want +1", b.name, misses, got)
 		}
 		if !slices.Equal(c.LiveRoutes(), live) {
 			t.Fatalf("probe, %s: a dropped probe changed the live route set", b.name)
@@ -370,6 +375,7 @@ func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 	version := uint32(0)
 	for _, b := range bad {
 		version += 2
+		misses := n.RegisterMisses()
 		p := n.NewPacket()
 		p.Kind, p.IsPacked, p.TTL, p.Era = sim.Probe, true, sim.InitialTTL, c.Era()
 		p.Packed = append(p.Packed,
@@ -378,12 +384,15 @@ func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 			sim.ProbeEntry{Origin: okOrigin, Tag: okTag, Version: version},
 		)
 		c.Handle(p, inPort)
-		en := c.lookup(c.originIndex(okOrigin), tagIndex(c.inTrans, okTag), 0)
-		if en == nil || en.version != version || en.nhop != inPort {
-			t.Fatalf("packed, %s: the entries around the bad one were not both accepted: %+v", b.name, en)
+		i := c.lookup(c.originIndex(okOrigin), tagIndex(c.inTrans, okTag), 0)
+		if i < 0 || c.fwd[i].version != version || c.fwd[i].nhop != int32(inPort) {
+			t.Fatalf("packed, %s: the entries around the bad one were not both accepted: register %d", b.name, i)
 		}
 		if live := c.LiveRoutes(); !slices.Equal(live, []topo.NodeID{okOrigin}) {
 			t.Fatalf("packed, %s: live routes %v, want only %d", b.name, live, okOrigin)
+		}
+		if got := n.RegisterMisses(); got != misses+1 {
+			t.Fatalf("packed, %s: register misses went %v -> %v, want +1", b.name, misses, got)
 		}
 	}
 
@@ -415,14 +424,14 @@ func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 	// One flow under three pids (one real, two past the end) pins three
 	// flowlets: the key holds all 8 bits of the pid, so an out-of-range
 	// one lands on no other entry's slot.
-	pinned := c.flowlets.n
+	pinned := c.flowlets.Len()
 	fid := flowletHash(4242, dstHost)
-	seen := map[*pin]uint8{}
+	seen := map[*pintable.Pin]uint8{}
 	for _, pid := range []uint8{0, nPids, 255} {
 		p := data(ownTag, pid)
 		p.FlowID = 4242
 		c.Handle(p, inPort)
-		slot := c.flowlets.find(flowletKey(tagIndex(c.ordOf, ownTag), pid, fid))
+		slot := c.flowlets.Find(flowletKey(tagIndex(c.ordOf, ownTag), pid, fid))
 		if slot == nil {
 			t.Fatalf("data pid %d: no flowlet pinned under its own key", pid)
 		}
@@ -431,8 +440,8 @@ func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 		}
 		seen[slot] = pid
 	}
-	if c.flowlets.n != pinned+3 {
-		t.Fatalf("three pids of one flow pinned %d flowlets, want 3", c.flowlets.n-pinned)
+	if c.flowlets.Len() != pinned+3 {
+		t.Fatalf("three pids of one flow pinned %d flowlets, want 3", c.flowlets.Len()-pinned)
 	}
 	if nh, _, ok := c.Entry(nNodes, c.prog.VNodes[0], 0); ok || nh != -1 {
 		t.Fatal("Entry for a destination past the node space must miss")
@@ -481,7 +490,7 @@ func notOriginsMiss(t *testing.T) {
 	drops := func(r sim.DropReason) int64 { return n.Totals().Drops[r] }
 	for _, name := range []string{"c0", "a3_0", "e0_0", "h0_0_0"} {
 		origin := g.MustNode(name)
-		before := drops(sim.DropProbeNoTrans)
+		before, misses := drops(sim.DropProbeNoTrans), n.RegisterMisses()
 		p := n.NewPacket()
 		p.Kind, p.TTL, p.Era = sim.Probe, sim.InitialTTL, c.Era()
 		p.Tag, p.Origin, p.Version = okTag, origin, 1<<20
@@ -493,6 +502,9 @@ func notOriginsMiss(t *testing.T) {
 		q.Era = c.Era()
 		q.Packed = append(q.Packed, sim.ProbeEntry{Origin: origin, Tag: okTag, Version: 1 << 20})
 		c.Handle(q, inPort)
+		if got := n.RegisterMisses(); got != misses+2 {
+			t.Fatalf("non-origin %s: register misses went %v -> %v, want +2", name, misses, got)
+		}
 		if c.HasRoute(origin) || !slices.Equal(c.LiveRoutes(), []topo.NodeID{only}) {
 			t.Fatalf("non-origin %s taught the router a route: live %v", name, c.LiveRoutes())
 		}
@@ -548,12 +560,16 @@ func lastRegisterIsAddressable(t *testing.T) {
 	p.Era = c.Era()
 	p.Packed = append(p.Packed, sim.ProbeEntry{Origin: origin, Tag: sender, Pid: lastPid, Version: 1})
 	c.Handle(p, inPort)
-	e := c.lookup(c.originIndex(origin), lastOrd, lastPid)
-	if e == nil || e != &c.fwd[len(c.fwd)-1] {
-		t.Fatalf("the accepted entry %p is not the last register %p", e, &c.fwd[len(c.fwd)-1])
+	i := c.lookup(c.originIndex(origin), lastOrd, lastPid)
+	if i < 0 || int(i) != len(c.fwd)-1 {
+		t.Fatalf("the accepted entry %d is not the last register %d", i, len(c.fwd)-1)
 	}
-	if cap(e.rank.V) != c.rankW || &e.rank.V[:1][0] != &c.rankSlab[len(c.rankSlab)-c.rankW] {
+	if r := c.rank(i); cap(r.V) != c.rankW || &r.V[:1][0] != &c.rankSlab[len(c.rankSlab)-c.rankW] {
 		t.Fatal("the last register's rank is not the last window of the rank slab")
+	}
+	if oi, ord, pid := c.unreg(i); comp.Origins[oi] != origin || ord != lastOrd || pid != lastPid {
+		t.Fatalf("the last register reads back as (%d, %d, %d), want (%d, %d, %d)",
+			comp.Origins[oi], ord, pid, origin, lastOrd, lastPid)
 	}
 	lastTag := c.prog.VNodes[lastOrd]
 	if nh, _, ok := c.Entry(origin, lastTag, lastPid); !ok || nh != inPort {
@@ -577,7 +593,7 @@ func lastRegisterIsAddressable(t *testing.T) {
 	if got := n.Totals().Drops[sim.DropNoRoute]; got != before {
 		t.Fatal("data on the last register's tag was dropped")
 	}
-	if c.flowlets.find(flowletKey(lastOrd, lastPid, flowletHash(9, dstHost))) == nil {
+	if c.flowlets.Find(flowletKey(lastOrd, lastPid, flowletHash(9, dstHost))) == nil {
 		t.Fatal("no flowlet pinned under the highest tag ordinal")
 	}
 }

@@ -461,9 +461,9 @@ func Run(s Scenario) (*Result, error) {
 	}
 
 	// A trace workload resolves and loads its recording up front: the
-	// meta line decides the engine-seed offset, measurement deadline,
-	// and (for CBR recordings) the default bin width before any
-	// simulation state exists.
+	// meta line decides the play order, the measurement deadline and
+	// (for CBR recordings) the default bin width before any simulation
+	// state exists.
 	var replay *offered
 	if s.Workload.Kind == WorkloadTrace {
 		replay, err = loadReplay(&s, g, topoName)
@@ -475,17 +475,10 @@ func Run(s Scenario) (*Result, error) {
 		}
 	}
 
-	// Engine seeds are offset per workload kind to stay bit-compatible
-	// with the harness this engine replaced (RunFCT used seed+1,
-	// RunFailover seed+5), keeping historical runs reproducible; a
-	// replay adopts its recording's offset so the two runs' event
-	// streams align exactly.
+	// A CBR workload, live or replayed, plays in the legacy failover
+	// order (see play).
 	cbr := s.Workload.Kind == WorkloadCBR || (replay != nil && replay.meta.Kind == flowtrace.KindCBR)
-	engSeed := s.Seed + 1
-	if cbr {
-		engSeed = s.Seed + 5
-	}
-	e := sim.NewEngine(engSeed)
+	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{TrackVisited: s.TrackLoops})
 	// TraceLevel was validated above; a non-off level attaches the
 	// recorder to the network (flow summaries) and, below, to the
@@ -541,6 +534,13 @@ func Run(s Scenario) (*Result, error) {
 	}
 	if err := play(&s, e, n, g, warmup, evs, replay, cbr, res); err != nil {
 		return nil, err
+	}
+	// The horizon is between events: every router is quiet, so the
+	// network's invariants (no register miss, every packet conserved)
+	// must hold exactly. A violation is a simulator bug, and the cell
+	// fails with it instead of reporting numbers built on it.
+	if err := n.Audit(); err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 
 	tot := n.Totals()

@@ -10,7 +10,7 @@ import (
 
 // BenchmarkEventLoop measures raw scheduler throughput.
 func BenchmarkEventLoop(b *testing.B) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var count int
 	var tick func()
 	tick = func() {
@@ -32,7 +32,7 @@ func BenchmarkEventLoop(b *testing.B) {
 func BenchmarkEventLoopPopulated(b *testing.B) {
 	for _, n := range []int{1_000, 100_000} {
 		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
-			e := NewEngine(1)
+			e := NewEngine()
 			horizon := int64(b.N)*10 + 100
 			for i := 0; i < n; i++ {
 				e.At(horizon+1+int64(i%977), func() {})
@@ -70,7 +70,7 @@ func BenchmarkHeapDeliverPath(b *testing.B) {
 		gaps[i] = 1 + rng.Int63n(window)
 	}
 	setup := func() *Engine {
-		e := NewEngine(1)
+		e := NewEngine()
 		for i := 0; i < pending; i++ {
 			at, seq := e.reserve(gaps[i])
 			e.push(event{at: at, seq: seq, kind: evDeliver})
@@ -109,7 +109,7 @@ func BenchmarkPacketTransit(b *testing.B) {
 	g.AddLink(s0, h0, 100e9, 1000)
 	g.AddLink(s1, h1, 100e9, 1000)
 
-	e := NewEngine(1)
+	e := NewEngine()
 	n := NewNetwork(e, g, Config{})
 	for _, s := range g.Switches() {
 		n.SetRouter(s, &benchRouter{})

@@ -8,10 +8,7 @@
 // time series, loop detection).
 package sim
 
-import (
-	"math/bits"
-	"math/rand"
-)
+import "math/bits"
 
 // Engine is the event loop. Times are int64 nanoseconds. Execution is
 // single-threaded and deterministic: ties in time break by scheduling
@@ -35,7 +32,6 @@ type Engine struct {
 	now   int64
 	seq   uint64
 	queue []event // binary min-heap by event.before
-	rng   *rand.Rand
 
 	// net receives typed deliver/RTO events. Set by NewNetwork; one
 	// network per engine (everywhere in this repo), enforced there.
@@ -91,16 +87,12 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// NewEngine returns an engine with a deterministic PRNG.
-func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
-}
+// NewEngine returns an empty engine at time 0. The engine draws no
+// randomness: a run is a function of what is scheduled on it.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulation time in ns.
 func (e *Engine) Now() int64 { return e.now }
-
-// Rand returns the engine's deterministic PRNG.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // reserve clamps t to now and takes the next sequence number: the
 // (at, seq) slot of one occurrence in the engine's total order, whether

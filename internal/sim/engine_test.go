@@ -170,7 +170,7 @@ func driveSchedule(s scheduler, seed int64) []string {
 // scheduler implementations.
 func TestSchedulerOrderProperty(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
-		got := driveSchedule(engineAdapter{NewEngine(1)}, seed)
+		got := driveSchedule(engineAdapter{NewEngine()}, seed)
 		want := driveSchedule(&refEngine{}, seed)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: trace lengths differ: engine %d, reference %d", seed, len(got), len(want))
@@ -189,7 +189,7 @@ func TestSchedulerOrderProperty(t *testing.T) {
 // immediately, and the already-queued tick must drain without firing
 // and free the slot for reuse.
 func TestEveryCancelInPlace(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	fired := 0
 	cancel := e.Every(0, 10, func() { fired++ })
 	e.Run(25) // fires at t=0, 10, 20
@@ -233,7 +233,7 @@ func TestEveryCancelInPlace(t *testing.T) {
 // TestEveryCancelFromCallback covers a timer cancelling itself: no
 // further tick is queued and the slot frees without a drain event.
 func TestEveryCancelFromCallback(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	fired := 0
 	var cancel func()
 	cancel = e.Every(0, 10, func() {
@@ -259,7 +259,7 @@ func TestEveryCancelFromCallback(t *testing.T) {
 // same-timestamp burst per cycle, far-future stragglers that sit under
 // everything pushed after them) and checks global ordering end to end.
 func TestEventHeapChurnStress(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	rng := rand.New(rand.NewSource(42))
 	var lastAt int64 = -1
 	var lastSeq int
@@ -317,7 +317,7 @@ func TestEventHeapChurnStress(t *testing.T) {
 // the firing slot must survive the reallocation (regression for a
 // stale-pointer hazard in the typed-timer path).
 func TestEveryFromTimerCallback(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var spawned int
 	cancel := e.Every(0, 10, func() {
 		// Each tick registers more timers, forcing e.timers to grow
@@ -342,7 +342,7 @@ func TestEveryFromTimerCallback(t *testing.T) {
 // retained, a callback scheduling from inside itself is handed its own
 // slot, and the table does not grow with the number of events fired.
 func TestOneShotSlotLifetime(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	fired := false
 	e.At(10, func() { fired = true })
 	if len(e.timers) != 1 || e.timers[0].fn == nil {

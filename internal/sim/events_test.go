@@ -11,7 +11,7 @@ import (
 func eventNet(t *testing.T) (*Engine, *Network, topo.LinkID) {
 	t.Helper()
 	g := lineTopo(10e9)
-	e := NewEngine(1)
+	e := NewEngine()
 	n := NewNetwork(e, g, Config{})
 	for _, sw := range g.Switches() {
 		n.SetRouter(sw, &hopRouter{next: map[topo.NodeID]int{}})
@@ -82,7 +82,7 @@ func (r *rebootSpy) Reboot() { r.reboots++ }
 
 func TestNodeDownUpAndLinkStateCompose(t *testing.T) {
 	g := lineTopo(10e9)
-	e := NewEngine(1)
+	e := NewEngine()
 	n := NewNetwork(e, g, Config{})
 	spies := map[topo.NodeID]*rebootSpy{}
 	for _, sw := range g.Switches() {

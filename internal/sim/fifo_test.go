@@ -225,7 +225,7 @@ func TestChannelFIFOMatchesPerPacketScheduling(t *testing.T) {
 	sizes := []int{64, 500, 1500, 1500, 9000}
 	for seed := int64(1); seed <= 20; seed++ {
 		g := triangleTopo()
-		e := NewEngine(1)
+		e := NewEngine()
 		n := NewNetwork(e, g, Config{BufferBytes: 20_000})
 		var got []arrival
 		for _, s := range g.Switches() {
@@ -465,7 +465,7 @@ func TestRTOCarrierMatchesPerArmTimers(t *testing.T) {
 	timeouts := int64(0)
 	for seed := int64(1); seed <= 30; seed++ {
 		g := lineTopo(10e9)
-		e := NewEngine(1)
+		e := NewEngine()
 		n := NewNetwork(e, g, Config{})
 		for _, s := range g.Switches() {
 			n.SetRouter(s, &sinkRouter{})

@@ -81,7 +81,7 @@ func TestHeapMatchesContainerHeap(t *testing.T) {
 	for _, p := range profiles {
 		for seed := int64(1); seed <= 8; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			e := NewEngine(1)
+			e := NewEngine()
 			var ref refHeap
 			var seq uint64
 			// same reports whether both heaps have the same entry on top:

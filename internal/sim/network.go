@@ -180,6 +180,12 @@ type Network struct {
 	// and read through Totals.
 	tot Totals
 
+	// misses counts bounds-checked register misses: packet fields a
+	// router's register arrays had no entry for (CountRegisterMiss). It
+	// is an audit counter, not traffic accounting, so it stays out of
+	// Totals and every result built from it.
+	misses int64
+
 	// Measurement.
 	FCT *stats.Sample // seconds, all completed flows
 	// FCTQuant tracks p95 FCT with the P² streaming estimator, fed in
@@ -444,6 +450,37 @@ func (n *Network) CountProbeSuppressed(k int64) { n.tot.ProbeSuppressed += k }
 
 // CountLoopBreak records one firing of a router's loop breaker.
 func (n *Network) CountLoopBreak() { n.tot.LoopBreaks++ }
+
+// CountRegisterMiss records one packet field that indexed no register:
+// a probe naming an origin, tag or pid the receiving router has no
+// register for. A well-formed run never takes one (Audit).
+func (n *Network) CountRegisterMiss() { n.misses++ }
+
+// RegisterMisses returns the register misses counted so far.
+func (n *Network) RegisterMisses() int64 { return n.misses }
+
+// Audit checks two invariants of a quiet network (between events, as
+// at a run's horizon). No router took a register miss. And packets are
+// conserved: every packet the pool ever drew from a slab is on a
+// freelist or in flight on a channel, exactly once — a packet a router
+// leaked, or freed twice, breaks the count. It walks the freelists and
+// the channel FIFOs once, so the packet path pays nothing for it.
+func (n *Network) Audit() error {
+	if n.misses > 0 {
+		return fmt.Errorf("sim: %d register misses", n.misses)
+	}
+	drawn := n.pool.slabs * slabLen
+	inFlight := 0
+	for i := range n.chans {
+		for p := n.chans[i].inHead; p != nil && inFlight <= drawn; p = p.next {
+			inFlight++
+		}
+	}
+	if free := n.pool.free(drawn); free+inFlight != drawn {
+		return fmt.Errorf("sim: packets not conserved: %d drawn from slabs, %d free, %d in flight", drawn, free, inFlight)
+	}
+	return nil
+}
 
 // deliver hands a packet arriving over ch to the receiving device (the
 // evDeliver event body; the engine has already unlinked it).

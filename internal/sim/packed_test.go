@@ -13,7 +13,7 @@ func packedTestNet(t *testing.T) *Network {
 	a := g.AddNode("A", topo.Switch)
 	b := g.AddNode("B", topo.Switch)
 	g.AddLink(a, b, 10e9, 1000)
-	return NewNetwork(NewEngine(1), g, Config{})
+	return NewNetwork(NewEngine(), g, Config{})
 }
 
 // TestPacketPoolPreservesPackedBacking pins the allocation contract of

@@ -124,6 +124,7 @@ type Packet struct {
 // at once, and no more.
 type pool struct {
 	plain, packed *Packet
+	slabs         int // packetSlabs allocated: every packet ever drawn came from one
 }
 
 // packetSlab is what the pool allocates when the plain list is empty:
@@ -140,6 +141,7 @@ type packetSlab struct {
 func (p *pool) get() *Packet {
 	pkt := p.plain
 	if pkt == nil {
+		p.slabs++
 		slab := new(packetSlab).pkts[:]
 		for i := 1; i < len(slab)-1; i++ {
 			slab[i].next = &slab[i+1]
@@ -177,6 +179,22 @@ func (p *pool) put(pkt *Packet) {
 	}
 	pkt.next = *list
 	*list = pkt
+}
+
+// slabLen is how many packets one packetSlab holds.
+const slabLen = len(packetSlab{}.pkts)
+
+// free counts the packets on both freelists, stopping past limit: a
+// packet freed twice closes its list into a cycle, which must not hang
+// the count.
+func (p *pool) free(limit int) int {
+	n := 0
+	for _, list := range [2]*Packet{p.plain, p.packed} {
+		for pkt := list; pkt != nil && n <= limit; pkt = pkt.next {
+			n++
+		}
+	}
+	return n
 }
 
 // NewPacket returns a zeroed packet from the pool.

@@ -56,7 +56,7 @@ func lineTopo(bw float64) *topo.Graph {
 
 func runLine(t *testing.T, g *topo.Graph, flows []FlowSpec, untilNs int64) *Network {
 	t.Helper()
-	e := NewEngine(1)
+	e := NewEngine()
 	n := NewNetwork(e, g, Config{})
 	for _, s := range g.Switches() {
 		n.SetRouter(s, &hopRouter{})
@@ -68,7 +68,7 @@ func runLine(t *testing.T, g *topo.Graph, flows []FlowSpec, untilNs int64) *Netw
 }
 
 func TestEngineOrderingAndEvery(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var order []int
 	e.At(100, func() { order = append(order, 2) })
 	e.At(50, func() { order = append(order, 1) })
@@ -145,7 +145,7 @@ func TestBottleneckSharing(t *testing.T) {
 func TestQueueDropsUnderOverload(t *testing.T) {
 	// CBR overload: 2x line rate into a small buffer must drop.
 	g := lineTopo(1e9)
-	e := NewEngine(1)
+	e := NewEngine()
 	n := NewNetwork(e, g, Config{BufferBytes: 20 * 1500})
 	for _, s := range g.Switches() {
 		n.SetRouter(s, &hopRouter{})
@@ -162,7 +162,7 @@ func TestQueueDropsUnderOverload(t *testing.T) {
 
 func TestLinkFailureDropsTraffic(t *testing.T) {
 	g := lineTopo(10e9)
-	e := NewEngine(1)
+	e := NewEngine()
 	n := NewNetwork(e, g, Config{})
 	for _, s := range g.Switches() {
 		n.SetRouter(s, &hopRouter{})
@@ -189,7 +189,7 @@ func TestLinkFailureDropsTraffic(t *testing.T) {
 
 func TestTxUtilReflectsLoad(t *testing.T) {
 	g := lineTopo(1e9)
-	e := NewEngine(1)
+	e := NewEngine()
 	n := NewNetwork(e, g, Config{DRETauNs: 100_000})
 	for _, s := range g.Switches() {
 		n.SetRouter(s, &hopRouter{})
@@ -218,7 +218,7 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 	// Tiny buffer forces drops; the transport must still deliver all
 	// bytes.
 	g := lineTopo(1e9)
-	e := NewEngine(1)
+	e := NewEngine()
 	n := NewNetwork(e, g, Config{BufferBytes: 8 * 1500})
 	for _, s := range g.Switches() {
 		n.SetRouter(s, &hopRouter{})
@@ -239,7 +239,7 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 
 func TestQueueSampling(t *testing.T) {
 	g := lineTopo(1e9)
-	e := NewEngine(1)
+	e := NewEngine()
 	n := NewNetwork(e, g, Config{})
 	for _, s := range g.Switches() {
 		n.SetRouter(s, &hopRouter{})
@@ -262,7 +262,7 @@ func TestVisitedLoopAccounting(t *testing.T) {
 	// A deliberately looping router: S0 and S1 bounce fabric packets
 	// until TTL would run out; every revisit increments LoopedPkts.
 	g := lineTopo(10e9)
-	e := NewEngine(1)
+	e := NewEngine()
 	n := NewNetwork(e, g, Config{TrackVisited: true})
 	bounce := func() Router { return &bounceRouter{} }
 	for _, s := range g.Switches() {
@@ -299,7 +299,7 @@ func (r *bounceRouter) Handle(pkt *Packet, inPort int) {
 
 func TestCBRThroughputSeries(t *testing.T) {
 	g := lineTopo(10e9)
-	e := NewEngine(1)
+	e := NewEngine()
 	n := NewNetwork(e, g, Config{})
 	n.RxSeries = stats.NewTimeseries(1_000_000)
 	for _, s := range g.Switches() {

@@ -12,7 +12,7 @@ func TestMinRTOGovernsLossRecovery(t *testing.T) {
 	// least the configured minimum RTO.
 	run := func(minRTO int64) float64 {
 		g := lineTopo(1e9)
-		e := NewEngine(1)
+		e := NewEngine()
 		n := NewNetwork(e, g, Config{BufferBytes: 4 * 1500, MinRTONs: minRTO})
 		for _, s := range g.Switches() {
 			n.SetRouter(s, &hopRouter{})
@@ -36,7 +36,7 @@ func TestMinRTOGovernsLossRecovery(t *testing.T) {
 }
 
 func TestDefaultMinRTOApplied(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	n := NewNetwork(e, lineTopo(1e9), Config{})
 	if n.Cfg.MinRTONs != defaultMinRTONs {
 		t.Fatalf("default min RTO = %d, want %d", n.Cfg.MinRTONs, defaultMinRTONs)
@@ -45,7 +45,7 @@ func TestDefaultMinRTOApplied(t *testing.T) {
 
 func TestPacketPoolReuse(t *testing.T) {
 	g := lineTopo(10e9)
-	e := NewEngine(1)
+	e := NewEngine()
 	n := NewNetwork(e, g, Config{})
 	p1 := n.NewPacket()
 	p1.FlowID = 42
@@ -103,7 +103,7 @@ func TestDuplicateFlowIDPanics(t *testing.T) {
 		}
 	}()
 	g := lineTopo(10e9)
-	e := NewEngine(1)
+	e := NewEngine()
 	n := NewNetwork(e, g, Config{})
 	for _, s := range g.Switches() {
 		n.SetRouter(s, &hopRouter{})
@@ -157,7 +157,7 @@ func (r *ecmpRouter) Handle(pkt *Packet, inPort int) {
 // across every layer of the simulator — allocates nothing.
 func TestSteadyStateRunAllocatesNothing(t *testing.T) {
 	g := topo.Fattree(4, 2)
-	e := NewEngine(1)
+	e := NewEngine()
 	n := NewNetwork(e, g, Config{})
 	for _, s := range g.Switches() {
 		n.SetRouter(s, &ecmpRouter{})

@@ -102,20 +102,26 @@ func (h *distHeap) pop() nodeDist {
 // order; a neighbor joined to s by several up links appears once per
 // link. It is nil when s is dst or cannot reach it.
 func (g *Graph) ECMPNextHops(s, dst NodeID) []NodeID {
+	return g.AppendECMPNextHops(nil, s, dst)
+}
+
+// AppendECMPNextHops appends ECMPNextHops(s, dst) to buf and returns
+// the extended slice: a caller querying many destinations reuses one
+// buffer, and the query allocates only to grow it.
+func (g *Graph) AppendECMPNextHops(buf []NodeID, s, dst NodeID) []NodeID {
 	sn := g.snapshot()
 	dist := sn.hopsFrom(dst) // distance *to* dst == from dst (undirected)
 	if s == dst || dist[s] == math.MaxInt32 {
-		return nil
+		return buf
 	}
-	nbrs := sn.neighbors(s)
-	nh := make([]NodeID, 0, len(nbrs))
-	for _, m := range nbrs {
+	start := len(buf)
+	for _, m := range sn.neighbors(s) {
 		if dist[m] == dist[s]-1 {
-			nh = append(nh, m)
+			buf = append(buf, m)
 		}
 	}
-	slices.Sort(nh)
-	return nh
+	slices.Sort(buf[start:])
+	return buf
 }
 
 // Path is a sequence of switch node IDs from source to destination,

@@ -24,9 +24,10 @@ type Simulation struct {
 }
 
 // NewSimulation deploys the program's switch programs on a fresh
-// network instance.
+// network instance. Nothing in the simulation draws from seed, so it
+// does not change the run; it is kept for API compatibility.
 func NewSimulation(p *Program, seed int64) *Simulation {
-	eng := sim.NewEngine(seed)
+	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, p.compiled.Topo, sim.Config{})
 	routers := dataplane.Deploy(net, p.compiled)
 	net.Start()
