@@ -42,7 +42,7 @@ type Hula struct {
 	ports      int
 
 	flowlets pintable.Table
-	probeSz  int
+	probeSz  int32
 
 	// Probe aggregation (mirroring the Contra data plane, so scheme
 	// comparisons stay apples to apples): packing defers transit
@@ -282,7 +282,7 @@ func (r *Hula) originate() {
 // Handle implements sim.Router.
 func (r *Hula) Handle(pkt *sim.Packet, inPort int) {
 	if pkt.Kind == sim.Probe {
-		if pkt.IsPacked {
+		if pkt.IsPacked() {
 			r.handlePacked(pkt, inPort)
 		} else {
 			r.handleProbe(pkt, inPort)
@@ -569,8 +569,9 @@ const (
 func (r *Hula) handlePacked(pkt *sim.Packet, inPort int) {
 	now := r.sw.Now()
 	txu := r.sw.TxUtil(inPort)
-	for i := range pkt.Packed {
-		en := &pkt.Packed[i]
+	entries := pkt.Packed.Entries
+	for i := range entries {
+		en := &entries[i]
 		if en.Origin == r.sw.ID {
 			continue
 		}
@@ -622,8 +623,9 @@ func (r *Hula) flush() {
 			want++
 		}
 		p := r.sw.Net.NewPackedProbe(want)
+		buf := p.Packed
 		if isEdge {
-			p.Packed = append(p.Packed, sim.ProbeEntry{Origin: r.sw.ID, Up: true})
+			buf.Entries = append(buf.Entries, sim.ProbeEntry{Origin: r.sw.ID, Up: true})
 		}
 		for _, o := range r.pendList {
 			row := &r.rows[o]
@@ -631,11 +633,11 @@ func (r *Hula) flush() {
 			if !ok {
 				continue
 			}
-			p.Packed = append(p.Packed, sim.ProbeEntry{
+			buf.Entries = append(buf.Entries, sim.ProbeEntry{
 				Origin: r.origins.ids[o], Up: up, MV: [4]float64{row.pendUtil},
 			})
 		}
-		n := len(p.Packed)
+		n := len(buf.Entries)
 		if n == 0 {
 			r.sw.Net.Free(p)
 			continue
@@ -643,7 +645,7 @@ func (r *Hula) flush() {
 		if n > 1 {
 			r.sw.Net.CountProbeSaved(int64(n - 1))
 		}
-		p.Size = hulaPackedBase + hulaPackedEntry*n
+		p.Size = int32(hulaPackedBase + hulaPackedEntry*n)
 		r.sw.Send(port, p)
 	}
 	now := r.sw.Now()

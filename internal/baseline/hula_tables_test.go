@@ -48,9 +48,9 @@ func (cp *hulaCapture) Attach(sw *sim.SwitchDev) { cp.sw = sw }
 func (cp *hulaCapture) Handle(pkt *sim.Packet, inPort int) {
 	if pkt.Kind == sim.Probe && cp.sw.Peer(inPort) == cp.sender {
 		port := cp.sw.Net.Topo.PortTo(cp.sender, cp.sw.ID)
-		em := hulaEmission{packed: pkt.IsPacked}
-		if pkt.IsPacked {
-			for _, en := range pkt.Packed {
+		em := hulaEmission{packed: pkt.IsPacked()}
+		if pkt.IsPacked() {
+			for _, en := range pkt.Packed.Entries {
 				em.entries = append(em.entries, hulaWire{en.Origin, en.Up, en.MV[0]})
 			}
 		} else {
@@ -141,14 +141,15 @@ func runHulaDifferential(t *testing.T, name string, packing bool, seed int64) {
 		// The reference first: an unpacked accept re-multicasts at once,
 		// which moves the port utilizations the second reader folds in.
 		ref.handle(packed, entries, inPort)
-		p := n.NewPacket()
-		p.Kind, p.TTL = sim.Probe, sim.InitialTTL
+		var p *sim.Packet
 		if packed {
-			p.IsPacked = true
+			p = n.NewPackedProbe(len(entries))
 			for _, en := range entries {
-				p.Packed = append(p.Packed, sim.ProbeEntry{Origin: en.origin, Up: en.up, MV: [4]float64{en.util}})
+				p.Packed.Entries = append(p.Packed.Entries, sim.ProbeEntry{Origin: en.origin, Up: en.up, MV: [4]float64{en.util}})
 			}
 		} else {
+			p = n.NewPacket()
+			p.Kind, p.TTL = sim.Probe, sim.InitialTTL
 			p.Origin, p.Up, p.MV[0] = entries[0].origin, entries[0].up, entries[0].util
 		}
 		real.Handle(p, inPort)
@@ -343,9 +344,8 @@ func TestHulaOutOfRangeOriginsMiss(t *testing.T) {
 				// A bad entry ahead of a good one: the good one (strictly
 				// improving, so always accepted) must still be processed.
 				util -= 0.1
-				p = n.NewPacket()
-				p.Kind, p.IsPacked, p.TTL = sim.Probe, true, sim.InitialTTL
-				p.Packed = append(p.Packed,
+				p = n.NewPackedProbe(2)
+				p.Packed.Entries = append(p.Packed.Entries,
 					sim.ProbeEntry{Origin: bad, MV: [4]float64{0.1}},
 					sim.ProbeEntry{Origin: good, MV: [4]float64{util}},
 				)

@@ -75,12 +75,12 @@ func dataForwardingFixture(tb testing.TB, attach attachHooks) (step func()) {
 	srcHost := g.MustNode("h0_0")
 	dstHost := g.MustNode("h1_0")
 	hostPort := g.PortTo(l0, srcHost)
-	var seq int64
+	var seq int32
 	return func() {
 		p := n.NewPacket()
 		p.Kind = sim.Data
 		p.Size = 1500
-		p.Src, p.Dst = srcHost, dstHost
+		p.Dst = dstHost
 		p.FlowID = 42
 		p.Seq = seq
 		seq++

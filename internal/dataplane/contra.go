@@ -164,7 +164,7 @@ type Contra struct {
 	version   uint32
 	lastProbe []int64 // per port: last probe arrival (failure detection)
 
-	probeSize int
+	probeSize int32
 
 	// era is the policy generation this router's tables were computed
 	// under; Fleet.Install bumps it on every hot swap. Probes and data
@@ -225,7 +225,7 @@ func New(comp *core.Compiled, swID topo.NodeID) *Contra {
 		prog:      comp.Switches[swID],
 		res:       comp.Analysis,
 		evCand:    comp.Analysis.NewEvaluator(),
-		probeSize: comp.Stats.ProbeBytes + 18, // + minimal L2 framing
+		probeSize: int32(comp.Stats.ProbeBytes + 18), // + minimal L2 framing
 	}
 	c.packing = comp.Opts.ProbePacking
 	c.suppressOn = comp.Opts.SuppressOn()
@@ -463,7 +463,7 @@ func (c *Contra) originate() {
 // Handle implements sim.Router.
 func (c *Contra) Handle(pkt *sim.Packet, inPort int) {
 	switch {
-	case pkt.Kind == sim.Probe && pkt.IsPacked:
+	case pkt.Kind == sim.Probe && pkt.IsPacked():
 		c.handlePacked(pkt, inPort)
 	case pkt.Kind == sim.Probe:
 		c.handleProbe(pkt, inPort)
@@ -700,8 +700,9 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 	// Link metrics shared by every entry on this port.
 	util := c.sw.TxUtil(inPort)
 	latAdd := float64(c.sw.PortDelay(inPort)) / 1e9
-	for i := range pkt.Packed {
-		en := &pkt.Packed[i]
+	entries := pkt.Packed.Entries
+	for i := range entries {
+		en := &entries[i]
 		if en.Origin == c.prog.Switch {
 			continue
 		}
@@ -749,12 +750,14 @@ func (c *Contra) flushPacked() {
 		if org != nil && c.originPorts[port] {
 			originPids = org.Pids
 		}
-		// The packet arrives with room for everything this port will say,
-		// recycled from an earlier flush: the appends below stay in place.
+		// The packet's buffer arrives with room for everything this port
+		// will say, recycled from an earlier flush: the appends below stay
+		// in place.
 		p := c.sw.Net.NewPackedProbe(len(originPids) + len(c.pend[port]))
 		p.Era = c.era
+		buf := p.Packed
 		for _, pid := range originPids {
-			p.Packed = append(p.Packed, sim.ProbeEntry{
+			buf.Entries = append(buf.Entries, sim.ProbeEntry{
 				Origin: c.prog.Switch, Tag: int32(org.VNode),
 				Version: c.version, Pid: uint8(pid),
 			})
@@ -762,16 +765,17 @@ func (c *Contra) flushPacked() {
 		for _, i := range c.pend[port] {
 			e := &c.fwd[i]
 			oi, ord, pid := c.unreg(i)
-			p.Packed = append(p.Packed, sim.ProbeEntry{
+			buf.Entries = append(buf.Entries, sim.ProbeEntry{
 				Origin: c.comp.Origins[oi], Tag: int32(c.prog.VNodes[ord]),
 				Version: e.version, Pid: pid, MV: e.mv,
 			})
 		}
-		if n := len(p.Packed); n > 1 {
+		n := len(buf.Entries)
+		if n > 1 {
 			// n per-origin probes collapsed into one wire packet.
 			c.sw.Net.CountProbeSaved(int64(n - 1))
 		}
-		p.Size = c.comp.PackedProbeBytes(len(p.Packed)) + 18
+		p.Size = int32(c.comp.PackedProbeBytes(n) + 18)
 		c.sw.Send(port, p)
 	}
 	now := c.sw.Now()
@@ -1230,7 +1234,7 @@ func (c *Contra) recordDecision(flow uint64, kind string, dst topo.NodeID, v pg.
 // loopDetect updates the TTL-range register for this packet and
 // reports whether the spread exceeds the threshold (§5.5).
 func (c *Contra) loopDetect(pkt *sim.Packet) bool {
-	return c.loop.detect(pktHash(pkt.FlowID, pkt.Dst, pkt.Seq), pkt.TTL)
+	return c.loop.detect(pktHash(pkt.FlowID, pkt.Dst, int64(pkt.Seq)), pkt.TTL)
 }
 
 // sweep drops expired flowlet and source-pin entries to bound memory,
@@ -1262,7 +1266,7 @@ func (c *Contra) Install(comp *core.Compiled, era uint8) {
 	c.prog = comp.Switches[id]
 	c.res = comp.Analysis
 	c.evCand = comp.Analysis.NewEvaluator()
-	c.probeSize = comp.Stats.ProbeBytes + 18
+	c.probeSize = int32(comp.Stats.ProbeBytes + 18)
 	c.era = era
 	c.setHorizons()
 	c.flushTables()

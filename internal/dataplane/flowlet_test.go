@@ -92,7 +92,7 @@ func TestFlowletReordersBounded(t *testing.T) {
 	e.Run(warm)
 
 	hosts := g.Hosts()
-	var lastSeq int64 = -1
+	var lastSeq int32 = -1
 	var ooo, total int64
 	n.OnHostRx = func(pkt *sim.Packet) {
 		if pkt.FlowID != 99 {

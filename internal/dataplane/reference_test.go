@@ -27,7 +27,7 @@ type refLoopTable [loopSlots]refLoopSlot
 
 // detect is the old Contra.loopDetect body.
 func (t *refLoopTable) detect(pkt *sim.Packet) bool {
-	sig := pktHash(pkt.FlowID, pkt.Dst, pkt.Seq)
+	sig := pktHash(pkt.FlowID, pkt.Dst, int64(pkt.Seq))
 	slot := &t[sig%loopSlots]
 	if !slot.set || slot.sig != sig {
 		slot.set = true
@@ -69,7 +69,7 @@ func TestLoopTableMatchesReference(t *testing.T) {
 			pkt := &sim.Packet{
 				FlowID: uint64(rng.Intn(flows)),
 				Dst:    topo.NodeID(rng.Intn(4)),
-				Seq:    int64(rng.Intn(8)),
+				Seq:    int32(rng.Intn(8)),
 			}
 			switch rng.Intn(4) {
 			case 0:
@@ -79,7 +79,7 @@ func TestLoopTableMatchesReference(t *testing.T) {
 			default: // a packet walking a path: TTLs near each other
 				pkt.TTL = uint8(60 - rng.Intn(2*core.LoopTTLDelta))
 			}
-			g, w := got.detect(pktHash(pkt.FlowID, pkt.Dst, pkt.Seq), pkt.TTL), want.detect(pkt)
+			g, w := got.detect(pktHash(pkt.FlowID, pkt.Dst, int64(pkt.Seq)), pkt.TTL), want.detect(pkt)
 			if g != w {
 				t.Fatalf("seed %d step %d: packet %+v fired %v, reference %v", seed, step, *pkt, g, w)
 			}

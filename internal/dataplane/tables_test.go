@@ -65,9 +65,9 @@ func (cp *capture) Attach(sw *sim.SwitchDev) { cp.sw = sw }
 func (cp *capture) Handle(pkt *sim.Packet, inPort int) {
 	if pkt.Kind == sim.Probe && cp.sw.Peer(inPort) == cp.sender {
 		port := cp.sw.Net.Topo.PortTo(cp.sender, cp.sw.ID)
-		em := emission{packed: pkt.IsPacked}
-		if pkt.IsPacked {
-			for _, en := range pkt.Packed {
+		em := emission{packed: pkt.IsPacked()}
+		if pkt.IsPacked() {
+			for _, en := range pkt.Packed.Entries {
 				em.entries = append(em.entries, wireEntry{en.Origin, en.Tag, en.Pid, en.Version, en.MV})
 			}
 		} else {
@@ -194,14 +194,16 @@ func runDifferential(t *testing.T, packing bool, seed int64) {
 		// once, possibly out of inPort, which would move the utilization
 		// the second reader folds in.
 		ref.handle(packed, entries, inPort, era)
-		p := n.NewPacket()
-		p.Kind, p.Era, p.TTL = sim.Probe, era, sim.InitialTTL
+		var p *sim.Packet
 		if packed {
-			p.IsPacked = true
+			p = n.NewPackedProbe(len(entries))
+			p.Era = era
 			for _, en := range entries {
-				p.Packed = append(p.Packed, sim.ProbeEntry{Origin: en.origin, Tag: en.tag, Version: en.version, Pid: en.pid, MV: en.mv})
+				p.Packed.Entries = append(p.Packed.Entries, sim.ProbeEntry{Origin: en.origin, Tag: en.tag, Version: en.version, Pid: en.pid, MV: en.mv})
 			}
 		} else {
+			p = n.NewPacket()
+			p.Kind, p.Era, p.TTL = sim.Probe, era, sim.InitialTTL
 			en := entries[0]
 			p.Origin, p.Tag, p.Version, p.Pid, p.MV = en.origin, en.tag, en.version, en.pid, en.mv
 		}
@@ -376,9 +378,9 @@ func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 	for _, b := range bad {
 		version += 2
 		misses := n.RegisterMisses()
-		p := n.NewPacket()
-		p.Kind, p.IsPacked, p.TTL, p.Era = sim.Probe, true, sim.InitialTTL, c.Era()
-		p.Packed = append(p.Packed,
+		p := n.NewPackedProbe(3)
+		p.Era = c.Era()
+		p.Packed.Entries = append(p.Packed.Entries,
 			sim.ProbeEntry{Origin: okOrigin, Tag: okTag, Version: version - 1},
 			sim.ProbeEntry{Origin: b.origin, Tag: b.tag, Pid: b.pid, Version: version},
 			sim.ProbeEntry{Origin: okOrigin, Tag: okTag, Version: version},
@@ -500,7 +502,7 @@ func notOriginsMiss(t *testing.T) {
 		}
 		q := n.NewPackedProbe(1)
 		q.Era = c.Era()
-		q.Packed = append(q.Packed, sim.ProbeEntry{Origin: origin, Tag: okTag, Version: 1 << 20})
+		q.Packed.Entries = append(q.Packed.Entries, sim.ProbeEntry{Origin: origin, Tag: okTag, Version: 1 << 20})
 		c.Handle(q, inPort)
 		if got := n.RegisterMisses(); got != misses+2 {
 			t.Fatalf("non-origin %s: register misses went %v -> %v, want +2", name, misses, got)
@@ -558,7 +560,7 @@ func lastRegisterIsAddressable(t *testing.T) {
 	inPort := g.PortTo(sw, comp.PG.Node(pg.NodeID(sender)).Topo)
 	p := n.NewPackedProbe(1)
 	p.Era = c.Era()
-	p.Packed = append(p.Packed, sim.ProbeEntry{Origin: origin, Tag: sender, Pid: lastPid, Version: 1})
+	p.Packed.Entries = append(p.Packed.Entries, sim.ProbeEntry{Origin: origin, Tag: sender, Pid: lastPid, Version: 1})
 	c.Handle(p, inPort)
 	i := c.lookup(c.originIndex(origin), lastOrd, lastPid)
 	if i < 0 || int(i) != len(c.fwd)-1 {
@@ -664,14 +666,15 @@ func TestStaleEraPacketsAfterShrinkingInstall(t *testing.T) {
 	inPort := g.PortTo(sw, g.MustNode("HOU"))
 	drops := func(r sim.DropReason) int64 { return n.Totals().Drops[r] }
 	probe := func(era uint8, packed bool) *sim.Packet {
+		if packed {
+			p := n.NewPackedProbe(1)
+			p.Era = era
+			p.Packed.Entries = append(p.Packed.Entries, sim.ProbeEntry{Origin: g.MustNode("SEA"), Tag: oldTag, Pid: oldPid, Version: 9})
+			return p
+		}
 		p := n.NewPacket()
 		p.Kind, p.TTL, p.Era = sim.Probe, sim.InitialTTL, era
-		if packed {
-			p.IsPacked = true
-			p.Packed = append(p.Packed, sim.ProbeEntry{Origin: g.MustNode("SEA"), Tag: oldTag, Pid: oldPid, Version: 9})
-		} else {
-			p.Origin, p.Tag, p.Pid, p.Version = g.MustNode("SEA"), oldTag, oldPid, 9
-		}
+		p.Origin, p.Tag, p.Pid, p.Version = g.MustNode("SEA"), oldTag, oldPid, 9
 		return p
 	}
 	for _, packed := range []bool{false, true} {

@@ -1,18 +1,24 @@
 package sim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestAuditCountsEveryPacket pins what Audit accepts and what it
 // catches: packets drawn from slabs must all be free or in flight, so a
 // packet nobody freed, or one freed twice, fails it (the second without
-// hanging on the cycle a double free closes in a freelist), and so does
-// a single register miss.
+// hanging on the cycle a double free closes in a freelist); probe
+// buffers must all be free or held in flight, so a buffer taken off its
+// packet fails it; and so does a single register miss.
 func TestAuditCountsEveryPacket(t *testing.T) {
 	quiet := func() (*Network, []*Packet) {
 		n := packedTestNet(t)
 		var held []*Packet
 		for i := 0; i < 3; i++ {
-			held = append(held, n.NewPacket(), n.NewPackedProbe(4))
+			p := n.NewPacket()
+			p.Kind = Probe
+			held = append(held, p, n.NewPackedProbe(4))
 		}
 		for _, p := range held[:4] {
 			p.Size = 100
@@ -45,6 +51,14 @@ func TestAuditCountsEveryPacket(t *testing.T) {
 
 	n, held = quiet()
 	n.Free(held[0])
+	held[1].Packed = nil // the buffer leaks, its packet does not
+	n.Free(held[1])
+	if err := n.Audit(); err == nil || !strings.Contains(err.Error(), "probe buffers") {
+		t.Fatalf("a leaked probe buffer: audit said %v", err)
+	}
+
+	n, held = quiet()
+	n.Free(held[0])
 	n.Free(held[1])
 	n.CountRegisterMiss()
 	if n.RegisterMisses() != 1 {
@@ -52,5 +66,90 @@ func TestAuditCountsEveryPacket(t *testing.T) {
 	}
 	if err := n.Audit(); err == nil {
 		t.Fatal("a register miss passed the audit")
+	}
+}
+
+// lossyRouter forwards along a line of switches, and every nth packet
+// of one kind it either drops properly (Drop) or, as a buggy router
+// would, frees without counting.
+type lossyRouter struct {
+	sw         *SwitchDev
+	kind       Kind
+	every, cnt int
+	silent     bool
+}
+
+func (r *lossyRouter) Attach(sw *SwitchDev) { r.sw = sw }
+func (r *lossyRouter) Handle(pkt *Packet, inPort int) {
+	if r.every > 0 && pkt.Kind == r.kind {
+		if r.cnt++; r.cnt%r.every == 0 {
+			if r.silent {
+				r.sw.Net.Free(pkt)
+			} else {
+				r.sw.Drop(pkt, DropNoRoute)
+			}
+			return
+		}
+	}
+	g := r.sw.Net.Topo
+	if g.HostEdge(pkt.Dst) == r.sw.ID {
+		r.sw.DeliverLocal(pkt)
+		return
+	}
+	for p := 0; p < r.sw.PortCount(); p++ {
+		if p != inPort && r.sw.IsSwitchPort(p) {
+			r.sw.Send(p, pkt)
+			return
+		}
+	}
+	r.sw.Drop(pkt, DropNoRoute)
+}
+
+// TestAuditConservesDataAndAcks runs TCP flows both ways and a CBR flow
+// over two switches, stops mid-flight, and checks per-kind conservation:
+// routers that forward or Drop pass, and one that frees a data packet or
+// an ACK without Drop fails the run, naming the kind.
+func TestAuditConservesDataAndAcks(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		kind   Kind
+		every  int
+		silent bool
+		want   string
+	}{
+		{name: "forwards"},
+		{name: "drops data", kind: Data, every: 7},
+		{name: "drops acks", kind: Ack, every: 5},
+		{name: "frees data", kind: Data, every: 7, silent: true, want: "data packets not conserved"},
+		{name: "frees acks", kind: Ack, every: 5, silent: true, want: "ack packets not conserved"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := lineTopo(10e9)
+			s0, s1, h0, h1 := g.MustNode("S0"), g.MustNode("S1"), g.MustNode("H0"), g.MustNode("H1")
+			n := NewNetwork(NewEngine(), g, Config{})
+			n.SetRouter(s0, &lossyRouter{kind: tc.kind, every: tc.every, silent: tc.silent})
+			n.SetRouter(s1, &lossyRouter{})
+			n.Start()
+			n.StartFlows([]FlowSpec{
+				{ID: 1, Src: h0, Dst: h1, Size: 200 * MSS},
+				{ID: 2, Src: h1, Dst: h0, Size: 50 * MSS, Start: 3_000},
+				{ID: 3, Src: h0, Dst: h1, Start: 1_000, RateBps: 1e9},
+			})
+			n.Eng.Run(150_000)
+			inFlight := false
+			for i := range n.chans {
+				inFlight = inFlight || n.chans[i].inHead != nil
+			}
+			if !inFlight {
+				t.Fatal("nothing in flight at the horizon: the in-flight term goes unchecked")
+			}
+			err := n.Audit()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("audit: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("audit said %v, want %q", err, tc.want)
+			}
+		})
 	}
 }

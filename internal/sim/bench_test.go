@@ -120,7 +120,7 @@ func BenchmarkPacketTransit(b *testing.B) {
 		p := n.NewPacket()
 		p.Kind = Data
 		p.Size = 1500
-		p.Src, p.Dst = h0, h1
+		p.Dst = h1
 		p.FlowID = 7
 		p.TTL = InitialTTL
 		n.transmit(h0, 0, p)

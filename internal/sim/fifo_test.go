@@ -55,13 +55,13 @@ type walkRouter struct {
 func (r *walkRouter) Attach(sw *SwitchDev) { r.sw = sw }
 func (r *walkRouter) Handle(pkt *Packet, inPort int) {
 	n := r.sw.Net
-	*r.log = append(*r.log, arrival{n.Eng.Now(), n.portChan[r.sw.ID][inPort] ^ 1, pkt.Seq})
+	*r.log = append(*r.log, arrival{n.Eng.Now(), n.portChan[r.sw.ID][inPort] ^ 1, int64(pkt.Seq)})
 	if pkt.TTL == 0 {
 		r.sw.Drop(pkt, DropTTL)
 		return
 	}
 	pkt.TTL--
-	port := fwdPort(pkt.Seq, pkt.TTL, r.sw.PortCount())
+	port := fwdPort(int64(pkt.Seq), pkt.TTL, r.sw.PortCount())
 	pkt.Dst = r.sw.Peer(port) // lets OnHostRx name the receiving host
 	r.sw.Send(port, pkt)
 }
@@ -233,7 +233,7 @@ func TestChannelFIFOMatchesPerPacketScheduling(t *testing.T) {
 		}
 		n.Start()
 		n.OnHostRx = func(pkt *Packet) {
-			got = append(got, arrival{e.Now(), n.portChan[pkt.Dst][0] ^ 1, pkt.Seq})
+			got = append(got, arrival{e.Now(), n.portChan[pkt.Dst][0] ^ 1, int64(pkt.Seq)})
 		}
 		ref := newRefNet(n)
 
@@ -262,7 +262,7 @@ func TestChannelFIFOMatchesPerPacketScheduling(t *testing.T) {
 			id := id
 			e.At(at, func() {
 				pkt := n.NewPacket()
-				pkt.Kind, pkt.Size, pkt.Seq, pkt.TTL = Data, size, id, ttl
+				pkt.Kind, pkt.Size, pkt.Seq, pkt.TTL = Data, int32(size), int32(id), ttl
 				pkt.Dst = n.chans[n.portChan[from][port]].to
 				n.transmit(from, port, pkt)
 			})

@@ -185,6 +185,11 @@ type Network struct {
 	// is an audit counter, not traffic accounting, so it stays out of
 	// Totals and every result built from it.
 	misses int64
+	// hostTx, hostRx and dropped count packets by Kind: transmitted and
+	// received by hosts, and discarded anywhere (a channel or
+	// SwitchDev.Drop). Audit checks data and ACK conservation with them;
+	// like misses, they stay out of Totals.
+	hostTx, hostRx, dropped [Probe + 1]int64
 
 	// Measurement.
 	FCT *stats.Sample // seconds, all completed flows
@@ -373,7 +378,7 @@ func (n *Network) transmit(from topo.NodeID, port int, pkt *Packet) {
 		txDur = 1
 	}
 	ch.busyUntil = txStart + txDur
-	ch.dre.Add(now, pkt.Size)
+	ch.dre.Add(now, int(pkt.Size))
 	ch.txBytes += float64(pkt.Size)
 	n.accountTx(ch, pkt)
 
@@ -408,6 +413,7 @@ func (n *Network) countDrop(ch *channel, pkt *Packet, reason DropReason) {
 	ch.drops++
 	ch.dropBytes += float64(pkt.Size)
 	n.tot.Drops[reason]++
+	n.dropped[pkt.Kind]++
 	if pkt.Kind == Data {
 		n.tot.DropDataBytes += float64(pkt.Size)
 	}
@@ -459,25 +465,46 @@ func (n *Network) CountRegisterMiss() { n.misses++ }
 // RegisterMisses returns the register misses counted so far.
 func (n *Network) RegisterMisses() int64 { return n.misses }
 
-// Audit checks two invariants of a quiet network (between events, as
-// at a run's horizon). No router took a register miss. And packets are
-// conserved: every packet the pool ever drew from a slab is on a
+// Audit checks the invariants of a quiet network (between events, as at
+// a run's horizon). No router took a register miss. Packets are
+// conserved: every packet the pool ever drew from a slab is on the
 // freelist or in flight on a channel, exactly once — a packet a router
-// leaked, or freed twice, breaks the count. It walks the freelists and
-// the channel FIFOs once, so the packet path pays nothing for it.
+// leaked, or freed twice, breaks the count. So are probe buffers: every
+// one allocated is free or held by a packed probe in flight. And so are
+// data packets and ACKs, each kind on its own: every one a host sent was
+// received by a host, dropped (for any reason, on a channel or by
+// SwitchDev.Drop) or is still in flight — a router that frees one
+// without Drop breaks the count. It walks the freelists and the channel
+// FIFOs once, so the packet path pays three counter increments for it.
 func (n *Network) Audit() error {
 	if n.misses > 0 {
 		return fmt.Errorf("sim: %d register misses", n.misses)
 	}
-	drawn := n.pool.slabs * slabLen
-	inFlight := 0
+	drawn, bufs := n.pool.drawn()
+	var inFlight [Probe + 1]int64
+	total, held := 0, 0
 	for i := range n.chans {
-		for p := n.chans[i].inHead; p != nil && inFlight <= drawn; p = p.next {
-			inFlight++
+		for p := n.chans[i].inHead; p != nil && total <= drawn; p = p.next {
+			total++
+			inFlight[p.Kind]++
+			if p.Packed != nil {
+				held++
+			}
 		}
 	}
-	if free := n.pool.free(drawn); free+inFlight != drawn {
-		return fmt.Errorf("sim: packets not conserved: %d drawn from slabs, %d free, %d in flight", drawn, free, inFlight)
+	free, freeBufs := n.pool.free()
+	if free+total != drawn {
+		return fmt.Errorf("sim: packets not conserved: %d drawn from slabs, %d free, %d in flight", drawn, free, total)
+	}
+	if freeBufs+held != bufs {
+		return fmt.Errorf("sim: probe buffers not conserved: %d allocated, %d free, %d held in flight", bufs, freeBufs, held)
+	}
+	for k, name := range [...]string{Data: "data", Ack: "ack"} {
+		sent, rcvd, dropped := n.hostTx[k], n.hostRx[k], n.dropped[k]
+		if sent != rcvd+dropped+inFlight[k] {
+			return fmt.Errorf("sim: %s packets not conserved: %d sent by hosts, %d received by hosts, %d dropped, %d in flight",
+				name, sent, rcvd, dropped, inFlight[k])
+		}
 	}
 	return nil
 }
@@ -502,7 +529,7 @@ func (n *Network) deliver(ch *channel, pkt *Packet) {
 	}
 	if sw := ch.toSwitch; sw != nil {
 		if n.Trace != nil && pkt.Kind == Data {
-			n.Trace.Hop(pkt.FlowID, pkt.Seq, n.Topo.Node(ch.to).Name)
+			n.Trace.Hop(pkt.FlowID, int64(pkt.Seq), n.Topo.Node(ch.to).Name)
 		}
 		if n.Cfg.TrackVisited && pkt.Kind == Data {
 			to := ch.to
@@ -655,6 +682,7 @@ func (s *SwitchDev) DeliverLocal(pkt *Packet) {
 // Drop discards a packet, counting the reason.
 func (s *SwitchDev) Drop(pkt *Packet, reason DropReason) {
 	s.Net.tot.Drops[reason]++
+	s.Net.dropped[pkt.Kind]++
 	s.Net.Free(pkt)
 }
 

@@ -16,74 +16,122 @@ func packedTestNet(t *testing.T) *Network {
 	return NewNetwork(NewEngine(), g, Config{})
 }
 
-// TestPacketPoolPreservesPackedBacking pins the allocation contract of
-// packed probes: a freed packed packet, array and all, is what the
-// packed constructor returns next — even after data packets were freed
+// TestPacketLayout pins the packet at two cache lines and the fields the
+// engine, transmit, the host transport and the data-path routers read
+// in the first of them.
+func TestPacketLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size != 128 {
+		t.Fatalf("Packet is %d bytes, want 128", size)
+	}
+	if size := unsafe.Sizeof(ProbeEntry{}); size != 48 {
+		t.Fatalf("ProbeEntry is %d bytes, want 48", size)
+	}
+	var p Packet
+	line1 := []struct {
+		name     string
+		off, end uintptr
+	}{
+		{"next", unsafe.Offsetof(p.next), unsafe.Sizeof(p.next)},
+		{"dueAt", unsafe.Offsetof(p.dueAt), unsafe.Sizeof(p.dueAt)},
+		{"dueSeq", unsafe.Offsetof(p.dueSeq), unsafe.Sizeof(p.dueSeq)},
+		{"FlowID", unsafe.Offsetof(p.FlowID), unsafe.Sizeof(p.FlowID)},
+		{"Size", unsafe.Offsetof(p.Size), unsafe.Sizeof(p.Size)},
+		{"Dst", unsafe.Offsetof(p.Dst), unsafe.Sizeof(p.Dst)},
+		{"flow", unsafe.Offsetof(p.flow), unsafe.Sizeof(p.flow)},
+		{"Tag", unsafe.Offsetof(p.Tag), unsafe.Sizeof(p.Tag)},
+		{"Seq", unsafe.Offsetof(p.Seq), unsafe.Sizeof(p.Seq)},
+		{"Ack", unsafe.Offsetof(p.Ack), unsafe.Sizeof(p.Ack)},
+		{"Kind", unsafe.Offsetof(p.Kind), unsafe.Sizeof(p.Kind)},
+		{"TTL", unsafe.Offsetof(p.TTL), unsafe.Sizeof(p.TTL)},
+		{"Pid", unsafe.Offsetof(p.Pid), unsafe.Sizeof(p.Pid)},
+		{"HasTag", unsafe.Offsetof(p.HasTag), unsafe.Sizeof(p.HasTag)},
+		{"Era", unsafe.Offsetof(p.Era), unsafe.Sizeof(p.Era)},
+		{"Up", unsafe.Offsetof(p.Up), unsafe.Sizeof(p.Up)},
+	}
+	for _, f := range line1 {
+		if f.off+f.end > 64 {
+			t.Errorf("Packet.%s spans bytes %d-%d: not in the first cache line", f.name, f.off, f.off+f.end-1)
+		}
+	}
+}
+
+// TestPacketPoolRecyclesProbeBuffers pins the allocation contract of
+// packed probes: a freed packed probe's buffer is what the next
+// NewPackedProbe gets — even after data packets were drawn and freed
 // on top of it, which is what a loaded fabric does between every two
-// flushes — and plain requests do not take it.
-func TestPacketPoolPreservesPackedBacking(t *testing.T) {
+// flushes — with no allocation when it is large enough.
+func TestPacketPoolRecyclesProbeBuffers(t *testing.T) {
 	n := packedTestNet(t)
 	p := n.NewPackedProbe(8)
-	if p.Kind != Probe || !p.IsPacked || p.TTL != InitialTTL || len(p.Packed) != 0 || cap(p.Packed) < 8 {
+	if p.Kind != Probe || !p.IsPacked() || p.TTL != InitialTTL || len(p.Packed.Entries) != 0 || cap(p.Packed.Entries) < 8 {
 		t.Fatalf("NewPackedProbe(8) = %+v", p)
 	}
 	for i := 0; i < 8; i++ {
-		p.Packed = append(p.Packed, ProbeEntry{Origin: topo.NodeID(i)})
+		p.Packed.Entries = append(p.Packed.Entries, ProbeEntry{Origin: topo.NodeID(i)})
 	}
-	backing := &p.Packed[0]
+	buf, backing := p.Packed, &p.Packed.Entries[0]
 	d1, d2 := n.NewPacket(), n.NewPacket()
 	n.Free(p)
 	n.Free(d1)
 	n.Free(d2)
-	if got := n.NewPacket(); got != d2 {
-		t.Fatal("a plain request did not get the plain packet freed last")
-	}
+	n.Free(n.NewPacket())
 	q := n.NewPackedProbe(5)
-	if q != p {
-		t.Fatal("the packed constructor did not return the freed packed packet")
+	if q.Packed != buf || len(q.Packed.Entries) != 0 || &q.Packed.Entries[:1][0] != backing {
+		t.Fatal("the packed constructor did not reuse the freed buffer and its entries")
 	}
-	if len(q.Packed) != 0 || &q.Packed[:1][0] != backing {
-		t.Fatal("the recycled packed packet lost its backing array")
-	}
-	if q.Origin != 0 || q.Version != 0 || q.next != nil {
+	if q.Origin != 0 || q.Version != 0 || q.next != nil || buf.next != nil {
 		t.Fatalf("recycled packet not zeroed: %+v", q)
 	}
-	// A larger request than the array holds replaces it, once.
+	// A larger request than the buffer holds grows it, once.
 	n.Free(q)
-	if big := n.NewPackedProbe(32); big != q || cap(big.Packed) < 32 {
-		t.Fatalf("NewPackedProbe(32) on an 8-entry packet: same packet %v, cap %d", big == q, cap(big.Packed))
+	if big := n.NewPackedProbe(32); big.Packed != buf || cap(big.Packed.Entries) < 32 {
+		t.Fatalf("NewPackedProbe(32) on an 8-entry buffer: same buffer %v, cap %d", big.Packed == buf, cap(big.Packed.Entries))
+	}
+
+	allocs := testing.AllocsPerRun(100, func() {
+		p := n.NewPackedProbe(32)
+		for i := 0; i < 32; i++ {
+			p.Packed.Entries = append(p.Packed.Entries, ProbeEntry{Origin: topo.NodeID(i)})
+		}
+		d := n.NewPacket()
+		n.Free(p)
+		n.Free(d)
+	})
+	if allocs != 0 {
+		t.Fatalf("a recycled packed probe of no more entries than its buffer holds allocated %v times", allocs)
 	}
 }
 
-// TestPacketPoolPackedListFedFromPlain pins the one direction packets
-// change lists in: with no packed packet free the constructor takes a
-// plain one, which owns an array from then on and is freed to the
-// packed list — where a plain request never looks, or data packets
-// would carry the arrays off between flushes.
-func TestPacketPoolPackedListFedFromPlain(t *testing.T) {
+// TestPacketPoolPlainNeverHoldsBuffer pins the other half: Free takes a
+// packed probe's buffer back to the buffer list, so the packet it freed
+// comes back from a plain request without one, and the buffer waits for
+// the next packed probe.
+func TestPacketPoolPlainNeverHoldsBuffer(t *testing.T) {
 	var pl pool
-	plain := &Packet{Seq: 9}
-	pl.put(plain)
-	q := pl.getPacked(2)
-	if q != plain || q.Seq != 0 || cap(q.Packed) < 2 {
-		t.Fatalf("packed request with only a plain packet free: same %v, %+v", q == plain, q)
+	p := pl.get()
+	p.Packed = pl.getBuf(2)
+	buf := p.Packed
+	pl.put(p)
+	if pl.pkts != p || pl.bufs != buf || p.Packed != nil {
+		t.Fatal("Free did not return the packet and its buffer each to its own list")
 	}
-	pl.put(q)
-	if pl.packed != q || pl.plain != nil {
-		t.Fatal("a packet that owns a backing array was not freed to the packed list")
+	if d := pl.get(); d != p || d.Packed != nil || d.IsPacked() {
+		t.Fatalf("a plain request after freeing a packed probe: same packet %v, Packed %p", d == p, d.Packed)
 	}
-	if d := pl.get(); d == q || cap(d.Packed) != 0 {
-		t.Fatal("a plain request took a packet off the packed list")
+	if b := pl.getBuf(1); b != buf {
+		t.Fatal("the freed buffer was not the next one handed out")
 	}
 }
 
 // TestPacketSlabsAreCacheLineAligned pins what the slab's pad is for. A
-// packet is three cache lines long, and the event loop's reads of a
-// channel's in-flight head (next, dueAt, dueSeq: the last 24 bytes) hit
-// the third; eight bytes off a line boundary they spill into a fourth,
-// which cost the WAN cell — tens of thousands of packets in flight —
-// 5-8 % of its wall time. If a toolchain moves the allocator's header,
-// this fails and the pad wants re-deriving; nothing else breaks.
+// packet is two cache lines long, and the first holds everything the
+// event loop, transmit and the routers' data path read; eight bytes off
+// a line boundary that line's last fields spill into the second. When a
+// packet was three lines, the same misalignment pushed the in-flight
+// head's reads into a fourth line and cost the WAN cell — tens of
+// thousands of packets in flight — 5-8 % of its wall time. If a
+// toolchain moves the allocator's header, this fails and the pad wants
+// re-deriving; nothing else breaks.
 func TestPacketSlabsAreCacheLineAligned(t *testing.T) {
 	if size := unsafe.Sizeof(Packet{}); size%64 != 0 {
 		t.Fatalf("Packet is %d bytes: not a whole number of cache lines, so no pad aligns a slab of them", size)
@@ -104,15 +152,17 @@ func TestPacketSlabsAreCacheLineAligned(t *testing.T) {
 // next hop) cannot corrupt the other.
 func TestClonePackedIsDeepCopy(t *testing.T) {
 	n := packedTestNet(t)
-	p := n.NewPacket()
-	p.IsPacked = true
-	p.Packed = append(p.Packed, ProbeEntry{Origin: 1, Version: 7}, ProbeEntry{Origin: 2, Version: 9})
+	p := n.NewPackedProbe(2)
+	p.Packed.Entries = append(p.Packed.Entries, ProbeEntry{Origin: 1, Version: 7}, ProbeEntry{Origin: 2, Version: 9})
 	c := n.Clone(p)
-	if len(c.Packed) != 2 || c.Packed[0].Origin != 1 || c.Packed[1].Version != 9 {
+	if c.Packed == p.Packed || len(c.Packed.Entries) != 2 || c.Packed.Entries[0].Origin != 1 || c.Packed.Entries[1].Version != 9 {
 		t.Fatalf("clone lost packed entries: %+v", c.Packed)
 	}
-	c.Packed[0].Version = 100
-	if p.Packed[0].Version != 7 {
+	c.Packed.Entries[0].Version = 100
+	if p.Packed.Entries[0].Version != 7 {
 		t.Fatalf("clone aliases the original's packed entries")
+	}
+	if d := n.Clone(n.NewPacket()); d.Packed != nil {
+		t.Fatal("the clone of a plain packet holds a probe buffer")
 	}
 }

@@ -45,24 +45,39 @@ type ProbeEntry struct {
 // Packet is the single on-wire unit. One struct serves data, acks and
 // probes to keep the hot path free of interface dispatch and type
 // switches (a packet arrives every few hundred ns of simulated time).
+//
+// It is two cache lines. The first holds everything the engine,
+// transmit, the host transport and the data-path routers read; the
+// second the probe and diagnostic fields. TestPacketLayout pins both.
 type Packet struct {
-	Kind Kind
-	Size int // total bytes on the wire
+	// next links the packet into exactly one list at a time: the pool's
+	// freelist while free, its channel's in-flight FIFO between transmit
+	// and delivery. Never both: a packet is freed only by its owner,
+	// and in flight the channel owns it. It is nil on a packet a device
+	// holds (get, Clone and delivery clear it), which transmit relies on.
+	next *Packet
+	// dueAt/dueSeq are the arrival's reserved slot in the engine's
+	// total order while the packet is in flight on a channel.
+	dueAt  int64
+	dueSeq uint64
 
-	// Flow addressing: hosts for data/acks.
-	Src, Dst topo.NodeID
-	FlowID   uint64
-	Seq      int64 // packet sequence within the flow (data), or echoed seq (ack)
-	Ack      int64 // cumulative ack: next expected packet seq
-	TTL      uint8
+	FlowID uint64
+	Size   int32       // total bytes on the wire
+	Dst    topo.NodeID // destination host of data/acks
 	// flow is the flow's index in Network.flowTab plus one, so the
 	// receiving host needs no map lookup. Zero, which is also what pool
 	// recycling leaves, means no registered flow: CBR traffic or a packet
 	// a test built by hand.
 	flow int32
-
 	// Scheme fields: Contra tag/pid, SPAIN vlan (in Tag), Hula origin.
-	Tag    int32 // product-graph virtual node id, or -1
+	Tag int32 // product-graph virtual node id, or -1
+	// Seq and Ack fit 32 bits: StartFlows refuses flows past
+	// MaxFlowBytes, which is fewer than 2³¹ packets (CBR's Seq wraps
+	// after 2³¹, see startCBR).
+	Seq    int32 // packet sequence within the flow (data), or echoed seq (ack)
+	Ack    int32 // cumulative ack: next expected packet seq
+	Kind   Kind
+	TTL    uint8
 	Pid    uint8
 	HasTag bool
 	// Era is the policy generation the tag/pid/MV were computed under.
@@ -71,163 +86,167 @@ type Packet struct {
 	// so routers re-route (data) or discard (probes) them instead of
 	// misinterpreting the stale tag space.
 	Era uint8
+	Up  bool // Hula: probe still traveling upward
 
 	// Probe fields.
 	Origin  topo.NodeID // destination switch the probe advertises
 	Version uint32
-	Up      bool       // Hula: probe still traveling upward
 	MV      [4]float64 // metric vector, laid out per the compiled policy
 
-	// Packed multi-origin probe (probe packing, §5.2 overhead
-	// reduction): when IsPacked is set, the per-origin probe fields
-	// above are unused and Packed carries one entry per advertised
-	// origin. An empty Packed with IsPacked set is a heartbeat: it
-	// refreshes port liveness without advertising anything. The slice's
-	// backing array survives pool recycling and is what sorts a freed
-	// packet onto the pool's packed list, where NewPackedProbe finds it:
-	// once the arrays in circulation have grown to the largest
-	// advertisement a port sends, packed fan-out allocates nothing,
-	// whatever else the fabric is carrying.
-	IsPacked bool
-	Packed   []ProbeEntry
-
 	// Diagnostics.
-	Hops    uint8
 	Visited uint64 // bitmask of visited switches (loop accounting, <=64 switches)
 	// QueueNs accumulates the queueing delay this packet waited across
 	// its path. Only maintained while a trace recorder is attached;
 	// pool recycling zeroes it like every other field.
 	QueueNs int64
 
-	// dueAt/dueSeq are the arrival's reserved slot in the engine's
-	// total order while the packet is in flight on a channel.
-	dueAt  int64
-	dueSeq uint64
-
-	// next links the packet into exactly one list at a time: the pool's
-	// freelist while free, its channel's in-flight FIFO between transmit
-	// and delivery. Never both: a packet is freed only by its owner,
-	// and in flight the channel owns it. It is nil on a packet a device
-	// holds (get, Clone and delivery clear it), which transmit relies on.
-	next *Packet
+	// Packed is set on a packed multi-origin probe (probe packing, §5.2
+	// overhead reduction) and nil on every other packet. Its entries
+	// carry one advertisement per origin, and the per-origin probe
+	// fields above are unused. An empty list is a heartbeat: it refreshes
+	// port liveness without advertising anything. The buffer belongs to
+	// the packet until Free returns both to the pool.
+	Packed *ProbeBuf
 }
 
-// pool recycles packets on two freelists (the simulator is
-// single-threaded): packets that own a Packed backing array, and plain
-// ones. One LIFO list would hand a probe flush whatever was freed last —
-// under load a data or ACK packet with no array, so every flush would
-// allocate one. The packed list is fed from the plain one when empty (the
-// packet gains an array and lives there from then on), never the other
-// way round: a data packet that borrowed a packed packet would carry the
-// array off for a round trip, and the next flush would allocate again.
-// So the packed list holds as many packets as probes were ever in flight
-// at once, and no more.
+// ProbeBuf is a packed probe's entry buffer. Buffers are pooled apart
+// from packets, on their own freelist: only a packed probe ever holds
+// one, so a data packet cannot carry one away, and once the buffers in
+// circulation have grown to the largest advertisement a port sends,
+// packed fan-out allocates nothing.
+type ProbeBuf struct {
+	Entries []ProbeEntry
+	next    *ProbeBuf
+}
+
+// IsPacked reports whether the packet is a packed multi-origin probe.
+func (p *Packet) IsPacked() bool { return p.Packed != nil }
+
+// pool recycles packets and probe buffers, each on its own LIFO freelist
+// (the simulator is single-threaded), and allocates both in slabs when
+// their list runs dry.
 type pool struct {
-	plain, packed *Packet
-	slabs         int // packetSlabs allocated: every packet ever drawn came from one
+	pkts     *Packet
+	bufs     *ProbeBuf
+	slabs    int // packetSlabs allocated: every packet ever drawn came from one
+	bufSlabs int // bufSlabLen-long ProbeBuf arrays allocated
 }
 
-// packetSlab is what the pool allocates when the plain list is empty:
+// bufSlabLen is how many ProbeBufs the pool allocates at once. A cell
+// needs one per packed probe in flight at its peak (13 to 23 on the
+// packed k = 8 fat-tree cells), so one allocation of 1 KiB covers them.
+const bufSlabLen = 32
+
+// packetSlab is what the pool allocates when the packet list is empty:
 // as many packets as fit the allocator's 16 KiB size class. The
 // allocator puts an 8-byte header in front of an object with pointers;
-// the pad after it puts the first packet, and so every packet (192
+// the pad after it puts the first packet, and so every packet (128
 // bytes), on a cache-line boundary, as a packet allocated alone is.
 type packetSlab struct {
 	_    [64 - 8]byte
 	pkts [(16<<10 - 64) / unsafe.Sizeof(Packet{})]Packet
 }
 
-// get returns a zeroed packet for a data, ACK or standalone probe.
+// get returns a zeroed packet.
 func (p *pool) get() *Packet {
-	pkt := p.plain
+	pkt := p.pkts
 	if pkt == nil {
 		p.slabs++
 		slab := new(packetSlab).pkts[:]
 		for i := 1; i < len(slab)-1; i++ {
 			slab[i].next = &slab[i+1]
 		}
-		p.plain = &slab[1]
+		p.pkts = &slab[1]
 		return &slab[0]
 	}
-	p.plain = pkt.next
+	p.pkts = pkt.next
 	*pkt = Packet{}
 	return pkt
 }
 
-// getPacked returns a zeroed packet whose empty Packed has room for n
-// entries, reusing a freed packet's backing array when there is one.
-func (p *pool) getPacked(n int) *Packet {
-	pkt := p.packed
-	if pkt == nil {
-		pkt = p.get()
+// getBuf returns an empty buffer with room for n entries. A recycled
+// buffer is grown only when it is smaller, and then at least doubled:
+// advertisements grow as routes are learned, and a buffer that grew one
+// entry at a time would be replaced once per step.
+func (p *pool) getBuf(n int) *ProbeBuf {
+	b := p.bufs
+	if b == nil {
+		p.bufSlabs++
+		slab := new([bufSlabLen]ProbeBuf)
+		for i := 1; i < len(slab)-1; i++ {
+			slab[i].next = &slab[i+1]
+		}
+		p.bufs = &slab[1]
+		b = &slab[0]
 	} else {
-		p.packed = pkt.next
+		p.bufs = b.next
+		b.next = nil
 	}
-	packed := pkt.Packed[:0]
-	if cap(packed) < n {
-		packed = make([]ProbeEntry, 0, n)
+	if c := cap(b.Entries); c < n {
+		b.Entries = make([]ProbeEntry, 0, max(n, 2*c))
+	} else {
+		b.Entries = b.Entries[:0]
 	}
-	*pkt = Packet{}
-	pkt.Packed = packed
-	return pkt
+	return b
 }
 
 func (p *pool) put(pkt *Packet) {
-	list := &p.plain
-	if cap(pkt.Packed) > 0 {
-		list = &p.packed
+	if b := pkt.Packed; b != nil {
+		pkt.Packed = nil
+		b.next = p.bufs
+		p.bufs = b
 	}
-	pkt.next = *list
-	*list = pkt
+	pkt.next = p.pkts
+	p.pkts = pkt
 }
 
 // slabLen is how many packets one packetSlab holds.
 const slabLen = len(packetSlab{}.pkts)
 
-// free counts the packets on both freelists, stopping past limit: a
-// packet freed twice closes its list into a cycle, which must not hang
-// the count.
-func (p *pool) free(limit int) int {
-	n := 0
-	for _, list := range [2]*Packet{p.plain, p.packed} {
-		for pkt := list; pkt != nil && n <= limit; pkt = pkt.next {
-			n++
-		}
+// drawn returns how many packets and buffers the pool ever allocated.
+func (p *pool) drawn() (pkts, bufs int) { return p.slabs * slabLen, p.bufSlabs * bufSlabLen }
+
+// free counts the packets and the buffers on the freelists, each count
+// stopping past what was drawn: a packet freed twice closes its list
+// into a cycle, which must not hang the count.
+func (p *pool) free() (pkts, bufs int) {
+	maxPkts, maxBufs := p.drawn()
+	for pkt := p.pkts; pkt != nil && pkts <= maxPkts; pkt = pkt.next {
+		pkts++
 	}
-	return n
+	for b := p.bufs; b != nil && bufs <= maxBufs; b = b.next {
+		bufs++
+	}
+	return pkts, bufs
 }
 
 // NewPacket returns a zeroed packet from the pool.
 func (n *Network) NewPacket() *Packet { return n.pool.get() }
 
-// NewPackedProbe returns a packed probe (Kind, IsPacked and TTL set,
-// everything else zero) whose empty Packed has room for entries
+// NewPackedProbe returns a packed probe (Kind, Packed and TTL set,
+// everything else zero) whose empty entry list has room for entries
 // advertisements: appending that many does not allocate.
 func (n *Network) NewPackedProbe(entries int) *Packet {
-	p := n.pool.getPacked(entries)
+	p := n.pool.get()
 	p.Kind = Probe
-	p.IsPacked = true
 	p.TTL = InitialTTL
+	p.Packed = n.pool.getBuf(entries)
 	return p
 }
 
-// Clone copies a packet (for multicast), drawing from the list its
-// source would be freed to. Packed entries are copied into the clone's
-// own backing array, never aliased.
+// Clone copies a packet (for multicast). A packed probe's entries are
+// copied into a buffer of the clone's own, never aliased.
 func (n *Network) Clone(pkt *Packet) *Packet {
-	var c *Packet
-	if cap(pkt.Packed) > 0 {
-		c = n.pool.getPacked(len(pkt.Packed))
-	} else {
-		c = n.pool.get()
-	}
-	packed := c.Packed
+	c := n.pool.get()
 	*c = *pkt
 	c.next = nil
-	c.Packed = append(packed, pkt.Packed...)
+	if src := pkt.Packed; src != nil {
+		c.Packed = n.pool.getBuf(len(src.Entries))
+		c.Packed.Entries = append(c.Packed.Entries, src.Entries...)
+	}
 	return c
 }
 
-// Free returns a packet to the pool. Devices must not retain packets
-// after freeing.
+// Free returns a packet, and a packed probe's buffer, to the pool.
+// Devices must not retain packets after freeing.
 func (n *Network) Free(pkt *Packet) { n.pool.put(pkt) }

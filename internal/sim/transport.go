@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"contra/internal/topo"
@@ -23,8 +24,12 @@ type FlowSpec struct {
 // link delivers in the default one-second drain budget — no committed
 // topology is that fast — and costs 6 MB of bitmap. The layers that
 // read sizes from outside (flowtrace.Read, workload.ValidateCohorts,
-// scenario.Run) reject anything larger.
+// scenario.Run) reject anything larger, and StartFlows panics on it.
 const MaxFlowBytes int64 = 1 << 36
+
+// Packets carry Seq and Ack as int32. The build fails here if a flow of
+// MaxFlowBytes ever needed more packets than that holds.
+const _ = uint32(math.MaxInt32 - (MaxFlowBytes+MSS-1)/MSS)
 
 // Transport constants: a NewReno-style window protocol, scaled for
 // data center RTTs.
@@ -84,8 +89,11 @@ type HostDev struct {
 	id  topo.NodeID
 }
 
-// port returns the host's single uplink port (index 0).
-func (h *HostDev) send(pkt *Packet) { h.net.transmit(h.id, 0, pkt) }
+// send transmits a packet on the host's single uplink port (index 0).
+func (h *HostDev) send(pkt *Packet) {
+	h.net.hostTx[pkt.Kind]++
+	h.net.transmit(h.id, 0, pkt)
+}
 
 // StartFlows registers flows and schedules their start events.
 func (n *Network) StartFlows(flows []FlowSpec) {
@@ -97,6 +105,9 @@ func (n *Network) StartFlows(flows []FlowSpec) {
 		}
 		if n.Topo.Node(f.Src).Kind != topo.Host || n.Topo.Node(f.Dst).Kind != topo.Host {
 			panic("sim: flows connect hosts")
+		}
+		if f.Size > MaxFlowBytes {
+			panic(fmt.Sprintf("sim: flow %d is %d bytes, past MaxFlowBytes", f.ID, f.Size))
 		}
 		if n.Trace != nil {
 			n.Trace.FlowMeta(f.ID, n.Topo.Node(f.Src).Name, n.Topo.Node(f.Dst).Name, f.Size, f.Start)
@@ -127,10 +138,13 @@ func (n *Network) StartFlows(flows []FlowSpec) {
 }
 
 // startCBR emits fixed-size packets at a constant rate until the
-// simulation ends (Figure 14's UDP workload).
+// simulation ends (Figure 14's UDP workload). The sequence counter is
+// int64 but packets carry it as int32, so Seq first wraps after 2³¹
+// packets: over four minutes of simulated time at 100 Gb/s. No host
+// reads a CBR packet's Seq; traces and loop-detection hashes do.
 func (n *Network) startCBR(f FlowSpec) {
 	src := n.hosts[f.Src]
-	size := MSS + FrameHeader
+	const size = MSS + FrameHeader
 	gapNs := int64(float64(size*8) / f.RateBps * 1e9)
 	if gapNs < 1 {
 		gapNs = 1
@@ -140,9 +154,9 @@ func (n *Network) startCBR(f FlowSpec) {
 		pkt := n.pool.get()
 		pkt.Kind = Data
 		pkt.Size = size
-		pkt.Src, pkt.Dst = f.Src, f.Dst
+		pkt.Dst = f.Dst
 		pkt.FlowID = f.ID
-		pkt.Seq = seq
+		pkt.Seq = int32(seq)
 		pkt.TTL = InitialTTL
 		pkt.Tag = -1
 		seq++
@@ -176,11 +190,11 @@ func (h *HostDev) emit(st *flowState, seq int64) {
 	}
 	pkt := h.net.pool.get()
 	pkt.Kind = Data
-	pkt.Size = int(payload) + FrameHeader
-	pkt.Src, pkt.Dst = st.spec.Src, st.spec.Dst
+	pkt.Size = int32(payload) + FrameHeader
+	pkt.Dst = st.spec.Dst
 	pkt.FlowID = st.spec.ID
 	pkt.flow = st.idx + 1
-	pkt.Seq = seq
+	pkt.Seq = int32(seq)
 	pkt.TTL = InitialTTL
 	pkt.Tag = -1
 	h.net.DataPkts++
@@ -229,8 +243,9 @@ func (h *HostDev) onRTO(st *flowState) {
 
 // receive dispatches an arriving packet on a host.
 func (h *HostDev) receive(pkt *Packet) {
+	h.net.hostRx[pkt.Kind]++
 	if h.net.Trace != nil && pkt.Kind == Data {
-		h.net.Trace.Delivered(pkt.FlowID, pkt.Seq, int(InitialTTL-pkt.TTL), pkt.QueueNs)
+		h.net.Trace.Delivered(pkt.FlowID, int64(pkt.Seq), int(InitialTTL-pkt.TTL), pkt.QueueNs)
 	}
 	if pkt.flow == 0 {
 		// CBR traffic or unknown: count throughput and discard.
@@ -253,7 +268,7 @@ func (h *HostDev) receive(pkt *Packet) {
 
 func (h *HostDev) onData(st *flowState, pkt *Packet) {
 	h.net.recordRx(pkt)
-	seq := pkt.Seq
+	seq := int64(pkt.Seq)
 	if seq < st.npkts && !st.rcvHas(seq) {
 		st.rcvSet(seq)
 		st.rcvCount++
@@ -269,11 +284,11 @@ func (h *HostDev) onData(st *flowState, pkt *Packet) {
 	ack := h.net.pool.get()
 	ack.Kind = Ack
 	ack.Size = AckSize
-	ack.Src, ack.Dst = st.spec.Dst, st.spec.Src
+	ack.Dst = st.spec.Src
 	ack.FlowID = st.spec.ID
 	ack.flow = pkt.flow
-	ack.Seq = seq
-	ack.Ack = st.rcvCum
+	ack.Seq = int32(seq)
+	ack.Ack = int32(st.rcvCum)
 	ack.TTL = InitialTTL
 	ack.Tag = -1
 	h.net.Free(pkt)
@@ -286,7 +301,8 @@ func (h *HostDev) onAck(st *flowState, pkt *Packet) {
 		return
 	}
 	// RTT sampling (Karn: only the untouched timed segment).
-	if st.rttSeq >= 0 && pkt.Ack > st.rttSeq {
+	ackd := int64(pkt.Ack)
+	if st.rttSeq >= 0 && ackd > st.rttSeq {
 		sample := float64(h.net.Eng.Now() - st.rttSent)
 		if st.srttNs == 0 {
 			st.srttNs = sample
@@ -305,9 +321,9 @@ func (h *HostDev) onAck(st *flowState, pkt *Packet) {
 		}
 		st.rttSeq = -1
 	}
-	if pkt.Ack > st.cumAck {
-		newly := pkt.Ack - st.cumAck
-		st.cumAck = pkt.Ack
+	if ackd > st.cumAck {
+		newly := ackd - st.cumAck
+		st.cumAck = ackd
 		st.dupAcks = 0
 		for i := int64(0); i < newly; i++ {
 			if st.cwnd < st.ssthresh {

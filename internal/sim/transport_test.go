@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"contra/internal/topo"
@@ -186,5 +187,50 @@ func TestSteadyStateRunAllocatesNothing(t *testing.T) {
 	if n.DataPkts-before < 10_000 || n.Totals().Drops[DropQueue] == 0 || n.CompletedFlows() != 0 {
 		t.Fatalf("windows were not a loaded steady state: %d data packets, %v queue drops, %d flows done",
 			n.DataPkts-before, n.Totals().Drops[DropQueue], n.CompletedFlows())
+	}
+}
+
+func TestOversizeFlowPanics(t *testing.T) {
+	g := lineTopo(10e9)
+	n := NewNetwork(NewEngine(), g, Config{})
+	for _, s := range g.Switches() {
+		n.SetRouter(s, &hopRouter{})
+	}
+	n.Start()
+	h0, h1 := g.MustNode("H0"), g.MustNode("H1")
+	n.StartFlows([]FlowSpec{{ID: 1, Src: h0, Dst: h1, Size: MaxFlowBytes}})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a flow past MaxFlowBytes")
+		}
+	}()
+	n.StartFlows([]FlowSpec{{ID: 2, Src: h0, Dst: h1, Size: MaxFlowBytes + 1}})
+}
+
+// TestCBRSeqIsInt32 pins how CBR traffic numbers its packets: the
+// counter is int64, packets carry it as int32, so Seq runs 0, 1, 2, ...
+// and first wraps at the 2³¹st packet.
+func TestCBRSeqIsInt32(t *testing.T) {
+	g := lineTopo(10e9)
+	n := NewNetwork(NewEngine(), g, Config{})
+	for _, s := range g.Switches() {
+		n.SetRouter(s, &hopRouter{})
+	}
+	n.Start()
+	var seqs []int32
+	n.OnHostRx = func(p *Packet) { seqs = append(seqs, p.Seq) }
+	n.StartFlows([]FlowSpec{{ID: 1, Src: g.MustNode("H0"), Dst: g.MustNode("H1"), RateBps: 1e9}})
+	n.Eng.Run(200_000)
+	if len(seqs) < 10 {
+		t.Fatalf("%d CBR packets received", len(seqs))
+	}
+	for i, s := range seqs {
+		if s != int32(i) {
+			t.Fatalf("CBR packet %d carries Seq %d", i, s)
+		}
+	}
+	last, first := int64(math.MaxInt32), int64(math.MaxInt32)+1
+	if int64(int32(last)) != last || int32(first) >= 0 {
+		t.Fatal("the first CBR packet whose Seq wraps is not the 2³¹st")
 	}
 }
