@@ -101,10 +101,9 @@ func (r Retry) Delay(i int) time.Duration {
 func (r Retry) Do(ctx context.Context, op func() error) error {
 	attempts := r.attempts()
 	jitter := r.jitter()
+	// The jitter source is ~5 KB of state, built on the first failure:
+	// most calls succeed at once and never draw from it.
 	var rng *rand.Rand
-	if jitter > 0 {
-		rng = rand.New(rand.NewSource(r.Seed))
-	}
 	sleep := r.Sleep
 	if sleep == nil {
 		sleep = sleepCtx
@@ -125,7 +124,10 @@ func (r Retry) Do(ctx context.Context, op func() error) error {
 			break
 		}
 		d := r.Delay(i)
-		if rng != nil {
+		if jitter > 0 {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(r.Seed))
+			}
 			// ±jitter, uniformly: factor in [1-jitter, 1+jitter).
 			d = time.Duration(float64(d) * (1 + jitter*(2*rng.Float64()-1)))
 		}

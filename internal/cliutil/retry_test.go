@@ -108,6 +108,34 @@ func TestRetryJitterIsDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestRetryJitterPinned pins the first delays of one seed, so building
+// the jitter source later, or differently, cannot move a schedule a
+// campaign run has already recorded.
+func TestRetryJitterPinned(t *testing.T) {
+	var delays []time.Duration
+	_ = Retry{Attempts: 4, Base: 100 * time.Millisecond, Seed: 7, Sleep: recordSleep(&delays)}.
+		Do(context.Background(), func() error { return errors.New("x") })
+	want := []time.Duration{116755686, 178520573, 358622010}
+	if !reflect.DeepEqual(delays, want) {
+		t.Fatalf("seed 7 delays = %v, want %v", delays, want)
+	}
+}
+
+// TestRetryFirstTrySuccessAllocatesNothing: a call that succeeds at once
+// never draws jitter, so it must not build the jitter source.
+func TestRetryFirstTrySuccessAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	r := Retry{Seed: 1}
+	op := func() error { return nil }
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := r.Do(ctx, op); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a first-try success allocates %.0f times, want 0", allocs)
+	}
+}
+
 func TestRetryContextCancellation(t *testing.T) {
 	t.Run("mid-sleep", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())

@@ -153,3 +153,101 @@ func TestAuditConservesDataAndAcks(t *testing.T) {
 		})
 	}
 }
+
+// TestAuditChecksTheEventQueue stops TCP flows both ways and a CBR flow
+// at a moment with two or more arrivals on the run and a live RTO
+// carrier, and corrupts the queue, a channel's in-flight FIFO or a
+// flow's carrier one way at a time: each corruption must fail the
+// audit, naming what broke, where the intact network passes.
+func TestAuditChecksTheEventQueue(t *testing.T) {
+	loaded := func() *Network {
+		g := lineTopo(10e9)
+		h0, h1 := g.MustNode("H0"), g.MustNode("H1")
+		n := NewNetwork(NewEngine(), g, Config{})
+		for _, s := range g.Switches() {
+			n.SetRouter(s, &lossyRouter{})
+		}
+		n.Start()
+		n.StartFlows([]FlowSpec{
+			{ID: 1, Src: h0, Dst: h1, Size: 400 * MSS},
+			{ID: 2, Src: h1, Dst: h0, Size: 100 * MSS, Start: 3_000},
+			{ID: 3, Src: h0, Dst: h1, Start: 1_000, RateBps: 1e9},
+		})
+		e := n.Eng
+		for until := int64(0); until < 1_000_000; until += 100 {
+			e.Run(until)
+			if e.runLen >= 2 && n.flowTab[0].carrierSeq != 0 {
+				return n
+			}
+		}
+		t.Fatal("no moment with two arrivals on the run and a live carrier")
+		return nil
+	}
+	if err := loaded().Audit(); err != nil {
+		t.Fatalf("intact queue: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(n *Network)
+		want    string
+	}{
+		{"run out of order", func(n *Network) {
+			a, b := n.Eng.runAt(0), n.Eng.runAt(1)
+			*a, *b = *b, *a
+		}, "run out of order"},
+		{"arrival missing", func(n *Network) {
+			n.Eng.runLen-- // the tail's
+		}, "no arrival queued"},
+		{"arrival off its head's slot", func(n *Network) {
+			n.Eng.runAt(n.Eng.runLen-1).seq++
+		}, "its head is due at"},
+		{"two arrivals for one channel", func(n *Network) {
+			e := n.Eng
+			e.push(&e.hot, *e.runAt(e.runLen - 1))
+		}, "two arrivals queued"},
+		{"arrival among timers", func(n *Network) {
+			e := n.Eng
+			ev := *e.runAt(e.runLen - 1)
+			e.runLen--
+			ev.at = 1 << 62
+			e.push(&e.cold, ev)
+		}, "cold heap"},
+		{"heap broken", func(n *Network) {
+			e := n.Eng
+			e.cold[len(e.cold)-1].at = -1
+		}, "cold heap broken"},
+		{"in-flight slots out of order", func(n *Network) {
+			ch := queuedTwice(t, n)
+			ch.inHead.next.dueAt = ch.inHead.dueAt
+		}, "not strictly increasing"},
+		{"inTail stale", func(n *Network) {
+			ch := queuedTwice(t, n)
+			ch.inTail = ch.inHead
+		}, "inTail"},
+		{"carrier lost", func(n *Network) {
+			n.flowTab[0].carrierSeq++ // the queued carrier is now an orphan
+		}, "no live RTO carrier"},
+		{"carrier past its deadline", func(n *Network) {
+			st := n.flowTab[0]
+			st.rtoAt = st.carrierAt - 1
+		}, "past its deadline"},
+	} {
+		n := loaded()
+		tc.corrupt(n)
+		if err := n.Audit(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: audit said %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// queuedTwice returns a channel with two or more packets in flight.
+func queuedTwice(t *testing.T, n *Network) *channel {
+	t.Helper()
+	for i := range n.chans {
+		if ch := &n.chans[i]; ch.inHead != nil && ch.inHead.next != nil {
+			return ch
+		}
+	}
+	t.Fatal("no channel has two packets in flight")
+	return nil
+}

@@ -55,15 +55,18 @@ func BenchmarkEventLoopPopulated(b *testing.B) {
 	}
 }
 
-// BenchmarkHeapDeliverPath is the heap work of one packet hop at the
-// population the k=8 cells run (~650 entries: busy channels, flows,
-// timers), with the root's new key landing anywhere in the window the
-// queue spans, as arrivals do. "rekey" is a busy channel: the delivered
-// head's entry moves to the next in-flight packet's slot. "pop+push" is
-// an idle one, most hops of the CBR cell: the entry goes, and the
-// router's forward queues one on the next channel.
+// BenchmarkHeapDeliverPath is the queue work of one packet hop at the
+// composition the k=8 cells run: ~280 entries, of which ~75 are busy
+// channels' arrivals and the rest timers and RTO carriers that fire
+// later than anything here. "rekey" is a busy channel whose next arrival
+// lands anywhere in the window the arrivals span, so mostly out of
+// order: it re-keys on the hot heap. "in-order" is the same with every
+// next arrival after all the others, as uniform packets on uniform links
+// give: it moves down the run. "pop+push" is an idle one, most hops of
+// the CBR cell: the entry goes, and the router's forward queues one on
+// the next channel.
 func BenchmarkHeapDeliverPath(b *testing.B) {
-	const pending, window = 650, 20_000
+	const arrivals, cold, window = 75, 205, 20_000
 	rng := rand.New(rand.NewSource(1))
 	var gaps [1024]int64
 	for i := range gaps {
@@ -71,28 +74,37 @@ func BenchmarkHeapDeliverPath(b *testing.B) {
 	}
 	setup := func() *Engine {
 		e := NewEngine()
-		for i := 0; i < pending; i++ {
+		for i := 0; i < cold; i++ {
+			at, seq := e.reserve(1<<50 + gaps[i])
+			e.push(&e.cold, event{at: at, seq: seq, kind: evRTO})
+		}
+		for i := 0; i < arrivals; i++ {
 			at, seq := e.reserve(gaps[i])
-			e.push(event{at: at, seq: seq, kind: evDeliver})
+			e.pushDeliver(event{at: at, seq: seq, kind: evDeliver})
 		}
 		return e
 	}
-	b.Run("rekey", func(b *testing.B) {
+	hop := func(b *testing.B, gap func(i int) int64) {
 		e := setup()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.now = e.queue[0].at
-			e.rekeyTop(e.reserve(e.now + gaps[i%len(gaps)]))
+			top, in := e.first()
+			e.now = top.at
+			at, seq := e.reserve(e.now + gap(i))
+			e.rekeyDeliver(in, at, seq)
 		}
-	})
+	}
+	b.Run("rekey", func(b *testing.B) { hop(b, func(i int) int64 { return gaps[i%len(gaps)] }) })
+	b.Run("in-order", func(b *testing.B) { hop(b, func(int) int64 { return window }) })
 	b.Run("pop+push", func(b *testing.B) {
 		e := setup()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.now = e.queue[0].at
-			e.popTop()
+			top, in := e.first()
+			e.now = top.at
+			e.popDeliver(in)
 			at, seq := e.reserve(e.now + gaps[i%len(gaps)])
-			e.push(event{at: at, seq: seq, kind: evDeliver})
+			e.pushDeliver(event{at: at, seq: seq, kind: evDeliver})
 		}
 	})
 }

@@ -8,30 +8,57 @@
 // time series, loop detection).
 package sim
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Engine is the event loop. Times are int64 nanoseconds. Execution is
 // single-threaded and deterministic: ties in time break by scheduling
 // order.
 //
-// The queue is a binary heap of typed events ordered by (at, seq). It
-// stays small because the two high-volume event sources keep one entry
-// each instead of one per occurrence: a directed channel holds its
-// in-flight packets on its own FIFO and queues only the head's arrival
-// (Network.transmit), and a flow queues one RTO carrier that follows
-// its re-armed deadline (HostDev.armRTO). Both reserve the (at, seq)
-// slot of every occurrence up front, so effective events execute in
-// exactly the order one entry per packet and per arm would give.
+// Events are typed entries ordered by (at, seq). The queue stays small
+// because the two high-volume event sources keep one entry each instead
+// of one per occurrence: a directed channel holds its in-flight packets
+// on its own FIFO and queues only the head's arrival (Network.transmit),
+// and a flow queues one RTO carrier that follows its re-armed deadline
+// (HostDev.armRTO). Both reserve the (at, seq) slot of every occurrence
+// up front, so effective events execute in exactly the order one entry
+// per packet and per arm would give.
 //
-// A packet hop is one sift of that heap, so an entry is kept to what a
-// sift must move: 24 bytes, no pointers (see event). Whatever an event
-// refers to lives in a table the entry indexes — channels and flows in
-// the Network, callbacks in timers — and push, popTop and rekeyTop are
-// the only functions that write the queue.
+// The entries live in three structures, split by kind. Channel arrivals
+// are almost every event, but a minority of the entries: most of the
+// queue is timers and RTO carriers, which rarely fire. So arrivals are
+// kept apart from them:
+//
+//   - cold, a binary heap of evFunc, evTimer and evRTO;
+//   - run, a FIFO of evDeliver entries in (at, seq) order: an arrival is
+//     appended when it sorts after the run's tail, or the run is empty;
+//   - hot, a binary heap of the evDeliver entries that arrived out of
+//     order.
+//
+// Each busy channel has exactly one entry, in run or hot. Run takes the
+// earliest of the three heads. Where packets and links are uniform most
+// arrivals land in order, and a hop costs an append and an index bump
+// instead of a sift; the rest sift a heap of deliveries only, not one
+// padded with entries that fire later anyway.
+//
+// An entry is kept to what a sift must move: 24 bytes, no pointers (see
+// event). Whatever an event refers to lives in a table the entry
+// indexes — channels and flows in the Network, callbacks in timers — and
+// push, pushDeliver and the pop and rekey methods are the only code that
+// writes the queue.
 type Engine struct {
-	now   int64
-	seq   uint64
-	queue []event // binary min-heap by event.before
+	now int64
+	seq uint64
+
+	cold []event // binary min-heap by event.before: evFunc, evTimer, evRTO
+	hot  []event // binary min-heap by event.before: out-of-order evDeliver
+
+	// run is a ring of in-order evDeliver entries, ascending from
+	// run[runHead] for runLen entries; len(run) is 0 or a power of two.
+	run             []event
+	runHead, runLen int
 
 	// net receives typed deliver/RTO events. Set by NewNetwork; one
 	// network per engine (everywhere in this repo), enforced there.
@@ -105,11 +132,11 @@ func (e *Engine) reserve(t int64) (int64, uint64) {
 	return t, e.seq
 }
 
-// schedule enqueues a typed event at absolute time t (clamped to now),
+// schedule enqueues a timer event at absolute time t (clamped to now),
 // assigning the next sequence number.
 func (e *Engine) schedule(t int64, ev event) {
 	ev.at, ev.seq = e.reserve(t)
-	e.push(ev)
+	e.push(&e.cold, ev)
 }
 
 // At schedules fn at absolute time t (>= now). The closure waits in a
@@ -207,54 +234,54 @@ func (e *Engine) tick(idx int32, gen uint16) {
 
 // Run processes events until the queue is empty or time exceeds until.
 func (e *Engine) Run(until int64) {
-	for len(e.queue) > 0 {
-		top := &e.queue[0]
-		if top.at > until {
+	for {
+		top, in := e.first()
+		if top == nil || top.at > until {
 			break
 		}
 		e.now = top.at
 		// Every case removes or re-keys the top entry before it calls
-		// out: callees schedule, which moves the heap under top.
+		// out: callees schedule, which moves the queue under top.
 		switch top.kind {
+		case evDeliver:
+			ch := &e.net.chans[top.arg]
+			pkt := ch.inHead
+			if ch.inHead = pkt.next; ch.inHead != nil {
+				e.rekeyDeliver(in, ch.inHead.dueAt, ch.inHead.dueSeq)
+			} else {
+				e.popDeliver(in)
+			}
+			pkt.next = nil
+			e.net.deliver(ch, pkt)
 		case evFunc:
 			idx := top.arg
-			e.popTop()
+			e.popTop(&e.cold)
 			// Free the slot before the callback runs: it may call At and
 			// be handed this very slot.
 			fn := e.timers[idx].fn
 			e.freeSlot(idx)
 			fn()
-		case evDeliver:
-			ch := &e.net.chans[top.arg]
-			pkt := ch.inHead
-			if ch.inHead = pkt.next; ch.inHead != nil {
-				e.rekeyTop(ch.inHead.dueAt, ch.inHead.dueSeq)
-			} else {
-				e.popTop()
-			}
-			pkt.next = nil
-			e.net.deliver(ch, pkt)
 		case evTimer:
 			idx, gen := top.arg, top.gen
-			e.popTop()
+			e.popTop(&e.cold)
 			e.tick(idx, gen)
 		case evRTO:
 			st := e.net.flowTab[top.arg]
 			switch {
 			case top.seq != st.carrierSeq:
-				e.popTop() // orphan: an earlier deadline queued its own carrier
+				e.popTop(&e.cold) // orphan: an earlier deadline queued its own carrier
 			case st.senderDone || st.done:
 				st.carrierSeq = 0
-				e.popTop()
+				e.popTop(&e.cold)
 			case top.seq == st.rtoSeq:
 				st.carrierSeq = 0
-				e.popTop()
+				e.popTop(&e.cold)
 				e.net.hostOf(st.spec.Src).onRTO(st)
 			default:
 				// Re-armed since this carrier was queued: move on to the
 				// current deadline's reserved slot.
 				st.carrierAt, st.carrierSeq = st.rtoAt, st.rtoSeq
-				e.rekeyTop(st.rtoAt, st.rtoSeq)
+				e.rekeyTop(e.cold, st.rtoAt, st.rtoSeq)
 			}
 		}
 	}
@@ -267,43 +294,129 @@ func (e *Engine) Run(until int64) {
 // with a queued RTO carrier, timers and scheduled funcs. Packets in
 // flight are not entries of their own; a channel carrying any number
 // of them counts once.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return len(e.cold) + len(e.hot) + e.runLen }
 
-// push adds ev to the heap.
-func (e *Engine) push(ev event) {
-	q := append(e.queue, ev)
-	e.queue = q
-	i := len(q) - 1
+// Where the earliest entry is, as first reports it.
+const (
+	inRun = iota
+	inHot
+	inCold
+)
+
+// first returns the earliest entry of the three structures and which
+// one holds it, or nil when all are empty.
+func (e *Engine) first() (*event, int) {
+	var top *event
+	in := inRun
+	if e.runLen > 0 {
+		top = &e.run[e.runHead]
+	}
+	if len(e.hot) > 0 && (top == nil || e.hot[0].before(top)) {
+		top, in = &e.hot[0], inHot
+	}
+	if len(e.cold) > 0 && (top == nil || e.cold[0].before(top)) {
+		top, in = &e.cold[0], inCold
+	}
+	return top, in
+}
+
+// pushDeliver queues a channel's arrival: on the run if it sorts after
+// the run's tail or the run is empty, on the hot heap otherwise.
+func (e *Engine) pushDeliver(ev event) {
+	if e.runTakes(&ev) {
+		e.appendRun(ev)
+	} else {
+		e.push(&e.hot, ev)
+	}
+}
+
+// runTakes reports whether ev may join the run: the run stays sorted.
+func (e *Engine) runTakes(ev *event) bool {
+	return e.runLen == 0 || !ev.before(e.runAt(e.runLen-1))
+}
+
+// appendRun adds ev at the run's tail. The ring doubles only when full,
+// so it grows to the peak of busy channels in order and no further.
+func (e *Engine) appendRun(ev event) {
+	if e.runLen == len(e.run) {
+		ring := make([]event, max(2*len(e.run), 16))
+		n := copy(ring, e.run[e.runHead:])
+		copy(ring[n:], e.run[:e.runHead])
+		e.run, e.runHead = ring, 0
+	}
+	e.run[(e.runHead+e.runLen)&(len(e.run)-1)] = ev
+	e.runLen++
+}
+
+// popDeliver removes the earliest entry of run or hot (in): its channel
+// has nothing more in flight.
+func (e *Engine) popDeliver(in int) {
+	if in == inHot {
+		e.popTop(&e.hot)
+		return
+	}
+	e.runHead = (e.runHead + 1) & (len(e.run) - 1)
+	e.runLen--
+}
+
+// rekeyDeliver moves the earliest entry of run or hot (in) to its
+// channel's next arrival, a later (at, seq). From the run it is taken
+// off the front and queued again; from the hot heap it joins the run
+// when the run takes it, and is otherwise re-keyed in place with one
+// sift-down.
+func (e *Engine) rekeyDeliver(in int, at int64, seq uint64) {
+	var ev event
+	if in == inHot {
+		ev = e.hot[0]
+		ev.at, ev.seq = at, seq
+		if !e.runTakes(&ev) {
+			e.siftDown(e.hot, ev)
+			return
+		}
+	} else {
+		ev = e.run[e.runHead]
+		ev.at, ev.seq = at, seq
+	}
+	e.popDeliver(in)
+	e.pushDeliver(ev)
+}
+
+// push adds ev to heap *q.
+func (e *Engine) push(q *[]event, ev event) {
+	h := append(*q, ev)
+	*q = h
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !ev.before(&q[parent]) {
+		if !ev.before(&h[parent]) {
 			break
 		}
-		q[i] = q[parent]
+		h[i] = h[parent]
 		i = parent
 	}
-	q[i] = ev
+	h[i] = ev
 }
 
-// popTop removes the earliest entry.
-func (e *Engine) popTop() {
-	last := len(e.queue) - 1
-	ev := e.queue[last]
-	e.queue = e.queue[:last]
+// popTop removes heap *q's earliest entry.
+func (e *Engine) popTop(q *[]event) {
+	h := *q
+	last := len(h) - 1
+	ev := h[last]
+	*q = h[:last]
 	if last > 0 {
-		e.siftDown(ev)
+		e.siftDown(h[:last], ev)
 	}
 }
 
-// rekeyTop moves the earliest entry to a later (at, seq) in place: one
-// sift-down instead of a pop and a push.
-func (e *Engine) rekeyTop(at int64, seq uint64) {
-	ev := e.queue[0]
+// rekeyTop moves heap q's earliest entry to a later (at, seq) in place:
+// one sift-down instead of a pop and a push.
+func (e *Engine) rekeyTop(q []event, at int64, seq uint64) {
+	ev := q[0]
 	ev.at, ev.seq = at, seq
-	e.siftDown(ev)
+	e.siftDown(q, ev)
 }
 
-// siftDown places ev in the hole at the root.
+// siftDown places ev in the hole at the root of heap q.
 //
 // Which child is smaller is a coin toss the branch predictor loses half
 // the time, on every level of every hop. So the choice is arithmetic:
@@ -313,8 +426,7 @@ func (e *Engine) rekeyTop(at int64, seq uint64) {
 // the two Sub64 and the add as they are: written as `if less { c++ }`
 // this compiles to a conditional jump and the gain is gone (the README
 // has the objdump check).
-func (e *Engine) siftDown(ev event) {
-	q := e.queue
+func (e *Engine) siftDown(q []event, ev event) {
 	last := len(q) - 1
 	i := 0
 	for {
@@ -340,3 +452,39 @@ func (e *Engine) siftDown(ev event) {
 	}
 	q[i] = ev
 }
+
+// checkOrder reports a queue out of order: the run not ascending, a
+// heap without the heap property, or an entry in the wrong structure
+// for its kind. Network.Audit runs it at a cell's horizon; the event
+// loop never does.
+func (e *Engine) checkOrder() error {
+	for i := 0; i < e.runLen; i++ {
+		ev := e.runAt(i)
+		if ev.kind != evDeliver {
+			return fmt.Errorf("sim: event kind %d queued on the run", ev.kind)
+		}
+		if prev := e.runAt(i - 1); i > 0 && ev.before(prev) {
+			return fmt.Errorf("sim: event run out of order: entry %d (%d, %d) after (%d, %d)",
+				i, ev.at, ev.seq, prev.at, prev.seq)
+		}
+	}
+	for _, h := range [...]struct {
+		name string
+		q    []event
+		cold bool
+	}{{"hot", e.hot, false}, {"cold", e.cold, true}} {
+		for i := range h.q {
+			if (h.q[i].kind != evDeliver) != h.cold {
+				return fmt.Errorf("sim: event kind %d queued on the %s heap", h.q[i].kind, h.name)
+			}
+			if p := (i - 1) / 2; i > 0 && h.q[i].before(&h.q[p]) {
+				return fmt.Errorf("sim: %s heap broken: entry %d (%d, %d) sorts before its parent %d (%d, %d)",
+					h.name, i, h.q[i].at, h.q[i].seq, p, h.q[p].at, h.q[p].seq)
+			}
+		}
+	}
+	return nil
+}
+
+// runAt returns the run's i-th entry from the head.
+func (e *Engine) runAt(i int) *event { return &e.run[(e.runHead+i)&(len(e.run)-1)] }

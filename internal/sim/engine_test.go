@@ -18,10 +18,11 @@ type refEngine struct {
 }
 
 type refEvent struct {
-	at  int64
-	seq uint64
-	fn  func()
-	arg int32 // payload identity, for the heap differential in heap_test.go
+	at   int64
+	seq  uint64
+	fn   func()
+	arg  int32  // payload identity, for the queue differential in heap_test.go
+	kind evKind // likewise
 }
 
 type refHeap []refEvent

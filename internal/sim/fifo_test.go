@@ -168,59 +168,12 @@ func (r *refNet) apply(ev NetworkEvent) {
 	}
 }
 
-// checkInFlight asserts the FIFO premise on every channel: reserved
-// arrival slots strictly increase along the in-flight list, the engine
-// holds exactly one evDeliver entry per non-empty list, and that entry
-// is keyed to the list's head.
-//
-// The premise rests on transmit: busyUntil strictly increases and
-// delayNs is one constant per channel. Any future per-packet delay
-// (jitter, reordering models) breaks it, and with it the single queue
-// entry per channel; this check is the tripwire.
-func checkInFlight(t *testing.T, n *Network) {
-	t.Helper()
-	queued := make(map[int32]*event)
-	for i := range n.Eng.queue {
-		if ev := &n.Eng.queue[i]; ev.kind == evDeliver {
-			if queued[ev.arg] != nil {
-				t.Fatalf("channel %d has two queue entries", ev.arg)
-			}
-			queued[ev.arg] = ev
-		}
-	}
-	busy := 0
-	for i := range n.chans {
-		ch := &n.chans[i]
-		if ch.inHead == nil {
-			continue
-		}
-		busy++
-		ev := queued[int32(i)]
-		if ev == nil || ev.at != ch.inHead.dueAt || ev.seq != ch.inHead.dueSeq {
-			t.Fatalf("channel %d: queue entry %+v does not match in-flight head (%d, %d)",
-				i, ev, ch.inHead.dueAt, ch.inHead.dueSeq)
-		}
-		last := ch.inHead
-		for p := ch.inHead.next; p != nil; last, p = p, p.next {
-			if p.dueAt <= last.dueAt || p.dueSeq <= last.dueSeq {
-				t.Fatalf("channel %d: in-flight slots not strictly increasing: (%d, %d) then (%d, %d)",
-					i, last.dueAt, last.dueSeq, p.dueAt, p.dueSeq)
-			}
-		}
-		if last != ch.inTail {
-			t.Fatalf("channel %d: inTail is not the last in-flight packet", i)
-		}
-	}
-	if busy != len(queued) {
-		t.Fatalf("%d evDeliver entries for %d busy channels", len(queued), busy)
-	}
-}
-
 // TestChannelFIFOMatchesPerPacketScheduling injects random packets on
 // every channel of a real Network through link scaling, link and node
 // failures and recoveries, and requires the recording routers and hosts
 // to see the identical (time, channel, packet) sequence, and the same
-// typed drop counts, as one-event-per-packet scheduling.
+// typed drop counts, as one-event-per-packet scheduling; Network.Audit
+// holds the queue to the in-flight FIFOs between run windows.
 func TestChannelFIFOMatchesPerPacketScheduling(t *testing.T) {
 	sizes := []int{64, 500, 1500, 1500, 9000}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -264,6 +217,7 @@ func TestChannelFIFOMatchesPerPacketScheduling(t *testing.T) {
 				pkt := n.NewPacket()
 				pkt.Kind, pkt.Size, pkt.Seq, pkt.TTL = Data, int32(size), int32(id), ttl
 				pkt.Dst = n.chans[n.portChan[from][port]].to
+				n.hostTx[Data]++ // counted as a host's, so Audit's conservation holds
 				n.transmit(from, port, pkt)
 			})
 			ref.eng.At(at, func() { ref.transmit(from, port, id, size, ttl) })
@@ -272,7 +226,9 @@ func TestChannelFIFOMatchesPerPacketScheduling(t *testing.T) {
 		for until := int64(0); until <= 2*horizon; until += 3_000 {
 			e.Run(until)
 			ref.eng.Run(until)
-			checkInFlight(t, n)
+			if err := n.Audit(); err != nil {
+				t.Fatalf("seed %d at %d: %v", seed, until, err)
+			}
 		}
 		e.Run(1 << 40)
 		ref.eng.Run(1 << 40)
@@ -376,43 +332,14 @@ func (m *carrierRTO) arm(i int, rtoNs float64) {
 func (m *carrierRTO) finishSender(i int)   { m.flows[i].senderDone = true }
 func (m *carrierRTO) finishReceiver(i int) { m.flows[i].done = true }
 func (m *carrierRTO) state() string {
-	m.checkCarriers()
+	if err := m.net.Audit(); err != nil {
+		m.t.Fatal(err)
+	}
 	s := fmt.Sprintf("t=%d timeouts=%d", m.e.Now(), m.net.tot.RTOs)
 	for _, st := range m.flows {
 		s += fmt.Sprint(" ", st.rtoNs)
 	}
 	return s
-}
-
-// checkCarriers asserts the queue holds exactly one live carrier per
-// flow that has one (carrierSeq != 0), at or before the flow's current
-// deadline; any other evRTO entry is an orphan that will pop unseen.
-func (m *carrierRTO) checkCarriers() {
-	m.t.Helper()
-	live := make(map[*flowState]int)
-	for i := range m.e.queue {
-		ev := &m.e.queue[i]
-		if ev.kind != evRTO {
-			continue
-		}
-		st := m.net.flowTab[ev.arg]
-		if ev.seq != st.carrierSeq {
-			continue
-		}
-		live[st]++
-		if ev.at != st.carrierAt || ev.at > st.rtoAt || ev.seq > st.rtoSeq {
-			m.t.Fatalf("carrier (%d, %d) is past the deadline (%d, %d)", ev.at, ev.seq, st.rtoAt, st.rtoSeq)
-		}
-	}
-	for i, st := range m.flows {
-		want := 0
-		if st.carrierSeq != 0 {
-			want = 1
-		}
-		if live[st] != want {
-			m.t.Fatalf("flow %d: %d live carriers queued, want %d", i, live[st], want)
-		}
-	}
 }
 
 // driveRTO runs one random script against m and returns a trace with

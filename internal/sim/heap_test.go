@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -33,31 +34,32 @@ func TestEventLayout(t *testing.T) {
 	walk("event", reflect.TypeOf(event{}))
 }
 
-// checkHeap asserts the heap property over the whole queue.
-func checkHeap(t *testing.T, q []event) {
-	t.Helper()
-	for i := 1; i < len(q); i++ {
-		if p := (i - 1) / 2; q[i].before(&q[p]) {
-			t.Fatalf("heap property broken: entry %d (%d, %d) sorts before its parent %d (%d, %d)",
-				i, q[i].at, q[i].seq, p, q[p].at, q[p].seq)
-		}
-	}
-}
-
-// TestHeapMatchesContainerHeap runs random push / popTop / rekeyTop
-// scripts against container/heap on (at, seq) (refHeap, the reference
-// scheduler's queue). The profiles aim at what the branch-free child
-// select could get wrong: bursts at one instant (seq alone decides, and
-// the low word's borrow must carry), populations of 0-4 (the last parent
-// has one child and the select must not read a right sibling that is not
-// there), at == 0 and at next to MaxInt64 (the signed time compared as
-// unsigned).
+// TestHeapMatchesContainerHeap runs random scripts against
+// container/heap on (at, seq) (refHeap, the reference scheduler's
+// queue) through the engine's own queue operations: arrivals pushed
+// with pushDeliver, timers, one-shots and RTO carriers with push on the
+// cold heap, and the earliest entry (first) popped or re-keyed as Run
+// does — an arrival with popDeliver / rekeyDeliver from whichever of
+// the run and the hot heap holds it, a cold entry with popTop /
+// rekeyTop. After every step the earliest entry must be the
+// reference's, with the payload that travels with it, and
+// Engine.checkOrder must pass.
+//
+// The profiles aim at what the split and the branch-free child select
+// could get wrong: bursts at one instant (seq alone decides, and the low
+// word's borrow must carry), populations of 0-4 (the last parent has
+// one child and the select must not read a right sibling that is not
+// there; the run empties and refills), at == 0 and at next to MaxInt64
+// (the signed time compared as unsigned), every key in order (the run
+// alone carries arrivals) and every key reversed (the hot heap does).
 func TestHeapMatchesContainerHeap(t *testing.T) {
+	// clock is the running key of the ordered profiles, reset per script.
+	var clock int64
 	profiles := []struct {
 		name   string
 		maxPop int                                // population the script hovers under
 		at     func(r *rand.Rand) int64           // absolute time of a pushed entry
-		later  func(r *rand.Rand, at int64) int64 // rekeyTop's new time, >= at
+		later  func(r *rand.Rand, at int64) int64 // a re-key's new time, >= at except in "reversed"
 	}{
 		{"spread", 700,
 			func(r *rand.Rand) int64 { return r.Int63n(1 << 20) },
@@ -77,57 +79,103 @@ func TestHeapMatchesContainerHeap(t *testing.T) {
 		{"extremes", 40,
 			func(r *rand.Rand) int64 { return []int64{0, 1, math.MaxInt64 - 1, math.MaxInt64}[r.Intn(4)] },
 			func(r *rand.Rand, at int64) int64 { return []int64{at, math.MaxInt64}[r.Intn(2)] }},
+		// Every key at or after every key before it.
+		{"inorder", 300,
+			func(r *rand.Rand) int64 { clock += r.Int63n(3); return clock },
+			func(r *rand.Rand, at int64) int64 { clock += r.Int63n(3); return clock }},
+		// Every key before every key before it: the run holds one
+		// arrival at most, taken when it was empty.
+		{"reversed", 300,
+			func(r *rand.Rand) int64 { clock -= 1 + r.Int63n(3); return 1<<40 + clock },
+			func(r *rand.Rand, at int64) int64 { clock -= 1 + r.Int63n(3); return 1<<40 + clock }},
 	}
+	// How many re-keys of an arrival came off the run and the hot heap.
+	var fromRun, fromHot int
 	for _, p := range profiles {
 		for seed := int64(1); seed <= 8; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			e := NewEngine()
 			var ref refHeap
 			var seq uint64
-			// same reports whether both heaps have the same entry on top:
-			// key and the payload that must travel with it.
-			same := func() bool {
-				got, want := e.queue[0], ref[0]
-				return got.at == want.at && got.seq == want.seq && got.arg == want.arg
+			clock = 0
+			check := func(where string) {
+				t.Helper()
+				if e.Pending() != len(ref) {
+					t.Fatalf("%s seed %d %s: population %d, reference %d", p.name, seed, where, e.Pending(), len(ref))
+				}
+				if err := e.checkOrder(); err != nil {
+					t.Fatalf("%s seed %d %s: %v", p.name, seed, where, err)
+				}
+				switch {
+				case p.name == "inorder" && len(e.hot) > 0:
+					t.Fatalf("%s seed %d %s: %d arrivals on the hot heap", p.name, seed, where, len(e.hot))
+				case p.name == "reversed" && e.runLen > 1:
+					t.Fatalf("%s seed %d %s: %d arrivals on the run", p.name, seed, where, e.runLen)
+				}
+				if len(ref) == 0 {
+					return
+				}
+				top, _ := e.first()
+				if want := ref[0]; top.at != want.at || top.seq != want.seq || top.arg != want.arg || top.kind != want.kind {
+					t.Fatalf("%s seed %d %s: first %+v, reference %+v", p.name, seed, where, *top, want)
+				}
 			}
 			for step := 0; step < 4000; step++ {
 				switch roll := rng.Intn(9); {
 				case len(ref) == 0 || roll < 5 && len(ref) < p.maxPop:
 					seq++
-					at := p.at(rng)
-					e.push(event{at: at, seq: seq, arg: int32(seq), kind: evDeliver})
-					heap.Push(&ref, refEvent{at: at, seq: seq, arg: int32(seq)})
+					ev := event{at: p.at(rng), seq: seq, arg: int32(seq), kind: evDeliver}
+					if rng.Intn(3) == 0 {
+						ev.kind = []evKind{evFunc, evTimer, evRTO}[rng.Intn(3)]
+						e.push(&e.cold, ev)
+					} else {
+						e.pushDeliver(ev)
+					}
+					heap.Push(&ref, refEvent{at: ev.at, seq: ev.seq, arg: ev.arg, kind: ev.kind})
 				case roll < 8:
-					e.popTop()
+					if _, in := e.first(); in == inCold {
+						e.popTop(&e.cold)
+					} else {
+						e.popDeliver(in)
+					}
 					heap.Pop(&ref)
 				default:
-					// A re-key moves the root to a slot reserved later: a
-					// time not before its own and a fresh sequence number.
+					// A re-key moves the earliest entry to a slot reserved
+					// later: a fresh sequence number, and (but for the
+					// reversed profile) a time not before its own.
 					seq++
 					at := p.later(rng, ref[0].at)
-					e.rekeyTop(at, seq)
+					switch _, in := e.first(); in {
+					case inCold:
+						e.rekeyTop(e.cold, at, seq)
+					case inRun:
+						fromRun++
+						e.rekeyDeliver(in, at, seq)
+					default:
+						fromHot++
+						e.rekeyDeliver(in, at, seq)
+					}
 					ref[0].at, ref[0].seq = at, seq
 					heap.Fix(&ref, 0)
 				}
-				if len(e.queue) != len(ref) {
-					t.Fatalf("%s seed %d step %d: population %d, reference %d", p.name, seed, step, len(e.queue), len(ref))
-				}
-				checkHeap(t, e.queue)
-				if len(ref) > 0 && !same() {
-					t.Fatalf("%s seed %d step %d: top %+v, reference %+v", p.name, seed, step, e.queue[0], ref[0])
-				}
+				check(fmt.Sprint("step ", step))
 			}
 			for len(ref) > 0 {
-				if !same() {
-					t.Fatalf("%s seed %d drain: top %+v, reference %+v", p.name, seed, e.queue[0], ref[0])
+				if _, in := e.first(); in == inCold {
+					e.popTop(&e.cold)
+				} else {
+					e.popDeliver(in)
 				}
-				e.popTop()
 				heap.Pop(&ref)
-				checkHeap(t, e.queue)
+				check("drain")
 			}
-			if len(e.queue) != 0 {
-				t.Fatalf("%s seed %d: %d entries left after the reference drained", p.name, seed, len(e.queue))
+			if e.Pending() != 0 {
+				t.Fatalf("%s seed %d: %d entries left after the reference drained", p.name, seed, e.Pending())
 			}
 		}
+	}
+	t.Logf("re-keyed %d arrivals off the run, %d off the hot heap", fromRun, fromHot)
+	if fromRun == 0 || fromHot == 0 {
+		t.Errorf("scripts re-keyed %d arrivals off the run and %d off the hot heap", fromRun, fromHot)
 	}
 }

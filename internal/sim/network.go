@@ -385,7 +385,7 @@ func (n *Network) transmit(from topo.NodeID, port int, pkt *Packet) {
 	pkt.dueAt, pkt.dueSeq = n.Eng.reserve(ch.busyUntil + ch.delayNs)
 	if ch.inHead == nil {
 		ch.inHead = pkt
-		n.Eng.push(event{at: pkt.dueAt, seq: pkt.dueSeq, kind: evDeliver, arg: chIdx})
+		n.Eng.pushDeliver(event{at: pkt.dueAt, seq: pkt.dueSeq, kind: evDeliver, arg: chIdx})
 	} else {
 		ch.inTail.next = pkt
 	}
@@ -474,8 +474,16 @@ func (n *Network) RegisterMisses() int64 { return n.misses }
 // data packets and ACKs, each kind on its own: every one a host sent was
 // received by a host, dropped (for any reason, on a channel or by
 // SwitchDev.Drop) or is still in flight — a router that frees one
-// without Drop breaks the count. It walks the freelists and the channel
-// FIFOs once, so the packet path pays three counter increments for it.
+// without Drop breaks the count. Every channel's packets in flight hold
+// strictly increasing reserved slots, ending at inTail. And the engine
+// queue stands for exactly what is pending (auditQueue). It walks the
+// freelists, the channel FIFOs and the queue once each, so the packet
+// path pays three counter increments for it and the event loop nothing.
+//
+// The FIFO premise rests on transmit: busyUntil strictly increases and
+// delayNs is one constant per channel. Any future per-packet delay
+// (jitter, reordering models) breaks it, and with it the single queue
+// entry per channel; the slot check is the tripwire.
 func (n *Network) Audit() error {
 	if n.misses > 0 {
 		return fmt.Errorf("sim: %d register misses", n.misses)
@@ -484,12 +492,21 @@ func (n *Network) Audit() error {
 	var inFlight [Probe + 1]int64
 	total, held := 0, 0
 	for i := range n.chans {
-		for p := n.chans[i].inHead; p != nil && total <= drawn; p = p.next {
+		ch := &n.chans[i]
+		var last *Packet
+		for p := ch.inHead; p != nil && total <= drawn; last, p = p, p.next {
+			if last != nil && (p.dueAt <= last.dueAt || p.dueSeq <= last.dueSeq) {
+				return fmt.Errorf("sim: channel %d's in-flight slots not strictly increasing: (%d, %d) then (%d, %d)",
+					i, last.dueAt, last.dueSeq, p.dueAt, p.dueSeq)
+			}
 			total++
 			inFlight[p.Kind]++
 			if p.Packed != nil {
 				held++
 			}
+		}
+		if last != nil && last != ch.inTail {
+			return fmt.Errorf("sim: channel %d's inTail is not its last packet in flight", i)
 		}
 	}
 	free, freeBufs := n.pool.free()
@@ -504,6 +521,82 @@ func (n *Network) Audit() error {
 		if sent != rcvd+dropped+inFlight[k] {
 			return fmt.Errorf("sim: %s packets not conserved: %d sent by hosts, %d received by hosts, %d dropped, %d in flight",
 				name, sent, rcvd, dropped, inFlight[k])
+		}
+	}
+	return n.auditQueue()
+}
+
+// auditQueue checks the engine queue against the channels and flows it
+// stands for, once Engine.checkOrder has found it in order. Every
+// channel with packets in flight has exactly one arrival entry, in the
+// run or the hot heap, keyed to its head's slot; an idle channel has
+// none. Every flow with a live RTO carrier (carrierSeq != 0) has exactly
+// one queued, at carrierAt and at or before its deadline; any other
+// evRTO entry is an orphan that will pop unseen.
+func (n *Network) auditQueue() error {
+	e := n.Eng
+	if err := e.checkOrder(); err != nil {
+		return err
+	}
+	// One bit per channel and per flow: an entry for it has been seen.
+	words := (len(n.chans) + 63) / 64
+	marks := make([]uint64, words+(len(n.flowTab)+63)/64)
+	chanSeen, flowSeen := marks[:words], marks[words:]
+	mark := func(set []uint64, i int32) (again bool) {
+		w, b := i>>6, uint64(1)<<(i&63)
+		again = set[w]&b != 0
+		set[w] |= b
+		return again
+	}
+	for i := 0; i < e.runLen+len(e.hot); i++ {
+		var ev *event
+		if i < e.runLen {
+			ev = e.runAt(i)
+		} else {
+			ev = &e.hot[i-e.runLen]
+		}
+		if ev.arg < 0 || int(ev.arg) >= len(n.chans) {
+			return fmt.Errorf("sim: arrival queued for channel %d of %d", ev.arg, len(n.chans))
+		}
+		head := n.chans[ev.arg].inHead
+		switch {
+		case head == nil:
+			return fmt.Errorf("sim: idle channel %d has an arrival queued at (%d, %d)", ev.arg, ev.at, ev.seq)
+		case ev.at != head.dueAt || ev.seq != head.dueSeq:
+			return fmt.Errorf("sim: channel %d's arrival queued at (%d, %d), its head is due at (%d, %d)",
+				ev.arg, ev.at, ev.seq, head.dueAt, head.dueSeq)
+		case mark(chanSeen, ev.arg):
+			return fmt.Errorf("sim: channel %d has two arrivals queued", ev.arg)
+		}
+	}
+	for i := range e.cold {
+		ev := &e.cold[i]
+		if ev.kind != evRTO {
+			continue
+		}
+		if ev.arg < 0 || int(ev.arg) >= len(n.flowTab) {
+			return fmt.Errorf("sim: RTO carrier queued for flow %d of %d", ev.arg, len(n.flowTab))
+		}
+		st := n.flowTab[ev.arg]
+		if ev.seq != st.carrierSeq {
+			continue // orphan
+		}
+		if mark(flowSeen, ev.arg) {
+			return fmt.Errorf("sim: flow %d has two live RTO carriers", st.spec.ID)
+		}
+		if ev.at != st.carrierAt || ev.at > st.rtoAt || ev.seq > st.rtoSeq {
+			return fmt.Errorf("sim: flow %d's RTO carrier (%d, %d) is past its deadline (%d, %d)",
+				st.spec.ID, ev.at, ev.seq, st.rtoAt, st.rtoSeq)
+		}
+	}
+	for i := range n.chans {
+		if n.chans[i].inHead != nil && chanSeen[i>>6]&(1<<(i&63)) == 0 {
+			return fmt.Errorf("sim: channel %d has packets in flight and no arrival queued", i)
+		}
+	}
+	for i, st := range n.flowTab {
+		if st.carrierSeq != 0 && flowSeen[i>>6]&(1<<(i&63)) == 0 {
+			return fmt.Errorf("sim: flow %d has no live RTO carrier queued", st.spec.ID)
 		}
 	}
 	return nil

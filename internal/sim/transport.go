@@ -215,7 +215,7 @@ func (h *HostDev) armRTO(st *flowState) {
 	// shrank) needs a carrier of its own, orphaning the old one.
 	if st.carrierSeq == 0 || st.rtoAt < st.carrierAt {
 		st.carrierAt, st.carrierSeq = st.rtoAt, st.rtoSeq
-		e.push(event{at: st.rtoAt, seq: st.rtoSeq, kind: evRTO, arg: st.idx})
+		e.push(&e.cold, event{at: st.rtoAt, seq: st.rtoSeq, kind: evRTO, arg: st.idx})
 	}
 }
 

@@ -457,10 +457,14 @@ func GenerateCohorts(g *topo.Graph, cfg CohortConfig) ([]sim.FlowSpec, error) {
 		}
 	}
 
+	// One generator, re-seeded per cohort: Seed resets it to exactly the
+	// state a fresh source of that seed starts in, without allocating
+	// another ~5 KB source per cohort.
+	rng := rand.New(rand.NewSource(0))
 	var flows []sim.FlowSpec
 	for i := range cfg.Cohorts {
 		c := &cfg.Cohorts[i]
-		cf, err := generateCohort(g, c, i, cfg, scale, byPod)
+		cf, err := generateCohort(g, c, i, cfg, scale, byPod, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -472,10 +476,10 @@ func GenerateCohorts(g *topo.Graph, cfg CohortConfig) ([]sim.FlowSpec, error) {
 	return flows, nil
 }
 
-func generateCohort(g *topo.Graph, c *CohortSpec, i int, cfg CohortConfig, scale float64, byPod map[int][]topo.NodeID) ([]sim.FlowSpec, error) {
+func generateCohort(g *topo.Graph, c *CohortSpec, i int, cfg CohortConfig, scale float64, byPod map[int][]topo.NodeID, rng *rand.Rand) ([]sim.FlowSpec, error) {
 	// Each cohort owns an independent deterministic stream: a fixed
 	// odd multiplier spreads cohort indices across seed space.
-	rng := rand.New(rand.NewSource(cfg.Seed + 1_000_003*int64(i+1)))
+	rng.Seed(cfg.Seed + 1_000_003*int64(i+1))
 	size := c.Size.sampler()
 
 	weight := c.Weight
