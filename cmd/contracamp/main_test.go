@@ -2,18 +2,39 @@ package main
 
 import (
 	"crypto/sha256"
+	"flag"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"contra/internal/campaign"
-	"contra/internal/dist"
 	"contra/internal/fabric"
 )
+
+// update makes TestGoldenCampaignDigests rewrite the committed digests
+// from its in-memory runs before it checks them, after an intentional
+// change of simulator output:
+//
+//	go test ./cmd/contracamp -run TestGoldenCampaignDigests -update
+var update = flag.Bool("update", false, "rewrite examples/campaign/golden/*.sha256")
+
+// workerEnv, when set, makes the test binary run main() on its own
+// arguments instead of the tests. A -serve run spawns its local fleet by
+// re-executing its own binary as -worker; under `go test` that binary
+// is this one, and the children inherit the variable.
+const workerEnv = "CONTRACAMP_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(workerEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // tinySpec is 2 schemes × 2 loads × 2 seeds (two loads so that there is
 // an FCT-vs-load figure to draw) with every per-cell artifact on:
@@ -65,10 +86,12 @@ func readDir(t *testing.T, dir string) map[string]string {
 
 // TestEveryModeWritesTheSameBytes drives run(options) through the four
 // ways a cell can execute — in-memory, streamed then merged, two shards
-// then merged, and a fabric worker against an in-process coordinator —
-// and requires identical report outputs (JSON, CSV, the three aggregate
-// CSVs, the FCT-vs-load figure data) and file-for-file identical
-// flow-trace, decision-trace and telemetry dirs from all of them.
+// then merged, and a journaled -serve coordinator with a local fleet of
+// two worker processes — and requires identical report outputs (JSON,
+// CSV, the three aggregate CSVs, the FCT-vs-load figure data) and
+// file-for-file identical flow-trace, decision-trace and telemetry dirs
+// from all of them. The coordinator's journal must pass the journal
+// checker, and its auto-run post-mortem must be written next to it.
 func TestEveryModeWritesTheSameBytes(t *testing.T) {
 	root := t.TempDir()
 	specPath := filepath.Join(root, "spec.json")
@@ -138,29 +161,32 @@ func TestEveryModeWritesTheSameBytes(t *testing.T) {
 	}
 	got["two shards + -merge"] = collect(merge(dir, filepath.Join(root, "shard0.jsonl")+","+filepath.Join(root, "shard1.jsonl")), dir)
 
+	t.Setenv(workerEnv, "1")
+	o, dir = base("serve")
+	o.spec, o.serve, o.stream = specPath, "127.0.0.1:0", filepath.Join(root, "serve.jsonl")
+	o.leaseTTL, o.journal = time.Second, filepath.Join(root, "j.jsonl")
+	reportFlags(&o, dir)
+	must(o)
+	got["-serve, local fleet of 2"] = collect(o, dir)
+	journal, err := os.Open(o.journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	if _, err := fabric.CheckJournalStream(journal); err != nil {
+		t.Errorf("coordinator journal: %v", err)
+	}
+	if md, err := os.ReadFile(o.journal + ".pm.md"); err != nil || !strings.HasPrefix(string(md), "# Campaign post-mortem") {
+		t.Errorf("post-mortem markdown starts %.40q (%v), want the report heading", md, err)
+	}
+	if _, err := os.Stat(o.journal + ".pm.csv"); err != nil {
+		t.Errorf("post-mortem CSV: %v", err)
+	}
+
 	spec, err := campaign.LoadFile(specPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coordStream := filepath.Join(root, "coord.jsonl")
-	sink, err := dist.CreateJSONL(coordStream, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := fabric.New(spec, sink, nil, fabric.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	o, dir = base("worker")
-	o.worker, o.workerDir, o.workerID = srv.URL, filepath.Join(dir, "durable"), "w0"
-	must(o)
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got["fabric worker"] = collect(merge(dir, coordStream), dir)
-
 	want := got["in-memory"]
 	if n := spec.Size(); len(want.flow) != n || len(want.trace) != n || len(want.metrics) != n {
 		t.Fatalf("in-memory run wrote %d flow, %d trace, %d metrics files; want %d of each",
@@ -256,48 +282,71 @@ func TestMergeCountsEachCellOnce(t *testing.T) {
 	}
 }
 
-// TestGoldenCampaignDigests runs the four fixed-seed campaigns that
-// scripts/golden.sh pins through run(options) and compares the report
-// JSON and CSV with the committed digests, so `go test ./...` fails on a
-// single moved byte of simulator output. The script keeps --update and
-// the process-level variants (shards merged, tracing and telemetry
-// forced off). The runs are strict: every cell, under each scheme, must
-// also pass scenario.Run's horizon audit — no register miss, every
-// packet conserved — or run fails before any digest is compared.
+// TestGoldenCampaignDigests runs the five fixed-seed campaigns under
+// examples/campaign/golden through run(options) twice — in memory, and
+// as two -shard streams then -merge — and holds the report JSON and CSV
+// of both to the committed digests, so `go test ./...` fails on a single
+// moved byte of simulator output or a merge that drifts from the
+// in-memory run. -update rewrites the digests from the in-memory run
+// first. The runs are strict: every cell, under each scheme, must also
+// pass scenario.Run's horizon audit — no register miss, every packet
+// conserved, the event queue and timer slots in step — or run fails
+// before any digest is compared.
 func TestGoldenCampaignDigests(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four campaigns (~8s)")
+		t.Skip("runs five campaigns twice each (~15s)")
 	}
 	const dir = "../../examples/campaign"
-	for _, name := range []string{"fattree_smoke", "chaos_smoke", "packed_smoke", "cohorts_smoke"} {
+	for _, name := range []string{"fattree_smoke", "chaos_smoke", "packed_smoke", "cohorts_smoke", "fabric_smoke"} {
 		t.Run(name, func(t *testing.T) {
-			golden, err := os.ReadFile(filepath.Join(dir, "golden", name+".sha256"))
+			base := options{quiet: true, noTable: true, workers: 2, metricsInterval: -1, cellTimeout: -1, strict: true}
+			// digests runs o, writing name.json and name.csv into dir, and
+			// returns their digests as sha256sum prints them.
+			digests := func(o options, dir string) string {
+				t.Helper()
+				o.out, o.csvOut = filepath.Join(dir, name+".json"), filepath.Join(dir, name+".csv")
+				if err := run(o); err != nil {
+					t.Fatal(err)
+				}
+				var sums strings.Builder
+				for _, path := range []string{o.out, o.csvOut} {
+					b, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(&sums, "%x  %s\n", sha256.Sum256(b), filepath.Base(path))
+				}
+				return sums.String()
+			}
+
+			o := base
+			o.spec = filepath.Join(dir, name+".json")
+			inmem := digests(o, t.TempDir())
+			var streams []string
+			for _, sh := range []string{"0/2", "1/2"} {
+				o.shard, o.stream = sh, filepath.Join(t.TempDir(), "shard.jsonl")
+				if err := run(o); err != nil {
+					t.Fatal(err)
+				}
+				streams = append(streams, o.stream)
+			}
+			o = base
+			o.merge = strings.Join(streams, ",")
+			merged := digests(o, t.TempDir())
+
+			golden := filepath.Join(dir, "golden", name+".sha256")
+			if *update {
+				if err := os.WriteFile(golden, []byte(inmem), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// sha256sum lines: "<hex>  <file>".
-			want := map[string]string{}
-			for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
-				sum, file, _ := strings.Cut(line, "  ")
-				want[file] = sum
-			}
-			out := t.TempDir()
-			o := options{
-				spec: filepath.Join(dir, name+".json"), quiet: true, noTable: true, workers: 2,
-				metricsInterval: -1, cellTimeout: -1, strict: true,
-				out: filepath.Join(out, name+".json"), csvOut: filepath.Join(out, name+".csv"),
-			}
-			if err := run(o); err != nil {
-				t.Fatal(err)
-			}
-			for _, path := range []string{o.out, o.csvOut} {
-				b, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				file := filepath.Base(path)
-				if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want[file] {
-					t.Errorf("%s: sha256 %s, golden %s", file, got, want[file])
+			for mode, got := range map[string]string{"in-memory": inmem, "two shards + -merge": merged} {
+				if got != string(want) {
+					t.Errorf("%s run:\n%sgolden %s:\n%s", mode, got, golden, want)
 				}
 			}
 		})

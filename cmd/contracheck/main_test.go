@@ -9,8 +9,8 @@ import (
 )
 
 // TestRun drives the command over the owning packages' fixtures: the
-// ok/FAIL lines and the 0/1/2 exit codes are the interface CI's smoke
-// jobs and scripts/fabric_smoke.sh script against.
+// ok/FAIL lines and the 0/1/2 exit codes are the interface a shell
+// script checking artifact files relies on.
 func TestRun(t *testing.T) {
 	fix := func(pkg, name string) string { return filepath.Join("..", "..", "internal", pkg, "testdata", name) }
 	trace, metrics := fix("trace", "cell.trace.jsonl"), fix("metrics", "cell.metrics.jsonl")

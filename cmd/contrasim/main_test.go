@@ -15,38 +15,50 @@ import (
 //	  -trace-level decisions -trace-out cell.trace.jsonl \
 //	  -metrics-interval 500000 -metrics-out cell.metrics.jsonl -record cell.flow.jsonl
 //
-// The fixtures live with the packages that own the formats, whose tests
-// hold their checkers to accepting them; this test holds the writers to
-// producing them. A deliberate format change regenerates all three with
-// the command above.
+// It then replays the cell from the flow trace it just recorded (the
+// same flags with -replay in place of -record), whose decision trace and
+// telemetry must match the same fixtures. The fixtures live with the
+// packages that own the formats, whose tests hold their checkers to
+// accepting them; this test holds the writers to producing them. A
+// deliberate format change regenerates all three with the command above.
 func TestCellArtifactsMatchParentFixtures(t *testing.T) {
 	dir := t.TempDir()
-	out := map[string]string{
-		"trace":     filepath.Join(dir, "cell.trace.jsonl"),
-		"metrics":   filepath.Join(dir, "cell.metrics.jsonl"),
-		"flowtrace": filepath.Join(dir, "cell.flow.jsonl"),
-	}
-	err := run("fattree:4:2", "contra", "minimize(path.util)", "websearch", 0.4, 20,
-		40, 5, false, false, false, "", false, 0, 0, out["flowtrace"], "", obsOpts{
-			traceLevel: "decisions", traceOut: out["trace"],
-			metricsInterval: 500000, metricsOut: out["metrics"],
-			counterMode: "runnerup",
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pkg, path := range out {
-		got, err := os.ReadFile(path)
+	cell := func(record, replay, traceOut, metricsOut string) {
+		t.Helper()
+		err := run("fattree:4:2", "contra", "minimize(path.util)", "websearch", 0.4, 20,
+			40, 5, false, false, false, "", false, 0, 0, record, replay, obsOpts{
+				traceLevel: "decisions", traceOut: traceOut,
+				metricsInterval: 500000, metricsOut: metricsOut,
+				counterMode: "runnerup",
+			})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fixture := filepath.Join("..", "..", "internal", pkg, "testdata", filepath.Base(path))
+	}
+	at := func(name string) string { return filepath.Join(dir, name) }
+	// matches compares the file written as name with pkg's fixture.
+	matches := func(name, pkg, fixture string) {
+		t.Helper()
+		got, err := os.ReadFile(at(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixture = filepath.Join("..", "..", "internal", pkg, "testdata", fixture)
 		want, err := os.ReadFile(fixture)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: %d bytes written, fixture %s has %d and differs", pkg, len(got), fixture, len(want))
+			t.Errorf("%s: %d bytes written, fixture %s has %d and differs", name, len(got), fixture, len(want))
 		}
 	}
+
+	cell(at("cell.flow.jsonl"), "", at("cell.trace.jsonl"), at("cell.metrics.jsonl"))
+	matches("cell.trace.jsonl", "trace", "cell.trace.jsonl")
+	matches("cell.metrics.jsonl", "metrics", "cell.metrics.jsonl")
+	matches("cell.flow.jsonl", "flowtrace", "cell.flow.jsonl")
+
+	cell("", at("cell.flow.jsonl"), at("replay.trace.jsonl"), at("replay.metrics.jsonl"))
+	matches("replay.trace.jsonl", "trace", "cell.trace.jsonl")
+	matches("replay.metrics.jsonl", "metrics", "cell.metrics.jsonl")
 }

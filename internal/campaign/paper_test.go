@@ -139,7 +139,8 @@ func runPaperSpec(t *testing.T, name string) (*Report, []map[string]string) {
 // committed specs, run through Run, yield the same numbers to the
 // printed digit. runPaperSpec fails on any failed cell, so every cell,
 // under each scheme, also passes scenario.Run's horizon audit: no
-// register miss, every packet conserved.
+// register miss, every packet conserved, the event queue and timer slots
+// in step.
 func TestPaperSpecsReproduceExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -536,8 +536,8 @@ func Run(s Scenario) (*Result, error) {
 		return nil, err
 	}
 	// The horizon is between events: every router is quiet, so the
-	// network's invariants (no register miss, every packet conserved)
-	// must hold exactly. A violation is a simulator bug, and the cell
+	// network's invariants (no register miss, every packet conserved,
+	// the event queue and timer slots in step) must hold exactly. A violation is a simulator bug, and the cell
 	// fails with it instead of reporting numbers built on it.
 	if err := n.Audit(); err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)

@@ -156,9 +156,10 @@ func TestAuditConservesDataAndAcks(t *testing.T) {
 
 // TestAuditChecksTheEventQueue stops TCP flows both ways and a CBR flow
 // at a moment with two or more arrivals on the run and a live RTO
-// carrier, and corrupts the queue, a channel's in-flight FIFO or a
-// flow's carrier one way at a time: each corruption must fail the
-// audit, naming what broke, where the intact network passes.
+// carrier, and corrupts the queue, a channel's in-flight FIFO, a flow's
+// carrier, the clock or a timer slot one way at a time: each corruption
+// must fail the audit, naming what broke, where the intact network
+// passes.
 func TestAuditChecksTheEventQueue(t *testing.T) {
 	loaded := func() *Network {
 		g := lineTopo(10e9)
@@ -231,6 +232,29 @@ func TestAuditChecksTheEventQueue(t *testing.T) {
 			st := n.flowTab[0]
 			st.rtoAt = st.carrierAt - 1
 		}, "past its deadline"},
+		{"time ran backwards", func(n *Network) {
+			n.Eng.now = n.Eng.cold[0].at + 1
+		}, "queued before now"},
+		// The generation is the tripwire that keeps a recycled slot from
+		// firing a tick queued for its previous occupant.
+		{"tick generation corrupted", func(n *Network) {
+			n.Eng.timers[queuedTimer(t, n.Eng, evTimer).arg].gen++
+		}, "generation"},
+		{"queued tick's slot freed", func(n *Network) {
+			n.Eng.freeSlot(queuedTimer(t, n.Eng, evTimer).arg)
+		}, "generation"},
+		{"queued one-shot's slot freed", func(n *Network) {
+			e := n.Eng
+			e.At(e.now+1, func() {})
+			e.freeSlot(queuedTimer(t, e, evFunc).arg)
+		}, "no callback"},
+		{"queued slot on the freelist", func(n *Network) {
+			e := n.Eng
+			e.freeTimers = append(e.freeTimers, queuedTimer(t, e, evTimer).arg)
+		}, "on the freelist and queued"},
+		{"slot leaked", func(n *Network) {
+			n.Eng.timers = append(n.Eng.timers, timerSlot{})
+		}, "neither queued nor free"},
 	} {
 		n := loaded()
 		tc.corrupt(n)
@@ -238,6 +262,18 @@ func TestAuditChecksTheEventQueue(t *testing.T) {
 			t.Errorf("%s: audit said %v, want %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// queuedTimer returns a queued entry of kind evFunc or evTimer.
+func queuedTimer(t *testing.T, e *Engine, kind evKind) *event {
+	t.Helper()
+	for i := range e.cold {
+		if e.cold[i].kind == kind {
+			return &e.cold[i]
+		}
+	}
+	t.Fatalf("no event of kind %d queued", kind)
+	return nil
 }
 
 // queuedTwice returns a channel with two or more packets in flight.

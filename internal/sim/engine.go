@@ -486,5 +486,69 @@ func (e *Engine) checkOrder() error {
 	return nil
 }
 
+// checkTimers reports a queue entry or timer slot out of step: an entry
+// queued before now (time would run backwards), an evFunc or evTimer
+// naming a slot out of range, a tick whose generation is not its slot's
+// (the slot was recycled under it), a one-shot slot without a callback
+// or marked active, a slot named twice, and a slot that is neither named
+// by exactly one entry nor free — on freeTimers once, named by no entry,
+// holding no callback. Network.Audit runs it at a cell's horizon; the
+// event loop never does.
+func (e *Engine) checkTimers() error {
+	const named, free = 1, 2
+	state := make([]uint8, len(e.timers))
+	for i := 0; i < e.runLen+len(e.hot)+len(e.cold); i++ {
+		var ev *event
+		switch {
+		case i < e.runLen:
+			ev = e.runAt(i)
+		case i < e.runLen+len(e.hot):
+			ev = &e.hot[i-e.runLen]
+		default:
+			ev = &e.cold[i-e.runLen-len(e.hot)]
+		}
+		if ev.at < e.now {
+			return fmt.Errorf("sim: event (%d, %d) queued before now %d", ev.at, ev.seq, e.now)
+		}
+		if ev.kind != evFunc && ev.kind != evTimer {
+			continue
+		}
+		if ev.arg < 0 || int(ev.arg) >= len(e.timers) {
+			return fmt.Errorf("sim: event (%d, %d) names timer slot %d of %d", ev.at, ev.seq, ev.arg, len(e.timers))
+		}
+		slot := &e.timers[ev.arg]
+		switch {
+		case ev.kind == evTimer && ev.gen != uint16(slot.gen):
+			return fmt.Errorf("sim: tick of timer slot %d queued at generation %d, the slot is at %d",
+				ev.arg, ev.gen, uint16(slot.gen))
+		case ev.kind == evFunc && (slot.fn == nil || slot.active):
+			return fmt.Errorf("sim: one-shot timer slot %d has no callback or is marked recurring", ev.arg)
+		case state[ev.arg] != 0:
+			return fmt.Errorf("sim: timer slot %d named by two queued events", ev.arg)
+		}
+		state[ev.arg] = named
+	}
+	for _, idx := range e.freeTimers {
+		if idx < 0 || int(idx) >= len(e.timers) {
+			return fmt.Errorf("sim: timer slot %d of %d on the freelist", idx, len(e.timers))
+		}
+		switch {
+		case state[idx] == named:
+			return fmt.Errorf("sim: timer slot %d is on the freelist and queued", idx)
+		case state[idx] == free:
+			return fmt.Errorf("sim: timer slot %d is on the freelist twice", idx)
+		case e.timers[idx].fn != nil:
+			return fmt.Errorf("sim: free timer slot %d still holds a callback", idx)
+		}
+		state[idx] = free
+	}
+	for idx, s := range state {
+		if s == 0 {
+			return fmt.Errorf("sim: timer slot %d is neither queued nor free", idx)
+		}
+	}
+	return nil
+}
+
 // runAt returns the run's i-th entry from the head.
 func (e *Engine) runAt(i int) *event { return &e.run[(e.runHead+i)&(len(e.run)-1)] }

@@ -527,7 +527,9 @@ func (n *Network) Audit() error {
 }
 
 // auditQueue checks the engine queue against the channels and flows it
-// stands for, once Engine.checkOrder has found it in order. Every
+// stands for, once Engine.checkOrder has found it in order and
+// Engine.checkTimers its entries no earlier than now and in step with
+// the timer slots. Every
 // channel with packets in flight has exactly one arrival entry, in the
 // run or the hot heap, keyed to its head's slot; an idle channel has
 // none. Every flow with a live RTO carrier (carrierSeq != 0) has exactly
@@ -536,6 +538,9 @@ func (n *Network) Audit() error {
 func (n *Network) auditQueue() error {
 	e := n.Eng
 	if err := e.checkOrder(); err != nil {
+		return err
+	}
+	if err := e.checkTimers(); err != nil {
 		return err
 	}
 	// One bit per channel and per flow: an entry for it has been seen.
