@@ -59,13 +59,12 @@ type Spec struct {
 
 	// The settings every cell shares, declared where Scenario declares
 	// them and handed to each cell whole: the protocol settings
-	// (core.Options), bin_ns (scenario.RxSeries), and the observation
-	// settings (scenario.Observe). A trace_level of "off" expands to
-	// absent, so the expansion — and every scenario Key — is identical
-	// to a spec that never mentioned tracing; likewise 0 for
-	// metrics_interval_ns is off and leaves every Key alone.
+	// (core.Options) and the observation settings (scenario.Observe).
+	// A trace_level of "off" expands to absent, so the expansion — and
+	// every scenario Key — is identical to a spec that never mentioned
+	// tracing; likewise 0 for metrics_interval_ns is off and leaves
+	// every Key alone.
 	core.Options
-	scenario.RxSeries
 	scenario.Observe
 
 	// CellTimeoutNs bounds each cell's wall-clock execution (0 = no
@@ -227,7 +226,6 @@ func (s *Spec) Expand() ([]scenario.Scenario, error) {
 							Events:   script.Events,
 							Script:   script.Name,
 							Options:  s.Options,
-							RxSeries: s.RxSeries,
 							Observe:  s.Observe,
 						}
 						if sc.TraceLevel == "off" {

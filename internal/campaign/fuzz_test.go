@@ -35,6 +35,10 @@ func FuzzDecode(f *testing.F) {
 		`{"kind":"probe_loss","at_ns":1,"node":"auto","rate":0.25},{"kind":"policy_swap","at_ns":9000000,"policy":"minimize(path.len)"}],` +
 		`"probe_packing":true,"suppress_eps":0.02,"trace_level":"off","class_stats":true,"track_loops":true}`))
 	f.Add([]byte(`{"topo":"fattree:4:2","scheme":"hula","workload":{"kind":"cbr","rate_bps":2e9,"end_ns":20000000},"bin_ns":500000}`))
+	f.Add([]byte(`{"topo":"fattree:4:2","scheme":"contra","seed":5,"workload":{"load":0.4,"max_flows":40},` +
+		`"sample_queues":true,"counterfactual":{"top_k":3,"mode":"hula"}}`))
+	f.Add([]byte(`{"topos":["dc"],"schemes":["contra"],"loads":[0.3,0.6],"seeds":[1,2],` +
+		`"sample_queues":true,"counterfactual":{"mode":"ecmp"}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if s, err := scenario.Decode(data); err == nil {

@@ -10,12 +10,14 @@ import (
 	"contra/internal/scenario"
 )
 
-// sharedSettings are the twelve per-cell settings a campaign spec and a
-// scenario spec both take, each with a non-zero value.
+// sharedSettings are the fourteen per-cell settings a campaign spec and
+// a scenario spec both take, each with a non-zero value. A
+// counterfactual needs the contra scheme, so the specs below run it.
 const sharedSettings = `"probe_period_ns":11,"flowlet_timeout_ns":12,"failure_detect_periods":13,` +
 	`"probe_packing":true,"suppress_eps":0.02,"refresh_every":4,` +
-	`"bin_ns":14,"track_loops":true,"trace_level":"flows",` +
-	`"metrics_interval_ns":15,"class_stats":true,"elephant_bytes":16`
+	`"bin_ns":14,"sample_queues":true,"track_loops":true,"trace_level":"flows",` +
+	`"metrics_interval_ns":15,"class_stats":true,"elephant_bytes":16,` +
+	`"counterfactual":{"top_k":3,"mode":"ecmp"}`
 
 // pick decodes a JSON object and keeps only the shared settings.
 func pick(t *testing.T, doc []byte) map[string]any {
@@ -39,7 +41,7 @@ func pick(t *testing.T, doc []byte) map[string]any {
 // TestExpandHandsEveryCellTheSpecsSettings: whatever a spec says about
 // the shared settings, every cell it expands to says the same.
 func TestExpandHandsEveryCellTheSpecsSettings(t *testing.T) {
-	src := []byte(`{"topos":["dc"],"schemes":["contra","hula"],"loads":[0.1,0.2],` + sharedSettings + `}`)
+	src := []byte(`{"topos":["dc"],"schemes":["contra"],"loads":[0.1,0.2],"seeds":[1,2],` + sharedSettings + `}`)
 	spec, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +54,8 @@ func TestExpandHandsEveryCellTheSpecsSettings(t *testing.T) {
 		t.Fatalf("expanded %d cells, want 4", len(cells))
 	}
 	want := pick(t, src)
-	if len(want) != 12 {
-		t.Fatalf("spec carries %d shared settings, want 12", len(want))
+	if len(want) != 14 {
+		t.Fatalf("spec carries %d shared settings, want 14", len(want))
 	}
 	for _, c := range cells {
 		enc, err := json.Marshal(&c)
@@ -102,9 +104,9 @@ func jsonKeys(t reflect.Type) []string {
 // lists are written out: a new key is a deliberate edit here.
 func TestSpecKeySets(t *testing.T) {
 	shared := []string{
-		"bin_ns", "class_stats", "elephant_bytes", "failure_detect_periods",
+		"bin_ns", "class_stats", "counterfactual", "elephant_bytes", "failure_detect_periods",
 		"flowlet_timeout_ns", "metrics_interval_ns", "probe_packing", "probe_period_ns",
-		"refresh_every", "suppress_eps", "trace_level", "track_loops",
+		"refresh_every", "sample_queues", "suppress_eps", "trace_level", "track_loops",
 	}
 	for _, tc := range []struct {
 		name    string
@@ -116,12 +118,12 @@ func TestSpecKeySets(t *testing.T) {
 	}{
 		{
 			name: "scenario", typ: reflect.TypeOf(scenario.Scenario{}),
-			own: []string{"events", "name", "policy", "sample_queues", "scheme", "script", "seed", "topo", "workload"},
+			own: []string{"events", "name", "policy", "scheme", "script", "seed", "topo", "workload"},
 			decode: func(b []byte) error {
 				_, err := scenario.Decode(b)
 				return err
 			},
-			minimal: `{"topo":"dc","scheme":"ecmp"`,
+			minimal: `{"topo":"dc","scheme":"contra"`,
 			unknown: []string{"loop_ttl_delta", "LoopTTLDelta", "options", "cell_timeout_ns"},
 		},
 		{
@@ -131,8 +133,8 @@ func TestSpecKeySets(t *testing.T) {
 				_, err := Parse(b)
 				return err
 			},
-			minimal: `{"topos":["dc"],"schemes":["ecmp"],"loads":[0.1]`,
-			unknown: []string{"loop_ttl_delta", "LoopTTLDelta", "options", "sample_queues"},
+			minimal: `{"topos":["dc"],"schemes":["contra"],"loads":[0.1]`,
+			unknown: []string{"loop_ttl_delta", "LoopTTLDelta", "options", "top_k"},
 		},
 	} {
 		want := slices.Concat(shared, tc.own)

@@ -175,6 +175,28 @@ func TestPaperSpecsReproduceExperiments(t *testing.T) {
 		}
 	}
 
+	// Figure 13: what the retired single-experiment command printed for
+	// the same cell, mean FCT and the queue-length CDF in MSS.
+	report, _ := runPaperSpec(t, "fig13_queues.json")
+	if len(report.Outcomes) != 2 {
+		t.Fatalf("fig13: %d cells, want contra and ecmp", len(report.Outcomes))
+	}
+	for _, o := range report.Outcomes {
+		r := o.Result
+		q := r.Queues
+		if q == nil {
+			t.Fatalf("fig13 %s: no queue summary", r.Scheme)
+		}
+		got := fmt.Sprintf("%.3f ms, %.1f/%.1f/%.1f/%.1f MSS", 1e3*r.MeanFCT, q.P50MSS, q.P90MSS, q.P99MSS, q.MaxMSS)
+		want := map[scenario.Scheme]string{
+			"contra": "1.141 ms, 0.0/18.1/627.3/803.1 MSS",
+			"ecmp":   "1.590 ms, 0.0/5.3/631.3/999.8 MSS",
+		}[r.Scheme]
+		if got != want {
+			t.Errorf("fig13 %s: %s, want %s", r.Scheme, got, want)
+		}
+	}
+
 	// Figure 14: the old route printed 4.27 / 2.14 / 1.00 for both schemes.
 	_, rows := runPaperSpec(t, "fig14_failover.json")
 	if len(rows) != 2 {
@@ -188,7 +210,7 @@ func TestPaperSpecsReproduceExperiments(t *testing.T) {
 	}
 
 	// Figure 16: fabric traffic (tags included) normalized to ECMP.
-	report, _ := runPaperSpec(t, "fig16_websearch.json")
+	report, _ = runPaperSpec(t, "fig16_websearch.json")
 	type cell struct {
 		scheme scenario.Scheme
 		load   float64

@@ -142,9 +142,9 @@ func TestReadStrictness(t *testing.T) {
 	}
 }
 
-// TestParentFixtureReadsAndReencodes: the trace the last release's
-// contrasim -record wrote (see cmd/contrasim's fixture test for the
-// command) is accepted, and writing it back gives the same bytes.
+// TestParentFixtureReadsAndReencodes: the committed cell trace (see
+// internal/scenario's TestCellArtifactsMatchParentFixtures) is accepted,
+// and writing it back gives the same bytes.
 func TestParentFixtureReadsAndReencodes(t *testing.T) {
 	want, err := os.ReadFile("testdata/cell.flow.jsonl")
 	if err != nil {

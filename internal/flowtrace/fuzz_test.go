@@ -14,7 +14,8 @@ import (
 // the simulator cannot start, and written back in the canonical encoding
 // it must read as the same trace.
 func FuzzRead(f *testing.F) {
-	// 40 websearch flows recorded by contrasim -record on fattree:4:2.
+	// 40 websearch flows recorded on fattree:4:2 (internal/scenario's
+	// TestCellArtifactsMatchParentFixtures).
 	rec, err := os.ReadFile("testdata/cell.flow.jsonl")
 	if err != nil {
 		f.Fatal(err)

@@ -24,8 +24,9 @@ func checkBase(t testing.TB) []string {
 	return strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 }
 
-// TestParentFixtureAccepted: the telemetry the last release's contrasim
-// wrote (see cmd/contrasim's fixture test for the command) passes.
+// TestParentFixtureAccepted: the committed cell telemetry passes
+// (internal/scenario's TestCellArtifactsMatchParentFixtures holds the
+// writer to it).
 func TestParentFixtureAccepted(t *testing.T) {
 	f, err := os.Open("testdata/cell.metrics.jsonl")
 	if err != nil {

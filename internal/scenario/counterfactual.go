@@ -7,18 +7,53 @@ import (
 	"contra/internal/trace"
 )
 
-// CounterfactualConfig parameterizes a what-if replay.
+// modeHula is the counterfactual mode that re-runs the scenario under
+// the HULA scheme instead of pinning flows.
+const modeHula = "hula"
+
+// CounterfactualConfig parameterizes a what-if replay (the
+// counterfactual setting of Observe).
 type CounterfactualConfig struct {
 	// TopK bounds how many divergent flows are pinned (default 10).
 	// Flows are ranked by size descending (ties by id ascending), so
 	// the replay answers the question for the flows that move the
 	// most bytes.
-	TopK int
+	TopK int `json:"top_k,omitempty"`
 	// Mode is the replacement choice: trace.ModeRunnerUp (default),
-	// trace.ModeECMP, or "hula" — which re-runs the same scenario
+	// trace.ModeECMP, or modeHula — which re-runs the same scenario
 	// under the HULA scheme instead of pinning (workload generation is
 	// scheme-independent, so flow IDs line up across the two runs).
-	Mode string
+	Mode string `json:"mode,omitempty"`
+}
+
+// validate refuses what a replay cannot answer; nil means off.
+func (c *CounterfactualConfig) validate(s *Scenario) error {
+	if c == nil {
+		return nil
+	}
+	if s.Scheme != "" && s.Scheme != SchemeContra {
+		return fmt.Errorf("base scenario must run the contra scheme, got %q", s.Scheme)
+	}
+	if s.Workload.Kind == WorkloadCBR {
+		return fmt.Errorf("needs an fct workload (CBR flows have no FCT)")
+	}
+	if c.TopK < 0 {
+		return fmt.Errorf("top_k %d is negative", c.TopK)
+	}
+	_, err := c.mode()
+	return err
+}
+
+// mode resolves the configured mode, defaulting to the runner-up.
+func (c *CounterfactualConfig) mode() (string, error) {
+	if c.Mode == modeHula {
+		return modeHula, nil
+	}
+	m, err := trace.ParseMode(c.Mode)
+	if err != nil {
+		return "", fmt.Errorf("unknown mode %q (want %s, %s or %s)", c.Mode, trace.ModeRunnerUp, trace.ModeECMP, modeHula)
+	}
+	return m, nil
 }
 
 // FlowDelta is one pinned flow's outcome: its FCT under the policy's
@@ -46,38 +81,28 @@ type CounterfactualReport struct {
 	Flows         []FlowDelta `json:"flows"`
 }
 
-// Counterfactual answers "what did the policy's choices buy these
+// runCounterfactual answers "what did the policy's choices buy these
 // flows?": it runs the scenario once with decision tracing to find the
-// flows whose forwarding decisions had a live alternative, then
-// re-runs it with the top-k of them pinned to that alternative (or
-// under HULA outright) and reports per-flow ΔFCT. Both runs are
-// deterministic, so the report is a pure function of the scenario.
-// The base Result (with its trace recorder attached) is returned for
-// callers that also want to emit the trace.
-func Counterfactual(s Scenario, cfg CounterfactualConfig) (*CounterfactualReport, *Result, error) {
-	if s.Scheme != "" && s.Scheme != SchemeContra {
-		return nil, nil, fmt.Errorf("counterfactual: base scenario must run the contra scheme, got %q", s.Scheme)
-	}
-	if s.Workload.Kind == WorkloadCBR {
-		return nil, nil, fmt.Errorf("counterfactual: needs an fct workload (CBR flows have no FCT)")
-	}
-	if cfg.TopK <= 0 {
+// flows whose forwarding decisions had a live alternative, then re-runs
+// it with the top-k of them pinned to that alternative (or under HULA
+// outright) and reports per-flow ΔFCT. Both runs are deterministic, so
+// the report is a pure function of the scenario. The base run's Result
+// (with its trace recorder attached) carries the report. Run has
+// validated s.
+func runCounterfactual(s Scenario) (*Result, error) {
+	cfg := *s.Counterfactual
+	s.Counterfactual = nil
+	if cfg.TopK == 0 {
 		cfg.TopK = 10
 	}
-	mode := cfg.Mode
-	if mode != "hula" {
-		var err error
-		if mode, err = trace.ParseMode(mode); err != nil {
-			return nil, nil, err
-		}
-	}
+	mode, _ := cfg.mode() // Validate vetted it
 
 	base := s
 	base.TraceLevel = trace.Decisions.String()
 	base.Overrides = nil
 	baseRes, err := Run(base)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rec := baseRes.Trace
 
@@ -89,7 +114,7 @@ func Counterfactual(s Scenario, cfg CounterfactualConfig) (*CounterfactualReport
 		if ft.FctNs <= 0 {
 			continue
 		}
-		if mode != "hula" && ft.Divergent == 0 {
+		if mode != modeHula && ft.Divergent == 0 {
 			continue
 		}
 		cands = append(cands, ft)
@@ -102,17 +127,19 @@ func Counterfactual(s Scenario, cfg CounterfactualConfig) (*CounterfactualReport
 	})
 
 	rep := &CounterfactualReport{Mode: mode, TopK: cfg.TopK, Candidates: len(cands)}
+	baseRes.Counterfactual = rep
 	_, rep.BaseDecisions, rep.BaseDivergent = rec.Totals()
 	if len(cands) > cfg.TopK {
 		cands = cands[:cfg.TopK]
 	}
 	if len(cands) == 0 {
-		return rep, baseRes, nil
+		return baseRes, nil
 	}
 
 	alt := s
 	alt.TraceLevel = trace.Flows.String() // need per-flow FCT, not decisions
-	if mode == "hula" {
+	alt.RecordFlows = false
+	if mode == modeHula {
 		alt.Scheme = SchemeHula
 	} else {
 		ids := make([]uint64, len(cands))
@@ -123,7 +150,7 @@ func Counterfactual(s Scenario, cfg CounterfactualConfig) (*CounterfactualReport
 	}
 	altRes, err := Run(alt)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	altRec := altRes.Trace
 
@@ -140,5 +167,5 @@ func Counterfactual(s Scenario, cfg CounterfactualConfig) (*CounterfactualReport
 		}
 		rep.Flows = append(rep.Flows, d)
 	}
-	return rep, baseRes, nil
+	return baseRes, nil
 }

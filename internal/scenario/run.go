@@ -23,7 +23,7 @@ import (
 // Result summarizes one scenario run. Every field that reaches JSON is
 // a deterministic function of the Scenario, so a campaign's aggregated
 // output is byte-identical however its runs are scheduled; wall-clock
-// time and bulky artifacts (series, queue samples) stay out of the
+// time and bulky artifacts (series, traces, telemetry) stay out of the
 // encoding.
 type Result struct {
 	Name    string  `json:"name,omitempty"`
@@ -90,6 +90,14 @@ type Result struct {
 	// quantiles, per-cohort stats, Jain fairness. Nil when off.
 	Classes *ClassStats `json:"classes,omitempty"`
 
+	// Queue-length distribution (sample_queues): the sampled fabric
+	// backlogs in MSS, Figure 13's CDF at four points. Nil when off.
+	Queues *QueueSummary `json:"queues,omitempty"`
+
+	// Counterfactual replay (the counterfactual setting): per-flow ΔFCT
+	// of the pinned flows. Nil when off.
+	Counterfactual *CounterfactualReport `json:"counterfactual,omitempty"`
+
 	// Failover analysis (BinNs > 0 and a runtime link_down/degrade
 	// event): throughput before the first event, the deepest dip after
 	// it, and how long delivered throughput stayed depressed. For
@@ -119,7 +127,6 @@ type Result struct {
 	// Artifacts excluded from the deterministic encoding.
 	WallTime  time.Duration     `json:"-"`
 	Series    []stats.Point     `json:"-"` // bin start ns -> delivered bits/sec
-	QueueMSS  *stats.Sample     `json:"-"`
 	Trace     *trace.Recorder   `json:"-"` // set when TraceLevel is active
 	Metrics   *metrics.Recorder `json:"-"` // set when MetricsIntervalNs > 0
 	FlowTrace *flowtrace.Trace  `json:"-"` // set when RecordFlows is on
@@ -153,11 +160,15 @@ func (r *Result) SwapConvergenceNs() (int64, bool) {
 	return widest, true
 }
 
-// String renders one result row.
-func (r *Result) String() string {
-	return fmt.Sprintf("%-7s load=%.0f%% %-9s flows=%d done=%d meanFCT=%.3fms p95=%.3fms p99=%.3fms probes=%.2f%% drops=%.0f",
-		r.Scheme, r.Load*100, r.Dist, r.Flows, r.Completed,
-		r.MeanFCT*1e3, r.P95FCT*1e3, r.P99FCT*1e3, 100*r.ProbeFrac(), r.QueueDrops)
+// QueueSummary is the sampled fabric queue-length distribution. Every
+// field is always encoded: at moderate load most samples are empty
+// queues, and a p50 of 0 is a reading, not an absence.
+type QueueSummary struct {
+	Samples int64   `json:"samples"`
+	P50MSS  float64 `json:"p50_mss"`
+	P90MSS  float64 `json:"p90_mss"`
+	P99MSS  float64 `json:"p99_mss"`
+	MaxMSS  float64 `json:"max_mss"`
 }
 
 // FabricCapacity sums edge-uplink bandwidth (edge/leaf to the rest of
@@ -425,6 +436,8 @@ const lossSeedMix = 0x70726f6265 // "probe"
 // Run executes a scenario and collects its Result. Execution is
 // deterministic: the same scenario (including seed) produces an
 // identical Result on every run, serial or inside a parallel campaign.
+// With the counterfactual setting on, it is a what-if replay
+// (runCounterfactual).
 func Run(s Scenario) (*Result, error) {
 	// Validate before fill: fill expands ramp sugar into surges, so a
 	// malformed ramp (e.g. negative steps) must be rejected while it
@@ -432,6 +445,9 @@ func Run(s Scenario) (*Result, error) {
 	// silently lose the event instead of failing like a decoded spec.
 	if err := s.Validate(); err != nil {
 		return nil, err
+	}
+	if s.Counterfactual != nil {
+		return runCounterfactual(s)
 	}
 	s.fill()
 	if err := s.Validate(); err != nil {
@@ -574,7 +590,10 @@ func Run(s Scenario) (*Result, error) {
 	if n.DataPkts > 0 {
 		res.LoopedFrac = float64(n.LoopedPkts) / float64(n.DataPkts)
 	}
-	res.QueueMSS = n.QueueMSS
+	if q := n.QueueMSS; s.SampleQueues {
+		res.Queues = &QueueSummary{Samples: q.Count(), P50MSS: q.Quantile(0.5),
+			P90MSS: q.Quantile(0.9), P99MSS: q.Quantile(0.99), MaxMSS: q.Quantile(1)}
+	}
 	res.SimulatedNs = e.Now()
 	if n.RxSeries != nil {
 		res.BinNs = s.BinNs

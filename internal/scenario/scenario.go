@@ -5,10 +5,11 @@
 // Run executes it deterministically on the packet-level simulator.
 //
 // Scenarios are plain data: construct them in Go, or decode them from
-// the JSON spec format used by campaign files. The same engine backs
-// contrasim, the contracamp campaign runner and the paper-figure specs
-// under examples/paper, so every experiment in the repo flows through
-// one code path.
+// the JSON spec format used by campaign files. Run is the one entry
+// point: the contracamp campaign runner, the paper-figure specs under
+// examples/paper and the public contra API all call it, so every
+// experiment in the repo flows through one code path — a counterfactual
+// replay included, which is an Observe setting, not a second runner.
 package scenario
 
 import (
@@ -16,7 +17,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"contra/internal/core"
 	"contra/internal/topo"
@@ -195,20 +195,18 @@ type Workload struct {
 	TracePath string `json:"trace,omitempty"`
 }
 
-// RxSeries configures the delivered-throughput time series. It is a
-// struct of its own, apart from Observe, only because the canonical
-// encoding — which every Key is a hash of — has sample_queues between
-// bin_ns and track_loops, and encoding/json emits an embedded struct's
-// fields as one run.
-type RxSeries struct {
-	// BinNs enables the series (and, with a link_down event, recovery
-	// analysis). CBR defaults to 500us.
-	BinNs int64 `json:"bin_ns,omitempty"`
-}
-
 // Observe holds the observation settings a scenario shares with
 // campaign.Spec, which embeds it too: this is their one declaration.
+// Field order is the canonical encoding's, which every Key hashes.
 type Observe struct {
+	// BinNs enables the delivered-throughput time series (and, with a
+	// link_down event, recovery analysis). CBR defaults to 500us.
+	BinNs int64 `json:"bin_ns,omitempty"`
+
+	// SampleQueues samples every fabric queue each 100us after warm-up
+	// and reports the distribution as Result.Queues (Figure 13).
+	SampleQueues bool `json:"sample_queues,omitempty"`
+
 	TrackLoops bool `json:"track_loops,omitempty"`
 
 	// TraceLevel attaches the decision-trace recorder: "flows" keeps
@@ -233,6 +231,11 @@ type Observe struct {
 	// per-flow throughput.
 	ClassStats    bool  `json:"class_stats,omitempty"`
 	ElephantBytes int64 `json:"elephant_bytes,omitempty"`
+
+	// Counterfactual, when set, makes Run a what-if replay: the result
+	// is the base run's, traced at the decisions level, with
+	// Result.Counterfactual reporting per-flow ΔFCT (counterfactual.go).
+	Counterfactual *CounterfactualConfig `json:"counterfactual,omitempty"`
 }
 
 // Scenario is one declarative experiment.
@@ -261,13 +264,6 @@ type Scenario struct {
 	// the value to the scheme untouched, after fill has defaulted the
 	// probe period to §6.3's 256us.
 	core.Options
-
-	RxSeries
-
-	// SampleQueues samples every fabric queue each 100us after warm-up
-	// (Result.QueueMSS, Figure 13). Scenario-only: campaign specs do not
-	// take it.
-	SampleQueues bool `json:"sample_queues,omitempty"`
 
 	Observe
 
@@ -421,6 +417,9 @@ func (s *Scenario) Validate() error {
 	if s.Overrides != nil && s.Scheme != SchemeContra && s.Scheme != "" {
 		return fmt.Errorf("scenario %q: counterfactual overrides require the contra scheme", s.Name)
 	}
+	if err := s.Counterfactual.validate(s); err != nil {
+		return fmt.Errorf("scenario %q: counterfactual: %v", s.Name, err)
+	}
 	if s.SuppressEps < 0 {
 		return fmt.Errorf("scenario %q: suppress_eps %g is negative", s.Name, s.SuppressEps)
 	}
@@ -573,15 +572,6 @@ func Decode(data []byte) (*Scenario, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// LoadFile reads and decodes a scenario spec file.
-func LoadFile(path string) (*Scenario, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(b)
 }
 
 // strictUnmarshal is json.Unmarshal with DisallowUnknownFields.

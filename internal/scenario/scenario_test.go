@@ -30,10 +30,12 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 			{Kind: Degrade, AtNs: 8_000_000, Link: "auto", Scale: 0.25},
 			{Kind: Surge, AtNs: 7_000_000, Load: 0.3, DurationNs: 2_000_000},
 		},
-		Script:   "everything",
-		Options:  core.Options{ProbePeriodNs: 128_000},
-		RxSeries: RxSeries{BinNs: 500_000},
-		Observe:  Observe{TrackLoops: true},
+		Script:  "everything",
+		Options: core.Options{ProbePeriodNs: 128_000},
+		Observe: Observe{
+			BinNs: 500_000, SampleQueues: true, TrackLoops: true,
+			Counterfactual: &CounterfactualConfig{TopK: 3, Mode: "ecmp"},
+		},
 	}
 	b, err := json.Marshal(&s)
 	if err != nil {
@@ -66,6 +68,10 @@ func TestDecodeRejectsUnknownFieldsAndBadValues(t *testing.T) {
 		"empty ramp":           `{"topo":"dc","scheme":"ecmp","events":[{"kind":"ramp","at_ns":1}]}`,
 		"ramp in cbr":          `{"topo":"dc","scheme":"ecmp","workload":{"kind":"cbr"},"events":[{"kind":"ramp","at_ns":1,"load":0.2,"duration_ns":1000}]}`,
 		"probe_loss past":      `{"topo":"dc","scheme":"contra","events":[{"kind":"probe_loss","at_ns":-1,"rate":0.1}]}`,
+		"counterfactual ecmp":  `{"topo":"dc","scheme":"ecmp","counterfactual":{}}`,
+		"counterfactual cbr":   `{"topo":"dc","scheme":"contra","workload":{"kind":"cbr"},"counterfactual":{}}`,
+		"counterfactual mode":  `{"topo":"dc","scheme":"contra","counterfactual":{"mode":"bogus"}}`,
+		"counterfactual top_k": `{"topo":"dc","scheme":"contra","counterfactual":{"top_k":-1}}`,
 	}
 	for name, spec := range cases {
 		if _, err := Decode([]byte(spec)); err == nil {

@@ -3,8 +3,8 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"contra/internal/trace"
@@ -170,17 +170,19 @@ func TestCounterfactualTopKDeterministic(t *testing.T) {
 	}
 	s := fastFCT(SchemeContra)
 	s.Workload.Load = 0.5
+	s.Counterfactual = &CounterfactualConfig{TopK: 10}
 	var prev *CounterfactualReport
 	for i := 0; i < 2; i++ {
-		rep, baseRes, err := Counterfactual(s, CounterfactualConfig{TopK: 10})
+		res, err := Run(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if baseRes == nil || baseRes.Trace == nil {
-			t.Fatal("counterfactual dropped the base result/trace")
+		if res.Trace == nil || res.TraceLevel != "decisions" {
+			t.Fatal("counterfactual dropped the base run's decision trace")
 		}
-		if rep.Mode != trace.ModeRunnerUp {
-			t.Fatalf("mode = %q", rep.Mode)
+		rep := res.Counterfactual
+		if rep == nil || rep.Mode != trace.ModeRunnerUp {
+			t.Fatalf("report = %+v, want mode %q", rep, trace.ModeRunnerUp)
 		}
 		if len(rep.Flows) < 10 {
 			t.Fatalf("pinned %d flows, want >= 10 (candidates %d, divergent %d)",
@@ -205,10 +207,12 @@ func TestCounterfactualHulaMode(t *testing.T) {
 		t.Skip("short mode")
 	}
 	s := fastFCT(SchemeContra)
-	rep, _, err := Counterfactual(s, CounterfactualConfig{TopK: 5, Mode: "hula"})
+	s.Counterfactual = &CounterfactualConfig{TopK: 5, Mode: "hula"}
+	res, err := Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Counterfactual
 	if len(rep.Flows) == 0 {
 		t.Fatal("hula replay pinned no flows")
 	}
@@ -223,20 +227,59 @@ func TestCounterfactualHulaMode(t *testing.T) {
 	}
 }
 
-// TestCounterfactualRejectsInvalid covers the guard rails.
+// TestCounterfactualSettingReproducesTable pins the setting, decoded
+// from a spec, at the per-flow ΔFCT table the retired single-experiment
+// command printed for the same cell with its top-3 replay.
+func TestCounterfactualSettingReproducesTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	s, err := Decode([]byte(`{"name":"fattree:4:2/contra","topo":"fattree:4:2","scheme":"contra","seed":5,` +
+		`"workload":{"dist":"websearch","load":0.4,"duration_ns":20000000,"max_flows":40},` +
+		`"counterfactual":{"top_k":3}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(*s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Counterfactual
+	var got []string
+	got = append(got, fmt.Sprintf("%s: %d/%d divergent, %d candidates",
+		rep.Mode, rep.BaseDivergent, rep.BaseDecisions, rep.Candidates))
+	for _, f := range rep.Flows {
+		got = append(got, fmt.Sprintf("flow %d: %.3f -> %.3f ms", f.Flow, float64(f.BaseFctNs)/1e6, float64(f.AltFctNs)/1e6))
+	}
+	want := []string{
+		"runnerup: 574/574 divergent, 40 candidates",
+		"flow 6: 13.884 -> 13.402 ms",
+		"flow 34: 8.707 -> 9.103 ms",
+		"flow 17: 7.052 -> 10.177 ms",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("counterfactual table\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestCounterfactualRejectsInvalid covers the guard rails: a setting
+// no replay can answer fails Validate, before anything runs.
 func TestCounterfactualRejectsInvalid(t *testing.T) {
-	s := fastFCT(SchemeHula)
-	if _, _, err := Counterfactual(s, CounterfactualConfig{}); err == nil {
-		t.Fatal("accepted a non-contra base scheme")
-	}
-	s = fastFCT(SchemeContra)
-	s.Workload = Workload{Kind: WorkloadCBR}
-	if _, _, err := Counterfactual(s, CounterfactualConfig{}); err == nil {
-		t.Fatal("accepted a CBR workload")
-	}
-	s = fastFCT(SchemeContra)
-	if _, _, err := Counterfactual(s, CounterfactualConfig{Mode: "bogus"}); err == nil {
-		t.Fatal("accepted a bogus mode")
+	for name, bad := range map[string]func(*Scenario){
+		"non-contra base scheme": func(s *Scenario) { s.Scheme = SchemeHula },
+		"CBR workload":           func(s *Scenario) { s.Workload = Workload{Kind: WorkloadCBR} },
+		"bogus mode":             func(s *Scenario) { s.Counterfactual.Mode = "bogus" },
+		"negative top_k":         func(s *Scenario) { s.Counterfactual.TopK = -1 },
+	} {
+		s := fastFCT(SchemeContra)
+		s.Counterfactual = &CounterfactualConfig{}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("valid counterfactual refused: %v", err)
+		}
+		bad(&s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("accepted a %s", name)
+		}
 	}
 }
 
@@ -246,15 +289,5 @@ func TestOverridesRequireContra(t *testing.T) {
 	s.Overrides = trace.NewOverrides(trace.ModeRunnerUp, []uint64{1})
 	if err := s.Validate(); err == nil {
 		t.Fatal("overrides accepted on a non-contra scheme")
-	}
-}
-
-// TestResultStringIncludesP95 pins the satellite fix: the human
-// rendering reports the p95 tail alongside mean and p99.
-func TestResultStringIncludesP95(t *testing.T) {
-	r := &Result{Scheme: SchemeContra, Dist: "cache", MeanFCT: 0.001, P95FCT: 0.004, P99FCT: 0.009}
-	out := r.String()
-	if !strings.Contains(out, "p95=4.000ms") {
-		t.Fatalf("Result.String misses p95: %q", out)
 	}
 }

@@ -14,8 +14,8 @@ const (
 	flowOK     = `{"type":"flow","flow":1,"src":"h2_0_0","dst":"h0_1_1","size_bytes":32607,"start_ns":3124450,"fct_ns":46793,"hops":5,"path":["e2_0","a2_0","c0","a0_0","e0_1"],"queue_ns":110266,"pkts":23,"decisions":4,"divergent":4}`
 )
 
-// TestParentFixtureAccepted: the trace the last release's contrasim
-// wrote (see cmd/contrasim's fixture test for the command) passes.
+// TestParentFixtureAccepted: the committed cell trace passes (internal/
+// scenario's TestCellArtifactsMatchParentFixtures holds the writer to it).
 func TestParentFixtureAccepted(t *testing.T) {
 	f, err := os.Open("testdata/cell.trace.jsonl")
 	if err != nil {
