@@ -225,24 +225,30 @@ func (p *Policy) RankPath(info PathInfo) Rank {
 // regular path expression, using a simple NFA simulation (suitable for
 // the short paths seen in tests; the compiler uses proper DFAs).
 func MatchPath(r Regex, nodes []string) bool {
-	states := map[int]bool{0: true}
 	nfa := buildThompson(r)
-	states = nfa.closure(states)
+	cur, next := make([]bool, len(nfa.states)), make([]bool, len(nfa.states))
+	cur[0] = true
+	stack := nfa.closure(cur, []int{0})
 	for _, sym := range nodes {
-		next := make(map[int]bool)
-		for s := range states {
+		clear(next)
+		for s, on := range cur {
+			if !on {
+				continue
+			}
 			for _, t := range nfa.states[s].trans {
-				if t.matches(sym) {
+				if t.matches(sym) && !next[t.to] {
 					next[t.to] = true
+					stack = append(stack, t.to)
 				}
 			}
 		}
-		states = nfa.closure(next)
-		if len(states) == 0 {
+		if len(stack) == 0 {
 			return false
 		}
+		stack = nfa.closure(next, stack)
+		cur, next = next, cur
 	}
-	return states[nfa.accept]
+	return cur[nfa.accept]
 }
 
 // Minimal Thompson NFA used only by the reference matcher.
@@ -270,11 +276,9 @@ func (n *thompsonNFA) add() int {
 	return len(n.states) - 1
 }
 
-func (n *thompsonNFA) closure(set map[int]bool) map[int]bool {
-	stack := make([]int, 0, len(set))
-	for s := range set {
-		stack = append(stack, s)
-	}
+// closure adds to set every state reachable by epsilon moves from the
+// states on stack, and returns the stack emptied for reuse.
+func (n *thompsonNFA) closure(set []bool, stack []int) []int {
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -285,7 +289,7 @@ func (n *thompsonNFA) closure(set map[int]bool) map[int]bool {
 			}
 		}
 	}
-	return set
+	return stack
 }
 
 func buildThompson(r Regex) *thompsonNFA {
