@@ -18,7 +18,9 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"contra/internal/cliutil"
 	"contra/internal/core"
+	"contra/internal/sim"
 	"contra/internal/topo"
 	"contra/internal/trace"
 	"contra/internal/workload"
@@ -207,6 +209,10 @@ type Observe struct {
 	// and reports the distribution as Result.Queues (Figure 13).
 	SampleQueues bool `json:"sample_queues,omitempty"`
 
+	// TrackLoops counts data packets that revisit a switch
+	// (Result.LoopedFrac, §6.5). It covers switch ids below
+	// sim.TrackVisitedLimit only, so Validate refuses a topology with a
+	// switch past it rather than undercount.
 	TrackLoops bool `json:"track_loops,omitempty"`
 
 	// TraceLevel attaches the decision-trace recorder: "flows" keeps
@@ -423,6 +429,11 @@ func (s *Scenario) Validate() error {
 	if s.SuppressEps < 0 {
 		return fmt.Errorf("scenario %q: suppress_eps %g is negative", s.Name, s.SuppressEps)
 	}
+	if s.TrackLoops {
+		if err := s.checkTrackLoops(); err != nil {
+			return err
+		}
+	}
 	if s.RefreshEvery < 0 {
 		return fmt.Errorf("scenario %q: refresh_every %d is negative", s.Name, s.RefreshEvery)
 	}
@@ -480,6 +491,24 @@ func (s *Scenario) Validate() error {
 		default:
 			return fmt.Errorf("scenario %q: unknown event kind %q", s.Name, ev.Kind)
 		}
+	}
+	return nil
+}
+
+// checkTrackLoops refuses track_loops on a topology whose loops it would
+// undercount: one with a switch id at or past sim.TrackVisitedLimit.
+func (s *Scenario) checkTrackLoops() error {
+	g := s.Topo
+	if g == nil {
+		var err error
+		if g, err = cliutil.BuildTopology(s.TopoSpec); err != nil {
+			return fmt.Errorf("scenario %q: %v", s.Name, err)
+		}
+	}
+	if sw := g.Switches(); len(sw) > 0 && int(sw[len(sw)-1]) >= sim.TrackVisitedLimit {
+		last := sw[len(sw)-1]
+		return fmt.Errorf("scenario %q: track_loops counts revisits only at switch ids below %d, and switch %s has id %d",
+			s.Name, sim.TrackVisitedLimit, g.Node(last).Name, last)
 	}
 	return nil
 }

@@ -626,3 +626,33 @@ func TestCustomDistributionObject(t *testing.T) {
 		t.Fatal("no flows completed with a custom distribution")
 	}
 }
+
+// TestTrackLoopsRefusesUncoveredSwitchIDs: loop accounting counts
+// revisits only at switch ids below sim.TrackVisitedLimit, so
+// track_loops on a topology with a switch past it fails Validate with an
+// error naming the limit instead of silently undercounting; the
+// topologies the loop experiments run on stay below it.
+func TestTrackLoopsRefusesUncoveredSwitchIDs(t *testing.T) {
+	for _, tc := range []struct {
+		spec    string
+		refused bool
+	}{
+		{"dc", false},
+		{"abilene+hosts", false},
+		{"fattree:4:2", false},
+		{"fattree:8:2", true},
+	} {
+		s := Scenario{TopoSpec: tc.spec, Scheme: SchemeContra, Observe: Observe{TrackLoops: true}}
+		err := s.Validate()
+		if (err != nil) != tc.refused {
+			t.Errorf("%s with track_loops: Validate() = %v, want refused %v", tc.spec, err, tc.refused)
+		}
+		if err != nil && !strings.Contains(err.Error(), "below 64") {
+			t.Errorf("%s: error %q does not name the limit", tc.spec, err)
+		}
+		s.TrackLoops = false
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s without track_loops: %v", tc.spec, err)
+		}
+	}
+}

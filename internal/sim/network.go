@@ -20,7 +20,8 @@ type Config struct {
 	DRETauNs float64
 
 	// TrackVisited enables per-packet visited-switch bitmasks for loop
-	// accounting (topologies up to 64 switches).
+	// accounting. The mask is one word, so only revisits of node ids
+	// below TrackVisitedLimit are counted.
 	TrackVisited bool
 
 	// MinRTONs is the transport's minimum retransmission timeout;
@@ -607,6 +608,10 @@ func (n *Network) auditQueue() error {
 	return nil
 }
 
+// TrackVisitedLimit bounds the node ids whose revisits TrackVisited
+// counts: Packet.Visited has one bit per id below it.
+const TrackVisitedLimit = 64
+
 // deliver hands a packet arriving over ch to the receiving device (the
 // evDeliver event body; the engine has already unlinked it).
 func (n *Network) deliver(ch *channel, pkt *Packet) {
@@ -632,7 +637,7 @@ func (n *Network) deliver(ch *channel, pkt *Packet) {
 		if n.Cfg.TrackVisited && pkt.Kind == Data {
 			to := ch.to
 			bit := uint64(1) << (uint(to) & 63)
-			if int(to) < 64 {
+			if int(to) < TrackVisitedLimit {
 				if pkt.Visited&bit != 0 {
 					n.LoopedPkts++
 				}
