@@ -198,8 +198,9 @@ func (r *Result) EvalPolicy(mv []float64, matches func(regexID int) bool) policy
 	return r.Policy.Eval(mvEnv{mv: mv, layout: r.MV, matches: matches})
 }
 
-// MaxMV is the widest metric-vector layout a compiled policy can use
-// (the data plane carries metric vectors as [MaxMV]float64).
+// MaxMV bounds the metric-vector layout a compiled policy can use: the
+// data plane carries vectors len(MV) wide, folding a probe's in stack
+// scratch of MaxMV floats, and a standalone probe's in Packet.MV.
 const MaxMV = 4
 
 // Evaluator runs a Result's rank programs — one per pid for the
@@ -226,10 +227,11 @@ func (r *Result) NewEvaluator() *Evaluator {
 }
 
 // BetterRank reports whether the candidate metric vector strictly
-// outranks the incumbent under pid's propagation order. When that order
-// is a projection of the metric vector — (path.len, path.util) — the
-// two vectors are compared slot by slot and neither rank is built.
-func (ev *Evaluator) BetterRank(pid int, cand, inc [MaxMV]float64) bool {
+// outranks the incumbent under pid's propagation order; both are laid
+// out per Result.MV. When that order is a projection of the metric
+// vector — (path.len, path.util) — the two vectors are compared slot by
+// slot and neither rank is built.
+func (ev *Evaluator) BetterRank(pid int, cand, inc []float64) bool {
 	p := ev.res.rankProgs[pid]
 	if slots, ok := p.Projection(); ok {
 		// Rank.Cmp's loop, on the slots themselves.
@@ -243,20 +245,20 @@ func (ev *Evaluator) BetterRank(pid int, cand, inc [MaxMV]float64) bool {
 		}
 		return false
 	}
-	rc := p.Run(cand[:], nil, ev.keep)
-	return rc.Better(p.Run(inc[:], nil, ev.buf))
+	rc := p.Run(cand, nil, ev.keep)
+	return rc.Better(p.Run(inc, nil, ev.buf))
 }
 
-// EvalRank is pid's propagation rank f(pid, mv). mv passes by value so
-// the caller's vector never escapes to the heap.
-func (ev *Evaluator) EvalRank(pid int, mv [MaxMV]float64) policy.Rank {
-	return ev.res.rankProgs[pid].Run(mv[:], nil, ev.buf)
+// EvalRank is pid's propagation rank f(pid, mv). The programs only read
+// mv, so a caller's stack vector does not escape to the heap.
+func (ev *Evaluator) EvalRank(pid int, mv []float64) policy.Rank {
+	return ev.res.rankProgs[pid].Run(mv, nil, ev.buf)
 }
 
 // EvalPolicy is the full policy's rank with match bits supplied as a
 // slice, one bool per regex ID; nil means no regex matches.
-func (ev *Evaluator) EvalPolicy(mv [MaxMV]float64, accept []bool) policy.Rank {
-	return ev.res.policyProg.Run(mv[:], accept, ev.buf)
+func (ev *Evaluator) EvalPolicy(mv []float64, accept []bool) policy.Rank {
+	return ev.res.policyProg.Run(mv, accept, ev.buf)
 }
 
 // mvEnv is the reference evaluator's environment over a metric vector.

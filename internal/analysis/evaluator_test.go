@@ -35,14 +35,14 @@ func TestEvaluatorMatchesResult(t *testing.T) {
 		for _, mv := range vectors {
 			for pid := 0; pid < res.NumPids(); pid++ {
 				want := res.EvalRank(pid, mv[:len(res.MV)])
-				got := ev.EvalRank(pid, mv)
+				got := ev.EvalRank(pid, mv[:len(res.MV)])
 				if !got.Equal(want) {
 					t.Errorf("%s pid %d mv %v: Evaluator rank %v, Result rank %v", src, pid, mv, got, want)
 				}
 			}
 			accept := []bool{true}
 			want := res.EvalPolicy(mv[:len(res.MV)], func(id int) bool { return accept[id] })
-			got := ev.EvalPolicy(mv, accept)
+			got := ev.EvalPolicy(mv[:len(res.MV)], accept)
 			if !got.Equal(want) {
 				t.Errorf("%s mv %v: Evaluator policy %v, Result policy %v", src, mv, got, want)
 			}
@@ -85,7 +85,7 @@ func TestBetterRankMatchesRankCompare(t *testing.T) {
 			for round := 0; round < 200; round++ {
 				a, b := draw(len(res.MV)), draw(len(res.MV))
 				want := res.EvalRank(pid, a[:len(res.MV)]).Better(res.EvalRank(pid, b[:len(res.MV)]))
-				if got := ev.BetterRank(pid, a, b); got != want {
+				if got := ev.BetterRank(pid, a[:len(res.MV)], b[:len(res.MV)]); got != want {
 					t.Fatalf("%s pid %d: BetterRank(%v, %v) = %v, rank compare says %v", src, pid, a, b, got, want)
 				}
 			}
@@ -106,9 +106,9 @@ func TestEvaluatorNoAlloc(t *testing.T) {
 	a, b := [MaxMV]float64{0.4, 0.001, 3}, [MaxMV]float64{0.5, 0.002, 2}
 	accept := []bool{true}
 	allocs := testing.AllocsPerRun(100, func() {
-		ev.EvalRank(0, a)
-		ev.BetterRank(0, a, b)
-		ev.EvalPolicy(b, accept)
+		ev.EvalRank(0, a[:len(res.MV)])
+		ev.BetterRank(0, a[:len(res.MV)], b[:len(res.MV)])
+		ev.EvalPolicy(b[:len(res.MV)], accept)
 	})
 	if allocs != 0 {
 		t.Fatalf("rank evaluation allocates %.1f times per round, want 0", allocs)
@@ -129,12 +129,12 @@ func TestEvaluatorInterleavesPolicyAndRank(t *testing.T) {
 			for _, bit := range []bool{true, false} {
 				accept := []bool{bit}
 				want := res.EvalPolicy(mv[:len(res.MV)], func(id int) bool { return accept[id] })
-				if got := ev.EvalPolicy(mv, accept); !got.Equal(want) {
+				if got := ev.EvalPolicy(mv[:len(res.MV)], accept); !got.Equal(want) {
 					t.Fatalf("mv %v accept %v: Evaluator policy %v, Result policy %v", mv, bit, got, want)
 				}
 				for pid := 0; pid < res.NumPids(); pid++ {
 					want := res.EvalRank(pid, mv[:len(res.MV)])
-					if got := ev.EvalRank(pid, mv); !got.Equal(want) {
+					if got := ev.EvalRank(pid, mv[:len(res.MV)]); !got.Equal(want) {
 						t.Fatalf("mv %v pid %d after accept %v: Evaluator rank %v, Result rank %v", mv, pid, bit, got, want)
 					}
 				}
@@ -144,8 +144,8 @@ func TestEvaluatorInterleavesPolicyAndRank(t *testing.T) {
 	// A nil accept slice means "no regex matches", as it always did.
 	mv := vectors[0]
 	want := res.EvalPolicy(mv[:len(res.MV)], func(int) bool { return false })
-	ev.EvalPolicy(mv, []bool{true})
-	if got := ev.EvalPolicy(mv, nil); !got.Equal(want) {
+	ev.EvalPolicy(mv[:len(res.MV)], []bool{true})
+	if got := ev.EvalPolicy(mv[:len(res.MV)], nil); !got.Equal(want) {
 		t.Fatalf("nil accept: Evaluator policy %v, want %v", got, want)
 	}
 }

@@ -569,13 +569,13 @@ const (
 func (r *Hula) handlePacked(pkt *sim.Packet, inPort int) {
 	now := r.sw.Now()
 	txu := r.sw.TxUtil(inPort)
-	entries := pkt.Packed.Entries
-	for i := range entries {
-		en := &entries[i]
+	buf := pkt.Packed // one metric: the path utilisation
+	for i := range buf.Entries {
+		en := &buf.Entries[i]
 		if en.Origin == r.sw.ID {
 			continue
 		}
-		util := en.MV[0]
+		util := buf.MVOf(i)[0]
 		if txu > util {
 			util = txu
 		}
@@ -622,10 +622,10 @@ func (r *Hula) flush() {
 		if isEdge {
 			want++
 		}
-		p := r.sw.Net.NewPackedProbe(want)
+		p := r.sw.Net.NewPackedProbe(want, 1)
 		buf := p.Packed
 		if isEdge {
-			buf.Entries = append(buf.Entries, sim.ProbeEntry{Origin: r.sw.ID, Up: true})
+			buf.Append(sim.ProbeEntry{Origin: r.sw.ID, Up: true})
 		}
 		for _, o := range r.pendList {
 			row := &r.rows[o]
@@ -633,9 +633,7 @@ func (r *Hula) flush() {
 			if !ok {
 				continue
 			}
-			buf.Entries = append(buf.Entries, sim.ProbeEntry{
-				Origin: r.origins.ids[o], Up: up, MV: [4]float64{row.pendUtil},
-			})
+			buf.Append(sim.ProbeEntry{Origin: r.origins.ids[o], Up: up}, row.pendUtil)
 		}
 		n := len(buf.Entries)
 		if n == 0 {

@@ -50,8 +50,8 @@ func (cp *hulaCapture) Handle(pkt *sim.Packet, inPort int) {
 		port := cp.sw.Net.Topo.PortTo(cp.sender, cp.sw.ID)
 		em := hulaEmission{packed: pkt.IsPacked()}
 		if pkt.IsPacked() {
-			for _, en := range pkt.Packed.Entries {
-				em.entries = append(em.entries, hulaWire{en.Origin, en.Up, en.MV[0]})
+			for k, en := range pkt.Packed.Entries {
+				em.entries = append(em.entries, hulaWire{en.Origin, en.Up, pkt.Packed.MVOf(k)[0]})
 			}
 		} else {
 			em.entries = []hulaWire{{pkt.Origin, pkt.Up, pkt.MV[0]}}
@@ -143,9 +143,9 @@ func runHulaDifferential(t *testing.T, name string, packing bool, seed int64) {
 		ref.handle(packed, entries, inPort)
 		var p *sim.Packet
 		if packed {
-			p = n.NewPackedProbe(len(entries))
+			p = n.NewPackedProbe(len(entries), 1)
 			for _, en := range entries {
-				p.Packed.Entries = append(p.Packed.Entries, sim.ProbeEntry{Origin: en.origin, Up: en.up, MV: [4]float64{en.util}})
+				p.Packed.Append(sim.ProbeEntry{Origin: en.origin, Up: en.up}, en.util)
 			}
 		} else {
 			p = n.NewPacket()
@@ -344,11 +344,9 @@ func TestHulaOutOfRangeOriginsMiss(t *testing.T) {
 				// A bad entry ahead of a good one: the good one (strictly
 				// improving, so always accepted) must still be processed.
 				util -= 0.1
-				p = n.NewPackedProbe(2)
-				p.Packed.Entries = append(p.Packed.Entries,
-					sim.ProbeEntry{Origin: bad, MV: [4]float64{0.1}},
-					sim.ProbeEntry{Origin: good, MV: [4]float64{util}},
-				)
+				p = n.NewPackedProbe(2, 1)
+				p.Packed.Append(sim.ProbeEntry{Origin: bad}, 0.1)
+				p.Packed.Append(sim.ProbeEntry{Origin: good}, util)
 				r.Handle(p, inPort)
 				if port, u := r.BestNextHop(good); port != inPort || u != util {
 					t.Fatalf("origin %d: the entry after the bad one was not processed: (%d, %v)", bad, port, u)

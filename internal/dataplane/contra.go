@@ -13,10 +13,11 @@
 // packet costs indexed reads and a fixed compare: nothing on either
 // path allocates or walks the policy.
 //
-// The state is sized by what the switch routes: a register is 56 bytes
-// and holds only what a probe or a packet reads on every visit; state
-// that only delta suppression or decision tracing reads lives in
-// parallel arrays that exist only while that feature is on.
+// The state is sized by what the switch routes and what its policy ranks
+// on: a register is 24 bytes and holds only what a probe or a packet
+// reads on every visit, its metric vector and rank are floats at the
+// policy's widths in one slab, and state that only delta suppression or
+// decision tracing reads exists only while that feature is on.
 package dataplane
 
 import (
@@ -35,16 +36,16 @@ import (
 // (destination switch, local virtual node, probe id), where it came
 // from, and when. Registers live by value in Contra.fwd, and their
 // address there (reg) says which destination, virtual node and pid they
-// serve, so they do not store those; BestT and the pending lists hold
-// addresses, not pointers. The rank's components live in the address's
-// window of Contra.rankSlab; the register keeps only its Inf bit and
-// length.
+// serve, so they do not store those; BestT and the pending list hold
+// addresses, not pointers. The metric vector and the rank's components
+// live in the address's window of Contra.slab; the register keeps only
+// the rank's Inf bit and length.
 //
 // Most offers lose, and a losing offer reads only present, version,
-// nhop, ntag, updated and mv — is there a route, is the offer outdated,
-// is it the route's own upstream, has the route expired, does it rank
-// better. Those and what an accept writes are the whole register: 56
-// bytes, under one cache line.
+// nhop, ntag, updated and the vector — is there a route, is the offer
+// outdated, is it the route's own upstream, has the route expired, does
+// it rank better. Those and what an accept writes are the register and
+// its window: 24 bytes plus a float per metric the policy carries.
 type fwdEntry struct {
 	present bool  // the register holds a learned route (a map would have the key)
 	pending bool  // queued for the next packed flush
@@ -54,20 +55,19 @@ type fwdEntry struct {
 	nhop    int32     // egress port toward the upstream
 	ntag    pg.NodeID // the upstream (probe-sender) virtual node: the packet's next tag
 	updated int64
-	mv      [4]float64
 }
 
 // advSnap is what a register last re-advertised downstream (delta
 // suppression), so suppression can skip origins whose route and metrics
 // are unchanged — a route change (nhop/ntag) always re-advertises,
 // which is what keeps chaos scenarios converging. Contra.adv holds one
-// per register while suppression is on.
+// per register while suppression is on, and the advertised metric
+// vector sits at the end of the register's slab window (advMV).
 type advSnap struct {
 	valid bool // the fields below hold an advertisement
 	nhop  int32
 	ntag  pg.NodeID
 	at    int64
-	mv    [4]float64
 }
 
 // altShadow retains the best live offer seen on a port other than the
@@ -82,6 +82,14 @@ type altShadow struct {
 	ntag    pg.NodeID
 	updated int64
 	rank    policy.Rank
+}
+
+// flushPort is one port's packed-flush state.
+type flushPort struct {
+	adv    bool        // a product-graph out-port: flushed (or a heartbeat) every period
+	origin bool        // carries this switch's own origin entries
+	queued int32       // pending registers whose virtual node advertises on it
+	out    *sim.Packet // the packed probe a flush is filling
 }
 
 // loopSlots is the size of the loop-detection register array (§5.5).
@@ -132,10 +140,13 @@ type Contra struct {
 	// origin ordinal (comp.OriginOrd), ord the virtual node's position in
 	// prog.VNodes. An origin's blk = len(prog.VNodes)*nPids registers are
 	// contiguous; best[oi] is the address of that block's winner, -1 when
-	// there is none. rankSlab backs every register's rank, rankW floats
-	// each. adv (suppression on) and alt (altOn) run parallel to fwd, nil
-	// otherwise. Addresses (best, pend) stay valid until flushTables lays
-	// the tables out afresh. inTrans, ordOf and probeOut
+	// there is none. slab backs every register's floats, stride each: its
+	// metric vector (mvW, the policy's metric-vector width), its rank
+	// (rankW, the policy's widest rank) and, while suppression is on, the
+	// vector it last advertised (mvW). adv (suppression on) and alt
+	// (altOn) run parallel to fwd, nil otherwise. Addresses (best, pend)
+	// stay valid until flushTables lays the tables out afresh. inTrans,
+	// ordOf and probeOut
 	// are the program's InTransition/VNodes/ProbeOut maps flattened the
 	// same way: by sender tag, by own tag, and by ordinal; -1 marks "no
 	// such tag here". flowlets (§5.3, keyed tag ordinal · pid · flowlet
@@ -144,10 +155,12 @@ type Contra struct {
 	// flows share a slot, which a hash-indexed register array would allow.
 	fwd      []fwdEntry
 	best     []int32
-	rankSlab []float64
+	slab     []float64
 	adv      []advSnap
 	alt      []altShadow
+	mvW      int
 	rankW    int
+	stride   int
 	nPids    int
 	blk      int
 	inTrans  []int32
@@ -189,12 +202,11 @@ type Contra struct {
 	packing     bool
 	suppressOn  bool
 	suppressEps float64
-	refreshNs   int64     // forced-refresh horizon (RefreshEvery periods)
-	expireNs    int64     // entry expiry horizon incl. suppression slack
-	deadNs      int64     // port-liveness horizon incl. suppression slack
-	pend        [][]int32 // per egress port: register addresses awaiting the packed flush
-	advPorts    []int     // union of ProbeOut ports (flush/heartbeat targets)
-	originPorts []bool    // per port: carries this switch's own origin entries
+	refreshNs   int64       // forced-refresh horizon (RefreshEvery periods)
+	expireNs    int64       // entry expiry horizon incl. suppression slack
+	deadNs      int64       // port-liveness horizon incl. suppression slack
+	pend        []int32     // register addresses awaiting the packed flush, each once
+	flushPorts  []flushPort // per port: its packed-flush state
 
 	// LoopBreaks counts §5.5 flowlet flushes (exported for tests and
 	// the evaluation harness).
@@ -245,14 +257,19 @@ func (c *Contra) layoutTables() {
 	}
 	c.nPids = c.res.NumPids()
 	c.blk = len(c.prog.VNodes) * c.nPids
+	c.mvW = len(c.res.MV)        // at most analysis.MaxMV
 	c.rankW = c.res.Policy.Width // at most core.MaxRankWidth, so rankLen holds any length
+	c.stride = c.mvW + c.rankW
+	if c.suppressOn {
+		c.stride += c.mvW
+	}
 	n := c.comp.NumOrigins * c.blk
 	c.fwd = make([]fwdEntry, n)
 	c.best = make([]int32, c.comp.NumOrigins)
 	for oi := range c.best {
 		c.best[oi] = -1
 	}
-	c.rankSlab = make([]float64, n*c.rankW)
+	c.slab = make([]float64, n*c.stride)
 	c.adv, c.alt = nil, nil
 	if c.suppressOn {
 		c.adv = make([]advSnap, n)
@@ -330,21 +347,35 @@ func (c *Contra) lookup(oi, ord int32, pid uint8) int32 {
 	return -1
 }
 
-// rank is register i's cached full-policy rank, its components aliasing
-// the register's window of the rank slab.
-func (c *Contra) rank(i int32) policy.Rank {
-	e := &c.fwd[i]
-	w := int(i) * c.rankW
-	return policy.Rank{Inf: e.rankInf, V: c.rankSlab[w : w+int(e.rankLen) : w+c.rankW]}
+// mv is register i's metric vector: the first mvW floats of its slab
+// window, laid out per the policy's Analysis.MV.
+func (c *Contra) mv(i int32) []float64 {
+	w := int(i) * c.stride
+	return c.slab[w : w+c.mvW : w+c.mvW]
 }
 
-// setRank copies a (scratch-aliased) rank into register i's window of
-// the rank slab. The window is as wide as the policy's widest rank, so
-// a longer one is a bug and fails the slice bound.
+// advMV is the metric vector register i last advertised (suppression
+// on): the last mvW floats of its slab window.
+func (c *Contra) advMV(i int32) []float64 {
+	w := int(i)*c.stride + c.mvW + c.rankW
+	return c.slab[w : w+c.mvW : w+c.mvW]
+}
+
+// rank is register i's cached full-policy rank, its components aliasing
+// the register's slab window after the metric vector.
+func (c *Contra) rank(i int32) policy.Rank {
+	e := &c.fwd[i]
+	w := int(i)*c.stride + c.mvW
+	return policy.Rank{Inf: e.rankInf, V: c.slab[w : w+int(e.rankLen) : w+c.rankW]}
+}
+
+// setRank copies a (scratch-aliased) rank into register i's slab
+// window. The rank's part of it is as wide as the policy's widest rank,
+// so a longer one is a bug and fails the slice bound.
 func (c *Contra) setRank(i int32, r policy.Rank) {
 	e := &c.fwd[i]
-	w := int(i) * c.rankW
-	copy(c.rankSlab[w:w+len(r.V):w+c.rankW], r.V)
+	w := int(i)*c.stride + c.mvW
+	copy(c.slab[w:w+len(r.V):w+c.rankW], r.V)
 	e.rankInf = r.Inf
 	e.rankLen = uint8(len(r.V))
 }
@@ -385,7 +416,6 @@ func (c *Contra) Attach(sw *sim.SwitchDev) {
 	case c.packing:
 		// Every switch flushes once per period: origin entries and
 		// pending transit re-advertisements share the packed probes.
-		c.pend = make([][]int32, sw.PortCount())
 		c.recomputeAdv()
 		sw.Net.Eng.Every(originStagger(c.prog.Switch, period), period, c.flushPacked)
 	case c.prog.Origin != nil:
@@ -396,41 +426,33 @@ func (c *Contra) Attach(sw *sim.SwitchDev) {
 }
 
 // recomputeAdv rebuilds the packed-flush port state from the current
-// program: the union of product-graph out-ports (flush and heartbeat
-// targets), the ports carrying this switch's own origin entries, and
-// empty pending lists with room for all a port can ever hold. Called at
-// attach and after every policy install.
+// program: which ports are product-graph out-ports (flush and heartbeat
+// targets), which carry this switch's own origin entries, and an empty
+// pending list with room for every register that advertises at all.
+// Called at attach and after every policy install.
 func (c *Contra) recomputeAdv() {
-	n := c.sw.PortCount()
-	tags := make([]int, n) // per port: local virtual nodes that advertise on it
+	if n := c.sw.PortCount(); len(c.flushPorts) != n {
+		c.flushPorts = make([]flushPort, n)
+	}
+	clear(c.flushPorts)
+	advertising := 0 // local virtual nodes with an out-port
 	for _, ports := range c.prog.ProbeOut {
+		if len(ports) > 0 {
+			advertising++
+		}
 		for _, p := range ports {
-			tags[p]++
+			c.flushPorts[p].adv = true
 		}
 	}
-	c.advPorts = c.advPorts[:0]
-	total := 0
-	for p := 0; p < n; p++ {
-		if tags[p] > 0 {
-			c.advPorts = append(c.advPorts, p)
-			total += tags[p]
-		}
-	}
-	// An entry is queued at most once between two flushes (pending), so
-	// a port's list never outgrows the registers of the tags advertising
-	// on it: markPending appends in place.
-	perTag := c.comp.NumOrigins * c.nPids
-	slab := make([]int32, total*perTag)
-	for p := range c.pend {
-		k := tags[p] * perTag
-		c.pend[p], slab = slab[:0:k], slab[k:]
-	}
-	c.originPorts = make([]bool, n)
 	if org := c.prog.Origin; org != nil {
 		for _, p := range c.prog.ProbeOut[org.VNode] {
-			c.originPorts[p] = true
+			c.flushPorts[p].origin = true
 		}
 	}
+	// A register is queued at most once between two flushes (pending), so
+	// the list never outgrows the registers of the advertising virtual
+	// nodes: markPending appends in place.
+	c.pend = make([]int32, 0, advertising*c.comp.NumOrigins*c.nPids)
 }
 
 // originate emits one probe per pid from the switch's probe-sending
@@ -514,8 +536,8 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 			latAdd = float64(c.sw.PortDelay(inPort)) / 1e9
 		}
 	}
-	ad := sim.ProbeEntry{Origin: pkt.Origin, Tag: pkt.Tag, Version: pkt.Version, Pid: pkt.Pid, MV: pkt.MV}
-	i := c.handleProbeEntry(&ad, oi, ord, inPort, util, latAdd, now)
+	ad := sim.ProbeEntry{Origin: pkt.Origin, Tag: pkt.Tag, Version: pkt.Version, Pid: pkt.Pid}
+	i := c.handleProbeEntry(&ad, pkt.MV[:c.mvW], oi, ord, inPort, util, latAdd, now)
 
 	// Retag and multicast along product graph out-edges.
 	outPorts := c.probeOut[ord]
@@ -533,7 +555,7 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 		c.recordAdvert(i, now)
 	}
 	pkt.Tag = int32(c.prog.VNodes[ord])
-	pkt.MV = c.fwd[i].mv
+	copy(pkt.MV[:], c.mv(i))
 	for k, port := range outPorts {
 		if k == len(outPorts)-1 {
 			c.sw.Send(port, pkt)
@@ -545,29 +567,33 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 
 // handleProbeEntry is PROCESSPROBE (Figure 7) plus the §5 refinements
 // for one advertisement — a standalone probe, or one entry of a packed
-// one — that arrived on inPort, whose origin has ordinal oi and whose
-// sender's tag resolved to our virtual node at ordinal ord. util and
-// latAdd are inPort's link metrics in the traffic direction (probes flow
-// opposite to traffic, so that is out of inPort). It returns the updated
-// register's address when the advertisement was accepted, -1 when it
-// was discarded. The rule allocates nothing: ad is read in place, the
-// compare and the accepted entry's rank run on the policy's compiled
-// programs, and the rank lands in the register's own window.
-func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, oi, ord int32, inPort int, util, latAdd float64, now int64) int32 {
+// one, with metric vector admv — that arrived on inPort, whose origin
+// has ordinal oi and whose sender's tag resolved to our virtual node at
+// ordinal ord. util and latAdd are inPort's link metrics in the traffic
+// direction (probes flow opposite to traffic, so that is out of inPort).
+// It returns the updated register's address when the advertisement was
+// accepted, -1 when it was discarded. The rule allocates nothing: ad is
+// read in place, the link metric folds into stack scratch, the compare
+// and the accepted entry's rank run on the policy's compiled programs,
+// and the vector and rank land in the register's own window.
+func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, admv []float64, oi, ord int32, inPort int, util, latAdd float64, now int64) int32 {
 	v := c.prog.VNodes[ord]
 	// UPDATEMVEC: fold the link metric.
-	mv := ad.MV
+	var scratch [analysis.MaxMV]float64
+	mv := scratch[:c.mvW]
 	for i, m := range c.res.MV {
+		x := admv[i]
 		switch m {
 		case policy.Util:
-			if util > mv[i] {
-				mv[i] = util
+			if util > x {
+				x = util
 			}
 		case policy.Lat:
-			mv[i] += latAdd
+			x += latAdd
 		case policy.Len:
-			mv[i]++
+			x++
 		}
+		mv[i] = x
 	}
 
 	i := c.reg(oi, ord, ad.Pid)
@@ -597,7 +623,7 @@ func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, oi, ord int32, inPort int,
 	default:
 		// Live entries are displaced only by strict improvement, which
 		// keeps route churn (and hence transient loops) bounded.
-		accept = c.evCand.BetterRank(int(ad.Pid), mv, e.mv)
+		accept = c.evCand.BetterRank(int(ad.Pid), mv, c.mv(i))
 		if accept && c.mx != nil {
 			c.mx.Replaced++
 		}
@@ -621,7 +647,7 @@ func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, oi, ord int32, inPort int,
 	} else if c.altOn && int32(inPort) != e.nhop {
 		c.demoteToAlt(i)
 	}
-	e.mv = mv
+	copy(c.mv(i), mv)
 	e.ntag = pg.NodeID(ad.Tag)
 	e.nhop = int32(inPort)
 	e.version = ad.Version
@@ -649,8 +675,9 @@ func (c *Contra) suppressAdvert(i int32, now int64) bool {
 	if now-a.at >= c.refreshNs {
 		return false
 	}
-	for k := 0; k < len(c.res.MV); k++ {
-		d := e.mv[k] - a.mv[k]
+	mv, adv := c.mv(i), c.advMV(i)
+	for k := range mv {
+		d := mv[k] - adv[k]
 		if d < 0 {
 			d = -d
 		}
@@ -670,19 +697,21 @@ func (c *Contra) recordAdvert(i int32, now int64) {
 	a.nhop = e.nhop
 	a.ntag = e.ntag
 	a.at = now
-	a.mv = e.mv
+	copy(c.advMV(i), c.mv(i))
 }
 
-// markPending queues register i for the next packed flush on every
-// product-graph out-port of its virtual node.
+// markPending queues register i for the next packed flush, once, and
+// counts it on every product-graph out-port of its virtual node so the
+// flush sizes each port's probe exactly.
 func (c *Contra) markPending(i int32, outPorts []int) {
 	e := &c.fwd[i]
 	if e.pending {
 		return
 	}
 	e.pending = true
+	c.pend = append(c.pend, i)
 	for _, port := range outPorts {
-		c.pend[port] = append(c.pend[port], i)
+		c.flushPorts[port].queued++
 	}
 }
 
@@ -700,9 +729,9 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 	// Link metrics shared by every entry on this port.
 	util := c.sw.TxUtil(inPort)
 	latAdd := float64(c.sw.PortDelay(inPort)) / 1e9
-	entries := pkt.Packed.Entries
-	for i := range entries {
-		en := &entries[i]
+	buf := pkt.Packed
+	for k := range buf.Entries {
+		en := &buf.Entries[k]
 		if en.Origin == c.prog.Switch {
 			continue
 		}
@@ -712,7 +741,7 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 			c.sw.Net.CountRegisterMiss()
 			continue
 		}
-		i := c.handleProbeEntry(en, oi, ord, inPort, util, latAdd, now)
+		i := c.handleProbeEntry(en, buf.MVOf(k), oi, ord, inPort, util, latAdd, now)
 		outPorts := c.probeOut[ord]
 		if i < 0 || len(outPorts) == 0 {
 			continue
@@ -739,38 +768,55 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 // PROBE riding the flush) plus every pending transit re-advertisement,
 // or a bare heartbeat when the port has nothing to say — which is what
 // keeps §5.4 port-liveness detection at its normal horizon even when
-// suppression quiets the fabric.
+// suppression quiets the fabric. It opens every port's probe, origin
+// entries first, walks the pending list once appending each register to
+// its virtual node's out-ports, and sends in port order: per port, the
+// entries come in the order they were queued.
 func (c *Contra) flushPacked() {
 	org := c.prog.Origin
 	if org != nil {
 		c.version++
 	}
-	for _, port := range c.advPorts {
+	for port := range c.flushPorts {
+		fp := &c.flushPorts[port]
+		if !fp.adv {
+			continue
+		}
 		var originPids []int
-		if org != nil && c.originPorts[port] {
+		if org != nil && fp.origin {
 			originPids = org.Pids
 		}
 		// The packet's buffer arrives with room for everything this port
 		// will say, recycled from an earlier flush: the appends below stay
 		// in place.
-		p := c.sw.Net.NewPackedProbe(len(originPids) + len(c.pend[port]))
-		p.Era = c.era
-		buf := p.Packed
+		fp.out = c.sw.Net.NewPackedProbe(len(originPids)+int(fp.queued), c.mvW)
+		fp.out.Era = c.era
 		for _, pid := range originPids {
-			buf.Entries = append(buf.Entries, sim.ProbeEntry{
+			fp.out.Packed.Append(sim.ProbeEntry{
 				Origin: c.prog.Switch, Tag: int32(org.VNode),
 				Version: c.version, Pid: uint8(pid),
 			})
 		}
-		for _, i := range c.pend[port] {
-			e := &c.fwd[i]
-			oi, ord, pid := c.unreg(i)
-			buf.Entries = append(buf.Entries, sim.ProbeEntry{
-				Origin: c.comp.Origins[oi], Tag: int32(c.prog.VNodes[ord]),
-				Version: e.version, Pid: pid, MV: e.mv,
-			})
+	}
+	for _, i := range c.pend {
+		oi, ord, pid := c.unreg(i)
+		en := sim.ProbeEntry{
+			Origin: c.comp.Origins[oi], Tag: int32(c.prog.VNodes[ord]),
+			Version: c.fwd[i].version, Pid: pid,
 		}
-		n := len(buf.Entries)
+		mv := c.mv(i)
+		for _, port := range c.probeOut[ord] {
+			c.flushPorts[port].out.Packed.Append(en, mv...)
+		}
+	}
+	for port := range c.flushPorts {
+		fp := &c.flushPorts[port]
+		if !fp.adv {
+			continue
+		}
+		p := fp.out
+		fp.out, fp.queued = nil, 0
+		n := len(p.Packed.Entries)
 		if n > 1 {
 			// n per-origin probes collapsed into one wire packet.
 			c.sw.Net.CountProbeSaved(int64(n - 1))
@@ -779,24 +825,21 @@ func (c *Contra) flushPacked() {
 		c.sw.Send(port, p)
 	}
 	now := c.sw.Now()
-	for port := range c.pend {
-		for _, i := range c.pend[port] {
-			c.fwd[i].pending = false
-			if c.suppressOn {
-				// Re-snapshot from the metrics actually emitted: the
-				// entry may have been refreshed again since it was
-				// queued.
-				c.recordAdvert(i, now)
-			}
+	for _, i := range c.pend {
+		c.fwd[i].pending = false
+		if c.suppressOn {
+			// Re-snapshot from the metrics actually emitted: the entry may
+			// have been refreshed again since it was queued.
+			c.recordAdvert(i, now)
 		}
-		c.pend[port] = c.pend[port][:0]
 	}
+	c.pend = c.pend[:0]
 }
 
 // policyRank evaluates the full policy for an entry at virtual node v:
 // the recombination step (the "asterisk" choice of §4.2). The result
 // aliases evCand's scratch buffer; retain via setRank.
-func (c *Contra) policyRank(v pg.NodeID, mv [4]float64) policy.Rank {
+func (c *Contra) policyRank(v pg.NodeID, mv []float64) policy.Rank {
 	return c.evCand.EvalPolicy(mv, c.comp.PG.Node(v).Accept)
 }
 
@@ -1089,7 +1132,7 @@ func (c *Contra) setAltOn() {
 // on a port other than the incumbent route's) as register i's runner-up
 // shadow: refreshed in place when it is the shadow's own port, adopted
 // when it beats the stored shadow or the shadow has gone stale.
-func (c *Contra) noteAlt(i int32, v pg.NodeID, inPort int, tag pg.NodeID, mv [4]float64, now int64) {
+func (c *Contra) noteAlt(i int32, v pg.NodeID, inPort int, tag pg.NodeID, mv []float64, now int64) {
 	r := c.policyRank(v, mv) // aliases evaluator scratch; copied below
 	if r.IsInf() {
 		return
@@ -1322,8 +1365,9 @@ func (c *Contra) flushTables() {
 	c.flowlets.Reset()
 	c.srcPins.Reset()
 	c.loop = loopTable{}
-	for i := range c.pend {
-		c.pend[i] = c.pend[i][:0]
+	c.pend = c.pend[:0]
+	for i := range c.flushPorts {
+		c.flushPorts[i].queued = 0
 	}
 }
 

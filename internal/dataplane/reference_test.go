@@ -94,13 +94,68 @@ func TestLoopTableMatchesReference(t *testing.T) {
 }
 
 // TestRegisterLayout holds the sizes the router's per-switch state is
-// laid out for: a FwdT register within one cache line, and the loop
-// table at 5 KB (4 KB of signatures, 1 KB of TTL ranges).
+// laid out for: a FwdT register and a suppression snapshot at 24 bytes
+// each, their metric vectors living in the float slab; a packed probe's
+// entry at 16 bytes, its vector in the buffer's float array; and the
+// loop table at 5 KB (4 KB of signatures, 1 KB of TTL ranges).
 func TestRegisterLayout(t *testing.T) {
-	if n := unsafe.Sizeof(fwdEntry{}); n > 64 {
-		t.Errorf("a FwdT register is %d bytes, want at most 64", n)
+	if n := unsafe.Sizeof(fwdEntry{}); n != 24 {
+		t.Errorf("a FwdT register is %d bytes, want 24", n)
+	}
+	if n := unsafe.Sizeof(advSnap{}); n != 24 {
+		t.Errorf("a suppression snapshot is %d bytes, want 24", n)
+	}
+	if n := unsafe.Sizeof(sim.ProbeEntry{}); n != 16 {
+		t.Errorf("a packed probe entry is %d bytes, want 16", n)
 	}
 	if n := unsafe.Sizeof(loopTable{}); n != loopSlots*(8+2) {
 		t.Errorf("the loop table is %d bytes, want %d", n, loopSlots*(8+2))
+	}
+}
+
+// TestProbeStateSizedByPolicy deploys policies of metric-vector width 1,
+// 2 and 3 with packing and suppression on, and holds every router's
+// float slab to one window per register — its vector, its rank and the
+// vector it last advertised, 2·mvW + rankW floats — and its pending list
+// to one address per register at most, with none queued twice.
+func TestProbeStateSizedByPolicy(t *testing.T) {
+	g := topo.Fattree(4, 2)
+	opts := core.Options{ProbePacking: true, SuppressEps: 0.02, RefreshEvery: 3}
+	for _, tc := range []struct {
+		policy string
+		mvW    int
+	}{
+		{"minimize(path.util)", 1},
+		{"minimize((path.util, path.len))", 2},
+		{"minimize((path.len, path.lat, path.util))", 3},
+	} {
+		e, _, routers, comp := deployOpts(t, g, tc.policy, opts, 0)
+		if got := len(comp.Analysis.MV); got != tc.mvW {
+			t.Fatalf("%s: metric vector width %d, want %d", tc.policy, got, tc.mvW)
+		}
+		// Stop mid-period, with re-advertisements queued.
+		e.Run(10*comp.Opts.ProbePeriodNs + comp.Opts.ProbePeriodNs/2)
+		queued := 0
+		for _, sw := range g.Switches() {
+			c := routers[sw]
+			name := g.Node(sw).Name
+			if want := len(c.fwd) * (2*tc.mvW + comp.Policy.Width); len(c.slab) != want {
+				t.Errorf("%s %s: %d slab floats for %d registers, want %d", tc.policy, name, len(c.slab), len(c.fwd), want)
+			}
+			if len(c.pend) > len(c.fwd) || cap(c.pend) > len(c.fwd) {
+				t.Errorf("%s %s: pending list %d long (room for %d) over %d registers", tc.policy, name, len(c.pend), cap(c.pend), len(c.fwd))
+			}
+			seen := make(map[int32]bool)
+			for _, i := range c.pend {
+				if seen[i] || !c.fwd[i].pending {
+					t.Fatalf("%s %s: register %d queued twice or not marked pending", tc.policy, name, i)
+				}
+				seen[i] = true
+			}
+			queued += len(c.pend)
+		}
+		if queued == 0 {
+			t.Errorf("%s: nothing was pending mid-period; the check saw no list", tc.policy)
+		}
 	}
 }

@@ -67,8 +67,10 @@ func (cp *capture) Handle(pkt *sim.Packet, inPort int) {
 		port := cp.sw.Net.Topo.PortTo(cp.sender, cp.sw.ID)
 		em := emission{packed: pkt.IsPacked()}
 		if pkt.IsPacked() {
-			for _, en := range pkt.Packed.Entries {
-				em.entries = append(em.entries, wireEntry{en.Origin, en.Tag, en.Pid, en.Version, en.MV})
+			for k, en := range pkt.Packed.Entries {
+				var mv [4]float64
+				copy(mv[:], pkt.Packed.MVOf(k))
+				em.entries = append(em.entries, wireEntry{en.Origin, en.Tag, en.Pid, en.Version, mv})
 			}
 		} else {
 			em.entries = []wireEntry{{pkt.Origin, pkt.Tag, pkt.Pid, pkt.Version, pkt.MV}}
@@ -196,10 +198,10 @@ func runDifferential(t *testing.T, packing bool, seed int64) {
 		ref.handle(packed, entries, inPort, era)
 		var p *sim.Packet
 		if packed {
-			p = n.NewPackedProbe(len(entries))
+			p = n.NewPackedProbe(len(entries), real.mvW)
 			p.Era = era
 			for _, en := range entries {
-				p.Packed.Entries = append(p.Packed.Entries, sim.ProbeEntry{Origin: en.origin, Tag: en.tag, Version: en.version, Pid: en.pid, MV: en.mv})
+				p.Packed.Append(sim.ProbeEntry{Origin: en.origin, Tag: en.tag, Version: en.version, Pid: en.pid}, en.mv[:real.mvW]...)
 			}
 		} else {
 			p = n.NewPacket()
@@ -378,13 +380,11 @@ func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 	for _, b := range bad {
 		version += 2
 		misses := n.RegisterMisses()
-		p := n.NewPackedProbe(3)
+		p := n.NewPackedProbe(3, c.mvW)
 		p.Era = c.Era()
-		p.Packed.Entries = append(p.Packed.Entries,
-			sim.ProbeEntry{Origin: okOrigin, Tag: okTag, Version: version - 1},
-			sim.ProbeEntry{Origin: b.origin, Tag: b.tag, Pid: b.pid, Version: version},
-			sim.ProbeEntry{Origin: okOrigin, Tag: okTag, Version: version},
-		)
+		p.Packed.Append(sim.ProbeEntry{Origin: okOrigin, Tag: okTag, Version: version - 1})
+		p.Packed.Append(sim.ProbeEntry{Origin: b.origin, Tag: b.tag, Pid: b.pid, Version: version})
+		p.Packed.Append(sim.ProbeEntry{Origin: okOrigin, Tag: okTag, Version: version})
 		c.Handle(p, inPort)
 		i := c.lookup(c.originIndex(okOrigin), tagIndex(c.inTrans, okTag), 0)
 		if i < 0 || c.fwd[i].version != version || c.fwd[i].nhop != int32(inPort) {
@@ -500,9 +500,9 @@ func notOriginsMiss(t *testing.T) {
 		if got := drops(sim.DropProbeNoTrans); got != before+1 {
 			t.Fatalf("probe from non-origin %s: drop_probe_notrans went %v -> %v, want +1", name, before, got)
 		}
-		q := n.NewPackedProbe(1)
+		q := n.NewPackedProbe(1, c.mvW)
 		q.Era = c.Era()
-		q.Packed.Entries = append(q.Packed.Entries, sim.ProbeEntry{Origin: origin, Tag: okTag, Version: 1 << 20})
+		q.Packed.Append(sim.ProbeEntry{Origin: origin, Tag: okTag, Version: 1 << 20})
 		c.Handle(q, inPort)
 		if got := n.RegisterMisses(); got != misses+2 {
 			t.Fatalf("non-origin %s: register misses went %v -> %v, want +2", name, misses, got)
@@ -558,16 +558,16 @@ func lastRegisterIsAddressable(t *testing.T) {
 		t.Fatal("no transition into the last virtual node")
 	}
 	inPort := g.PortTo(sw, comp.PG.Node(pg.NodeID(sender)).Topo)
-	p := n.NewPackedProbe(1)
+	p := n.NewPackedProbe(1, c.mvW)
 	p.Era = c.Era()
-	p.Packed.Entries = append(p.Packed.Entries, sim.ProbeEntry{Origin: origin, Tag: sender, Pid: lastPid, Version: 1})
+	p.Packed.Append(sim.ProbeEntry{Origin: origin, Tag: sender, Pid: lastPid, Version: 1})
 	c.Handle(p, inPort)
 	i := c.lookup(c.originIndex(origin), lastOrd, lastPid)
 	if i < 0 || int(i) != len(c.fwd)-1 {
 		t.Fatalf("the accepted entry %d is not the last register %d", i, len(c.fwd)-1)
 	}
-	if r := c.rank(i); cap(r.V) != c.rankW || &r.V[:1][0] != &c.rankSlab[len(c.rankSlab)-c.rankW] {
-		t.Fatal("the last register's rank is not the last window of the rank slab")
+	if r := c.rank(i); cap(r.V) != c.rankW || &r.V[:1][0] != &c.slab[len(c.slab)-c.stride+c.mvW] {
+		t.Fatal("the last register's rank is not in the last window of the slab")
 	}
 	if oi, ord, pid := c.unreg(i); comp.Origins[oi] != origin || ord != lastOrd || pid != lastPid {
 		t.Fatalf("the last register reads back as (%d, %d, %d), want (%d, %d, %d)",
@@ -629,9 +629,10 @@ func TestRegisterFileMatchesStateAccounting(t *testing.T) {
 		for _, sw := range tc.g.Switches() {
 			c, prog := New(comp, sw), comp.Switches[sw]
 			want := comp.NumOrigins * len(prog.VNodes) * comp.Analysis.NumPids()
-			if len(c.fwd) != want || len(c.best) != comp.NumOrigins || len(c.rankSlab) != want*comp.Policy.Width {
-				t.Fatalf("%s %s: %d registers, %d BestT slots, %d rank floats; want %d, %d, %d", tc.name, tc.g.Node(sw).Name,
-					len(c.fwd), len(c.best), len(c.rankSlab), want, comp.NumOrigins, want*comp.Policy.Width)
+			floats := want * (len(comp.Analysis.MV) + comp.Policy.Width)
+			if len(c.fwd) != want || len(c.best) != comp.NumOrigins || len(c.slab) != floats {
+				t.Fatalf("%s %s: %d registers, %d BestT slots, %d slab floats; want %d, %d, %d", tc.name, tc.g.Node(sw).Name,
+					len(c.fwd), len(c.best), len(c.slab), want, comp.NumOrigins, floats)
 			}
 			if accounted := prog.ReachableOrigins * len(prog.VNodes) * comp.Analysis.NumPids(); want < accounted {
 				t.Fatalf("%s %s: the file holds %d registers, core accounts for %d", tc.name, tc.g.Node(sw).Name, want, accounted)
@@ -667,9 +668,9 @@ func TestStaleEraPacketsAfterShrinkingInstall(t *testing.T) {
 	drops := func(r sim.DropReason) int64 { return n.Totals().Drops[r] }
 	probe := func(era uint8, packed bool) *sim.Packet {
 		if packed {
-			p := n.NewPackedProbe(1)
+			p := n.NewPackedProbe(1, c.mvW)
 			p.Era = era
-			p.Packed.Entries = append(p.Packed.Entries, sim.ProbeEntry{Origin: g.MustNode("SEA"), Tag: oldTag, Pid: oldPid, Version: 9})
+			p.Packed.Append(sim.ProbeEntry{Origin: g.MustNode("SEA"), Tag: oldTag, Pid: oldPid, Version: 9})
 			return p
 		}
 		p := n.NewPacket()
@@ -895,7 +896,8 @@ func (r *refTables) handle(packed bool, entries []wireEntry, inPort int, era uin
 		case r.expired(e):
 			accept = true
 		default:
-			accept = r.ev.BetterRank(int(en.pid), mv, e.mv)
+			w := len(c.res.MV)
+			accept = r.ev.BetterRank(int(en.pid), mv[:w], e.mv[:w])
 		}
 		if !accept {
 			continue
@@ -905,7 +907,7 @@ func (r *refTables) handle(packed bool, entries []wireEntry, inPort int, era uin
 			r.fwd[key] = e
 		}
 		e.mv, e.ntag, e.nhop, e.version, e.updated = mv, pg.NodeID(en.tag), inPort, en.version, now
-		rank := r.ev.EvalPolicy(mv, c.comp.PG.Node(v).Accept)
+		rank := r.ev.EvalPolicy(mv[:len(c.res.MV)], c.comp.PG.Node(v).Accept)
 		e.rank = policy.Rank{Inf: rank.Inf, V: append([]float64(nil), rank.V...)}
 		r.updateBest(en.origin, key, e)
 
@@ -959,9 +961,12 @@ func (r *refTables) flush() {
 	if org != nil {
 		r.version++
 	}
-	for _, port := range c.advPorts {
+	for port, fp := range c.flushPorts {
+		if !fp.adv {
+			continue
+		}
 		em := emission{packed: true}
-		if org != nil && c.originPorts[port] {
+		if org != nil && fp.origin {
 			for _, pid := range org.Pids {
 				em.entries = append(em.entries, wireEntry{origin: c.prog.Switch, tag: int32(org.VNode), pid: uint8(pid), version: r.version})
 			}

@@ -18,7 +18,7 @@ func TestAuditCountsEveryPacket(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			p := n.NewPacket()
 			p.Kind = Probe
-			held = append(held, p, n.NewPackedProbe(4))
+			held = append(held, p, n.NewPackedProbe(4, 1))
 		}
 		for _, p := range held[:4] {
 			p.Size = 100

@@ -23,9 +23,6 @@ func TestPacketLayout(t *testing.T) {
 	if size := unsafe.Sizeof(Packet{}); size != 128 {
 		t.Fatalf("Packet is %d bytes, want 128", size)
 	}
-	if size := unsafe.Sizeof(ProbeEntry{}); size != 48 {
-		t.Fatalf("ProbeEntry is %d bytes, want 48", size)
-	}
 	var p Packet
 	line1 := []struct {
 		name     string
@@ -62,36 +59,42 @@ func TestPacketLayout(t *testing.T) {
 // flushes — with no allocation when it is large enough.
 func TestPacketPoolRecyclesProbeBuffers(t *testing.T) {
 	n := packedTestNet(t)
-	p := n.NewPackedProbe(8)
-	if p.Kind != Probe || !p.IsPacked() || p.TTL != InitialTTL || len(p.Packed.Entries) != 0 || cap(p.Packed.Entries) < 8 {
-		t.Fatalf("NewPackedProbe(8) = %+v", p)
+	p := n.NewPackedProbe(8, 2)
+	if p.Kind != Probe || !p.IsPacked() || p.TTL != InitialTTL || len(p.Packed.Entries) != 0 || cap(p.Packed.Entries) < 8 ||
+		p.Packed.Width != 2 || len(p.Packed.MV) != 0 || cap(p.Packed.MV) < 16 {
+		t.Fatalf("NewPackedProbe(8, 2) = %+v", p)
 	}
 	for i := 0; i < 8; i++ {
-		p.Packed.Entries = append(p.Packed.Entries, ProbeEntry{Origin: topo.NodeID(i)})
+		p.Packed.Append(ProbeEntry{Origin: topo.NodeID(i)}, float64(i), 1)
 	}
-	buf, backing := p.Packed, &p.Packed.Entries[0]
+	if mv := p.Packed.MVOf(5); len(mv) != 2 || mv[0] != 5 || mv[1] != 1 {
+		t.Fatalf("entry 5's metric vector is %v, want [5 1]", mv)
+	}
+	buf, backing, mvBacking := p.Packed, &p.Packed.Entries[0], &p.Packed.MV[0]
 	d1, d2 := n.NewPacket(), n.NewPacket()
 	n.Free(p)
 	n.Free(d1)
 	n.Free(d2)
 	n.Free(n.NewPacket())
-	q := n.NewPackedProbe(5)
-	if q.Packed != buf || len(q.Packed.Entries) != 0 || &q.Packed.Entries[:1][0] != backing {
-		t.Fatal("the packed constructor did not reuse the freed buffer and its entries")
+	q := n.NewPackedProbe(5, 3)
+	if q.Packed != buf || len(q.Packed.Entries) != 0 || &q.Packed.Entries[:1][0] != backing ||
+		q.Packed.Width != 3 || len(q.Packed.MV) != 0 || &q.Packed.MV[:1][0] != mvBacking {
+		t.Fatal("the packed constructor did not reuse the freed buffer, its entries and its metric vectors")
 	}
 	if q.Origin != 0 || q.Version != 0 || q.next != nil || buf.next != nil {
 		t.Fatalf("recycled packet not zeroed: %+v", q)
 	}
 	// A larger request than the buffer holds grows it, once.
 	n.Free(q)
-	if big := n.NewPackedProbe(32); big.Packed != buf || cap(big.Packed.Entries) < 32 {
-		t.Fatalf("NewPackedProbe(32) on an 8-entry buffer: same buffer %v, cap %d", big.Packed == buf, cap(big.Packed.Entries))
+	if big := n.NewPackedProbe(32, 2); big.Packed != buf || cap(big.Packed.Entries) < 32 || cap(big.Packed.MV) < 64 {
+		t.Fatalf("NewPackedProbe(32, 2) on an 8-entry buffer: same buffer %v, caps %d and %d",
+			big.Packed == buf, cap(big.Packed.Entries), cap(big.Packed.MV))
 	}
 
 	allocs := testing.AllocsPerRun(100, func() {
-		p := n.NewPackedProbe(32)
+		p := n.NewPackedProbe(32, 2)
 		for i := 0; i < 32; i++ {
-			p.Packed.Entries = append(p.Packed.Entries, ProbeEntry{Origin: topo.NodeID(i)})
+			p.Packed.Append(ProbeEntry{Origin: topo.NodeID(i)}, float64(i))
 		}
 		d := n.NewPacket()
 		n.Free(p)
@@ -109,7 +112,7 @@ func TestPacketPoolRecyclesProbeBuffers(t *testing.T) {
 func TestPacketPoolPlainNeverHoldsBuffer(t *testing.T) {
 	var pl pool
 	p := pl.get()
-	p.Packed = pl.getBuf(2)
+	p.Packed = pl.getBuf(2, 1)
 	buf := p.Packed
 	pl.put(p)
 	if pl.pkts != p || pl.bufs != buf || p.Packed != nil {
@@ -118,7 +121,7 @@ func TestPacketPoolPlainNeverHoldsBuffer(t *testing.T) {
 	if d := pl.get(); d != p || d.Packed != nil || d.IsPacked() {
 		t.Fatalf("a plain request after freeing a packed probe: same packet %v, Packed %p", d == p, d.Packed)
 	}
-	if b := pl.getBuf(1); b != buf {
+	if b := pl.getBuf(1, 1); b != buf {
 		t.Fatal("the freed buffer was not the next one handed out")
 	}
 }
@@ -152,14 +155,19 @@ func TestPacketSlabsAreCacheLineAligned(t *testing.T) {
 // next hop) cannot corrupt the other.
 func TestClonePackedIsDeepCopy(t *testing.T) {
 	n := packedTestNet(t)
-	p := n.NewPackedProbe(2)
-	p.Packed.Entries = append(p.Packed.Entries, ProbeEntry{Origin: 1, Version: 7}, ProbeEntry{Origin: 2, Version: 9})
+	p := n.NewPackedProbe(2, 2)
+	p.Packed.Append(ProbeEntry{Origin: 1, Version: 7}, 0.5, 3)
+	p.Packed.Append(ProbeEntry{Origin: 2, Version: 9})
 	c := n.Clone(p)
 	if c.Packed == p.Packed || len(c.Packed.Entries) != 2 || c.Packed.Entries[0].Origin != 1 || c.Packed.Entries[1].Version != 9 {
 		t.Fatalf("clone lost packed entries: %+v", c.Packed)
 	}
+	if c.Packed.Width != 2 || c.Packed.MVOf(0)[1] != 3 || c.Packed.MVOf(1)[0] != 0 {
+		t.Fatalf("clone lost metric vectors: width %d, %v", c.Packed.Width, c.Packed.MV)
+	}
 	c.Packed.Entries[0].Version = 100
-	if p.Packed.Entries[0].Version != 7 {
+	c.Packed.MVOf(0)[0] = 0.9
+	if p.Packed.Entries[0].Version != 7 || p.Packed.MVOf(0)[0] != 0.5 {
 		t.Fatalf("clone aliases the original's packed entries")
 	}
 	if d := n.Clone(n.NewPacket()); d.Packed != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"unsafe"
 
 	"contra/internal/topo"
@@ -32,14 +33,14 @@ const (
 // Packing amortizes the L2 framing and — far more importantly — the
 // per-packet event cost across every origin a switch re-advertises on
 // a port in the same probe period (§5.2: probe volume dominates at
-// fattree scale).
+// fattree scale). The entry's metric vector lives beside it in its
+// ProbeBuf, at the buffer's width.
 type ProbeEntry struct {
 	Origin  topo.NodeID // destination switch the entry advertises
 	Tag     int32       // sender's product-graph virtual node
 	Version uint32
 	Pid     uint8
-	Up      bool       // HULA packed propagation state (still traveling upward)
-	MV      [4]float64 // metric vector, laid out per the compiled policy
+	Up      bool // HULA packed propagation state (still traveling upward)
 }
 
 // Packet is the single on-wire unit. One struct serves data, acks and
@@ -114,9 +115,43 @@ type Packet struct {
 // one, so a data packet cannot carry one away, and once the buffers in
 // circulation have grown to the largest advertisement a port sends,
 // packed fan-out allocates nothing.
+//
+// The metric vectors are one float array at the width the sender's
+// policy carries, so an entry costs what its policy ranks on: entry i's
+// vector is MV[i*Width : (i+1)*Width] (MVOf). Append keeps the two in
+// step.
 type ProbeBuf struct {
 	Entries []ProbeEntry
+	MV      []float64
+	Width   int
 	next    *ProbeBuf
+}
+
+// Append adds one entry with metric vector mv, zero-filled to the
+// buffer's width; mv wider than that is a bug and panics.
+func (b *ProbeBuf) Append(e ProbeEntry, mv ...float64) {
+	if len(mv) > b.Width {
+		panic("sim: metric vector wider than its probe buffer")
+	}
+	b.Entries = append(b.Entries, e)
+	lo := len(b.MV)
+	if lo+b.Width > cap(b.MV) {
+		b.MV = slices.Grow(b.MV, b.Width)
+	}
+	b.MV = b.MV[:lo+b.Width]
+	for k := range b.Width {
+		x := 0.0
+		if k < len(mv) {
+			x = mv[k]
+		}
+		b.MV[lo+k] = x
+	}
+}
+
+// MVOf is entry i's metric vector.
+func (b *ProbeBuf) MVOf(i int) []float64 {
+	lo := i * b.Width
+	return b.MV[lo : lo+b.Width : lo+b.Width]
 }
 
 // IsPacked reports whether the packet is a packed multi-origin probe.
@@ -164,11 +199,12 @@ func (p *pool) get() *Packet {
 	return pkt
 }
 
-// getBuf returns an empty buffer with room for n entries. A recycled
-// buffer is grown only when it is smaller, and then at least doubled:
-// advertisements grow as routes are learned, and a buffer that grew one
-// entry at a time would be replaced once per step.
-func (p *pool) getBuf(n int) *ProbeBuf {
+// getBuf returns an empty buffer of metric width w with room for n
+// entries. A recycled buffer's arrays are grown only when they are
+// smaller, and then at least doubled: advertisements grow as routes are
+// learned, and a buffer that grew one entry at a time would be replaced
+// once per step.
+func (p *pool) getBuf(n, w int) *ProbeBuf {
 	b := p.bufs
 	if b == nil {
 		p.bufSlabs++
@@ -182,12 +218,25 @@ func (p *pool) getBuf(n int) *ProbeBuf {
 		p.bufs = b.next
 		b.next = nil
 	}
-	if c := cap(b.Entries); c < n {
-		b.Entries = make([]ProbeEntry, 0, max(n, 2*c))
-	} else {
-		b.Entries = b.Entries[:0]
+	if c := cap(b.Entries); c < n || cap(b.MV) < n*w {
+		b.grow(max(n, 2*c), w)
 	}
+	b.Entries, b.MV, b.Width = b.Entries[:0], b.MV[:0], w
 	return b
+}
+
+// entryFloats is how many float64s a ProbeEntry spans.
+const entryFloats = int(unsafe.Sizeof(ProbeEntry{}) / unsafe.Sizeof(float64(0)))
+
+// grow replaces b's arrays with room for n entries of width w in one
+// allocation, so a buffer grows at the cost it had when each entry held
+// its vector: a ProbeEntry holds no pointers and is two floats long, so
+// the entries are carved from the front of the float array whose rest
+// holds the vectors.
+func (b *ProbeBuf) grow(n, w int) {
+	floats := make([]float64, n*(entryFloats+w))
+	b.Entries = unsafe.Slice((*ProbeEntry)(unsafe.Pointer(unsafe.SliceData(floats))), n)
+	b.MV = floats[n*entryFloats:]
 }
 
 func (p *pool) put(pkt *Packet) {
@@ -225,12 +274,13 @@ func (n *Network) NewPacket() *Packet { return n.pool.get() }
 
 // NewPackedProbe returns a packed probe (Kind, Packed and TTL set,
 // everything else zero) whose empty entry list has room for entries
-// advertisements: appending that many does not allocate.
-func (n *Network) NewPackedProbe(entries int) *Packet {
+// advertisements with metric vectors width floats wide: appending that
+// many does not allocate.
+func (n *Network) NewPackedProbe(entries, width int) *Packet {
 	p := n.pool.get()
 	p.Kind = Probe
 	p.TTL = InitialTTL
-	p.Packed = n.pool.getBuf(entries)
+	p.Packed = n.pool.getBuf(entries, width)
 	return p
 }
 
@@ -241,8 +291,9 @@ func (n *Network) Clone(pkt *Packet) *Packet {
 	*c = *pkt
 	c.next = nil
 	if src := pkt.Packed; src != nil {
-		c.Packed = n.pool.getBuf(len(src.Entries))
+		c.Packed = n.pool.getBuf(len(src.Entries), src.Width)
 		c.Packed.Entries = append(c.Packed.Entries, src.Entries...)
+		c.Packed.MV = append(c.Packed.MV, src.MV...)
 	}
 	return c
 }
