@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"slices"
 	"unsafe"
 
 	"contra/internal/topo"
@@ -130,21 +129,22 @@ type ProbeBuf struct {
 // Append adds one entry with metric vector mv, zero-filled to the
 // buffer's width; mv wider than that is a bug and panics.
 func (b *ProbeBuf) Append(e ProbeEntry, mv ...float64) {
-	if len(mv) > b.Width {
+	b.Entries = append(b.Entries, e)
+	b.MV = append(b.MV, mv...)
+	if len(b.MV) != len(b.Entries)*b.Width {
+		b.padMV()
+	}
+}
+
+// padMV zero-fills the last entry's short metric vector (a switch's own
+// origin entries carry none).
+func (b *ProbeBuf) padMV() {
+	want := len(b.Entries) * b.Width
+	if len(b.MV) > want {
 		panic("sim: metric vector wider than its probe buffer")
 	}
-	b.Entries = append(b.Entries, e)
-	lo := len(b.MV)
-	if lo+b.Width > cap(b.MV) {
-		b.MV = slices.Grow(b.MV, b.Width)
-	}
-	b.MV = b.MV[:lo+b.Width]
-	for k := range b.Width {
-		x := 0.0
-		if k < len(mv) {
-			x = mv[k]
-		}
-		b.MV[lo+k] = x
+	for len(b.MV) < want {
+		b.MV = append(b.MV, 0)
 	}
 }
 
