@@ -225,12 +225,15 @@ func (p *pool) getBuf(n, w int) *ProbeBuf {
 	return b
 }
 
-// entryFloats is how many float64s a ProbeEntry spans.
+// entryFloats is how many float64s a ProbeEntry spans. The build fails
+// if that is not a whole number, which grow relies on.
 const entryFloats = int(unsafe.Sizeof(ProbeEntry{}) / unsafe.Sizeof(float64(0)))
+
+const _ = -(unsafe.Sizeof(ProbeEntry{}) % unsafe.Sizeof(float64(0)))
 
 // grow replaces b's arrays with room for n entries of width w in one
 // allocation, so a buffer grows at the cost it had when each entry held
-// its vector: a ProbeEntry holds no pointers and is two floats long, so
+// its vector: a ProbeEntry holds no pointers and spans whole floats, so
 // the entries are carved from the front of the float array whose rest
 // holds the vectors.
 func (b *ProbeBuf) grow(n, w int) {
