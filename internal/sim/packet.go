@@ -94,7 +94,7 @@ type Packet struct {
 	MV      [4]float64 // metric vector, laid out per the compiled policy
 
 	// Diagnostics.
-	Visited uint64 // bitmask of visited switches (loop accounting, <=64 switches)
+	Visited uint64 // bitmask of visited switches (loop accounting, ids below TrackVisitedLimit)
 	// QueueNs accumulates the queueing delay this packet waited across
 	// its path. Only maintained while a trace recorder is attached;
 	// pool recycling zeroes it like every other field.
@@ -232,10 +232,9 @@ const entryFloats = int(unsafe.Sizeof(ProbeEntry{}) / unsafe.Sizeof(float64(0)))
 const _ = -(unsafe.Sizeof(ProbeEntry{}) % unsafe.Sizeof(float64(0)))
 
 // grow replaces b's arrays with room for n entries of width w in one
-// allocation, so a buffer grows at the cost it had when each entry held
-// its vector: a ProbeEntry holds no pointers and spans whole floats, so
-// the entries are carved from the front of the float array whose rest
-// holds the vectors.
+// allocation, not two: a ProbeEntry holds no pointers and spans whole
+// floats, so the entries are carved from the front of the float array
+// whose rest holds the vectors.
 func (b *ProbeBuf) grow(n, w int) {
 	floats := make([]float64, n*(entryFloats+w))
 	b.Entries = unsafe.Slice((*ProbeEntry)(unsafe.Pointer(unsafe.SliceData(floats))), n)
