@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"testing"
 
 	"contra/internal/pg"
 	"contra/internal/topo"
@@ -11,9 +13,69 @@ import (
 
 // The bodies this package had before the compiler back end was made
 // linear in the product graph, kept as the references the differential
-// tests compare against: reachability counted into nested maps with a
-// fresh visited slice per origin, and P4 emitted with one Fprintf per
-// line.
+// tests compare against: switch programs built into maps, reachability
+// counted into nested maps with a fresh visited slice per origin, and P4
+// emitted with one Fprintf per line from the map-built programs.
+
+// refSwitchProgram is a switch's program as Compile built it before the
+// programs went flat: the switch's virtual nodes copied, the tag
+// transitions and probe-out ports in maps keyed by virtual node.
+type refSwitchProgram struct {
+	Switch       topo.NodeID
+	VNodes       []pg.NodeID
+	InTransition map[pg.NodeID]pg.NodeID
+	ProbeOut     map[pg.NodeID][]int
+	Origin       *OriginSpec
+}
+
+// referenceSwitchPrograms is Compile's per-switch loop as it was.
+func (c *Compiled) referenceSwitchPrograms() map[topo.NodeID]*refSwitchProgram {
+	t, graph := c.Topo, c.PG
+	pids := make([]int, c.Analysis.NumPids())
+	for i := range pids {
+		pids[i] = i
+	}
+	progs := make(map[topo.NodeID]*refSwitchProgram)
+	for _, x := range t.Switches() {
+		vnodes := append([]pg.NodeID(nil), graph.VirtualNodes(x)...)
+		inEdges := 0
+		for _, v := range vnodes {
+			inEdges += len(graph.In(v))
+		}
+		sp := &refSwitchProgram{
+			Switch:       x,
+			VNodes:       vnodes,
+			InTransition: make(map[pg.NodeID]pg.NodeID, inEdges),
+			ProbeOut:     make(map[pg.NodeID][]int, len(vnodes)),
+		}
+		for _, v := range sp.VNodes {
+			// Incoming: probes from neighbor virtual node u transition
+			// to v.
+			for _, u := range graph.In(v) {
+				sp.InTransition[u] = v
+			}
+			// Outgoing: multicast to the ports leading to successor
+			// switches.
+			var ports []int
+			if n := len(graph.Out(v)); n > 0 {
+				ports = make([]int, 0, n)
+			}
+			for _, u := range graph.Out(v) {
+				nb := graph.Node(u).Topo
+				if port := t.PortTo(x, nb); port >= 0 {
+					ports = append(ports, port)
+				}
+			}
+			sort.Ints(ports)
+			sp.ProbeOut[v] = ports
+		}
+		if send, ok := graph.SendState(x); ok {
+			sp.Origin = &OriginSpec{VNode: send, Pids: pids}
+		}
+		progs[x] = sp
+	}
+	return progs
+}
 
 func (c *Compiled) referenceCountReachability() {
 	reach := make(map[topo.NodeID]map[topo.NodeID]bool) // switch -> set of origins
@@ -53,6 +115,7 @@ func (c *Compiled) referenceGenerateP4(sw topo.NodeID) string {
 	if sp == nil {
 		return ""
 	}
+	ref := c.referenceSwitchPrograms()[sw]
 	name := c.Topo.Node(sw).Name
 	tagBits := c.PG.TagBits()
 	if tagBits == 0 {
@@ -167,14 +230,14 @@ func (c *Compiled) referenceGenerateP4(sw topo.NodeID) string {
 	w("        actions = { set_local_vnode; drop; }")
 	w("        const default_action = drop();")
 	w("        const entries = {")
-	inKeys := make([]int, 0, len(sp.InTransition))
-	for u := range sp.InTransition {
+	inKeys := make([]int, 0, len(ref.InTransition))
+	for u := range ref.InTransition {
 		inKeys = append(inKeys, int(u))
 	}
 	sort.Ints(inKeys)
 	for _, u := range inKeys {
 		uid := pg.NodeID(u)
-		v := sp.InTransition[uid]
+		v := ref.InTransition[uid]
 		port := c.Topo.PortTo(sw, c.PG.Node(uid).Topo)
 		w("            (%d, %d) : set_local_vnode(%d); // %s -> %s",
 			port, c.PG.Node(uid).LocalTag,
@@ -191,11 +254,11 @@ func (c *Compiled) referenceGenerateP4(sw topo.NodeID) string {
 	w("        actions = { set_mcast; drop; }")
 	w("        const default_action = drop();")
 	w("        const entries = {")
-	vs := append([]pg.NodeID(nil), sp.VNodes...)
+	vs := append([]pg.NodeID(nil), ref.VNodes...)
 	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
 	for _, v := range vs {
 		w("            %d : set_mcast(%d); // ports %v",
-			c.PG.Node(v).LocalTag, c.PG.Node(v).LocalTag+1, sp.ProbeOut[v])
+			c.PG.Node(v).LocalTag, c.PG.Node(v).LocalTag+1, ref.ProbeOut[v])
 	}
 	w("        }")
 	w("    }")
@@ -308,3 +371,56 @@ func referenceMaxInt(a, b int) int {
 	}
 	return b
 }
+
+// TestSwitchProgramsMatchReference holds every switch program to the
+// map-built reference: its virtual nodes in order, one in-transition per
+// product-graph in-edge of them with no sender twice — exactly the pairs
+// the InTransition map held — the probe-out ports of each virtual node,
+// and the origin spec.
+func TestSwitchProgramsMatchReference(t *testing.T) {
+	cells := p4Cells(t)
+	for _, g := range []*topo.Graph{topo.Fattree(6, 0), topo.PaperDataCenter(), topo.Fig4Square(), topo.Fig5Diamond(), topo.Fig8Zigzag()} {
+		for _, src := range []string{muPolicy, wpPolicy(g), caPolicy} {
+			cells = append(cells, compile(t, g, src))
+		}
+	}
+	for _, c := range cells {
+		ref := c.referenceSwitchPrograms()
+		for _, sw := range c.Topo.Switches() {
+			sp, want := programOf(c, sw), ref[sw]
+			where := fmt.Sprintf("%s on %s, switch %s", c.Policy, c.Topo.Name, c.Topo.Node(sw).Name)
+			if sp == nil || sp.Switch != sw {
+				t.Fatalf("%s: no program", where)
+			}
+			if !slices.Equal(sp.VNodes, want.VNodes) {
+				t.Fatalf("%s: virtual nodes %v, reference %v", where, sp.VNodes, want.VNodes)
+			}
+			pairs := 0
+			senders := make(map[pg.NodeID]bool)
+			for _, v := range sp.VNodes {
+				for _, u := range c.PG.In(v) {
+					if w, ok := want.InTransition[u]; !ok || w != v || senders[u] {
+						t.Fatalf("%s: in-transition %d -> %d, reference %d (%v), sender seen before %v", where, u, v, w, ok, senders[u])
+					}
+					senders[u] = true
+					pairs++
+				}
+				if got := probePorts(c, sp, v); !slices.Equal(got, want.ProbeOut[v]) {
+					t.Fatalf("%s: virtual node %d multicasts to %v, reference %v", where, v, got, want.ProbeOut[v])
+				}
+			}
+			if pairs != len(want.InTransition) || len(sp.VNodes) != len(want.ProbeOut) {
+				t.Fatalf("%s: %d in-transitions and %d probe-out lists, reference %d and %d",
+					where, pairs, len(sp.VNodes), len(want.InTransition), len(want.ProbeOut))
+			}
+			if (sp.Origin == nil) != (want.Origin == nil) ||
+				sp.Origin != nil && (sp.Origin.VNode != want.Origin.VNode || !slices.Equal(sp.Origin.Pids, want.Origin.Pids)) {
+				t.Fatalf("%s: origin %+v, reference %+v", where, sp.Origin, want.Origin)
+			}
+		}
+	}
+}
+
+func programOf(c *Compiled, sw topo.NodeID) *SwitchProgram { return c.Switches[sw] }
+
+func probePorts(c *Compiled, sp *SwitchProgram, v pg.NodeID) []int { return sp.ProbeOut[v] }
