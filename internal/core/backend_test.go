@@ -148,10 +148,12 @@ func TestReachableOriginsMatchReference(t *testing.T) {
 // It leaves c as the reference computed it.
 func checkReachability(t *testing.T, c *Compiled) (partial bool) {
 	t.Helper()
-	got := make(map[topo.NodeID]int, len(c.Switches))
-	for sw, sp := range c.Switches {
-		got[sw] = sp.ReachableOrigins
-		if sp.ReachableOrigins > 0 && sp.ReachableOrigins < len(c.Switches) {
+	progs := c.Programs()
+	got := make([]int, len(progs))
+	for i := range progs {
+		sp := &progs[i]
+		got[i] = sp.ReachableOrigins
+		if sp.ReachableOrigins > 0 && sp.ReachableOrigins < len(progs) {
 			partial = true
 		}
 		sp.ReachableOrigins = -1
@@ -159,13 +161,14 @@ func checkReachability(t *testing.T, c *Compiled) (partial bool) {
 	gotState, gotMax := c.Stats.StateBytes, c.Stats.MaxStateBytes
 
 	c.referenceCountReachability()
-	for sw, sp := range c.Switches {
+	for i := range progs {
+		sp := &progs[i]
 		if sp.ReachableOrigins == -1 {
 			sp.ReachableOrigins = 0 // the reference leaves unreached switches alone
 		}
-		if got[sw] != sp.ReachableOrigins {
+		if got[i] != sp.ReachableOrigins {
 			t.Fatalf("%s on %s: %s reachable origins = %d, reference %d",
-				c.Policy, c.Topo.Name, c.Topo.Node(sw).Name, got[sw], sp.ReachableOrigins)
+				c.Policy, c.Topo.Name, c.Topo.Node(sp.Switch).Name, got[i], sp.ReachableOrigins)
 		}
 	}
 	c.accountState()
@@ -174,7 +177,7 @@ func checkReachability(t *testing.T, c *Compiled) (partial bool) {
 	}
 	for sw, want := range c.Stats.StateBytes {
 		if gotState[sw] != want {
-			t.Fatalf("%s on %s: %s state = %dB, reference %dB", c.Policy, c.Topo.Name, c.Topo.Node(sw).Name, gotState[sw], want)
+			t.Fatalf("%s on %s: %s state = %dB, reference %dB", c.Policy, c.Topo.Name, c.Topo.Node(topo.NodeID(sw)).Name, gotState[sw], want)
 		}
 	}
 	return partial
@@ -217,7 +220,7 @@ func TestGenerateP4MatchesReference(t *testing.T) {
 				t.Fatalf("switch %s: the modulo lines must print a single %%", c.Topo.Node(sw).Name)
 			}
 			emptyPorts = emptyPorts || strings.Contains(got, "// ports []\n")
-			if n := c.planP4(sw, c.Switches[sw]).len; n != len(want) {
+			if n := c.planP4(sw, c.Switch(sw)).len; n != len(want) {
 				t.Fatalf("switch %s: buffer sized %d bytes for a %d-byte program", c.Topo.Node(sw).Name, n, len(want))
 			}
 		}
@@ -280,7 +283,7 @@ func TestGenerateP4Concurrent(t *testing.T) {
 // long the tables are.
 func TestGenerateP4AllocBudget(t *testing.T) {
 	const budget = 3
-	entries := func(c *Compiled, sw topo.NodeID) int { return len(c.Switches[sw].InTransition) }
+	entries := func(c *Compiled, sw topo.NodeID) int { return c.transitions(c.Switch(sw)) }
 	small, big := topo.Fattree(4, 0), topo.Fattree(10, 0)
 	cs, cb := compile(t, small, wpPolicy(small)), compile(t, big, wpPolicy(big))
 	ss, sb := small.Switches()[0], big.Switches()[len(big.Switches())-1]
@@ -297,6 +300,35 @@ func TestGenerateP4AllocBudget(t *testing.T) {
 			t.Errorf("%s (%d transition entries): %.0f allocations per program, budget %d",
 				tc.c.Topo.Name, entries(tc.c, tc.sw), got, budget)
 		}
+	}
+}
+
+// TestCompileAllocBudget holds a whole compile to a fixed number of
+// allocations per program, as TestBuildAllocBudget does the product
+// graph: under MU and WP, Fattree(18, 0)'s 405 switches may take at most
+// 64 objects more than Fattree(4, 0)'s 20. Anything built per switch or
+// per virtual node — a map, a slice of ports — breaks it.
+func TestCompileAllocBudget(t *testing.T) {
+	const slack = 64
+	small, big := topo.Fattree(4, 0), topo.Fattree(18, 0)
+	for _, tc := range []struct {
+		name string
+		src  func(*topo.Graph) string
+	}{{"MU", func(*topo.Graph) string { return muPolicy }}, {"WP", wpPolicy}} {
+		var allocs [2]float64
+		for i, g := range []*topo.Graph{small, big} {
+			pol := policy.MustParse(tc.src(g), policy.ParseOptions{Symbols: g.SortedNames()})
+			allocs[i] = testing.AllocsPerRun(5, func() {
+				if _, err := Compile(g, pol, Options{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if allocs[1] > allocs[0]+slack {
+			t.Errorf("%s: %.0f allocations at %d switches, %.0f at %d: more than %d apart",
+				tc.name, allocs[0], len(small.Switches()), allocs[1], len(big.Switches()), slack)
+		}
+		t.Logf("%s: %.0f allocations at %d switches, %.0f at %d", tc.name, allocs[0], len(small.Switches()), allocs[1], len(big.Switches()))
 	}
 }
 

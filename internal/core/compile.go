@@ -10,7 +10,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -111,20 +111,17 @@ func (o *Options) SuppressOn() bool { return o.RefreshEvery > 0 }
 func (o *Options) SuppressSlack() int64 { return 2 * int64(o.RefreshEvery) }
 
 // SwitchProgram is the compiled artifact for one switch: everything the
-// data-plane runtime needs that is static for a given policy+topology.
+// data-plane runtime needs that is static for a given policy+topology,
+// besides what the product graph and Compiled.ProbeOut hold: a probe
+// carrying the tag of neighbor virtual node u puts this switch in the
+// virtual node v of VNodes with u in PG.In(v), NEXTPGNODE of Figure 7,
+// and v's probes multicast to ProbeOut(v).
 type SwitchProgram struct {
 	Switch topo.NodeID
 
-	// VNodes are this switch's virtual nodes (product graph states).
+	// VNodes are this switch's virtual nodes (product graph states) in
+	// local tag order: the product graph's read-only window.
 	VNodes []pg.NodeID
-
-	// InTransition maps a probe's carried tag (the sender's virtual
-	// node) to this switch's virtual node: NEXTPGNODE of Figure 7.
-	InTransition map[pg.NodeID]pg.NodeID
-
-	// ProbeOut maps a local virtual node to the egress ports its
-	// probes multicast to (the product graph out-edges).
-	ProbeOut map[pg.NodeID][]int
 
 	// Origin, when non-nil, makes this switch originate probes.
 	Origin *OriginSpec
@@ -147,9 +144,20 @@ type Compiled struct {
 	Policy   *policy.Policy
 	Analysis *analysis.Result
 	PG       *pg.Graph
-	Switches map[topo.NodeID]*SwitchProgram
 	Opts     Options
 	Stats    Stats
+
+	// programs holds every switch's program in Topo.Switches() order,
+	// their OriginSpecs in one slab behind them; programOf[id] is switch
+	// id's position in programs, -1 for a host.
+	programs  []SwitchProgram
+	programOf []int32
+
+	// probePorts[probeOff[v]:probeOff[v+1]] are the egress ports virtual
+	// node v's probes multicast to — one per product graph out-edge —
+	// ascending.
+	probeOff   []int32
+	probePorts []int
 
 	// OriginOrd[id] is the dense ordinal of origin id — a switch that
 	// originates probes, so a destination FwdT and BestT can hold a route
@@ -175,8 +183,8 @@ type Stats struct {
 	TagBits         int
 	Pids            int
 	MVWidth         int
-	ProbeBytes      int // wire size of one probe
-	StateBytes      map[topo.NodeID]int
+	ProbeBytes      int   // wire size of one probe
+	StateBytes      []int // by topo.NodeID, 0 for hosts
 	MaxStateBytes   int
 	MeanStateBytes  float64
 	TotalStateBytes int
@@ -204,77 +212,95 @@ func Compile(t *topo.Graph, pol *policy.Policy, opts Options) (*Compiled, error)
 			pol.String(), t.Name)
 	}
 
+	switches := t.Switches()
 	c := &Compiled{
 		Topo:     t,
 		Policy:   pol,
 		Analysis: res,
 		PG:       graph,
-		Switches: make(map[topo.NodeID]*SwitchProgram),
 		Opts:     opts,
 
 		OriginOrd: make([]int32, t.NumNodes()),
+		programs:  make([]SwitchProgram, len(switches)),
+		programOf: make([]int32, t.NumNodes()),
 	}
 	for i := range c.OriginOrd {
-		c.OriginOrd[i] = -1
+		c.OriginOrd[i], c.programOf[i] = -1, -1
 	}
 
 	pids := make([]int, res.NumPids())
 	for i := range pids {
 		pids[i] = i
 	}
-
-	for _, x := range t.Switches() {
-		vnodes := append([]pg.NodeID(nil), graph.VirtualNodes(x)...)
-		inEdges := 0
-		for _, v := range vnodes {
-			inEdges += len(graph.In(v))
-		}
-		sp := &SwitchProgram{
-			Switch:       x,
-			VNodes:       vnodes,
-			InTransition: make(map[pg.NodeID]pg.NodeID, inEdges),
-			ProbeOut:     make(map[pg.NodeID][]int, len(vnodes)),
-		}
-		for _, v := range sp.VNodes {
-			// Incoming: probes from neighbor virtual node u transition
-			// to v.
-			for _, u := range graph.In(v) {
-				sp.InTransition[u] = v
-			}
-			// Outgoing: multicast to the ports leading to successor
-			// switches.
-			var ports []int
-			if n := len(graph.Out(v)); n > 0 {
-				ports = make([]int, 0, n)
-			}
-			for _, u := range graph.Out(v) {
-				nb := graph.Node(u).Topo
-				if port := t.PortTo(x, nb); port >= 0 {
-					ports = append(ports, port)
-				}
-			}
-			sort.Ints(ports)
-			sp.ProbeOut[v] = ports
-		}
-		if send, ok := graph.SendState(x); ok {
-			sp.Origin = &OriginSpec{VNode: send, Pids: pids}
-			c.OriginOrd[x] = int32(c.NumOrigins)
-			c.Origins = append(c.Origins, x)
+	for _, x := range switches {
+		if _, ok := graph.SendState(x); ok {
 			c.NumOrigins++
 		}
-		c.Switches[x] = sp
 	}
+	origins := make([]OriginSpec, 0, c.NumOrigins)
+	c.Origins = make([]topo.NodeID, 0, c.NumOrigins)
+	for i, x := range switches {
+		sp := &c.programs[i]
+		*sp = SwitchProgram{Switch: x, VNodes: graph.VirtualNodes(x)}
+		c.programOf[x] = int32(i)
+		if send, ok := graph.SendState(x); ok {
+			c.OriginOrd[x] = int32(len(origins))
+			origins = append(origins, OriginSpec{VNode: send, Pids: pids})
+			sp.Origin = &origins[len(origins)-1]
+			c.Origins = append(c.Origins, x)
+		}
+	}
+	c.layoutProbeOut()
 
 	c.countReachability()
 	c.accountState()
 	c.Stats.CompileTime = time.Since(start)
-	c.Stats.SwitchCount = len(c.Switches)
+	c.Stats.SwitchCount = len(c.programs)
 	c.Stats.PGNodes = graph.NumNodes()
 	c.Stats.TagBits = graph.TagBits()
 	c.Stats.Pids = res.NumPids()
 	c.Stats.MVWidth = len(res.MV)
 	c.Stats.ProbeBytes = c.probeWireBytes()
 	return c, nil
+}
+
+// Switch returns switch x's program, or nil when x is a host or no node
+// of the compiled topology.
+func (c *Compiled) Switch(x topo.NodeID) *SwitchProgram {
+	if uint(x) >= uint(len(c.programOf)) || c.programOf[x] < 0 {
+		return nil
+	}
+	return &c.programs[c.programOf[x]]
+}
+
+// Programs returns every switch's program in Topo.Switches() order. The
+// slice must not be modified.
+func (c *Compiled) Programs() []SwitchProgram { return c.programs }
+
+// ProbeOut returns the egress ports, ascending, that virtual node v's
+// probes multicast to: the ports toward its product graph successors.
+// The slice must not be modified.
+func (c *Compiled) ProbeOut(v pg.NodeID) []int {
+	hi := c.probeOff[v+1]
+	return c.probePorts[c.probeOff[v]:hi:hi]
+}
+
+// layoutProbeOut fills probeOff and probePorts, virtual node by virtual
+// node.
+func (c *Compiled) layoutProbeOut() {
+	n := c.PG.NumNodes()
+	c.probeOff = make([]int32, n+1)
+	c.probePorts = make([]int, 0, c.PG.NumEdges())
+	for v := pg.NodeID(0); int(v) < n; v++ {
+		x := c.PG.Node(v).Topo
+		for _, u := range c.PG.Out(v) {
+			if port := c.Topo.PortTo(x, c.PG.Node(u).Topo); port >= 0 {
+				c.probePorts = append(c.probePorts, port)
+			}
+		}
+		slices.Sort(c.probePorts[c.probeOff[v]:])
+		c.probeOff[v+1] = int32(len(c.probePorts))
+	}
 }
 
 // countReachability computes, per switch, how many origins' probes can
@@ -338,8 +364,8 @@ func (c *Compiled) countReachability() {
 			count[x] += bits.OnesCount64(heard)
 		}
 	}
-	for sw, sp := range c.Switches {
-		sp.ReachableOrigins = count[sw]
+	for i := range c.programs {
+		c.programs[i].ReachableOrigins = count[c.programs[i].Switch]
 	}
 }
 

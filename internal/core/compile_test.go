@@ -29,7 +29,7 @@ func TestCompileMinUtil(t *testing.T) {
 		t.Fatalf("MU pids=%d tagBits=%d, want 1/0", c.Stats.Pids, c.Stats.TagBits)
 	}
 	for _, x := range g.Switches() {
-		sp := c.Switches[x]
+		sp := c.Switch(x)
 		if sp == nil {
 			t.Fatalf("no program for %s", g.Node(x).Name)
 		}
@@ -45,9 +45,9 @@ func TestCompileMinUtil(t *testing.T) {
 		}
 		// Probe multicast must go to every neighbor (PG == topology).
 		v := sp.VNodes[0]
-		if len(sp.ProbeOut[v]) != len(g.SwitchNeighbors(x)) {
+		if len(c.ProbeOut(v)) != len(g.SwitchNeighbors(x)) {
 			t.Fatalf("%s probe ports = %v, want %d neighbors",
-				g.Node(x).Name, sp.ProbeOut[v], len(g.SwitchNeighbors(x)))
+				g.Node(x).Name, c.ProbeOut(v), len(g.SwitchNeighbors(x)))
 		}
 	}
 }
@@ -55,20 +55,19 @@ func TestCompileMinUtil(t *testing.T) {
 func TestCompileTransitionsMatchPG(t *testing.T) {
 	g := topo.Fig6()
 	c := compile(t, g, "minimize(if A B D then 0 else if B .* D then path.util else inf)")
-	for sw, sp := range c.Switches {
-		for u, v := range sp.InTransition {
+	for _, sp := range c.Programs() {
+		sw := sp.Switch
+		for _, v := range sp.VNodes {
 			if c.PG.Node(v).Topo != sw {
-				t.Fatalf("transition target not local to %s", g.Node(sw).Name)
+				t.Fatalf("virtual node %d not local to %s", v, g.Node(sw).Name)
 			}
-			got, ok := c.PG.Transition(u, sw)
-			if !ok || got != v {
-				t.Fatalf("InTransition[%d]=%d disagrees with PG (%d, %v)", u, v, got, ok)
+			for _, u := range c.PG.In(v) {
+				got, ok := c.PG.Transition(u, sw)
+				if !ok || got != v {
+					t.Fatalf("transition %d->%d disagrees with PG (%d, %v)", u, v, got, ok)
+				}
 			}
-		}
-		for v, ports := range sp.ProbeOut {
-			if c.PG.Node(v).Topo != sw {
-				t.Fatalf("probe-out vnode not local")
-			}
+			ports := c.ProbeOut(v)
 			if len(ports) != len(c.PG.Out(v)) {
 				t.Fatalf("probe ports = %d, PG out edges = %d", len(ports), len(c.PG.Out(v)))
 			}
@@ -239,14 +238,14 @@ func TestWaypointOriginsPruned(t *testing.T) {
 	g := topo.Fig6()
 	c := compile(t, g, "minimize(if A B D then 0 else if B .* D then path.util else inf)")
 	for _, name := range []string{"A", "B", "C"} {
-		if c.Switches[g.MustNode(name)].Origin != nil {
+		if c.Switch(g.MustNode(name)).Origin != nil {
 			t.Errorf("%s should not originate probes", name)
 		}
 	}
-	if c.Switches[g.MustNode("D")].Origin == nil {
+	if c.Switch(g.MustNode("D")).Origin == nil {
 		t.Fatal("D must originate probes")
 	}
-	if got := len(c.Switches[g.MustNode("D")].Origin.Pids); got != 1 {
+	if got := len(c.Switch(g.MustNode("D")).Origin.Pids); got != 1 {
 		t.Fatalf("pids = %d, want 1", got)
 	}
 }

@@ -46,7 +46,7 @@ type p4Template struct {
 // inspection and state accounting (our execution substrate is the
 // simulator's switch runtime, which interprets the same artifacts).
 func (c *Compiled) GenerateP4(sw topo.NodeID) string {
-	sp := c.Switches[sw]
+	sp := c.Switch(sw)
 	if sp == nil {
 		return ""
 	}
@@ -365,13 +365,12 @@ const (
 
 // transitionEntries resolves sw's tag transition table in the order it
 // is printed (by sender virtual node), with the printed length. It reads
-// the product graph's in-edges, the pairs InTransition was built from:
-// each In list is ascending, since pg.Build adds senders in id order, so
-// the concatenation over sw's virtual nodes needs sorting only when
-// several of them hear senders whose ids interleave.
+// the product graph's in-edges: each In list is ascending, so the
+// concatenation over sw's virtual nodes needs sorting only when several
+// of them hear senders whose ids interleave.
 func (c *Compiled) transitionEntries(sw topo.NodeID, sp *SwitchProgram) ([]transitionEntry, int) {
 	name := c.Topo.Node(sw).Name
-	entries := make([]transitionEntry, 0, len(sp.InTransition))
+	entries := make([]transitionEntry, 0, c.transitions(sp))
 	n := 0
 	for _, v := range sp.VNodes {
 		vtag := c.PG.Node(v).LocalTag
@@ -440,7 +439,7 @@ func (c *Compiled) mcastEntries(sp *SwitchProgram) ([]mcastEntry, int) {
 	entries := make([]mcastEntry, 0, len(sp.VNodes))
 	n := 0
 	for _, v := range sp.VNodes {
-		e := mcastEntry{v: v, tag: c.PG.Node(v).LocalTag, ports: sp.ProbeOut[v]}
+		e := mcastEntry{v: v, tag: c.PG.Node(v).LocalTag, ports: c.ProbeOut(v)}
 		n += mcastLitLen + decLen(int(e.tag)) + decLen(int(e.tag)+1) + max(len(e.ports)-1, 0)
 		for _, port := range e.ports {
 			n += decLen(port)

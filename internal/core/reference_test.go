@@ -104,14 +104,14 @@ func (c *Compiled) referenceCountReachability() {
 		}
 	}
 	for sw, origins := range reach {
-		if sp := c.Switches[sw]; sp != nil {
+		if sp := c.Switch(sw); sp != nil {
 			sp.ReachableOrigins = len(origins)
 		}
 	}
 }
 
 func (c *Compiled) referenceGenerateP4(sw topo.NodeID) string {
-	sp := c.Switches[sw]
+	sp := c.Switch(sw)
 	if sp == nil {
 		return ""
 	}
@@ -421,6 +421,6 @@ func TestSwitchProgramsMatchReference(t *testing.T) {
 	}
 }
 
-func programOf(c *Compiled, sw topo.NodeID) *SwitchProgram { return c.Switches[sw] }
+func programOf(c *Compiled, sw topo.NodeID) *SwitchProgram { return c.Switch(sw) }
 
-func probePorts(c *Compiled, sp *SwitchProgram, v pg.NodeID) []int { return sp.ProbeOut[v] }
+func probePorts(c *Compiled, sp *SwitchProgram, v pg.NodeID) []int { return c.ProbeOut(v) }

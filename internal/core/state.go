@@ -1,7 +1,5 @@
 package core
 
-import "contra/internal/topo"
-
 // Switch state accounting (Figure 10). The estimate mirrors how a P4
 // target would size its match-action tables:
 //
@@ -44,7 +42,7 @@ func bitsToBytes(bits int) int { return (bits + 7) / 8 }
 
 // accountState fills Stats.StateBytes for every switch.
 func (c *Compiled) accountState() {
-	c.Stats.StateBytes = make(map[topo.NodeID]int, len(c.Switches))
+	c.Stats.StateBytes = make([]int, c.Topo.NumNodes())
 	tagBits := c.PG.TagBits()
 	if tagBits == 0 {
 		tagBits = 1
@@ -61,16 +59,16 @@ func (c *Compiled) accountState() {
 
 	total := 0
 	max := 0
-	for sw, sp := range c.Switches {
+	for i := range c.programs {
+		sp := &c.programs[i]
 		fwdEntries := sp.ReachableOrigins * len(sp.VNodes) * pids
-		transEntries := len(sp.InTransition)
 		bits := fwdEntries*(fwdKeyBits+fwdValBits) +
 			sp.ReachableOrigins*(dstBits+bestValBits) +
-			transEntries*(transKeyBits+tagBits) +
+			c.transitions(sp)*(transKeyBits+tagBits) +
 			flowletEntries*flowletBits +
 			loopEntries*loopBits
 		b := bitsToBytes(bits)
-		c.Stats.StateBytes[sw] = b
+		c.Stats.StateBytes[sp.Switch] = b
 		total += b
 		if b > max {
 			max = b
@@ -78,7 +76,18 @@ func (c *Compiled) accountState() {
 	}
 	c.Stats.TotalStateBytes = total
 	c.Stats.MaxStateBytes = max
-	if len(c.Switches) > 0 {
-		c.Stats.MeanStateBytes = float64(total) / float64(len(c.Switches))
+	if len(c.programs) > 0 {
+		c.Stats.MeanStateBytes = float64(total) / float64(len(c.programs))
 	}
+}
+
+// transitions is the number of sp's tag transition entries: one per
+// product graph in-edge of its virtual nodes. A sender has at most one
+// successor per switch, so no two entries share a key.
+func (c *Compiled) transitions(sp *SwitchProgram) int {
+	n := 0
+	for _, v := range sp.VNodes {
+		n += len(c.PG.In(v))
+	}
+	return n
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"contra/internal/pg"
-)
+import "fmt"
 
 // Validate checks the structural invariants of the compiled artifact —
 // the properties §4.2 relies on for policy compliance. It returns the
@@ -14,8 +10,9 @@ import (
 //
 // Invariants:
 //  1. Every switch program's virtual nodes live on that switch.
-//  2. Every InTransition entry corresponds to a product-graph edge
-//     whose source is at a neighboring switch.
+//  2. Every tag transition — a product-graph in-edge of one of them —
+//     comes from a virtual node at a neighboring switch whose
+//     transition at this switch is that virtual node.
 //  3. Every ProbeOut port leads to a switch holding the product-graph
 //     successor of the virtual node.
 //  4. Origins' probe-sending states are at their own switch, and carry
@@ -24,42 +21,38 @@ import (
 //     tag-bit budget.
 func (c *Compiled) Validate() error {
 	pids := c.Analysis.NumPids()
-	for sw, sp := range c.Switches {
+	seenTags := make([]bool, c.PG.MaxTagsPerSwitch())
+	for i := range c.programs {
+		sp := &c.programs[i]
+		sw := sp.Switch
 		name := c.Topo.Node(sw).Name
-		seenTags := make(map[int32]bool)
+		clear(seenTags)
 		for _, v := range sp.VNodes {
 			node := c.PG.Node(v)
 			if node.Topo != sw {
 				return fmt.Errorf("core: %s lists virtual node %d of switch %s",
 					name, v, c.Topo.Node(node.Topo).Name)
 			}
+			if bits := c.PG.TagBits(); node.LocalTag < 0 || int(node.LocalTag) >= len(seenTags) ||
+				bits > 0 && int(node.LocalTag) >= 1<<bits {
+				return fmt.Errorf("core: %s tag %d exceeds %d-bit budget", name, node.LocalTag, bits)
+			}
 			if seenTags[node.LocalTag] {
 				return fmt.Errorf("core: %s has duplicate local tag %d", name, node.LocalTag)
 			}
 			seenTags[node.LocalTag] = true
-			if bits := c.PG.TagBits(); bits > 0 && int(node.LocalTag) >= 1<<bits {
-				return fmt.Errorf("core: %s tag %d exceeds %d-bit budget", name, node.LocalTag, bits)
+			for _, u := range c.PG.In(v) {
+				got, ok := c.PG.Transition(u, sw)
+				if !ok || got != v {
+					return fmt.Errorf("core: %s transition %d->%d not a product graph edge", name, u, v)
+				}
+				uTopo := c.PG.Node(u).Topo
+				if c.Topo.PortTo(sw, uTopo) < 0 {
+					return fmt.Errorf("core: %s transition source %s not adjacent",
+						name, c.Topo.Node(uTopo).Name)
+				}
 			}
-		}
-		for u, v := range sp.InTransition {
-			if c.PG.Node(v).Topo != sw {
-				return fmt.Errorf("core: %s transition target %d not local", name, v)
-			}
-			got, ok := c.PG.Transition(u, sw)
-			if !ok || got != v {
-				return fmt.Errorf("core: %s transition %d->%d not a product graph edge", name, u, v)
-			}
-			uTopo := c.PG.Node(u).Topo
-			if c.Topo.PortTo(sw, uTopo) < 0 {
-				return fmt.Errorf("core: %s transition source %s not adjacent",
-					name, c.Topo.Node(uTopo).Name)
-			}
-		}
-		for v, ports := range sp.ProbeOut {
-			if c.PG.Node(v).Topo != sw {
-				return fmt.Errorf("core: %s probe-out vnode %d not local", name, v)
-			}
-			for _, port := range ports {
+			for _, port := range c.ProbeOut(v) {
 				if port < 0 || port >= len(c.Topo.Ports(sw)) {
 					return fmt.Errorf("core: %s probe port %d out of range", name, port)
 				}
@@ -84,13 +77,4 @@ func (c *Compiled) Validate() error {
 		}
 	}
 	return nil
-}
-
-// edgeCount returns the number of product-graph edges (diagnostics).
-func (c *Compiled) edgeCount() int {
-	total := 0
-	for v := 0; v < c.PG.NumNodes(); v++ {
-		total += len(c.PG.Out(pg.NodeID(v)))
-	}
-	return total
 }

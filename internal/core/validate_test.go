@@ -38,7 +38,7 @@ func TestValidateEveryCatalogPolicyOnEveryTestTopology(t *testing.T) {
 			if err := c.Validate(); err != nil {
 				t.Errorf("%s on %s: %v", name, g.Name, err)
 			}
-			if c.edgeCount() == 0 {
+			if c.PG.NumEdges() == 0 {
 				t.Errorf("%s on %s: empty product graph", name, g.Name)
 			}
 		}

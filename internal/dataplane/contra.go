@@ -146,10 +146,9 @@ type Contra struct {
 	// vector it last advertised (mvW). adv (suppression on) and alt
 	// (altOn) run parallel to fwd, nil otherwise. Addresses (best, pend)
 	// stay valid until flushTables lays the tables out afresh. inTrans,
-	// ordOf and probeOut
-	// are the program's InTransition/VNodes/ProbeOut maps flattened the
-	// same way: by sender tag, by own tag, and by ordinal; -1 marks "no
-	// such tag here". flowlets (§5.3, keyed tag ordinal · pid · flowlet
+	// ordOf and probeOut are the program's tag transitions (PG.In over
+	// prog.VNodes), VNodes and ProbeOut addressed the same way: by sender
+	// tag, by own tag, and by ordinal; -1 marks "no such tag here". flowlets (§5.3, keyed tag ordinal · pid · flowlet
 	// hash so pinning never crosses a policy constraint) and srcPins
 	// (destination switch · flowlet hash) are exact-match tables: no two
 	// flows share a slot, which a hash-indexed register array would allow.
@@ -234,7 +233,7 @@ type Contra struct {
 func New(comp *core.Compiled, swID topo.NodeID) *Contra {
 	c := &Contra{
 		comp:      comp,
-		prog:      comp.Switches[swID],
+		prog:      comp.Switch(swID),
 		res:       comp.Analysis,
 		evCand:    comp.Analysis.NewEvaluator(),
 		probeSize: int32(comp.Stats.ProbeBytes + 18), // + minimal L2 framing
@@ -285,10 +284,10 @@ func (c *Contra) layoutTables() {
 	c.probeOut = make([][]int, len(c.prog.VNodes))
 	for ord, v := range c.prog.VNodes {
 		c.ordOf[v] = int32(ord)
-		c.probeOut[ord] = c.prog.ProbeOut[v]
-	}
-	for u, v := range c.prog.InTransition {
-		c.inTrans[u] = c.ordOf[v]
+		c.probeOut[ord] = c.comp.ProbeOut(v)
+		for _, u := range c.comp.PG.In(v) {
+			c.inTrans[u] = int32(ord)
+		}
 	}
 }
 
@@ -436,7 +435,7 @@ func (c *Contra) recomputeAdv() {
 	}
 	clear(c.flushPorts)
 	advertising := 0 // local virtual nodes with an out-port
-	for _, ports := range c.prog.ProbeOut {
+	for _, ports := range c.probeOut {
 		if len(ports) > 0 {
 			advertising++
 		}
@@ -445,7 +444,7 @@ func (c *Contra) recomputeAdv() {
 		}
 	}
 	if org := c.prog.Origin; org != nil {
-		for _, p := range c.prog.ProbeOut[org.VNode] {
+		for _, p := range c.comp.ProbeOut(org.VNode) {
 			c.flushPorts[p].origin = true
 		}
 	}
@@ -465,7 +464,7 @@ func (c *Contra) originate() {
 		return
 	}
 	c.version++
-	ports := c.prog.ProbeOut[org.VNode]
+	ports := c.comp.ProbeOut(org.VNode)
 	for _, pid := range org.Pids {
 		for _, port := range ports {
 			p := c.sw.Net.NewPacket()
@@ -1306,7 +1305,7 @@ func (c *Contra) Install(comp *core.Compiled, era uint8) {
 	id := c.prog.Switch
 	hadOrigin := c.prog.Origin != nil
 	c.comp = comp
-	c.prog = comp.Switches[id]
+	c.prog = comp.Switch(id)
 	c.res = comp.Analysis
 	c.evCand = comp.Analysis.NewEvaluator()
 	c.probeSize = int32(comp.Stats.ProbeBytes + 18)

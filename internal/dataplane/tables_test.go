@@ -128,7 +128,7 @@ func runDifferential(t *testing.T, packing bool, seed int64) {
 		t.Fatal("the narrow policy must shrink both the tag space and the pid space")
 	}
 	center := g.MustNode("ATL")
-	if len(comps[0].Switches[center].VNodes) < 2 {
+	if len(comps[0].Switch(center).VNodes) < 2 {
 		t.Fatal("the switch under test needs several virtual nodes under the wide policy")
 	}
 
@@ -155,7 +155,7 @@ func runDifferential(t *testing.T, packing bool, seed int64) {
 	// random draw does not depend on map order.
 	var senderTags [2][]int32
 	for i, comp := range comps {
-		for u := range comp.Switches[center].InTransition {
+		for u := range inTransitions(comp, comp.Switch(center)) {
 			senderTags[i] = append(senderTags[i], int32(u))
 		}
 		slices.Sort(senderTags[i])
@@ -465,7 +465,7 @@ func TestOutOfRangePacketFieldsMiss(t *testing.T) {
 // order) and the port such a probe arrives on.
 func someTransition(c *Contra) (tag int32, inPort int) {
 	tag = math.MaxInt32
-	for u := range c.prog.InTransition {
+	for u := range inTransitions(c.comp, c.prog) {
 		tag = min(tag, int32(u))
 	}
 	return tag, c.comp.Topo.PortTo(c.prog.Switch, c.comp.PG.Node(pg.NodeID(tag)).Topo)
@@ -549,7 +549,7 @@ func lastRegisterIsAddressable(t *testing.T) {
 	}
 	// A sender tag that transitions to the last local tag.
 	sender := int32(-1)
-	for u, v := range c.prog.InTransition {
+	for u, v := range inTransitions(c.comp, c.prog) {
 		if c.ordOf[v] == lastOrd && (sender < 0 || int32(u) < sender) {
 			sender = int32(u)
 		}
@@ -619,7 +619,7 @@ func TestRegisterFileMatchesStateAccounting(t *testing.T) {
 		comp := compileOn(t, tc.g, tc.policy, core.Options{})
 		origins := 0
 		for _, sw := range tc.g.Switches() {
-			if comp.Switches[sw].Origin != nil {
+			if comp.Switch(sw).Origin != nil {
 				origins++
 			}
 		}
@@ -627,7 +627,7 @@ func TestRegisterFileMatchesStateAccounting(t *testing.T) {
 			t.Fatalf("%s: NumOrigins = %d, %d switches originate probes", tc.name, comp.NumOrigins, origins)
 		}
 		for _, sw := range tc.g.Switches() {
-			c, prog := New(comp, sw), comp.Switches[sw]
+			c, prog := New(comp, sw), comp.Switch(sw)
 			want := comp.NumOrigins * len(prog.VNodes) * comp.Analysis.NumPids()
 			floats := want * (len(comp.Analysis.MV) + comp.Policy.Width)
 			if len(c.fwd) != want || len(c.best) != comp.NumOrigins || len(c.slab) != floats {
@@ -801,6 +801,8 @@ type refEntry struct {
 type refTables struct {
 	c *Contra
 
+	inTrans   map[pg.NodeID]pg.NodeID // the program's tag transitions and
+	probeOut  map[pg.NodeID][]int     // probe-out ports, keyed by virtual node
 	fwd       map[fwdKey]*refEntry
 	best      map[topo.NodeID]fwdKey
 	pend      [][]fwdKey
@@ -812,7 +814,39 @@ type refTables struct {
 }
 
 func newRefTables(c *Contra) *refTables {
-	return &refTables{c: c, fwd: map[fwdKey]*refEntry{}, best: map[topo.NodeID]fwdKey{}, ev: c.res.NewEvaluator()}
+	r := &refTables{c: c}
+	r.flushTables()
+	return r
+}
+
+// inTransitions is the map Compile built for a switch program before it
+// went flat: a probe carrying sender tag u moves to the program's virtual
+// node v.
+func inTransitions(comp *core.Compiled, prog *core.SwitchProgram) map[pg.NodeID]pg.NodeID {
+	m := make(map[pg.NodeID]pg.NodeID)
+	for _, v := range prog.VNodes {
+		for _, u := range comp.PG.In(v) {
+			m[u] = v
+		}
+	}
+	return m
+}
+
+// probeOutMap is the program's probe-out map as Compile built it: each
+// virtual node's ports toward its product graph successors, sorted.
+func probeOutMap(comp *core.Compiled, prog *core.SwitchProgram) map[pg.NodeID][]int {
+	m := make(map[pg.NodeID][]int)
+	for _, v := range prog.VNodes {
+		var ports []int
+		for _, u := range comp.PG.Out(v) {
+			if port := comp.Topo.PortTo(prog.Switch, comp.PG.Node(u).Topo); port >= 0 {
+				ports = append(ports, port)
+			}
+		}
+		slices.Sort(ports)
+		m[v] = ports
+	}
+	return m
 }
 
 func (r *refTables) attach(sw *sim.SwitchDev) {
@@ -836,7 +870,7 @@ func (r *refTables) originate() {
 	}
 	r.version++
 	for _, pid := range org.Pids {
-		for _, port := range r.c.prog.ProbeOut[org.VNode] {
+		for _, port := range r.probeOut[org.VNode] {
 			r.sent[port] = append(r.sent[port], emission{entries: []wireEntry{{
 				origin: r.c.prog.Switch, tag: int32(org.VNode), pid: uint8(pid), version: r.version,
 			}}})
@@ -867,7 +901,7 @@ func (r *refTables) handle(packed bool, entries []wireEntry, inPort int, era uin
 		if en.origin == c.prog.Switch {
 			continue
 		}
-		v, ok := c.prog.InTransition[pg.NodeID(en.tag)]
+		v, ok := r.inTrans[pg.NodeID(en.tag)]
 		if !ok {
 			continue
 		}
@@ -911,7 +945,7 @@ func (r *refTables) handle(packed bool, entries []wireEntry, inPort int, era uin
 		e.rank = policy.Rank{Inf: rank.Inf, V: append([]float64(nil), rank.V...)}
 		r.updateBest(en.origin, key, e)
 
-		outPorts := c.prog.ProbeOut[v]
+		outPorts := r.probeOut[v]
 		if len(outPorts) == 0 || (packed && e.pending) {
 			continue
 		}
@@ -1089,8 +1123,9 @@ func (r *refTables) reboot() {
 
 // flushTables is what Install and Reboot do to the maps; on an install
 // the router under test has already swapped the program the reference
-// reads through it.
+// reads through it, and the program's maps are rebuilt.
 func (r *refTables) flushTables() {
+	r.inTrans, r.probeOut = inTransitions(r.c.comp, r.c.prog), probeOutMap(r.c.comp, r.c.prog)
 	r.fwd = map[fwdKey]*refEntry{}
 	r.best = map[topo.NodeID]fwdKey{}
 	r.ev = r.c.res.NewEvaluator()

@@ -8,9 +8,9 @@
 package pg
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"contra/internal/automata"
@@ -25,7 +25,8 @@ import (
 type NodeID int32
 
 // Node is a virtual node: a physical switch plus one automaton state
-// per policy regex.
+// per policy regex. States and Accept are read-only windows of slabs
+// the graph shares across all its nodes.
 type Node struct {
 	ID       NodeID
 	Topo     topo.NodeID
@@ -35,17 +36,28 @@ type Node struct {
 	Origin   bool    // probe-sending state for its switch (§4.1)
 }
 
-// Graph is the product graph.
+// Graph is the product graph, laid out in a few flat arrays: a
+// compile allocates per graph, not per virtual node.
 type Graph struct {
 	Topo   *topo.Graph
 	Policy *policy.Policy
 	DFAs   []*automata.DFA // reversed, one per Policy.Regexes
 
-	nodes  []Node
-	out    [][]NodeID // probe-direction adjacency
-	in     [][]NodeID
-	byTopo map[topo.NodeID][]NodeID
-	send   map[topo.NodeID]NodeID
+	nodes []Node
+	// states and accept back every node's States and Accept, len(DFAs)
+	// entries a node.
+	states []int32
+	accept []bool
+	// Probe-direction adjacency in compressed sparse rows: v's
+	// successors are out[outOff[v]:outOff[v+1]] and its predecessors
+	// in[inOff[v]:inOff[v+1]], the latter ascending.
+	outOff, inOff []int32
+	out, in       []NodeID
+	// Switch x's virtual nodes are byTopo[topoOff[x]:topoOff[x+1]], in
+	// local tag order; send[x] is x's probe-sending state, or -1.
+	topoOff []int32
+	byTopo  []NodeID
+	send    []NodeID
 
 	maxTagsPerSwitch int
 }
@@ -56,132 +68,177 @@ type Graph struct {
 // assignment.
 func Build(t *topo.Graph, pol *policy.Policy) (*Graph, error) {
 	alphabet := t.SortedNames()
-	g := &Graph{
-		Topo:   t,
-		Policy: pol,
-		byTopo: make(map[topo.NodeID][]NodeID),
-		send:   make(map[topo.NodeID]NodeID),
-	}
+	g := &Graph{Topo: t, Policy: pol, DFAs: make([]*automata.DFA, 0, len(pol.Regexes))}
 	for _, r := range pol.Regexes {
 		g.DFAs = append(g.DFAs, automata.BuildReversed(r, alphabet))
 	}
-	ix := newStateIndex(len(g.DFAs))
 
 	// Every DFA is built over the same alphabet, the topology's switch
 	// names, so a switch is the same symbol in all of them.
 	switches := t.Switches()
 	sym := make([]int, t.NumNodes())
-	if len(g.DFAs) > 0 {
-		for _, x := range switches {
+	degrees := 0
+	for _, x := range switches {
+		if len(g.DFAs) > 0 {
 			sym[x], _ = g.DFAs[0].Sym(t.Node(x).Name)
 		}
+		degrees += len(t.SwitchNeighbors(x))
 	}
+	ex := newExplorer(len(g.DFAs), len(switches), degrees)
 
 	// Probe-sending states: for destination X the automata have
-	// consumed the single symbol X.
+	// consumed the single symbol X. Distinct switches make distinct
+	// tuples, so origin i is node i.
 	next := make([]int32, len(g.DFAs)) // one buffer for every expansion; intern copies it
-	var queue []NodeID
 	for _, x := range switches {
 		for i, d := range g.DFAs {
 			next[i] = int32(d.Step(d.Start, sym[x]))
 		}
-		id, _ := g.intern(ix, x, next)
-		g.nodes[id].Origin = true
-		g.send[x] = id
-		queue = append(queue, id)
+		ex.intern(x, next)
 	}
 
 	// BFS along probe edges: from (X, s) to (X', step(s, X')) for each
-	// switch neighbor X'.
-	for head := 0; head < len(queue); head++ {
-		from := queue[head]
-		states := g.nodes[from].States
-		for _, nb := range t.SwitchNeighbors(g.nodes[from].Topo) {
+	// switch neighbor X'. Nodes are numbered in the order they are
+	// found, so the queue is the node list itself, and each node's
+	// out-edges are appended contiguously when it is expanded.
+	w := len(g.DFAs)
+	for from := 0; from < len(ex.topo); from++ {
+		lo := ex.outOff[from]
+		for _, nb := range t.SwitchNeighbors(ex.topo[from]) {
+			states := ex.states[from*w : from*w+w]
 			for i, d := range g.DFAs {
 				next[i] = int32(d.Step(int(states[i]), sym[nb]))
 			}
-			to, fresh := g.intern(ix, nb, next)
-			if fresh {
-				queue = append(queue, to)
+			if to := ex.intern(nb, next); !slices.Contains(ex.out[lo:], to) {
+				ex.out = append(ex.out, to)
 			}
-			g.addEdge(from, to)
 		}
+		ex.outOff = append(ex.outOff, int32(len(ex.out)))
 	}
 
-	g.prune()
+	g.prune(ex, len(switches))
 	g.assignTags()
 	return g, nil
 }
 
-// stateIndex finds the virtual node of a (switch, automaton states)
-// tuple during exploration. The key is the tuple itself in a fixed
-// width, four bytes per component, so distinct tuples have distinct
-// keys; buf is reused across lookups, which do not allocate.
-type stateIndex struct {
-	ids map[string]NodeID
-	buf []byte
+// explorer is the product graph while Build explores it: node i is the
+// tuple (topo[i], states[i*w:(i+1)*w]), and once expanded its out-edges
+// are out[outOff[i]:outOff[i+1]]. slots indexes the nodes by tuple, open
+// addressing with linear probing: a slot holds a node id plus one, 0 for
+// empty, and a lookup compares against the stored tuple, so no key is
+// ever built.
+type explorer struct {
+	w      int
+	topo   []topo.NodeID
+	states []int32
+	outOff []int32
+	out    []NodeID
+	slots  []int32
 }
 
-func newStateIndex(regexes int) *stateIndex {
-	return &stateIndex{ids: make(map[string]NodeID), buf: make([]byte, 0, 4*(1+regexes))}
+// newExplorer sizes the arrays for nodes virtual nodes and edges
+// out-edges; they grow past that as needed.
+func newExplorer(w, nodes, edges int) *explorer {
+	ex := &explorer{
+		w:      w,
+		topo:   make([]topo.NodeID, 0, nodes),
+		states: make([]int32, 0, nodes*w),
+		outOff: make([]int32, 1, nodes+1),
+		out:    make([]NodeID, 0, edges),
+	}
+	ex.slots = make([]int32, max(8, 1<<bits.Len(uint(2*nodes))))
+	return ex
 }
 
-// key returns the tuple's key in ix.buf, valid until the next call.
-func (ix *stateIndex) key(x topo.NodeID, states []int32) []byte {
-	b := binary.LittleEndian.AppendUint32(ix.buf[:0], uint32(x))
+// hashTuple mixes a tuple's components into a slot hash.
+func hashTuple(x topo.NodeID, states []int32) uint32 {
+	h := uint32(x) * 0x9e3779b1
 	for _, s := range states {
-		b = binary.LittleEndian.AppendUint32(b, uint32(s))
+		h = (h ^ uint32(s)) * 0x85ebca6b
+		h ^= h >> 13
 	}
-	ix.buf = b
-	return b
+	return h ^ h>>16
 }
 
-// intern returns the virtual node for (x, states), adding it if it is
-// new; states is copied.
-func (g *Graph) intern(ix *stateIndex, x topo.NodeID, states []int32) (id NodeID, fresh bool) {
-	key := ix.key(x, states)
-	if id, ok := ix.ids[string(key)]; ok {
-		return id, false
-	}
-	id = NodeID(len(g.nodes))
-	accept := make([]bool, len(g.DFAs))
-	for i, d := range g.DFAs {
-		accept[i] = d.Accept[states[i]]
-	}
-	g.nodes = append(g.nodes, Node{
-		ID:     id,
-		Topo:   x,
-		States: append([]int32(nil), states...),
-		Accept: accept,
-	})
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	ix.ids[string(key)] = id
-	g.byTopo[x] = append(g.byTopo[x], id)
-	return id, true
-}
-
-func (g *Graph) addEdge(from, to NodeID) {
-	for _, e := range g.out[from] {
-		if e == to {
-			return
+// intern returns the node for (x, states), adding it if it is new;
+// states is copied.
+func (ex *explorer) intern(x topo.NodeID, states []int32) NodeID {
+	mask := uint32(len(ex.slots) - 1)
+	for i := hashTuple(x, states) & mask; ; i = (i + 1) & mask {
+		if ex.slots[i] == 0 {
+			id := NodeID(len(ex.topo))
+			ex.topo = append(ex.topo, x)
+			ex.states = append(ex.states, states...)
+			ex.slots[i] = int32(id) + 1
+			if 2*len(ex.topo) > len(ex.slots) {
+				ex.rehash()
+			}
+			return id
+		}
+		id := NodeID(ex.slots[i] - 1)
+		if ex.topo[id] == x && slices.Equal(ex.states[int(id)*ex.w:int(id+1)*ex.w], states) {
+			return id
 		}
 	}
-	g.out[from] = append(g.out[from], to)
-	g.in[to] = append(g.in[to], from)
 }
 
-// prune removes virtual nodes that can never contribute to a finite
-// routing decision: a node is useful if the policy can rank a path
-// with its acceptance bits below inf (it can serve as a source's
-// decision state), or if a probe passing through it can reach such a
-// node. Pruning keeps probe fan-out minimal (§4's "avoid sending a
-// large number of probes").
-func (g *Graph) prune() {
-	useful := make([]bool, len(g.nodes))
-	var stack []NodeID
-	for i := range g.nodes {
-		if g.possiblyFinite(g.nodes[i].Accept) {
+// rehash doubles the slot table, keeping it at most half full.
+func (ex *explorer) rehash() {
+	ex.slots = make([]int32, 2*len(ex.slots))
+	mask := uint32(len(ex.slots) - 1)
+	for id, x := range ex.topo {
+		i := hashTuple(x, ex.states[id*ex.w:(id+1)*ex.w]) & mask
+		for ex.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		ex.slots[i] = int32(id) + 1
+	}
+}
+
+// transpose returns the in-adjacency of the n-node graph whose
+// out-adjacency is (outOff, out). Senders are visited in id order, so
+// every in-list is ascending.
+func transpose(n int, outOff []int32, out []NodeID) ([]int32, []NodeID) {
+	inOff := make([]int32, n+1)
+	for _, to := range out {
+		inOff[to+1]++
+	}
+	for v := 0; v < n; v++ {
+		inOff[v+1] += inOff[v]
+	}
+	in := make([]NodeID, len(out))
+	// inOff[v] is v's fill cursor, which ends at v+1's start; shift back.
+	for from := 0; from < n; from++ {
+		for _, to := range out[outOff[from]:outOff[from+1]] {
+			in[inOff[to]] = NodeID(from)
+			inOff[to]++
+		}
+	}
+	copy(inOff[1:], inOff[:n])
+	inOff[0] = 0
+	return inOff, in
+}
+
+// prune keeps the virtual nodes that can contribute to a finite routing
+// decision: a node is useful if the policy can rank a path with its
+// acceptance bits below inf (it can serve as a source's decision
+// state), or if a probe passing through it can reach such a node.
+// Pruning keeps probe fan-out minimal (§4's "avoid sending a large
+// number of probes"). It compacts the explored graph, whose first
+// origins nodes are the probe-sending states, into g's arrays: kept
+// nodes keep their relative order, out-lists theirs, and in-lists are
+// ascending.
+func (g *Graph) prune(ex *explorer, origins int) {
+	n, w := len(ex.topo), ex.w
+	inOff, in := transpose(n, ex.outOff, ex.out)
+	useful := make([]bool, n)
+	stack := make([]NodeID, 0, n)
+	accept := make([]bool, w)
+	for i := 0; i < n; i++ {
+		for k, d := range g.DFAs {
+			accept[k] = d.Accept[ex.states[i*w+k]]
+		}
+		if g.possiblyFinite(accept) {
 			useful[i] = true
 			stack = append(stack, NodeID(i))
 		}
@@ -191,7 +248,7 @@ func (g *Graph) prune() {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, u := range g.in[v] {
+		for _, u := range in[inOff[v]:inOff[v+1]] {
 			if !useful[u] {
 				useful[u] = true
 				stack = append(stack, u)
@@ -200,44 +257,50 @@ func (g *Graph) prune() {
 	}
 
 	// Compact.
-	remap := make([]NodeID, len(g.nodes))
+	remap := make([]NodeID, n)
+	m, edges := 0, 0
 	for i := range remap {
 		remap[i] = -1
-	}
-	var nodes []Node
-	for i := range g.nodes {
 		if useful[i] {
-			remap[i] = NodeID(len(nodes))
-			n := g.nodes[i]
-			n.ID = remap[i]
-			nodes = append(nodes, n)
+			remap[i] = NodeID(m)
+			m++
 		}
 	}
-	out := make([][]NodeID, len(nodes))
-	in := make([][]NodeID, len(nodes))
-	for i := range g.nodes {
-		if remap[i] < 0 {
+	for _, to := range ex.out {
+		if useful[to] {
+			edges++ // an upper bound: the sender may be pruned
+		}
+	}
+	g.nodes = make([]Node, m)
+	g.states = make([]int32, m*w)
+	g.accept = make([]bool, m*w)
+	g.outOff = make([]int32, m+1)
+	g.out = make([]NodeID, 0, edges)
+	for i, v := range remap {
+		if v < 0 {
 			continue
 		}
-		for _, to := range g.out[i] {
+		states := g.states[int(v)*w : int(v+1)*w : int(v+1)*w]
+		accept := g.accept[int(v)*w : int(v+1)*w : int(v+1)*w]
+		copy(states, ex.states[i*w:])
+		for k, d := range g.DFAs {
+			accept[k] = d.Accept[states[k]]
+		}
+		g.nodes[v] = Node{ID: v, Topo: ex.topo[i], States: states, Accept: accept, Origin: i < origins}
+		for _, to := range ex.out[ex.outOff[i]:ex.outOff[i+1]] {
 			if remap[to] >= 0 {
-				out[remap[i]] = append(out[remap[i]], remap[to])
-				in[remap[to]] = append(in[remap[to]], remap[i])
+				g.out = append(g.out, remap[to])
 			}
 		}
+		g.outOff[v+1] = int32(len(g.out))
 	}
-	g.nodes, g.out, g.in = nodes, out, in
-	g.byTopo = make(map[topo.NodeID][]NodeID)
-	oldSend := g.send
-	g.send = make(map[topo.NodeID]NodeID)
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		g.byTopo[n.Topo] = append(g.byTopo[n.Topo], n.ID)
+	g.inOff, g.in = transpose(m, g.outOff, g.out)
+	g.send = make([]NodeID, g.Topo.NumNodes())
+	for x := range g.send {
+		g.send[x] = -1
 	}
-	for x, v := range oldSend {
-		if remap[v] >= 0 {
-			g.send[x] = remap[v]
-		}
+	for i := 0; i < origins; i++ {
+		g.send[ex.topo[i]] = remap[i]
 	}
 }
 
@@ -307,60 +370,88 @@ func condKnown(c policy.Cond, accept []bool) (val, known bool) {
 	return false, false
 }
 
-// assignTags gives each virtual node a per-switch local tag, ordered
-// deterministically by state vector. A hardware target encodes
+// assignTags lists each switch's virtual nodes and gives each a
+// per-switch local tag, ordered by state vector: a switch's nodes have
+// distinct vectors, so the order is total. A hardware target encodes
 // ceil(log2(max tags per switch)) bits in the packet header.
 func (g *Graph) assignTags() {
+	nt := g.Topo.NumNodes()
+	g.topoOff = make([]int32, nt+1)
+	for i := range g.nodes {
+		g.topoOff[g.nodes[i].Topo+1]++
+	}
+	for x := 0; x < nt; x++ {
+		g.topoOff[x+1] += g.topoOff[x]
+	}
+	g.byTopo = make([]NodeID, len(g.nodes))
+	for i := range g.nodes { // topoOff[x] is x's fill cursor, as in transpose
+		x := g.nodes[i].Topo
+		g.byTopo[g.topoOff[x]] = NodeID(i)
+		g.topoOff[x]++
+	}
+	copy(g.topoOff[1:], g.topoOff[:nt])
+	g.topoOff[0] = 0
+
+	byStates := func(a, b NodeID) int { return slices.Compare(g.nodes[a].States, g.nodes[b].States) }
 	g.maxTagsPerSwitch = 0
-	for _, ids := range g.byTopo {
-		sort.Slice(ids, func(a, b int) bool {
-			return stateLess(g.nodes[ids[a]].States, g.nodes[ids[b]].States)
-		})
+	for x := 0; x < nt; x++ {
+		ids := g.byTopo[g.topoOff[x]:g.topoOff[x+1]]
+		slices.SortFunc(ids, byStates)
 		for i, id := range ids {
 			g.nodes[id].LocalTag = int32(i)
 		}
-		if len(ids) > g.maxTagsPerSwitch {
-			g.maxTagsPerSwitch = len(ids)
-		}
+		g.maxTagsPerSwitch = max(g.maxTagsPerSwitch, len(ids))
 	}
-}
-
-func stateLess(a, b []int32) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
 
 // NumNodes returns the number of virtual nodes after pruning.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
+// NumEdges returns the number of product graph edges after pruning.
+func (g *Graph) NumEdges() int { return len(g.out) }
+
 // Node returns a virtual node.
 func (g *Graph) Node(id NodeID) *Node { return &g.nodes[id] }
 
-// Out returns v's probe-direction successors.
-func (g *Graph) Out(v NodeID) []NodeID { return g.out[v] }
+// Out returns v's probe-direction successors. The slice must not be
+// modified.
+func (g *Graph) Out(v NodeID) []NodeID {
+	hi := g.outOff[v+1]
+	return g.out[g.outOff[v]:hi:hi]
+}
 
-// In returns v's probe-direction predecessors.
-func (g *Graph) In(v NodeID) []NodeID { return g.in[v] }
+// In returns v's probe-direction predecessors, ascending. The slice
+// must not be modified.
+func (g *Graph) In(v NodeID) []NodeID {
+	hi := g.inOff[v+1]
+	return g.in[g.inOff[v]:hi:hi]
+}
 
-// VirtualNodes returns the virtual nodes of a physical switch.
-func (g *Graph) VirtualNodes(x topo.NodeID) []NodeID { return g.byTopo[x] }
+// VirtualNodes returns the virtual nodes of a physical switch in local
+// tag order, none for a host or an unknown id. The slice must not be
+// modified.
+func (g *Graph) VirtualNodes(x topo.NodeID) []NodeID {
+	if uint(x) >= uint(len(g.send)) {
+		return nil
+	}
+	hi := g.topoOff[x+1]
+	return g.byTopo[g.topoOff[x]:hi:hi]
+}
 
 // SendState returns the probe-sending state for destination x, if x is
 // a valid destination under the policy.
 func (g *Graph) SendState(x topo.NodeID) (NodeID, bool) {
-	v, ok := g.send[x]
-	return v, ok
+	if uint(x) >= uint(len(g.send)) || g.send[x] < 0 {
+		return 0, false
+	}
+	return g.send[x], true
 }
 
 // Transition returns the product graph successor of v at neighbor
 // switch nb, if the edge survived pruning. This is NEXTPGNODE from
 // Figure 7, resolved from the receiving side.
 func (g *Graph) Transition(v NodeID, nb topo.NodeID) (NodeID, bool) {
-	for _, u := range g.out[v] {
+	for _, u := range g.Out(v) {
 		if g.nodes[u].Topo == nb {
 			return u, true
 		}
@@ -409,8 +500,14 @@ func (g *Graph) ProbeWalk(reversePath []topo.NodeID) (NodeID, bool) {
 
 // String summarizes the product graph.
 func (g *Graph) String() string {
+	switches := 0
+	for x := range g.send {
+		if g.topoOff[x+1] > g.topoOff[x] {
+			switches++
+		}
+	}
 	return fmt.Sprintf("product graph: %d virtual nodes over %d switches, %d regexes, max %d tags/switch (%d tag bits)",
-		len(g.nodes), len(g.byTopo), len(g.DFAs), g.maxTagsPerSwitch, g.TagBits())
+		len(g.nodes), switches, len(g.DFAs), g.maxTagsPerSwitch, g.TagBits())
 }
 
 // Dump renders every virtual node and edge for debugging.
@@ -425,7 +522,7 @@ func (g *Graph) Dump() string {
 			mark = "!"
 		}
 		fmt.Fprintf(&b, "%s %s%d %v accept=%v ->", mark, g.Topo.Node(n.Topo).Name, n.LocalTag, n.States, n.Accept)
-		for _, u := range g.out[i] {
+		for _, u := range g.Out(NodeID(i)) {
 			un := &g.nodes[u]
 			fmt.Fprintf(&b, " %s%d", g.Topo.Node(un.Topo).Name, un.LocalTag)
 		}

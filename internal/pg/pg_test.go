@@ -286,3 +286,43 @@ func TestRandomGraphsNeverPanic(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildAllocBudget holds Build to a fixed number of allocations per
+// graph: under MU and a three-waypoint policy, the 405-switch fat-tree
+// may take at most 64 objects more than the 20-switch one, however many
+// more virtual nodes and edges it has.
+func TestBuildAllocBudget(t *testing.T) {
+	const slack = 64
+	allocs := func(g *topo.Graph, src string) (float64, int) {
+		pol, err := policy.Parse(src, policy.ParseOptions{Symbols: g.SortedNames()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int
+		a := testing.AllocsPerRun(5, func() {
+			pgr, err := Build(g, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n = pgr.NumNodes()
+		})
+		return a, n
+	}
+	small, big := topo.Fattree(4, 0), topo.Fattree(18, 0)
+	for _, name := range []string{"MU", "WP"} {
+		pick := func(g *topo.Graph) string {
+			if name == "MU" {
+				return "minimize(path.util)"
+			}
+			names := g.SortedNames()
+			k := len(names) / 2
+			return "minimize(if .* (" + names[k] + " + " + names[k/2] + " + " + names[len(names)-1] + ") .* then path.util else inf)"
+		}
+		as, ns := allocs(small, pick(small))
+		ab, nb := allocs(big, pick(big))
+		if ab > as+slack {
+			t.Errorf("%s: %.0f allocations for %d virtual nodes, %.0f for %d: more than %d apart", name, as, ns, ab, nb, slack)
+		}
+		t.Logf("%s: %.0f allocations for %d virtual nodes, %.0f for %d", name, as, ns, ab, nb)
+	}
+}

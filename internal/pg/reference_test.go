@@ -460,9 +460,10 @@ func TestBuildMatchesReference(t *testing.T) {
 }
 
 // TestStateKeysDistinct checks, on the largest compile_sweep cell, that
-// the binary key tells apart exactly the tuples the printed key did:
-// every virtual node, and its near misses one switch or one automaton
-// state away.
+// the explorer's index tells apart exactly the tuples the printed key
+// did: every virtual node, and its near misses one switch or one
+// automaton state away, interned twice over a table that rehashes on the
+// way, get one node per printed key.
 func TestStateKeysDistinct(t *testing.T) {
 	g := topo.Fattree(18, 0)
 	names := g.SortedNames()
@@ -470,36 +471,36 @@ func TestStateKeysDistinct(t *testing.T) {
 	pgr := build(t, g, fmt.Sprintf("minimize(if .* (%s + %s + %s) .* then path.util else inf)",
 		names[k], names[k/2], names[len(names)-1]))
 
-	ix := newStateIndex(len(pgr.DFAs))
-	byKey := make(map[string]string) // binary key -> printed key
-	byRef := make(map[string]string) // and back
+	ex := newExplorer(len(pgr.DFAs), 1, 0)
+	byRef := make(map[string]NodeID) // printed key -> interned node
 	check := func(x topo.NodeID, states []int32) {
-		key, ref := string(ix.key(x, states)), referenceStateKey(x, states)
-		if len(key) != 4*(1+len(states)) {
-			t.Fatalf("key of %s is %d bytes, want fixed width %d", ref, len(key), 4*(1+len(states)))
+		id, ref := ex.intern(x, states), referenceStateKey(x, states)
+		prev, seen := byRef[ref]
+		switch {
+		case seen && prev != id:
+			t.Fatalf("tuple %s interned as %d and %d", ref, prev, id)
+		case !seen && int(id) != len(byRef):
+			t.Fatalf("new tuple %s interned as existing node %d", ref, id)
 		}
-		if prev, ok := byKey[key]; ok && prev != ref {
-			t.Fatalf("tuples %s and %s share a key", prev, ref)
-		}
-		if prev, ok := byRef[ref]; ok && prev != key {
-			t.Fatalf("tuple %s has two keys", ref)
-		}
-		byKey[key], byRef[ref] = ref, key
+		byRef[ref] = id
 	}
-	for v := 0; v < pgr.NumNodes(); v++ {
-		n := pgr.Node(NodeID(v))
-		check(n.Topo, n.States)
-		check(n.Topo+1, n.States)
-		check(n.Topo+256, n.States)
-		for i := range n.States {
-			near := append([]int32(nil), n.States...)
-			near[i]++
-			check(n.Topo, near)
-			near[i] += 255
-			check(n.Topo, near)
+	for pass := 0; pass < 2; pass++ {
+		for v := 0; v < pgr.NumNodes(); v++ {
+			n := pgr.Node(NodeID(v))
+			check(n.Topo, n.States)
+			check(n.Topo+1, n.States)
+			check(n.Topo+256, n.States)
+			for i := range n.States {
+				near := append([]int32(nil), n.States...)
+				near[i]++
+				check(n.Topo, near)
+				near[i] += 255
+				check(n.Topo, near)
+			}
 		}
 	}
-	if len(byKey) != len(byRef) || len(byKey) < pgr.NumNodes() {
-		t.Fatalf("%d binary keys for %d printed keys over %d virtual nodes", len(byKey), len(byRef), pgr.NumNodes())
+	if len(byRef) != len(ex.topo) || len(byRef) < pgr.NumNodes() || len(ex.slots) < 2*len(ex.topo) {
+		t.Fatalf("%d printed keys, %d interned nodes in %d slots, over %d virtual nodes",
+			len(byRef), len(ex.topo), len(ex.slots), pgr.NumNodes())
 	}
 }
