@@ -42,13 +42,17 @@ func (r *hopRouter) Handle(pkt *Packet, inPort int) {
 }
 
 // lineTopo: H0 - S0 - S1 - H1 with the given fabric bandwidth.
-func lineTopo(bw float64) *topo.Graph {
+func lineTopo(bw float64) *topo.Graph { return lineTopoDelay(bw, 1000) }
+
+// lineTopoDelay is lineTopo with the fabric link's propagation delay
+// in ns; the host links keep 1 µs.
+func lineTopoDelay(bw float64, delayNs int64) *topo.Graph {
 	g := topo.New("line")
 	s0 := g.AddNode("S0", topo.Switch)
 	s1 := g.AddNode("S1", topo.Switch)
 	h0 := g.AddNode("H0", topo.Host)
 	h1 := g.AddNode("H1", topo.Host)
-	g.AddLink(s0, s1, bw, 1000)
+	g.AddLink(s0, s1, bw, delayNs)
 	g.AddLink(s0, h0, 10e9, 1000)
 	g.AddLink(s1, h1, 10e9, 1000)
 	return g
