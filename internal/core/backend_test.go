@@ -148,7 +148,7 @@ func TestReachableOriginsMatchReference(t *testing.T) {
 // It leaves c as the reference computed it.
 func checkReachability(t *testing.T, c *Compiled) (partial bool) {
 	t.Helper()
-	progs := c.Programs()
+	progs := c.programs
 	got := make([]int, len(progs))
 	for i := range progs {
 		sp := &progs[i]

@@ -273,10 +273,6 @@ func (c *Compiled) Switch(x topo.NodeID) *SwitchProgram {
 	return &c.programs[c.programOf[x]]
 }
 
-// Programs returns every switch's program in Topo.Switches() order. The
-// slice must not be modified.
-func (c *Compiled) Programs() []SwitchProgram { return c.programs }
-
 // ProbeOut returns the egress ports, ascending, that virtual node v's
 // probes multicast to: the ports toward its product graph successors.
 // The slice must not be modified.

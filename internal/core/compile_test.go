@@ -55,7 +55,7 @@ func TestCompileMinUtil(t *testing.T) {
 func TestCompileTransitionsMatchPG(t *testing.T) {
 	g := topo.Fig6()
 	c := compile(t, g, "minimize(if A B D then 0 else if B .* D then path.util else inf)")
-	for _, sp := range c.Programs() {
+	for _, sp := range c.programs {
 		sw := sp.Switch
 		for _, v := range sp.VNodes {
 			if c.PG.Node(v).Topo != sw {

@@ -387,7 +387,7 @@ func TestSwitchProgramsMatchReference(t *testing.T) {
 	for _, c := range cells {
 		ref := c.referenceSwitchPrograms()
 		for _, sw := range c.Topo.Switches() {
-			sp, want := programOf(c, sw), ref[sw]
+			sp, want := c.Switch(sw), ref[sw]
 			where := fmt.Sprintf("%s on %s, switch %s", c.Policy, c.Topo.Name, c.Topo.Node(sw).Name)
 			if sp == nil || sp.Switch != sw {
 				t.Fatalf("%s: no program", where)
@@ -405,7 +405,7 @@ func TestSwitchProgramsMatchReference(t *testing.T) {
 					senders[u] = true
 					pairs++
 				}
-				if got := probePorts(c, sp, v); !slices.Equal(got, want.ProbeOut[v]) {
+				if got := c.ProbeOut(v); !slices.Equal(got, want.ProbeOut[v]) {
 					t.Fatalf("%s: virtual node %d multicasts to %v, reference %v", where, v, got, want.ProbeOut[v])
 				}
 			}
@@ -420,7 +420,3 @@ func TestSwitchProgramsMatchReference(t *testing.T) {
 		}
 	}
 }
-
-func programOf(c *Compiled, sw topo.NodeID) *SwitchProgram { return c.Switch(sw) }
-
-func probePorts(c *Compiled, sp *SwitchProgram, v pg.NodeID) []int { return c.ProbeOut(v) }

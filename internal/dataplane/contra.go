@@ -148,7 +148,8 @@ type Contra struct {
 	// stay valid until flushTables lays the tables out afresh. inTrans,
 	// ordOf and probeOut are the program's tag transitions (PG.In over
 	// prog.VNodes), VNodes and ProbeOut addressed the same way: by sender
-	// tag, by own tag, and by ordinal; -1 marks "no such tag here". flowlets (§5.3, keyed tag ordinal · pid · flowlet
+	// tag, by own tag, and by ordinal; -1 marks "no such tag here".
+	// flowlets (§5.3, keyed tag ordinal · pid · flowlet
 	// hash so pinning never crosses a policy constraint) and srcPins
 	// (destination switch · flowlet hash) are exact-match tables: no two
 	// flows share a slot, which a hash-indexed register array would allow.
