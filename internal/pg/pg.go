@@ -105,7 +105,7 @@ func Build(t *topo.Graph, pol *policy.Policy) (*Graph, error) {
 	for from := 0; from < len(ex.topo); from++ {
 		lo := ex.outOff[from]
 		for _, nb := range t.SwitchNeighbors(ex.topo[from]) {
-			states := ex.states[from*w : from*w+w]
+			states := ex.states[from*w : from*w+w] // per neighbor: intern may move ex.states
 			for i, d := range g.DFAs {
 				next[i] = int32(d.Step(int(states[i]), sym[nb]))
 			}
