@@ -2,7 +2,7 @@
 // recorder that, at a configurable interval, snapshots per-port link
 // utilization, queue occupancy, cumulative drops by reason, per-router
 // probe-table churn, and route-flap counts into preallocated ring
-// buffers, then exports them as versioned, deterministic JSONL/CSV
+// buffers, then exports them as versioned, deterministic JSONL
 // time series.
 //
 // The discipline mirrors internal/trace: callers hold a nil *Recorder
@@ -19,12 +19,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 
 	"contra/internal/jsonl"
 )
 
-// Version is the JSONL/CSV schema version stamped into the meta line.
+// Version is the JSONL schema version stamped into the meta line.
 const Version = 1
 
 // DefaultSampleCap bounds the number of sample ticks retained; older
@@ -341,43 +340,6 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 				Type: "router", T: tk.T, Router: i,
 				Added: c.Added, Replaced: c.Replaced, Expired: c.Expired, Flaps: c.Flaps,
 			}); err != nil {
-				return
-			}
-		}
-	})
-	return err
-}
-
-// WriteCSV writes the same series in a flat wide CSV: one row per
-// (tick, object), with columns not applicable to the row's kind left
-// blank (the campaign blank-not-zero convention).
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	if !r.frozen {
-		r.freeze()
-	}
-	if _, err := fmt.Fprintf(w, "v%d\nt_ns,kind,name,util,queue_bytes,drops,added,replaced,expired,flaps\n", Version); err != nil {
-		return err
-	}
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	var err error
-	r.EachSample(func(tk Tick) {
-		if err != nil {
-			return
-		}
-		for i := range tk.Util {
-			if _, err = fmt.Fprintf(w, "%d,link,%s,%s,%s,%d,,,,\n",
-				tk.T, r.linkNames[i], g(tk.Util[i]), g(tk.Queue[i]), tk.Drops[i]); err != nil {
-				return
-			}
-		}
-		for i, c := range tk.Reasons {
-			if _, err = fmt.Fprintf(w, "%d,drops,%s,,,%d,,,,\n", tk.T, r.dropReasons[i], c); err != nil {
-				return
-			}
-		}
-		for i, c := range tk.Churn {
-			if _, err = fmt.Fprintf(w, "%d,router,%s,,,,%d,%d,%d,%d\n",
-				tk.T, r.routers[i].name, c.Added, c.Replaced, c.Expired, c.Flaps); err != nil {
 				return
 			}
 		}

@@ -117,39 +117,6 @@ func TestWriteJSONLDeterministicAndVersioned(t *testing.T) {
 	}
 }
 
-func TestWriteCSVBlankColumns(t *testing.T) {
-	r, _, _ := newTestRecorder()
-	sampleOnce(r, 0, 0.5)
-	var buf bytes.Buffer
-	if err := r.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != "v1" {
-		t.Fatalf("missing version line: %q", lines[0])
-	}
-	for _, ln := range lines[2:] {
-		cols := strings.Split(ln, ",")
-		if len(cols) != 10 {
-			t.Fatalf("row has %d cols, want 10: %q", len(cols), ln)
-		}
-		switch cols[1] {
-		case "link":
-			if cols[6] != "" || cols[9] != "" {
-				t.Fatalf("link row churn columns not blank: %q", ln)
-			}
-		case "drops":
-			if cols[3] != "" || cols[6] != "" {
-				t.Fatalf("drops row has non-blank util/churn: %q", ln)
-			}
-		case "router":
-			if cols[3] != "" || cols[5] != "" {
-				t.Fatalf("router row has non-blank util/drops: %q", ln)
-			}
-		}
-	}
-}
-
 func TestZeroAllocSampling(t *testing.T) {
 	r, cz, _ := newTestRecorder()
 	sampleOnce(r, 0, 0) // freeze + allocate

@@ -62,9 +62,6 @@ func (m Metric) Combine(pathVal, linkVal float64) float64 {
 	return pathVal + linkVal
 }
 
-// Identity returns the metric's neutral element (probe initial value).
-func (m Metric) Identity() float64 { return 0 }
-
 // Expr is a rank-valued policy expression.
 type Expr interface {
 	exprNode()
@@ -485,13 +482,4 @@ func New(body Expr) (*Policy, error) {
 	}
 	p.Src = p.String()
 	return p, nil
-}
-
-// MustNew is New for known-good ASTs; it panics on error.
-func MustNew(body Expr) *Policy {
-	p, err := New(body)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }

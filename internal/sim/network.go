@@ -756,14 +756,6 @@ func (s *SwitchDev) PortDelay(port int) int64 {
 	return s.Net.channelFor(s.ID, port).delayNs
 }
 
-// PortDown reports whether the port's link is administratively down.
-// Data planes cannot see this directly — they infer failures from
-// missing probes (§5.4) — but baselines with static tables use it to
-// model offline recomputation, and tests use it for assertions.
-func (s *SwitchDev) PortDown(port int) bool {
-	return s.Net.channelFor(s.ID, port).down
-}
-
 // DeliverLocal sends a packet to a locally attached host, stripping
 // the scheme tag.
 func (s *SwitchDev) DeliverLocal(pkt *Packet) {

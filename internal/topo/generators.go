@@ -245,19 +245,6 @@ func AbileneWithHostsScaled(hostBW, scale float64) *Graph {
 
 // Paper example topologies used in unit tests.
 
-// Fig4Strawman is Figure 4(a): leaf-spine square S,D with spines A,B.
-func Fig4Strawman() *Graph {
-	g := New("fig4a")
-	for _, n := range []string{"S", "A", "B", "D"} {
-		g.AddNode(n, Switch)
-	}
-	g.AddLink(g.MustNode("S"), g.MustNode("A"), DefaultFabricBW, DCDelay)
-	g.AddLink(g.MustNode("S"), g.MustNode("B"), DefaultFabricBW, DCDelay)
-	g.AddLink(g.MustNode("A"), g.MustNode("D"), DefaultFabricBW, DCDelay)
-	g.AddLink(g.MustNode("B"), g.MustNode("D"), DefaultFabricBW, DCDelay)
-	return g
-}
-
 // Fig4Square is Figure 4(b)-(h): S-A, A-B, B-S triangle, A-D, B-D, S-D.
 func Fig4Square() *Graph {
 	g := New("fig4b")

@@ -77,14 +77,6 @@ type Link struct {
 	Down      bool
 }
 
-// Other returns the endpoint of l that is not n.
-func (l *Link) Other(n NodeID) NodeID {
-	if l.A == n {
-		return l.B
-	}
-	return l.A
-}
-
 // Port is one attachment point of a node: the local port index is the
 // position within Graph.Ports(node).
 type Port struct {

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Counterfactual override modes: what choice replaces the policy's
 // source decision for a pinned flow. Overrides apply at the source
@@ -55,13 +52,3 @@ func (o *Overrides) Mode() string { return o.mode }
 
 // Match reports whether the flow is pinned.
 func (o *Overrides) Match(flow uint64) bool { return o.flows[flow] }
-
-// FlowIDs returns the pinned flows sorted ascending.
-func (o *Overrides) FlowIDs() []uint64 {
-	out := make([]uint64, 0, len(o.flows))
-	for f := range o.flows {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
