@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"contra/internal/stats"
@@ -9,8 +11,8 @@ import (
 )
 
 // Calibration of the transport against closed forms on the line
-// H0 - S0 - S1 - H1: a single flow on an idle path, and long flows
-// sharing one bottleneck.
+// H0 - S0 - S1 - H1: a single flow on an idle path, long flows sharing
+// one bottleneck, and one-packet Poisson flows queueing at one link.
 
 // lineHop is one hop of the data direction H0 → S0 → S1 → H1 as its
 // channel sees it: bytes per ns and one-way propagation delay.
@@ -170,4 +172,73 @@ func TestBottleneckShare(t *testing.T) {
 			t.Errorf("%d flows share the bottleneck with Jain %.4f (shares %v), want >= 0.95", flows, jain, shares)
 		}
 	}
+}
+
+// TestPoissonQueueMatchesMD1 sends one-MSS flows from H0 to H1 with
+// Poisson arrivals at load rho on the 10 Gb/s line. Every hop serialises
+// a frame in the same S ns, so the only queue is H0's own link, which
+// sees Poisson arrivals and deterministic service: an M/D/1 queue. A
+// flow's queueing delay is its FCT less the idle closed form, and their
+// mean must fall within a batch-means 95 % interval of the
+// Pollaczek-Khinchine wait rho*S / (2(1-rho)).
+func TestPoissonQueueMatchesMD1(t *testing.T) {
+	const (
+		flows   = 60_000
+		batches = 20    // after a first batch dropped as warm-up
+		t95     = 2.093 // Student t, 0.975 quantile, batches-1 degrees of freedom
+	)
+	g := lineTopo(10e9)
+	hops := lineHops(g)
+	service := hops[0].serialise(MSS + FrameHeader)
+	idle := idleLineFCT(hops, MSS, true)
+	for _, rho := range []float64{0.3, 0.6, 0.8} {
+		e := NewEngine()
+		n := NewNetwork(e, g, Config{})
+		for _, s := range g.Switches() {
+			n.SetRouter(s, &hopRouter{})
+		}
+		wait := make([]float64, flows)
+		n.FlowDone = func(f FlowSpec, fct int64) { wait[f.ID-1] = float64(fct - idle) }
+		n.Start()
+		rng := rand.New(rand.NewSource(1))
+		gap := float64(service) / rho
+		specs := make([]FlowSpec, flows)
+		var at float64
+		for i := range specs {
+			at += rng.ExpFloat64() * gap
+			specs[i] = FlowSpec{ID: uint64(i + 1), Src: g.MustNode("H0"), Dst: g.MustNode("H1"), Size: MSS, Start: int64(at)}
+		}
+		n.StartFlows(specs)
+		e.Run(int64(at) + 1e9)
+		if tot := n.Totals(); tot.RTOs != 0 || tot.Drops[DropQueue] != 0 || n.DataPkts != flows {
+			t.Fatalf("rho %.1f: %d RTOs, %d queue drops, %d data packets for %d flows", rho, tot.RTOs, tot.Drops[DropQueue], n.DataPkts, flows)
+		}
+
+		per := flows / (batches + 1)
+		means := make([]float64, batches)
+		for b := range means {
+			for _, w := range wait[(b+1)*per : (b+2)*per] {
+				means[b] += w / float64(per)
+			}
+		}
+		mean, sd := meanSD(means)
+		half := t95 * sd / math.Sqrt(batches)
+		pk := rho * float64(service) / (2 * (1 - rho))
+		t.Logf("rho %.1f: mean wait %.1f ns ± %.1f, M/D/1 %.1f ns (S = %d ns)", rho, mean, half, pk, service)
+		if math.Abs(mean-pk) > half {
+			t.Errorf("rho %.1f: mean queueing delay %.1f ns ± %.1f (95 %%, %d batches), Pollaczek-Khinchine M/D/1 wait %.1f ns",
+				rho, mean, half, batches, pk)
+		}
+	}
+}
+
+// meanSD returns the mean and the sample standard deviation of xs.
+func meanSD(xs []float64) (mean, sd float64) {
+	for _, x := range xs {
+		mean += x / float64(len(xs))
+	}
+	for _, x := range xs {
+		sd += (x - mean) * (x - mean)
+	}
+	return mean, math.Sqrt(sd / float64(len(xs)-1))
 }
