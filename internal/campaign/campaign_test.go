@@ -89,6 +89,32 @@ func TestExpandRejectsBadCell(t *testing.T) {
 	}
 }
 
+// TestBadWorkloadFailsExpansion: a load, window or cap the generators
+// cannot draw from fails the whole campaign at expansion, naming the
+// field, before any cell runs. Each of these once panicked mid-run or
+// ran as if it were a different load.
+func TestBadWorkloadFailsExpansion(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{`{"name":"x","topos":["dc"],"schemes":["ecmp"],"loads":[-0.3],"seeds":[1]}`,
+			"fct workload load -0.3 must be > 0"},
+		{`{"name":"x","topos":["dc"],"schemes":["ecmp"],"loads":[0.3],"seeds":[1],"workload":{"duration_ns":-5}}`,
+			"workload duration_ns -5 is negative"},
+		{`{"name":"x","topos":["fattree:4:2"],"schemes":["ecmp"],"loads":[-0.5,1],"seeds":[1],` +
+			`"workload":{"kind":"cohorts","cohorts":[{"name":"web","load":0.15}]}}`,
+			"cohorts workload load -0.5 is negative"},
+		{`{"name":"x","topos":["dc"],"schemes":["ecmp"],"loads":[0.3],"seeds":[1],"workload":{"max_flows":-1}}`,
+			"workload max_flows -1 is negative"},
+	} {
+		spec, err := Parse([]byte(tc.spec))
+		if err == nil {
+			_, err = spec.Jobs()
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.spec, err, tc.want)
+		}
+	}
+}
+
 func TestParseRejectsUnknownField(t *testing.T) {
 	if _, err := Parse([]byte(`{"topos":["dc"],"schemes":["ecmp"],"loads":[0.1],"workloads":{}}`)); err == nil {
 		t.Fatal("Parse accepted a misspelled field")

@@ -123,7 +123,7 @@ func TestSpecKeySets(t *testing.T) {
 				_, err := scenario.Decode(b)
 				return err
 			},
-			minimal: `{"topo":"dc","scheme":"contra"`,
+			minimal: `{"topo":"dc","scheme":"contra","workload":{"load":0.3}`,
 			unknown: []string{"loop_ttl_delta", "LoopTTLDelta", "options", "cell_timeout_ns"},
 		},
 		{

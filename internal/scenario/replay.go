@@ -27,11 +27,8 @@ func cohortFlows(s *Scenario, g *topo.Graph, warmup int64) (offered, error) {
 	if capacity == 0 {
 		capacity = FabricCapacity(g)
 	}
-	senders, receivers := workload.SplitHosts(g)
 	flows, err := workload.GenerateCohorts(g, workload.CohortConfig{
 		Cohorts:     w.Cohorts,
-		Senders:     senders,
-		Receivers:   receivers,
 		CapacityBps: capacity,
 		StartNs:     warmup,
 		DurationNs:  w.DurationNs,

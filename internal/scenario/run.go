@@ -695,52 +695,57 @@ func play(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int6
 	return nil
 }
 
-// fctFlows draws the Poisson workload plus any surges.
+// fctFlows draws the Poisson workload plus any surges: the base stream
+// (seed, flow IDs from 1) and surge i's stream (seed+101+i, flow IDs
+// from (i+1)<<32) share endpoints and sizes, so adding a surge never
+// perturbs the base arrival sequence.
 func fctFlows(s *Scenario, g *topo.Graph, warmup int64, surges []Event) (offered, error) {
 	w := s.Workload
 	capacity := w.CapacityBps
 	if capacity == 0 {
 		capacity = FabricCapacity(g)
 	}
-	senders, receivers := workload.SplitHosts(g)
-	pairs := s.PairIDs
-	if len(pairs) == 0 && len(w.Pairs) > 0 {
+	ends := workload.EndsFor(g, w.Pattern, w.IncastTargets)
+	ends.Pairs = s.PairIDs
+	if len(ends.Pairs) == 0 {
 		for _, p := range w.Pairs {
-			a, ok := g.NodeByName(p[0])
-			if !ok {
-				return offered{}, fmt.Errorf("scenario %q: unknown pair host %q", s.Name, p[0])
+			var pair [2]topo.NodeID
+			for j, name := range p {
+				id, ok := g.NodeByName(name)
+				if !ok || g.Node(id).Kind != topo.Host {
+					return offered{}, fmt.Errorf("scenario %q: pair endpoint %q is not a host of topo %s", s.Name, name, g.Name)
+				}
+				pair[j] = id
 			}
-			b, ok := g.NodeByName(p[1])
-			if !ok {
-				return offered{}, fmt.Errorf("scenario %q: unknown pair host %q", s.Name, p[1])
-			}
-			pairs = append(pairs, [2]topo.NodeID{a, b})
+			ends.Pairs = append(ends.Pairs, pair)
 		}
 	}
 	dist := w.DistObj
 	if dist == nil {
 		dist = mustDist(w.Dist)
 	}
-	cfg := workload.Config{
-		Dist: dist, Senders: senders, Receivers: receivers,
-		Pairs:   pairs,
-		Pattern: w.Pattern, IncastTargets: w.IncastTargets,
-		Load: w.Load, CapacityBps: capacity,
+	stream := workload.Stream{
+		Rate: workload.LoadRate(w.Load, capacity, dist), Size: dist, Ends: ends,
 		StartNs: warmup, DurationNs: w.DurationNs,
-		Seed: s.Seed, MaxFlows: w.MaxFlows,
+		Seed: s.Seed, FirstID: 1, MaxFlows: w.MaxFlows,
 	}
-	flows := workload.Generate(g, cfg)
-	if len(flows) == 0 {
-		return offered{}, fmt.Errorf("scenario %q: workload produced no flows (load %.2f)", s.Name, w.Load)
+	flows, err := workload.Generate(g, stream)
+	if err == nil && len(flows) == 0 {
+		err = fmt.Errorf("workload produced no flows (load %.2f)", w.Load)
+	}
+	if err != nil {
+		return offered{}, fmt.Errorf("scenario %q: %v", s.Name, err)
 	}
 	deadline := warmup + w.DurationNs + w.DrainNs
-	// Surge traffic rides on the same host sets with distinct flow-ID
-	// ranges and a seed derived from the base seed and the surge index,
-	// so adding a surge never perturbs the base arrival sequence.
 	for i, ev := range surges {
-		cfg.Load, cfg.StartNs, cfg.DurationNs = ev.Load, ev.AtNs, ev.DurationNs
-		cfg.Seed, cfg.FirstFlowID = s.Seed+101+int64(i), uint64(i+1)<<32
-		flows = append(flows, workload.Generate(g, cfg)...)
+		stream.Rate = workload.LoadRate(ev.Load, capacity, dist)
+		stream.StartNs, stream.DurationNs = ev.AtNs, ev.DurationNs
+		stream.Seed, stream.FirstID = s.Seed+101+int64(i), uint64(i+1)<<32
+		more, err := workload.Generate(g, stream)
+		if err != nil {
+			return offered{}, fmt.Errorf("scenario %q: surge %d: %v", s.Name, i, err)
+		}
+		flows = append(flows, more...)
 		if end := ev.AtNs + ev.DurationNs + w.DrainNs; end > deadline {
 			deadline = end
 		}

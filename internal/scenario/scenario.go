@@ -316,22 +316,12 @@ func (s *Scenario) fill() {
 		w.Kind = WorkloadFCT
 	}
 	switch w.Kind {
-	case WorkloadFCT:
-		if w.Dist == "" && w.DistObj == nil {
+	case WorkloadFCT, WorkloadCohorts:
+		// Cohorts share the fct window defaults; their size
+		// distributions live inside each cohort, so Dist stays empty.
+		if w.Kind == WorkloadFCT && w.Dist == "" && w.DistObj == nil {
 			w.Dist = "websearch"
 		}
-		if w.DurationNs == 0 {
-			w.DurationNs = 20_000_000
-		}
-		if w.DrainNs == 0 {
-			w.DrainNs = 1_000_000_000
-		}
-		if w.MaxFlows == 0 {
-			w.MaxFlows = 4000
-		}
-	case WorkloadCohorts:
-		// Cohort loads share the FCT window defaults; the size
-		// distribution lives inside each cohort, so Dist stays empty.
 		if w.DurationNs == 0 {
 			w.DurationNs = 20_000_000
 		}
@@ -410,6 +400,18 @@ func (s *Scenario) Validate() error {
 		if s.Workload.TracePath != "" {
 			return fmt.Errorf("scenario %q: a trace path requires workload kind %q, not %q", s.Name, WorkloadTrace, s.Workload.Kind)
 		}
+	}
+	// The generators draw nothing from a non-positive rate or window, so
+	// these fail here, naming the field, rather than inside a cell.
+	switch w := &s.Workload; {
+	case (w.Kind == "" || w.Kind == WorkloadFCT) && !(w.Load > 0):
+		return fmt.Errorf("scenario %q: fct workload load %g must be > 0", s.Name, w.Load)
+	case w.Kind == WorkloadCohorts && !(w.Load >= 0):
+		return fmt.Errorf("scenario %q: cohorts workload load %g is negative (it scales every cohort; 0 means 1)", s.Name, w.Load)
+	case w.DurationNs < 0:
+		return fmt.Errorf("scenario %q: workload duration_ns %d is negative", s.Name, w.DurationNs)
+	case w.MaxFlows < 0:
+		return fmt.Errorf("scenario %q: workload max_flows %d is negative", s.Name, w.MaxFlows)
 	}
 	if _, err := trace.ParseLevel(s.TraceLevel); err != nil {
 		return fmt.Errorf("scenario %q: %v", s.Name, err)

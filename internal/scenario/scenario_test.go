@@ -378,10 +378,10 @@ func TestIncastScenarioRuns(t *testing.T) {
 }
 
 func TestPatternValidation(t *testing.T) {
-	if _, err := Decode([]byte(`{"topo":"dc","scheme":"ecmp","workload":{"pattern":"hotspot"}}`)); err == nil {
+	if _, err := Decode([]byte(`{"topo":"dc","scheme":"ecmp","workload":{"load":0.3,"pattern":"hotspot"}}`)); err == nil {
 		t.Fatal("decode accepted an unknown traffic pattern")
 	}
-	if _, err := Decode([]byte(`{"topo":"dc","scheme":"ecmp","workload":{"pattern":"all_to_all","incast_targets":2}}`)); err != nil {
+	if _, err := Decode([]byte(`{"topo":"dc","scheme":"ecmp","workload":{"load":0.3,"pattern":"all_to_all","incast_targets":2}}`)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -642,7 +642,7 @@ func TestTrackLoopsRefusesUncoveredSwitchIDs(t *testing.T) {
 		{"fattree:4:2", false},
 		{"fattree:8:2", true},
 	} {
-		s := Scenario{TopoSpec: tc.spec, Scheme: SchemeContra, Observe: Observe{TrackLoops: true}}
+		s := Scenario{TopoSpec: tc.spec, Scheme: SchemeContra, Workload: Workload{Load: 0.3}, Observe: Observe{TrackLoops: true}}
 		err := s.Validate()
 		if (err != nil) != tc.refused {
 			t.Errorf("%s with track_loops: Validate() = %v, want refused %v", tc.spec, err, tc.refused)

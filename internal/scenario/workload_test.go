@@ -4,6 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -104,4 +107,112 @@ func TestGeneratedFlowsPinned(t *testing.T) {
 			t.Errorf("%s: flow digest %s, want %s", tc.name, got, tc.digest)
 		}
 	}
+}
+
+// fuzzTopos are the small built-in topologies FuzzWorkload materialises
+// on; a spec naming any other is only decoded.
+var fuzzTopos = map[string]bool{
+	"dc": true, "abilene": true, "abilene+hosts": true, "random:12": true, "leafspine:4:2:2": true,
+	"fattree:4:1": true, "fattree:4:2": true, "fattree:4:4": true,
+}
+
+// FuzzWorkload materialises every scenario that Decode accepts on a
+// small built-in topology, with no simulation: no spec may panic or
+// spin in a generator, and an accepted workload numbers its flows
+// uniquely. It is seeded with FuzzDecode's specs, each campaign spec
+// cut down to its first cell.
+func FuzzWorkload(f *testing.F) {
+	for _, dir := range []string{"../../examples/campaign", "../../examples/paper"} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
+		if err != nil || len(paths) == 0 {
+			f.Fatalf("no seed specs under %s: %v", dir, err)
+		}
+		for _, p := range paths {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			var c struct {
+				Topos    []string
+				Loads    []float64
+				Seeds    []int64
+				Workload Workload
+				Scripts  []struct{ Events []Event } `json:"event_scripts"`
+			}
+			if err := json.Unmarshal(b, &c); err != nil {
+				f.Fatalf("%s: %v", p, err)
+			}
+			s := Scenario{TopoSpec: c.Topos[0], Workload: c.Workload}
+			if strings.HasPrefix(s.TopoSpec, "@") {
+				s.TopoSpec = "abilene+hosts" // the paper's file topologies are Abilene
+			}
+			if len(c.Loads) > 0 {
+				s.Workload.Load = c.Loads[0]
+			}
+			if len(c.Seeds) > 0 {
+				s.Seed = c.Seeds[0]
+			}
+			if len(c.Scripts) > 0 {
+				s.Events = c.Scripts[len(c.Scripts)-1].Events
+			}
+			b, err = json.Marshal(&s)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(b)
+		}
+	}
+	f.Add([]byte(`{"topo":"dc","scheme":"contra","seed":7,"policy":"minimize((path.len, path.util))",` +
+		`"workload":{"dist":"cache","load":0.4,"duration_ns":4000000,"max_flows":200,"pairs":[["h0_0","h1_0"]]},` +
+		`"events":[{"kind":"link_down","at_ns":0,"link":"l0-s0"},{"kind":"ramp","at_ns":5000000,"load":0.5,"duration_ns":7000000,"steps":2},` +
+		`{"kind":"probe_loss","at_ns":1,"node":"auto","rate":0.25},{"kind":"policy_swap","at_ns":9000000,"policy":"minimize(path.len)"}],` +
+		`"probe_packing":true,"suppress_eps":0.02,"trace_level":"off","class_stats":true,"track_loops":true}`))
+	f.Add([]byte(`{"topo":"fattree:4:2","scheme":"hula","workload":{"kind":"cbr","rate_bps":2e9,"end_ns":20000000},"bin_ns":500000}`))
+	f.Add([]byte(`{"topo":"fattree:4:2","scheme":"contra","seed":5,"workload":{"load":0.4,"max_flows":40},` +
+		`"sample_queues":true,"counterfactual":{"top_k":3,"mode":"hula"}}`))
+	// Specs that once panicked a generator: a pair naming a switch, a
+	// topology without hosts, and a weibull shape whose gap scale is 0.
+	f.Add([]byte(`{"topo":"dc","workload":{"load":0.3,"pairs":[["l0","h1_0"]]}}`))
+	f.Add([]byte(`{"topo":"abilene","workload":{"load":0.3}}`))
+	f.Add([]byte(`{"topo":"fattree:4:2","workload":{"kind":"cohorts","cohorts":[` +
+		`{"name":"w","process":"weibull","shape":0.001,"rate_fps":1000}]}}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Decode(data)
+		if err != nil || !fuzzTopos[s.TopoSpec] || s.Workload.Kind == WorkloadTrace || tooBigToFuzz(s) {
+			return
+		}
+		w, err := offeredFor(*s)
+		if err != nil {
+			return
+		}
+		seen := make(map[uint64]bool, len(w.flows))
+		for i, fl := range w.flows {
+			if seen[fl.ID] {
+				t.Fatalf("flow %d reuses ID %d", i, fl.ID)
+			}
+			seen[fl.ID] = true
+			w.class(i)
+		}
+	})
+}
+
+// tooBigToFuzz skips specs that ask for more flows or surge streams
+// than a fuzz iteration should materialise: the target hunts panics
+// and spins, not large workloads.
+func tooBigToFuzz(s *Scenario) bool {
+	if s.Workload.MaxFlows > 10_000 || len(s.Workload.Cohorts) > 16 || len(s.Events) > 16 {
+		return true
+	}
+	for _, c := range s.Workload.Cohorts {
+		if c.MaxFlows > 10_000 {
+			return true
+		}
+	}
+	for _, ev := range s.Events {
+		if ev.Steps > 16 {
+			return true
+		}
+	}
+	return false
 }

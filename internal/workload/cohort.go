@@ -307,67 +307,63 @@ func (s *SizeSpec) validate(label string) error {
 	return nil
 }
 
-// sizeSampler is the resolved form of a SizeSpec.
-type sizeSampler interface {
-	sample(rng *rand.Rand) int64
-	mean() float64
+// Sampler draws flow sizes in bytes; a SizeSpec resolves to one, and
+// so does every *Distribution.
+type Sampler interface {
+	Sample(rng *rand.Rand) int64
+	Mean() float64
 }
-
-type distSampler struct{ d *Distribution }
-
-func (s distSampler) sample(rng *rand.Rand) int64 { return s.d.Sample(rng) }
-func (s distSampler) mean() float64               { return s.d.Mean() }
 
 type logNormalSampler struct{ meanBytes, sigma float64 }
 
-func (s logNormalSampler) sample(rng *rand.Rand) int64 {
+func (s logNormalSampler) Sample(rng *rand.Rand) int64 {
 	v := stats.SampleLogNormal(rng, s.meanBytes, s.sigma)
 	if v < 1 {
 		v = 1
 	}
 	return int64(v)
 }
-func (s logNormalSampler) mean() float64 { return s.meanBytes }
+func (s logNormalSampler) Mean() float64 { return s.meanBytes }
 
 type paretoSampler struct{ minBytes, alpha float64 }
 
-func (s paretoSampler) sample(rng *rand.Rand) int64 {
+func (s paretoSampler) Sample(rng *rand.Rand) int64 {
 	return int64(stats.SamplePareto(rng, s.minBytes, s.alpha))
 }
-func (s paretoSampler) mean() float64 { return stats.ParetoMean(s.minBytes, s.alpha) }
+func (s paretoSampler) Mean() float64 { return stats.ParetoMean(s.minBytes, s.alpha) }
 
 type fixedSampler struct{ bytes int64 }
 
-func (s fixedSampler) sample(*rand.Rand) int64 { return s.bytes }
-func (s fixedSampler) mean() float64           { return float64(s.bytes) }
+func (s fixedSampler) Sample(*rand.Rand) int64 { return s.bytes }
+func (s fixedSampler) Mean() float64           { return float64(s.bytes) }
 
 // mixSampler picks a component by cumulative weight, then samples it.
 type mixSampler struct {
 	cum   []float64 // normalized cumulative weights
-	parts []sizeSampler
+	parts []Sampler
 }
 
-func (s mixSampler) sample(rng *rand.Rand) int64 {
+func (s mixSampler) Sample(rng *rand.Rand) int64 {
 	u := rng.Float64()
 	for j, c := range s.cum {
 		if u < c {
-			return s.parts[j].sample(rng)
+			return s.parts[j].Sample(rng)
 		}
 	}
-	return s.parts[len(s.parts)-1].sample(rng)
+	return s.parts[len(s.parts)-1].Sample(rng)
 }
 
-func (s mixSampler) mean() float64 {
+func (s mixSampler) Mean() float64 {
 	var m, prev float64
 	for j, c := range s.cum {
-		m += (c - prev) * s.parts[j].mean()
+		m += (c - prev) * s.parts[j].Mean()
 		prev = c
 	}
 	return m
 }
 
 // sampler resolves a validated SizeSpec.
-func (s *SizeSpec) sampler() sizeSampler {
+func (s *SizeSpec) sampler() Sampler {
 	if len(s.Mix) > 0 {
 		var total float64
 		for j := range s.Mix {
@@ -398,16 +394,12 @@ func (s *SizeSpec) sampler() sizeSampler {
 	if err != nil {
 		panic(err) // validate vets the spec first
 	}
-	return distSampler{d}
+	return d
 }
 
 // CohortConfig drives GenerateCohorts.
 type CohortConfig struct {
 	Cohorts []CohortSpec
-
-	// Senders and Receivers are the host halves (SplitHosts).
-	Senders   []topo.NodeID
-	Receivers []topo.NodeID
 
 	// CapacityBps normalizes per-cohort Load fractions.
 	CapacityBps float64
@@ -431,42 +423,50 @@ type CohortConfig struct {
 }
 
 // GenerateCohorts materializes every cohort's flows, concatenated in
-// cohort order (arrival order within each cohort). Cohort i's flow IDs
-// start at i<<32 + 1, so ID>>32 recovers the cohort index for
+// cohort order (arrival order within each cohort). Cohort i is a
+// Stream over the SplitHosts halves seeded Seed+1_000_003*(i+1) — a
+// fixed odd multiplier spreads cohort indices across seed space — with
+// flow IDs from i<<32 + 1, so ID>>32 recovers the cohort index for
 // class-stats attribution, mirroring surge numbering.
 func GenerateCohorts(g *topo.Graph, cfg CohortConfig) ([]sim.FlowSpec, error) {
 	if err := ValidateCohorts(cfg.Cohorts); err != nil {
 		return nil, err
 	}
-	if len(cfg.Senders) == 0 || len(cfg.Receivers) == 0 {
-		return nil, fmt.Errorf("workload: cohorts need hosts on both sides")
-	}
-	if cfg.CapacityBps <= 0 || cfg.DurationNs <= 0 {
-		return nil, fmt.Errorf("workload: cohorts need capacity_bps and duration_ns")
-	}
 	scale := cfg.LoadScale
 	if scale <= 0 {
 		scale = 1
 	}
-	// Receivers by pod, for rack-local placement; pod -1 (no pod
-	// structure) disables locality and falls back to uniform.
-	byPod := map[int][]topo.NodeID{}
-	for _, r := range cfg.Receivers {
-		if pod := g.Node(r).Pod; pod >= 0 {
-			byPod[pod] = append(byPod[pod], r)
-		}
-	}
-
-	// One generator, re-seeded per cohort: Seed resets it to exactly the
-	// state a fresh source of that seed starts in, without allocating
-	// another ~5 KB source per cohort.
-	rng := rand.New(rand.NewSource(0))
+	rng := rand.New(rand.NewSource(0)) // reseeded per cohort
 	var flows []sim.FlowSpec
 	for i := range cfg.Cohorts {
 		c := &cfg.Cohorts[i]
-		cf, err := generateCohort(g, c, i, cfg, scale, byPod, rng)
+		size := c.Size.sampler()
+		rate := c.RateFPS // peak flows per second
+		if rate == 0 {
+			rate = LoadRate(c.Load, cfg.CapacityBps, size)
+		}
+		weight := c.Weight
+		if weight == 0 {
+			weight = 1
+		}
+		rate *= weight * scale
+		dur := c.DurationNs
+		if dur == 0 {
+			dur = cfg.DurationNs - c.StartNs
+		}
+		maxFlows := c.MaxFlows
+		if maxFlows == 0 {
+			maxFlows = cfg.MaxFlows
+		}
+		cf, err := Generate(g, Stream{
+			Rate: rate, Process: c.Process, Shape: c.Shape, Profile: c.profile,
+			Size: size, Ends: EndsFor(g, c.Placement, c.IncastTargets),
+			StartNs: cfg.StartNs + c.StartNs, DurationNs: dur,
+			Seed: cfg.Seed + 1_000_003*int64(i+1), FirstID: uint64(i)<<32 + 1,
+			MaxFlows: maxFlows, Rand: rng,
+		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w (cohort %d %q)", err, i, c.Name)
 		}
 		flows = append(flows, cf...)
 	}
@@ -476,139 +476,37 @@ func GenerateCohorts(g *topo.Graph, cfg CohortConfig) ([]sim.FlowSpec, error) {
 	return flows, nil
 }
 
-func generateCohort(g *topo.Graph, c *CohortSpec, i int, cfg CohortConfig, scale float64, byPod map[int][]topo.NodeID, rng *rand.Rand) ([]sim.FlowSpec, error) {
-	// Each cohort owns an independent deterministic stream: a fixed
-	// odd multiplier spreads cohort indices across seed space.
-	rng.Seed(cfg.Seed + 1_000_003*int64(i+1))
-	size := c.Size.sampler()
-
-	weight := c.Weight
-	if weight == 0 {
-		weight = 1
+// gapSampler returns the interarrival draw (seconds) of a process at
+// the given peak rate: every process is scaled so the mean gap is
+// exactly 1/rate.
+func gapSampler(process string, shape, rate float64) (func(*rand.Rand) float64, error) {
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return nil, fmt.Errorf("workload: arrival rate %g flows/s is not a positive finite number", rate)
 	}
-	rate := c.RateFPS // peak flows per second
-	if rate == 0 {
-		rate = c.Load * cfg.CapacityBps / 8 / size.mean()
-	}
-	rate *= weight * scale
-	if rate <= 0 {
-		return nil, fmt.Errorf("workload: cohort %d (%q): effective rate is zero", i, c.Name)
-	}
-	gap := gapSampler(c, rate)
-
-	start := cfg.StartNs + c.StartNs
-	dur := c.DurationNs
-	if dur == 0 {
-		dur = cfg.DurationNs - c.StartNs
-	}
-	if dur <= 0 {
-		return nil, fmt.Errorf("workload: cohort %d (%q): window is empty (start_ns %d beyond duration)", i, c.Name, c.StartNs)
-	}
-	maxFlows := c.MaxFlows
-	if maxFlows == 0 {
-		maxFlows = cfg.MaxFlows
-	}
-
-	senders, receivers := cfg.Senders, cfg.Receivers
-	if c.Placement == PlaceIncast {
-		k := c.IncastTargets
-		if k <= 0 {
-			k = 1
-		}
-		if k > len(receivers) {
-			k = len(receivers)
-		}
-		receivers = receivers[:k]
-	}
-
-	var flows []sim.FlowSpec
-	id := uint64(i)<<32 + 1
-	t := float64(start)
-	end := float64(start + dur)
-	for {
-		t += gap(rng) * 1e9
-		if t >= end {
-			break
-		}
-		// Temporal profiles thin the peak-rate stream: accept each
-		// candidate arrival with the profile's instantaneous factor.
-		// Flat cohorts take the fast path and draw nothing extra.
-		if f := profileFactor(c, int64(t)-start, dur); f < 1 {
-			if f <= 0 || rng.Float64() >= f {
-				continue
-			}
-		}
-		src := senders[rng.Intn(len(senders))]
-		var dst topo.NodeID
-		local := byPod[g.Node(src).Pod]
-		if c.Placement == PlaceRackLocal && g.Node(src).Pod >= 0 && len(local) > 0 {
-			dst = local[rng.Intn(len(local))]
-			for tries := 0; g.HostEdge(src) == g.HostEdge(dst) && tries < 32; tries++ {
-				dst = local[rng.Intn(len(local))]
-			}
-			if g.HostEdge(src) == g.HostEdge(dst) {
-				// The pod has no receiver past the sender's edge switch;
-				// fall back to the fabric at large.
-				dst = receivers[rng.Intn(len(receivers))]
-			}
-		} else {
-			dst = receivers[rng.Intn(len(receivers))]
-		}
-		// Same-edge flows never cross the fabric; re-pick the end the
-		// placement leaves free (incast pins its hot receivers).
-		for tries := 0; g.HostEdge(src) == g.HostEdge(dst) && tries < 32; tries++ {
-			if c.Placement == PlaceIncast {
-				src = senders[rng.Intn(len(senders))]
-			} else {
-				dst = receivers[rng.Intn(len(receivers))]
-			}
-		}
-		if g.HostEdge(src) == g.HostEdge(dst) {
-			continue // degenerate host sets
-		}
-		flows = append(flows, sim.FlowSpec{
-			ID:    id,
-			Src:   src,
-			Dst:   dst,
-			Size:  size.sample(rng),
-			Start: int64(t),
-		})
-		id++
-		if maxFlows > 0 && len(flows) >= maxFlows {
-			break
-		}
-	}
-	return flows, nil
-}
-
-// gapSampler returns the interarrival draw (seconds) for a cohort's
-// process at the given peak rate: every process is scaled so the mean
-// gap is exactly 1/rate.
-func gapSampler(c *CohortSpec, rate float64) func(*rand.Rand) float64 {
-	shape := c.Shape
 	if shape == 0 {
 		shape = 1
 	}
-	switch c.Process {
+	var scale float64
+	var draw func(rng *rand.Rand, shape, scale float64) float64
+	switch process {
 	case ProcGamma:
-		scale := 1 / (rate * shape) // mean shape*scale = 1/rate
-		return func(rng *rand.Rand) float64 { return stats.SampleGamma(rng, shape, scale) }
+		scale, draw = 1/(rate*shape), stats.SampleGamma // mean shape*scale = 1/rate
 	case ProcWeibull:
-		scale := 1 / (rate * math.Gamma(1+1/shape)) // mean-matched
-		return func(rng *rand.Rand) float64 { return stats.SampleWeibull(rng, shape, scale) }
+		scale, draw = 1/(rate*math.Gamma(1+1/shape)), stats.SampleWeibull // mean-matched
 	default:
-		return func(rng *rand.Rand) float64 { return rng.ExpFloat64() / rate }
+		return func(rng *rand.Rand) float64 { return rng.ExpFloat64() / rate }, nil
 	}
+	if !(scale > 0) {
+		return nil, fmt.Errorf("workload: %s shape %g at %g flows/s leaves no gap scale", process, shape, rate)
+	}
+	return func(rng *rand.Rand) float64 { return draw(rng, shape, scale) }, nil
 }
 
-// profileFactor is the instantaneous acceptance probability of a
-// cohort's temporal profile at elapsed ns into its window.
-func profileFactor(c *CohortSpec, elapsedNs, durNs int64) float64 {
+// profile is the instantaneous acceptance probability of the cohort's
+// temporal profile at elapsed ns into its window.
+func (c *CohortSpec) profile(elapsedNs, durNs int64) float64 {
 	switch c.Profile {
 	case ProfileRamp:
-		if durNs <= 0 {
-			return 1
-		}
 		return float64(elapsedNs) / float64(durNs)
 	case ProfileDiurnal:
 		depth := c.Depth

@@ -19,10 +19,8 @@ func baseCohort() CohortSpec {
 }
 
 func cohortCfg(g *topo.Graph, cs ...CohortSpec) CohortConfig {
-	s, r := SplitHosts(g)
 	return CohortConfig{
-		Cohorts: cs, Senders: s, Receivers: r,
-		CapacityBps: 64e9, StartNs: 3_000_000, DurationNs: 20_000_000,
+		Cohorts: cs, CapacityBps: 64e9, StartNs: 3_000_000, DurationNs: 20_000_000,
 		Seed: 1, MaxFlows: 4000,
 	}
 }

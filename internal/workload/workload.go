@@ -154,7 +154,7 @@ const (
 	// paper's §6.3 setup.
 	PatternRandom = "random"
 	// PatternIncast converges every flow on a small set of hot
-	// receivers (Config.IncastTargets of them, default 1): the classic
+	// receivers (incast_targets of them, default 1): the classic
 	// partition-aggregate fan-in that stresses a single edge downlink.
 	PatternIncast = "incast"
 	// PatternAllToAll lets every host both send and receive: endpoints
@@ -179,129 +179,171 @@ func ValidPattern(name string) bool {
 	return false
 }
 
-// Config drives flow generation.
-type Config struct {
-	Dist *Distribution
+// Stream is one arrival process: arrivals at Rate flows per second
+// across [StartNs, StartNs+DurationNs), each with a size from Size and
+// endpoints from Ends. Seed and FirstID keep streams independent: a
+// scenario's base load, each surge and each cohort is its own stream,
+// so editing one never moves another's flows (docs/workloads.md).
+type Stream struct {
+	Rate float64 // peak flows per second
 
-	// Senders and Receivers are host sets; flows pick one of each
-	// uniformly (re-picking when they share an edge switch, since
-	// such flows never cross the fabric).
-	Senders   []topo.NodeID
-	Receivers []topo.NodeID
+	// Process and Shape pick the interarrival law: poisson (also "")
+	// or a gamma/weibull law mean-matched to 1/Rate.
+	Process string
+	Shape   float64
 
-	// Pattern selects how endpoints are drawn: PatternRandom (default),
-	// PatternIncast, or PatternAllToAll. Ignored when Pairs is set.
-	Pattern string
+	// Profile, when set, thins the stream: an arrival elapsedNs into
+	// the window is kept with probability Profile(elapsedNs, DurationNs),
+	// at the cost of one draw when that is below 1.
+	Profile func(elapsedNs, durNs int64) float64
 
-	// IncastTargets bounds the hot receiver set for PatternIncast
-	// (<= 0 means 1).
-	IncastTargets int
+	Size Sampler
+	Ends Ends
 
-	// Pairs, when non-empty, overrides Senders/Receivers: each flow
-	// picks one fixed (sender, receiver) pair uniformly. The paper's
-	// Abilene experiment uses four such pairs (§6.4).
-	Pairs [][2]topo.NodeID
+	StartNs, DurationNs int64
+	Seed                int64
+	FirstID             uint64 // ID of the first flow; the rest count up
+	MaxFlows            int    // 0 = unlimited
 
-	// Load is the target offered load as a fraction of CapacityBps.
-	Load float64
-
-	// CapacityBps normalizes load: the evaluation uses the hosts'
-	// aggregate access bandwidth on the sending side.
-	CapacityBps float64
-
-	// StartNs and DurationNs bound the arrival window.
-	StartNs    int64
-	DurationNs int64
-
-	// Seed makes generation deterministic.
-	Seed int64
-
-	// MaxFlows caps the number of generated flows (0 = unlimited).
-	MaxFlows int
-
-	// FirstFlowID numbers flows (IDs must be unique per simulation).
-	FirstFlowID uint64
+	// Rand, when set, is reseeded with Seed and drawn from, so a caller
+	// generating many streams allocates one ~5 KB source, not one each.
+	Rand *rand.Rand
 }
 
-// Generate produces Poisson arrivals at the requested load.
-func Generate(g *topo.Graph, cfg Config) []sim.FlowSpec {
-	if cfg.Dist == nil || cfg.Load <= 0 || cfg.CapacityBps <= 0 || cfg.DurationNs <= 0 {
-		panic("workload: incomplete config")
-	}
-	if len(cfg.Pairs) == 0 && (len(cfg.Senders) == 0 || len(cfg.Receivers) == 0) {
-		panic("workload: no hosts")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	mean := cfg.Dist.Mean()
-	lambda := cfg.Load * cfg.CapacityBps / 8 / mean // flows per second
-	if cfg.FirstFlowID == 0 {
-		cfg.FirstFlowID = 1
-	}
+// LoadRate is the arrival rate that offers load (a fraction of
+// capacityBps) with flows drawn from size.
+func LoadRate(load, capacityBps float64, size Sampler) float64 {
+	return load * capacityBps / 8 / size.Mean()
+}
 
-	// Pattern shapes the endpoint pools; the random default keeps the
-	// exact draw sequence of earlier releases so historical seeds
-	// replay identically.
-	senders, receivers := cfg.Senders, cfg.Receivers
-	switch cfg.Pattern {
-	case PatternIncast:
-		k := cfg.IncastTargets
-		if k <= 0 {
-			k = 1
-		}
-		if k > len(receivers) {
-			k = len(receivers)
-		}
-		receivers = receivers[:k]
-	case PatternAllToAll:
-		all := make([]topo.NodeID, 0, len(cfg.Senders)+len(cfg.Receivers))
-		all = append(all, cfg.Senders...)
-		all = append(all, cfg.Receivers...)
-		senders, receivers = all, all
-	}
+// maxSkipped bounds the arrivals one stream may drop to thinning or to
+// same-edge endpoints. A stream past it is not making progress: at a
+// rate beyond the clock's resolution t never advances, so a profile
+// that is zero at the window's start would otherwise spin forever.
+const maxSkipped = 1 << 24
 
+// Generate is the one arrival loop: it draws stream s's flows in
+// arrival order. Per arrival the draws are, in order: the gap, the
+// profile's thinning draw (only below factor 1), the endpoints with
+// their re-picks, and the size. A rate that is not a positive finite
+// number, an empty window or empty host pools are errors.
+func Generate(g *topo.Graph, s Stream) ([]sim.FlowSpec, error) {
+	gap, err := gapSampler(s.Process, s.Shape, s.Rate)
+	if err != nil {
+		return nil, err
+	}
+	if s.DurationNs <= 0 {
+		return nil, fmt.Errorf("workload: arrival window of %d ns is empty", s.DurationNs)
+	}
+	if e := &s.Ends; len(e.Pairs) == 0 && (len(e.Senders) == 0 || len(e.Receivers) == 0) {
+		return nil, fmt.Errorf("workload: no hosts to draw flow endpoints from")
+	}
+	rng := s.Rand
+	if rng == nil {
+		rng = rand.New(rand.NewSource(s.Seed))
+	} else {
+		rng.Seed(s.Seed)
+	}
 	var flows []sim.FlowSpec
-	t := float64(cfg.StartNs)
-	end := float64(cfg.StartNs + cfg.DurationNs)
-	id := cfg.FirstFlowID
-	for {
-		t += rng.ExpFloat64() / lambda * 1e9
+	t, end := float64(s.StartNs), float64(s.StartNs+s.DurationNs)
+	for drawn := 0; ; drawn++ {
+		if drawn-len(flows) > maxSkipped {
+			return nil, fmt.Errorf("workload: %d arrivals thinned or dropped as same-edge at %g flows/s; the stream cannot make progress", maxSkipped, s.Rate)
+		}
+		t += gap(rng) * 1e9
 		if t >= end {
 			break
 		}
-		var src, dst topo.NodeID
-		if len(cfg.Pairs) > 0 {
-			p := cfg.Pairs[rng.Intn(len(cfg.Pairs))]
-			src, dst = p[0], p[1]
-		} else {
-			src = senders[rng.Intn(len(senders))]
-			dst = receivers[rng.Intn(len(receivers))]
-			// Same-edge flows never cross the fabric; re-pick the end
-			// the pattern leaves free (incast pins its hot receivers,
-			// so there the sender moves).
-			for tries := 0; g.HostEdge(src) == g.HostEdge(dst) && tries < 32; tries++ {
-				if cfg.Pattern == PatternIncast {
-					src = senders[rng.Intn(len(senders))]
-				} else {
-					dst = receivers[rng.Intn(len(receivers))]
-				}
+		if s.Profile != nil {
+			if f := s.Profile(int64(t)-s.StartNs, s.DurationNs); f < 1 && (f <= 0 || rng.Float64() >= f) {
+				continue
 			}
 		}
+		src, dst := s.Ends.pick(g, rng)
 		if g.HostEdge(src) == g.HostEdge(dst) {
 			continue // degenerate host sets
 		}
-		flows = append(flows, sim.FlowSpec{
-			ID:    id,
-			Src:   src,
-			Dst:   dst,
-			Size:  cfg.Dist.Sample(rng),
-			Start: int64(t),
-		})
-		id++
-		if cfg.MaxFlows > 0 && len(flows) >= cfg.MaxFlows {
+		flows = append(flows, sim.FlowSpec{ID: s.FirstID + uint64(len(flows)), Src: src, Dst: dst, Size: s.Size.Sample(rng), Start: int64(t)})
+		if s.MaxFlows > 0 && len(flows) >= s.MaxFlows {
 			break
 		}
 	}
-	return flows
+	return flows, nil
+}
+
+// Ends is a stream's endpoint rule. A flow draws a sender and a
+// receiver and, while both sit on one edge switch, re-picks one of
+// them up to 32 times: the receiver, or the sender when Incast pins
+// the receivers. A flow whose ends still share an edge is dropped.
+type Ends struct {
+	Senders, Receivers []topo.NodeID
+
+	// Pairs, when set, replaces the pools: each flow takes one
+	// (sender, receiver) pair whole, with no re-pick. The paper's
+	// Abilene experiment uses four such pairs (§6.4).
+	Pairs [][2]topo.NodeID
+
+	// Incast marks Receivers as a hot set that re-picks never move.
+	Incast bool
+
+	// ByPod, when set, holds each pod's receivers: the receiver is
+	// drawn from the sender's pod first (rack_local).
+	ByPod map[int][]topo.NodeID
+}
+
+// EndsFor maps a traffic pattern (random, incast, all_to_all; "" is
+// random) or a cohort placement (uniform, rack_local, incast; "" is
+// uniform) onto the endpoint rule over SplitHosts(g). k bounds
+// incast's hot receivers (<= 0 means 1).
+func EndsFor(g *topo.Graph, rule string, k int) Ends {
+	senders, receivers := SplitHosts(g)
+	e := Ends{Senders: senders, Receivers: receivers}
+	switch rule {
+	case PatternIncast: // also PlaceIncast
+		e.Receivers, e.Incast = receivers[:min(max(k, 1), len(receivers))], true
+	case PatternAllToAll:
+		all := append(append([]topo.NodeID(nil), senders...), receivers...)
+		e.Senders, e.Receivers = all, all
+	case PlaceRackLocal:
+		// Pod -1 (no pod structure) is left out, so such senders fall
+		// back to the fabric at large.
+		e.ByPod = map[int][]topo.NodeID{}
+		for _, r := range receivers {
+			if pod := g.Node(r).Pod; pod >= 0 {
+				e.ByPod[pod] = append(e.ByPod[pod], r)
+			}
+		}
+	}
+	return e
+}
+
+// pick draws one flow's endpoints.
+func (e *Ends) pick(g *topo.Graph, rng *rand.Rand) (src, dst topo.NodeID) {
+	if len(e.Pairs) > 0 {
+		p := e.Pairs[rng.Intn(len(e.Pairs))]
+		return p[0], p[1]
+	}
+	src = e.Senders[rng.Intn(len(e.Senders))]
+	if local := e.ByPod[g.Node(src).Pod]; len(local) > 0 {
+		dst = local[rng.Intn(len(local))]
+		for tries := 0; g.HostEdge(src) == g.HostEdge(dst) && tries < 32; tries++ {
+			dst = local[rng.Intn(len(local))]
+		}
+		if g.HostEdge(src) != g.HostEdge(dst) {
+			return src, dst
+		}
+		// The pod has no receiver past the sender's edge switch; fall
+		// back to the fabric at large.
+	}
+	dst = e.Receivers[rng.Intn(len(e.Receivers))]
+	for tries := 0; g.HostEdge(src) == g.HostEdge(dst) && tries < 32; tries++ {
+		if e.Incast {
+			src = e.Senders[rng.Intn(len(e.Senders))]
+		} else {
+			dst = e.Receivers[rng.Intn(len(e.Receivers))]
+		}
+	}
+	return src, dst
 }
 
 // SplitHosts deterministically halves a topology's hosts into senders
@@ -309,6 +351,7 @@ func Generate(g *topo.Graph, cfg Config) []sim.FlowSpec {
 // senders, and the other half receivers").
 func SplitHosts(g *topo.Graph) (senders, receivers []topo.NodeID) {
 	hosts := g.Hosts()
+	senders, receivers = make([]topo.NodeID, 0, (len(hosts)+1)/2), make([]topo.NodeID, 0, len(hosts)/2)
 	for i, h := range hosts {
 		if i%2 == 0 {
 			senders = append(senders, h)
@@ -317,13 +360,4 @@ func SplitHosts(g *topo.Graph) (senders, receivers []topo.NodeID) {
 		}
 	}
 	return senders, receivers
-}
-
-// OfferedBytes sums the generated flow sizes (for load verification).
-func OfferedBytes(flows []sim.FlowSpec) float64 {
-	var total float64
-	for _, f := range flows {
-		total += float64(f.Size)
-	}
-	return total
 }

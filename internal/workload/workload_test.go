@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"contra/internal/sim"
 	"contra/internal/topo"
 )
 
@@ -56,20 +57,38 @@ func TestSampleDeterminism(t *testing.T) {
 	}
 }
 
+// fctStream is the base stream scenario.fctFlows builds: Poisson
+// arrivals at load over the SplitHosts halves, flow IDs from 1.
+func fctStream(g *topo.Graph, d *Distribution, pattern string, load, capacity float64, durNs, seed int64, maxFlows int) Stream {
+	return Stream{
+		Rate: LoadRate(load, capacity, d), Size: d, Ends: EndsFor(g, pattern, 0),
+		DurationNs: durNs, Seed: seed, FirstID: 1, MaxFlows: maxFlows,
+	}
+}
+
+func mustGenerate(t *testing.T, g *topo.Graph, s Stream) []sim.FlowSpec {
+	t.Helper()
+	flows, err := Generate(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(flows) == 0 {
+		t.Fatal("no flows")
+	}
+	return flows
+}
+
 func TestGenerateLoadCalibration(t *testing.T) {
 	g := topo.PaperDataCenter()
-	senders, receivers := SplitHosts(g)
+	senders, _ := SplitHosts(g)
 	capacity := float64(len(senders)) * 10e9
 	for _, load := range []float64{0.2, 0.6} {
-		flows := Generate(g, Config{
-			Dist: WebSearch(), Senders: senders, Receivers: receivers,
-			Load: load, CapacityBps: capacity,
-			DurationNs: 200_000_000, Seed: 3,
-		})
-		if len(flows) == 0 {
-			t.Fatalf("load %.1f: no flows", load)
+		flows := mustGenerate(t, g, fctStream(g, WebSearch(), "", load, capacity, 200_000_000, 3, 0))
+		var bytes float64
+		for _, f := range flows {
+			bytes += float64(f.Size)
 		}
-		offered := OfferedBytes(flows) * 8 / 0.2 // bits per second over 200ms
+		offered := bytes * 8 / 0.2 // bits per second over 200ms
 		ratio := offered / (load * capacity)
 		if ratio < 0.7 || ratio > 1.4 {
 			t.Errorf("load %.1f: offered/target = %.2f (n=%d flows)", load, ratio, len(flows))
@@ -79,15 +98,9 @@ func TestGenerateLoadCalibration(t *testing.T) {
 
 func TestGenerateProperties(t *testing.T) {
 	g := topo.PaperDataCenter()
-	senders, receivers := SplitHosts(g)
-	flows := Generate(g, Config{
-		Dist: Cache(), Senders: senders, Receivers: receivers,
-		Load: 0.5, CapacityBps: 160e9, StartNs: 1_000_000,
-		DurationNs: 50_000_000, Seed: 4, MaxFlows: 500,
-	})
-	if len(flows) == 0 {
-		t.Fatal("no flows")
-	}
+	s := fctStream(g, Cache(), "", 0.5, 160e9, 50_000_000, 4, 500)
+	s.StartNs = 1_000_000
+	flows := mustGenerate(t, g, s)
 	seen := map[uint64]bool{}
 	last := int64(0)
 	for _, f := range flows {
@@ -110,11 +123,7 @@ func TestGenerateProperties(t *testing.T) {
 		}
 	}
 	// Determinism.
-	again := Generate(g, Config{
-		Dist: Cache(), Senders: senders, Receivers: receivers,
-		Load: 0.5, CapacityBps: 160e9, StartNs: 1_000_000,
-		DurationNs: 50_000_000, Seed: 4, MaxFlows: 500,
-	})
+	again := mustGenerate(t, g, s)
 	if len(again) != len(flows) {
 		t.Fatal("same seed, different flow count")
 	}
@@ -127,16 +136,10 @@ func TestGenerateProperties(t *testing.T) {
 
 func TestIncastPatternConvergesOnHotReceivers(t *testing.T) {
 	g := topo.PaperDataCenter()
-	senders, receivers := SplitHosts(g)
-	flows := Generate(g, Config{
-		Dist: Cache(), Senders: senders, Receivers: receivers,
-		Pattern: PatternIncast, IncastTargets: 2,
-		Load: 0.4, CapacityBps: 160e9,
-		DurationNs: 20_000_000, Seed: 5, MaxFlows: 400,
-	})
-	if len(flows) == 0 {
-		t.Fatal("no flows")
-	}
+	_, receivers := SplitHosts(g)
+	s := fctStream(g, Cache(), "", 0.4, 160e9, 20_000_000, 5, 400)
+	s.Ends = EndsFor(g, PatternIncast, 2)
+	flows := mustGenerate(t, g, s)
 	dsts := map[topo.NodeID]bool{}
 	for _, f := range flows {
 		dsts[f.Dst] = true
@@ -156,16 +159,8 @@ func TestIncastPatternConvergesOnHotReceivers(t *testing.T) {
 
 func TestAllToAllPatternUsesEveryHostBothWays(t *testing.T) {
 	g := topo.PaperDataCenter()
-	senders, receivers := SplitHosts(g)
-	flows := Generate(g, Config{
-		Dist: Cache(), Senders: senders, Receivers: receivers,
-		Pattern: PatternAllToAll,
-		Load:    0.5, CapacityBps: 160e9,
-		DurationNs: 40_000_000, Seed: 6, MaxFlows: 2000,
-	})
-	if len(flows) == 0 {
-		t.Fatal("no flows")
-	}
+	_, receivers := SplitHosts(g)
+	flows := mustGenerate(t, g, fctStream(g, Cache(), PatternAllToAll, 0.5, 160e9, 40_000_000, 6, 2000))
 	recvSet := map[topo.NodeID]bool{}
 	for _, r := range receivers {
 		recvSet[r] = true
@@ -190,24 +185,64 @@ func TestAllToAllPatternUsesEveryHostBothWays(t *testing.T) {
 }
 
 func TestRandomPatternUnchangedByPatternField(t *testing.T) {
-	// The explicit "random" name must produce byte-identical flows to
-	// the legacy empty pattern, preserving historical seeds.
+	// The explicit "random" name — and the cohort placement "uniform",
+	// the same rule — must produce byte-identical flows to the legacy
+	// empty pattern, preserving historical seeds.
 	g := topo.PaperDataCenter()
-	senders, receivers := SplitHosts(g)
-	base := Config{
-		Dist: Cache(), Senders: senders, Receivers: receivers,
-		Load: 0.5, CapacityBps: 160e9,
-		DurationNs: 20_000_000, Seed: 4, MaxFlows: 300,
+	a := mustGenerate(t, g, fctStream(g, Cache(), "", 0.5, 160e9, 20_000_000, 4, 300))
+	for _, rule := range []string{PatternRandom, PlaceUniform} {
+		b := mustGenerate(t, g, fctStream(g, Cache(), rule, 0.5, 160e9, 20_000_000, 4, 300))
+		if len(a) != len(b) {
+			t.Fatalf("%s: flow counts differ: %d vs %d", rule, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: flow %d differs: %+v vs %+v", rule, i, a[i], b[i])
+			}
+		}
 	}
-	named := base
-	named.Pattern = PatternRandom
-	a, b := Generate(g, base), Generate(g, named)
-	if len(a) != len(b) {
-		t.Fatalf("flow counts differ: %d vs %d", len(a), len(b))
+}
+
+// TestGenerateRejectsStreamsItCannotDraw pins the errors that replaced
+// the generator's panics: a rate that is not a positive finite number,
+// an empty window, empty host pools, a gap law with no scale left at
+// its rate, and a stream that drops every arrival it draws.
+func TestGenerateRejectsStreamsItCannotDraw(t *testing.T) {
+	g := topo.PaperDataCenter()
+	mod := func(f func(*Stream)) Stream {
+		s := fctStream(g, Cache(), "", 0.5, 160e9, 20_000_000, 4, 300)
+		f(&s)
+		return s
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("flow %d differs: %+v vs %+v", i, a[i], b[i])
+	cases := []struct {
+		name string
+		s    Stream
+		want string
+	}{
+		{"zero rate", mod(func(s *Stream) { s.Rate = 0 }), "arrival rate 0 flows/s"},
+		{"negative rate", mod(func(s *Stream) { s.Rate = -3 }), "arrival rate -3 flows/s"},
+		{"NaN rate", mod(func(s *Stream) { s.Rate = math.NaN() }), "arrival rate NaN flows/s"},
+		{"infinite rate", mod(func(s *Stream) { s.Rate = math.Inf(1) }), "arrival rate +Inf flows/s"},
+		{"empty window", mod(func(s *Stream) { s.DurationNs = 0 }), "arrival window of 0 ns is empty"},
+		{"negative window", mod(func(s *Stream) { s.DurationNs = -5 }), "arrival window of -5 ns is empty"},
+		{"no receivers", mod(func(s *Stream) { s.Ends.Receivers = nil }), "no hosts"},
+		{"weibull without scale", mod(func(s *Stream) { s.Process, s.Shape = ProcWeibull, 0.001 }), "leaves no gap scale"},
+		{"gamma without scale", mod(func(s *Stream) { s.Process, s.Shape, s.Rate = ProcGamma, 1e300, 1e300 }), "leaves no gap scale"},
+		// A rate past the clock's resolution never advances t, and a
+		// profile that is zero at the window's start drops every draw.
+		{"stalled stream", mod(func(s *Stream) {
+			s.Rate, s.StartNs = 1e30, 1_000_000
+			s.Profile = func(elapsedNs, _ int64) float64 { return float64(elapsedNs) }
+		}), "cannot make progress"},
+	}
+	for _, tc := range cases {
+		flows, err := Generate(g, tc.s)
+		if err == nil {
+			t.Errorf("%s: accepted (%d flows)", tc.name, len(flows))
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
 }
