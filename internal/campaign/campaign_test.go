@@ -91,8 +91,8 @@ func TestExpandRejectsBadCell(t *testing.T) {
 
 // TestBadWorkloadFailsExpansion: a load, window or cap the generators
 // cannot draw from fails the whole campaign at expansion, naming the
-// field, before any cell runs. Each of these once panicked mid-run or
-// ran as if it were a different load.
+// field, before any cell runs: it neither panics a worker nor runs a
+// cohorts cell under a load it does not offer.
 func TestBadWorkloadFailsExpansion(t *testing.T) {
 	for _, tc := range []struct{ spec, want string }{
 		{`{"name":"x","topos":["dc"],"schemes":["ecmp"],"loads":[-0.3],"seeds":[1]}`,

@@ -722,7 +722,10 @@ func fctFlows(s *Scenario, g *topo.Graph, warmup int64, surges []Event) (offered
 	}
 	dist := w.DistObj
 	if dist == nil {
-		dist = mustDist(w.Dist)
+		var err error
+		if dist, err = workload.ByName(w.Dist); err != nil {
+			return offered{}, fmt.Errorf("scenario %q: %v", s.Name, err)
+		}
 	}
 	stream := workload.Stream{
 		Rate: workload.LoadRate(w.Load, capacity, dist), Size: dist, Ends: ends,
@@ -958,18 +961,4 @@ func analyzeRecovery(s *Scenario, res *Result) {
 	res.BaselineBps = wins[0].BaselineBps
 	res.MinBps = wins[0].MinBps
 	res.RecoveryNs = wins[0].RecoveryNs
-}
-
-// mustDist resolves a distribution name, defaulting to web-search on
-// the empty string; Validate vets spec files, so an unknown name here
-// is a programming error.
-func mustDist(name string) *workload.Distribution {
-	if name == "" {
-		return workload.WebSearch()
-	}
-	d, err := workload.ByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }

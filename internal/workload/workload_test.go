@@ -203,10 +203,10 @@ func TestRandomPatternUnchangedByPatternField(t *testing.T) {
 	}
 }
 
-// TestGenerateRejectsStreamsItCannotDraw pins the errors that replaced
-// the generator's panics: a rate that is not a positive finite number,
-// an empty window, empty host pools, a gap law with no scale left at
-// its rate, and a stream that drops every arrival it draws.
+// TestGenerateRejectsStreamsItCannotDraw: Generate returns an error,
+// and neither panics nor spins, on a rate that is not a positive finite
+// number, an empty window, empty host pools, a gap law with no scale
+// left at its rate, and a stream that drops every arrival it draws.
 func TestGenerateRejectsStreamsItCannotDraw(t *testing.T) {
 	g := topo.PaperDataCenter()
 	mod := func(f func(*Stream)) Stream {
