@@ -746,7 +746,7 @@ func fctFlows(s *Scenario, g *topo.Graph, warmup int64, surges []Event) (offered
 		stream.Seed, stream.FirstID = s.Seed+101+int64(i), uint64(i+1)<<32
 		more, err := workload.Generate(g, stream)
 		if err != nil {
-			return offered{}, fmt.Errorf("scenario %q: surge %d: %v", s.Name, i, err)
+			return offered{}, fmt.Errorf("scenario %q: surge%d: %v", s.Name, i+1, err)
 		}
 		flows = append(flows, more...)
 		if end := ev.AtNs + ev.DurationNs + w.DrainNs; end > deadline {
