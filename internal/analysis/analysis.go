@@ -217,13 +217,23 @@ type Evaluator struct {
 }
 
 // NewEvaluator returns a reusable rank evaluator over r.
-func (r *Result) NewEvaluator() *Evaluator {
+func (r *Result) NewEvaluator() *Evaluator { return &r.NewEvaluators(1)[0] }
+
+// NewEvaluators returns n independent rank evaluators over r, one per
+// router of a fleet, in one slab with their scratch in another.
+func (r *Result) NewEvaluators(n int) []Evaluator {
 	width := r.policyProg.Width()
 	for _, p := range r.rankProgs {
 		width = max(width, p.Width())
 	}
-	scratch := make([]float64, 2*width)
-	return &Evaluator{res: r, buf: scratch[:0:width], keep: scratch[width:width]}
+	scratch := make([]float64, 2*width*n)
+	evs := make([]Evaluator, n)
+	for i := range evs {
+		lo, hi := 2*width*i, 2*width*(i+1)
+		s := scratch[lo:hi:hi]
+		evs[i] = Evaluator{res: r, buf: s[:0:width], keep: s[width:width]}
+	}
+	return evs
 }
 
 // BetterRank reports whether the candidate metric vector strictly

@@ -149,3 +149,22 @@ func TestEvaluatorInterleavesPolicyAndRank(t *testing.T) {
 		t.Fatalf("nil accept: Evaluator policy %v, want %v", got, want)
 	}
 }
+
+// TestEvaluatorsShareNoScratch: the evaluators of one NewEvaluators
+// slab are independent. A rank one of them returned (it aliases that
+// evaluator's scratch) survives every other evaluator's runs.
+func TestEvaluatorsShareNoScratch(t *testing.T) {
+	res := analyze(t, "minimize(if A .* then (path.len * 2 + path.util, path.lat) else inf)")
+	evs := res.NewEvaluators(3)
+	a, b := [MaxMV]float64{0.4, 0.001, 3}, [MaxMV]float64{0.5, 0.002, 2}
+	want := res.EvalRank(0, a[:len(res.MV)])
+	got := evs[1].EvalRank(0, a[:len(res.MV)])
+	for _, ev := range []*Evaluator{&evs[0], &evs[2]} {
+		ev.EvalRank(0, b[:len(res.MV)])
+		ev.BetterRank(0, b[:len(res.MV)], a[:len(res.MV)])
+		ev.EvalPolicy(b[:len(res.MV)], []bool{true})
+	}
+	if !got.Equal(want) {
+		t.Fatalf("evaluator 1's rank became %v after the others ran, want %v", got, want)
+	}
+}

@@ -7,6 +7,7 @@ package baseline
 
 import (
 	"contra/internal/sim"
+	"contra/internal/slab"
 	"contra/internal/topo"
 )
 
@@ -59,6 +60,17 @@ type ECMP struct {
 	// Single, when true, always uses the first candidate: shortest
 	// path routing (the paper's SP baseline for general topologies).
 	Single bool
+	// slabs holds the deploy's tables this router takes its windows
+	// from; nil for a router attached on its own.
+	slabs *ecmpSlabs
+}
+
+// ecmpSlabs is one deploy's ECMP tables: every switch's offsets and
+// candidate ports are windows of one array each, taken in attach order,
+// and nh is the next-hop scratch every Attach shares.
+type ecmpSlabs struct {
+	off, ports []int32
+	nh         []topo.NodeID
 }
 
 // NewECMP returns an ECMP router.
@@ -71,14 +83,18 @@ func NewSP() *ECMP { return &ECMP{Single: true} }
 // topology as currently up (static schemes recompute offline, so a
 // failed-from-the-start link is excluded — §6.3's asymmetric setup).
 // The table is filled in two passes over the graph's shared hop
-// vectors, one to size it and one to fill it, with one next-hop buffer
-// between them: three allocations a switch, whatever the fabric's size.
+// vectors, one to size it and one to fill it, into windows of the
+// deploy's slabs.
 func (r *ECMP) Attach(sw *sim.SwitchDev) {
 	r.init(sw)
 	g := sw.Net.Topo
 	switches := g.Switches() // ascending
-	nh := make([]topo.NodeID, 0, len(g.SwitchNeighbors(sw.ID)))
-	r.off = make([]int32, switches[len(switches)-1]+2)
+	s := r.slabs
+	if s == nil {
+		s = &ecmpSlabs{}
+	}
+	nh := s.nh[:0]
+	r.off = slab.Take(&s.off, int(switches[len(switches)-1])+2)
 	for _, dst := range switches {
 		nh = g.AppendECMPNextHops(nh[:0], sw.ID, dst)
 		r.off[dst+1] = int32(len(nh))
@@ -86,7 +102,7 @@ func (r *ECMP) Attach(sw *sim.SwitchDev) {
 	for d := 1; d < len(r.off); d++ {
 		r.off[d] += r.off[d-1]
 	}
-	r.ports = make([]int32, 0, r.off[len(r.off)-1])
+	r.ports = slab.Take(&s.ports, int(r.off[len(r.off)-1]))[:0]
 	for _, dst := range switches {
 		// Port order follows next-hop order (ascending NodeID): Handle
 		// picks by flowHash % len(ports), so the order is observable.
@@ -95,6 +111,7 @@ func (r *ECMP) Attach(sw *sim.SwitchDev) {
 			r.ports = append(r.ports, int32(g.PortTo(sw.ID, m)))
 		}
 	}
+	s.nh = nh
 }
 
 // next returns the candidate ports toward destination switch dst.
@@ -125,15 +142,33 @@ func (r *ECMP) Handle(pkt *sim.Packet, inPort int) {
 }
 
 // DeployECMP installs ECMP on every switch.
-func DeployECMP(n *sim.Network) {
-	for _, s := range n.Topo.Switches() {
-		n.SetRouter(s, NewECMP())
-	}
-}
+func DeployECMP(n *sim.Network) { deployECMP(n, false) }
 
 // DeploySP installs single shortest-path routing on every switch.
-func DeploySP(n *sim.Network) {
-	for _, s := range n.Topo.Switches() {
-		n.SetRouter(s, NewSP())
+func DeploySP(n *sim.Network) { deployECMP(n, true) }
+
+// deployECMP installs ECMP, or with single shortest-path routing, on
+// every switch. The routers are one slab, and their tables windows of
+// the deploy's, sized here by counting the next hops Attach lays out.
+func deployECMP(n *sim.Network, single bool) {
+	g := n.Topo
+	switches := g.Switches()
+	if len(switches) == 0 {
+		return
+	}
+	s := &ecmpSlabs{}
+	total := 0
+	for _, src := range switches {
+		for _, dst := range switches {
+			s.nh = g.AppendECMPNextHops(s.nh[:0], src, dst)
+			total += len(s.nh)
+		}
+	}
+	s.off = make([]int32, len(switches)*(int(switches[len(switches)-1])+2))
+	s.ports = make([]int32, total)
+	routers := make([]ECMP, len(switches))
+	for i, id := range switches {
+		routers[i] = ECMP{Single: single, slabs: s}
+		n.SetRouter(id, &routers[i])
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"contra/internal/metrics"
 	"contra/internal/pintable"
 	"contra/internal/sim"
+	"contra/internal/slab"
 	"contra/internal/topo"
 	"contra/internal/trace"
 )
@@ -55,7 +56,14 @@ type Hula struct {
 	suppressOn bool
 	eps        float64
 	refreshNs  int64
-	pendList   []int32 // ordinals of the origins with a pending row, in flush order
+	// pendList holds the ordinals of the origins with a pending row, in
+	// flush order. A row is pending at most once per flush, so the list
+	// is sized at attach, one slot per origin, and never grows.
+	pendList []int32
+
+	// slabs holds the deploy's tables this router takes its windows
+	// from; nil for a router attached on its own.
+	slabs *hulaSlabs
 
 	// tr, when non-nil, records fresh flowlet decisions at the
 	// decisions trace level: HULA's rank is its scalar path
@@ -130,6 +138,15 @@ func newHulaOrigins(g *topo.Graph) *hulaOrigins {
 	return o
 }
 
+// hulaSlabs is one deploy's HULA tables, one array each; every switch's
+// Attach takes its windows in attach order.
+type hulaSlabs struct {
+	peerLevel []int
+	rows      []hulaRow
+	via       []int64
+	pend      []int32
+}
+
 // viaNever is the updatedVia stamp of a (destination, port) pair no
 // probe has arrived on: stale at every time, including t = 0.
 const viaNever = -1
@@ -145,7 +162,12 @@ const hulaAgePeriods = 3
 // value Contra compiles with, so scheme comparisons run on identical
 // settings by construction.
 func NewHula(o core.Options) *Hula {
-	return &Hula{
+	r := newHula(o)
+	return &r
+}
+
+func newHula(o core.Options) Hula {
+	return Hula{
 		periodNs:   o.ProbePeriodNs,
 		flowletNs:  o.FlowletTimeoutNs,
 		ageNs:      (hulaAgePeriods+o.SuppressSlack())*o.ProbePeriodNs + o.ProbePeriodNs,
@@ -159,14 +181,31 @@ func NewHula(o core.Options) *Hula {
 
 // DeployHula installs HULA on every switch, filling opts' defaults
 // first. The topology must carry Clos roles (edge/agg/core), as
-// produced by topo.Fattree and topo.LeafSpine.
+// produced by topo.Fattree and topo.LeafSpine. The routers are one
+// slab, and each one's tables are windows of the deploy's.
 func DeployHula(n *sim.Network, opts core.Options) map[topo.NodeID]*Hula {
-	opts.Fill(n.Topo)
-	origins := newHulaOrigins(n.Topo)
-	routers := make(map[topo.NodeID]*Hula)
-	for _, s := range n.Topo.Switches() {
-		r := NewHula(opts)
+	g := n.Topo
+	opts.Fill(g)
+	origins := newHulaOrigins(g)
+	switches := g.Switches()
+	ports := 0
+	for _, s := range switches {
+		ports += len(g.Ports(s))
+	}
+	rows := len(switches) * len(origins.ids)
+	slabs := &hulaSlabs{
+		peerLevel: make([]int, ports),
+		rows:      make([]hulaRow, rows),
+		via:       make([]int64, ports*len(origins.ids)),
+		pend:      make([]int32, rows),
+	}
+	hs := make([]Hula, len(switches))
+	routers := make(map[topo.NodeID]*Hula, len(switches))
+	for i, s := range switches {
+		r := &hs[i]
+		*r = newHula(opts)
 		r.origins = origins
+		r.slabs = slabs
 		routers[s] = r
 		n.SetRouter(s, r)
 	}
@@ -194,20 +233,24 @@ func (r *Hula) Attach(sw *sim.SwitchDev) {
 		// Every switch attaches, so checking our own role covers all.
 		panic("baseline: HULA requires a Clos topology with switch roles")
 	}
+	if r.origins == nil {
+		// A router attached on its own, not through DeployHula: its
+		// tables are its own.
+		r.origins = newHulaOrigins(g)
+		r.slabs = &hulaSlabs{}
+	}
 	ports := g.Ports(sw.ID)
-	r.peerLevel = make([]int, len(ports))
+	r.peerLevel = slab.Take(&r.slabs.peerLevel, len(ports))
 	for i, p := range ports {
 		if g.Node(p.Peer).Kind == topo.Switch {
 			r.peerLevel[i] = roleLevel(g.Node(p.Peer).Role)
 		}
 	}
 	r.ports = len(ports)
-	if r.origins == nil {
-		// A router attached on its own, not through DeployHula.
-		r.origins = newHulaOrigins(g)
-	}
-	r.rows = make([]hulaRow, len(r.origins.ids))
-	r.updatedVia = make([]int64, len(r.origins.ids)*r.ports)
+	origins := len(r.origins.ids)
+	r.rows = slab.Take(&r.slabs.rows, origins)
+	r.updatedVia = slab.Take(&r.slabs.via, origins*r.ports)
+	r.pendList = slab.Take(&r.slabs.pend, origins)[:0]
 	r.resetTables()
 	offset := (int64(sw.ID) * 7919) % r.periodNs
 	if r.packing {

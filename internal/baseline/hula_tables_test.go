@@ -391,6 +391,39 @@ func TestProbePathSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestHulaPendingListNeverReallocates: each packed router's pending
+// list is sized at attach, one slot per origin, and warm-up, a link
+// failure, its recovery and a reboot all run in that one array.
+func TestHulaPendingListNeverReallocates(t *testing.T) {
+	g := topo.Fattree(4, 2)
+	e := sim.NewEngine()
+	n := sim.NewNetwork(e, g, sim.Config{})
+	cfg := core.Options{ProbePeriodNs: paperOpts.ProbePeriodNs, ProbePacking: true}
+	routers := DeployHula(n, cfg)
+	n.Start()
+	backing := map[topo.NodeID]*int32{}
+	for id, r := range routers {
+		if want := len(r.origins.ids); cap(r.pendList) != want || len(r.pendList) != 0 {
+			t.Fatalf("%s: pending list %d/%d at attach, want 0/%d", g.Node(id).Name, len(r.pendList), cap(r.pendList), want)
+		}
+		backing[id] = &r.pendList[:1][0]
+	}
+	period := int64(256_000)
+	link := g.LinkBetween(g.MustNode("e0_0"), g.MustNode("a0_0")).ID
+	n.FailLink(link, 20*period)
+	n.RecoverLink(link, 40*period)
+	n.FailNode(g.MustNode("a1_0"), 50*period)
+	n.RecoverNode(g.MustNode("a1_0"), 55*period)
+	for until := period; until <= 80*period; until += period / 4 {
+		e.Run(until)
+		for id, r := range routers {
+			if cap(r.pendList) != len(r.origins.ids) || &r.pendList[:1][0] != backing[id] {
+				t.Fatalf("%s: pending list reallocated by %d ns", g.Node(id).Name, until)
+			}
+		}
+	}
+}
+
 // ---- the map reference ----
 
 type hulaVia struct {

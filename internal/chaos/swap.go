@@ -20,7 +20,7 @@ type swapRun struct {
 	installed   bool
 	pairs       []routePair // routes live immediately before install
 	convergedAt int64       // absolute ns; -1 while unconverged
-	cancelPoll  func()
+	pollTimer   sim.Timer
 }
 
 // routePair is one (switch, destination) route the monitor requires to
@@ -86,7 +86,7 @@ func (sr *swapRun) install(comp *core.Compiled) {
 	// Poll on the probe-period grid: route state only changes as
 	// probes arrive, so a finer poll buys nothing and a coarser one
 	// overstates the window.
-	sr.cancelPoll = sr.net.Eng.Every(sr.net.Eng.Now()+sr.period, sr.period, sr.poll)
+	sr.pollTimer = sr.net.Eng.Every(sr.net.Eng.Now()+sr.period, sr.period, sr.poll)
 }
 
 // poll checks every snapshot pair; the first poll where all are live
@@ -98,10 +98,8 @@ func (sr *swapRun) poll() {
 		}
 	}
 	sr.convergedAt = sr.net.Eng.Now()
-	if sr.cancelPoll != nil {
-		sr.cancelPoll()
-		sr.cancelPoll = nil
-	}
+	sr.pollTimer.Cancel()
+	sr.pollTimer = sim.Timer{}
 }
 
 // window renders the measured SwapWindow.

@@ -28,6 +28,7 @@ import (
 	"contra/internal/pintable"
 	"contra/internal/policy"
 	"contra/internal/sim"
+	"contra/internal/slab"
 	"contra/internal/topo"
 	"contra/internal/trace"
 )
@@ -185,9 +186,9 @@ type Contra struct {
 	// compilation is never misread against the new product graph.
 	era uint8
 
-	// originCancel stops the probe-origination timer; Install uses it
+	// originTimer is the probe-origination timer; Install cancels it
 	// when a swap changes whether this switch originates probes.
-	originCancel func()
+	originTimer sim.Timer
 
 	// Probe aggregation (§5.2 overhead reduction). With packing on,
 	// transit re-advertisements are deferred to a once-per-period flush
@@ -228,61 +229,162 @@ type Contra struct {
 	// per destination) for the metrics sampler. Nil when telemetry is
 	// off, so the probe path pays one pointer check.
 	mx *metrics.Churn
+
+	// tabs holds the fleet's tables from deploy to attach: Attach takes
+	// this router's per-port windows from it and lets go of it.
+	tabs *tables
 }
 
-// New builds the router for one switch.
-func New(comp *core.Compiled, swID topo.NodeID) *Contra {
-	c := &Contra{
-		comp:      comp,
-		prog:      comp.Switch(swID),
-		res:       comp.Analysis,
-		evCand:    comp.Analysis.NewEvaluator(),
-		probeSize: int32(comp.Stats.ProbeBytes + 18), // + minimal L2 framing
+// tables is a fleet's router state for one compiled program, one array
+// per table: every router's tables are disjoint windows of them, taken
+// in switch order, so a deploy or an install allocates once per table
+// whatever the number of switches. A router laid out from a nil
+// *tables (a reboot) makes its own.
+type tables struct {
+	evals    []analysis.Evaluator
+	fwd      []fwdEntry
+	best     []int32
+	floats   []float64
+	adv      []advSnap
+	views    []int32 // inTrans and ordOf, two windows a router
+	probeOut [][]int
+	pend     []int32
+
+	// Per port, taken at attach: a deploy sizes them, an install keeps
+	// what the routers have.
+	lastProbe []int64
+	flush     []flushPort
+}
+
+// newTables sizes the tables the given switches lay out for comp, plus,
+// when attach is set, the per-port ones their Attach takes.
+func newTables(comp *core.Compiled, switches []topo.NodeID, attach bool) *tables {
+	var regs, vnodes, pend, ports int
+	for _, id := range switches {
+		prog := comp.Switch(id)
+		regs += comp.NumOrigins * len(prog.VNodes) * comp.Analysis.NumPids()
+		vnodes += len(prog.VNodes)
+		pend += pendCap(comp, prog)
+		ports += len(comp.Topo.Ports(id))
 	}
-	c.packing = comp.Opts.ProbePacking
-	c.suppressOn = comp.Opts.SuppressOn()
-	c.suppressEps = comp.Opts.SuppressEps
-	c.setHorizons()
-	c.layoutTables()
+	_, _, stride := registerWidths(comp)
+	t := &tables{
+		evals:    comp.Analysis.NewEvaluators(len(switches)),
+		fwd:      make([]fwdEntry, regs),
+		best:     make([]int32, len(switches)*comp.NumOrigins),
+		floats:   make([]float64, regs*stride),
+		views:    make([]int32, 2*len(switches)*comp.PG.NumNodes()),
+		probeOut: make([][]int, vnodes),
+		pend:     make([]int32, pend),
+	}
+	if comp.Opts.SuppressOn() {
+		t.adv = make([]advSnap, regs)
+	}
+	if attach {
+		t.lastProbe = make([]int64, ports)
+		if comp.Opts.ProbePacking {
+			t.flush = make([]flushPort, ports)
+		}
+	}
+	return t
+}
+
+// evaluator takes the next of t's rank evaluators: one per switch t
+// was sized for.
+func (t *tables) evaluator() *analysis.Evaluator {
+	ev := &t.evals[0]
+	t.evals = t.evals[1:]
+	return ev
+}
+
+// registerWidths returns the floats a register's slab window holds for
+// comp: its metric vector (mvW, the policy's metric-vector width), its
+// rank (rankW, the policy's widest rank) and, while suppression is on,
+// the vector it last advertised, together stride.
+func registerWidths(comp *core.Compiled) (mvW, rankW, stride int) {
+	mvW = len(comp.Analysis.MV)        // at most analysis.MaxMV
+	rankW = comp.Analysis.Policy.Width // at most core.MaxRankWidth, so rankLen holds any length
+	stride = mvW + rankW
+	if comp.Opts.SuppressOn() {
+		stride += mvW
+	}
+	return mvW, rankW, stride
+}
+
+// pendCap is the room a packed switch's pending list needs: every
+// register of the virtual nodes that advertise at all, each queued at
+// most once between two flushes. Without packing there is no list.
+func pendCap(comp *core.Compiled, prog *core.SwitchProgram) int {
+	if !comp.Opts.ProbePacking {
+		return 0
+	}
+	advertising := 0 // local virtual nodes with an out-port
+	for _, v := range prog.VNodes {
+		if len(comp.ProbeOut(v)) > 0 {
+			advertising++
+		}
+	}
+	return advertising * comp.NumOrigins * comp.Analysis.NumPids()
+}
+
+// New builds the router for one switch: a fleet of one.
+func New(comp *core.Compiled, swID topo.NodeID) *Contra {
+	c := &Contra{}
+	c.init(comp, swID, newTables(comp, []topo.NodeID{swID}, true))
 	return c
 }
 
+// init sets c up as the router of one switch, its tables windows of t.
+func (c *Contra) init(comp *core.Compiled, swID topo.NodeID, t *tables) {
+	*c = Contra{
+		comp:        comp,
+		prog:        comp.Switch(swID),
+		res:         comp.Analysis,
+		evCand:      t.evaluator(),
+		probeSize:   int32(comp.Stats.ProbeBytes + 18), // + minimal L2 framing
+		packing:     comp.Opts.ProbePacking,
+		suppressOn:  comp.Opts.SuppressOn(),
+		suppressEps: comp.Opts.SuppressEps,
+		tabs:        t,
+	}
+	c.setHorizons()
+	c.layoutTables(t)
+}
+
 // layoutTables sizes empty FwdT/BestT register arrays and the dense
-// program views for the current compiled program. The virtual-node
-// space (and with it every register address) belongs to one product
-// graph, so a policy install lays everything out again.
-func (c *Contra) layoutTables() {
+// program views for the current compiled program, as windows of t. The
+// virtual-node space (and with it every register address) belongs to
+// one product graph, so a policy install lays everything out again.
+func (c *Contra) layoutTables(t *tables) {
 	if len(c.prog.VNodes) > maxPinOrd {
 		panic("dataplane: too many virtual nodes on one switch for the flowlet key")
 	}
+	if t == nil {
+		t = &tables{}
+	}
 	c.nPids = c.res.NumPids()
 	c.blk = len(c.prog.VNodes) * c.nPids
-	c.mvW = len(c.res.MV)        // at most analysis.MaxMV
-	c.rankW = c.res.Policy.Width // at most core.MaxRankWidth, so rankLen holds any length
-	c.stride = c.mvW + c.rankW
-	if c.suppressOn {
-		c.stride += c.mvW
-	}
+	c.mvW, c.rankW, c.stride = registerWidths(c.comp)
 	n := c.comp.NumOrigins * c.blk
-	c.fwd = make([]fwdEntry, n)
-	c.best = make([]int32, c.comp.NumOrigins)
+	c.fwd = slab.Take(&t.fwd, n)
+	c.best = slab.Take(&t.best, c.comp.NumOrigins)
 	for oi := range c.best {
 		c.best[oi] = -1
 	}
-	c.slab = make([]float64, n*c.stride)
+	c.slab = slab.Take(&t.floats, n*c.stride)
 	c.adv, c.alt = nil, nil
 	if c.suppressOn {
-		c.adv = make([]advSnap, n)
+		c.adv = slab.Take(&t.adv, n)
 	}
 	if c.altOn {
 		c.alt = make([]altShadow, n)
 	}
-	c.inTrans = make([]int32, c.comp.PG.NumNodes())
-	c.ordOf = make([]int32, c.comp.PG.NumNodes())
+	c.inTrans = slab.Take(&t.views, c.comp.PG.NumNodes())
+	c.ordOf = slab.Take(&t.views, c.comp.PG.NumNodes())
 	for tag := range c.inTrans {
 		c.inTrans[tag], c.ordOf[tag] = -1, -1
 	}
-	c.probeOut = make([][]int, len(c.prog.VNodes))
+	c.probeOut = slab.Take(&t.probeOut, len(c.prog.VNodes))
 	for ord, v := range c.prog.VNodes {
 		c.ordOf[v] = int32(ord)
 		c.probeOut[ord] = c.comp.ProbeOut(v)
@@ -410,36 +512,34 @@ func (c *Contra) setHorizons() {
 // probe generator (or, under packing, the per-period packed flush).
 func (c *Contra) Attach(sw *sim.SwitchDev) {
 	c.sw = sw
-	c.lastProbe = make([]int64, sw.PortCount())
+	t := c.tabs
+	c.tabs = nil
+	c.lastProbe = slab.Take(&t.lastProbe, sw.PortCount())
 	period := c.comp.Opts.ProbePeriodNs
 	switch {
 	case c.packing:
 		// Every switch flushes once per period: origin entries and
 		// pending transit re-advertisements share the packed probes.
-		c.recomputeAdv()
+		c.recomputeAdv(t)
 		sw.Net.Eng.Every(originStagger(c.prog.Switch, period), period, c.flushPacked)
 	case c.prog.Origin != nil:
-		c.originCancel = sw.Net.Eng.Every(originStagger(c.prog.Switch, period), period, c.originate)
+		c.originTimer = sw.Net.Eng.Every(originStagger(c.prog.Switch, period), period, c.originate)
 	}
 	// Housekeeping: sweep expired flowlet entries.
 	sw.Net.Eng.Every(period, 16*period, c.sweep)
 }
 
 // recomputeAdv rebuilds the packed-flush port state from the current
-// program: which ports are product-graph out-ports (flush and heartbeat
-// targets), which carry this switch's own origin entries, and an empty
-// pending list with room for every register that advertises at all.
-// Called at attach and after every policy install.
-func (c *Contra) recomputeAdv() {
+// program, in windows of t: which ports are product-graph out-ports
+// (flush and heartbeat targets), which carry this switch's own origin
+// entries, and an empty pending list with room for every register that
+// advertises at all. Called at attach and after every policy install.
+func (c *Contra) recomputeAdv(t *tables) {
 	if n := c.sw.PortCount(); len(c.flushPorts) != n {
-		c.flushPorts = make([]flushPort, n)
+		c.flushPorts = slab.Take(&t.flush, n)
 	}
 	clear(c.flushPorts)
-	advertising := 0 // local virtual nodes with an out-port
 	for _, ports := range c.probeOut {
-		if len(ports) > 0 {
-			advertising++
-		}
 		for _, p := range ports {
 			c.flushPorts[p].adv = true
 		}
@@ -450,9 +550,8 @@ func (c *Contra) recomputeAdv() {
 		}
 	}
 	// A register is queued at most once between two flushes (pending), so
-	// the list never outgrows the registers of the advertising virtual
-	// nodes: markPending appends in place.
-	c.pend = make([]int32, 0, advertising*c.comp.NumOrigins*c.nPids)
+	// the list never outgrows pendCap: markPending appends in place.
+	c.pend = slab.Take(&t.pend, pendCap(c.comp, c.prog))[:0]
 }
 
 // originate emits one probe per pid from the switch's probe-sending
@@ -1303,21 +1402,26 @@ func (c *Contra) sweep() {
 // on. Callers swap every router in the fabric in one event-loop step —
 // Fleet.Install does — mirroring an atomic control-plane push.
 func (c *Contra) Install(comp *core.Compiled, era uint8) {
+	c.install(comp, era, newTables(comp, []topo.NodeID{c.prog.Switch}, false))
+}
+
+// install is Install with the new tables as windows of t.
+func (c *Contra) install(comp *core.Compiled, era uint8, t *tables) {
 	id := c.prog.Switch
 	hadOrigin := c.prog.Origin != nil
 	c.comp = comp
 	c.prog = comp.Switch(id)
 	c.res = comp.Analysis
-	c.evCand = comp.Analysis.NewEvaluator()
+	c.evCand = t.evaluator()
 	c.probeSize = int32(comp.Stats.ProbeBytes + 18)
 	c.era = era
 	c.setHorizons()
-	c.flushTables()
+	c.flushTables(t)
 	if c.packing {
 		// The packed flush reads the program each tick, so the timer
 		// survives swaps unchanged; only the port sets need rebuilding.
 		if c.sw != nil {
-			c.recomputeAdv()
+			c.recomputeAdv(t)
 		}
 		return
 	}
@@ -1326,13 +1430,11 @@ func (c *Contra) Install(comp *core.Compiled, era uint8) {
 	// the probe generator to match.
 	switch {
 	case hadOrigin && c.prog.Origin == nil:
-		if c.originCancel != nil {
-			c.originCancel()
-			c.originCancel = nil
-		}
+		c.originTimer.Cancel()
+		c.originTimer = sim.Timer{}
 	case !hadOrigin && c.prog.Origin != nil && c.sw != nil:
 		period := comp.Opts.ProbePeriodNs
-		c.originCancel = c.sw.Net.Eng.Every(c.sw.Now()+originStagger(id, period), period, c.originate)
+		c.originTimer = c.sw.Net.Eng.Every(c.sw.Now()+originStagger(id, period), period, c.originate)
 	}
 }
 
@@ -1350,7 +1452,7 @@ func originStagger(id topo.NodeID, period int64) int64 {
 // Its neighbors' entries through it age out via §5.4 expiration, so
 // the fabric re-converges around the rebooted switch from scratch.
 func (c *Contra) Reboot() {
-	c.flushTables()
+	c.flushTables(nil)
 	for i := range c.lastProbe {
 		c.lastProbe[i] = 0
 	}
@@ -1359,9 +1461,11 @@ func (c *Contra) Reboot() {
 
 // flushTables drops every soft table: forwarding state, best-hop
 // cache, flowlet pins, loop registers and any queued packed
-// re-advertisements (they point into the flushed register blocks).
-func (c *Contra) flushTables() {
-	c.layoutTables()
+// re-advertisements (they point into the flushed register blocks). The
+// register tables are laid out afresh, as windows of t (nil: tables of
+// the router's own).
+func (c *Contra) flushTables(t *tables) {
+	c.layoutTables(t)
 	c.flowlets.Reset()
 	c.srcPins.Reset()
 	c.loop = loopTable{}

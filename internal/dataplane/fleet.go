@@ -26,15 +26,20 @@ type Fleet struct {
 // DeployFleet attaches a Contra router built from comp to every switch
 // in the network and returns the swappable handle. The routers share
 // the compiled artifact but keep independent table state, exactly like
-// distinct devices.
+// distinct devices: the routers are one slab, and each one's tables are
+// disjoint windows of the fleet's, one array per table.
 func DeployFleet(n *sim.Network, comp *core.Compiled) *Fleet {
+	switches := n.Topo.Switches()
 	f := &Fleet{
 		net:     n,
-		routers: make(map[topo.NodeID]*Contra),
+		routers: make(map[topo.NodeID]*Contra, len(switches)),
 		comp:    comp,
 	}
-	for _, swID := range n.Topo.Switches() {
-		r := New(comp, swID)
+	t := newTables(comp, switches, true)
+	routers := make([]Contra, len(switches))
+	for i, swID := range switches {
+		r := &routers[i]
+		r.init(comp, swID, t)
 		f.routers[swID] = r
 		n.SetRouter(swID, r)
 	}
@@ -67,11 +72,14 @@ func (f *Fleet) Era() uint8 { return f.era }
 // target the same topology and options — core.Recompile is the
 // intended producer. Convergence is not instant: routes re-form as
 // new-era probes propagate, which is exactly the window the chaos
-// subsystem measures.
+// subsystem measures. The whole fleet is laid out again in one pass,
+// every router's new tables windows of one array per table.
 func (f *Fleet) Install(comp *core.Compiled) {
 	f.era++
 	f.comp = comp
-	for _, swID := range f.net.Topo.Switches() {
-		f.routers[swID].Install(comp, f.era)
+	switches := f.net.Topo.Switches()
+	t := newTables(comp, switches, false)
+	for _, swID := range switches {
+		f.routers[swID].install(comp, f.era, t)
 	}
 }

@@ -17,8 +17,8 @@ import (
 // fat-tree and starting the network, which attaches every router. The
 // topology, the compile and the network's own channel tables are built
 // with the timer stopped, so B/op and allocs/op are the routers' alone
-// (plus, for ECMP, the one BFS per destination its first Start runs on
-// a fresh graph). Contra runs minimize(path.util) and Contra and HULA
+// (plus, for ECMP, the one BFS per destination its deploy runs on a
+// fresh graph). Contra runs minimize(path.util) and Contra and HULA
 // pack and suppress probes, as the k = 8 benchmark cells do.
 func BenchmarkDeploy(b *testing.B) {
 	opts := core.Options{ProbePacking: true, SuppressEps: 0.02, RefreshEvery: 4}

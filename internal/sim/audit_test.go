@@ -155,11 +155,11 @@ func TestAuditConservesDataAndAcks(t *testing.T) {
 }
 
 // TestAuditChecksTheEventQueue stops TCP flows both ways and a CBR flow
-// at a moment with two or more arrivals on the run and a live RTO
-// carrier, and corrupts the queue, a channel's in-flight FIFO, a flow's
-// carrier, the clock or a timer slot one way at a time: each corruption
-// must fail the audit, naming what broke, where the intact network
-// passes.
+// at a moment with two or more arrivals on the run, a live RTO carrier
+// and a flow still waiting to start, and corrupts the queue, a channel's
+// in-flight FIFO, a flow's carrier or start, the clock or a timer slot
+// one way at a time: each corruption must fail the audit, naming what
+// broke, where the intact network passes.
 func TestAuditChecksTheEventQueue(t *testing.T) {
 	loaded := func() *Network {
 		g := lineTopo(10e9)
@@ -173,6 +173,7 @@ func TestAuditChecksTheEventQueue(t *testing.T) {
 			{ID: 1, Src: h0, Dst: h1, Size: 400 * MSS},
 			{ID: 2, Src: h1, Dst: h0, Size: 100 * MSS, Start: 3_000},
 			{ID: 3, Src: h0, Dst: h1, Start: 1_000, RateBps: 1e9},
+			{ID: 4, Src: h1, Dst: h0, Size: MSS, Start: 5_000_000},
 		})
 		e := n.Eng
 		for until := int64(0); until < 1_000_000; until += 100 {
@@ -232,6 +233,23 @@ func TestAuditChecksTheEventQueue(t *testing.T) {
 			st := n.flowTab[0]
 			st.rtoAt = st.carrierAt - 1
 		}, "past its deadline"},
+		{"start dropped", func(n *Network) {
+			e := n.Eng
+			cold := e.cold
+			e.cold = nil
+			for _, ev := range cold {
+				if ev.kind != evStart {
+					e.push(&e.cold, ev)
+				}
+			}
+		}, "no start queued"},
+		{"start duplicated", func(n *Network) {
+			e := n.Eng
+			e.push(&e.cold, *queuedTimer(t, e, evStart))
+		}, "two starts queued"},
+		{"started flow's start still queued", func(n *Network) {
+			n.flowTab[queuedTimer(t, n.Eng, evStart).arg].started = true
+		}, "has started and has a start queued"},
 		{"time ran backwards", func(n *Network) {
 			n.Eng.now = n.Eng.cold[0].at + 1
 		}, "queued before now"},
@@ -264,7 +282,7 @@ func TestAuditChecksTheEventQueue(t *testing.T) {
 	}
 }
 
-// queuedTimer returns a queued entry of kind evFunc or evTimer.
+// queuedTimer returns a queued entry of kind evFunc, evTimer or evStart.
 func queuedTimer(t *testing.T, e *Engine, kind evKind) *event {
 	t.Helper()
 	for i := range e.cold {

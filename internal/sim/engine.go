@@ -31,7 +31,7 @@ import (
 // queue is timers and RTO carriers, which rarely fire. So arrivals are
 // kept apart from them:
 //
-//   - cold, a binary heap of evFunc, evTimer and evRTO;
+//   - cold, a binary heap of evFunc, evTimer, evRTO and evStart;
 //   - run, a FIFO of evDeliver entries in (at, seq) order: an arrival is
 //     appended when it sorts after the run's tail, or the run is empty;
 //   - hot, a binary heap of the evDeliver entries that arrived out of
@@ -52,7 +52,7 @@ type Engine struct {
 	now int64
 	seq uint64
 
-	cold []event // binary min-heap by event.before: evFunc, evTimer, evRTO
+	cold []event // binary min-heap by event.before: evFunc, evTimer, evRTO, evStart
 	hot  []event // binary min-heap by event.before: out-of-order evDeliver
 
 	// run is a ring of in-order evDeliver entries, ascending from
@@ -92,6 +92,7 @@ const (
 	evDeliver               // arrival of the head of channel arg's in-flight FIFO
 	evTimer                 // recurring tick of timer slot arg at generation gen
 	evRTO                   // RTO carrier of flow arg (index in Network.flowTab)
+	evStart                 // start of flow arg (index in Network.flowTab)
 )
 
 // event is one queue entry: its key and the index of what it is about.
@@ -151,23 +152,38 @@ func (e *Engine) At(t int64, fn func()) {
 func (e *Engine) After(d int64, fn func()) { e.At(e.now+d, fn) }
 
 // Every schedules fn every period ns starting at start, until the
-// returned cancel function is called. Cancelling releases the callback
-// immediately; the already-queued tick drains as a no-op that frees
-// the timer slot without firing.
-func (e *Engine) Every(start, period int64, fn func()) (cancel func()) {
+// returned timer is cancelled.
+func (e *Engine) Every(start, period int64, fn func()) Timer {
 	idx := e.newSlot()
 	slot := &e.timers[idx]
 	slot.period = period
 	slot.fn = fn
 	slot.active = true
-	gen := slot.gen
-	e.schedule(start, event{kind: evTimer, arg: idx, gen: uint16(gen)})
-	return func() {
-		s := &e.timers[idx]
-		if s.gen == gen && s.active {
-			s.active = false
-			s.fn = nil // release the callback now, not at the stale tick
-		}
+	e.schedule(start, event{kind: evTimer, arg: idx, gen: uint16(slot.gen)})
+	return Timer{e: e, idx: idx, gen: slot.gen}
+}
+
+// Timer names one recurring timer Every started: its slot at the
+// generation it started under. It is a value, so starting a timer
+// allocates no cancel closure. The zero Timer names none.
+type Timer struct {
+	e   *Engine
+	idx int32
+	gen uint32
+}
+
+// Cancel stops the timer. It releases the callback immediately; the
+// already-queued tick drains as a no-op that frees the timer slot
+// without firing. Cancelling twice, cancelling a timer whose slot has
+// since been recycled, or cancelling the zero Timer does nothing.
+func (t Timer) Cancel() {
+	if t.e == nil {
+		return
+	}
+	s := &t.e.timers[t.idx]
+	if s.gen == t.gen && s.active {
+		s.active = false
+		s.fn = nil // release the callback now, not at the stale tick
 	}
 }
 
@@ -283,6 +299,11 @@ func (e *Engine) Run(until int64) {
 				st.carrierAt, st.carrierSeq = st.rtoAt, st.rtoSeq
 				e.rekeyTop(e.cold, st.rtoAt, st.rtoSeq)
 			}
+		case evStart:
+			st := e.net.flowTab[top.arg]
+			e.popTop(&e.cold)
+			st.started = true
+			e.net.hostOf(st.spec.Src).pump(st)
 		}
 	}
 	if e.now < until {
@@ -291,9 +312,10 @@ func (e *Engine) Run(until int64) {
 }
 
 // Pending returns the number of queue entries: busy channels, flows
-// with a queued RTO carrier, timers and scheduled funcs. Packets in
-// flight are not entries of their own; a channel carrying any number
-// of them counts once.
+// not yet started (one start entry each), flows with a queued RTO
+// carrier, timers and scheduled funcs. Packets in flight are not
+// entries of their own; a channel carrying any number of them counts
+// once.
 func (e *Engine) Pending() int { return len(e.cold) + len(e.hot) + e.runLen }
 
 // Where the earliest entry is, as first reports it.

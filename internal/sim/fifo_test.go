@@ -403,7 +403,7 @@ func TestRTOCarrierMatchesPerArmTimers(t *testing.T) {
 			n.flowTab = append(n.flowTab, &flowState{
 				spec:  FlowSpec{ID: uint64(i + 1), Src: g.MustNode("H0"), Dst: g.MustNode("H1"), Size: 1 << 30},
 				npkts: 1 << 20, cwnd: initCwnd, ssthresh: 1 << 20, rtoNs: initRTONs, rttSeq: -1,
-				idx: int32(i),
+				idx: int32(i), started: true, // driven by armRTO alone, no start entry
 			})
 		}
 		real.flows = n.flowTab

@@ -241,7 +241,6 @@ func NewNetwork(e *Engine, g *topo.Graph, cfg Config) *Network {
 		hostPort: make([]int32, g.NumNodes()),
 		hostEdge: make([]topo.NodeID, g.NumNodes()),
 		nodeDown: make([]bool, g.NumNodes()),
-		flows:    make(map[uint64]struct{}),
 		FCT:      stats.NewSample(),
 		FCTQuant: stats.NewQuantiles(0.95),
 		QueueMSS: stats.NewReservoir(1<<16, 11),
@@ -250,14 +249,23 @@ func NewNetwork(e *Engine, g *topo.Graph, cfg Config) *Network {
 	// One decay-factor memo for every channel's estimator, sized from
 	// their number like the tables above.
 	decay := stats.NewDecayMemo(cfg.DRETauNs, len(n.chans))
+	// Devices come from one slab per kind.
+	swSlab := make([]SwitchDev, len(g.Switches()))
+	hostSlab := make([]HostDev, len(g.Hosts()))
 	for _, node := range g.Nodes() {
 		n.hostPort[node.ID] = -1
 		n.hostEdge[node.ID] = -1
 		switch node.Kind {
 		case topo.Switch:
-			n.switches[node.ID] = &SwitchDev{Net: n, ID: node.ID}
+			sw := &swSlab[0]
+			swSlab = swSlab[1:]
+			*sw = SwitchDev{Net: n, ID: node.ID}
+			n.switches[node.ID] = sw
 		case topo.Host:
-			n.hosts[node.ID] = &HostDev{net: n, id: node.ID}
+			h := &hostSlab[0]
+			hostSlab = hostSlab[1:]
+			*h = HostDev{net: n, id: node.ID}
+			n.hosts[node.ID] = h
 		}
 	}
 	for _, l := range g.Links() {
@@ -283,11 +291,14 @@ func NewNetwork(e *Engine, g *topo.Graph, cfg Config) *Network {
 		}
 	}
 	// Per-node port -> directed channel index, replacing the
-	// Ports-slice walk plus Link lookup on every transmit.
+	// Ports-slice walk plus Link lookup on every transmit. Every link
+	// is two ports, so the rows are windows of one array of 2 per link.
 	n.portChan = make([][]int32, g.NumNodes())
+	cells := make([]int32, 2*g.NumLinks())
 	for _, node := range g.Nodes() {
 		ports := g.Ports(node.ID)
-		row := make([]int32, len(ports))
+		row := cells[:len(ports):len(ports)]
+		cells = cells[len(ports):]
 		for i, p := range ports {
 			d := 0
 			if g.Link(p.Link).B == node.ID {
@@ -535,7 +546,8 @@ func (n *Network) Audit() error {
 // run or the hot heap, keyed to its head's slot; an idle channel has
 // none. Every flow with a live RTO carrier (carrierSeq != 0) has exactly
 // one queued, at carrierAt and at or before its deadline; any other
-// evRTO entry is an orphan that will pop unseen.
+// evRTO entry is an orphan that will pop unseen. Every flow that has not
+// started has exactly one evStart queued, and a started flow has none.
 func (n *Network) auditQueue() error {
 	e := n.Eng
 	if err := e.checkOrder(); err != nil {
@@ -544,10 +556,11 @@ func (n *Network) auditQueue() error {
 	if err := e.checkTimers(); err != nil {
 		return err
 	}
-	// One bit per channel and per flow: an entry for it has been seen.
-	words := (len(n.chans) + 63) / 64
-	marks := make([]uint64, words+(len(n.flowTab)+63)/64)
-	chanSeen, flowSeen := marks[:words], marks[words:]
+	// One bit per channel and two per flow: an arrival, an RTO carrier
+	// or a start for it has been seen.
+	words, flowWords := (len(n.chans)+63)/64, (len(n.flowTab)+63)/64
+	marks := make([]uint64, words+2*flowWords)
+	chanSeen, flowSeen, startSeen := marks[:words], marks[words:words+flowWords], marks[words+flowWords:]
 	mark := func(set []uint64, i int32) (again bool) {
 		w, b := i>>6, uint64(1)<<(i&63)
 		again = set[w]&b != 0
@@ -577,6 +590,19 @@ func (n *Network) auditQueue() error {
 	}
 	for i := range e.cold {
 		ev := &e.cold[i]
+		if ev.kind == evStart {
+			if ev.arg < 0 || int(ev.arg) >= len(n.flowTab) {
+				return fmt.Errorf("sim: start queued for flow %d of %d", ev.arg, len(n.flowTab))
+			}
+			st := n.flowTab[ev.arg]
+			switch {
+			case st.started:
+				return fmt.Errorf("sim: flow %d has started and has a start queued", st.spec.ID)
+			case mark(startSeen, ev.arg):
+				return fmt.Errorf("sim: flow %d has two starts queued", st.spec.ID)
+			}
+			continue
+		}
 		if ev.kind != evRTO {
 			continue
 		}
@@ -603,6 +629,9 @@ func (n *Network) auditQueue() error {
 	for i, st := range n.flowTab {
 		if st.carrierSeq != 0 && flowSeen[i>>6]&(1<<(i&63)) == 0 {
 			return fmt.Errorf("sim: flow %d has no live RTO carrier queued", st.spec.ID)
+		}
+		if !st.started && startSeen[i>>6]&(1<<(i&63)) == 0 {
+			return fmt.Errorf("sim: flow %d has not started and no start queued", st.spec.ID)
 		}
 	}
 	return nil

@@ -78,7 +78,7 @@ func TestEngineOrderingAndEvery(t *testing.T) {
 	e.At(50, func() { order = append(order, 1) })
 	e.At(100, func() { order = append(order, 3) }) // tie: insertion order
 	ticks := 0
-	cancel := e.Every(0, 10, func() { ticks++ })
+	cancel := e.Every(0, 10, func() { ticks++ }).Cancel
 	e.At(35, func() { cancel() })
 	e.Run(1000)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {

@@ -72,6 +72,10 @@ type flowState struct {
 	rcvCum    int64
 	rcvCount  int64
 	done      bool
+
+	// started is set when the flow's evStart entry fires: until then
+	// exactly one is queued.
+	started bool
 }
 
 func (f *flowState) rcvHas(seq int64) bool {
@@ -95,11 +99,18 @@ func (h *HostDev) send(pkt *Packet) {
 	h.net.transmit(h.id, 0, pkt)
 }
 
-// StartFlows registers flows and schedules their start events.
+// StartFlows registers flows and schedules their start events. A call
+// allocates by the table, not by the flow: the window flows' states are
+// one slab, their receive bitmaps windows of another, and each start is
+// a typed queue entry (evStart) naming its flow's index in flowTab, the
+// way an RTO carrier does. Every flow is vetted before any is scheduled.
 func (n *Network) StartFlows(flows []FlowSpec) {
-	n.flowTab = slices.Grow(n.flowTab, len(flows))
-	for _, f := range flows {
-		f := f
+	if n.flows == nil {
+		n.flows = make(map[uint64]struct{}, len(flows))
+	}
+	windows, words := 0, int64(0)
+	for i := range flows {
+		f := &flows[i]
 		if _, dup := n.flows[f.ID]; dup {
 			panic(fmt.Sprintf("sim: duplicate flow id %d", f.ID))
 		}
@@ -109,6 +120,16 @@ func (n *Network) StartFlows(flows []FlowSpec) {
 		if f.Size > MaxFlowBytes {
 			panic(fmt.Sprintf("sim: flow %d is %d bytes, past MaxFlowBytes", f.ID, f.Size))
 		}
+		if f.RateBps <= 0 {
+			n.flows[f.ID] = struct{}{}
+			windows++
+			words += (flowPackets(f.Size) + 63) / 64
+		}
+	}
+	n.flowTab = slices.Grow(n.flowTab, windows)
+	states := make([]flowState, windows)
+	bitmaps := make([]uint64, words)
+	for _, f := range flows {
 		if n.Trace != nil {
 			n.Trace.FlowMeta(f.ID, n.Topo.Node(f.Src).Name, n.Topo.Node(f.Dst).Name, f.Size, f.Start)
 		}
@@ -116,25 +137,33 @@ func (n *Network) StartFlows(flows []FlowSpec) {
 			n.startCBR(f)
 			continue
 		}
-		npkts := (f.Size + MSS - 1) / MSS
-		if npkts == 0 {
-			npkts = 1
-		}
-		st := &flowState{
+		npkts := flowPackets(f.Size)
+		w := (npkts + 63) / 64
+		st := &states[0]
+		states = states[1:]
+		*st = flowState{
 			spec:      f,
 			npkts:     npkts,
 			cwnd:      initCwnd,
 			ssthresh:  1 << 20,
 			rtoNs:     initRTONs,
 			rttSeq:    -1,
-			rcvBitmap: make([]uint64, (npkts+63)/64),
+			rcvBitmap: bitmaps[:w:w],
 			idx:       int32(len(n.flowTab)),
 		}
-		n.flows[f.ID] = struct{}{}
+		bitmaps = bitmaps[w:]
 		n.flowTab = append(n.flowTab, st)
-		src := n.hosts[f.Src]
-		n.Eng.At(f.Start, func() { src.pump(st) })
+		n.Eng.schedule(f.Start, event{kind: evStart, arg: st.idx})
 	}
+}
+
+// flowPackets is the number of packets a window flow of size bytes
+// sends: one for an empty flow.
+func flowPackets(size int64) int64 {
+	if npkts := (size + MSS - 1) / MSS; npkts != 0 {
+		return npkts
+	}
+	return 1
 }
 
 // startCBR emits fixed-size packets at a constant rate until the

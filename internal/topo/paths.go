@@ -37,7 +37,7 @@ func (g *Graph) latencyFrom(src NodeID, dist []int64, h *distHeap) {
 		if it.d > dist[it.n] {
 			continue
 		}
-		for _, p := range g.ports[it.n] {
+		for _, p := range g.Ports(it.n) {
 			l := &g.links[p.Link]
 			if l.Down || g.nodes[p.Peer].Kind != Switch {
 				continue
@@ -201,7 +201,7 @@ func (g *Graph) dijkstraPath(src, dst NodeID, bannedLink map[[2]NodeID]bool, ban
 		if it.n == dst {
 			break
 		}
-		for _, p := range g.ports[it.n] {
+		for _, p := range g.Ports(it.n) {
 			l := &g.links[p.Link]
 			if l.Down || g.nodes[p.Peer].Kind != Switch {
 				continue

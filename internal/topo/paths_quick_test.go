@@ -256,6 +256,21 @@ func checkQueries(g *Graph) error {
 // per-graph snapshot, recomputing from nodes, links and ports on every
 // call. They define the answers, element order included.
 
+// refPorts is a node's ports as AddLink appended them, one link at a
+// time: its links in ID order, each naming the far end.
+func refPorts(g *Graph, n NodeID) []Port {
+	var out []Port
+	for _, l := range g.links {
+		switch n {
+		case l.A:
+			out = append(out, Port{Link: l.ID, Peer: l.B})
+		case l.B:
+			out = append(out, Port{Link: l.ID, Peer: l.A})
+		}
+	}
+	return out
+}
+
 func refNodes(g *Graph, kind Kind) []NodeID {
 	var out []NodeID
 	for _, n := range g.nodes {
@@ -268,7 +283,7 @@ func refNodes(g *Graph, kind Kind) []NodeID {
 
 func refSwitchNeighbors(g *Graph, n NodeID) []NodeID {
 	var out []NodeID
-	for _, p := range g.ports[n] {
+	for _, p := range refPorts(g, n) {
 		if g.links[p.Link].Down {
 			continue
 		}
@@ -282,7 +297,7 @@ func refSwitchNeighbors(g *Graph, n NodeID) []NodeID {
 // refPortTo is the linear scan: the lowest port wins among parallel
 // links, up or down.
 func refPortTo(g *Graph, from, to NodeID) int {
-	for i, p := range g.ports[from] {
+	for i, p := range refPorts(g, from) {
 		if p.Peer == to {
 			return i
 		}
@@ -364,7 +379,7 @@ func refLatencyFrom(g *Graph, src NodeID) []int64 {
 		if it.d > dist[it.n] {
 			continue
 		}
-		for _, p := range g.ports[it.n] {
+		for _, p := range refPorts(g, it.n) {
 			l := &g.links[p.Link]
 			if l.Down || g.nodes[p.Peer].Kind != Switch {
 				continue

@@ -9,9 +9,9 @@ import (
 )
 
 // snapshot is everything derived from a Graph at one generation. The
-// eager part (node lists, adjacency, reverse-port table) is immutable
-// once published; hop vectors and the max RTT are filled on first use
-// under mu and never change afterwards. A snapshot is never updated in
+// eager part (node lists, ports, adjacency, reverse-port table) is
+// immutable once published; hop vectors and the max RTT are filled on
+// first use under mu and never change afterwards. A snapshot is never updated in
 // place: a mutator bumps Graph.gen and the next query builds a new one.
 type snapshot struct {
 	gen      uint64
@@ -23,10 +23,12 @@ type snapshot struct {
 	adjOff []int32
 	adj    []NodeID
 
-	// Reverse-port table, CSR: n's ports sorted by (peer, port) are
-	// byPeer[portOff[n]:portOff[n+1]]. Down links are included, as
-	// PortTo ignores link state.
+	// Ports and the reverse-port table, CSR over one offset array:
+	// n's ports, its links in ID order, are ports[portOff[n]:portOff[n+1]],
+	// and the same window of byPeer holds them sorted by (peer, port).
+	// Down links are included, as PortTo ignores link state.
 	portOff []int32
+	ports   []Port
 	byPeer  []portRef
 
 	mu      sync.Mutex // serializes the lazy fills below; owns queue
@@ -68,39 +70,72 @@ func (g *Graph) snapshot() *snapshot {
 
 func (g *Graph) buildSnapshot() *snapshot {
 	n := len(g.nodes)
-	s := &snapshot{
-		gen:     g.gen,
-		adjOff:  make([]int32, n+1),
-		adj:     make([]NodeID, 0, 2*len(g.links)),
-		portOff: make([]int32, n+1),
-		byPeer:  make([]portRef, 0, 2*len(g.links)),
-		hops:    make([]hopRow, n),
-		queue:   make([]NodeID, 0, n),
+	nsw := 0
+	for i := range g.nodes {
+		if g.nodes[i].Kind == Switch {
+			nsw++
+		}
 	}
-	for id, ps := range g.ports {
+	ids := make([]NodeID, n)
+	s := &snapshot{
+		gen:      g.gen,
+		switches: ids[:0:nsw],
+		hosts:    ids[nsw:nsw],
+		adjOff:   make([]int32, n+1),
+		adj:      make([]NodeID, 0, 2*len(g.links)),
+		portOff:  make([]int32, n+1),
+		ports:    make([]Port, 2*len(g.links)),
+		byPeer:   make([]portRef, 2*len(g.links)),
+		hops:     make([]hopRow, n),
+		queue:    make([]NodeID, 0, n),
+	}
+	// Count each node's links into portOff[id+1], then lay the links out
+	// in ID order with portOff[id] as node id's cursor: it ends on the
+	// row's end, and one shift puts every offset back in place.
+	for i := range g.links {
+		s.portOff[g.links[i].A+1]++
+		s.portOff[g.links[i].B+1]++
+	}
+	for id := 1; id < n; id++ {
+		s.portOff[id+1] += s.portOff[id]
+	}
+	for i := range g.links {
+		l := &g.links[i]
+		s.ports[s.portOff[l.A]] = Port{Link: l.ID, Peer: l.B}
+		s.portOff[l.A]++
+		s.ports[s.portOff[l.B]] = Port{Link: l.ID, Peer: l.A}
+		s.portOff[l.B]++
+	}
+	copy(s.portOff[1:], s.portOff[:n])
+	s.portOff[0] = 0
+	for id := range g.nodes {
 		if g.nodes[id].Kind == Switch {
 			s.switches = append(s.switches, NodeID(id))
 		} else {
 			s.hosts = append(s.hosts, NodeID(id))
 		}
-		for i, p := range ps {
-			s.byPeer = append(s.byPeer, portRef{peer: p.Peer, port: int32(i)})
+		lo, hi := s.portOff[id], s.portOff[id+1]
+		for i, p := range s.ports[lo:hi] {
+			s.byPeer[int(lo)+i] = portRef{peer: p.Peer, port: int32(i)}
 			if !g.links[p.Link].Down && g.nodes[p.Peer].Kind == Switch {
 				s.adj = append(s.adj, p.Peer)
 			}
 		}
-		// Entries were appended in port order, so a stable sort on the
+		// Entries were written in port order, so a stable sort on the
 		// peer alone leaves the lowest port first among parallel links.
-		slices.SortStableFunc(s.byPeer[s.portOff[id]:], func(a, b portRef) int {
+		slices.SortStableFunc(s.byPeer[lo:hi], func(a, b portRef) int {
 			return cmp.Compare(a.peer, b.peer)
 		})
 		s.adjOff[id+1] = int32(len(s.adj))
-		s.portOff[id+1] = int32(len(s.byPeer))
 	}
-	// Callers get these two as they are; an append must not reach
-	// spare capacity shared with the next caller.
-	s.switches, s.hosts = slices.Clip(s.switches), slices.Clip(s.hosts)
 	return s
+}
+
+// portsOf returns n's row of the ports, clipped so that an append by
+// the caller cannot write into the next row.
+func (s *snapshot) portsOf(n NodeID) []Port {
+	lo, hi := s.portOff[n], s.portOff[n+1]
+	return s.ports[lo:hi:hi]
 }
 
 // neighbors returns n's row of the adjacency, clipped so that an

@@ -96,7 +96,6 @@ type Graph struct {
 	Name   string
 	nodes  []Node
 	links  []Link
-	ports  [][]Port
 	byName map[string]NodeID
 
 	// gen counts mutations; snap is the derived state of the
@@ -127,7 +126,6 @@ func (g *Graph) AddNodeRole(name string, kind Kind, role Role, pod int) NodeID {
 	}
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Kind: kind, Role: role, Pod: pod})
-	g.ports = append(g.ports, nil)
 	g.byName[name] = id
 	g.gen++
 	return id
@@ -144,8 +142,6 @@ func (g *Graph) AddLink(a, b NodeID, bandwidth float64, delayNs int64) LinkID {
 	}
 	id := LinkID(len(g.links))
 	g.links = append(g.links, Link{ID: id, A: a, B: b, Bandwidth: bandwidth, Delay: delayNs})
-	g.ports[a] = append(g.ports[a], Port{Link: id, Peer: b})
-	g.ports[b] = append(g.ports[b], Port{Link: id, Peer: a})
 	g.gen++
 	return id
 }
@@ -172,7 +168,10 @@ func (g *Graph) Nodes() []Node { return g.nodes }
 func (g *Graph) Links() []Link { return g.links }
 
 // Ports returns node n's ports; the local port index is the slice index.
-func (g *Graph) Ports(n NodeID) []Port { return g.ports[n] }
+// A node's ports are its links in ID order, so a port added by AddLink
+// comes after every port the node already had. The slice is shared and
+// must not be modified.
+func (g *Graph) Ports(n NodeID) []Port { return g.snapshot().portsOf(n) }
 
 // NodeByName returns the node ID for name.
 func (g *Graph) NodeByName(name string) (NodeID, bool) {
@@ -196,7 +195,7 @@ func (g *Graph) PortTo(from, to NodeID) int { return g.snapshot().portTo(from, t
 
 // LinkBetween returns the first link joining a and b, or nil.
 func (g *Graph) LinkBetween(a, b NodeID) *Link {
-	for _, p := range g.ports[a] {
+	for _, p := range g.Ports(a) {
 		if p.Peer == b {
 			return &g.links[p.Link]
 		}
@@ -215,7 +214,7 @@ func (g *Graph) Hosts() []NodeID { return g.snapshot().hosts }
 // HostEdge returns the switch a host attaches to. Hosts are assumed
 // single-homed; it panics otherwise.
 func (g *Graph) HostEdge(h NodeID) NodeID {
-	ps := g.ports[h]
+	ps := g.Ports(h)
 	if g.nodes[h].Kind != Host || len(ps) != 1 {
 		panic(fmt.Sprintf("topo: node %s is not a single-homed host", g.nodes[h].Name))
 	}
@@ -244,7 +243,7 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("topo %s: no switches", g.Name)
 	}
 	for _, h := range g.Hosts() {
-		ps := g.ports[h]
+		ps := g.Ports(h)
 		if len(ps) != 1 {
 			return fmt.Errorf("topo %s: host %s has %d links, want 1", g.Name, g.nodes[h].Name, len(ps))
 		}
@@ -281,11 +280,7 @@ func (g *Graph) Clone() *Graph {
 		Name:   g.Name,
 		nodes:  append([]Node(nil), g.nodes...),
 		links:  append([]Link(nil), g.links...),
-		ports:  make([][]Port, len(g.ports)),
 		byName: make(map[string]NodeID, len(g.byName)),
-	}
-	for i, ps := range g.ports {
-		ng.ports[i] = append([]Port(nil), ps...)
 	}
 	for k, v := range g.byName {
 		ng.byName[k] = v

@@ -3,6 +3,7 @@ package topo
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -409,6 +410,54 @@ func TestPortToIndexInvalidation(t *testing.T) {
 				t.Fatalf("PortTo(%d,%d) = %d, want %d", from, to, got, exp)
 			}
 		}
+	}
+}
+
+// TestPortsMatchPerNodeAppends holds the CSR port table to its
+// definition, refPorts: every node's ports are its links in ID order,
+// as one append per link would leave them. It covers parallel links,
+// hosts, a node with no links, an AddLink after a query (the table is
+// laid out again) and a clone mutated on its own.
+func TestPortsMatchPerNodeAppends(t *testing.T) {
+	check := func(step string, g *Graph) {
+		t.Helper()
+		for id := range g.NumNodes() {
+			n := NodeID(id)
+			got, want := g.Ports(n), refPorts(g, n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: Ports(%s) = %v, want %v", step, g.Node(n).Name, got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("%s: Ports(%s) has spare capacity %d", step, g.Node(n).Name, cap(got)-len(got))
+			}
+		}
+	}
+	g := New("csr")
+	a := g.AddNode("A", Switch)
+	b := g.AddNode("B", Switch)
+	c := g.AddNode("C", Switch)
+	h := g.AddNode("h", Host)
+	g.AddNode("lone", Switch)
+	g.AddLink(a, b, 1e9, 10)
+	g.AddLink(h, c, 1e9, 10)
+	g.AddLink(b, a, 1e9, 10) // parallel, reversed ends
+	check("built", g)
+	g.AddLink(c, a, 1e9, 10) // after a query
+	g.AddLink(a, b, 1e9, 10)
+	check("grown", g)
+	if got := g.Ports(a); len(got) != 4 || got[2] != (Port{Link: 3, Peer: c}) {
+		t.Fatalf("Ports(A) = %v, want C on port 2", got)
+	}
+	cl := g.Clone()
+	cl.AddLink(b, c, 1e9, 10)
+	cl.SetDown(0, true)
+	check("clone", cl)
+	check("original after clone", g)
+	if len(g.Ports(b)) != 3 || len(cl.Ports(b)) != 4 {
+		t.Fatalf("clone's AddLink reached the original: B has %d and %d ports", len(g.Ports(b)), len(cl.Ports(b)))
+	}
+	for _, gg := range []*Graph{Fattree(4, 2), RandomConnected(30, 4, 7), Abilene()} {
+		check(gg.Name, gg)
 	}
 }
 

@@ -174,12 +174,28 @@ func ValidateCohorts(cs []CohortSpec) error {
 	return nil
 }
 
-func (c *CohortSpec) validate(i int) error {
-	label := fmt.Sprintf("cohort %d", i)
-	if c.Name == "" {
-		return fmt.Errorf("workload: %s: name is required", label)
+// cohortLabel names a cohort, or one component of its size mix, in a
+// validation error. It is formatted only when an error is, so a valid
+// spec is checked without building a string.
+type cohortLabel struct {
+	i    int
+	name string
+	comp int // size mix component, -1 for the cohort's own size
+}
+
+func (l cohortLabel) String() string {
+	s := fmt.Sprintf("cohort %d (%q)", l.i, l.name)
+	if l.comp >= 0 {
+		s += fmt.Sprintf(": size mix component %d", l.comp)
 	}
-	label = fmt.Sprintf("cohort %d (%q)", i, c.Name)
+	return s
+}
+
+func (c *CohortSpec) validate(i int) error {
+	if c.Name == "" {
+		return fmt.Errorf("workload: cohort %d: name is required", i)
+	}
+	label := cohortLabel{i: i, name: c.Name, comp: -1}
 	switch c.Process {
 	case "", ProcPoisson, ProcGamma, ProcWeibull:
 	default:
@@ -245,7 +261,7 @@ func (c *CohortSpec) validate(i int) error {
 	return nil
 }
 
-func (s *SizeSpec) validate(label string) error {
+func (s *SizeSpec) validate(label cohortLabel) error {
 	if len(s.Mix) > 0 {
 		if s.Dist != "" {
 			return fmt.Errorf("workload: %s: size sets both dist %q and mix", label, s.Dist)
@@ -260,7 +276,9 @@ func (s *SizeSpec) validate(label string) error {
 				return fmt.Errorf("workload: %s: size mix component %d weight %g is negative", label, j, comp.Weight)
 			}
 			total += comp.Weight
-			if err := comp.SizeSpec.validate(fmt.Sprintf("%s: size mix component %d", label, j)); err != nil {
+			sub := label
+			sub.comp = j
+			if err := comp.SizeSpec.validate(sub); err != nil {
 				return err
 			}
 		}
@@ -299,7 +317,7 @@ func (s *SizeSpec) validate(label string) error {
 			return fmt.Errorf("workload: %s: fixed size needs bytes > 0", label)
 		}
 	default:
-		if _, err := ByName(s.Dist); err != nil {
+		if !knownDist(s.Dist) {
 			return fmt.Errorf("workload: %s: unknown size dist %q (want %s, lognormal, pareto or fixed)",
 				label, s.Dist, strings.Join(Names(), ", "))
 		}

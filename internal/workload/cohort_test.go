@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"contra/internal/sim"
@@ -26,56 +25,76 @@ func cohortCfg(g *topo.Graph, cs ...CohortSpec) CohortConfig {
 }
 
 // TestCohortValidationErrors pins the one-line error for each way a
-// cohort spec can be malformed; every message must name the offending
-// cohort and field.
+// cohort spec can be malformed, byte for byte: every message names the
+// offending cohort and field, and a size mix component's names its
+// path.
 func TestCohortValidationErrors(t *testing.T) {
 	mod := func(f func(*CohortSpec)) []CohortSpec {
 		c := baseCohort()
 		f(&c)
 		return []CohortSpec{c}
 	}
+	web := func(msg string) string { return `workload: cohort 0 ("web"): ` + msg }
+	limit := fmt.Sprintf("is past the simulator's %d-byte flow limit", sim.MaxFlowBytes)
+	dists := "(want cache, websearch, lognormal, pareto or fixed)"
 	cases := []struct {
 		name string
 		cs   []CohortSpec
 		want string
 	}{
-		{"no cohorts", nil, "declares no cohorts"},
-		{"unnamed", mod(func(c *CohortSpec) { c.Name = "" }), "cohort 0: name is required"},
-		{"dup name", []CohortSpec{baseCohort(), baseCohort()}, `cohort 1 reuses name "web"`},
-		{"negative rate", mod(func(c *CohortSpec) { c.Load = 0; c.RateFPS = -5 }), "rate_fps -5 is negative"},
-		{"negative load", mod(func(c *CohortSpec) { c.Load = -0.1 }), "load -0.1 is negative"},
-		{"no rate", mod(func(c *CohortSpec) { c.Load = 0 }), "needs rate_fps or load"},
-		{"both rates", mod(func(c *CohortSpec) { c.RateFPS = 10 }), "sets both rate_fps and load"},
-		{"negative weight", mod(func(c *CohortSpec) { c.Weight = -1 }), "weight -1 is negative"},
-		{"unknown process", mod(func(c *CohortSpec) { c.Process = "lomax" }), `unknown process "lomax"`},
-		{"negative shape", mod(func(c *CohortSpec) { c.Shape = -2 }), "shape -2 is negative"},
-		{"poisson shape", mod(func(c *CohortSpec) { c.Shape = 3 }), "shape 3 needs a gamma or weibull process"},
-		{"unknown size dist", mod(func(c *CohortSpec) { c.Size.Dist = "zipf" }), `unknown size dist "zipf"`},
-		{"lognormal no mean", mod(func(c *CohortSpec) { c.Size.Dist = SizeLogNormal }), "lognormal size needs mean_bytes > 0"},
+		{"no cohorts", nil, "workload: cohorts workload declares no cohorts"},
+		{"unnamed", mod(func(c *CohortSpec) { c.Name = "" }), "workload: cohort 0: name is required"},
+		{"dup name", []CohortSpec{baseCohort(), baseCohort()}, `workload: cohort 1 reuses name "web"`},
+		{"quoted name", mod(func(c *CohortSpec) { c.Name = `a"b`; c.Load = -1 }), `workload: cohort 0 ("a\"b"): load -1 is negative`},
+		{"second cohort", []CohortSpec{baseCohort(), {Name: "db"}}, `workload: cohort 1 ("db"): needs rate_fps or load`},
+		{"negative rate", mod(func(c *CohortSpec) { c.Load = 0; c.RateFPS = -5 }), web("rate_fps -5 is negative")},
+		{"negative load", mod(func(c *CohortSpec) { c.Load = -0.1 }), web("load -0.1 is negative")},
+		{"no rate", mod(func(c *CohortSpec) { c.Load = 0 }), web("needs rate_fps or load")},
+		{"both rates", mod(func(c *CohortSpec) { c.RateFPS = 10 }), web("sets both rate_fps and load")},
+		{"negative weight", mod(func(c *CohortSpec) { c.Weight = -1 }), web("weight -1 is negative")},
+		{"unknown process", mod(func(c *CohortSpec) { c.Process = "lomax" }),
+			web(`unknown process "lomax" (want one of [poisson gamma weibull])`)},
+		{"negative shape", mod(func(c *CohortSpec) { c.Shape = -2 }), web("shape -2 is negative")},
+		{"poisson shape", mod(func(c *CohortSpec) { c.Shape = 3 }), web("shape 3 needs a gamma or weibull process")},
+		{"unknown size dist", mod(func(c *CohortSpec) { c.Size.Dist = "zipf" }), web(`unknown size dist "zipf" ` + dists)},
+		{"lognormal no mean", mod(func(c *CohortSpec) { c.Size.Dist = SizeLogNormal }), web("lognormal size needs mean_bytes > 0")},
+		{"lognormal sigma", mod(func(c *CohortSpec) { c.Size = SizeSpec{Dist: SizeLogNormal, MeanBytes: 10, Sigma: -1} }),
+			web("lognormal sigma -1 is negative")},
+		{"pareto no min", mod(func(c *CohortSpec) { c.Size.Dist = SizePareto }), web("pareto size needs min_bytes > 0")},
 		{"pareto alpha", mod(func(c *CohortSpec) { c.Size = SizeSpec{Dist: SizePareto, MinBytes: 100, Alpha: 0.9} }),
-			"pareto alpha 0.9 must be > 1"},
-		{"fixed no bytes", mod(func(c *CohortSpec) { c.Size.Dist = SizeFixed }), "fixed size needs bytes > 0"},
+			web("pareto alpha 0.9 must be > 1 for a finite mean")},
+		{"fixed no bytes", mod(func(c *CohortSpec) { c.Size.Dist = SizeFixed }), web("fixed size needs bytes > 0")},
 		{"fixed past sim.MaxFlowBytes", mod(func(c *CohortSpec) { c.Size = SizeSpec{Dist: SizeFixed, Bytes: 9e18} }),
-			`cohort 0 ("web"): size bytes 9e+18 is past the simulator's`},
+			web("size bytes 9e+18 " + limit)},
 		{"mix component past sim.MaxFlowBytes", mod(func(c *CohortSpec) {
 			c.Size = SizeSpec{Mix: []SizeComponent{{Weight: 1, SizeSpec: SizeSpec{Dist: SizePareto, MinBytes: 2e12, Alpha: 2}}}}
-		}), "size mix component 0: size min_bytes 2e+12 is past the simulator's"},
+		}), web("size mix component 0: size min_bytes 2e+12 " + limit)},
+		{"mix component dist", mod(func(c *CohortSpec) {
+			c.Size = SizeSpec{Mix: []SizeComponent{{Weight: 1}, {Weight: 1, SizeSpec: SizeSpec{Dist: "zipf"}}}}
+		}), web(`size mix component 1: unknown size dist "zipf" ` + dists)},
+		{"mix component weight", mod(func(c *CohortSpec) { c.Size = SizeSpec{Mix: []SizeComponent{{Weight: -1}}} }),
+			web("size mix component 0 weight -1 is negative")},
 		{"zero-weight mix", mod(func(c *CohortSpec) {
 			c.Size = SizeSpec{Mix: []SizeComponent{{SizeSpec: SizeSpec{Dist: "cache"}}}}
-		}), "size mix weights sum to zero"},
+		}), web("size mix weights sum to zero")},
 		{"nested mix", mod(func(c *CohortSpec) {
 			c.Size = SizeSpec{Mix: []SizeComponent{{Weight: 1, SizeSpec: SizeSpec{Mix: []SizeComponent{{Weight: 1}}}}}}
-		}), "size mix component 0 nests a mix"},
+		}), web("size mix component 0 nests a mix")},
 		{"mix and dist", mod(func(c *CohortSpec) {
 			c.Size = SizeSpec{Dist: "cache", Mix: []SizeComponent{{Weight: 1}}}
-		}), `size sets both dist "cache" and mix`},
-		{"unknown profile", mod(func(c *CohortSpec) { c.Profile = "sawtooth" }), `unknown profile "sawtooth"`},
-		{"diurnal no period", mod(func(c *CohortSpec) { c.Profile = ProfileDiurnal }), "diurnal profile needs period_ns > 0"},
-		{"bad depth", mod(func(c *CohortSpec) { c.Depth = 1.5 }), "depth 1.5 outside [0,1]"},
-		{"bad duty", mod(func(c *CohortSpec) { c.Duty = -0.2 }), "duty -0.2 outside [0,1]"},
-		{"unknown placement", mod(func(c *CohortSpec) { c.Placement = "rackety" }), `unknown placement "rackety"`},
-		{"negative start", mod(func(c *CohortSpec) { c.StartNs = -1 }), "start_ns -1 is negative"},
-		{"negative max", mod(func(c *CohortSpec) { c.MaxFlows = -4 }), "max_flows -4 is negative"},
+		}), web(`size sets both dist "cache" and mix`)},
+		{"unknown profile", mod(func(c *CohortSpec) { c.Profile = "sawtooth" }),
+			web(`unknown profile "sawtooth" (want one of [flat ramp diurnal burst])`)},
+		{"diurnal no period", mod(func(c *CohortSpec) { c.Profile = ProfileDiurnal }), web("diurnal profile needs period_ns > 0")},
+		{"burst no period", mod(func(c *CohortSpec) { c.Profile = ProfileBurst }), web("burst profile needs period_ns > 0")},
+		{"bad depth", mod(func(c *CohortSpec) { c.Depth = 1.5 }), web("depth 1.5 outside [0,1]")},
+		{"bad duty", mod(func(c *CohortSpec) { c.Duty = -0.2 }), web("duty -0.2 outside [0,1]")},
+		{"unknown placement", mod(func(c *CohortSpec) { c.Placement = "rackety" }),
+			web(`unknown placement "rackety" (want one of [uniform rack_local incast])`)},
+		{"negative incast targets", mod(func(c *CohortSpec) { c.IncastTargets = -1 }), web("incast_targets -1 is negative")},
+		{"negative start", mod(func(c *CohortSpec) { c.StartNs = -1 }), web("start_ns -1 is negative")},
+		{"negative duration", mod(func(c *CohortSpec) { c.DurationNs = -1 }), web("duration_ns -1 is negative")},
+		{"negative max", mod(func(c *CohortSpec) { c.MaxFlows = -4 }), web("max_flows -4 is negative")},
 	}
 	for _, tc := range cases {
 		err := ValidateCohorts(tc.cs)
@@ -83,12 +102,28 @@ func TestCohortValidationErrors(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 			continue
 		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		if err.Error() != tc.want {
+			t.Errorf("%s: error\n  %s\nwant\n  %s", tc.name, err, tc.want)
 		}
-		if strings.Contains(err.Error(), "\n") {
-			t.Errorf("%s: error is not one line: %q", tc.name, err)
+	}
+}
+
+// TestValidCohortAllocatesNothing holds validation to the error path:
+// a valid cohort, sized by a nested mix, formats no label.
+func TestValidCohortAllocatesNothing(t *testing.T) {
+	c := baseCohort()
+	c.Size = SizeSpec{Mix: []SizeComponent{
+		{Weight: 1, SizeSpec: SizeSpec{Dist: SizePareto, MinBytes: 100, Alpha: 1.5}},
+		{Weight: 2, SizeSpec: SizeSpec{Dist: "cache"}},
+	}}
+	c.Profile = ProfileBurst
+	c.PeriodNs = 1_000_000
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := c.validate(3); err != nil {
+			t.Fatal(err)
 		}
+	}); allocs != 0 {
+		t.Errorf("validating a valid cohort allocates %v times, want 0", allocs)
 	}
 }
 

@@ -99,6 +99,16 @@ func ByName(name string) (*Distribution, error) {
 	return nil, fmt.Errorf("workload: unknown distribution %q (want %s)", name, strings.Join(Names(), " or "))
 }
 
+// knownDist reports whether ByName resolves name, without building the
+// distribution.
+func knownDist(name string) bool {
+	if a, ok := aliases[name]; ok {
+		name = a
+	}
+	_, ok := registry[name]
+	return ok
+}
+
 // Sample draws one flow size in bytes.
 func (d *Distribution) Sample(rng *rand.Rand) int64 {
 	u := rng.Float64()
