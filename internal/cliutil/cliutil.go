@@ -52,19 +52,32 @@ func BuildTopology(spec string) (*topo.Graph, error) {
 		if len(parts) < 2 {
 			return nil, fmt.Errorf("fattree needs k, e.g. fattree:8")
 		}
-		return topo.Fattree(atoi(1, 4), atoi(2, 0)), nil
+		k := atoi(1, 4)
+		if k < 2 || k%2 != 0 {
+			return nil, fmt.Errorf("topology %q: fattree k must be even and at least 2, got %d", spec, k)
+		}
+		return topo.Fattree(k, atoi(2, 0)), nil
 	case "leafspine":
 		if len(parts) < 3 {
 			return nil, fmt.Errorf("leafspine needs leaves:spines, e.g. leafspine:4:2")
 		}
+		leaves, spines := atoi(1, 4), atoi(2, 2)
+		if leaves < 1 || spines < 1 {
+			return nil, fmt.Errorf("topology %q: leafspine needs at least 1 leaf and 1 spine, got %d:%d", spec, leaves, spines)
+		}
 		return topo.LeafSpine(topo.LeafSpineConfig{
-			Leaves: atoi(1, 4), Spines: atoi(2, 2), HostsPerLeaf: atoi(3, 0),
+			Leaves: leaves, Spines: spines, HostsPerLeaf: atoi(3, 0),
 		}), nil
 	case "random":
 		if len(parts) < 2 {
 			return nil, fmt.Errorf("random needs a size, e.g. random:100")
 		}
-		return topo.RandomConnected(atoi(1, 100), 4, int64(atoi(2, 1))), nil
+		// Average degree 4 takes 2n edges, and n(n-1)/2 >= 2n needs n >= 5.
+		n := atoi(1, 100)
+		if n < 5 {
+			return nil, fmt.Errorf("topology %q: random needs at least 5 switches for average degree 4, got %d", spec, n)
+		}
+		return topo.RandomConnected(n, 4, int64(atoi(2, 1))), nil
 	}
 	return nil, fmt.Errorf("unknown topology spec %q", spec)
 }

@@ -46,6 +46,30 @@ func TestBuildTopologyErrors(t *testing.T) {
 	}
 }
 
+// TestBuildTopologyBadSizes covers sizes the generators cannot build:
+// each used to panic, or for random:2 to random:4, never return.
+func TestBuildTopologyBadSizes(t *testing.T) {
+	for _, c := range []struct{ spec, err string }{
+		{"fattree:0", `topology "fattree:0": fattree k must be even and at least 2, got 0`},
+		{"fattree:3", `topology "fattree:3": fattree k must be even and at least 2, got 3`},
+		{"fattree:-4:2", `topology "fattree:-4:2": fattree k must be even and at least 2, got -4`},
+		{"leafspine:0:0", `topology "leafspine:0:0": leafspine needs at least 1 leaf and 1 spine, got 0:0`},
+		{"leafspine:4:0:8", `topology "leafspine:4:0:8": leafspine needs at least 1 leaf and 1 spine, got 4:0`},
+		{"random:0", `topology "random:0": random needs at least 5 switches for average degree 4, got 0`},
+		{"random:1", `topology "random:1": random needs at least 5 switches for average degree 4, got 1`},
+		{"random:2", `topology "random:2": random needs at least 5 switches for average degree 4, got 2`},
+		{"random:3:9", `topology "random:3:9": random needs at least 5 switches for average degree 4, got 3`},
+		{"random:4", `topology "random:4": random needs at least 5 switches for average degree 4, got 4`},
+	} {
+		if _, err := BuildTopology(c.spec); err == nil || err.Error() != c.err {
+			t.Errorf("%s: err = %v, want %q", c.spec, err, c.err)
+		}
+	}
+	if g, err := BuildTopology("random:5"); err != nil || len(g.Switches()) != 5 {
+		t.Errorf("random:5: %v, %v", g, err)
+	}
+}
+
 func TestBuildTopologyFromFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tiny.topo")

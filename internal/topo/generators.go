@@ -128,7 +128,9 @@ func PaperDataCenter() *Graph {
 // RandomConnected builds a connected random graph over n switches with
 // approximately avgDegree average degree: a uniform random spanning tree
 // (guaranteeing connectivity) plus random extra edges. Deterministic for
-// a given seed. Used for the Figure 9b/10b compiler scalability sweep.
+// a given seed. The edge target is capped at n(n-1)/2, the most a
+// simple graph has. Used for the Figure 9b/10b compiler scalability
+// sweep.
 func RandomConnected(n int, avgDegree float64, seed int64) *Graph {
 	if n < 2 {
 		panic("topo: RandomConnected needs n >= 2")
@@ -160,7 +162,7 @@ func RandomConnected(n int, avgDegree float64, seed int64) *Graph {
 	for i := 1; i < n; i++ {
 		addEdge(ids[i], ids[rng.Intn(i)])
 	}
-	wantEdges := int(avgDegree * float64(n) / 2)
+	wantEdges := min(int(avgDegree*float64(n)/2), n*(n-1)/2)
 	for g.NumLinks() < wantEdges {
 		a, b := ids[rng.Intn(n)], ids[rng.Intn(n)]
 		addEdge(a, b)

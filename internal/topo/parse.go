@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Parse reads a topology from a simple line-oriented text format used by
@@ -16,8 +18,9 @@ import (
 //	link <a> <b> [bandwidth] [delay]
 //
 // Bandwidth accepts suffixes K/M/G (bits per second, e.g. "10G");
-// delay accepts ns/us/ms suffixes (e.g. "5us"). Defaults are 10G and
-// 1us.
+// delay accepts ns/us/ms suffixes (e.g. "5us") and is at most one hour,
+// so that path latencies, and twice the longest, fit in an int64.
+// Defaults are 10G and 1us.
 func Parse(r io.Reader, name string) (*Graph, error) {
 	g := New(name)
 	sc := bufio.NewScanner(r)
@@ -61,6 +64,9 @@ func Parse(r io.Reader, name string) (*Graph, error) {
 			if !ok {
 				return nil, fmt.Errorf("line %d: unknown node %q", lineNo, fields[2])
 			}
+			if a == b {
+				return nil, fmt.Errorf("line %d: self loop on %q", lineNo, fields[1])
+			}
 			bw := DefaultFabricBW
 			var delay int64 = DCDelay
 			if len(fields) >= 4 {
@@ -74,6 +80,9 @@ func Parse(r io.Reader, name string) (*Graph, error) {
 				v, err := ParseDuration(fields[4])
 				if err != nil {
 					return nil, fmt.Errorf("line %d: %v", lineNo, err)
+				}
+				if v > maxLinkDelay {
+					return nil, fmt.Errorf("line %d: delay %q is over the 1h bound", lineNo, fields[4])
 				}
 				delay = v
 			}
@@ -91,21 +100,27 @@ func Parse(r io.Reader, name string) (*Graph, error) {
 	return g, nil
 }
 
+// maxLinkDelay bounds a parsed link's one-way delay: one hour.
+const maxLinkDelay = int64(time.Hour)
+
 // ParseBandwidth parses "10G", "500M", "1.5G", or a bare bits/second
-// number.
+// number. The result is finite and positive.
 func ParseBandwidth(s string) (float64, error) {
-	mult := 1.0
+	mult, num := 1.0, s
 	switch {
 	case strings.HasSuffix(s, "G"):
-		mult, s = 1e9, strings.TrimSuffix(s, "G")
+		mult, num = 1e9, strings.TrimSuffix(s, "G")
 	case strings.HasSuffix(s, "M"):
-		mult, s = 1e6, strings.TrimSuffix(s, "M")
+		mult, num = 1e6, strings.TrimSuffix(s, "M")
 	case strings.HasSuffix(s, "K"):
-		mult, s = 1e3, strings.TrimSuffix(s, "K")
+		mult, num = 1e3, strings.TrimSuffix(s, "K")
 	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(num, 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad bandwidth %q", s)
+		return 0, fmt.Errorf("bad bandwidth %q", num)
+	}
+	if math.IsNaN(v) || math.IsInf(v*mult, 0) {
+		return 0, fmt.Errorf("bandwidth %q is not finite", s)
 	}
 	if v <= 0 {
 		return 0, fmt.Errorf("bandwidth must be positive, got %v", v)
@@ -114,25 +129,34 @@ func ParseBandwidth(s string) (float64, error) {
 }
 
 // ParseDuration parses "5us", "1ms", "300ns" or a bare nanosecond count
-// into nanoseconds.
+// into nanoseconds. The value must be finite, non-negative and fit in
+// an int64.
 func ParseDuration(s string) (int64, error) {
-	mult := 1.0
+	mult, num := 1.0, s
 	switch {
 	case strings.HasSuffix(s, "ms"):
-		mult, s = 1e6, strings.TrimSuffix(s, "ms")
+		mult, num = 1e6, strings.TrimSuffix(s, "ms")
 	case strings.HasSuffix(s, "us"):
-		mult, s = 1e3, strings.TrimSuffix(s, "us")
+		mult, num = 1e3, strings.TrimSuffix(s, "us")
 	case strings.HasSuffix(s, "ns"):
-		mult, s = 1, strings.TrimSuffix(s, "ns")
+		mult, num = 1, strings.TrimSuffix(s, "ns")
 	case strings.HasSuffix(s, "s"):
-		mult, s = 1e9, strings.TrimSuffix(s, "s")
+		mult, num = 1e9, strings.TrimSuffix(s, "s")
 	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(num, 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad duration %q", s)
+		return 0, fmt.Errorf("bad duration %q", num)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("duration %q is not finite", s)
 	}
 	if v < 0 {
 		return 0, fmt.Errorf("duration must be non-negative, got %v", v)
+	}
+	// float64(math.MaxInt64) rounds up to 2^63, the first value that
+	// does not convert.
+	if v*mult >= math.MaxInt64 {
+		return 0, fmt.Errorf("duration %q overflows int64 nanoseconds", s)
 	}
 	return int64(v * mult), nil
 }

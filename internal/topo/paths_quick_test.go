@@ -146,8 +146,8 @@ func TestQuickAllSimplePathsAreSimpleAndCompliant(t *testing.T) {
 // messyGraph builds a small graph that exercises what the generators
 // never produce: switch and host IDs interleaved, parallel links,
 // multi-homed and detached hosts, isolated switches and disconnected
-// components.
-func messyGraph(rng *rand.Rand) *Graph {
+// components. Link delays come from delay.
+func messyGraph(rng *rand.Rand, delay func(*rand.Rand) int64) *Graph {
 	g := New("messy")
 	g.AddNode("s0", Switch)
 	g.AddNode("s1", Switch)
@@ -159,45 +159,54 @@ func messyGraph(rng *rand.Rand) *Graph {
 		}
 	}
 	for i := rng.Intn(3 * g.NumNodes()); i > 0; i-- {
-		addRandomLink(g, rng)
+		addRandomLink(g, rng, delay)
 	}
 	return g
 }
 
-func addRandomLink(g *Graph, rng *rand.Rand) {
+func addRandomLink(g *Graph, rng *rand.Rand, delay func(*rand.Rand) int64) {
 	a := NodeID(rng.Intn(g.NumNodes()))
 	b := NodeID(rng.Intn(g.NumNodes()))
 	if a != b {
-		g.AddLink(a, b, 1e9, 1+rng.Int63n(50))
+		g.AddLink(a, b, 1e9, delay(rng))
 	}
 }
+
+// randDelay draws a delay from 1–50 ns, so that MaxSwitchRTT almost
+// always runs its Dijkstra path; uniformDelay gives every link the
+// same one, so that it runs its BFS path.
+func randDelay(rng *rand.Rand) int64 { return 1 + rng.Int63n(50) }
+func uniformDelay(*rand.Rand) int64  { return 7 }
 
 // TestQuickCachedQueriesMatchReference interleaves random mutations
 // (mostly SetDown flips, some AddLink and AddNode) with full query
 // sweeps, on a graph and on a clone taken halfway; every sweep runs on
-// a snapshot that was warm before the mutation.
+// a snapshot that was warm before the mutation. Each seed runs twice:
+// with random link delays and with one delay for every link.
 func TestQuickCachedQueriesMatchReference(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := messyGraph(rng)
-		graphs := []*Graph{g}
-		for step := 0; step < 10; step++ {
-			if step == 5 {
-				graphs = append(graphs, g.Clone())
-			}
-			for _, g := range graphs {
-				switch r := rng.Intn(10); {
-				case r < 7 && g.NumLinks() > 0:
-					id := LinkID(rng.Intn(g.NumLinks()))
-					g.SetDown(id, !g.Link(id).Down)
-				case r < 9:
-					addRandomLink(g, rng)
-				default:
-					g.AddNode(fmt.Sprintf("n%d", g.NumNodes()), Kind(rng.Intn(2)))
+		for _, delay := range []func(*rand.Rand) int64{randDelay, uniformDelay} {
+			rng := rand.New(rand.NewSource(seed))
+			g := messyGraph(rng, delay)
+			graphs := []*Graph{g}
+			for step := 0; step < 10; step++ {
+				if step == 5 {
+					graphs = append(graphs, g.Clone())
 				}
-				if err := checkQueries(g); err != nil {
-					t.Logf("seed %d step %d: %v", seed, step, err)
-					return false
+				for _, g := range graphs {
+					switch r := rng.Intn(10); {
+					case r < 7 && g.NumLinks() > 0:
+						id := LinkID(rng.Intn(g.NumLinks()))
+						g.SetDown(id, !g.Link(id).Down)
+					case r < 9:
+						addRandomLink(g, rng, delay)
+					default:
+						g.AddNode(fmt.Sprintf("n%d", g.NumNodes()), Kind(rng.Intn(2)))
+					}
+					if err := checkQueries(g); err != nil {
+						t.Logf("seed %d step %d: %v", seed, step, err)
+						return false
+					}
 				}
 			}
 		}

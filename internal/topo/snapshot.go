@@ -31,6 +31,10 @@ type snapshot struct {
 	ports   []Port
 	byPeer  []portRef
 
+	// swDelay is the delay every up switch–switch link shares, or -1
+	// when two of them differ; 0 when there is no such link.
+	swDelay int64
+
 	mu      sync.Mutex // serializes the lazy fills below; owns queue
 	hops    []hopRow   // per source node
 	queue   []NodeID   // BFS scratch
@@ -108,8 +112,10 @@ func (g *Graph) buildSnapshot() *snapshot {
 	}
 	copy(s.portOff[1:], s.portOff[:n])
 	s.portOff[0] = 0
+	shared := false // swDelay holds the delay of some up switch–switch link
 	for id := range g.nodes {
-		if g.nodes[id].Kind == Switch {
+		isSwitch := g.nodes[id].Kind == Switch
+		if isSwitch {
 			s.switches = append(s.switches, NodeID(id))
 		} else {
 			s.hosts = append(s.hosts, NodeID(id))
@@ -117,8 +123,15 @@ func (g *Graph) buildSnapshot() *snapshot {
 		lo, hi := s.portOff[id], s.portOff[id+1]
 		for i, p := range s.ports[lo:hi] {
 			s.byPeer[int(lo)+i] = portRef{peer: p.Peer, port: int32(i)}
-			if !g.links[p.Link].Down && g.nodes[p.Peer].Kind == Switch {
+			if l := &g.links[p.Link]; !l.Down && g.nodes[p.Peer].Kind == Switch {
 				s.adj = append(s.adj, p.Peer)
+				switch {
+				case !isSwitch:
+				case !shared:
+					s.swDelay, shared = l.Delay, true
+				case l.Delay != s.swDelay:
+					s.swDelay = -1
+				}
 			}
 		}
 		// Entries were written in port order, so a stable sort on the
@@ -201,22 +214,79 @@ func (s *snapshot) bfs(src NodeID) []int32 {
 	return dist
 }
 
-// maxSwitchRTT returns the cached all-pairs bound, running one Dijkstra
-// per switch on first use with a shared distance buffer and heap.
+// maxSwitchRTT returns the cached all-pairs bound, computing it on
+// first use.
 func (s *snapshot) maxSwitchRTT(g *Graph) int64 {
-	s.fillOnce(&s.rttDone, func() {
-		var worst int64
-		dist := make([]int64, len(s.hops))
-		var h distHeap
-		for _, src := range s.switches {
-			g.latencyFrom(src, dist, &h)
-			for _, t := range s.switches {
-				if dist[t] > worst && dist[t] < infDist {
-					worst = dist[t]
-				}
+	s.fillOnce(&s.rttDone, func() { s.rtt = s.switchRTT(g) })
+	return s.rtt
+}
+
+// switchRTT is twice the longest shortest-latency path between two
+// switches. When every up switch–switch link has the same delay d, a
+// path's latency is d times its hops, so that is 2·d·(hop diameter);
+// otherwise it runs one Dijkstra per switch with a shared distance
+// buffer and heap. Caller holds mu.
+func (s *snapshot) switchRTT(g *Graph) int64 {
+	if s.swDelay >= 0 {
+		return 2 * s.swDelay * int64(s.hopDiameter())
+	}
+	var worst int64
+	dist := make([]int64, len(s.hops))
+	var h distHeap
+	for _, src := range s.switches {
+		g.latencyFrom(src, dist, &h)
+		for _, t := range s.switches {
+			if dist[t] > worst && dist[t] < infDist {
+				worst = dist[t]
 			}
 		}
-		s.rtt = 2 * worst
-	})
-	return s.rtt
+	}
+	return 2 * worst
+}
+
+// hopDiameter returns the largest finite hop distance between two
+// switches over the adjacency. It runs the BFS from 64 switches at
+// once: bit b of reach[n] says the batch's source b has reached n, and
+// front[n] holds the bits that reached n at the current level. Each
+// level pushes from the frontier list only, and a node joins the next
+// list when that level brings it a source it had not seen, so a batch
+// costs at most one BFS per source. Caller holds mu.
+func (s *snapshot) hopDiameter() int {
+	n := len(s.hops)
+	reach := make([]uint64, n)
+	front := make([]uint64, n)
+	next := make([]uint64, n)
+	cur := make([]NodeID, 0, n) // a node enters a level's list once
+	nxt := make([]NodeID, 0, n)
+	diam := 0
+	for lo := 0; lo < len(s.switches); lo += 64 {
+		clear(reach) // front is all zero, and cur empty, between batches
+		for b, src := range s.switches[lo:min(lo+64, len(s.switches))] {
+			reach[src] = 1 << b
+			front[src] = 1 << b
+			cur = append(cur, src)
+		}
+		for depth := 1; len(cur) > 0; depth++ {
+			nxt = nxt[:0]
+			for _, u := range cur {
+				bits := front[u]
+				front[u] = 0
+				for _, v := range s.neighbors(u) {
+					if add := bits &^ reach[v]; add != 0 {
+						if next[v] == 0 {
+							nxt = append(nxt, v)
+						}
+						next[v] |= add
+						reach[v] |= add
+					}
+				}
+			}
+			if len(nxt) > 0 {
+				diam = max(diam, depth)
+			}
+			front, next = next, front
+			cur, nxt = nxt, cur
+		}
+	}
+	return diam
 }

@@ -309,6 +309,16 @@ func (g *Graph) SortedNames() []string {
 
 // MaxSwitchRTT returns an upper bound on the round-trip time in ns
 // between any pair of switches, assuming negligible queueing: twice the
-// maximum over shortest-latency paths. Contra's probe period must be at
-// least half this value (§5.2). Computed once per graph state.
+// maximum over shortest-latency paths, over up links, between switches
+// that reach each other. Contra's probe period must be at least half
+// this value (§5.2). Computed once per graph state, by one of two
+// paths that give the same answer:
+//
+//   - When every up switch–switch link has the same delay d (every
+//     generated fat-tree, leaf-spine and random graph), a path's latency
+//     is d times its hops, and the bound is 2·d·(hop diameter). The
+//     diameter comes from a BFS run from 64 switches at a time, one bit
+//     per source.
+//   - When two such links differ (Abilene, most parsed WANs), one
+//     Dijkstra runs from every switch.
 func (g *Graph) MaxSwitchRTT() int64 { return g.snapshot().maxSwitchRTT(g) }

@@ -120,6 +120,13 @@ func TestRandomConnected(t *testing.T) {
 			t.Fatalf("n=%d: links = %d, want >= %d", n, g.NumLinks(), wantEdges)
 		}
 	}
+	// Below five switches, degree 4 asks for more edges than exist: the
+	// target is capped at the complete graph.
+	for n := 2; n < 5; n++ {
+		if got := RandomConnected(n, 4, 1).NumLinks(); got != n*(n-1)/2 {
+			t.Fatalf("n=%d: links = %d, want %d", n, got, n*(n-1)/2)
+		}
+	}
 	// Determinism.
 	a := RandomConnected(50, 4, 7)
 	b := RandomConnected(50, 4, 7)
