@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"fmt"
+
 	"contra/internal/core"
 	"contra/internal/metrics"
 	"contra/internal/pintable"
@@ -224,6 +226,20 @@ func roleLevel(r topo.Role) int {
 	return -1
 }
 
+// CheckHulaTopology reports whether HULA can run on g: its probes climb
+// and descend by switch role, so every switch needs a Clos role, as
+// topo.Fattree and topo.LeafSpine give them. Attach panics on a switch
+// without one; a caller that builds topologies from user input checks
+// first.
+func CheckHulaTopology(g *topo.Graph) error {
+	for _, s := range g.Switches() {
+		if roleLevel(g.Node(s).Role) < 0 {
+			return fmt.Errorf("HULA needs a Clos topology with switch roles (edge, agg, core); switch %q has none", g.Node(s).Name)
+		}
+	}
+	return nil
+}
+
 // Attach implements sim.Router.
 func (r *Hula) Attach(sw *sim.SwitchDev) {
 	r.init(sw)
@@ -256,13 +272,23 @@ func (r *Hula) Attach(sw *sim.SwitchDev) {
 	if r.packing {
 		// Every switch flushes once per period; edge origination rides
 		// the packed flush instead of a separate probe burst.
-		sw.Net.Eng.Every(offset, r.periodNs, r.flush)
+		sw.Net.Eng.Every(offset, r.periodNs, (*hulaFlush)(r))
 		return
 	}
 	if g.Node(sw.ID).Role == topo.RoleEdge {
-		sw.Net.Eng.Every(offset, r.periodNs, r.originate)
+		sw.Net.Eng.Every(offset, r.periodNs, (*hulaOriginate)(r))
 	}
 }
+
+// The router's recurring timers are its own pointer under one name per
+// timer, so starting one allocates nothing (see sim.Ticker).
+type (
+	hulaFlush     Hula
+	hulaOriginate Hula
+)
+
+func (t *hulaFlush) Tick()     { (*Hula)(t).flush() }
+func (t *hulaOriginate) Tick() { (*Hula)(t).originate() }
 
 var _ sim.Rebooter = (*Hula)(nil)
 

@@ -467,9 +467,9 @@ func (f *refHula) attach(sw *sim.SwitchDev) {
 	offset := (int64(sw.ID) * 7919) % f.r.periodNs
 	switch {
 	case f.r.packing:
-		sw.Net.Eng.Every(offset, f.r.periodNs, f.flush)
+		sw.Net.Eng.Every(offset, f.r.periodNs, sim.TickFunc(f.flush))
 	case f.r.level == 0:
-		sw.Net.Eng.Every(offset, f.r.periodNs, f.originate)
+		sw.Net.Eng.Every(offset, f.r.periodNs, sim.TickFunc(f.originate))
 	}
 }
 

@@ -179,6 +179,38 @@ func TestScenarioFailureIsRecordedNotFatal(t *testing.T) {
 	}
 }
 
+// TestHulaOffClosFailsItsCellOnly: HULA on Abilene, which has no Clos
+// switch roles, used to panic in Attach and kill the process; now that
+// cell fails naming the topology, and the fat-tree cells beside it,
+// run by two workers on each other's recycled packet slabs, complete.
+func TestHulaOffClosFailsItsCellOnly(t *testing.T) {
+	spec := &Spec{
+		Topos:    []string{"fattree:4:2", "abilene+hosts"},
+		Schemes:  []scenario.Scheme{scenario.SchemeHula, scenario.SchemeECMP},
+		Loads:    []float64{0.3},
+		Seeds:    []int64{1, 2},
+		Workload: scenario.Workload{Dist: "cache", DurationNs: 2_000_000, MaxFlows: 40},
+	}
+	report, err := Run(spec, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range report.Outcomes {
+		offClos := o.Scenario.Scheme == scenario.SchemeHula && o.Scenario.TopoSpec == "abilene+hosts"
+		switch {
+		case offClos && !strings.Contains(o.Err, `scheme "hula" on topology "abilene+hosts"`):
+			t.Errorf("%s: error %q, want one naming HULA and abilene+hosts", o.Scenario.Name, o.Err)
+		case !offClos && o.Err != "":
+			t.Errorf("%s: %s", o.Scenario.Name, o.Err)
+		case !offClos && o.Result.Completed == 0:
+			t.Errorf("%s: no flow completed", o.Scenario.Name)
+		}
+	}
+	if report.Failed() != 2 {
+		t.Fatalf("Failed() = %d of %d cells, want the 2 HULA cells on Abilene", report.Failed(), len(report.Outcomes))
+	}
+}
+
 // TestOversizedFlowFailsItsCellOnly: a replayed trace asking for a flow
 // too large to simulate used to panic inside sim.StartFlows and take the
 // whole campaign down; now the cell that replays it carries the error

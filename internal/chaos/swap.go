@@ -86,7 +86,7 @@ func (sr *swapRun) install(comp *core.Compiled) {
 	// Poll on the probe-period grid: route state only changes as
 	// probes arrive, so a finer poll buys nothing and a coarser one
 	// overstates the window.
-	sr.pollTimer = sr.net.Eng.Every(sr.net.Eng.Now()+sr.period, sr.period, sr.poll)
+	sr.pollTimer = sr.net.Eng.Every(sr.net.Eng.Now()+sr.period, sr.period, sim.TickFunc(sr.poll))
 }
 
 // poll checks every snapshot pair; the first poll where all are live

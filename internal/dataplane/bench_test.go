@@ -113,7 +113,7 @@ func attachTelemetry(e *sim.Engine, n *sim.Network, routers map[topo.NodeID]*Con
 	for _, id := range n.Topo.Switches() {
 		routers[id].SetChurn(m.RegisterRouter(n.Topo.Node(id).Name))
 	}
-	e.Every(0, intervalNs, n.SampleMetrics)
+	e.Every(0, intervalNs, sim.TickFunc(n.SampleMetrics))
 }
 
 func benchDataForwarding(b *testing.B, attach attachHooks) {

@@ -521,13 +521,25 @@ func (c *Contra) Attach(sw *sim.SwitchDev) {
 		// Every switch flushes once per period: origin entries and
 		// pending transit re-advertisements share the packed probes.
 		c.recomputeAdv(t)
-		sw.Net.Eng.Every(originStagger(c.prog.Switch, period), period, c.flushPacked)
+		sw.Net.Eng.Every(originStagger(c.prog.Switch, period), period, (*flushTick)(c))
 	case c.prog.Origin != nil:
-		c.originTimer = sw.Net.Eng.Every(originStagger(c.prog.Switch, period), period, c.originate)
+		c.originTimer = sw.Net.Eng.Every(originStagger(c.prog.Switch, period), period, (*originTick)(c))
 	}
 	// Housekeeping: sweep expired flowlet entries.
-	sw.Net.Eng.Every(period, 16*period, c.sweep)
+	sw.Net.Eng.Every(period, 16*period, (*sweepTick)(c))
 }
+
+// The router's recurring timers are its own pointer under one name per
+// timer, so starting one allocates nothing (see sim.Ticker).
+type (
+	flushTick  Contra
+	originTick Contra
+	sweepTick  Contra
+)
+
+func (t *flushTick) Tick()  { (*Contra)(t).flushPacked() }
+func (t *originTick) Tick() { (*Contra)(t).originate() }
+func (t *sweepTick) Tick()  { (*Contra)(t).sweep() }
 
 // recomputeAdv rebuilds the packed-flush port state from the current
 // program, in windows of t: which ports are product-graph out-ports
@@ -1434,7 +1446,7 @@ func (c *Contra) install(comp *core.Compiled, era uint8, t *tables) {
 		c.originTimer = sim.Timer{}
 	case !hadOrigin && c.prog.Origin != nil && c.sw != nil:
 		period := comp.Opts.ProbePeriodNs
-		c.originTimer = c.sw.Net.Eng.Every(c.sw.Now()+originStagger(id, period), period, c.originate)
+		c.originTimer = c.sw.Net.Eng.Every(c.sw.Now()+originStagger(id, period), period, (*originTick)(c))
 	}
 }
 

@@ -858,7 +858,7 @@ func (r *refTables) attach(sw *sim.SwitchDev) {
 	if r.c.packing {
 		tick = r.flush
 	}
-	sw.Net.Eng.Every(originStagger(r.c.prog.Switch, period), period, tick)
+	sw.Net.Eng.Every(originStagger(r.c.prog.Switch, period), period, sim.TickFunc(tick))
 }
 
 // originate is the unpacked probe generator: one probe per pid per

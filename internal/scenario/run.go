@@ -290,6 +290,13 @@ func Deploy(n *sim.Network, g *topo.Graph, s *Scenario) (*dataplane.Fleet, error
 	case SchemeSP:
 		baseline.DeploySP(n)
 	case SchemeHula:
+		if err := baseline.CheckHulaTopology(g); err != nil {
+			name := s.TopoSpec
+			if name == "" {
+				name = g.Name
+			}
+			return nil, fmt.Errorf("scenario: scheme %q on topology %q: %w", s.Scheme, name, err)
+		}
 		baseline.DeployHula(n, s.Options)
 	case SchemeSpain:
 		baseline.DeploySpain(n, baseline.SpainConfig{})
@@ -519,7 +526,7 @@ func Run(s Scenario) (*Result, error) {
 	}
 	attachObservers(n, g, rec, mrec, s.Overrides)
 	if mrec != nil {
-		e.Every(0, s.MetricsIntervalNs, n.SampleMetrics)
+		e.Every(0, s.MetricsIntervalNs, sim.TickFunc(n.SampleMetrics))
 	}
 	if s.BinNs > 0 {
 		n.RxSeries = stats.NewTimeseries(s.BinNs)
@@ -555,7 +562,7 @@ func Run(s Scenario) (*Result, error) {
 	// network's invariants (no register miss, every packet conserved,
 	// the event queue and timer slots in step) must hold exactly. A violation is a simulator bug, and the cell
 	// fails with it instead of reporting numbers built on it.
-	if err := n.Audit(); err != nil {
+	if err := auditNetwork(n); err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 
@@ -604,9 +611,17 @@ func Run(s Scenario) (*Result, error) {
 		}
 		analyzeRecovery(&s, res)
 	}
+	// Every field is read and the audit passed, so the packet slabs go
+	// to the next cell this process runs. A cell that failed returned
+	// above and hands nothing on: its packets may still be referenced.
+	n.Release()
 	res.WallTime = time.Since(wallStart)
 	return res, nil
 }
+
+// auditNetwork is Network.Audit, a variable so that tests can fail a
+// cell's audit.
+var auditNetwork = (*sim.Network).Audit
 
 // offered is a materialised workload: the flows to start, in injection
 // order, and the flow-trace meta that labels and bounds the run — the
@@ -669,7 +684,7 @@ func play(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int6
 	}
 	n.StartFlows(w.flows)
 	if s.SampleQueues {
-		e.Every(warmup, 100_000, n.SampleQueues)
+		e.Every(warmup, 100_000, sim.TickFunc(n.SampleQueues))
 	}
 	res.Dist, res.Pattern, res.Load, res.RateBps = w.meta.Dist, w.meta.Pattern, w.meta.Load, w.meta.RateBps
 	res.Flows = len(w.flows)

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
 
 	"contra/internal/topo"
@@ -172,5 +173,39 @@ func TestFabricCapacity(t *testing.T) {
 	}
 	if got := FabricCapacity(topo.AbileneWithHosts(0)); got != 40e9 {
 		t.Fatalf("abilene reference = %g, want one 40G link", got)
+	}
+}
+
+// TestHulaNeedsClosRoles: HULA on a topology without Clos switch roles
+// fails its cell with an error naming the scheme and the topology
+// instead of panicking in Attach; the Clos topologies still run.
+func TestHulaNeedsClosRoles(t *testing.T) {
+	for _, tc := range []struct {
+		topo string
+		ok   bool
+	}{
+		{"abilene+hosts", false},
+		{"random:12:2", false},
+		{"fattree:4:2", true},
+		{"leafspine:4:2:4", true},
+	} {
+		t.Run(tc.topo, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			res, err := Run(fct(tc.topo, SchemeHula, "cache", 0.2, 2_000_000, 40, 1))
+			if tc.ok {
+				if err != nil || res.Completed == 0 {
+					t.Fatalf("HULA on %s: %v", tc.topo, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), `scheme "hula" on topology "`+tc.topo+`"`) ||
+				!strings.Contains(err.Error(), "switch roles") {
+				t.Fatalf("HULA on %s: error %v, want one naming the scheme, the topology and switch roles", tc.topo, err)
+			}
+		})
 	}
 }

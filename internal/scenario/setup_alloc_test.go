@@ -16,9 +16,9 @@ import (
 // allocate per table, not per node, flow or switch. The set-up runs on
 // a prebuilt graph (and, for Contra, a prebuilt compile) at fattree:4:2
 // with 16 flows and at fattree:16:2 with 1 024, and the larger cell may
-// allocate at most 6 more times per added switch, plus 64: what a
-// switch still costs is its recurring timers, and hosts and flows cost
-// nothing.
+// allocate at most 64 more times in all (it allocates about 15 more):
+// switches, hosts and flows cost nothing, and one allocation per switch
+// would overrun it almost five times over the 300 switches added.
 func TestCellSetupAllocBudget(t *testing.T) {
 	opts := core.Options{ProbePacking: true, SuppressEps: 0.02, RefreshEvery: 4}
 	type cell struct {
@@ -47,7 +47,7 @@ func TestCellSetupAllocBudget(t *testing.T) {
 	}
 	small, large := build(4, 16), build(16, 1024)
 	added := len(large.g.Switches()) - len(small.g.Switches())
-	budget := float64(6*added + 64)
+	const budget = 64
 	for _, scheme := range []string{"ecmp", "hula", "contra"} {
 		setup := func(c cell) float64 {
 			return testing.AllocsPerRun(3, func() {
@@ -68,7 +68,7 @@ func TestCellSetupAllocBudget(t *testing.T) {
 		t.Logf("%s: %.0f allocations at fattree:4:2, %.0f at fattree:16:2 (%.2f per added switch)",
 			scheme, lo, hi, (hi-lo)/float64(added))
 		if hi-lo > budget {
-			t.Errorf("%s: set-up allocates %.0f more times at fattree:16:2 with %d flows than at fattree:4:2 with %d, past 6 per added switch + 64 = %.0f",
+			t.Errorf("%s: set-up allocates %.0f more times at fattree:16:2 with %d flows than at fattree:4:2 with %d, past %d",
 				scheme, hi-lo, len(large.flows), len(small.flows), budget)
 		}
 	}

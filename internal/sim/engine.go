@@ -79,7 +79,7 @@ type Engine struct {
 // touches the new occupant.
 type timerSlot struct {
 	period int64
-	fn     func()
+	fn     Ticker
 	gen    uint32
 	active bool
 }
@@ -144,20 +144,32 @@ func (e *Engine) schedule(t int64, ev event) {
 // timer slot; the queue entry carries the slot's index.
 func (e *Engine) At(t int64, fn func()) {
 	idx := e.newSlot()
-	e.timers[idx].fn = fn
+	e.timers[idx].fn = TickFunc(fn)
 	e.schedule(t, event{kind: evFunc, arg: idx})
 }
 
 // After schedules fn d nanoseconds from now.
 func (e *Engine) After(d int64, fn func()) { e.At(e.now+d, fn) }
 
-// Every schedules fn every period ns starting at start, until the
-// returned timer is cancelled.
-func (e *Engine) Every(start, period int64, fn func()) Timer {
+// Ticker is what a recurring timer fires. A router starts its timers
+// with its own pointer, converted to a named type per timer, which
+// allocates nothing: a method value such as r.flush allocates a closure
+// per router. A function literal adapts through TickFunc.
+type Ticker interface{ Tick() }
+
+// TickFunc adapts a function to Ticker.
+type TickFunc func()
+
+// Tick calls f.
+func (f TickFunc) Tick() { f() }
+
+// Every fires t every period ns starting at start, until the returned
+// timer is cancelled.
+func (e *Engine) Every(start, period int64, t Ticker) Timer {
 	idx := e.newSlot()
 	slot := &e.timers[idx]
 	slot.period = period
-	slot.fn = fn
+	slot.fn = t
 	slot.active = true
 	e.schedule(start, event{kind: evTimer, arg: idx, gen: uint16(slot.gen)})
 	return Timer{e: e, idx: idx, gen: slot.gen}
@@ -233,7 +245,7 @@ func (e *Engine) tick(idx int32, gen uint16) {
 	// Fire, then reschedule — in that order, so events the callback
 	// schedules keep their historical sequence numbers (campaign
 	// output is byte-compared across scheduler changes).
-	slot.fn()
+	slot.fn.Tick()
 	// The callback may have created timers and grown e.timers;
 	// re-resolve the slot before touching it again.
 	slot = &e.timers[idx]
@@ -276,7 +288,7 @@ func (e *Engine) Run(until int64) {
 			// be handed this very slot.
 			fn := e.timers[idx].fn
 			e.freeSlot(idx)
-			fn()
+			fn.Tick()
 		case evTimer:
 			idx, gen := top.arg, top.gen
 			e.popTop(&e.cold)

@@ -98,7 +98,7 @@ type engineAdapter struct{ e *Engine }
 func (a engineAdapter) At(t int64, fn func())    { a.e.At(t, fn) }
 func (a engineAdapter) After(d int64, fn func()) { a.e.After(d, fn) }
 func (a engineAdapter) Every(start, period int64, fn func()) func() {
-	return a.e.Every(start, period, fn).Cancel
+	return a.e.Every(start, period, TickFunc(fn)).Cancel
 }
 func (a engineAdapter) Run(until int64) { a.e.Run(until) }
 
@@ -192,7 +192,7 @@ func TestSchedulerOrderProperty(t *testing.T) {
 func TestEveryCancelInPlace(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	cancel := e.Every(0, 10, func() { fired++ }).Cancel
+	cancel := e.Every(0, 10, TickFunc(func() { fired++ })).Cancel
 	e.Run(25) // fires at t=0, 10, 20
 	if fired != 3 {
 		t.Fatalf("fired = %d, want 3", fired)
@@ -218,7 +218,7 @@ func TestEveryCancelInPlace(t *testing.T) {
 	// The freed slot is reused under a new generation: the new timer
 	// fires and the old cancel stays inert.
 	fired2 := 0
-	cancel2 := e.Every(e.Now()+5, 10, func() { fired2++ }).Cancel
+	cancel2 := e.Every(e.Now()+5, 10, TickFunc(func() { fired2++ })).Cancel
 	cancel() // stale cancel of the recycled slot: must be a no-op
 	e.Run(e.Now() + 16)
 	if fired2 != 2 {
@@ -237,12 +237,12 @@ func TestEveryCancelFromCallback(t *testing.T) {
 	e := NewEngine()
 	fired := 0
 	var timer Timer
-	timer = e.Every(0, 10, func() {
+	timer = e.Every(0, 10, TickFunc(func() {
 		fired++
 		if fired == 2 {
 			timer.Cancel()
 		}
-	})
+	}))
 	e.Run(100)
 	if fired != 2 {
 		t.Fatalf("fired = %d, want 2", fired)
@@ -320,13 +320,13 @@ func TestEventHeapChurnStress(t *testing.T) {
 func TestEveryFromTimerCallback(t *testing.T) {
 	e := NewEngine()
 	var spawned int
-	timer := e.Every(0, 10, func() {
+	timer := e.Every(0, 10, TickFunc(func() {
 		// Each tick registers more timers, forcing e.timers to grow
 		// while the outer tick is mid-flight.
 		for i := 0; i < 4; i++ {
-			e.Every(e.Now()+1000, 1000, func() { spawned++ })
+			e.Every(e.Now()+1000, 1000, TickFunc(func() { spawned++ }))
 		}
-	})
+	}))
 	e.Run(95) // 10 outer ticks, 40 spawned timers
 	timer.Cancel()
 	e.Run(2000)

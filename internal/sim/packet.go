@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync"
 	"unsafe"
 
 	"contra/internal/topo"
@@ -159,12 +160,15 @@ func (p *Packet) IsPacked() bool { return p.Packed != nil }
 
 // pool recycles packets and probe buffers, each on its own LIFO freelist
 // (the simulator is single-threaded), and allocates both in slabs when
-// their list runs dry.
+// their list runs dry. The packet slabs it drew are also on a list of
+// their own, so release can hand them on to the next network.
 type pool struct {
 	pkts     *Packet
 	bufs     *ProbeBuf
-	slabs    int // packetSlabs allocated: every packet ever drawn came from one
-	bufSlabs int // bufSlabLen-long ProbeBuf arrays allocated
+	slabList *packetSlab // every slab drawn, newest first
+	slabs    int         // packetSlabs drawn: every packet ever drawn came from one
+	bufSlabs int         // bufSlabLen-long ProbeBuf arrays allocated
+	released bool
 }
 
 // bufSlabLen is how many ProbeBufs the pool allocates at once. A cell
@@ -172,31 +176,64 @@ type pool struct {
 // packed k = 8 fat-tree cells), so one allocation of 1 KiB covers them.
 const bufSlabLen = 32
 
-// packetSlab is what the pool allocates when the packet list is empty:
-// as many packets as fit the allocator's 16 KiB size class. The
-// allocator puts an 8-byte header in front of an object with pointers;
-// the pad after it puts the first packet, and so every packet (128
-// bytes), on a cache-line boundary, as a packet allocated alone is.
+// packetSlab is what the pool draws when the packet list is empty: as
+// many packets as fit the allocator's 16 KiB size class. The allocator
+// puts an 8-byte header in front of an object with pointers; the pad
+// after it puts the first packet, and so every packet (128 bytes), on a
+// cache-line boundary, as a packet allocated alone is. The pad's first
+// word links the slab into its pool's list of slabs drawn.
 type packetSlab struct {
-	_    [64 - 8]byte
+	next *packetSlab
+	_    [64 - 8 - 8]byte
 	pkts [(16<<10 - 64) / unsafe.Sizeof(Packet{})]Packet
 }
+
+// releasedSlabs holds the zeroed slabs released networks handed on. A
+// campaign worker runs cells back to back, so the next cell's pool
+// draws the last one's slabs instead of allocating its own.
+var releasedSlabs sync.Pool
 
 // get returns a zeroed packet.
 func (p *pool) get() *Packet {
 	pkt := p.pkts
 	if pkt == nil {
-		p.slabs++
-		slab := new(packetSlab).pkts[:]
-		for i := 1; i < len(slab)-1; i++ {
-			slab[i].next = &slab[i+1]
-		}
-		p.pkts = &slab[1]
-		return &slab[0]
+		return p.getSlab()
 	}
 	p.pkts = pkt.next
 	*pkt = Packet{}
 	return pkt
+}
+
+// getSlab draws a zeroed slab, a released one when there is one, puts
+// all its packets but the first on the freelist and returns the first.
+func (p *pool) getSlab() *Packet {
+	if p.released {
+		panic("sim: packet drawn from a released network")
+	}
+	s, _ := releasedSlabs.Get().(*packetSlab)
+	if s == nil {
+		s = new(packetSlab)
+	}
+	s.next, p.slabList = p.slabList, s
+	p.slabs++
+	slab := s.pkts[:]
+	for i := 1; i < len(slab)-1; i++ {
+		slab[i].next = &slab[i+1]
+	}
+	p.pkts = &slab[1]
+	return &slab[0]
+}
+
+// release zeroes every slab the pool drew and hands it on. The counts
+// stay: drawn still reports what this pool drew.
+func (p *pool) release() {
+	for s := p.slabList; s != nil; {
+		next := s.next
+		*s = packetSlab{}
+		releasedSlabs.Put(s)
+		s = next
+	}
+	p.slabList, p.pkts, p.released = nil, nil, true
 }
 
 // getBuf returns an empty buffer of metric width w with room for n
@@ -303,3 +340,21 @@ func (n *Network) Clone(pkt *Packet) *Packet {
 // Free returns a packet, and a packed probe's buffer, to the pool.
 // Devices must not retain packets after freeing.
 func (n *Network) Free(pkt *Packet) { n.pool.put(pkt) }
+
+// Release hands the network's packet slabs on to the next network
+// built in this process, zeroed. It is safe once the engine will not
+// run again and nothing reads a packet any more: at the horizon, after
+// Audit has passed (every packet is then free or in flight, so no
+// device or router holds one) and the results have been read. Each
+// packet in flight is dropped with its slab; probe buffers are not
+// handed on. The network cannot run afterwards: drawing a packet
+// panics, and so does delivering one. Totals and the other counters
+// still read as before; Audit fails, since the packets it counts are
+// gone. Releasing twice hands the slabs on once. A network that is
+// never released keeps its slabs until the collector frees them.
+func (n *Network) Release() {
+	n.pool.release()
+	for i := range n.chans {
+		n.chans[i].inHead, n.chans[i].inTail = nil, nil
+	}
+}

@@ -78,7 +78,7 @@ func TestEngineOrderingAndEvery(t *testing.T) {
 	e.At(50, func() { order = append(order, 1) })
 	e.At(100, func() { order = append(order, 3) }) // tie: insertion order
 	ticks := 0
-	cancel := e.Every(0, 10, func() { ticks++ }).Cancel
+	cancel := e.Every(0, 10, TickFunc(func() { ticks++ })).Cancel
 	e.At(35, func() { cancel() })
 	e.Run(1000)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
@@ -252,7 +252,7 @@ func TestQueueSampling(t *testing.T) {
 	n.StartFlows([]FlowSpec{{
 		ID: 1, Src: g.MustNode("H0"), Dst: g.MustNode("H1"), RateBps: 2e9, Start: 0,
 	}})
-	e.Every(0, 100_000, n.SampleQueues)
+	e.Every(0, 100_000, TickFunc(n.SampleQueues))
 	e.Run(10_000_000)
 	if n.QueueMSS.Len() == 0 {
 		t.Fatal("no queue samples")
@@ -351,14 +351,14 @@ func TestDRETracksOfferedLoad(t *testing.T) {
 		port := g.PortTo(s0.ID, g.MustNode("S1"))
 		var sum float64
 		var samples int
-		e.Every(warmup, every, func() {
+		e.Every(warmup, every, TickFunc(func() {
 			u := s0.TxUtil(port)
 			if math.Abs(u-rho) > 0.01 {
 				t.Errorf("ρ=%.1f: TxUtil %.4f at %d ns", rho, u, e.Now())
 			}
 			sum += u
 			samples++
-		})
+		}))
 		e.Run(end)
 		if mean := sum / float64(samples); math.Abs(mean-rho) > 0.002 {
 			t.Errorf("ρ=%.1f: mean TxUtil %.4f over %d readings", rho, mean, samples)

@@ -179,7 +179,7 @@ func (n *Network) startCBR(f FlowSpec) {
 		gapNs = 1
 	}
 	var seq int64
-	n.Eng.Every(f.Start, gapNs, func() {
+	n.Eng.Every(f.Start, gapNs, TickFunc(func() {
 		pkt := n.pool.get()
 		pkt.Kind = Data
 		pkt.Size = size
@@ -190,7 +190,7 @@ func (n *Network) startCBR(f FlowSpec) {
 		pkt.Tag = -1
 		seq++
 		src.send(pkt)
-	})
+	}))
 }
 
 // pump sends as much of the window as allowed.
