@@ -18,28 +18,19 @@
 //	contracamp -merge s0.jsonl,s1.jsonl -out merged.json -csv merged.csv -fct-csv fct.csv
 //
 // Every run that ends holding the report — an in-memory -spec run, a
-// -serve coordinator at completion, a -merge of record streams or of
-// report JSON written earlier — renders it through one step, so every
-// output flag works on all three: -out, -csv and the comparison table
-// per scenario; -agg-csv, -fct-csv and -rec-csv with the seed axis
-// collapsed to mean/stddev/min/max; -figures as gnuplot data.
-//
-// The fault-tolerant fabric replaces static sharding when workers may
-// crash: a coordinator leases cells to workers over HTTP, re-leases
-// them if a worker stops heartbeating, steals stragglers' cells near
-// the end, and deduplicates results so the merged output is
-// byte-identical to a single-process run:
-//
-//	contracamp -spec sweep.json -serve :7070 -stream out.jsonl -workers 4   # local fleet
-//	contracamp -worker http://host:7070 -worker-dir /tmp/w0                 # extra workers, any machine
-//	contracamp -spec sweep.json -serve :7070 -stream out.jsonl -resume      # restarted coordinator
+// -merge of record streams or of report JSON written earlier — renders
+// it through one step, so every output flag works on both: -out, -csv
+// and the comparison table per scenario; -agg-csv, -fct-csv and
+// -rec-csv with the seed axis collapsed to mean/stddev/min/max;
+// -figures as gnuplot data. A -merge runs no cell, so it refuses the
+// flags only a -spec run reads.
 //
 // Campaign output is deterministic: the same spec produces
 // byte-identical JSON/CSV whatever the worker count, shard count,
-// completion order, or number of crash/resume cycles. Every mode that
-// runs cells completes them through one step (dist.Commit: artifacts,
-// record, checkpoint mark), so -record-dir, -trace-dir and -metrics-dir
-// write the same files in all of them.
+// completion order, or number of crash/resume cycles. Every cell
+// completes through one step (dist.Commit: artifacts, record,
+// checkpoint mark), so -record-dir, -trace-dir and -metrics-dir write
+// the same files whether the run is held in memory or sharded.
 package main
 
 import (
@@ -80,19 +71,6 @@ type options struct {
 	checkpoint string
 	resume     bool
 
-	serve      string
-	urlFile    string
-	leaseTTL   time.Duration
-	stealAfter time.Duration
-	journal    string
-	worker     string
-	workerDir  string
-	workerID   string
-
-	postmortem string
-	statusURL  string
-	watch      time.Duration
-
 	cellTimeout time.Duration
 	strict      bool
 
@@ -124,19 +102,8 @@ func main() {
 	flag.StringVar(&o.stream, "stream", "", "stream outcomes to a JSONL `file` instead of holding them in memory")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "record completed scenario keys in `file` (requires -stream)")
 	flag.BoolVar(&o.resume, "resume", false, "skip scenarios already in -checkpoint and append to -stream")
-	flag.StringVar(&o.serve, "serve", "", "run the fabric coordinator on `addr` (e.g. 127.0.0.1:7070, :0 for ephemeral; requires -spec and -stream; -workers N spawns a local fleet, 0 means external workers only)")
-	flag.StringVar(&o.urlFile, "url-file", "", "serve mode: write the coordinator's URL to `file` once listening (for scripting with -serve :0)")
-	flag.DurationVar(&o.leaseTTL, "lease-ttl", fabricDefaultTTL, "serve mode: lease lifetime without a heartbeat; a dead worker's cells re-lease after this")
-	flag.DurationVar(&o.stealAfter, "steal-after", 0, "serve mode: min age of an in-flight cell before idle workers steal it at end of campaign (0 = lease TTL)")
-	flag.StringVar(&o.journal, "journal", "", "serve mode: append every coordinator event (grants, heartbeats, expiries, steals, results) to a JSONL `file`; a post-mortem report is written next to it at completion")
-	flag.StringVar(&o.worker, "worker", "", "run as a fabric worker against the coordinator at `url`")
-	flag.StringVar(&o.workerDir, "worker-dir", "", "worker mode: local durability `dir` (results + checkpoint; reuse it to resume after a crash)")
-	flag.StringVar(&o.workerID, "worker-id", "", "worker mode: self-chosen worker `id` (default hostname-pid)")
 	flag.DurationVar(&o.cellTimeout, "cell-timeout", -1, "per-cell wall-clock budget; exceeded cells are recorded as failed (0 forces off, -1 leaves the spec)")
 	flag.BoolVar(&o.strict, "strict", false, "exit nonzero if any scenario failed (default: failed cells carry their error in the output and the exit is clean)")
-	flag.StringVar(&o.postmortem, "postmortem", "", "render a campaign post-mortem (markdown, plus -csv) from a coordinator journal `file`")
-	flag.StringVar(&o.statusURL, "status", "", "print a live fleet snapshot from the coordinator at `url` (workers, telemetry, straggler cells)")
-	flag.DurationVar(&o.watch, "watch", 0, "status mode: refresh every `interval` until the campaign completes (0 prints once)")
 	flag.StringVar(&o.merge, "merge", "", "load comma-separated results `files` into one report and render it: JSONL record streams are deduplicated by scenario key and ordered by expansion index, and must come from one campaign; report JSON (-out) inputs carry no key and are appended as given")
 	flag.StringVar(&o.aggCSV, "agg-csv", "", "write the seed aggregate, mean/stddev/min/max of every column per (topo, script, load, scheme), to `file` (- for stdout)")
 	flag.StringVar(&o.fctCSV, "fct-csv", "", "write FCT-vs-load figure data, seed-aggregated, to `file` (- for stdout)")
@@ -161,32 +128,12 @@ func main() {
 }
 
 func run(o options) error {
-	modes := 0
-	for _, on := range []bool{o.spec != "", o.merge != "", o.worker != "",
-		o.postmortem != "", o.statusURL != ""} {
-		if on {
-			modes++
-		}
-	}
-	if modes != 1 {
+	if (o.spec == "") == (o.merge == "") {
 		flag.Usage()
-		return fmt.Errorf("exactly one of -spec, -merge, -worker, -postmortem, -status is required")
+		return fmt.Errorf("exactly one of -spec, -merge is required")
 	}
-	switch {
-	case o.merge != "":
+	if o.merge != "" {
 		return runMerge(o)
-	case o.worker != "":
-		return runWorkerMode(o)
-	case o.postmortem != "":
-		return runPostmortem(o)
-	case o.statusURL != "":
-		return runStatusMode(o)
-	}
-	if o.serve != "" {
-		return runServe(o)
-	}
-	if o.journal != "" {
-		return fmt.Errorf("-journal records coordinator events; it needs -serve")
 	}
 	if o.shard != "" && o.stream == "" {
 		return fmt.Errorf("-shard partitions a streamed run; add -stream (results merge later with -merge)")
@@ -201,6 +148,31 @@ func run(o options) error {
 		return fmt.Errorf("a streamed run holds no report to render; merge it first (-merge %s with the output flags)", o.stream)
 	}
 	return runCampaign(o)
+}
+
+// refuseRunFlags fails a -merge that sets a flag only a -spec run
+// reads: a merge runs no cell, so the flag would do nothing.
+func refuseRunFlags(o options) error {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"-shard", o.shard != ""},
+		{"-stream", o.stream != ""},
+		{"-checkpoint", o.checkpoint != ""},
+		{"-resume", o.resume},
+		{"-trace-level", o.traceLevel != ""},
+		{"-trace-dir", o.traceDir != ""},
+		{"-record-dir", o.recordDir != ""},
+		{"-metrics-dir", o.metricsDir != ""},
+		{"-metrics-interval", o.metricsInterval >= 0},
+		{"-cell-timeout", o.cellTimeout >= 0},
+	} {
+		if f.set {
+			return fmt.Errorf("%s applies to a -spec run; -merge runs no cell", f.name)
+		}
+	}
+	return nil
 }
 
 // progress returns the per-scenario progress printer, nil when quiet.
@@ -222,13 +194,11 @@ func progress(o options) func(done, total int, out *campaign.Outcome) {
 
 // progressHooks combines the per-scenario printer with the live
 // elapsed/ETA/straggler Meter. Both print to stderr; quiet silences
-// both. tick re-prints the rate-limited live line without recording an
-// event — serve mode fires it on every worker heartbeat so the line
-// moves between completions.
-func progressHooks(o options, total int) (started func(*campaign.Job), completed func(int, int, *campaign.Outcome), tick func()) {
+// both.
+func progressHooks(o options, total int) (started func(*campaign.Job), completed func(int, int, *campaign.Outcome)) {
 	per := progress(o)
 	if o.quiet {
-		return nil, per, nil
+		return nil, per
 	}
 	meter := campaign.NewMeter(os.Stderr, total)
 	if o.progressEvery > 0 {
@@ -239,7 +209,7 @@ func progressHooks(o options, total int) (started func(*campaign.Job), completed
 			per(done, total, out)
 		}
 		meter.Completed(done, total, out)
-	}, meter.Tick
+	}
 }
 
 // loadSpec reads the campaign spec and applies the flags that override
@@ -248,9 +218,8 @@ func progressHooks(o options, total int) (started func(*campaign.Job), completed
 // digests are unaffected by an explicit off). -metrics-interval replaces
 // metrics_interval_ns (0 forces sampling off, -1 leaves the spec), and
 // -figures turns sampling on at a default interval when both left it
-// off, since the utilization-timeline figure needs samples — in an
-// in-memory run only: the samples do not travel through a stream, so a
-// coordinator's workers would take them for nothing.
+// off, since the utilization-timeline figure needs samples (a streamed
+// run, which carries no samples, refuses -figures).
 // -cell-timeout replaces cell_timeout_ns the same way; it is
 // execution-only and never enters a key. An artifact dir whose artifact
 // no cell would produce is refused here, before the campaign is paid for.
@@ -268,7 +237,7 @@ func loadSpec(o options) (*campaign.Spec, error) {
 	if o.metricsInterval >= 0 {
 		spec.MetricsIntervalNs = o.metricsInterval
 	}
-	if o.figuresDir != "" && o.stream == "" && spec.MetricsIntervalNs == 0 {
+	if o.figuresDir != "" && spec.MetricsIntervalNs == 0 {
 		spec.MetricsIntervalNs = 500_000
 	}
 	if o.cellTimeout >= 0 {
@@ -284,7 +253,7 @@ func loadSpec(o options) (*campaign.Spec, error) {
 }
 
 // artifacts maps the three per-cell artifact flags onto the one value
-// every cell-running mode takes.
+// dist takes.
 func artifacts(o options) dist.Artifacts {
 	return dist.Artifacts{Flow: o.recordDir, Trace: o.traceDir, Metrics: o.metricsDir}
 }
@@ -340,7 +309,7 @@ func runCampaign(o options) error {
 		held = &dist.Collector{}
 		sink = held
 	}
-	started, completed, _ := progressHooks(o, spec.Size())
+	started, completed := progressHooks(o, spec.Size())
 	st, runErr := dist.Run(spec, dist.Options{
 		Workers:     o.workers,
 		Shard:       shard,
@@ -372,6 +341,9 @@ func runCampaign(o options) error {
 
 // runMerge loads results files into one deterministic report.
 func runMerge(o options) error {
+	if err := refuseRunFlags(o); err != nil {
+		return err
+	}
 	report, err := dist.Merge(splitList(o.merge))
 	if err != nil {
 		return err
@@ -433,4 +405,22 @@ func splitList(s string) []string {
 		}
 	}
 	return out
+}
+
+// failures turns scenario failures into an exit status: by default a
+// campaign degrades gracefully (failed cells carry their reason in the
+// JSON/CSV error column, everything else is intact) and the exit is
+// clean; -strict makes any failure fatal.
+func failures(failed, total int, o options) error {
+	if failed == 0 {
+		return nil
+	}
+	if o.strict {
+		return fmt.Errorf("%d of %d scenarios failed", failed, total)
+	}
+	if !o.quiet {
+		fmt.Fprintf(os.Stderr, "warning: %d of %d scenarios failed (rows carry the error; -strict makes this fatal)\n",
+			failed, total)
+	}
+	return nil
 }

@@ -9,10 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"contra/internal/campaign"
-	"contra/internal/fabric"
 )
 
 // update makes TestGoldenCampaignDigests rewrite the committed digests
@@ -22,25 +20,10 @@ import (
 //	go test ./cmd/contracamp -run TestGoldenCampaignDigests -update
 var update = flag.Bool("update", false, "rewrite examples/campaign/golden/*.sha256")
 
-// workerEnv, when set, makes the test binary run main() on its own
-// arguments instead of the tests. A -serve run spawns its local fleet by
-// re-executing its own binary as -worker; under `go test` that binary
-// is this one, and the children inherit the variable.
-const workerEnv = "CONTRACAMP_TEST_RUN_MAIN"
-
-func TestMain(m *testing.M) {
-	if os.Getenv(workerEnv) != "" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
 // tinySpec is 2 schemes × 2 loads × 2 seeds (two loads so that there is
 // an FCT-vs-load figure to draw) with every per-cell artifact on:
 // decision tracing and telemetry in the spec (both are part of the cell
-// key, so they must reach a coordinator through it), flow recording via
-// -record-dir.
+// key), flow recording via -record-dir.
 const tinySpec = `{
   "name": "modes",
   "topos": ["dc"],
@@ -84,14 +67,12 @@ func readDir(t *testing.T, dir string) map[string]string {
 	return files
 }
 
-// TestEveryModeWritesTheSameBytes drives run(options) through the four
-// ways a cell can execute — in-memory, streamed then merged, two shards
-// then merged, and a journaled -serve coordinator with a local fleet of
-// two worker processes — and requires identical report outputs (JSON,
+// TestEveryModeWritesTheSameBytes drives run(options) through the three
+// ways a cell can execute — in-memory, streamed then merged, and two
+// shards then merged — and requires identical report outputs (JSON,
 // CSV, the three aggregate CSVs, the FCT-vs-load figure data) and
 // file-for-file identical flow-trace, decision-trace and telemetry dirs
-// from all of them. The coordinator's journal must pass the journal
-// checker, and its auto-run post-mortem must be written next to it.
+// from all of them.
 func TestEveryModeWritesTheSameBytes(t *testing.T) {
 	root := t.TempDir()
 	specPath := filepath.Join(root, "spec.json")
@@ -134,7 +115,7 @@ func TestEveryModeWritesTheSameBytes(t *testing.T) {
 	}
 	// merge renders the streams into dir's report files.
 	merge := func(dir, streams string) options {
-		o := options{quiet: true, noTable: true, merge: streams}
+		o := options{quiet: true, noTable: true, metricsInterval: -1, cellTimeout: -1, merge: streams}
 		reportFlags(&o, dir)
 		must(o)
 		return o
@@ -160,28 +141,6 @@ func TestEveryModeWritesTheSameBytes(t *testing.T) {
 		must(o)
 	}
 	got["two shards + -merge"] = collect(merge(dir, filepath.Join(root, "shard0.jsonl")+","+filepath.Join(root, "shard1.jsonl")), dir)
-
-	t.Setenv(workerEnv, "1")
-	o, dir = base("serve")
-	o.spec, o.serve, o.stream = specPath, "127.0.0.1:0", filepath.Join(root, "serve.jsonl")
-	o.leaseTTL, o.journal = time.Second, filepath.Join(root, "j.jsonl")
-	reportFlags(&o, dir)
-	must(o)
-	got["-serve, local fleet of 2"] = collect(o, dir)
-	journal, err := os.Open(o.journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer journal.Close()
-	if _, err := fabric.CheckJournalStream(journal); err != nil {
-		t.Errorf("coordinator journal: %v", err)
-	}
-	if md, err := os.ReadFile(o.journal + ".pm.md"); err != nil || !strings.HasPrefix(string(md), "# Campaign post-mortem") {
-		t.Errorf("post-mortem markdown starts %.40q (%v), want the report heading", md, err)
-	}
-	if _, err := os.Stat(o.journal + ".pm.csv"); err != nil {
-		t.Errorf("post-mortem CSV: %v", err)
-	}
 
 	spec, err := campaign.LoadFile(specPath)
 	if err != nil {
@@ -278,6 +237,60 @@ func TestMergeCountsEachCellOnce(t *testing.T) {
 	for _, ext := range []string{".json", ".csv", ".agg.csv"} {
 		if read("reloaded"+ext) != read("clean"+ext) {
 			t.Errorf("reloaded%s differs from what the record stream rendered", ext)
+		}
+	}
+}
+
+// TestMergeRefusesRunOnlyFlags: -merge runs no cell, so each flag that
+// only a -spec run reads is refused by name instead of being ignored,
+// and the merge writes nothing: no report, no stream, no artifact dir.
+func TestMergeRefusesRunOnlyFlags(t *testing.T) {
+	root := t.TempDir()
+	at := func(name string) string { return filepath.Join(root, name) }
+	const oneCell = `{"name":"one","topos":["dc"],"schemes":["ecmp"],"loads":[0.2],` +
+		`"workload":{"dist":"cache","duration_ns":1000000,"max_flows":10}}`
+	if err := os.WriteFile(at("spec.json"), []byte(oneCell), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := options{quiet: true, noTable: true, workers: 1, metricsInterval: -1, cellTimeout: -1}
+	o := base
+	o.spec, o.stream = at("spec.json"), at("s.jsonl")
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	merge := base
+	merge.merge, merge.out = at("s.jsonl"), at("m.json")
+	if err := run(merge); err != nil {
+		t.Fatalf("plain -merge: %v", err)
+	}
+	if err := os.Remove(merge.out); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		flag string
+		set  func(*options)
+	}{
+		{"-shard", func(o *options) { o.shard = "1/2" }},
+		{"-stream", func(o *options) { o.stream = at("other.jsonl") }},
+		{"-checkpoint", func(o *options) { o.checkpoint = at("m.ck") }},
+		{"-resume", func(o *options) { o.resume = true }},
+		{"-trace-level", func(o *options) { o.traceLevel = "decisions" }},
+		{"-trace-dir", func(o *options) { o.traceDir = at("td") }},
+		{"-record-dir", func(o *options) { o.recordDir = at("rd") }},
+		{"-metrics-dir", func(o *options) { o.metricsDir = at("md") }},
+		{"-metrics-interval", func(o *options) { o.metricsInterval = 0 }},
+		{"-cell-timeout", func(o *options) { o.cellTimeout = 0 }},
+	} {
+		o := merge
+		tc.set(&o)
+		if err := run(o); err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
+			t.Errorf("-merge with %s: error %v, want one naming %s", tc.flag, err, tc.flag)
+		}
+	}
+	for _, name := range []string{"m.json", "other.jsonl", "m.ck", "td", "rd", "md"} {
+		if _, err := os.Stat(at(name)); !os.IsNotExist(err) {
+			t.Errorf("a refused -merge left %s behind (%v)", name, err)
 		}
 	}
 }

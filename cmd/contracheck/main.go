@@ -7,7 +7,6 @@
 //	contracheck trace   cell.jsonl ...       decision traces  (-trace-out, -trace-dir)
 //	contracheck metrics cell.jsonl ...       link telemetry   (-metrics-out, -metrics-dir)
 //	contracheck flow    cell.flow.jsonl ...  flow traces      (-record, -record-dir)
-//	contracheck journal run.journal.jsonl    fabric journals  (-journal)
 //
 // Prints "ok   <file>: <summary>" or "FAIL <file>: <first violation>"
 // per file; exits 1 if any file failed, 2 on a usage error.
@@ -18,7 +17,6 @@ import (
 	"io"
 	"os"
 
-	"contra/internal/fabric"
 	"contra/internal/flowtrace"
 	"contra/internal/metrics"
 	"contra/internal/trace"
@@ -28,14 +26,13 @@ var kinds = map[string]func(io.Reader) (summary string, err error){
 	"trace":   trace.Check,
 	"metrics": metrics.Check,
 	"flow":    flowtrace.Check,
-	"journal": fabric.CheckJournalStream,
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) < 2 || kinds[args[0]] == nil {
-		fmt.Fprintln(stderr, "usage: contracheck trace|metrics|flow|journal <file> [...]")
+		fmt.Fprintln(stderr, "usage: contracheck trace|metrics|flow <file> [...]")
 		return 2
 	}
 	status := 0

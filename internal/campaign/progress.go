@@ -89,25 +89,6 @@ func (m *Meter) Completed(done, total int, o *Outcome) {
 	}
 }
 
-// Tick prints a rate-limited progress line without recording any
-// event. It is the seam for callers with a heartbeat-like pulse (the
-// fabric coordinator fires it on every worker heartbeat), so the live
-// line keeps updating between possibly minutes-apart completions.
-// Before the first Started or after the final cell it does nothing.
-func (m *Meter) Tick() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.start.IsZero() || (m.total > 0 && m.done >= m.total) {
-		return
-	}
-	t := m.now()
-	if !m.last.IsZero() && t.Sub(m.last) < m.every() {
-		return
-	}
-	m.last = t
-	fmt.Fprintln(m.w, m.line(t))
-}
-
 func (m *Meter) every() time.Duration {
 	if m.Every > 0 {
 		return m.Every

@@ -8,8 +8,8 @@ import (
 )
 
 // testdata/fleet4.records.jsonl and fleet4.ck are the coordinator
-// stream and one worker's checkpoint of the 4-cell fabric run whose
-// journal is internal/fabric's fixture, written by the last release.
+// stream and one worker's checkpoint of a 4-cell run on internal/fabric's
+// lease/steal fleet, written by an earlier release.
 
 // FuzzReadRecords feeds the record reader arbitrary bytes. Nothing may
 // panic, here or in the Collector that a merge feeds the records to;

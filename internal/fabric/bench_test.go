@@ -10,11 +10,11 @@ import (
 
 // benchCoordinator builds a coordinator with one live lease held by
 // "w1", on a fake clock so nothing ever expires mid-benchmark.
-func benchCoordinator(b *testing.B, journal *Journal) (*Coordinator, *Grant) {
+func benchCoordinator(b *testing.B) (*Coordinator, *Grant) {
 	b.Helper()
 	clk := newFakeClock()
 	c, err := New(coordSpec(), dist.NewJSONLSink(io.Discard), nil, Options{
-		LeaseTTL: time.Hour, Clock: clk.Now, Journal: journal,
+		LeaseTTL: time.Hour, Clock: clk.Now,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -26,38 +26,23 @@ func benchCoordinator(b *testing.B, journal *Journal) (*Coordinator, *Grant) {
 	return c, g
 }
 
-// BenchmarkFabricHeartbeat is the journaling-off steady-state lease
-// path — the bench gate pins it at zero allocations per op (the
-// strictly-additive observability contract).
+// BenchmarkFabricHeartbeat is the steady-state lease path;
+// TestHeartbeatAllocatesNothing pins it at zero allocations per op.
 func BenchmarkFabricHeartbeat(b *testing.B) {
-	c, g := benchCoordinator(b, nil)
+	c, g := benchCoordinator(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !c.Heartbeat("w1", g.LeaseID, nil) {
+		if !c.Heartbeat("w1", g.LeaseID) {
 			b.Fatal("lease lost")
 		}
 	}
 }
 
-// BenchmarkFabricHeartbeatJournaled is the same op with the journal
-// on: the cost of one JSON event line per heartbeat.
-func BenchmarkFabricHeartbeatJournaled(b *testing.B) {
-	c, g := benchCoordinator(b, NewJournal(io.Discard))
-	tel := &Telemetry{CellsDone: 1, ElapsedNs: 1000}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !c.Heartbeat("w1", g.LeaseID, tel) {
-			b.Fatal("lease lost")
-		}
-	}
-}
-
-// BenchmarkFabricStatus is the read-only monitoring snapshot a poller
-// hits; it must never touch lease state.
+// BenchmarkFabricStatus is the read-only snapshot; it must never touch
+// lease state.
 func BenchmarkFabricStatus(b *testing.B) {
-	c, _ := benchCoordinator(b, nil)
+	c, _ := benchCoordinator(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

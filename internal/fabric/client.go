@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 
 	"contra/internal/cliutil"
 	"contra/internal/dist"
@@ -30,74 +29,46 @@ type Client struct {
 	// value is the cliutil.Retry default (8 attempts, 100ms base, 5s
 	// cap, ±20% jitter).
 	Retry cliutil.Retry
-
-	// HTTP overrides http.DefaultClient.
-	HTTP *http.Client
-
-	// uploadRetries counts result-upload attempts beyond the first,
-	// cumulatively — the telemetry answer to "how flaky is this
-	// worker's path to the coordinator".
-	uploadRetries atomic.Int64
-}
-
-// UploadRetries reports how many result-upload attempts beyond the
-// first this client has made (transient failures survived).
-func (c *Client) UploadRetries() int64 { return c.uploadRetries.Load() }
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
 }
 
 // call POSTs req as JSON to path and decodes the response into resp,
-// classifying failures for the retry policy. attempts reports how many
-// tries the call consumed (>= 1 unless it never got off the ground).
-func (c *Client) call(ctx context.Context, method, path string, req, resp any) (attempts int, _ error) {
-	err := c.Retry.Do(ctx, func() error {
-		attempts++
-		var body io.Reader
-		if req != nil {
-			b, err := json.Marshal(req)
-			if err != nil {
-				return cliutil.Permanent(err)
-			}
-			body = bytes.NewReader(b)
-		}
-		hreq, err := http.NewRequestWithContext(ctx, method,
-			strings.TrimSuffix(c.Base, "/")+path, body)
+// classifying failures for the retry policy.
+func (c *Client) call(ctx context.Context, path string, req, resp any) error {
+	b, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	return c.Retry.Do(ctx, func() error {
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
+			strings.TrimSuffix(c.Base, "/")+path, bytes.NewReader(b))
 		if err != nil {
 			return cliutil.Permanent(err)
 		}
-		if req != nil {
-			hreq.Header.Set("Content-Type", "application/json")
-		}
-		hresp, err := c.httpClient().Do(hreq)
+		hreq.Header.Set("Content-Type", "application/json")
+		hresp, err := http.DefaultClient.Do(hreq)
 		if err != nil {
 			return err // transport error: transient
 		}
 		defer hresp.Body.Close()
 		if hresp.StatusCode != http.StatusOK {
 			msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 4<<10))
-			err := fmt.Errorf("%s %s: %s: %s", method, path, hresp.Status, bytes.TrimSpace(msg))
+			err := fmt.Errorf("POST %s: %s: %s", path, hresp.Status, bytes.TrimSpace(msg))
 			if hresp.StatusCode >= 400 && hresp.StatusCode < 500 {
 				return cliutil.Permanent(err)
 			}
 			return err
 		}
 		if err := json.NewDecoder(hresp.Body).Decode(resp); err != nil {
-			return fmt.Errorf("%s %s: decode response: %v", method, path, err)
+			return fmt.Errorf("POST %s: decode response: %v", path, err)
 		}
 		return nil
 	})
-	return attempts, err
 }
 
 // Lease polls the coordinator for a cell.
 func (c *Client) Lease(ctx context.Context) (*LeaseResponse, error) {
 	var resp LeaseResponse
-	if _, err := c.call(ctx, http.MethodPost, "/v1/lease", &leaseRequest{Worker: c.Worker}, &resp); err != nil {
+	if err := c.call(ctx, "/v1/lease", &leaseRequest{Worker: c.Worker}, &resp); err != nil {
 		return nil, err
 	}
 	if resp.Status == StatusLease && resp.Grant == nil {
@@ -106,48 +77,16 @@ func (c *Client) Lease(ctx context.Context) (*LeaseResponse, error) {
 	return &resp, nil
 }
 
-// Heartbeat extends a lease, shipping the worker's telemetry payload
-// (may be nil); ok=false means the lease is gone (the cell may have
-// been re-leased or completed elsewhere).
-func (c *Client) Heartbeat(ctx context.Context, leaseID int64, tel *Telemetry) (bool, error) {
-	var resp heartbeatResponse
-	_, err := c.call(ctx, http.MethodPost, "/v1/heartbeat",
-		&heartbeatRequest{Worker: c.Worker, LeaseID: leaseID, Telemetry: tel}, &resp)
-	if err != nil {
-		return false, err
-	}
-	return resp.OK, nil
+// Heartbeat extends a lease. The answer says whether the lease is still
+// live; a worker finishes its cell either way, since the result dedup
+// makes a lost lease harmless.
+func (c *Client) Heartbeat(ctx context.Context, leaseID int64) error {
+	return c.call(ctx, "/v1/heartbeat", &heartbeatRequest{Worker: c.Worker, LeaseID: leaseID}, &heartbeatResponse{})
 }
 
 // Result uploads one cell record; leaseID 0 is a lease-less delivery
-// (resume re-sends).
-func (c *Client) Result(ctx context.Context, leaseID int64, rec *dist.Record) (duplicate bool, err error) {
-	var resp resultResponse
-	attempts, err := c.call(ctx, http.MethodPost, "/v1/result",
-		&resultRequest{Worker: c.Worker, LeaseID: leaseID, Record: rec}, &resp)
-	if attempts > 1 {
-		c.uploadRetries.Add(int64(attempts - 1))
-	}
-	if err != nil {
-		return false, err
-	}
-	return resp.Duplicate, nil
-}
-
-// Status fetches the coordinator's progress snapshot.
-func (c *Client) Status(ctx context.Context) (*Status, error) {
-	var st Status
-	if _, err := c.call(ctx, http.MethodGet, "/v1/status", nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-// Cells fetches every cell's lifecycle snapshot.
-func (c *Client) Cells(ctx context.Context) (*CellsResponse, error) {
-	var resp CellsResponse
-	if _, err := c.call(ctx, http.MethodGet, "/v1/cells", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+// (resume re-sends). A record the coordinator already holds is
+// answered as a duplicate, which is not an error.
+func (c *Client) Result(ctx context.Context, leaseID int64, rec *dist.Record) error {
+	return c.call(ctx, "/v1/result", &resultRequest{Worker: c.Worker, LeaseID: leaseID, Record: rec}, &resultResponse{})
 }

@@ -1,41 +1,18 @@
-// Package fabric is the fault-tolerant distributed campaign layer: a
-// coordinator that expands a campaign into cells keyed by
-// scenario.Key, leases cells to worker processes over plain HTTP/JSON,
-// and merges their streamed results back into the byte-deterministic
-// output of internal/dist.
+// Package fabric is the lease/steal coordinator that the benchmark's
+// fleet_tiny_cells workload drives: a Coordinator expands a campaign
+// into cells keyed by scenario.Key and leases them over plain
+// HTTP/JSON to RunWorker loops, which run each cell, keep it durable
+// locally and upload it. Expired leases return their cell to pending,
+// idle workers steal a straggler's cell near the end, and results are
+// deduplicated by key (dist.DedupSink), so the stream dist.Merge folds
+// into a report is byte-identical to a single-process run.
 //
-// The design goal is that no single fault serializes or loses a sweep:
+// contracamp's scale-out path is -shard/-checkpoint/-resume/-merge
+// (internal/dist); this package is only the benchmark fleet's engine.
 //
-//   - A worker that crashes, hangs, or partitions away simply stops
-//     heartbeating; its leases expire and the cells are re-leased to
-//     whoever asks next.
-//   - Near the end of a campaign, when no unleased cells remain, idle
-//     workers steal in-flight cells from stragglers (a second
-//     concurrent lease), so one 500×-cost chaos cell cannot hold the
-//     tail hostage behind a slow or dying worker.
-//   - Workers checkpoint every completed cell locally before
-//     uploading, so a kill -9'd worker re-sends finished results on
-//     restart instead of re-running them.
-//   - Execution is therefore at-least-once; the coordinator
-//     deduplicates results by scenario.Key (dist.DedupSink) before
-//     they reach the stream that dist.Merge folds into a report, so
-//     the merged bytes are identical to a single-process run whatever
-//     crashed, stole, or retried along the way.
-//
-// The fabric is also observable end to end: every state transition
-// (grant, steal, heartbeat, expiry, result, duplicate, timeout) can be
-// appended to a Journal, per-cell lifecycle state machines (pending →
-// leased → running → done, with full attempt history) are kept in
-// memory and served at GET /v1/cells, heartbeats carry worker
-// telemetry surfaced in GET /v1/status, and a Postmortem renders the
-// journal into a queue-wait/run-time, straggler, and steal-efficacy
-// report. All of it is strictly additive: with no Journal configured
-// the lease path allocates and emits nothing extra.
-//
-// Time never advances on its own inside the Coordinator: every state
-// transition (expiry sweep, steal eligibility) happens on a request,
-// against an injectable clock — which is what lets the fault tests run
-// on a fake clock with no wall-clock sleeps.
+// Time never advances on its own inside the Coordinator: expiry and
+// steal eligibility are decided on a request, against an injectable
+// clock, which lets the fault tests run on a fake clock.
 package fabric
 
 import (
@@ -60,25 +37,6 @@ const DefaultLeaseTTL = 10 * time.Second
 // heartbeat intervals of a worker dying.
 func HeartbeatInterval(ttl time.Duration) time.Duration { return ttl / 2 }
 
-// Telemetry is the worker payload riding every heartbeat: where this
-// worker's wall-clock is going, so a stalled fleet can be read from
-// /v1/status instead of ssh'ing into worker boxes.
-type Telemetry struct {
-	// CellsDone is how many cells this worker incarnation has
-	// delivered (run or re-sent).
-	CellsDone int `json:"cells_done"`
-	// ElapsedNs is how long the worker has been running its current
-	// cell; 0 when idle.
-	ElapsedNs int64 `json:"elapsed_ns"`
-	// UploadRetries counts result-upload attempts beyond the first
-	// (transient coordinator failures survived so far).
-	UploadRetries int64 `json:"upload_retries"`
-	// Replayed is how many locally-durable results this incarnation
-	// re-sent from its durability dir at startup instead of re-running
-	// (the crash/resume path).
-	Replayed int `json:"replayed"`
-}
-
 // Options tunes a Coordinator.
 type Options struct {
 	// LeaseTTL is how long a lease lives without a heartbeat; <= 0
@@ -96,26 +54,6 @@ type Options struct {
 
 	// Clock overrides time.Now (fault tests drive a fake clock).
 	Clock func() time.Time
-
-	// Journal, when set, receives every coordinator state transition
-	// as one JSONL event. Nil keeps the lease path exactly as cheap as
-	// it was without journaling (no event structs are even built).
-	Journal *Journal
-
-	// Started, when set, fires under the coordinator lock whenever a
-	// cell is leased (campaign.Options.Started shape — feeds the
-	// progress Meter from coordinator state).
-	Started func(*campaign.Job)
-
-	// Progress, when set, fires under the coordinator lock when a
-	// cell's first result is accepted (campaign.Options.Progress
-	// shape).
-	Progress func(done, total int, o *campaign.Outcome)
-
-	// Beat, when set, fires under the coordinator lock on every
-	// heartbeat — the seam that keeps a live fleet progress line
-	// updating between (possibly minutes-apart) cell completions.
-	Beat func()
 }
 
 func (o Options) leaseTTL() time.Duration {
@@ -173,7 +111,7 @@ type attempt struct {
 // index. A cell is pending (no leases), in flight (>= 1 lease), or
 // done; expired leases silently return it to pending. attempts is the
 // cell's full lifecycle history — one entry per grant, kept forever,
-// which is what /v1/cells and the post-mortem read.
+// which is what Cells reads.
 type cell struct {
 	job     campaign.Job
 	key     string
@@ -202,25 +140,22 @@ func (c *cell) oldestLease() *lease {
 }
 
 // workerInfo is the coordinator's view of one worker id: lease count,
-// last contact, and the telemetry its heartbeats reported. Allocated
-// once on first contact, updated in place after that, so the
-// steady-state heartbeat path stays allocation-free.
+// deliveries, heartbeats and last contact. Allocated once on first
+// contact, updated in place after that, so the steady-state heartbeat
+// path stays allocation-free.
 type workerInfo struct {
 	last      time.Time
 	beats     int64
 	leases    int
 	delivered int
-	tel       Telemetry
-	hasTel    bool
 }
 
 // Coordinator owns the authoritative campaign state: the cell table,
-// the lease table, the per-worker telemetry table, and the
-// deduplicated result stream. All methods are safe for concurrent
-// use. Expiry is swept lazily at the head of every state-changing
-// call (Lease, Heartbeat, Result) — and only those: Status and Cells
-// are pure reads, so a monitoring poller can never perturb
-// lease-expiry timing.
+// the lease table, the per-worker table, and the deduplicated result
+// stream. All methods are safe for concurrent use. Expiry is swept
+// lazily at the head of every state-changing call (Lease, Heartbeat,
+// Result) — and only those: Status and Cells are pure reads, so
+// reading them never shifts lease-expiry timing.
 type Coordinator struct {
 	opts   Options
 	name   string
@@ -232,7 +167,6 @@ type Coordinator struct {
 	byKey    map[string]*cell
 	leases   map[int64]*lease
 	workers  map[string]*workerInfo
-	journal  *Journal
 	sink     *dist.DedupSink
 	nextID   int64
 	done     int
@@ -271,38 +205,17 @@ func New(spec *campaign.Spec, sink dist.Sink, alreadyDone map[string]bool, opts 
 		byKey:    make(map[string]*cell, len(jobs)),
 		leases:   make(map[int64]*lease),
 		workers:  make(map[string]*workerInfo),
-		journal:  opts.Journal,
 		sink:     dist.NewDedupSink(sink, alreadyDone),
 		finished: make(chan struct{}),
 	}
-	var preDone []int
 	for _, j := range jobs {
 		cl := &cell{job: j, key: j.Scenario.Key(), leases: make(map[int64]*lease)}
 		if alreadyDone[cl.key] {
 			cl.done = true
 			c.done++
-			preDone = append(preDone, j.Index)
 		}
 		c.cells = append(c.cells, cl)
 		c.byKey[cl.key] = cl
-	}
-	if c.journal != nil {
-		names := make([]string, len(c.cells))
-		keys := make([]string, len(c.cells))
-		for i, cl := range c.cells {
-			names[i] = cl.job.Scenario.Name
-			keys[i] = cl.key
-		}
-		c.journal.meta(JournalMeta{
-			Campaign:     c.name,
-			Cells:        len(c.cells),
-			LeaseTTLNs:   int64(opts.leaseTTL()),
-			StealAfterNs: int64(opts.stealAfter()),
-			MaxLeases:    opts.maxLeases(),
-			Names:        names,
-			Keys:         keys,
-			PreDone:      preDone,
-		})
 	}
 	if c.done == len(c.cells) {
 		close(c.finished)
@@ -338,19 +251,12 @@ func (c *Coordinator) workerLocked(worker string, now time.Time) *workerInfo {
 }
 
 // sweep drops every expired lease; a cell stripped of its last lease
-// returns to pending. Expiries are journaled in lease-id order so a
-// fake-clock run's journal is byte-deterministic. Callers hold mu.
+// returns to pending. Callers hold mu.
 func (c *Coordinator) sweep(now time.Time) {
-	var dead []*lease
 	for _, l := range c.leases {
-		if !now.Before(l.expires) {
-			dead = append(dead, l)
+		if now.Before(l.expires) {
+			continue
 		}
-	}
-	if len(dead) > 1 {
-		sort.Slice(dead, func(i, j int) bool { return dead[i].id < dead[j].id })
-	}
-	for _, l := range dead {
 		delete(c.leases, l.id)
 		delete(l.cell.leases, l.id)
 		l.cell.expired++
@@ -359,19 +265,11 @@ func (c *Coordinator) sweep(now time.Time) {
 		if w, ok := c.workers[l.worker]; ok {
 			w.leases--
 		}
-		if c.journal != nil {
-			c.journal.event(JournalEvent{
-				Type: EventExpire, TNs: now.UnixNano(),
-				Cell: l.cell.job.Index, Worker: l.worker, Lease: l.id, Attempt: l.attempt + 1,
-			})
-		}
 	}
 }
 
-// grantLocked creates a lease on cl for worker. For steals, holder
-// names the straggler whose exclusivity is being broken. Callers hold
-// mu.
-func (c *Coordinator) grantLocked(cl *cell, worker string, now time.Time, stolen bool, holder string) *lease {
+// grantLocked creates a lease on cl for worker. Callers hold mu.
+func (c *Coordinator) grantLocked(cl *cell, worker string, now time.Time, stolen bool) *lease {
 	c.nextID++
 	l := &lease{
 		id:      c.nextID,
@@ -393,21 +291,6 @@ func (c *Coordinator) grantLocked(cl *cell, worker string, now time.Time, stolen
 	c.workerLocked(worker, now).leases++
 	if stolen {
 		c.stolen++
-	}
-	if c.journal != nil {
-		typ := EventGrant
-		if stolen {
-			typ = EventSteal
-		}
-		c.journal.event(JournalEvent{
-			Type: typ, TNs: now.UnixNano(),
-			Cell: cl.job.Index, Worker: worker, Lease: l.id,
-			Attempt: len(cl.attempts), Holder: holder,
-		})
-	}
-	if c.opts.Started != nil {
-		job := cl.job
-		c.opts.Started(&job)
 	}
 	return l
 }
@@ -435,7 +318,7 @@ func (c *Coordinator) Lease(worker string) (*Grant, bool) {
 		if cl.done || len(cl.leases) > 0 {
 			continue
 		}
-		return c.wireGrant(c.grantLocked(cl, worker, now, false, "")), false
+		return c.wireGrant(c.grantLocked(cl, worker, now, false)), false
 	}
 	// Nothing pending: steal from the longest-running straggler.
 	var victim *cell
@@ -463,8 +346,7 @@ func (c *Coordinator) Lease(worker string) (*Grant, bool) {
 		}
 	}
 	if victim != nil {
-		holder := victim.oldestLease().worker
-		return c.wireGrant(c.grantLocked(victim, worker, now, true, holder)), false
+		return c.wireGrant(c.grantLocked(victim, worker, now, true)), false
 	}
 	return nil, false
 }
@@ -484,39 +366,21 @@ func (c *Coordinator) wireGrant(l *lease) *Grant {
 	}
 }
 
-// Heartbeat extends worker's lease, folds the reported telemetry into
-// the worker table, and reports whether the lease is still live.
-// False tells the worker its cell has been (or will be) re-leased —
-// it may finish anyway; the result dedup makes that harmless. tel may
-// be nil (an old worker binary): the beat still counts, the telemetry
-// row just keeps its last value.
-func (c *Coordinator) Heartbeat(worker string, leaseID int64, tel *Telemetry) bool {
+// Heartbeat extends worker's lease and reports whether it is still
+// live. False tells the worker its cell has been (or will be)
+// re-leased — it may finish anyway; the result dedup makes that
+// harmless.
+func (c *Coordinator) Heartbeat(worker string, leaseID int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.opts.Clock()
 	c.sweep(now)
-	w := c.workerLocked(worker, now)
-	w.beats++
-	if tel != nil {
-		w.tel = *tel
-		w.hasTel = true
-	}
+	c.workerLocked(worker, now).beats++
 	l, ok := c.leases[leaseID]
 	live := ok && l.worker == worker
-	cellIdx := -1
 	if live {
 		l.expires = now.Add(c.opts.leaseTTL())
 		l.cell.attempts[l.attempt].beats++
-		cellIdx = l.cell.job.Index
-	}
-	if c.journal != nil {
-		c.journal.event(JournalEvent{
-			Type: EventHeartbeat, TNs: now.UnixNano(),
-			Cell: cellIdx, Worker: worker, Lease: leaseID, Live: live, Telemetry: tel,
-		})
-	}
-	if c.opts.Beat != nil {
-		c.opts.Beat()
 	}
 	return live
 }
@@ -554,12 +418,6 @@ func (c *Coordinator) Result(worker string, leaseID int64, rec *dist.Record) (du
 			cl.attempts[own.attempt].outcome = AttemptSuperseded
 		}
 		c.dups++
-		if c.journal != nil {
-			c.journal.event(JournalEvent{
-				Type: EventDuplicate, TNs: now.UnixNano(),
-				Cell: cl.job.Index, Worker: worker, Lease: leaseID, Key: cl.key,
-			})
-		}
 		return true, nil
 	}
 	canon := &dist.Record{
@@ -595,30 +453,6 @@ func (c *Coordinator) Result(worker string, leaseID int64, rec *dist.Record) (du
 	if rec.Err != "" {
 		c.failed++
 	}
-	if c.journal != nil {
-		var waitNs, runNs int64
-		if !cl.firstGrant.IsZero() {
-			waitNs = cl.firstGrant.Sub(c.start).Nanoseconds()
-			runNs = now.Sub(cl.firstGrant).Nanoseconds()
-		}
-		c.journal.event(JournalEvent{
-			Type: EventResult, TNs: now.UnixNano(),
-			Cell: cl.job.Index, Worker: worker, Lease: leaseID, Key: cl.key,
-			Failed: cl.failed, Timeout: cl.timeout,
-			WaitNs: waitNs, RunNs: runNs, Attempts: len(cl.attempts),
-		})
-		if cl.timeout {
-			c.journal.event(JournalEvent{
-				Type: EventTimeout, TNs: now.UnixNano(),
-				Cell: cl.job.Index, Worker: worker,
-			})
-		}
-	}
-	if c.opts.Progress != nil {
-		c.opts.Progress(c.done, len(c.cells), &campaign.Outcome{
-			Scenario: cl.job.Scenario, Result: rec.Result, Err: rec.Err,
-		})
-	}
 	if c.done == len(c.cells) {
 		close(c.finished)
 	}
@@ -626,14 +460,13 @@ func (c *Coordinator) Result(worker string, leaseID int64, rec *dist.Record) (du
 }
 
 // WorkerStatus is one worker's row in Status: coordinator-side lease
-// accounting plus the worker's own heartbeat telemetry.
+// accounting.
 type WorkerStatus struct {
-	Worker     string    `json:"worker"`
-	Leases     int       `json:"leases"`
-	Delivered  int       `json:"delivered"`
-	Heartbeats int64     `json:"heartbeats"`
-	LastSeenNs int64     `json:"last_seen_ns"` // age of the last contact
-	Telemetry  Telemetry `json:"telemetry"`
+	Worker     string `json:"worker"`
+	Leases     int    `json:"leases"`
+	Delivered  int    `json:"delivered"`
+	Heartbeats int64  `json:"heartbeats"`
+	LastSeenNs int64  `json:"last_seen_ns"` // age of the last contact
 }
 
 // Status is a point-in-time snapshot of coordinator state.
@@ -652,10 +485,10 @@ type Status struct {
 }
 
 // Status snapshots progress without touching lease state: it runs no
-// expiry sweep, so a monitoring poller hammering GET /v1/status can
-// never shift when a lease actually dies (sweeps happen on Lease,
-// Heartbeat, and Result only). A lease past its TTL therefore still
-// counts as active here until the next state-changing call notices it.
+// expiry sweep, so reading it never shifts when a lease actually dies
+// (sweeps happen on Lease, Heartbeat, and Result only). A lease past
+// its TTL therefore still counts as active here until the next
+// state-changing call notices it.
 func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -694,7 +527,6 @@ func (c *Coordinator) Status() Status {
 				Delivered:  w.delivered,
 				Heartbeats: w.beats,
 				LastSeenNs: now.Sub(w.last).Nanoseconds(),
-				Telemetry:  w.tel,
 			})
 		}
 	}

@@ -113,7 +113,7 @@ func TestExpiredLeaseReassignedWithinTwoHeartbeatIntervals(t *testing.T) {
 	// One heartbeat interval in: w1's last-ever heartbeat. The lease is
 	// alive, so the cell is not up for grabs (w2 gets cell 1, not 0).
 	clk.Advance(hb)
-	if !c.Heartbeat("w1", g.LeaseID, nil) {
+	if !c.Heartbeat("w1", g.LeaseID) {
 		t.Fatal("live lease refused a heartbeat")
 	}
 	g2 := mustLease(t, c, "w2")
@@ -122,7 +122,7 @@ func TestExpiredLeaseReassignedWithinTwoHeartbeatIntervals(t *testing.T) {
 	}
 	// One interval later w1 has missed one heartbeat — not yet expired.
 	clk.Advance(hb)
-	if !c.Heartbeat("w2", g2.LeaseID, nil) {
+	if !c.Heartbeat("w2", g2.LeaseID) {
 		t.Fatal("w2 heartbeat refused")
 	}
 	if g3 := mustLease(t, c, "w3"); g3.Index != 2 {
@@ -131,14 +131,14 @@ func TestExpiredLeaseReassignedWithinTwoHeartbeatIntervals(t *testing.T) {
 	// Two heartbeat intervals after w1's last heartbeat, its lease is
 	// expired and the very next asking worker inherits cell 0.
 	clk.Advance(hb)
-	if !c.Heartbeat("w2", g2.LeaseID, nil) {
+	if !c.Heartbeat("w2", g2.LeaseID) {
 		t.Fatal("w2 heartbeat refused")
 	}
 	g4 := mustLease(t, c, "w4")
 	if g4.Index != 0 {
 		t.Fatalf("expired cell not reassigned: w4 got index %d, want 0", g4.Index)
 	}
-	if c.Heartbeat("w1", g.LeaseID, nil) {
+	if c.Heartbeat("w1", g.LeaseID) {
 		t.Fatal("expired lease accepted a heartbeat")
 	}
 	if st := c.Status(); st.ExpiredLeases != 1 {
@@ -153,7 +153,7 @@ func TestHeartbeatKeepsLeaseAliveIndefinitely(t *testing.T) {
 	g := mustLease(t, c, "w1")
 	for i := 0; i < 10; i++ {
 		clk.Advance(HeartbeatInterval(ttl))
-		if !c.Heartbeat("w1", g.LeaseID, nil) {
+		if !c.Heartbeat("w1", g.LeaseID) {
 			t.Fatalf("lease died despite heartbeats (interval %d)", i)
 		}
 	}
@@ -303,33 +303,123 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 }
 
-// TestMeterHooksFireFromCoordinatorState: Started on every grant,
-// Progress on first acceptance — the seam the live progress Meter
-// hangs off in serve mode.
-func TestMeterHooksFireFromCoordinatorState(t *testing.T) {
+// TestStatusIsReadOnly is the regression for the old behavior where
+// Status ran the lazy expiry sweep as a side effect, so reading it
+// could perturb lease-expiry timing. Status must observe an
+// expired-but-unswept lease as still active; only a state-changing
+// call (here Lease) may sweep it.
+func TestStatusIsReadOnly(t *testing.T) {
+	const ttl = 10 * time.Second
 	clk := newFakeClock()
-	var started, completed []int
-	var buf bytes.Buffer
-	c, err := New(coordSpec(), dist.NewJSONLSink(&buf), nil, Options{
-		Clock:   clk.Now,
-		Started: func(j *campaign.Job) { started = append(started, j.Index) },
-		Progress: func(done, total int, o *campaign.Outcome) {
-			if total != 4 {
-				t.Errorf("Progress total = %d, want 4", total)
-			}
-			completed = append(completed, done)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		g := mustLease(t, c, "w1")
-		if _, err := c.Result("w1", g.LeaseID, fakeRecord(g)); err != nil {
-			t.Fatal(err)
+	c, _ := newTestCoordinator(t, Options{LeaseTTL: ttl, Clock: clk.Now})
+	g := mustLease(t, c, "w1")
+	clk.Advance(ttl + time.Second) // lease is past its TTL, unswept
+	for i := 0; i < 3; i++ {
+		st := c.Status()
+		if st.ActiveLeases != 1 || st.ExpiredLeases != 0 || st.InFlight != 1 {
+			t.Fatalf("poll %d: status %+v, want the expired-but-unswept lease still active", i, st)
 		}
 	}
-	if len(started) != 4 || len(completed) != 4 {
-		t.Fatalf("started %v completed %v, want 4 each", started, completed)
+	// The polls above must not have swept: the next Lease call is the
+	// first to notice the expiry, and it hands the same cell back out.
+	g2 := mustLease(t, c, "w2")
+	if g2.Index != g.Index {
+		t.Fatalf("after polls, w2 got index %d, want the expired cell %d", g2.Index, g.Index)
+	}
+	if st := c.Status(); st.ExpiredLeases != 1 {
+		t.Fatalf("ExpiredLeases = %d after the sweeping Lease, want 1", st.ExpiredLeases)
+	}
+}
+
+// TestCellsLifecycle walks one cell through pending → leased →
+// running → done and checks the Cells state machine and attempt
+// history at each step. Cells, like Status, must be a pure read.
+func TestCellsLifecycle(t *testing.T) {
+	const ttl = 10 * time.Second
+	clk := newFakeClock()
+	c, _ := newTestCoordinator(t, Options{LeaseTTL: ttl, Clock: clk.Now})
+
+	cells := c.Cells()
+	if len(cells) != 4 {
+		t.Fatalf("Cells() returned %d cells, want 4", len(cells))
+	}
+	for i, cs := range cells {
+		if cs.State != CellPending || len(cs.Attempts) != 0 {
+			t.Fatalf("cell %d initial state %q attempts %d, want pending/0", i, cs.State, len(cs.Attempts))
+		}
+	}
+
+	clk.Advance(3 * time.Second) // queue wait before the first grant
+	g := mustLease(t, c, "w1")
+	cs := c.Cells()[g.Index]
+	if cs.State != CellLeased {
+		t.Fatalf("granted cell state %q, want leased", cs.State)
+	}
+	if len(cs.Attempts) != 1 || cs.Attempts[0].Worker != "w1" || cs.Attempts[0].Outcome != AttemptRunning {
+		t.Fatalf("granted cell attempts %+v, want one running attempt by w1", cs.Attempts)
+	}
+	if cs.WaitNs != (3 * time.Second).Nanoseconds() {
+		t.Fatalf("WaitNs = %d, want 3s", cs.WaitNs)
+	}
+
+	clk.Advance(time.Second)
+	c.Heartbeat("w1", g.LeaseID)
+	cs = c.Cells()[g.Index]
+	if cs.State != CellRunning || cs.Attempts[0].Heartbeats != 1 {
+		t.Fatalf("heartbeated cell state %q beats %d, want running/1", cs.State, cs.Attempts[0].Heartbeats)
+	}
+
+	clk.Advance(time.Second)
+	if _, err := c.Result("w1", g.LeaseID, fakeRecord(g)); err != nil {
+		t.Fatal(err)
+	}
+	cs = c.Cells()[g.Index]
+	if cs.State != CellDone || cs.Worker != "w1" || cs.Attempts[0].Outcome != AttemptDelivered {
+		t.Fatalf("done cell %+v, want done, delivered by w1", cs)
+	}
+	if cs.RunNs != (2 * time.Second).Nanoseconds() {
+		t.Fatalf("RunNs = %d, want 2s (grant to acceptance)", cs.RunNs)
+	}
+	// fakeRecord carries Err "fabricated" — failed, but not a timeout.
+	if !cs.Failed || cs.Timeout {
+		t.Fatalf("done cell failed=%v timeout=%v, want failed, no timeout", cs.Failed, cs.Timeout)
+	}
+}
+
+// TestStatusWorkerRows: every worker that called gets a Status row,
+// sorted by name, with its lease and heartbeat counts.
+func TestStatusWorkerRows(t *testing.T) {
+	const ttl = 10 * time.Second
+	clk := newFakeClock()
+	c, _ := newTestCoordinator(t, Options{LeaseTTL: ttl, Clock: clk.Now})
+	mustLease(t, c, "wb")
+	ga := mustLease(t, c, "wa")
+	clk.Advance(time.Second)
+	c.Heartbeat("wa", ga.LeaseID)
+	c.Heartbeat("wa", ga.LeaseID)
+	st := c.Status()
+	if len(st.Workers) != 2 || st.Workers[0].Worker != "wa" || st.Workers[1].Worker != "wb" {
+		t.Fatalf("worker rows %+v, want wa, wb sorted", st.Workers)
+	}
+	if wa := st.Workers[0]; wa.Leases != 1 || wa.Heartbeats != 2 || wa.LastSeenNs != 0 {
+		t.Fatalf("wa row %+v, want 1 lease, 2 beats, just seen", wa)
+	}
+	if wb := st.Workers[1]; wb.Leases != 1 || wb.Heartbeats != 0 || wb.LastSeenNs != time.Second.Nanoseconds() {
+		t.Fatalf("wb row %+v, want 1 lease, no beats, seen 1s ago", wb)
+	}
+}
+
+// TestHeartbeatAllocatesNothing pins the steady-state lease-path
+// operation, a heartbeat, at zero heap allocations.
+func TestHeartbeatAllocatesNothing(t *testing.T) {
+	clk := newFakeClock()
+	c, _ := newTestCoordinator(t, Options{Clock: clk.Now})
+	g := mustLease(t, c, "w1")
+	if avg := testing.AllocsPerRun(1000, func() {
+		if !c.Heartbeat("w1", g.LeaseID) {
+			t.Fatal("lease lost")
+		}
+	}); avg != 0 {
+		t.Fatalf("heartbeat allocates %.1f per op, want 0", avg)
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"contra/internal/jsonl"
 )
 
-// The wire protocol: four plain HTTP/JSON endpoints. Every request
+// The wire protocol: three plain HTTP/JSON endpoints. Every request
 // carries the worker's self-chosen id, used only to bind leases to
 // their holders and to label status — there is no registration step,
 // so a restarted worker (same or new id) just starts calling.
@@ -19,10 +19,8 @@ import (
 //	POST /v1/lease     {"worker":w}                → {"status":"lease","grant":{…}}
 //	                                              | {"status":"wait","retry_ns":n}
 //	                                              | {"status":"done"}
-//	POST /v1/heartbeat {"worker":w,"lease_id":id,"telemetry":{…}} → {"ok":bool}
+//	POST /v1/heartbeat {"worker":w,"lease_id":id}  → {"ok":bool}
 //	POST /v1/result    {"worker":w,"lease_id":id,"record":{…}} → {"duplicate":bool}
-//	GET  /v1/status                               → Status
-//	GET  /v1/cells                                → CellsResponse
 //
 // 4xx responses mark permanent protocol errors (malformed request,
 // unknown cell key, a body past its bound: 413); 5xx responses are
@@ -31,7 +29,7 @@ import (
 // Request bodies are read up to a bound, like every other reader of
 // outside bytes here. A result carries one record, which is one line of
 // the record stream, so it gets that format's line bound; a lease poll
-// or a heartbeat is a few hundred bytes of ids and telemetry.
+// or a heartbeat is a few dozen bytes of ids.
 const (
 	maxResultBody  = jsonl.MaxLine
 	maxControlBody = 1 << 20
@@ -56,9 +54,8 @@ type LeaseResponse struct {
 }
 
 type heartbeatRequest struct {
-	Worker    string     `json:"worker"`
-	LeaseID   int64      `json:"lease_id"`
-	Telemetry *Telemetry `json:"telemetry,omitempty"`
+	Worker  string `json:"worker"`
+	LeaseID int64  `json:"lease_id"`
 }
 
 type heartbeatResponse struct {
@@ -73,14 +70,6 @@ type resultRequest struct {
 
 type resultResponse struct {
 	Duplicate bool `json:"duplicate"`
-}
-
-// CellsResponse is the wire shape of GET /v1/cells: every cell's
-// lifecycle snapshot, in expansion order.
-type CellsResponse struct {
-	Campaign string       `json:"campaign,omitempty"`
-	Total    int          `json:"total"`
-	Cells    []CellStatus `json:"cells"`
 }
 
 // Handler returns the coordinator's HTTP API.
@@ -106,7 +95,7 @@ func (c *Coordinator) Handler() http.Handler {
 		if !decodeJSON(w, r, maxControlBody, &req) || !hasWorker(w, req.Worker) {
 			return
 		}
-		writeJSON(w, &heartbeatResponse{OK: c.Heartbeat(req.Worker, req.LeaseID, req.Telemetry)})
+		writeJSON(w, &heartbeatResponse{OK: c.Heartbeat(req.Worker, req.LeaseID)})
 	})
 	mux.HandleFunc("POST /v1/result", func(w http.ResponseWriter, r *http.Request) {
 		var req resultRequest
@@ -127,13 +116,6 @@ func (c *Coordinator) Handler() http.Handler {
 			return
 		}
 		writeJSON(w, &resultResponse{Duplicate: dup})
-	})
-	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
-		st := c.Status()
-		writeJSON(w, &st)
-	})
-	mux.HandleFunc("GET /v1/cells", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, &CellsResponse{Campaign: c.name, Total: len(c.cells), Cells: c.Cells()})
 	})
 	return mux
 }
@@ -163,7 +145,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, into any) b
 }
 
 // hasWorker refuses a request that names no worker: leases are bound to
-// their holder by that id, and the journal's grant lines require one.
+// their holder by that id.
 func hasWorker(w http.ResponseWriter, worker string) bool {
 	if worker == "" {
 		http.Error(w, "fabric: request without a worker id", http.StatusBadRequest)

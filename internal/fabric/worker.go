@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"contra/internal/campaign"
@@ -24,17 +22,10 @@ type WorkerOptions struct {
 	// worker's Dir is not supported.
 	Dir string
 
-	// CellTimeout overrides the campaign's per-cell wall-clock budget:
-	// > 0 replaces it, 0 uses the grant's, < 0 forces no budget.
-	CellTimeout time.Duration
-
 	// WaitInterval is the idle poll interval when the coordinator has
 	// nothing to lease; <= 0 defers to the coordinator's suggestion
 	// (falling back to 500ms).
 	WaitInterval time.Duration
-
-	// Log, when set, receives one line per worker event.
-	Log io.Writer
 
 	// Artifacts names the dirs each leased cell's flow trace, decision
 	// trace and telemetry are written to, before the record is locally
@@ -72,47 +63,16 @@ type WorkerStats struct {
 	// Resent is how many locally-checkpointed results were delivered
 	// without re-running (the crash/resume path).
 	Resent int
-	// Duplicates is how many uploads the coordinator reported as
-	// already delivered (stolen cells, races, re-sends).
-	Duplicates int
 	// Failed is how many of Ran ended in a scenario error (including
 	// cell timeouts).
 	Failed int
 }
 
-// workerTel accumulates what this worker incarnation reports in its
-// heartbeat telemetry: cells delivered, startup replays, and — while a
-// cell runs — when it started. The heartbeat goroutine snapshots it
-// concurrently with the main loop's updates.
-type workerTel struct {
-	mu        sync.Mutex
-	done      int
-	replayed  int
-	cellStart time.Time
-}
-
-func (t *workerTel) delivered()           { t.mu.Lock(); t.done++; t.mu.Unlock() }
-func (t *workerTel) replay()              { t.mu.Lock(); t.done++; t.replayed++; t.mu.Unlock() }
-func (t *workerTel) cell(start time.Time) { t.mu.Lock(); t.cellStart = start; t.mu.Unlock() }
-func (t *workerTel) snapshot(c *Client) *Telemetry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tel := &Telemetry{
-		CellsDone:     t.done,
-		UploadRetries: c.UploadRetries(),
-		Replayed:      t.replayed,
-	}
-	if !t.cellStart.IsZero() {
-		tel.ElapsedNs = time.Since(t.cellStart).Nanoseconds()
-	}
-	return tel
-}
-
 // RunWorker drives one worker against a coordinator until the
 // campaign completes, the context ends, or delivery permanently
 // fails. The loop is: poll for a lease, run the cell (bounded by the
-// cell timeout, heartbeating at half the lease TTL), write the record
-// locally, then upload with retry. At-least-once is the contract: on
+// grant's cell timeout, heartbeating at half the lease TTL), write the
+// record locally, then upload with retry. At-least-once is the contract: on
 // any ambiguity (lost lease, retried upload, restart) the worker errs
 // toward delivering again and lets the coordinator deduplicate.
 func RunWorker(ctx context.Context, client *Client, opts WorkerOptions) (WorkerStats, error) {
@@ -150,18 +110,11 @@ func RunWorker(ctx context.Context, client *Client, opts WorkerOptions) (WorkerS
 	// (same cross-check as the shard resume path).
 	ck.Retain(func(k string) bool { _, ok := local[k]; return ok })
 
-	tel := &workerTel{}
-	logf(opts.Log, "worker %s: %d locally completed cell(s) to re-send", client.Worker, len(local))
 	for key, rec := range local {
-		dup, err := client.Result(ctx, 0, rec)
-		if err != nil {
+		if err := client.Result(ctx, 0, rec); err != nil {
 			return st, fmt.Errorf("fabric: re-send %s: %w", key, err)
 		}
 		st.Resent++
-		tel.replay()
-		if dup {
-			st.Duplicates++
-		}
 	}
 
 	for {
@@ -174,8 +127,6 @@ func RunWorker(ctx context.Context, client *Client, opts WorkerOptions) (WorkerS
 		}
 		switch resp.Status {
 		case StatusDone:
-			logf(opts.Log, "worker %s: campaign done (%d ran, %d re-sent, %d failed)",
-				client.Worker, st.Ran, st.Resent, st.Failed)
 			return st, nil
 		case StatusWait:
 			if err := waitCtx(ctx, opts.waitFor(resp.RetryNs)); err != nil {
@@ -202,23 +153,16 @@ func RunWorker(ctx context.Context, client *Client, opts WorkerOptions) (WorkerS
 			// A cell this worker already ran came back (the coordinator
 			// restarted and its stream lost the record, or the earlier
 			// re-send raced): deliver the stored record, don't re-run.
-			dup, err := client.Result(ctx, g.LeaseID, rec)
-			if err != nil {
+			if err := client.Result(ctx, g.LeaseID, rec); err != nil {
 				return st, fmt.Errorf("fabric: re-send %s: %w", g.Key, err)
 			}
 			st.Resent++
-			tel.replay()
-			if dup {
-				st.Duplicates++
-			}
 			continue
 		}
 		if opts.crash != nil && opts.crash(crashLeased, g.Key) {
 			return st, ErrWorkerCrashed
 		}
-		logf(opts.Log, "worker %s: lease %d cell %d %s%s",
-			client.Worker, g.LeaseID, g.Index, g.Scenario.Name, stolenTag(g.Stolen))
-		rec, err := runLeased(ctx, client, g, sink, ck, opts, tel)
+		rec, err := runLeased(ctx, client, g, sink, ck, opts)
 		if err != nil {
 			return st, err
 		}
@@ -226,28 +170,20 @@ func RunWorker(ctx context.Context, client *Client, opts WorkerOptions) (WorkerS
 		if opts.crash != nil && opts.crash(crashRecorded, g.Key) {
 			return st, ErrWorkerCrashed
 		}
-		dup, err := client.Result(ctx, g.LeaseID, rec)
-		if err != nil {
+		if err := client.Result(ctx, g.LeaseID, rec); err != nil {
 			return st, fmt.Errorf("fabric: deliver %s: %w", g.Key, err)
 		}
 		st.Ran++
-		tel.delivered()
-		if dup {
-			st.Duplicates++
-		}
 		if rec.Err != "" {
 			st.Failed++
-			logf(opts.Log, "worker %s: cell %d FAILED: %s", client.Worker, g.Index, rec.Err)
 		}
 	}
 }
 
 // runLeased executes one granted cell through the campaign.Stream /
-// dist.Sink path, heartbeating (with telemetry) until the run
-// completes, and returns the locally-durable record.
-func runLeased(ctx context.Context, client *Client, g *Grant, sink dist.Sink, ck *dist.Checkpoint, opts WorkerOptions, tel *workerTel) (*dist.Record, error) {
-	tel.cell(time.Now())
-	defer tel.cell(time.Time{})
+// dist.Sink path, heartbeating until the run completes, and returns
+// the locally-durable record.
+func runLeased(ctx context.Context, client *Client, g *Grant, sink dist.Sink, ck *dist.Checkpoint, opts WorkerOptions) (*dist.Record, error) {
 	hbStop := make(chan struct{})
 	hbDone := make(chan struct{})
 	go func() {
@@ -265,14 +201,10 @@ func runLeased(ctx context.Context, client *Client, g *Grant, sink dist.Sink, ck
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				ok, err := client.Heartbeat(ctx, g.LeaseID, tel.snapshot(client))
-				if err == nil && !ok {
-					// The lease expired from the coordinator's view (e.g.
-					// a long GC pause or partition): keep computing — the
-					// result still uploads, and dedup resolves the race
-					// with whoever re-leased the cell.
-					logf(opts.Log, "worker %s: lease %d lost; finishing anyway", client.Worker, g.LeaseID)
-				}
+				// A lost lease (a long GC pause or partition) does not
+				// stop the cell: the result still uploads, and dedup
+				// resolves the race with whoever re-leased it.
+				_ = client.Heartbeat(ctx, g.LeaseID)
 			}
 		}
 	}()
@@ -282,7 +214,7 @@ func runLeased(ctx context.Context, client *Client, g *Grant, sink dist.Sink, ck
 	job := campaign.Job{Index: g.Index, Scenario: *g.Scenario}
 	job.Scenario.RecordFlows = opts.Artifacts.Flow != ""
 	err := campaign.Stream([]campaign.Job{job},
-		campaign.Options{Workers: 1, CellTimeout: opts.cellTimeout(g)},
+		campaign.Options{Workers: 1, CellTimeout: time.Duration(g.CellNs)},
 		func(j *campaign.Job, o *campaign.Outcome) error {
 			rec = &dist.Record{
 				Campaign: g.Campaign,
@@ -302,18 +234,6 @@ func runLeased(ctx context.Context, client *Client, g *Grant, sink dist.Sink, ck
 		return nil, fmt.Errorf("fabric: cell %d emitted no outcome", g.Index)
 	}
 	return rec, nil
-}
-
-// cellTimeout resolves the effective per-cell budget for a grant.
-func (o WorkerOptions) cellTimeout(g *Grant) time.Duration {
-	switch {
-	case o.CellTimeout > 0:
-		return o.CellTimeout
-	case o.CellTimeout < 0:
-		return 0
-	default:
-		return time.Duration(g.CellNs)
-	}
 }
 
 // waitFor resolves the idle poll delay from the coordinator's
@@ -353,18 +273,5 @@ func waitCtx(ctx context.Context, d time.Duration) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-func stolenTag(stolen bool) string {
-	if stolen {
-		return " (stolen)"
-	}
-	return ""
-}
-
-func logf(w io.Writer, format string, args ...any) {
-	if w != nil {
-		fmt.Fprintf(w, format+"\n", args...)
 	}
 }

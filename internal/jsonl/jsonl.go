@@ -18,12 +18,11 @@
 //	decision trace   trace.Check           Strict
 //	telemetry        metrics.Check         Strict
 //	record stream    dist.ReadRecords      TornTail
-//	fabric journal   fabric.ReadJournal    TornTail
 //	checkpoint       dist.OpenCheckpoint   TornTail, sealed on open
 //
 // The first three are written whole, to a temp file renamed into place,
 // so damage is never the trace of a crash (and a shortened flow trace
-// would replay a different experiment). The last three are appended a
+// would replay a different experiment). The last two are appended a
 // line per Write by a process that may be killed, and are read back
 // from whatever prefix reached the disk. A checkpoint is Sealed before
 // use; its lines are bare keys, and an inner line that is not one — a
