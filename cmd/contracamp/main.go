@@ -15,13 +15,14 @@
 //	contracamp -spec sweep.json -shard 0/2 -stream s0.jsonl -checkpoint s0.ck
 //	contracamp -spec sweep.json -shard 1/2 -stream s1.jsonl -checkpoint s1.ck
 //	contracamp -spec sweep.json -shard 0/2 -stream s0.jsonl -checkpoint s0.ck -resume   # after a crash
-//	contracamp -merge s0.jsonl,s1.jsonl -out merged.json -csv merged.csv -fct-csv fct.csv
+//	contracamp -merge s0.jsonl,s1.jsonl -out merged.json -csv merged.csv -agg-csv agg.csv
 //
 // Every run that ends holding the report — an in-memory -spec run, a
 // -merge of record streams or of report JSON written earlier — renders
 // it through one step, so every output flag works on both: -out, -csv
-// and the comparison table per scenario; -agg-csv, -fct-csv and
-// -rec-csv with the seed axis collapsed to mean/stddev/min/max;
+// and the comparison table per scenario; -agg-csv with the seed axis
+// collapsed to mean/stddev/min/max of every column (the FCT-versus-load
+// and recovery-time curves are its *_fct_ms and recovery_ms columns);
 // -figures as gnuplot data. A -merge runs no cell, so it refuses the
 // flags only a -spec run reads.
 //
@@ -64,7 +65,6 @@ type options struct {
 	metricsInterval int64
 	metricsDir      string
 	figuresDir      string
-	progressEvery   time.Duration
 
 	shard      string
 	stream     string
@@ -76,8 +76,6 @@ type options struct {
 
 	merge  string
 	aggCSV string
-	fctCSV string
-	recCSV string
 
 	cpuProfile string
 	memProfile string
@@ -85,31 +83,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.spec, "spec", "", "campaign spec file (JSON; required unless -merge)")
-	flag.IntVar(&o.workers, "workers", runtime.NumCPU(), "parallel scenario workers")
-	flag.StringVar(&o.out, "out", "", "write results JSON to `file` (- for stdout)")
-	flag.StringVar(&o.csvOut, "csv", "", "write per-scenario CSV to `file` (- for stdout)")
-	flag.BoolVar(&o.quiet, "q", false, "suppress per-scenario progress")
-	flag.BoolVar(&o.noTable, "notable", false, "skip the scheme-comparison table")
-	flag.StringVar(&o.traceLevel, "trace-level", "", "override the spec's trace_level (off|flows|decisions; off clears it)")
-	flag.StringVar(&o.traceDir, "trace-dir", "", "write each traced cell's decision trace into `dir` as <cell name>.jsonl (needs a trace level)")
-	flag.StringVar(&o.recordDir, "record-dir", "", "record each cell's flow trace into `dir` as <cell name>.flow.jsonl; a trace-kind spec pointing workload.trace at the dir replays the campaign byte-identically (see docs/trace-format.md)")
-	flag.Int64Var(&o.metricsInterval, "metrics-interval", -1, "override the spec's metrics_interval_ns: sample telemetry every `ns` (0 forces off, -1 leaves the spec)")
-	flag.StringVar(&o.metricsDir, "metrics-dir", "", "write each sampled cell's telemetry into `dir` as <cell name>.jsonl (needs a metrics interval)")
-	flag.StringVar(&o.figuresDir, "figures", "", "emit paper-figure gnuplot data into `dir` (a -spec run enables telemetry sampling if the spec left it off; the two timelines need the cells' own series and samples, which a streamed or loaded report does not carry)")
-	flag.DurationVar(&o.progressEvery, "progress-every", 2*time.Second, "minimum interval between live progress/ETA lines")
-	flag.StringVar(&o.shard, "shard", "", "run only shard `i/N` of the expansion (requires -stream)")
-	flag.StringVar(&o.stream, "stream", "", "stream outcomes to a JSONL `file` instead of holding them in memory")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "record completed scenario keys in `file` (requires -stream)")
-	flag.BoolVar(&o.resume, "resume", false, "skip scenarios already in -checkpoint and append to -stream")
-	flag.DurationVar(&o.cellTimeout, "cell-timeout", -1, "per-cell wall-clock budget; exceeded cells are recorded as failed (0 forces off, -1 leaves the spec)")
-	flag.BoolVar(&o.strict, "strict", false, "exit nonzero if any scenario failed (default: failed cells carry their error in the output and the exit is clean)")
-	flag.StringVar(&o.merge, "merge", "", "load comma-separated results `files` into one report and render it: JSONL record streams are deduplicated by scenario key and ordered by expansion index, and must come from one campaign; report JSON (-out) inputs carry no key and are appended as given")
-	flag.StringVar(&o.aggCSV, "agg-csv", "", "write the seed aggregate, mean/stddev/min/max of every column per (topo, script, load, scheme), to `file` (- for stdout)")
-	flag.StringVar(&o.fctCSV, "fct-csv", "", "write FCT-vs-load figure data, seed-aggregated, to `file` (- for stdout)")
-	flag.StringVar(&o.recCSV, "rec-csv", "", "write recovery-time figure data, seed-aggregated, to `file` (- for stdout)")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to `file` (pprof)")
-	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to `file` at exit (pprof)")
+	defineFlags(flag.CommandLine, &o)
 	flag.Parse()
 
 	stop, err := cliutil.StartProfiles(o.cpuProfile, o.memProfile)
@@ -125,6 +99,32 @@ func main() {
 		fmt.Fprintln(os.Stderr, "contracamp:", runErr)
 		os.Exit(1)
 	}
+}
+
+// defineFlags declares every command-line flag on fs, bound to o.
+func defineFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.spec, "spec", "", "campaign spec file (JSON; required unless -merge)")
+	fs.IntVar(&o.workers, "workers", runtime.NumCPU(), "parallel scenario workers")
+	fs.StringVar(&o.out, "out", "", "write results JSON to `file` (- for stdout)")
+	fs.StringVar(&o.csvOut, "csv", "", "write per-scenario CSV to `file` (- for stdout)")
+	fs.BoolVar(&o.quiet, "q", false, "suppress per-scenario progress")
+	fs.BoolVar(&o.noTable, "notable", false, "skip the scheme-comparison table")
+	fs.StringVar(&o.traceLevel, "trace-level", "", "override the spec's trace_level (off|flows|decisions; off clears it)")
+	fs.StringVar(&o.traceDir, "trace-dir", "", "write each traced cell's decision trace into `dir` as <cell name>.jsonl (needs a trace level)")
+	fs.StringVar(&o.recordDir, "record-dir", "", "record each cell's flow trace into `dir` as <cell name>.flow.jsonl; a trace-kind spec pointing workload.trace at the dir replays the campaign byte-identically (see docs/trace-format.md)")
+	fs.Int64Var(&o.metricsInterval, "metrics-interval", -1, "override the spec's metrics_interval_ns: sample telemetry every `ns` (0 forces off, -1 leaves the spec)")
+	fs.StringVar(&o.metricsDir, "metrics-dir", "", "write each sampled cell's telemetry into `dir` as <cell name>.jsonl (needs a metrics interval)")
+	fs.StringVar(&o.figuresDir, "figures", "", "emit paper-figure gnuplot data into `dir` (a -spec run enables telemetry sampling if the spec left it off; the two timelines need the cells' own series and samples, which a streamed or loaded report does not carry)")
+	fs.StringVar(&o.shard, "shard", "", "run only shard `i/N` of the expansion (requires -stream)")
+	fs.StringVar(&o.stream, "stream", "", "stream outcomes to a JSONL `file` instead of holding them in memory")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "record completed scenario keys in `file` (requires -stream)")
+	fs.BoolVar(&o.resume, "resume", false, "skip scenarios already in -checkpoint and append to -stream")
+	fs.DurationVar(&o.cellTimeout, "cell-timeout", -1, "per-cell wall-clock budget; exceeded cells are recorded as failed (0 forces off, -1 leaves the spec)")
+	fs.BoolVar(&o.strict, "strict", false, "exit nonzero if any scenario failed (default: failed cells carry their error in the output and the exit is clean)")
+	fs.StringVar(&o.merge, "merge", "", "load comma-separated results `files` into one report and render it: JSONL record streams are deduplicated by scenario key and ordered by expansion index, and must come from one campaign; report JSON (-out) inputs carry no key and are appended as given")
+	fs.StringVar(&o.aggCSV, "agg-csv", "", "write the seed aggregate, mean/stddev/min/max of every column per (topo, script, load, scheme), to `file` (- for stdout)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to `file` (pprof)")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to `file` at exit (pprof)")
 }
 
 func run(o options) error {
@@ -144,7 +144,7 @@ func run(o options) error {
 	if o.resume && (o.checkpoint == "" || o.stream == "") {
 		return fmt.Errorf("-resume needs both -checkpoint and -stream")
 	}
-	if o.stream != "" && (o.out != "" || o.csvOut != "" || o.aggCSV != "" || o.fctCSV != "" || o.recCSV != "" || o.figuresDir != "") {
+	if o.stream != "" && (o.out != "" || o.csvOut != "" || o.aggCSV != "" || o.figuresDir != "") {
 		return fmt.Errorf("a streamed run holds no report to render; merge it first (-merge %s with the output flags)", o.stream)
 	}
 	return runCampaign(o)
@@ -201,9 +201,6 @@ func progressHooks(o options, total int) (started func(*campaign.Job), completed
 		return nil, per
 	}
 	meter := campaign.NewMeter(os.Stderr, total)
-	if o.progressEvery > 0 {
-		meter.Every = o.progressEvery
-	}
 	return meter.Started, func(done, total int, out *campaign.Outcome) {
 		if per != nil {
 			per(done, total, out)
@@ -357,9 +354,9 @@ func runMerge(o options) error {
 
 // render writes every requested view of a report — per scenario (JSON,
 // CSV, the comparison table) and with the seed axis collapsed (the
-// aggregate CSV, the two curve CSVs, the figure data) — and turns
-// failed cells into the exit status. It is the one exit of every mode
-// that ends holding a report.
+// aggregate CSV, the figure data) — and turns failed cells into the
+// exit status. It is the one exit of every mode that ends holding a
+// report.
 func render(report *campaign.Report, schemes []scenario.Scheme, o options) error {
 	tab := agg.FromOutcomes(report.Outcomes)
 	for _, out := range []struct {
@@ -369,8 +366,6 @@ func render(report *campaign.Report, schemes []scenario.Scheme, o options) error
 		{o.out, report.WriteJSON},
 		{o.csvOut, report.WriteCSV},
 		{o.aggCSV, tab.WriteCSV},
-		{o.fctCSV, tab.WriteFCTCurve},
-		{o.recCSV, tab.WriteRecoveryCurve},
 	} {
 		if out.path == "" {
 			continue

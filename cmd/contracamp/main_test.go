@@ -39,14 +39,14 @@ const tinySpec = `{
 // every view render writes of the report (the figure data that survives
 // a record stream is fct_vs_load.dat), and the per-cell artifact dirs.
 type outputs struct {
-	report               [6]string         // -out, -csv, -agg-csv, -fct-csv, -rec-csv, -figures
+	report               [4]string         // -out, -csv, -agg-csv, -figures
 	flow, trace, metrics map[string]string // file name -> content
 }
 
 // reportFlags points every report output flag into dir.
 func reportFlags(o *options, dir string) {
 	o.out, o.csvOut = filepath.Join(dir, "out.json"), filepath.Join(dir, "out.csv")
-	o.aggCSV, o.fctCSV, o.recCSV = filepath.Join(dir, "agg.csv"), filepath.Join(dir, "fct.csv"), filepath.Join(dir, "rec.csv")
+	o.aggCSV = filepath.Join(dir, "agg.csv")
 	o.figuresDir = filepath.Join(dir, "figures")
 }
 
@@ -70,7 +70,7 @@ func readDir(t *testing.T, dir string) map[string]string {
 // TestEveryModeWritesTheSameBytes drives run(options) through the three
 // ways a cell can execute — in-memory, streamed then merged, and two
 // shards then merged — and requires identical report outputs (JSON,
-// CSV, the three aggregate CSVs, the FCT-vs-load figure data) and
+// CSV, the aggregate CSV, the FCT-vs-load figure data) and
 // file-for-file identical flow-trace, decision-trace and telemetry dirs
 // from all of them.
 func TestEveryModeWritesTheSameBytes(t *testing.T) {
@@ -103,7 +103,7 @@ func TestEveryModeWritesTheSameBytes(t *testing.T) {
 			trace:   readDir(t, filepath.Join(dir, "trace")),
 			metrics: readDir(t, filepath.Join(dir, "metrics")),
 		}
-		for i, path := range []string{o.out, o.csvOut, o.aggCSV, o.fctCSV, o.recCSV,
+		for i, path := range []string{o.out, o.csvOut, o.aggCSV,
 			filepath.Join(o.figuresDir, "fct_vs_load.dat")} {
 			b, err := os.ReadFile(path)
 			if err != nil {
@@ -152,7 +152,7 @@ func TestEveryModeWritesTheSameBytes(t *testing.T) {
 			len(want.flow), len(want.trace), len(want.metrics), n)
 	}
 	for mode, g := range got {
-		for i, flag := range []string{"-out", "-csv", "-agg-csv", "-fct-csv", "-rec-csv", "-figures fct_vs_load.dat"} {
+		for i, flag := range []string{"-out", "-csv", "-agg-csv", "-figures fct_vs_load.dat"} {
 			if g.report[i] != want.report[i] {
 				t.Errorf("%s: %s differs from the in-memory run", mode, flag)
 			}

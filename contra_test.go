@@ -57,7 +57,7 @@ func TestSimulationBestPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSimulation(p, 1)
+	s := NewSimulation(p)
 	s.WarmUp()
 	path, rank, err := s.BestPath("SEA", "NYC")
 	if err != nil {
@@ -83,7 +83,7 @@ func TestSimulationFailoverReroutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSimulation(p, 2)
+	s := NewSimulation(p)
 	s.WarmUp()
 	if err := s.FailLink("CHI", "NYC", 0); err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestSimulationFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSimulation(p, 3)
+	s := NewSimulation(p)
 	s.WarmUp()
 	src, err := s.HostNamed("H_SEA")
 	if err != nil {

@@ -29,7 +29,7 @@ func ExampleSimulation_BestPath() {
 	if err != nil {
 		panic(err)
 	}
-	sim := contra.NewSimulation(prog, 1)
+	sim := contra.NewSimulation(prog)
 	sim.WarmUp()
 	path, _, err := sim.BestPath("SEA", "NYC")
 	if err != nil {
@@ -75,7 +75,7 @@ func ExampleCompileSource_catalog() {
 		if err != nil {
 			panic(err)
 		}
-		sim := contra.NewSimulation(prog, 1)
+		sim := contra.NewSimulation(prog)
 		sim.WarmUp()
 		fmt.Printf("%s: %d probe class(es), %d tag bit(s)\n", src, prog.ProbeClasses(), prog.TagBits())
 		for _, pair := range [][2]string{{"SEA", "NYC"}, {"LA", "NYC"}, {"SNV", "WDC"}} {
@@ -120,7 +120,7 @@ func ExampleFailover() {
 	if err != nil {
 		panic(err)
 	}
-	sim := contra.NewSimulation(prog, 1)
+	sim := contra.NewSimulation(prog)
 	sim.WarmUp()
 	show := func(when string) {
 		path, rank, err := sim.BestPath("SEA", "NYC")
@@ -163,7 +163,7 @@ func ExampleCongestionAware() {
 		panic(err)
 	}
 	fmt.Println("probe classes:", prog.ProbeClasses())
-	sim := contra.NewSimulation(prog, 1)
+	sim := contra.NewSimulation(prog)
 	sim.WarmUp()
 	show := func(when string) {
 		for _, src := range []string{"X", "S"} {

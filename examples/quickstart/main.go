@@ -32,7 +32,7 @@ func main() {
 
 	// Run the compiled per-switch programs on the packet-level
 	// simulator and let a few probe rounds converge the routes.
-	sim := contra.NewSimulation(prog, 1)
+	sim := contra.NewSimulation(prog)
 	sim.WarmUp()
 
 	fmt.Println("== converged routes ==")

@@ -2,9 +2,11 @@
 // paper's figure data: it groups results by experiment cell —
 // (topology, scheme, load, event script) — collapses the seed axis of
 // every campaign.Columns entry into mean/stddev/min/max via
-// stats.Summary, and renders the aggregate as CSV, including the two
-// curve families the evaluation plots: tail FCT versus offered load,
-// and recovery time after disruptions.
+// stats.Summary, and renders the aggregate as CSV. The evaluation's
+// curves read straight off it: FCT versus offered load from the
+// *_fct_ms columns of each (topo, script, scheme) across loads, and
+// recovery time after disruptions from recovery_ms, whose summary
+// spans every seed and every disruption window.
 //
 // Aggregation is deterministic: groups are sorted by cell key and
 // every column is a pure function of the input results, so the same
@@ -102,8 +104,7 @@ func FromOutcomes(outcomes []campaign.Outcome) *Table {
 	return t
 }
 
-// keyCols are the cell-identity columns of every CSV this package
-// writes.
+// keyCols are the cell-identity columns of the aggregate CSV.
 var keyCols = []string{"topo", "script", "load", "scheme", "seeds", "failed"}
 
 func (g *Group) keyRow() []string {
@@ -141,66 +142,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		for i := range g.Sums {
 			row = append(row, summaryCols(&g.Sums[i])...)
 		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// fctCols are the columns of the FCT-versus-load curve.
-var fctCols = []string{"mean_fct_ms", "p50_fct_ms", "p95_fct_ms", "p99_fct_ms"}
-
-// WriteFCTCurve renders the FCT-versus-load figure data: per cell, the
-// mean and stddev across seeds of mean/p50/p95/p99 FCT. Plot load on
-// the x axis, one line per (topo, script, scheme).
-func (t *Table) WriteFCTCurve(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := append([]string{}, keyCols...)
-	for _, name := range fctCols {
-		header = append(header, name+"_mean", name+"_stddev")
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, g := range t.Groups {
-		if g.Sum(fctCols[0]).Count() == 0 {
-			continue // no completed FCT flows in this cell (CBR, total failure)
-		}
-		row := g.keyRow()
-		for _, name := range fctCols {
-			s := g.Sum(name)
-			row = append(row, cell(s.Mean()), cell(s.Stddev()))
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteRecoveryCurve renders the recovery-time figure data: per cell
-// with at least one disruption window, mean/stddev/min/max recovery
-// time across every seed and disruption, plus the throughput context
-// (baseline and dip).
-func (t *Table) WriteRecoveryCurve(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := append([]string{}, keyCols...)
-	header = append(header,
-		"recovery_ms_mean", "recovery_ms_stddev", "recovery_ms_min", "recovery_ms_max",
-		"baseline_gbps_mean", "min_gbps_mean")
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, g := range t.Groups {
-		rec := g.Sum("recovery_ms")
-		if rec.Count() == 0 {
-			continue
-		}
-		row := append(g.keyRow(), summaryCols(rec)...)
-		row = append(row, cell(g.Sum("baseline_gbps").Mean()), cell(g.Sum("min_gbps").Mean()))
 		if err := cw.Write(row); err != nil {
 			return err
 		}

@@ -116,20 +116,32 @@ func TestAggregateCollapsesSeeds(t *testing.T) {
 	}
 }
 
+// TestFCTCurveColumns: the FCT-versus-load curve is the aggregate's
+// *_fct_ms columns, one row per load in load order.
 func TestFCTCurveColumns(t *testing.T) {
 	var buf bytes.Buffer
-	if err := FromOutcomes(outcomesFixture()).WriteFCTCurve(&buf); err != nil {
+	if err := FromOutcomes(outcomesFixture()).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	header, rows := parseCSV(t, buf.String())
-	col(t, header, "p95_fct_ms_mean")
-	col(t, header, "mean_fct_ms_stddev")
 	if len(rows) != 4 {
 		t.Fatalf("got %d curve rows, want 4", len(rows))
 	}
 	loadIdx := col(t, header, "load")
 	if rows[0][loadIdx] != "0.2" || rows[2][loadIdx] != "0.6" {
 		t.Fatalf("curve rows not ordered by load: %v", rows)
+	}
+	// The contra cell at load 0.2: p99 is 21, 22 and 23 ms over seeds
+	// 1-3, and every other quantile a fixed fraction of it.
+	for name, want := range map[string]string{
+		"mean_fct_ms_mean": "5.5", "mean_fct_ms_stddev": "0.25",
+		"p50_fct_ms_mean": "2.75", "p50_fct_ms_stddev": "0.125",
+		"p95_fct_ms_mean": "11", "p95_fct_ms_stddev": "0.5",
+		"p99_fct_ms_mean": "22", "p99_fct_ms_stddev": "1",
+	} {
+		if got := rows[0][col(t, header, name)]; got != want {
+			t.Errorf("%s = %q, want %q", name, got, want)
+		}
 	}
 }
 
@@ -153,31 +165,39 @@ func TestRecoveryCurveUsesPerEventWindows(t *testing.T) {
 	// Two seeds, two disruptions each: four observations in one cell.
 	tab := FromOutcomes([]campaign.Outcome{mk(1, 2, 4), mk(2, 6, 8)})
 	var buf bytes.Buffer
-	if err := tab.WriteRecoveryCurve(&buf); err != nil {
+	if err := tab.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	header, rows := parseCSV(t, buf.String())
 	if len(rows) != 1 {
-		t.Fatalf("got %d recovery rows, want 1", len(rows))
+		t.Fatalf("got %d rows, want 1", len(rows))
 	}
-	get := func(name string) float64 {
-		v, _ := strconv.ParseFloat(rows[0][col(t, header, name)], 64)
-		return v
+	get := func(name string) string { return rows[0][col(t, header, name)] }
+	if m := get("recovery_ms_mean"); m != "5" {
+		t.Errorf("recovery mean %s, want 5 (per-event windows, not first-event only)", m)
 	}
-	if m := get("recovery_ms_mean"); math.Abs(m-5) > 1e-9 {
-		t.Errorf("recovery mean %v, want 5 (per-event windows, not first-event only)", m)
+	if get("recovery_ms_min") != "2" || get("recovery_ms_max") != "8" {
+		t.Errorf("recovery min/max = %s/%s, want 2/8", get("recovery_ms_min"), get("recovery_ms_max"))
 	}
-	if get("recovery_ms_min") != 2 || get("recovery_ms_max") != 8 {
-		t.Errorf("recovery min/max = %v/%v, want 2/8", get("recovery_ms_min"), get("recovery_ms_max"))
+	if sd, want := get("recovery_ms_stddev"), cell(math.Sqrt(20.0/3)); sd != want {
+		t.Errorf("recovery stddev %s, want %s", sd, want)
 	}
-	// A steady-state cell writes no recovery row at all.
-	steady := FromOutcomes(outcomesFixture())
+	if get("baseline_gbps_mean") != "4" || get("min_gbps_mean") != "2" {
+		t.Errorf("throughput context %s/%s Gbps, want 4/2", get("baseline_gbps_mean"), get("min_gbps_mean"))
+	}
+	// A steady-state cell leaves its recovery and throughput columns
+	// blank.
 	buf.Reset()
-	if err := steady.WriteRecoveryCurve(&buf); err != nil {
+	if err := FromOutcomes(outcomesFixture()).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, rows := parseCSV(t, buf.String()); len(rows) != 0 {
-		t.Fatalf("steady cells produced recovery rows: %v", rows)
+	header, rows = parseCSV(t, buf.String())
+	for _, row := range rows {
+		for _, name := range []string{"recovery_ms_mean", "recovery_ms_max", "baseline_gbps_mean", "min_gbps_mean"} {
+			if v := row[col(t, header, name)]; v != "" {
+				t.Errorf("steady cell %v: %s = %q, want blank", row[:4], name, v)
+			}
+		}
 	}
 }
 

@@ -9,6 +9,9 @@ import (
 	"time"
 )
 
+// meterEvery is the minimum interval between a Meter's progress lines.
+const meterEvery = 2 * time.Second
+
 // Meter renders a live campaign progress line: cells completed/total,
 // elapsed wall time, an ETA from a moving average of per-cell wall
 // times, and the names of the longest-running in-flight cells (the
@@ -17,13 +20,10 @@ import (
 // Wire Started and Completed into Options.Started and Options.Progress;
 // Stream serializes both under one lock, so the Meter piggybacks on
 // completion events instead of running a ticker goroutine of its own.
-// Lines are rate-limited to one per Every except the final cell, which
-// always prints. Output goes to stderr in the CLIs, so it never touches
-// the deterministic result streams.
+// Lines are rate-limited to one per meterEvery except the final cell,
+// which always prints. Output goes to stderr in the CLIs, so it never
+// touches the deterministic result streams.
 type Meter struct {
-	// Every is the minimum interval between printed lines (default 2s).
-	Every time.Duration
-
 	mu       sync.Mutex
 	w        io.Writer
 	total    int
@@ -41,7 +41,6 @@ type Meter struct {
 // of total cells.
 func NewMeter(w io.Writer, total int) *Meter {
 	return &Meter{
-		Every:    2 * time.Second,
 		w:        w,
 		total:    total,
 		inflight: make(map[string]time.Time),
@@ -83,17 +82,10 @@ func (m *Meter) Completed(done, total int, o *Outcome) {
 	if o.Err != "" {
 		m.failed++
 	}
-	if done == total || m.last.IsZero() || t.Sub(m.last) >= m.every() {
+	if done == total || m.last.IsZero() || t.Sub(m.last) >= meterEvery {
 		m.last = t
 		fmt.Fprintln(m.w, m.line(t))
 	}
-}
-
-func (m *Meter) every() time.Duration {
-	if m.Every > 0 {
-		return m.Every
-	}
-	return 2 * time.Second
 }
 
 // line renders one progress line at time t. Callers hold mu.

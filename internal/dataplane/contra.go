@@ -719,9 +719,13 @@ func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, admv []float64, oi, ord in
 	case ad.Version < e.version:
 		// Outdated probe: discard (§5.1).
 	case int32(inPort) == e.nhop && pg.NodeID(ad.Tag) == e.ntag:
-		// DSDV/Babel rule: the route's own upstream always refreshes
-		// the entry, even when its metric worsened — stale good news
-		// must not shadow fresh bad news.
+		// The route's own upstream (in-port and tag) refreshes the
+		// entry at any version not older than it holds, equal included,
+		// even when its metric worsened. This is not DSDV's rule, which
+		// takes an equal sequence number only with a better metric: an
+		// equal-version refresh is accepted and re-multicast, so one
+		// version can circulate and keep a cycle of registers fresh
+		// (ROADMAP item 1).
 		accept = true
 	case c.expired(e):
 		// §5.4 metric expiration: once the entry's upstream has gone

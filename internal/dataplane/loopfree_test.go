@@ -11,7 +11,7 @@ import (
 )
 
 // TestNoPersistentLoopsAfterChurn exercises §5.1's guarantee: with
-// versioned probes (and the DSDV-style update rule), forwarding state
+// versioned probes (and the own-upstream refresh rule), forwarding state
 // may loop transiently while probes are in flight, but once metrics
 // stabilize the entries converge loop-free. We churn a random topology
 // with bursty traffic, let it settle for a few probe rounds, and then

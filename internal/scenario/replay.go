@@ -86,9 +86,9 @@ func traceFlows(s *Scenario, g *topo.Graph, tr *flowtrace.Trace) (offered, error
 // recordFlows builds the v1 flow-trace artifact of a materialised
 // workload: endpoints by node name (stable across processes), flows in
 // injection order, meta carrying the scenario's identity.
-func recordFlows(s *Scenario, g *topo.Graph, topoName string, w offered) *flowtrace.Trace {
+func recordFlows(s *Scenario, g *topo.Graph, w offered) *flowtrace.Trace {
 	meta := w.meta
-	meta.Topo = topoName
+	meta.Topo = s.TopoSpec
 	meta.Seed = s.Seed
 	meta.Key = s.Key()
 	t := &flowtrace.Trace{Meta: meta, Flows: make([]flowtrace.Flow, 0, len(w.flows))}
@@ -112,7 +112,7 @@ func recordFlows(s *Scenario, g *topo.Graph, topoName string, w offered) *flowtr
 // cell by sanitized scenario name — the record-dir layout — so one
 // replay spec with the recording campaign's axes replays every cell
 // against its own trace.
-func loadReplay(s *Scenario, g *topo.Graph, topoName string) (*offered, error) {
+func loadReplay(s *Scenario, g *topo.Graph) (*offered, error) {
 	path := s.Workload.TracePath
 	if st, err := os.Stat(path); err == nil && st.IsDir() {
 		if s.Name == "" {
@@ -124,8 +124,8 @@ func loadReplay(s *Scenario, g *topo.Graph, topoName string) (*offered, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %v", s.Name, err)
 	}
-	if tr.Meta.Topo != topoName {
-		return nil, fmt.Errorf("scenario %q: trace %s was recorded on topo %q, this scenario runs %q", s.Name, path, tr.Meta.Topo, topoName)
+	if tr.Meta.Topo != s.TopoSpec {
+		return nil, fmt.Errorf("scenario %q: trace %s was recorded on topo %q, this scenario runs %q", s.Name, path, tr.Meta.Topo, s.TopoSpec)
 	}
 	if len(tr.Flows) == 0 {
 		return nil, fmt.Errorf("scenario %q: trace carries no flows", s.Name)

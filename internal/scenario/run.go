@@ -291,11 +291,7 @@ func Deploy(n *sim.Network, g *topo.Graph, s *Scenario) (*dataplane.Fleet, error
 		baseline.DeploySP(n)
 	case SchemeHula:
 		if err := baseline.CheckHulaTopology(g); err != nil {
-			name := s.TopoSpec
-			if name == "" {
-				name = g.Name
-			}
-			return nil, fmt.Errorf("scenario: scheme %q on topology %q: %w", s.Scheme, name, err)
+			return nil, fmt.Errorf("scenario: scheme %q on topology %q: %w", s.Scheme, s.TopoSpec, err)
 		}
 		baseline.DeployHula(n, s.Options)
 	case SchemeSpain:
@@ -328,27 +324,6 @@ func attachObservers(n *sim.Network, g *topo.Graph, rec *trace.Recorder, mrec *m
 			o.SetOverrides(ovr)
 		}
 	}
-}
-
-// resolveTopo materializes the scenario's topology. The caller owns
-// the returned graph: it is cloned whenever pre-fail events would
-// otherwise mutate a graph the scenario was handed.
-func (s *Scenario) resolveTopo() (*topo.Graph, error) {
-	g := s.Topo
-	if g == nil {
-		var err error
-		g, err = cliutil.BuildTopology(s.TopoSpec)
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
-	}
-	for _, ev := range s.Events {
-		if ev.Kind == LinkDown && ev.AtNs <= 0 {
-			return g.Clone(), nil
-		}
-	}
-	return g, nil
 }
 
 // resolved is a scenario's event script with every name looked up in
@@ -461,7 +436,7 @@ func Run(s Scenario) (*Result, error) {
 		return nil, err
 	}
 	wallStart := time.Now()
-	g, err := s.resolveTopo()
+	g, err := cliutil.BuildTopology(s.TopoSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -473,23 +448,13 @@ func Run(s Scenario) (*Result, error) {
 		g.SetDown(id, true)
 	}
 
-	// Result.Topo carries the campaign's axis value (the spec string)
-	// when there is one, so every downstream view — CSV rows, failed
-	// outcomes, seed aggregation of either report JSON or shard JSONL —
-	// keys topologies identically; graphs handed in as Go values fall
-	// back to the graph's own name.
-	topoName := s.TopoSpec
-	if topoName == "" {
-		topoName = g.Name
-	}
-
 	// A trace workload resolves and loads its recording up front: the
 	// meta line decides the play order, the measurement deadline and
 	// (for CBR recordings) the default bin width before any simulation
 	// state exists.
 	var replay *offered
 	if s.Workload.Kind == WorkloadTrace {
-		replay, err = loadReplay(&s, g, topoName)
+		replay, err = loadReplay(&s, g)
 		if err != nil {
 			return nil, err
 		}
@@ -550,7 +515,7 @@ func Run(s Scenario) (*Result, error) {
 	warmup := 12 * s.ProbePeriodNs
 	res := &Result{
 		Name:   s.Name,
-		Topo:   topoName,
+		Topo:   s.TopoSpec, // the campaign's axis value, which every report view keys on
 		Scheme: s.Scheme,
 		Script: s.Script,
 		Seed:   s.Seed,
@@ -705,7 +670,7 @@ func play(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int6
 		}
 	}
 	if s.RecordFlows {
-		res.FlowTrace = recordFlows(s, g, res.Topo, w)
+		res.FlowTrace = recordFlows(s, g, w)
 	}
 	return nil
 }
@@ -721,26 +686,20 @@ func fctFlows(s *Scenario, g *topo.Graph, warmup int64, surges []Event) (offered
 		capacity = FabricCapacity(g)
 	}
 	ends := workload.EndsFor(g, w.Pattern, w.IncastTargets)
-	ends.Pairs = s.PairIDs
-	if len(ends.Pairs) == 0 {
-		for _, p := range w.Pairs {
-			var pair [2]topo.NodeID
-			for j, name := range p {
-				id, ok := g.NodeByName(name)
-				if !ok || g.Node(id).Kind != topo.Host {
-					return offered{}, fmt.Errorf("scenario %q: pair endpoint %q is not a host of topo %s", s.Name, name, g.Name)
-				}
-				pair[j] = id
+	for _, p := range w.Pairs {
+		var pair [2]topo.NodeID
+		for j, name := range p {
+			id, ok := g.NodeByName(name)
+			if !ok || g.Node(id).Kind != topo.Host {
+				return offered{}, fmt.Errorf("scenario %q: pair endpoint %q is not a host of topo %s", s.Name, name, g.Name)
 			}
-			ends.Pairs = append(ends.Pairs, pair)
+			pair[j] = id
 		}
+		ends.Pairs = append(ends.Pairs, pair)
 	}
-	dist := w.DistObj
-	if dist == nil {
-		var err error
-		if dist, err = workload.ByName(w.Dist); err != nil {
-			return offered{}, fmt.Errorf("scenario %q: %v", s.Name, err)
-		}
+	dist, err := workload.ByName(w.Dist)
+	if err != nil {
+		return offered{}, fmt.Errorf("scenario %q: %v", s.Name, err)
 	}
 	stream := workload.Stream{
 		Rate: workload.LoadRate(w.Load, capacity, dist), Size: dist, Ends: ends,

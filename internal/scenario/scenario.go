@@ -21,7 +21,6 @@ import (
 	"contra/internal/cliutil"
 	"contra/internal/core"
 	"contra/internal/sim"
-	"contra/internal/topo"
 	"contra/internal/trace"
 	"contra/internal/workload"
 )
@@ -177,11 +176,6 @@ type Workload struct {
 	// (§6.4's Abilene experiment), named by topology node.
 	Pairs [][2]string `json:"pairs,omitempty"`
 
-	// DistObj, when non-nil, overrides Dist with a custom distribution
-	// built via workload.NewDistribution (Go construction only — not
-	// expressible in JSON specs).
-	DistObj *workload.Distribution `json:"-"`
-
 	// CBR knobs.
 	RateBps float64 `json:"rate_bps,omitempty"` // aggregate; default 4.25 Gbps
 	EndNs   int64   `json:"end_ns,omitempty"`   // absolute end; default 80ms
@@ -250,9 +244,7 @@ type Scenario struct {
 
 	// TopoSpec builds the topology (the cliutil.BuildTopology syntax:
 	// "dc", "fattree:8", "leafspine:4:4:2", "abilene+hosts", "@file").
-	// A non-nil Topo overrides it.
-	TopoSpec string      `json:"topo"`
-	Topo     *topo.Graph `json:"-"`
+	TopoSpec string `json:"topo"`
 
 	Scheme Scheme `json:"scheme"`
 	Policy string `json:"policy,omitempty"` // Contra only; default minimize(path.util)
@@ -285,9 +277,6 @@ type Scenario struct {
 	// Go-only: replay artifacts never enter the canonical encoding or
 	// the scenario Key.
 	Overrides *trace.Overrides `json:"-"`
-
-	// Pairs resolved from Workload.Pairs, or set directly in Go.
-	PairIDs [][2]topo.NodeID `json:"-"`
 }
 
 // fill applies the paper's defaults in place and expands event sugar.
@@ -319,7 +308,7 @@ func (s *Scenario) fill() {
 	case WorkloadFCT, WorkloadCohorts:
 		// Cohorts share the fct window defaults; their size
 		// distributions live inside each cohort, so Dist stays empty.
-		if w.Kind == WorkloadFCT && w.Dist == "" && w.DistObj == nil {
+		if w.Kind == WorkloadFCT && w.Dist == "" {
 			w.Dist = "websearch"
 		}
 		if w.DurationNs == 0 {
@@ -348,7 +337,7 @@ func (s *Scenario) fill() {
 
 // Validate rejects malformed scenarios before they burn a worker.
 func (s *Scenario) Validate() error {
-	if s.Topo == nil && s.TopoSpec == "" {
+	if s.TopoSpec == "" {
 		return fmt.Errorf("scenario %q: no topology", s.Name)
 	}
 	switch s.Scheme {
@@ -500,12 +489,9 @@ func (s *Scenario) Validate() error {
 // checkTrackLoops refuses track_loops on a topology whose loops it would
 // undercount: one with a switch id at or past sim.TrackVisitedLimit.
 func (s *Scenario) checkTrackLoops() error {
-	g := s.Topo
-	if g == nil {
-		var err error
-		if g, err = cliutil.BuildTopology(s.TopoSpec); err != nil {
-			return fmt.Errorf("scenario %q: %v", s.Name, err)
-		}
+	g, err := cliutil.BuildTopology(s.TopoSpec)
+	if err != nil {
+		return fmt.Errorf("scenario %q: %v", s.Name, err)
 	}
 	if sw := g.Switches(); len(sw) > 0 && int(sw[len(sw)-1]) >= sim.TrackVisitedLimit {
 		last := sw[len(sw)-1]
@@ -571,11 +557,9 @@ func (s *Scenario) expandRamps() {
 // affects execution. Campaign checkpointing keys completed work on it,
 // so it must not change across process restarts, shard layouts, or
 // field reordering in spec files — it is computed from the scenario's
-// canonical JSON encoding, not from the spec's raw bytes.
-//
-// Go-only fields that JSON cannot express (Topo, DistObj, PairIDs) do
-// not enter the hash; checkpoint/resume is defined for spec-driven
-// scenarios, which identify their topology by TopoSpec.
+// canonical JSON encoding, not from the spec's raw bytes. Every field
+// enters it except Name, a label, and RecordFlows and Overrides, whose
+// docs say why.
 func (s *Scenario) Key() string {
 	c := *s
 	c.Name = "" // the name is a label; parameters are the identity

@@ -6,10 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"contra/internal/cliutil"
 	"contra/internal/core"
-	"contra/internal/topo"
-	"contra/internal/workload"
 )
 
 func TestSpecJSONRoundTrip(t *testing.T) {
@@ -556,74 +553,20 @@ func TestPreFailAsymmetricTopology(t *testing.T) {
 		t.Skip("short mode")
 	}
 	// A link_down at t<=0 must reach the topology before deploy, so
-	// even schemes with offline path computation route around it —
-	// also when the topology is a caller's graph whose cached queries
-	// were answered while the link was still up.
-	warm, err := cliutil.BuildTopology("dc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nh := warm.ECMPNextHops(warm.MustNode("l0"), warm.MustNode("l1")); len(nh) != 2 {
-		t.Fatalf("l0 has %d next hops to l1 on the intact fabric, want 2", len(nh))
-	}
-	for _, tc := range []struct {
-		scheme Scheme
-		topo   *topo.Graph
-	}{{SchemeSP, nil}, {SchemeECMP, nil}, {SchemeECMP, warm}} {
-		s := fastFCT(tc.scheme)
-		if tc.topo != nil {
-			s.Topo, s.TopoSpec = tc.topo, ""
-		}
+	// even schemes with offline path computation route around it.
+	for _, scheme := range []Scheme{SchemeSP, SchemeECMP} {
+		s := fastFCT(scheme)
 		s.Events = []Event{{Kind: LinkDown, AtNs: 0, Link: "l0-s0"}}
 		res, err := Run(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Completed != int64(res.Flows) {
-			t.Fatalf("%s: completed %d/%d across the pre-failed fabric", tc.scheme, res.Completed, res.Flows)
+			t.Fatalf("%s: completed %d/%d across the pre-failed fabric", scheme, res.Completed, res.Flows)
 		}
 		if res.LinkDownDrops > 0 {
-			t.Fatalf("%s: %v packets hit the pre-failed link", tc.scheme, res.LinkDownDrops)
+			t.Fatalf("%s: %v packets hit the pre-failed link", scheme, res.LinkDownDrops)
 		}
-	}
-}
-
-func TestRunDoesNotMutateCallerTopology(t *testing.T) {
-	s := fastFCT(SchemeSP)
-	g, err := cliutil.BuildTopology("dc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Topo = g
-	s.TopoSpec = ""
-	s.Events = []Event{{Kind: LinkDown, AtNs: 0, Link: "l0-s0"}}
-	if _, err := Run(s); err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range g.Links() {
-		if l.Down {
-			t.Fatal("pre-fail event mutated the caller's topology")
-		}
-	}
-}
-
-func TestCustomDistributionObject(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	s := fastFCT(SchemeECMP)
-	s.Workload.Dist = ""
-	s.Workload.DistObj = workload.NewDistribution("trace",
-		[]float64{1000, 10000, 100000}, []float64{0.5, 0.9, 1})
-	res, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Dist != "trace" {
-		t.Fatalf("res.Dist = %q, want the custom distribution's name", res.Dist)
-	}
-	if res.Completed == 0 {
-		t.Fatal("no flows completed with a custom distribution")
 	}
 }
 

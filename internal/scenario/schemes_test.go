@@ -59,14 +59,11 @@ func TestRunFCTWithPairs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	g := topo.AbileneWithHostsScaled(0, 0.002)
-	s := fct("", SchemeContra, "cache", 0.3, 4_000_000, 200, 5)
-	s.Topo = g
+	// §6.4's setup: the paper specs' Abilene file (delays scaled by
+	// 0.002), traffic between fixed host pairs named in the spec.
+	s := fct("@../../examples/paper/abilene_x0.002.topo", SchemeContra, "cache", 0.3, 4_000_000, 200, 5)
 	s.Workload.CapacityBps = 40e9
-	s.PairIDs = [][2]topo.NodeID{
-		{g.MustNode("H_SEA"), g.MustNode("H_NYC")},
-		{g.MustNode("H_LA"), g.MustNode("H_CHI")},
-	}
+	s.Workload.Pairs = [][2]string{{"H_SEA", "H_NYC"}, {"H_LA", "H_CHI"}}
 	res, err := Run(s)
 	if err != nil {
 		t.Fatal(err)

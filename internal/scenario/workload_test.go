@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"contra/internal/cliutil"
 )
 
 // offeredFor materialises a scenario's workload the way Run does —
@@ -21,7 +23,7 @@ func offeredFor(s Scenario) (offered, error) {
 	if err := s.Validate(); err != nil {
 		return offered{}, err
 	}
-	g, err := s.resolveTopo()
+	g, err := cliutil.BuildTopology(s.TopoSpec)
 	if err != nil {
 		return offered{}, err
 	}

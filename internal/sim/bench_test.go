@@ -16,10 +16,10 @@ func BenchmarkEventLoop(b *testing.B) {
 	tick = func() {
 		count++
 		if count < b.N {
-			e.After(10, tick)
+			e.At(e.Now()+10, tick)
 		}
 	}
-	e.After(0, tick)
+	e.At(e.Now(), tick)
 	b.ResetTimer()
 	e.Run(int64(b.N)*10 + 100)
 }
@@ -42,10 +42,10 @@ func BenchmarkEventLoopPopulated(b *testing.B) {
 			tick = func() {
 				count++
 				if count < b.N {
-					e.After(10, tick)
+					e.At(e.Now()+10, tick)
 				}
 			}
-			e.After(0, tick)
+			e.At(e.Now(), tick)
 			b.ResetTimer()
 			e.Run(horizon)
 			if e.Pending() != n {

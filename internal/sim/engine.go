@@ -148,9 +148,6 @@ func (e *Engine) At(t int64, fn func()) {
 	e.schedule(t, event{kind: evFunc, arg: idx})
 }
 
-// After schedules fn d nanoseconds from now.
-func (e *Engine) After(d int64, fn func()) { e.At(e.now+d, fn) }
-
 // Ticker is what a recurring timer fires. A router starts its timers
 // with its own pointer, converted to a named type per timer, which
 // allocates nothing: a method value such as r.flush allocates a closure

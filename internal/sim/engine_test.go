@@ -96,7 +96,7 @@ type scheduler interface {
 type engineAdapter struct{ e *Engine }
 
 func (a engineAdapter) At(t int64, fn func())    { a.e.At(t, fn) }
-func (a engineAdapter) After(d int64, fn func()) { a.e.After(d, fn) }
+func (a engineAdapter) After(d int64, fn func()) { a.e.At(a.e.Now()+d, fn) }
 func (a engineAdapter) Every(start, period int64, fn func()) func() {
 	return a.e.Every(start, period, TickFunc(fn)).Cancel
 }
@@ -375,7 +375,7 @@ func TestOneShotSlotLifetime(t *testing.T) {
 				t.Fatalf("link %d runs with its own closure still in the slot", k)
 			}
 			if k < 5 {
-				e.After(1, chain(k+1))
+				e.At(e.Now()+1, chain(k+1))
 			}
 		}
 	}
@@ -398,7 +398,7 @@ func TestOneShotSlotLifetime(t *testing.T) {
 		order = append(order, "a")
 		e.At(200, mark("b"))
 		e.At(150, mark("c"))
-		e.After(1, mark("e"))
+		e.At(e.Now()+1, mark("e"))
 	})
 	e.At(200, mark("d"))
 	e.Run(300)

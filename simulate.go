@@ -24,9 +24,9 @@ type Simulation struct {
 }
 
 // NewSimulation deploys the program's switch programs on a fresh
-// network instance. Nothing in the simulation draws from seed, so it
-// does not change the run; it is kept for API compatibility.
-func NewSimulation(p *Program, seed int64) *Simulation {
+// network instance. The simulation draws no random numbers, so a run is
+// a pure function of the program and the calls made on it.
+func NewSimulation(p *Program) *Simulation {
 	eng := sim.NewEngine()
 	net := sim.NewNetwork(eng, p.compiled.Topo, sim.Config{})
 	routers := dataplane.Deploy(net, p.compiled)
