@@ -2,29 +2,36 @@
 // (topologies × schemes × loads × event scripts × seeds) into
 // scenarios, executes them on a bounded worker pool, and renders the
 // results as JSON, CSV, a scheme-comparison table, and seed-aggregated
-// figure data.
+// figure data. It has three subcommands, each with its own flags:
 //
-// One-process campaigns hold the report in memory:
+//	contracamp run -spec FILE [flags]             run a campaign
+//	contracamp merge [flags] FILE...              render results files as one report
+//	contracamp check trace|metrics|flow FILE...   validate artifact files
 //
-//	contracamp -spec examples/campaign/campaign.json -workers 8 -out results.json -csv results.csv
+// A one-process run holds the report in memory:
+//
+//	contracamp run -spec examples/campaign/campaign.json -workers 8 -out results.json -csv results.csv
 //
 // Large sweeps shard across processes or machines, stream every
 // outcome to a JSONL file as it completes, and checkpoint completed
 // scenarios so an interrupted run resumes where it stopped:
 //
-//	contracamp -spec sweep.json -shard 0/2 -stream s0.jsonl -checkpoint s0.ck
-//	contracamp -spec sweep.json -shard 1/2 -stream s1.jsonl -checkpoint s1.ck
-//	contracamp -spec sweep.json -shard 0/2 -stream s0.jsonl -checkpoint s0.ck -resume   # after a crash
-//	contracamp -merge s0.jsonl,s1.jsonl -out merged.json -csv merged.csv -agg-csv agg.csv
+//	contracamp run -spec sweep.json -shard 0/2 -stream s0.jsonl -checkpoint s0.ck
+//	contracamp run -spec sweep.json -shard 1/2 -stream s1.jsonl -checkpoint s1.ck
+//	contracamp run -spec sweep.json -shard 0/2 -stream s0.jsonl -checkpoint s0.ck -resume   # after a crash
+//	contracamp merge -out merged.json -csv merged.csv -agg-csv agg.csv s0.jsonl s1.jsonl
 //
-// Every run that ends holding the report — an in-memory -spec run, a
-// -merge of record streams or of report JSON written earlier — renders
-// it through one step, so every output flag works on both: -out, -csv
-// and the comparison table per scenario; -agg-csv with the seed axis
+// Every run that ends holding the report — an in-memory run, a merge
+// of record streams or of report JSON written earlier — renders it
+// through one step, so every output flag works on both: -out, -csv and
+// the comparison table per scenario; -agg-csv with the seed axis
 // collapsed to mean/stddev/min/max of every column (the FCT-versus-load
 // and recovery-time curves are its *_fct_ms and recovery_ms columns);
-// -figures as gnuplot data. A -merge runs no cell, so it refuses the
-// flags only a -spec run reads.
+// -figures as gnuplot data. merge takes JSONL record streams, which it
+// deduplicates by scenario key and orders by expansion index and which
+// must come from one campaign, and report JSON written by -out, which
+// carries no key and is appended as given. A merge runs no cell, so it
+// defines none of the flags that shape one.
 //
 // Campaign output is deterministic: the same spec produces
 // byte-identical JSON/CSV whatever the worker count, shard count,
@@ -32,9 +39,17 @@
 // completes through one step (dist.Commit: artifacts, record,
 // checkpoint mark), so -record-dir, -trace-dir and -metrics-dir write
 // the same files whether the run is held in memory or sharded.
+//
+// check validates the line-oriented artifacts with the code that reads
+// and writes them: decision traces (-trace-dir), link telemetry
+// (-metrics-dir) and flow traces (-record-dir). It prints
+// "ok   <file>: <summary>" or "FAIL <file>: <first violation>" per file.
+//
+// contracamp exits 1 when a subcommand fails and 2 on a usage error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,9 +63,18 @@ import (
 	"contra/internal/cliutil"
 	"contra/internal/dist"
 	"contra/internal/figures"
+	"contra/internal/flowtrace"
+	"contra/internal/metrics"
 	"contra/internal/scenario"
 	"contra/internal/trace"
 )
+
+// usage names the three subcommands; a subcommand's usage error lists
+// its flags under it.
+const usage = `usage: contracamp run -spec FILE [flags]
+       contracamp merge [flags] FILE...
+       contracamp check trace|metrics|flow FILE...
+`
 
 type options struct {
 	spec            string
@@ -74,69 +98,113 @@ type options struct {
 	cellTimeout time.Duration
 	strict      bool
 
-	merge  string
+	merge  []string
 	aggCSV string
 
 	cpuProfile string
 	memProfile string
 }
 
-func main() {
-	var o options
-	defineFlags(flag.CommandLine, &o)
-	flag.Parse()
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// cli runs the subcommand args name and returns the exit status. Usage,
+// errors and check's report go to stdout and stderr; run and merge
+// print progress and the comparison table on the process's own.
+func cli(args []string, stdout, stderr io.Writer) int {
+	var o options
+	var fs *flag.FlagSet
+	if len(args) > 0 {
+		fs = flagSet(args[0], &o)
+	}
+	if fs == nil {
+		fmt.Fprint(stderr, usage)
+		return 2
+	}
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprint(stderr, usage)
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args[1:]); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	switch args[0] {
+	case "check":
+		return check(fs.Args(), stdout, stderr)
+	case "run":
+		if o.spec == "" || fs.NArg() > 0 {
+			fmt.Fprintln(stderr, "contracamp run: -spec FILE is required and nothing follows the flags")
+			fs.Usage()
+			return 2
+		}
+	case "merge":
+		if o.merge = fs.Args(); len(o.merge) == 0 {
+			fmt.Fprintln(stderr, "contracamp merge: name at least one results file after the flags")
+			fs.Usage()
+			return 2
+		}
+	}
 	stop, err := cliutil.StartProfiles(o.cpuProfile, o.memProfile)
+	if err == nil {
+		err = run(o)
+		if serr := stop(); err == nil {
+			err = serr
+		}
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "contracamp:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "contracamp:", err)
+		return 1
 	}
-	runErr := run(o)
-	if err := stop(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "contracamp:", runErr)
-		os.Exit(1)
-	}
+	return 0
 }
 
-// defineFlags declares every command-line flag on fs, bound to o.
-func defineFlags(fs *flag.FlagSet, o *options) {
-	fs.StringVar(&o.spec, "spec", "", "campaign spec file (JSON; required unless -merge)")
-	fs.IntVar(&o.workers, "workers", runtime.NumCPU(), "parallel scenario workers")
+// flagSet returns subcommand cmd's flags bound to o, or nil if there is
+// no such subcommand. merge reads the report and profile flags, run
+// those and every flag that shapes a cell, check none.
+func flagSet(cmd string, o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("contracamp "+cmd, flag.ContinueOnError)
+	switch cmd {
+	case "check":
+		return fs
+	case "merge":
+	case "run":
+		fs.StringVar(&o.spec, "spec", "", "campaign spec `file` (JSON; required)")
+		fs.IntVar(&o.workers, "workers", runtime.NumCPU(), "parallel scenario workers")
+		fs.StringVar(&o.traceLevel, "trace-level", "", "override the spec's trace_level (off|flows|decisions; off clears it)")
+		fs.StringVar(&o.traceDir, "trace-dir", "", "write each traced cell's decision trace into `dir` as <cell name>.jsonl (needs a trace level)")
+		fs.StringVar(&o.recordDir, "record-dir", "", "record each cell's flow trace into `dir` as <cell name>.flow.jsonl; a trace-kind spec pointing workload.trace at the dir replays the campaign byte-identically (see docs/trace-format.md)")
+		fs.Int64Var(&o.metricsInterval, "metrics-interval", -1, "override the spec's metrics_interval_ns: sample telemetry every `ns` (0 forces off, -1 leaves the spec)")
+		fs.StringVar(&o.metricsDir, "metrics-dir", "", "write each sampled cell's telemetry into `dir` as <cell name>.jsonl (needs a metrics interval)")
+		fs.StringVar(&o.shard, "shard", "", "run only shard `i/N` of the expansion (requires -stream)")
+		fs.StringVar(&o.stream, "stream", "", "stream outcomes to a JSONL `file` instead of holding them in memory")
+		fs.StringVar(&o.checkpoint, "checkpoint", "", "record completed scenario keys in `file` (requires -stream)")
+		fs.BoolVar(&o.resume, "resume", false, "skip scenarios already in -checkpoint and append to -stream")
+		fs.DurationVar(&o.cellTimeout, "cell-timeout", -1, "per-cell wall-clock budget; exceeded cells are recorded as failed (0 forces off, -1 leaves the spec)")
+	default:
+		return nil
+	}
 	fs.StringVar(&o.out, "out", "", "write results JSON to `file` (- for stdout)")
 	fs.StringVar(&o.csvOut, "csv", "", "write per-scenario CSV to `file` (- for stdout)")
+	fs.StringVar(&o.aggCSV, "agg-csv", "", "write the seed aggregate, mean/stddev/min/max of every column per (topo, script, load, scheme), to `file` (- for stdout)")
+	fs.StringVar(&o.figuresDir, "figures", "", "emit paper-figure gnuplot data into `dir` (a run enables telemetry sampling if the spec left it off; the two timelines need the cells' own series and samples, which a streamed or loaded report does not carry)")
 	fs.BoolVar(&o.quiet, "q", false, "suppress per-scenario progress")
 	fs.BoolVar(&o.noTable, "notable", false, "skip the scheme-comparison table")
-	fs.StringVar(&o.traceLevel, "trace-level", "", "override the spec's trace_level (off|flows|decisions; off clears it)")
-	fs.StringVar(&o.traceDir, "trace-dir", "", "write each traced cell's decision trace into `dir` as <cell name>.jsonl (needs a trace level)")
-	fs.StringVar(&o.recordDir, "record-dir", "", "record each cell's flow trace into `dir` as <cell name>.flow.jsonl; a trace-kind spec pointing workload.trace at the dir replays the campaign byte-identically (see docs/trace-format.md)")
-	fs.Int64Var(&o.metricsInterval, "metrics-interval", -1, "override the spec's metrics_interval_ns: sample telemetry every `ns` (0 forces off, -1 leaves the spec)")
-	fs.StringVar(&o.metricsDir, "metrics-dir", "", "write each sampled cell's telemetry into `dir` as <cell name>.jsonl (needs a metrics interval)")
-	fs.StringVar(&o.figuresDir, "figures", "", "emit paper-figure gnuplot data into `dir` (a -spec run enables telemetry sampling if the spec left it off; the two timelines need the cells' own series and samples, which a streamed or loaded report does not carry)")
-	fs.StringVar(&o.shard, "shard", "", "run only shard `i/N` of the expansion (requires -stream)")
-	fs.StringVar(&o.stream, "stream", "", "stream outcomes to a JSONL `file` instead of holding them in memory")
-	fs.StringVar(&o.checkpoint, "checkpoint", "", "record completed scenario keys in `file` (requires -stream)")
-	fs.BoolVar(&o.resume, "resume", false, "skip scenarios already in -checkpoint and append to -stream")
-	fs.DurationVar(&o.cellTimeout, "cell-timeout", -1, "per-cell wall-clock budget; exceeded cells are recorded as failed (0 forces off, -1 leaves the spec)")
 	fs.BoolVar(&o.strict, "strict", false, "exit nonzero if any scenario failed (default: failed cells carry their error in the output and the exit is clean)")
-	fs.StringVar(&o.merge, "merge", "", "load comma-separated results `files` into one report and render it: JSONL record streams are deduplicated by scenario key and ordered by expansion index, and must come from one campaign; report JSON (-out) inputs carry no key and are appended as given")
-	fs.StringVar(&o.aggCSV, "agg-csv", "", "write the seed aggregate, mean/stddev/min/max of every column per (topo, script, load, scheme), to `file` (- for stdout)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to `file` (pprof)")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to `file` at exit (pprof)")
+	return fs
 }
 
+// run is the one driver both run and merge reach: a merge when o.merge
+// names results files, a campaign run of o.spec otherwise.
 func run(o options) error {
-	if (o.spec == "") == (o.merge == "") {
-		flag.Usage()
-		return fmt.Errorf("exactly one of -spec, -merge is required")
-	}
-	if o.merge != "" {
+	if len(o.merge) > 0 {
 		return runMerge(o)
 	}
 	if o.shard != "" && o.stream == "" {
-		return fmt.Errorf("-shard partitions a streamed run; add -stream (results merge later with -merge)")
+		return fmt.Errorf("-shard partitions a streamed run; add -stream (contracamp merge joins the shards later)")
 	}
 	if o.checkpoint != "" && o.stream == "" {
 		return fmt.Errorf("-checkpoint needs -stream: without the record stream there is nothing to resume from")
@@ -145,34 +213,9 @@ func run(o options) error {
 		return fmt.Errorf("-resume needs both -checkpoint and -stream")
 	}
 	if o.stream != "" && (o.out != "" || o.csvOut != "" || o.aggCSV != "" || o.figuresDir != "") {
-		return fmt.Errorf("a streamed run holds no report to render; merge it first (-merge %s with the output flags)", o.stream)
+		return fmt.Errorf("a streamed run holds no report to render; merge it first (contracamp merge with the output flags and %s)", o.stream)
 	}
 	return runCampaign(o)
-}
-
-// refuseRunFlags fails a -merge that sets a flag only a -spec run
-// reads: a merge runs no cell, so the flag would do nothing.
-func refuseRunFlags(o options) error {
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{
-		{"-shard", o.shard != ""},
-		{"-stream", o.stream != ""},
-		{"-checkpoint", o.checkpoint != ""},
-		{"-resume", o.resume},
-		{"-trace-level", o.traceLevel != ""},
-		{"-trace-dir", o.traceDir != ""},
-		{"-record-dir", o.recordDir != ""},
-		{"-metrics-dir", o.metricsDir != ""},
-		{"-metrics-interval", o.metricsInterval >= 0},
-		{"-cell-timeout", o.cellTimeout >= 0},
-	} {
-		if f.set {
-			return fmt.Errorf("%s applies to a -spec run; -merge runs no cell", f.name)
-		}
-	}
-	return nil
 }
 
 // progress returns the per-scenario progress printer, nil when quiet.
@@ -255,7 +298,7 @@ func artifacts(o options) dist.Artifacts {
 	return dist.Artifacts{Flow: o.recordDir, Trace: o.traceDir, Metrics: o.metricsDir}
 }
 
-// runCampaign is the one driver of a -spec run: every cell completes
+// runCampaign is the one driver of a campaign run: every cell completes
 // through dist.Run, whatever the mode. With -stream the sink is the
 // JSONL file — a shard, merged later — and nothing is held in memory;
 // without it the sink is a dist.Collector, whose report is rendered as
@@ -338,16 +381,13 @@ func runCampaign(o options) error {
 
 // runMerge loads results files into one deterministic report.
 func runMerge(o options) error {
-	if err := refuseRunFlags(o); err != nil {
-		return err
-	}
-	report, err := dist.Merge(splitList(o.merge))
+	report, err := dist.Merge(o.merge)
 	if err != nil {
 		return err
 	}
 	if !o.quiet {
 		fmt.Fprintf(os.Stderr, "merged %d scenarios from %d file(s)\n",
-			len(report.Outcomes), len(splitList(o.merge)))
+			len(report.Outcomes), len(o.merge))
 	}
 	return render(report, dist.Schemes(report), o)
 }
@@ -391,17 +431,6 @@ func render(report *campaign.Report, schemes []scenario.Scheme, o options) error
 	return failures(report.Failed(), len(report.Outcomes), o)
 }
 
-// splitList splits a comma-separated file list.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // failures turns scenario failures into an exit status: by default a
 // campaign degrades gracefully (failed cells carry their reason in the
 // JSON/CSV error column, everything else is intact) and the exit is
@@ -418,4 +447,37 @@ func failures(failed, total int, o options) error {
 			failed, total)
 	}
 	return nil
+}
+
+// checkers maps an artifact kind to the checker of the package that
+// reads and writes it: check holds no format rule of its own.
+var checkers = map[string]func(io.Reader) (summary string, err error){
+	"trace":   trace.Check,
+	"metrics": metrics.Check,
+	"flow":    flowtrace.Check,
+}
+
+// check validates files of the kind args[0] names, printing one ok or
+// FAIL line per file, and returns 1 if any failed, 2 on a usage error.
+func check(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 2 || checkers[args[0]] == nil {
+		fmt.Fprint(stderr, usage)
+		return 2
+	}
+	status := 0
+	for _, path := range args[1:] {
+		var summary string
+		f, err := os.Open(path)
+		if err == nil {
+			summary, err = checkers[args[0]](f)
+			f.Close()
+		}
+		if err != nil {
+			fmt.Fprintf(stdout, "FAIL %s: %v\n", path, err)
+			status = 1
+			continue
+		}
+		fmt.Fprintf(stdout, "ok   %s: %s\n", path, summary)
+	}
+	return status
 }

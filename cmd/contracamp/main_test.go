@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -114,7 +115,7 @@ func TestEveryModeWritesTheSameBytes(t *testing.T) {
 		return out
 	}
 	// merge renders the streams into dir's report files.
-	merge := func(dir, streams string) options {
+	merge := func(dir string, streams ...string) options {
 		o := options{quiet: true, noTable: true, metricsInterval: -1, cellTimeout: -1, merge: streams}
 		reportFlags(&o, dir)
 		must(o)
@@ -140,7 +141,7 @@ func TestEveryModeWritesTheSameBytes(t *testing.T) {
 		o.shard, o.stream = sh, filepath.Join(root, "shard"+sh[:1]+".jsonl")
 		must(o)
 	}
-	got["two shards + -merge"] = collect(merge(dir, filepath.Join(root, "shard0.jsonl")+","+filepath.Join(root, "shard1.jsonl")), dir)
+	got["two shards + -merge"] = collect(merge(dir, filepath.Join(root, "shard0.jsonl"), filepath.Join(root, "shard1.jsonl")), dir)
 
 	spec, err := campaign.LoadFile(specPath)
 	if err != nil {
@@ -172,7 +173,7 @@ func TestEveryModeWritesTheSameBytes(t *testing.T) {
 // the stream write and the checkpoint mark leaves exactly that) must not
 // become an extra seed of its cell in the aggregate, a repeat that
 // disagrees on the index is refused, and so is a second campaign's
-// stream. A report JSON written by -out is a -merge input too, and
+// stream. A report JSON written by -out is a merge input too, and
 // renders the CSV it was written next to.
 func TestMergeCountsEachCellOnce(t *testing.T) {
 	root := t.TempDir()
@@ -199,17 +200,17 @@ func TestMergeCountsEachCellOnce(t *testing.T) {
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
-	aggregate := func(stream, prefix string) error {
+	aggregate := func(prefix string, streams ...string) error {
 		o := base
-		o.merge = stream
+		o.merge = streams
 		o.out, o.csvOut, o.aggCSV = at(prefix+".json"), at(prefix+".csv"), at(prefix+".agg.csv")
 		return run(o)
 	}
-	if err := aggregate(at("clean.jsonl"), "clean"); err != nil {
+	if err := aggregate("clean", at("clean.jsonl")); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(read("clean.jsonl"), "\n")
-	if err := aggregate(write("dup.jsonl", read("clean.jsonl")+lines[0]), "dup"); err != nil {
+	if err := aggregate("dup", write("dup.jsonl", read("clean.jsonl")+lines[0])); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := read("dup.agg.csv"), read("clean.agg.csv"); got != want {
@@ -223,16 +224,16 @@ func TestMergeCountsEachCellOnce(t *testing.T) {
 	}
 
 	moved := strings.Replace(lines[0], `"index":`, `"index":1`, 1)
-	if err := aggregate(write("conflict.jsonl", read("clean.jsonl")+moved), "conflict"); err == nil || !strings.Contains(err.Error(), "at both index") {
+	if err := aggregate("conflict", write("conflict.jsonl", read("clean.jsonl")+moved)); err == nil || !strings.Contains(err.Error(), "at both index") {
 		t.Errorf("a repeat at another index: %v, want the collector's refusal", err)
 	}
 	other := strings.ReplaceAll(read("clean.jsonl"), `"campaign":"modes"`, `"campaign":"other"`)
-	if err := aggregate(at("clean.jsonl")+","+write("other.jsonl", other), "mixed"); err == nil || !strings.Contains(err.Error(), "mixes campaign") {
+	if err := aggregate("mixed", at("clean.jsonl"), write("other.jsonl", other)); err == nil || !strings.Contains(err.Error(), "mixes campaign") {
 		t.Errorf("two campaigns' streams: %v, want the collector's refusal", err)
 	}
 
-	if err := aggregate(at("clean.json"), "reloaded"); err != nil {
-		t.Fatalf("-merge of a report JSON: %v", err)
+	if err := aggregate("reloaded", at("clean.json")); err != nil {
+		t.Fatalf("merging a report JSON: %v", err)
 	}
 	for _, ext := range []string{".json", ".csv", ".agg.csv"} {
 		if read("reloaded"+ext) != read("clean"+ext) {
@@ -241,9 +242,10 @@ func TestMergeCountsEachCellOnce(t *testing.T) {
 	}
 }
 
-// TestMergeRefusesRunOnlyFlags: -merge runs no cell, so each flag that
-// only a -spec run reads is refused by name instead of being ignored,
-// and the merge writes nothing: no report, no stream, no artifact dir.
+// TestMergeRefusesRunOnlyFlags drives the command line: merge runs no
+// cell, so it defines none of the flags that shape one. Each of them,
+// and -spec, is a usage error naming the flag, and the refused merge
+// writes nothing: no report, no stream, no artifact dir.
 func TestMergeRefusesRunOnlyFlags(t *testing.T) {
 	root := t.TempDir()
 	at := func(name string) string { return filepath.Join(root, name) }
@@ -252,45 +254,115 @@ func TestMergeRefusesRunOnlyFlags(t *testing.T) {
 	if err := os.WriteFile(at("spec.json"), []byte(oneCell), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	base := options{quiet: true, noTable: true, workers: 1, metricsInterval: -1, cellTimeout: -1}
-	o := base
-	o.spec, o.stream = at("spec.json"), at("s.jsonl")
-	if err := run(o); err != nil {
-		t.Fatal(err)
+	contracamp := func(args ...string) (int, string) {
+		var stdout, stderr bytes.Buffer
+		return cli(args, &stdout, &stderr), stderr.String()
 	}
-	merge := base
-	merge.merge, merge.out = at("s.jsonl"), at("m.json")
-	if err := run(merge); err != nil {
-		t.Fatalf("plain -merge: %v", err)
+	if status, stderr := contracamp("run", "-q", "-notable", "-workers", "1", "-spec", at("spec.json"), "-stream", at("s.jsonl")); status != 0 {
+		t.Fatalf("run: exit %d: %s", status, stderr)
 	}
-	if err := os.Remove(merge.out); err != nil {
+	merge := []string{"merge", "-q", "-notable", "-out", at("m.json")}
+	if status, stderr := contracamp(append(merge, at("s.jsonl"))...); status != 0 {
+		t.Fatalf("plain merge: exit %d: %s", status, stderr)
+	}
+	if err := os.Remove(at("m.json")); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, tc := range []struct {
-		flag string
-		set  func(*options)
-	}{
-		{"-shard", func(o *options) { o.shard = "1/2" }},
-		{"-stream", func(o *options) { o.stream = at("other.jsonl") }},
-		{"-checkpoint", func(o *options) { o.checkpoint = at("m.ck") }},
-		{"-resume", func(o *options) { o.resume = true }},
-		{"-trace-level", func(o *options) { o.traceLevel = "decisions" }},
-		{"-trace-dir", func(o *options) { o.traceDir = at("td") }},
-		{"-record-dir", func(o *options) { o.recordDir = at("rd") }},
-		{"-metrics-dir", func(o *options) { o.metricsDir = at("md") }},
-		{"-metrics-interval", func(o *options) { o.metricsInterval = 0 }},
-		{"-cell-timeout", func(o *options) { o.cellTimeout = 0 }},
+	for _, runFlag := range [][]string{
+		{"-shard", "1/2"},
+		{"-stream", at("other.jsonl")},
+		{"-checkpoint", at("m.ck")},
+		{"-resume"},
+		{"-trace-level", "decisions"},
+		{"-trace-dir", at("td")},
+		{"-record-dir", at("rd")},
+		{"-metrics-dir", at("md")},
+		{"-metrics-interval", "0"},
+		{"-cell-timeout", "0"},
+		{"-workers", "7"},
+		{"-spec", at("spec.json")},
 	} {
-		o := merge
-		tc.set(&o)
-		if err := run(o); err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
-			t.Errorf("-merge with %s: error %v, want one naming %s", tc.flag, err, tc.flag)
+		args := append(append(append([]string{}, merge...), runFlag...), at("s.jsonl"))
+		if status, stderr := contracamp(args...); status != 2 || !strings.Contains(stderr, "flag provided but not defined: "+runFlag[0]+"\n") {
+			t.Errorf("merge with %s: exit %d, stderr %q; want 2 and the flag named", runFlag[0], status, stderr)
 		}
 	}
 	for _, name := range []string{"m.json", "other.jsonl", "m.ck", "td", "rd", "md"} {
 		if _, err := os.Stat(at(name)); !os.IsNotExist(err) {
-			t.Errorf("a refused -merge left %s behind (%v)", name, err)
+			t.Errorf("a refused merge left %s behind (%v)", name, err)
+		}
+	}
+}
+
+// TestUsage: a command line that names no subcommand, an unknown one,
+// or a subcommand without its inputs prints the usage naming all three
+// and exits 2. The -spec and -merge mode flags are gone, not aliased.
+func TestUsage(t *testing.T) {
+	for _, args := range [][]string{
+		nil,
+		{"sweep"},
+		{"-spec", "spec.json"},
+		{"-merge", "s0.jsonl,s1.jsonl"},
+		{"run"},
+		{"run", "-spec", "spec.json", "extra"},
+		{"merge"},
+		{"merge", "-spec", "spec.json", "s.jsonl"},
+		{"check"},
+	} {
+		var stdout, stderr bytes.Buffer
+		status := cli(args, &stdout, &stderr)
+		for _, sub := range []string{"contracamp run ", "contracamp merge ", "contracamp check "} {
+			if status != 2 || !strings.Contains(stderr.String(), sub) {
+				t.Errorf("contracamp %q: exit %d, stderr %q; want 2 and usage naming %q", args, status, &stderr, sub)
+			}
+		}
+	}
+}
+
+// TestCheck drives check over the owning packages' fixtures: the
+// ok/FAIL lines and the 0/1/2 exit codes are the interface a shell
+// script checking artifact files relies on.
+func TestCheck(t *testing.T) {
+	fix := func(pkg, name string) string { return filepath.Join("..", "..", "internal", pkg, "testdata", name) }
+	trace, metrics := fix("trace", "cell.trace.jsonl"), fix("metrics", "cell.metrics.jsonl")
+	flow := fix("flowtrace", "cell.flow.jsonl")
+
+	cases := []struct {
+		args   []string
+		status int
+		stdout []string // one wanted prefix per output line
+	}{
+		{[]string{"trace", trace}, 0, []string{"ok   " + trace + ": 574 decision line(s), 40 flow line(s)"}},
+		{[]string{"metrics", metrics}, 0, []string{"ok   " + metrics + ": 47 sample(s), 64 link(s), 20 router(s)"}},
+		{[]string{"flow", flow}, 0, []string{"ok   " + flow + ": v1 fct trace on fattree:4:2: 40 flow(s)"}},
+		// The kind is the caller's to state: nothing is sniffed, and one
+		// bad file fails the run without hiding the others.
+		{[]string{"trace", metrics, trace, "no-such-file"}, 1, []string{
+			"FAIL " + metrics + `: trace: line 1: unknown type "meta"`,
+			"ok   " + trace,
+			"FAIL no-such-file: open no-such-file:",
+		}},
+		{[]string{"flow", metrics}, 1, []string{"FAIL " + metrics + ": flowtrace: line 1: "}},
+		{[]string{"trace"}, 2, nil},
+		{[]string{"records", trace}, 2, nil},
+		{[]string{"journal", trace}, 2, nil},
+		{[]string{trace}, 2, nil},
+		{nil, 2, nil},
+	}
+	for _, tc := range cases {
+		var stdout, stderr bytes.Buffer
+		status := cli(append([]string{"check"}, tc.args...), &stdout, &stderr)
+		lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
+		if stdout.Len() == 0 {
+			lines = nil
+		}
+		ok := status == tc.status && len(lines) == len(tc.stdout)
+		for i := 0; ok && i < len(lines); i++ {
+			ok = strings.HasPrefix(lines[i], tc.stdout[i])
+		}
+		if usage := strings.HasPrefix(stderr.String(), "usage: contracamp "); !ok || usage != (tc.status == 2) {
+			t.Errorf("contracamp check %q = %d\nstdout: %sstderr: %swant %d and %q", tc.args, status, &stdout, &stderr, tc.status, tc.stdout)
 		}
 	}
 }
@@ -344,7 +416,7 @@ func TestGoldenCampaignDigests(t *testing.T) {
 				streams = append(streams, o.stream)
 			}
 			o = base
-			o.merge = strings.Join(streams, ",")
+			o.merge = streams
 			merged := digests(o, t.TempDir())
 
 			golden := filepath.Join(dir, "golden", name+".sha256")

@@ -126,7 +126,7 @@ func TestSimulationFlows(t *testing.T) {
 	if s.MeanFCT() <= 0 {
 		t.Fatal("no FCT recorded")
 	}
-	if s.Counter("bytes_probe") == 0 {
+	if s.Totals().ProbeBytes == 0 {
 		t.Fatal("no probe traffic counted")
 	}
 }

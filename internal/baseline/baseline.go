@@ -76,9 +76,6 @@ type ecmpSlabs struct {
 // NewECMP returns an ECMP router.
 func NewECMP() *ECMP { return &ECMP{} }
 
-// NewSP returns a shortest-path router (ECMP restricted to one path).
-func NewSP() *ECMP { return &ECMP{Single: true} }
-
 // Attach implements sim.Router: precompute next-hop sets on the
 // topology as currently up (static schemes recompute offline, so a
 // failed-from-the-start link is excluded — §6.3's asymmetric setup).

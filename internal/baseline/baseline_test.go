@@ -245,7 +245,7 @@ func TestStaticBaselinesOnFailedTopology(t *testing.T) {
 	g.SetDown(l.ID, true)
 	e := sim.NewEngine()
 	n := sim.NewNetwork(e, g, sim.Config{})
-	n.FailLink(l.ID, 0)
+	n.Inject(sim.NetworkEvent{At: 0, Kind: sim.EvLinkDown, Link: l.ID})
 	DeployECMP(n)
 	flows := dcFlows(g, 16, 100_000)
 	runFlows(t, n, e, flows, 5e9)
@@ -284,9 +284,9 @@ func TestHulaRebootFlushesSoftState(t *testing.T) {
 	if learnedRows(victim) == 0 {
 		t.Fatal("warmed-up HULA core learned no best hops")
 	}
-	n.FailNode(topo.NodeID(core), e.Now()+1000)
+	n.Inject(sim.NetworkEvent{At: e.Now() + 1000, Kind: sim.EvNodeDown, Node: topo.NodeID(core)})
 	upAt := e.Now() + 2_000_000
-	n.RecoverNode(topo.NodeID(core), upAt)
+	n.Inject(sim.NetworkEvent{At: upAt, Kind: sim.EvNodeUp, Node: topo.NodeID(core)})
 	e.Run(upAt + 1)
 	if got := learnedRows(victim); got != 0 {
 		t.Fatalf("rebooted HULA switch kept %d best-hop entries, want 0 (cold start)", got)

@@ -410,10 +410,10 @@ func TestHulaPendingListNeverReallocates(t *testing.T) {
 	}
 	period := int64(256_000)
 	link := g.LinkBetween(g.MustNode("e0_0"), g.MustNode("a0_0")).ID
-	n.FailLink(link, 20*period)
-	n.RecoverLink(link, 40*period)
-	n.FailNode(g.MustNode("a1_0"), 50*period)
-	n.RecoverNode(g.MustNode("a1_0"), 55*period)
+	n.Inject(sim.NetworkEvent{At: 20 * period, Kind: sim.EvLinkDown, Link: link})
+	n.Inject(sim.NetworkEvent{At: 40 * period, Kind: sim.EvLinkUp, Link: link})
+	n.Inject(sim.NetworkEvent{At: 50 * period, Kind: sim.EvNodeDown, Node: g.MustNode("a1_0")})
+	n.Inject(sim.NetworkEvent{At: 55 * period, Kind: sim.EvNodeUp, Node: g.MustNode("a1_0")})
 	for until := period; until <= 80*period; until += period / 4 {
 		e.Run(until)
 		for id, r := range routers {

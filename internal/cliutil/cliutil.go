@@ -12,6 +12,14 @@ import (
 	"contra/internal/topo"
 )
 
+// specForms maps each generator's name to its spec form, whose colons
+// count the fields it takes.
+var specForms = map[string]string{
+	"abilene": "abilene", "abilene+hosts": "abilene+hosts",
+	"dc": "dc", "datacenter": "datacenter",
+	"fattree": "fattree:K[:H]", "leafspine": "leafspine:L:S[:H]", "random": "random:N[:SEED]",
+}
+
 // BuildTopology resolves a topology spec:
 //
 //	abilene            the Internet2 backbone (§6.4)
@@ -21,6 +29,10 @@ import (
 //	leafspine:L:S[:H]  two-tier Clos
 //	random:N[:SEED]    connected random graph, average degree 4
 //	@file              the text format parsed by topo.Parse
+//
+// Every field after the name is an integer, and a generator takes no
+// more fields than its form shows: anything else is an error naming
+// the spec, never a default size.
 func BuildTopology(spec string) (*topo.Graph, error) {
 	if strings.HasPrefix(spec, "@") {
 		f, err := os.Open(spec[1:])
@@ -31,15 +43,26 @@ func BuildTopology(spec string) (*topo.Graph, error) {
 		return topo.Parse(f, spec[1:])
 	}
 	parts := strings.Split(spec, ":")
+	form, ok := specForms[parts[0]]
+	if !ok {
+		return nil, fmt.Errorf("unknown topology spec %q", spec)
+	}
+	if len(parts)-1 > strings.Count(form, ":") {
+		return nil, fmt.Errorf("topology %q: too many fields, want %s", spec, form)
+	}
+	var fields [3]int
+	for i, f := range parts[1:] {
+		v, err := strconv.Atoi(f)
+		if err != nil {
+			return nil, fmt.Errorf("topology %q: field %q is not an integer, want %s", spec, f, form)
+		}
+		fields[i] = v
+	}
 	atoi := func(i, def int) int {
 		if i >= len(parts) {
 			return def
 		}
-		v, err := strconv.Atoi(parts[i])
-		if err != nil {
-			return def
-		}
-		return v
+		return fields[i-1]
 	}
 	switch parts[0] {
 	case "abilene":

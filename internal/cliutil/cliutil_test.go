@@ -38,10 +38,33 @@ func TestBuildTopologySpecs(t *testing.T) {
 	}
 }
 
+// TestBuildTopologyErrors: a spec means what it says. A name no
+// generator has, a field that is not an integer or a field the
+// generator does not take is an error naming the spec, never a
+// default size.
 func TestBuildTopologyErrors(t *testing.T) {
-	for _, spec := range []string{"nope", "fattree", "leafspine:3", "random", "@/does/not/exist"} {
-		if _, err := BuildTopology(spec); err == nil {
-			t.Errorf("%s: expected error", spec)
+	for _, c := range []struct{ spec, err string }{
+		{"nope", `unknown topology spec "nope"`},
+		{"nope:4", `unknown topology spec "nope:4"`},
+		{"fattree", `fattree needs k, e.g. fattree:8`},
+		{"leafspine:3", `leafspine needs leaves:spines, e.g. leafspine:4:2`},
+		{"random", `random needs a size, e.g. random:100`},
+		{"@/does/not/exist", `open /does/not/exist: no such file or directory`},
+		{"fattree:abc", `topology "fattree:abc": field "abc" is not an integer, want fattree:K[:H]`},
+		{"fattree:4:", `topology "fattree:4:": field "" is not an integer, want fattree:K[:H]`},
+		{"fattree: 4", `topology "fattree: 4": field " 4" is not an integer, want fattree:K[:H]`},
+		{"leafspine:4:2:x", `topology "leafspine:4:2:x": field "x" is not an integer, want leafspine:L:S[:H]`},
+		{"random:12:s", `topology "random:12:s": field "s" is not an integer, want random:N[:SEED]`},
+		{"fattree:4:2:9", `topology "fattree:4:2:9": too many fields, want fattree:K[:H]`},
+		{"leafspine:4:2:8:1", `topology "leafspine:4:2:8:1": too many fields, want leafspine:L:S[:H]`},
+		{"random:12:2:1", `topology "random:12:2:1": too many fields, want random:N[:SEED]`},
+		{"abilene:7", `topology "abilene:7": too many fields, want abilene`},
+		{"abilene+hosts:2", `topology "abilene+hosts:2": too many fields, want abilene+hosts`},
+		{"dc:1", `topology "dc:1": too many fields, want dc`},
+		{"datacenter:1", `topology "datacenter:1": too many fields, want datacenter`},
+	} {
+		if _, err := BuildTopology(c.spec); err == nil || err.Error() != c.err {
+			t.Errorf("%s: err = %v, want %q", c.spec, err, c.err)
 		}
 	}
 }

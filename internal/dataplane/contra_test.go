@@ -184,7 +184,7 @@ func TestFailureDetectionAndRecovery(t *testing.T) {
 	}})
 	failAt := warm + 10*period
 	link := g.LinkBetween(s, firstHop)
-	n.FailLink(link.ID, failAt)
+	n.Inject(sim.NetworkEvent{At: failAt, Kind: sim.EvLinkDown, Link: link.ID})
 
 	// After k periods + slack the best next hop must avoid the dead
 	// link.

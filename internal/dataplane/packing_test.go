@@ -166,7 +166,7 @@ func TestSuppressedOriginReadvertisesWithinRefresh(t *testing.T) {
 		n.SetProbeLossSeed(7)
 		start := e.Now()
 		for _, id := range lossLinks {
-			n.SetProbeLoss(id, 1.0, start)
+			n.Inject(sim.NetworkEvent{At: start, Kind: sim.EvProbeLoss, Link: id, Rate: 1.0})
 		}
 		// Expiry horizon is (failure-detect + refresh) periods + slack;
 		// run well past it so every remote entry for the origin ages out.
@@ -176,7 +176,7 @@ func TestSuppressedOriginReadvertisesWithinRefresh(t *testing.T) {
 		}
 		clear := e.Now()
 		for _, id := range lossLinks {
-			n.SetProbeLoss(id, 0, clear)
+			n.Inject(sim.NetworkEvent{At: clear, Kind: sim.EvProbeLoss, Link: id, Rate: 0})
 		}
 		// Recovery budget: one refresh horizon per hop of the 4-hop
 		// fat-tree path, plus propagation slack.

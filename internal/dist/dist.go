@@ -8,9 +8,9 @@
 //
 // The moving parts compose around campaign.Stream:
 //
-//	shard 0:  contracamp -spec s.json -shard 0/2 -stream a.jsonl -checkpoint a.ck
-//	shard 1:  contracamp -spec s.json -shard 1/2 -stream b.jsonl -checkpoint b.ck
-//	merge:    contracamp -merge a.jsonl,b.jsonl -out merged.json -csv merged.csv
+//	shard 0:  contracamp run -spec s.json -shard 0/2 -stream a.jsonl -checkpoint a.ck
+//	shard 1:  contracamp run -spec s.json -shard 1/2 -stream b.jsonl -checkpoint b.ck
+//	merge:    contracamp merge -out merged.json -csv merged.csv a.jsonl b.jsonl
 //
 // Determinism contract: scenario execution is a pure function of the
 // scenario, shard membership is a pure function of the expansion

@@ -7,7 +7,7 @@
 // deduplicated by key (dist.DedupSink), so the stream dist.Merge folds
 // into a report is byte-identical to a single-process run.
 //
-// contracamp's scale-out path is -shard/-checkpoint/-resume/-merge
+// contracamp's scale-out path is run -shard/-checkpoint/-resume, then merge
 // (internal/dist); this package is only the benchmark fleet's engine.
 //
 // Time never advances on its own inside the Coordinator: expiry and

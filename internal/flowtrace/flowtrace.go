@@ -220,7 +220,7 @@ func (f *Flow) check(kind string) error {
 }
 
 // Check reads a trace and returns a one-line summary: the validation
-// behind `contracheck flow`.
+// behind `contracamp check flow`.
 func Check(r io.Reader) (summary string, err error) {
 	t, err := Read(r)
 	if err != nil {

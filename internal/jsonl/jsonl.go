@@ -5,7 +5,7 @@
 // means (Canonical). What a line holds stays with the package that owns
 // the format: its reader decodes into the writer's own types inside the
 // Scan callback and applies its rules there, so a format has one
-// description and its reader is its validator (cmd/contracheck is the
+// description and its reader is its validator (contracamp check is the
 // command line over those readers).
 //
 // A line ends at '\n'; surrounding white space is trimmed; blank lines

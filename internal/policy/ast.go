@@ -8,7 +8,6 @@ package policy
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -299,33 +298,6 @@ func Reverse(r Regex) Regex {
 		return &RStar{X: Reverse(x.X)}
 	}
 	panic("policy: unknown regex node")
-}
-
-// Symbols returns the distinct switch names mentioned by r, sorted.
-func Symbols(r Regex) []string {
-	set := make(map[string]bool)
-	var walk func(Regex)
-	walk = func(r Regex) {
-		switch x := r.(type) {
-		case *RSym:
-			set[x.Name] = true
-		case *RCat:
-			walk(x.L)
-			walk(x.R)
-		case *RAlt:
-			walk(x.L)
-			walk(x.R)
-		case *RStar:
-			walk(x.X)
-		}
-	}
-	walk(r)
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Policy is a parsed, resolved minimize(...) policy.

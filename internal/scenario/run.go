@@ -421,24 +421,28 @@ const lossSeedMix = 0x70726f6265 // "probe"
 // With the counterfactual setting on, it is a what-if replay
 // (runCounterfactual).
 func Run(s Scenario) (*Result, error) {
-	// Validate before fill: fill expands ramp sugar into surges, so a
-	// malformed ramp (e.g. negative steps) must be rejected while it
-	// is still visible — otherwise a Go-constructed scenario would
+	// Validate once, before fill: fill expands ramp sugar into surges,
+	// so a malformed ramp (e.g. negative steps) must be rejected while
+	// it is still visible — otherwise a Go-constructed scenario would
 	// silently lose the event instead of failing like a decoded spec.
-	if err := s.Validate(); err != nil {
+	// fill keeps a valid scenario valid (FuzzWorkload holds it to that),
+	// and track_loops is checked on the graph built below.
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	if s.Counterfactual != nil {
 		return runCounterfactual(s)
 	}
 	s.fill()
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
 	wallStart := time.Now()
 	g, err := cliutil.BuildTopology(s.TopoSpec)
 	if err != nil {
 		return nil, err
+	}
+	if s.TrackLoops {
+		if err := s.checkTrackLoops(g); err != nil {
+			return nil, err
+		}
 	}
 	evs, err := s.resolvedEvents(g)
 	if err != nil {

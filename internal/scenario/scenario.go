@@ -21,6 +21,7 @@ import (
 	"contra/internal/cliutil"
 	"contra/internal/core"
 	"contra/internal/sim"
+	"contra/internal/topo"
 	"contra/internal/trace"
 	"contra/internal/workload"
 )
@@ -36,11 +37,6 @@ const (
 	SchemeSpain  Scheme = "spain"
 	SchemeSP     Scheme = "sp"
 )
-
-// Schemes lists every supported scheme (CLI help, campaign specs).
-func Schemes() []Scheme {
-	return []Scheme{SchemeContra, SchemeECMP, SchemeHula, SchemeSpain, SchemeSP}
-}
 
 // EventKind names a scripted scenario event.
 type EventKind string
@@ -336,7 +332,24 @@ func (s *Scenario) fill() {
 }
 
 // Validate rejects malformed scenarios before they burn a worker.
+// Under track_loops it builds the topology to check its switch ids;
+// Run checks them on the graph it builds anyway.
 func (s *Scenario) Validate() error {
+	if err := s.validate(); err != nil {
+		return err
+	}
+	if !s.TrackLoops {
+		return nil
+	}
+	g, err := cliutil.BuildTopology(s.TopoSpec)
+	if err != nil {
+		return fmt.Errorf("scenario %q: %v", s.Name, err)
+	}
+	return s.checkTrackLoops(g)
+}
+
+// validate is every check of Validate that needs no topology.
+func (s *Scenario) validate() error {
 	if s.TopoSpec == "" {
 		return fmt.Errorf("scenario %q: no topology", s.Name)
 	}
@@ -351,7 +364,7 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("scenario %q: unknown workload kind %q", s.Name, s.Workload.Kind)
 	}
 	if s.Workload.Dist != "" {
-		if _, err := workload.ByName(s.Workload.Dist); err != nil {
+		if err := workload.CheckName(s.Workload.Dist); err != nil {
 			return fmt.Errorf("scenario %q: %v", s.Name, err)
 		}
 	}
@@ -420,11 +433,6 @@ func (s *Scenario) Validate() error {
 	if s.SuppressEps < 0 {
 		return fmt.Errorf("scenario %q: suppress_eps %g is negative", s.Name, s.SuppressEps)
 	}
-	if s.TrackLoops {
-		if err := s.checkTrackLoops(); err != nil {
-			return err
-		}
-	}
 	if s.RefreshEvery < 0 {
 		return fmt.Errorf("scenario %q: refresh_every %d is negative", s.Name, s.RefreshEvery)
 	}
@@ -486,13 +494,10 @@ func (s *Scenario) Validate() error {
 	return nil
 }
 
-// checkTrackLoops refuses track_loops on a topology whose loops it would
-// undercount: one with a switch id at or past sim.TrackVisitedLimit.
-func (s *Scenario) checkTrackLoops() error {
-	g, err := cliutil.BuildTopology(s.TopoSpec)
-	if err != nil {
-		return fmt.Errorf("scenario %q: %v", s.Name, err)
-	}
+// checkTrackLoops refuses track_loops on a topology g whose loops it
+// would undercount: one with a switch id at or past
+// sim.TrackVisitedLimit.
+func (s *Scenario) checkTrackLoops(g *topo.Graph) error {
 	if sw := g.Switches(); len(sw) > 0 && int(sw[len(sw)-1]) >= sim.TrackVisitedLimit {
 		last := sw[len(sw)-1]
 		return fmt.Errorf("scenario %q: track_loops counts revisits only at switch ids below %d, and switch %s has id %d",

@@ -570,6 +570,19 @@ func TestPreFailAsymmetricTopology(t *testing.T) {
 	}
 }
 
+// TestValidateAllocatesNothing: Validate checks workload.dist by name
+// without building the distribution, so a valid fct cell validates
+// without allocating.
+func TestValidateAllocatesNothing(t *testing.T) {
+	s := Scenario{TopoSpec: "dc", Scheme: SchemeContra, Workload: Workload{Kind: WorkloadFCT, Dist: "websearch", Load: 0.3}}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.Validate() }); n != 0 {
+		t.Errorf("Validate allocates %v times, want 0", n)
+	}
+}
+
 // TestTrackLoopsRefusesUncoveredSwitchIDs: loop accounting counts
 // revisits only at switch ids below sim.TrackVisitedLimit, so
 // track_loops on a topology with a switch past it fails Validate with an

@@ -20,9 +20,6 @@ func offeredFor(s Scenario) (offered, error) {
 		return offered{}, err
 	}
 	s.fill()
-	if err := s.Validate(); err != nil {
-		return offered{}, err
-	}
 	g, err := cliutil.BuildTopology(s.TopoSpec)
 	if err != nil {
 		return offered{}, err
@@ -119,9 +116,9 @@ var fuzzTopos = map[string]bool{
 }
 
 // FuzzWorkload materialises every scenario that Decode accepts on a
-// small built-in topology, with no simulation: no spec may panic or
-// spin in a generator, and an accepted workload numbers its flows
-// uniquely. It is seeded with FuzzDecode's specs, each campaign spec
+// small built-in topology, with no simulation: fill keeps it valid, no
+// spec may panic or spin in a generator, and an accepted workload
+// numbers its flows uniquely. It is seeded with FuzzDecode's specs, each campaign spec
 // cut down to its first cell.
 func FuzzWorkload(f *testing.F) {
 	for _, dir := range []string{"../../examples/campaign", "../../examples/paper"} {
@@ -183,6 +180,13 @@ func FuzzWorkload(f *testing.F) {
 		s, err := Decode(data)
 		if err != nil || !fuzzTopos[s.TopoSpec] || s.Workload.Kind == WorkloadTrace || tooBigToFuzz(s) {
 			return
+		}
+		// Run validates once, before fill, so fill must keep an accepted
+		// scenario valid.
+		filled := *s
+		filled.fill()
+		if err := filled.Validate(); err != nil {
+			t.Fatalf("fill made an accepted scenario invalid: %v", err)
 		}
 		w, err := offeredFor(*s)
 		if err != nil {

@@ -145,35 +145,3 @@ func (n *Network) refreshDown(ch *channel) {
 // NodeDown reports whether a node is currently failed (tests and the
 // chaos monitor).
 func (n *Network) NodeDown(id topo.NodeID) bool { return n.nodeDown[id] }
-
-// FailLink marks both directions of a link down at time t.
-func (n *Network) FailLink(id topo.LinkID, at int64) {
-	n.Inject(NetworkEvent{At: at, Kind: EvLinkDown, Link: id})
-}
-
-// RecoverLink brings a link back up at time t.
-func (n *Network) RecoverLink(id topo.LinkID, at int64) {
-	n.Inject(NetworkEvent{At: at, Kind: EvLinkUp, Link: id})
-}
-
-// ScaleLinkCapacity multiplies a link's nominal bandwidth by scale at
-// time t (both directions).
-func (n *Network) ScaleLinkCapacity(id topo.LinkID, scale float64, at int64) {
-	n.Inject(NetworkEvent{At: at, Kind: EvLinkScale, Link: id, Scale: scale})
-}
-
-// FailNode takes a whole node down at time t.
-func (n *Network) FailNode(id topo.NodeID, at int64) {
-	n.Inject(NetworkEvent{At: at, Kind: EvNodeDown, Node: id})
-}
-
-// RecoverNode reboots a failed node at time t.
-func (n *Network) RecoverNode(id topo.NodeID, at int64) {
-	n.Inject(NetworkEvent{At: at, Kind: EvNodeUp, Node: id})
-}
-
-// SetProbeLoss sets the probe-drop rate of a link at time t (both
-// directions; rate 0 clears).
-func (n *Network) SetProbeLoss(id topo.LinkID, rate float64, at int64) {
-	n.Inject(NetworkEvent{At: at, Kind: EvProbeLoss, Link: id, Rate: rate})
-}

@@ -45,13 +45,13 @@ func TestInjectDownUpScale(t *testing.T) {
 		t.Fatalf("EvLinkScale rate = %v/%v, want %v", ab.bytesPerNs, ba.bytesPerNs, want)
 	}
 	// Scale is relative to the nominal bandwidth, not cumulative.
-	n.ScaleLinkCapacity(mid, 0.5, 3000)
+	n.Inject(NetworkEvent{At: 3000, Kind: EvLinkScale, Link: mid, Scale: 0.5})
 	e.Run(3500)
 	if got, want := ab.bytesPerNs, 10e9/8/1e9*0.5; got != want {
 		t.Fatalf("rescale rate = %v, want %v (relative to nominal)", got, want)
 	}
 	// Scale <= 0 restores nominal capacity.
-	n.ScaleLinkCapacity(mid, 0, 4000)
+	n.Inject(NetworkEvent{At: 4000, Kind: EvLinkScale, Link: mid, Scale: 0})
 	e.Run(4500)
 	if got, want := ab.bytesPerNs, 10e9/8/1e9; got != want {
 		t.Fatalf("scale<=0 rate = %v, want nominal %v", got, want)
@@ -60,15 +60,15 @@ func TestInjectDownUpScale(t *testing.T) {
 
 func TestFailRecoverLinkCompat(t *testing.T) {
 	e, n, mid := eventNet(t)
-	n.FailLink(mid, 100)
-	n.RecoverLink(mid, 200)
+	n.Inject(NetworkEvent{At: 100, Kind: EvLinkDown, Link: mid})
+	n.Inject(NetworkEvent{At: 200, Kind: EvLinkUp, Link: mid})
 	e.Run(150)
 	if !n.chans[int(mid)*2].down {
-		t.Fatal("FailLink did not fail the link")
+		t.Fatal("EvLinkDown did not fail the link")
 	}
 	e.Run(250)
 	if n.chans[int(mid)*2].down {
-		t.Fatal("RecoverLink did not recover the link")
+		t.Fatal("EvLinkUp did not recover the link")
 	}
 }
 
@@ -131,7 +131,7 @@ func TestNodeDownUpAndLinkStateCompose(t *testing.T) {
 		t.Fatal("EvLinkUp did not restore the link after both recoveries")
 	}
 	// Duplicate node-up is a no-op, not a second reboot.
-	n.RecoverNode(s1, 5000)
+	n.Inject(NetworkEvent{At: 5000, Kind: EvNodeUp, Node: s1})
 	e.Run(5500)
 	if spies[s1].reboots != 1 {
 		t.Fatalf("duplicate recovery rebooted again: %d", spies[s1].reboots)
@@ -142,7 +142,7 @@ func TestNodeDownDropsAreTyped(t *testing.T) {
 	e, n, mid := eventNet(t)
 	s1 := n.Topo.MustNode("S1")
 	_ = mid
-	n.FailNode(s1, 1000)
+	n.Inject(NetworkEvent{At: 1000, Kind: EvNodeDown, Node: s1})
 	n.StartFlows([]FlowSpec{{ID: 1, Src: n.Topo.MustNode("H0"), Dst: n.Topo.MustNode("H1"), Size: 40_000, Start: 2000}})
 	e.Run(5_000_000)
 	if got := n.Totals().Drops[DropNodeDown]; got == 0 {
@@ -156,7 +156,7 @@ func TestNodeDownDropsAreTyped(t *testing.T) {
 func TestProbeLossOnlyDropsProbes(t *testing.T) {
 	e, n, mid := eventNet(t)
 	n.SetProbeLossSeed(9)
-	n.SetProbeLoss(mid, 1.0, 0) // drop every probe on the fabric link
+	n.Inject(NetworkEvent{At: 0, Kind: EvProbeLoss, Link: mid, Rate: 1.0}) // drop every probe on the fabric link
 	// Data flow crosses the same link: must be untouched.
 	n.StartFlows([]FlowSpec{{ID: 1, Src: n.Topo.MustNode("H0"), Dst: n.Topo.MustNode("H1"), Size: 40_000, Start: 1000}})
 	// Inject probes by hand from S0 toward S1.

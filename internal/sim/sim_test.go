@@ -173,7 +173,7 @@ func TestLinkFailureDropsTraffic(t *testing.T) {
 	}
 	n.Start()
 	l := g.LinkBetween(g.MustNode("S0"), g.MustNode("S1"))
-	n.FailLink(l.ID, 1_000_000)
+	n.Inject(NetworkEvent{At: 1_000_000, Kind: EvLinkDown, Link: l.ID})
 	n.StartFlows([]FlowSpec{{
 		ID: 1, Src: g.MustNode("H0"), Dst: g.MustNode("H1"), RateBps: 1e9, Start: 0,
 	}})
@@ -183,7 +183,7 @@ func TestLinkFailureDropsTraffic(t *testing.T) {
 	}
 	// Recovery restores delivery.
 	before := n.Totals().Drops[DropLinkDown]
-	n.RecoverLink(l.ID, e.Now())
+	n.Inject(NetworkEvent{At: e.Now(), Kind: EvLinkUp, Link: l.ID})
 	e.Run(e.Now() + 5_000_000)
 	after := n.Totals().Drops[DropLinkDown]
 	if after > before+1 { // in-flight packet may still count once

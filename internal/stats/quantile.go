@@ -35,9 +35,6 @@ func NewP2Quantile(p float64) *P2Quantile {
 	return e
 }
 
-// P returns the quantile this estimator targets.
-func (e *P2Quantile) P() float64 { return e.p }
-
 // Count returns the number of observations recorded.
 func (e *P2Quantile) Count() int64 {
 	if e.m < 5 {

@@ -317,7 +317,7 @@ func (s *SizeSpec) validate(label cohortLabel) error {
 			return fmt.Errorf("workload: %s: fixed size needs bytes > 0", label)
 		}
 	default:
-		if !knownDist(s.Dist) {
+		if CheckName(s.Dist) != nil {
 			return fmt.Errorf("workload: %s: unknown size dist %q (want %s, lognormal, pareto or fixed)",
 				label, s.Dist, strings.Join(Names(), ", "))
 		}

@@ -89,24 +89,27 @@ func Names() []string {
 
 // ByName resolves a distribution by its CLI name.
 func ByName(name string) (*Distribution, error) {
-	canon := name
-	if a, ok := aliases[name]; ok {
-		canon = a
+	if err := CheckName(name); err != nil {
+		return nil, err
 	}
-	if mk, ok := registry[canon]; ok {
-		return mk(), nil
-	}
-	return nil, fmt.Errorf("workload: unknown distribution %q (want %s)", name, strings.Join(Names(), " or "))
+	return registry[canonical(name)](), nil
 }
 
-// knownDist reports whether ByName resolves name, without building the
-// distribution.
-func knownDist(name string) bool {
-	if a, ok := aliases[name]; ok {
-		name = a
+// CheckName returns ByName's error for name without building the
+// distribution: nil if ByName resolves it.
+func CheckName(name string) error {
+	if _, ok := registry[canonical(name)]; !ok {
+		return fmt.Errorf("workload: unknown distribution %q (want %s)", name, strings.Join(Names(), " or "))
 	}
-	_, ok := registry[name]
-	return ok
+	return nil
+}
+
+// canonical maps an alternate spelling onto its registry name.
+func canonical(name string) string {
+	if a, ok := aliases[name]; ok {
+		return a
+	}
+	return name
 }
 
 // Sample draws one flow size in bytes.

@@ -80,7 +80,7 @@ func (s *Simulation) FailLink(a, b string, after time.Duration) error {
 	if l == nil {
 		return fmt.Errorf("contra: no link %s-%s", a, b)
 	}
-	s.net.FailLink(l.ID, s.eng.Now()+int64(after))
+	s.net.Inject(sim.NetworkEvent{At: s.eng.Now() + int64(after), Kind: sim.EvLinkDown, Link: l.ID})
 	return nil
 }
 
@@ -129,41 +129,13 @@ func (s *Simulation) MeanFCT() time.Duration {
 // CompletedFlows returns how many flows have finished.
 func (s *Simulation) CompletedFlows() int64 { return s.net.CompletedFlows() }
 
-// Counter reads a named measurement counter (e.g. "bytes_probe",
-// "drop_queue", "loop_break"); an unknown label reads 0.
-func (s *Simulation) Counter(label string) float64 {
-	t := s.net.Totals()
-	switch label {
-	case "bytes_data":
-		return t.DataBytes
-	case "bytes_ack":
-		return t.AckBytes
-	case "bytes_probe":
-		return t.ProbeBytes
-	case "bytes_tag_overhead":
-		return t.TagBytes
-	case "drop_data_bytes":
-		return t.DropDataBytes
-	case "rto":
-		return float64(t.RTOs)
-	case "fast_retx":
-		return float64(t.FastRetx)
-	case "flows_done":
-		return float64(t.FlowsDone)
-	case "probe_tx_saved":
-		return float64(t.ProbeTxSaved)
-	case "probe_suppressed":
-		return float64(t.ProbeSuppressed)
-	case "loop_break":
-		return float64(t.LoopBreaks)
-	}
-	for r, c := range t.Drops {
-		if sim.DropReason(r).String() == label {
-			return float64(c)
-		}
-	}
-	return 0
-}
+// Totals is a simulation's running measurement counters: fabric bytes
+// by packet kind, drops by reason, retransmissions, completed flows,
+// probe packing and suppression savings, and loop breaks.
+type Totals = sim.Totals
+
+// Totals returns the measurement counters so far.
+func (s *Simulation) Totals() Totals { return s.net.Totals() }
 
 // HostNamed returns the node ID of a named host (for Flow specs).
 func (s *Simulation) HostNamed(name string) (NodeID, error) {
