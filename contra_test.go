@@ -131,6 +131,44 @@ func TestSimulationFlows(t *testing.T) {
 	}
 }
 
+// TestAddFlowsLeavesTheCallersFlows adds flows twice from one slice,
+// later than time zero: the slice must read as it was written, and the
+// second batch must start relative to its own call, not shifted twice.
+func TestAddFlowsLeavesTheCallersFlows(t *testing.T) {
+	p, err := CompileSource("minimize(path.util)", AbileneWithHosts(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSimulation(p)
+	s.WarmUp()
+	src, err := s.HostNamed("H_SEA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := s.HostNamed("H_NYC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := []Flow{{ID: 1, Src: src, Dst: dst, Size: 20_000, Start: 5}}
+	want := fs[0]
+	s.AddFlows(fs...)
+	if fs[0] != want {
+		t.Fatalf("AddFlows rewrote the caller's flow at %v: %+v, want %+v", s.Now(), fs[0], want)
+	}
+	if !s.RunUntilDone(2*time.Second, 1) {
+		t.Fatal("the first flow did not complete")
+	}
+	fs[0].ID = 2
+	want = fs[0]
+	s.AddFlows(fs...)
+	if fs[0] != want {
+		t.Fatalf("the second AddFlows rewrote the caller's flow: %+v, want %+v", fs[0], want)
+	}
+	if !s.RunUntilDone(2*time.Second, 2) {
+		t.Fatal("the second flow did not complete")
+	}
+}
+
 func TestCatalogCompilesOnAbilene(t *testing.T) {
 	g := Abilene()
 	pols := map[string]*Policy{

@@ -6,6 +6,8 @@
 package baseline
 
 import (
+	"sync"
+
 	"contra/internal/sim"
 	"contra/internal/slab"
 	"contra/internal/topo"
@@ -153,7 +155,8 @@ func deployECMP(n *sim.Network, single bool) {
 	if len(switches) == 0 {
 		return
 	}
-	s := &ecmpSlabs{}
+	st := drawDeploy(n)
+	s := &st.ecmpTabs
 	total := 0
 	for _, src := range switches {
 		for _, dst := range switches {
@@ -161,11 +164,51 @@ func deployECMP(n *sim.Network, single bool) {
 			total += len(s.nh)
 		}
 	}
-	s.off = make([]int32, len(switches)*(int(switches[len(switches)-1])+2))
-	s.ports = make([]int32, total)
-	routers := make([]ECMP, len(switches))
+	s.off = slab.Reuse(s.off, len(switches)*(int(switches[len(switches)-1])+2))
+	s.ports = slab.Reuse(s.ports, total)
+	cur := new(ecmpSlabs) // the routers take their windows from a copy
+	*cur = *s
+	st.ecmp = slab.Reuse(st.ecmp, len(switches))
 	for i, id := range switches {
-		routers[i] = ECMP{Single: single, slabs: s}
-		n.SetRouter(id, &routers[i])
+		st.ecmp[i] = ECMP{Single: single, slabs: cur}
+		n.SetRouter(id, &st.ecmp[i])
 	}
+}
+
+// deployState is a deploy's router slab and tables, ECMP's and HULA's
+// side by side. A released network hands it on to the next deploy in
+// this process, of either scheme, which lays its routers out in the
+// same arrays where they are large enough. HULA routers keep their
+// flowlet table's storage; every other field is set afresh.
+type deployState struct {
+	ecmp     []ECMP
+	ecmpTabs ecmpSlabs
+	hula     []Hula
+	hulaTabs hulaSlabs
+	origins  hulaOrigins
+}
+
+// releasedDeploys holds the state released deploys handed on.
+var releasedDeploys sync.Pool
+
+// drawDeploy takes a released deploy's state, or a new one, and has n
+// hand it on when n is released.
+func drawDeploy(n *sim.Network) *deployState {
+	st, _ := releasedDeploys.Get().(*deployState)
+	if st == nil {
+		st = &deployState{}
+	}
+	n.OnRelease(st)
+	return st
+}
+
+// Release implements sim.Releaser: the routers keep nothing of their
+// network but HULA's flowlet storage.
+func (st *deployState) Release() {
+	clear(st.ecmp)
+	for i := range st.hula {
+		r := &st.hula[i]
+		*r = Hula{flowlets: r.flowlets}
+	}
+	releasedDeploys.Put(st)
 }

@@ -2,10 +2,12 @@ package baseline
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"contra/internal/core"
+	"contra/internal/pintable"
 	"contra/internal/policy"
 	"contra/internal/sim"
 	"contra/internal/topo"
@@ -408,4 +410,30 @@ func TestConcurrentReadersOfColdGraph(t *testing.T) {
 			t.Fatalf("reader %d derived probe period %d, reader 0 %d", i, periods[i], periods[0])
 		}
 	}
+}
+
+// TestRedeployedHulaStartsEmpty is dataplane's
+// TestRedeployedRoutersStartEmpty for HULA: a deploy on what a released
+// one handed on reuses its router slab with no pin left in it.
+func TestRedeployedHulaStartsEmpty(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a Get looks on its own P
+	g := topo.Fattree(4, 2)
+	var last map[topo.NodeID]*Hula
+	for try := 0; try < 8; try++ {
+		n := sim.NewNetwork(sim.NewEngine(), g, sim.Config{})
+		routers := DeployHula(n, paperOpts)
+		recycled := last != nil && routers[g.Switches()[0]] == last[g.Switches()[0]]
+		for id, r := range routers {
+			if r.flowlets.Len() != 0 {
+				t.Fatalf("switch %d starts with %d flowlet pins", id, r.flowlets.Len())
+			}
+			r.flowlets.Claim(pintable.Used | 1)
+		}
+		n.Release()
+		if recycled {
+			return
+		}
+		last = routers
+	}
+	t.Fatal("no deploy drew the routers the last one released")
 }

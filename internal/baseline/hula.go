@@ -123,13 +123,21 @@ type hulaOrigins struct {
 
 func newHulaOrigins(g *topo.Graph) *hulaOrigins {
 	o := &hulaOrigins{}
+	o.number(g)
+	return o
+}
+
+// number fills o for g, in o's own arrays where they are large enough.
+func (o *hulaOrigins) number(g *topo.Graph) {
+	o.ids = o.ids[:0]
 	for _, s := range g.Switches() {
 		if g.Node(s).Role == topo.RoleEdge {
 			o.ids = append(o.ids, s)
 		}
 	}
+	o.ord = o.ord[:0]
 	if len(o.ids) > 0 {
-		o.ord = make([]int32, o.ids[len(o.ids)-1]+1) // Switches() ascends
+		o.ord = slab.Reuse(o.ord, int(o.ids[len(o.ids)-1]+1)) // Switches() ascends
 	}
 	for i := range o.ord {
 		o.ord[i] = -1
@@ -137,7 +145,6 @@ func newHulaOrigins(g *topo.Graph) *hulaOrigins {
 	for i, s := range o.ids {
 		o.ord[s] = int32(i)
 	}
-	return o
 }
 
 // hulaSlabs is one deploy's HULA tables, one array each; every switch's
@@ -184,28 +191,35 @@ func newHula(o core.Options) Hula {
 // DeployHula installs HULA on every switch, filling opts' defaults
 // first. The topology must carry Clos roles (edge/agg/core), as
 // produced by topo.Fattree and topo.LeafSpine. The routers are one
-// slab, and each one's tables are windows of the deploy's.
+// slab, and each one's tables are windows of the deploy's, laid out in
+// what the last released deploy handed on (deployState).
 func DeployHula(n *sim.Network, opts core.Options) map[topo.NodeID]*Hula {
 	g := n.Topo
 	opts.Fill(g)
-	origins := newHulaOrigins(g)
+	st := drawDeploy(n)
+	origins := &st.origins
+	origins.number(g)
 	switches := g.Switches()
 	ports := 0
 	for _, s := range switches {
 		ports += len(g.Ports(s))
 	}
 	rows := len(switches) * len(origins.ids)
-	slabs := &hulaSlabs{
-		peerLevel: make([]int, ports),
-		rows:      make([]hulaRow, rows),
-		via:       make([]int64, ports*len(origins.ids)),
-		pend:      make([]int32, rows),
-	}
-	hs := make([]Hula, len(switches))
+	t := &st.hulaTabs
+	t.peerLevel = slab.Reuse(t.peerLevel, ports)
+	t.rows = slab.Reuse(t.rows, rows)
+	t.via = slab.Reuse(t.via, ports*len(origins.ids))
+	t.pend = slab.Reuse(t.pend, rows)
+	slabs := new(hulaSlabs) // the routers take their windows from a copy
+	*slabs = *t
+	st.hula = slab.Keep(st.hula, len(switches))
 	routers := make(map[topo.NodeID]*Hula, len(switches))
 	for i, s := range switches {
-		r := &hs[i]
+		r := &st.hula[i]
+		pins := r.flowlets
+		pins.Reset()
 		*r = newHula(opts)
+		r.flowlets = pins
 		r.origins = origins
 		r.slabs = slabs
 		routers[s] = r

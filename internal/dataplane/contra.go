@@ -259,6 +259,14 @@ type tables struct {
 // newTables sizes the tables the given switches lay out for comp, plus,
 // when attach is set, the per-port ones their Attach takes.
 func newTables(comp *core.Compiled, switches []topo.NodeID, attach bool) *tables {
+	t := &tables{}
+	t.size(comp, switches, attach)
+	return t
+}
+
+// size lays t out for the given switches and comp as newTables does,
+// in t's own arrays where they are large enough.
+func (t *tables) size(comp *core.Compiled, switches []topo.NodeID, attach bool) {
 	var regs, vnodes, pend, ports int
 	for _, id := range switches {
 		prog := comp.Switch(id)
@@ -268,25 +276,26 @@ func newTables(comp *core.Compiled, switches []topo.NodeID, attach bool) *tables
 		ports += len(comp.Topo.Ports(id))
 	}
 	_, _, stride := registerWidths(comp)
-	t := &tables{
-		evals:    comp.Analysis.NewEvaluators(len(switches)),
-		fwd:      make([]fwdEntry, regs),
-		best:     make([]int32, len(switches)*comp.NumOrigins),
-		floats:   make([]float64, regs*stride),
-		views:    make([]int32, 2*len(switches)*comp.PG.NumNodes()),
-		probeOut: make([][]int, vnodes),
-		pend:     make([]int32, pend),
-	}
+	advRegs, lastProbes, flushPorts := 0, 0, 0
 	if comp.Opts.SuppressOn() {
-		t.adv = make([]advSnap, regs)
+		advRegs = regs
 	}
 	if attach {
-		t.lastProbe = make([]int64, ports)
+		lastProbes = ports
 		if comp.Opts.ProbePacking {
-			t.flush = make([]flushPort, ports)
+			flushPorts = ports
 		}
 	}
-	return t
+	t.evals = comp.Analysis.NewEvaluators(len(switches))
+	t.fwd = slab.Reuse(t.fwd, regs)
+	t.best = slab.Reuse(t.best, len(switches)*comp.NumOrigins)
+	t.floats = slab.Reuse(t.floats, regs*stride)
+	t.adv = slab.Reuse(t.adv, advRegs)
+	t.views = slab.Reuse(t.views, 2*len(switches)*comp.PG.NumNodes())
+	t.probeOut = slab.Reuse(t.probeOut, vnodes)
+	t.pend = slab.Reuse(t.pend, pend)
+	t.lastProbe = slab.Reuse(t.lastProbe, lastProbes)
+	t.flush = slab.Reuse(t.flush, flushPorts)
 }
 
 // evaluator takes the next of t's rank evaluators: one per switch t
@@ -337,6 +346,8 @@ func New(comp *core.Compiled, swID topo.NodeID) *Contra {
 // init sets c up as the router of one switch, its tables windows of t.
 func (c *Contra) init(comp *core.Compiled, swID topo.NodeID, t *tables) {
 	*c = Contra{
+		flowlets:    c.flowlets,
+		srcPins:     c.srcPins,
 		comp:        comp,
 		prog:        comp.Switch(swID),
 		res:         comp.Analysis,
@@ -347,6 +358,8 @@ func (c *Contra) init(comp *core.Compiled, swID topo.NodeID, t *tables) {
 		suppressEps: comp.Opts.SuppressEps,
 		tabs:        t,
 	}
+	c.flowlets.Reset()
+	c.srcPins.Reset()
 	c.setHorizons()
 	c.layoutTables(t)
 }

@@ -580,9 +580,10 @@ func Run(s Scenario) (*Result, error) {
 		}
 		analyzeRecovery(&s, res)
 	}
-	// Every field is read and the audit passed, so the packet slabs go
-	// to the next cell this process runs. A cell that failed returned
-	// above and hands nothing on: its packets may still be referenced.
+	// Every field is read and the audit passed, so the network's tables,
+	// packets and routers go to the next cell this process runs. A cell
+	// that failed returned above and hands nothing on: its packets may
+	// still be referenced.
 	n.Release()
 	res.WallTime = time.Since(wallStart)
 	return res, nil

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"contra/internal/metrics"
+	"contra/internal/slab"
 	"contra/internal/stats"
 	"contra/internal/topo"
 	"contra/internal/trace"
@@ -171,6 +172,9 @@ type Network struct {
 	probeLossDrops int64 // probes discarded by injected loss
 
 	pool pool
+	// cell holds this network's tables for Release to hand on, and the
+	// spare capacity StartFlows and OnRelease draw on; nil once released.
+	cell *cellState
 	// flowTab holds every window flow StartFlows registered, in order.
 	// Packets and RTO events name a flow by its index here (Packet.flow
 	// is index + 1); flows exists for the duplicate-id check alone.
@@ -225,33 +229,60 @@ type Network struct {
 }
 
 // NewNetwork builds the device and channel state for a topology. Call
-// SetRouter for every switch, then Start.
+// SetRouter for every switch, then Start. Its tables are drawn from the
+// last network released in this process when there is one (Release).
 func NewNetwork(e *Engine, g *topo.Graph, cfg Config) *Network {
 	cfg.fill()
 	if e.net != nil {
 		panic("sim: engine already drives a network")
 	}
+	c, _ := releasedCells.Get().(*cellState)
+	if c == nil {
+		c = &cellState{}
+	}
+	c.switches = slab.Reuse(c.switches, g.NumNodes())
+	c.hosts = slab.Reuse(c.hosts, g.NumNodes())
+	c.chans = slab.Reuse(c.chans, 2*g.NumLinks())
+	c.portChan = slab.Reuse(c.portChan, g.NumNodes())
+	c.ports = slab.Reuse(c.ports, 2*g.NumLinks())
+	c.hostPort = slab.Reuse(c.hostPort, g.NumNodes())
+	c.hostEdge = slab.Reuse(c.hostEdge, g.NumNodes())
+	c.nodeDown = slab.Reuse(c.nodeDown, g.NumNodes())
+	c.swDevs = slab.Reuse(c.swDevs, len(g.Switches()))
+	c.hostDevs = slab.Reuse(c.hostDevs, len(g.Hosts()))
+	if c.flows != nil {
+		clear(c.flows)
+	}
 	n := &Network{
 		Eng:      e,
 		Topo:     g,
 		Cfg:      cfg,
-		switches: make([]*SwitchDev, g.NumNodes()),
-		hosts:    make([]*HostDev, g.NumNodes()),
-		chans:    make([]channel, 2*g.NumLinks()),
-		hostPort: make([]int32, g.NumNodes()),
-		hostEdge: make([]topo.NodeID, g.NumNodes()),
-		nodeDown: make([]bool, g.NumNodes()),
+		cell:     c,
+		switches: c.switches,
+		hosts:    c.hosts,
+		chans:    c.chans,
+		portChan: c.portChan,
+		hostPort: c.hostPort,
+		hostEdge: c.hostEdge,
+		nodeDown: c.nodeDown,
+		flowTab:  c.flowTab,
+		flows:    c.flows,
 		FCT:      stats.NewSample(),
 		FCTQuant: stats.NewQuantiles(0.95),
 		QueueMSS: stats.NewReservoir(1<<16, 11),
 	}
+	n.pool.spare, n.pool.bufSpare = c.pktSlabs, c.bufSlabs
 	e.net = n
+	e.adopt(c)
 	// One decay-factor memo for every channel's estimator, sized from
 	// their number like the tables above.
-	decay := stats.NewDecayMemo(cfg.DRETauNs, len(n.chans))
+	if c.decay == nil {
+		c.decay = stats.NewDecayMemo(cfg.DRETauNs, len(n.chans))
+	} else {
+		c.decay.Reset(cfg.DRETauNs, len(n.chans))
+	}
 	// Devices come from one slab per kind.
-	swSlab := make([]SwitchDev, len(g.Switches()))
-	hostSlab := make([]HostDev, len(g.Hosts()))
+	swSlab, hostSlab := c.swDevs, c.hostDevs
 	for _, node := range g.Nodes() {
 		n.hostPort[node.ID] = -1
 		n.hostEdge[node.ID] = -1
@@ -279,7 +310,7 @@ func NewNetwork(e *Engine, g *topo.Graph, cfg Config) *Network {
 			ch.bytesPerNs = l.Bandwidth / 8 / 1e9
 			ch.delayNs = l.Delay
 			ch.capBytes = float64(cfg.BufferBytes)
-			ch.dre = decay.NewDRE()
+			ch.dre = c.decay.NewDRE()
 			ch.fabric = fabric
 			// Links marked down in the topology (pre-failed,
 			// "asymmetric" setups) start down in the simulator too.
@@ -293,8 +324,7 @@ func NewNetwork(e *Engine, g *topo.Graph, cfg Config) *Network {
 	// Per-node port -> directed channel index, replacing the
 	// Ports-slice walk plus Link lookup on every transmit. Every link
 	// is two ports, so the rows are windows of one array of 2 per link.
-	n.portChan = make([][]int32, g.NumNodes())
-	cells := make([]int32, 2*g.NumLinks())
+	cells := c.ports
 	for _, node := range g.Nodes() {
 		ports := g.Ports(node.ID)
 		row := cells[:len(ports):len(ports)]

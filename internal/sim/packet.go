@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sync"
 	"unsafe"
 
 	"contra/internal/topo"
@@ -131,7 +130,15 @@ type ProbeBuf struct {
 // buffer's width; mv wider than that is a bug and panics.
 func (b *ProbeBuf) Append(e ProbeEntry, mv ...float64) {
 	b.Entries = append(b.Entries, e)
-	b.MV = append(b.MV, mv...)
+	// A reslice stores the length alone; append(b.MV, mv...) stores the
+	// array pointer too, through a write barrier while the collector
+	// marks, even when it does not grow.
+	if n := len(b.MV); cap(b.MV)-n >= len(mv) {
+		b.MV = b.MV[:n+len(mv)]
+		copy(b.MV[n:], mv)
+	} else {
+		b.MV = append(b.MV, mv...)
+	}
 	if len(b.MV) != len(b.Entries)*b.Width {
 		b.padMV()
 	}
@@ -160,20 +167,30 @@ func (p *Packet) IsPacked() bool { return p.Packed != nil }
 
 // pool recycles packets and probe buffers, each on its own LIFO freelist
 // (the simulator is single-threaded), and allocates both in slabs when
-// their list runs dry. The packet slabs it drew are also on a list of
-// their own, so release can hand them on to the next network.
+// their list runs dry, drawing first on the slabs a released network
+// handed on. The slabs it drew are on lists of their own, so release
+// can hand them on in turn.
 type pool struct {
 	pkts     *Packet
 	bufs     *ProbeBuf
-	slabList *packetSlab // every slab drawn, newest first
+	slabList *packetSlab // every packet slab drawn, newest first
+	spare    *packetSlab // zeroed slabs handed on, not drawn yet
+	bufList  *bufSlab    // every buffer slab drawn, newest first
+	bufSpare *bufSlab    // emptied buffer slabs handed on, not drawn yet
 	slabs    int         // packetSlabs drawn: every packet ever drawn came from one
-	bufSlabs int         // bufSlabLen-long ProbeBuf arrays allocated
+	bufSlabs int         // bufSlabs drawn
 	released bool
 }
 
-// bufSlabLen is how many ProbeBufs the pool allocates at once. A cell
-// needs one per packed probe in flight at its peak (13 to 23 on the
-// packed k = 8 fat-tree cells), so one allocation of 1 KiB covers them.
+// bufSlab is the probe buffers the pool draws at once. A cell needs one
+// per packed probe in flight at its peak (13 to 23 on the packed k = 8
+// fat-tree cells), so one slab of bufSlabLen covers them. next links the
+// slab into its pool's list of slabs drawn.
+type bufSlab struct {
+	bufs [bufSlabLen]ProbeBuf
+	next *bufSlab
+}
+
 const bufSlabLen = 32
 
 // packetSlab is what the pool draws when the packet list is empty: as
@@ -188,11 +205,6 @@ type packetSlab struct {
 	pkts [(16<<10 - 64) / unsafe.Sizeof(Packet{})]Packet
 }
 
-// releasedSlabs holds the zeroed slabs released networks handed on. A
-// campaign worker runs cells back to back, so the next cell's pool
-// draws the last one's slabs instead of allocating its own.
-var releasedSlabs sync.Pool
-
 // get returns a zeroed packet.
 func (p *pool) get() *Packet {
 	pkt := p.pkts
@@ -204,14 +216,16 @@ func (p *pool) get() *Packet {
 	return pkt
 }
 
-// getSlab draws a zeroed slab, a released one when there is one, puts
+// getSlab draws a zeroed slab, a handed-on one when there is one, puts
 // all its packets but the first on the freelist and returns the first.
 func (p *pool) getSlab() *Packet {
 	if p.released {
 		panic("sim: packet drawn from a released network")
 	}
-	s, _ := releasedSlabs.Get().(*packetSlab)
-	if s == nil {
+	s := p.spare
+	if s != nil {
+		p.spare = s.next
+	} else {
 		s = new(packetSlab)
 	}
 	s.next, p.slabList = p.slabList, s
@@ -224,16 +238,27 @@ func (p *pool) getSlab() *Packet {
 	return &slab[0]
 }
 
-// release zeroes every slab the pool drew and hands it on. The counts
-// stay: drawn still reports what this pool drew.
-func (p *pool) release() {
+// release zeroes every packet slab the pool drew and empties every
+// buffer, keeping the buffers' arrays, and returns both lists, the
+// spare slabs it never drew included. The counts stay: drawn still
+// reports what this pool drew.
+func (p *pool) release() (*packetSlab, *bufSlab) {
+	pkts, bufs := p.spare, p.bufSpare
 	for s := p.slabList; s != nil; {
 		next := s.next
-		*s = packetSlab{}
-		releasedSlabs.Put(s)
-		s = next
+		*s = packetSlab{next: pkts}
+		pkts, s = s, next
 	}
-	p.slabList, p.pkts, p.released = nil, nil, true
+	for s := p.bufList; s != nil; {
+		next := s.next
+		for i := range s.bufs {
+			b := &s.bufs[i]
+			*b = ProbeBuf{Entries: b.Entries[:0], MV: b.MV[:0]}
+		}
+		s.next, bufs, s = bufs, s, next
+	}
+	*p = pool{slabs: p.slabs, bufSlabs: p.bufSlabs, released: true}
+	return pkts, bufs
 }
 
 // getBuf returns an empty buffer of metric width w with room for n
@@ -244,8 +269,15 @@ func (p *pool) release() {
 func (p *pool) getBuf(n, w int) *ProbeBuf {
 	b := p.bufs
 	if b == nil {
+		s := p.bufSpare
+		if s != nil {
+			p.bufSpare = s.next
+		} else {
+			s = new(bufSlab)
+		}
+		s.next, p.bufList = p.bufList, s
 		p.bufSlabs++
-		slab := new([bufSlabLen]ProbeBuf)
+		slab := s.bufs[:]
 		for i := 1; i < len(slab)-1; i++ {
 			slab[i].next = &slab[i+1]
 		}
@@ -340,21 +372,3 @@ func (n *Network) Clone(pkt *Packet) *Packet {
 // Free returns a packet, and a packed probe's buffer, to the pool.
 // Devices must not retain packets after freeing.
 func (n *Network) Free(pkt *Packet) { n.pool.put(pkt) }
-
-// Release hands the network's packet slabs on to the next network
-// built in this process, zeroed. It is safe once the engine will not
-// run again and nothing reads a packet any more: at the horizon, after
-// Audit has passed (every packet is then free or in flight, so no
-// device or router holds one) and the results have been read. Each
-// packet in flight is dropped with its slab; probe buffers are not
-// handed on. The network cannot run afterwards: drawing a packet
-// panics, and so does delivering one. Totals and the other counters
-// still read as before; Audit fails, since the packets it counts are
-// gone. Releasing twice hands the slabs on once. A network that is
-// never released keeps its slabs until the collector frees them.
-func (n *Network) Release() {
-	n.pool.release()
-	for i := range n.chans {
-		n.chans[i].inHead, n.chans[i].inTail = nil, nil
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"contra/internal/slab"
 	"contra/internal/topo"
 )
 
@@ -127,8 +128,8 @@ func (n *Network) StartFlows(flows []FlowSpec) {
 		}
 	}
 	n.flowTab = slices.Grow(n.flowTab, windows)
-	states := make([]flowState, windows)
-	bitmaps := make([]uint64, words)
+	states := slab.Extend(&n.cell.states, windows)
+	bitmaps := slab.Extend(&n.cell.bitmaps, int(words))
 	for _, f := range flows {
 		if n.Trace != nil {
 			n.Trace.FlowMeta(f.ID, n.Topo.Node(f.Src).Name, n.Topo.Node(f.Dst).Name, f.Size, f.Start)

@@ -23,3 +23,32 @@ func TestTakeCarvesDisjointWindows(t *testing.T) {
 		t.Fatalf("Take(nil, 0) = %v", w)
 	}
 }
+
+func TestReuseClearsAndKeepKeeps(t *testing.T) {
+	s := []int{1, 2, 3, 4}
+	r := Reuse(s, 3)
+	if &r[0] != &s[0] || len(r) != 3 || r[0] != 0 || r[2] != 0 || s[3] != 4 {
+		t.Fatalf("Reuse(s, 3) = %v over %v; want three zeros in s's array, the fourth untouched", r, s)
+	}
+	if g := Reuse(s, 5); len(g) != 5 || &g[0] == &s[0] {
+		t.Fatal("Reuse past the capacity did not start a fresh array")
+	}
+	s = []int{1, 2, 3, 4}
+	k := Keep(s[:1], 4)
+	if &k[0] != &s[0] || k[3] != 4 {
+		t.Fatalf("Keep(s[:1], 4) = %v; want s as it was", k)
+	}
+	if k = Keep(s, 6); len(k) != 6 || k[3] != 4 || k[5] != 0 {
+		t.Fatalf("Keep(s, 6) = %v; want s's elements, then zeros", k)
+	}
+	e := make([]int, 0, 3)
+	a := Extend(&e, 2)
+	a[0] = 7
+	b := Extend(&e, 1)
+	if len(e) != 3 || &b[0] != &e[2] || cap(a) != 2 || b[0] != 0 {
+		t.Fatalf("Extend: windows %v and %v in %v; want both in one array", a, b, e)
+	}
+	if c := Extend(&e, 1); len(e) != 1 || &c[0] != &e[0] || a[0] != 7 {
+		t.Fatalf("Extend past the capacity: %v in %v, the first window %v; want a fresh array", c, e, a)
+	}
+}

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"contra/internal/slab"
 )
 
 // Summary accumulates a stream of float64 observations and reports
@@ -272,6 +274,15 @@ type decaySlot struct {
 // sized for the number of them that will share it: a slot each, rounded
 // up to a power of two and to at least 256 (4 kB).
 func NewDecayMemo(tauNs float64, estimators int) *DecayMemo {
+	m := &DecayMemo{}
+	m.Reset(tauNs, estimators)
+	return m
+}
+
+// Reset empties the memo and sizes it as NewDecayMemo does, in the
+// memo's own slots when there are enough of them. Estimators made
+// before it must not decay again: their time constant may be another.
+func (m *DecayMemo) Reset(tauNs float64, estimators int) {
 	if tauNs <= 0 {
 		tauNs = 1
 	}
@@ -279,7 +290,7 @@ func NewDecayMemo(tauNs float64, estimators int) *DecayMemo {
 	for n < estimators {
 		n *= 2
 	}
-	return &DecayMemo{tau: tauNs, slots: make([]decaySlot, n)}
+	m.tau, m.slots = tauNs, slab.Reuse(m.slots, n)
 }
 
 // NewDRE returns an estimator, by value, that takes its time constant

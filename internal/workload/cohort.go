@@ -454,7 +454,6 @@ func GenerateCohorts(g *topo.Graph, cfg CohortConfig) ([]sim.FlowSpec, error) {
 	if scale <= 0 {
 		scale = 1
 	}
-	rng := rand.New(rand.NewSource(0)) // reseeded per cohort
 	var flows []sim.FlowSpec
 	for i := range cfg.Cohorts {
 		c := &cfg.Cohorts[i]
@@ -481,7 +480,7 @@ func GenerateCohorts(g *topo.Graph, cfg CohortConfig) ([]sim.FlowSpec, error) {
 			Size: size, Ends: EndsFor(g, c.Placement, c.IncastTargets),
 			StartNs: cfg.StartNs + c.StartNs, DurationNs: dur,
 			Seed: cfg.Seed + 1_000_003*int64(i+1), FirstID: uint64(i)<<32 + 1,
-			MaxFlows: maxFlows, Rand: rng,
+			MaxFlows: maxFlows,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%w (cohort %d %q)", err, i, c.Name)

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"contra/internal/sim"
 	"contra/internal/topo"
@@ -217,11 +218,12 @@ type Stream struct {
 	Seed                int64
 	FirstID             uint64 // ID of the first flow; the rest count up
 	MaxFlows            int    // 0 = unlimited
-
-	// Rand, when set, is reseeded with Seed and drawn from, so a caller
-	// generating many streams allocates one ~5 KB source, not one each.
-	Rand *rand.Rand
 }
+
+// sources holds the random sources finished streams handed on. A
+// source is about 5 KB, and reseeding one leaves it exactly as a new
+// one with that seed, so a stream draws the same flows either way.
+var sources sync.Pool
 
 // LoadRate is the arrival rate that offers load (a fraction of
 // capacityBps) with flows drawn from size.
@@ -251,12 +253,13 @@ func Generate(g *topo.Graph, s Stream) ([]sim.FlowSpec, error) {
 	if e := &s.Ends; len(e.Pairs) == 0 && (len(e.Senders) == 0 || len(e.Receivers) == 0) {
 		return nil, fmt.Errorf("workload: no hosts to draw flow endpoints from")
 	}
-	rng := s.Rand
+	rng, _ := sources.Get().(*rand.Rand)
 	if rng == nil {
 		rng = rand.New(rand.NewSource(s.Seed))
 	} else {
 		rng.Seed(s.Seed)
 	}
+	defer sources.Put(rng)
 	var flows []sim.FlowSpec
 	t, end := float64(s.StartNs), float64(s.StartNs+s.DurationNs)
 	for drawn := 0; ; drawn++ {

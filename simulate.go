@@ -2,6 +2,7 @@ package contra
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"contra/internal/dataplane"
@@ -46,13 +47,13 @@ func (s *Simulation) RunFor(d time.Duration) { s.eng.Run(s.eng.Now() + int64(d))
 func (s *Simulation) Now() time.Duration { return time.Duration(s.eng.Now()) }
 
 // AddFlows injects flows (IDs must be unique within the simulation).
+// Start times are relative to now; the caller's flows stay as they are.
 func (s *Simulation) AddFlows(flows ...Flow) {
-	// Shift relative start times to "now".
-	base := s.eng.Now()
-	for i := range flows {
-		flows[i].Start += base
+	shifted := slices.Clone(flows)
+	for i := range shifted {
+		shifted[i].Start += s.eng.Now()
 	}
-	s.net.StartFlows(flows)
+	s.net.StartFlows(shifted)
 }
 
 // RunUntilDone advances time until every registered flow has
