@@ -157,6 +157,50 @@ func TestSerialAndParallelCampaignsAreByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCellsSharingATopologyAreByteIdenticalInParallel runs Contra cells
+// that share one topology and policy, among them a cell that fails a
+// link before its routers deploy and a cell that swaps its policy, on
+// two workers and on one. Two workers share the process's graph and
+// programs while both run; under -race this is the fence on that
+// sharing. The two runs must write the same bytes.
+func TestCellsSharingATopologyAreByteIdenticalInParallel(t *testing.T) {
+	spec := &Spec{
+		Name:    "shared",
+		Topos:   []string{"dc"},
+		Schemes: []scenario.Scheme{scenario.SchemeContra},
+		Loads:   []float64{0.2, 0.4},
+		Scripts: []Script{
+			{Name: "steady"},
+			{Name: "prefail", Events: []scenario.Event{{Kind: scenario.LinkDown, AtNs: 0, Link: "l0-s0"}}},
+			{Name: "swap", Events: []scenario.Event{{Kind: scenario.PolicySwap, AtNs: 3_000_000, NewPolicy: "minimize(path.len)"}}},
+		},
+		Workload: scenario.Workload{Dist: "cache", DurationNs: 3_000_000, MaxFlows: 80},
+	}
+	var dumps []string
+	for _, workers := range []int{2, 1} {
+		report, err := Run(spec, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range report.Outcomes {
+			if o.Err != "" {
+				t.Fatalf("%d workers: %s: %s", workers, o.Scenario.Name, o.Err)
+			}
+		}
+		var j, c bytes.Buffer
+		if err := report.WriteJSON(&j); err != nil {
+			t.Fatal(err)
+		}
+		if err := report.WriteCSV(&c); err != nil {
+			t.Fatal(err)
+		}
+		dumps = append(dumps, j.String()+"\n===\n"+c.String())
+	}
+	if dumps[0] != dumps[1] {
+		t.Fatalf("cells sharing a topology wrote different bytes on two workers and on one:\n--- workers=2\n%.2000s\n--- workers=1\n%.2000s", dumps[0], dumps[1])
+	}
+}
+
 func TestScenarioFailureIsRecordedNotFatal(t *testing.T) {
 	spec := &Spec{
 		Topos:   []string{"dc"},

@@ -20,6 +20,7 @@ package chaos
 import (
 	"fmt"
 
+	"contra/internal/core"
 	"contra/internal/dataplane"
 	"contra/internal/sim"
 )
@@ -39,11 +40,13 @@ type Runtime []*swapRun
 // Arm schedules policy swaps on a running simulation; with none it is
 // a no-op returning a nil Runtime. fleet may be nil for schemes without
 // a swappable data plane (every baseline), in which case there must be
-// no swaps; probePeriodNs paces the convergence monitor. Arm must be
-// called after the network is built and routers deployed, and before
-// the engine runs past the first swap time (scenario.Run arms right
-// after Network.Start).
-func Arm(n *sim.Network, fleet *dataplane.Fleet, swaps []SwapEvent, probePeriodNs int64) (Runtime, error) {
+// no swaps; probePeriodNs paces the convergence monitor; recompile
+// compiles each swap's policy against the running artifact's topology
+// and options ((*core.Compiled).Recompile, or a caller's memo of it).
+// Arm must be called after the network is built and routers deployed,
+// and before the engine runs past the first swap time (scenario.Run
+// arms right after Network.Start).
+func Arm(n *sim.Network, fleet *dataplane.Fleet, swaps []SwapEvent, probePeriodNs int64, recompile func(*core.Compiled, string) (*core.Compiled, error)) (Runtime, error) {
 	if len(swaps) == 0 {
 		return nil, nil
 	}
@@ -55,7 +58,7 @@ func Arm(n *sim.Network, fleet *dataplane.Fleet, swaps []SwapEvent, probePeriodN
 	}
 	var rt Runtime
 	for _, ev := range swaps {
-		sr, err := armSwap(n, fleet, ev, probePeriodNs)
+		sr, err := armSwap(n, fleet, ev, probePeriodNs, recompile)
 		if err != nil {
 			return nil, err
 		}

@@ -124,7 +124,7 @@ func TestPolicySwapConvergenceWindow(t *testing.T) {
 	e, n, fleet, comp := build(t, g, "minimize(path.util)")
 	period := comp.Opts.ProbePeriodNs
 	swapAt := 20 * period
-	rt, err := Arm(n, fleet, []SwapEvent{{At: swapAt, Source: "minimize(path.len)"}}, period)
+	rt, err := Arm(n, fleet, []SwapEvent{{At: swapAt, Source: "minimize(path.len)"}}, period, (*core.Compiled).Recompile)
 	if err != nil {
 		t.Fatalf("arm: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestSwapDuringOutageConvergesOnSurvivingFabric(t *testing.T) {
 	down := 20 * period
 	swapAt := down + 2*period // inside the detection window, no switch_up
 	n.Inject(sim.NetworkEvent{At: down, Kind: sim.EvNodeDown, Node: core0})
-	rt, err := Arm(n, fleet, []SwapEvent{{At: swapAt, Source: "minimize(path.len)"}}, period)
+	rt, err := Arm(n, fleet, []SwapEvent{{At: swapAt, Source: "minimize(path.len)"}}, period, (*core.Compiled).Recompile)
 	if err != nil {
 		t.Fatalf("arm: %v", err)
 	}
@@ -194,7 +194,7 @@ func TestSwapOnColdFabricReportsNoWindow(t *testing.T) {
 	g := topo.Fattree(4, 0)
 	e, n, fleet, comp := build(t, g, "minimize(path.util)")
 	period := comp.Opts.ProbePeriodNs
-	rt, err := Arm(n, fleet, []SwapEvent{{At: 1, Source: "minimize(path.len)"}}, period)
+	rt, err := Arm(n, fleet, []SwapEvent{{At: 1, Source: "minimize(path.len)"}}, period, (*core.Compiled).Recompile)
 	if err != nil {
 		t.Fatalf("arm: %v", err)
 	}
@@ -212,7 +212,7 @@ func TestSwapNeverFiredReportsUnconverged(t *testing.T) {
 	g := topo.Fattree(4, 0)
 	e, n, fleet, comp := build(t, g, "minimize(path.util)")
 	period := comp.Opts.ProbePeriodNs
-	rt, err := Arm(n, fleet, []SwapEvent{{At: 1000 * period, Source: "minimize(path.len)"}}, period)
+	rt, err := Arm(n, fleet, []SwapEvent{{At: 1000 * period, Source: "minimize(path.len)"}}, period, (*core.Compiled).Recompile)
 	if err != nil {
 		t.Fatalf("arm: %v", err)
 	}
@@ -226,7 +226,7 @@ func TestSwapNeverFiredReportsUnconverged(t *testing.T) {
 func TestArmRejectsSwapWithoutFleet(t *testing.T) {
 	g := topo.Fattree(4, 0)
 	_, n, _, comp := build(t, g, "minimize(path.util)")
-	_, err := Arm(n, nil, []SwapEvent{{At: 1, Source: "minimize(path.len)"}}, comp.Opts.ProbePeriodNs)
+	_, err := Arm(n, nil, []SwapEvent{{At: 1, Source: "minimize(path.len)"}}, comp.Opts.ProbePeriodNs, (*core.Compiled).Recompile)
 	if err == nil {
 		t.Fatal("a swap without a fleet must fail to arm")
 	}
@@ -235,7 +235,7 @@ func TestArmRejectsSwapWithoutFleet(t *testing.T) {
 func TestNoSwapsArmToNil(t *testing.T) {
 	g := topo.Fattree(4, 0)
 	_, n, fleet, comp := build(t, g, "minimize(path.util)")
-	rt, err := Arm(n, fleet, nil, comp.Opts.ProbePeriodNs)
+	rt, err := Arm(n, fleet, nil, comp.Opts.ProbePeriodNs, (*core.Compiled).Recompile)
 	if err != nil || rt != nil {
 		t.Fatalf("no swaps: rt=%v err=%v, want nil/nil", rt, err)
 	}

@@ -32,8 +32,8 @@ type routePair struct {
 // armSwap pre-compiles the swap target (so the event-time action is a
 // pure table install, like a controller pushing a staged artifact) and
 // schedules the install plus its convergence monitor.
-func armSwap(n *sim.Network, fleet *dataplane.Fleet, ev SwapEvent, periodNs int64) (*swapRun, error) {
-	comp, err := fleet.Compiled().Recompile(ev.Source)
+func armSwap(n *sim.Network, fleet *dataplane.Fleet, ev SwapEvent, periodNs int64, recompile func(*core.Compiled, string) (*core.Compiled, error)) (*swapRun, error) {
+	comp, err := recompile(fleet.Compiled(), ev.Source)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: policy_swap %q: %v", ev.Source, err)
 	}

@@ -8,11 +8,9 @@ import (
 	"contra/internal/baseline"
 	"contra/internal/chaos"
 	"contra/internal/cliutil"
-	"contra/internal/core"
 	"contra/internal/dataplane"
 	"contra/internal/flowtrace"
 	"contra/internal/metrics"
-	"contra/internal/policy"
 	"contra/internal/sim"
 	"contra/internal/stats"
 	"contra/internal/topo"
@@ -268,7 +266,9 @@ func fabricLinksOf(g *topo.Graph, id topo.NodeID) []topo.LinkID {
 }
 
 // Deploy builds the scenario's scheme on a network: one router per
-// switch, from the scenario's policy and protocol settings. It returns
+// switch, from the scenario's policy and protocol settings. Contra's
+// program is the one the process shares for g, policy and options
+// (sharedProgram), compiled on first use. It returns
 // the Contra fleet handle when there is one (runtime policy swaps and
 // diagnostics; fleet.Routers() exposes the per-switch routers) and nil
 // for every baseline. Observers are not its business: attachObservers
@@ -276,11 +276,7 @@ func fabricLinksOf(g *topo.Graph, id topo.NodeID) []topo.LinkID {
 func Deploy(n *sim.Network, g *topo.Graph, s *Scenario) (*dataplane.Fleet, error) {
 	switch s.Scheme {
 	case SchemeContra:
-		pol, err := policy.Parse(s.Policy, policy.ParseOptions{Symbols: g.SortedNames()})
-		if err != nil {
-			return nil, err
-		}
-		comp, err := core.Compile(g, pol, s.Options)
+		comp, err := sharedProgram(g, s.Policy, s.Options)
 		if err != nil {
 			return nil, err
 		}
@@ -435,7 +431,7 @@ func Run(s Scenario) (*Result, error) {
 	}
 	s.fill()
 	wallStart := time.Now()
-	g, err := cliutil.BuildTopology(s.TopoSpec)
+	g, err := sharedTopology(s.TopoSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -448,8 +444,14 @@ func Run(s Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range evs.pre {
-		g.SetDown(id, true)
+	if len(evs.pre) > 0 {
+		// A link failed before the routers deploy is down in the topology
+		// itself, and the graph other cells share is never written: this
+		// cell fails it in a copy of its own, which also compiles uncached.
+		g = g.Clone()
+		for _, id := range evs.pre {
+			g.SetDown(id, true)
+		}
 	}
 
 	// A trace workload resolves and loads its recording up front: the
@@ -511,7 +513,7 @@ func Run(s Scenario) (*Result, error) {
 		n.SetProbeLossSeed(s.Seed ^ lossSeedMix)
 		n.Inject(evs.loss...)
 	}
-	swaps, err := chaos.Arm(n, fleet, evs.swaps, s.ProbePeriodNs)
+	swaps, err := chaos.Arm(n, fleet, evs.swaps, s.ProbePeriodNs, sharedRecompile)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"contra/internal/cliutil"
 	"contra/internal/core"
 	"contra/internal/sim"
 	"contra/internal/topo"
@@ -332,8 +331,8 @@ func (s *Scenario) fill() {
 }
 
 // Validate rejects malformed scenarios before they burn a worker.
-// Under track_loops it builds the topology to check its switch ids;
-// Run checks them on the graph it builds anyway.
+// Under track_loops it checks the topology's switch ids on the graph
+// the process shares between cells, which Run then reuses.
 func (s *Scenario) Validate() error {
 	if err := s.validate(); err != nil {
 		return err
@@ -341,7 +340,7 @@ func (s *Scenario) Validate() error {
 	if !s.TrackLoops {
 		return nil
 	}
-	g, err := cliutil.BuildTopology(s.TopoSpec)
+	g, err := sharedTopology(s.TopoSpec)
 	if err != nil {
 		return fmt.Errorf("scenario %q: %v", s.Name, err)
 	}

@@ -226,6 +226,14 @@ func checkQueries(g *Graph) error {
 	if got, want := g.Hosts(), refNodes(g, Host); !slices.Equal(got, want) {
 		return fmt.Errorf("Hosts = %v, want %v", got, want)
 	}
+	var names []string
+	for _, id := range refNodes(g, Switch) {
+		names = append(names, g.Node(id).Name)
+	}
+	slices.Sort(names)
+	if got := g.SortedNames(); !slices.Equal(got, names) {
+		return fmt.Errorf("SortedNames = %v, want %v", got, names)
+	}
 	for i := range g.Nodes() {
 		n := NodeID(i)
 		if got, want := g.SwitchNeighbors(n), refSwitchNeighbors(g, n); !slices.Equal(got, want) {

@@ -35,11 +35,13 @@ type snapshot struct {
 	// when two of them differ; 0 when there is no such link.
 	swDelay int64
 
-	mu      sync.Mutex // serializes the lazy fills below; owns queue
-	hops    []hopRow   // per source node
-	queue   []NodeID   // BFS scratch
-	rttDone atomic.Bool
-	rtt     int64
+	mu        sync.Mutex // serializes the lazy fills below; owns queue
+	hops      []hopRow   // per source node
+	queue     []NodeID   // BFS scratch
+	rttDone   atomic.Bool
+	rtt       int64
+	namesDone atomic.Bool
+	names     []string // switch names, sorted
 }
 
 // portRef is one reverse-port table entry: the peer reached through
@@ -184,6 +186,19 @@ func (s *snapshot) fillOnce(done *atomic.Bool, fill func()) {
 		fill()
 		done.Store(true)
 	}
+}
+
+// sortedNames returns the switch names sorted, sorting them on first
+// use; clipped so that an append by the caller copies.
+func (s *snapshot) sortedNames(g *Graph) []string {
+	s.fillOnce(&s.namesDone, func() {
+		s.names = make([]string, len(s.switches))
+		for i, id := range s.switches {
+			s.names[i] = g.nodes[id].Name
+		}
+		slices.Sort(s.names)
+	})
+	return s.names[:len(s.names):len(s.names)]
 }
 
 // hopsFrom returns the hop vector of src, running its BFS on first use.

@@ -6,7 +6,6 @@ package topo
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 )
 
@@ -86,8 +85,8 @@ type Port struct {
 
 // Graph is an in-memory topology. The zero value is empty; use New.
 //
-// Queries (Switches, Hosts, SwitchNeighbors, PortTo, HopsFrom,
-// ECMPNextHops, ShortestPath, MaxSwitchRTT) are answered from a
+// Queries (Switches, Hosts, SortedNames, SwitchNeighbors, PortTo,
+// HopsFrom, ECMPNextHops, ShortestPath, MaxSwitchRTT) are answered from a
 // snapshot cached per graph state, so any number of goroutines may
 // query a shared graph concurrently. Mutation is single-writer and
 // must not overlap queries; the only mutators are AddNode,
@@ -295,17 +294,9 @@ func (g *Graph) String() string {
 }
 
 // SortedNames returns all switch names sorted; this is the policy
-// language's alphabet for this topology.
-func (g *Graph) SortedNames() []string {
-	var out []string
-	for _, n := range g.nodes {
-		if n.Kind == Switch {
-			out = append(out, n.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+// language's alphabet for this topology. It is computed once per graph
+// state; the slice is shared and must not be modified.
+func (g *Graph) SortedNames() []string { return g.snapshot().sortedNames(g) }
 
 // MaxSwitchRTT returns an upper bound on the round-trip time in ns
 // between any pair of switches, assuming negligible queueing: twice the

@@ -561,7 +561,7 @@ func TestWarmQueriesDoNotAllocate(t *testing.T) {
 		sink += len(g.Switches()) + len(g.Hosts()) + len(g.SwitchNeighbors(edge))
 		sink += g.PortTo(edge, host) + g.PortTo(edge, sw[len(sw)-1])
 		sink += int(g.HopsFrom(edge)[sw[1]])
-		sink += int(g.MaxSwitchRTT())
+		sink += int(g.MaxSwitchRTT()) + len(g.SortedNames())
 	}); n != 0 {
 		t.Fatalf("warm queries allocate %v times per run, want 0", n)
 	}
