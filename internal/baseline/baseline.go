@@ -6,8 +6,6 @@
 package baseline
 
 import (
-	"sync"
-
 	"contra/internal/sim"
 	"contra/internal/slab"
 	"contra/internal/topo"
@@ -155,7 +153,7 @@ func deployECMP(n *sim.Network, single bool) {
 	if len(switches) == 0 {
 		return
 	}
-	st := drawDeploy(n)
+	st := sim.Reuse[deployState](n)
 	s := &st.ecmpTabs
 	total := 0
 	for _, src := range switches {
@@ -176,30 +174,17 @@ func deployECMP(n *sim.Network, single bool) {
 }
 
 // deployState is a deploy's router slab and tables, ECMP's and HULA's
-// side by side. A released network hands it on to the next deploy in
-// this process, of either scheme, which lays its routers out in the
-// same arrays where they are large enough. HULA routers keep their
-// flowlet table's storage; every other field is set afresh.
+// side by side. A released network hands it on with its cell state
+// (sim.Reuse) to the next deploy of either scheme, which lays its
+// routers out in the same arrays where they are large enough. HULA
+// routers keep their flowlet table's storage; every other field is set
+// afresh.
 type deployState struct {
 	ecmp     []ECMP
 	ecmpTabs ecmpSlabs
 	hula     []Hula
 	hulaTabs hulaSlabs
 	origins  hulaOrigins
-}
-
-// releasedDeploys holds the state released deploys handed on.
-var releasedDeploys sync.Pool
-
-// drawDeploy takes a released deploy's state, or a new one, and has n
-// hand it on when n is released.
-func drawDeploy(n *sim.Network) *deployState {
-	st, _ := releasedDeploys.Get().(*deployState)
-	if st == nil {
-		st = &deployState{}
-	}
-	n.OnRelease(st)
-	return st
 }
 
 // Release implements sim.Releaser: the routers keep nothing of their
@@ -210,5 +195,4 @@ func (st *deployState) Release() {
 		r := &st.hula[i]
 		*r = Hula{flowlets: r.flowlets}
 	}
-	releasedDeploys.Put(st)
 }

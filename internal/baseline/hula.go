@@ -196,7 +196,7 @@ func newHula(o core.Options) Hula {
 func DeployHula(n *sim.Network, opts core.Options) map[topo.NodeID]*Hula {
 	g := n.Topo
 	opts.Fill(g)
-	st := drawDeploy(n)
+	st := sim.Reuse[deployState](n)
 	origins := &st.origins
 	origins.number(g)
 	switches := g.Switches()

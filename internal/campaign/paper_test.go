@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
+	"contra/internal/cliutil"
 	"contra/internal/scenario"
 	"contra/internal/topo"
 )
@@ -243,4 +246,126 @@ func TestPaperSpecsReproduceExperiments(t *testing.T) {
 	if got := fmt.Sprintf("%.4f%%", 100*(res.ProbeBytes+res.TagBytes)/(res.FabricBytes+res.TagBytes)); got != "1.8148%" {
 		t.Errorf("appendix D: protocol overhead %s, want 1.8148%%", got)
 	}
+}
+
+// TestPaperSpecPremises checks, on each spec's built topology and with
+// no simulation, the premise the spec's figure stands on. A spec edit
+// that breaks a premise fails here, not as a quietly different curve.
+func TestPaperSpecPremises(t *testing.T) {
+	inRepoRoot(t)
+	for _, p := range []struct {
+		spec    string
+		premise string
+		check   func(*topo.Graph, *Spec) error
+	}{
+		{"fig15_websearch.json", "SP's paths for the four pairs overlap at most two to a link", spPairsPerLink},
+		{"fig15_cache.json", "SP's paths for the four pairs overlap at most two to a link", spPairsPerLink},
+		{"fig12_websearch.json", "after the failure ECMP splits a pair equally over unequal paths", ecmpSplitsUnequally},
+		{"fig12_cache.json", "after the failure ECMP splits a pair equally over unequal paths", ecmpSplitsUnequally},
+	} {
+		spec, err := LoadFile(filepath.Join("examples/paper", p.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := cliutil.BuildTopology(spec.Topos[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range spec.Scripts {
+			for _, ev := range s.Events {
+				if ev.Kind == scenario.LinkDown && ev.AtNs == 0 {
+					l, err := cliutil.FindLink(g, ev.Link)
+					if err != nil {
+						t.Fatal(err)
+					}
+					g.SetDown(l, true)
+				}
+			}
+		}
+		if err := p.check(g, spec); err != nil {
+			t.Errorf("%s: %s: %v", p.spec, p.premise, err)
+		}
+	}
+}
+
+// spPairsPerLink routes the spec's host pairs as SP does, on the first
+// next hop, and holds the pairs each directed switch-switch link
+// carries to what the Fig 15 spec has: two on each of five links, one
+// on the rest. The pairs never all cross one link, so SP does not
+// concentrate them there; a spec that makes them must update this pin.
+func spPairsPerLink(g *topo.Graph, spec *Spec) error {
+	carried := map[string]int{}
+	for _, pair := range spec.Workload.Pairs {
+		cur, dst := g.HostEdge(g.MustNode(pair[0])), g.HostEdge(g.MustNode(pair[1]))
+		for cur != dst {
+			next := g.AppendECMPNextHops(nil, cur, dst)[0]
+			carried[g.Node(cur).Name+"->"+g.Node(next).Name]++
+			cur = next
+		}
+	}
+	var shared []string
+	for link, n := range carried {
+		if n > 1 {
+			shared = append(shared, fmt.Sprintf("%s %d", link, n))
+		}
+	}
+	sort.Strings(shared)
+	if got, want := strings.Join(shared, ", "), "DEN->KC 2, HOU->ATL 2, IND->CHI 2, KC->IND 2, LA->HOU 2"; got != want {
+		return fmt.Errorf("links carrying more than one pair: %s, want %s", got, want)
+	}
+	return nil
+}
+
+// ecmpSplitsUnequally spreads one unit of demand between every two
+// switches with hosts over ECMP's next hops, hop by hop, and looks for
+// a pair whose first-hop split is equal but whose branches differ in
+// bottleneck: the least capacity per unit of demand on a link the
+// branch may take. That is the asymmetry Fig 12 measures; on the
+// intact fabric every branch of a pair is alike.
+func ecmpSplitsUnequally(g *topo.Graph, _ *Spec) error {
+	var ends []topo.NodeID
+	for _, s := range g.Switches() {
+		for _, p := range g.Ports(s) {
+			if g.Node(p.Peer).Kind == topo.Host {
+				ends = append(ends, s)
+				break
+			}
+		}
+	}
+	type hop struct{ a, b topo.NodeID }
+	demand := map[hop]float64{}
+	var spread func(at, dst topo.NodeID, share float64)
+	spread = func(at, dst topo.NodeID, share float64) {
+		nh := g.AppendECMPNextHops(nil, at, dst)
+		for _, n := range nh {
+			demand[hop{at, n}] += share / float64(len(nh))
+			spread(n, dst, share/float64(len(nh)))
+		}
+	}
+	for _, s := range ends {
+		for _, d := range ends {
+			spread(s, d, 1)
+		}
+	}
+	// bottleneck is the least capacity per unit of demand from a over
+	// the hop to b and on toward dst.
+	var bottleneck func(a, b, dst topo.NodeID) float64
+	bottleneck = func(a, b, dst topo.NodeID) float64 {
+		c := g.LinkBetween(a, b).Bandwidth / demand[hop{a, b}]
+		for _, n := range g.AppendECMPNextHops(nil, b, dst) {
+			c = math.Min(c, bottleneck(b, n, dst))
+		}
+		return c
+	}
+	for _, s := range ends {
+		for _, d := range ends {
+			nh := g.AppendECMPNextHops(nil, s, d)
+			for _, n := range nh[min(1, len(nh)):] {
+				if bottleneck(s, n, d) != bottleneck(s, nh[0], d) {
+					return nil
+				}
+			}
+		}
+	}
+	return fmt.Errorf("every pair's ECMP branches have the same bottleneck")
 }

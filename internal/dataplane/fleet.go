@@ -1,8 +1,6 @@
 package dataplane
 
 import (
-	"sync"
-
 	"contra/internal/core"
 	"contra/internal/sim"
 	"contra/internal/slab"
@@ -24,21 +22,18 @@ type Fleet struct {
 	routers map[topo.NodeID]*Contra
 	comp    *core.Compiled
 	era     uint8
-	state   *fleetState // nil once released
 }
 
 // fleetState is a deploy's router slab and the tables it laid the
-// routers out in. A released network hands it on to the next deploy in
-// this process, which lays its own routers out in the same arrays where
-// they are large enough. The routers keep their pin tables' storage
-// (init empties them); every other field is set afresh.
+// routers out in. A released network hands it on with its cell state
+// (sim.Reuse) to the next Contra deploy, which lays its own routers out
+// in the same arrays where they are large enough. The routers keep
+// their pin tables' storage (init empties them); every other field is
+// set afresh.
 type fleetState struct {
 	routers []Contra
 	tabs    tables
 }
-
-// releasedFleets holds the state released fleets handed on.
-var releasedFleets sync.Pool
 
 // DeployFleet attaches a Contra router built from comp to every switch
 // in the network and returns the swappable handle. The routers share
@@ -48,15 +43,11 @@ var releasedFleets sync.Pool
 // what the last released fleet handed on (fleetState).
 func DeployFleet(n *sim.Network, comp *core.Compiled) *Fleet {
 	switches := n.Topo.Switches()
-	st, _ := releasedFleets.Get().(*fleetState)
-	if st == nil {
-		st = &fleetState{}
-	}
+	st := sim.Reuse[fleetState](n)
 	f := &Fleet{
 		net:     n,
 		routers: make(map[topo.NodeID]*Contra, len(switches)),
 		comp:    comp,
-		state:   st,
 	}
 	st.tabs.size(comp, switches, true)
 	t := st.tabs // the routers take their windows from a copy
@@ -67,26 +58,19 @@ func DeployFleet(n *sim.Network, comp *core.Compiled) *Fleet {
 		f.routers[swID] = r
 		n.SetRouter(swID, r)
 	}
-	n.OnRelease(f)
 	return f
 }
 
 // Release implements sim.Releaser: the fleet's routers and tables go to
 // the next deploy, and the routers keep nothing of this one but their
 // pin tables' storage.
-func (f *Fleet) Release() {
-	st := f.state
-	if st == nil {
-		return
-	}
-	f.state = nil
+func (st *fleetState) Release() {
 	for i := range st.routers {
 		c := &st.routers[i]
 		*c = Contra{flowlets: c.flowlets, srcPins: c.srcPins}
 	}
 	clear(st.tabs.probeOut)
 	st.tabs.evals = nil
-	releasedFleets.Put(st)
 }
 
 // Deploy is the fixed-policy entry point: DeployFleet without keeping

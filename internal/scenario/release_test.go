@@ -7,7 +7,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -140,10 +139,6 @@ func TestResultsHoldNoRecycledState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four cells in fresh processes")
 	}
-	// One P, so each cell draws what the last one put in the pools: a
-	// sync.Pool keeps an item put on one P where a Get on another does
-	// not look.
-	procs := runtime.GOMAXPROCS(1)
 	var first *Result
 	got := make([][]byte, len(cells))
 	for i, cell := range cells {
@@ -159,7 +154,6 @@ func TestResultsHoldNoRecycledState(t *testing.T) {
 			}
 		}
 	}
-	runtime.GOMAXPROCS(procs)
 	if again := encodeResult(t, first); !bytes.Equal(again, got[0]) {
 		t.Errorf("the first cell's result changed while later cells ran on its state: %d bytes, then %d", len(got[0]), len(again))
 	}

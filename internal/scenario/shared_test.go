@@ -3,7 +3,6 @@ package scenario
 import (
 	"bytes"
 	"runtime"
-	"runtime/debug"
 	"testing"
 )
 
@@ -55,18 +54,12 @@ func TestPreFailedCellLeavesTheSharedGraphAlone(t *testing.T) {
 const secondCellAllocs = 80
 
 // TestSecondCellSharesItsTopologyAndProgram runs a packed, suppressed
-// Contra cell at fattree:8:1 twice on one P (a sync.Pool keeps an item
-// put on one P where a Get on another does not look) and counts the
-// second run's allocations.
+// Contra cell at fattree:8:1 twice and counts the second run's
+// allocations.
 func TestSecondCellSharesItsTopologyAndProgram(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool drops a quarter of what is put in it")
-	}
 	cell := fct("fattree:8:1", SchemeContra, "websearch", 0.3, 2_000_000, 40, 3)
 	cell.Policy = "minimize(path.util)"
 	cell.ProbePacking, cell.SuppressEps, cell.RefreshEvery = true, 0.02, 4
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if _, err := Run(cell); err != nil {
 		t.Fatal(err)
 	}

@@ -173,7 +173,7 @@ type Network struct {
 
 	pool pool
 	// cell holds this network's tables for Release to hand on, and the
-	// spare capacity StartFlows and OnRelease draw on; nil once released.
+	// spare capacity StartFlows and Reuse draw on; nil once released.
 	cell *cellState
 	// flowTab holds every window flow StartFlows registered, in order.
 	// Packets and RTO events name a flow by its index here (Packet.flow
@@ -236,7 +236,7 @@ func NewNetwork(e *Engine, g *topo.Graph, cfg Config) *Network {
 	if e.net != nil {
 		panic("sim: engine already drives a network")
 	}
-	c, _ := releasedCells.Get().(*cellState)
+	c := releasedCells.Get()
 	if c == nil {
 		c = &cellState{}
 	}

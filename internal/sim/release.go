@@ -1,16 +1,17 @@
 package sim
 
 import (
-	"sync"
+	"slices"
 
+	"contra/internal/slab"
 	"contra/internal/stats"
 	"contra/internal/topo"
 )
 
 // cellState is what a released network hands on to the next one built
 // in this process: every table whose size follows from the topology and
-// the workload, with its capacity, and the schemes' state registered
-// with OnRelease. A campaign worker runs cells back to back, so the next
+// the workload, with its capacity, and the schemes' deploy state drawn
+// with Reuse. A campaign worker runs cells back to back, so the next
 // cell draws the last one's arrays instead of allocating its own.
 // NewNetwork clears what it draws to the length a fresh table would
 // have, so a cell starts from the same zero state either way; Release
@@ -45,23 +46,43 @@ type cellState struct {
 	pktSlabs *packetSlab
 	bufSlabs *bufSlab
 
-	releasers []Releaser
+	// spares is the schemes' deploy state, one per scheme that deployed
+	// on a network this state served; the first claimed of them are the
+	// current network's, which Release releases.
+	spares  []Releaser
+	claimed int
 }
 
 // releasedCells holds the state released networks handed on.
-var releasedCells sync.Pool
+var releasedCells slab.Store[cellState]
 
 // Releaser is state a scheme sized for one network and can hand on to
 // the next: a deploy's router tables.
 type Releaser interface{ Release() }
 
-// OnRelease has Release release r too, after the routers are done with
-// it. Schemes deploying on a network register their tables here.
-func (n *Network) OnRelease(r Releaser) { n.cell.releasers = append(n.cell.releasers, r) }
+// Reuse returns the deploy state of type T that the network's cell
+// state carries from an earlier deploy of the same scheme, or a new
+// one, and has Release release it after the routers are done with it.
+// Schemes deploying on a network draw their tables here.
+func Reuse[T any, P interface {
+	*T
+	Releaser
+}](n *Network) P {
+	c := n.cell
+	i := slices.IndexFunc(c.spares[c.claimed:], func(r Releaser) bool { _, ok := r.(P); return ok })
+	if i < 0 {
+		i = len(c.spares) - c.claimed
+		c.spares = append(c.spares, P(new(T)))
+	}
+	s := c.spares[c.claimed:]
+	s[0], s[i] = s[i], s[0]
+	c.claimed++
+	return s[0].(P)
+}
 
 // Release hands the network's tables, packet slabs, probe buffers and
 // engine queues on to the next network built in this process, and
-// releases what was registered with OnRelease. It is safe once the
+// releases the deploy state drawn with Reuse. It is safe once the
 // engine will not run again and nothing reads a packet or a router any
 // more: at the horizon, after Audit has passed (every packet is then
 // free or in flight, so no device or router holds one) and the results
@@ -76,11 +97,10 @@ func (n *Network) Release() {
 	if c == nil {
 		return
 	}
-	for _, r := range c.releasers {
+	for _, r := range c.spares[:c.claimed] {
 		r.Release()
 	}
-	clear(c.releasers)
-	c.releasers = c.releasers[:0]
+	c.claimed = 0
 	c.pktSlabs, c.bufSlabs = n.pool.release()
 	n.Eng.surrender(c)
 	clear(n.flowTab)

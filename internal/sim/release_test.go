@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"runtime/debug"
-	"testing"
-)
+import "testing"
 
 // TestReleasedSlabsServeTheNextNetwork runs a loaded cell to a horizon
 // with packets in flight over several slabs, audits and releases it,
@@ -12,9 +9,6 @@ import (
 // audits clean and repeats the first one's accounting. The released
 // network cannot draw again.
 func TestReleasedSlabsServeTheNextNetwork(t *testing.T) {
-	// A collection empties a sync.Pool, so none may run in between.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-
 	g := lineTopoDelay(10e9, 1_000_000) // 1 ms across the fabric: a megabyte in flight
 	var flows []FlowSpec
 	for i := 0; i < 8; i++ {
@@ -73,12 +67,12 @@ func TestReleasedSlabsServeTheNextNetwork(t *testing.T) {
 		}
 	}
 	for s := second.pool.slabList; s != nil; s = s.next {
-		if !released[s] && !raceEnabled {
+		if !released[s] {
 			t.Fatalf("the next network allocated a slab with %d released ones to draw", len(released))
 		}
 		delete(released, s)
 	}
-	if len(released) != 0 && !raceEnabled {
+	if len(released) != 0 {
 		t.Fatalf("the next network drew %d packets and left %d released slabs unused", len(drawn), len(released))
 	}
 	for _, p := range drawn {

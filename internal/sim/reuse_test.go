@@ -9,12 +9,41 @@ import (
 	"testing"
 
 	"contra/internal/baseline"
+	"contra/internal/campaign"
 	"contra/internal/core"
 	"contra/internal/dataplane"
 	"contra/internal/policy"
+	"contra/internal/scenario"
 	"contra/internal/sim"
 	"contra/internal/topo"
 )
+
+// TestCampaignCellsDrawReleasedState runs a 2-worker campaign of 12
+// cells that mixes ECMP, HULA and Contra on two topologies. Every cell
+// but the first one each worker runs must draw the cell state a
+// finished cell released, whichever goroutine or P released it: at
+// most 2 cells may start on a fresh one.
+func TestCampaignCellsDrawReleasedState(t *testing.T) {
+	spec := &campaign.Spec{
+		Topos:    []string{"fattree:4:2", "dc"},
+		Schemes:  []scenario.Scheme{scenario.SchemeECMP, scenario.SchemeHula, scenario.SchemeContra},
+		Loads:    []float64{0.3},
+		Seeds:    []int64{1, 2},
+		Workload: scenario.Workload{Dist: "cache", DurationNs: 1_000_000, MaxFlows: 20},
+	}
+	sim.ResetCells()
+	before := sim.FreshCells()
+	report, err := campaign.Run(spec, campaign.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Failed() > 0 || len(report.Outcomes) != 12 {
+		t.Fatalf("%d of %d cells failed, want 12 cells and none failed", report.Failed(), len(report.Outcomes))
+	}
+	if fresh := sim.FreshCells() - before; fresh < 1 || fresh > 2 {
+		t.Errorf("%d of %d cells started on a fresh cell state, want 1 or 2 (one per worker at most)", fresh, len(report.Outcomes))
+	}
+}
 
 // secondCellShare bounds what the second of two identical cells may
 // allocate, as a share of the first's bytes: the first runs with
@@ -33,9 +62,6 @@ const secondCellShare = 0.05
 // more the second time round, from a heap profile of both: the package
 // whose tables were not handed on.
 func TestSecondCellAllocatesLittle(t *testing.T) {
-	if sim.RaceEnabled {
-		t.Skip("the race detector's sync.Pool drops a quarter of what is put in it")
-	}
 	g := topo.Fattree(4, 2)
 	opts := core.Options{ProbePacking: true}
 	comp, err := core.Compile(g, policy.MustParse("minimize(path.util)"), opts)
@@ -76,20 +102,16 @@ func TestSecondCellAllocatesLittle(t *testing.T) {
 	}
 }
 
-// twoCells runs cell twice with nothing handed on to the first (two
-// collections empty every sync.Pool), and returns the bytes each
-// allocated, with the packages that allocated more in the second than
-// a tenth of what they did in the first. It runs on one P: a sync.Pool
-// keeps an item put on one P where a Get on another does not look.
+// twoCells runs cell twice with nothing handed on to the first, and
+// returns the bytes each allocated, with the packages that allocated
+// more in the second than a tenth of what they did in the first.
 func twoCells(cell func()) (first, second uint64, byPkg string) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	runtime.GC()
+	sim.ResetCells()
+	// A collection publishes the profile; none runs inside a cell.
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// A collection publishes the profile; what the first cell handed on
-	// survives one in the pools' victim caches.
 	var m0, m1, m2, m3 runtime.MemStats
 	p0 := bytesByPackage()
 	runtime.ReadMemStats(&m0)

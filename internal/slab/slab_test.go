@@ -1,6 +1,9 @@
 package slab
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestTakeCarvesDisjointWindows(t *testing.T) {
 	s := make([]int, 5)
@@ -50,5 +53,37 @@ func TestReuseClearsAndKeepKeeps(t *testing.T) {
 	}
 	if c := Extend(&e, 1); len(e) != 1 || &c[0] != &e[0] || a[0] != 7 {
 		t.Fatalf("Extend past the capacity: %v in %v, the first window %v; want a fresh array", c, e, a)
+	}
+}
+
+// TestStoreHandsOnAcrossGoroutines has goroutines draw an item, or
+// make one on a miss, and put it back, over and over: each must find
+// what the others put, so the store makes no more items than
+// goroutines, wherever each runs.
+func TestStoreHandsOnAcrossGoroutines(t *testing.T) {
+	const workers, rounds = 4, 200
+	var s Store[int]
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				x := s.Get()
+				if x == nil {
+					x = new(int)
+				}
+				*x++
+				s.Put(x)
+			}
+		}()
+	}
+	wg.Wait()
+	total := 0
+	for x := s.Get(); x != nil; x = s.Get() {
+		total += *x
+	}
+	if m := s.Misses(); m > workers+1 || total != workers*rounds {
+		t.Fatalf("%d misses and %d uses in all; want at most %d misses (one per goroutine, one to drain) and %d uses", m, total, workers+1, workers*rounds)
 	}
 }

@@ -11,9 +11,9 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 
 	"contra/internal/sim"
+	"contra/internal/slab"
 	"contra/internal/topo"
 )
 
@@ -223,7 +223,7 @@ type Stream struct {
 // sources holds the random sources finished streams handed on. A
 // source is about 5 KB, and reseeding one leaves it exactly as a new
 // one with that seed, so a stream draws the same flows either way.
-var sources sync.Pool
+var sources slab.Store[rand.Rand]
 
 // LoadRate is the arrival rate that offers load (a fraction of
 // capacityBps) with flows drawn from size.
@@ -253,7 +253,7 @@ func Generate(g *topo.Graph, s Stream) ([]sim.FlowSpec, error) {
 	if e := &s.Ends; len(e.Pairs) == 0 && (len(e.Senders) == 0 || len(e.Receivers) == 0) {
 		return nil, fmt.Errorf("workload: no hosts to draw flow endpoints from")
 	}
-	rng, _ := sources.Get().(*rand.Rand)
+	rng := sources.Get()
 	if rng == nil {
 		rng = rand.New(rand.NewSource(s.Seed))
 	} else {
