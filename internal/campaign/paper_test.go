@@ -7,11 +7,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"contra/internal/cliutil"
+	"contra/internal/flowtrace"
+	"contra/internal/metrics"
 	"contra/internal/scenario"
 	"contra/internal/topo"
 )
@@ -248,8 +251,9 @@ func TestPaperSpecsReproduceExperiments(t *testing.T) {
 	}
 }
 
-// TestPaperSpecPremises checks, on each spec's built topology and with
-// no simulation, the premise the spec's figure stands on. A spec edit
+// TestPaperSpecPremises checks, on each spec's built topology, the
+// premise the spec's figure stands on: Figs 12 and 15 with no
+// simulation, Figs 14 and 16 from the spec's own cells. A spec edit
 // that breaks a premise fails here, not as a quietly different curve.
 func TestPaperSpecPremises(t *testing.T) {
 	inRepoRoot(t)
@@ -262,6 +266,9 @@ func TestPaperSpecPremises(t *testing.T) {
 		{"fig15_cache.json", "SP's paths for the four pairs overlap at most two to a link", spPairsPerLink},
 		{"fig12_websearch.json", "after the failure ECMP splits a pair equally over unequal paths", ecmpSplitsUnequally},
 		{"fig12_cache.json", "after the failure ECMP splits a pair equally over unequal paths", ecmpSplitsUnequally},
+		{"fig14_failover.json", "the failed link carries the CBR traffic under every scheme until it fails", failedLinkCarriesTraffic},
+		{"fig16_websearch.json", "every scheme is offered the same flows at each load and completes them all", sameFlowsAllComplete},
+		{"fig16_cache.json", "every scheme is offered the same flows at each load and completes them all", sameFlowsAllComplete},
 	} {
 		spec, err := LoadFile(filepath.Join("examples/paper", p.spec))
 		if err != nil {
@@ -312,6 +319,94 @@ func spPairsPerLink(g *topo.Graph, spec *Spec) error {
 	sort.Strings(shared)
 	if got, want := strings.Join(shared, ", "), "DEN->KC 2, HOU->ATL 2, IND->CHI 2, KC->IND 2, LA->HOU 2"; got != want {
 		return fmt.Errorf("links carrying more than one pair: %s, want %s", got, want)
+	}
+	return nil
+}
+
+// failedLinkCarriesTraffic runs each cell of the spec with telemetry
+// every millisecond and reads, at the last sample before the spec's
+// link_down, the utilisation of the link it fails. Fig 14 measures the
+// dip and recovery of traffic that link carried, so it must carry some:
+// in either direction at least 1 % of its capacity. Probes alone keep
+// an idle fabric link of this spec under 0.1 %, and the CBR traffic
+// puts about 11 % on the one that fails.
+func failedLinkCarriesTraffic(g *topo.Graph, spec *Spec) error {
+	const floor = 0.01
+	var down *scenario.Event
+	for _, s := range spec.Scripts {
+		for i := range s.Events {
+			if s.Events[i].Kind == scenario.LinkDown {
+				down = &s.Events[i]
+			}
+		}
+	}
+	if down == nil {
+		return fmt.Errorf("no link_down event")
+	}
+	id, err := scenario.AutoFailLink(g)
+	if down.Link != "" && down.Link != "auto" {
+		id, err = cliutil.FindLink(g, down.Link)
+	}
+	if err != nil {
+		return err
+	}
+	l := g.Links()[id]
+	a, b := g.Node(l.A).Name, g.Node(l.B).Name
+	jobs, err := spec.Jobs()
+	if err != nil {
+		return err
+	}
+	for _, j := range jobs {
+		sc := j.Scenario
+		sc.MetricsIntervalNs = 1_000_000
+		res, err := scenario.Run(sc)
+		if err != nil {
+			return err
+		}
+		cols := map[string]int{}
+		for i, name := range res.Metrics.Links() {
+			cols[name] = i
+		}
+		var at int64
+		var util float64
+		res.Metrics.EachSample(func(tk metrics.Tick) {
+			if tk.T < down.AtNs {
+				at, util = tk.T, math.Max(tk.Util[cols[a+"->"+b]], tk.Util[cols[b+"->"+a]])
+			}
+		})
+		if util < floor {
+			return fmt.Errorf("%s: %s-%s at %d ns is %.2f %% utilised, want at least %.0f %%", sc.Scheme, a, b, at, 100*util, 100*floor)
+		}
+	}
+	return nil
+}
+
+// sameFlowsAllComplete runs each cell of the spec with its flows
+// recorded. Fig 16 divides each scheme's fabric bytes by ECMP's at the
+// same load, which compares like with like only when every scheme is
+// offered the same flows and delivers all of them within its drain.
+func sameFlowsAllComplete(_ *topo.Graph, spec *Spec) error {
+	jobs, err := spec.Jobs()
+	if err != nil {
+		return err
+	}
+	offered := map[float64][]flowtrace.Flow{}
+	for _, j := range jobs {
+		sc := j.Scenario
+		sc.RecordFlows = true
+		res, err := scenario.Run(sc)
+		if err != nil {
+			return err
+		}
+		if res.Flows == 0 || res.Completed != int64(res.Flows) {
+			return fmt.Errorf("%s at load %g: %d of %d flows completed", sc.Scheme, res.Load, res.Completed, res.Flows)
+		}
+		flows := res.FlowTrace.Flows
+		if first, ok := offered[res.Load]; !ok {
+			offered[res.Load] = flows
+		} else if !slices.Equal(flows, first) {
+			return fmt.Errorf("%s at load %g: offered %d flows unlike the first scheme's %d", sc.Scheme, res.Load, len(flows), len(first))
+		}
 	}
 	return nil
 }

@@ -207,8 +207,13 @@ func p4Cells(t *testing.T) []*Compiled {
 	return cells
 }
 
+// TestGenerateP4MatchesReference compares every switch of p4Cells with
+// the reference emitter. The coverage flags fail it unless the cells
+// print an empty port list and take both of the emitter's fallbacks: a
+// transition table whose product-graph order is not by sender, and a
+// switch whose virtual nodes are not ascending.
 func TestGenerateP4MatchesReference(t *testing.T) {
-	emptyPorts := false
+	emptyPorts, sortedTransitions, sortedVNodes := false, false, false
 	for _, c := range p4Cells(t) {
 		for _, sw := range c.Topo.Switches() {
 			got, want := c.GenerateP4(sw), c.referenceGenerateP4(sw)
@@ -220,13 +225,22 @@ func TestGenerateP4MatchesReference(t *testing.T) {
 				t.Fatalf("switch %s: the modulo lines must print a single %%", c.Topo.Node(sw).Name)
 			}
 			emptyPorts = emptyPorts || strings.Contains(got, "// ports []\n")
-			if n := c.planP4(sw, c.Switch(sw)).len; n != len(want) {
-				t.Fatalf("switch %s: buffer sized %d bytes for a %d-byte program", c.Topo.Node(sw).Name, n, len(want))
+			p := c.planP4(sw, c.Switch(sw))
+			if p.len != len(want) {
+				t.Fatalf("switch %s: buffer sized %d bytes for a %d-byte program", c.Topo.Node(sw).Name, p.len, len(want))
 			}
+			sortedTransitions = sortedTransitions || !p.transSorted
+			sortedVNodes = sortedVNodes || !p.mcastSorted
 		}
 	}
 	if !emptyPorts {
 		t.Fatal("no cell prints an empty multicast port list")
+	}
+	if !sortedTransitions {
+		t.Fatal("no cell has a transition table that must be sorted by sender")
+	}
+	if !sortedVNodes {
+		t.Fatal("no cell has a switch whose virtual nodes are not ascending")
 	}
 }
 
@@ -279,10 +293,10 @@ func TestGenerateP4Concurrent(t *testing.T) {
 }
 
 // TestGenerateP4AllocBudget pins the per-switch allocations after the
-// first call: the output buffer and the two sorted entry lists, however
-// long the tables are.
+// first call, however long the tables are: the returned text alone for
+// a switch whose rows come out of the product graph in printed order,
+// and one more, the sorted copy, for a switch whose transitions do not.
 func TestGenerateP4AllocBudget(t *testing.T) {
-	const budget = 3
 	entries := func(c *Compiled, sw topo.NodeID) int { return c.transitions(c.Switch(sw)) }
 	small, big := topo.Fattree(4, 0), topo.Fattree(10, 0)
 	cs, cb := compile(t, small, wpPolicy(small)), compile(t, big, wpPolicy(big))
@@ -290,15 +304,30 @@ func TestGenerateP4AllocBudget(t *testing.T) {
 	if entries(cb, sb) < 4*entries(cs, ss) {
 		t.Fatalf("table sizes %d and %d are too close to show independence", entries(cs, ss), entries(cb, sb))
 	}
+	sorted := topo.NodeID(-1) // a switch of cs that takes the sort path
+	for _, sw := range small.Switches() {
+		if p := cs.planP4(sw, cs.Switch(sw)); !p.transSorted && p.mcastSorted {
+			sorted = sw
+			break
+		}
+	}
+	if sorted < 0 {
+		t.Fatal("no switch of the small cell needs its transitions sorted")
+	}
 	for _, tc := range []struct {
-		c  *Compiled
-		sw topo.NodeID
-	}{{cs, ss}, {cb, sb}} {
+		c      *Compiled
+		sw     topo.NodeID
+		budget int
+	}{{cs, ss, 1}, {cb, sb, 1}, {cs, sorted, 2}} {
+		p := tc.c.planP4(tc.sw, tc.c.Switch(tc.sw))
+		if natural := p.transSorted && p.mcastSorted; natural != (tc.budget == 1) {
+			t.Fatalf("%s switch %s: printed in natural order = %v, budget %d", tc.c.Topo.Name, p.name, natural, tc.budget)
+		}
 		tc.c.GenerateP4(tc.sw) // renders the policy-wide text
 		got := testing.AllocsPerRun(20, func() { tc.c.GenerateP4(tc.sw) })
-		if got > budget {
-			t.Errorf("%s (%d transition entries): %.0f allocations per program, budget %d",
-				tc.c.Topo.Name, entries(tc.c, tc.sw), got, budget)
+		if got > float64(tc.budget) {
+			t.Errorf("%s switch %s (%d transition entries): %.0f allocations per program, budget %d",
+				tc.c.Topo.Name, p.name, entries(tc.c, tc.sw), got, tc.budget)
 		}
 	}
 }
@@ -329,6 +358,40 @@ func TestCompileAllocBudget(t *testing.T) {
 				tc.name, allocs[0], len(small.Switches()), allocs[1], len(big.Switches()), slack)
 		}
 		t.Logf("%s: %.0f allocations at %d switches, %.0f at %d", tc.name, allocs[0], len(small.Switches()), allocs[1], len(big.Switches()))
+	}
+}
+
+// TestGenerateP4ProgramAllocBudget holds emitting every switch of
+// Fattree(18, 0) under MU and WP, once the policy-wide text is rendered,
+// to one allocation per switch plus one per table that must be sorted.
+// The text's one render is left out: its fmt calls draw from a
+// sync.Pool, which the race detector empties at random.
+func TestGenerateP4ProgramAllocBudget(t *testing.T) {
+	const slack = 8
+	g := topo.Fattree(18, 0)
+	switches := g.Switches()
+	for _, tc := range []struct{ name, src string }{{"MU", muPolicy}, {"WP", wpPolicy(g)}} {
+		c, sorts := compile(t, g, tc.src), 0
+		for _, sw := range switches {
+			c.GenerateP4(sw)
+			p := c.planP4(sw, c.Switch(sw))
+			if !p.transSorted {
+				sorts++
+			}
+			if !p.mcastSorted {
+				sorts++
+			}
+		}
+		got := testing.AllocsPerRun(3, func() {
+			for _, sw := range switches {
+				c.GenerateP4(sw)
+			}
+		})
+		if budget := len(switches) + sorts + slack; got > float64(budget) {
+			t.Errorf("%s: %.0f allocations to emit %d switches with %d sorted tables, budget %d",
+				tc.name, got, len(switches), sorts, budget)
+		}
+		t.Logf("%s: %.0f allocations to emit %d switches with %d sorted tables", tc.name, got, len(switches), sorts)
 	}
 }
 

@@ -25,14 +25,23 @@ const (
 
 // p4Template is everything of the generated program that depends only
 // on the policy, its metric vector, the tag width and the options: the
-// literal text, cut where a per-switch value goes. text[i] precedes
-// holes[i] and the last text closes the program. It is rendered once
-// per Compiled and only read afterwards.
+// literal text, and the offsets in it where a per-switch value goes, in
+// text order. It is rendered once per Compiled and only read afterwards.
 type p4Template struct {
-	text    []string
-	holes   []p4Hole
-	textLen int
+	text string
+	cuts []p4Cut
 }
+
+// p4Cut puts hole in a template's text just before byte at.
+type p4Cut struct {
+	at   int
+	hole p4Hole
+}
+
+// p4TemplateBytes bounds the template's text beyond the policy's own
+// source, at the largest metric vector, so that it renders into one
+// buffer.
+const p4TemplateBytes = 7 << 10
 
 // GenerateP4 emits a device-local P4-16 program for one switch,
 // mirroring the paper's compiler output: the probe header layout is
@@ -56,47 +65,58 @@ func (c *Compiled) GenerateP4(sw topo.NodeID) string {
 
 	var b strings.Builder
 	b.Grow(p.len)
-	for i, h := range t.holes {
-		b.WriteString(t.text[i])
-		switch h {
+	from := 0
+	for _, cut := range t.cuts {
+		b.WriteString(t.text[from:cut.at])
+		from = cut.at
+		switch cut.hole {
 		case holeName:
 			b.WriteString(p.name)
 		case holeTransitions:
-			writeTransitions(&b, p.trans, p.name)
+			c.writeTransitionTable(&b, sw, sp, &p)
 		case holeMcast:
-			writeMcast(&b, p.mcast)
+			c.writeMcastTable(&b, sp, &p)
 		default:
-			writeInt(&b, p.sizes[h])
+			writeInt(&b, p.sizes[cut.hole])
 		}
 	}
-	b.WriteString(t.text[len(t.holes)])
+	b.WriteString(t.text[from:])
 	return b.String()
 }
 
-// p4Plan is what one switch splices into the template, resolved and
-// sorted, and the exact length of the resulting program, so that the
-// output buffer is allocated once with no spare capacity.
+// p4Plan is what one switch splices into the template, and the exact
+// length of the resulting program, so that the output buffer is
+// allocated once with no spare capacity. The table rows are not kept:
+// they are read again from the product graph as they are written.
 type p4Plan struct {
 	name  string
 	sizes [holePortUtil + 1]int // by hole, for the register-size holes
-	trans []transitionEntry
-	mcast []mcastEntry
-	len   int
+	// transSorted and mcastSorted say that the switch's rows, walked in
+	// the product graph's order, already come out in printed order.
+	transSorted, mcastSorted bool
+	len                      int
 }
 
 // planP4 needs the template rendered.
 func (c *Compiled) planP4(sw topo.NodeID, sp *SwitchProgram) p4Plan {
-	p := p4Plan{name: c.Topo.Node(sw).Name}
+	p := p4Plan{name: c.Topo.Node(sw).Name, transSorted: true}
 	p.sizes[holeFwdSlots] = fwdSlots(sp, c)
 	p.sizes[holeBestSlots] = max(sp.ReachableOrigins, 1)
 	p.sizes[holePortUtil] = max(len(c.Topo.Ports(sw)), 1)
-	var transLen, mcastLen int
-	p.trans, transLen = c.transitionEntries(sw, sp)
-	p.mcast, mcastLen = c.mcastEntries(sp)
 
-	p.len = c.p4Tmpl.textLen + transLen + mcastLen
-	for _, h := range c.p4Tmpl.holes {
-		switch h {
+	p.len = len(c.p4Tmpl.text)
+	last := pg.NodeID(-1)
+	c.transitionRows(sw, sp, func(e transitionEntry) {
+		p.transSorted = p.transSorted && e.u > last
+		last = e.u
+		p.len += e.printedLen(p.name)
+	})
+	p.mcastSorted = slices.IsSorted(sp.VNodes)
+	for _, v := range sp.VNodes {
+		p.len += c.mcastLen(v)
+	}
+	for _, cut := range c.p4Tmpl.cuts {
+		switch h := cut.hole; h {
 		case holeName:
 			p.len += len(p.name)
 		case holeFwdSlots, holeBestSlots, holePortUtil:
@@ -114,18 +134,16 @@ func (c *Compiled) renderP4Template() {
 		tagBits = 1
 	}
 
+	policy := c.Policy.String()
 	var b strings.Builder
+	b.Grow(p4TemplateBytes + len(policy))
+	t.cuts = make([]p4Cut, 0, 9+len(c.Analysis.MV)) // the holes below
 	w := func(format string, args ...interface{}) {
 		fmt.Fprintf(&b, format, args...)
 		b.WriteByte('\n')
 	}
-	// cut ends the current text at a hole.
-	cut := func(h p4Hole) {
-		t.text = append(t.text, b.String())
-		t.holes = append(t.holes, h)
-		t.textLen += b.Len()
-		b.Reset()
-	}
+	// cut puts a hole at the end of the text so far.
+	cut := func(h p4Hole) { t.cuts = append(t.cuts, p4Cut{at: b.Len(), hole: h}) }
 	// hole emits one line whose only varying part is a per-switch value.
 	hole := func(before string, h p4Hole, after string) {
 		b.WriteString(before)
@@ -135,7 +153,7 @@ func (c *Compiled) renderP4Template() {
 	}
 
 	hole("// contra: device-local program for switch ", holeName, "")
-	w("// policy: %s", c.Policy.String())
+	w("// policy: %s", policy)
 	w("// generated by the contra compiler; do not edit")
 	w("#include <core.p4>")
 	w("#include <v1model.p4>")
@@ -338,8 +356,7 @@ func (c *Compiled) renderP4Template() {
 	w("")
 	w("V1Switch(ContraParser(), ContraIngress(), ContraEgress(),")
 	w("         ContraDeparser()) main;")
-	t.text = append(t.text, b.String())
-	t.textLen += b.Len()
+	t.text = b.String()
 }
 
 // transitionEntry is one tag_transition const entry: a probe arriving
@@ -363,55 +380,64 @@ const (
 	transLitLen  = len(transOpen) + len(transSep) + len(transAction) + len(transComment) + len(transArrow) + len("\n")
 )
 
-// transitionEntries resolves sw's tag transition table in the order it
-// is printed (by sender virtual node), with the printed length. It reads
-// the product graph's in-edges: each In list is ascending, so the
-// concatenation over sw's virtual nodes needs sorting only when several
-// of them hear senders whose ids interleave.
-func (c *Compiled) transitionEntries(sw topo.NodeID, sp *SwitchProgram) ([]transitionEntry, int) {
-	name := c.Topo.Node(sw).Name
-	entries := make([]transitionEntry, 0, c.transitions(sp))
-	n := 0
+// transitionRows calls f on each of sw's tag transition entries in the
+// product graph's order: sp.VNodes, then each one's in-edges. Each In
+// list is ascending, so that order is the printed one (by sender
+// virtual node) unless several virtual nodes hear senders whose ids
+// interleave.
+func (c *Compiled) transitionRows(sw topo.NodeID, sp *SwitchProgram, f func(e transitionEntry)) {
 	for _, v := range sp.VNodes {
 		vtag := c.PG.Node(v).LocalTag
 		for _, u := range c.PG.In(v) {
 			un := c.PG.Node(u)
-			e := transitionEntry{
+			f(transitionEntry{
 				u:     u,
 				port:  int32(c.Topo.PortTo(sw, un.Topo)),
 				utag:  un.LocalTag,
 				vtag:  vtag,
 				uname: c.Topo.Node(un.Topo).Name,
-			}
-			n += transLitLen + decLen(int(e.port)) + 2*decLen(int(e.utag)) + 2*decLen(int(e.vtag)) +
-				len(e.uname) + len(name)
-			entries = append(entries, e)
+			})
 		}
 	}
-	bySender := func(a, b transitionEntry) int { return cmp.Compare(a.u, b.u) }
-	if !slices.IsSortedFunc(entries, bySender) {
-		slices.SortFunc(entries, bySender)
-	}
-	return entries, n
 }
 
-func writeTransitions(b *strings.Builder, entries []transitionEntry, name string) {
-	for i := range entries {
-		e := &entries[i]
-		b.WriteString(transOpen)
-		writeInt(b, int(e.port))
-		b.WriteString(transSep)
-		writeInt(b, int(e.utag))
-		b.WriteString(transAction)
-		writeInt(b, int(e.vtag))
-		b.WriteString(transComment)
-		b.WriteString(e.uname)
-		writeInt(b, int(e.utag))
-		b.WriteString(transArrow)
-		b.WriteString(name)
-		writeInt(b, int(e.vtag))
-		b.WriteByte('\n')
+// printedLen is the number of bytes writeTransition writes for e on
+// switch name.
+func (e *transitionEntry) printedLen(name string) int {
+	return transLitLen + decLen(int(e.port)) + 2*decLen(int(e.utag)) + 2*decLen(int(e.vtag)) +
+		len(e.uname) + len(name)
+}
+
+// writeTransitionTable prints sw's tag transition table by sender
+// virtual node: straight from the product graph when planP4 found that
+// order already sorted, else through a sorted copy.
+func (c *Compiled) writeTransitionTable(b *strings.Builder, sw topo.NodeID, sp *SwitchProgram, p *p4Plan) {
+	if p.transSorted {
+		c.transitionRows(sw, sp, func(e transitionEntry) { writeTransition(b, &e, p.name) })
+		return
 	}
+	entries := make([]transitionEntry, 0, c.transitions(sp))
+	c.transitionRows(sw, sp, func(e transitionEntry) { entries = append(entries, e) })
+	slices.SortFunc(entries, func(a, b transitionEntry) int { return cmp.Compare(a.u, b.u) })
+	for i := range entries {
+		writeTransition(b, &entries[i], p.name)
+	}
+}
+
+func writeTransition(b *strings.Builder, e *transitionEntry, name string) {
+	b.WriteString(transOpen)
+	writeInt(b, int(e.port))
+	b.WriteString(transSep)
+	writeInt(b, int(e.utag))
+	b.WriteString(transAction)
+	writeInt(b, int(e.vtag))
+	b.WriteString(transComment)
+	b.WriteString(e.uname)
+	writeInt(b, int(e.utag))
+	b.WriteString(transArrow)
+	b.WriteString(name)
+	writeInt(b, int(e.vtag))
+	b.WriteByte('\n')
 }
 
 // The literal pieces of one probe_mcast entry line:
@@ -425,46 +451,46 @@ const (
 	mcastLitLen = len(mcastOpen) + len(mcastAction) + len(mcastPorts) + len(mcastClose)
 )
 
-// mcastEntry is one probe_mcast const entry: probes leaving local
-// virtual node tag (virtual node v) multicast to ports.
-type mcastEntry struct {
-	v     pg.NodeID
-	tag   int32
-	ports []int
+// mcastLen is the number of bytes writeMcast writes for virtual node v.
+func (c *Compiled) mcastLen(v pg.NodeID) int {
+	tag, ports := int(c.PG.Node(v).LocalTag), c.ProbeOut(v)
+	n := mcastLitLen + decLen(tag) + decLen(tag+1) + max(len(ports)-1, 0)
+	for _, port := range ports {
+		n += decLen(port)
+	}
+	return n
 }
 
-// mcastEntries resolves the switch's probe multicast table in the
-// order it is printed (by virtual node), with the printed length.
-func (c *Compiled) mcastEntries(sp *SwitchProgram) ([]mcastEntry, int) {
-	entries := make([]mcastEntry, 0, len(sp.VNodes))
-	n := 0
-	for _, v := range sp.VNodes {
-		e := mcastEntry{v: v, tag: c.PG.Node(v).LocalTag, ports: c.ProbeOut(v)}
-		n += mcastLitLen + decLen(int(e.tag)) + decLen(int(e.tag)+1) + max(len(e.ports)-1, 0)
-		for _, port := range e.ports {
-			n += decLen(port)
-		}
-		entries = append(entries, e)
+// writeMcastTable prints the switch's probe multicast table by virtual
+// node: in sp.VNodes' order when planP4 found it ascending, else through
+// a sorted copy.
+func (c *Compiled) writeMcastTable(b *strings.Builder, sp *SwitchProgram, p *p4Plan) {
+	vnodes := sp.VNodes
+	if !p.mcastSorted {
+		vnodes = slices.Clone(vnodes)
+		slices.Sort(vnodes)
 	}
-	slices.SortFunc(entries, func(a, b mcastEntry) int { return cmp.Compare(a.v, b.v) })
-	return entries, n
+	for _, v := range vnodes {
+		c.writeMcast(b, v)
+	}
 }
 
-func writeMcast(b *strings.Builder, entries []mcastEntry) {
-	for _, e := range entries {
-		b.WriteString(mcastOpen)
-		writeInt(b, int(e.tag))
-		b.WriteString(mcastAction)
-		writeInt(b, int(e.tag)+1)
-		b.WriteString(mcastPorts)
-		for i, port := range e.ports {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			writeInt(b, port)
+// writeMcast prints virtual node v's probe_mcast const entry: probes
+// leaving its local tag multicast to its probe-out ports.
+func (c *Compiled) writeMcast(b *strings.Builder, v pg.NodeID) {
+	tag := int(c.PG.Node(v).LocalTag)
+	b.WriteString(mcastOpen)
+	writeInt(b, tag)
+	b.WriteString(mcastAction)
+	writeInt(b, tag+1)
+	b.WriteString(mcastPorts)
+	for i, port := range c.ProbeOut(v) {
+		if i > 0 {
+			b.WriteByte(' ')
 		}
-		b.WriteString(mcastClose)
+		writeInt(b, port)
 	}
+	b.WriteString(mcastClose)
 }
 
 // writeInt appends v in decimal without going through fmt.
