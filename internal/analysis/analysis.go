@@ -79,6 +79,25 @@ type Result struct {
 	// this Result runs these.
 	rankProgs  []*policy.Program
 	policyProg *policy.Program
+
+	// scalarOK says the policy ranks on one metric as it stands (see
+	// ScalarRank), and scalar names it.
+	scalar   policy.Metric
+	scalarOK bool
+}
+
+// ScalarRank returns the metric a scalar-rank policy ranks on, and
+// whether the policy is one: its metric vector holds one metric, and
+// every pid's propagation order and the full policy are the projection
+// of that metric. A rank under such a policy is the metric itself, so a
+// switch can compare and store it without running a program.
+func (r *Result) ScalarRank() (policy.Metric, bool) { return r.scalar, r.scalarOK }
+
+// projectsFirstSlot reports whether p emits metric-vector slot 0 and
+// nothing else.
+func projectsFirstSlot(p *policy.Program) bool {
+	slots, ok := p.Projection()
+	return ok && len(slots) == 1 && slots[0] == 0
 }
 
 // NumPids returns the number of probe classes.
@@ -175,6 +194,13 @@ func Analyze(p *policy.Policy) (*Result, error) {
 		res.rankProgs = append(res.rankProgs, policy.Lower(res.Subpolicies[i].Rank, res.MV))
 	}
 	res.policyProg = policy.Lower(p.Body, res.MV)
+	res.scalarOK = len(res.MV) == 1 && projectsFirstSlot(res.policyProg)
+	for _, prog := range res.rankProgs {
+		res.scalarOK = res.scalarOK && projectsFirstSlot(prog)
+	}
+	if res.scalarOK {
+		res.scalar = res.MV[0]
+	}
 	return res, nil
 }
 

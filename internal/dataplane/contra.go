@@ -21,6 +21,8 @@
 package dataplane
 
 import (
+	"slices"
+
 	"contra/internal/analysis"
 	"contra/internal/core"
 	"contra/internal/metrics"
@@ -89,7 +91,8 @@ type altShadow struct {
 type flushPort struct {
 	adv    bool        // a product-graph out-port: flushed (or a heartbeat) every period
 	origin bool        // carries this switch's own origin entries
-	queued int32       // pending registers whose virtual node advertises on it
+	lead   int32       // the first port whose probes always say what this one's do
+	queued int32       // on a lead: pending registers whose virtual node advertises on it
 	out    *sim.Packet // the packed probe a flush is filling
 }
 
@@ -208,6 +211,7 @@ type Contra struct {
 	deadNs      int64       // port-liveness horizon incl. suppression slack
 	pend        []int32     // register addresses awaiting the packed flush, each once
 	flushPorts  []flushPort // per port: its packed-flush state
+	leadOut     [][]int     // per local tag ordinal: the leads among its probe-out ports
 
 	// LoopBreaks counts §5.5 flowlet flushes (exported for tests and
 	// the evaluation harness).
@@ -249,6 +253,8 @@ type tables struct {
 	views    []int32 // inTrans and ordOf, two windows a router
 	probeOut [][]int
 	pend     []int32
+	leadOut  [][]int // packed: one row a virtual node, windows of leads
+	leads    []int
 
 	// Per port, taken at attach: a deploy sizes them, an install keeps
 	// what the routers have.
@@ -267,13 +273,19 @@ func newTables(comp *core.Compiled, switches []topo.NodeID, attach bool) *tables
 // size lays t out for the given switches and comp as newTables does,
 // in t's own arrays where they are large enough.
 func (t *tables) size(comp *core.Compiled, switches []topo.NodeID, attach bool) {
-	var regs, vnodes, pend, ports int
+	var regs, vnodes, pend, ports, leadRows, leads int
 	for _, id := range switches {
 		prog := comp.Switch(id)
 		regs += comp.NumOrigins * len(prog.VNodes) * comp.Analysis.NumPids()
 		vnodes += len(prog.VNodes)
 		pend += pendCap(comp, prog)
 		ports += len(comp.Topo.Ports(id))
+		if comp.Opts.ProbePacking {
+			leadRows += len(prog.VNodes)
+			for _, v := range prog.VNodes {
+				leads += len(comp.ProbeOut(v))
+			}
+		}
 	}
 	_, _, stride := registerWidths(comp)
 	advRegs, lastProbes, flushPorts := 0, 0, 0
@@ -294,6 +306,8 @@ func (t *tables) size(comp *core.Compiled, switches []topo.NodeID, attach bool) 
 	t.views = slab.Reuse(t.views, 2*len(switches)*comp.PG.NumNodes())
 	t.probeOut = slab.Reuse(t.probeOut, vnodes)
 	t.pend = slab.Reuse(t.pend, pend)
+	t.leadOut = slab.Reuse(t.leadOut, leadRows)
+	t.leads = slab.Reuse(t.leads, leads)
 	t.lastProbe = slab.Reuse(t.lastProbe, lastProbes)
 	t.flush = slab.Reuse(t.flush, flushPorts)
 }
@@ -445,8 +459,12 @@ func (c *Contra) reg(oi, ord int32, pid uint8) int32 {
 }
 
 // unreg splits FwdT address i back into the origin ordinal, local tag
-// ordinal and pid it serves: the inverse of reg, in two divisions.
+// ordinal and pid it serves: the inverse of reg, in two divisions, or
+// none where an origin has one register (one virtual node, one pid).
 func (c *Contra) unreg(i int32) (oi, ord int32, pid uint8) {
+	if c.blk == 1 {
+		return i, 0, 0
+	}
 	oi = i / int32(c.blk)
 	rest := i - oi*int32(c.blk)
 	ord = rest / int32(c.nPids)
@@ -557,8 +575,10 @@ func (t *sweepTick) Tick()  { (*Contra)(t).sweep() }
 // recomputeAdv rebuilds the packed-flush port state from the current
 // program, in windows of t: which ports are product-graph out-ports
 // (flush and heartbeat targets), which carry this switch's own origin
-// entries, and an empty pending list with room for every register that
-// advertises at all. Called at attach and after every policy install.
+// entries, which lead each group of ports that always say the same and
+// which leads each virtual node advertises on (leadOut), and an empty
+// pending list with room for every register that advertises at all.
+// Called at attach and after every policy install.
 func (c *Contra) recomputeAdv(t *tables) {
 	if n := c.sw.PortCount(); len(c.flushPorts) != n {
 		c.flushPorts = slab.Take(&t.flush, n)
@@ -574,9 +594,44 @@ func (c *Contra) recomputeAdv(t *tables) {
 			c.flushPorts[p].origin = true
 		}
 	}
+	for p := range c.flushPorts {
+		fp := &c.flushPorts[p]
+		fp.lead = int32(p)
+		for q := 0; fp.adv && q < p; q++ {
+			if c.flushPorts[q].lead == int32(q) && c.sameEntries(p, q) {
+				fp.lead = int32(q)
+				break
+			}
+		}
+	}
+	c.leadOut = slab.Take(&t.leadOut, len(c.probeOut))
+	for ord, ports := range c.probeOut {
+		row := slab.Take(&t.leads, len(ports))[:0]
+		for _, p := range ports {
+			if c.flushPorts[p].lead == int32(p) {
+				row = append(row, p)
+			}
+		}
+		c.leadOut[ord] = row
+	}
 	// A register is queued at most once between two flushes (pending), so
 	// the list never outgrows pendCap: markPending appends in place.
 	c.pend = slab.Take(&t.pend, pendCap(c.comp, c.prog))[:0]
+}
+
+// sameEntries reports whether every flush says the same on advertising
+// ports p and q: both or neither carry the origin entries, and every
+// virtual node advertises on both or on neither.
+func (c *Contra) sameEntries(p, q int) bool {
+	if !c.flushPorts[q].adv || c.flushPorts[p].origin != c.flushPorts[q].origin {
+		return false
+	}
+	for _, ports := range c.probeOut {
+		if slices.Contains(ports, p) != slices.Contains(ports, q) {
+			return false
+		}
+	}
+	return true
 }
 
 // originate emits one probe per pid from the switch's probe-sending
@@ -661,32 +716,33 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 		}
 	}
 	ad := sim.ProbeEntry{Origin: pkt.Origin, Tag: pkt.Tag, Version: pkt.Version, Pid: pkt.Pid}
-	i := c.handleProbeEntry(&ad, pkt.MV[:c.mvW], oi, ord, inPort, util, latAdd, now)
+	var n sim.ProbeCounts
+	i := c.handleProbeEntry(&ad, pkt.MV[:c.mvW], oi, ord, inPort, util, latAdd, now, &n)
 
 	// Retag and multicast along product graph out-edges.
-	outPorts := c.probeOut[ord]
-	if i < 0 || len(outPorts) == 0 {
+	switch outPorts := c.probeOut[ord]; {
+	case i < 0 || len(outPorts) == 0:
 		c.sw.Net.Free(pkt)
-		return
-	}
-	if c.suppressOn && c.suppressAdvert(i, now) {
+	case c.suppressOn && c.suppressAdvert(i, now):
 		c.sw.Net.CountProbeSuppressed(1)
 		c.sw.Net.CountProbeSaved(int64(len(outPorts)))
 		c.sw.Net.Free(pkt)
-		return
-	}
-	if c.suppressOn {
-		c.recordAdvert(i, now)
-	}
-	pkt.Tag = int32(c.prog.VNodes[ord])
-	copy(pkt.MV[:], c.mv(i))
-	for k, port := range outPorts {
-		if k == len(outPorts)-1 {
-			c.sw.Send(port, pkt)
-		} else {
-			c.sw.Send(port, c.sw.Net.Clone(pkt))
+	default:
+		if c.suppressOn {
+			c.recordAdvert(i, now)
+		}
+		n.Forwards = int64(len(outPorts))
+		pkt.Tag = int32(c.prog.VNodes[ord])
+		copy(pkt.MV[:], c.mv(i))
+		for k, port := range outPorts {
+			if k == len(outPorts)-1 {
+				c.sw.Send(port, pkt)
+			} else {
+				c.sw.Send(port, c.sw.Net.Clone(pkt))
+			}
 		}
 	}
+	c.countProbes(&n)
 }
 
 // handleProbeEntry is PROCESSPROBE (Figure 7) plus the §5 refinements
@@ -695,18 +751,27 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 // has ordinal oi and whose sender's tag resolved to our virtual node at
 // ordinal ord. util and latAdd are inPort's link metrics in the traffic
 // direction (probes flow opposite to traffic, so that is out of inPort).
-// It returns the updated register's address when the advertisement was
-// accepted, -1 when it was discarded. The rule allocates nothing: ad is
-// read in place, the link metric folds into stack scratch, the compare
-// and the accepted entry's rank run on the policy's compiled programs,
-// and the vector and rank land in the register's own window.
-func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, admv []float64, oi, ord int32, inPort int, util, latAdd float64, now int64) int32 {
+// It counts the rule that decided the advertisement in n and returns
+// the updated register's address when it was accepted, -1 when it was
+// discarded. The rule allocates nothing: ad is read in place, the link
+// metric folds into stack scratch, the compare and the accepted entry's
+// rank run on the policy's compiled programs, and the vector and rank
+// land in the register's own window.
+func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, admv []float64, oi, ord int32, inPort int, util, latAdd float64, now int64, n *sim.ProbeCounts) int32 {
+	i := c.reg(oi, ord, ad.Pid)
+	e := &c.fwd[i]
+	if e.present && ad.Version < e.version && !c.altOn {
+		// Outdated (§5.1), decided before any metric is folded: only a
+		// runner-up shadow would read the folded vector.
+		n.Outdated++
+		return -1
+	}
 	v := c.prog.VNodes[ord]
 	// UPDATEMVEC: fold the link metric.
 	var scratch [analysis.MaxMV]float64
 	mv := scratch[:c.mvW]
-	for i, m := range c.res.MV {
-		x := admv[i]
+	for k, m := range c.res.MV {
+		x := admv[k]
 		switch m {
 		case policy.Util:
 			if util > x {
@@ -717,20 +782,17 @@ func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, admv []float64, oi, ord in
 		case policy.Len:
 			x++
 		}
-		mv[i] = x
+		mv[k] = x
 	}
 
-	i := c.reg(oi, ord, ad.Pid)
-	e := &c.fwd[i]
 	accept := false
 	switch {
 	case !e.present:
 		accept = true
-		if c.mx != nil {
-			c.mx.Added++
-		}
+		n.New++
 	case ad.Version < e.version:
 		// Outdated probe: discard (§5.1).
+		n.Outdated++
 	case int32(inPort) == e.nhop && pg.NodeID(ad.Tag) == e.ntag:
 		// The route's own upstream (in-port and tag) refreshes the
 		// entry at any version not older than it holds, equal included,
@@ -740,20 +802,25 @@ func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, admv []float64, oi, ord in
 		// version can circulate and keep a cycle of registers fresh
 		// (ROADMAP item 1).
 		accept = true
+		if ad.Version > e.version {
+			n.Newer++
+		} else {
+			n.Refresh++
+		}
 	case c.expired(e):
 		// §5.4 metric expiration: once the entry's upstream has gone
 		// silent for k probe periods, any fresh alternative replaces
 		// it — this is how switches route around failures.
 		accept = true
-		if c.mx != nil {
-			c.mx.Expired++
-		}
+		n.Expired++
 	default:
 		// Live entries are displaced only by strict improvement, which
 		// keeps route churn (and hence transient loops) bounded.
 		accept = c.evCand.BetterRank(int(ad.Pid), mv, c.mv(i))
-		if accept && c.mx != nil {
-			c.mx.Replaced++
+		if accept {
+			n.Better++
+		} else {
+			n.Lost++
 		}
 	}
 	if !accept {
@@ -787,6 +854,22 @@ func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, admv []float64, oi, ord in
 		c.mx.Flaps++
 	}
 	return i
+}
+
+// countProbes adds one packet's probe-merge counts to the network's
+// totals and, while telemetry is on, to the router's churn.
+func (c *Contra) countProbes(n *sim.ProbeCounts) {
+	c.sw.Net.CountProbes(n)
+	if mx := c.mx; mx != nil {
+		mx.Added += n.New
+		mx.Replaced += n.Better
+		mx.Expired += n.Expired
+		mx.Newer += n.Newer
+		mx.Refreshed += n.Refresh
+		mx.Outdated += n.Outdated
+		mx.Lost += n.Lost
+		mx.Forwards += n.Forwards
+	}
 }
 
 // suppressAdvert reports whether re-advertising register i may be
@@ -829,23 +912,23 @@ func (c *Contra) recordAdvert(i int32, now int64) {
 }
 
 // markPending queues register i for the next packed flush, once, and
-// counts it on every product-graph out-port of its virtual node so the
-// flush sizes each port's probe exactly.
-func (c *Contra) markPending(i int32, outPorts []int) {
+// counts it on every lead among its virtual node's out-ports (leads) so
+// the flush sizes each lead's probe exactly.
+func (c *Contra) markPending(i int32, leads []int) {
 	e := &c.fwd[i]
 	if e.pending {
 		return
 	}
 	e.pending = true
 	c.pend = append(c.pend, i)
-	for _, port := range outPorts {
+	for _, port := range leads {
 		c.flushPorts[port].queued++
 	}
 }
 
-// handlePacked receives a packed multi-origin probe: handleProbeEntry
-// merges each entry as it would a standalone probe, but re-advertisement
-// is deferred to the per-period flush instead of forwarding the packet.
+// handlePacked receives a packed multi-origin probe: each entry is
+// merged as a standalone probe would be, but re-advertisement is
+// deferred to the per-period flush instead of forwarding the packet.
 // An empty packed probe is a pure liveness heartbeat.
 func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 	now := c.sw.Now()
@@ -857,7 +940,19 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 	// Link metrics shared by every entry on this port.
 	util := c.sw.TxUtil(inPort)
 	latAdd := float64(c.sw.PortDelay(inPort)) / 1e9
-	buf := pkt.Packed
+	var n sim.ProbeCounts
+	if m, ok := c.res.ScalarRank(); ok && c.mx == nil && !c.altOn {
+		c.mergeScalar(pkt.Packed, m, inPort, util, latAdd, now, &n)
+	} else {
+		c.mergePacked(pkt.Packed, inPort, util, latAdd, now, &n)
+	}
+	c.countProbes(&n)
+	c.sw.Net.Free(pkt)
+}
+
+// mergePacked merges every entry of a packed probe through
+// handleProbeEntry.
+func (c *Contra) mergePacked(buf *sim.ProbeBuf, inPort int, util, latAdd float64, now int64, n *sim.ProbeCounts) {
 	for k := range buf.Entries {
 		en := &buf.Entries[k]
 		if en.Origin == c.prog.Switch {
@@ -869,26 +964,97 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 			c.sw.Net.CountRegisterMiss()
 			continue
 		}
-		i := c.handleProbeEntry(en, buf.MVOf(k), oi, ord, inPort, util, latAdd, now)
-		outPorts := c.probeOut[ord]
-		if i < 0 || len(outPorts) == 0 {
-			continue
+		if i := c.handleProbeEntry(en, buf.MVOf(k), oi, ord, inPort, util, latAdd, now, n); i >= 0 {
+			c.advertise(i, ord, now)
 		}
-		if c.fwd[i].pending {
-			// Already queued: the flush emits the entry's latest mv, so
-			// this refresh is advertised, not suppressed.
-			continue
-		}
-		if c.suppressOn && c.suppressAdvert(i, now) {
-			c.sw.Net.CountProbeSuppressed(1)
-			continue
-		}
-		if c.suppressOn {
-			c.recordAdvert(i, now)
-		}
-		c.markPending(i, outPorts)
 	}
-	c.sw.Net.Free(pkt)
+}
+
+// mergeScalar is mergePacked for a policy that ranks on one metric as
+// it stands (analysis.Result.ScalarRank), on a router with neither
+// telemetry nor runner-up shadows: handleProbeEntry's rule, case for
+// case and in its order, with the folded metric for the vector and the
+// rank alike, so an entry costs a compare or two and, when accepted, a
+// store into the register and its slab window.
+func (c *Contra) mergeScalar(buf *sim.ProbeBuf, m policy.Metric, inPort int, util, latAdd float64, now int64, n *sim.ProbeCounts) {
+	port, width := int32(inPort), int(buf.Width)
+	for k := range buf.Entries {
+		en := &buf.Entries[k]
+		if en.Origin == c.prog.Switch {
+			continue
+		}
+		ord := tagIndex(c.inTrans, en.Tag)
+		oi := c.originKey(en.Origin, en.Pid)
+		if ord < 0 || oi < 0 {
+			c.sw.Net.CountRegisterMiss()
+			continue
+		}
+		i := c.reg(oi, ord, en.Pid)
+		e := &c.fwd[i]
+		if e.present && en.Version < e.version {
+			n.Outdated++
+			continue
+		}
+		x := buf.MV[k*width]
+		switch m {
+		case policy.Util:
+			if util > x {
+				x = util
+			}
+		case policy.Lat:
+			x += latAdd
+		case policy.Len:
+			x++
+		}
+		// The register's window: its one-metric vector, then its rank.
+		win := c.slab[int(i)*c.stride:][:2]
+		switch {
+		case !e.present:
+			n.New++
+		case port == e.nhop && pg.NodeID(en.Tag) == e.ntag:
+			if en.Version > e.version {
+				n.Newer++
+			} else {
+				n.Refresh++
+			}
+		case now-e.updated > c.expireNs:
+			n.Expired++
+		case x < win[0]:
+			n.Better++
+		default:
+			n.Lost++
+			continue
+		}
+		e.present = true
+		win[0], win[1] = x, x
+		e.rankInf, e.rankLen = false, 1
+		e.ntag = pg.NodeID(en.Tag)
+		e.nhop = port
+		e.version = en.Version
+		e.updated = now
+		c.updateBest(oi, i)
+		c.advertise(i, ord, now)
+	}
+}
+
+// advertise queues accepted register i, at local tag ordinal ord, for
+// the next packed flush: not when its virtual node advertises nowhere,
+// when it is queued already (the flush emits its latest vector, so the
+// refresh is advertised, not suppressed), or when delta suppression
+// holds it back.
+func (c *Contra) advertise(i, ord int32, now int64) {
+	leads := c.leadOut[ord]
+	if len(leads) == 0 || c.fwd[i].pending {
+		return
+	}
+	if c.suppressOn {
+		if c.suppressAdvert(i, now) {
+			c.sw.Net.CountProbeSuppressed(1)
+			return
+		}
+		c.recordAdvert(i, now)
+	}
+	c.markPending(i, leads)
 }
 
 // flushPacked is the per-period packed emission: one packed probe per
@@ -896,10 +1062,14 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 // PROBE riding the flush) plus every pending transit re-advertisement,
 // or a bare heartbeat when the port has nothing to say — which is what
 // keeps §5.4 port-liveness detection at its normal horizon even when
-// suppression quiets the fabric. It opens every port's probe, origin
-// entries first, walks the pending list once appending each register to
-// its virtual node's out-ports, and sends in port order: per port, the
-// entries come in the order they were queued.
+// suppression quiets the fabric. Ports that always say the same share
+// their lead's entry buffer: the flush opens each lead's probe, origin
+// entries first, and gives every other port a probe sharing it, walks
+// the pending list once appending each register to the leads among its
+// virtual node's out-ports (leadOut), and only then sends, in port
+// order: per port, the entries come in the order they were queued. (A
+// probe sent on a down link is freed at once, so no buffer may go out
+// before every port holding it has its share.)
 func (c *Contra) flushPacked() {
 	org := c.prog.Origin
 	if org != nil {
@@ -908,6 +1078,12 @@ func (c *Contra) flushPacked() {
 	for port := range c.flushPorts {
 		fp := &c.flushPorts[port]
 		if !fp.adv {
+			continue
+		}
+		if int(fp.lead) < port {
+			// The lead's probe is open: share its buffer, which the
+			// appends below fill for both.
+			fp.out = c.sw.Net.Share(c.flushPorts[fp.lead].out)
 			continue
 		}
 		var originPids []int
@@ -933,7 +1109,7 @@ func (c *Contra) flushPacked() {
 			Version: c.fwd[i].version, Pid: pid,
 		}
 		mv := c.mv(i)
-		for _, port := range c.probeOut[ord] {
+		for _, port := range c.leadOut[ord] {
 			c.flushPorts[port].out.Packed.Append(en, mv...)
 		}
 	}

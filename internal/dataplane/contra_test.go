@@ -341,3 +341,22 @@ func ExampleContra_BestNextHop() {
 	fmt.Println("SEA reaches NYC via", g.Node(g.Ports(sea)[port].Peer).Name)
 	// Output: SEA reaches NYC via DEN
 }
+
+// TestSameVersionRefreshesPinned pins how often a small unpacked cell
+// accepts an advertisement from a register's own upstream at the
+// version the register already holds: the equal-version refresh that
+// lets one version circulate (ROADMAP item 1). Contra under
+// minimize(path.util) on an idle fattree:4:2, twenty probe periods. The
+// count moves with the accept rule; a change to it is a change to the
+// protocol.
+func TestSameVersionRefreshesPinned(t *testing.T) {
+	_, n, _, _ := deploy(t, topo.Fattree(4, 2), "minimize(path.util)", 20)
+	c := n.Totals().Probes
+	t.Logf("%+v", c)
+	if c.New != 20*19 {
+		t.Errorf("first accepts = %d, want one per switch and origin, %d", c.New, 20*19)
+	}
+	if c.Refresh != 1585 {
+		t.Errorf("same-version refreshes from the own upstream = %d, want 1585", c.Refresh)
+	}
+}

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"contra/internal/core"
@@ -195,5 +196,101 @@ func TestSuppressedOriginReadvertisesWithinRefresh(t *testing.T) {
 		}
 		t.Logf("packing=%v: re-learned origin %.1f periods after loss cleared",
 			packing, float64(recovered)/float64(period))
+	}
+}
+
+// TestFlushSharesBuffersOnlyWhereEntriesAgree gives a switch virtual
+// nodes whose probe-out rows differ (port 0 in the first row alone,
+// every other port in all of them) and flushes a pending list that
+// covers them all. The ports that say the same share one entry buffer
+// and port 0 holds its own; every port carries what a flush per port
+// sends: its origin entries, then each pending register whose row holds
+// the port, in the order they were queued.
+func TestFlushSharesBuffersOnlyWhereEntriesAgree(t *testing.T) {
+	g := topo.Abilene()
+	comp := compileOn(t, g, diffPolicyWide, core.Options{ProbePacking: true})
+	center := g.MustNode("ATL")
+	e := sim.NewEngine()
+	n := sim.NewNetwork(e, g, sim.Config{})
+	c := New(comp, center)
+	nPorts := len(g.Ports(center))
+	if len(c.probeOut) < 2 || nPorts < 3 || c.prog.Origin == nil {
+		t.Fatalf("ATL needs several virtual nodes, three ports and a send state: %d, %d", len(c.probeOut), nPorts)
+	}
+	rows := make([][]int, len(c.probeOut))
+	for ord := range rows {
+		for p := 0; p < nPorts; p++ {
+			if ord == 0 || p > 0 {
+				rows[ord] = append(rows[ord], p)
+			}
+		}
+	}
+	copy(c.probeOut, rows) // before Attach groups the ports
+	n.SetRouter(center, c)
+	log := make([][]emission, nPorts)
+	for _, s := range g.Switches() {
+		if s != center {
+			n.SetRouter(s, &capture{sender: center, log: log})
+		}
+	}
+	n.Start()
+
+	// One entry per (origin, virtual node) this switch can hear of.
+	var entries []wireEntry
+	for u, v := range inTransitions(comp, c.prog) {
+		for _, origin := range comp.Origins {
+			if origin != center {
+				entries = append(entries, wireEntry{origin: origin, tag: int32(u), version: 1, mv: [4]float64{0.5, float64(v)}})
+			}
+		}
+	}
+	slices.SortFunc(entries, func(a, b wireEntry) int { return int(a.origin-b.origin)*1000 + int(a.tag-b.tag) })
+	p := n.NewPackedProbe(len(entries), c.mvW)
+	for _, en := range entries {
+		p.Packed.Append(sim.ProbeEntry{Origin: en.origin, Tag: en.tag, Version: en.version}, en.mv[:c.mvW]...)
+	}
+	c.Handle(p, 0)
+	ords := map[int32]bool{}
+	for _, i := range c.pend {
+		_, ord, _ := c.unreg(i)
+		ords[ord] = true
+	}
+	if len(ords) < 2 {
+		t.Fatalf("the pending list covers %d virtual nodes, want several", len(ords))
+	}
+	pend := slices.Clone(c.pend)
+	period := comp.Opts.ProbePeriodNs
+	e.Run(originStagger(center, period) + period - 1) // one flush, delivered
+
+	org := c.prog.Origin
+	for port := 0; port < nPorts; port++ {
+		var want []wireEntry
+		if c.flushPorts[port].origin {
+			for _, pid := range org.Pids {
+				want = append(want, wireEntry{center, int32(org.VNode), uint8(pid), c.version, [4]float64{}})
+			}
+		}
+		for _, i := range pend {
+			oi, ord, pid := c.unreg(i)
+			if slices.Contains(rows[ord], port) {
+				var mv [4]float64
+				copy(mv[:], c.mv(i))
+				want = append(want, wireEntry{comp.Origins[oi], int32(c.prog.VNodes[ord]), pid, c.fwd[i].version, mv})
+			}
+		}
+		if len(log[port]) != 1 || !slices.Equal(log[port][0].entries, want) {
+			t.Fatalf("port %d carried %v, want one probe with %v", port, log[port], want)
+		}
+	}
+	if log[0][0].buf == log[1][0].buf {
+		t.Error("port 0, alone in its rows, shares a buffer with port 1")
+	}
+	for port := 2; port < nPorts; port++ {
+		if log[port][0].buf != log[1][0].buf {
+			t.Errorf("ports 1 and %d say the same but hold different buffers", port)
+		}
+	}
+	if err := n.Audit(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -47,6 +47,7 @@ type wireEntry struct {
 type emission struct {
 	packed  bool
 	entries []wireEntry
+	buf     *sim.ProbeBuf // the entry buffer a packed probe arrived in
 }
 
 func (e emission) String() string { return fmt.Sprintf("{packed=%v %v}", e.packed, e.entries) }
@@ -65,7 +66,7 @@ func (cp *capture) Attach(sw *sim.SwitchDev) { cp.sw = sw }
 func (cp *capture) Handle(pkt *sim.Packet, inPort int) {
 	if pkt.Kind == sim.Probe && cp.sw.Peer(inPort) == cp.sender {
 		port := cp.sw.Net.Topo.PortTo(cp.sender, cp.sw.ID)
-		em := emission{packed: pkt.IsPacked()}
+		em := emission{packed: pkt.IsPacked(), buf: pkt.Packed}
 		if pkt.IsPacked() {
 			for k, en := range pkt.Packed.Entries {
 				var mv [4]float64

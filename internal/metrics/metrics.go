@@ -37,9 +37,22 @@ const DefaultSampleCap = 4096
 // branch plus an increment.
 type Churn struct {
 	Added    int64 // forwarding entries created
-	Replaced int64 // entries overwritten by a better/renewed route
+	Replaced int64 // entries overwritten by a better route
 	Expired  int64 // entries that aged out (§5.4 metric expiration)
 	Flaps    int64 // best next-hop changes per destination
+
+	// The rest of the probe merge's rules, which the JSONL series does
+	// not carry: accepts from the entry's own upstream at a newer
+	// version (Newer) or the same one (Refreshed), discards of an older
+	// version (Outdated) or of an offer that ranks no better (Lost), and
+	// standalone probe copies forwarded.
+	Newer, Refreshed, Outdated, Lost, Forwards int64
+}
+
+// ChurnTick is one router's churn over one sample tick: the counts the
+// JSONL series carries. The ring keeps these alone.
+type ChurnTick struct {
+	Added, Replaced, Expired, Flaps int64
 }
 
 type routerReg struct {
@@ -72,7 +85,7 @@ type Recorder struct {
 	queue   []float64
 	ldrops  []int64
 	reasons []int64
-	churn   []Churn
+	churn   []ChurnTick
 	prev    []Churn // cumulative snapshot at the previous tick
 
 	cur int // slot being filled between BeginSample and EndSample
@@ -142,7 +155,7 @@ func (r *Recorder) freeze() {
 	r.queue = make([]float64, r.ringCap*nl)
 	r.ldrops = make([]int64, r.ringCap*nl)
 	r.reasons = make([]int64, r.ringCap*nr)
-	r.churn = make([]Churn, r.ringCap*nc)
+	r.churn = make([]ChurnTick, r.ringCap*nc)
 	r.prev = make([]Churn, nc)
 	r.frozen = true
 }
@@ -192,7 +205,7 @@ func (r *Recorder) EndSample() {
 	for i := range r.routers {
 		c := *r.routers[i].churn
 		p := r.prev[i]
-		r.churn[base+i] = Churn{
+		r.churn[base+i] = ChurnTick{
 			Added:    c.Added - p.Added,
 			Replaced: c.Replaced - p.Replaced,
 			Expired:  c.Expired - p.Expired,
@@ -234,7 +247,7 @@ type Tick struct {
 	Queue   []float64
 	Drops   []int64
 	Reasons []int64
-	Churn   []Churn
+	Churn   []ChurnTick
 }
 
 // EachSample calls fn for every retained tick, oldest first.

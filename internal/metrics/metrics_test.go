@@ -40,7 +40,7 @@ func TestRouterOrderSortedAtFreeze(t *testing.T) {
 	var ticks []Tick
 	r.EachSample(func(tk Tick) {
 		cp := tk
-		cp.Churn = append([]Churn(nil), tk.Churn...)
+		cp.Churn = append([]ChurnTick(nil), tk.Churn...)
 		ticks = append(ticks, cp)
 	})
 	if len(ticks) != 1 {
@@ -58,14 +58,14 @@ func TestChurnDeltasBetweenTicks(t *testing.T) {
 	cz.Added = 7
 	cz.Expired = 1
 	sampleOnce(r, 500_000, 0)
-	var deltas []Churn
+	var deltas []ChurnTick
 	r.EachSample(func(tk Tick) {
 		deltas = append(deltas, tk.Churn[1]) // "z" sorts second
 	})
-	if deltas[0] != (Churn{Added: 2}) {
+	if deltas[0] != (ChurnTick{Added: 2}) {
 		t.Fatalf("tick 0 delta = %+v", deltas[0])
 	}
-	if deltas[1] != (Churn{Added: 5, Expired: 1}) {
+	if deltas[1] != (ChurnTick{Added: 5, Expired: 1}) {
 		t.Fatalf("tick 1 delta = %+v", deltas[1])
 	}
 }

@@ -92,6 +92,37 @@ type Totals struct {
 	// multi-origin packing, ProbeSuppressed per-origin re-advertisements
 	// skipped by delta suppression, LoopBreaks §5.5 loop-breaker firings.
 	ProbeTxSaved, ProbeSuppressed, LoopBreaks int64
+
+	// Probes counts what the routers' probe merges did with every
+	// advertisement they received, by the rule that decided it.
+	Probes ProbeCounts
+}
+
+// ProbeCounts counts a router's probe merges by the rule that decided
+// each advertisement, and the standalone probes it forwarded.
+type ProbeCounts struct {
+	// Accepts: the register held no route (New); its own upstream, the
+	// in-port and tag it holds, sent a newer version (Newer) or the same
+	// one (Refresh); the register had expired (Expired); the offer ranks
+	// strictly better (Better).
+	New, Newer, Refresh, Expired, Better int64
+	// Discards: an older version than the register holds (Outdated), or
+	// a live register's offer that does not rank strictly better (Lost).
+	Outdated, Lost int64
+	// Forwards counts the standalone probe copies sent on downstream.
+	Forwards int64
+}
+
+// Add adds o's counts to c.
+func (c *ProbeCounts) Add(o *ProbeCounts) {
+	c.New += o.New
+	c.Newer += o.Newer
+	c.Refresh += o.Refresh
+	c.Expired += o.Expired
+	c.Better += o.Better
+	c.Outdated += o.Outdated
+	c.Lost += o.Lost
+	c.Forwards += o.Forwards
 }
 
 // Router is the forwarding logic attached to a switch: the Contra data
@@ -496,6 +527,9 @@ func (n *Network) CountProbeSaved(k int64) { n.tot.ProbeTxSaved += k }
 // delta suppression.
 func (n *Network) CountProbeSuppressed(k int64) { n.tot.ProbeSuppressed += k }
 
+// CountProbes adds one packet's probe-merge counts.
+func (n *Network) CountProbes(c *ProbeCounts) { n.tot.Probes.Add(c) }
+
 // CountLoopBreak records one firing of a router's loop breaker.
 func (n *Network) CountLoopBreak() { n.tot.LoopBreaks++ }
 
@@ -512,15 +546,18 @@ func (n *Network) RegisterMisses() int64 { return n.misses }
 // conserved: every packet the pool ever drew from a slab is on the
 // freelist or in flight on a channel, exactly once — a packet a router
 // leaked, or freed twice, breaks the count. So are probe buffers: every
-// one allocated is free or held by a packed probe in flight. And so are
-// data packets and ACKs, each kind on its own: every one a host sent was
-// received by a host, dropped (for any reason, on a channel or by
-// SwitchDev.Drop) or is still in flight — a router that frees one
-// without Drop breaks the count. Every channel's packets in flight hold
+// one allocated is free or held, a buffer several packed probes share
+// (Share) counted once, and the references the held ones carry are the
+// packed probes in flight, one each. And so are data packets and ACKs,
+// each kind on its own: every one a host sent was received by a host,
+// dropped (for any reason, on a channel or by SwitchDev.Drop) or is
+// still in flight — a router that frees one without Drop breaks the
+// count. Every channel's packets in flight hold
 // strictly increasing reserved slots, ending at inTail. And the engine
 // queue stands for exactly what is pending (auditQueue). It walks the
-// freelists, the channel FIFOs and the queue once each, so the packet
-// path pays three counter increments for it and the event loop nothing.
+// freelists, the buffer slabs, the channel FIFOs and the queue once
+// each, so the packet path pays three counter increments for it and the
+// event loop nothing.
 //
 // The FIFO premise rests on transmit: busyUntil strictly increases and
 // delayNs is one constant per channel. Any future per-packet delay
@@ -555,8 +592,10 @@ func (n *Network) Audit() error {
 	if free+total != drawn {
 		return fmt.Errorf("sim: packets not conserved: %d drawn from slabs, %d free, %d in flight", drawn, free, total)
 	}
-	if freeBufs+held != bufs {
-		return fmt.Errorf("sim: probe buffers not conserved: %d allocated, %d free, %d held in flight", bufs, freeBufs, held)
+	heldBufs, refs := n.pool.held()
+	if freeBufs+heldBufs != bufs || refs != held {
+		return fmt.Errorf("sim: probe buffers not conserved: %d allocated, %d free, %d held by %d references, %d packed probes in flight",
+			bufs, freeBufs, heldBufs, refs, held)
 	}
 	for k, name := range [...]string{Data: "data", Ack: "ack"} {
 		sent, rcvd, dropped := n.hostTx[k], n.hostRx[k], n.dropped[k]

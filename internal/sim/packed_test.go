@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -172,5 +173,97 @@ func TestClonePackedIsDeepCopy(t *testing.T) {
 	}
 	if d := n.Clone(n.NewPacket()); d.Packed != nil {
 		t.Fatal("the clone of a plain packet holds a probe buffer")
+	}
+}
+
+// readRouter records the entries of every packed probe it receives and
+// frees it, as a Contra receiver does.
+type readRouter struct {
+	sw   *SwitchDev
+	got  [][]ProbeEntry
+	bufs []*ProbeBuf
+}
+
+func (r *readRouter) Attach(sw *SwitchDev) { r.sw = sw }
+func (r *readRouter) Handle(pkt *Packet, _ int) {
+	r.got = append(r.got, append([]ProbeEntry(nil), pkt.Packed.Entries...))
+	r.bufs = append(r.bufs, pkt.Packed)
+	r.sw.Net.Free(pkt)
+}
+
+// TestSharedProbeBufferFreedOnce sends one flush's entries on three
+// ports as one buffer and two shares of it. The probe on one port is
+// lost on its link; the other two arrive carrying the same entries.
+// The buffer counts once while in flight, goes back to the freelist
+// with the last Free and only then, exactly once. A reference that no
+// packet carries fails the audit.
+func TestSharedProbeBufferFreedOnce(t *testing.T) {
+	g := topo.New("star")
+	a := g.AddNode("A", topo.Switch)
+	var lost topo.LinkID
+	for i, name := range []string{"B", "C", "D"} {
+		l := g.AddLink(a, g.AddNode(name, topo.Switch), 10e9, 1000)
+		if i == 0 {
+			lost = l
+		}
+	}
+	e := NewEngine()
+	n := NewNetwork(e, g, Config{})
+	readers := map[string]*readRouter{}
+	for _, name := range []string{"A", "B", "C", "D"} {
+		r := &readRouter{}
+		readers[name] = r
+		n.SetRouter(g.MustNode(name), r)
+	}
+	n.SetProbeLossSeed(1)
+	n.Inject(NetworkEvent{At: 0, Kind: EvProbeLoss, Link: lost, Rate: 1})
+	n.Start()
+	e.Run(1)
+
+	p := n.NewPackedProbe(2, 1)
+	p.Packed.Append(ProbeEntry{Origin: a, Version: 3}, 0.25)
+	p.Packed.Append(ProbeEntry{Origin: a, Version: 4}, 0.5)
+	buf := p.Packed
+	shares := []*Packet{p, n.Share(p), n.Share(p)}
+	for port, q := range shares {
+		if q.Packed != buf {
+			t.Fatalf("the probe for port %d does not hold the original's buffer", port)
+		}
+		q.Size = 100
+		n.transmit(a, port, q)
+	}
+	if err := n.Audit(); err != nil {
+		t.Fatalf("one buffer shared by three probes in flight: %v", err)
+	}
+	_, freeBefore := n.pool.free()
+	e.Run(e.Now() + 1_000_000)
+
+	if seen, dropped := n.ProbeLossStats(); seen != 1 || dropped != 1 {
+		t.Fatalf("probe loss (seen, dropped) = (%d, %d), want (1, 1)", seen, dropped)
+	}
+	for _, name := range []string{"C", "D"} {
+		r := readers[name]
+		if len(r.got) != 1 || r.bufs[0] != buf || len(r.got[0]) != 2 || r.got[0][1].Version != 4 {
+			t.Fatalf("%s received %v", name, r.got)
+		}
+	}
+	if got := len(readers["B"].got); got != 0 {
+		t.Fatalf("B received %d probes over a link that loses every one", got)
+	}
+	if _, freeAfter := n.pool.free(); freeAfter != freeBefore+1 || n.pool.bufs != buf || buf.refs != 0 {
+		t.Fatalf("free buffers %d -> %d (want one more, the shared one on top), refs %d", freeBefore, freeAfter, buf.refs)
+	}
+	if err := n.Audit(); err != nil {
+		t.Fatalf("after every share was freed: %v", err)
+	}
+
+	// A share whose packet lets go of the buffer leaks a reference.
+	p = n.NewPackedProbe(1, 1)
+	q := n.Share(p)
+	n.Free(p)
+	q.Packed = nil
+	n.Free(q)
+	if err := n.Audit(); err == nil || !strings.Contains(err.Error(), "probe buffers") {
+		t.Fatalf("a leaked reference: audit said %v", err)
 	}
 }

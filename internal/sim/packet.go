@@ -119,17 +119,31 @@ type Packet struct {
 // policy carries, so an entry costs what its policy ranks on: entry i's
 // vector is MV[i*Width : (i+1)*Width] (MVOf). Append keeps the two in
 // step.
+//
+// Packets holding one buffer (Share) only read it once one is sent: the
+// buffer counts them in refs and goes back to the freelist with the
+// last one's Free.
 type ProbeBuf struct {
 	Entries []ProbeEntry
 	MV      []float64
-	Width   int
+	Width   int32
+	refs    int32 // packets holding the buffer; 0 while it is free
 	next    *ProbeBuf
 }
 
 // Append adds one entry with metric vector mv, zero-filled to the
 // buffer's width; mv wider than that is a bug and panics.
 func (b *ProbeBuf) Append(e ProbeEntry, mv ...float64) {
-	b.Entries = append(b.Entries, e)
+	// The entry is stored field by field: copied whole, it would be
+	// spilled in narrow stores and read back in one wide load, which
+	// stalls on them.
+	b.Entries = append(b.Entries, ProbeEntry{})
+	d := &b.Entries[len(b.Entries)-1]
+	d.Origin = e.Origin
+	d.Tag = e.Tag
+	d.Version = e.Version
+	d.Pid = e.Pid
+	d.Up = e.Up
 	// A reslice stores the length alone; append(b.MV, mv...) stores the
 	// array pointer too, through a write barrier while the collector
 	// marks, even when it does not grow.
@@ -139,7 +153,7 @@ func (b *ProbeBuf) Append(e ProbeEntry, mv ...float64) {
 	} else {
 		b.MV = append(b.MV, mv...)
 	}
-	if len(b.MV) != len(b.Entries)*b.Width {
+	if len(b.MV) != len(b.Entries)*int(b.Width) {
 		b.padMV()
 	}
 }
@@ -147,7 +161,7 @@ func (b *ProbeBuf) Append(e ProbeEntry, mv ...float64) {
 // padMV zero-fills the last entry's short metric vector (a switch's own
 // origin entries carry none).
 func (b *ProbeBuf) padMV() {
-	want := len(b.Entries) * b.Width
+	want := len(b.Entries) * int(b.Width)
 	if len(b.MV) > want {
 		panic("sim: metric vector wider than its probe buffer")
 	}
@@ -158,8 +172,9 @@ func (b *ProbeBuf) padMV() {
 
 // MVOf is entry i's metric vector.
 func (b *ProbeBuf) MVOf(i int) []float64 {
-	lo := i * b.Width
-	return b.MV[lo : lo+b.Width : lo+b.Width]
+	w := int(b.Width)
+	lo := i * w
+	return b.MV[lo : lo+w : lo+w]
 }
 
 // IsPacked reports whether the packet is a packed multi-origin probe.
@@ -262,7 +277,7 @@ func (p *pool) release() (*packetSlab, *bufSlab) {
 }
 
 // getBuf returns an empty buffer of metric width w with room for n
-// entries. A recycled buffer's arrays are grown only when they are
+// entries, held by one reference. A recycled buffer's arrays are grown only when they are
 // smaller, and then at least doubled: advertisements grow as routes are
 // learned, and a buffer that grew one entry at a time would be replaced
 // once per step.
@@ -290,7 +305,7 @@ func (p *pool) getBuf(n, w int) *ProbeBuf {
 	if c := cap(b.Entries); c < n || cap(b.MV) < n*w {
 		b.grow(max(n, 2*c), w)
 	}
-	b.Entries, b.MV, b.Width = b.Entries[:0], b.MV[:0], w
+	b.Entries, b.MV, b.Width, b.refs = b.Entries[:0], b.MV[:0], int32(w), 1
 	return b
 }
 
@@ -313,8 +328,10 @@ func (b *ProbeBuf) grow(n, w int) {
 func (p *pool) put(pkt *Packet) {
 	if b := pkt.Packed; b != nil {
 		pkt.Packed = nil
-		b.next = p.bufs
-		p.bufs = b
+		if b.refs--; b.refs == 0 {
+			b.next = p.bufs
+			p.bufs = b
+		}
 	}
 	pkt.next = p.pkts
 	p.pkts = pkt
@@ -325,6 +342,20 @@ const slabLen = len(packetSlab{}.pkts)
 
 // drawn returns how many packets and buffers the pool ever allocated.
 func (p *pool) drawn() (pkts, bufs int) { return p.slabs * slabLen, p.bufSlabs * bufSlabLen }
+
+// held walks every buffer the pool drew and returns how many are held
+// (a reference or more) and their references summed.
+func (p *pool) held() (bufs, refs int) {
+	for s := p.bufList; s != nil; s = s.next {
+		for i := range s.bufs {
+			if r := s.bufs[i].refs; r != 0 {
+				bufs++
+				refs += int(r)
+			}
+		}
+	}
+	return bufs, refs
+}
 
 // free counts the packets and the buffers on the freelists, each count
 // stopping past what was drawn: a packet freed twice closes its list
@@ -362,13 +393,25 @@ func (n *Network) Clone(pkt *Packet) *Packet {
 	*c = *pkt
 	c.next = nil
 	if src := pkt.Packed; src != nil {
-		c.Packed = n.pool.getBuf(len(src.Entries), src.Width)
+		c.Packed = n.pool.getBuf(len(src.Entries), int(src.Width))
 		c.Packed.Entries = append(c.Packed.Entries, src.Entries...)
 		c.Packed.MV = append(c.Packed.MV, src.MV...)
 	}
 	return c
 }
 
-// Free returns a packet, and a packed probe's buffer, to the pool.
-// Devices must not retain packets after freeing.
+// Share copies a packed probe as Clone does, but the copy holds the
+// original's entry buffer, one reference more, instead of a copy of it:
+// a flush that says the same on several ports writes its entries once.
+// Once any holder is sent, every holder only reads the buffer.
+func (n *Network) Share(pkt *Packet) *Packet {
+	c := n.pool.get()
+	*c = *pkt
+	c.next = nil
+	pkt.Packed.refs++
+	return c
+}
+
+// Free returns a packet to the pool, and a packed probe's buffer with
+// its last reference. Devices must not retain packets after freeing.
 func (n *Network) Free(pkt *Packet) { n.pool.put(pkt) }
