@@ -56,7 +56,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"contra/internal/agg"
 	"contra/internal/campaign"
@@ -95,8 +94,8 @@ type options struct {
 	checkpoint string
 	resume     bool
 
-	cellTimeout time.Duration
-	strict      bool
+	cellBudget int64
+	strict     bool
 
 	merge  []string
 	aggCSV string
@@ -181,7 +180,7 @@ func flagSet(cmd string, o *options) *flag.FlagSet {
 		fs.StringVar(&o.stream, "stream", "", "stream outcomes to a JSONL `file` instead of holding them in memory")
 		fs.StringVar(&o.checkpoint, "checkpoint", "", "record completed scenario keys in `file` (requires -stream)")
 		fs.BoolVar(&o.resume, "resume", false, "skip scenarios already in -checkpoint and append to -stream")
-		fs.DurationVar(&o.cellTimeout, "cell-timeout", -1, "per-cell wall-clock budget; exceeded cells are recorded as failed (0 forces off, -1 leaves the spec)")
+		fs.Int64Var(&o.cellBudget, "cell-budget", -1, "override the spec's cell_budget_events: a cell that executes more than `n` simulator events is recorded as failed, at the same event on any machine and in any mode (0 forces off, -1 leaves the spec)")
 	default:
 		return nil
 	}
@@ -260,7 +259,7 @@ func progressHooks(o options, total int) (started func(*campaign.Job), completed
 // -figures turns sampling on at a default interval when both left it
 // off, since the utilization-timeline figure needs samples (a streamed
 // run, which carries no samples, refuses -figures).
-// -cell-timeout replaces cell_timeout_ns the same way; it is
+// -cell-budget replaces cell_budget_events the same way; it is
 // execution-only and never enters a key. An artifact dir whose artifact
 // no cell would produce is refused here, before the campaign is paid for.
 func loadSpec(o options) (*campaign.Spec, error) {
@@ -280,8 +279,8 @@ func loadSpec(o options) (*campaign.Spec, error) {
 	if o.figuresDir != "" && spec.MetricsIntervalNs == 0 {
 		spec.MetricsIntervalNs = 500_000
 	}
-	if o.cellTimeout >= 0 {
-		spec.CellTimeoutNs = int64(o.cellTimeout)
+	if o.cellBudget >= 0 {
+		spec.CellBudgetEvents = o.cellBudget
 	}
 	if o.traceDir != "" && (spec.TraceLevel == "" || spec.TraceLevel == "off") {
 		return nil, fmt.Errorf("-trace-dir: no scenario will record a trace; set -trace-level (or trace_level in the spec)")
@@ -351,13 +350,12 @@ func runCampaign(o options) error {
 	}
 	started, completed := progressHooks(o, spec.Size())
 	st, runErr := dist.Run(spec, dist.Options{
-		Workers:     o.workers,
-		Shard:       shard,
-		Checkpoint:  ck,
-		Progress:    completed,
-		Started:     started,
-		CellTimeout: spec.CellTimeout(),
-		Artifacts:   artifacts(o),
+		Workers:    o.workers,
+		Shard:      shard,
+		Checkpoint: ck,
+		Progress:   completed,
+		Started:    started,
+		Artifacts:  artifacts(o),
 	}, sink)
 	if cerr := sink.Close(); runErr == nil {
 		runErr = cerr

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"contra/internal/campaign"
+	"contra/internal/scenario"
 )
 
 // update makes TestGoldenCampaignDigests rewrite the committed digests
@@ -68,13 +69,35 @@ func readDir(t *testing.T, dir string) map[string]string {
 	return files
 }
 
+// modesBudget is the -cell-budget TestEveryModeWritesTheSameBytes runs
+// tinySpec under in its second pass. Its seed-1 cells execute about
+// 47 000 (ECMP) and 65 000 (Contra) events and its seed-2 cells 19 000
+// and 24 000, so the four seed-1 cells run out and the rest finish.
+const modesBudget = 35_000
+
 // TestEveryModeWritesTheSameBytes drives run(options) through the three
 // ways a cell can execute — in-memory, streamed then merged, and two
 // shards then merged — and requires identical report outputs (JSON,
 // CSV, the aggregate CSV, the FCT-vs-load figure data) and
 // file-for-file identical flow-trace, decision-trace and telemetry dirs
-// from all of them.
+// from all of them. It does so twice: once with every cell finishing,
+// so that the aggregate merges two seeds per group, and once under
+// modesBudget, where half the cells spend their event budget and must
+// fail with the same error, in the same bytes, in every mode.
 func TestEveryModeWritesTheSameBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		budget int64 // -cell-budget; -1 leaves tinySpec's, which is none
+		over   int   // cells that must run out
+	}{
+		{"unbounded", -1, 0},
+		{"over budget", modesBudget, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) { everyModeWritesTheSameBytes(t, tc.budget, tc.over) })
+	}
+}
+
+func everyModeWritesTheSameBytes(t *testing.T, budget int64, wantOver int) {
 	root := t.TempDir()
 	specPath := filepath.Join(root, "spec.json")
 	if err := os.WriteFile(specPath, []byte(tinySpec), 0o644); err != nil {
@@ -85,7 +108,7 @@ func TestEveryModeWritesTheSameBytes(t *testing.T) {
 		dir := filepath.Join(root, mode)
 		return options{
 			quiet: true, noTable: true, workers: 2,
-			metricsInterval: -1, cellTimeout: -1,
+			metricsInterval: -1, cellBudget: budget,
 			recordDir:  filepath.Join(dir, "flow"),
 			traceDir:   filepath.Join(dir, "trace"),
 			metricsDir: filepath.Join(dir, "metrics"),
@@ -116,7 +139,7 @@ func TestEveryModeWritesTheSameBytes(t *testing.T) {
 	}
 	// merge renders the streams into dir's report files.
 	merge := func(dir string, streams ...string) options {
-		o := options{quiet: true, noTable: true, metricsInterval: -1, cellTimeout: -1, merge: streams}
+		o := options{quiet: true, noTable: true, metricsInterval: -1, cellBudget: -1, merge: streams}
 		reportFlags(&o, dir)
 		must(o)
 		return o
@@ -148,9 +171,10 @@ func TestEveryModeWritesTheSameBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := got["in-memory"]
-	if n := spec.Size(); len(want.flow) != n || len(want.trace) != n || len(want.metrics) != n {
-		t.Fatalf("in-memory run wrote %d flow, %d trace, %d metrics files; want %d of each",
-			len(want.flow), len(want.trace), len(want.metrics), n)
+	over := strings.Count(want.report[0], `"error": "`+scenario.ErrCellBudget+": ")
+	if n := spec.Size() - wantOver; over != wantOver || len(want.flow) != n || len(want.trace) != n || len(want.metrics) != n {
+		t.Fatalf("in-memory run: %d cells over budget, %d flow, %d trace, %d metrics files; want %d over and %d of each",
+			over, len(want.flow), len(want.trace), len(want.metrics), wantOver, n)
 	}
 	for mode, g := range got {
 		for i, flag := range []string{"-out", "-csv", "-agg-csv", "-figures fct_vs_load.dat"} {
@@ -193,7 +217,7 @@ func TestMergeCountsEachCellOnce(t *testing.T) {
 		}
 		return string(b)
 	}
-	base := options{quiet: true, noTable: true, workers: 2, metricsInterval: -1, cellTimeout: -1}
+	base := options{quiet: true, noTable: true, workers: 2, metricsInterval: -1, cellBudget: -1}
 
 	o := base
 	o.spec, o.stream = write("spec.json", tinySpec), at("clean.jsonl")
@@ -279,7 +303,7 @@ func TestMergeRefusesRunOnlyFlags(t *testing.T) {
 		{"-record-dir", at("rd")},
 		{"-metrics-dir", at("md")},
 		{"-metrics-interval", "0"},
-		{"-cell-timeout", "0"},
+		{"-cell-budget", "0"},
 		{"-workers", "7"},
 		{"-spec", at("spec.json")},
 	} {
@@ -384,7 +408,7 @@ func TestGoldenCampaignDigests(t *testing.T) {
 	const dir = "../../examples/campaign"
 	for _, name := range []string{"fattree_smoke", "chaos_smoke", "packed_smoke", "cohorts_smoke", "fabric_smoke"} {
 		t.Run(name, func(t *testing.T) {
-			base := options{quiet: true, noTable: true, workers: 2, metricsInterval: -1, cellTimeout: -1, strict: true}
+			base := options{quiet: true, noTable: true, workers: 2, metricsInterval: -1, cellBudget: -1, strict: true}
 			// digests runs o, writing name.json and name.csv into dir, and
 			// returns their digests as sha256sum prints them.
 			digests := func(o options, dir string) string {

@@ -28,7 +28,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"contra/internal/core"
 	"contra/internal/scenario"
@@ -67,17 +66,16 @@ type Spec struct {
 	core.Options
 	scenario.Observe
 
-	// CellTimeoutNs bounds each cell's wall-clock execution (0 = no
-	// bound). A cell that exceeds it is recorded as a failed outcome
-	// instead of hanging its worker. This is an execution knob, not a
-	// scenario parameter: it never enters scenario keys, checkpoints,
-	// or golden digests.
-	CellTimeoutNs int64 `json:"cell_timeout_ns,omitempty"`
+	// CellBudgetEvents bounds the simulator events each cell may
+	// execute (0 = no bound); Expand hands it to every scenario as
+	// BudgetEvents. A cell that spends it is recorded as a failed
+	// outcome (a scenario.ErrCellBudget-prefixed error) instead of
+	// holding its worker, and fails at the same event on any machine
+	// and in any mode. This is an execution knob, not a scenario
+	// parameter: it never enters scenario keys, checkpoints, or golden
+	// digests.
+	CellBudgetEvents int64 `json:"cell_budget_events,omitempty"`
 }
-
-// CellTimeout returns the spec's per-cell wall-clock budget as a
-// Duration (0 = none).
-func (s *Spec) CellTimeout() time.Duration { return time.Duration(s.CellTimeoutNs) }
 
 // Parse decodes a campaign spec, rejecting unknown fields.
 func Parse(data []byte) (*Spec, error) {
@@ -120,8 +118,8 @@ func (s *Spec) validate() error {
 			return fmt.Errorf("campaign %q: no loads", s.Name)
 		}
 	}
-	if s.CellTimeoutNs < 0 {
-		return fmt.Errorf("campaign %q: negative cell_timeout_ns", s.Name)
+	if s.CellBudgetEvents < 0 {
+		return fmt.Errorf("campaign %q: negative cell_budget_events", s.Name)
 	}
 	return s.checkAxisDuplicates()
 }
@@ -227,6 +225,8 @@ func (s *Spec) Expand() ([]scenario.Scenario, error) {
 							Script:   script.Name,
 							Options:  s.Options,
 							Observe:  s.Observe,
+
+							BudgetEvents: s.CellBudgetEvents,
 						}
 						if sc.TraceLevel == "off" {
 							sc.TraceLevel = ""
@@ -332,47 +332,6 @@ type Options struct {
 	// under the same lock, so a sink tracking in-flight cells (the
 	// progress Meter) needs no locking of its own.
 	Started func(j *Job)
-
-	// CellTimeout bounds one scenario's wall-clock execution; <= 0
-	// means no bound. A cell that exceeds it is emitted as a failed
-	// outcome (ErrCellTimeout-prefixed error) instead of hanging its
-	// worker, so one pathological cell degrades the campaign to a
-	// partial result rather than wedging it.
-	CellTimeout time.Duration
-}
-
-// ErrCellTimeout prefixes the Outcome.Err of a cell that exceeded
-// Options.CellTimeout, so reports and CSV rows can be filtered on it.
-const ErrCellTimeout = "cell timeout"
-
-// runCell executes one scenario, bounding its wall-clock time when
-// timeout > 0. On timeout the scenario's goroutine is abandoned, not
-// cancelled — the simulator has no preemption points — so the worker
-// slot frees immediately while the stray run finishes (or spins) in
-// the background and its result is discarded. That trade buys a
-// guaranteed-progress campaign at the cost of transient CPU from
-// abandoned cells.
-func runCell(sc scenario.Scenario, timeout time.Duration) (*scenario.Result, error) {
-	if timeout <= 0 {
-		return scenario.Run(sc)
-	}
-	type outcome struct {
-		res *scenario.Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		res, err := scenario.Run(sc)
-		ch <- outcome{res, err}
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-timer.C:
-		return nil, fmt.Errorf("%s: exceeded the %s wall-clock budget", ErrCellTimeout, timeout)
-	}
 }
 
 // Stream is the campaign execution core: it fans jobs out across a
@@ -417,7 +376,7 @@ func Stream(jobs []Job, opts Options, emit func(*Job, *Outcome) error) error {
 					mu.Unlock()
 				}
 				o := Outcome{Scenario: j.Scenario}
-				res, err := runCell(j.Scenario, opts.CellTimeout)
+				res, err := scenario.Run(j.Scenario)
 				if err != nil {
 					o.Err = err.Error()
 				} else {

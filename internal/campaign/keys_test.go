@@ -124,11 +124,11 @@ func TestSpecKeySets(t *testing.T) {
 				return err
 			},
 			minimal: `{"topo":"dc","scheme":"contra","workload":{"load":0.3}`,
-			unknown: []string{"loop_ttl_delta", "LoopTTLDelta", "options", "cell_timeout_ns"},
+			unknown: []string{"loop_ttl_delta", "LoopTTLDelta", "options", "cell_budget_events"},
 		},
 		{
 			name: "campaign", typ: reflect.TypeOf(Spec{}),
-			own: []string{"cell_timeout_ns", "event_scripts", "loads", "name", "policy", "schemes", "seeds", "topos", "workload"},
+			own: []string{"cell_budget_events", "event_scripts", "loads", "name", "policy", "schemes", "seeds", "topos", "workload"},
 			decode: func(b []byte) error {
 				_, err := Parse(b)
 				return err

@@ -703,18 +703,7 @@ func (c *Contra) handleProbe(pkt *sim.Packet, inPort int) {
 		c.sw.Drop(pkt, sim.DropProbeNoTrans)
 		return
 	}
-	// A standalone probe reads only the link metrics its policy carries:
-	// TxUtil folds the estimator's decay into its state, so a read the
-	// policy does not need would still move later readings.
-	var util, latAdd float64
-	for _, m := range c.res.MV {
-		switch m {
-		case policy.Util:
-			util = c.sw.TxUtil(inPort)
-		case policy.Lat:
-			latAdd = float64(c.sw.PortDelay(inPort)) / 1e9
-		}
-	}
+	util, latAdd := c.linkMetrics(inPort)
 	ad := sim.ProbeEntry{Origin: pkt.Origin, Tag: pkt.Tag, Version: pkt.Version, Pid: pkt.Pid}
 	var n sim.ProbeCounts
 	i := c.handleProbeEntry(&ad, pkt.MV[:c.mvW], oi, ord, inPort, util, latAdd, now, &n)
@@ -926,6 +915,22 @@ func (c *Contra) markPending(i int32, leads []int) {
 	}
 }
 
+// linkMetrics reads the in-port's link metrics a probe folds in, and
+// only those its policy carries: TxUtil folds the estimator's decay into
+// its state, so a read the policy does not need would still move later
+// readings.
+func (c *Contra) linkMetrics(inPort int) (util, latAdd float64) {
+	for _, m := range c.res.MV {
+		switch m {
+		case policy.Util:
+			util = c.sw.TxUtil(inPort)
+		case policy.Lat:
+			latAdd = float64(c.sw.PortDelay(inPort)) / 1e9
+		}
+	}
+	return util, latAdd
+}
+
 // handlePacked receives a packed multi-origin probe: each entry is
 // merged as a standalone probe would be, but re-advertisement is
 // deferred to the per-period flush instead of forwarding the packet.
@@ -938,8 +943,7 @@ func (c *Contra) handlePacked(pkt *sim.Packet, inPort int) {
 		return
 	}
 	// Link metrics shared by every entry on this port.
-	util := c.sw.TxUtil(inPort)
-	latAdd := float64(c.sw.PortDelay(inPort)) / 1e9
+	util, latAdd := c.linkMetrics(inPort)
 	var n sim.ProbeCounts
 	if m, ok := c.res.ScalarRank(); ok && c.mx == nil && !c.altOn {
 		c.mergeScalar(pkt.Packed, m, inPort, util, latAdd, now, &n)

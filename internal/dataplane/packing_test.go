@@ -294,3 +294,47 @@ func TestFlushSharesBuffersOnlyWhereEntriesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPackedProbeReadsOnlyItsPolicysMetrics: a packed probe's arrival
+// reads only the link metrics its policy carries, as a standalone
+// probe's does. Under minimize(path.len) it must leave its in-port's
+// utilisation estimator unfolded. Copies of one warmed-up fabric differ
+// only at one instant: one is left alone, one reads the in-port's
+// utilisation by hand, and one is handed an empty packed probe on that
+// port. Some nanoseconds later the third must read what the first does.
+// A fold moves a later reading only in its last bits, and not at every
+// gap, so the test first finds a gap at which the second reads
+// otherwise.
+func TestPackedProbeReadsOnlyItsPolicysMetrics(t *testing.T) {
+	g := topo.Fattree(4, 2)
+	sw := g.MustNode("a0_0")
+	readAfter := func(gap int64, touch func(c *Contra, n *sim.Network, inPort int)) float64 {
+		e, n, routers, _ := deployOpts(t, g, "minimize(path.len)", core.Options{ProbePacking: true}, 12)
+		c := routers[sw]
+		_, inPort := someTransition(c)
+		touch(c, n, inPort)
+		e.Run(e.Now() + gap)
+		return c.sw.TxUtil(inPort)
+	}
+	var gap int64
+	var untouched float64
+	for gap = 1; ; gap++ {
+		if gap > 100 {
+			t.Fatal("no gap up to 100 ns at which a fold moves the next reading")
+		}
+		untouched = readAfter(gap, func(*Contra, *sim.Network, int) {})
+		folded := readAfter(gap, func(c *Contra, _ *sim.Network, inPort int) { c.sw.TxUtil(inPort) })
+		if folded != untouched {
+			break
+		}
+	}
+	arrived := readAfter(gap, func(c *Contra, n *sim.Network, inPort int) {
+		p := n.NewPackedProbe(0, c.mvW)
+		p.Era = c.Era()
+		c.Handle(p, inPort)
+	})
+	if arrived != untouched {
+		t.Errorf("%d ns after a packed probe the in-port reads utilisation %v, untouched %v: the probe folded its estimator",
+			gap, arrived, untouched)
+	}
+}

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"time"
 
 	"contra/internal/campaign"
 )
@@ -26,10 +25,6 @@ type Options struct {
 	// Started, when set, fires when a worker picks a scenario up
 	// (campaign.Options.Started).
 	Started func(j *campaign.Job)
-
-	// CellTimeout bounds one scenario's wall-clock execution
-	// (campaign.Options.CellTimeout); <= 0 means no bound.
-	CellTimeout time.Duration
 
 	// Artifacts names the per-cell artifact dirs (flow traces, decision
 	// traces, telemetry); see Commit for the write ordering. Artifacts
@@ -81,7 +76,6 @@ func Run(spec *campaign.Spec, opts Options, sink Sink) (Stats, error) {
 	}
 	err = campaign.Stream(mine, campaign.Options{
 		Workers: opts.Workers, Progress: opts.Progress, Started: opts.Started,
-		CellTimeout: opts.CellTimeout,
 	},
 		func(j *campaign.Job, o *campaign.Outcome) error {
 			rec := &Record{

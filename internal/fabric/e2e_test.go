@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -71,7 +72,12 @@ func TestCrashFleetByteIdenticalToSingleProcess(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			gotJSON, gotCSV, crashes := runCrashFleet(t, spec, seed)
+			gotJSON, gotCSV, crashes, cells := runCrashFleet(t, spec, seed)
+			for _, cs := range cells {
+				if cs.Failed {
+					t.Errorf("cell %d failed", cs.Index)
+				}
+			}
 			if !bytes.Equal(gotJSON, refJSON) {
 				t.Errorf("merged JSON differs from single-process run (%d injected crashes)", crashes)
 			}
@@ -83,9 +89,9 @@ func TestCrashFleetByteIdenticalToSingleProcess(t *testing.T) {
 }
 
 // runCrashFleet runs spec to completion on a crash-injected 3-worker
-// fleet and returns the merged report bytes plus the number of
-// injected crashes.
-func runCrashFleet(t *testing.T, spec *campaign.Spec, seed int64) (jsonOut, csvOut []byte, crashes int) {
+// fleet and returns the merged report bytes, the number of injected
+// crashes and the coordinator's cells.
+func runCrashFleet(t *testing.T, spec *campaign.Spec, seed int64) (jsonOut, csvOut []byte, crashes int, cells []CellStatus) {
 	t.Helper()
 	dir := t.TempDir()
 	streamPath := filepath.Join(dir, "coord.jsonl")
@@ -164,17 +170,50 @@ func runCrashFleet(t *testing.T, spec *campaign.Spec, seed int64) (jsonOut, csvO
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := coord.Status()
-	if st.Done != st.Total || st.Failed != 0 {
-		t.Fatalf("campaign state %+v, want all %d done, none failed", st, st.Total)
+	if st := coord.Status(); st.Done != st.Total {
+		t.Fatalf("campaign state %+v, want all %d done", st, st.Total)
 	}
 	report, err := dist.Merge([]string{streamPath})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCellHistories(t, coord.Cells())
+	cells = coord.Cells()
+	checkCellHistories(t, cells)
 	jsonOut, csvOut = reportBytes(t, report)
-	return jsonOut, csvOut, crashes
+	return jsonOut, csvOut, crashes, cells
+}
+
+// TestOverBudgetCellsFailAlikeOnAFleet: cells that spend their event
+// budget fail the same way on a crash-injected fleet as in one process.
+// The coordinator ships the spec's budget in every grant and flags
+// exactly those cells, and the fleet's stream merges to the in-memory
+// report's bytes.
+func TestOverBudgetCellsFailAlikeOnAFleet(t *testing.T) {
+	spec := e2eSpec()
+	// Seed-1 cells execute about 47 000 events, seed-2 cells 18 600.
+	spec.CellBudgetEvents = 30_000
+	ref, err := campaign.Run(spec, campaign.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refJSON, refCSV := reportBytes(t, ref)
+	gotJSON, gotCSV, crashes, cells := runCrashFleet(t, spec, 7)
+	if !bytes.Equal(gotJSON, refJSON) || !bytes.Equal(gotCSV, refCSV) {
+		t.Errorf("merged report differs from the single-process run (%d injected crashes)", crashes)
+	}
+	over := 0
+	for _, cs := range cells {
+		want := strings.HasPrefix(ref.Outcomes[cs.Index].Err, scenario.ErrCellBudget+": ")
+		if cs.OverBudget != want || cs.Failed != want {
+			t.Errorf("cell %d: failed %v, over budget %v; want both %v", cs.Index, cs.Failed, cs.OverBudget, want)
+		}
+		if want {
+			over++
+		}
+	}
+	if over != 4 {
+		t.Errorf("%d cells over budget, want the 4 seed-1 cells", over)
+	}
 }
 
 // checkCellHistories asserts what must hold of every cell's attempt

@@ -124,7 +124,7 @@ type cell struct {
 	doneAt      time.Time
 	deliveredBy string
 	failed      bool
-	timeout     bool
+	overBudget  bool
 }
 
 // oldestLease returns the earliest-granted live lease, or nil.
@@ -157,9 +157,8 @@ type workerInfo struct {
 // Result) — and only those: Status and Cells are pure reads, so
 // reading them never shifts lease-expiry timing.
 type Coordinator struct {
-	opts   Options
-	name   string
-	cellNs int64 // spec-level per-cell wall-clock budget, shipped in grants
+	opts Options
+	name string
 
 	mu       sync.Mutex
 	start    time.Time
@@ -200,7 +199,6 @@ func New(spec *campaign.Spec, sink dist.Sink, alreadyDone map[string]bool, opts 
 	c := &Coordinator{
 		opts:     opts,
 		name:     spec.Name,
-		cellNs:   spec.CellTimeoutNs,
 		start:    opts.Clock(),
 		byKey:    make(map[string]*cell, len(jobs)),
 		leases:   make(map[int64]*lease),
@@ -226,7 +224,8 @@ func New(spec *campaign.Spec, sink dist.Sink, alreadyDone map[string]bool, opts 
 // Grant is a leased cell, the payload a worker runs. The scenario is
 // carried in full (it round-trips through JSON losslessly for
 // spec-driven scenarios), so workers need no copy of the campaign
-// spec; the spec-level cell timeout rides along too.
+// spec. The scenario's BudgetEvents stays out of its JSON, so the
+// budget rides alongside.
 type Grant struct {
 	LeaseID  int64              `json:"lease_id"`
 	Index    int                `json:"index"`
@@ -235,7 +234,7 @@ type Grant struct {
 	Scenario *scenario.Scenario `json:"scenario"`
 	TTLNs    int64              `json:"ttl_ns"`
 	Stolen   bool               `json:"stolen,omitempty"`
-	CellNs   int64              `json:"cell_timeout_ns,omitempty"`
+	Budget   int64              `json:"cell_budget_events,omitempty"`
 }
 
 // workerLocked returns worker's info row, creating it on first
@@ -362,7 +361,7 @@ func (c *Coordinator) wireGrant(l *lease) *Grant {
 		Scenario: &sc,
 		TTLNs:    int64(c.opts.leaseTTL()),
 		Stolen:   l.stolen,
-		CellNs:   c.cellNs,
+		Budget:   sc.BudgetEvents,
 	}
 }
 
@@ -435,7 +434,7 @@ func (c *Coordinator) Result(worker string, leaseID int64, rec *dist.Record) (du
 	cl.doneAt = now
 	cl.deliveredBy = worker
 	cl.failed = rec.Err != ""
-	cl.timeout = strings.HasPrefix(rec.Err, campaign.ErrCellTimeout)
+	cl.overBudget = strings.HasPrefix(rec.Err, scenario.ErrCellBudget)
 	if own != nil {
 		cl.attempts[own.attempt].outcome = AttemptDelivered
 	}
@@ -555,17 +554,17 @@ type AttemptStatus struct {
 // position, full attempt history, and — once done — where its
 // wall-clock went (queue wait vs run time) and who delivered it.
 type CellStatus struct {
-	Index    int             `json:"index"`
-	Key      string          `json:"key"`
-	Name     string          `json:"name"`
-	State    string          `json:"state"`
-	Attempts []AttemptStatus `json:"attempts,omitempty"`
-	WaitNs   int64           `json:"wait_ns,omitempty"` // pending before the first grant
-	RunNs    int64           `json:"run_ns,omitempty"`  // first grant to acceptance (done cells)
-	Worker   string          `json:"worker,omitempty"`  // delivered by
-	Expired  int             `json:"expired,omitempty"` // leases lost to expiry
-	Failed   bool            `json:"failed,omitempty"`
-	Timeout  bool            `json:"timeout,omitempty"`
+	Index      int             `json:"index"`
+	Key        string          `json:"key"`
+	Name       string          `json:"name"`
+	State      string          `json:"state"`
+	Attempts   []AttemptStatus `json:"attempts,omitempty"`
+	WaitNs     int64           `json:"wait_ns,omitempty"` // pending before the first grant
+	RunNs      int64           `json:"run_ns,omitempty"`  // first grant to acceptance (done cells)
+	Worker     string          `json:"worker,omitempty"`  // delivered by
+	Expired    int             `json:"expired,omitempty"` // leases lost to expiry
+	Failed     bool            `json:"failed,omitempty"`
+	OverBudget bool            `json:"over_budget,omitempty"`
 }
 
 // Cells snapshots every cell's lifecycle, in expansion order. Like
@@ -576,14 +575,14 @@ func (c *Coordinator) Cells() []CellStatus {
 	out := make([]CellStatus, len(c.cells))
 	for i, cl := range c.cells {
 		cs := CellStatus{
-			Index:   cl.job.Index,
-			Key:     cl.key,
-			Name:    cl.job.Scenario.Name,
-			State:   CellPending,
-			Expired: cl.expired,
-			Failed:  cl.failed,
-			Timeout: cl.timeout,
-			Worker:  cl.deliveredBy,
+			Index:      cl.job.Index,
+			Key:        cl.key,
+			Name:       cl.job.Scenario.Name,
+			State:      CellPending,
+			Expired:    cl.expired,
+			Failed:     cl.failed,
+			OverBudget: cl.overBudget,
+			Worker:     cl.deliveredBy,
 		}
 		switch {
 		case cl.done:

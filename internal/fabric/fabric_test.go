@@ -380,9 +380,9 @@ func TestCellsLifecycle(t *testing.T) {
 	if cs.RunNs != (2 * time.Second).Nanoseconds() {
 		t.Fatalf("RunNs = %d, want 2s (grant to acceptance)", cs.RunNs)
 	}
-	// fakeRecord carries Err "fabricated" — failed, but not a timeout.
-	if !cs.Failed || cs.Timeout {
-		t.Fatalf("done cell failed=%v timeout=%v, want failed, no timeout", cs.Failed, cs.Timeout)
+	// fakeRecord carries Err "fabricated" — failed, but not over budget.
+	if !cs.Failed || cs.OverBudget {
+		t.Fatalf("done cell failed=%v over budget=%v, want failed, not over budget", cs.Failed, cs.OverBudget)
 	}
 }
 

@@ -77,7 +77,7 @@ func handlerSeeds(g *Grant) map[string][]string {
 			result(g.LeaseID, strings.Replace(string(rec), g.Key, "nope#0000000000000000", 1)),                      // unknown key
 			result(g.LeaseID, strings.Replace(string(rec), `"index":0`, `"index":3`, 1)),                            // another cell's index
 			result(g.LeaseID, strings.Replace(string(rec), `"scheme":"ecmp"`, `"scheme":"sp"`, 1)),                  // key and scenario disagree
-			result(g.LeaseID, strings.Replace(string(rec), `"error":"fabricated"`, `"error":"cell timeout: x"`, 1)), // a timed-out cell
+			result(g.LeaseID, strings.Replace(string(rec), `"error":"fabricated"`, `"error":"cell budget: xx"`, 1)), // a cell over budget
 			`{"worker":"w1","lease_id":1}`, // no record
 			`{"worker":"w1","record":null}`,
 			`{"worker":"w1","record":{"key":""}}`,

@@ -64,14 +64,14 @@ type WorkerStats struct {
 	// without re-running (the crash/resume path).
 	Resent int
 	// Failed is how many of Ran ended in a scenario error (including
-	// cell timeouts).
+	// cells over their event budget).
 	Failed int
 }
 
 // RunWorker drives one worker against a coordinator until the
 // campaign completes, the context ends, or delivery permanently
 // fails. The loop is: poll for a lease, run the cell (bounded by the
-// grant's cell timeout, heartbeating at half the lease TTL), write the
+// grant's cell budget, heartbeating at half the lease TTL), write the
 // record locally, then upload with retry. At-least-once is the contract: on
 // any ambiguity (lost lease, retried upload, restart) the worker errs
 // toward delivering again and lets the coordinator deduplicate.
@@ -213,8 +213,9 @@ func runLeased(ctx context.Context, client *Client, g *Grant, sink dist.Sink, ck
 	var rec *dist.Record
 	job := campaign.Job{Index: g.Index, Scenario: *g.Scenario}
 	job.Scenario.RecordFlows = opts.Artifacts.Flow != ""
+	job.Scenario.BudgetEvents = g.Budget
 	err := campaign.Stream([]campaign.Job{job},
-		campaign.Options{Workers: 1, CellTimeout: time.Duration(g.CellNs)},
+		campaign.Options{Workers: 1},
 		func(j *campaign.Job, o *campaign.Outcome) error {
 			rec = &dist.Record{
 				Campaign: g.Campaign,

@@ -473,6 +473,7 @@ func Run(s Scenario) (*Result, error) {
 	// order (see play).
 	cbr := s.Workload.Kind == WorkloadCBR || (replay != nil && replay.meta.Kind == flowtrace.KindCBR)
 	e := sim.NewEngine()
+	e.SetBudget(s.BudgetEvents)
 	n := sim.NewNetwork(e, g, sim.Config{TrackVisited: s.TrackLoops})
 	// TraceLevel was validated above; a non-off level attaches the
 	// recorder to the network (flow summaries) and, below, to the
@@ -635,7 +636,9 @@ func (s *Scenario) materialise(g *topo.Graph, warmup int64, surges []Event, repl
 func play(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int64, evs *resolved, replay *offered, cbr bool, res *Result) error {
 	if !cbr {
 		n.Inject(evs.links...)
-		e.Run(warmup)
+		if !e.Run(warmup) {
+			return overBudget(s, e, n)
+		}
 	}
 	w, err := s.materialise(g, warmup, evs.surges, replay)
 	if err != nil {
@@ -662,10 +665,14 @@ func play(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int6
 	res.Flows = len(w.flows)
 	if cbr {
 		n.Inject(evs.links...)
-		e.Run(w.meta.EndNs)
+		if !e.Run(w.meta.EndNs) {
+			return overBudget(s, e, n)
+		}
 	} else {
 		for e.Now() < w.meta.DeadlineNs && n.CompletedFlows() < int64(len(w.flows)) {
-			e.Run(e.Now() + 10_000_000)
+			if !e.Run(e.Now() + 10_000_000) {
+				return overBudget(s, e, n)
+			}
 		}
 		res.Completed = n.CompletedFlows()
 		res.MeanFCT = n.FCT.Mean()
@@ -680,6 +687,15 @@ func play(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int6
 		res.FlowTrace = recordFlows(s, g, w)
 	}
 	return nil
+}
+
+// overBudget is the error of a run that spent its event budget: what it
+// spent, where simulated time stood, and what the probe merges did,
+// since a probe storm is what runs a budget out. Run hands nothing on
+// from such a cell, as from one that fails its audit.
+func overBudget(s *Scenario, e *sim.Engine, n *sim.Network) error {
+	return fmt.Errorf("%s: scenario %q spent its %d events at %d ns simulated; probes %+v",
+		ErrCellBudget, s.Name, s.BudgetEvents, e.Now(), n.Totals().Probes)
 }
 
 // fctFlows draws the Poisson workload plus any surges: the base stream

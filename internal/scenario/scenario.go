@@ -272,7 +272,19 @@ type Scenario struct {
 	// Go-only: replay artifacts never enter the canonical encoding or
 	// the scenario Key.
 	Overrides *trace.Overrides `json:"-"`
+
+	// BudgetEvents bounds the simulator events one run may execute
+	// (sim.Engine.SetBudget; 0 is no bound). A run past it fails with an
+	// ErrCellBudget error, at the same event on every machine. Go-only
+	// and excluded from the Key: a bound that holds changes nothing, so
+	// a budgeted cell keys (and checkpoints) identically to an
+	// unbudgeted one. Each run of a counterfactual has the whole budget.
+	BudgetEvents int64 `json:"-"`
 }
+
+// ErrCellBudget prefixes the error of a run that spent its
+// BudgetEvents, so reports and CSV rows can be filtered on it.
+const ErrCellBudget = "cell budget"
 
 // fill applies the paper's defaults in place and expands event sugar.
 func (s *Scenario) fill() {

@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -69,6 +70,10 @@ type Engine struct {
 	// free their slot as they fire.
 	timers     []timerSlot
 	freeTimers []int32
+
+	// left is how many more events Run may execute: SetBudget's count,
+	// less what ran since, or MaxInt64 for no bound.
+	left int64
 }
 
 // timerSlot is one callback. A recurring timer is active until
@@ -117,7 +122,18 @@ func (e *event) before(o *event) bool {
 
 // NewEngine returns an empty engine at time 0. The engine draws no
 // randomness: a run is a function of what is scheduled on it.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{left: math.MaxInt64} }
+
+// SetBudget bounds the events Run executes from now on to n, where an
+// event is one entry taken off the queue; 0 means no bound. A run is a
+// function of what is scheduled on it, so the event at which a budget
+// runs out is the same on every machine.
+func (e *Engine) SetBudget(n int64) {
+	if n <= 0 {
+		n = math.MaxInt64
+	}
+	e.left = n
+}
 
 // Now returns the current simulation time in ns.
 func (e *Engine) Now() int64 { return e.now }
@@ -257,13 +273,22 @@ func (e *Engine) tick(idx int32, gen uint16) {
 	}
 }
 
-// Run processes events until the queue is empty or time exceeds until.
-func (e *Engine) Run(until int64) {
+// Run processes events until the queue is empty or time exceeds until,
+// and reports true. If an event is due before then but the budget is
+// spent, Run returns false at once, leaving Now at the last event it
+// ran; so does every later call that has an event due.
+func (e *Engine) Run(until int64) bool {
+	left := e.left
 	for {
 		top, in := e.first()
 		if top == nil || top.at > until {
 			break
 		}
+		if left == 0 {
+			e.left = 0
+			return false
+		}
+		left--
 		e.now = top.at
 		// Every case removes or re-keys the top entry before it calls
 		// out: callees schedule, which moves the queue under top.
@@ -315,9 +340,11 @@ func (e *Engine) Run(until int64) {
 			e.net.hostOf(st.spec.Src).pump(st)
 		}
 	}
+	e.left = left
 	if e.now < until {
 		e.now = until
 	}
+	return true
 }
 
 // Pending returns the number of queue entries: busy channels, flows

@@ -414,3 +414,57 @@ func TestOneShotSlotLifetime(t *testing.T) {
 		}
 	}
 }
+
+// TestRunStopsAtItsBudget: a budget of B lets Run execute exactly B
+// events and stop at the next one due, with Now at the last that ran;
+// a later call with an event due returns at once; a budget that covers
+// every event due is invisible; and a budget of 0 never stops Run.
+func TestRunStopsAtItsBudget(t *testing.T) {
+	schedule := func(e *Engine, fired *[]int64) {
+		for at := int64(10); at <= 100; at += 10 {
+			e.At(at, func() { *fired = append(*fired, e.Now()) })
+		}
+	}
+
+	e := NewEngine()
+	var fired []int64
+	schedule(e, &fired)
+	e.SetBudget(3)
+	if e.Run(1000) {
+		t.Fatal("Run reported done with 7 events due past a budget of 3")
+	}
+	if got, want := fmt.Sprint(fired), "[10 20 30]"; got != want || e.Now() != 30 {
+		t.Fatalf("fired %s, now %d; want %s, now 30", got, e.Now(), want)
+	}
+	if e.Run(1000) || len(fired) != 3 || e.Now() != 30 || e.Pending() != 7 {
+		t.Fatalf("second call ran on: %d fired, now %d, %d pending", len(fired), e.Now(), e.Pending())
+	}
+
+	e, fired = NewEngine(), nil
+	schedule(e, &fired)
+	e.SetBudget(10)
+	if !e.Run(1000) || len(fired) != 10 || e.Now() != 1000 {
+		t.Fatalf("a budget of exactly the events due: %d fired, now %d", len(fired), e.Now())
+	}
+	e.At(1010, func() { fired = append(fired, e.Now()) })
+	if e.Run(2000) || len(fired) != 10 || e.Now() != 1000 {
+		t.Fatalf("an 11th event past a spent budget: %d fired, now %d", len(fired), e.Now())
+	}
+
+	for _, set := range []bool{false, true} {
+		e, fired = NewEngine(), nil
+		schedule(e, &fired)
+		if set {
+			e.SetBudget(0)
+		}
+		for i := 0; i < 3; i++ {
+			schedule(e, &fired)
+			if !e.Run(e.Now() + 1000) {
+				t.Fatalf("budget 0 (set %v) stopped Run", set)
+			}
+		}
+		if len(fired) != 40 {
+			t.Fatalf("budget 0 (set %v): %d of 40 events fired", set, len(fired))
+		}
+	}
+}
