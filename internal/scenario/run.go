@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -120,6 +122,8 @@ type Result struct {
 	ProbeLossFrac    float64            `json:"probe_loss_frac,omitempty"`
 	Swaps            []chaos.SwapWindow `json:"swaps,omitempty"`
 
+	// SimulatedNs is where the cell ended: an FCT cell's last completion
+	// (or its horizon, with flows open), a CBR cell's EndNs.
 	SimulatedNs int64 `json:"simulated_ns"`
 
 	// Artifacts excluded from the deterministic encoding.
@@ -669,8 +673,11 @@ func play(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int6
 			return overBudget(s, e, n)
 		}
 	} else {
-		for e.Now() < w.meta.DeadlineNs && n.CompletedFlows() < int64(len(w.flows)) {
-			if !e.Run(e.Now() + 10_000_000) {
+		// One run: it ends at the event that completes the last flow, or
+		// at the horizon with some still open.
+		if len(w.flows) > 0 && w.meta.DeadlineNs > warmup {
+			n.StopAtCompletion(int64(len(w.flows)))
+			if !e.Run(horizon(warmup, w.meta.DeadlineNs)) {
 				return overBudget(s, e, n)
 			}
 		}
@@ -687,6 +694,18 @@ func play(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int6
 		res.FlowTrace = recordFlows(s, g, w)
 	}
 	return nil
+}
+
+// horizon is where an FCT cell stops when some of its flows never
+// complete: the first 10 ms step after warm-up at or past the deadline,
+// which must be later than warm-up.
+func horizon(warmup, deadline int64) int64 {
+	const step = 10_000_000
+	h := warmup + (deadline-warmup-1)/step*step + step
+	if h < warmup {
+		return math.MaxInt64 // a trace's deadline within a step of the clock's end
+	}
+	return h
 }
 
 // overBudget is the error of a run that spent its event budget: what it
@@ -883,15 +902,17 @@ func (s *Scenario) disruptions() []RecoveryWindow {
 // deepest post-event dip, and the time the series stayed depressed
 // below the pre-event floor. Each window is bounded by the next
 // disruption, so a script with several failures reports each on its
-// own (ROADMAP: generalize the one-disruption-per-run assumption).
+// own (ROADMAP: generalize the one-disruption-per-run assumption). A
+// disruption at or after the cell's end never ran and gets no window;
+// with none left, the result reports no recovery at all.
 func analyzeRecovery(s *Scenario, res *Result) {
-	wins := s.disruptions()
-	if len(wins) == 0 {
-		return
-	}
 	end := s.Workload.EndNs
 	if end == 0 {
 		end = res.SimulatedNs
+	}
+	wins := slices.DeleteFunc(s.disruptions(), func(w RecoveryWindow) bool { return w.AtNs >= end })
+	if len(wins) == 0 {
+		return
 	}
 	for i := range wins {
 		w := &wins[i]

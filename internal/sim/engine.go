@@ -74,6 +74,10 @@ type Engine struct {
 	// left is how many more events Run may execute: SetBudget's count,
 	// less what ran since, or MaxInt64 for no bound.
 	left int64
+	// until is the current Run's horizon: no event due after it runs.
+	// Stop lowers it below every time, so the loop's one due-time
+	// compare also ends a stopped run.
+	until int64
 }
 
 // timerSlot is one callback. A recurring timer is active until
@@ -278,10 +282,11 @@ func (e *Engine) tick(idx int32, gen uint16) {
 // spent, Run returns false at once, leaving Now at the last event it
 // ran; so does every later call that has an event due.
 func (e *Engine) Run(until int64) bool {
+	e.until = until
 	left := e.left
 	for {
 		top, in := e.first()
-		if top == nil || top.at > until {
+		if top == nil || top.at > e.until {
 			break
 		}
 		if left == 0 {
@@ -341,11 +346,17 @@ func (e *Engine) Run(until int64) bool {
 		}
 	}
 	e.left = left
-	if e.now < until {
+	if e.now < until && e.until == until {
 		e.now = until
 	}
 	return true
 }
+
+// Stop ends the current Run once the event calling it returns: events
+// due later, even at the same nanosecond, stay queued for the next Run,
+// and Now stays at the stopping event instead of moving on to Run's
+// horizon. Outside a Run it does nothing.
+func (e *Engine) Stop() { e.until = math.MinInt64 }
 
 // Pending returns the number of queue entries: busy channels, flows
 // not yet started (one start entry each), flows with a queued RTO

@@ -468,3 +468,102 @@ func TestRunStopsAtItsBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestStopEndsRunAtItsEvent: an event that calls Stop is the last the
+// Run executes, even with more due at its nanosecond, and Now stays at
+// it; the next Run executes the rest in (at, seq) order, the one the
+// stopping event scheduled at its own time among them; and a Stop
+// between runs changes nothing.
+func TestStopEndsRunAtItsEvent(t *testing.T) {
+	e := NewEngine()
+	var fired []string
+	at := func(t int64, name string, then func()) {
+		e.At(t, func() {
+			fired = append(fired, fmt.Sprintf("%s@%d", name, e.Now()))
+			if then != nil {
+				then()
+			}
+		})
+	}
+	at(10, "a", nil)
+	at(20, "b", func() {
+		e.Stop()
+		at(20, "x", nil) // scheduled by the stopping event, after c and d
+	})
+	at(20, "c", nil)
+	at(20, "d", nil)
+	at(30, "e", nil)
+
+	if !e.Run(100) {
+		t.Fatal("a stopped Run reported a spent budget")
+	}
+	if got, want := fmt.Sprint(fired), "[a@10 b@20]"; got != want || e.Now() != 20 || e.Pending() != 4 {
+		t.Fatalf("fired %s, now %d, %d pending; want %s, now 20, 4 pending", got, e.Now(), e.Pending(), want)
+	}
+	fired = nil
+	if !e.Run(100) {
+		t.Fatal("the Run after a stop reported a spent budget")
+	}
+	if got, want := fmt.Sprint(fired), "[c@20 d@20 x@20 e@30]"; got != want || e.Now() != 100 {
+		t.Fatalf("the next Run fired %s, now %d; want %s, now 100", got, e.Now(), want)
+	}
+
+	fired = nil
+	at(150, "f", nil)
+	e.Stop()
+	if !e.Run(200) {
+		t.Fatal("a Run after a stray Stop reported a spent budget")
+	}
+	if got, want := fmt.Sprint(fired), "[f@150]"; got != want || e.Now() != 200 {
+		t.Fatalf("after a Stop between runs: fired %s, now %d; want %s, now 200", got, e.Now(), want)
+	}
+}
+
+// TestStopAtCompletionLeavesPacketsInFlight: a network armed to stop at
+// its last flow's completion ends the Run there, with that flow's final
+// ACK still in flight, and audits clean; a later Run delivers it and
+// stops nowhere.
+func TestStopAtCompletionLeavesPacketsInFlight(t *testing.T) {
+	g := lineTopo(10e9)
+	e := NewEngine()
+	n := NewNetwork(e, g, Config{})
+	for _, s := range g.Switches() {
+		n.SetRouter(s, &hopRouter{})
+	}
+	n.Start()
+	var flows []FlowSpec
+	for i := 0; i < 3; i++ {
+		flows = append(flows, FlowSpec{ID: uint64(i + 1), Src: g.MustNode("H0"), Dst: g.MustNode("H1"),
+			Size: 20_000, Start: int64(i) * 5_000})
+	}
+	n.StartFlows(flows)
+	var last int64
+	n.FlowDone = func(FlowSpec, int64) { last = e.Now() }
+	n.StopAtCompletion(int64(len(flows)))
+	inFlight := func() (pkts int) {
+		for i := range n.chans {
+			for p := n.chans[i].inHead; p != nil; p = p.next {
+				pkts++
+			}
+		}
+		return pkts
+	}
+
+	e.Run(1e9)
+	if n.CompletedFlows() != 3 || e.Now() != last {
+		t.Fatalf("stopped at %d ns with %d flows done; the last completed at %d", e.Now(), n.CompletedFlows(), last)
+	}
+	if inFlight() == 0 {
+		t.Fatal("nothing in flight at the last completion")
+	}
+	if err := n.Audit(); err != nil {
+		t.Fatalf("audit at the stop: %v", err)
+	}
+	e.Run(1e9)
+	if e.Now() != 1e9 || inFlight() != 0 {
+		t.Fatalf("the next Run ended at %d ns with %d packets in flight", e.Now(), inFlight())
+	}
+	if err := n.Audit(); err != nil {
+		t.Fatalf("audit after the next Run: %v", err)
+	}
+}

@@ -215,6 +215,9 @@ type Network struct {
 	// tot is the traffic accounting, bumped per packet on the hot path
 	// and read through Totals.
 	tot Totals
+	// stopAt is the completed-flow count at which recordFCT stops the
+	// engine (StopAtCompletion), or 0.
+	stopAt int64
 
 	// misses counts bounds-checked register misses: packet fields a
 	// router's register arrays had no entry for (CountRegisterMiss). It

@@ -398,6 +398,9 @@ func (n *Network) recordFCT(f FlowSpec, fctNs int64) {
 	n.FCT.Add(sec)
 	n.FCTQuant.Add(sec)
 	n.tot.FlowsDone++
+	if n.tot.FlowsDone == n.stopAt {
+		n.Eng.Stop()
+	}
 	if n.Trace != nil {
 		n.Trace.Done(f.ID, fctNs)
 	}
@@ -408,3 +411,8 @@ func (n *Network) recordFCT(f FlowSpec, fctNs int64) {
 
 // CompletedFlows returns the number of finished flows.
 func (n *Network) CompletedFlows() int64 { return n.tot.FlowsDone }
+
+// StopAtCompletion arms the network to end the engine's current Run
+// (Engine.Stop) at the event that completes its flows-th flow, counted
+// from the network's start; 0 disarms it.
+func (n *Network) StopAtCompletion(flows int64) { n.stopAt = flows }
