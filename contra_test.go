@@ -131,6 +131,38 @@ func TestSimulationFlows(t *testing.T) {
 	}
 }
 
+// TestRunUntilDoneStopsAtTheCompletion: RunUntilDone ends at the event
+// that completes its last flow, not at some later step, and a second
+// call with that flow done already does not move the clock.
+func TestRunUntilDoneStopsAtTheCompletion(t *testing.T) {
+	p, err := CompileSource("minimize(path.util)", AbileneWithHosts(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSimulation(p)
+	s.WarmUp()
+	src, err := s.HostNamed("H_SEA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := s.HostNamed("H_NYC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done time.Duration
+	s.net.FlowDone = func(Flow, int64) { done = s.Now() }
+	s.AddFlows(Flow{ID: 1, Src: src, Dst: dst, Size: 200_000})
+	if !s.RunUntilDone(2*time.Second, 1) {
+		t.Fatal("flow did not complete")
+	}
+	if s.Now() != done {
+		t.Fatalf("RunUntilDone left the clock at %v; the flow completed at %v", s.Now(), done)
+	}
+	if !s.RunUntilDone(2*time.Second, 1) || s.Now() != done {
+		t.Fatalf("a second RunUntilDone moved the clock from %v to %v", done, s.Now())
+	}
+}
+
 // TestAddFlowsLeavesTheCallersFlows adds flows twice from one slice,
 // later than time zero: the slice must read as it was written, and the
 // second batch must start relative to its own call, not shifted twice.

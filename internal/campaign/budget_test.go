@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"contra/internal/scenario"
 )
@@ -36,9 +37,9 @@ func TestCellBudgetRecordsFailureInsteadOfHanging(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stream has waited for its workers; give the last one the moment
-	// it needs to return after its Done.
-	for i := 0; i < 100 && runtime.NumGoroutine() > start; i++ {
-		runtime.Gosched()
+	// it needs to return after its Done, up to 2 s.
+	for wait := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > start && time.Now().Before(wait); {
+		time.Sleep(time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n != start {
 		t.Errorf("%d goroutines after the campaign, %d before", n, start)

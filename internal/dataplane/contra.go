@@ -756,55 +756,14 @@ func (c *Contra) handleProbeEntry(ad *sim.ProbeEntry, admv []float64, oi, ord in
 		return -1
 	}
 	v := c.prog.VNodes[ord]
-	// UPDATEMVEC: fold the link metric.
 	var scratch [analysis.MaxMV]float64
 	mv := scratch[:c.mvW]
 	for k, m := range c.res.MV {
-		x := admv[k]
-		switch m {
-		case policy.Util:
-			if util > x {
-				x = util
-			}
-		case policy.Lat:
-			x += latAdd
-		case policy.Len:
-			x++
-		}
-		mv[k] = x
+		mv[k] = fold(m, admv[k], util, latAdd)
 	}
-
-	accept := false
-	switch {
-	case !e.present:
-		accept = true
-		n.New++
-	case ad.Version < e.version:
-		// Outdated probe: discard (§5.1).
-		n.Outdated++
-	case int32(inPort) == e.nhop && pg.NodeID(ad.Tag) == e.ntag:
-		// The route's own upstream (in-port and tag) refreshes the
-		// entry at any version not older than it holds, equal included,
-		// even when its metric worsened. This is not DSDV's rule, which
-		// takes an equal sequence number only with a better metric: an
-		// equal-version refresh is accepted and re-multicast, so one
-		// version can circulate and keep a cycle of registers fresh
-		// (ROADMAP item 1).
-		accept = true
-		if ad.Version > e.version {
-			n.Newer++
-		} else {
-			n.Refresh++
-		}
-	case c.expired(e):
-		// §5.4 metric expiration: once the entry's upstream has gone
-		// silent for k probe periods, any fresh alternative replaces
-		// it — this is how switches route around failures.
-		accept = true
-		n.Expired++
-	default:
-		// Live entries are displaced only by strict improvement, which
-		// keeps route churn (and hence transient loops) bounded.
+	accept, drop := decide(n, e.present, e.version, ad.Version,
+		int32(inPort) == e.nhop && pg.NodeID(ad.Tag) == e.ntag, now-e.updated > c.expireNs)
+	if !accept && !drop {
 		accept = c.evCand.BetterRank(int(ad.Pid), mv, c.mv(i))
 		if accept {
 			n.Better++
@@ -976,10 +935,10 @@ func (c *Contra) mergePacked(buf *sim.ProbeBuf, inPort int, util, latAdd float64
 
 // mergeScalar is mergePacked for a policy that ranks on one metric as
 // it stands (analysis.Result.ScalarRank), on a router with neither
-// telemetry nor runner-up shadows: handleProbeEntry's rule, case for
-// case and in its order, with the folded metric for the vector and the
-// rank alike, so an entry costs a compare or two and, when accepted, a
-// store into the register and its slab window.
+// telemetry nor runner-up shadows: handleProbeEntry's rule (decide),
+// with the folded metric for the vector and the rank alike, so an entry
+// costs a compare or two and, when accepted, a store into the register
+// and its slab window.
 func (c *Contra) mergeScalar(buf *sim.ProbeBuf, m policy.Metric, inPort int, util, latAdd float64, now int64, n *sim.ProbeCounts) {
 	port, width := int32(inPort), int(buf.Width)
 	for k := range buf.Entries {
@@ -995,34 +954,16 @@ func (c *Contra) mergeScalar(buf *sim.ProbeBuf, m policy.Metric, inPort int, uti
 		}
 		i := c.reg(oi, ord, en.Pid)
 		e := &c.fwd[i]
-		if e.present && en.Version < e.version {
-			n.Outdated++
+		take, drop := decide(n, e.present, e.version, en.Version,
+			port == e.nhop && pg.NodeID(en.Tag) == e.ntag, now-e.updated > c.expireNs)
+		if drop {
 			continue
 		}
-		x := buf.MV[k*width]
-		switch m {
-		case policy.Util:
-			if util > x {
-				x = util
-			}
-		case policy.Lat:
-			x += latAdd
-		case policy.Len:
-			x++
-		}
+		x := fold(m, buf.MV[k*width], util, latAdd)
 		// The register's window: its one-metric vector, then its rank.
 		win := c.slab[int(i)*c.stride:][:2]
 		switch {
-		case !e.present:
-			n.New++
-		case port == e.nhop && pg.NodeID(en.Tag) == e.ntag:
-			if en.Version > e.version {
-				n.Newer++
-			} else {
-				n.Refresh++
-			}
-		case now-e.updated > c.expireNs:
-			n.Expired++
+		case take:
 		case x < win[0]:
 			n.Better++
 		default:
@@ -1202,18 +1143,12 @@ func (c *Contra) bestHop(oi int32) int {
 	return -1
 }
 
-// expired reports §5.4 metric expiration: the entry has not been
-// refreshed for k probe periods (plus one period of slack for probe
-// jitter, plus the forced-refresh bound when suppression legitimately
-// quiets refreshes — see setHorizons).
-func (c *Contra) expired(e *fwdEntry) bool {
-	return c.sw.Now()-e.updated > c.expireNs
-}
-
-// alive reports whether an entry is usable: recently refreshed (§5.4
-// metric expiration) and its port not presumed failed.
+// alive reports whether an entry is usable: not expired (§5.4: refreshed
+// within k probe periods, plus one of slack for probe jitter, plus the
+// forced-refresh bound when suppression quiets refreshes — see
+// setHorizons) and its port not presumed failed.
 func (c *Contra) alive(e *fwdEntry) bool {
-	return !c.expired(e) && !c.portDead(int(e.nhop))
+	return c.sw.Now()-e.updated <= c.expireNs && !c.portDead(int(e.nhop))
 }
 
 // portDead is the §5.4 failure detector: no probes on the port for k

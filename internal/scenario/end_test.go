@@ -64,7 +64,7 @@ func TestCellEndsAtItsLastCompletion(t *testing.T) {
 // cell whose only disruption is such a failure reports no recovery.
 // One inside the run keeps its window. The late failure lands within
 // 10 ms of the cell's last traffic, so its window would have a
-// throughput baseline and no bin after it: one bin's recovery.
+// throughput baseline and no bin after it.
 func TestDisruptionAfterTheEndHasNoRecovery(t *testing.T) {
 	late := Event{Kind: LinkDown, AtNs: 23_500_000, Link: "auto"}
 	for _, tc := range []struct {
@@ -99,5 +99,36 @@ func TestDisruptionAfterTheEndHasNoRecovery(t *testing.T) {
 		if tc.want != nil && res.FailAtNs != tc.want[0] {
 			t.Errorf("%s: the top-level fields describe a failure at %d ns, want %d", tc.name, res.FailAtNs, tc.want[0])
 		}
+	}
+}
+
+// TestDisruptionInTheLastBinIsUnmeasured: a link failure inside an FCT
+// cell's last bin ran, so it keeps its window, but no bin follows it to
+// measure a recovery: the window reads -1 (unmeasured), as one without
+// a baseline does, not one bin's recovery.
+func TestDisruptionInTheLastBinIsUnmeasured(t *testing.T) {
+	s := fct("fattree:4:2", SchemeContra, "websearch", 0.3, 3_000_000, 30, 1)
+	s.BinNs = 500_000
+	res, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := res.SimulatedNs - s.BinNs/2
+	s.Events = []Event{{Kind: LinkDown, AtNs: at, Link: "auto"}}
+	res, err = Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at >= res.SimulatedNs || at < res.SimulatedNs-s.BinNs {
+		t.Fatalf("the failure at %d ns is not in the last bin of a cell ending at %d ns", at, res.SimulatedNs)
+	}
+	if len(res.Recoveries) != 1 || res.Recoveries[0].AtNs != at {
+		t.Fatalf("windows %+v, want one at %d ns", res.Recoveries, at)
+	}
+	if res.BaselineBps <= 0 {
+		t.Fatalf("no baseline before the failure at %d ns", at)
+	}
+	if res.RecoveryNs != -1 {
+		t.Errorf("a failure at %d ns in a cell ending at %d ns reads recovery_ns %d, want -1", at, res.SimulatedNs, res.RecoveryNs)
 	}
 }

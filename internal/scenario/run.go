@@ -951,12 +951,15 @@ func analyzeRecovery(s *Scenario, res *Result) {
 		}
 		// Recovery: the end of the last bin still depressed below 99%
 		// of the pre-disruption floor. A dip that never crosses the
-		// threshold recovered within one bin.
+		// threshold recovered within one bin. A window with no baseline
+		// or no bin (a disruption in the cell's last bin) is unmeasured.
 		lastLow := int64(-1)
+		measured := false
 		for _, p := range res.Series {
 			if p.T < w.AtNs || p.T >= limit {
 				continue
 			}
+			measured = true
 			if p.V < w.MinBps {
 				w.MinBps = p.V
 			}
@@ -965,7 +968,7 @@ func analyzeRecovery(s *Scenario, res *Result) {
 			}
 		}
 		switch {
-		case base <= 0:
+		case base <= 0 || !measured:
 			w.RecoveryNs = -1
 		case lastLow < 0:
 			w.RecoveryNs = s.BinNs

@@ -56,12 +56,13 @@ func (s *Simulation) AddFlows(flows ...Flow) {
 	s.net.StartFlows(shifted)
 }
 
-// RunUntilDone advances time until every registered flow has
-// completed or the budget elapses; it reports whether all completed.
+// RunUntilDone runs to the event that completes the nflows-th flow, or
+// until the budget elapses; it reports whether all completed.
 func (s *Simulation) RunUntilDone(budget time.Duration, nflows int64) bool {
-	deadline := s.eng.Now() + int64(budget)
-	for s.eng.Now() < deadline && s.net.CompletedFlows() < nflows {
-		s.eng.Run(s.eng.Now() + 5_000_000)
+	if s.net.CompletedFlows() < nflows {
+		s.net.StopAtCompletion(nflows)
+		s.eng.Run(s.eng.Now() + int64(budget))
+		s.net.StopAtCompletion(0)
 	}
 	return s.net.CompletedFlows() >= nflows
 }
