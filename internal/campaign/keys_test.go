@@ -10,13 +10,13 @@ import (
 	"contra/internal/scenario"
 )
 
-// sharedSettings are the fourteen per-cell settings a campaign spec and
+// sharedSettings are the thirteen per-cell settings a campaign spec and
 // a scenario spec both take, each with a non-zero value. A
 // counterfactual needs the contra scheme, so the specs below run it.
 const sharedSettings = `"probe_period_ns":11,"flowlet_timeout_ns":12,"failure_detect_periods":13,` +
 	`"probe_packing":true,"suppress_eps":0.02,"refresh_every":4,` +
 	`"bin_ns":14,"sample_queues":true,"track_loops":true,"trace_level":"flows",` +
-	`"metrics_interval_ns":15,"class_stats":true,"elephant_bytes":16,` +
+	`"metrics_interval_ns":15,"class_stats":true,` +
 	`"counterfactual":{"top_k":3,"mode":"ecmp"}`
 
 // pick decodes a JSON object and keeps only the shared settings.
@@ -54,8 +54,8 @@ func TestExpandHandsEveryCellTheSpecsSettings(t *testing.T) {
 		t.Fatalf("expanded %d cells, want 4", len(cells))
 	}
 	want := pick(t, src)
-	if len(want) != 14 {
-		t.Fatalf("spec carries %d shared settings, want 14", len(want))
+	if len(want) != 13 {
+		t.Fatalf("spec carries %d shared settings, want 13", len(want))
 	}
 	for _, c := range cells {
 		enc, err := json.Marshal(&c)
@@ -104,7 +104,7 @@ func jsonKeys(t reflect.Type) []string {
 // lists are written out: a new key is a deliberate edit here.
 func TestSpecKeySets(t *testing.T) {
 	shared := []string{
-		"bin_ns", "class_stats", "counterfactual", "elephant_bytes", "failure_detect_periods",
+		"bin_ns", "class_stats", "counterfactual", "failure_detect_periods",
 		"flowlet_timeout_ns", "metrics_interval_ns", "probe_packing", "probe_period_ns",
 		"refresh_every", "sample_queues", "suppress_eps", "trace_level", "track_loops",
 	}
@@ -124,7 +124,7 @@ func TestSpecKeySets(t *testing.T) {
 				return err
 			},
 			minimal: `{"topo":"dc","scheme":"contra","workload":{"load":0.3}`,
-			unknown: []string{"loop_ttl_delta", "LoopTTLDelta", "options", "cell_budget_events"},
+			unknown: []string{"loop_ttl_delta", "LoopTTLDelta", "options", "cell_budget_events", "elephant_bytes"},
 		},
 		{
 			name: "campaign", typ: reflect.TypeOf(Spec{}),
@@ -134,7 +134,7 @@ func TestSpecKeySets(t *testing.T) {
 				return err
 			},
 			minimal: `{"topos":["dc"],"schemes":["contra"],"loads":[0.1]`,
-			unknown: []string{"loop_ttl_delta", "LoopTTLDelta", "options", "top_k"},
+			unknown: []string{"loop_ttl_delta", "LoopTTLDelta", "options", "top_k", "elephant_bytes"},
 		},
 	} {
 		want := slices.Concat(shared, tc.own)

@@ -26,9 +26,12 @@ type CohortStats struct {
 	P99Ms  float64 `json:"p99_fct_ms"`
 }
 
+// elephantBytes splits elephants (at least this many bytes) from mice.
+const elephantBytes = 1_000_000
+
 // ClassStats is the per-class FCT attribution block of a Result:
-// elephant vs. mice quantiles split at ElephantBytes, per-cohort
-// stats, and Jain fairness indices over per-flow throughput
+// elephant vs. mice quantiles split at ElephantBytes (always 1 MB),
+// per-cohort stats, and Jain fairness indices over per-flow throughput
 // (bytes/FCT) — overall and within each class.
 type ClassStats struct {
 	ElephantBytes int64         `json:"elephant_bytes"`
@@ -44,20 +47,18 @@ type ClassStats struct {
 // sim.Network FlowDone hook. Flows complete in deterministic simulator
 // order, so everything derived here is byte-stable.
 type classCollector struct {
-	elephantBytes int64
-	miceFCT       *stats.Sample
-	elephFCT      *stats.Sample
-	miceTh        []float64
-	elephTh       []float64
-	cohorts       map[uint64]*stats.Sample
+	miceFCT  *stats.Sample
+	elephFCT *stats.Sample
+	miceTh   []float64
+	elephTh  []float64
+	cohorts  map[uint64]*stats.Sample
 }
 
-func newClassCollector(elephantBytes int64) *classCollector {
+func newClassCollector() *classCollector {
 	return &classCollector{
-		elephantBytes: elephantBytes,
-		miceFCT:       stats.NewSample(),
-		elephFCT:      stats.NewSample(),
-		cohorts:       make(map[uint64]*stats.Sample),
+		miceFCT:  stats.NewSample(),
+		elephFCT: stats.NewSample(),
+		cohorts:  make(map[uint64]*stats.Sample),
 	}
 }
 
@@ -68,7 +69,7 @@ func (cc *classCollector) add(f sim.FlowSpec, fctNs int64) {
 		return
 	}
 	th := float64(f.Size) / sec
-	if f.Size >= cc.elephantBytes {
+	if f.Size >= elephantBytes {
 		cc.elephFCT.Add(sec)
 		cc.elephTh = append(cc.elephTh, th)
 	} else {
@@ -100,7 +101,7 @@ func classOf(s *stats.Sample, n int64) ClassFCT {
 // stats folds the collected observations into the Result block.
 func (cc *classCollector) stats() *ClassStats {
 	out := &ClassStats{
-		ElephantBytes: cc.elephantBytes,
+		ElephantBytes: elephantBytes,
 		Mice:          classOf(cc.miceFCT, int64(len(cc.miceTh))),
 		Elephants:     classOf(cc.elephFCT, int64(len(cc.elephTh))),
 		JainMice:      stats.Jain(cc.miceTh),

@@ -105,7 +105,8 @@ func TestDisruptionAfterTheEndHasNoRecovery(t *testing.T) {
 // TestDisruptionInTheLastBinIsUnmeasured: a link failure inside an FCT
 // cell's last bin ran, so it keeps its window, but no bin follows it to
 // measure a recovery: the window reads -1 (unmeasured), as one without
-// a baseline does, not one bin's recovery.
+// a baseline does, not one bin's recovery, and reports no dip rather
+// than its baseline as its minimum.
 func TestDisruptionInTheLastBinIsUnmeasured(t *testing.T) {
 	s := fct("fattree:4:2", SchemeContra, "websearch", 0.3, 3_000_000, 30, 1)
 	s.BinNs = 500_000
@@ -130,5 +131,8 @@ func TestDisruptionInTheLastBinIsUnmeasured(t *testing.T) {
 	}
 	if res.RecoveryNs != -1 {
 		t.Errorf("a failure at %d ns in a cell ending at %d ns reads recovery_ns %d, want -1", at, res.SimulatedNs, res.RecoveryNs)
+	}
+	if res.MinBps != 0 || res.Recoveries[0].MinBps != 0 {
+		t.Errorf("an unmeasured window reads min_bps %g (window %g), want 0", res.MinBps, res.Recoveries[0].MinBps)
 	}
 }

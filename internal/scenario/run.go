@@ -39,13 +39,12 @@ type Result struct {
 	Flows     int   `json:"flows"`
 	Completed int64 `json:"completed"`
 
+	// The mean and every percentile are read, by linear interpolation,
+	// from the one exact sample of completed FCTs (sim.Network.FCT).
 	MeanFCT float64 `json:"mean_fct,omitempty"` // seconds
 	P50FCT  float64 `json:"p50_fct,omitempty"`
-	// P95FCT comes from the O(1)-memory P² streaming tracker
-	// (stats.Quantiles), deterministic for a given scenario; p50 and p99
-	// read the exact retained Sample.
-	P95FCT float64 `json:"p95_fct,omitempty"`
-	P99FCT float64 `json:"p99_fct,omitempty"`
+	P95FCT  float64 `json:"p95_fct,omitempty"`
+	P99FCT  float64 `json:"p99_fct,omitempty"`
 
 	FabricBytes   float64 `json:"fabric_bytes"`
 	DataBytes     float64 `json:"data_bytes"`
@@ -658,7 +657,7 @@ func play(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int6
 	}
 	var classes *classCollector
 	if s.ClassStats && !cbr {
-		classes = newClassCollector(s.ElephantBytes)
+		classes = newClassCollector()
 		n.FlowDone = classes.add
 	}
 	n.StartFlows(w.flows)
@@ -684,7 +683,7 @@ func play(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int6
 		res.Completed = n.CompletedFlows()
 		res.MeanFCT = n.FCT.Mean()
 		res.P50FCT = n.FCT.Quantile(0.5)
-		res.P95FCT = n.FCTQuant.Quantile(0.95)
+		res.P95FCT = n.FCT.Quantile(0.95)
 		res.P99FCT = n.FCT.Quantile(0.99)
 		if classes != nil {
 			res.Classes = classes.stats()
@@ -952,7 +951,9 @@ func analyzeRecovery(s *Scenario, res *Result) {
 		// Recovery: the end of the last bin still depressed below 99%
 		// of the pre-disruption floor. A dip that never crosses the
 		// threshold recovered within one bin. A window with no baseline
-		// or no bin (a disruption in the cell's last bin) is unmeasured.
+		// or no bin (a disruption in the cell's last bin) is unmeasured:
+		// recovery -1 and min 0, so no reader takes the baseline for a
+		// measured minimum.
 		lastLow := int64(-1)
 		measured := false
 		for _, p := range res.Series {
@@ -969,7 +970,7 @@ func analyzeRecovery(s *Scenario, res *Result) {
 		}
 		switch {
 		case base <= 0 || !measured:
-			w.RecoveryNs = -1
+			w.RecoveryNs, w.MinBps = -1, 0
 		case lastLow < 0:
 			w.RecoveryNs = s.BinNs
 		default:

@@ -221,11 +221,9 @@ type Observe struct {
 	MetricsIntervalNs int64 `json:"metrics_interval_ns,omitempty"`
 
 	// ClassStats enables per-class FCT attribution on fct workloads:
-	// elephant vs. mice quantiles split at ElephantBytes (default
-	// 1MB), per-cohort (surge) stats, and Jain fairness indices over
-	// per-flow throughput.
-	ClassStats    bool  `json:"class_stats,omitempty"`
-	ElephantBytes int64 `json:"elephant_bytes,omitempty"`
+	// elephant (at least 1 MB) vs. mice quantiles, per-cohort (surge)
+	// stats, and Jain fairness indices over per-flow throughput.
+	ClassStats bool `json:"class_stats,omitempty"`
 
 	// Counterfactual, when set, makes Run a what-if replay: the result
 	// is the base run's, traced at the decisions level, with
@@ -303,9 +301,6 @@ func (s *Scenario) fill() {
 		// an explicit -trace-level off run byte-identical to one that
 		// never mentioned tracing.
 		s.TraceLevel = ""
-	}
-	if s.ClassStats && s.ElephantBytes == 0 {
-		s.ElephantBytes = 1_000_000
 	}
 	w := &s.Workload
 	if w.Kind == "" {
@@ -428,9 +423,6 @@ func (s *Scenario) validate() error {
 	}
 	if _, err := trace.ParseLevel(s.TraceLevel); err != nil {
 		return fmt.Errorf("scenario %q: %v", s.Name, err)
-	}
-	if s.ElephantBytes < 0 {
-		return fmt.Errorf("scenario %q: elephant_bytes %d is negative", s.Name, s.ElephantBytes)
 	}
 	if s.MetricsIntervalNs < 0 {
 		return fmt.Errorf("scenario %q: metrics_interval_ns %d is negative", s.Name, s.MetricsIntervalNs)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"contra/internal/core"
+	"contra/internal/workload"
 )
 
 func TestSpecJSONRoundTrip(t *testing.T) {
@@ -392,11 +393,40 @@ func TestP95TracksBetweenP50AndP99(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.P95FCT <= 0 {
-		t.Fatal("no streaming p95")
+		t.Fatal("no p95 FCT reported")
 	}
-	// The streaming estimate must land in the exact tail neighbourhood.
-	if res.P95FCT < res.P50FCT || res.P95FCT > 1.2*res.P99FCT {
-		t.Fatalf("p95 %.6f outside [p50 %.6f, 1.2*p99 %.6f]", res.P95FCT, res.P50FCT, res.P99FCT)
+	// All three percentiles interpolate one sorted sample, so they are
+	// ordered exactly.
+	if res.P95FCT < res.P50FCT || res.P95FCT > res.P99FCT {
+		t.Fatalf("p95 %.6f outside [p50 %.6f, p99 %.6f]", res.P95FCT, res.P50FCT, res.P99FCT)
+	}
+}
+
+// TestAllMiceCellReportsOneP95: in a cell whose flows are all mice, the
+// mice class holds the same completions as the cell, so its p95 is the
+// cell's, bit for bit: one sample, one answer.
+func TestAllMiceCellReportsOneP95(t *testing.T) {
+	s := Scenario{
+		Name: "all-mice", TopoSpec: "fattree:4:2", Scheme: SchemeECMP, Seed: 1,
+		Workload: Workload{
+			Kind:       WorkloadCohorts,
+			DurationNs: 2_000_000,
+			MaxFlows:   60,
+			Cohorts: []workload.CohortSpec{{Name: "mice", RateFPS: 30_000,
+				Size: workload.SizeSpec{Dist: workload.SizeFixed, Bytes: 20_000}}},
+		},
+		Observe: Observe{ClassStats: true},
+	}
+	res, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Classes
+	if c == nil || c.Elephants.Flows != 0 || c.Mice.Flows != res.Completed || res.Completed < 20 {
+		t.Fatalf("classes %+v of %d completions, want every one a mouse", c, res.Completed)
+	}
+	if got, want := c.Mice.P95Ms, res.P95FCT*1e3; got != want {
+		t.Errorf("mice p95 %v ms, cell p95 %v ms: one sample must give one p95", got, want)
 	}
 }
 

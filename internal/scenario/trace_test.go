@@ -139,7 +139,7 @@ func TestClassStatsAttribution(t *testing.T) {
 		t.Fatal("class_stats on but Classes nil")
 	}
 	if c.ElephantBytes != 1_000_000 {
-		t.Fatalf("default elephant threshold = %d, want 1MB", c.ElephantBytes)
+		t.Fatalf("elephant threshold = %d, want the fixed 1 MB", c.ElephantBytes)
 	}
 	if c.Mice.Flows+c.Elephants.Flows != res.Completed {
 		t.Fatalf("classes cover %d flows, result completed %d",

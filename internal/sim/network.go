@@ -231,10 +231,7 @@ type Network struct {
 	hostTx, hostRx, dropped [Probe + 1]int64
 
 	// Measurement.
-	FCT *stats.Sample // seconds, all completed flows
-	// FCTQuant tracks p95 FCT with the P² streaming estimator, fed in
-	// lockstep with the exact Sample (which answers mean, p50 and p99).
-	FCTQuant   *stats.Quantiles
+	FCT        *stats.Sample // seconds, all completed flows
 	QueueMSS   *stats.Sample // sampled fabric queue lengths in MSS
 	RxSeries   *stats.Timeseries
 	LoopedPkts int64
@@ -302,7 +299,6 @@ func NewNetwork(e *Engine, g *topo.Graph, cfg Config) *Network {
 		flowTab:  c.flowTab,
 		flows:    c.flows,
 		FCT:      stats.NewSample(),
-		FCTQuant: stats.NewQuantiles(0.95),
 		QueueMSS: stats.NewReservoir(1<<16, 11),
 	}
 	n.pool.spare, n.pool.bufSpare = c.pktSlabs, c.bufSlabs

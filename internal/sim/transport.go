@@ -394,9 +394,7 @@ func (n *Network) recordRx(pkt *Packet) {
 }
 
 func (n *Network) recordFCT(f FlowSpec, fctNs int64) {
-	sec := float64(fctNs) / 1e9
-	n.FCT.Add(sec)
-	n.FCTQuant.Add(sec)
+	n.FCT.Add(float64(fctNs) / 1e9)
 	n.tot.FlowsDone++
 	if n.tot.FlowsDone == n.stopAt {
 		n.Eng.Stop()

@@ -1,7 +1,8 @@
 // Package stats provides small, allocation-conscious statistics helpers
 // used throughout the Contra simulator and benchmark harness: streaming
-// summaries, percentile estimation, empirical CDFs, time series, and the
-// discounting rate estimator (DRE) used for link-utilization measurement.
+// summaries, percentiles of a retained (optionally reservoir-sampled)
+// sample, time series, and the discounting rate estimator (DRE) used
+// for link-utilization measurement.
 package stats
 
 import (
@@ -39,28 +40,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
-// Merge folds the observations summarized by o into s.
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	s.mean += d * float64(o.n) / float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n = n
-}
-
 // Count returns the number of observations recorded.
 func (s *Summary) Count() int64 { return s.n }
 
@@ -91,7 +70,7 @@ func (s *Summary) String() string {
 }
 
 // Sample retains observations (optionally reservoir-sampled) so that
-// percentiles and CDFs can be computed after the fact.
+// percentiles can be computed after the fact.
 type Sample struct {
 	xs     []float64
 	sorted bool
@@ -183,45 +162,6 @@ func (s *Sample) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(len(s.xs))
-}
-
-// CDFPoint is one point of an empirical CDF: fraction Frac of samples
-// are <= Value.
-type CDFPoint struct {
-	Value float64
-	Frac  float64
-}
-
-// CDF returns up to maxPoints evenly spaced empirical CDF points.
-// If maxPoints <= 0 every distinct retained sample becomes a point.
-func (s *Sample) CDF(maxPoints int) []CDFPoint {
-	if len(s.xs) == 0 {
-		return nil
-	}
-	s.ensureSorted()
-	n := len(s.xs)
-	if maxPoints <= 0 || maxPoints > n {
-		maxPoints = n
-	}
-	pts := make([]CDFPoint, 0, maxPoints)
-	for i := 0; i < maxPoints; i++ {
-		idx := (i + 1) * n / maxPoints
-		if idx > n {
-			idx = n
-		}
-		pts = append(pts, CDFPoint{Value: s.xs[idx-1], Frac: float64(idx) / float64(n)})
-	}
-	return pts
-}
-
-// FracLE returns the fraction of retained samples <= x.
-func (s *Sample) FracLE(x float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	i := sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(s.xs))
 }
 
 // DRE is a discounting rate estimator, the standard data-plane technique
