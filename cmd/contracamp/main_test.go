@@ -368,8 +368,8 @@ func TestCheck(t *testing.T) {
 		status int
 		stdout []string // one wanted prefix per output line
 	}{
-		{[]string{"trace", trace}, 0, []string{"ok   " + trace + ": 574 decision line(s), 40 flow line(s)"}},
-		{[]string{"metrics", metrics}, 0, []string{"ok   " + metrics + ": 35 sample(s), 64 link(s), 20 router(s)"}},
+		{[]string{"trace", trace}, 0, []string{"ok   " + trace + ": 521 decision line(s), 40 flow line(s)"}},
+		{[]string{"metrics", metrics}, 0, []string{"ok   " + metrics + ": 29 sample(s), 64 link(s), 20 router(s)"}},
 		{[]string{"flow", flow}, 0, []string{"ok   " + flow + ": v1 fct trace on fattree:4:2: 40 flow(s)"}},
 		// The kind is the caller's to state: nothing is sniffed, and one
 		// bad file fails the run without hiding the others.

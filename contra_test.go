@@ -77,6 +77,28 @@ func TestSimulationBestPath(t *testing.T) {
 	}
 }
 
+// TestBestPathToAHostlessSwitch asks for a route to a switch no host
+// attaches to. Such a switch originates no probes, and the error says
+// so instead of blaming the source's tables.
+func TestBestPathToAHostlessSwitch(t *testing.T) {
+	p, err := CompileSource("minimize(path.util)", PaperDataCenter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSimulation(p)
+	s.WarmUp()
+	if path, _, err := s.BestPath("l0", "l1"); err != nil || len(path) != 3 {
+		t.Fatalf("l0 -> l1 = %v, %v; want a two-hop path", path, err)
+	}
+	_, _, err = s.BestPath("l0", "s0")
+	if err == nil {
+		t.Fatal("l0 -> s0 found a route to a spine no host attaches to")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "s0 originates no probes") || !strings.Contains(msg, "no host attaches") {
+		t.Fatalf("error %q should say that s0 originates no probes because no host attaches to it", msg)
+	}
+}
+
 func TestSimulationFailoverReroutes(t *testing.T) {
 	g := Abilene()
 	p, err := CompileSource("minimize(path.lat)", g)

@@ -186,6 +186,6 @@ func ExampleCongestionAware() {
 	// probe classes: 2
 	// idle: X->D via X-S-D, branch 1, util 0.00
 	// idle: S->D via S-D, branch 1, util 0.00
-	// loaded: X->D via X-S-D, branch 2, util 0.91
+	// loaded: X->D via X-S-D, branch 2, util 0.90
 	// loaded: S->D via S-A-D, branch 1, util 0.00
 }

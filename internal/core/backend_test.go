@@ -84,6 +84,13 @@ func TestReachableOriginsMatchReference(t *testing.T) {
 			}
 		}
 	}
+	// Graphs with hosts, where only the switches a host attaches to
+	// originate: in the k=8 fat-tree they fall in both 64-switch blocks.
+	for _, g := range []*topo.Graph{topo.Fattree(4, 2), topo.Fattree(8, 1), topo.PaperDataCenter(), topo.AbileneWithHosts(topo.DefaultFabricBW)} {
+		for _, src := range []string{muPolicy, caPolicy, wpPolicy(g)} {
+			check(compile(t, g, src))
+		}
+	}
 	for seed := int64(1); seed <= 12; seed++ {
 		g := brokenRandom(8+int(seed)*3, seed)
 		names := g.SortedNames()

@@ -233,7 +233,7 @@ func Compile(t *topo.Graph, pol *policy.Policy, opts Options) (*Compiled, error)
 		pids[i] = i
 	}
 	for _, x := range switches {
-		if _, ok := graph.SendState(x); ok {
+		if _, ok := c.originState(x); ok {
 			c.NumOrigins++
 		}
 	}
@@ -243,7 +243,7 @@ func Compile(t *topo.Graph, pol *policy.Policy, opts Options) (*Compiled, error)
 		sp := &c.programs[i]
 		*sp = SwitchProgram{Switch: x, VNodes: graph.VirtualNodes(x)}
 		c.programOf[x] = int32(i)
-		if send, ok := graph.SendState(x); ok {
+		if send, ok := c.originState(x); ok {
 			c.OriginOrd[x] = int32(len(origins))
 			origins = append(origins, OriginSpec{VNode: send, Pids: pids})
 			sp.Origin = &origins[len(origins)-1]
@@ -262,6 +262,33 @@ func Compile(t *topo.Graph, pol *policy.Policy, opts Options) (*Compiled, error)
 	c.Stats.MVWidth = len(res.MV)
 	c.Stats.ProbeBytes = c.probeWireBytes()
 	return c, nil
+}
+
+// Originates reports whether switch x of t may originate probes: data
+// only ever targets the switch a host attaches to, so only those
+// switches are destinations, except on a graph with no hosts, where
+// every switch is. A switch that may originate does so when the product
+// graph gives it a probe-sending state.
+func Originates(t *topo.Graph, x topo.NodeID) bool {
+	if len(t.Hosts()) == 0 {
+		return true
+	}
+	for _, p := range t.Ports(x) {
+		if t.Node(p.Peer).Kind == topo.Host {
+			return true
+		}
+	}
+	return false
+}
+
+// originState is switch x's probe-sending state when x is an origin.
+// It is the one origin rule: NumOrigins, the OriginOrd ordinals and
+// countReachability all go through it.
+func (c *Compiled) originState(x topo.NodeID) (pg.NodeID, bool) {
+	if !Originates(c.Topo, x) {
+		return 0, false
+	}
+	return c.PG.SendState(x)
 }
 
 // Switch returns switch x's program, or nil when x is a host or no node
@@ -323,7 +350,7 @@ func (c *Compiled) countReachability() {
 		clear(reach)
 		head, size := 0, 0
 		for bit, x := range block {
-			send, ok := c.PG.SendState(x)
+			send, ok := c.originState(x)
 			if !ok {
 				continue
 			}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"contra/internal/cliutil"
 	"contra/internal/pg"
 	"contra/internal/policy"
 	"contra/internal/topo"
@@ -48,6 +49,50 @@ func TestCompileMinUtil(t *testing.T) {
 		if len(c.ProbeOut(v)) != len(g.SwitchNeighbors(x)) {
 			t.Fatalf("%s probe ports = %v, want %d neighbors",
 				g.Node(x).Name, c.ProbeOut(v), len(g.SwitchNeighbors(x)))
+		}
+	}
+}
+
+// TestOriginsAreTheSwitchesHostsAttachTo holds the origin rule to its
+// counts: on a graph with hosts only the switches they attach to
+// originate probes, on one without every switch does. The ordinals,
+// the origin list and the programs' origin specs agree, and no switch
+// hears more origins than there are.
+func TestOriginsAreTheSwitchesHostsAttachTo(t *testing.T) {
+	for _, tc := range []struct {
+		spec    string
+		origins int
+		edges   bool // every origin is an edge (leaf) switch
+	}{
+		{"fattree:4:2", 8, true},
+		{"fattree:4", 20, false},
+		{"fattree:8:1", 32, true},
+		{"abilene+hosts", 11, false},
+		{"leafspine:4:2:2", 4, true},
+		{"random:20", 20, false},
+	} {
+		g, err := cliutil.BuildTopology(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := compile(t, g, muPolicy)
+		if c.NumOrigins != tc.origins || len(c.Origins) != c.NumOrigins {
+			t.Fatalf("%s: NumOrigins = %d, %d listed, want %d", tc.spec, c.NumOrigins, len(c.Origins), tc.origins)
+		}
+		for i, x := range c.Origins {
+			if c.OriginOrd[x] != int32(i) || c.Switch(x).Origin == nil {
+				t.Fatalf("%s: origin %d is %s with ordinal %d", tc.spec, i, g.Node(x).Name, c.OriginOrd[x])
+			}
+			if tc.edges && g.Node(x).Role != topo.RoleEdge {
+				t.Fatalf("%s: %s switch %s originates", tc.spec, g.Node(x).Role, g.Node(x).Name)
+			}
+		}
+		for _, x := range g.Switches() {
+			sp := c.Switch(x)
+			if (sp.Origin != nil) != (c.OriginOrd[x] >= 0) || sp.ReachableOrigins > c.NumOrigins {
+				t.Fatalf("%s: %s has origin %v, ordinal %d, hears %d of %d origins",
+					tc.spec, g.Node(x).Name, sp.Origin, c.OriginOrd[x], sp.ReachableOrigins, c.NumOrigins)
+			}
 		}
 	}
 }

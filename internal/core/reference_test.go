@@ -28,9 +28,39 @@ type refSwitchProgram struct {
 	Origin       *OriginSpec
 }
 
-// referenceSwitchPrograms is Compile's per-switch loop as it was.
+// referenceOrigins is the set of switches that may originate probes,
+// read from the other side: the switch at the end of every host's one
+// link, or every switch when no host exists.
+func referenceOrigins(t *topo.Graph) map[topo.NodeID]bool {
+	out := make(map[topo.NodeID]bool)
+	hosts := 0
+	for _, n := range t.Nodes() {
+		if n.Kind != topo.Host {
+			continue
+		}
+		hosts++
+		for _, l := range t.Links() {
+			if l.A == n.ID {
+				out[l.B] = true
+			}
+			if l.B == n.ID {
+				out[l.A] = true
+			}
+		}
+	}
+	if hosts == 0 {
+		for _, x := range t.Switches() {
+			out[x] = true
+		}
+	}
+	return out
+}
+
+// referenceSwitchPrograms is Compile's per-switch loop as it was, with
+// origins limited to referenceOrigins.
 func (c *Compiled) referenceSwitchPrograms() map[topo.NodeID]*refSwitchProgram {
 	t, graph := c.Topo, c.PG
+	origins := referenceOrigins(t)
 	pids := make([]int, c.Analysis.NumPids())
 	for i := range pids {
 		pids[i] = i
@@ -69,7 +99,7 @@ func (c *Compiled) referenceSwitchPrograms() map[topo.NodeID]*refSwitchProgram {
 			sort.Ints(ports)
 			sp.ProbeOut[v] = ports
 		}
-		if send, ok := graph.SendState(x); ok {
+		if send, ok := graph.SendState(x); ok && origins[x] {
 			sp.Origin = &OriginSpec{VNode: send, Pids: pids}
 		}
 		progs[x] = sp
@@ -79,9 +109,10 @@ func (c *Compiled) referenceSwitchPrograms() map[topo.NodeID]*refSwitchProgram {
 
 func (c *Compiled) referenceCountReachability() {
 	reach := make(map[topo.NodeID]map[topo.NodeID]bool) // switch -> set of origins
+	origins := referenceOrigins(c.Topo)
 	for _, x := range c.Topo.Switches() {
 		send, ok := c.PG.SendState(x)
-		if !ok {
+		if !ok || !origins[x] {
 			continue
 		}
 		seen := make([]bool, c.PG.NumNodes())

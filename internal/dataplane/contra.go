@@ -436,8 +436,9 @@ func tagIndex(view []int32, tag int32) int32 {
 }
 
 // originIndex is the ordinal of the origin a packet names, or -1: a
-// host, a switch the policy gives no send state, or no node at all has
-// no registers here.
+// host, a switch that originates nothing (no host attaches to it, or
+// the policy gives it no send state), or no node at all has no
+// registers here.
 func (c *Contra) originIndex(origin topo.NodeID) int32 {
 	return tagIndex(c.comp.OriginOrd, int32(origin))
 }

@@ -21,6 +21,42 @@ func withHosts(g *topo.Graph, names ...string) *topo.Graph {
 	return c
 }
 
+// hostedSwitches is the set of switches a host of g attaches to, read
+// from the hosts' own ports; on a graph with no hosts it is every
+// switch. These are the destinations data can address.
+func hostedSwitches(g *topo.Graph) map[topo.NodeID]bool {
+	out := make(map[topo.NodeID]bool)
+	for _, h := range g.Hosts() {
+		out[g.HostEdge(h)] = true
+	}
+	if len(out) == 0 {
+		for _, x := range g.Switches() {
+			out[x] = true
+		}
+	}
+	return out
+}
+
+// checkNoRegistersTowardHostless fails t if any switch of g holds a
+// register or a route toward a switch no host attaches to.
+func checkNoRegistersTowardHostless(t *testing.T, g *topo.Graph, routers map[topo.NodeID]*Contra, comp *core.Compiled) {
+	t.Helper()
+	hosted := hostedSwitches(g)
+	for _, dst := range g.Switches() {
+		if hosted[dst] {
+			continue
+		}
+		if comp.OriginOrd[dst] >= 0 {
+			t.Fatalf("host-less switch %s has origin ordinal %d", g.Node(dst).Name, comp.OriginOrd[dst])
+		}
+		for _, src := range g.Switches() {
+			if _, _, _, ok := routers[src].BestEntry(dst); ok || routers[src].HasRoute(dst) {
+				t.Fatalf("%s holds a route to host-less switch %s", g.Node(src).Name, g.Node(dst).Name)
+			}
+		}
+	}
+}
+
 func compileOn(t *testing.T, g *topo.Graph, src string, opts core.Options) *core.Compiled {
 	t.Helper()
 	pol, err := policy.Parse(src, policy.ParseOptions{Symbols: g.SortedNames()})
@@ -346,17 +382,30 @@ func ExampleContra_BestNextHop() {
 // accepts an advertisement from a register's own upstream at the
 // version the register already holds: the equal-version refresh that
 // lets one version circulate (ROADMAP item 1). Contra under
-// minimize(path.util) on an idle fattree:4:2, twenty probe periods. The
-// count moves with the accept rule; a change to it is a change to the
-// protocol.
+// minimize(path.util) on an idle host-less k=4 fat-tree, where all 20
+// switches originate, twenty probe periods. The count moves with the
+// accept rule; a change to it is a change to the protocol.
+//
+// With two hosts per edge only the 8 edges originate, and no
+// aggregation or core origin is left for a version to circulate from:
+// each origin is first heard once by every other switch, and nothing
+// is refreshed at an equal version.
 func TestSameVersionRefreshesPinned(t *testing.T) {
-	_, n, _, _ := deploy(t, topo.Fattree(4, 2), "minimize(path.util)", 20)
-	c := n.Totals().Probes
-	t.Logf("%+v", c)
-	if c.New != 20*19 {
-		t.Errorf("first accepts = %d, want one per switch and origin, %d", c.New, 20*19)
-	}
-	if c.Refresh != 1585 {
-		t.Errorf("same-version refreshes from the own upstream = %d, want 1585", c.Refresh)
+	for _, tc := range []struct {
+		hosts            int
+		origins, refresh int64
+	}{
+		{0, 20, 1585},
+		{2, 8, 0},
+	} {
+		_, n, _, _ := deploy(t, topo.Fattree(4, tc.hosts), "minimize(path.util)", 20)
+		c := n.Totals().Probes
+		t.Logf("fattree:4:%d: %+v", tc.hosts, c)
+		if want := tc.origins * 19; c.New != want {
+			t.Errorf("fattree:4:%d: first accepts = %d, want one per origin and other switch, %d", tc.hosts, c.New, want)
+		}
+		if c.Refresh != tc.refresh {
+			t.Errorf("fattree:4:%d: same-version refreshes from the own upstream = %d, want %d", tc.hosts, c.Refresh, tc.refresh)
+		}
 	}
 }

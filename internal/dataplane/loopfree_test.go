@@ -16,7 +16,8 @@ import (
 // stabilize the entries converge loop-free. We churn a random topology
 // with bursty traffic, let it settle for a few probe rounds, and then
 // verify every source's tag walk reaches every destination without
-// cycling.
+// cycling. Only the two switches with hosts are destinations; the rest
+// must hold no register toward them.
 func TestNoPersistentLoopsAfterChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 4; trial++ {
@@ -54,9 +55,10 @@ func TestNoPersistentLoopsAfterChurn(t *testing.T) {
 		// Settle: traffic done, a few fresh probe rounds.
 		e.Run(e.Now() + 8*comp.Opts.ProbePeriodNs)
 
+		hosted := hostedSwitches(gh)
 		for _, src := range gh.Switches() {
 			for _, dst := range gh.Switches() {
-				if src == dst {
+				if src == dst || !hosted[dst] {
 					continue
 				}
 				if !walkTerminates(t, gh, routers, comp, src, dst) {
@@ -65,6 +67,7 @@ func TestNoPersistentLoopsAfterChurn(t *testing.T) {
 				}
 			}
 		}
+		checkNoRegistersTowardHostless(t, gh, routers, comp)
 	}
 }
 

@@ -24,15 +24,17 @@ func deployOpts(t *testing.T, g *topo.Graph, policySrc string, opts core.Options
 }
 
 // routeSnapshot captures every switch's source decision for every
-// destination: the observable routing table. withPort includes the
-// chosen egress port; callers comparing runs with a different probe
-// arrival order leave it out, because the tie-break among equal-rank
-// paths is arrival-order dependent (any of them is a correct table).
+// destination a host attaches to: the observable routing table.
+// withPort includes the chosen egress port; callers comparing runs with
+// a different probe arrival order leave it out, because the tie-break
+// among equal-rank paths is arrival-order dependent (any of them is a
+// correct table).
 func routeSnapshot(g *topo.Graph, routers map[topo.NodeID]*Contra, withPort bool) map[string]string {
 	out := make(map[string]string)
+	hosted := hostedSwitches(g)
 	for _, src := range g.Switches() {
 		for _, dst := range g.Switches() {
-			if src == dst {
+			if src == dst || !hosted[dst] {
 				continue
 			}
 			k := g.Node(src).Name + "->" + g.Node(dst).Name
@@ -78,8 +80,9 @@ func TestSuppressionTablesMatchUnsuppressed(t *testing.T) {
 			_, _, base, _ := deployOpts(t, g, pol, core.Options{}, 30)
 			want := routeSnapshot(g, base, v.withPort)
 			g2 := topo.Fattree(4, 2)
-			_, _, routers, _ := deployOpts(t, g2, pol, v.opts, 30)
+			_, _, routers, comp := deployOpts(t, g2, pol, v.opts, 30)
 			got := routeSnapshot(g2, routers, v.withPort)
+			checkNoRegistersTowardHostless(t, g2, routers, comp)
 			for k, w := range want {
 				if w == "none" {
 					t.Fatalf("%s %+v: baseline has no route for %s", pol, v.opts, k)
@@ -94,7 +97,8 @@ func TestSuppressionTablesMatchUnsuppressed(t *testing.T) {
 	// but every pair must still converge to a live route.
 	for _, v := range aggVariants {
 		g := topo.Fattree(4, 2)
-		_, _, routers, _ := deployOpts(t, g, "minimize(path.util)", v.opts, 30)
+		_, _, routers, comp := deployOpts(t, g, "minimize(path.util)", v.opts, 30)
+		checkNoRegistersTowardHostless(t, g, routers, comp)
 		for k, val := range routeSnapshot(g, routers, false) {
 			if val == "none" {
 				t.Errorf("minimize(path.util) %+v: no route for %s", v.opts, k)

@@ -33,7 +33,7 @@ func TestParentFixtureAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if summary, err := Check(f); err != nil || summary != "35 sample(s), 64 link(s), 20 router(s)" {
+	if summary, err := Check(f); err != nil || summary != "29 sample(s), 64 link(s), 20 router(s)" {
 		t.Fatalf("Check = %q, %v", summary, err)
 	}
 }

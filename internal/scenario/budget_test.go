@@ -19,7 +19,7 @@ func TestBudgetStopsEveryPlayOrder(t *testing.T) {
 		from   int64 // the simulated time the error must name, at least
 		to     int64 // and below
 	}{
-		{"fct warm-up", fct("dc", SchemeContra, "cache", 0.3, 2_000_000, 60, 1), 1_000, 0, warmup},
+		{"fct warm-up", fct("dc", SchemeContra, "cache", 0.3, 2_000_000, 60, 1), 500, 0, warmup},
 		{"fct drain", fct("dc", SchemeECMP, "cache", 0.3, 2_000_000, 60, 1), 30_000, warmup, 1 << 62},
 		{"cbr", failover("", 20_000_000, 40_000_000, 4), 30_000, 0, 40_000_000},
 	} {

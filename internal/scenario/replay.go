@@ -58,12 +58,9 @@ func traceFlows(s *Scenario, g *topo.Graph, tr *flowtrace.Trace) (offered, error
 	for i, tf := range tr.Flows {
 		var ends [2]topo.NodeID
 		for j, name := range [2]string{tf.Src, tf.Dst} {
-			id, ok := g.NodeByName(name)
-			if !ok {
-				return offered{}, fmt.Errorf("scenario %q: trace flow %d: no node %q in topo %s", s.Name, i, name, g.Name)
-			}
-			if g.Node(id).Kind != topo.Host {
-				return offered{}, fmt.Errorf("scenario %q: trace flow %d: node %q is a switch; flows connect hosts", s.Name, i, name)
+			id, err := flowEnd(g, name)
+			if err != nil {
+				return offered{}, fmt.Errorf("scenario %q: trace flow %d: %v", s.Name, i, err)
 			}
 			ends[j] = id
 		}

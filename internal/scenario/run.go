@@ -730,9 +730,9 @@ func fctFlows(s *Scenario, g *topo.Graph, warmup int64, surges []Event) (offered
 	for _, p := range w.Pairs {
 		var pair [2]topo.NodeID
 		for j, name := range p {
-			id, ok := g.NodeByName(name)
-			if !ok || g.Node(id).Kind != topo.Host {
-				return offered{}, fmt.Errorf("scenario %q: pair endpoint %q is not a host of topo %s", s.Name, name, g.Name)
+			id, err := flowEnd(g, name)
+			if err != nil {
+				return offered{}, fmt.Errorf("scenario %q: pair endpoint: %v", s.Name, err)
 			}
 			pair[j] = id
 		}

@@ -338,20 +338,48 @@ func (s *Scenario) fill() {
 }
 
 // Validate rejects malformed scenarios before they burn a worker.
-// Under track_loops it checks the topology's switch ids on the graph
-// the process shares between cells, which Run then reuses.
+// Under track_loops it checks the topology's switch ids, and with fixed
+// pairs that every endpoint is a host, on the graph the process shares
+// between cells, which Run then reuses.
 func (s *Scenario) Validate() error {
 	if err := s.validate(); err != nil {
 		return err
 	}
-	if !s.TrackLoops {
+	if !s.TrackLoops && len(s.Workload.Pairs) == 0 {
 		return nil
 	}
 	g, err := sharedTopology(s.TopoSpec)
 	if err != nil {
 		return fmt.Errorf("scenario %q: %v", s.Name, err)
 	}
-	return s.checkTrackLoops(g)
+	if s.TrackLoops {
+		if err := s.checkTrackLoops(g); err != nil {
+			return err
+		}
+	}
+	for _, p := range s.Workload.Pairs {
+		for _, name := range p {
+			if _, err := flowEnd(g, name); err != nil {
+				return fmt.Errorf("scenario %q: pair endpoint: %v", s.Name, err)
+			}
+		}
+	}
+	return nil
+}
+
+// flowEnd resolves a flow endpoint of g by name. Flows connect hosts:
+// data addresses the switch its destination host attaches to, and only
+// such a switch originates probes (core.Originates), so a flow naming
+// any other switch would ask for a route that no switch holds.
+func flowEnd(g *topo.Graph, name string) (topo.NodeID, error) {
+	id, ok := g.NodeByName(name)
+	if !ok {
+		return 0, fmt.Errorf("no node %q in topo %s", name, g.Name)
+	}
+	if g.Node(id).Kind != topo.Host {
+		return 0, fmt.Errorf("node %q is a switch; flows connect hosts, and only a switch a host attaches to originates probes", name)
+	}
+	return id, nil
 }
 
 // validate is every check of Validate that needs no topology.

@@ -613,6 +613,32 @@ func TestValidateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesPairsNamingASwitch: a fixed pair names hosts. A
+// switch named as an endpoint would be a destination that originates
+// no probes (on the dc topology, a spine no host attaches to), so
+// Validate refuses it at expansion instead of letting a cell run.
+func TestValidateRefusesPairsNamingASwitch(t *testing.T) {
+	for _, tc := range []struct {
+		pair [2]string
+		want string
+	}{
+		{[2]string{"h0_0", "h3_1"}, ""},
+		{[2]string{"h0_0", "s0"}, `node "s0" is a switch; flows connect hosts, and only a switch a host attaches to originates probes`},
+		{[2]string{"l1", "h0_0"}, `node "l1" is a switch`},
+		{[2]string{"h0_0", "nope"}, `no node "nope" in topo`},
+	} {
+		s := Scenario{Name: "pairs", TopoSpec: "dc", Scheme: SchemeContra,
+			Workload: Workload{Load: 0.3, Pairs: [][2]string{tc.pair}}}
+		err := s.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v: %v", tc.pair, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%v: Validate() = %v, want an error containing %q", tc.pair, err, tc.want)
+		}
+	}
+}
+
 // TestTrackLoopsRefusesUncoveredSwitchIDs: loop accounting counts
 // revisits only at switch ids below sim.TrackVisitedLimit, so
 // track_loops on a topology with a switch past it fails Validate with an

@@ -22,7 +22,7 @@ func TestParentFixtureAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if summary, err := Check(f); err != nil || summary != "574 decision line(s), 40 flow line(s)" {
+	if summary, err := Check(f); err != nil || summary != "521 decision line(s), 40 flow line(s)" {
 		t.Fatalf("Check = %q, %v", summary, err)
 	}
 }

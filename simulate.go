@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"contra/internal/core"
 	"contra/internal/dataplane"
 	"contra/internal/sim"
 	"contra/internal/topo"
@@ -91,7 +92,9 @@ func (s *Simulation) FailLink(a, b string, after time.Duration) error {
 // the initial (tag, pid), and the walk follows FwdT entries and tag
 // rewrites hop by hop — just like a packet, and unlike chaining each
 // switch's own preference (which is wrong under path constraints: a
-// downstream switch follows the packet's tag, not its own BestT).
+// downstream switch follows the packet's tag, not its own BestT). On a
+// topology with hosts, only a switch a host attaches to is a
+// destination.
 func (s *Simulation) BestPath(src, dst string) ([]string, Rank, error) {
 	g := s.prog.compiled.Topo
 	from, ok := g.NodeByName(src)
@@ -101,6 +104,9 @@ func (s *Simulation) BestPath(src, dst string) ([]string, Rank, error) {
 	to, ok := g.NodeByName(dst)
 	if !ok {
 		return nil, Rank{}, fmt.Errorf("contra: unknown switch %q", dst)
+	}
+	if g.Node(to).Kind == topo.Switch && !core.Originates(g, to) {
+		return nil, Rank{}, fmt.Errorf("contra: %s originates no probes: no host attaches to it, so no switch routes to it", dst)
 	}
 	vnode, pid, rank, ok := s.routers[from].BestEntry(to)
 	if !ok {
