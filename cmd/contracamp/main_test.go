@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,25 +13,16 @@ import (
 	"testing"
 
 	"contra/internal/campaign"
+	"contra/internal/flowtrace"
+	"contra/internal/golden"
+	metricspkg "contra/internal/metrics"
 	"contra/internal/scenario"
+	tracepkg "contra/internal/trace"
 )
 
-// update makes TestGoldenCampaignDigests rewrite the committed digests
-// from its in-memory runs before it checks them, after an intentional
-// change of simulator output:
-//
-//	go test ./cmd/contracamp -run TestGoldenCampaignDigests -update
-var update = flag.Bool("update", false, "rewrite examples/campaign/golden/*.sha256")
-
-// updateFCTs makes TestGoldenCampaignDigests rewrite goldenFCTs. It is
-// a flag of its own so that re-pinning the digests after a change that
-// should move only time, byte and sample fields cannot move an FCT
-// unseen.
-var updateFCTs = flag.Bool("update-fcts", false, "rewrite "+goldenFCTs)
-
-// goldenFCTs holds the FCT-side fields of every FCT cell of the golden
-// campaigns, one JSON line per cell (fctLine).
-const goldenFCTs = "../../examples/campaign/golden/fcts.jsonl"
+// goldenPins holds TestGoldenCampaignDigests' pins: each golden
+// campaign's report digests, and each of its FCT cells' FCT fields.
+const goldenPins = "testdata/golden.txt"
 
 // tinySpec is 2 schemes × 2 loads × 2 seeds (two loads so that there is
 // an FCT-vs-load figure to draw) with every per-cell artifact on:
@@ -357,20 +348,35 @@ func TestUsage(t *testing.T) {
 
 // TestCheck drives check over the owning packages' fixtures: the
 // ok/FAIL lines and the 0/1/2 exit codes are the interface a shell
-// script checking artifact files relies on.
+// script checking artifact files relies on. An ok line carries the
+// summary of the owning package's Check on the same file; what that
+// summary reads is pinned in the owning package.
 func TestCheck(t *testing.T) {
 	fix := func(pkg, name string) string { return filepath.Join("..", "..", "internal", pkg, "testdata", name) }
 	trace, metrics := fix("trace", "cell.trace.jsonl"), fix("metrics", "cell.metrics.jsonl")
 	flow := fix("flowtrace", "cell.flow.jsonl")
+	ok := func(path string, check func(io.Reader) (string, error)) string {
+		t.Helper()
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		summary, err := check(f)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return "ok   " + path + ": " + summary
+	}
 
 	cases := []struct {
 		args   []string
 		status int
 		stdout []string // one wanted prefix per output line
 	}{
-		{[]string{"trace", trace}, 0, []string{"ok   " + trace + ": 521 decision line(s), 40 flow line(s)"}},
-		{[]string{"metrics", metrics}, 0, []string{"ok   " + metrics + ": 29 sample(s), 64 link(s), 20 router(s)"}},
-		{[]string{"flow", flow}, 0, []string{"ok   " + flow + ": v1 fct trace on fattree:4:2: 40 flow(s)"}},
+		{[]string{"trace", trace}, 0, []string{ok(trace, tracepkg.Check)}},
+		{[]string{"metrics", metrics}, 0, []string{ok(metrics, metricspkg.Check)}},
+		{[]string{"flow", flow}, 0, []string{ok(flow, flowtrace.Check)}},
 		// The kind is the caller's to state: nothing is sniffed, and one
 		// bad file fails the run without hiding the others.
 		{[]string{"trace", metrics, trace, "no-such-file"}, 1, []string{
@@ -403,15 +409,16 @@ func TestCheck(t *testing.T) {
 }
 
 // TestGoldenCampaignDigests runs the five fixed-seed campaigns under
-// examples/campaign/golden through run(options) twice — in memory, and
-// as two -shard streams then -merge — and holds the report JSON and CSV
-// of both to the committed digests, so `go test ./...` fails on a single
-// moved byte of simulator output or a merge that drifts from the
-// in-memory run. -update rewrites the digests from the in-memory run
-// first. The runs are strict: every cell, under each scheme, must also
-// pass scenario.Run's horizon audit — no register miss, every packet
-// conserved, the event queue and timer slots in step — or run fails
-// before any digest is compared.
+// examples/campaign through run(options) twice — in memory, and as two
+// -shard streams then -merge — and holds the report JSON and CSV of the
+// in-memory run to the digests pinned in goldenPins, and the merged run
+// to the in-memory one, so `go test ./...` fails on a single moved byte
+// of simulator output or a merge that drifts from the in-memory run.
+// Each FCT cell's FCT fields are pinned too, so that a moved digest
+// names the FCTs that moved with it, if any. The runs are strict: every
+// cell, under each scheme, must also pass scenario.Run's horizon audit
+// — no register miss, every packet conserved, the event queue and timer
+// slots in step — or run fails before any pin is compared.
 func TestGoldenCampaignDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs five campaigns twice each (~15s)")
@@ -421,22 +428,22 @@ func TestGoldenCampaignDigests(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			base := options{quiet: true, noTable: true, workers: 2, metricsInterval: -1, cellBudget: -1, strict: true}
 			// digests runs o, writing name.json and name.csv into dir, and
-			// returns their digests as sha256sum prints them.
-			digests := func(o options, dir string) string {
+			// returns their sha256 digests by file name.
+			digests := func(o options, dir string) map[string]string {
 				t.Helper()
 				o.out, o.csvOut = filepath.Join(dir, name+".json"), filepath.Join(dir, name+".csv")
 				if err := run(o); err != nil {
 					t.Fatal(err)
 				}
-				var sums strings.Builder
+				sums := map[string]string{}
 				for _, path := range []string{o.out, o.csvOut} {
 					b, err := os.ReadFile(path)
 					if err != nil {
 						t.Fatal(err)
 					}
-					fmt.Fprintf(&sums, "%x  %s\n", sha256.Sum256(b), filepath.Base(path))
+					sums[filepath.Base(path)] = fmt.Sprintf("%x", sha256.Sum256(b))
 				}
-				return sums.String()
+				return sums
 			}
 
 			o := base
@@ -456,31 +463,21 @@ func TestGoldenCampaignDigests(t *testing.T) {
 			o.merge = streams
 			merged := digests(o, t.TempDir())
 
-			golden := filepath.Join(dir, "golden", name+".sha256")
-			if *update {
-				if err := os.WriteFile(golden, []byte(inmem), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for mode, got := range map[string]string{"in-memory": inmem, "two shards + -merge": merged} {
-				if got != string(want) {
-					t.Errorf("%s run:\n%sgolden %s:\n%s", mode, got, golden, want)
+			for _, file := range []string{name + ".json", name + ".csv"} {
+				sum := inmem[file]
+				golden.Check(t, goldenPins, file, sum)
+				if merged[file] != sum {
+					t.Errorf("two shards + -merge: %s has sha256 %s, the in-memory run's %s", file, merged[file], sum)
 				}
 			}
 		})
 	}
 }
 
-// fctLine is one FCT cell's line in goldenFCTs: its completions, FCT
+// fctLine is one FCT cell's pin in goldenPins: its completions, FCT
 // statistics and class stats, the fields a change to when a cell stops
 // or what it counts must leave alone. CBR cells have none.
 type fctLine struct {
-	Campaign  string          `json:"campaign"`
-	Cell      string          `json:"name"`
 	RateBps   float64         `json:"rate_bps,omitempty"`
 	Flows     int             `json:"flows"`
 	Completed int64           `json:"completed"`
@@ -491,9 +488,8 @@ type fctLine struct {
 	Classes   json.RawMessage `json:"classes,omitempty"`
 }
 
-// checkFCTs holds the FCT cells of campaign name's report at path to
-// their lines in goldenFCTs, or rewrites that campaign's lines under
-// -update-fcts.
+// checkFCTs holds each FCT cell of campaign name's report at path to its
+// pin, keyed campaign/cell. A cell added or dropped moves the digests.
 func checkFCTs(t *testing.T, name, path string) {
 	t.Helper()
 	b, err := os.ReadFile(path)
@@ -501,49 +497,23 @@ func checkFCTs(t *testing.T, name, path string) {
 		t.Fatal(err)
 	}
 	var report struct {
-		Scenarios []struct{ Result fctLine }
+		Scenarios []struct {
+			Result struct {
+				Name string `json:"name"`
+				fctLine
+			}
+		}
 	}
 	if err := json.Unmarshal(b, &report); err != nil {
 		t.Fatal(err)
 	}
-	var got []string
 	for _, sc := range report.Scenarios {
-		if l := sc.Result; l.RateBps == 0 { // not a CBR cell
-			l.Campaign = name
+		if l := sc.Result.fctLine; l.RateBps == 0 { // not a CBR cell
 			line, err := json.Marshal(l)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, string(line))
-		}
-	}
-	fixture, err := os.ReadFile(goldenFCTs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want, others []string
-	prefix := fmt.Sprintf(`{"campaign":%q,`, name)
-	for _, line := range strings.Split(strings.TrimSpace(string(fixture)), "\n") {
-		switch {
-		case line == "":
-		case strings.HasPrefix(line, prefix):
-			want = append(want, line)
-		default:
-			others = append(others, line)
-		}
-	}
-	if *updateFCTs {
-		if err := os.WriteFile(goldenFCTs, []byte(strings.Join(append(others, got...), "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d FCT cells, %s holds %d", len(got), goldenFCTs, len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("FCT fields moved:\n got %s\nwant %s", got[i], want[i])
+			golden.Check(t, goldenPins, name+"/"+sc.Result.Name, string(line))
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"contra/internal/cliutil"
 	"contra/internal/flowtrace"
+	"contra/internal/golden"
 	"contra/internal/metrics"
 	"contra/internal/scenario"
 	"contra/internal/topo"
@@ -140,46 +141,37 @@ func runPaperSpec(t *testing.T, name string) (*Report, []map[string]string) {
 	return report, rows
 }
 
+// paperPins holds TestPaperSpecsReproduceExperiments' numbers, named
+// from the repository root, where the test runs.
+const paperPins = "internal/campaign/testdata/golden.txt"
+
 // TestPaperSpecsReproduceExperiments pins what the retired experiments
 // command printed for `-quick -seed 1` at its last commit (5f7e7fb): the
-// committed specs, run through Run, yield the same numbers to the
-// printed digit, apart from the pins a protocol change has moved since,
-// each named with its old value in CHANGES.md. runPaperSpec fails on any
-// failed cell, so every cell,
-// under each scheme, also passes scenario.Run's horizon audit: no
-// register miss, every packet conserved, the event queue and timer slots
-// in step.
+// committed specs, run through Run, yield the numbers in paperPins to
+// the printed digit, each moved since by a protocol change named with
+// its old value in CHANGES.md. runPaperSpec fails on any failed cell, so
+// every cell, under each scheme, also passes scenario.Run's horizon
+// audit: no register miss, every packet conserved, the event queue and
+// timer slots in step.
 func TestPaperSpecsReproduceExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	inRepoRoot(t)
+	pin := func(key, got string) {
+		t.Helper()
+		golden.Check(t, paperPins, key, got)
+	}
 
 	// Figures 11 and 15: mean FCT (ms) by scheme at loads 0.2/0.5/0.8.
-	for _, fig := range []struct {
-		spec string
-		want map[string][3]string
-	}{
-		{"fig11_websearch.json", map[string][3]string{
-			"ecmp":   {"0.093", "0.886", "1.467"},
-			"contra": {"0.094", "0.677", "1.201"},
-			"hula":   {"0.093", "0.656", "1.158"},
-		}},
-		{"fig15_websearch.json", map[string][3]string{
-			"sp":     {"0.187", "0.454", "0.728"},
-			"contra": {"0.222", "0.505", "1.047"},
-			"spain":  {"0.188", "0.500", "0.925"},
-		}},
-	} {
-		_, rows := runPaperSpec(t, fig.spec)
-		loadIdx := map[string]int{"0.2": 0, "0.5": 1, "0.8": 2}
-		if len(rows) != 3*len(fig.want) {
-			t.Fatalf("%s: %d rows, want %d", fig.spec, len(rows), 3*len(fig.want))
+	for _, fig := range []string{"fig11", "fig15"} {
+		spec := fig + "_websearch.json"
+		_, rows := runPaperSpec(t, spec)
+		if len(rows) != 9 {
+			t.Fatalf("%s: %d rows, want 3 schemes x 3 loads", spec, len(rows))
 		}
 		for _, r := range rows {
-			if want := fig.want[r["scheme"]][loadIdx[r["load"]]]; r["mean_fct_ms"] != want {
-				t.Errorf("%s %s load %s: mean FCT %s ms, want %s", fig.spec, r["scheme"], r["load"], r["mean_fct_ms"], want)
-			}
+			pin(fig+"/"+r["scheme"]+"/load"+r["load"], r["mean_fct_ms"])
 		}
 	}
 
@@ -195,14 +187,7 @@ func TestPaperSpecsReproduceExperiments(t *testing.T) {
 		if q == nil {
 			t.Fatalf("fig13 %s: no queue summary", r.Scheme)
 		}
-		got := fmt.Sprintf("%.3f ms, %.1f/%.1f/%.1f/%.1f MSS", 1e3*r.MeanFCT, q.P50MSS, q.P90MSS, q.P99MSS, q.MaxMSS)
-		want := map[scenario.Scheme]string{
-			"contra": "1.153 ms, 0.0/30.3/623.8/801.4 MSS",
-			"ecmp":   "1.590 ms, 0.0/9.1/631.4/999.8 MSS",
-		}[r.Scheme]
-		if got != want {
-			t.Errorf("fig13 %s: %s, want %s", r.Scheme, got, want)
-		}
+		pin("fig13/"+string(r.Scheme), fmt.Sprintf("%.3f ms, %.1f/%.1f/%.1f/%.1f MSS", 1e3*r.MeanFCT, q.P50MSS, q.P90MSS, q.P99MSS, q.MaxMSS))
 	}
 
 	// Figure 14: the old route printed 4.27 / 2.14 / 1.00 for both schemes.
@@ -211,46 +196,33 @@ func TestPaperSpecsReproduceExperiments(t *testing.T) {
 		t.Fatalf("fig14: %d rows, want contra and hula", len(rows))
 	}
 	for _, r := range rows {
-		if r["baseline_gbps"] != "4.275" || r["min_gbps"] != "2.137" || r["recovery_ms"] != "1.000" {
-			t.Errorf("fig14 %s: baseline %s dip %s recovery %s, want 4.275 / 2.137 / 1.000",
-				r["scheme"], r["baseline_gbps"], r["min_gbps"], r["recovery_ms"])
-		}
+		pin("fig14/"+r["scheme"], r["baseline_gbps"]+" / "+r["min_gbps"]+" / "+r["recovery_ms"])
 	}
 
 	// Figure 16: fabric traffic (tags included) normalized to ECMP.
 	report, _ = runPaperSpec(t, "fig16_websearch.json")
-	type cell struct {
-		scheme scenario.Scheme
-		load   float64
-	}
-	traffic := map[cell]float64{}
+	ecmp := map[float64]float64{}
 	for _, o := range report.Outcomes {
-		traffic[cell{o.Result.Scheme, o.Result.Load}] = o.Result.FabricBytes + o.Result.TagBytes
+		if r := o.Result; r.Scheme == "ecmp" {
+			ecmp[r.Load] = r.FabricBytes + r.TagBytes
+		}
 	}
-	for c, want := range map[cell]string{
-		{"hula", 0.1}: "1.0130", {"contra", 0.1}: "1.0195",
-		{"hula", 0.6}: "0.9958", {"contra", 0.6}: "0.9949",
-	} {
-		if got := fmt.Sprintf("%.4f", traffic[c]/traffic[cell{"ecmp", c.load}]); got != want {
-			t.Errorf("fig16 websearch %s at load %g: %s x ECMP, want %s", c.scheme, c.load, got, want)
+	for _, o := range report.Outcomes {
+		if r := o.Result; r.Scheme != "ecmp" {
+			pin(fmt.Sprintf("fig16/%s/load%g", r.Scheme, r.Load), fmt.Sprintf("%.4f", (r.FabricBytes+r.TagBytes)/ecmp[r.Load]))
 		}
 	}
 
 	// §6.5: share of data packets that revisited a switch.
 	report, _ = runPaperSpec(t, "loops.json")
 	for _, o := range report.Outcomes {
-		want := map[string]string{"dc": "0.0327%", "abilene+hosts": "0.0000%"}[o.Result.Topo]
-		if got := fmt.Sprintf("%.4f%%", 100*o.Result.LoopedFrac); got != want {
-			t.Errorf("loops %s: looped %s, want %s", o.Result.Topo, got, want)
-		}
+		pin("loops/"+o.Result.Topo, fmt.Sprintf("%.4f%%", 100*o.Result.LoopedFrac))
 	}
 
 	// Appendix D: probes + tags as a share of Contra's Abilene traffic.
 	report, _ = runPaperSpec(t, "appendix_d.json")
 	res := report.Outcomes[0].Result
-	if got := fmt.Sprintf("%.4f%%", 100*(res.ProbeBytes+res.TagBytes)/(res.FabricBytes+res.TagBytes)); got != "1.5180%" {
-		t.Errorf("appendix D: protocol overhead %s, want 1.5180%%", got)
-	}
+	pin("appendix_d", fmt.Sprintf("%.4f%%", 100*(res.ProbeBytes+res.TagBytes)/(res.FabricBytes+res.TagBytes)))
 }
 
 // TestPaperSpecPremises checks, on each spec's built topology, the

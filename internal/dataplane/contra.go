@@ -813,11 +813,6 @@ func (c *Contra) countProbes(n *sim.ProbeCounts) {
 		mx.Added += n.New
 		mx.Replaced += n.Better
 		mx.Expired += n.Expired
-		mx.Newer += n.Newer
-		mx.Refreshed += n.Refresh
-		mx.Outdated += n.Outdated
-		mx.Lost += n.Lost
-		mx.Forwards += n.Forwards
 	}
 }
 

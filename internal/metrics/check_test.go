@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"contra/internal/golden"
 )
 
 // checkBase is two ticks of the test recorder as WriteJSONL emits them:
@@ -26,16 +28,18 @@ func checkBase(t testing.TB) []string {
 
 // TestParentFixtureAccepted: the committed cell telemetry passes
 // (internal/scenario's TestCellArtifactsMatchParentFixtures holds the
-// writer to it).
+// writer to it), with the summary pinned in testdata/golden.txt.
 func TestParentFixtureAccepted(t *testing.T) {
 	f, err := os.Open("testdata/cell.metrics.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if summary, err := Check(f); err != nil || summary != "29 sample(s), 64 link(s), 20 router(s)" {
-		t.Fatalf("Check = %q, %v", summary, err)
+	summary, err := Check(f)
+	if err != nil {
+		t.Fatal(err)
 	}
+	golden.Check(t, "testdata/golden.txt", "cell.metrics.jsonl", summary)
 }
 
 // TestCheckAcceptsWhatTheRecorderWrites covers the shapes the fixture

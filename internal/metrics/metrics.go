@@ -40,13 +40,6 @@ type Churn struct {
 	Replaced int64 // entries overwritten by a better route
 	Expired  int64 // entries that aged out (§5.4 metric expiration)
 	Flaps    int64 // best next-hop changes per destination
-
-	// The rest of the probe merge's rules, which the JSONL series does
-	// not carry: accepts from the entry's own upstream at a newer
-	// version (Newer) or the same one (Refreshed), discards of an older
-	// version (Outdated) or of an offer that ranks no better (Lost), and
-	// standalone probe copies forwarded.
-	Newer, Refreshed, Outdated, Lost, Forwards int64
 }
 
 // ChurnTick is one router's churn over one sample tick: the counts the

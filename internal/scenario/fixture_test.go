@@ -3,22 +3,23 @@ package scenario
 import (
 	"bytes"
 	"io"
-	"os"
 	"path/filepath"
 	"testing"
+
+	"contra/internal/golden"
 )
 
 // TestCellArtifactsMatchParentFixtures runs one tiny fixed-seed cell
-// and byte-compares its three deterministic artifacts — decision trace,
-// telemetry and flow trace — with the fixtures kept by the packages
-// that own the formats, whose tests hold their checkers to accepting
-// them; this test holds the writers to producing them. It then replays
-// the cell from the flow trace it just recorded, whose decision trace
-// and telemetry must match the same fixtures.
+// and holds its three deterministic artifacts — decision trace,
+// telemetry and flow trace — byte for byte to the fixtures kept by the
+// packages that own the formats, whose tests hold their checkers to
+// accepting them; this test holds the writers to producing them, and
+// the re-pin switch regenerates them. It then replays the cell from the
+// flow trace it just recorded, whose decision trace and telemetry must
+// equal the first run's.
 //
 // The cell is named as a single-experiment run names it, not as a
-// campaign cell: the name reaches the flow trace's key. A deliberate
-// format change regenerates the fixtures from this test's outputs.
+// campaign cell: the name reaches the flow trace's key.
 func TestCellArtifactsMatchParentFixtures(t *testing.T) {
 	cell := Scenario{
 		Name: "fattree:4:2/contra", TopoSpec: "fattree:4:2", Scheme: SchemeContra,
@@ -28,30 +29,24 @@ func TestCellArtifactsMatchParentFixtures(t *testing.T) {
 		Observe:     Observe{TraceLevel: "decisions", MetricsIntervalNs: 500_000},
 		RecordFlows: true,
 	}
-	// matches compares what write produces with pkg's fixture.
-	matches := func(what string, write func(io.Writer) error, pkg, fixture string) {
+	encode := func(write func(io.Writer) error) []byte {
 		t.Helper()
-		var got bytes.Buffer
-		if err := write(&got); err != nil {
+		var b bytes.Buffer
+		if err := write(&b); err != nil {
 			t.Fatal(err)
 		}
-		fixture = filepath.Join("..", pkg, "testdata", fixture)
-		want, err := os.ReadFile(fixture)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("%s: %d bytes written, fixture %s has %d and differs", what, got.Len(), fixture, len(want))
-		}
+		return b.Bytes()
 	}
+	fixture := func(pkg, name string) string { return filepath.Join("..", pkg, "testdata", name) }
 
 	res, err := Run(cell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches("trace", res.Trace.WriteJSONL, "trace", "cell.trace.jsonl")
-	matches("metrics", res.Metrics.WriteJSONL, "metrics", "cell.metrics.jsonl")
-	matches("flow trace", res.FlowTrace.WriteJSONL, "flowtrace", "cell.flow.jsonl")
+	trace, metrics := encode(res.Trace.WriteJSONL), encode(res.Metrics.WriteJSONL)
+	golden.Fixture(t, fixture("trace", "cell.trace.jsonl"), trace)
+	golden.Fixture(t, fixture("metrics", "cell.metrics.jsonl"), metrics)
+	golden.Fixture(t, fixture("flowtrace", "cell.flow.jsonl"), encode(res.FlowTrace.WriteJSONL))
 
 	path := filepath.Join(t.TempDir(), "cell.flow.jsonl")
 	if err := res.FlowTrace.WriteFile(path); err != nil {
@@ -64,6 +59,10 @@ func TestCellArtifactsMatchParentFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches("replay trace", res.Trace.WriteJSONL, "trace", "cell.trace.jsonl")
-	matches("replay metrics", res.Metrics.WriteJSONL, "metrics", "cell.metrics.jsonl")
+	if got := encode(res.Trace.WriteJSONL); !bytes.Equal(got, trace) {
+		t.Errorf("replay trace: %d bytes, the recorded run's %d, and differs", len(got), len(trace))
+	}
+	if got := encode(res.Metrics.WriteJSONL); !bytes.Equal(got, metrics) {
+		t.Errorf("replay metrics: %d bytes, the recorded run's %d, and differs", len(got), len(metrics))
+	}
 }

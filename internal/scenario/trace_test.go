@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"contra/internal/golden"
 	"contra/internal/trace"
 )
 
@@ -230,7 +231,8 @@ func TestCounterfactualHulaMode(t *testing.T) {
 // TestCounterfactualSettingReproducesTable pins the setting, decoded
 // from a spec, at the per-flow ΔFCT table the retired single-experiment
 // command printed for the same cell with its top-3 replay, as re-pinned
-// since by the protocol changes CHANGES.md names.
+// since by the protocol changes CHANGES.md names. The table's rows are
+// pinned in testdata/golden.txt.
 func TestCounterfactualSettingReproducesTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -246,20 +248,16 @@ func TestCounterfactualSettingReproducesTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := res.Counterfactual
-	var got []string
-	got = append(got, fmt.Sprintf("%s: %d/%d divergent, %d candidates",
-		rep.Mode, rep.BaseDivergent, rep.BaseDecisions, rep.Candidates))
+	if len(rep.Flows) != min(3, rep.Candidates) {
+		t.Fatalf("%d flows in the top-3 table of %d candidates", len(rep.Flows), rep.Candidates)
+	}
+	rows := []string{fmt.Sprintf("%s: %d/%d divergent, %d candidates",
+		rep.Mode, rep.BaseDivergent, rep.BaseDecisions, rep.Candidates)}
 	for _, f := range rep.Flows {
-		got = append(got, fmt.Sprintf("flow %d: %.3f -> %.3f ms", f.Flow, float64(f.BaseFctNs)/1e6, float64(f.AltFctNs)/1e6))
+		rows = append(rows, fmt.Sprintf("flow %d: %.3f -> %.3f ms", f.Flow, float64(f.BaseFctNs)/1e6, float64(f.AltFctNs)/1e6))
 	}
-	want := []string{
-		"runnerup: 521/521 divergent, 40 candidates",
-		"flow 6: 10.129 -> 10.676 ms",
-		"flow 34: 8.937 -> 9.029 ms",
-		"flow 17: 10.226 -> 4.476 ms",
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("counterfactual table\n got %q\nwant %q", got, want)
+	for i, row := range rows {
+		golden.Check(t, "testdata/golden.txt", fmt.Sprintf("counterfactual/%d", i), row)
 	}
 }
 

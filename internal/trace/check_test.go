@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"contra/internal/golden"
 )
 
 // Two lines of testdata/cell.trace.jsonl: a divergent source decision
@@ -15,16 +17,19 @@ const (
 )
 
 // TestParentFixtureAccepted: the committed cell trace passes (internal/
-// scenario's TestCellArtifactsMatchParentFixtures holds the writer to it).
+// scenario's TestCellArtifactsMatchParentFixtures holds the writer to it),
+// with the summary pinned in testdata/golden.txt.
 func TestParentFixtureAccepted(t *testing.T) {
 	f, err := os.Open("testdata/cell.trace.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if summary, err := Check(f); err != nil || summary != "521 decision line(s), 40 flow line(s)" {
-		t.Fatalf("Check = %q, %v", summary, err)
+	summary, err := Check(f)
+	if err != nil {
+		t.Fatal(err)
 	}
+	golden.Check(t, "testdata/golden.txt", "cell.trace.jsonl", summary)
 }
 
 // TestCheckAcceptsWhatTheRecorderWrites covers the shapes the fixture
